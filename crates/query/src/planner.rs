@@ -20,6 +20,7 @@
 //! connected-cheapest-first heuristic with the same per-pattern estimates.
 
 use crate::executor::{CompiledPattern, Slot};
+use inferray_model::ids::is_property_id;
 use inferray_store::{PropertyTable, TripleStore};
 use std::collections::HashSet;
 
@@ -202,7 +203,9 @@ pub(crate) fn pattern_cost(
     let s_bound = is_bound(&pattern.s);
     let o_bound = is_bound(&pattern.o);
     match &pattern.p {
-        Slot::Bound(p) => match store.table(*p) {
+        // A constant in predicate position can be a resource identifier (an
+        // IRI the data only uses as subject or object): it names no table.
+        Slot::Bound(p) => match is_property_id(*p).then(|| store.table(*p)).flatten() {
             Some(table) => table_estimate(table, s_bound, o_bound),
             None => 0.0,
         },
