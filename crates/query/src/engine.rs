@@ -2,14 +2,15 @@
 //! its dictionary.
 
 use crate::algebra::{FilterExpr, PatternTerm, Query, QueryForm, TriplePatternSpec};
-use crate::executor::{evaluate_bgp, CompiledPattern, Row, Slot};
-use crate::planner::order_patterns;
-use crate::solution::SolutionSet;
+use crate::executor::{
+    self, CompiledPattern, Dedup, Operand, Plan, RowFilter, Scratch, Slot, Source,
+};
+use crate::planner::{choose_dedup, link, order_patterns};
+use crate::solution::{SolutionSet, UNBOUND};
 use crate::sparql::{parse_query, QueryParseError};
 use inferray_dictionary::Dictionary;
-use inferray_model::{Term, TermKind};
+use inferray_model::TermKind;
 use inferray_store::TripleStore;
-use std::collections::HashMap;
 
 /// A read-only query engine over a (typically materialized) triple store and
 /// the dictionary that encoded it.
@@ -77,42 +78,79 @@ impl<'a> QueryEngine<'a> {
 
     /// Executes a pre-built [`Query`].
     pub fn execute(&self, query: &Query) -> SolutionSet {
-        let registry = VariableRegistry::for_query(query);
-        let projected = match query.form {
+        let mut solutions = SolutionSet::default();
+        self.execute_into(query, &mut solutions, &mut Scratch::default());
+        solutions
+    }
+
+    /// [`QueryEngine::execute`] into a caller-owned solution set and
+    /// scratch: a caller that keeps both across queries (a serving worker)
+    /// pays no per-row allocation once they have grown.
+    pub(crate) fn execute_into(
+        &self,
+        query: &Query,
+        solutions: &mut SolutionSet,
+        scratch: &mut Scratch,
+    ) {
+        solutions.reset(match query.form {
             QueryForm::Select => query.projected_variables(),
             QueryForm::Ask => Vec::new(),
-        };
-        let mut solutions = SolutionSet::empty(projected.clone());
-
-        let Some(compiled) = self.compile_patterns(&query.patterns, &registry) else {
+        });
+        let variables = query.pattern_variables();
+        let slot = |name: &str| variables.iter().position(|v| v == name);
+        let Some(compiled) = self.compile_patterns(&query.patterns, &slot) else {
             // A constant of the BGP is not in the dictionary: no solution.
-            return solutions;
+            return;
         };
         let ordered = order_patterns(self.store, compiled);
-        let rows = evaluate_bgp(self.store, &ordered, registry.len());
 
-        for row in rows {
-            if !self.row_passes_filters(&row, &query.filters, &registry) {
-                continue;
-            }
-            if query.form == QueryForm::Ask {
-                solutions.push_row(Vec::new());
-                break;
-            }
-            let projected_row = projected
+        // What the last step must still be able to see: the first
+        // `projected` of `needed` for the output, the rest for the filters.
+        let mut needed: Vec<usize> = solutions
+            .variables()
+            .iter()
+            .filter_map(|name| slot(name))
+            .collect();
+        let projected = needed.len();
+        needed.extend(
+            query
+                .filters
                 .iter()
-                .map(|name| registry.index(name).and_then(|index| row[index]))
-                .collect();
-            solutions.push_row(projected_row);
-        }
-
-        if query.form == QueryForm::Select {
-            if query.distinct {
-                solutions.deduplicate();
-            }
-            solutions.slice(query.offset, query.limit);
-        }
-        solutions
+                .flat_map(FilterExpr::variables)
+                .filter_map(slot),
+        );
+        let (steps, scope) = link(&ordered, &needed);
+        let source = |name: &str| scope.source(slot(name));
+        let select = query.form == QueryForm::Select;
+        let plan = Plan {
+            steps,
+            output: solutions.variables().iter().map(|v| source(v)).collect(),
+            filters: query
+                .filters
+                .iter()
+                .map(|filter| self.compile_filter(filter, &source))
+                .collect(),
+            dedup: if select && query.distinct {
+                choose_dedup(
+                    self.store,
+                    &ordered,
+                    &needed[..projected],
+                    &needed[projected..],
+                )
+            } else {
+                Dedup::None
+            },
+            // ASK is SELECT with nothing projected, cut at the first row.
+            offset: if select { query.offset } else { 0 },
+            limit: if select { query.limit } else { Some(1) },
+        };
+        executor::execute(
+            self.store,
+            self.dictionary,
+            &plan,
+            &mut solutions.batch,
+            scratch,
+        );
     }
 
     /// Executes a query and reports whether it has at least one solution.
@@ -129,131 +167,43 @@ impl<'a> QueryEngine<'a> {
     fn compile_patterns(
         &self,
         patterns: &[TriplePatternSpec],
-        registry: &VariableRegistry,
+        slot: &impl Fn(&str) -> Option<usize>,
     ) -> Option<Vec<CompiledPattern>> {
+        let compile = |term: &PatternTerm| match term {
+            PatternTerm::Variable(name) => Some(Slot::Var(
+                slot(name).expect("every pattern variable has a slot"),
+            )),
+            PatternTerm::Constant(term) => self.dictionary.id_of(term).map(Slot::Bound),
+        };
         patterns
             .iter()
             .map(|pattern| {
                 Some(CompiledPattern {
-                    s: self.compile_term(&pattern.s, registry)?,
-                    p: self.compile_term(&pattern.p, registry)?,
-                    o: self.compile_term(&pattern.o, registry)?,
+                    s: compile(&pattern.s)?,
+                    p: compile(&pattern.p)?,
+                    o: compile(&pattern.o)?,
                 })
             })
             .collect()
     }
 
-    fn compile_term(&self, term: &PatternTerm, registry: &VariableRegistry) -> Option<Slot> {
-        match term {
-            PatternTerm::Variable(name) => Some(Slot::Var(
-                registry
-                    .index(name)
-                    .expect("registry contains every pattern variable"),
-            )),
-            PatternTerm::Constant(term) => self.dictionary.id_of(term).map(Slot::Bound),
-        }
-    }
-
-    fn row_passes_filters(
-        &self,
-        row: &Row,
-        filters: &[FilterExpr],
-        registry: &VariableRegistry,
-    ) -> bool {
-        filters
-            .iter()
-            .all(|filter| self.filter_holds(row, filter, registry))
-    }
-
-    fn filter_holds(&self, row: &Row, filter: &FilterExpr, registry: &VariableRegistry) -> bool {
-        let value_of = |name: &str| registry.index(name).and_then(|index| row[index]);
-        match filter {
-            FilterExpr::Bound(name) => value_of(name).is_some(),
-            FilterExpr::IsIri(name) => self.kind_of(value_of(name)) == Some(TermKind::Iri),
-            FilterExpr::IsLiteral(name) => self.kind_of(value_of(name)) == Some(TermKind::Literal),
-            FilterExpr::IsBlank(name) => self.kind_of(value_of(name)) == Some(TermKind::BlankNode),
-            FilterExpr::Equal(name, rhs) => {
-                let Some(lhs) = value_of(name) else {
-                    return false;
-                };
-                match self.resolve_rhs(rhs, &value_of) {
-                    Some(rhs_value) => lhs == rhs_value,
-                    // The right-hand term exists nowhere in the data, so it
-                    // cannot be equal to any bound value.
-                    None => false,
-                }
+    /// Resolves a filter's variables to where the last step finds them and
+    /// its constant to an identifier, once per query instead of per row.
+    fn compile_filter(&self, filter: &FilterExpr, source: &impl Fn(&str) -> Source) -> RowFilter {
+        let operand = |rhs: &PatternTerm| match rhs {
+            PatternTerm::Variable(name) => Operand::Var(source(name)),
+            PatternTerm::Constant(term) => {
+                Operand::Const(self.dictionary.id_of(term).unwrap_or(UNBOUND))
             }
-            FilterExpr::NotEqual(name, rhs) => {
-                let Some(lhs) = value_of(name) else {
-                    return false;
-                };
-                match rhs {
-                    PatternTerm::Variable(other) => {
-                        value_of(other).is_some_and(|rhs_value| lhs != rhs_value)
-                    }
-                    PatternTerm::Constant(term) => match self.dictionary.id_of(term) {
-                        Some(rhs_value) => lhs != rhs_value,
-                        // A term absent from the data differs from every
-                        // bound value.
-                        None => true,
-                    },
-                }
-            }
-        }
-    }
-
-    fn resolve_rhs(
-        &self,
-        rhs: &PatternTerm,
-        value_of: &impl Fn(&str) -> Option<u64>,
-    ) -> Option<u64> {
-        match rhs {
-            PatternTerm::Variable(name) => value_of(name),
-            PatternTerm::Constant(term) => self.dictionary.id_of(term),
-        }
-    }
-
-    fn kind_of(&self, id: Option<u64>) -> Option<TermKind> {
-        id.and_then(|id| self.dictionary.decode(id)).map(Term::kind)
-    }
-}
-
-/// Maps variable names to row slot indices.
-struct VariableRegistry {
-    slots: HashMap<String, usize>,
-    count: usize,
-}
-
-impl VariableRegistry {
-    fn for_query(query: &Query) -> Self {
-        let mut registry = VariableRegistry {
-            slots: HashMap::new(),
-            count: 0,
         };
-        for name in query.pattern_variables() {
-            registry.insert(name);
+        match filter {
+            FilterExpr::Bound(name) => RowFilter::Bound(source(name)),
+            FilterExpr::IsIri(name) => RowFilter::Kind(source(name), TermKind::Iri),
+            FilterExpr::IsLiteral(name) => RowFilter::Kind(source(name), TermKind::Literal),
+            FilterExpr::IsBlank(name) => RowFilter::Kind(source(name), TermKind::BlankNode),
+            FilterExpr::Equal(name, rhs) => RowFilter::Equal(source(name), operand(rhs)),
+            FilterExpr::NotEqual(name, rhs) => RowFilter::NotEqual(source(name), operand(rhs)),
         }
-        for filter in &query.filters {
-            for name in filter.variables() {
-                registry.insert(name.to_owned());
-            }
-        }
-        registry
-    }
-
-    fn insert(&mut self, name: String) {
-        if !self.slots.contains_key(&name) {
-            self.slots.insert(name, self.count);
-            self.count += 1;
-        }
-    }
-
-    fn index(&self, name: &str) -> Option<usize> {
-        self.slots.get(name).copied()
-    }
-
-    fn len(&self) -> usize {
-        self.count
     }
 }
 
@@ -261,6 +211,8 @@ impl VariableRegistry {
 mod tests {
     use super::*;
     use crate::algebra::{PatternTerm, TriplePatternSpec};
+    use crate::executor::tests::visited;
+    use inferray_model::Term;
     use inferray_parser::load_turtle;
 
     const DATA: &str = r#"
@@ -424,7 +376,47 @@ ex:Robot rdfs:subClassOf ex:Agent .
             .execute_sparql("SELECT ?ghost WHERE { ?x ?p ?o } LIMIT 1")
             .unwrap();
         assert_eq!(solutions.len(), 1);
-        assert_eq!(solutions.rows()[0], vec![None]);
+        assert_eq!(solutions.sorted_rows(), vec![vec![None]]);
+    }
+
+    #[test]
+    fn ask_and_limit_do_constant_work_on_a_large_store() {
+        // 40 000 triples over 8 predicates; answers of one row must not cost
+        // a walk over them.
+        let mut document = String::new();
+        for i in 0..40_000 {
+            document.push_str(&format!(
+                "<http://example.org/s{}> <http://example.org/p{}> <http://example.org/o{}> .\n",
+                i / 4,
+                i % 8,
+                i % 100
+            ));
+        }
+        let mut dataset = inferray_parser::load_ntriples(&document).unwrap();
+        dataset.store.ensure_all_os();
+        let engine = QueryEngine::new(&dataset.store, &dataset.dictionary);
+        for (text, rows, bound) in [
+            ("ASK { ?s ?p ?o }", 1, 1),
+            ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1", 1, 1),
+            ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 5 OFFSET 5", 5, 10),
+            // One row per non-empty table, one pair looked at in each.
+            ("SELECT DISTINCT ?p WHERE { ?s ?p ?o }", 8, 8),
+            (
+                "SELECT DISTINCT ?o WHERE { ?s <http://example.org/p3> ?o } LIMIT 4",
+                4,
+                4,
+            ),
+            // Only the last step stops early: the first one is the p3 table.
+            ("ASK { ?s <http://example.org/p3> ?o . ?s ?q ?z }", 1, 5_001),
+        ] {
+            let mut solutions = SolutionSet::default();
+            let visited = visited(|| solutions = engine.execute_sparql(text).unwrap());
+            assert_eq!(solutions.len(), rows, "{text}");
+            assert!(
+                visited <= bound,
+                "{text}: looked at {visited} pairs, the answer needs at most {bound}"
+            );
+        }
     }
 
     #[test]

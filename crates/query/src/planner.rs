@@ -1,6 +1,7 @@
-//! Cardinality-driven ordering of the BGP's triple patterns.
+//! Cardinality-driven ordering of the BGP's triple patterns, and the linking
+//! of the ordered patterns into the executor's steps.
 //!
-//! The executor evaluates the BGP pattern-at-a-time, so the join order
+//! The executor evaluates the BGP one pattern per step, so the join order
 //! decides how many intermediate bindings are produced. The planner derives
 //! its estimates straight from the sorted pair tables: the exact per-property
 //! pair count (`PropertyTable::len`) and bounded distinct-subject /
@@ -18,9 +19,14 @@
 //! (the lexicographically smallest disconnected-pick vector), then by the
 //! written pattern order. Larger BGPs fall back to the greedy
 //! connected-cheapest-first heuristic with the same per-pattern estimates.
+//!
+//! [`link`] then fixes, per step, which positions are constants, which come
+//! from a column of the previous step's batch and which the step binds, and
+//! which variables the step hands on — only those a later pattern, a filter
+//! or the projection still reads. [`choose_dedup`] decides whether the scan
+//! order of a single-pattern plan already answers `DISTINCT`.
 
-use crate::executor::{CompiledPattern, Slot};
-use inferray_model::ids::is_property_id;
+use crate::executor::{table_for, CompiledPattern, Dedup, Pos, Same, Slot, Source, Step};
 use inferray_store::{PropertyTable, TripleStore};
 use std::collections::HashSet;
 
@@ -203,9 +209,7 @@ pub(crate) fn pattern_cost(
     let s_bound = is_bound(&pattern.s);
     let o_bound = is_bound(&pattern.o);
     match &pattern.p {
-        // A constant in predicate position can be a resource identifier (an
-        // IRI the data only uses as subject or object): it names no table.
-        Slot::Bound(p) => match is_property_id(*p).then(|| store.table(*p)).flatten() {
+        Slot::Bound(p) => match table_for(store, *p) {
             Some(table) => table_estimate(table, s_bound, o_bound),
             None => 0.0,
         },
@@ -262,10 +266,149 @@ fn table_estimate(table: &PropertyTable, s_bound: bool, o_bound: bool) -> f64 {
     }
 }
 
+/// Resolves variables against the last step: its input batch's columns and
+/// the positions its pattern binds.
+#[derive(Debug, Default)]
+pub(crate) struct Scope {
+    /// The variable held by each column of the batch the step reads.
+    layout: Vec<usize>,
+    pattern: Option<CompiledPattern>,
+}
+
+impl Scope {
+    /// Where the step finds `variable` (`None`: a name no pattern mentions).
+    pub(crate) fn source(&self, variable: Option<usize>) -> Source {
+        let Some(variable) = variable else {
+            return Source::Unbound;
+        };
+        if let Some(column) = self.layout.iter().position(|v| *v == variable) {
+            return Source::In(column);
+        }
+        let binds = |slot: Slot| slot == Slot::Var(variable);
+        match self.pattern {
+            Some(pattern) if binds(pattern.s) => Source::S,
+            Some(pattern) if binds(pattern.p) => Source::P,
+            Some(pattern) if binds(pattern.o) => Source::O,
+            _ => Source::Unbound,
+        }
+    }
+
+    fn pos(&self, slot: Slot) -> Pos {
+        match slot {
+            Slot::Bound(id) => Pos::Const(id),
+            Slot::Var(variable) => match self.source(Some(variable)) {
+                Source::In(column) => Pos::In(column),
+                _ => Pos::Free,
+            },
+        }
+    }
+}
+
+/// Links the ordered patterns into steps. `needed` lists the variables read
+/// after the last pattern (by a filter or the projection); a variable is
+/// carried from one step to the next only while something still reads it.
+/// Returns the steps and the scope of the last one, against which the
+/// caller resolves the projection and the filters.
+pub(crate) fn link(ordered: &[CompiledPattern], needed: &[usize]) -> (Vec<Step>, Scope) {
+    let mut steps = Vec::with_capacity(ordered.len());
+    let mut scope = Scope::default();
+    for (index, pattern) in ordered.iter().enumerate() {
+        scope.pattern = Some(*pattern);
+        let (s, p, o) = (
+            scope.pos(pattern.s),
+            scope.pos(pattern.p),
+            scope.pos(pattern.o),
+        );
+        let same = Same {
+            subject_predicate: s == Pos::Free && pattern.s == pattern.p,
+            subject_object: s == Pos::Free && pattern.s == pattern.o,
+            predicate_object: p == Pos::Free && pattern.p == pattern.o,
+        };
+        let later = &ordered[index + 1..];
+        let mut carry = Vec::new();
+        if !later.is_empty() {
+            let mut layout = Vec::new();
+            let bound_here = [pattern.s, pattern.p, pattern.o]
+                .into_iter()
+                .filter_map(|slot| match slot {
+                    Slot::Var(variable) => Some(variable),
+                    Slot::Bound(_) => None,
+                });
+            for variable in scope.layout.iter().copied().chain(bound_here) {
+                let read_later =
+                    needed.contains(&variable) || later.iter().any(|p| mentions(p, variable));
+                if read_later && !layout.contains(&variable) {
+                    carry.push(scope.source(Some(variable)));
+                    layout.push(variable);
+                }
+            }
+            scope.layout = layout;
+        }
+        steps.push(Step {
+            s,
+            p,
+            o,
+            same,
+            carry,
+        });
+    }
+    (steps, scope)
+}
+
+fn mentions(pattern: &CompiledPattern, variable: usize) -> bool {
+    [pattern.s, pattern.p, pattern.o].contains(&Slot::Var(variable))
+}
+
+/// How `DISTINCT` over `ordered` is answered when `projected` are the
+/// variables of the output row and `filtered` the ones the filters read. A
+/// single pattern enumerates distinct triples, so its rows can only repeat in
+/// the variables that are *not* projected, and the sort order of the scanned
+/// layout groups those repeats — as long as no filter tells them apart.
+pub(crate) fn choose_dedup(
+    store: &TripleStore,
+    ordered: &[CompiledPattern],
+    projected: &[usize],
+    filtered: &[usize],
+) -> Dedup {
+    let pattern = match ordered {
+        [] => return Dedup::None,
+        [pattern] => pattern,
+        _ => return Dedup::Sort,
+    };
+    let dropped = |slot: Slot| matches!(slot, Slot::Var(v) if !projected.contains(&v));
+    let positions = [pattern.s, pattern.p, pattern.o];
+    if positions
+        .iter()
+        .any(|slot| dropped(*slot) && matches!(slot, Slot::Var(v) if filtered.contains(v)))
+    {
+        // Rows that agree on the output may differ on what a filter reads.
+        return Dedup::Sort;
+    }
+    let free = |slot: Slot| matches!(slot, Slot::Var(_));
+    match (dropped(pattern.s), dropped(pattern.p), dropped(pattern.o)) {
+        (false, false, false) => Dedup::None,
+        // The same row can come out of several tables.
+        (_, true, _) => Dedup::Sort,
+        (false, false, true) if free(pattern.s) => Dedup::SubjectRuns,
+        (true, false, false) if free(pattern.o) => {
+            let cached = match pattern.p {
+                Slot::Bound(p) => table_for(store, p).is_none_or(PropertyTable::has_os_cache),
+                Slot::Var(_) => store.iter_tables().all(|(_, table)| table.has_os_cache()),
+            };
+            if cached {
+                Dedup::ObjectRuns
+            } else {
+                Dedup::Sort
+            }
+        }
+        _ => Dedup::Range,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{evaluate_bgp, Row};
+    use crate::executor::tests::evaluate;
     use inferray_model::ids::nth_property_id;
     use inferray_model::IdTriple;
 
@@ -561,24 +704,18 @@ mod tests {
         (patterns, variables)
     }
 
-    fn solutions(store: &TripleStore, patterns: &[CompiledPattern], variables: usize) -> Vec<Row> {
-        let mut rows = evaluate_bgp(store, patterns, variables);
-        rows.sort();
-        rows
-    }
-
     #[test]
     fn any_input_permutation_yields_the_same_solutions() {
         let store = property_store();
         let mut rng = Rng(0x5eed_cafe_f00d_0001);
         for case in 0..40 {
             let (patterns, variables) = random_bgp(&mut rng, &store);
-            let reference = solutions(&store, &order_patterns(&store, patterns.clone()), variables);
+            let reference = evaluate(&store, &order_patterns(&store, patterns.clone()), variables);
             for order in permutations(patterns.len()) {
                 let permuted: Vec<_> = order.iter().map(|&i| patterns[i]).collect();
                 let planned = order_patterns(&store, permuted);
                 assert_eq!(
-                    solutions(&store, &planned, variables),
+                    evaluate(&store, &planned, variables),
                     reference,
                     "case {case}: permutation {order:?} changed the solutions of {patterns:?}"
                 );

@@ -73,8 +73,9 @@
 //! allocate.
 
 use crate::algebra::QueryForm;
+use crate::executor::Scratch;
 use crate::serving::SnapshotQueryEngine;
-use crate::solution::SolutionSet;
+use crate::solution::{decode, SolutionSet};
 use crate::sparql::parse_query;
 use inferray_model::Term;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -412,6 +413,10 @@ struct WorkerBuffers {
     path: String,
     /// The `POST` body.
     body: Vec<u8>,
+    /// The solutions of the current query: the executor's output batch.
+    solutions: SolutionSet,
+    /// The executor's other buffers (second batch, sort scratch).
+    scratch: Scratch,
     /// The rendered response body (JSON).
     response: String,
     /// The rendered wire bytes (status line + headers + body), written with
@@ -425,6 +430,8 @@ impl WorkerBuffers {
             head: String::new(),
             path: String::new(),
             body: Vec::new(),
+            solutions: SolutionSet::default(),
+            scratch: Scratch::default(),
             response: String::new(),
             out: Vec::new(),
         }
@@ -605,6 +612,8 @@ fn serve_request(
                     source,
                     &query,
                     opts,
+                    &mut buffers.solutions,
+                    &mut buffers.scratch,
                     &mut buffers.response,
                     &mut buffers.out,
                 )?,
@@ -653,6 +662,8 @@ fn serve_request(
                     source,
                     text,
                     opts,
+                    &mut buffers.solutions,
+                    &mut buffers.scratch,
                     &mut buffers.response,
                     &mut buffers.out,
                 )?;
@@ -1034,9 +1045,11 @@ fn percent_decode(input: &str) -> String {
                 // digits ("%zz") — falls back to the literal '%' and
                 // continues with the next byte, so no input can panic or
                 // swallow trailing bytes. `get` returns `None` when fewer
-                // than two bytes remain.
+                // than two bytes remain. Both bytes must be hex digits:
+                // `from_str_radix` alone would take a sign ("%+f").
                 let escaped = bytes
                     .get(i + 1..i + 3)
+                    .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|hex| std::str::from_utf8(hex).ok())
                     .and_then(|hex| u8::from_str_radix(hex, 16).ok());
                 match escaped {
@@ -1059,11 +1072,14 @@ fn percent_decode(input: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
+#[allow(clippy::too_many_arguments)]
 fn answer_query(
     stream: &mut TcpStream,
     source: &dyn EngineSource,
     text: &str,
     opts: RespondOptions,
+    solutions: &mut SolutionSet,
+    scratch: &mut Scratch,
     response: &mut String,
     out: &mut Vec<u8>,
 ) -> std::io::Result<()> {
@@ -1077,7 +1093,7 @@ fn answer_query(
     };
     // One engine — hence one frozen epoch — for the whole request.
     let engine = source.current();
-    let solutions = engine.execute(&query);
+    engine.execute_into(&query, solutions, scratch);
     match query.form {
         QueryForm::Ask => {
             use std::fmt::Write as _;
@@ -1087,7 +1103,7 @@ fn answer_query(
                 !solutions.is_empty()
             );
         }
-        QueryForm::Select => results_json_into(response, &solutions, &engine),
+        QueryForm::Select => results_json_into(response, solutions, &engine),
     }
     respond(
         stream,
@@ -1100,7 +1116,7 @@ fn answer_query(
 }
 
 /// Renders a solution set in the SPARQL 1.1 Query Results JSON format into
-/// the reused response buffer.
+/// the reused response buffer, straight off the executor's flat batch.
 fn results_json_into(out: &mut String, solutions: &SolutionSet, engine: &SnapshotQueryEngine) {
     out.reserve(64 + solutions.len() * 64);
     out.push_str("{\"head\":{\"vars\":[");
@@ -1114,14 +1130,14 @@ fn results_json_into(out: &mut String, solutions: &SolutionSet, engine: &Snapsho
     }
     out.push_str("]},\"results\":{\"bindings\":[");
     let dictionary = engine.dictionary();
-    for (row_index, row) in solutions.rows().iter().enumerate() {
+    for (row_index, row) in solutions.rows().enumerate() {
         if row_index > 0 {
             out.push(',');
         }
         out.push('{');
         let mut first = true;
-        for (var, id) in solutions.variables().iter().zip(row.iter()) {
-            let Some(term) = id.and_then(|id| dictionary.decode(id)) else {
+        for (var, id) in solutions.variables().iter().zip(row) {
+            let Some(term) = decode(dictionary, *id) else {
                 continue; // unbound variables are omitted from the binding
             };
             if !first {
@@ -1462,6 +1478,11 @@ mod tests {
         assert_eq!(percent_decode("%%20"), "% ");
         assert_eq!(percent_decode("%2%41"), "%2A");
         assert_eq!(percent_decode(""), "");
+        // A sign is not a hex digit: "%+f" is a literal '%', a '+' (a
+        // space) and an 'f', not byte 0x0F.
+        assert_eq!(percent_decode("%+f"), "% f");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("%+F%41"), "% FA");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! count or scheduling.
 
 use crate::engine::QueryEngine;
+use crate::executor::Scratch;
 use crate::solution::SolutionSet;
 use crate::sparql::{parse_query, QueryParseError};
 use crate::Query;
@@ -113,6 +114,17 @@ impl SnapshotQueryEngine {
     /// Executes a pre-built [`Query`] against the snapshot.
     pub fn execute(&self, query: &Query) -> SolutionSet {
         self.engine().execute(query)
+    }
+
+    /// [`SnapshotQueryEngine::execute`] into buffers the caller reuses from
+    /// query to query (the HTTP workers).
+    pub(crate) fn execute_into(
+        &self,
+        query: &Query,
+        solutions: &mut SolutionSet,
+        scratch: &mut Scratch,
+    ) {
+        self.engine().execute_into(query, solutions, scratch);
     }
 
     /// Executes a batch of query strings on the global `inferray-parallel`

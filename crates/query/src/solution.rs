@@ -2,40 +2,98 @@
 //!
 //! The executor works entirely in the encoded (u64) domain — the same flat
 //! identifiers the property tables store — and only decodes terms when the
-//! caller asks for them. This keeps the join pipeline allocation-light and
-//! mirrors how the reasoner itself defers decoding until output time.
+//! caller asks for them. A solution set is one flat `Vec<u64>` holding
+//! `stride` identifiers per row, exactly the shape the executor's kernels
+//! write, so nothing is copied or re-boxed between the last join and the
+//! renderer.
 
 use inferray_dictionary::Dictionary;
 use inferray_model::Term;
-use std::collections::HashSet;
 use std::fmt;
 
-/// One row of a solution: the encoded binding of each projected variable
-/// (`None` when the variable is unbound in this solution).
+/// The identifier standing for "no binding" in a flat row. The dense
+/// numbering grows resources upwards from `2³² + 1` one term at a time, so no
+/// dictionary can ever assign it.
+pub const UNBOUND: u64 = u64::MAX;
+
+/// One row of a solution in boxed form: the encoded binding of each
+/// projected variable (`None` when the variable is unbound in this
+/// solution). Used where rows are built or compared by hand; the solution
+/// set itself stores flat rows (see [`SolutionSet::rows`]).
 pub type EncodedRow = Vec<Option<u64>>;
+
+/// Rows of `stride` identifiers each, back to back in one vector. The
+/// executor ping-pongs two of these; a [`SolutionSet`] owns the last one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Batch {
+    pub(crate) data: Vec<u64>,
+    pub(crate) stride: usize,
+    /// Row count, kept explicitly: with `stride == 0` (an `ASK`, or a
+    /// pattern whose variables nobody reads) the data vector stays empty.
+    pub(crate) rows: usize,
+}
+
+impl Batch {
+    /// Empties the batch and sets the row width, keeping the allocation.
+    pub(crate) fn reset(&mut self, stride: usize) {
+        self.data.clear();
+        self.stride = stride;
+        self.rows = 0;
+    }
+
+    pub(crate) fn row(&self, index: usize) -> &[u64] {
+        &self.data[index * self.stride..(index + 1) * self.stride]
+    }
+
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = &[u64]> + Clone + '_ {
+        (0..self.rows).map(|index| self.row(index))
+    }
+
+    /// Applies `OFFSET`/`LIMIT` in that order (the SPARQL slice semantics).
+    pub(crate) fn slice(&mut self, offset: usize, limit: Option<usize>) {
+        let offset = offset.min(self.rows);
+        self.data.drain(..offset * self.stride);
+        self.rows = (self.rows - offset).min(limit.unwrap_or(usize::MAX));
+        self.data.truncate(self.rows * self.stride);
+    }
+}
 
 /// The result of a `SELECT` query: a header of variable names plus the
 /// matching rows, in the order the executor produced them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolutionSet {
     variables: Vec<String>,
-    rows: Vec<EncodedRow>,
+    pub(crate) batch: Batch,
 }
 
 impl SolutionSet {
     /// Creates a solution set with the given header and no rows.
     pub fn empty(variables: Vec<String>) -> Self {
-        SolutionSet {
-            variables,
-            rows: Vec::new(),
-        }
+        let mut solutions = SolutionSet::default();
+        solutions.reset(variables);
+        solutions
     }
 
-    /// Creates a solution set from a header and pre-built rows. Every row
-    /// must have exactly one entry per variable.
+    /// Creates a solution set from a header and boxed rows. Every row must
+    /// have exactly one entry per variable.
     pub fn new(variables: Vec<String>, rows: Vec<EncodedRow>) -> Self {
-        debug_assert!(rows.iter().all(|r| r.len() == variables.len()));
-        SolutionSet { variables, rows }
+        let mut solutions = SolutionSet::empty(variables);
+        for row in &rows {
+            assert_eq!(row.len(), solutions.variables.len(), "row width");
+            solutions
+                .batch
+                .data
+                .extend(row.iter().map(|id| id.unwrap_or(UNBOUND)));
+        }
+        solutions.batch.rows = rows.len();
+        solutions
+    }
+
+    /// Empties the set and installs a new header, keeping the row buffer's
+    /// allocation (the serving workers answer every request into one set).
+    pub(crate) fn reset(&mut self, variables: Vec<String>) {
+        self.batch.reset(variables.len());
+        self.variables = variables;
     }
 
     /// The projected variable names, in projection order.
@@ -43,25 +101,20 @@ impl SolutionSet {
         &self.variables
     }
 
-    /// The raw encoded rows.
-    pub fn rows(&self) -> &[EncodedRow] {
-        &self.rows
+    /// The rows as slices of the flat buffer: one identifier per projected
+    /// variable, [`UNBOUND`] where the variable has no binding.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u64]> + Clone + '_ {
+        self.batch.rows()
     }
 
     /// Number of solutions.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.batch.rows
     }
 
     /// `true` when the query produced no solution.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Appends a row (used by the executor).
-    pub(crate) fn push_row(&mut self, row: EncodedRow) {
-        debug_assert_eq!(row.len(), self.variables.len());
-        self.rows.push(row);
+        self.batch.rows == 0
     }
 
     /// Index of a variable in the header.
@@ -69,33 +122,16 @@ impl SolutionSet {
         self.variables.iter().position(|v| v == variable)
     }
 
-    /// The encoded bindings of one variable across all rows (`None` entries
-    /// are skipped).
+    /// The encoded bindings of one variable across all rows (unbound
+    /// entries are skipped).
     pub fn column_values(&self, variable: &str) -> Vec<u64> {
         match self.column(variable) {
-            Some(index) => self.rows.iter().filter_map(|row| row[index]).collect(),
+            Some(index) => self
+                .rows()
+                .map(|row| row[index])
+                .filter(|id| *id != UNBOUND)
+                .collect(),
             None => Vec::new(),
-        }
-    }
-
-    /// Removes duplicate rows, preserving first occurrence order
-    /// (`SELECT DISTINCT`).
-    pub(crate) fn deduplicate(&mut self) {
-        let mut seen: HashSet<EncodedRow> = HashSet::with_capacity(self.rows.len());
-        self.rows.retain(|row| seen.insert(row.clone()));
-    }
-
-    /// Applies `OFFSET`/`LIMIT` in that order (the SPARQL slice semantics).
-    pub(crate) fn slice(&mut self, offset: usize, limit: Option<usize>) {
-        if offset > 0 {
-            if offset >= self.rows.len() {
-                self.rows.clear();
-            } else {
-                self.rows.drain(..offset);
-            }
-        }
-        if let Some(limit) = limit {
-            self.rows.truncate(limit);
         }
     }
 
@@ -103,11 +139,10 @@ impl SolutionSet {
     /// dictionary decode to `None` (this only happens if the caller pairs a
     /// store with the wrong dictionary).
     pub fn decoded(&self, dictionary: &Dictionary) -> Vec<Vec<Option<Term>>> {
-        self.rows
-            .iter()
+        self.rows()
             .map(|row| {
                 row.iter()
-                    .map(|id| id.and_then(|id| dictionary.decode(id).cloned()))
+                    .map(|id| decode(dictionary, *id).cloned())
                     .collect()
             })
             .collect()
@@ -121,8 +156,10 @@ impl SolutionSet {
         dictionary: &Dictionary,
     ) -> Option<Term> {
         let column = self.column(variable)?;
-        let id = (*self.rows.get(row)?).get(column).copied().flatten()?;
-        dictionary.decode(id).cloned()
+        if row >= self.len() {
+            return None;
+        }
+        decode(dictionary, self.batch.row(row)[column]).cloned()
     }
 
     /// Renders the solutions as a small text table (decoded through the
@@ -142,22 +179,41 @@ impl SolutionSet {
         out
     }
 
-    /// A canonical (sorted) copy of the rows, convenient for
+    /// A canonical (sorted) boxed copy of the rows, convenient for
     /// order-insensitive comparisons in tests.
     pub fn sorted_rows(&self) -> Vec<EncodedRow> {
-        let mut rows = self.rows.clone();
+        let mut rows: Vec<EncodedRow> = self
+            .rows()
+            .map(|row| {
+                row.iter()
+                    .map(|id| (*id != UNBOUND).then_some(*id))
+                    .collect()
+            })
+            .collect();
         rows.sort();
         rows
+    }
+}
+
+/// The term behind an identifier of a flat row.
+pub(crate) fn decode(dictionary: &Dictionary, id: u64) -> Option<&Term> {
+    if id == UNBOUND {
+        None
+    } else {
+        dictionary.decode(id)
     }
 }
 
 impl fmt::Display for SolutionSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.variables.join("\t"))?;
-        for row in &self.rows {
+        for row in self.rows() {
             let cells: Vec<String> = row
                 .iter()
-                .map(|id| id.map_or("UNBOUND".to_owned(), |id| id.to_string()))
+                .map(|id| match *id {
+                    UNBOUND => "UNBOUND".to_owned(),
+                    id => id.to_string(),
+                })
                 .collect();
             writeln!(f, "{}", cells.join("\t"))?;
         }
@@ -192,28 +248,53 @@ mod tests {
     }
 
     #[test]
-    fn deduplicate_preserves_first_occurrence() {
-        let mut s = sample();
-        s.deduplicate();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.rows()[0], vec![Some(1), Some(2)]);
-        assert_eq!(s.rows()[1], vec![Some(3), None]);
+    fn rows_are_slices_of_the_flat_buffer() {
+        let s = sample();
+        assert_eq!(s.len(), 3);
+        let rows: Vec<&[u64]> = s.rows().collect();
+        assert_eq!(rows, [&[1, 2][..], &[3, UNBOUND], &[1, 2]]);
+        assert_eq!(s.to_string(), "x\ty\n1\t2\n3\tUNBOUND\n1\t2\n");
+    }
+
+    #[test]
+    fn zero_width_rows_are_counted() {
+        // An ASK that matched: one row, no columns.
+        let s = SolutionSet::new(Vec::new(), vec![Vec::new()]);
+        assert_eq!(s.len(), 1);
+        assert!(!s.is_empty());
+        assert_eq!(s.rows().next(), Some(&[][..]));
+        assert_eq!(s.sorted_rows(), vec![Vec::<Option<u64>>::new()]);
+        assert!(SolutionSet::empty(Vec::new()).is_empty());
     }
 
     #[test]
     fn slice_applies_offset_then_limit() {
         let mut s = sample();
-        s.slice(1, Some(1));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.rows()[0], vec![Some(3), None]);
+        s.batch.slice(1, Some(1));
+        assert_eq!(s.sorted_rows(), vec![vec![Some(3), None]]);
 
         let mut s = sample();
-        s.slice(10, None);
+        s.batch.slice(10, None);
         assert!(s.is_empty());
 
         let mut s = sample();
-        s.slice(0, Some(0));
+        s.batch.slice(0, Some(0));
         assert!(s.is_empty());
+
+        let mut asked = SolutionSet::new(Vec::new(), vec![Vec::new(), Vec::new()]);
+        asked.batch.slice(1, None);
+        assert_eq!(asked.len(), 1);
+    }
+
+    #[test]
+    fn reset_keeps_the_row_buffer() {
+        let mut s = sample();
+        let capacity = s.batch.data.capacity();
+        s.reset(vec!["z".into()]);
+        assert!(s.is_empty());
+        assert_eq!(s.variables(), &["z".to_owned()]);
+        assert_eq!(s.batch.stride, 1);
+        assert_eq!(s.batch.data.capacity(), capacity);
     }
 
     #[test]
@@ -234,6 +315,7 @@ mod tests {
             Some(Term::iri("http://ex/alice"))
         );
         assert_eq!(s.decoded_value(2, "who", &dictionary), None);
+        assert_eq!(s.decoded_value(3, "who", &dictionary), None);
         let table = s.to_table(&dictionary);
         assert!(table.starts_with("who\n"));
         assert!(table.contains("<http://ex/alice>"));

@@ -98,7 +98,7 @@ proptest! {
         let distinct = engine.execute(&Query::select_all(patterns.clone()).with_distinct());
         prop_assert!(distinct.len() <= plain.len());
         // DISTINCT removes exactly the duplicate rows.
-        let unique: std::collections::HashSet<_> = plain.rows().iter().cloned().collect();
+        let unique: std::collections::HashSet<&[u64]> = plain.rows().collect();
         prop_assert_eq!(distinct.len(), unique.len());
 
         let limited = engine.execute(&Query::select_all(patterns).with_limit(limit));

@@ -40,12 +40,15 @@ pub mod query;
 pub mod snapshot;
 pub mod triple_store;
 
+/// The scratch of [`PropertyTable::finalize_with`] and the `ensure_os_with`
+/// family, re-exported so their callers need not name the sort crate.
+pub use inferray_sort::SortScratch;
 pub use inferred::InferredBuffer;
 pub use merge::{
     merge_new_pairs, merge_new_pairs_rebuild, merge_new_pairs_with, MergeOutcome, MergeStrategy,
 };
 pub use profile::AccessProfile;
-pub use property_table::{DistinctCount, PropertyTable};
+pub use property_table::{gallop_lower_bound, gallop_upper_bound, DistinctCount, PropertyTable};
 pub use query::TriplePattern;
 pub use snapshot::{unpoison, SnapshotStore, StoreSnapshot};
 pub use triple_store::TripleStore;

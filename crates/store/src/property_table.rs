@@ -181,21 +181,32 @@ impl PropertyTable {
         self.invalidate_os_cache();
     }
 
+    /// The contiguous run of subject `s` in the ⟨s,o⟩ layout, as a flat
+    /// `[s, o, s, o', …]` slice (empty when `s` has no pair).
+    pub fn subject_run(&self, s: u64) -> &[u64] {
+        let pairs = self.pairs();
+        &pairs[key_range(pairs, s)]
+    }
+
+    /// The contiguous run of object `o` in the ⟨o,s⟩ layout, as a flat
+    /// `[o, s, o, s', …]` slice; `None` when the cache is not materialized.
+    pub fn object_run(&self, o: u64) -> Option<&[u64]> {
+        self.os_pairs().map(|os| &os[key_range(os, o)])
+    }
+
     /// Iterates over the objects associated with subject `s` (⟨s,o⟩ order).
     pub fn objects_of(&self, s: u64) -> impl Iterator<Item = u64> + '_ {
-        let range = key_range(self.pairs(), s);
-        self.pairs()[range].chunks_exact(2).map(|p| p[1])
+        self.subject_run(s).chunks_exact(2).map(|p| p[1])
     }
 
     /// Iterates over the subjects associated with object `o`. Requires the
     /// ⟨o,s⟩ cache (panics otherwise) — callers ensure it before read-only
     /// parallel phases.
     pub fn subjects_of(&self, o: u64) -> impl Iterator<Item = u64> + '_ {
-        let os = self
-            .os_pairs()
-            .expect("subjects_of requires the ⟨o,s⟩ cache (call ensure_os first)");
-        let range = key_range(os, o);
-        os[range].chunks_exact(2).map(|p| p[1])
+        self.object_run(o)
+            .expect("subjects_of requires the ⟨o,s⟩ cache (call ensure_os first)")
+            .chunks_exact(2)
+            .map(|p| p[1])
     }
 
     /// Binary-searches for an exact pair.
@@ -454,25 +465,55 @@ fn distinct_keys_bounded(pairs: &[u64], budget: usize) -> DistinctCount {
                 exact: false,
             };
         }
-        // Skip the run: upper bound of this subject within [idx, n).
-        let key = pairs[2 * idx];
-        let mut lo = idx + 1;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if pairs[2 * mid] <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        idx = lo;
+        idx = gallop_upper_bound(pairs, idx + 1, pairs[2 * idx]);
         runs += 1;
     }
     DistinctCount {
         count: runs,
         exact: true,
     }
+}
+
+/// Pair index of the first pair at or after pair index `from` whose first
+/// component is `>= key`, in a flat pair array sorted on its first component
+/// from `from` on. Every pair before `from` is taken to sort before `key`.
+///
+/// The search gallops: it probes `from`, `from + 1`, `from + 3`, `from + 7`,
+/// … and binary-searches the last gap, so a key `d` pairs ahead costs
+/// `O(log d)` — a caller that walks keys in ascending order and passes the
+/// previous answer back as `from` performs a merge join.
+pub fn gallop_lower_bound(pairs: &[u64], from: usize, key: u64) -> usize {
+    gallop(pairs, from, |first| first < key)
+}
+
+/// [`gallop_lower_bound`] for the first pair whose first component is
+/// `> key`: called on the start of a run, it returns the end of that run.
+pub fn gallop_upper_bound(pairs: &[u64], from: usize, key: u64) -> usize {
+    gallop(pairs, from, |first| first <= key)
+}
+
+/// Partition point of `before` over the first components of
+/// `pairs[from..]` (all pairs satisfying `before` sort first).
+fn gallop(pairs: &[u64], from: usize, before: impl Fn(u64) -> bool) -> usize {
+    let n = pairs.len() / 2;
+    let mut lo = from.min(n);
+    let mut hi = lo;
+    let mut step = 1usize;
+    while hi < n && before(pairs[2 * hi]) {
+        lo = hi + 1;
+        hi = hi.saturating_add(step);
+        step = step.saturating_mul(2);
+    }
+    let mut hi = hi.min(n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(pairs[2 * mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Binary search over a flat pair array sorted on its (first, second)
@@ -769,6 +810,48 @@ mod tests {
                 exact: true
             }
         );
+    }
+
+    #[test]
+    fn runs_are_exposed_as_slices() {
+        let mut t = PropertyTable::from_pairs(vec![1, 5, 1, 3, 2, 9, 1, 4]);
+        assert_eq!(t.subject_run(1), &[1, 3, 1, 4, 1, 5]);
+        assert_eq!(t.subject_run(2), &[2, 9]);
+        assert!(t.subject_run(7).is_empty());
+        assert!(t.object_run(9).is_none(), "no ⟨o,s⟩ cache yet");
+        t.ensure_os();
+        assert_eq!(t.object_run(9), Some(&[9, 2][..]));
+        assert_eq!(t.object_run(6), Some(&[][..]));
+    }
+
+    #[test]
+    fn galloping_bounds_agree_with_key_range_from_any_start() {
+        // Runs of length 1..=4 over keys 0, 3, 6, …: every key (present or
+        // not) from every start at or before its run.
+        let pairs: Vec<u64> = (0..40u64)
+            .flat_map(|k| (0..=k % 4).flat_map(move |o| [3 * k, o]))
+            .collect();
+        let n = pairs.len() / 2;
+        for key in 0..=121u64 {
+            let range = key_range(&pairs, key);
+            for from in 0..=range.start / 2 {
+                let lo = gallop_lower_bound(&pairs, from, key);
+                assert_eq!(lo, range.start / 2, "lower bound of {key} from {from}");
+                assert_eq!(
+                    gallop_upper_bound(&pairs, lo, key),
+                    range.end / 2,
+                    "upper bound of {key} from {lo}"
+                );
+            }
+        }
+        assert_eq!(gallop_lower_bound(&pairs, n, 0), n);
+        assert_eq!(
+            gallop_lower_bound(&pairs, n + 5, 0),
+            n,
+            "start past the end"
+        );
+        assert_eq!(gallop_upper_bound(&pairs, 0, u64::MAX), n);
+        assert_eq!(gallop_lower_bound(&[], 0, 7), 0);
     }
 
     #[test]

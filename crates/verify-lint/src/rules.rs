@@ -609,13 +609,19 @@ pub fn package_names(manifests: &[(std::path::PathBuf, String)]) -> HashSet<Stri
 /// IL006: intra-workspace dependencies must inherit through
 /// `workspace = true`, and `inferray-*` packages must inherit
 /// `version`/`edition` from `[workspace.package]` (shims are exempt: they
-/// impersonate external crates with pinned versions).
+/// impersonate external crates with pinned versions). A nested manifest
+/// with its own `[workspace]` table (the `benchmark/` package) is outside
+/// this workspace — it has nothing to inherit from — and is skipped.
 pub fn il006_manifest_hygiene(
     manifests: &[(std::path::PathBuf, String)],
     members: &HashSet<String>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (path, text) in manifests {
+        let nested = path.parent().is_some_and(|dir| dir != Path::new(""));
+        if nested && text.lines().any(|line| line.trim() == "[workspace]") {
+            continue;
+        }
         let mut section = String::new();
         let mut package_name = String::new();
         // First pass: the package name decides which checks apply.
@@ -691,9 +697,11 @@ pub fn il006_manifest_hygiene(
 // ---------------------------------------------------------------------------
 
 /// The per-request serving path in `crates/query/src/server.rs`: the
-/// connection loop, request parsing, query answering and response rendering.
-/// `worker_loop` allocates the reusable [`WorkerBuffers`] once per worker and
-/// is deliberately *not* listed; everything it calls per request is.
+/// connection loop, request parsing, query answering and response rendering
+/// (`results_json_into` and below walk the executor's flat batch straight
+/// into the response buffer). `worker_loop` allocates the reusable
+/// [`WorkerBuffers`] once per worker and is deliberately *not* listed;
+/// everything it calls per request is.
 pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
     "handle_connection",
     "serve_request",
@@ -715,23 +723,98 @@ pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
 /// arms that a token scan cannot tell apart from hot ones.
 const HOT_ALLOC_PATTERNS: &[&str] = &["format!(", "String::new(", "Vec::new("];
 
+/// The per-row kernels of `crates/query/src/executor.rs`: the step driver,
+/// the scan and join kernels (`scan_table`, the join cursor's `run`), the
+/// sink that filters, projects and dedups on the scan (`emit_run`, `offer`,
+/// `holds`) and the sort-based `DISTINCT`. Planning (`link`, `choose_dedup`
+/// in `planner.rs`) allocates a handful of small vectors per *query* and is
+/// not listed.
+pub const EXECUTOR_KERNELS: &[&str] = &[
+    "execute",
+    "run_step",
+    "table_for",
+    "scan_table",
+    "run",
+    "emit_run",
+    "offer",
+    "holds",
+    "sort_dedup",
+];
+
+/// The flat batch the kernels write and the renderer walks
+/// (`crates/query/src/solution.rs`).
+pub const BATCH_ACCESSORS: &[&str] = &["reset", "row", "rows", "slice"];
+
+/// Banned per row: fresh containers and copies of a row. `reserve` /
+/// `with_capacity` on the reusable batches stay legal — they size a buffer
+/// that outlives the query.
+const KERNEL_ALLOC_PATTERNS: &[&str] = &[
+    "format!(",
+    "String::new(",
+    "Vec::new(",
+    "vec![",
+    ".clone()",
+    ".to_vec()",
+    ".to_owned()",
+    ".collect",
+];
+
+/// One file's zero-allocation functions.
+struct HotList {
+    path_suffix: &'static str,
+    functions: &'static [&'static str],
+    banned: &'static [&'static str],
+    /// What a listed function is, for the message.
+    role: &'static str,
+    /// What to do instead.
+    advice: &'static str,
+}
+
+const HOT_LISTS: &[HotList] = &[
+    HotList {
+        path_suffix: "crates/query/src/server.rs",
+        functions: SERVING_HOT_FUNCTIONS,
+        banned: HOT_ALLOC_PATTERNS,
+        role: "serving hot function",
+        advice: "write into the per-worker reusable buffers (WorkerBuffers) instead, or move \
+             cold work into a function outside the hot list",
+    },
+    HotList {
+        path_suffix: "crates/query/src/executor.rs",
+        functions: EXECUTOR_KERNELS,
+        banned: KERNEL_ALLOC_PATTERNS,
+        role: "executor kernel",
+        advice: "write into the reusable batches (the output batch and Scratch) instead; \
+             per-query set-up belongs in the planner",
+    },
+    HotList {
+        path_suffix: "crates/query/src/solution.rs",
+        functions: BATCH_ACCESSORS,
+        banned: KERNEL_ALLOC_PATTERNS,
+        role: "batch accessor",
+        advice: "hand out slices of the flat buffer; boxed copies belong in the convenience \
+             methods outside the hot list",
+    },
+];
+
 /// IL007: the serving hot path must render into the per-worker reusable
-/// buffers — no fresh `format!`/`String::new`/`Vec::new` per request. Cold
-/// work (error-message construction, update handling) belongs in a dedicated
-/// function outside [`SERVING_HOT_FUNCTIONS`].
+/// buffers and the executor's kernels into the reusable batches — no fresh
+/// container or row copy per request or per row. Cold work (error-message
+/// construction, update handling, planning) belongs in a function outside
+/// the hot lists.
 pub fn il007_no_hot_path_allocation(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in files {
         let p = file.path.to_string_lossy().replace('\\', "/");
-        if !p.ends_with("crates/query/src/server.rs") {
+        let Some(list) = HOT_LISTS.iter().find(|l| p.ends_with(l.path_suffix)) else {
             continue;
-        }
+        };
         for f in index_functions(&file.clean_no_tests)
             .iter()
-            .filter(|f| SERVING_HOT_FUNCTIONS.contains(&f.name.as_str()))
+            .filter(|f| list.functions.contains(&f.name.as_str()))
         {
             let body = &file.clean_no_tests[f.body.clone()];
-            for pattern in HOT_ALLOC_PATTERNS {
+            for pattern in list.banned {
                 let mut from = 0usize;
                 while let Some(offset) = body[from..].find(pattern) {
                     let at = from + offset;
@@ -741,11 +824,11 @@ pub fn il007_no_hot_path_allocation(files: &[SourceFile]) -> Vec<Diagnostic> {
                         path: file.path.clone(),
                         line: file.line_of(f.body.start + at),
                         message: format!(
-                            "`{}` in serving hot function `{}` — write into the per-worker \
-                             reusable buffers (WorkerBuffers) instead, or move cold work \
-                             into a function outside the hot list",
+                            "`{}` in {} `{}` — {}",
                             pattern.trim_end_matches('('),
-                            f.name
+                            list.role,
+                            f.name,
+                            list.advice
                         ),
                     });
                 }

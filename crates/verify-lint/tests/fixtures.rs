@@ -198,6 +198,15 @@ fn il006_fires_on_manifest_drift() {
         diags.iter().any(|d| d.message.contains("inferray-store")),
         "{diags:?}"
     );
+
+    // A nested package that is its own workspace root cannot inherit from
+    // this one (the `benchmark/` package): the same text is then silent.
+    let (_, text) = &manifests[0];
+    let outside = vec![(
+        PathBuf::from("benchmark/Cargo.toml"),
+        format!("{text}\n[workspace]\n"),
+    )];
+    assert!(rules::il006_manifest_hygiene(&outside, &members).is_empty());
 }
 
 #[test]
@@ -240,6 +249,58 @@ fn il007_covers_status_json_into() {
         diags[0].message.contains("status_json_into") && diags[0].message.contains("`format!`"),
         "{diags:?}"
     );
+}
+
+#[test]
+fn il007_fires_on_per_row_allocation_in_the_executor_kernels() {
+    let files = vec![fixture(
+        "il007_executor_alloc.rs",
+        "crates/query/src/executor.rs",
+    )];
+    let diags = rules::il007_no_hot_path_allocation(&files);
+    assert_eq!(diags.len(), 4, "{diags:?}");
+    assert!(diags.iter().all(|d| d.rule == "IL007"));
+    for (kernel, constructor) in [
+        ("scan_table", "`Vec::new`"),
+        ("emit_run", "`.clone()`"),
+        ("offer", "`.collect`"),
+        ("sort_dedup", "`format!`"),
+    ] {
+        assert!(
+            diags.iter().any(|d| d.message.contains("executor kernel")
+                && d.message.contains(kernel)
+                && d.message.contains(constructor)),
+            "missing {constructor} in {kernel}: {diags:?}"
+        );
+    }
+}
+
+#[test]
+fn il007_kernel_names_are_hot_only_in_the_executor() {
+    // The same text under the server's path: none of these functions is on
+    // the serving list, and the serving list bans fewer constructors.
+    let files = vec![fixture(
+        "il007_executor_alloc.rs",
+        "crates/query/src/server.rs",
+    )];
+    assert!(rules::il007_no_hot_path_allocation(&files).is_empty());
+}
+
+#[test]
+fn il007_covers_the_batch_accessors() {
+    let source = "fn rows(data: &[u64]) -> Vec<Vec<u64>> {\n    \
+                  data.chunks(2).map(|row| row.to_vec()).collect()\n}\n\
+                  fn sorted_rows(data: &[u64]) -> Vec<u64> {\n    data.to_vec()\n}\n";
+    let files = vec![SourceFile::new(
+        PathBuf::from("crates/query/src/solution.rs"),
+        source.to_string(),
+    )];
+    let diags = rules::il007_no_hot_path_allocation(&files);
+    // `.to_vec()` and `.collect` in `rows`; the convenience method is cold.
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert!(diags
+        .iter()
+        .all(|d| d.message.contains("batch accessor `rows`")));
 }
 
 #[test]
