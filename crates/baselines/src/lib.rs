@@ -7,7 +7,7 @@
 //! systems are closed-source, JVM- or cluster-bound; this crate substitutes
 //! them with two from-scratch engines that implement *the same rulesets over
 //! the same encoded triples* but with the competing evaluation strategies the
-//! paper contrasts against its sort-merge design (see DESIGN.md,
+//! paper contrasts against its sort-merge design (see README.md,
 //! "Substitutions"):
 //!
 //! * [`HashJoinReasoner`] — an RDFox-style engine: triples in hash indexes

@@ -1,7 +1,7 @@
 //! Ablation study of Inferray's design choices (extension; not a paper
 //! table).
 //!
-//! DESIGN.md calls out three load-bearing decisions: the dedicated
+//! README.md's feature list calls out three load-bearing decisions: the dedicated
 //! transitive-closure stage (§4.1), the per-rule parallel execution (§4.3)
 //! and the sorted vertical-partitioning layout itself (quantified separately
 //! by Tables 2–4 against the hash-join baseline). This binary measures the

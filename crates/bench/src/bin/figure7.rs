@@ -6,7 +6,7 @@
 //! words — all per inferred triple) of each reasoner on the same chain
 //! datasets. Random-word and hash-probe counts are the software-level causes
 //! of the cache/TLB misses the paper measures, so the *relative ordering* of
-//! the engines is the comparable quantity. See DESIGN.md, "Substitutions".
+//! the engines is the comparable quantity. See README.md, "Substitutions".
 //!
 //! ```text
 //! cargo run -p inferray-bench --release --bin figure7 [--scale N] [--skip-naive]

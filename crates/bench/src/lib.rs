@@ -1,8 +1,8 @@
 //! # inferray-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! Inferray paper (see DESIGN.md for the experiment index and EXPERIMENTS.md
-//! for recorded results):
+//! Inferray paper (see README.md, "Benchmarks", for how to run them and for
+//! the recorded `BENCH_*.json` results):
 //!
 //! | Binary     | Paper artefact | What it prints |
 //! |------------|----------------|----------------|

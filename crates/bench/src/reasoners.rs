@@ -4,7 +4,7 @@
 //! compares Inferray, the hash-join baseline (RDFox's strategy) and the
 //! naive iterative baseline (OWLIM/Sesame's strategy); WebPIE's
 //! Hadoop-on-disk design has no in-process equivalent and its column is
-//! omitted (DESIGN.md, "Substitutions").
+//! omitted (README.md, "Substitutions").
 
 use inferray_baselines::{HashJoinReasoner, NaiveIterativeReasoner};
 use inferray_core::InferrayReasoner;

@@ -3,7 +3,7 @@
 //! The paper's testbed is a 32 GB Xeon with a 15-minute timeout per run; this
 //! reproduction targets laptops and CI containers, so every binary scales the
 //! paper's dataset sizes down by a configurable divisor (default 20) and
-//! reports the divisor in its output so EXPERIMENTS.md can record it.
+//! reports the divisor in its output so a recorded result carries it.
 
 /// Scale configuration parsed from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

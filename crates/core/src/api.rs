@@ -9,13 +9,14 @@
 use crate::{InferrayOptions, InferrayReasoner, RetractionStats};
 use inferray_dictionary::Dictionary;
 use inferray_model::ids::is_property_id;
-use inferray_model::{Graph, IdTriple, Triple};
+use inferray_model::{json_string_into, Graph, IdTriple, Triple};
 use inferray_parser::loader::{load_graph, LoadError, LoadedDataset};
 use inferray_parser::{parse_ntriples, Ingest, LoaderOptions};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::shapes::{self, ShapeAnalysis};
 use inferray_rules::{Fragment, InferenceStats, Materializer};
 use inferray_store::{unpoison, SnapshotStore, StoreSnapshot, TripleStore};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -166,40 +167,21 @@ impl ShapeViolations {
                 out.push(',');
             }
             out.push_str("{\"focus\":");
-            push_json_string(&mut out, &v.focus);
+            json_string_into(&mut out, &v.focus);
             out.push_str(",\"shape\":");
-            push_json_string(&mut out, &v.shape);
+            json_string_into(&mut out, &v.shape);
             out.push_str(",\"path\":");
-            push_json_string(&mut out, &v.path);
+            json_string_into(&mut out, &v.path);
             out.push_str(&format!(
                 ",\"line\":{},\"col\":{},\"message\":",
                 v.line, v.col
             ));
-            push_json_string(&mut out, &v.message);
+            json_string_into(&mut out, &v.message);
             out.push('}');
         }
         out.push_str("]}");
         out
     }
-}
-
-fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for ShapeViolations {
@@ -216,14 +198,20 @@ impl fmt::Display for ShapeViolations {
     }
 }
 
-/// Why a [`ServingDataset::extend`] was refused.
+/// Why a write ([`ServingDataset::write_ntriples`] and its wrappers) was
+/// refused. In every case nothing was published: the base, the dictionary
+/// and the epoch keep their pre-write state.
 #[derive(Debug)]
 pub enum WriteError {
-    /// The delta could not be parsed or encoded (nothing was attempted).
+    /// The delta could not be parsed or encoded, or the rule program no
+    /// longer compiles (nothing was attempted).
     Load(LoadError),
-    /// The candidate store violates the installed shapes (nothing was
-    /// published).
+    /// The candidate store violates the installed shapes.
     Shapes(ShapeViolations),
+    /// The caller's durable-log stage refused the write — the candidate had
+    /// passed the gate but could not be made durable. Carries the stage's
+    /// reason.
+    Log(String),
 }
 
 impl From<LoadError> for WriteError {
@@ -237,6 +225,7 @@ impl fmt::Display for WriteError {
         match self {
             WriteError::Load(e) => e.fmt(f),
             WriteError::Shapes(v) => v.fmt(f),
+            WriteError::Log(reason) => write!(f, "not logged: {reason}"),
         }
     }
 }
@@ -348,6 +337,72 @@ struct GateState {
 // Concurrent serving
 // ---------------------------------------------------------------------------
 
+/// What a [`ServingDataset`] is closed under: one of the baked-in fragments,
+/// or the text of an analyzer-loaded `.rules` program (docs/rules.md).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Program {
+    /// A baked-in entailment fragment.
+    Fragment(Fragment),
+    /// The text of a rule program.
+    Rules(Arc<str>),
+}
+
+impl From<Fragment> for Program {
+    fn from(fragment: Fragment) -> Program {
+        Program::Fragment(fragment)
+    }
+}
+
+impl From<&str> for Program {
+    fn from(rules: &str) -> Program {
+        Program::Rules(Arc::from(rules))
+    }
+}
+
+/// Which way a write moves the explicit base. Doubles as the record kind of
+/// the persistence layer's write-ahead log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteKind {
+    /// Assert the batch (materialize the delta).
+    Assert,
+    /// Retract the batch (delete–rederive).
+    Retract,
+}
+
+/// The reasoner's statistics of one write.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WriteStats {
+    /// [`InferrayReasoner::materialize_delta`] ran.
+    Asserted(InferenceStats),
+    /// [`InferrayReasoner::retract_delta`] ran.
+    Retracted(RetractionStats),
+}
+
+/// Everything a caller reports about an accepted write. Captured under the
+/// writer lock, so the three fields stay consistent even when other writers
+/// publish concurrently (reading [`ServingDataset::epoch`] afterwards could
+/// name a later epoch).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WriteOutcome {
+    /// The reasoner's statistics.
+    pub stats: WriteStats,
+    /// The epoch serving this write's result — the one it published, or the
+    /// current one for a retraction that removed nothing.
+    pub epoch: u64,
+    /// Triples in the store at that epoch.
+    pub triples: usize,
+}
+
+impl WriteOutcome {
+    /// The statistics of a retraction (`None` for an assert).
+    pub fn retraction(&self) -> Option<&RetractionStats> {
+        match &self.stats {
+            WriteStats::Asserted(_) => None,
+            WriteStats::Retracted(stats) => Some(stats),
+        }
+    }
+}
+
 /// A materialized dataset published for concurrent query serving: the
 /// epoch/`Arc`-swap [`SnapshotStore`] paired with the dictionary that
 /// encoded it.
@@ -379,18 +434,16 @@ pub struct ServingDataset {
     /// specified as equivalent to rebuilding from `base ∖ Δ`. Only touched
     /// under the writer lock; readers never see it.
     base: Mutex<TripleStore>,
-    /// Serializes writers: an extend must clone the latest dictionary and
-    /// store, or a concurrent extend's terms would be lost on publish.
+    /// Serializes writers: a write must start from the latest dictionary
+    /// and store, or a concurrent write's terms would be lost on publish.
     writer: Mutex<()>,
-    fragment: Fragment,
-    options: InferrayOptions,
-    /// The symbolic rule program this dataset is closed under, when it was
-    /// created with [`ServingDataset::materialize_with_rules`]. Kept as
+    /// The program every epoch is closed under. A rule program is kept as
     /// *text*, not as a compiled ruleset: every write recompiles it against
     /// its private dictionary copy, so rule constants track identifier
     /// promotions the data may cause (a compiled constant would go stale the
     /// moment a delta promotes the resource it names to a property).
-    rules: Option<Arc<str>>,
+    program: Program,
+    options: InferrayOptions,
     /// The shape-constraint gate ([`ServingDataset::install_shapes`],
     /// docs/shapes.md): `None` until a program is installed. Leaf lock —
     /// taken after writer/base, never held across validation or publish.
@@ -405,31 +458,17 @@ impl ServingDataset {
         fragment: Fragment,
         options: InferrayOptions,
     ) -> (Self, InferenceStats) {
-        let mut store = loaded.store;
-        store.finalize();
-        let base = store.clone();
-        let stats = InferrayReasoner::with_options(fragment, options).materialize(&mut store);
-        let dataset = ServingDataset {
-            snapshots: SnapshotStore::new(store),
-            dictionary: RwLock::new(Arc::new(loaded.dictionary)),
-            base: Mutex::new(base),
-            writer: Mutex::new(()),
-            fragment,
-            options,
-            rules: None,
-            validation: Mutex::new(None),
-        };
-        (dataset, stats)
+        let reasoner = InferrayReasoner::with_options(fragment, options);
+        Self::close(loaded.store, loaded.dictionary, reasoner, fragment.into())
     }
 
     /// [`ServingDataset::materialize`] over an analyzer-loaded rule program
     /// (`inferray_rules::analysis`) instead of a baked-in fragment: the rule
     /// file is parsed, checked and compiled against the dataset's
-    /// dictionary, and every subsequent [`ServingDataset::extend`] /
-    /// [`ServingDataset::retract`] recompiles it against the then-current
-    /// dictionary and maintains the materialization through the same
-    /// incremental machinery. `Err` carries the positioned diagnostics that
-    /// make the file unloadable.
+    /// dictionary, and every subsequent write recompiles it against the
+    /// then-current dictionary and maintains the materialization through the
+    /// same incremental machinery. `Err` carries the positioned diagnostics
+    /// that make the file unloadable.
     pub fn materialize_with_rules(
         loaded: LoadedDataset,
         rules: &str,
@@ -446,37 +485,52 @@ impl ServingDataset {
                 dictionary.take_promotions().into_iter().collect();
             apply_promotion_remap(&mut store, &remap);
         }
+        let reasoner = InferrayReasoner::with_ruleset(ruleset, options);
+        Ok(Self::close(store, dictionary, reasoner, rules.into()))
+    }
+
+    /// [`ServingDataset::materialize`] or
+    /// [`ServingDataset::materialize_with_rules`], whichever `program` names.
+    pub fn materialize_program(
+        loaded: LoadedDataset,
+        program: impl Into<Program>,
+        options: InferrayOptions,
+    ) -> Result<(Self, InferenceStats), Vec<Diagnostic>> {
+        match program.into() {
+            Program::Fragment(fragment) => Ok(Self::materialize(loaded, fragment, options)),
+            Program::Rules(rules) => Self::materialize_with_rules(loaded, &rules, options),
+        }
+    }
+
+    /// Closes `store` under `reasoner` and publishes the result as epoch 0.
+    fn close(
+        mut store: TripleStore,
+        dictionary: Dictionary,
+        mut reasoner: InferrayReasoner,
+        program: Program,
+    ) -> (Self, InferenceStats) {
         store.finalize();
         let base = store.clone();
-        let fragment = ruleset.fragment;
-        let stats = InferrayReasoner::with_ruleset(ruleset, options).materialize(&mut store);
-        let dataset = ServingDataset {
-            snapshots: SnapshotStore::new(store),
-            dictionary: RwLock::new(Arc::new(dictionary)),
-            base: Mutex::new(base),
-            writer: Mutex::new(()),
-            fragment,
-            options,
-            rules: Some(Arc::from(rules)),
-            validation: Mutex::new(None),
-        };
-        Ok((dataset, stats))
+        let stats = reasoner.materialize(&mut store);
+        let options = reasoner.options();
+        let dataset = Self::from_parts(dictionary, base, store, 0, program, options);
+        (dataset, stats)
     }
 
     /// Reassembles a dataset from externally persisted parts — the recovery
     /// path of the persistence layer (`inferray-persist`,
     /// docs/persistence.md). The caller supplies the exact state a previous
     /// process published: the append-only dictionary, the explicit base, the
-    /// materialized store and the epoch it was serving, so the rebuilt
-    /// dataset continues the epoch sequence where the crashed one stopped
-    /// and subsequent [`ServingDataset::extend`] / [`ServingDataset::retract`]
-    /// calls behave byte-identically to the pre-crash process.
+    /// materialized store, the epoch it was serving and the program it was
+    /// closed under, so the rebuilt dataset continues the epoch sequence
+    /// where the crashed one stopped and subsequent writes behave
+    /// byte-identically to the pre-crash process.
     pub fn from_parts(
         dictionary: Dictionary,
         base: TripleStore,
         materialized: TripleStore,
         epoch: u64,
-        fragment: Fragment,
+        program: impl Into<Program>,
         options: InferrayOptions,
     ) -> Self {
         ServingDataset {
@@ -484,33 +538,15 @@ impl ServingDataset {
             dictionary: RwLock::new(Arc::new(dictionary)),
             base: Mutex::new(base),
             writer: Mutex::new(()),
-            fragment,
+            program: program.into(),
             options,
-            rules: None,
             validation: Mutex::new(None),
         }
     }
 
-    /// The reasoner every write of this dataset runs: the baked-in fragment
-    /// reasoner, or — for a rule-program dataset — one over the program
-    /// recompiled against `dictionary` (see the `rules` field for why the
-    /// recompilation is per-write).
-    fn write_reasoner(&self, dictionary: &mut Dictionary) -> Result<InferrayReasoner, LoadError> {
-        match &self.rules {
-            None => Ok(InferrayReasoner::with_options(self.fragment, self.options)),
-            Some(text) => {
-                let ruleset = analysis::load_ruleset(text, dictionary).map_err(|diags| {
-                    let list: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-                    LoadError::Encode(format!("rule program: {}", list.join("; ")))
-                })?;
-                Ok(InferrayReasoner::with_ruleset(ruleset, self.options))
-            }
-        }
-    }
-
-    /// The entailment fragment every epoch of this dataset is closed under.
-    pub fn fragment(&self) -> Fragment {
-        self.fragment
+    /// The program every epoch of this dataset is closed under.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// The reasoner options every write of this dataset runs with.
@@ -730,43 +766,85 @@ impl ServingDataset {
         }
     }
 
-    /// Asserts decoded triples and incrementally re-materializes: the delta
-    /// is encoded against a private copy of the dictionary, closed under
-    /// the fragment with [`InferrayReasoner::materialize_delta`] on a
-    /// private copy of the store, and both are published atomically enough
-    /// for readers (dictionary first, then the store epoch swap). Readers
-    /// holding older snapshots are unaffected.
+    /// The one write pipeline (docs/persistence.md): encode Δ on a private
+    /// dictionary copy → compile the program → reason on a private copy of
+    /// the store and the base → shape gate → `log` → publish (dictionary,
+    /// then store). Every write of every layer — asserts and retractions,
+    /// in memory and durable, live and replayed from the WAL — is this
+    /// function; readers holding older snapshots are unaffected.
     ///
-    /// When a shape program is installed ([`ServingDataset::install_shapes`])
-    /// the candidate store is validated **before** publication;
-    /// [`WriteError::Shapes`] means the write was refused and nothing — not
-    /// the base, not the dictionary, not the epoch — changed.
-    pub fn extend(
+    /// * [`WriteKind::Assert`] closes the delta under the program with
+    ///   [`InferrayReasoner::materialize_delta`]; every triple of the delta
+    ///   joins the explicit base, even one that was already derivable.
+    /// * [`WriteKind::Retract`] runs delete–rederive
+    ///   ([`InferrayReasoner::retract_delta`], docs/maintenance.md) and is
+    ///   specified against the explicit base: `retract(Δ) ≡ rebuild(base ∖
+    ///   Δ)`. Triples whose terms the dictionary has never seen, and triples
+    ///   that were derived but never *asserted*, are ignored; when nothing
+    ///   was removed no epoch is published. Retraction can *create* shape
+    ///   violations (dropping a node under a `count [1..*]` minimum), so it
+    ///   is gated like an assert.
+    ///
+    /// `log` is the durability stage: a no-op in memory, WAL append + fsync
+    /// when the persistence layer supplies it. It runs only for a candidate
+    /// that passed the gate and before anything is swapped in, so a refused
+    /// write is never logged and a logged write never fails to apply. On any
+    /// `Err` the private copies are dropped and nothing was published.
+    fn write(
         &self,
+        kind: WriteKind,
         triples: impl IntoIterator<Item = Triple>,
-    ) -> Result<InferenceStats, WriteError> {
+        log: impl FnOnce() -> Result<(), String>,
+    ) -> Result<WriteOutcome, WriteError> {
         let guard = unpoison(self.writer.lock());
-
-        // Private copies of the current pair.
-        let mut dictionary: Dictionary = {
-            let current = unpoison(self.dictionary.read());
-            (**current).clone()
+        let current = {
+            let published = unpoison(self.dictionary.read());
+            Arc::clone(&published)
         };
+        // Copied on first mutation: an assert interns its terms, a rule
+        // program interns its constants; a retraction under a fragment
+        // mutates nothing and publishes no dictionary.
+        let mut dictionary = Cow::Borrowed(&*current);
         let pre = self.snapshots.snapshot();
         let mut store = pre.store().clone();
 
         let mut delta: Vec<IdTriple> = Vec::new();
         for triple in triples {
-            delta.push(
-                dictionary
-                    .encode_triple(&triple)
-                    .map_err(|e| LoadError::Encode(e.to_string()))?,
-            );
+            let encoded = match kind {
+                WriteKind::Assert => Some(
+                    dictionary
+                        .to_mut()
+                        .encode_triple(&triple)
+                        .map_err(|e| LoadError::Encode(e.to_string()))?,
+                ),
+                // Terms absent from the dictionary cannot occur in any
+                // triple of the store; predicates that were never promoted
+                // to property ids cannot address a table.
+                WriteKind::Retract => dictionary
+                    .id_of(&triple.subject)
+                    .zip(dictionary.id_of(&triple.predicate))
+                    .zip(dictionary.id_of(&triple.object))
+                    .filter(|((_, p), _)| is_property_id(*p))
+                    .map(|((s, p), o)| IdTriple::new(s, p, o)),
+            };
+            if let Some(encoded) = encoded {
+                delta.push(encoded);
+            }
         }
-        // Recompile the rule program (if any) against the private dictionary
-        // before draining promotions, so its constants carry the same —
-        // possibly promoted — identifiers as the delta and the store.
-        let mut reasoner = self.write_reasoner(&mut dictionary)?;
+        // Compile the rule program (if any) before draining promotions, so
+        // its constants carry the same — possibly promoted — identifiers as
+        // the delta and the store.
+        let mut reasoner = match &self.program {
+            Program::Fragment(fragment) => InferrayReasoner::with_options(*fragment, self.options),
+            Program::Rules(text) => {
+                let ruleset =
+                    analysis::load_ruleset(text, dictionary.to_mut()).map_err(|diags| {
+                        let list: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
+                        LoadError::Encode(format!("rule program: {}", list.join("; ")))
+                    })?;
+                InferrayReasoner::with_ruleset(ruleset, self.options)
+            }
+        };
         // A delta may use an already-interned *resource* as a predicate,
         // which promotes it to a new property identifier. The copied store,
         // the explicit base and any delta triple encoded before the
@@ -777,7 +855,7 @@ impl ServingDataset {
         let promoted = dictionary.has_pending_promotions();
         if promoted {
             let remap: std::collections::HashMap<u64, u64> =
-                dictionary.take_promotions().into_iter().collect();
+                dictionary.to_mut().take_promotions().into_iter().collect();
             apply_promotion_remap(&mut store, &remap);
             apply_promotion_remap(&mut next_base, &remap);
             for triple in &mut delta {
@@ -789,132 +867,96 @@ impl ServingDataset {
                 }
             }
         }
-        // The delta becomes part of the explicit base — even a triple that
-        // was already derivable is now *asserted* and survives retraction
-        // of its premises.
-        for triple in &delta {
-            next_base.add_triple(*triple);
-        }
-        next_base.finalize();
-        let stats = reasoner.materialize_delta(&mut store, delta);
+        let stats = match kind {
+            WriteKind::Assert => {
+                for triple in &delta {
+                    next_base.add_triple(*triple);
+                }
+                next_base.finalize();
+                WriteStats::Asserted(reasoner.materialize_delta(&mut store, delta))
+            }
+            WriteKind::Retract => {
+                WriteStats::Retracted(reasoner.retract_delta(&mut store, &mut next_base, delta))
+            }
+        };
+        let changed = !matches!(stats, WriteStats::Retracted(r) if r.retracted_explicit == 0);
 
-        // Shape gate (docs/shapes.md): validate the candidate *before*
-        // anything publishes. On refusal every guard drops here and the
-        // pre-write state — base, dictionary, epoch — stays current.
-        let pending = self
-            .check_shapes(&store, pre.store(), pre.epoch(), &dictionary, promoted)
-            .map_err(WriteError::Shapes)?;
-
-        // Publish: dictionary before store (see the type docs).
-        *base = next_base;
+        // Gate, then log, then publish. A refusal or a failed log returns
+        // here: every guard drops and the pre-write state stays current.
+        let green = if changed {
+            self.check_shapes(&store, pre.store(), pre.epoch(), &dictionary, promoted)
+                .map_err(WriteError::Shapes)?
+        } else {
+            None
+        };
+        log().map_err(WriteError::Log)?;
+        let published = if changed {
+            *base = next_base;
+            // Dictionary before store (see the type docs).
+            if let Cow::Owned(dictionary) = dictionary {
+                *unpoison(self.dictionary.write()) = Arc::new(dictionary);
+            }
+            let published = self.snapshots.publish(store);
+            if let Some(report) = green {
+                self.record_green(published.epoch(), report);
+            }
+            published
+        } else {
+            pre
+        };
         drop(base);
-        *unpoison(self.dictionary.write()) = Arc::new(dictionary);
-        let epoch = self.snapshots.publish(store).epoch();
-        if let Some(report) = pending {
-            self.record_green(epoch, report);
-        }
         drop(guard);
-        Ok(stats)
+        Ok(WriteOutcome {
+            stats,
+            epoch: published.epoch(),
+            triples: published.store().len(),
+        })
+    }
+
+    /// Parses an N-Triples document and runs it through the write pipeline
+    /// (see [`ServingDataset::extend`] / [`ServingDataset::retract`] for
+    /// what the two kinds do). `log` is the durability stage: it runs after
+    /// the candidate passed the shape gate and before anything publishes,
+    /// and its `Err` aborts the write as [`WriteError::Log`]. In-memory
+    /// callers pass `|| Ok(())`.
+    pub fn write_ntriples(
+        &self,
+        kind: WriteKind,
+        text: &str,
+        log: impl FnOnce() -> Result<(), String>,
+    ) -> Result<WriteOutcome, WriteError> {
+        let triples = parse_ntriples(text).map_err(LoadError::from)?;
+        self.write(kind, triples, log)
+    }
+
+    /// Asserts decoded triples and incrementally re-materializes; publishes
+    /// a new epoch. [`WriteError::Shapes`] means an installed shape program
+    /// ([`ServingDataset::install_shapes`]) refused the candidate.
+    pub fn extend(
+        &self,
+        triples: impl IntoIterator<Item = Triple>,
+    ) -> Result<WriteOutcome, WriteError> {
+        self.write(WriteKind::Assert, triples, || Ok(()))
     }
 
     /// [`ServingDataset::extend`] from an N-Triples document.
-    pub fn extend_ntriples(&self, text: &str) -> Result<InferenceStats, WriteError> {
-        let triples = parse_ntriples(text).map_err(LoadError::from)?;
-        self.extend(triples)
+    pub fn extend_ntriples(&self, text: &str) -> Result<WriteOutcome, WriteError> {
+        self.write_ntriples(WriteKind::Assert, text, || Ok(()))
     }
 
-    /// Retracts decoded triples and incrementally re-materializes with the
-    /// delete–rederive algorithm ([`InferrayReasoner::retract_delta`],
-    /// docs/maintenance.md): the over-deleted cone is computed on a
-    /// **private copy** of the current store, survivors are re-derived, and
-    /// the result is published as a new epoch with one pointer swap —
-    /// readers holding older snapshots are unaffected, exactly as for
-    /// [`ServingDataset::extend`].
-    ///
-    /// Triples whose terms the dictionary has never seen — and triples that
-    /// were derived but never *asserted* — are ignored: retraction is
-    /// specified against the explicit base, `retract(Δ) ≡ rebuild(base ∖ Δ)`.
-    /// The dictionary itself is append-only and keeps every identifier, so
-    /// snapshots of any epoch stay decodable. When nothing was actually
-    /// removed, no new epoch is published.
-    ///
-    /// Returns the statistics together with the epoch that serves this
-    /// retraction's result — the one published by it, or the current epoch
-    /// for a no-op. The pair is captured under the writer lock, so it stays
-    /// consistent even when other writers publish concurrently (reading
-    /// [`ServingDataset::epoch`] afterwards could name a later epoch).
-    ///
-    /// When a shape program is installed, the post-retraction store is
-    /// validated before publication exactly like an extend's candidate
-    /// (retracting a triple can *create* violations, e.g. dropping a node
-    /// under a `count [1..*]` minimum); `Err` means the retraction was
-    /// refused and nothing changed.
+    /// Retracts decoded triples from the explicit base and incrementally
+    /// re-materializes (delete–rederive); publishes a new epoch unless
+    /// nothing was removed.
     pub fn retract(
         &self,
         triples: impl IntoIterator<Item = Triple>,
-    ) -> Result<(RetractionStats, u64), ShapeViolations> {
-        let guard = unpoison(self.writer.lock());
-
-        // Terms absent from the dictionary cannot occur in any triple of
-        // the store; predicates that were never promoted to property ids
-        // cannot address a table.
-        let dictionary = {
-            let current = unpoison(self.dictionary.read());
-            Arc::clone(&current)
-        };
-        let delta: Vec<IdTriple> = triples
-            .into_iter()
-            .filter_map(|t| {
-                let s = dictionary.id_of(&t.subject)?;
-                let p = dictionary.id_of(&t.predicate)?;
-                let o = dictionary.id_of(&t.object)?;
-                is_property_id(p).then_some(IdTriple::new(s, p, o))
-            })
-            .collect();
-
-        // The rule program (if any) recompiles against a throwaway clone of
-        // the append-only dictionary: every rule constant was interned —
-        // with its final property status — when the dataset was
-        // materialized, so this compile cannot promote or intern anything.
-        let mut reasoner = {
-            let mut dict = (*dictionary).clone();
-            let reasoner = self
-                .write_reasoner(&mut dict)
-                .expect("rule program compiled when the dataset was materialized");
-            debug_assert!(!dict.has_pending_promotions());
-            reasoner
-        };
-        let pre = self.snapshots.snapshot();
-        let mut store = pre.store().clone();
-        let mut base = unpoison(self.base.lock());
-        let mut next_base = base.clone();
-        let stats = reasoner.retract_delta(&mut store, &mut next_base, delta);
-
-        let epoch = if stats.retracted_explicit > 0 {
-            // Shape gate: retraction never promotes identifiers, so the
-            // incremental path applies whenever the pre-write epoch was
-            // green. Refusal drops every guard with nothing published.
-            let pending =
-                self.check_shapes(&store, pre.store(), pre.epoch(), &dictionary, false)?;
-            *base = next_base;
-            drop(base);
-            let epoch = self.snapshots.publish(store).epoch();
-            if let Some(report) = pending {
-                self.record_green(epoch, report);
-            }
-            epoch
-        } else {
-            drop(base);
-            self.snapshots.epoch()
-        };
-        drop(guard);
-        Ok((stats, epoch))
+    ) -> Result<WriteOutcome, WriteError> {
+        self.write(WriteKind::Retract, triples, || Ok(()))
     }
 
     /// [`ServingDataset::retract`] from an N-Triples document.
-    pub fn retract_ntriples(&self, text: &str) -> Result<(RetractionStats, u64), WriteError> {
-        let triples = parse_ntriples(text).map_err(LoadError::from)?;
-        self.retract(triples).map_err(WriteError::Shapes)
+    pub fn retract_ntriples(&self, text: &str) -> Result<WriteOutcome, WriteError> {
+        self.write_ntriples(WriteKind::Retract, text, || Ok(()))
     }
 
     /// Number of explicit (asserted) triples behind the current epoch.
@@ -1142,7 +1184,7 @@ ex:Bart a ex:human .
     fn serving_dataset_publishes_the_materialization_as_epoch_zero() {
         let dataset = serving_family();
         assert_eq!(dataset.epoch(), 0);
-        assert_eq!(dataset.fragment(), Fragment::RdfsDefault);
+        assert_eq!(dataset.program(), &Program::Fragment(Fragment::RdfsDefault));
         let (snapshot, _) = dataset.snapshot();
         assert_eq!(snapshot.len(), 6);
         assert!(contains(
@@ -1158,7 +1200,7 @@ ex:Bart a ex:human .
         let dataset = serving_family();
         let (old_snapshot, _) = dataset.snapshot();
 
-        let stats = dataset
+        let outcome = dataset
             .extend([Triple::iris(
                 "http://ex/Lisa",
                 vocab::RDF_TYPE,
@@ -1166,7 +1208,11 @@ ex:Bart a ex:human .
             )])
             .unwrap();
         // Lisa a human ⇒ mammal, animal inferred incrementally.
+        let WriteStats::Asserted(stats) = outcome.stats else {
+            panic!("an assert reports inference statistics");
+        };
         assert_eq!(stats.inferred_triples(), 2);
+        assert_eq!((outcome.epoch, outcome.triples), (1, 9));
         assert_eq!(dataset.epoch(), 1);
 
         assert!(contains(
@@ -1247,13 +1293,14 @@ ex:Bart a ex:human .
         let (old_snapshot, _) = dataset.snapshot();
         assert_eq!(old_snapshot.len(), 9);
 
-        let (stats, _) = dataset
+        let outcome = dataset
             .retract([Triple::iris(
                 "http://ex/Lisa",
                 vocab::RDF_TYPE,
                 "http://ex/human",
             )])
             .unwrap();
+        let (stats, _) = (outcome.retraction().unwrap(), outcome.epoch);
         assert_eq!(stats.retracted_explicit, 1);
         assert_eq!(stats.net_removed(), 3, "Lisa a human/mammal/animal gone");
         assert_eq!(dataset.epoch(), 2);
@@ -1276,13 +1323,14 @@ ex:Bart a ex:human .
 
         // Retracting a derived-but-never-asserted triple is a no-op and
         // publishes nothing.
-        let (stats, _) = dataset
+        let outcome = dataset
             .retract([Triple::iris(
                 "http://ex/Bart",
                 vocab::RDF_TYPE,
                 "http://ex/mammal",
             )])
             .unwrap();
+        let (stats, _) = (outcome.retraction().unwrap(), outcome.epoch);
         assert_eq!(stats.retracted_explicit, 0);
         assert_eq!(dataset.epoch(), 2);
         assert!(contains(
@@ -1297,30 +1345,33 @@ ex:Bart a ex:human .
     fn retract_ntriples_and_unknown_terms() {
         let dataset = serving_family();
         // Unknown terms can't be in the store: nothing to do, no new epoch.
-        let (stats, _) = dataset
+        let outcome = dataset
             .retract([Triple::iris(
                 "http://ex/NoSuch",
                 vocab::RDF_TYPE,
                 "http://ex/human",
             )])
             .unwrap();
+        let (stats, _) = (outcome.retraction().unwrap(), outcome.epoch);
         assert_eq!(stats.requested, 0);
         assert_eq!(dataset.epoch(), 0);
         // A predicate interned as a plain resource addresses no table.
-        let (stats, _) = dataset
+        let outcome = dataset
             .retract([Triple::iris(
                 "http://ex/Bart",
                 "http://ex/human", // a resource, not a property
                 "http://ex/mammal",
             )])
             .unwrap();
+        let (stats, _) = (outcome.retraction().unwrap(), outcome.epoch);
         assert_eq!(stats.requested, 0);
 
-        let (stats, _) = dataset
+        let outcome = dataset
             .retract_ntriples(
                 "<http://ex/Bart> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n",
             )
             .unwrap();
+        let (stats, _) = (outcome.retraction().unwrap(), outcome.epoch);
         assert_eq!(stats.retracted_explicit, 1);
         assert_eq!(dataset.epoch(), 1);
         assert!(!contains(
@@ -1376,7 +1427,7 @@ ex:Bart a ex:human .
             base.clone(),
             snapshot.store().clone(),
             snapshot.epoch(),
-            dataset.fragment(),
+            dataset.program().clone(),
             dataset.options(),
         );
         assert_eq!(rebuilt.epoch(), dataset.epoch());
@@ -1430,13 +1481,14 @@ ex:Bart a ex:human .
         ));
 
         // Retracting the asserted edge un-derives the grandparent triple.
-        let (rstats, epoch) = dataset
+        let outcome = dataset
             .retract([Triple::iris(
                 "http://ex/b",
                 "http://ex/parent",
                 "http://ex/c",
             )])
             .unwrap();
+        let (rstats, epoch) = (outcome.retraction().unwrap(), outcome.epoch);
         assert_eq!(rstats.retracted_explicit, 1);
         assert_eq!(epoch, 2);
         assert!(!contains(
@@ -1562,15 +1614,74 @@ ex:Bart a ex:human .
         assert_eq!(status.validated_epoch, Some(1));
 
         // Retraction is gated too: removing Bart's name keeps conformance.
-        let (stats, epoch) = dataset
+        let outcome = dataset
             .retract_ntriples("<http://ex/Bart> <http://ex/name> \"Bart\" .\n")
             .unwrap();
+        let (stats, epoch) = (outcome.retraction().unwrap(), outcome.epoch);
         assert_eq!(stats.retracted_explicit, 1);
         assert_eq!(epoch, 2);
         assert_eq!(
             dataset.validation_status().unwrap().validated_epoch,
             Some(2)
         );
+    }
+
+    #[test]
+    fn the_log_stage_runs_after_the_gate_and_before_the_publish() {
+        let dataset = serving_family();
+        dataset
+            .install_shapes(
+                "shape Human targets class <http://ex/human> { <http://ex/name> count [0..1] ; } .",
+            )
+            .unwrap();
+        let name = |name: &str| format!("<http://ex/Bart> <http://ex/name> \"{name}\" .\n");
+        let mut logged = 0;
+
+        // An accepted write is logged exactly once, before its epoch exists.
+        let outcome = dataset
+            .write_ntriples(WriteKind::Assert, &name("Bart"), || {
+                logged += 1;
+                assert_eq!(dataset.epoch(), 0, "logged after the publish");
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!((logged, outcome.epoch), (1, 1));
+
+        // Refused by the gate, or by the parser: the log stage never runs.
+        for refused in [name("Bartholomew"), "<broken".to_string()] {
+            dataset
+                .write_ntriples(WriteKind::Assert, &refused, || {
+                    logged += 1;
+                    Ok(())
+                })
+                .expect_err("refused");
+        }
+        assert_eq!(logged, 1);
+
+        // A write that passed the gate but could not be logged publishes
+        // nothing: epoch, base and the gate's ledger keep their state.
+        let err = dataset
+            .write_ntriples(WriteKind::Retract, &name("Bart"), || {
+                Err("disk full".to_string())
+            })
+            .expect_err("not logged");
+        assert!(matches!(err, WriteError::Log(reason) if reason == "disk full"));
+        assert_eq!(dataset.epoch(), 1);
+        assert_eq!(dataset.base_len(), 4);
+        assert_eq!(
+            dataset.validation_status().unwrap().validated_epoch,
+            Some(1)
+        );
+
+        // A retraction that removes nothing has nothing to gate or publish,
+        // but it is an accepted write: it is logged like any other.
+        let outcome = dataset
+            .write_ntriples(WriteKind::Retract, &name("Nobody"), || {
+                logged += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!((logged, outcome.epoch, outcome.triples), (2, 1, 7));
     }
 
     #[test]

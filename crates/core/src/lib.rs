@@ -37,8 +37,8 @@ pub mod reasoner;
 
 pub use api::{
     reason_graph, reason_ntriples, reason_ntriples_with, reason_turtle, reason_turtle_with,
-    ReasonedGraph, ServingDataset, ShapeInstallError, ShapeViolation, ShapeViolations,
-    ValidationCounters, ValidationStatus, WriteError,
+    Program, ReasonedGraph, ServingDataset, ShapeInstallError, ShapeViolation, ShapeViolations,
+    ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome, WriteStats,
 };
 pub use iteration::{IterationProfile, IterationSample};
 pub use options::InferrayOptions;

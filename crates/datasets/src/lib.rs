@@ -8,7 +8,7 @@
 //! Yago taxonomy, WordNet). Neither the original generators (Java tools) nor
 //! the real-world dumps are vendored here; instead this crate provides
 //! seeded generators that reproduce the *structural characteristics* each
-//! benchmark relies on (see DESIGN.md, "Substitutions"):
+//! benchmark relies on (see README.md, "Substitutions"):
 //!
 //! * [`chain`] — `rdfs:subClassOf` chains of configurable length, the
 //!   workload of Table 4 (transitivity closure);

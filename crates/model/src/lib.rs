@@ -17,6 +17,8 @@
 //! * [`Graph`] — a small, set-semantics triple container used by examples
 //!   and by the test-suite to compare materializations produced by different
 //!   reasoners.
+//! * [`json_escape_into`] — the one JSON string escaper behind every
+//!   hand-rendered response body of the serving layers.
 //!
 //! The crate is dependency-free and allocation-conscious: the encoded
 //! representation ([`IdTriple`], and flat `Vec<u64>` pair arrays downstream)
@@ -29,11 +31,13 @@
 pub mod graph;
 pub mod hash;
 pub mod ids;
+pub mod json;
 pub mod term;
 pub mod triple;
 pub mod vocab;
 
 pub use graph::Graph;
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use json::{json_escape_into, json_string_into};
 pub use term::{Term, TermKind};
 pub use triple::{IdTriple, Triple};

@@ -1,18 +1,21 @@
 //! [`DurableDataset`]: a [`ServingDataset`] whose writes survive crashes.
 //!
-//! Every assert/retract batch is appended to the WAL and fsync'd **before**
-//! the in-memory materialization publishes (write-ahead discipline);
-//! threshold-triggered checkpoints serialize the full store into a
-//! [snapshot image](crate::snapshot) and truncate the log. Recovery is the
-//! composition: newest valid image + replay of the WAL suffix through the
-//! exact same `extend`/`retract` code path the original writes took, which
-//! is what makes the recovered store *byte-identical* (the engine is
-//! deterministic for a given input sequence).
+//! A durable write is the dataset's one write pipeline
+//! ([`ServingDataset::write_ntriples`]) with this module's WAL append +
+//! fsync as its log stage: the candidate is reasoned and shape-gated on
+//! private copies, then logged, then published — so an acknowledged write
+//! is durable before any reader can observe it, and a refused write never
+//! reaches the log. Threshold-triggered checkpoints serialize the full
+//! store into a [snapshot image](crate::snapshot) and truncate the log.
+//! Recovery is the composition: newest valid image + replay of the WAL
+//! suffix through the same pipeline (with a no-op log stage), which is what
+//! makes the recovered store *byte-identical* (the engine is deterministic
+//! for a given input sequence).
 //!
 //! ## Degradation, not panic
 //!
-//! A failed WAL append means the next write cannot be made durable, so the
-//! dataset flips to **read-only**: writes return
+//! A failed WAL append means the write cannot be made durable, so nothing
+//! is published and the dataset flips to **read-only**: writes return
 //! [`DurableError::ReadOnly`], reads keep serving the last published
 //! epoch. A failed *checkpoint* is softer — the WAL simply keeps growing
 //! and the error is surfaced through [`DurabilityStatus`] — because the
@@ -28,11 +31,15 @@
 
 use crate::io::IoBackend;
 use crate::snapshot::{self, SnapshotImage};
-use crate::wal::{self, WalKind, WAL_FILE};
-use inferray_core::{Fragment, InferenceStats, InferrayOptions, RetractionStats, ServingDataset};
-use inferray_parser::{parse_ntriples, LoadedDataset};
+use crate::wal::{self, WAL_FILE};
+use inferray_core::{
+    InferenceStats, InferrayOptions, Program, ServingDataset, WriteError, WriteKind, WriteOutcome,
+};
+use inferray_model::json_string_into;
+use inferray_parser::LoadedDataset;
+use inferray_rules::analysis::Diagnostic;
 use inferray_store::unpoison;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -86,12 +93,15 @@ pub enum DurableError {
         /// What flipped the dataset read-only.
         reason: String,
     },
-    /// The request itself is invalid (parse/encode error) — nothing was
-    /// logged or applied.
+    /// The write was refused before the log stage — it does not parse or
+    /// encode, or the shape gate refused its candidate. Nothing was logged
+    /// or applied.
     Rejected {
-        /// Parser/encoder diagnostic.
+        /// Parser/encoder diagnostic, or the shape-violation summary.
         message: String,
     },
+    /// The rule program a dataset was to be created under does not load.
+    Program(Vec<Diagnostic>),
     /// An I/O operation outside the write path failed.
     Io {
         /// What was being attempted.
@@ -106,11 +116,12 @@ pub enum DurableError {
         /// Diagnostic.
         message: String,
     },
-    /// The snapshot was written under a different inference fragment.
+    /// The snapshot was written under a different program (another
+    /// fragment, or a rule file with different text).
     FragmentMismatch {
-        /// Fragment name stored in the image.
+        /// Program name stored in the image.
         stored: String,
-        /// Fragment the caller asked to resume under.
+        /// Name of the program the caller asked to resume under.
         requested: String,
     },
     /// The data directory holds no snapshot image at all.
@@ -124,11 +135,15 @@ impl fmt::Display for DurableError {
                 write!(f, "dataset is read-only: {reason}")
             }
             DurableError::Rejected { message } => write!(f, "rejected: {message}"),
+            DurableError::Program(diags) => {
+                let list: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
+                write!(f, "rule program has errors: {}", list.join("; "))
+            }
             DurableError::Io { context, message } => write!(f, "{context}: {message}"),
             DurableError::Corrupt { message } => write!(f, "corrupt state: {message}"),
             DurableError::FragmentMismatch { stored, requested } => write!(
                 f,
-                "snapshot was materialized under fragment {stored}, not {requested}"
+                "snapshot was materialized under program {stored}, not {requested}"
             ),
             DurableError::NoSnapshot => write!(f, "no snapshot image in data directory"),
         }
@@ -136,6 +151,17 @@ impl fmt::Display for DurableError {
 }
 
 impl std::error::Error for DurableError {}
+
+impl From<WriteError> for DurableError {
+    fn from(error: WriteError) -> DurableError {
+        match error {
+            WriteError::Log(reason) => DurableError::ReadOnly { reason },
+            refused => DurableError::Rejected {
+                message: refused.to_string(),
+            },
+        }
+    }
+}
 
 /// Operator-visible durability state (surfaced through `GET /status`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -159,51 +185,31 @@ pub struct DurabilityStatus {
 }
 
 impl DurabilityStatus {
-    /// The status as a JSON object (the server splices this into
-    /// `GET /status`).
-    pub fn json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"read_only\":{}", self.read_only));
-        out.push_str(",\"snapshot_path\":");
+    /// Renders the status as a JSON object into `out` — no allocation
+    /// beyond the caller's buffer: the server calls this per `GET /status`
+    /// from its zero-allocation path (verify-lint IL007).
+    pub fn json_into(&self, out: &mut String) {
+        let _ = write!(out, "{{\"read_only\":{},\"snapshot_path\":", self.read_only);
         match &self.snapshot_path {
-            Some(path) => out.push_str(&json_string(&path.display().to_string())),
+            Some(path) => json_string_into(out, &path.to_string_lossy()),
             None => out.push_str("null"),
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"snapshot_epoch\":{},\"last_checkpoint_seq\":{},\"last_seq\":{},\
-             \"wal_records\":{},\"wal_bytes\":{}",
+             \"wal_records\":{},\"wal_bytes\":{},\"last_error\":",
             self.snapshot_epoch,
             self.last_checkpoint_seq,
             self.last_seq,
             self.wal_records,
             self.wal_bytes
-        ));
-        out.push_str(",\"last_error\":");
+        );
         match &self.last_error {
-            Some(error) => out.push_str(&json_string(error)),
+            Some(error) => json_string_into(out, error),
             None => out.push_str("null"),
         }
         out.push('}');
-        out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// What [`DurableDataset::open`] did to get back to a serving state.
@@ -227,7 +233,7 @@ pub struct RecoveryReport {
     pub triples: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DurableState {
     last_seq: u64,
     wal_records: u64,
@@ -245,24 +251,37 @@ pub struct DurableDataset {
     inner: Arc<ServingDataset>,
     backend: Arc<dyn IoBackend>,
     dir: PathBuf,
-    fragment_name: String,
+    /// What the image header's `fragment` field says the dataset is closed
+    /// under (see [`program_name`]).
+    program_name: String,
     policy: CheckpointPolicy,
     read_only: AtomicBool,
     state: Mutex<DurableState>,
     /// Leaf mutex (last in the lock order) holding a pre-built copy of the
     /// operator status. Refreshed at the end of every state transition —
     /// still under the state lock — so `GET /status` never waits behind a
-    /// WAL append, materialization, or checkpoint in flight.
+    /// materialization, WAL append, or checkpoint in flight.
     status_mirror: Mutex<DurabilityStatus>,
 }
 
+/// The name an image header records for `program`: the fragment's display
+/// name, or `rules:` plus the CRC-32 of the rule text — enough to refuse a
+/// data directory reopened under a different rule file.
+fn program_name(program: &Program) -> String {
+    match program {
+        Program::Fragment(fragment) => fragment.to_string(),
+        Program::Rules(text) => format!("rules:{:08x}", crate::crc32(text.as_bytes())),
+    }
+}
+
 impl DurableDataset {
-    /// Materializes a freshly loaded dataset and writes its initial
-    /// snapshot image — the creation is only reported successful once the
-    /// dataset is durable.
+    /// Materializes a freshly loaded dataset under `program` (a
+    /// [`Fragment`](inferray_core::Fragment) or rule text) and writes its
+    /// initial snapshot image — the creation is only reported successful
+    /// once the dataset is durable.
     pub fn create(
         loaded: LoadedDataset,
-        fragment: Fragment,
+        program: impl Into<Program>,
         options: InferrayOptions,
         dir: impl Into<PathBuf>,
         backend: Arc<dyn IoBackend>,
@@ -273,42 +292,51 @@ impl DurableDataset {
             context: format!("creating data directory {}", dir.display()),
             message: e.to_string(),
         })?;
-        let (dataset, stats) = ServingDataset::materialize(loaded, fragment, options);
-        let durable = DurableDataset {
-            inner: Arc::new(dataset),
-            backend,
-            dir,
-            fragment_name: fragment.to_string(),
-            policy,
-            read_only: AtomicBool::new(false),
-            state: Mutex::new(DurableState {
-                last_seq: 0,
-                wal_records: 0,
-                wal_bytes: 0,
-                snapshot_epoch: 0,
-                snapshot_seq: 0,
-                snapshot_path: None,
-                last_error: None,
-            }),
-            status_mirror: Mutex::new(DurabilityStatus::default()),
-        };
+        let (dataset, stats) = ServingDataset::materialize_program(loaded, program, options)
+            .map_err(DurableError::Program)?;
+        let durable =
+            DurableDataset::assemble(dataset, backend, dir, policy, DurableState::default());
         durable.checkpoint()?;
         Ok((durable, stats))
     }
 
+    fn assemble(
+        dataset: ServingDataset,
+        backend: Arc<dyn IoBackend>,
+        dir: PathBuf,
+        policy: CheckpointPolicy,
+        state: DurableState,
+    ) -> Self {
+        let durable = DurableDataset {
+            program_name: program_name(dataset.program()),
+            inner: Arc::new(dataset),
+            backend,
+            dir,
+            policy,
+            // Recovery sets `last_error` only when it could not heal the log.
+            read_only: AtomicBool::new(state.last_error.is_some()),
+            state: Mutex::new(state),
+            status_mirror: Mutex::new(DurabilityStatus::default()),
+        };
+        durable.refresh_status_mirror(&durable.lock_state());
+        durable
+    }
+
     /// Recovers from a data directory: newest valid snapshot image + WAL
     /// replay, tolerating invalid newer images and a torn log tail.
+    /// `program` must be the one the directory was created under.
     pub fn open(
         dir: impl Into<PathBuf>,
-        fragment: Fragment,
+        program: impl Into<Program>,
         options: InferrayOptions,
         backend: Arc<dyn IoBackend>,
         policy: CheckpointPolicy,
     ) -> Result<(Self, RecoveryReport), DurableError> {
         let dir = dir.into();
+        let program = program.into();
         let (image, snapshot_path, invalid_snapshots) =
             DurableDataset::newest_valid_image(backend.as_ref(), &dir)?;
-        let requested = fragment.to_string();
+        let requested = program_name(&program);
         if image.fragment != requested {
             return Err(DurableError::FragmentMismatch {
                 stored: image.fragment,
@@ -324,9 +352,12 @@ impl DurableDataset {
             ..
         } = image;
         let inner =
-            ServingDataset::from_parts(dictionary, base, materialized, epoch, fragment, options);
+            ServingDataset::from_parts(dictionary, base, materialized, epoch, program, options);
 
-        // Replay the WAL suffix through the live write path.
+        // Replay the WAL suffix through the live write pipeline. Every
+        // record passed the shape gate of the process that logged it, so
+        // replay runs ungated; the embedder re-installs its shapes on the
+        // recovered dataset, which validates the recovered snapshot.
         let wal_path = dir.join(WAL_FILE);
         let wal_bytes = match backend.read(&wal_path) {
             Ok(bytes) => bytes,
@@ -347,24 +378,14 @@ impl DurableDataset {
                 skipped += 1;
                 continue;
             }
-            let triples = parse_ntriples(&record.body).map_err(|e| DurableError::Corrupt {
-                message: format!(
-                    "WAL record {} passed its checksum but does not parse: {e}",
-                    record.seq
-                ),
-            })?;
-            match record.kind {
-                WalKind::Assert => {
-                    inner.extend(triples).map_err(|e| DurableError::Corrupt {
-                        message: format!("replaying WAL record {}: {e}", record.seq),
-                    })?;
-                }
-                WalKind::Retract => {
-                    inner.retract(triples).map_err(|e| DurableError::Corrupt {
-                        message: format!("replaying WAL record {}: {e}", record.seq),
-                    })?;
-                }
-            }
+            inner
+                .write_ntriples(record.kind, &record.body, || Ok(()))
+                .map_err(|e| DurableError::Corrupt {
+                    message: format!(
+                        "WAL record {} passed its checksum but does not replay: {e}",
+                        record.seq
+                    ),
+                })?;
             replayed += 1;
             last_seq = record.seq;
         }
@@ -382,7 +403,7 @@ impl DurableDataset {
             }
         }
 
-        let (snapshot, _) = inner.snapshot();
+        let snapshot = inner.store_snapshot();
         let report = RecoveryReport {
             snapshot_path: snapshot_path.clone(),
             snapshot_epoch: epoch,
@@ -393,28 +414,16 @@ impl DurableDataset {
             epoch: snapshot.epoch(),
             triples: snapshot.store().len(),
         };
-        let durable = DurableDataset {
-            inner: Arc::new(inner),
-            backend,
-            dir,
-            fragment_name: requested,
-            policy,
-            read_only: AtomicBool::new(read_only_reason.is_some()),
-            state: Mutex::new(DurableState {
-                last_seq,
-                wal_records: scan.records.len() as u64,
-                wal_bytes: scan.valid_bytes as u64,
-                snapshot_epoch: epoch,
-                snapshot_seq,
-                snapshot_path: Some(snapshot_path),
-                last_error: read_only_reason,
-            }),
-            status_mirror: Mutex::new(DurabilityStatus::default()),
+        let state = DurableState {
+            last_seq,
+            wal_records: scan.records.len() as u64,
+            wal_bytes: scan.valid_bytes as u64,
+            snapshot_epoch: epoch,
+            snapshot_seq,
+            snapshot_path: Some(snapshot_path),
+            last_error: read_only_reason,
         };
-        {
-            let state = durable.lock_state();
-            durable.refresh_status_mirror(&state);
-        }
+        let durable = DurableDataset::assemble(inner, backend, dir, policy, state);
         Ok((durable, report))
     }
 
@@ -467,10 +476,16 @@ impl DurableDataset {
 
     /// Current durability state for operators. Reads only the status
     /// mirror — a leaf mutex held for a field copy — so the endpoint stays
-    /// responsive while a write holds the state lock across WAL append,
-    /// materialization, and checkpointing.
+    /// responsive while a write holds the state lock across
+    /// materialization, WAL append, and checkpointing.
     pub fn status(&self) -> DurabilityStatus {
         unpoison(self.status_mirror.lock()).clone()
+    }
+
+    /// [`DurabilityStatus::json_into`] straight off the status mirror,
+    /// without the copy [`DurableDataset::status`] makes.
+    pub fn status_json_into(&self, out: &mut String) {
+        unpoison(self.status_mirror.lock()).json_into(out);
     }
 
     /// Rebuilds the operator-visible mirror from the authoritative state.
@@ -490,58 +505,35 @@ impl DurableDataset {
         *unpoison(self.status_mirror.lock()) = status;
     }
 
-    /// Durably asserts an N-Triples batch: WAL append + fsync, then
-    /// incremental materialization and publish.
-    pub fn extend_ntriples(&self, body: &str) -> Result<InferenceStats, DurableError> {
-        let triples = parse_ntriples(body).map_err(|e| DurableError::Rejected {
-            message: e.to_string(),
-        })?;
-        let mut state = self.log_record(WalKind::Assert, body)?;
-        match self.inner.extend(triples) {
-            Ok(stats) => {
-                self.maybe_checkpoint(&mut state);
-                self.refresh_status_mirror(&state);
-                Ok(stats)
-            }
-            Err(e) => {
-                // The record is durable but was not applied — the in-memory
-                // and on-disk histories have diverged, which only read-only
-                // mode keeps safe (recovery will replay the record).
-                let reason = format!("logged write failed to apply: {e}");
-                state.last_error = Some(reason.clone());
-                self.read_only.store(true, Ordering::Release);
-                self.refresh_status_mirror(&state);
-                Err(DurableError::ReadOnly { reason })
-            }
+    /// A durable write: the dataset's write pipeline
+    /// ([`ServingDataset::write_ntriples`]) with WAL append + fsync as its
+    /// log stage, under the state lock so that WAL order equals apply
+    /// order. [`WriteError::Log`] means the dataset is (now) read-only.
+    /// The checkpoint threshold is checked here, after the publish.
+    pub fn write_ntriples(&self, kind: WriteKind, body: &str) -> Result<WriteOutcome, WriteError> {
+        let mut state = self.lock_state();
+        if self.is_read_only() {
+            let reason = state.last_error.clone();
+            return Err(WriteError::Log(
+                reason.unwrap_or_else(|| "degraded to read-only".to_string()),
+            ));
         }
+        let outcome = self
+            .inner
+            .write_ntriples(kind, body, || self.append(&mut state, kind, body))?;
+        self.maybe_checkpoint(&mut state);
+        self.refresh_status_mirror(&state);
+        Ok(outcome)
     }
 
-    /// Durably retracts an N-Triples batch (delete–rederive), returning the
-    /// stats and the epoch serving the result.
-    pub fn retract_ntriples(&self, body: &str) -> Result<(RetractionStats, u64), DurableError> {
-        let triples = parse_ntriples(body).map_err(|e| DurableError::Rejected {
-            message: e.to_string(),
-        })?;
-        let mut state = self.log_record(WalKind::Retract, body)?;
-        match self.inner.retract(triples) {
-            Ok((stats, epoch)) => {
-                self.maybe_checkpoint(&mut state);
-                self.refresh_status_mirror(&state);
-                Ok((stats, epoch))
-            }
-            Err(e) => {
-                // Unreachable today — a durable dataset never has a shape
-                // gate (the CLI forbids `--shapes` with `--data-dir`, see
-                // docs/shapes.md) — but if a refusal ever did happen here
-                // the record is already durable while memory refused it:
-                // the same divergence as a failed extend, handled the same.
-                let reason = format!("logged write failed to apply: {e}");
-                state.last_error = Some(reason.clone());
-                self.read_only.store(true, Ordering::Release);
-                self.refresh_status_mirror(&state);
-                Err(DurableError::ReadOnly { reason })
-            }
-        }
+    /// Durably asserts an N-Triples batch.
+    pub fn extend_ntriples(&self, body: &str) -> Result<WriteOutcome, DurableError> {
+        Ok(self.write_ntriples(WriteKind::Assert, body)?)
+    }
+
+    /// Durably retracts an N-Triples batch (delete–rederive).
+    pub fn retract_ntriples(&self, body: &str) -> Result<WriteOutcome, DurableError> {
+        Ok(self.write_ntriples(WriteKind::Retract, body)?)
     }
 
     /// Writes a snapshot image of the current state and truncates the WAL.
@@ -560,45 +552,22 @@ impl DurableDataset {
         self.dir.join(WAL_FILE)
     }
 
-    /// Appends one record durably; flips read-only on failure. Returns the
-    /// held state lock so the caller applies and (maybe) checkpoints under
-    /// the same critical section — WAL order equals apply order.
-    fn log_record(
-        &self,
-        kind: WalKind,
-        body: &str,
-    ) -> Result<MutexGuard<'_, DurableState>, DurableError> {
-        if self.is_read_only() {
-            return Err(self.read_only_error());
-        }
-        let mut state = self.lock_state();
-        if self.is_read_only() {
-            drop(state);
-            return Err(self.read_only_error());
-        }
+    /// The pipeline's log stage: appends one record and fsyncs it. On
+    /// failure nothing will be published and the dataset flips read-only.
+    fn append(&self, state: &mut DurableState, kind: WriteKind, body: &str) -> Result<(), String> {
         let seq = state.last_seq + 1;
         let record = wal::encode_record(seq, kind, body);
         if let Err(e) = self.backend.append_durable(&self.wal_path(), &record) {
             let reason = format!("WAL append failed: {e}");
             state.last_error = Some(reason.clone());
             self.read_only.store(true, Ordering::Release);
-            self.refresh_status_mirror(&state);
-            drop(state);
-            return Err(DurableError::ReadOnly { reason });
+            self.refresh_status_mirror(state);
+            return Err(reason);
         }
         state.last_seq = seq;
         state.wal_records += 1;
         state.wal_bytes += record.len() as u64;
-        Ok(state)
-    }
-
-    fn read_only_error(&self) -> DurableError {
-        let reason = self
-            .lock_state()
-            .last_error
-            .clone()
-            .unwrap_or_else(|| "degraded to read-only".to_string());
-        DurableError::ReadOnly { reason }
+        Ok(())
     }
 
     fn maybe_checkpoint(&self, state: &mut DurableState) {
@@ -620,7 +589,7 @@ impl DurableDataset {
             snapshot.store(),
             snapshot.epoch(),
             state.last_seq,
-            &self.fragment_name,
+            &self.program_name,
         );
         let path = self
             .dir
@@ -677,6 +646,7 @@ impl DurableDataset {
 mod tests {
     use super::*;
     use crate::io::{Fault, MemFs};
+    use inferray_core::Fragment;
     use inferray_parser::load_ntriples;
 
     const DATA: &str = "<http://ex/human> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://ex/mammal> .\n\
@@ -774,7 +744,143 @@ mod tests {
         let status = durable.status();
         assert!(status.read_only);
         assert!(status.last_error.is_some());
-        assert!(status.json().contains("\"read_only\":true"));
+        let mut json = String::new();
+        durable.status_json_into(&mut json);
+        assert!(json.contains("\"read_only\":true"));
+    }
+
+    #[test]
+    fn durability_status_renders_the_wire_format() {
+        let status = DurabilityStatus {
+            read_only: true,
+            snapshot_path: Some(PathBuf::from("d/snap \"7\".img")),
+            snapshot_epoch: 7,
+            last_checkpoint_seq: 5,
+            last_seq: 9,
+            wal_records: 4,
+            wal_bytes: 321,
+            last_error: Some("disk\tgone\u{1}".to_string()),
+        };
+        let mut json = String::new();
+        status.json_into(&mut json);
+        assert_eq!(
+            json,
+            "{\"read_only\":true,\"snapshot_path\":\"d/snap \\\"7\\\".img\",\"snapshot_epoch\":7,\
+             \"last_checkpoint_seq\":5,\"last_seq\":9,\"wal_records\":4,\"wal_bytes\":321,\
+             \"last_error\":\"disk\\tgone\\u0001\"}"
+        );
+        json.clear();
+        DurabilityStatus::default().json_into(&mut json);
+        assert_eq!(
+            json,
+            "{\"read_only\":false,\"snapshot_path\":null,\"snapshot_epoch\":0,\
+             \"last_checkpoint_seq\":0,\"last_seq\":0,\"wal_records\":0,\"wal_bytes\":0,\
+             \"last_error\":null}"
+        );
+    }
+
+    #[test]
+    fn a_refused_write_is_never_logged() {
+        let fs = Arc::new(MemFs::new());
+        let durable = boot(Arc::clone(&fs));
+        durable
+            .dataset()
+            .install_shapes(
+                "shape Human targets class <http://ex/human> { <http://ex/name> count [0..1] ; } .",
+            )
+            .unwrap();
+        durable
+            .extend_ntriples("<http://ex/bart> <http://ex/name> \"Bart\" .\n")
+            .unwrap();
+        let logged = durable.status();
+        assert_eq!(logged.wal_records, 1);
+
+        // The gate refuses a second name, the parser a broken document, the
+        // encoder a literal subject: none of them reaches the log, none of
+        // them degrades the dataset, none of them publishes.
+        for refused in [
+            "<http://ex/bart> <http://ex/name> \"Bartholomew\" .\n",
+            "<broken",
+            "\"literal\" <http://ex/name> <http://ex/bart> .\n",
+        ] {
+            let err = durable.extend_ntriples(refused).unwrap_err();
+            assert!(matches!(err, DurableError::Rejected { .. }), "{err}");
+        }
+        // Retracting the only name is fine for `count [0..1]`; a retraction
+        // the gate refuses is covered by tests/crash_recovery.rs.
+        assert_eq!(durable.status(), logged);
+        assert!(!durable.is_read_only());
+        assert_eq!(durable.dataset().epoch(), 1);
+        assert_eq!(
+            wal::scan(&fs.read(Path::new("data/wal.log")).unwrap())
+                .records
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn a_rule_program_dataset_reopens_only_under_the_same_program() {
+        const RULES: &str = "@prefix ex: <http://ex/> .\n\
+             rule gp: ?x ex:parent ?y, ?y ex:parent ?z => ?x ex:grandparent ?z .\n";
+        let fs = Arc::new(MemFs::new());
+        let loaded = load_ntriples("<http://ex/a> <http://ex/parent> <http://ex/b> .\n").unwrap();
+        let (original, _) = DurableDataset::create(
+            loaded,
+            RULES,
+            InferrayOptions::default(),
+            "data",
+            Arc::clone(&fs) as Arc<dyn IoBackend>,
+            CheckpointPolicy::manual(),
+        )
+        .unwrap();
+        original
+            .extend_ntriples("<http://ex/b> <http://ex/parent> <http://ex/c> .\n")
+            .unwrap();
+
+        let reopen = |program: Program| {
+            DurableDataset::open(
+                "data",
+                program,
+                InferrayOptions::default(),
+                Arc::new(MemFs::from_view(fs.durable_view())),
+                CheckpointPolicy::manual(),
+            )
+        };
+        let (recovered, report) = reopen(RULES.into()).unwrap();
+        assert_eq!(report.replayed_records, 1);
+        let (live, live_dict) = original.dataset().snapshot();
+        let (back, back_dict) = recovered.dataset().snapshot();
+        assert_eq!(live.epoch(), back.epoch());
+        assert_eq!(live.store(), back.store());
+        assert_eq!(*live_dict, *back_dict);
+        // The replayed write went through the custom rule.
+        assert_eq!(back.store().len(), 3);
+
+        for other in [
+            Program::from(Fragment::RdfsDefault),
+            Program::from("rule r: ?x <http://ex/parent> ?y => ?y <http://ex/child> ?x .\n"),
+        ] {
+            let err = reopen(other).unwrap_err();
+            assert!(
+                matches!(err, DurableError::FragmentMismatch { .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn create_refuses_a_rule_program_with_errors() {
+        let err = DurableDataset::create(
+            load_ntriples(DATA).unwrap(),
+            "rule bad: ?x <urn:p> ?y => ?x <urn:q> ?z .",
+            InferrayOptions::default(),
+            "data",
+            Arc::new(MemFs::new()),
+            CheckpointPolicy::manual(),
+        )
+        .unwrap_err();
+        assert!(matches!(&err, DurableError::Program(diags) if diags[0].code == "RA003"));
     }
 
     #[test]

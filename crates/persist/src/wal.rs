@@ -38,29 +38,23 @@ const RECORD_HEADER: usize = 8;
 /// Minimum payload: sequence number + kind byte.
 const MIN_PAYLOAD: usize = 9;
 
-/// What a WAL record does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalKind {
-    /// Assert the batch (materialize the delta).
-    Assert,
-    /// Retract the batch (delete–rederive).
-    Retract,
+/// What a WAL record does: the write pipeline's own kind
+/// ([`inferray_core::WriteKind`]), so a replayed record re-enters the
+/// pipeline without translation.
+pub use inferray_core::WriteKind as WalKind;
+
+fn kind_to_byte(kind: WalKind) -> u8 {
+    match kind {
+        WalKind::Assert => 1,
+        WalKind::Retract => 2,
+    }
 }
 
-impl WalKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            WalKind::Assert => 1,
-            WalKind::Retract => 2,
-        }
-    }
-
-    fn from_byte(byte: u8) -> Option<WalKind> {
-        match byte {
-            1 => Some(WalKind::Assert),
-            2 => Some(WalKind::Retract),
-            _ => None,
-        }
+fn kind_from_byte(byte: u8) -> Option<WalKind> {
+    match byte {
+        1 => Some(WalKind::Assert),
+        2 => Some(WalKind::Retract),
+        _ => None,
     }
 }
 
@@ -94,7 +88,7 @@ pub fn encode_record(seq: u64, kind: WalKind, body: &str) -> Vec<u8> {
     out.extend_from_slice(&(payload_len as u32).to_le_bytes());
     out.extend_from_slice(&[0, 0, 0, 0]); // CRC patched below.
     out.extend_from_slice(&seq.to_le_bytes());
-    out.push(kind.to_byte());
+    out.push(kind_to_byte(kind));
     out.extend_from_slice(body.as_bytes());
     let crc = crc32(&out[RECORD_HEADER..]);
     out[4..8].copy_from_slice(&crc.to_le_bytes());
@@ -149,7 +143,7 @@ pub fn scan(bytes: &[u8]) -> WalScan {
         let Some(seq) = le_u64(payload, 0) else {
             break;
         };
-        let Some(kind) = WalKind::from_byte(payload[8]) else {
+        let Some(kind) = kind_from_byte(payload[8]) else {
             break;
         };
         let Ok(body) = std::str::from_utf8(&payload[9..]) else {

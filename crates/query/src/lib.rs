@@ -86,8 +86,7 @@ pub mod sparql;
 pub use algebra::{FilterExpr, PatternTerm, Query, QueryForm, Selection, TriplePatternSpec};
 pub use engine::QueryEngine;
 pub use server::{
-    DurabilityReporter, EngineSource, ServerConfig, SparqlServer, UpdateError, UpdateOutcome,
-    UpdateSink, ValidationReporter,
+    EngineSource, ServerConfig, SparqlServer, UpdateError, UpdateOutcome, UpdateSink,
 };
 pub use serving::SnapshotQueryEngine;
 pub use solution::{EncodedRow, SolutionSet};

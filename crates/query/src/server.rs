@@ -19,10 +19,10 @@
 //!   dataset (delete–rederive, docs/maintenance.md), or assert them with
 //!   `?action=assert`; only available when the server was bound with an
 //!   [`UpdateSink`] ([`SparqlServer::bind_with_updates`]), 404 otherwise;
-//! * `GET /status` — the current snapshot epoch and store size, plus a
-//!   `durability` object when the server was bound with a
-//!   [`DurabilityReporter`] (snapshot path, WAL length, read-only flag —
-//!   see docs/persistence.md); `HEAD` supported as for `/sparql`.
+//! * `GET /status` — the current snapshot epoch and store size, plus
+//!   whatever members the sink's [`UpdateSink::status_json_into`] adds (the
+//!   `durability` object of docs/persistence.md, the `validation` object of
+//!   docs/shapes.md); `HEAD` supported as for `/sparql`.
 //!
 //! `POST` bodies must carry a `Content-Length`: a missing length is
 //! answered with `411 Length Required` (not a misleading parse error from
@@ -77,7 +77,7 @@ use crate::executor::Scratch;
 use crate::serving::SnapshotQueryEngine;
 use crate::solution::{decode, SolutionSet};
 use crate::sparql::parse_query;
-use inferray_model::Term;
+use inferray_model::{json_escape_into, Term};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -129,6 +129,9 @@ pub struct UpdateOutcome {
 /// Why an [`UpdateSink`] refused a write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateError {
+    /// The endpoint does not take writes (no sink, or a sink bound for its
+    /// `/status` members only) — answered with `404`.
+    Disabled,
     /// The request itself is invalid (parse error, unsupported action) —
     /// answered with `400`.
     Rejected(String),
@@ -162,14 +165,16 @@ impl UpdateError {
     }
 }
 
-/// A writer the server forwards `POST /update` requests to.
+/// The dataset behind the endpoint, as far as the server needs to know it:
+/// a writer it forwards `POST /update` requests to, and the members that
+/// writer contributes to `GET /status`.
 ///
 /// The serving stack is layered so that `inferray-query` never depends on
-/// the reasoner: the server knows only this trait, and the binary that owns
-/// a `ServingDataset` (e.g. `inferray-cli serve`) adapts it.
-/// [`UpdateError::Rejected`] is reported as a `400` with the message in the
-/// JSON error body, [`UpdateError::Unavailable`] as a `503` with a
-/// `Retry-After` header.
+/// the reasoner, the validator or the persistence layer: the server knows
+/// only this trait, and the binary that owns a `ServingDataset` (e.g.
+/// `inferray-cli serve`) adapts it. [`UpdateError::Rejected`] is reported
+/// as a `400` with the message in the JSON error body,
+/// [`UpdateError::Unavailable`] as a `503` with a `Retry-After` header.
 pub trait UpdateSink: Send + Sync + 'static {
     /// Retracts the triples of an N-Triples document from the served
     /// dataset and re-materializes incrementally.
@@ -184,28 +189,14 @@ pub trait UpdateSink: Send + Sync + 'static {
             "asserts are not supported by this endpoint",
         ))
     }
-}
 
-/// Durability state the server splices into `GET /status` as the
-/// `durability` object — implemented by the persistence layer
-/// (`inferray-persist`), which `inferray-query` deliberately does not
-/// depend on.
-pub trait DurabilityReporter: Send + Sync + 'static {
-    /// The current durability state as a complete JSON object, e.g.
-    /// `{"read_only":false,…}`.
-    fn durability_json(&self) -> String;
-}
-
-/// Shape-validation state the server splices into `GET /status` as the
-/// `validation` object — implemented by the binary that owns the shape
-/// gate (`inferray-cli serve --shapes`), so `inferray-query` never depends
-/// on the validator.
-pub trait ValidationReporter: Send + Sync + 'static {
-    /// Renders the current validation state into `out` as a complete JSON
-    /// value, e.g. `{"shapes":2,"validated_epoch":7,…}`. Writes into the
-    /// caller's buffer because `GET /status` is served from the
-    /// zero-allocation request loop.
-    fn validation_json_into(&self, out: &mut String);
+    /// Appends this dataset's members of the `GET /status` object to `out`,
+    /// each as `,"name":value` (e.g. `,"durability":{"read_only":false,…}`).
+    /// Writes into the caller's buffer because `GET /status` is served from
+    /// the zero-allocation request loop. The default adds nothing.
+    fn status_json_into(&self, out: &mut String) {
+        let _ = out;
+    }
 }
 
 /// Tunables of a [`SparqlServer`].
@@ -262,7 +253,7 @@ impl SparqlServer {
             threads,
             ..ServerConfig::default()
         };
-        Self::bind_with(addr, config, source, None, None, None)
+        Self::bind_with(addr, config, source, None)
     }
 
     /// [`SparqlServer::bind`] with a write path: `POST /update` requests
@@ -277,19 +268,16 @@ impl SparqlServer {
             threads,
             ..ServerConfig::default()
         };
-        Self::bind_with(addr, config, source, Some(sink), None, None)
+        Self::bind_with(addr, config, source, Some(sink))
     }
 
-    /// The fully configurable constructor: explicit [`ServerConfig`], an
-    /// optional write path, and optional durability / shape-validation
-    /// reporters for `GET /status`.
+    /// The fully configurable constructor: explicit [`ServerConfig`] and an
+    /// optional sink for `POST /update` and the `GET /status` members.
     pub fn bind_with(
         addr: &str,
         config: ServerConfig,
         source: Arc<dyn EngineSource>,
         sink: Option<Arc<dyn UpdateSink>>,
-        durability: Option<Arc<dyn DurabilityReporter>>,
-        validation: Option<Arc<dyn ValidationReporter>>,
     ) -> std::io::Result<SparqlServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -303,8 +291,6 @@ impl SparqlServer {
             let worker_stop = Arc::clone(&stop);
             let source = Arc::clone(&source);
             let sink = sink.clone();
-            let durability = durability.clone();
-            let validation = validation.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("inferray-serve-{i}"))
                 .spawn(move || {
@@ -314,8 +300,6 @@ impl SparqlServer {
                         config,
                         source.as_ref(),
                         sink.as_deref(),
-                        durability.as_deref(),
-                        validation.as_deref(),
                     )
                 });
             match spawned {
@@ -363,8 +347,6 @@ fn worker_loop(
     config: ServerConfig,
     source: &dyn EngineSource,
     sink: Option<&dyn UpdateSink>,
-    durability: Option<&dyn DurabilityReporter>,
-    validation: Option<&dyn ValidationReporter>,
 ) {
     // One set of reusable buffers per worker: every connection (and every
     // request within a keep-alive connection) reuses these, so the
@@ -389,16 +371,7 @@ fn worker_loop(
         // A stalled client must not wedge a worker forever.
         let _ = stream.set_read_timeout(Some(config.read_timeout));
         let _ = stream.set_write_timeout(Some(config.write_timeout));
-        let _ = handle_connection(
-            stream,
-            stop,
-            config,
-            source,
-            sink,
-            durability,
-            validation,
-            &mut buffers,
-        );
+        let _ = handle_connection(stream, stop, config, source, sink, &mut buffers);
     }
 }
 
@@ -479,15 +452,12 @@ struct RequestHead {
 /// Serves requests off one connection until the client closes, asks to
 /// close, a framing error leaves the stream position unknown, or shutdown.
 /// The request target is parsed into `buffers.path`.
-#[allow(clippy::too_many_arguments)]
 fn handle_connection(
     stream: TcpStream,
     stop: &AtomicBool,
     config: ServerConfig,
     source: &dyn EngineSource,
     sink: Option<&dyn UpdateSink>,
-    durability: Option<&dyn DurabilityReporter>,
-    validation: Option<&dyn ValidationReporter>,
     buffers: &mut WorkerBuffers,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream);
@@ -519,8 +489,6 @@ fn handle_connection(
             config,
             source,
             sink,
-            durability,
-            validation,
             buffers,
             keep_alive,
         )? {
@@ -531,15 +499,12 @@ fn handle_connection(
 
 /// Reads the body (for `POST`), routes, and answers one request. Returns
 /// whether the connection stays open.
-#[allow(clippy::too_many_arguments)]
 fn serve_request(
     reader: &mut BufReader<TcpStream>,
     head: &RequestHead,
     config: ServerConfig,
     source: &dyn EngineSource,
     sink: Option<&dyn UpdateSink>,
-    durability: Option<&dyn DurabilityReporter>,
-    validation: Option<&dyn ValidationReporter>,
     buffers: &mut WorkerBuffers,
     keep_alive: bool,
 ) -> std::io::Result<bool> {
@@ -595,7 +560,7 @@ fn serve_request(
     match (head.method, path) {
         (Method::Get | Method::Head, "/status") => {
             buffers.response.clear();
-            status_json_into(&mut buffers.response, source, durability, validation);
+            status_json_into(&mut buffers.response, source, sink);
             respond(
                 stream,
                 200,
@@ -712,15 +677,10 @@ fn serve_request(
 }
 
 /// Renders the `GET /status` body into `out`: the engine's epoch/size
-/// header plus the `durability` and `validation` objects the embedder's
-/// reporters splice in. On the serving hot path — liveness probes hammer
-/// `/status`, so it must not allocate beyond the reusable buffer.
-fn status_json_into(
-    out: &mut String,
-    source: &dyn EngineSource,
-    durability: Option<&dyn DurabilityReporter>,
-    validation: Option<&dyn ValidationReporter>,
-) {
+/// header plus the members the sink splices in. On the serving hot path —
+/// liveness probes hammer `/status`, so it must not allocate beyond the
+/// reusable buffer.
+fn status_json_into(out: &mut String, source: &dyn EngineSource, sink: Option<&dyn UpdateSink>) {
     use std::fmt::Write as _;
     let engine = source.current();
     let _ = write!(
@@ -730,13 +690,8 @@ fn status_json_into(
         engine.snapshot().len(),
         engine.snapshot().table_count(),
     );
-    if let Some(reporter) = durability {
-        out.push_str(",\"durability\":");
-        out.push_str(&reporter.durability_json());
-    }
-    if let Some(reporter) = validation {
-        out.push_str(",\"validation\":");
-        reporter.validation_json_into(out);
+    if let Some(sink) = sink {
+        sink.status_json_into(out);
     }
     out.push_str("}\n");
 }
@@ -753,12 +708,6 @@ fn handle_update(
     response: &mut String,
     out: &mut Vec<u8>,
 ) -> std::io::Result<()> {
-    let Some(sink) = sink else {
-        response.clear();
-        error_json_into(response, "updates are not enabled on this endpoint");
-        return respond(stream, 404, "application/json", response, opts, out);
-    };
-    let body = String::from_utf8_lossy(body);
     // `?action=assert` routes to the write-ahead assert path; the default
     // (and `?action=retract`) stays delete–rederive.
     let action = query_string
@@ -769,12 +718,21 @@ fn handle_update(
             })
         })
         .unwrap_or_else(|| "retract".to_owned());
-    let result = match action.as_str() {
-        "retract" => sink.retract_ntriples(&body),
-        "assert" => sink.assert_ntriples(&body),
-        other => Err(UpdateError::Rejected(format!(
-            "unknown action '{other}' (use assert or retract)"
+    // A lossy decode would turn a stray byte inside a literal into U+FFFD —
+    // a document that parses, and a triple nobody sent made durable.
+    let result = match (sink, std::str::from_utf8(body)) {
+        (None, _) => Err(UpdateError::Disabled),
+        (Some(_), Err(e)) => Err(UpdateError::Rejected(format!(
+            "update body is not valid UTF-8: invalid byte at offset {}",
+            e.valid_up_to()
         ))),
+        (Some(sink), Ok(body)) => match action.as_str() {
+            "retract" => sink.retract_ntriples(body),
+            "assert" => sink.assert_ntriples(body),
+            other => Err(UpdateError::Rejected(format!(
+                "unknown action '{other}' (use assert or retract)"
+            ))),
+        },
     };
     response.clear();
     match result {
@@ -786,6 +744,10 @@ fn handle_update(
                 outcome.epoch, outcome.requested, outcome.removed, outcome.triples,
             );
             respond(stream, 200, "application/json", response, opts, out)
+        }
+        Err(UpdateError::Disabled) => {
+            error_json_into(response, "updates are not enabled on this endpoint");
+            respond(stream, 404, "application/json", response, opts, out)
         }
         Err(UpdateError::Rejected(message)) => {
             error_json_into(response, &message);
@@ -1184,23 +1146,6 @@ fn term_json_into(out: &mut String, term: &Term) {
                 out.push('"');
             }
             out.push('}');
-        }
-    }
-}
-
-fn json_escape_into(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
@@ -1627,40 +1572,25 @@ mod tests {
         }
     }
 
-    struct StaticDurability;
+    /// A sink bound only for its `/status` members: writes stay disabled.
+    struct StatusOnlySink(&'static str);
 
-    impl DurabilityReporter for StaticDurability {
-        fn durability_json(&self) -> String {
-            "{\"read_only\":true,\"wal_records\":3}".to_owned()
+    impl UpdateSink for StatusOnlySink {
+        fn retract_ntriples(&self, _body: &str) -> Result<UpdateOutcome, UpdateError> {
+            Err(UpdateError::Disabled)
+        }
+
+        fn status_json_into(&self, out: &mut String) {
+            out.push_str(self.0);
         }
     }
 
-    fn bind_full(
-        config: ServerConfig,
-        sink: Option<Arc<dyn UpdateSink>>,
-        durability: Option<Arc<dyn DurabilityReporter>>,
-    ) -> SparqlServer {
-        bind_validating(config, sink, durability, None)
-    }
-
-    fn bind_validating(
-        config: ServerConfig,
-        sink: Option<Arc<dyn UpdateSink>>,
-        durability: Option<Arc<dyn DurabilityReporter>>,
-        validation: Option<Arc<dyn ValidationReporter>>,
-    ) -> SparqlServer {
+    fn bind_full(config: ServerConfig, sink: Option<Arc<dyn UpdateSink>>) -> SparqlServer {
         let (snapshots, dictionary) = service();
         let source =
             move || SnapshotQueryEngine::new(snapshots.snapshot(), Arc::clone(&dictionary));
-        SparqlServer::bind_with(
-            "127.0.0.1:0",
-            config,
-            Arc::new(source),
-            sink,
-            durability,
-            validation,
-        )
-        .expect("bind loopback")
+        SparqlServer::bind_with("127.0.0.1:0", config, Arc::new(source), sink)
+            .expect("bind loopback")
     }
 
     #[test]
@@ -1670,7 +1600,6 @@ mod tests {
                 max_body_bytes: 1024,
                 ..ServerConfig::default()
             },
-            None,
             None,
         );
         let addr = server.local_addr();
@@ -1693,7 +1622,6 @@ mod tests {
                 ..ServerConfig::default()
             },
             None,
-            None,
         );
         let addr = server.local_addr();
         // Send half a request line, then stall past the read timeout.
@@ -1713,7 +1641,6 @@ mod tests {
                 ..ServerConfig::default()
             },
             None,
-            None,
         );
         let addr = server.local_addr();
         // Promise 100 bytes, send 10, stall.
@@ -1729,7 +1656,7 @@ mod tests {
 
     #[test]
     fn a_read_only_sink_degrades_update_to_503_with_retry_after() {
-        let server = bind_full(ServerConfig::default(), Some(Arc::new(ReadOnlySink)), None);
+        let server = bind_full(ServerConfig::default(), Some(Arc::new(ReadOnlySink)));
         let addr = server.local_addr();
         let doc = "<http://ex/a> <http://ex/b> <http://ex/c> .\n";
         let response = http_raw(
@@ -1755,17 +1682,32 @@ mod tests {
     fn status_splices_in_the_durability_report() {
         let server = bind_full(
             ServerConfig::default(),
-            None,
-            Some(Arc::new(StaticDurability)),
+            Some(Arc::new(StatusOnlySink(
+                ",\"durability\":{\"read_only\":true,\"wal_records\":3}",
+            ))),
         );
         let addr = server.local_addr();
         let (status, body) = http(addr, "GET /status HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 200);
-        assert!(
-            body.contains("\"durability\":{\"read_only\":true,\"wal_records\":3}"),
-            "body: {body}"
+        assert_eq!(
+            body,
+            "{\"epoch\":0,\"triples\":3,\"tables\":2,\
+             \"durability\":{\"read_only\":true,\"wal_records\":3}}\n"
         );
-        assert!(body.contains("\"epoch\":0"), "body: {body}");
+        // A status-only sink keeps `POST /update` answering like no sink.
+        let doc = "<http://ex/a> <http://ex/b> <http://ex/c> .\n";
+        let (status, body) = http(
+            addr,
+            &format!(
+                "POST /update HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{doc}",
+                doc.len()
+            ),
+        );
+        assert_eq!(status, 404);
+        assert_eq!(
+            body,
+            "{\"error\":\"updates are not enabled on this endpoint\"}\n"
+        );
         server.shutdown();
     }
 
@@ -1782,24 +1724,17 @@ mod tests {
                     .to_owned(),
             })
         }
-    }
 
-    struct StaticValidation;
-
-    impl ValidationReporter for StaticValidation {
-        fn validation_json_into(&self, out: &mut String) {
-            out.push_str("{\"shapes\":2,\"validated_epoch\":0,\"rejected_writes\":1}");
+        fn status_json_into(&self, out: &mut String) {
+            out.push_str(
+                ",\"validation\":{\"shapes\":2,\"validated_epoch\":0,\"rejected_writes\":1}",
+            );
         }
     }
 
     #[test]
     fn shape_refusals_answer_422_with_the_violation_report() {
-        let server = bind_validating(
-            ServerConfig::default(),
-            Some(Arc::new(ShapeGatedSink)),
-            None,
-            Some(Arc::new(StaticValidation)),
-        );
+        let server = bind_full(ServerConfig::default(), Some(Arc::new(ShapeGatedSink)));
         let addr = server.local_addr();
         let doc = "<http://ex/a> <http://ex/b> <http://ex/c> .\n";
         let response = http_raw(
@@ -1843,11 +1778,7 @@ mod tests {
         let sink = Arc::new(RecordingSink {
             bodies: std::sync::Mutex::new(Vec::new()),
         });
-        let server = bind_full(
-            ServerConfig::default(),
-            Some(Arc::new(Arc::clone(&sink))),
-            None,
-        );
+        let server = bind_full(ServerConfig::default(), Some(Arc::new(Arc::clone(&sink))));
         let addr = server.local_addr();
         let doc = "<http://ex/a> <http://ex/b> <http://ex/c> .\n";
         // The default RecordingSink has no assert path: the trait default
@@ -2066,7 +1997,6 @@ mod tests {
                 keep_alive: false,
                 ..ServerConfig::default()
             },
-            None,
             None,
         );
         let addr = server.local_addr();

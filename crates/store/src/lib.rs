@@ -23,8 +23,8 @@
 //! * [`inferred`] — the per-rule output buffers used during parallel rule
 //!   execution (each rule thread owns one, avoiding contention);
 //! * [`profile`] — software memory-access counters standing in for the
-//!   hardware cache/TLB/page-fault counters of Figures 7–8 (see DESIGN.md
-//!   for the substitution rationale);
+//!   hardware cache/TLB/page-fault counters of Figures 7–8 (see README.md,
+//!   "Substitutions", for the rationale);
 //! * [`snapshot`] — epoch-based snapshot publication ([`SnapshotStore`] /
 //!   [`StoreSnapshot`]) so concurrent readers keep a consistent frozen
 //!   version while a writer materializes the next one (docs/serving.md).

@@ -9,7 +9,7 @@
 //! hash probes it performed and how much it allocated. Random accesses and
 //! hash probes are the software-level causes of the cache/TLB misses the
 //! paper measures, so the relative ordering between reasoners — the claim
-//! Figures 7–8 support — is preserved. See DESIGN.md ("Substitutions").
+//! Figures 7–8 support — is preserved. See README.md ("Substitutions").
 
 use std::fmt;
 use std::ops::AddAssign;

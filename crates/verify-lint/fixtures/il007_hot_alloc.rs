@@ -1,5 +1,5 @@
 //! IL007 fixture: per-request allocation inside the serving hot functions.
-//! Only the three sites in `serve_request`/`respond`/`json_escape_into` may
+//! Only the three sites in `serve_request`/`respond`/`error_json_into` may
 //! fire; the camouflaged negatives (cold helpers, with_capacity, comments,
 //! strings, cfg(test) items) must stay silent.
 
@@ -15,7 +15,7 @@ fn respond(out: &mut Vec<u8>) {
     out.extend_from_slice(scratch.as_bytes());
 }
 
-fn json_escape_into(out: &mut String) {
+fn error_json_into(out: &mut String) {
     let parts: Vec<u8> = Vec::new(); // positive 3
     out.push_str(&parts.len().to_string());
 }

@@ -218,7 +218,7 @@ fn il007_fires_on_hot_function_allocation_only() {
     for (hot_fn, constructor) in [
         ("serve_request", "`format!`"),
         ("respond", "`String::new`"),
-        ("json_escape_into", "`Vec::new`"),
+        ("error_json_into", "`Vec::new`"),
     ] {
         assert!(
             diags
@@ -249,6 +249,37 @@ fn il007_covers_status_json_into() {
         diags[0].message.contains("status_json_into") && diags[0].message.contains("`format!`"),
         "{diags:?}"
     );
+}
+
+#[test]
+fn il007_covers_the_status_renderers_outside_server_rs() {
+    for home in [
+        "src/lib.rs",
+        "crates/persist/src/durable.rs",
+        "crates/core/src/api.rs",
+        "crates/model/src/json.rs",
+    ] {
+        let files = vec![fixture("il007_status_renderer_alloc.rs", home)];
+        let diags = rules::il007_no_hot_path_allocation(&files);
+        assert_eq!(diags.len(), 2, "{home}: {diags:?}");
+        for (renderer, constructor) in [
+            ("`json_into`", "`format!`"),
+            ("`status_json_into`", "`String::new`"),
+        ] {
+            assert!(
+                diags.iter().any(|d| d.message.contains("status renderer")
+                    && d.message.contains(renderer)
+                    && d.message.contains(constructor)),
+                "{home}: missing {constructor} in {renderer}: {diags:?}"
+            );
+        }
+    }
+    // The same names are not hot in a file `GET /status` never reaches.
+    let files = vec![fixture(
+        "il007_status_renderer_alloc.rs",
+        "crates/rules/src/shapes/validate.rs",
+    )];
+    assert!(rules::il007_no_hot_path_allocation(&files).is_empty());
 }
 
 #[test]

@@ -14,8 +14,10 @@
 //! maintenance path (docs/maintenance.md), or to assert them with
 //! `?action=assert`. With `--data-dir` the served dataset is **durable**
 //! (docs/persistence.md): it recovers from the newest snapshot image + WAL
-//! replay when the directory holds one, writes every update to the WAL
-//! before publishing, and checkpoints on a threshold.
+//! replay when the directory holds one, writes every accepted update to the
+//! WAL before publishing, and checkpoints on a threshold. `--data-dir`
+//! combines with `--rules` and `--shapes`; give the same `--fragment` or
+//! `--rules` file on every start.
 //!
 //! **Snapshot**: `inferray-cli snapshot --data-dir D [FILE]` materializes
 //! the input and writes a snapshot image (an offline "pre-warm" of the
@@ -74,12 +76,10 @@
 //!                        response (disables HTTP/1.1 keep-alive)
 //!   --data-dir <DIR>     durable storage directory (WAL + snapshot images)
 //!   --checkpoint-every <N>  records between automatic checkpoints (default 1024)
-//!   --rules <FILE>       serve mode: close the dataset under this rule
-//!                        program instead of --fragment (in-memory only;
-//!                        not combinable with --data-dir)
+//!   --rules <FILE>       serve/snapshot/recover: close the dataset under
+//!                        this rule program instead of --fragment
 //!   --shapes <FILE>      serve mode: gate POST /update behind this shape
-//!                        file (in-memory only; not combinable with
-//!                        --data-dir — the WAL logs before the gate runs)
+//!                        file
 //!   --data <FILE>        rules explain: estimate per-rule costs against
 //!                        this dataset
 //!   --help
@@ -89,17 +89,13 @@
 
 use inferray::persist::StdFs;
 use inferray::{
-    CheckpointPolicy, DurableDataset, DurableError, DurableUpdateSink, ServingUpdateSink,
-    ShapeInstallError,
+    CheckpointPolicy, DurableDataset, DurableError, Program, ServingUpdateSink, ShapeInstallError,
 };
 use inferray_core::{
     InferrayOptions, InferrayReasoner, Ingest, LoaderOptions, Materializer, ServingDataset,
 };
 use inferray_parser::loader::LoadedDataset;
-use inferray_query::{
-    DurabilityReporter, ServerConfig, SnapshotQueryEngine, SparqlServer, UpdateSink,
-    ValidationReporter,
-};
+use inferray_query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::{shapes, Fragment};
 use inferray_store::DistinctCount;
@@ -364,15 +360,10 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     if matches!(options.mode, Mode::RulesCheck | Mode::RulesExplain) && options.input.is_none() {
         return Err("'rules check|explain' needs a rule file".to_string());
     }
-    if options.rules.is_some() {
-        if options.mode != Mode::Serve {
-            return Err("--rules only applies to 'serve'".to_string());
-        }
-        if options.data_dir.is_some() {
-            // The durable recovery path re-materializes under a *fragment*;
-            // persisting a rule program alongside the images is future work.
-            return Err("--rules cannot be combined with --data-dir".to_string());
-        }
+    if options.rules.is_some()
+        && !matches!(options.mode, Mode::Serve | Mode::Snapshot | Mode::Recover)
+    {
+        return Err("--rules only applies to 'serve', 'snapshot' and 'recover'".to_string());
     }
     if matches!(options.mode, Mode::ShapesCheck | Mode::ShapesValidate) && options.shapes.is_none()
     {
@@ -385,11 +376,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         )
     {
         return Err("--shapes only applies to 'serve'".to_string());
-    }
-    if options.mode == Mode::Serve && options.shapes.is_some() && options.data_dir.is_some() {
-        // The WAL logs every update *before* it is applied; a gate refusal
-        // after logging would leave replay diverging from memory.
-        return Err("--shapes cannot be combined with --data-dir".to_string());
     }
     if options.data.is_some() && options.mode != Mode::RulesExplain {
         return Err("--data only applies to 'rules explain'".to_string());
@@ -448,6 +434,25 @@ fn reasoner_options(options: &CliOptions) -> InferrayOptions {
     }
 }
 
+/// What the dataset is closed under: the `--rules` file when given, else
+/// `--fragment`.
+fn program(options: &CliOptions) -> Result<Program, String> {
+    match &options.rules {
+        Some(path) => std::fs::read_to_string(path)
+            .map(|text| Program::from(text.as_str()))
+            .map_err(|e| format!("cannot read {path}: {e}")),
+        None => Ok(options.fragment.into()),
+    }
+}
+
+/// The diagnostics that make the `--rules` file unloadable, one
+/// machine-readable line each.
+fn render_rule_diags(options: &CliOptions, diags: &[Diagnostic]) -> String {
+    let path = options.rules.as_deref().unwrap_or("<rules>");
+    let lines: Vec<String> = diags.iter().map(|d| render_diag(path, d)).collect();
+    lines.join("\n")
+}
+
 fn run(options: &CliOptions) -> Result<(), String> {
     let loaded = load(options)?;
 
@@ -497,9 +502,10 @@ fn open_or_create_durable(
 ) -> Result<Arc<DurableDataset>, String> {
     let backend = Arc::new(StdFs);
     let policy = checkpoint_policy(options);
+    let program = program(options)?;
     match DurableDataset::open(
         data_dir,
-        options.fragment,
+        program.clone(),
         reasoner_options(options),
         backend.clone(),
         policy,
@@ -529,13 +535,13 @@ fn open_or_create_durable(
             let loaded = load(options)?;
             let (durable, stats) = DurableDataset::create(
                 loaded,
-                options.fragment,
+                program,
                 reasoner_options(options),
                 data_dir,
                 backend,
                 policy,
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| durable_error(options, e))?;
             eprintln!(
                 "inferray: materialized {} triples ({} inferred) in {:?}; initial snapshot written to {data_dir}",
                 stats.output_triples,
@@ -545,6 +551,13 @@ fn open_or_create_durable(
             Ok(Arc::new(durable))
         }
         Err(e) => Err(e.to_string()),
+    }
+}
+
+fn durable_error(options: &CliOptions, error: DurableError) -> String {
+    match error {
+        DurableError::Program(diags) => render_rule_diags(options, &diags),
+        other => other.to_string(),
     }
 }
 
@@ -765,44 +778,23 @@ fn describe_kind(
 fn serve(options: &CliOptions) -> Result<(), String> {
     // With --data-dir the dataset is durable: recovered from disk when
     // possible, WAL-protected in any case. Without it, serving stays purely
-    // in-memory as before.
-    type ServeWiring = (
-        Arc<ServingDataset>,
-        Option<Arc<dyn UpdateSink>>,
-        Option<Arc<dyn DurabilityReporter>>,
-        Option<Arc<dyn ValidationReporter>>,
-    );
-    let (dataset, sink, durability, validation): ServeWiring = match &options.data_dir {
+    // in-memory.
+    let (dataset, sink) = match &options.data_dir {
         Some(data_dir) => {
             let durable = open_or_create_durable(options, data_dir)?;
-            let adapter = Arc::new(DurableUpdateSink(Arc::clone(&durable)));
             (
                 Arc::clone(durable.dataset()),
-                Some(adapter.clone() as Arc<dyn UpdateSink>),
-                Some(adapter as Arc<dyn DurabilityReporter>),
-                // parse_args refuses --shapes with --data-dir, so no gate.
-                None,
+                ServingUpdateSink::durable(durable),
             )
         }
         None => {
             let loaded = load(options)?;
-            let (dataset, stats) = match &options.rules {
-                Some(rules_path) => {
-                    let text = std::fs::read_to_string(rules_path)
-                        .map_err(|e| format!("cannot read {rules_path}: {e}"))?;
-                    ServingDataset::materialize_with_rules(loaded, &text, reasoner_options(options))
-                        .map_err(|diags| {
-                            diags
-                                .iter()
-                                .map(|d| render_diag(rules_path, d))
-                                .collect::<Vec<_>>()
-                                .join("\n")
-                        })?
-                }
-                None => {
-                    ServingDataset::materialize(loaded, options.fragment, reasoner_options(options))
-                }
-            };
+            let (dataset, stats) = ServingDataset::materialize_program(
+                loaded,
+                program(options)?,
+                reasoner_options(options),
+            )
+            .map_err(|diags| render_rule_diags(options, &diags))?;
             eprintln!(
                 "inferray: materialized {} triples ({} inferred) in {:?}",
                 stats.output_triples,
@@ -810,44 +802,46 @@ fn serve(options: &CliOptions) -> Result<(), String> {
                 stats.duration,
             );
             let dataset = Arc::new(dataset);
-            let mut validation = None;
-            if let Some(shapes_path) = &options.shapes {
-                let text = std::fs::read_to_string(shapes_path)
-                    .map_err(|e| format!("cannot read {shapes_path}: {e}"))?;
-                // Install the gate *before* binding: the server either
-                // starts with a green validation or does not start.
-                match dataset.install_shapes(&text) {
-                    Ok(()) => {}
-                    Err(ShapeInstallError::Program(diags)) => {
-                        return Err(diags
-                            .iter()
-                            .map(|d| render_diag(shapes_path, d))
-                            .collect::<Vec<_>>()
-                            .join("\n"));
-                    }
-                    Err(ShapeInstallError::Violations(violations)) => {
-                        return Err(format!(
-                            "{shapes_path}: the materialized dataset already violates the \
-                             shapes — refusing to serve\n{violations}"
-                        ));
-                    }
-                }
-                let status = dataset
-                    .validation_status()
-                    .expect("gate installed just above");
-                eprintln!(
-                    "inferray: installed {} shape(s) from {shapes_path}; \
-                     epoch {} validated green ({} focus checks)",
-                    status.shapes,
-                    dataset.epoch(),
-                    status.counters.focus_checks,
-                );
-                let reporter = Arc::new(ServingUpdateSink(Arc::clone(&dataset)));
-                validation = Some(reporter as Arc<dyn ValidationReporter>);
-            }
-            let sink = Arc::new(ServingUpdateSink(Arc::clone(&dataset)));
-            (dataset, Some(sink as Arc<dyn UpdateSink>), None, validation)
+            (Arc::clone(&dataset), ServingUpdateSink::new(dataset))
         }
+    };
+    if let Some(shapes_path) = &options.shapes {
+        let text = std::fs::read_to_string(shapes_path)
+            .map_err(|e| format!("cannot read {shapes_path}: {e}"))?;
+        // Install the gate *before* binding: the server either starts with
+        // a green validation — of the materialized or the recovered
+        // snapshot alike — or does not start.
+        match dataset.install_shapes(&text) {
+            Ok(()) => {}
+            Err(ShapeInstallError::Program(diags)) => {
+                return Err(diags
+                    .iter()
+                    .map(|d| render_diag(shapes_path, d))
+                    .collect::<Vec<_>>()
+                    .join("\n"));
+            }
+            Err(ShapeInstallError::Violations(violations)) => {
+                return Err(format!(
+                    "{shapes_path}: the dataset already violates the shapes — \
+                     refusing to serve\n{violations}"
+                ));
+            }
+        }
+        let status = dataset
+            .validation_status()
+            .expect("gate installed just above");
+        eprintln!(
+            "inferray: installed {} shape(s) from {shapes_path}; \
+             epoch {} validated green ({} focus checks)",
+            status.shapes,
+            dataset.epoch(),
+            status.counters.focus_checks,
+        );
+    }
+    let sink = if options.read_only {
+        sink.status_only()
+    } else {
+        sink
     };
 
     let source = {
@@ -863,15 +857,8 @@ fn serve(options: &CliOptions) -> Result<(), String> {
         keep_alive: !options.no_keep_alive,
         ..ServerConfig::default()
     };
-    let server = SparqlServer::bind_with(
-        &addr,
-        config,
-        Arc::new(source),
-        if options.read_only { None } else { sink },
-        durability,
-        validation,
-    )
-    .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let server = SparqlServer::bind_with(&addr, config, Arc::new(source), Some(Arc::new(sink)))
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     eprintln!(
         "inferray: serving SPARQL on http://{}/sparql ({} worker threads, epoch {}, updates {}, durability {})",
         server.local_addr(),
@@ -894,13 +881,13 @@ fn snapshot(options: &CliOptions, data_dir: &str) -> Result<(), String> {
     let loaded = load(options)?;
     let (durable, stats) = DurableDataset::create(
         loaded,
-        options.fragment,
+        program(options)?,
         reasoner_options(options),
         data_dir,
         Arc::new(StdFs),
         checkpoint_policy(options),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| durable_error(options, e))?;
     let status = durable.status();
     eprintln!(
         "inferray: materialized {} triples ({} inferred) in {:?}",
@@ -918,7 +905,7 @@ fn snapshot(options: &CliOptions, data_dir: &str) -> Result<(), String> {
 fn recover(options: &CliOptions, data_dir: &str) -> Result<(), String> {
     let (durable, report) = DurableDataset::open(
         data_dir,
-        options.fragment,
+        program(options)?,
         reasoner_options(options),
         Arc::new(StdFs),
         checkpoint_policy(options),

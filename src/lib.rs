@@ -34,9 +34,9 @@
 //!
 //! The individual subsystems are re-exported as modules: [`model`],
 //! [`dictionary`], [`parser`], [`sort`], [`closure`], [`store`], [`rules`],
-//! [`core`], [`baselines`] and [`datasets`]. See `DESIGN.md` for the mapping
-//! between the paper's sections and these crates, and `EXPERIMENTS.md` for
-//! the reproduced tables and figures.
+//! [`core`], [`baselines`] and [`datasets`]. See `README.md` ("Workspace
+//! layout") for the mapping between the paper's sections and these crates,
+//! and its "Benchmarks" section for the reproduced tables and figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,8 +57,9 @@ pub use inferray_store as store;
 pub use inferray_core::ServingDataset;
 pub use inferray_core::{
     reason_graph, Fragment, InferenceStats, InferrayOptions, InferrayReasoner, Materializer,
-    ReasonedGraph, RetractionStats, ShapeInstallError, ShapeViolation, ShapeViolations,
-    TripleStore, ValidationCounters, ValidationStatus, WriteError,
+    Program, ReasonedGraph, RetractionStats, ShapeInstallError, ShapeViolation, ShapeViolations,
+    TripleStore, ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome,
+    WriteStats,
 };
 pub use inferray_model::{vocab, Graph, IdTriple, Term, Triple};
 pub use inferray_parser::{load_graph, load_ntriples, load_turtle, parse_ntriples, parse_turtle};
@@ -67,124 +68,111 @@ pub use inferray_query::{QueryEngine, SolutionSet};
 pub use inferray_persist as persist;
 pub use inferray_persist::{CheckpointPolicy, DurableDataset, DurableError};
 
-use inferray_query::{
-    DurabilityReporter, UpdateError, UpdateOutcome, UpdateSink, ValidationReporter,
-};
+use inferray_parser::loader::LoadError;
+use inferray_query::{UpdateError, UpdateOutcome, UpdateSink};
 use std::sync::Arc;
 
-/// Adapts a [`ServingDataset`] to the HTTP server's write path: `POST
-/// /update` deletions run the delete–rederive maintenance algorithm
-/// (`docs/maintenance.md`) and publish a new epoch. Writes through this
-/// sink are **not** durable — use [`DurableUpdateSink`] (backed by
-/// `inferray-persist`) for a WAL-protected endpoint.
+/// Adapts a [`ServingDataset`] — in memory, or behind a [`DurableDataset`]
+/// — to the HTTP server: `POST /update` runs the dataset's write pipeline
+/// (with the WAL as its log stage when durable, docs/persistence.md) and
+/// `GET /status` gains the `durability` and `validation` objects.
 ///
 /// Lives in the umbrella crate because `inferray-query` deliberately does
 /// not depend on the reasoner — the server knows only the
 /// [`UpdateSink`](inferray_query::UpdateSink) trait.
 #[derive(Debug, Clone)]
-pub struct ServingUpdateSink(pub Arc<ServingDataset>);
+pub struct ServingUpdateSink {
+    dataset: Arc<ServingDataset>,
+    durable: Option<Arc<DurableDataset>>,
+    accepts_writes: bool,
+}
 
-/// A parse/encode failure is the client's fault (`400`); a shape refusal
-/// is a semantic conflict with the installed constraints — the server
-/// renders [`UpdateError::Invalid`] as `422` with the positioned violation
-/// report in the body (docs/shapes.md).
-fn map_write_error(error: WriteError) -> UpdateError {
-    match error {
-        WriteError::Load(e) => UpdateError::rejected(e.to_string()),
-        WriteError::Shapes(violations) => UpdateError::Invalid {
-            message: violations.to_string(),
-            violations_json: violations.json(),
-        },
+impl ServingUpdateSink {
+    /// A sink over an in-memory dataset: writes are **not** durable.
+    pub fn new(dataset: Arc<ServingDataset>) -> Self {
+        ServingUpdateSink {
+            dataset,
+            durable: None,
+            accepts_writes: true,
+        }
+    }
+
+    /// A sink over a durable dataset: every write is WAL-logged and fsync'd
+    /// before it publishes.
+    pub fn durable(durable: Arc<DurableDataset>) -> Self {
+        ServingUpdateSink {
+            dataset: Arc::clone(durable.dataset()),
+            durable: Some(durable),
+            accepts_writes: true,
+        }
+    }
+
+    /// The same sink serving only its `/status` members: `POST /update`
+    /// answers `404` as on an endpoint without a sink (`serve --read-only`).
+    pub fn status_only(mut self) -> Self {
+        self.accepts_writes = false;
+        self
+    }
+
+    fn write(&self, kind: WriteKind, body: &str) -> Result<UpdateOutcome, UpdateError> {
+        if !self.accepts_writes {
+            return Err(UpdateError::Disabled);
+        }
+        let result = match &self.durable {
+            Some(durable) => durable.write_ntriples(kind, body),
+            None => self.dataset.write_ntriples(kind, body, || Ok(())),
+        };
+        match result {
+            // Epoch and size come from the write itself (captured under the
+            // dataset's writer lock), so concurrent updates cannot pair this
+            // request's counts with another request's epoch.
+            Ok(outcome) => Ok(UpdateOutcome {
+                epoch: outcome.epoch,
+                requested: outcome.retraction().map_or(0, |r| r.requested),
+                removed: outcome.retraction().map_or(0, |r| r.retracted_explicit),
+                triples: outcome.triples,
+            }),
+            // A parse/encode failure is the client's fault (`400`). The
+            // durable endpoint has always worded its parse errors this way.
+            Err(WriteError::Load(LoadError::Parse(e))) if self.durable.is_some() => {
+                Err(UpdateError::rejected(format!("rejected: {e}")))
+            }
+            Err(WriteError::Load(e)) => Err(UpdateError::rejected(e.to_string())),
+            // A shape refusal is a semantic conflict with the installed
+            // constraints: `422` with the positioned violation report in
+            // the body (docs/shapes.md).
+            Err(WriteError::Shapes(violations)) => Err(UpdateError::Invalid {
+                message: violations.to_string(),
+                violations_json: violations.json(),
+            }),
+            // The WAL could not be appended: the dataset is read-only until
+            // an operator intervenes (`503` with `Retry-After`); reads keep
+            // serving the last published epoch.
+            Err(WriteError::Log(reason)) => Err(UpdateError::Unavailable {
+                message: format!("dataset is read-only: {reason}"),
+                retry_after_secs: 30,
+            }),
+        }
     }
 }
 
 impl UpdateSink for ServingUpdateSink {
     fn retract_ntriples(&self, body: &str) -> Result<UpdateOutcome, UpdateError> {
-        // The epoch comes from the retraction itself (captured under the
-        // dataset's writer lock), so concurrent updates cannot pair this
-        // request's counts with another request's epoch.
-        let (stats, epoch) = self.0.retract_ntriples(body).map_err(map_write_error)?;
-        Ok(UpdateOutcome {
-            epoch,
-            requested: stats.requested,
-            removed: stats.retracted_explicit,
-            triples: stats.output_triples,
-        })
+        self.write(WriteKind::Retract, body)
     }
 
     fn assert_ntriples(&self, body: &str) -> Result<UpdateOutcome, UpdateError> {
-        self.0.extend_ntriples(body).map_err(map_write_error)?;
-        let snapshot = self.0.store_snapshot();
-        Ok(UpdateOutcome {
-            epoch: snapshot.epoch(),
-            requested: 0,
-            removed: 0,
-            triples: snapshot.store().len(),
-        })
+        self.write(WriteKind::Assert, body)
     }
-}
 
-impl ValidationReporter for ServingUpdateSink {
-    fn validation_json_into(&self, out: &mut String) {
-        match self.0.validation_status() {
-            Some(status) => status.json_into(out),
-            None => out.push_str("null"),
+    fn status_json_into(&self, out: &mut String) {
+        if let Some(durable) = &self.durable {
+            out.push_str(",\"durability\":");
+            durable.status_json_into(out);
         }
-    }
-}
-
-/// Adapts a [`DurableDataset`] to the HTTP server: every `POST /update`
-/// batch is WAL-logged and fsync'd before it publishes
-/// (docs/persistence.md). When the WAL cannot be appended the dataset
-/// degrades to read-only and this sink answers
-/// [`UpdateError::Unavailable`], which the server renders as
-/// `503 Service Unavailable` with a `Retry-After` header — reads keep
-/// serving the last published epoch.
-#[derive(Debug, Clone)]
-pub struct DurableUpdateSink(pub Arc<DurableDataset>);
-
-impl DurableUpdateSink {
-    fn map_error(error: DurableError) -> UpdateError {
-        match error {
-            DurableError::ReadOnly { reason } => UpdateError::Unavailable {
-                message: format!("dataset is read-only: {reason}"),
-                retry_after_secs: 30,
-            },
-            other => UpdateError::rejected(other.to_string()),
+        if let Some(status) = self.dataset.validation_status() {
+            out.push_str(",\"validation\":");
+            status.json_into(out);
         }
-    }
-}
-
-impl UpdateSink for DurableUpdateSink {
-    fn retract_ntriples(&self, body: &str) -> Result<UpdateOutcome, UpdateError> {
-        let (stats, epoch) = self
-            .0
-            .retract_ntriples(body)
-            .map_err(DurableUpdateSink::map_error)?;
-        Ok(UpdateOutcome {
-            epoch,
-            requested: stats.requested,
-            removed: stats.retracted_explicit,
-            triples: stats.output_triples,
-        })
-    }
-
-    fn assert_ntriples(&self, body: &str) -> Result<UpdateOutcome, UpdateError> {
-        self.0
-            .extend_ntriples(body)
-            .map_err(DurableUpdateSink::map_error)?;
-        let snapshot = self.0.dataset().store_snapshot();
-        Ok(UpdateOutcome {
-            epoch: snapshot.epoch(),
-            requested: 0,
-            removed: 0,
-            triples: snapshot.store().len(),
-        })
-    }
-}
-
-impl DurabilityReporter for DurableUpdateSink {
-    fn durability_json(&self) -> String {
-        self.0.status().json()
     }
 }

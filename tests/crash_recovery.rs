@@ -15,13 +15,11 @@
 //! injected faults model torn appends and failed fsyncs.
 
 use inferray::parser::load_ntriples;
-use inferray::persist::{encode_image, wal, DurableView, Fault, MemFs};
-use inferray::query::{
-    DurabilityReporter, ServerConfig, SnapshotQueryEngine, SparqlServer, UpdateSink,
-};
+use inferray::persist::{encode_image, wal, DurableView, Fault, MemFs, RecoveryReport};
+use inferray::query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
 use inferray::{
-    CheckpointPolicy, DurableDataset, DurableError, DurableUpdateSink, Fragment, InferrayOptions,
-    ServingDataset,
+    CheckpointPolicy, DurableDataset, DurableError, Fragment, InferrayOptions, Program,
+    ServingDataset, ServingUpdateSink, WriteKind,
 };
 use proptest::prelude::*;
 use std::io::{Read as _, Write as _};
@@ -76,25 +74,135 @@ fn options() -> InferrayOptions {
     InferrayOptions::default()
 }
 
-/// The in-memory reference: the same initial materialization with no
-/// persistence layer at all. Recovery must land exactly here.
+/// What the dataset under test is closed under and gated by. Durability
+/// must compose with both: the same histories are run under each scenario.
+#[derive(Clone, Copy, Debug)]
+struct Scenario {
+    /// A `.rules` program instead of [`FRAGMENT`].
+    rules: Option<&'static str>,
+    /// A shape program installed as a live write gate.
+    shapes: Option<&'static str>,
+}
+
+const PLAIN: Scenario = Scenario {
+    rules: None,
+    shapes: None,
+};
+
+/// Every member of `c3` needs a second type. Over the generated universe
+/// that refuses asserts (`i1 a c3` on an untyped `i1`) *and* retractions
+/// (dropping `i1 a c2` while `i1 a c3` stays asserted).
+const GATED: Scenario = Scenario {
+    rules: None,
+    shapes: Some(
+        "shape Grounded targets class <http://ex/c3> {\n\
+           <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> count [2..*] ;\n\
+         } .",
+    ),
+};
+
+/// Subclass inheritance as a rule the analyzer recognizes plus a custom rule
+/// on top of it, so replay runs the generic executor too.
+const RULES: Scenario = Scenario {
+    rules: Some(
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+         @prefix ex: <http://ex/> .\n\
+         rule inherit: ?x a ?c, ?c rdfs:subClassOf ?d => ?x a ?d .\n\
+         rule top: ?x a ex:c3 => ?x ex:reaches ex:c3 .\n",
+    ),
+    shapes: None,
+};
+
+const SCENARIOS: [Scenario; 3] = [PLAIN, GATED, RULES];
+
+impl Scenario {
+    fn program(self) -> Program {
+        match self.rules {
+            Some(rules) => rules.into(),
+            None => FRAGMENT.into(),
+        }
+    }
+
+    /// Installs the gate the way `inferray-cli serve --shapes` does: on the
+    /// fresh and on the recovered dataset alike.
+    fn gate(self, dataset: &ServingDataset) {
+        if let Some(shapes) = self.shapes {
+            dataset.install_shapes(shapes).expect("state conforms");
+        }
+    }
+
+    /// The in-memory reference: the same initial materialization with no
+    /// persistence layer at all. Recovery must land exactly here.
+    fn mirror(self) -> ServingDataset {
+        let loaded = load_ntriples(SCHEMA).expect("schema parses");
+        let (dataset, _) = ServingDataset::materialize_program(loaded, self.program(), options())
+            .expect("program loads");
+        self.gate(&dataset);
+        dataset
+    }
+
+    fn boot(self, fs: Arc<MemFs>) -> DurableDataset {
+        let loaded = load_ntriples(SCHEMA).expect("schema parses");
+        let (durable, _) = DurableDataset::create(
+            loaded,
+            self.program(),
+            options(),
+            "data",
+            fs,
+            CheckpointPolicy::manual(),
+        )
+        .expect("initial snapshot");
+        self.gate(durable.dataset());
+        durable
+    }
+
+    fn open(self, view: DurableView) -> Result<(DurableDataset, RecoveryReport), DurableError> {
+        let (recovered, report) = DurableDataset::open(
+            "data",
+            self.program(),
+            options(),
+            Arc::new(MemFs::from_view(view)),
+            CheckpointPolicy::manual(),
+        )?;
+        self.gate(recovered.dataset());
+        Ok((recovered, report))
+    }
+}
+
 fn mirror() -> ServingDataset {
-    let loaded = load_ntriples(SCHEMA).expect("schema parses");
-    ServingDataset::materialize(loaded, FRAGMENT, options()).0
+    PLAIN.mirror()
 }
 
 fn boot(fs: Arc<MemFs>) -> DurableDataset {
-    let loaded = load_ntriples(SCHEMA).expect("schema parses");
-    let (durable, _) = DurableDataset::create(
-        loaded,
-        FRAGMENT,
-        options(),
-        "data",
-        fs,
-        CheckpointPolicy::manual(),
-    )
-    .expect("initial snapshot");
-    durable
+    PLAIN.boot(fs)
+}
+
+/// Applies one batch to the durable dataset and to its in-memory mirror.
+/// Both run the same pipeline, so they accept or refuse together; a refusal
+/// (only a shape gate refuses these batches) must leave the log untouched.
+fn apply(
+    scenario: Scenario,
+    durable: &DurableDataset,
+    reference: &ServingDataset,
+    kind: WriteKind,
+    batch: &str,
+) {
+    let logged = durable.status();
+    let live = durable.write_ntriples(kind, batch);
+    let mirrored = reference.write_ntriples(kind, batch, || Ok(()));
+    match (&live, &mirrored) {
+        (Ok(live), Ok(mirrored)) => {
+            assert_eq!(
+                (live.epoch, live.triples),
+                (mirrored.epoch, mirrored.triples)
+            );
+        }
+        (Err(_), Err(_)) => {
+            assert!(scenario.shapes.is_some(), "{scenario:?}: {live:?}");
+            assert_eq!(durable.status(), logged, "a refused write was logged");
+        }
+        _ => panic!("{scenario:?}: durable {live:?}, mirror {mirrored:?}"),
+    }
 }
 
 /// Canonical bytes of a dataset's entire logical state: dictionary, base
@@ -115,14 +223,13 @@ fn fingerprint(dataset: &ServingDataset) -> Vec<u8> {
 
 /// Recovers from a crash image and asserts byte-identity with `expected`.
 fn assert_recovers_to(view: DurableView, expected: &[u8], context: &str) {
-    let (recovered, _report) = DurableDataset::open(
-        "data",
-        FRAGMENT,
-        options(),
-        Arc::new(MemFs::from_view(view)),
-        CheckpointPolicy::manual(),
-    )
-    .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
+    assert_recovers_under(PLAIN, view, expected, context);
+}
+
+fn assert_recovers_under(scenario: Scenario, view: DurableView, expected: &[u8], context: &str) {
+    let (recovered, _report) = scenario
+        .open(view)
+        .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
     assert_eq!(
         fingerprint(recovered.dataset()),
         expected,
@@ -140,35 +247,41 @@ proptest! {
     /// acknowledged prefix.
     #[test]
     fn crash_after_every_batch_recovers_byte_identically(ops in arbitrary_ops()) {
-        let fs = Arc::new(MemFs::new());
-        let durable = boot(Arc::clone(&fs));
-        let reference = mirror();
+        for scenario in SCENARIOS {
+            let fs = Arc::new(MemFs::new());
+            let durable = scenario.boot(Arc::clone(&fs));
+            let reference = scenario.mirror();
 
-        // Crash point 0: nothing but the initial checkpoint.
-        assert_recovers_to(fs.durable_view(), &fingerprint(&reference), "after create");
-
-        for (step, op) in ops.iter().enumerate() {
-            match op {
-                Op::Assert(batch) => {
-                    durable.extend_ntriples(batch).expect("durable assert");
-                    reference.extend_ntriples(batch).expect("reference assert");
-                }
-                Op::Retract(batch) => {
-                    durable.retract_ntriples(batch).expect("durable retract");
-                    reference.retract_ntriples(batch).expect("reference retract");
-                }
-                Op::Checkpoint => {
-                    durable.checkpoint().expect("checkpoint");
-                }
-            }
-            // The live dataset never drifts from the reference…
-            prop_assert_eq!(fingerprint(durable.dataset()), fingerprint(&reference));
-            // …and neither does a recovery from a crash right here.
-            assert_recovers_to(
+            // Crash point 0: nothing but the initial checkpoint.
+            assert_recovers_under(
+                scenario,
                 fs.durable_view(),
                 &fingerprint(&reference),
-                &format!("after step {step} ({op:?})"),
+                "after create",
             );
+
+            for (step, op) in ops.iter().enumerate() {
+                match op {
+                    Op::Assert(batch) => {
+                        apply(scenario, &durable, &reference, WriteKind::Assert, batch);
+                    }
+                    Op::Retract(batch) => {
+                        apply(scenario, &durable, &reference, WriteKind::Retract, batch);
+                    }
+                    Op::Checkpoint => {
+                        durable.checkpoint().expect("checkpoint");
+                    }
+                }
+                // The live dataset never drifts from the reference…
+                prop_assert_eq!(fingerprint(durable.dataset()), fingerprint(&reference));
+                // …and neither does a recovery from a crash right here.
+                assert_recovers_under(
+                    scenario,
+                    fs.durable_view(),
+                    &fingerprint(&reference),
+                    &format!("{scenario:?} after step {step} ({op:?})"),
+                );
+            }
         }
     }
 
@@ -176,31 +289,84 @@ proptest! {
     /// recovered dataset's own durable state, changes nothing.
     #[test]
     fn recovery_is_idempotent(ops in arbitrary_ops()) {
-        let fs = Arc::new(MemFs::new());
-        let durable = boot(Arc::clone(&fs));
-        for op in &ops {
-            match op {
-                Op::Assert(batch) => { durable.extend_ntriples(batch).expect("assert"); }
-                Op::Retract(batch) => { durable.retract_ntriples(batch).expect("retract"); }
-                Op::Checkpoint => { durable.checkpoint().expect("checkpoint"); }
+        for scenario in SCENARIOS {
+            let fs = Arc::new(MemFs::new());
+            let durable = scenario.boot(Arc::clone(&fs));
+            for op in &ops {
+                // A gate may refuse a batch; what it acknowledged is the history.
+                match op {
+                    Op::Assert(batch) => { let _ = durable.extend_ntriples(batch); }
+                    Op::Retract(batch) => { let _ = durable.retract_ntriples(batch); }
+                    Op::Checkpoint => { durable.checkpoint().expect("checkpoint"); }
+                }
             }
+            let view = fs.durable_view();
+            let (first, _) = scenario.open(view.clone()).expect("recovery");
+            let (second, _) = scenario.open(view.clone()).expect("recovery");
+            prop_assert_eq!(fingerprint(first.dataset()), fingerprint(second.dataset()));
+            prop_assert_eq!(fingerprint(first.dataset()), fingerprint(durable.dataset()));
+
+            // A directory reopens only under the program that created it.
+            let other = if scenario.rules.is_some() { PLAIN } else { RULES };
+            prop_assert!(matches!(
+                other.open(view),
+                Err(DurableError::FragmentMismatch { .. })
+            ));
         }
-        let view = fs.durable_view();
-        let open = |view: DurableView| {
-            DurableDataset::open(
-                "data",
-                FRAGMENT,
-                options(),
-                Arc::new(MemFs::from_view(view)),
-                CheckpointPolicy::manual(),
-            )
-            .expect("recovery")
-        };
-        let (first, _) = open(view.clone());
-        let (second, _) = open(view);
-        prop_assert_eq!(fingerprint(first.dataset()), fingerprint(second.dataset()));
-        prop_assert_eq!(fingerprint(first.dataset()), fingerprint(durable.dataset()));
     }
+}
+
+/// The gate runs before the log: a write the shapes refuse — assert or
+/// retraction — appends nothing, degrades nothing, and is not there to be
+/// replayed; the writes around it recover as acknowledged.
+#[test]
+fn a_refused_write_is_never_logged_and_never_replayed() {
+    let fs = Arc::new(MemFs::new());
+    let durable = GATED.boot(Arc::clone(&fs));
+    let reference = GATED.mirror();
+    let refused = |result: Result<_, DurableError>| {
+        let logged = durable.status();
+        assert!(matches!(result, Err(DurableError::Rejected { .. })));
+        assert_eq!(durable.status(), logged);
+        assert!(!durable.is_read_only());
+    };
+
+    // `i1 a c3` alone leaves i1 with one type: refused.
+    refused(durable.extend_ntriples(&type_triple(1, 3)).map(|_| ()));
+    // Grounded in c2 first, the same assert is fine.
+    for class in [2, 3] {
+        let outcome = durable
+            .extend_ntriples(&type_triple(1, class))
+            .expect("assert");
+        reference
+            .extend_ntriples(&type_triple(1, class))
+            .expect("assert");
+        assert_eq!(outcome.epoch, u64::from(class) - 1);
+    }
+    // Dropping the grounding would strand `i1 a c3`: refused, and so is a
+    // document the parser rejects.
+    refused(durable.retract_ntriples(&type_triple(1, 2)).map(|_| ()));
+    refused(durable.extend_ntriples("<broken").map(|_| ()));
+    assert_eq!(durable.status().wal_records, 2);
+    assert_eq!(
+        durable
+            .dataset()
+            .validation_status()
+            .unwrap()
+            .counters
+            .rejected,
+        2
+    );
+
+    assert_eq!(fingerprint(durable.dataset()), fingerprint(&reference));
+    let (recovered, report) = GATED.open(fs.durable_view()).expect("recovery");
+    assert_eq!(report.replayed_records, 2);
+    assert_eq!(fingerprint(recovered.dataset()), fingerprint(&reference));
+    // The recovered gate is armed: the same retraction is still refused.
+    assert!(matches!(
+        recovered.retract_ntriples(&type_triple(1, 2)),
+        Err(DurableError::Rejected { .. })
+    ));
 }
 
 /// A torn tail record — the WAL cut at **every** byte offset, as a torn
@@ -353,7 +519,7 @@ fn http_post(addr: SocketAddr, target: &str, body: &str) -> String {
 fn wal_failure_degrades_the_http_endpoint_to_read_only() {
     let fs = Arc::new(MemFs::new());
     let durable = Arc::new(boot(Arc::clone(&fs)));
-    let sink = Arc::new(DurableUpdateSink(Arc::clone(&durable)));
+    let sink = ServingUpdateSink::durable(Arc::clone(&durable));
     let dataset = Arc::clone(durable.dataset());
     let source = move || {
         let (snapshot, dictionary) = dataset.snapshot();
@@ -363,9 +529,7 @@ fn wal_failure_degrades_the_http_endpoint_to_read_only() {
         "127.0.0.1:0",
         ServerConfig::default(),
         Arc::new(source),
-        Some(Arc::clone(&sink) as Arc<dyn UpdateSink>),
-        Some(sink as Arc<dyn DurabilityReporter>),
-        None,
+        Some(Arc::new(sink)),
     )
     .expect("bind");
     let addr = server.local_addr();
@@ -422,6 +586,62 @@ fn wal_failure_degrades_the_http_endpoint_to_read_only() {
     )
     .expect("recovery");
     assert_eq!(recovered.dataset().epoch(), 1);
+}
+
+/// A body that is not UTF-8 is refused outright — `400`, positioned — on an
+/// in-memory and on a durable endpoint alike. Decoding it lossily would put
+/// U+FFFD inside a literal: a document that parses, and a triple nobody
+/// sent in the WAL.
+#[test]
+fn an_update_body_that_is_not_utf8_is_refused_and_never_logged() {
+    let fs = Arc::new(MemFs::new());
+    let durable = Arc::new(boot(Arc::clone(&fs)));
+    let in_memory = Arc::new(mirror());
+    let mut body = b"<http://ex/i1> <http://ex/label> \"caf".to_vec();
+    let bad_at = body.len();
+    body.push(0xE9); // Latin-1 é: not a valid UTF-8 sequence before `"`
+    body.extend_from_slice(b"\" .\n");
+
+    for sink in [
+        ServingUpdateSink::durable(Arc::clone(&durable)),
+        ServingUpdateSink::new(Arc::clone(&in_memory)),
+    ] {
+        let dataset = Arc::clone(durable.dataset());
+        let source = move || {
+            let (snapshot, dictionary) = dataset.snapshot();
+            SnapshotQueryEngine::new(snapshot, dictionary)
+        };
+        let server = SparqlServer::bind_with(
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            Arc::new(source),
+            Some(Arc::new(sink)),
+        )
+        .expect("bind");
+        for action in ["assert", "retract"] {
+            let mut request = format!(
+                "POST /update?action={action} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                 Content-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            request.extend_from_slice(&body);
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            stream.write_all(&request).expect("send");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("read");
+            assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+            assert!(
+                response.contains(&format!("not valid UTF-8: invalid byte at offset {bad_at}")),
+                "{response}"
+            );
+        }
+        server.shutdown();
+    }
+    assert_eq!(durable.status().wal_records, 0);
+    assert_eq!(durable.dataset().epoch(), 0);
+    assert_eq!(in_memory.epoch(), 0);
+    assert_eq!(fs.durable_view()[Path::new("data/wal.log")], b"");
 }
 
 /// A torn append (power loss mid-`write(2)`) leaves a prefix of the record

@@ -20,9 +20,11 @@
 //! 1. **Snapshot publish** (`SnapshotStore` + `ServingDataset`): the
 //!    dictionary is published *before* the store pointer swap, so no reader
 //!    ever observes a store whose dictionary lags it.
-//! 2. **WAL ordering** (`DurableDataset`): no publish before fsync success;
-//!    an append/sync failure lands in read-only with the published epoch
-//!    untouched — never a torn publish.
+//! 2. **WAL ordering** (`ServingDataset::write` with `DurableDataset`'s log
+//!    stage): gate → fsync → publish. No publish before fsync success; a
+//!    write the shape gate refuses never reaches the log; an append/sync
+//!    failure lands in read-only with the published epoch untouched — never
+//!    a torn publish.
 //! 3. **Retraction cache window** (`TripleStore::remove_pairs`): a published
 //!    table's ⟨o,s⟩ cache is always coherent with its pairs — removal
 //!    invalidates and the publish path rebuilds before the swap.
@@ -108,43 +110,70 @@ fn snapshot_publish_seeded_store_first_bug_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. WAL ordering: fsync success happens-before publish; failure → read-only.
+// 2. WAL ordering: gate, then fsync, then publish; failure → read-only.
 // ---------------------------------------------------------------------------
 
-/// The durable write path under the persist state mutex: append+fsync the
-/// WAL record, and only on success apply + publish the next epoch. A sync
+/// The order of the three stages at the end of the write pipeline.
+#[derive(Clone, Copy)]
+enum WalOrder {
+    /// The production order.
+    GateLogPublish,
+    /// Seeded bug (the pre-pipeline order): the record is durable before
+    /// the gate has judged the candidate.
+    LogGatePublish,
+    /// Seeded bug: readers see the epoch before it is durable.
+    GatePublishLog,
+}
+
+/// The durable write path under the persist state mutex: the candidate is
+/// judged by the shape gate, then its record is appended + fsync'd, and only
+/// then is the next epoch published. A refusal touches nothing; a sync
 /// failure flips read-only and leaves the published epoch untouched.
-/// `fsync_first == false` seeds the torn-publish bug (publish, then sync).
-fn wal_ordering_model(fsync_first: bool) {
+fn wal_ordering_model(order: WalOrder) {
     let synced = Arc::new(AtomicU64::new(0)); // highest seq durably on disk
     let published = Arc::new(AtomicU64::new(0)); // highest epoch readers see
     let read_only = Arc::new(AtomicBool::new(false));
+    let refused = Arc::new(AtomicBool::new(false));
     let state_mutex = Arc::new(Mutex::new(()));
 
     let writer = {
         let synced = Arc::clone(&synced);
         let published = Arc::clone(&published);
         let read_only = Arc::clone(&read_only);
+        let refused = Arc::clone(&refused);
         thread::spawn(move || {
             let guard = state_mutex.lock();
             let seq = published.load(Ordering::SeqCst) + 1;
-            // Explored both ways in every schedule context: the backend
-            // accepts the record, or fails the append/fsync.
+            // Explored both ways in every schedule context: the gate accepts
+            // or refuses the candidate, and the backend accepts the record
+            // or fails the append/fsync.
+            let gate_refuses = nondet(2) == 1;
             let sync_fails = nondet(2) == 1;
-            if fsync_first {
+            refused.store(gate_refuses, Ordering::SeqCst);
+            let log = || {
                 if sync_fails {
                     read_only.store(true, Ordering::SeqCst);
                 } else {
                     synced.store(seq, Ordering::SeqCst);
-                    published.store(seq, Ordering::SeqCst);
                 }
-            } else {
-                // Seeded bug: acknowledge to readers before durability.
-                published.store(seq, Ordering::SeqCst);
-                if sync_fails {
-                    read_only.store(true, Ordering::SeqCst);
-                } else {
-                    synced.store(seq, Ordering::SeqCst);
+                !sync_fails
+            };
+            match order {
+                WalOrder::GateLogPublish => {
+                    if !gate_refuses && log() {
+                        published.store(seq, Ordering::SeqCst);
+                    }
+                }
+                WalOrder::LogGatePublish => {
+                    if log() && !gate_refuses {
+                        published.store(seq, Ordering::SeqCst);
+                    }
+                }
+                WalOrder::GatePublishLog => {
+                    if !gate_refuses {
+                        published.store(seq, Ordering::SeqCst);
+                        log();
+                    }
                 }
             }
             drop(guard);
@@ -168,32 +197,44 @@ fn wal_ordering_model(fsync_first: bool) {
 
     writer.join();
     observer.join();
-    // Crash-consistency at quiescence, under both fault branches: what
-    // readers were promised never exceeds what recovery would replay, and
-    // a failed append degrades to read-only with the epoch untouched.
+    // Crash-consistency at quiescence, under every gate/fault branch: what
+    // readers were promised never exceeds what recovery would replay, a
+    // refused write is not there to be replayed, and a failed append
+    // degrades to read-only with the epoch untouched.
     let p = published.load(Ordering::SeqCst);
-    assert!(
-        synced.load(Ordering::SeqCst) >= p,
-        "acknowledged epoch would be lost by recovery"
-    );
+    let s = synced.load(Ordering::SeqCst);
+    assert!(s >= p, "acknowledged epoch would be lost by recovery");
+    if refused.load(Ordering::SeqCst) {
+        assert_eq!(
+            s, 0,
+            "a refused write reached the log: replay would apply it"
+        );
+        assert_eq!(p, 0, "a refused write was published");
+    }
     if read_only.load(Ordering::SeqCst) {
         assert_eq!(p, 0, "failed append must not advance the published epoch");
     }
 }
 
 #[test]
-fn wal_publish_never_precedes_fsync() {
-    let report = model(|| wal_ordering_model(true));
+fn wal_gate_then_fsync_then_publish() {
+    let report = model(|| wal_ordering_model(WalOrder::GateLogPublish));
     assert!(
-        report.schedules >= 20,
-        "expected schedules × fault choices, got {}",
+        report.schedules >= 40,
+        "expected schedules × gate verdicts × fault choices, got {}",
         report.schedules
     );
 }
 
 #[test]
+fn wal_seeded_log_before_gate_bug_is_caught() {
+    let violation = model_expect_violation(|| wal_ordering_model(WalOrder::LogGatePublish));
+    assert!(violation.contains("reached the log"), "got: {violation}");
+}
+
+#[test]
 fn wal_seeded_publish_before_fsync_bug_is_caught() {
-    let violation = model_expect_violation(|| wal_ordering_model(false));
+    let violation = model_expect_violation(|| wal_ordering_model(WalOrder::GatePublishLog));
     assert!(
         violation.contains("torn publish")
             || violation.contains("lost by recovery")

@@ -183,7 +183,8 @@ fn serving_dataset_isolates_readers_from_retractions() {
     let (old_snapshot, old_dictionary) = dataset.snapshot();
     let old_triples = triples_of(&old_snapshot);
 
-    let (stats, published_epoch) = dataset.retract([victim.clone()]).expect("ungated retract");
+    let outcome = dataset.retract([victim.clone()]).expect("ungated retract");
+    let (stats, published_epoch) = (outcome.retraction().expect("a retraction"), outcome.epoch);
     assert_eq!(stats.retracted_explicit, 1);
     assert!(stats.net_removed() >= 1);
 
@@ -244,8 +245,8 @@ fn concurrent_readers_survive_extend_retract_interleaving() {
                 "http://snapshot.test/Churn",
             );
             dataset.extend([triple.clone()]).expect("extend succeeds");
-            let (stats, _) = dataset.retract([triple]).expect("ungated retract");
-            assert_eq!(stats.retracted_explicit, 1);
+            let outcome = dataset.retract([triple]).expect("ungated retract");
+            assert_eq!(outcome.retraction().map(|r| r.retracted_explicit), Some(1));
         }
         stop.store(true, Ordering::Relaxed);
         assert!(reader.join().expect("reader thread") > 0);
@@ -349,4 +350,78 @@ fn hammering_readers_and_writers_never_tear_a_snapshot() {
         .execute_sparql("SELECT ?s ?o WHERE { ?s ?p ?o }")
         .unwrap();
     assert_eq!(all.len() as u64, WRITES);
+}
+
+/// Clients asserting at once each get **their own** epoch back, paired with
+/// the store size of exactly that epoch: the outcome is captured under the
+/// writer lock, not read off the dataset afterwards (when another writer may
+/// already have published). More writers than a small runner has cores, so
+/// that a writer is regularly descheduled right after its publish — the
+/// window in which a read-back names somebody else's epoch.
+#[test]
+fn concurrent_asserts_each_report_their_own_epoch_and_size() {
+    use inferray::query::UpdateSink;
+    use std::sync::Barrier;
+
+    const WRITERS: u64 = 8;
+    const ROUNDS: u64 = 100;
+    let loaded = load_triples(
+        [Triple::iris(
+            "http://snapshot.test/Churn",
+            "http://www.w3.org/2000/01/rdf-schema#subClassOf",
+            "http://snapshot.test/Thing",
+        )]
+        .iter(),
+    )
+    .expect("valid");
+    let (dataset, _) =
+        ServingDataset::materialize(loaded, Fragment::RdfsDefault, InferrayOptions::default());
+    let baseline = dataset.store_snapshot().len() as u64;
+    let sink = inferray::ServingUpdateSink::new(Arc::new(dataset));
+    // All writers leave the barrier together every round, so their writes
+    // contend for the writer lock back to back.
+    let barrier = Barrier::new(WRITERS as usize);
+
+    let outcomes: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|writer| {
+                let (sink, barrier) = (&sink, &barrier);
+                scope.spawn(move || {
+                    (0..ROUNDS)
+                        .map(|round| {
+                            barrier.wait();
+                            // A fresh instance: `a Churn` plus the inferred `a Thing`.
+                            let outcome = sink
+                                .assert_ntriples(&format!(
+                                    "<http://snapshot.test/w{writer}r{round}> \
+                                     <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> \
+                                     <http://snapshot.test/Churn> .\n"
+                                ))
+                                .expect("assert");
+                            (outcome.epoch, outcome.triples as u64)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer thread"))
+            .collect()
+    });
+
+    let mut epochs: Vec<u64> = outcomes.iter().map(|(epoch, _)| *epoch).collect();
+    epochs.sort_unstable();
+    assert_eq!(
+        epochs,
+        (1..=WRITERS * ROUNDS).collect::<Vec<_>>(),
+        "every response names a distinct epoch"
+    );
+    for (epoch, triples) in outcomes {
+        assert_eq!(
+            triples,
+            baseline + 2 * epoch,
+            "size reported for epoch {epoch}"
+        );
+    }
 }
