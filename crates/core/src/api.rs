@@ -1008,8 +1008,8 @@ fn render_violations(
 }
 
 fn decode_term(dict: &Dictionary, id: u64) -> String {
-    match dict.decode(id) {
-        Some(term) => term.to_string(),
+    match dict.text(id) {
+        Some(text) => text.to_owned(),
         // An id the dictionary cannot decode should not occur; render it
         // opaquely rather than fail the (already failing) write twice over.
         None => format!("#{id}"),

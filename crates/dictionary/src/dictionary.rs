@@ -1,17 +1,17 @@
 //! The [`Dictionary`] type: term ↔ identifier interning with dense numbering.
 
+use crate::arena::TextArena;
 use inferray_model::ids::{
-    is_property_id, nth_property_id, nth_resource_id, property_index, resource_index,
-    MAX_PROPERTIES,
+    is_property_id, nth_property_id, nth_resource_id, property_index, RESOURCE_BASE,
 };
-use inferray_model::{vocab, FxHashMap, IdTriple, Term, Triple};
+use inferray_model::{vocab, IdTriple, Term, TermKind, TermRef, Triple};
 use std::cell::RefCell;
 use std::fmt;
 
 /// Renders `term`'s canonical textual form (the interning key) into a
-/// thread-local scratch buffer and hands it to `f`, so lookups of known
-/// terms never allocate — the hot encode path pays one allocation per *new*
-/// term, not per occurrence.
+/// thread-local scratch buffer and hands it to `f`, so a read-only lookup
+/// never allocates. (The encode path needs no scratch: it renders into the
+/// arena's own tail, see [`TextArena::intern_with`].)
 fn with_term_key<R>(term: &Term, f: impl FnOnce(&str) -> R) -> R {
     thread_local! {
         static KEY_BUF: RefCell<String> = const { RefCell::new(String::new()) };
@@ -31,9 +31,12 @@ pub enum EncodeError {
     InvalidPredicate(String),
     /// The subject of a triple was a literal.
     LiteralSubject(String),
-    /// The property half of the identifier space overflowed (more than 2³²
-    /// distinct properties — never happens on real data).
-    PropertySpaceExhausted,
+    /// The text arena's index cannot number another distinct term: 2³² − 1
+    /// are registered (never happens on real data). The property half of the
+    /// identifier space holds 2³², so it cannot run out first.
+    TermSpaceExhausted,
+    /// Text handed to a `_text` entry point does not read back as a term.
+    MalformedText(String),
 }
 
 impl fmt::Display for EncodeError {
@@ -41,20 +44,50 @@ impl fmt::Display for EncodeError {
         match self {
             EncodeError::InvalidPredicate(t) => write!(f, "predicate is not an IRI: {t}"),
             EncodeError::LiteralSubject(t) => write!(f, "subject is a literal: {t}"),
-            EncodeError::PropertySpaceExhausted => {
-                write!(f, "more than 2^32 distinct properties")
+            EncodeError::TermSpaceExhausted => {
+                write!(f, "more than 2^32 - 1 distinct terms")
             }
+            EncodeError::MalformedText(t) => write!(f, "not the text of a term: {t}"),
         }
     }
 }
 
 impl std::error::Error for EncodeError {}
 
+/// Why a pair of dense term tables is not a dictionary (see
+/// [`Dictionary::from_dense_texts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DenseTableError {
+    /// The same term occupies two slots of one table, or two resource slots.
+    DuplicateTerm,
+    /// More terms than the arena's index can number.
+    TooManyTerms,
+}
+
+impl fmt::Display for DenseTableError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DenseTableError::DuplicateTerm => write!(f, "a term is registered twice"),
+            DenseTableError::TooManyTerms => write!(f, "too many terms"),
+        }
+    }
+}
+
+impl std::error::Error for DenseTableError {}
+
+/// Which half of the identifier space a term occurrence asks for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Demand {
+    Property,
+    Resource,
+}
+
 /// Bidirectional term ↔ identifier dictionary with dense numbering.
 ///
-/// See the crate-level documentation for the numbering scheme. A freshly
-/// created dictionary already contains the RDF/RDFS/OWL vocabulary (in the
-/// order fixed by [`inferray_model::vocab::SCHEMA_PROPERTIES`] /
+/// See the crate-level documentation for the numbering scheme and the
+/// representation. A freshly created dictionary already contains the
+/// RDF/RDFS/OWL vocabulary (in the order fixed by
+/// [`inferray_model::vocab::SCHEMA_PROPERTIES`] /
 /// [`SCHEMA_RESOURCES`](inferray_model::vocab::SCHEMA_RESOURCES)), so the
 /// constants in [`crate::wellknown`] are always valid.
 ///
@@ -66,17 +99,21 @@ impl std::error::Error for EncodeError {}
 /// let t = Triple::iris("http://ex/human", vocab::RDFS_SUB_CLASS_OF, "http://ex/mammal");
 /// let enc = dict.encode_triple(&t).unwrap();
 /// assert_eq!(enc.p, wellknown::RDFS_SUB_CLASS_OF);
-/// assert_eq!(dict.decode(enc.s).unwrap(), &Term::iri("http://ex/human"));
+/// assert_eq!(dict.text(enc.s), Some("<http://ex/human>"));
+/// assert_eq!(dict.decode(enc.s), Some(Term::iri("http://ex/human")));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Dictionary {
-    /// Textual (N-Triples) form → identifier (FxHash: the keys are long and
-    /// hashed on every occurrence, see [`inferray_model::hash`]).
-    to_id: FxHashMap<String, u64>,
-    /// Dense property index → term.
-    properties: Vec<Term>,
-    /// Dense resource index → term.
-    resources: Vec<Term>,
+    /// The canonical N-Triples form of every distinct term, once.
+    terms: TextArena,
+    /// Arena entry → the term's current identifier (its property identifier
+    /// once promoted).
+    ids: Vec<u64>,
+    /// Dense property index → arena entry.
+    properties: Vec<u32>,
+    /// Dense resource index → arena entry. A promoted property's stale slot
+    /// keeps pointing at the entry its property slot now shares.
+    resources: Vec<u32>,
     /// `(old resource id, new property id)` pairs produced by promotions that
     /// have not yet been collected by [`Dictionary::take_promotions`].
     pending_promotions: Vec<(u64, u64)>,
@@ -88,85 +125,114 @@ impl Default for Dictionary {
     }
 }
 
+/// Equality of what a dictionary *says* — the text behind every identifier
+/// of both tables and the pending promotions — not of how its arena happens
+/// to be laid out: a dictionary rebuilt from an image lists property text
+/// first, the live one in first-occurrence order. The lookup side needs no
+/// comparison of its own: a text resolves to its property identifier when
+/// it has one and to its resource identifier otherwise.
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Self) -> bool {
+        self.pending_promotions == other.pending_promotions
+            && self.properties.len() == other.properties.len()
+            && self.resources.len() == other.resources.len()
+            && self.texts().eq(other.texts())
+    }
+}
+
+impl Eq for Dictionary {}
+
+impl fmt::Debug for Dictionary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let table = |entries: &[u32]| -> Vec<&str> {
+            entries.iter().map(|&e| self.terms.text(e)).collect()
+        };
+        f.debug_struct("Dictionary")
+            .field("properties", &table(&self.properties))
+            .field("resources", &table(&self.resources))
+            .field("pending_promotions", &self.pending_promotions)
+            .finish()
+    }
+}
+
 impl Dictionary {
     /// Creates a dictionary pre-loaded with the RDF/RDFS/OWL vocabulary.
     pub fn new() -> Self {
-        let mut dict = Dictionary {
-            to_id: FxHashMap::default(),
-            properties: Vec::new(),
-            resources: Vec::new(),
-            pending_promotions: Vec::new(),
+        let mut dict = Dictionary::empty(0);
+        let mut preload = |iri: &str, demand| {
+            dict.encode_with(demand, |out| {
+                out.push('<');
+                out.push_str(iri);
+                out.push('>');
+            })
+            .expect("the vocabulary fits the identifier space");
         };
         for iri in vocab::SCHEMA_PROPERTIES {
-            dict.intern_property(&Term::iri(*iri))
-                .expect("vocabulary fits the property space");
+            preload(iri, Demand::Property);
         }
         for iri in vocab::SCHEMA_RESOURCES {
-            dict.intern_resource(&Term::iri(*iri));
+            preload(iri, Demand::Resource);
         }
         dict
     }
 
-    /// Rebuilds a dictionary from its dense term tables — the recovery path
-    /// of the persistence layer, which serializes exactly the two
-    /// registration-ordered term vectors ([`Dictionary::iter`] enumerates
-    /// properties then resources in dense order).
-    ///
-    /// The reverse map is reconstructed with the same precedence the live
-    /// dictionary maintains: when a term occurs in both tables (a *promoted*
-    /// property whose stale resource slot is kept for decoding), the lookup
-    /// map points at the property identifier, exactly as after
-    /// [`Dictionary::encode_as_property`] promoted it. No promotions are
-    /// pending on the rebuilt dictionary.
-    pub fn from_dense_terms(properties: Vec<Term>, resources: Vec<Term>) -> Self {
-        // This is the cold-start critical path of the persistence layer:
-        // at LUBM scale the reverse map means rendering ~10⁵ interning keys,
-        // which dominates snapshot recovery if done serially. The keys are
-        // independent, so render them in parallel chunks; the serial
-        // remainder is one pre-sized hash insert per term. Chunks are
-        // inserted resources-first, properties-last — the same precedence
-        // order as the serial loop, so a promoted property still wins the
-        // duplicate key.
-        type RenderTask<'a> = Box<dyn FnOnce() -> Vec<(String, u64)> + Send + 'a>;
-        let pool = inferray_parallel::global();
-        let total = properties.len() + resources.len();
-        let chunk_len = (total / (pool.threads() * 4).max(1)).max(1024);
-        let mut tasks: Vec<RenderTask<'_>> = Vec::new();
-        for (chunk_index, chunk) in resources.chunks(chunk_len).enumerate() {
-            let start = chunk_index * chunk_len;
-            tasks.push(Box::new(move || {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, term)| (term.to_ntriples(), nth_resource_id(start + i)))
-                    .collect()
-            }));
-        }
-        for (chunk_index, chunk) in properties.chunks(chunk_len).enumerate() {
-            let start = chunk_index * chunk_len;
-            tasks.push(Box::new(move || {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, term)| (term.to_ntriples(), nth_property_id(start + i)))
-                    .collect()
-            }));
-        }
-        let rendered = pool.run_ordered(tasks);
-
-        let mut to_id = FxHashMap::default();
-        to_id.reserve(total);
-        for chunk in rendered {
-            for (key, id) in chunk {
-                to_id.insert(key, id);
-            }
-        }
+    /// A dictionary without even the vocabulary, sized for `terms` terms.
+    fn empty(terms: usize) -> Self {
         Dictionary {
-            to_id,
-            properties,
-            resources,
+            terms: TextArena::with_capacity(terms),
+            ids: Vec::with_capacity(terms),
+            properties: Vec::new(),
+            resources: Vec::new(),
             pending_promotions: Vec::new(),
         }
+    }
+
+    /// Rebuilds a dictionary from its two dense term tables — the recovery
+    /// path of the persistence layer, which stores exactly the canonical
+    /// text behind every identifier ([`Dictionary::texts`] enumerates
+    /// properties then resources in dense order).
+    ///
+    /// `write_next` is called `num_properties + num_resources` times and
+    /// appends the next term's canonical N-Triples form straight to the
+    /// arena. A resource slot whose text is also a property is the *stale
+    /// slot* a promotion leaves behind: it shares the property's text and
+    /// the text keeps resolving to the property identifier, exactly as after
+    /// [`Dictionary::encode_as_property`] promoted it. No promotions are
+    /// pending on the rebuilt dictionary.
+    ///
+    /// Both tables are reserved up front: a caller reading the counts from a
+    /// file bounds them (by the file's length, say) first.
+    pub fn from_dense_texts<E: From<DenseTableError>>(
+        num_properties: usize,
+        num_resources: usize,
+        mut write_next: impl FnMut(&mut String) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut dict = Dictionary::empty(num_properties.saturating_add(num_resources));
+        dict.properties.reserve(num_properties);
+        dict.resources.reserve(num_resources);
+        let mut intern_next = |terms: &mut TextArena| -> Result<(u32, bool), E> {
+            Ok(terms
+                .try_intern_with(&mut write_next)?
+                .ok_or(DenseTableError::TooManyTerms)?)
+        };
+        for _ in 0..num_properties {
+            let (entry, fresh) = intern_next(&mut dict.terms)?;
+            if !fresh {
+                return Err(DenseTableError::DuplicateTerm.into());
+            }
+            dict.ids.push(nth_property_id(dict.properties.len()));
+            dict.properties.push(entry);
+        }
+        for _ in 0..num_resources {
+            let (entry, fresh) = intern_next(&mut dict.terms)?;
+            if fresh {
+                dict.ids.push(nth_resource_id(dict.resources.len()));
+            } else if !is_property_id(dict.ids[entry as usize]) {
+                return Err(DenseTableError::DuplicateTerm.into());
+            }
+            dict.resources.push(entry);
+        }
+        Ok(dict)
     }
 
     /// Number of distinct properties registered so far.
@@ -193,15 +259,15 @@ impl Dictionary {
     /// The identifier of `term`, if it has been registered. Allocation-free:
     /// the lookup key is rendered into a reusable scratch buffer.
     pub fn id_of(&self, term: &Term) -> Option<u64> {
-        with_term_key(term, |key| self.to_id.get(key).copied())
+        with_term_key(term, |key| self.id_of_text(key))
     }
 
     /// The identifier registered for the canonical textual form `key`
-    /// (exactly what `Term::to_string()` renders). This is the borrowed-key
-    /// entry point the streaming ingest layer uses to remap its thread-local
-    /// delta dictionaries without materializing `Term`s.
+    /// (exactly what `Term::to_string()` renders). Hashes the bytes and
+    /// compares them in the arena: no allocation.
+    #[inline]
     pub fn id_of_text(&self, key: &str) -> Option<u64> {
-        self.to_id.get(key).copied()
+        self.terms.get(key).map(|entry| self.ids[entry as usize])
     }
 
     /// The identifier of the IRI `iri`, if registered (convenience for tests
@@ -210,13 +276,35 @@ impl Dictionary {
         self.id_of(&Term::iri(iri))
     }
 
-    /// Decodes an identifier back to its term.
-    pub fn decode(&self, id: u64) -> Option<&Term> {
-        if is_property_id(id) {
+    /// The canonical N-Triples form of the term behind `id` — a slice of the
+    /// arena, which is all a writer needs.
+    #[inline]
+    pub fn text(&self, id: u64) -> Option<&str> {
+        let entry = if is_property_id(id) {
             self.properties.get(property_index(id))
         } else {
-            self.resources.get(resource_index(id))
-        }
+            let index = usize::try_from(id.checked_sub(RESOURCE_BASE)?).ok()?;
+            self.resources.get(index)
+        };
+        entry.map(|&entry| self.terms.text(entry))
+    }
+
+    /// The term behind `id` as a borrowed view over the arena. Allocates
+    /// only for a literal whose lexical form contains escapes.
+    pub fn term_ref(&self, id: u64) -> Option<TermRef<'_>> {
+        self.text(id).and_then(TermRef::from_ntriples)
+    }
+
+    /// The coarse kind of the term behind `id`, from the first byte of its
+    /// text.
+    pub fn kind(&self, id: u64) -> Option<TermKind> {
+        self.text(id).and_then(TermKind::of_ntriples)
+    }
+
+    /// Decodes an identifier back to an owned term, materialized from the
+    /// arena text.
+    pub fn decode(&self, id: u64) -> Option<Term> {
+        self.term_ref(id).map(TermRef::into_term)
     }
 
     /// Encodes a term appearing in **predicate** position. Registers it as a
@@ -225,21 +313,45 @@ impl Dictionary {
         if !term.valid_predicate() {
             return Err(EncodeError::InvalidPredicate(term.to_string()));
         }
-        self.intern_property(term)
+        self.encode_with(Demand::Property, |out| term.write_ntriples(out))
     }
 
     /// Encodes a term appearing in **subject or object** position. If the
     /// term is already known (as either a property or a resource) its
     /// existing identifier is returned, so properties referenced by schema
     /// triples keep their property identifier.
+    ///
+    /// # Panics
+    /// Panics when 2³² − 1 distinct terms are already registered
+    /// ([`Dictionary::encode_triple`] and the `_text` entry points report
+    /// that as [`EncodeError::TermSpaceExhausted`] instead).
     pub fn encode_as_resource(&mut self, term: &Term) -> u64 {
-        if let Some(id) = with_term_key(term, |key| self.to_id.get(key).copied()) {
-            return id;
+        self.encode_with(Demand::Resource, |out| term.write_ntriples(out))
+            .expect("fewer than 2^32 - 1 distinct terms")
+    }
+
+    /// [`encode_as_property`](Self::encode_as_property) for a term the
+    /// caller holds as its canonical N-Triples text `key` — the entry point
+    /// of the streaming ingest's merge, which never builds a `Term`. A hit
+    /// allocates nothing; a miss appends `key`'s bytes to the arena.
+    ///
+    /// `key` must be exactly what [`TermRef::write_ntriples`] renders (the
+    /// ingest's chunk arenas hold nothing else): the arena keeps it verbatim
+    /// and every decode reads it back. Text that does not read back as a
+    /// term at all is refused ([`EncodeError::MalformedText`]), so whatever
+    /// enters the arena decodes; that it is the *canonical* spelling of its
+    /// term is the caller's side of the contract.
+    pub fn encode_as_property_text(&mut self, key: &str) -> Result<u64, EncodeError> {
+        if !key.starts_with('<') {
+            return Err(EncodeError::InvalidPredicate(key.to_string()));
         }
-        let id = nth_resource_id(self.resources.len());
-        self.resources.push(term.clone());
-        self.to_id.insert(term.to_string(), id);
-        id
+        self.encode_text(key, Demand::Property)
+    }
+
+    /// [`encode_as_resource`](Self::encode_as_resource) on canonical text
+    /// (same contract as [`encode_as_property_text`](Self::encode_as_property_text)).
+    pub fn encode_as_resource_text(&mut self, key: &str) -> Result<u64, EncodeError> {
+        self.encode_text(key, Demand::Resource)
     }
 
     /// Encodes a full triple, registering its terms as needed.
@@ -273,16 +385,19 @@ impl Dictionary {
                 || x == crate::wellknown::OWL_INVERSE_OF
         );
 
-        let s = if subject_is_property && triple.subject.valid_predicate() {
-            self.encode_as_property(&triple.subject)?
-        } else {
-            self.encode_as_resource(&triple.subject)
+        let demand = |is_property: bool, term: &Term| {
+            if is_property && term.valid_predicate() {
+                Demand::Property
+            } else {
+                Demand::Resource
+            }
         };
-        let o = if object_is_property && triple.object.valid_predicate() {
-            self.encode_as_property(&triple.object)?
-        } else {
-            self.encode_as_resource(&triple.object)
-        };
+        let s = self.encode_with(demand(subject_is_property, &triple.subject), |out| {
+            triple.subject.write_ntriples(out)
+        })?;
+        let o = self.encode_with(demand(object_is_property, &triple.object), |out| {
+            triple.object.write_ntriples(out)
+        })?;
         Ok(IdTriple::new(s, p, o))
     }
 
@@ -290,9 +405,9 @@ impl Dictionary {
     /// unknown.
     pub fn decode_triple(&self, triple: IdTriple) -> Option<Triple> {
         Some(Triple::new(
-            self.decode(triple.s)?.clone(),
-            self.decode(triple.p)?.clone(),
-            self.decode(triple.o)?.clone(),
+            self.decode(triple.s)?,
+            self.decode(triple.p)?,
+            self.decode(triple.o)?,
         ))
     }
 
@@ -314,50 +429,84 @@ impl Dictionary {
         (0..self.properties.len()).map(nth_property_id)
     }
 
-    /// Iterates over `(identifier, term)` for every registered term.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Term)> + '_ {
-        let props = self
-            .properties
+    /// Iterates over `(identifier, term)` for every registered term:
+    /// properties then resources, each in dense order. Materializes every
+    /// term; [`Dictionary::texts`] is the borrowed equivalent.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Term)> + '_ {
+        let ids = self
+            .property_ids()
+            .chain((0..self.resources.len()).map(nth_resource_id));
+        ids.zip(self.texts()).filter_map(|(id, text)| {
+            TermRef::from_ntriples(text).map(|term| (id, term.into_term()))
+        })
+    }
+
+    /// The canonical text behind every identifier, in the order of
+    /// [`Dictionary::iter`].
+    pub fn texts(&self) -> impl Iterator<Item = &str> + '_ {
+        self.properties
             .iter()
-            .enumerate()
-            .map(|(i, t)| (nth_property_id(i), t));
-        let res = self
-            .resources
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (nth_resource_id(i), t));
-        props.chain(res)
+            .chain(&self.resources)
+            .map(|&entry| self.terms.text(entry))
     }
 
     // --- internal helpers -------------------------------------------------
 
-    fn intern_property(&mut self, term: &Term) -> Result<u64, EncodeError> {
-        if let Some(id) = with_term_key(term, |key| self.to_id.get(key).copied()) {
-            if is_property_id(id) {
-                return Ok(id);
-            }
-            // Promotion: the term was first met in a resource position.
-            let new_id = self.fresh_property_id()?;
-            self.properties.push(term.clone());
-            self.to_id.insert(term.to_string(), new_id);
-            self.pending_promotions.push((id, new_id));
-            return Ok(new_id);
-        }
-        let id = self.fresh_property_id()?;
-        self.properties.push(term.clone());
-        self.to_id.insert(term.to_string(), id);
-        Ok(id)
+    /// Interns the key `write` renders (into the arena's tail) and registers
+    /// it under `demand`.
+    fn encode_with(
+        &mut self,
+        demand: Demand,
+        write: impl FnOnce(&mut String),
+    ) -> Result<u64, EncodeError> {
+        let interned = self.terms.intern_with(write);
+        self.register(interned, demand)
     }
 
-    fn intern_resource(&mut self, term: &Term) -> u64 {
-        self.encode_as_resource(term)
+    /// Interns `key` verbatim and registers it under `demand`, unless it does
+    /// not read back as a term.
+    fn encode_text(&mut self, key: &str, demand: Demand) -> Result<u64, EncodeError> {
+        if TermRef::from_ntriples(key).is_none() {
+            return Err(EncodeError::MalformedText(key.to_string()));
+        }
+        let interned = self.terms.intern(key);
+        self.register(interned, demand)
     }
 
-    fn fresh_property_id(&self) -> Result<u64, EncodeError> {
-        if self.properties.len() as u64 >= MAX_PROPERTIES {
-            return Err(EncodeError::PropertySpaceExhausted);
+    /// Gives a just-interned arena entry its identifier: a fresh one in the
+    /// demanded half for a new term, the existing one for a known term —
+    /// after promoting it when a resource is now demanded as a property.
+    fn register(
+        &mut self,
+        interned: Option<(u32, bool)>,
+        demand: Demand,
+    ) -> Result<u64, EncodeError> {
+        let (entry, fresh) = interned.ok_or(EncodeError::TermSpaceExhausted)?;
+        if fresh {
+            let id = match demand {
+                Demand::Property => {
+                    self.properties.push(entry);
+                    nth_property_id(self.properties.len() - 1)
+                }
+                Demand::Resource => {
+                    self.resources.push(entry);
+                    nth_resource_id(self.resources.len() - 1)
+                }
+            };
+            self.ids.push(id);
+            return Ok(id);
         }
-        Ok(nth_property_id(self.properties.len()))
+        let id = self.ids[entry as usize];
+        if demand == Demand::Resource || is_property_id(id) {
+            return Ok(id);
+        }
+        // Promotion: the term was first met in a resource position. Its
+        // property slot shares the text its stale resource slot owns.
+        let promoted = nth_property_id(self.properties.len());
+        self.properties.push(entry);
+        self.ids[entry as usize] = promoted;
+        self.pending_promotions.push((id, promoted));
+        Ok(promoted)
     }
 }
 
@@ -466,7 +615,10 @@ mod tests {
         );
         let enc = dict.encode_triple(&t).unwrap();
         assert!(is_resource_id(enc.o));
-        assert_eq!(dict.decode(enc.o).unwrap(), &Term::plain_literal("hello"));
+        assert_eq!(dict.decode(enc.o).unwrap(), Term::plain_literal("hello"));
+        assert_eq!(dict.text(enc.o), Some("\"hello\""));
+        assert_eq!(dict.kind(enc.o), Some(TermKind::Literal));
+        assert_eq!(dict.kind(enc.p), Some(TermKind::Iri));
     }
 
     #[test]
@@ -516,12 +668,23 @@ mod tests {
         // addressable so previously-encoded data can be decoded if needed).
         assert_eq!(
             dict.decode(as_property).unwrap(),
-            &Term::iri("http://ex/hasPart")
+            Term::iri("http://ex/hasPart")
         );
+        assert_eq!(dict.text(as_resource), dict.text(as_property));
+    }
+
+    /// Rebuilds `dict` the way the persistence layer does: from the texts
+    /// of its two dense tables.
+    fn rebuild(dict: &Dictionary) -> Result<Dictionary, DenseTableError> {
+        let mut texts = dict.texts();
+        Dictionary::from_dense_texts(dict.num_properties(), dict.num_resources(), |out| {
+            out.push_str(texts.next().expect("one text per slot"));
+            Ok(())
+        })
     }
 
     #[test]
-    fn from_dense_terms_round_trips_a_dictionary_with_promotions() {
+    fn from_dense_texts_round_trips_a_dictionary_with_promotions() {
         let mut dict = Dictionary::new();
         dict.encode_as_resource(&Term::iri("http://ex/a"));
         dict.encode_as_resource(&Term::iri("http://ex/hasPart"));
@@ -530,16 +693,117 @@ mod tests {
         dict.encode_as_resource(&Term::plain_literal("42"));
         let _ = dict.take_promotions();
 
-        let properties: Vec<Term> = dict.properties.clone();
-        let resources: Vec<Term> = dict.resources.clone();
-        let rebuilt = Dictionary::from_dense_terms(properties, resources);
-        assert_eq!(rebuilt, dict, "dense-term rebuild is exact");
+        let rebuilt = rebuild(&dict).unwrap();
+        assert_eq!(rebuilt, dict, "dense-table rebuild is exact");
         // The promoted term resolves to its property id, not the stale
         // resource slot...
         let id = rebuilt.id_of_iri("http://ex/hasPart").unwrap();
         assert!(is_property_id(id));
-        // ...while both slots still decode.
-        assert_eq!(rebuilt.decode(id).unwrap(), &Term::iri("http://ex/hasPart"));
+        // ...while both slots still decode, and new terms keep numbering
+        // where the original would.
+        assert_eq!(rebuilt.decode(id).unwrap(), Term::iri("http://ex/hasPart"));
+        let mut rebuilt = rebuilt;
+        assert_eq!(
+            rebuilt.encode_as_resource(&Term::iri("http://ex/new")),
+            dict.encode_as_resource(&Term::iri("http://ex/new"))
+        );
+    }
+
+    #[test]
+    fn from_dense_texts_rejects_a_term_registered_twice() {
+        let texts = ["<http://ex/p>", "<http://ex/p>"];
+        let tables = |np, nr| {
+            let mut next = texts.iter();
+            Dictionary::from_dense_texts::<DenseTableError>(np, nr, |out| {
+                out.push_str(next.next().unwrap());
+                Ok(())
+            })
+        };
+        assert_eq!(tables(2, 0), Err(DenseTableError::DuplicateTerm));
+        assert_eq!(tables(0, 2), Err(DenseTableError::DuplicateTerm));
+        // A property and its stale resource slot are the one legal repeat.
+        assert!(tables(1, 1).is_ok());
+    }
+
+    #[test]
+    fn text_entry_points_agree_with_the_term_entry_points() {
+        let mut by_term = Dictionary::new();
+        let mut by_text = Dictionary::new();
+        let terms = [
+            Term::iri("http://ex/later-a-property"),
+            Term::plain_literal("tab\there"),
+            Term::lang_literal("chat", "fr"),
+        ];
+        for term in &terms {
+            assert_eq!(
+                by_text.encode_as_resource_text(&term.to_ntriples()),
+                Ok(by_term.encode_as_resource(term))
+            );
+        }
+        assert_eq!(
+            by_text.encode_as_property_text(&terms[0].to_ntriples()),
+            by_term.encode_as_property(&terms[0])
+        );
+        assert_eq!(by_text, by_term);
+        assert_eq!(by_text.take_promotions(), by_term.take_promotions());
+        assert!(matches!(
+            by_text.encode_as_property_text("_:b0"),
+            Err(EncodeError::InvalidPredicate(_))
+        ));
+        // Text that is no term is refused before it reaches the arena, in
+        // release builds too: everything the arena holds decodes.
+        let before = by_text.clone();
+        for bad in ["", "x", "<open", "\"open", "\"x\"junk"] {
+            assert_eq!(
+                by_text.encode_as_resource_text(bad),
+                Err(EncodeError::MalformedText(bad.to_string()))
+            );
+        }
+        assert_eq!(
+            by_text.encode_as_property_text("<open"),
+            Err(EncodeError::MalformedText("<open".to_string()))
+        );
+        assert_eq!(by_text, before);
+    }
+
+    #[test]
+    fn an_explicit_xsd_string_datatype_is_the_plain_literal() {
+        // RDF 1.1: a simple literal *is* the xsd:string literal. Both
+        // spellings are one key, hence one id, and the arena keeps the
+        // canonical (plain) text, so that is what comes back — whichever
+        // spelling was met first.
+        let explicit = Term::typed_literal("x", inferray_model::term::XSD_STRING);
+        let plain = Term::plain_literal("x");
+        let mut dict = Dictionary::new();
+        let id = dict.encode_as_resource(&explicit);
+        assert_eq!(dict.encode_as_resource(&plain), id);
+        assert_eq!(dict.id_of(&explicit), Some(id));
+        assert_eq!(dict.text(id), Some("\"x\""));
+        assert_eq!(dict.decode(id), Some(plain.clone()));
+        // The same holds for a datatype beside a language tag.
+        let both = Term::Literal {
+            lexical: "chat".into(),
+            datatype: Some(inferray_model::term::RDF_LANG_STRING.into()),
+            language: Some("fr".into()),
+        };
+        let id = dict.encode_as_resource(&both);
+        assert_eq!(dict.decode(id), Some(Term::lang_literal("chat", "fr")));
+    }
+
+    #[test]
+    fn equality_ignores_the_arena_layout_but_not_the_tables() {
+        // Same tables, reached in a different interning order.
+        let mut a = Dictionary::new();
+        a.encode_as_resource(&Term::iri("http://ex/x"));
+        a.encode_as_property(&Term::iri("http://ex/x")).unwrap();
+        let b = rebuild(&a).unwrap();
+        assert_ne!(a, b, "pending promotions are part of the state");
+        let _ = a.take_promotions();
+        assert_eq!(a, b);
+        let mut c = a.clone();
+        assert_eq!(a, c);
+        c.encode_as_resource(&Term::iri("http://ex/y"));
+        assert_ne!(a, c);
     }
 
     #[test]
@@ -551,6 +815,7 @@ mod tests {
         // Every enumerated id decodes back to the paired term.
         for (id, term) in dict.iter() {
             assert_eq!(dict.decode(id).unwrap(), term);
+            assert_eq!(dict.text(id).unwrap(), term.to_string());
         }
     }
 

@@ -65,7 +65,7 @@ proptest! {
                 seen_res.insert(id);
             }
             // decode ∘ encode = identity.
-            prop_assert_eq!(dictionary.id_of(term), Some(id));
+            prop_assert_eq!(dictionary.id_of(&term), Some(id));
         }
         prop_assert_eq!(seen_props.len() as u64, n_props);
         prop_assert_eq!(seen_res.len() as u64, n_res);
@@ -115,7 +115,7 @@ fn late_property_discovery_promotes_and_reports_the_mapping() {
     let encoded = dictionary.encode_triple(&triple).unwrap();
     assert!(is_property_id(encoded.p));
     assert_eq!(dictionary.id_of(&knows), Some(encoded.p));
-    assert_eq!(dictionary.decode(encoded.p), Some(&knows));
+    assert_eq!(dictionary.decode(encoded.p).as_ref(), Some(&knows));
 
     // The promotion is reported exactly once so the loader can patch stores.
     assert!(dictionary.has_pending_promotions());

@@ -5,7 +5,8 @@
 //! This crate defines:
 //!
 //! * [`Term`] — the three kinds of RDF terms (IRIs, blank nodes, literals),
-//!   with N-Triples-compatible formatting.
+//!   with N-Triples-compatible formatting — and [`TermRef`], its borrowed
+//!   view over a lexer's input or the dictionary's text arena.
 //! * [`Triple`] — a decoded `⟨subject, predicate, object⟩` statement.
 //! * [`IdTriple`] — a dictionary-encoded triple of three 64-bit identifiers,
 //!   the representation every performance-critical component works on.
@@ -39,5 +40,5 @@ pub mod vocab;
 pub use graph::Graph;
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use json::{json_escape_into, json_string_into};
-pub use term::{Term, TermKind};
+pub use term::{Term, TermKind, TermRef};
 pub use triple::{IdTriple, Triple};

@@ -5,6 +5,7 @@
 //! serializer in `inferray-parser` emits and what the dictionary uses as the
 //! interning key, so a term always round-trips through its textual form.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The RDF 1.1 XML Schema string datatype, implied when a literal carries no
@@ -24,6 +25,19 @@ pub enum TermKind {
     BlankNode,
     /// A literal (plain, typed or language-tagged).
     Literal,
+}
+
+impl TermKind {
+    /// The kind of the term whose canonical N-Triples form is `text`, read
+    /// off its first byte (`<`, `_` or `"`).
+    pub fn of_ntriples(text: &str) -> Option<TermKind> {
+        match text.as_bytes().first()? {
+            b'<' => Some(TermKind::Iri),
+            b'_' => Some(TermKind::BlankNode),
+            b'"' => Some(TermKind::Literal),
+            _ => None,
+        }
+    }
 }
 
 /// An RDF term.
@@ -149,42 +163,154 @@ impl Term {
         self.is_iri()
     }
 
+    /// The borrowed view of this term (every slice `Cow::Borrowed`).
+    pub fn as_term_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(iri) => TermRef::Iri(Cow::Borrowed(iri)),
+            Term::BlankNode(label) => TermRef::Blank(Cow::Borrowed(label)),
+            Term::Literal {
+                lexical,
+                datatype,
+                language,
+            } => TermRef::Literal {
+                lexical: Cow::Borrowed(lexical),
+                datatype: datatype.as_deref().map(Cow::Borrowed),
+                language: language.as_deref().map(Cow::Borrowed),
+            },
+        }
+    }
+
     /// Appends the canonical N-Triples form — exactly what
     /// [`Display`](std::fmt::Display) renders — to `out`, without the `fmt`
-    /// machinery or intermediate allocations. This is the dictionary's
-    /// interning key; rendering it is on the hot path of both live encoding
-    /// and snapshot recovery, where per-term `format!` overhead is
-    /// measurable at 10⁵ terms.
+    /// machinery or intermediate allocations (see
+    /// [`TermRef::write_ntriples`]).
+    pub fn write_ntriples(&self, out: &mut String) {
+        self.as_term_ref().write_ntriples(out);
+    }
+
+    /// The canonical N-Triples form as an owned string (an allocation-aware
+    /// alternative to `to_string()` for hot paths).
+    pub fn to_ntriples(&self) -> String {
+        let mut out = String::new();
+        self.write_ntriples(&mut out);
+        out
+    }
+}
+
+/// A borrowed RDF term: the zero-copy analogue of [`Term`].
+///
+/// The lexers yield it over slices of the input document and the dictionary
+/// yields it over slices of its text arena. Every `Cow` is `Borrowed` when
+/// the underlying slice already is the wanted form and `Owned` only when a
+/// normalization allocated (escape sequences, prefixed-name expansion, base
+/// resolution, language lowercasing).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TermRef<'a> {
+    /// An IRI without the angle brackets.
+    Iri(Cow<'a, str>),
+    /// A blank node label without the `_:` prefix.
+    Blank(Cow<'a, str>),
+    /// A literal, mirroring [`Term::Literal`].
+    Literal {
+        /// The unescaped lexical form.
+        lexical: Cow<'a, str>,
+        /// Datatype IRI, if any.
+        datatype: Option<Cow<'a, str>>,
+        /// Language tag (already lower-cased), if any.
+        language: Option<Cow<'a, str>>,
+    },
+}
+
+impl<'a> TermRef<'a> {
+    /// The coarse kind of this term.
+    pub fn kind(&self) -> TermKind {
+        match self {
+            TermRef::Iri(_) => TermKind::Iri,
+            TermRef::Blank(_) => TermKind::BlankNode,
+            TermRef::Literal { .. } => TermKind::Literal,
+        }
+    }
+
+    /// `true` when the term is an IRI (the only kind valid in predicate
+    /// position).
+    pub fn is_iri(&self) -> bool {
+        matches!(self, TermRef::Iri(_))
+    }
+
+    /// `true` when the term is a literal (invalid in subject position).
+    pub fn is_literal(&self) -> bool {
+        matches!(self, TermRef::Literal { .. })
+    }
+
+    /// The IRI string if this term is an IRI, `None` otherwise.
+    pub fn as_iri(&self) -> Option<&str> {
+        match self {
+            TermRef::Iri(iri) => Some(iri),
+            _ => None,
+        }
+    }
+
+    /// Converts into an owned [`Term`].
+    pub fn into_term(self) -> Term {
+        match self {
+            TermRef::Iri(iri) => Term::Iri(iri.into_owned()),
+            TermRef::Blank(label) => Term::BlankNode(label.into_owned()),
+            TermRef::Literal {
+                lexical,
+                datatype,
+                language,
+            } => Term::Literal {
+                lexical: lexical.into_owned(),
+                datatype: datatype.map(Cow::into_owned),
+                language: language.map(Cow::into_owned),
+            },
+        }
+    }
+
+    /// Clones into an owned [`Term`].
+    pub fn to_term(&self) -> Term {
+        self.clone().into_term()
+    }
+
+    /// Appends the canonical N-Triples form — exactly what `Term`'s
+    /// [`Display`](std::fmt::Display) renders, i.e. the dictionary's
+    /// interning key — to `out`, without the `fmt` machinery or intermediate
+    /// allocations.
     pub fn write_ntriples(&self, out: &mut String) {
         match self {
-            Term::Iri(iri) => {
+            TermRef::Iri(iri) => {
                 out.reserve(iri.len() + 2);
                 out.push('<');
                 out.push_str(iri);
                 out.push('>');
             }
-            Term::BlankNode(label) => {
+            TermRef::Blank(label) => {
                 out.reserve(label.len() + 2);
                 out.push_str("_:");
                 out.push_str(label);
             }
-            Term::Literal {
+            TermRef::Literal {
                 lexical,
                 datatype,
                 language,
             } => {
                 out.reserve(lexical.len() + 2);
                 out.push('"');
-                for c in lexical.chars() {
-                    match c {
-                        '\\' => out.push_str("\\\\"),
-                        '"' => out.push_str("\\\""),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        _ => out.push(c),
-                    }
+                let mut rest: &str = lexical;
+                // Everything N-Triples escapes is ASCII, so cutting at such
+                // a byte keeps both sides valid UTF-8.
+                while let Some(at) = rest.bytes().position(needs_ntriples_escape) {
+                    out.push_str(&rest[..at]);
+                    out.push_str(match rest.as_bytes()[at] {
+                        b'\\' => "\\\\",
+                        b'"' => "\\\"",
+                        b'\n' => "\\n",
+                        b'\r' => "\\r",
+                        _ => "\\t",
+                    });
+                    rest = &rest[at + 1..];
                 }
+                out.push_str(rest);
                 out.push('"');
                 if let Some(lang) = language {
                     out.push('@');
@@ -200,13 +326,64 @@ impl Term {
         }
     }
 
-    /// The canonical N-Triples form as an owned string (an allocation-aware
-    /// alternative to `to_string()` for hot paths).
-    pub fn to_ntriples(&self) -> String {
-        let mut out = String::new();
-        self.write_ntriples(&mut out);
-        out
+    /// Reads a term back from its canonical N-Triples form — the inverse of
+    /// [`TermRef::write_ntriples`], which is how the dictionary's arena text
+    /// becomes a term again. Borrows from `text` except for a lexical form
+    /// that contains escapes. `None` when `text` is not a canonical form.
+    ///
+    /// The canonical form drops what never distinguished two terms: an
+    /// explicit `xsd:string` datatype and a datatype beside a language tag
+    /// come back as `None`.
+    pub fn from_ntriples(text: &'a str) -> Option<TermRef<'a>> {
+        match *text.as_bytes().first()? {
+            b'<' => Some(TermRef::Iri(Cow::Borrowed(text[1..].strip_suffix('>')?))),
+            b'_' => Some(TermRef::Blank(Cow::Borrowed(text.strip_prefix("_:")?))),
+            b'"' => {
+                let body = &text[1..];
+                // The closing quote is the first one an escape does not own.
+                let mut escaped = false;
+                let mut close = None;
+                for (at, byte) in body.bytes().enumerate() {
+                    match byte {
+                        _ if escaped => escaped = false,
+                        b'\\' => escaped = true,
+                        b'"' => {
+                            close = Some(at);
+                            break;
+                        }
+                        _ => {}
+                    }
+                }
+                let close = close?;
+                let raw = &body[..close];
+                let lexical = if raw.contains('\\') {
+                    Cow::Owned(unescape_ntriples(raw)?)
+                } else {
+                    Cow::Borrowed(raw)
+                };
+                let suffix = &body[close + 1..];
+                let (datatype, language) = if suffix.is_empty() {
+                    (None, None)
+                } else if let Some(lang) = suffix.strip_prefix('@') {
+                    (None, Some(Cow::Borrowed(lang)))
+                } else {
+                    let dt = suffix.strip_prefix("^^<")?.strip_suffix('>')?;
+                    (Some(Cow::Borrowed(dt)), None)
+                };
+                Some(TermRef::Literal {
+                    lexical,
+                    datatype,
+                    language,
+                })
+            }
+            _ => None,
+        }
     }
+}
+
+/// The bytes [`TermRef::write_ntriples`] escapes inside a quoted literal.
+fn needs_ntriples_escape(byte: u8) -> bool {
+    matches!(byte, b'\\' | b'"' | b'\n' | b'\r' | b'\t')
 }
 
 /// `true` when `tag` has the language-tag shape the N-Triples grammar
@@ -340,6 +517,44 @@ mod tests {
         ];
         for term in &terms {
             assert_eq!(term.to_ntriples(), term.to_string(), "term {term:?}");
+        }
+    }
+
+    #[test]
+    fn from_ntriples_inverts_write_ntriples() {
+        let canonical = [
+            Term::iri("http://example.org/a"),
+            Term::iri("odd>iri"),
+            Term::blank("b0"),
+            Term::plain_literal(""),
+            Term::plain_literal("quotes \" and \\ and \n\r\t and é\u{1}"),
+            Term::plain_literal("ends with a backslash \\"),
+            Term::typed_literal("5", "http://www.w3.org/2001/XMLSchema#integer"),
+            Term::lang_literal("chat \"noir\"", "fr"),
+        ];
+        for term in &canonical {
+            let text = term.to_ntriples();
+            let view = TermRef::from_ntriples(&text).expect("canonical form parses");
+            assert_eq!(view.kind(), term.kind());
+            assert_eq!(TermKind::of_ntriples(&text), Some(term.kind()));
+            assert_eq!(&view.into_term(), term, "text {text}");
+        }
+        // What the canonical form drops comes back as `None`.
+        let view = Term::typed_literal("plain", XSD_STRING).to_ntriples();
+        assert_eq!(
+            TermRef::from_ntriples(&view).unwrap().into_term(),
+            Term::plain_literal("plain")
+        );
+        for bad in [
+            "",
+            "x",
+            "<open",
+            "_b",
+            "\"open",
+            "\"x\"^^<open",
+            "\"x\"junk",
+        ] {
+            assert!(TermRef::from_ntriples(bad).is_none(), "{bad:?}");
         }
     }
 

@@ -10,14 +10,16 @@
 //! 1. **Lex + local intern** (parallel): the document is cut into chunks on
 //!    statement boundaries ([`crate::lex`]); each worker lexes its chunk
 //!    zero-copy and interns every term occurrence into a *thread-local delta
-//!    dictionary* (textual key → dense local index), recording only the
+//!    dictionary* (a [`TextArena`]: canonical text ↔ dense local index, the
+//!    same interner the [`Dictionary`] is built on), recording only the
 //!    chunk-local *intern events* that could change global dictionary state
 //!    (first occurrence of a term, first property demand of a term first
 //!    met as a resource) and each triple as three local indexes.
 //! 2. **Merge** (sequential, but over distinct-term events only): because
 //!    chunks are contiguous document slices, concatenating the per-chunk
 //!    event lists replays the exact global first-occurrence order, so
-//!    feeding them through the ordinary [`Dictionary`] assigns the *same
+//!    feeding each event's text slice to the ordinary [`Dictionary`] (no
+//!    `Term` is ever built) assigns the *same
 //!    dense identifiers, in the same order, with the same resource→property
 //!    promotions* as the sequential loader — the byte-identical-dictionary
 //!    invariant. Promotions are resolved here, before any pair buffer
@@ -40,14 +42,13 @@ use crate::lex::{
 };
 use crate::loader::{LoadError, LoadedDataset};
 use crate::ntriples::ParseError;
-use inferray_dictionary::Dictionary;
+use inferray_dictionary::{Dictionary, TextArena};
 use inferray_model::ids::{property_id_from_index, property_index};
-use inferray_model::{vocab, FxHashMap, Term};
+use inferray_model::{vocab, FxHashMap};
 use inferray_parallel::ThreadPool;
 use inferray_sort::SortScratch;
 use inferray_store::{PropertyTable, TripleStore};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Default minimum chunk size: below this, splitting costs more than it
 /// saves.
@@ -234,66 +235,41 @@ enum Demand {
     Resource,
 }
 
-/// The canonical textual keys of the schema terms whose *position* in a
-/// triple forces property registration (see `Dictionary::encode_triple`).
-struct SchemaKeys {
-    rdf_type: String,
-    /// Predicates whose subject is a property.
-    subject_position: Vec<String>,
-    /// Predicates whose object is a property.
-    object_position: Vec<String>,
-    /// Classes whose `rdf:type` instances are properties.
-    property_classes: Vec<String>,
-}
+/// Predicates whose subject is a property (see `Dictionary::encode_triple`).
+const SUBJECT_IS_PROPERTY: [&str; 5] = [
+    vocab::RDFS_SUB_PROPERTY_OF,
+    vocab::RDFS_DOMAIN,
+    vocab::RDFS_RANGE,
+    vocab::OWL_EQUIVALENT_PROPERTY,
+    vocab::OWL_INVERSE_OF,
+];
 
-fn schema_keys() -> &'static SchemaKeys {
-    static KEYS: OnceLock<SchemaKeys> = OnceLock::new();
-    KEYS.get_or_init(|| {
-        let key = |iri: &str| format!("<{iri}>");
-        SchemaKeys {
-            rdf_type: key(vocab::RDF_TYPE),
-            subject_position: [
-                vocab::RDFS_SUB_PROPERTY_OF,
-                vocab::RDFS_DOMAIN,
-                vocab::RDFS_RANGE,
-                vocab::OWL_EQUIVALENT_PROPERTY,
-                vocab::OWL_INVERSE_OF,
-            ]
-            .iter()
-            .map(|iri| key(iri))
-            .collect(),
-            object_position: [
-                vocab::RDFS_SUB_PROPERTY_OF,
-                vocab::OWL_EQUIVALENT_PROPERTY,
-                vocab::OWL_INVERSE_OF,
-            ]
-            .iter()
-            .map(|iri| key(iri))
-            .collect(),
-            property_classes: [
-                vocab::RDF_PROPERTY,
-                vocab::RDFS_CONTAINER_MEMBERSHIP_PROPERTY,
-                vocab::OWL_TRANSITIVE_PROPERTY,
-                vocab::OWL_SYMMETRIC_PROPERTY,
-                vocab::OWL_FUNCTIONAL_PROPERTY,
-                vocab::OWL_INVERSE_FUNCTIONAL_PROPERTY,
-                vocab::OWL_DATATYPE_PROPERTY,
-                vocab::OWL_OBJECT_PROPERTY,
-            ]
-            .iter()
-            .map(|iri| key(iri))
-            .collect(),
-        }
-    })
-}
+/// Predicates whose object is a property.
+const OBJECT_IS_PROPERTY: [&str; 3] = [
+    vocab::RDFS_SUB_PROPERTY_OF,
+    vocab::OWL_EQUIVALENT_PROPERTY,
+    vocab::OWL_INVERSE_OF,
+];
+
+/// Classes whose `rdf:type` instances are properties.
+const PROPERTY_CLASSES: [&str; 8] = [
+    vocab::RDF_PROPERTY,
+    vocab::RDFS_CONTAINER_MEMBERSHIP_PROPERTY,
+    vocab::OWL_TRANSITIVE_PROPERTY,
+    vocab::OWL_SYMMETRIC_PROPERTY,
+    vocab::OWL_FUNCTIONAL_PROPERTY,
+    vocab::OWL_INVERSE_FUNCTIONAL_PROPERTY,
+    vocab::OWL_DATATYPE_PROPERTY,
+    vocab::OWL_OBJECT_PROPERTY,
+];
 
 /// One chunk's thread-local delta dictionary plus its encoded statements.
 #[derive(Default)]
 struct ChunkSink {
-    /// Textual key → dense local index.
-    index: FxHashMap<String, u32>,
-    /// Local index → owned term (chunk-local first-occurrence order).
-    terms: Vec<Term>,
+    /// Canonical term text ↔ dense local index, in chunk-local
+    /// first-occurrence order — the same interner the [`Dictionary`] is
+    /// built on, so the merge hands it text slices, never terms.
+    terms: TextArena,
     /// Whether the term has already been demanded as a property locally.
     demanded_property: Vec<bool>,
     /// The ordered intern events that could change global dictionary state.
@@ -302,78 +278,55 @@ struct ChunkSink {
     triples: Vec<[u32; 3]>,
 }
 
-/// Reusable key-rendering buffers (one set per worker, zero steady-state
-/// allocations).
-#[derive(Default)]
-struct KeyBufs {
-    s: String,
-    p: String,
-    o: String,
-}
-
 impl ChunkSink {
-    fn intern(&mut self, key: &str, term: &TermRef<'_>, demand: Demand) -> u32 {
-        if let Some(&i) = self.index.get(key) {
-            if demand == Demand::Property && !self.demanded_property[i as usize] {
-                // First local property demand of a term first met as a
-                // resource: the merge must see this transition.
-                self.demanded_property[i as usize] = true;
-                self.events.push((i, Demand::Property));
-            }
-            return i;
+    /// Interns one occurrence: the term's canonical form is rendered
+    /// straight into the arena's tail and stays there only if it is new.
+    fn intern(&mut self, term: &TermRef<'_>, demand: Demand) -> u32 {
+        let (i, fresh) = self
+            .terms
+            .intern_with(|out| term.write_ntriples(out))
+            .expect("chunk holds fewer than 2^32 - 1 terms");
+        if fresh {
+            self.demanded_property.push(demand == Demand::Property);
+            self.events.push((i, demand));
+        } else if demand == Demand::Property && !self.demanded_property[i as usize] {
+            // First local property demand of a term first met as a
+            // resource: the merge must see this transition.
+            self.demanded_property[i as usize] = true;
+            self.events.push((i, Demand::Property));
         }
-        let i = u32::try_from(self.terms.len()).expect("chunk holds fewer than 2^32 terms");
-        self.index.insert(key.to_string(), i);
-        self.terms.push(term.to_term());
-        self.demanded_property.push(demand == Demand::Property);
-        self.events.push((i, demand));
         i
     }
 
     /// Interns one statement's terms (in the sequential loader's P, S, O
     /// event order) and records the encoded triple.
-    fn add(&mut self, triple: &TripleRef<'_>, bufs: &mut KeyBufs) {
-        bufs.p.clear();
-        triple.predicate.write_key(&mut bufs.p);
-        bufs.s.clear();
-        triple.subject.write_key(&mut bufs.s);
-        bufs.o.clear();
-        triple.object.write_key(&mut bufs.o);
-
-        let schema = schema_keys();
-        let subject_is_property = (schema.subject_position.iter().any(|k| k == &bufs.p)
-            || (bufs.p == schema.rdf_type && schema.property_classes.iter().any(|k| k == &bufs.o)))
+    fn add(&mut self, triple: &TripleRef<'_>) {
+        let predicate = triple.predicate.as_iri();
+        let is_one_of = |iri: Option<&str>, set: &[&str]| iri.is_some_and(|iri| set.contains(&iri));
+        let subject_is_property = (is_one_of(predicate, &SUBJECT_IS_PROPERTY)
+            || (predicate == Some(vocab::RDF_TYPE)
+                && is_one_of(triple.object.as_iri(), &PROPERTY_CLASSES)))
             && triple.subject.is_iri();
         let object_is_property =
-            schema.object_position.iter().any(|k| k == &bufs.p) && triple.object.is_iri();
+            is_one_of(predicate, &OBJECT_IS_PROPERTY) && triple.object.is_iri();
+        let demand = |is_property| {
+            if is_property {
+                Demand::Property
+            } else {
+                Demand::Resource
+            }
+        };
 
-        let p = self.intern(&bufs.p, &triple.predicate, Demand::Property);
-        let s = self.intern(
-            &bufs.s,
-            &triple.subject,
-            if subject_is_property {
-                Demand::Property
-            } else {
-                Demand::Resource
-            },
-        );
-        let o = self.intern(
-            &bufs.o,
-            &triple.object,
-            if object_is_property {
-                Demand::Property
-            } else {
-                Demand::Resource
-            },
-        );
+        let p = self.intern(&triple.predicate, Demand::Property);
+        let s = self.intern(&triple.subject, demand(subject_is_property));
+        let o = self.intern(&triple.object, demand(object_is_property));
         self.triples.push([s, p, o]);
     }
 }
 
 fn lex_ntriples_into_sink(chunk: Chunk<'_>) -> Result<ChunkSink, ParseError> {
     let mut sink = ChunkSink::default();
-    let mut bufs = KeyBufs::default();
-    lex_ntriples_chunk(chunk, |triple| sink.add(&triple, &mut bufs))?;
+    lex_ntriples_chunk(chunk, |triple| sink.add(&triple))?;
     Ok(sink)
 }
 
@@ -383,9 +336,8 @@ fn lex_turtle_into_sink(
     base: String,
 ) -> Result<ChunkSink, ParseError> {
     let mut sink = ChunkSink::default();
-    let mut bufs = KeyBufs::default();
     let mut lexer = TurtleChunkLexer::new(chunk, prefixes, base);
-    while lexer.next_statement(|triple| sink.add(&triple, &mut bufs))? {}
+    while lexer.next_statement(|triple| sink.add(&triple))? {}
     Ok(sink)
 }
 
@@ -407,10 +359,12 @@ fn assemble(
     // Phase 2 — merge. Chunks are contiguous document slices, so replaying
     // the concatenated event lists through a fresh dictionary visits every
     // term in global first-occurrence order: identifiers, registration order
-    // and promotions all match the sequential loader exactly. Every distinct
-    // chunk term has a first-occurrence event, so the encode calls also fill
-    // the chunk's local-index → global-id table as a side effect — no
-    // second lookup pass over the (long) textual keys is needed.
+    // and promotions all match the sequential loader exactly. An event hands
+    // the dictionary the chunk arena's text slice: a known term costs a hash
+    // and a compare, a new one an append of its bytes. Every distinct chunk
+    // term has a first-occurrence event, so the encode calls also fill the
+    // chunk's local-index → global-id table as a side effect — no second
+    // lookup pass over the (long) textual keys is needed.
     let mut dictionary = Dictionary::new();
     let mut remaps: Vec<Vec<u64>> = chunks
         .iter()
@@ -418,13 +372,12 @@ fn assemble(
         .collect();
     for (chunk, remap) in chunks.iter().zip(remaps.iter_mut()) {
         for &(index, demand) in &chunk.events {
-            let term = &chunk.terms[index as usize];
+            let key = chunk.terms.text(index);
             let id = match demand {
-                Demand::Property => dictionary
-                    .encode_as_property(term)
-                    .map_err(|e| LoadError::Encode(e.to_string()))?,
-                Demand::Resource => dictionary.encode_as_resource(term),
-            };
+                Demand::Property => dictionary.encode_as_property_text(key),
+                Demand::Resource => dictionary.encode_as_resource_text(key),
+            }
+            .map_err(|e| LoadError::Encode(e.to_string()))?;
             // A same-chunk promotion event overwrites the resource id with
             // the promoted property id.
             remap[index as usize] = id;

@@ -5,10 +5,11 @@
 //! store pipeline allocation-bound and strictly sequential. This module is the
 //! parser layer of the streaming ingest subsystem (see `docs/ingest.md`):
 //!
-//! * [`TermRef`] / [`TripleRef`] — borrowed term forms. A term borrows its
-//!   slices straight out of the input document (`Cow::Borrowed`) and only
-//!   owns memory when the textual form needs normalization (escape sequences,
-//!   prefixed-name expansion, base resolution, language-tag lowercasing).
+//! * [`TermRef`] (defined in `inferray-model`, re-exported here) /
+//!   [`TripleRef`] — borrowed term forms. A term borrows its slices straight
+//!   out of the input document (`Cow::Borrowed`) and only owns memory when
+//!   the textual form needs normalization (escape sequences, prefixed-name
+//!   expansion, base resolution, language-tag lowercasing).
 //! * [`lex_ntriples_line`] — one N-Triples statement, zero-copy.
 //! * [`split_ntriples`] — cuts a document into balanced chunks on line
 //!   boundaries, each carrying its 1-based first line number so parse errors
@@ -26,110 +27,11 @@
 
 use crate::ntriples::ParseError;
 use crate::turtle::{has_scheme, resolve_against_base};
-use inferray_model::term::{escape_ntriples, unescape_ntriples, XSD_STRING};
-use inferray_model::{vocab, Term, Triple};
+use inferray_model::term::unescape_ntriples;
+pub use inferray_model::TermRef;
+use inferray_model::{vocab, Triple};
 use std::borrow::Cow;
 use std::collections::HashMap;
-
-/// A borrowed RDF term: the zero-copy analogue of [`Term`].
-///
-/// Every `Cow` is `Borrowed` when the input slice already is the canonical
-/// form and `Owned` only when normalization allocated (escapes, prefixed-name
-/// expansion, base resolution, language lowercasing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TermRef<'a> {
-    /// An IRI without the angle brackets.
-    Iri(Cow<'a, str>),
-    /// A blank node label without the `_:` prefix.
-    Blank(Cow<'a, str>),
-    /// A literal, mirroring [`Term::Literal`].
-    Literal {
-        /// The unescaped lexical form.
-        lexical: Cow<'a, str>,
-        /// Datatype IRI, if any.
-        datatype: Option<Cow<'a, str>>,
-        /// Language tag (already lower-cased), if any.
-        language: Option<Cow<'a, str>>,
-    },
-}
-
-impl<'a> TermRef<'a> {
-    /// `true` when the term is an IRI (the only kind valid in predicate
-    /// position).
-    pub fn is_iri(&self) -> bool {
-        matches!(self, TermRef::Iri(_))
-    }
-
-    /// `true` when the term is a literal (invalid in subject position).
-    pub fn is_literal(&self) -> bool {
-        matches!(self, TermRef::Literal { .. })
-    }
-
-    /// Converts into an owned [`Term`].
-    pub fn into_term(self) -> Term {
-        match self {
-            TermRef::Iri(iri) => Term::Iri(iri.into_owned()),
-            TermRef::Blank(label) => Term::BlankNode(label.into_owned()),
-            TermRef::Literal {
-                lexical,
-                datatype,
-                language,
-            } => Term::Literal {
-                lexical: lexical.into_owned(),
-                datatype: datatype.map(Cow::into_owned),
-                language: language.map(Cow::into_owned),
-            },
-        }
-    }
-
-    /// Clones into an owned [`Term`].
-    pub fn to_term(&self) -> Term {
-        self.clone().into_term()
-    }
-
-    /// Appends the canonical N-Triples textual form — exactly what
-    /// `Term::to_string()` produces, i.e. the dictionary's interning key —
-    /// to `out` without allocating.
-    pub fn write_key(&self, out: &mut String) {
-        match self {
-            TermRef::Iri(iri) => {
-                out.push('<');
-                out.push_str(iri);
-                out.push('>');
-            }
-            TermRef::Blank(label) => {
-                out.push_str("_:");
-                out.push_str(label);
-            }
-            TermRef::Literal {
-                lexical,
-                datatype,
-                language,
-            } => {
-                out.push('"');
-                if lexical
-                    .bytes()
-                    .any(|b| matches!(b, b'\\' | b'"' | b'\n' | b'\r' | b'\t'))
-                {
-                    out.push_str(&escape_ntriples(lexical));
-                } else {
-                    out.push_str(lexical);
-                }
-                out.push('"');
-                if let Some(lang) = language {
-                    out.push('@');
-                    out.push_str(lang);
-                } else if let Some(dt) = datatype {
-                    if dt != XSD_STRING {
-                        out.push_str("^^<");
-                        out.push_str(dt);
-                        out.push('>');
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// A borrowed triple, the zero-copy analogue of [`Triple`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1088,7 +990,7 @@ mod tests {
         let mut key = String::new();
         for term in [&triple.subject, &triple.predicate, &triple.object] {
             key.clear();
-            term.write_key(&mut key);
+            term.write_ntriples(&mut key);
             assert_eq!(key, term.to_term().to_string());
         }
     }
@@ -1132,10 +1034,13 @@ mod tests {
 
     #[test]
     fn xsd_string_datatype_is_suppressed_in_key() {
-        let line = format!("<http://a> <http://p> \"x\"^^<{XSD_STRING}> .");
+        let line = format!(
+            "<http://a> <http://p> \"x\"^^<{}> .",
+            inferray_model::term::XSD_STRING
+        );
         let triple = lex_ntriples_line(&line, 1).unwrap().unwrap();
         let mut key = String::new();
-        triple.object.write_key(&mut key);
+        triple.object.write_ntriples(&mut key);
         assert_eq!(key, "\"x\"");
     }
 

@@ -2,11 +2,19 @@
 //!
 //! The writer is the inverse of [`crate::ntriples`]: every triple is emitted
 //! as one canonical N-Triples statement, so `parse(write(g)) == g`. The
-//! reasoners use it to dump materializations, and the dataset generators use
-//! it to persist synthetic workloads.
+//! dataset generators and the tests write decoded [`Triple`]s
+//! ([`write_ntriples`]); a materialized store is dumped straight from its
+//! pair tables and the dictionary's text arena ([`write_store_ntriples`]),
+//! which is what the CLI's batch mode calls.
 
+use inferray_dictionary::Dictionary;
 use inferray_model::{Graph, Triple};
+use inferray_store::{PropertyTable, TripleStore};
 use std::io::{self, Write};
+
+/// Bytes gathered before one `write_all`: large enough that the per-call
+/// cost of the sink disappears, small enough to stay in cache.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Writes triples as N-Triples statements, one per line.
 pub fn write_ntriples<'a, W: Write>(
@@ -19,6 +27,63 @@ pub fn write_ntriples<'a, W: Write>(
         count += 1;
     }
     Ok(count)
+}
+
+/// Writes every triple of `store` as one N-Triples statement per line — in
+/// the order of [`TripleStore::iter_triples`], byte for byte what
+/// `writeln!("{}", dictionary.decode_triple(t))` prints — by copying three
+/// slices of the dictionary's arena per line: no `Term`, no `fmt`.
+///
+/// With `except`, the triples that store also holds are left out: each
+/// table is written as the sorted-run difference against the table of the
+/// same property (the CLI's `--inferred-only`, where `except` is the store
+/// as loaded). Triples the dictionary cannot decode are skipped. Returns the
+/// number of statements written.
+pub fn write_store_ntriples<W: Write>(
+    store: &TripleStore,
+    except: Option<&TripleStore>,
+    dictionary: &Dictionary,
+    out: &mut W,
+) -> io::Result<usize> {
+    let mut buffer: Vec<u8> = Vec::with_capacity(WRITE_BUFFER_BYTES + 1024);
+    let mut written = 0usize;
+    for (p, table) in store.iter_tables() {
+        let Some(predicate) = dictionary.text(p) else {
+            continue;
+        };
+        let mut skip = except
+            .and_then(|except| except.table(p))
+            .map_or(&[][..], PropertyTable::pairs);
+        for pair in table.pairs().chunks_exact(2) {
+            // Both runs are sorted by ⟨s,o⟩: drop what sorts before this
+            // pair, then the pair is asserted iff it heads the rest.
+            while skip.len() >= 2 && (skip[0], skip[1]) < (pair[0], pair[1]) {
+                skip = &skip[2..];
+            }
+            if skip.len() >= 2 && skip[0] == pair[0] && skip[1] == pair[1] {
+                continue;
+            }
+            let (Some(subject), Some(object)) =
+                (dictionary.text(pair[0]), dictionary.text(pair[1]))
+            else {
+                continue;
+            };
+            buffer.extend_from_slice(subject.as_bytes());
+            buffer.push(b' ');
+            buffer.extend_from_slice(predicate.as_bytes());
+            buffer.push(b' ');
+            buffer.extend_from_slice(object.as_bytes());
+            buffer.extend_from_slice(b" .\n");
+            written += 1;
+            if buffer.len() >= WRITE_BUFFER_BYTES {
+                out.write_all(&buffer)?;
+                buffer.clear();
+            }
+        }
+    }
+    out.write_all(&buffer)?;
+    out.flush()?;
+    Ok(written)
 }
 
 /// Writes a whole [`Graph`] as N-Triples. Returns the number of statements.

@@ -5,12 +5,40 @@
 //! fsync as its log stage: the candidate is reasoned and shape-gated on
 //! private copies, then logged, then published — so an acknowledged write
 //! is durable before any reader can observe it, and a refused write never
-//! reaches the log. Threshold-triggered checkpoints serialize the full
-//! store into a [snapshot image](crate::snapshot) and truncate the log.
+//! reaches the log. Checkpoints serialize the full store into a
+//! [snapshot image](crate::snapshot) and retire the log records it covers.
 //! Recovery is the composition: newest valid image + replay of the WAL
 //! suffix through the same pipeline (with a no-op log stage), which is what
 //! makes the recovered store *byte-identical* (the engine is deterministic
 //! for a given input sequence).
+//!
+//! ## A checkpoint has two halves
+//!
+//! An image of a LUBM-500k store is 30 MB: ~65 ms to encode and write,
+//! several times the cost of the write that happens to cross the
+//! threshold. So that write only *begins* the checkpoint, under
+//! the state lock it already holds: it **seals** the log — the live
+//! segment's records move into `wal.sealed`, `wal.log` starts empty — takes
+//! the `Arc`s of the state it just published, and hands both to a thread.
+//! The thread encodes and writes the image and, once it is durable, removes
+//! the sealed segment and prunes old images; the next write (or
+//! [`DurableDataset::wait_for_checkpoint`], or `Drop`) joins it and moves
+//! the status forward. At most one image is in flight; a threshold crossed
+//! again before it is durable waits for it. [`DurableDataset::checkpoint`]
+//! runs the same two halves back to back.
+//!
+//! Every intermediate state recovers, because replay is
+//! `image + sealed + live`, skipping by sequence number:
+//!
+//! | crash after | on disk | replayed |
+//! |---|---|---|
+//! | sealed segment written | old image, sealed = live | each record once |
+//! | live segment emptied | old image, sealed, writes since in live | sealed, then live |
+//! | image durable | new image, sealed, live | live (sealed is skipped) |
+//! | sealed segment removed | new image, live | live |
+//!
+//! An image that fails to be written leaves the sealed segment where it
+//! is; the next checkpoint seals behind it and covers both.
 //!
 //! ## Degradation, not panic
 //!
@@ -31,18 +59,20 @@
 
 use crate::io::IoBackend;
 use crate::snapshot::{self, SnapshotImage};
-use crate::wal::{self, WAL_FILE};
+use crate::wal::{self, WAL_FILE, WAL_SEALED_FILE};
 use inferray_core::{
     InferenceStats, InferrayOptions, Program, ServingDataset, WriteError, WriteKind, WriteOutcome,
 };
+use inferray_dictionary::Dictionary;
 use inferray_model::json_string_into;
 use inferray_parser::LoadedDataset;
 use inferray_rules::analysis::Diagnostic;
-use inferray_store::unpoison;
+use inferray_store::{unpoison, StoreSnapshot, TripleStore};
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
 /// When to fold the WAL into a fresh snapshot image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +198,8 @@ impl From<WriteError> for DurableError {
 pub struct DurabilityStatus {
     /// `true` once the dataset degraded to read-only.
     pub read_only: bool,
-    /// The newest snapshot image, if one was written or recovered.
+    /// The newest *durable* snapshot image, written or recovered. While a
+    /// checkpoint's image is still being written this is the one before it.
     pub snapshot_path: Option<PathBuf>,
     /// Epoch covered by that image.
     pub snapshot_epoch: u64,
@@ -176,9 +207,10 @@ pub struct DurabilityStatus {
     pub last_checkpoint_seq: u64,
     /// Last WAL sequence number acknowledged.
     pub last_seq: u64,
-    /// Records appended since the last checkpoint.
+    /// Records in the live log segment: appended since the last checkpoint
+    /// *began* (it seals the log before it writes its image).
     pub wal_records: u64,
-    /// Bytes appended since the last checkpoint.
+    /// Bytes in the live log segment.
     pub wal_bytes: u64,
     /// The most recent persistence error, if any.
     pub last_error: Option<String>,
@@ -236,12 +268,26 @@ pub struct RecoveryReport {
 #[derive(Debug, Default)]
 struct DurableState {
     last_seq: u64,
+    /// Records and bytes of the live log segment ([`WAL_FILE`]).
     wal_records: u64,
     wal_bytes: u64,
+    /// The newest *durable* image.
     snapshot_epoch: u64,
     snapshot_seq: u64,
     snapshot_path: Option<PathBuf>,
     last_error: Option<String>,
+    /// The checkpoint whose image is still being written.
+    in_flight: Option<ImageInFlight>,
+}
+
+/// A begun checkpoint: the log is sealed, the state is captured, and a
+/// helper thread is writing the image that will cover the sealed segment.
+#[derive(Debug)]
+struct ImageInFlight {
+    path: PathBuf,
+    epoch: u64,
+    seq: u64,
+    writer: JoinHandle<std::io::Result<()>>,
 }
 
 /// A crash-safe [`ServingDataset`]: WAL + snapshot images behind an
@@ -358,23 +404,41 @@ impl DurableDataset {
         // record passed the shape gate of the process that logged it, so
         // replay runs ungated; the embedder re-installs its shapes on the
         // recovered dataset, which validates the recovered snapshot.
-        let wal_path = dir.join(WAL_FILE);
-        let wal_bytes = match backend.read(&wal_path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => {
-                return Err(DurableError::Io {
-                    context: format!("reading {}", wal_path.display()),
-                    message: e.to_string(),
-                })
-            }
+        //
+        // The sealed segment comes first: it holds what a checkpoint had
+        // set aside when its image did not become durable. It is only ever
+        // replaced atomically, so anything in it that does not scan is
+        // damage to acknowledged writes, not a torn append.
+        let read_log = |path: &Path| match backend.read(path) {
+            Ok(bytes) => Ok(bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+            Err(e) => Err(DurableError::Io {
+                context: format!("reading {}", path.display()),
+                message: e.to_string(),
+            }),
         };
+        let sealed_path = dir.join(WAL_SEALED_FILE);
+        let sealed_bytes = read_log(&sealed_path)?;
+        let sealed = wal::scan(&sealed_bytes);
+        if sealed.torn_tail {
+            return Err(DurableError::Corrupt {
+                message: format!(
+                    "{} is damaged after {} bytes",
+                    sealed_path.display(),
+                    sealed.valid_bytes
+                ),
+            });
+        }
+        let wal_path = dir.join(WAL_FILE);
+        let wal_bytes = read_log(&wal_path)?;
         let scan = wal::scan(&wal_bytes);
         let mut replayed = 0usize;
         let mut skipped = 0usize;
         let mut last_seq = snapshot_seq;
-        for record in &scan.records {
-            if record.seq <= snapshot_seq {
+        for record in sealed.records.iter().chain(&scan.records) {
+            // Covered by the image, or met in the sealed segment already (a
+            // crash between sealing and emptying the live segment).
+            if record.seq <= last_seq {
                 skipped += 1;
                 continue;
             }
@@ -422,6 +486,7 @@ impl DurableDataset {
             snapshot_seq,
             snapshot_path: Some(snapshot_path),
             last_error: read_only_reason,
+            in_flight: None,
         };
         let durable = DurableDataset::assemble(inner, backend, dir, policy, state);
         Ok((durable, report))
@@ -479,13 +544,30 @@ impl DurableDataset {
     /// responsive while a write holds the state lock across
     /// materialization, WAL append, and checkpointing.
     pub fn status(&self) -> DurabilityStatus {
+        self.notice_a_finished_image();
         unpoison(self.status_mirror.lock()).clone()
     }
 
     /// [`DurabilityStatus::json_into`] straight off the status mirror,
     /// without the copy [`DurableDataset::status`] makes.
     pub fn status_json_into(&self, out: &mut String) {
+        self.notice_a_finished_image();
         unpoison(self.status_mirror.lock()).json_into(out);
+    }
+
+    /// The status moves on to a checkpoint's image when a write joins its
+    /// thread. With no write coming, a status request does it — but only
+    /// when the state lock is free and the thread is done, so it still
+    /// never waits.
+    fn notice_a_finished_image(&self) {
+        if let Ok(mut state) = self.state.try_lock() {
+            if state.in_flight.is_some() {
+                self.settle_checkpoint(&mut state, false);
+                if state.in_flight.is_none() {
+                    self.refresh_status_mirror(&state);
+                }
+            }
+        }
     }
 
     /// Rebuilds the operator-visible mirror from the authoritative state.
@@ -521,6 +603,7 @@ impl DurableDataset {
         let outcome = self
             .inner
             .write_ntriples(kind, body, || self.append(&mut state, kind, body))?;
+        self.settle_checkpoint(&mut state, false);
         self.maybe_checkpoint(&mut state);
         self.refresh_status_mirror(&state);
         Ok(outcome)
@@ -536,12 +619,24 @@ impl DurableDataset {
         Ok(self.write_ntriples(WriteKind::Retract, body)?)
     }
 
-    /// Writes a snapshot image of the current state and truncates the WAL.
+    /// Writes a snapshot image of the current state and empties the WAL;
+    /// returns once the image is durable.
     pub fn checkpoint(&self) -> Result<PathBuf, DurableError> {
         let mut state = self.lock_state();
-        let result = self.checkpoint_locked(&mut state);
+        let result = self
+            .begin_checkpoint(&mut state)
+            .and_then(|image| self.finish_checkpoint(&mut state, image));
         self.refresh_status_mirror(&state);
         result
+    }
+
+    /// Blocks until no checkpoint image is being written, so that
+    /// [`DurableDataset::status`] describes files that are on disk: for an
+    /// embedder about to copy the data directory, and for tests.
+    pub fn wait_for_checkpoint(&self) {
+        let mut state = self.lock_state();
+        self.settle_checkpoint(&mut state, true);
+        self.refresh_status_mirror(&state);
     }
 
     fn lock_state(&self) -> MutexGuard<'_, DurableState> {
@@ -570,59 +665,188 @@ impl DurableDataset {
         Ok(())
     }
 
+    /// The threshold checkpoint: begun by the write that crossed the
+    /// threshold, finished behind its acknowledgement.
     fn maybe_checkpoint(&self, state: &mut DurableState) {
         if !self.policy.triggered(state.wal_records, state.wal_bytes) {
             return;
         }
         // A failed checkpoint is not fatal: the WAL alone still carries
         // every acknowledged write. Record the error and keep serving.
-        if let Err(e) = self.checkpoint_locked(state) {
-            state.last_error = Some(format!("checkpoint failed: {e}"));
+        match self.begin_checkpoint(state) {
+            Ok(image) => state.in_flight = Some(image),
+            Err(e) => state.last_error = Some(format!("checkpoint failed: {e}")),
         }
     }
 
-    fn checkpoint_locked(&self, state: &mut DurableState) -> Result<PathBuf, DurableError> {
-        let (dictionary, base, snapshot) = self.inner.persistable_state();
-        let image = snapshot::encode_image(
-            &dictionary,
-            &base,
-            snapshot.store(),
-            snapshot.epoch(),
-            state.last_seq,
-            &self.program_name,
-        );
-        let path = self
-            .dir
-            .join(snapshot::snapshot_file_name(snapshot.epoch()));
-        self.backend
-            .write_atomic(&path, &image)
-            .map_err(|e| DurableError::Io {
-                context: format!("writing snapshot {}", path.display()),
+    /// First half of a checkpoint, under the state lock: seal the log,
+    /// capture the state it leads to, and start a thread that writes the
+    /// image. Cheap — two small atomic writes and a copy of the base — so
+    /// the write that crossed the threshold pays for no image.
+    ///
+    /// Sealing moves the live segment's records behind the sealed segment's
+    /// ([`WAL_SEALED_FILE`], normally absent) and empties the live segment:
+    /// `wal_records` counts from zero again at once, and a crash before the
+    /// image is durable replays `sealed ++ live` on top of the previous
+    /// image. If the two writes are torn apart by a crash or a fault, both
+    /// files hold the same records; replay skips by sequence number.
+    fn begin_checkpoint(&self, state: &mut DurableState) -> Result<ImageInFlight, DurableError> {
+        // One image at a time: a threshold reached again before the last
+        // image is durable waits for it.
+        self.settle_checkpoint(state, true);
+        let io_error = |context: String| {
+            move |e: std::io::Error| DurableError::Io {
+                context,
                 message: e.to_string(),
-            })?;
-        // Every record at or below last_seq is now covered by the image;
-        // truncate the log. If the truncation fails the stale records are
-        // merely redundant — replay skips them by sequence number.
-        match self.backend.write_atomic(&self.wal_path(), &[]) {
+            }
+        };
+        let (wal_path, sealed_path) = (self.wal_path(), self.dir.join(WAL_SEALED_FILE));
+        let read = |path: &Path| match self.backend.exists(path) {
+            true => self.backend.read(path),
+            false => Ok(Vec::new()),
+        };
+        // The sealed segment is normally absent. Behind whatever it holds go
+        // the live records it does not hold yet — record by record, which
+        // also leaves a torn tail of the live segment behind.
+        let mut sealed = read(&sealed_path).map_err(io_error("reading the sealed log".into()))?;
+        let held = wal::scan(&sealed);
+        sealed.truncate(held.valid_bytes);
+        let covered = held.records.last().map_or(0, |record| record.seq);
+        let live = read(&wal_path).map_err(io_error("reading the log".into()))?;
+        for record in wal::scan(&live).records {
+            if record.seq > covered {
+                sealed.extend(wal::encode_record(record.seq, record.kind, &record.body));
+            }
+        }
+        if !sealed.is_empty() {
+            self.backend
+                .write_atomic(&sealed_path, &sealed)
+                .map_err(io_error(format!("sealing {}", wal_path.display())))?;
+        }
+        match self.backend.write_atomic(&wal_path, &[]) {
             Ok(()) => {
                 state.wal_records = 0;
                 state.wal_bytes = 0;
             }
+            // The image will cover the records left behind; they are merely
+            // redundant, and the threshold stays crossed.
+            Err(e) => state.last_error = Some(format!("WAL truncation failed: {e}")),
+        }
+
+        let (dictionary, base, snapshot) = self.inner.persistable_state();
+        let (epoch, seq) = (snapshot.epoch(), state.last_seq);
+        let path = self.dir.join(snapshot::snapshot_file_name(epoch));
+        let job = ImageJob {
+            backend: Arc::clone(&self.backend),
+            dir: self.dir.clone(),
+            path: path.clone(),
+            keep: self.policy.snapshots_to_keep,
+            program_name: self.program_name.clone(),
+            seq,
+        };
+        let writer = std::thread::Builder::new()
+            .name("inferray-checkpoint".to_string())
+            .spawn(move || job.run(&dictionary, &base, &snapshot))
+            .map_err(io_error("starting the checkpoint thread".to_string()))?;
+        Ok(ImageInFlight {
+            path,
+            epoch,
+            seq,
+            writer,
+        })
+    }
+
+    /// Second half of a checkpoint: waits for the image and, once it is
+    /// durable, makes it the dataset's newest one. A failed image leaves
+    /// the sealed segment in place for the next checkpoint to cover.
+    fn finish_checkpoint(
+        &self,
+        state: &mut DurableState,
+        image: ImageInFlight,
+    ) -> Result<PathBuf, DurableError> {
+        let written = image
+            .writer
+            .join()
+            .unwrap_or_else(|_| Err(std::io::Error::other("the checkpoint thread panicked")));
+        match written {
+            Ok(()) => {
+                state.snapshot_epoch = image.epoch;
+                state.snapshot_seq = image.seq;
+                state.snapshot_path = Some(image.path.clone());
+                Ok(image.path)
+            }
             Err(e) => {
-                state.last_error = Some(format!("WAL truncation failed: {e}"));
+                let error = DurableError::Io {
+                    context: format!("writing snapshot {}", image.path.display()),
+                    message: e.to_string(),
+                };
+                state.last_error = Some(format!("checkpoint failed: {error}"));
+                Err(error)
             }
         }
-        state.snapshot_epoch = snapshot.epoch();
-        state.snapshot_seq = state.last_seq;
-        state.snapshot_path = Some(path.clone());
-        self.prune_snapshots(&path);
-        Ok(path)
+    }
+
+    /// Takes up the threshold checkpoint in flight, if there is one and —
+    /// unless `wait` — its thread is done.
+    fn settle_checkpoint(&self, state: &mut DurableState, wait: bool) {
+        let done = |image: &mut ImageInFlight| wait || image.writer.is_finished();
+        if let Some(image) = state.in_flight.take_if(done) {
+            let _ = self.finish_checkpoint(state, image);
+        }
+    }
+}
+
+impl Drop for DurableDataset {
+    /// No thread outlives the dataset it writes an image of.
+    fn drop(&mut self) {
+        if let Some(image) = unpoison(self.state.get_mut()).in_flight.take() {
+            let _ = image.writer.join();
+        }
+    }
+}
+
+/// What the checkpoint thread owns besides the captured state.
+struct ImageJob {
+    backend: Arc<dyn IoBackend>,
+    dir: PathBuf,
+    path: PathBuf,
+    keep: usize,
+    program_name: String,
+    seq: u64,
+}
+
+impl ImageJob {
+    /// Encodes and writes the image; once it is durable, retires what it
+    /// supersedes — the sealed log segment and the oldest images. Both
+    /// removals are best-effort: a sealed segment left behind is skipped by
+    /// sequence number at the next start and swallowed by the next seal.
+    fn run(
+        self,
+        dictionary: &Dictionary,
+        base: &TripleStore,
+        snapshot: &StoreSnapshot,
+    ) -> std::io::Result<()> {
+        let image = snapshot::encode_image(
+            dictionary,
+            base,
+            snapshot.store(),
+            snapshot.epoch(),
+            self.seq,
+            &self.program_name,
+        );
+        self.backend.write_atomic(&self.path, &image)?;
+        drop(image);
+        let sealed = self.dir.join(WAL_SEALED_FILE);
+        if self.backend.exists(&sealed) {
+            let _ = self.backend.remove(&sealed);
+        }
+        self.prune_snapshots();
+        Ok(())
     }
 
     /// Removes all but the newest [`CheckpointPolicy::snapshots_to_keep`]
-    /// images (best-effort; the newest one is never removed).
-    fn prune_snapshots(&self, newest: &Path) {
-        let keep = self.policy.snapshots_to_keep.max(1);
+    /// images (best-effort; the one just written is never removed).
+    fn prune_snapshots(&self) {
         let Ok(files) = self.backend.list(&self.dir) else {
             return;
         };
@@ -634,8 +858,8 @@ impl DurableDataset {
             })
             .collect();
         images.sort_by_key(|i| std::cmp::Reverse(i.0));
-        for (_, path) in images.into_iter().skip(keep) {
-            if path != newest {
+        for (_, path) in images.into_iter().skip(self.keep.max(1)) {
+            if path != self.path {
                 let _ = self.backend.remove(&path);
             }
         }
@@ -966,8 +1190,221 @@ mod tests {
         durable
             .extend_ntriples("<http://ex/c> <http://ex/p> <http://ex/d> .\n")
             .unwrap();
-        // Second record crossed the limit: checkpoint + truncation.
+        // Second record crossed the limit: the log is sealed at once, the
+        // image follows behind the acknowledgement.
         assert!(fs.read(Path::new("data/wal.log")).unwrap().is_empty());
+        assert_eq!(durable.status().wal_records, 0);
+        durable.wait_for_checkpoint();
         assert_eq!(durable.status().last_checkpoint_seq, 2);
+        assert!(!fs.exists(Path::new("data/wal.sealed")));
+    }
+
+    const SEALED: &str = "data/wal.sealed";
+    const LIVE: &str = "data/wal.log";
+
+    fn every_two_records() -> CheckpointPolicy {
+        CheckpointPolicy {
+            wal_record_limit: Some(2),
+            wal_byte_limit: None,
+            snapshots_to_keep: 2,
+        }
+    }
+
+    fn boot_with(backend: Arc<MemFs>, policy: CheckpointPolicy) -> DurableDataset {
+        let (durable, _) = DurableDataset::create(
+            load_ntriples(DATA).unwrap(),
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            "data",
+            backend,
+            policy,
+        )
+        .unwrap();
+        durable
+    }
+
+    fn assert_edge(durable: &DurableDataset, n: u8) {
+        durable
+            .extend_ntriples(&format!(
+                "<http://ex/s{n}> <http://ex/p> <http://ex/o{n}> .\n"
+            ))
+            .unwrap();
+    }
+
+    fn records(fs: &MemFs, path: &str) -> usize {
+        wal::scan(&fs.read(Path::new(path)).unwrap()).records.len()
+    }
+
+    /// What a power cut right now recovers to, and how.
+    fn recover(fs: &MemFs) -> (DurableDataset, RecoveryReport) {
+        DurableDataset::open(
+            "data",
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            Arc::new(MemFs::from_view(fs.durable_view())),
+            CheckpointPolicy::manual(),
+        )
+        .unwrap()
+    }
+
+    fn assert_same_state(live: &DurableDataset, recovered: &DurableDataset) {
+        let (live, live_dict) = live.dataset().snapshot();
+        let (back, back_dict) = recovered.dataset().snapshot();
+        assert_eq!(live.epoch(), back.epoch());
+        assert_eq!(live.store(), back.store());
+        assert_eq!(*live_dict, *back_dict);
+    }
+
+    #[test]
+    fn a_crash_while_the_image_is_in_flight_replays_the_sealed_segment() {
+        let fs = Arc::new(MemFs::new());
+        let durable = boot_with(Arc::clone(&fs), every_two_records());
+        fs.hold("img");
+        assert_edge(&durable, 1);
+        assert_edge(&durable, 2);
+        // Sealed, acknowledged, no image yet: the status describes the
+        // newest *durable* image and counts the live segment only.
+        let status = durable.status();
+        assert_eq!((status.wal_records, status.last_seq), (0, 2));
+        assert_eq!((status.last_checkpoint_seq, status.snapshot_epoch), (0, 0));
+        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (2, 0));
+        // Writes go on beside the image.
+        assert_edge(&durable, 3);
+        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (2, 1));
+        assert_eq!(durable.status().wal_records, 1);
+
+        let (recovered, report) = recover(&fs);
+        assert_eq!((report.replayed_records, report.skipped_records), (3, 0));
+        assert_eq!(report.snapshot_epoch, 0);
+        assert_eq!(recovered.status().wal_records, 1);
+        assert_same_state(&durable, &recovered);
+
+        fs.release();
+        durable.wait_for_checkpoint();
+        let status = durable.status();
+        assert_eq!((status.last_checkpoint_seq, status.snapshot_epoch), (2, 2));
+        assert_eq!(status.last_error, None);
+        assert!(!fs.exists(Path::new(SEALED)));
+        let (recovered, report) = recover(&fs);
+        assert_eq!((report.replayed_records, report.skipped_records), (1, 0));
+        assert_eq!(report.snapshot_epoch, 2);
+        assert_same_state(&durable, &recovered);
+    }
+
+    #[test]
+    fn a_failed_image_leaves_its_segment_to_the_next_checkpoint() {
+        let fs = Arc::new(MemFs::new());
+        let durable = boot_with(Arc::clone(&fs), every_two_records());
+        fs.hold("img");
+        assert_edge(&durable, 1);
+        assert_edge(&durable, 2);
+        fs.inject(Fault::FailAtomicWrite);
+        fs.release();
+        durable.wait_for_checkpoint();
+        let status = durable.status();
+        assert!(status.last_error.unwrap().contains("checkpoint failed"));
+        assert_eq!((status.last_checkpoint_seq, status.wal_records), (0, 0));
+        assert!(!durable.is_read_only());
+        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (2, 0));
+        let (recovered, report) = recover(&fs);
+        assert_eq!(report.replayed_records, 2);
+        assert_same_state(&durable, &recovered);
+
+        // The next threshold seals behind what is already sealed, and its
+        // image covers both.
+        fs.hold("img");
+        assert_edge(&durable, 3);
+        assert_edge(&durable, 4);
+        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (4, 0));
+        fs.release();
+        durable.wait_for_checkpoint();
+        assert_eq!(durable.status().last_checkpoint_seq, 4);
+        assert!(!fs.exists(Path::new(SEALED)));
+        let (recovered, report) = recover(&fs);
+        assert_eq!((report.replayed_records, report.skipped_records), (0, 0));
+        assert_same_state(&durable, &recovered);
+    }
+
+    #[test]
+    fn a_log_that_cannot_be_sealed_keeps_growing_until_it_can() {
+        let fs = Arc::new(MemFs::new());
+        let durable = boot_with(Arc::clone(&fs), every_two_records());
+        assert_edge(&durable, 1);
+        fs.inject(Fault::FailAtomicWrite);
+        assert_edge(&durable, 2);
+        let status = durable.status();
+        assert!(status.last_error.unwrap().contains("sealing"));
+        assert_eq!((status.wal_records, status.last_checkpoint_seq), (2, 0));
+        assert!(!fs.exists(Path::new(SEALED)));
+        assert_same_state(&durable, &recover(&fs).0);
+
+        // The threshold is still crossed: the next write tries again.
+        assert_edge(&durable, 3);
+        durable.wait_for_checkpoint();
+        let status = durable.status();
+        assert_eq!((status.wal_records, status.last_checkpoint_seq), (0, 3));
+        assert_same_state(&durable, &recover(&fs).0);
+    }
+
+    #[test]
+    fn a_seal_whose_second_write_fails_leaves_redundant_records_behind() {
+        let fs = Arc::new(MemFs::new());
+        let durable = boot_with(Arc::clone(&fs), every_two_records());
+        assert_edge(&durable, 1);
+        // Park the write that empties the live segment, fail it, let it go.
+        fs.hold("log");
+        std::thread::scope(|scope| {
+            let crossing = scope.spawn(|| assert_edge(&durable, 2));
+            while !fs.exists(Path::new(SEALED)) {
+                std::thread::yield_now();
+            }
+            fs.inject(Fault::FailAtomicWrite);
+            fs.release();
+            crossing.join().unwrap();
+        });
+        durable.wait_for_checkpoint();
+        // The image covers both records; the live segment still holds them
+        // and still counts, so the next write begins another checkpoint.
+        let status = durable.status();
+        assert!(status.last_error.unwrap().contains("WAL truncation failed"));
+        assert_eq!((status.wal_records, status.last_checkpoint_seq), (2, 2));
+        let (recovered, report) = recover(&fs);
+        assert_eq!((report.replayed_records, report.skipped_records), (0, 2));
+        assert_same_state(&durable, &recovered);
+
+        assert_edge(&durable, 3);
+        durable.wait_for_checkpoint();
+        let status = durable.status();
+        assert_eq!((status.wal_records, status.last_checkpoint_seq), (0, 3));
+        assert_same_state(&durable, &recover(&fs).0);
+    }
+
+    #[test]
+    fn records_in_both_segments_are_replayed_once() {
+        // A crash between the two atomic writes of a seal: the sealed
+        // segment already holds what the live one still does.
+        let fs = Arc::new(MemFs::new());
+        let durable = boot(Arc::clone(&fs));
+        assert_edge(&durable, 1);
+        assert_edge(&durable, 2);
+        let log = fs.read(Path::new(LIVE)).unwrap();
+        fs.write_atomic(Path::new(SEALED), &log).unwrap();
+        let (recovered, report) = recover(&fs);
+        assert_eq!((report.replayed_records, report.skipped_records), (2, 2));
+        assert_same_state(&durable, &recovered);
+
+        // The sealed segment is only ever replaced whole, so one that does
+        // not scan to its end is damage, and recovery says so.
+        fs.write_atomic(Path::new(SEALED), &log[..log.len() - 1])
+            .unwrap();
+        let err = DurableDataset::open(
+            "data",
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            Arc::new(MemFs::from_view(fs.durable_view())),
+            CheckpointPolicy::manual(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, DurableError::Corrupt { .. }), "{err}");
     }
 }

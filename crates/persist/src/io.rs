@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// Abstract durable storage. Implementations must be safe to share across
 /// threads; the callers serialize writers themselves.
@@ -50,6 +50,17 @@ pub trait IoBackend: Send + Sync + std::fmt::Debug {
 // ---------------------------------------------------------------------------
 // Real filesystem
 // ---------------------------------------------------------------------------
+
+/// How much of an atomic write goes to the file between two syncs. A
+/// checkpoint image is tens of megabytes and is written beside the log; on a
+/// journaling filesystem an fsync of the log waits for whatever the image
+/// has dirtied so far, so the image is flushed slice by slice and a log
+/// append never waits for more than one of them. Measured on ext4, a 29 MB
+/// file beside 7 KB appends every 8 ms, two runs each: with one sync at the
+/// end the append's p99 is 39 and 69 ms; with a sync per 4 MiB 5.8 and
+/// 5.5 ms, the file itself taking 40 ms either way; with a sync per MiB
+/// the append's p99 is 13 ms and the file takes 50 to 330 ms.
+const WRITE_SLICE: usize = 4 << 20;
 
 /// The production backend: `std::fs` with explicit `sync_all` calls.
 #[derive(Debug, Default, Clone, Copy)]
@@ -95,7 +106,12 @@ impl IoBackend for StdFs {
             _ => return Err(io::Error::new(io::ErrorKind::InvalidInput, "bad path")),
         };
         let mut file = fs::File::create(&tmp)?;
-        file.write_all(data)?;
+        for (index, slice) in data.chunks(WRITE_SLICE).enumerate() {
+            if index > 0 {
+                file.sync_data()?;
+            }
+            file.write_all(slice)?;
+        }
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, path)?;
@@ -171,6 +187,8 @@ struct MemFsState {
     files: BTreeMap<PathBuf, MemFile>,
     faults: Vec<Fault>,
     offline: bool,
+    /// Atomic writes to paths with this extension wait (see [`MemFs::hold`]).
+    held: Option<String>,
 }
 
 /// An in-memory [`IoBackend`] with a power-loss model: each file tracks a
@@ -180,6 +198,7 @@ struct MemFsState {
 #[derive(Debug, Default)]
 pub struct MemFs {
     state: Mutex<MemFsState>,
+    released: Condvar,
 }
 
 /// What a crash leaves on disk: path → durable bytes.
@@ -204,9 +223,9 @@ impl MemFs {
         MemFs {
             state: Mutex::new(MemFsState {
                 files,
-                faults: Vec::new(),
-                offline: false,
+                ..MemFsState::default()
             }),
+            released: Condvar::new(),
         }
     }
 
@@ -219,6 +238,21 @@ impl MemFs {
         } else {
             state.faults.push(fault);
         }
+    }
+
+    /// Parks every [`IoBackend::write_atomic`] to a path with this
+    /// extension until [`MemFs::release`]. A checkpoint writes its image on
+    /// a thread of its own; holding `"img"` pins the moment "log sealed,
+    /// image not yet durable", so a test can take a [`MemFs::durable_view`]
+    /// there, queue a fault for the image write, and only then let it run.
+    pub fn hold(&self, extension: &str) {
+        self.lock().held = Some(extension.to_owned());
+    }
+
+    /// Lets the writes parked by [`MemFs::hold`] proceed.
+    pub fn release(&self) {
+        self.lock().held = None;
+        self.released.notify_all();
     }
 
     /// Snapshot of what a power cut *right now* would leave behind: each
@@ -339,6 +373,13 @@ impl IoBackend for MemFs {
 
     fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         let mut state = self.lock();
+        while state
+            .held
+            .as_deref()
+            .is_some_and(|held| path.extension().and_then(|e| e.to_str()) == Some(held))
+        {
+            state = unpoison(self.released.wait(state));
+        }
         if state.offline {
             return Err(MemFs::offline_err());
         }

@@ -33,4 +33,4 @@ pub use snapshot::{
     decode_image, encode_image, parse_snapshot_file_name, snapshot_file_name, SnapshotError,
     SnapshotImage,
 };
-pub use wal::{WalKind, WalRecord, WalScan, WAL_FILE};
+pub use wal::{WalKind, WalRecord, WalScan, WAL_FILE, WAL_SEALED_FILE};

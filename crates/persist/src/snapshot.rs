@@ -32,9 +32,10 @@
 //! before truncating the log" safe.
 
 use crate::crc::crc32;
-use inferray_dictionary::Dictionary;
-use inferray_model::Term;
+use inferray_dictionary::{DenseTableError, Dictionary};
+use inferray_model::TermRef;
 use inferray_store::{PropertyTable, TripleStore};
+use std::borrow::Cow;
 use std::fmt;
 
 /// File magic: "Inferray snapshot, format 1".
@@ -136,17 +137,17 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_term(out: &mut Vec<u8>, term: &Term) {
+fn put_term(out: &mut Vec<u8>, term: &TermRef<'_>) {
     match term {
-        Term::Iri(iri) => {
+        TermRef::Iri(iri) => {
             out.push(TERM_IRI);
             put_str(out, iri);
         }
-        Term::BlankNode(label) => {
+        TermRef::Blank(label) => {
             out.push(TERM_BLANK);
             put_str(out, label);
         }
-        Term::Literal {
+        TermRef::Literal {
             lexical,
             datatype,
             language,
@@ -171,61 +172,73 @@ fn put_term(out: &mut Vec<u8>, term: &Term) {
     }
 }
 
-fn encode_dictionary(dictionary: &Dictionary) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, dictionary.num_properties() as u64);
-    put_u64(&mut out, dictionary.num_resources() as u64);
-    // `iter()` yields properties then resources, each in dense id order —
-    // exactly the order `Dictionary::from_dense_terms` rebuilds from.
-    for (_, term) in dictionary.iter() {
-        put_term(&mut out, term);
+/// The `DICT` section: both term counts, then every term of the property
+/// table and of the resource table in dense order, each as a tagged,
+/// length-prefixed record. The records are transcoded from the dictionary's
+/// arena text (its canonical N-Triples forms) through a borrowed view — no
+/// `Term` is built — and [`decode_dictionary`] transcodes them back.
+fn encode_dictionary(dictionary: &Dictionary, out: &mut Vec<u8>) {
+    put_u64(out, dictionary.num_properties() as u64);
+    put_u64(out, dictionary.num_resources() as u64);
+    for text in dictionary.texts() {
+        let term = TermRef::from_ntriples(text).expect("the arena holds canonical term text");
+        put_term(out, &term);
     }
-    out
 }
 
-fn encode_store(store: &TripleStore) -> Vec<u8> {
-    let slots = store.slot_tables();
-    let bytes_needed: usize = 8 + slots
+fn store_section_len(store: &TripleStore) -> usize {
+    8 + store
+        .slot_tables()
         .iter()
         .map(|slot| match slot {
             None => 1,
             Some(table) => 1 + 8 + table.pairs().len() * 8,
         })
-        .sum::<usize>();
-    let mut out = Vec::with_capacity(bytes_needed);
-    put_u64(&mut out, slots.len() as u64);
+        .sum::<usize>()
+}
+
+fn encode_store(store: &TripleStore, out: &mut Vec<u8>) {
+    let slots = store.slot_tables();
+    put_u64(out, slots.len() as u64);
     for slot in slots {
         match slot {
             None => out.push(0),
             Some(table) => {
                 out.push(1);
                 let pairs = table.pairs();
-                put_u64(&mut out, (pairs.len() / 2) as u64);
+                put_u64(out, (pairs.len() / 2) as u64);
                 for &value in pairs {
-                    put_u64(&mut out, value);
+                    put_u64(out, value);
                 }
             }
         }
     }
-    out
 }
 
-fn put_section(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8], crc: u32) {
+/// Appends one section: tag, payload length, payload CRC, payload. `fill`
+/// writes the payload straight into `out`; length and CRC are patched in
+/// once it is there, so no section exists a second time in memory.
+fn put_section(out: &mut Vec<u8>, tag: &[u8; 4], fill: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(tag);
-    put_u64(out, payload.len() as u64);
-    put_u32(out, crc);
-    out.extend_from_slice(payload);
+    let fields = out.len();
+    out.extend_from_slice(&[0; 12]);
+    let payload = out.len();
+    fill(out);
+    let len = (out.len() - payload) as u64;
+    let crc = crc32(&out[payload..]);
+    out[fields..fields + 8].copy_from_slice(&len.to_le_bytes());
+    out[fields + 8..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Serializes a complete snapshot image.
 ///
 /// The stores must be finalized (sorted, duplicate-free) — they always are
 /// by the time they are observable through
-/// `ServingDataset::persistable_state`. The three sections (and their
-/// CRCs) are produced in parallel — at LUBM scale they are megabytes each
-/// and independent, and the checkpoint runs under the dataset's write
-/// lock, so its wall time is paid by the update that crossed the WAL
-/// threshold.
+/// `ServingDataset::persistable_state`. The image is built section after
+/// section in one buffer on the calling thread: a threshold checkpoint runs
+/// this beside the next writes (`DurableDataset`), and it must neither hold
+/// the image twice nor queue its sections in front of a write's tasks on
+/// the reasoner's pool.
 pub fn encode_image(
     dictionary: &Dictionary,
     base: &TripleStore,
@@ -241,26 +254,18 @@ pub fn encode_image(
     put_str(&mut header, fragment);
     put_u32(&mut header, 3);
 
-    type EncodeTask<'a> = Box<dyn FnOnce() -> (Vec<u8>, u32) + Send + 'a>;
-    let with_crc = |payload: Vec<u8>| {
-        let crc = crc32(&payload);
-        (payload, crc)
-    };
-    let sections = inferray_parallel::global().run_ordered(vec![
-        Box::new(|| with_crc(encode_dictionary(dictionary))) as EncodeTask<'_>,
-        Box::new(|| with_crc(encode_store(base))),
-        Box::new(|| with_crc(encode_store(materialized))),
-    ]);
-
-    let total: usize = sections.iter().map(|(payload, _)| payload.len() + 16).sum();
-    let mut out = Vec::with_capacity(8 + 8 + header.len() + total);
+    // Reserved once so the buffer never regrows: the stores' sizes are
+    // exact, and a term's record is at most 8 bytes longer than its text.
+    let stores = store_section_len(base) + store_section_len(materialized);
+    let terms: usize = 16 + dictionary.texts().map(|text| text.len() + 8).sum::<usize>();
+    let mut out = Vec::with_capacity(16 + header.len() + 3 * 16 + terms + stores);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, header.len() as u32);
     put_u32(&mut out, crc32(&header));
     out.extend_from_slice(&header);
-    for (tag, (payload, crc)) in [TAG_DICT, TAG_BASE, TAG_MATL].iter().zip(&sections) {
-        put_section(&mut out, tag, payload, *crc);
-    }
+    put_section(&mut out, TAG_DICT, |out| encode_dictionary(dictionary, out));
+    put_section(&mut out, TAG_BASE, |out| encode_store(base, out));
+    put_section(&mut out, TAG_MATL, |out| encode_store(materialized, out));
     out
 }
 
@@ -308,10 +313,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(arr))
     }
 
-    fn str(&mut self) -> Result<String, SnapshotError> {
+    fn str(&mut self) -> Result<&'a str, SnapshotError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Malformed("non-UTF-8 string"))
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| SnapshotError::Malformed("non-UTF-8 string"))
     }
 
     fn done(&self) -> bool {
@@ -319,27 +324,27 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn decode_term(r: &mut Reader<'_>) -> Result<Term, SnapshotError> {
+fn decode_term<'a>(r: &mut Reader<'a>) -> Result<TermRef<'a>, SnapshotError> {
     match r.u8()? {
-        TERM_IRI => Ok(Term::Iri(r.str()?)),
-        TERM_BLANK => Ok(Term::BlankNode(r.str()?)),
+        TERM_IRI => Ok(TermRef::Iri(Cow::Borrowed(r.str()?))),
+        TERM_BLANK => Ok(TermRef::Blank(Cow::Borrowed(r.str()?))),
         TERM_LITERAL => {
-            let lexical = r.str()?;
+            let lexical = Cow::Borrowed(r.str()?);
             let flags = r.u8()?;
             if flags & !(FLAG_DATATYPE | FLAG_LANGUAGE) != 0 {
                 return Err(SnapshotError::Malformed("unknown literal flags"));
             }
             let datatype = if flags & FLAG_DATATYPE != 0 {
-                Some(r.str()?)
+                Some(Cow::Borrowed(r.str()?))
             } else {
                 None
             };
             let language = if flags & FLAG_LANGUAGE != 0 {
-                Some(r.str()?)
+                Some(Cow::Borrowed(r.str()?))
             } else {
                 None
             };
-            Ok(Term::Literal {
+            Ok(TermRef::Literal {
                 lexical,
                 datatype,
                 language,
@@ -349,22 +354,39 @@ fn decode_term(r: &mut Reader<'_>) -> Result<Term, SnapshotError> {
     }
 }
 
+impl From<DenseTableError> for SnapshotError {
+    fn from(error: DenseTableError) -> Self {
+        SnapshotError::Malformed(match error {
+            DenseTableError::DuplicateTerm => "a term occurs twice in the DICT section",
+            DenseTableError::TooManyTerms => "too many terms in the DICT section",
+        })
+    }
+}
+
+/// The smallest term record: a tag byte and a `u32` length.
+const MIN_TERM_RECORD_BYTES: usize = 5;
+
 fn decode_dictionary(payload: &[u8]) -> Result<Dictionary, SnapshotError> {
     let mut r = Reader::new(payload);
     let num_properties = r.u64()? as usize;
     let num_resources = r.u64()? as usize;
-    let mut properties = Vec::with_capacity(num_properties);
-    for _ in 0..num_properties {
-        properties.push(decode_term(&mut r)?);
+    // The dictionary reserves its tables from these counts: hold them to
+    // what the payload can contain first.
+    if num_properties
+        .checked_add(num_resources)
+        .is_none_or(|terms| terms > payload.len() / MIN_TERM_RECORD_BYTES)
+    {
+        return Err(SnapshotError::Truncated);
     }
-    let mut resources = Vec::with_capacity(num_resources);
-    for _ in 0..num_resources {
-        resources.push(decode_term(&mut r)?);
-    }
+    // Each record is rendered in its canonical N-Triples form straight into
+    // the dictionary's arena, borrowed from the payload.
+    let dictionary = Dictionary::from_dense_texts(num_properties, num_resources, |text| {
+        decode_term(&mut r).map(|term| term.write_ntriples(text))
+    })?;
     if !r.done() {
         return Err(SnapshotError::Malformed("trailing bytes in DICT section"));
     }
-    Ok(Dictionary::from_dense_terms(properties, resources))
+    Ok(dictionary)
 }
 
 fn decode_store(payload: &[u8]) -> Result<TripleStore, SnapshotError> {
@@ -464,7 +486,7 @@ pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, SnapshotError> {
     }
     let epoch = h.u64()?;
     let last_seq = h.u64()?;
-    let fragment = h.str()?;
+    let fragment = h.str()?.to_owned();
     let section_count = h.u32()?;
     if section_count != 3 || !h.done() {
         return Err(SnapshotError::Malformed("bad header"));
@@ -523,7 +545,7 @@ pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inferray_model::Triple;
+    use inferray_model::{Term, Triple};
 
     fn sample() -> (Dictionary, TripleStore, TripleStore) {
         let mut dictionary = Dictionary::new();

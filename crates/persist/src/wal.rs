@@ -25,8 +25,14 @@
 
 use crate::crc::crc32;
 
-/// File name of the log inside a data directory.
+/// File name of the log inside a data directory: the live segment, the
+/// one every write appends to.
 pub const WAL_FILE: &str = "wal.log";
+
+/// File name of the sealed segment: the records a checkpoint set aside
+/// when it began, kept until the image that covers them is durable. Same
+/// record format; absent whenever no checkpoint is under way.
+pub const WAL_SEALED_FILE: &str = "wal.sealed";
 
 /// Upper bound on a single record's payload — a defence against reading a
 /// garbage length field and allocating gigabytes. One update batch is one

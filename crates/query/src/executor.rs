@@ -24,10 +24,10 @@
 //! `DISTINCT` is answered by emitting one row per run when the sort order
 //! of the scanned layout already groups equal rows ([`Dedup`]).
 
-use crate::solution::{decode, Batch, UNBOUND};
+use crate::solution::{Batch, UNBOUND};
 use inferray_dictionary::Dictionary;
 use inferray_model::ids::is_property_id;
-use inferray_model::{Term, TermKind};
+use inferray_model::TermKind;
 use inferray_store::{
     gallop_lower_bound, gallop_upper_bound, PropertyTable, SortScratch, TripleStore,
 };
@@ -137,7 +137,7 @@ impl RowFilter {
     fn holds(self, value: impl Fn(Source) -> u64, dictionary: &Dictionary) -> bool {
         match self {
             RowFilter::Bound(a) => value(a) != UNBOUND,
-            RowFilter::Kind(a, kind) => decode(dictionary, value(a)).map(Term::kind) == Some(kind),
+            RowFilter::Kind(a, kind) => dictionary.kind(value(a)) == Some(kind),
             RowFilter::Equal(a, rhs) => {
                 let lhs = value(a);
                 let rhs = match rhs {

@@ -75,9 +75,9 @@
 use crate::algebra::QueryForm;
 use crate::executor::Scratch;
 use crate::serving::SnapshotQueryEngine;
-use crate::solution::{decode, SolutionSet};
+use crate::solution::SolutionSet;
 use crate::sparql::parse_query;
-use inferray_model::{json_escape_into, Term};
+use inferray_model::{json_escape_into, TermRef};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1099,7 +1099,7 @@ fn results_json_into(out: &mut String, solutions: &SolutionSet, engine: &Snapsho
         out.push('{');
         let mut first = true;
         for (var, id) in solutions.variables().iter().zip(row) {
-            let Some(term) = decode(dictionary, *id) else {
+            let Some(term) = dictionary.term_ref(*id) else {
                 continue; // unbound variables are omitted from the binding
             };
             if !first {
@@ -1109,26 +1109,28 @@ fn results_json_into(out: &mut String, solutions: &SolutionSet, engine: &Snapsho
             out.push('"');
             json_escape_into(out, var);
             out.push_str("\":");
-            term_json_into(out, term);
+            term_json_into(out, &term);
         }
         out.push('}');
     }
     out.push_str("]}}\n");
 }
 
-fn term_json_into(out: &mut String, term: &Term) {
+/// Renders one binding off the borrowed view of the dictionary's arena
+/// text: nothing is copied but into `out`.
+fn term_json_into(out: &mut String, term: &TermRef<'_>) {
     match term {
-        Term::Iri(iri) => {
+        TermRef::Iri(iri) => {
             out.push_str("{\"type\":\"uri\",\"value\":\"");
             json_escape_into(out, iri);
             out.push_str("\"}");
         }
-        Term::BlankNode(label) => {
+        TermRef::Blank(label) => {
             out.push_str("{\"type\":\"bnode\",\"value\":\"");
             json_escape_into(out, label);
             out.push_str("\"}");
         }
-        Term::Literal {
+        TermRef::Literal {
             lexical,
             datatype,
             language,
@@ -1238,7 +1240,7 @@ fn respond(
 mod tests {
     use super::*;
     use inferray_dictionary::Dictionary;
-    use inferray_model::Triple;
+    use inferray_model::{Term, Triple};
     use inferray_store::{SnapshotStore, TripleStore};
 
     fn service() -> (Arc<SnapshotStore>, Arc<Dictionary>) {
@@ -1295,6 +1297,34 @@ mod tests {
             .map(|(_, body)| body.to_owned())
             .unwrap_or_default();
         (status, body)
+    }
+
+    #[test]
+    fn an_explicit_xsd_string_binding_has_no_datatype_member() {
+        // RDF 1.1: the simple literal is the xsd:string literal, and the
+        // dictionary keeps one canonical text for both spellings.
+        let mut dictionary = Dictionary::new();
+        let render = |dictionary: &Dictionary, id| {
+            let mut out = String::new();
+            term_json_into(&mut out, &dictionary.term_ref(id).unwrap());
+            out
+        };
+        let id = dictionary.encode_as_resource(&Term::typed_literal(
+            "Bob",
+            inferray_model::term::XSD_STRING,
+        ));
+        assert_eq!(
+            render(&dictionary, id),
+            "{\"type\":\"literal\",\"value\":\"Bob\"}"
+        );
+        let id = dictionary.encode_as_resource(&Term::typed_literal(
+            "42",
+            "http://www.w3.org/2001/XMLSchema#integer",
+        ));
+        assert_eq!(
+            render(&dictionary, id),
+            "{\"type\":\"literal\",\"value\":\"42\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"}"
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::fmt;
 
 /// The identifier standing for "no binding" in a flat row. The dense
 /// numbering grows resources upwards from `2³² + 1` one term at a time, so no
-/// dictionary can ever assign it.
+/// dictionary can ever assign it — `Dictionary::text`, `term_ref` and
+/// `decode` answer `None` for it like for any other unknown identifier.
 pub const UNBOUND: u64 = u64::MAX;
 
 /// One row of a solution in boxed form: the encoded binding of each
@@ -140,11 +141,7 @@ impl SolutionSet {
     /// store with the wrong dictionary).
     pub fn decoded(&self, dictionary: &Dictionary) -> Vec<Vec<Option<Term>>> {
         self.rows()
-            .map(|row| {
-                row.iter()
-                    .map(|id| decode(dictionary, *id).cloned())
-                    .collect()
-            })
+            .map(|row| row.iter().map(|id| dictionary.decode(*id)).collect())
             .collect()
     }
 
@@ -159,7 +156,7 @@ impl SolutionSet {
         if row >= self.len() {
             return None;
         }
-        decode(dictionary, self.batch.row(row)[column]).cloned()
+        dictionary.decode(self.batch.row(row)[column])
     }
 
     /// Renders the solutions as a small text table (decoded through the
@@ -168,10 +165,10 @@ impl SolutionSet {
         let mut out = String::new();
         out.push_str(&self.variables.join("\t"));
         out.push('\n');
-        for row in self.decoded(dictionary) {
-            let cells: Vec<String> = row
+        for row in self.rows() {
+            let cells: Vec<&str> = row
                 .iter()
-                .map(|t| t.as_ref().map_or("UNBOUND".to_owned(), Term::to_string))
+                .map(|id| dictionary.text(*id).unwrap_or("UNBOUND"))
                 .collect();
             out.push_str(&cells.join("\t"));
             out.push('\n');
@@ -192,15 +189,6 @@ impl SolutionSet {
             .collect();
         rows.sort();
         rows
-    }
-}
-
-/// The term behind an identifier of a flat row.
-pub(crate) fn decode(dictionary: &Dictionary, id: u64) -> Option<&Term> {
-    if id == UNBOUND {
-        None
-    } else {
-        dictionary.decode(id)
     }
 }
 

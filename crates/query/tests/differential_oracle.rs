@@ -236,7 +236,7 @@ fn naive_filter(filter: &FilterExpr, bindings: &Bindings, dictionary: &Dictionar
     let kind = |name: &str| {
         value(name)
             .and_then(|id| dictionary.decode(id))
-            .map(Term::kind)
+            .map(|term| term.kind())
     };
     match filter {
         FilterExpr::Bound(name) => value(name).is_some(),

@@ -67,8 +67,8 @@ impl RuleCost {
 fn term_str(term: Term, dict: &Dictionary) -> String {
     match term {
         Term::Var(v) => format!("?v{v}"),
-        Term::Const(c) => match dict.decode(c) {
-            Some(decoded) => decoded.to_string(),
+        Term::Const(c) => match dict.text(c) {
+            Some(text) => text.to_owned(),
             None => format!("#{c}"),
         },
     }

@@ -35,7 +35,7 @@
 use super::compile::{Check, CompiledShapes, Target};
 use inferray_dictionary::Dictionary;
 use inferray_model::term::{RDF_LANG_STRING, XSD_STRING};
-use inferray_model::Term;
+use inferray_model::TermRef;
 use inferray_parallel::ThreadPool;
 use inferray_store::{PropertyTable, TripleStore};
 use std::collections::HashSet;
@@ -130,13 +130,13 @@ fn table(store: &TripleStore, p: Option<u64>) -> &PropertyTable {
 /// `true` when `value` is a literal whose effective datatype is `iri`
 /// (plain literals are `xsd:string`, language-tagged ones `rdf:langString`).
 fn has_datatype(dict: &Dictionary, value: u64, iri: &str) -> bool {
-    match dict.decode(value) {
-        Some(Term::Literal {
+    match dict.term_ref(value) {
+        Some(TermRef::Literal {
             datatype, language, ..
         }) => {
-            let effective = match (language, datatype) {
+            let effective = match (&language, &datatype) {
                 (Some(_), _) => RDF_LANG_STRING,
-                (None, Some(dt)) => dt.as_str(),
+                (None, Some(dt)) => dt,
                 (None, None) => XSD_STRING,
             };
             effective == iri
@@ -472,7 +472,7 @@ pub fn validate_delta(
 mod tests {
     use super::super::analyze;
     use super::*;
-    use inferray_model::Triple;
+    use inferray_model::{Term, Triple};
 
     fn load(triples: &[(&str, &str, &str)]) -> (TripleStore, Dictionary) {
         let mut dict = Dictionary::new();

@@ -12,7 +12,7 @@
 //! | IL004 | lock-acquisition ordering across the publish/persist protocols |
 //! | IL005 | no `std::process::exit` outside `src/bin` |
 //! | IL006 | manifest hygiene: intra-workspace deps via `workspace = true`, no version drift |
-//! | IL007 | no per-request allocation (`format!`/`String::new`/`Vec::new`) in the serving hot path and the `/status` renderers it reaches, no per-row allocation or row copy (`.clone()`, `vec![`, `.collect`, …) in the executor's kernels and the batch accessors |
+//! | IL007 | no per-request allocation (`format!`/`String::new`/`Vec::new`) in the serving hot path and the `/status` renderers it reaches, no per-row allocation or row copy (`.clone()`, `vec![`, `.collect`, …) in the executor's kernels and the batch accessors, no owned copy of a term's text (`.to_string()`, `.clone()`, `.to_owned()`, …) on the dictionary's hit path and in the batch writer's loop |
 //! | IL008 | `RuleInfo` literals only in the rule catalog and the rule-program analyzer |
 //!
 //! Findings a human has justified live in `crates/verify-lint/allowlist.txt`

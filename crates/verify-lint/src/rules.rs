@@ -769,6 +769,29 @@ const KERNEL_ALLOC_PATTERNS: &[&str] = &[
     ".collect",
 ];
 
+/// The dictionary's hit path — what a lookup or a decode of a *known* term
+/// runs: `Dictionary::text` / `id_of_text` in `dictionary.rs` and, in
+/// `arena.rs`, `text`, `get` and the probe under them (`find`, `span`,
+/// `home_slot`). The miss path (`intern`, `commit`, `grow`) appends and
+/// re-seats, and is not listed.
+pub const DICTIONARY_HIT_PATH: &[&str] =
+    &["text", "id_of_text", "get", "find", "span", "home_slot"];
+
+/// The batch writer's loop in `crates/parser/src/writer.rs`: three arena
+/// slices copied per line into one reused buffer.
+pub const WRITER_LOOP: &[&str] = &["write_store_ntriples"];
+
+/// Banned where a term is only read: anything that builds an owned copy of
+/// its text (or of the term). `Vec::with_capacity` for the one output
+/// buffer stays legal.
+const TEXT_COPY_PATTERNS: &[&str] = &[
+    "format!(",
+    "String::new(",
+    ".to_string()",
+    ".clone()",
+    ".to_owned()",
+];
+
 /// The zero-allocation functions of one file (or of a set of files that
 /// share one list).
 struct HotList {
@@ -821,11 +844,31 @@ const HOT_LISTS: &[HotList] = &[
         advice: "hand out slices of the flat buffer; boxed copies belong in the convenience \
              methods outside the hot list",
     },
+    HotList {
+        path_suffixes: &[
+            "crates/dictionary/src/dictionary.rs",
+            "crates/dictionary/src/arena.rs",
+        ],
+        functions: DICTIONARY_HIT_PATH,
+        banned: TEXT_COPY_PATTERNS,
+        role: "dictionary hit-path function",
+        advice: "hand out a slice of the text arena; an owned `Term` or `String` belongs at \
+             the API edge (`decode`, `iter`), outside the hot list",
+    },
+    HotList {
+        path_suffixes: &["crates/parser/src/writer.rs"],
+        functions: WRITER_LOOP,
+        banned: TEXT_COPY_PATTERNS,
+        role: "writer loop",
+        advice: "copy `Dictionary::text` slices into the one output buffer; no `Term`, no \
+             `fmt`, no per-line string",
+    },
 ];
 
 /// IL007: the serving hot path must render into the per-worker reusable
 /// buffers and the executor's kernels into the reusable batches — no fresh
-/// container or row copy per request or per row. Cold work (error-message
+/// container or row copy per request or per row — and the dictionary's hit
+/// path and the batch writer must move arena slices, never owned text. Cold work (error-message
 /// construction, update handling, planning) belongs in a function outside
 /// the hot lists.
 pub fn il007_no_hot_path_allocation(files: &[SourceFile]) -> Vec<Diagnostic> {

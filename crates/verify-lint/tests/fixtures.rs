@@ -335,6 +335,62 @@ fn il007_covers_the_batch_accessors() {
 }
 
 #[test]
+fn il007_covers_the_dictionary_hit_path() {
+    for home in [
+        "crates/dictionary/src/dictionary.rs",
+        "crates/dictionary/src/arena.rs",
+    ] {
+        let files = vec![fixture("il007_dictionary_alloc.rs", home)];
+        let diags = rules::il007_no_hot_path_allocation(&files);
+        assert_eq!(diags.len(), 3, "{home}: {diags:?}");
+        for (hot_fn, copy) in [
+            ("`text`", "`.to_string()`"),
+            ("`find`", "`.to_owned()`"),
+            ("`id_of_text`", "`.clone()`"),
+        ] {
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.message.contains("dictionary hit-path function")
+                        && d.message.contains(hot_fn)
+                        && d.message.contains(copy)),
+                "{home}: missing {copy} in {hot_fn}: {diags:?}"
+            );
+        }
+    }
+    // The same names are not hot in the dictionary's other modules.
+    let files = vec![fixture(
+        "il007_dictionary_alloc.rs",
+        "crates/dictionary/src/stats.rs",
+    )];
+    assert!(rules::il007_no_hot_path_allocation(&files).is_empty());
+}
+
+#[test]
+fn il007_covers_the_batch_writer_loop() {
+    let files = vec![fixture(
+        "il007_writer_alloc.rs",
+        "crates/parser/src/writer.rs",
+    )];
+    let diags = rules::il007_no_hot_path_allocation(&files);
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    for copy in ["`format!`", "`.to_string()`"] {
+        assert!(
+            diags.iter().any(|d| d.message.contains("writer loop")
+                && d.message.contains("`write_store_ntriples`")
+                && d.message.contains(copy)),
+            "missing {copy}: {diags:?}"
+        );
+    }
+    // The loader next door formats error messages freely.
+    let files = vec![fixture(
+        "il007_writer_alloc.rs",
+        "crates/parser/src/loader.rs",
+    )];
+    assert!(rules::il007_no_hot_path_allocation(&files).is_empty());
+}
+
+#[test]
 fn il008_fires_on_rule_info_literals_outside_the_catalog() {
     let files = vec![fixture(
         "il008_rule_info_literal.rs",

@@ -95,11 +95,12 @@ use inferray_core::{
     InferrayOptions, InferrayReasoner, Ingest, LoaderOptions, Materializer, ServingDataset,
 };
 use inferray_parser::loader::LoadedDataset;
+use inferray_parser::write_store_ntriples;
 use inferray_query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::{shapes, Fragment};
 use inferray_store::DistinctCount;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -457,23 +458,19 @@ fn run(options: &CliOptions) -> Result<(), String> {
     let loaded = load(options)?;
 
     let mut reasoner = InferrayReasoner::with_options(options.fragment, reasoner_options(options));
-    let input_triples: std::collections::BTreeSet<_> = loaded.store.iter_triples().collect();
+    // Only `--inferred-only` needs the input after reasoning: the writer
+    // subtracts it table by table.
+    let input = options.inferred_only.then(|| loaded.store.clone());
     let mut store = loaded.store;
     let stats = reasoner.materialize(&mut store);
 
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut written = 0usize;
-    for triple in store.iter_triples() {
-        if options.inferred_only && input_triples.contains(&triple) {
-            continue;
-        }
-        if let Some(decoded) = loaded.dictionary.decode_triple(triple) {
-            writeln!(out, "{decoded}").map_err(|e| e.to_string())?;
-            written += 1;
-        }
-    }
-    out.flush().map_err(|e| e.to_string())?;
+    let written = write_store_ntriples(
+        &store,
+        input.as_ref(),
+        &loaded.dictionary,
+        &mut std::io::stdout().lock(),
+    )
+    .map_err(|e| e.to_string())?;
 
     eprintln!(
         "inferray: {} input triples, {} inferred, {} written, {} iterations, {:?} ({} fragment)",
@@ -711,8 +708,8 @@ fn shapes_check(options: &CliOptions, validate: bool) -> Result<(), String> {
         let shape = &compiled.shapes[v.shape];
         let focus = loaded
             .dictionary
-            .decode(v.focus)
-            .map_or_else(|| format!("#{}", v.focus), |t| t.to_string());
+            .text(v.focus)
+            .map_or_else(|| format!("#{}", v.focus), str::to_owned);
         println!(
             "{path}:{}:{}: violation: focus {focus} fails shape {}: {}",
             v.line,
@@ -741,8 +738,8 @@ fn describe_kind(
     dict: &inferray_dictionary::Dictionary,
 ) -> String {
     let decode = |id: u64| {
-        dict.decode(id)
-            .map_or_else(|| format!("#{id}"), |t| t.to_string())
+        dict.text(id)
+            .map_or_else(|| format!("#{id}"), str::to_owned)
     };
     let path_iri = compiled.shapes[v.shape]
         .constraints
