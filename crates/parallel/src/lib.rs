@@ -188,7 +188,14 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Raise the flag under the queue lock. A worker checks the flag and
+        // then waits without releasing that lock in between, so a store made
+        // outside it can land between the two: the notify below then finds
+        // nobody waiting and `join` never returns.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.job_available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();

@@ -15,10 +15,17 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// `PROPTEST_CASES` overrides the default case count, as in the real
+    /// crate (the nightly CI job raises it for the fuzz suite); an explicit
+    /// `with_cases` is not affected.
     fn default() -> Self {
         // The real proptest defaults to 256; 128 keeps the (single-core CI)
         // suite fast while still exercising each property broadly.
-        ProptestConfig { cases: 128 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|value| value.parse().ok())
+            .unwrap_or(128);
+        ProptestConfig { cases }
     }
 }
 
