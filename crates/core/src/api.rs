@@ -10,8 +10,9 @@ use crate::{InferrayOptions, InferrayReasoner, RetractionStats};
 use inferray_dictionary::Dictionary;
 use inferray_model::ids::is_property_id;
 use inferray_model::{json_string_into, Graph, IdTriple, Triple};
+use inferray_parser::lex::{lex_ntriples_chunk, Chunk};
 use inferray_parser::loader::{load_graph, LoadError, LoadedDataset};
-use inferray_parser::{parse_ntriples, Ingest, LoaderOptions};
+use inferray_parser::{Ingest, LoaderOptions, TripleRef};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::shapes::{self, ShapeAnalysis};
 use inferray_rules::{Fragment, InferenceStats, Materializer};
@@ -790,10 +791,10 @@ impl ServingDataset {
     /// that passed the gate and before anything is swapped in, so a refused
     /// write is never logged and a logged write never fails to apply. On any
     /// `Err` the private copies are dropped and nothing was published.
-    fn write(
+    fn write<'t>(
         &self,
         kind: WriteKind,
-        triples: impl IntoIterator<Item = Triple>,
+        triples: impl IntoIterator<Item = TripleRef<'t>>,
         log: impl FnOnce() -> Result<(), String>,
     ) -> Result<WriteOutcome, WriteError> {
         let guard = unpoison(self.writer.lock());
@@ -810,20 +811,25 @@ impl ServingDataset {
 
         let mut delta: Vec<IdTriple> = Vec::new();
         for triple in triples {
+            let TripleRef {
+                subject,
+                predicate,
+                object,
+            } = &triple;
             let encoded = match kind {
                 WriteKind::Assert => Some(
                     dictionary
                         .to_mut()
-                        .encode_triple(&triple)
+                        .encode_term_refs(subject, predicate, object)
                         .map_err(|e| LoadError::Encode(e.to_string()))?,
                 ),
                 // Terms absent from the dictionary cannot occur in any
                 // triple of the store; predicates that were never promoted
                 // to property ids cannot address a table.
                 WriteKind::Retract => dictionary
-                    .id_of(&triple.subject)
-                    .zip(dictionary.id_of(&triple.predicate))
-                    .zip(dictionary.id_of(&triple.object))
+                    .id_of_ref(subject)
+                    .zip(dictionary.id_of_ref(predicate))
+                    .zip(dictionary.id_of_ref(object))
                     .filter(|((_, p), _)| is_property_id(*p))
                     .map(|((s, p), o)| IdTriple::new(s, p, o)),
             };
@@ -913,9 +919,11 @@ impl ServingDataset {
         })
     }
 
-    /// Parses an N-Triples document and runs it through the write pipeline
+    /// Lexes an N-Triples document and runs it through the write pipeline
     /// (see [`ServingDataset::extend`] / [`ServingDataset::retract`] for
-    /// what the two kinds do). `log` is the durability stage: it runs after
+    /// what the two kinds do). The statements stay borrowed slices of `text`
+    /// until the encode stage interns them, as in the batch ingest. `log` is
+    /// the durability stage: it runs after
     /// the candidate passed the shape gate and before anything publishes,
     /// and its `Err` aborts the write as [`WriteError::Log`]. In-memory
     /// callers pass `|| Ok(())`.
@@ -925,8 +933,24 @@ impl ServingDataset {
         text: &str,
         log: impl FnOnce() -> Result<(), String>,
     ) -> Result<WriteOutcome, WriteError> {
-        let triples = parse_ntriples(text).map_err(LoadError::from)?;
+        let document = Chunk {
+            text,
+            first_line: 1,
+        };
+        let mut triples = Vec::new();
+        lex_ntriples_chunk(document, |triple| triples.push(triple)).map_err(LoadError::from)?;
         self.write(kind, triples, log)
+    }
+
+    /// The in-memory write of owned triples: the pipeline sees their
+    /// borrowed views, like the statements of a lexed document.
+    fn write_triples(
+        &self,
+        kind: WriteKind,
+        triples: impl IntoIterator<Item = Triple>,
+    ) -> Result<WriteOutcome, WriteError> {
+        let triples: Vec<Triple> = triples.into_iter().collect();
+        self.write(kind, triples.iter().map(TripleRef::from), || Ok(()))
     }
 
     /// Asserts decoded triples and incrementally re-materializes; publishes
@@ -936,7 +960,7 @@ impl ServingDataset {
         &self,
         triples: impl IntoIterator<Item = Triple>,
     ) -> Result<WriteOutcome, WriteError> {
-        self.write(WriteKind::Assert, triples, || Ok(()))
+        self.write_triples(WriteKind::Assert, triples)
     }
 
     /// [`ServingDataset::extend`] from an N-Triples document.
@@ -951,7 +975,7 @@ impl ServingDataset {
         &self,
         triples: impl IntoIterator<Item = Triple>,
     ) -> Result<WriteOutcome, WriteError> {
-        self.write(WriteKind::Retract, triples, || Ok(()))
+        self.write_triples(WriteKind::Retract, triples)
     }
 
     /// [`ServingDataset::retract`] from an N-Triples document.

@@ -12,7 +12,7 @@ use std::fmt;
 /// thread-local scratch buffer and hands it to `f`, so a read-only lookup
 /// never allocates. (The encode path needs no scratch: it renders into the
 /// arena's own tail, see [`TextArena::intern_with`].)
-fn with_term_key<R>(term: &Term, f: impl FnOnce(&str) -> R) -> R {
+fn with_term_key<R>(term: &TermRef<'_>, f: impl FnOnce(&str) -> R) -> R {
     thread_local! {
         static KEY_BUF: RefCell<String> = const { RefCell::new(String::new()) };
     }
@@ -259,6 +259,11 @@ impl Dictionary {
     /// The identifier of `term`, if it has been registered. Allocation-free:
     /// the lookup key is rendered into a reusable scratch buffer.
     pub fn id_of(&self, term: &Term) -> Option<u64> {
+        self.id_of_ref(&term.as_term_ref())
+    }
+
+    /// [`id_of`](Self::id_of) for a borrowed term, as the lexers yield it.
+    pub fn id_of_ref(&self, term: &TermRef<'_>) -> Option<u64> {
         with_term_key(term, |key| self.id_of_text(key))
     }
 
@@ -364,10 +369,31 @@ impl Dictionary {
     /// not (yet) appear in a predicate position, so the property-hierarchy
     /// rules can address their tables directly.
     pub fn encode_triple(&mut self, triple: &Triple) -> Result<IdTriple, EncodeError> {
-        if triple.subject.is_literal() {
-            return Err(EncodeError::LiteralSubject(triple.subject.to_string()));
+        self.encode_term_refs(
+            &triple.subject.as_term_ref(),
+            &triple.predicate.as_term_ref(),
+            &triple.object.as_term_ref(),
+        )
+    }
+
+    /// [`encode_triple`](Self::encode_triple) over borrowed terms: a lexed
+    /// statement is interned straight from the slices of its document, no
+    /// owned [`Term`] in between.
+    pub fn encode_term_refs(
+        &mut self,
+        subject: &TermRef<'_>,
+        predicate: &TermRef<'_>,
+        object: &TermRef<'_>,
+    ) -> Result<IdTriple, EncodeError> {
+        if subject.is_literal() {
+            return Err(EncodeError::LiteralSubject(subject.to_term().to_string()));
         }
-        let p = self.encode_as_property(&triple.predicate)?;
+        if !predicate.is_iri() {
+            return Err(EncodeError::InvalidPredicate(
+                predicate.to_term().to_string(),
+            ));
+        }
+        let p = self.encode_with(Demand::Property, |out| predicate.write_ntriples(out))?;
 
         let subject_is_property = matches!(
             p,
@@ -377,7 +403,7 @@ impl Dictionary {
                 || x == crate::wellknown::OWL_EQUIVALENT_PROPERTY
                 || x == crate::wellknown::OWL_INVERSE_OF
         ) || (p == crate::wellknown::RDF_TYPE
-            && object_is_property_class(&triple.object));
+            && is_property_class(object.as_iri()));
         let object_is_property = matches!(
             p,
             x if x == crate::wellknown::RDFS_SUB_PROPERTY_OF
@@ -385,18 +411,18 @@ impl Dictionary {
                 || x == crate::wellknown::OWL_INVERSE_OF
         );
 
-        let demand = |is_property: bool, term: &Term| {
-            if is_property && term.valid_predicate() {
+        let demand = |is_property: bool, term: &TermRef<'_>| {
+            if is_property && term.is_iri() {
                 Demand::Property
             } else {
                 Demand::Resource
             }
         };
-        let s = self.encode_with(demand(subject_is_property, &triple.subject), |out| {
-            triple.subject.write_ntriples(out)
+        let s = self.encode_with(demand(subject_is_property, subject), |out| {
+            subject.write_ntriples(out)
         })?;
-        let o = self.encode_with(demand(object_is_property, &triple.object), |out| {
-            triple.object.write_ntriples(out)
+        let o = self.encode_with(demand(object_is_property, object), |out| {
+            object.write_ntriples(out)
         })?;
         Ok(IdTriple::new(s, p, o))
     }
@@ -510,11 +536,11 @@ impl Dictionary {
     }
 }
 
-/// `true` when `term` is one of the RDF/OWL classes whose instances are
+/// `true` when `iri` is one of the RDF/OWL classes whose instances are
 /// properties (so a `rdf:type` declaration marks its subject as a property).
-fn object_is_property_class(term: &Term) -> bool {
+fn is_property_class(iri: Option<&str>) -> bool {
     matches!(
-        term.as_iri(),
+        iri,
         Some(
             vocab::RDF_PROPERTY
                 | vocab::RDFS_CONTAINER_MEMBERSHIP_PROPERTY

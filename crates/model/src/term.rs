@@ -113,10 +113,7 @@ impl Term {
 
     /// Builds an integer literal typed as `xsd:integer`.
     pub fn integer(value: i64) -> Self {
-        Term::typed_literal(
-            value.to_string(),
-            "http://www.w3.org/2001/XMLSchema#integer",
-        )
+        Term::typed_literal(value.to_string(), crate::vocab::XSD_INTEGER)
     }
 
     /// The coarse kind of this term.

@@ -15,6 +15,12 @@ pub const RDFS_NS: &str = "http://www.w3.org/2000/01/rdf-schema#";
 pub const OWL_NS: &str = "http://www.w3.org/2002/07/owl#";
 /// Namespace prefix of XML Schema datatypes.
 pub const XSD_NS: &str = "http://www.w3.org/2001/XMLSchema#";
+/// `xsd:integer`, the datatype of the integer shorthand (`42`).
+pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
+/// `xsd:decimal`, the datatype of the decimal shorthand (`1.5`).
+pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
+/// `xsd:boolean`, the datatype of the `true` / `false` shorthand.
+pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 
 // --- RDF ----------------------------------------------------------------
 

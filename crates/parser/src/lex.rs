@@ -1,9 +1,15 @@
-//! Zero-copy, chunk-splittable lexers for N-Triples and the Turtle subset.
+//! The workspace's one term lexer, and the zero-copy, chunk-splittable
+//! statement lexers for N-Triples and the Turtle subset built on it.
 //!
-//! The seed parsers materialized a `Vec<char>` per statement and an owned
-//! [`Term`] per occurrence before any encoding happened, which made the text →
-//! store pipeline allocation-bound and strictly sequential. This module is the
-//! parser layer of the streaming ingest subsystem (see `docs/ingest.md`):
+//! What an IRI, a blank node label, a literal, a prefixed name, a number or
+//! a variable looks like is decided here, once, by [`Scan`] — for the two
+//! document grammars below and, through the same public cursor, for SPARQL
+//! (`inferray-query`) and the `.rules` / `.shapes` files (`inferray-rules`).
+//! One spelling therefore means one term, and one dictionary identifier,
+//! wherever it is written; `docs/ingest.md` ("Term syntax") is the reference.
+//!
+//! On top of the term lexer this module is the parser layer of the streaming
+//! ingest subsystem (see `docs/ingest.md`):
 //!
 //! * [`TermRef`] (defined in `inferray-model`, re-exported here) /
 //!   [`TripleRef`] — borrowed term forms. A term borrows its slices straight
@@ -44,6 +50,17 @@ pub struct TripleRef<'a> {
     pub object: TermRef<'a>,
 }
 
+impl<'a> From<&'a Triple> for TripleRef<'a> {
+    /// The borrowed view of an owned triple (every slice `Cow::Borrowed`).
+    fn from(triple: &'a Triple) -> Self {
+        TripleRef {
+            subject: triple.subject.as_term_ref(),
+            predicate: triple.predicate.as_term_ref(),
+            object: triple.object.as_term_ref(),
+        }
+    }
+}
+
 impl<'a> TripleRef<'a> {
     /// Converts into an owned [`Triple`].
     pub fn into_triple(self) -> Triple {
@@ -56,13 +73,44 @@ impl<'a> TripleRef<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The byte cursor
+// The term lexer
 // ---------------------------------------------------------------------------
 
-/// A byte-offset cursor over a `&str` slice that tracks 1-based line numbers
-/// and the start of the current line (for error context). Unlike the seed's
-/// `Vec<char>` cursor it never allocates.
-pub(crate) struct Scan<'a> {
+/// `true` for a character of a *name*: a prefix label, the local part of a
+/// prefixed name, a variable name, a keyword. One class for every grammar
+/// (see "Term syntax" in `docs/ingest.md`).
+fn is_name_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_' || c == '-'
+}
+
+/// What [`Scan::lex_word`] found at the cursor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Word<'a> {
+    /// A run of name characters with no `:` after it: a keyword (`a`,
+    /// `true`, `SELECT`, `rule`, …) or a digit run. Empty when the cursor
+    /// was not on a name character.
+    Bare(&'a str),
+    /// `prefix:local`; either part may be empty (`:x`, `ex:`).
+    Prefixed {
+        /// The label before the colon.
+        prefix: &'a str,
+        /// The part after the colon.
+        local: &'a str,
+    },
+}
+
+/// The one term lexer: a byte-offset cursor over a `&str` that scans IRIs,
+/// blank node labels, literals, prefixed names, numeric shorthand and
+/// variables for every grammar of the workspace — N-Triples and Turtle here,
+/// SPARQL in `inferray-query`, `.rules` and `.shapes` in `inferray-rules`.
+///
+/// It tracks the 1-based line and the start of the current line; the
+/// character column is counted from there only when somebody asks
+/// ([`Scan::column`], [`Scan::error`]). It never allocates except to
+/// normalize a term (escapes, language-tag case). `Copy`, so a parser can
+/// keep the cursor of its lookahead token to position an error later.
+#[derive(Debug, Clone, Copy)]
+pub struct Scan<'a> {
     input: &'a str,
     pos: usize,
     line: usize,
@@ -70,7 +118,9 @@ pub(crate) struct Scan<'a> {
 }
 
 impl<'a> Scan<'a> {
-    pub(crate) fn new(input: &'a str, first_line: usize) -> Self {
+    /// A cursor at the start of `input`, whose first line is line
+    /// `first_line` of the document it was cut from.
+    pub fn new(input: &'a str, first_line: usize) -> Self {
         Scan {
             input,
             pos: 0,
@@ -79,20 +129,29 @@ impl<'a> Scan<'a> {
         }
     }
 
-    pub(crate) fn is_done(&self) -> bool {
+    /// `true` at the end of the input.
+    pub fn is_done(&self) -> bool {
         self.pos >= self.input.len()
     }
 
-    pub(crate) fn line(&self) -> usize {
+    /// 1-based line of the cursor.
+    pub fn line(&self) -> usize {
         self.line
     }
 
-    pub(crate) fn pos(&self) -> usize {
+    /// 1-based column of the cursor, in characters.
+    pub fn column(&self) -> usize {
+        self.input[self.line_start..self.pos].chars().count() + 1
+    }
+
+    /// Byte offset of the cursor.
+    pub fn pos(&self) -> usize {
         self.pos
     }
 
+    /// The character at the cursor.
     #[inline]
-    pub(crate) fn peek(&self) -> Option<char> {
+    pub fn peek(&self) -> Option<char> {
         let b = *self.input.as_bytes().get(self.pos)?;
         if b < 0x80 {
             // ASCII fast path: no UTF-8 decoding (the overwhelming majority
@@ -104,12 +163,13 @@ impl<'a> Scan<'a> {
     }
 
     /// Peeks the character `offset` *characters* (not bytes) ahead.
-    pub(crate) fn peek_at(&self, offset: usize) -> Option<char> {
+    pub fn peek_at(&self, offset: usize) -> Option<char> {
         self.input[self.pos..].chars().nth(offset)
     }
 
+    /// Consumes and returns the character at the cursor.
     #[inline]
-    pub(crate) fn bump(&mut self) -> Option<char> {
+    pub fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
         self.pos += c.len_utf8();
         if c == '\n' {
@@ -119,7 +179,8 @@ impl<'a> Scan<'a> {
         Some(c)
     }
 
-    pub(crate) fn skip_whitespace(&mut self) {
+    /// Skips whitespace.
+    pub fn skip_whitespace(&mut self) {
         let bytes = self.input.as_bytes();
         loop {
             match bytes.get(self.pos) {
@@ -144,7 +205,7 @@ impl<'a> Scan<'a> {
     }
 
     /// Skips whitespace and `#` comments (to end of line).
-    pub(crate) fn skip_trivia(&mut self) {
+    pub fn skip_trivia(&mut self) {
         loop {
             self.skip_whitespace();
             if self.peek() == Some('#') {
@@ -159,16 +220,12 @@ impl<'a> Scan<'a> {
         }
     }
 
-    pub(crate) fn expect(&mut self, expected: char) -> Result<(), ParseError> {
+    /// Consumes `expected` or fails.
+    pub fn expect_char(&mut self, expected: char) -> Result<(), ParseError> {
         match self.bump() {
             Some(c) if c == expected => Ok(()),
             other => Err(self.error(format!("expected '{expected}', found {other:?}"))),
         }
-    }
-
-    /// `true` when the input at the cursor starts with `prefix` (byte-exact).
-    pub(crate) fn starts_with(&self, prefix: &str) -> bool {
-        self.input[self.pos..].starts_with(prefix)
     }
 
     /// The text of the line the cursor currently sits on (error context).
@@ -177,18 +234,20 @@ impl<'a> Scan<'a> {
         rest.lines().next().unwrap_or(rest)
     }
 
-    pub(crate) fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError::new(
-            self.line,
-            format!("{} (in: {:?})", message.into(), self.current_line_text()),
-        )
+    /// An error at the cursor's line, carrying that line's text.
+    pub fn error(&self, message: impl Into<String>) -> ParseError {
+        ParseError {
+            line: self.line,
+            message: message.into(),
+            context: self.current_line_text().to_string(),
+        }
     }
 
     // -- term lexers --------------------------------------------------------
 
     /// Lexes `<iri>`, borrowing the inner slice unless it contains escapes.
-    pub(crate) fn lex_iri(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        self.expect('<')?;
+    pub fn lex_iri(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.expect_char('<')?;
         let start = self.pos;
         let mut has_escape = false;
         let bytes = self.input.as_bytes();
@@ -230,9 +289,9 @@ impl<'a> Scan<'a> {
     }
 
     /// Lexes `_:label`, always borrowing.
-    pub(crate) fn lex_blank(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        self.expect('_')?;
-        self.expect(':')?;
+    pub fn lex_blank(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.expect_char('_')?;
+        self.expect_char(':')?;
         let start = self.pos;
         loop {
             // ASCII fast path for the common label characters.
@@ -263,8 +322,8 @@ impl<'a> Scan<'a> {
 
     /// Lexes the quoted, escaped part of a literal (`"…"`), returning the
     /// unescaped lexical form (borrowed when no escape occurs).
-    pub(crate) fn lex_quoted_string(&mut self) -> Result<Cow<'a, str>, ParseError> {
-        self.expect('"')?;
+    pub fn lex_quoted_string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.expect_char('"')?;
         let start = self.pos;
         let mut has_escape = false;
         let bytes = self.input.as_bytes();
@@ -283,13 +342,10 @@ impl<'a> Scan<'a> {
                     self.pos += 1;
                     break;
                 }
-                Some(b'\n') => {
-                    self.pos += 1;
-                    self.line += 1;
-                    self.line_start = self.pos;
-                }
+                // A raw line break ends no literal of any grammar: stopping
+                // here keeps an unclosed quote from swallowing the document.
+                Some(b'\n') | None => return Err(self.error("unterminated literal")),
                 Some(_) => self.pos += 1,
-                None => return Err(self.error("unterminated literal")),
             }
         }
         let raw = &self.input[start..self.pos - 1];
@@ -304,7 +360,7 @@ impl<'a> Scan<'a> {
     }
 
     /// Lexes the `@lang` suffix after a quoted string (cursor sits on `@`).
-    fn lex_language(&mut self) -> Result<Cow<'a, str>, ParseError> {
+    pub fn lex_language(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.bump(); // '@'
         let start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '-') {
@@ -327,43 +383,158 @@ impl<'a> Scan<'a> {
 
     /// Lexes a full N-Triples literal (quoted string plus optional `@lang` or
     /// `^^<datatype>` suffix).
-    pub(crate) fn lex_literal(&mut self) -> Result<TermRef<'a>, ParseError> {
-        let lexical = self.lex_quoted_string()?;
-        match self.peek() {
-            Some('@') => {
-                let language = self.lex_language()?;
-                Ok(TermRef::Literal {
-                    lexical,
-                    datatype: None,
-                    language: Some(language),
-                })
+    pub fn lex_literal(&mut self) -> Result<TermRef<'a>, ParseError> {
+        self.lex_literal_suffixed(Scan::lex_iri)
+    }
+
+    /// Lexes a literal of a grammar with prefixes: the datatype after `^^`
+    /// is `<iri>` or a prefixed name, which `expand` turns into an IRI (or
+    /// into the message of the error to report).
+    pub fn lex_literal_with(
+        &mut self,
+        expand: impl FnOnce(&str, &str) -> Result<String, String>,
+    ) -> Result<TermRef<'a>, ParseError> {
+        self.lex_literal_suffixed(|scan| {
+            if scan.peek() == Some('<') {
+                return scan.lex_iri();
             }
+            match scan.lex_word() {
+                Word::Prefixed { prefix, local } => expand(prefix, local)
+                    .map(Cow::Owned)
+                    .map_err(|message| scan.error(message)),
+                Word::Bare(_) => Err(scan.error("malformed datatype annotation")),
+            }
+        })
+    }
+
+    /// A quoted string, then `@lang`, or `^^` and whatever `datatype` reads.
+    #[inline]
+    fn lex_literal_suffixed(
+        &mut self,
+        datatype: impl FnOnce(&mut Self) -> Result<Cow<'a, str>, ParseError>,
+    ) -> Result<TermRef<'a>, ParseError> {
+        let lexical = self.lex_quoted_string()?;
+        let (datatype, language) = match self.peek() {
+            Some('@') => (None, Some(self.lex_language()?)),
             Some('^') => {
                 self.bump();
-                self.expect('^')?;
-                let datatype = self.lex_iri()?;
-                Ok(TermRef::Literal {
-                    lexical,
-                    datatype: Some(datatype),
-                    language: None,
-                })
+                self.expect_char('^')?;
+                (Some(datatype(self)?), None)
             }
-            _ => Ok(TermRef::Literal {
-                lexical,
-                datatype: None,
-                language: None,
-            }),
-        }
+            _ => (None, None),
+        };
+        Ok(TermRef::Literal {
+            lexical,
+            datatype,
+            language,
+        })
     }
 
     /// Lexes one N-Triples term.
-    pub(crate) fn lex_term(&mut self) -> Result<TermRef<'a>, ParseError> {
+    pub fn lex_term(&mut self) -> Result<TermRef<'a>, ParseError> {
         match self.peek() {
             Some('<') => Ok(TermRef::Iri(self.lex_iri()?)),
             Some('_') => Ok(TermRef::Blank(self.lex_blank()?)),
             Some('"') => self.lex_literal(),
             other => Err(self.error(format!("expected a term, found {other:?}"))),
         }
+    }
+
+    /// Skips a run of name characters.
+    fn skip_name(&mut self) {
+        let bytes = self.input.as_bytes();
+        loop {
+            match bytes.get(self.pos) {
+                Some(b) if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-') => self.pos += 1,
+                Some(b) if *b >= 0x80 => match self.peek() {
+                    Some(c) if c.is_alphanumeric() => self.pos += c.len_utf8(),
+                    _ => return,
+                },
+                _ => return,
+            }
+        }
+    }
+
+    /// Lexes a bare name or a prefixed name (`prefix:local`) — the one
+    /// scanner behind Turtle's and SPARQL's prefixed names and keywords and
+    /// the identifiers of `.rules` and `.shapes`. Never fails: it consumes
+    /// the name characters at the cursor, which may be none.
+    ///
+    /// The local part may also hold `:` and `%`, and a `.` that another
+    /// local character follows (`ex:v1.2`); a trailing `.` is left for the
+    /// statement terminator.
+    pub fn lex_word(&mut self) -> Word<'a> {
+        let start = self.pos;
+        self.skip_name();
+        let bytes = self.input.as_bytes();
+        if bytes.get(self.pos) != Some(&b':') {
+            return Word::Bare(&self.input[start..self.pos]);
+        }
+        let prefix = &self.input[start..self.pos];
+        self.pos += 1;
+        let local_start = self.pos;
+        loop {
+            self.skip_name();
+            match bytes.get(self.pos) {
+                Some(b':' | b'%') => self.pos += 1,
+                Some(b'.')
+                    if self.input[self.pos + 1..]
+                        .chars()
+                        .next()
+                        .is_some_and(|c| is_name_char(c) || matches!(c, ':' | '%')) =>
+                {
+                    self.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        Word::Prefixed {
+            prefix,
+            local: &self.input[local_start..self.pos],
+        }
+    }
+
+    /// Lexes `?name` or `$name`, returning the name.
+    pub fn lex_variable(&mut self) -> Result<&'a str, ParseError> {
+        match self.bump() {
+            Some('?' | '$') => {}
+            other => return Err(self.error(format!("expected a variable, found {other:?}"))),
+        }
+        let start = self.pos;
+        self.skip_name();
+        if self.pos == start {
+            return Err(self.error("empty variable name"));
+        }
+        Ok(&self.input[start..self.pos])
+    }
+
+    /// Lexes the numeric shorthand of Turtle and SPARQL: an `xsd:integer`,
+    /// or an `xsd:decimal` when the text holds `.`, `e` or `E`.
+    pub fn lex_numeric(&mut self) -> Result<TermRef<'a>, ParseError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
+        {
+            // A '.' not followed by a digit is the statement terminator.
+            if self.peek() == Some('.') && !matches!(self.peek_at(1), Some(c) if c.is_ascii_digit())
+            {
+                break;
+            }
+            self.bump();
+        }
+        let text = &self.input[start..self.pos];
+        if !text.bytes().any(|b| b.is_ascii_digit()) {
+            return Err(self.error("expected a numeric literal"));
+        }
+        let datatype = if text.contains(['.', 'e', 'E']) {
+            vocab::XSD_DECIMAL
+        } else {
+            vocab::XSD_INTEGER
+        };
+        Ok(TermRef::Literal {
+            lexical: Cow::Borrowed(text),
+            datatype: Some(Cow::Borrowed(datatype)),
+            language: None,
+        })
     }
 }
 
@@ -388,7 +559,7 @@ pub fn lex_ntriples_line(
     scan.skip_whitespace();
     let object = scan.lex_term()?;
     scan.skip_whitespace();
-    scan.expect('.')?;
+    scan.expect_char('.')?;
     scan.skip_whitespace();
     if !scan.is_done() && scan.peek() != Some('#') {
         return Err(scan.error("trailing content after '.'"));
@@ -525,23 +696,15 @@ fn lex_directive(
         let sparql_style = at_keyword(scan, "PREFIX");
         consume_keyword(scan, if sparql_style { "PREFIX" } else { "@prefix" })?;
         scan.skip_trivia();
-        let start = scan.pos();
-        while let Some(c) = scan.peek() {
-            if c == ':' {
-                break;
-            }
-            if c.is_whitespace() {
-                return Err(scan.error("malformed prefix name"));
-            }
-            scan.bump();
-        }
-        let name = scan.input[start..scan.pos()].to_string();
-        scan.expect(':')?;
+        let name = match scan.lex_word() {
+            Word::Prefixed { prefix, local: "" } => prefix.to_string(),
+            _ => return Err(scan.error("malformed prefix name")),
+        };
         scan.skip_trivia();
         let iri = scan.lex_iri()?.into_owned();
         scan.skip_trivia();
         if !sparql_style {
-            scan.expect('.')?;
+            scan.expect_char('.')?;
         } else if scan.peek() == Some('.') {
             scan.bump();
         }
@@ -554,7 +717,7 @@ fn lex_directive(
         let iri = scan.lex_iri()?.into_owned();
         scan.skip_trivia();
         if !sparql_style {
-            scan.expect('.')?;
+            scan.expect_char('.')?;
         } else if scan.peek() == Some('.') {
             scan.bump();
         }
@@ -593,7 +756,11 @@ pub fn split_turtle_body(
     target_chunks: usize,
 ) -> Option<Vec<Chunk<'_>>> {
     let target_chunks = target_chunks.max(1);
-    if body.trim().is_empty() {
+    // "Nothing but trivia" by the lexer's own definition of whitespace, so
+    // chunked and whole-document lexing accept the same documents.
+    let mut probe = Scan::new(body, first_line);
+    probe.skip_trivia();
+    if probe.is_done() {
         return Some(Vec::new());
     }
 
@@ -677,24 +844,22 @@ pub fn split_turtle_body(
         i += 1;
     }
 
-    if boundaries.is_empty() {
-        // No complete statement found; hand everything to one chunk so the
-        // lexer produces the error (or handles the single partial statement).
-        return Some(vec![Chunk {
-            text: body,
-            first_line,
-        }]);
-    }
     // Make the final boundary cover trailing trivia (and any trailing
-    // incomplete statement, which the last chunk's lexer will report).
-    *boundaries.last_mut().expect("non-empty") = body.len();
+    // incomplete statement, which the last chunk's lexer will report). With
+    // no complete statement at all, everything goes to one chunk so the
+    // lexer produces the error (or handles the single partial statement).
+    match boundaries.last_mut() {
+        Some(last) => *last = body.len(),
+        None => boundaries.push(body.len()),
+    }
 
     let per_chunk = boundaries.len().div_ceil(target_chunks);
     let mut chunks = Vec::with_capacity(target_chunks);
     let mut start = 0usize;
     let mut line = first_line;
     for group in boundaries.chunks(per_chunk) {
-        let end = *group.last().expect("non-empty group");
+        // `chunks` yields no empty group.
+        let Some(&end) = group.last() else { continue };
         let text = &body[start..end];
         chunks.push(Chunk {
             text,
@@ -704,13 +869,6 @@ pub fn split_turtle_body(
         start = end;
     }
     Some(chunks)
-}
-
-/// `true` when `c` can continue a prefixed-name token started by a letter.
-/// Used to decide whether a leading `a` is the `rdf:type` keyword or the
-/// start of a name such as `a:C` or `abc:x`.
-fn is_name_continuation(c: char) -> bool {
-    c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':' | '%')
 }
 
 /// A statement-at-a-time lexer over one Turtle chunk.
@@ -748,13 +906,13 @@ impl<'a> TurtleChunkLexer<'a> {
             lex_directive(&mut self.scan, &mut self.prefixes, &mut self.base)?;
             return Ok(true);
         }
-        let subject = self.lex_node()?;
+        let subject = self.lex_node(false)?;
         loop {
             self.scan.skip_trivia();
-            let predicate = self.lex_predicate()?;
+            let predicate = self.lex_node(true)?;
             loop {
                 self.scan.skip_trivia();
-                let object = self.lex_node()?;
+                let object = self.lex_node(false)?;
                 if subject.is_literal() || !predicate.is_iri() {
                     let rendered = TripleRef {
                         subject,
@@ -801,20 +959,9 @@ impl<'a> TurtleChunkLexer<'a> {
         }
     }
 
-    fn lex_predicate(&mut self) -> Result<TermRef<'a>, ParseError> {
-        // The `a` keyword: `a` followed by anything that cannot continue a
-        // prefixed name (whitespace, `<` of an IRI, `"` of a literal, …).
-        if self.scan.peek() == Some('a')
-            && !matches!(self.scan.peek_at(1), Some(c) if is_name_continuation(c))
-        {
-            self.scan.bump();
-            return Ok(TermRef::Iri(Cow::Borrowed(vocab::RDF_TYPE)));
-        }
-        self.lex_node()
-    }
-
-    /// Lexes an IRI, prefixed name, blank node label or literal.
-    fn lex_node(&mut self) -> Result<TermRef<'a>, ParseError> {
+    /// Lexes an IRI, prefixed name, blank node label or literal; in
+    /// predicate position also the `a` keyword.
+    fn lex_node(&mut self, predicate: bool) -> Result<TermRef<'a>, ParseError> {
         match self.scan.peek() {
             Some('<') => {
                 let iri = self.scan.lex_iri()?;
@@ -828,41 +975,9 @@ impl<'a> TurtleChunkLexer<'a> {
             }
             Some('_') => Ok(TermRef::Blank(self.scan.lex_blank()?)),
             Some('"') => {
-                // The datatype suffix can be either `^^<iri>` or a prefixed
-                // name (`^^xsd:integer`).
-                let lexical = self.scan.lex_quoted_string()?;
-                match self.scan.peek() {
-                    Some('@') => {
-                        let language = self.scan.lex_language()?;
-                        Ok(TermRef::Literal {
-                            lexical,
-                            datatype: None,
-                            language: Some(language),
-                        })
-                    }
-                    Some('^') => {
-                        self.scan.bump();
-                        self.scan.expect('^')?;
-                        let datatype = if self.scan.peek() == Some('<') {
-                            self.scan.lex_iri()?
-                        } else {
-                            match self.lex_prefixed_name()? {
-                                TermRef::Iri(iri) => iri,
-                                _ => return Err(self.scan.error("malformed datatype annotation")),
-                            }
-                        };
-                        Ok(TermRef::Literal {
-                            lexical,
-                            datatype: Some(datatype),
-                            language: None,
-                        })
-                    }
-                    _ => Ok(TermRef::Literal {
-                        lexical,
-                        datatype: None,
-                        language: None,
-                    }),
-                }
+                let prefixes = &self.prefixes;
+                self.scan
+                    .lex_literal_with(|prefix, local| expand(prefixes, prefix, local))
             }
             Some('[') => Err(self
                 .scan
@@ -870,112 +985,32 @@ impl<'a> TurtleChunkLexer<'a> {
             Some('(') => Err(self
                 .scan
                 .error("collections (...) are not supported by this Turtle subset")),
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => self.lex_numeric(),
-            Some(_) => {
-                if self.at_keyword_value("true") {
-                    return Ok(TermRef::Literal {
-                        lexical: Cow::Borrowed("true"),
-                        datatype: Some(Cow::Owned(format!("{}boolean", vocab::XSD_NS))),
-                        language: None,
-                    });
-                }
-                if self.at_keyword_value("false") {
-                    return Ok(TermRef::Literal {
-                        lexical: Cow::Borrowed("false"),
-                        datatype: Some(Cow::Owned(format!("{}boolean", vocab::XSD_NS))),
-                        language: None,
-                    });
-                }
-                self.lex_prefixed_name()
-            }
+            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => self.scan.lex_numeric(),
+            Some(_) => match self.scan.lex_word() {
+                Word::Prefixed { prefix, local } => expand(&self.prefixes, prefix, local)
+                    .map(|iri| TermRef::Iri(Cow::Owned(iri)))
+                    .map_err(|message| self.scan.error(message)),
+                Word::Bare("a") if predicate => Ok(TermRef::Iri(Cow::Borrowed(vocab::RDF_TYPE))),
+                Word::Bare(boolean @ ("true" | "false")) => Ok(TermRef::Literal {
+                    lexical: Cow::Borrowed(boolean),
+                    datatype: Some(Cow::Borrowed(vocab::XSD_BOOLEAN)),
+                    language: None,
+                }),
+                Word::Bare(other) => Err(self
+                    .scan
+                    .error(format!("expected a prefixed name, found {other:?}"))),
+            },
             None => Err(self.scan.error("unexpected end of input")),
         }
     }
+}
 
-    /// Consumes `keyword` when it stands alone (followed by whitespace or a
-    /// statement separator), returning whether it did.
-    fn at_keyword_value(&mut self, keyword: &str) -> bool {
-        if !self.scan.starts_with(keyword) {
-            return false;
-        }
-        let boundary = self.scan.peek_at(keyword.chars().count());
-        let ok = match boundary {
-            None => true,
-            Some(c) => c.is_whitespace() || c == '.' || c == ';' || c == ',',
-        };
-        if ok {
-            for _ in 0..keyword.chars().count() {
-                self.scan.bump();
-            }
-        }
-        ok
-    }
-
-    fn lex_numeric(&mut self) -> Result<TermRef<'a>, ParseError> {
-        let start = self.scan.pos();
-        while matches!(self.scan.peek(), Some(c) if c.is_ascii_digit() || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E')
-        {
-            // A '.' followed by whitespace/end is the statement terminator.
-            if self.scan.peek() == Some('.')
-                && !matches!(self.scan.peek_at(1), Some(c) if c.is_ascii_digit())
-            {
-                break;
-            }
-            self.scan.bump();
-        }
-        let text = &self.scan.input[start..self.scan.pos()];
-        if text.is_empty() {
-            return Err(self.scan.error("expected a numeric literal"));
-        }
-        let datatype = if text.contains(['.', 'e', 'E']) {
-            format!("{}decimal", vocab::XSD_NS)
-        } else {
-            format!("{}integer", vocab::XSD_NS)
-        };
-        Ok(TermRef::Literal {
-            lexical: Cow::Borrowed(text),
-            datatype: Some(Cow::Owned(datatype)),
-            language: None,
-        })
-    }
-
-    fn lex_prefixed_name(&mut self) -> Result<TermRef<'a>, ParseError> {
-        let start = self.scan.pos();
-        while let Some(c) = self.scan.peek() {
-            if c == ':' {
-                break;
-            }
-            if c.is_whitespace() || c == ';' || c == ',' || c == '.' {
-                let prefix = &self.scan.input[start..self.scan.pos()];
-                return Err(self
-                    .scan
-                    .error(format!("expected a prefixed name, found {prefix:?}")));
-            }
-            self.scan.bump();
-        }
-        let prefix = &self.scan.input[start..self.scan.pos()];
-        self.scan.expect(':')?;
-        let local_start = self.scan.pos();
-        while let Some(c) = self.scan.peek() {
-            if c.is_whitespace() || c == ';' || c == ',' {
-                break;
-            }
-            if c == '.' {
-                // A dot ends the local name only when followed by
-                // whitespace/end (statement terminator).
-                match self.scan.peek_at(1) {
-                    Some(next) if !next.is_whitespace() => {}
-                    _ => break,
-                }
-            }
-            self.scan.bump();
-        }
-        let local = &self.scan.input[local_start..self.scan.pos()];
-        let namespace = self
-            .prefixes
-            .get(prefix)
-            .ok_or_else(|| self.scan.error(format!("undeclared prefix '{prefix}:'")))?;
-        Ok(TermRef::Iri(Cow::Owned(format!("{namespace}{local}"))))
+/// Expands `prefix:local` against the declared prefixes; `Err` is the
+/// message of the error to report.
+fn expand(prefixes: &HashMap<String, String>, prefix: &str, local: &str) -> Result<String, String> {
+    match prefixes.get(prefix) {
+        Some(namespace) => Ok(format!("{namespace}{local}")),
+        None => Err(format!("undeclared prefix '{prefix}:'")),
     }
 }
 
@@ -993,6 +1028,58 @@ mod tests {
             term.write_ntriples(&mut key);
             assert_eq!(key, term.to_term().to_string());
         }
+    }
+
+    #[test]
+    fn words_are_bare_names_or_prefixed_names() {
+        let word = |text| Scan::new(text, 1).lex_word();
+        assert_eq!(word("SELECT *"), Word::Bare("SELECT"));
+        assert_eq!(word("subjects-of <p>"), Word::Bare("subjects-of"));
+        assert_eq!(word("12..3"), Word::Bare("12"));
+        assert_eq!(word("{"), Word::Bare(""));
+        let prefixed = |prefix, local| Word::Prefixed { prefix, local };
+        assert_eq!(word("ex:Person."), prefixed("ex", "Person"));
+        assert_eq!(word("ex:v1.2 ."), prefixed("ex", "v1.2"));
+        assert_eq!(word("ex:a:b%20c}"), prefixed("ex", "a:b%20c"));
+        assert_eq!(word("é:café/x"), prefixed("é", "café"));
+        assert_eq!(word(":local"), prefixed("", "local"));
+        assert_eq!(word("gp: ?x"), prefixed("gp", ""));
+        assert_eq!(word("ex:o..1"), prefixed("ex", "o"));
+    }
+
+    #[test]
+    fn variables_take_either_sigil_and_need_a_name() {
+        let mut scan = Scan::new("?x $y-1 ?.", 1);
+        assert_eq!(scan.lex_variable().unwrap(), "x");
+        scan.skip_whitespace();
+        assert_eq!(scan.lex_variable().unwrap(), "y-1");
+        scan.skip_whitespace();
+        let error = scan.lex_variable().unwrap_err();
+        assert_eq!(error.message, "empty variable name");
+        assert_eq!(scan.peek(), Some('.'), "the sigil is consumed");
+    }
+
+    #[test]
+    fn columns_count_characters_from_the_line_start() {
+        let mut scan = Scan::new("<http://ex/é> \n  \"été\" x", 7);
+        scan.lex_iri().unwrap();
+        assert_eq!((scan.line(), scan.column()), (7, 14));
+        scan.skip_whitespace();
+        assert_eq!((scan.line(), scan.column()), (8, 3));
+        scan.lex_literal().unwrap();
+        assert_eq!((scan.line(), scan.column()), (8, 8));
+        let error = scan.error("here");
+        assert_eq!(error.to_string(), "line 8: here (in: \"  \\\"été\\\" x\")");
+    }
+
+    #[test]
+    fn a_raw_line_break_ends_no_literal() {
+        let mut scan = Scan::new("\"open\nnext line\"", 1);
+        let error = scan.lex_literal().unwrap_err();
+        assert_eq!(
+            (error.line, error.message.as_str()),
+            (1, "unterminated literal")
+        );
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! Both lexers are statement oriented, yield borrowed term slices
 //! ([`lex::TermRef`]) that allocate only when normalization demands it, and
 //! report errors with 1-based document-global line numbers regardless of how
-//! the input was chunked. [`ntriples::parse_ntriples`] and
+//! the input was chunked. The terms themselves are scanned by [`lex::Scan`],
+//! the term lexer the SPARQL parser and the `.rules` / `.shapes` front ends
+//! share with them ("Term syntax" in `docs/ingest.md`). [`ntriples::parse_ntriples`] and
 //! [`turtle::parse_turtle`] remain as thin wrappers collecting owned
 //! [`Triple`](inferray_model::Triple)s.
 

@@ -23,6 +23,9 @@ pub struct ParseError {
     pub line: usize,
     /// Human-readable description of the problem.
     pub message: String,
+    /// The text of the offending line (empty when the error is about a
+    /// whole statement rather than a place in it).
+    pub context: String,
 }
 
 impl ParseError {
@@ -30,13 +33,18 @@ impl ParseError {
         ParseError {
             line,
             message: message.into(),
+            context: String::new(),
         }
     }
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        write!(f, "line {}: {}", self.line, self.message)?;
+        if !self.context.is_empty() {
+            write!(f, " (in: {:?})", self.context)?;
+        }
+        Ok(())
     }
 }
 

@@ -13,8 +13,14 @@
 //! constraint  := ?var ('='|'!=') term
 //!              | (isIRI|isLiteral|isBlank|bound) '(' ?var ')'
 //!              | sameTerm '(' ?var ',' term ')'
-//! term        := ?var | <iri> | prefixed:name | 'a' | literal | _:blank | integer
+//! term        := ?var | <iri> | prefixed:name | 'a' | literal | _:blank | number
 //! ```
+//!
+//! Tokens are pulled on demand from the workspace's term lexer
+//! ([`inferray_parser::lex::Scan`]), so every term is spelt exactly as the
+//! loader spells it — escapes, language tags, prefixed names, numeric
+//! shorthand: "Term syntax" in `docs/ingest.md` — and a constant in a query
+//! is the term a document stored.
 //!
 //! This is not a conformant SPARQL 1.1 parser — it covers the
 //! basic-graph-pattern queries that vertical partitioning was designed for
@@ -23,28 +29,42 @@
 //! guessing.
 
 use crate::algebra::{FilterExpr, PatternTerm, Query, QueryForm, Selection, TriplePatternSpec};
-use inferray_model::{vocab, Term};
+use inferray_model::{vocab, TermRef};
+use inferray_parser::lex::{Scan, Word};
+use inferray_parser::ParseError;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-/// An error raised while parsing a query string.
+/// An error raised while parsing a query string, positioned at the token (or,
+/// inside a term, the character) that caused it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryParseError {
     /// Human-readable description of the problem.
     pub message: String,
+    /// 1-based line of the offending token.
+    pub line: usize,
+    /// 1-based column of the offending token, in characters.
+    pub column: usize,
 }
 
 impl QueryParseError {
-    fn new(message: impl Into<String>) -> Self {
+    fn at(scan: &Scan<'_>, message: impl Into<String>) -> Self {
         QueryParseError {
             message: message.into(),
+            line: scan.line(),
+            column: scan.column(),
         }
     }
 }
 
 impl fmt::Display for QueryParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "query parse error: {}", self.message)
+        write!(
+            f,
+            "query parse error at {}:{}: {}",
+            self.line, self.column, self.message
+        )
     }
 }
 
@@ -52,334 +72,213 @@ impl std::error::Error for QueryParseError {}
 
 /// Parses a SPARQL-subset query string into a [`Query`].
 pub fn parse_query(input: &str) -> Result<Query, QueryParseError> {
-    let tokens = tokenize(input)?;
-    Parser::new(tokens).parse_query()
+    Parser::new(input)?.parse_query()
 }
 
 // ---------------------------------------------------------------------------
-// Tokenizer
+// Tokens
 // ---------------------------------------------------------------------------
 
+/// One token, lexed on demand by the workspace's term lexer
+/// ([`inferray_parser::lex::Scan`]) and borrowing from the query text: a
+/// term is spelt here exactly as the loader spells it ("Term syntax" in
+/// `docs/ingest.md`).
 #[derive(Debug, Clone, PartialEq)]
-enum Token {
+enum Token<'a> {
     /// `?name` or `$name`.
-    Variable(String),
-    /// `<iri>` with the brackets stripped.
-    Iri(String),
-    /// `prefix:local` (expansion happens in the parser, once prefixes are
-    /// known) or a bare keyword such as `SELECT`, `a`, `isIRI`.
-    Word(String),
-    /// `_:label`.
-    Blank(String),
-    /// A string literal with optional language tag or datatype.
-    Literal {
-        lexical: String,
-        language: Option<String>,
-        datatype: Option<LiteralDatatype>,
-    },
-    /// A bare integer.
-    Integer(i64),
+    Variable(&'a str),
+    /// `<iri>`, `_:label`, a literal or a number.
+    Term(TermRef<'a>),
+    /// A keyword (`SELECT`, `a`, `isIRI`) or `prefix:local` (expanded by the
+    /// parser, once the prefixes are known).
+    Word(Word<'a>),
     /// Structural punctuation: `{ } ( ) . ; , * =`.
     Punct(char),
     /// `!=`.
     NotEquals,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum LiteralDatatype {
-    Iri(String),
-    Prefixed(String),
-}
-
-fn tokenize(input: &str) -> Result<Vec<Token>, QueryParseError> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '#' => {
-                // Comment until end of line.
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '{' | '}' | '(' | ')' | '.' | ';' | ',' | '*' | '=' => {
-                tokens.push(Token::Punct(c));
-                i += 1;
-            }
-            '!' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::NotEquals);
-                    i += 2;
-                } else {
-                    return Err(QueryParseError::new("unexpected '!'"));
-                }
-            }
-            '?' | '$' => {
-                let (name, next) = take_while(&chars, i + 1, is_name_char);
-                let (name, trailing_dots) = strip_trailing_dots(name);
-                if name.is_empty() {
-                    return Err(QueryParseError::new("empty variable name"));
-                }
-                tokens.push(Token::Variable(name));
-                for _ in 0..trailing_dots {
-                    tokens.push(Token::Punct('.'));
-                }
-                i = next;
-            }
-            '<' => {
-                let end = chars[i + 1..]
-                    .iter()
-                    .position(|&c| c == '>')
-                    .ok_or_else(|| QueryParseError::new("unterminated IRI"))?;
-                let iri: String = chars[i + 1..i + 1 + end].iter().collect();
-                tokens.push(Token::Iri(iri));
-                i += end + 2;
-            }
-            '"' => {
-                let (literal, next) = scan_string_literal(&chars, i)?;
-                tokens.push(literal);
-                i = next;
-            }
-            '_' if chars.get(i + 1) == Some(&':') => {
-                let (label, next) = take_while(&chars, i + 2, is_name_char);
-                tokens.push(Token::Blank(label));
-                i = next;
-            }
-            '-' | '0'..='9' => {
-                let start = i;
-                let mut j = i + 1;
-                while j < chars.len() && chars[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let text: String = chars[start..j].iter().collect();
-                let value = text
-                    .parse::<i64>()
-                    .map_err(|_| QueryParseError::new(format!("invalid integer '{text}'")))?;
-                tokens.push(Token::Integer(value));
-                i = j;
-            }
-            c if is_name_start(c) => {
-                let (word, next) = take_while(&chars, i, |c| is_name_char(c) || c == ':');
-                // `ex:Person.` — the terminating dot is punctuation, not part
-                // of the prefixed name.
-                let (word, trailing_dots) = strip_trailing_dots(word);
-                tokens.push(Token::Word(word));
-                for _ in 0..trailing_dots {
-                    tokens.push(Token::Punct('.'));
-                }
-                i = next;
-            }
-            other => {
-                return Err(QueryParseError::new(format!(
-                    "unexpected character '{other}'"
-                )))
-            }
-        }
-    }
-    Ok(tokens)
-}
-
-/// Splits trailing `.` characters off a scanned name, returning the cleaned
-/// name and the number of dots removed.
-fn strip_trailing_dots(mut name: String) -> (String, usize) {
-    let mut dots = 0;
-    while name.ends_with('.') {
-        name.pop();
-        dots += 1;
-    }
-    (name, dots)
-}
-
-fn take_while(chars: &[char], start: usize, keep: impl Fn(char) -> bool) -> (String, usize) {
-    let mut out = String::new();
-    let mut i = start;
-    while i < chars.len() && keep(chars[i]) {
-        out.push(chars[i]);
-        i += 1;
-    }
-    (out, i)
-}
-
-fn is_name_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_'
-}
-
-fn is_name_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_' || c == '-' || c == '.'
-}
-
-fn scan_string_literal(chars: &[char], start: usize) -> Result<(Token, usize), QueryParseError> {
-    // `start` points at the opening quote.
-    let mut lexical = String::new();
-    let mut i = start + 1;
-    loop {
-        match chars.get(i) {
-            None => return Err(QueryParseError::new("unterminated string literal")),
-            Some('"') => {
-                i += 1;
-                break;
-            }
-            Some('\\') => {
-                let escaped = chars
-                    .get(i + 1)
-                    .ok_or_else(|| QueryParseError::new("dangling escape in literal"))?;
-                lexical.push(match escaped {
-                    'n' => '\n',
-                    't' => '\t',
-                    'r' => '\r',
-                    '"' => '"',
-                    '\\' => '\\',
-                    other => *other,
-                });
-                i += 2;
-            }
-            Some(c) => {
-                lexical.push(*c);
-                i += 1;
-            }
-        }
-    }
-    // Optional language tag or datatype.
-    let mut language = None;
-    let mut datatype = None;
-    if chars.get(i) == Some(&'@') {
-        let (lang, next) = take_while(chars, i + 1, |c| c.is_ascii_alphanumeric() || c == '-');
-        // The N-Triples / BCP 47 shape: `[a-zA-Z]+('-'[a-zA-Z0-9]+)*`.
-        // Anything else (empty tag, leading digit, stray '-', non-ASCII)
-        // is a parse error, matching the lexer in `inferray-parser`.
-        if !inferray_model::term::valid_language_tag(&lang) {
-            return Err(QueryParseError::new(format!(
-                "malformed language tag '@{lang}'"
-            )));
-        }
-        language = Some(lang);
-        i = next;
-    } else if chars.get(i) == Some(&'^') && chars.get(i + 1) == Some(&'^') {
-        i += 2;
-        if chars.get(i) == Some(&'<') {
-            let end = chars[i + 1..]
-                .iter()
-                .position(|&c| c == '>')
-                .ok_or_else(|| QueryParseError::new("unterminated datatype IRI"))?;
-            let iri: String = chars[i + 1..i + 1 + end].iter().collect();
-            datatype = Some(LiteralDatatype::Iri(iri));
-            i += end + 2;
-        } else {
-            let (name, next) = take_while(chars, i, |c| is_name_char(c) || c == ':');
-            if name.is_empty() {
-                return Err(QueryParseError::new("missing datatype after '^^'"));
-            }
-            datatype = Some(LiteralDatatype::Prefixed(name));
-            i = next;
-        }
-    }
-    Ok((
-        Token::Literal {
-            lexical,
-            language,
-            datatype,
-        },
-        i,
-    ))
+    /// End of the query text.
+    End,
 }
 
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Parser {
-    tokens: Vec<Token>,
-    position: usize,
-    prefixes: HashMap<String, String>,
+struct Parser<'a> {
+    scan: Scan<'a>,
+    /// The lookahead token, …
+    token: Token<'a>,
+    /// … the cursor where it starts (errors point there), …
+    at: Scan<'a>,
+    /// … and its 1-based ordinal.
+    ordinal: usize,
+    prefixes: HashMap<&'a str, Cow<'a, str>>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser {
-            tokens,
-            position: 0,
+/// Expands `prefix:local` against declared prefixes, falling back to the
+/// built-in rdf/rdfs/owl/xsd namespaces.
+fn expand(
+    prefixes: &HashMap<&str, Cow<'_, str>>,
+    prefix: &str,
+    local: &str,
+) -> Result<String, String> {
+    if let Some(namespace) = prefixes.get(prefix) {
+        return Ok(format!("{namespace}{local}"));
+    }
+    let name = format!("{prefix}:{local}");
+    let expanded = vocab::expand_curie(&name);
+    if expanded != name {
+        Ok(expanded)
+    } else {
+        Err(format!(
+            "unknown prefix '{prefix}:' (declare it with PREFIX)"
+        ))
+    }
+}
+
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Self, QueryParseError> {
+        let scan = Scan::new(input, 1);
+        let mut parser = Parser {
+            scan,
+            token: Token::End,
+            at: scan,
+            ordinal: 0,
             prefixes: HashMap::new(),
-        }
+        };
+        parser.advance()?;
+        Ok(parser)
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.position)
+    /// An error at the lookahead token.
+    fn error(&self, message: impl Into<String>) -> QueryParseError {
+        QueryParseError::at(&self.at, message)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let token = self.tokens.get(self.position).cloned();
-        if token.is_some() {
-            self.position += 1;
+    /// "expected `what`, found <the lookahead token>".
+    fn expected(&self, what: &str) -> QueryParseError {
+        self.error(format!("expected {what}, found {:?}", self.token))
+    }
+
+    /// A term lexer's error, at the character where it stopped.
+    fn lex_error(&self, error: ParseError) -> QueryParseError {
+        QueryParseError::at(&self.scan, error.message)
+    }
+
+    /// Lexes the next token into the lookahead.
+    fn advance(&mut self) -> Result<(), QueryParseError> {
+        self.scan.skip_trivia();
+        self.at = self.scan;
+        self.ordinal += 1;
+        let scan = &mut self.scan;
+        let token = match scan.peek() {
+            None => Ok(Token::End),
+            Some(c @ ('{' | '}' | '(' | ')' | '.' | ';' | ',' | '*' | '=')) => {
+                scan.bump();
+                Ok(Token::Punct(c))
+            }
+            Some('!') => {
+                scan.bump();
+                if scan.peek() == Some('=') {
+                    scan.bump();
+                    Ok(Token::NotEquals)
+                } else {
+                    return Err(self.error("unexpected '!'"));
+                }
+            }
+            Some('?' | '$') => scan.lex_variable().map(Token::Variable),
+            Some('<') => scan.lex_iri().map(|iri| Token::Term(TermRef::Iri(iri))),
+            Some('"') => {
+                let prefixes = &self.prefixes;
+                scan.lex_literal_with(|prefix, local| expand(prefixes, prefix, local))
+                    .map(Token::Term)
+            }
+            Some('_') if scan.peek_at(1) == Some(':') => scan
+                .lex_blank()
+                .map(|label| Token::Term(TermRef::Blank(label))),
+            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
+                scan.lex_numeric().map(Token::Term)
+            }
+            Some(c) if c.is_alphabetic() || c == '_' || c == ':' => {
+                Ok(Token::Word(scan.lex_word()))
+            }
+            Some(other) => return Err(self.error(format!("unexpected character '{other}'"))),
+        };
+        self.token = token.map_err(|e| self.lex_error(e))?;
+        Ok(())
+    }
+
+    /// Consumes the lookahead when it is the punctuation `punct`.
+    fn eat_punct(&mut self, punct: char) -> Result<bool, QueryParseError> {
+        let found = self.token == Token::Punct(punct);
+        if found {
+            self.advance()?;
         }
-        token
+        Ok(found)
     }
 
     fn expect_punct(&mut self, punct: char) -> Result<(), QueryParseError> {
-        match self.next() {
-            Some(Token::Punct(c)) if c == punct => Ok(()),
-            other => Err(QueryParseError::new(format!(
-                "expected '{punct}', found {other:?}"
-            ))),
+        if self.eat_punct(punct)? {
+            Ok(())
+        } else {
+            Err(self.expected(&format!("'{punct}'")))
         }
     }
 
     fn peek_keyword(&self, keyword: &str) -> bool {
-        matches!(self.peek(), Some(Token::Word(w)) if w.eq_ignore_ascii_case(keyword))
+        matches!(self.token, Token::Word(Word::Bare(w)) if w.eq_ignore_ascii_case(keyword))
     }
 
-    fn eat_keyword(&mut self, keyword: &str) -> bool {
-        if self.peek_keyword(keyword) {
-            self.position += 1;
-            true
-        } else {
-            false
+    fn eat_keyword(&mut self, keyword: &str) -> Result<bool, QueryParseError> {
+        let found = self.peek_keyword(keyword);
+        if found {
+            self.advance()?;
         }
+        Ok(found)
+    }
+
+    /// Consumes the lookahead when it is a variable, returning its name.
+    fn eat_variable(&mut self) -> Result<Option<String>, QueryParseError> {
+        let Token::Variable(name) = self.token else {
+            return Ok(None);
+        };
+        self.advance()?;
+        Ok(Some(name.to_string()))
     }
 
     fn parse_query(mut self) -> Result<Query, QueryParseError> {
         self.parse_prologue()?;
-        let form = if self.eat_keyword("SELECT") {
+        let form = if self.eat_keyword("SELECT")? {
             QueryForm::Select
-        } else if self.eat_keyword("ASK") {
+        } else if self.eat_keyword("ASK")? {
             QueryForm::Ask
         } else {
-            return Err(QueryParseError::new("expected SELECT or ASK"));
+            return Err(self.error("expected SELECT or ASK"));
         };
 
-        let mut query = match form {
+        let (distinct, select) = match form {
             QueryForm::Select => {
-                let distinct = self.eat_keyword("DISTINCT");
+                let distinct = self.eat_keyword("DISTINCT")?;
                 let select = self.parse_projection()?;
-                if !self.eat_keyword("WHERE") {
-                    return Err(QueryParseError::new("expected WHERE"));
+                if !self.eat_keyword("WHERE")? {
+                    return Err(self.error("expected WHERE"));
                 }
-                let (patterns, filters) = self.parse_group()?;
-                Query {
-                    form,
-                    select,
-                    distinct,
-                    patterns,
-                    filters,
-                    limit: None,
-                    offset: 0,
-                }
+                (distinct, select)
             }
             QueryForm::Ask => {
-                self.eat_keyword("WHERE");
-                let (patterns, filters) = self.parse_group()?;
-                Query {
-                    form,
-                    select: Selection::All,
-                    distinct: false,
-                    patterns,
-                    filters,
-                    limit: None,
-                    offset: 0,
-                }
+                self.eat_keyword("WHERE")?;
+                (false, Selection::All)
             }
+        };
+        let (patterns, filters) = self.parse_group()?;
+        let mut query = Query {
+            form,
+            select,
+            distinct,
+            patterns,
+            filters,
+            limit: None,
+            offset: 0,
         };
 
         // Solution modifiers, in either order — but each at most once. A
@@ -393,83 +292,84 @@ impl Parser {
                     return Err(self.duplicate_clause("LIMIT"));
                 }
                 seen_limit = true;
-                self.position += 1;
+                self.advance()?;
                 query.limit = Some(self.parse_unsigned("LIMIT")?);
             } else if self.peek_keyword("OFFSET") {
                 if seen_offset {
                     return Err(self.duplicate_clause("OFFSET"));
                 }
                 seen_offset = true;
-                self.position += 1;
+                self.advance()?;
                 query.offset = self.parse_unsigned("OFFSET")?;
             } else {
                 break;
             }
         }
 
-        match self.peek() {
-            None => Ok(query),
-            Some(other) => Err(QueryParseError::new(format!(
-                "unexpected trailing token {other:?}"
-            ))),
+        match self.token {
+            Token::End => Ok(query),
+            _ => Err(self.error(format!("unexpected trailing token {:?}", self.token))),
         }
     }
 
     fn parse_prologue(&mut self) -> Result<(), QueryParseError> {
-        while self.eat_keyword("PREFIX") {
-            let name = match self.next() {
-                Some(Token::Word(word)) => word,
-                other => {
-                    return Err(QueryParseError::new(format!(
-                        "expected prefix name, found {other:?}"
-                    )))
-                }
+        while self.eat_keyword("PREFIX")? {
+            let name = match self.token {
+                Token::Word(
+                    Word::Bare(name)
+                    | Word::Prefixed {
+                        prefix: name,
+                        local: "",
+                    },
+                ) => name,
+                _ => return Err(self.expected("prefix name")),
             };
-            let name = name.strip_suffix(':').map(str::to_owned).unwrap_or(name);
-            let iri = match self.next() {
-                Some(Token::Iri(iri)) => iri,
-                other => {
-                    return Err(QueryParseError::new(format!(
-                        "expected namespace IRI, found {other:?}"
-                    )))
-                }
+            self.advance()?;
+            let Token::Term(TermRef::Iri(iri)) = &self.token else {
+                return Err(self.expected("namespace IRI"));
             };
-            self.prefixes.insert(name, iri);
+            self.prefixes.insert(name, iri.clone());
+            self.advance()?;
         }
         Ok(())
     }
 
     fn parse_projection(&mut self) -> Result<Selection, QueryParseError> {
-        if matches!(self.peek(), Some(Token::Punct('*'))) {
-            self.position += 1;
+        if self.eat_punct('*')? {
             return Ok(Selection::All);
         }
         let mut vars = Vec::new();
-        while let Some(Token::Variable(name)) = self.peek() {
-            vars.push(name.clone());
-            self.position += 1;
+        while let Some(name) = self.eat_variable()? {
+            vars.push(name);
         }
         if vars.is_empty() {
-            return Err(QueryParseError::new("SELECT needs '*' or variables"));
+            return Err(self.error("SELECT needs '*' or variables"));
         }
         Ok(Selection::Variables(vars))
     }
 
     /// A positioned error for a repeated solution modifier.
     fn duplicate_clause(&self, keyword: &str) -> QueryParseError {
-        QueryParseError::new(format!(
+        self.error(format!(
             "duplicate {keyword} clause at token {}",
-            self.position + 1
+            self.ordinal
         ))
     }
 
     fn parse_unsigned(&mut self, keyword: &str) -> Result<usize, QueryParseError> {
-        match self.next() {
-            Some(Token::Integer(value)) if value >= 0 => Ok(value as usize),
-            other => Err(QueryParseError::new(format!(
-                "{keyword} expects a non-negative integer, found {other:?}"
-            ))),
-        }
+        let value = match &self.token {
+            Token::Term(TermRef::Literal {
+                lexical,
+                datatype: Some(datatype),
+                ..
+            }) if datatype == vocab::XSD_INTEGER => lexical.parse().ok(),
+            _ => None,
+        };
+        let Some(value) = value else {
+            return Err(self.expected(&format!("a non-negative integer after {keyword}")));
+        };
+        self.advance()?;
+        Ok(value)
     }
 
     fn parse_group(
@@ -479,17 +379,16 @@ impl Parser {
         let mut patterns = Vec::new();
         let mut filters = Vec::new();
         loop {
-            match self.peek() {
-                Some(Token::Punct('}')) => {
-                    self.position += 1;
-                    break;
-                }
-                None => return Err(QueryParseError::new("unterminated group (missing '}')")),
-                Some(Token::Word(w)) if w.eq_ignore_ascii_case("FILTER") => {
-                    self.position += 1;
-                    filters.push(self.parse_filter()?);
-                }
-                _ => self.parse_triples_block(&mut patterns)?,
+            if self.eat_punct('}')? {
+                break;
+            }
+            if self.token == Token::End {
+                return Err(self.error("unterminated group (missing '}')"));
+            }
+            if self.eat_keyword("FILTER")? {
+                filters.push(self.parse_filter()?);
+            } else {
+                self.parse_triples_block(&mut patterns)?;
             }
         }
         Ok((patterns, filters))
@@ -503,165 +402,90 @@ impl Parser {
     ) -> Result<(), QueryParseError> {
         let subject = self.parse_pattern_term(false)?;
         let mut predicate = self.parse_pattern_term(true)?;
-        let mut object = self.parse_pattern_term(false)?;
-        patterns.push(TriplePatternSpec::new(
-            subject.clone(),
-            predicate.clone(),
-            object,
-        ));
         loop {
-            match self.peek() {
-                Some(Token::Punct(',')) => {
-                    self.position += 1;
-                    object = self.parse_pattern_term(false)?;
-                    patterns.push(TriplePatternSpec::new(
-                        subject.clone(),
-                        predicate.clone(),
-                        object,
-                    ));
-                }
-                Some(Token::Punct(';')) => {
-                    self.position += 1;
-                    // A dangling ';' before '.' or '}' is tolerated.
-                    if matches!(
-                        self.peek(),
-                        Some(Token::Punct('.')) | Some(Token::Punct('}'))
-                    ) {
-                        continue;
-                    }
-                    predicate = self.parse_pattern_term(true)?;
-                    object = self.parse_pattern_term(false)?;
-                    patterns.push(TriplePatternSpec::new(
-                        subject.clone(),
-                        predicate.clone(),
-                        object,
-                    ));
-                }
-                Some(Token::Punct('.')) => {
-                    self.position += 1;
-                    break;
-                }
-                _ => break,
+            let object = self.parse_pattern_term(false)?;
+            patterns.push(TriplePatternSpec::new(
+                subject.clone(),
+                predicate.clone(),
+                object,
+            ));
+            if self.eat_punct(',')? {
+                continue;
             }
+            // A dangling ';' before '.' or '}' is tolerated.
+            if !self.eat_punct(';')? || matches!(self.token, Token::Punct('.' | '}')) {
+                self.eat_punct('.')?;
+                return Ok(());
+            }
+            predicate = self.parse_pattern_term(true)?;
         }
-        Ok(())
     }
 
     fn parse_filter(&mut self) -> Result<FilterExpr, QueryParseError> {
         self.expect_punct('(')?;
-        let filter = match self.next() {
-            Some(Token::Variable(name)) => match self.next() {
-                Some(Token::Punct('=')) => {
-                    let rhs = self.parse_pattern_term(false)?;
-                    FilterExpr::Equal(name, rhs)
-                }
-                Some(Token::NotEquals) => {
-                    let rhs = self.parse_pattern_term(false)?;
-                    FilterExpr::NotEqual(name, rhs)
-                }
-                other => {
-                    return Err(QueryParseError::new(format!(
-                        "expected '=' or '!=' after ?{name}, found {other:?}"
-                    )))
-                }
-            },
-            Some(Token::Word(function)) => {
-                let upper = function.to_ascii_uppercase();
-                self.expect_punct('(')?;
-                let variable = match self.next() {
-                    Some(Token::Variable(name)) => name,
-                    other => {
-                        return Err(QueryParseError::new(format!(
-                            "{function} expects a variable, found {other:?}"
-                        )))
-                    }
-                };
-                let filter = match upper.as_str() {
-                    "ISIRI" | "ISURI" => FilterExpr::IsIri(variable),
-                    "ISLITERAL" => FilterExpr::IsLiteral(variable),
-                    "ISBLANK" => FilterExpr::IsBlank(variable),
-                    "BOUND" => FilterExpr::Bound(variable),
-                    "SAMETERM" => {
-                        self.expect_punct(',')?;
-                        let rhs = self.parse_pattern_term(false)?;
-                        self.expect_punct(')')?;
-                        self.expect_punct(')')?;
-                        return Ok(FilterExpr::Equal(variable, rhs));
-                    }
-                    other => {
-                        return Err(QueryParseError::new(format!(
-                            "unsupported filter function '{other}'"
-                        )))
-                    }
-                };
-                self.expect_punct(')')?;
-                filter
+        let filter = if let Some(name) = self.eat_variable()? {
+            let negated = match self.token {
+                Token::Punct('=') => false,
+                Token::NotEquals => true,
+                _ => return Err(self.expected(&format!("'=' or '!=' after ?{name}"))),
+            };
+            self.advance()?;
+            let rhs = self.parse_pattern_term(false)?;
+            if negated {
+                FilterExpr::NotEqual(name, rhs)
+            } else {
+                FilterExpr::Equal(name, rhs)
             }
-            other => {
-                return Err(QueryParseError::new(format!(
-                    "unsupported filter expression starting with {other:?}"
-                )))
-            }
+        } else if let Token::Word(Word::Bare(function)) = self.token {
+            let test: Option<fn(String) -> FilterExpr> = match function
+                .to_ascii_uppercase()
+                .as_str()
+            {
+                "ISIRI" | "ISURI" => Some(FilterExpr::IsIri),
+                "ISLITERAL" => Some(FilterExpr::IsLiteral),
+                "ISBLANK" => Some(FilterExpr::IsBlank),
+                "BOUND" => Some(FilterExpr::Bound),
+                "SAMETERM" => None,
+                other => return Err(self.error(format!("unsupported filter function '{other}'"))),
+            };
+            self.advance()?;
+            self.expect_punct('(')?;
+            let Some(variable) = self.eat_variable()? else {
+                return Err(self.expected(&format!("a variable as {function}'s argument")));
+            };
+            let filter = match test {
+                Some(test) => test(variable),
+                None => {
+                    self.expect_punct(',')?;
+                    FilterExpr::Equal(variable, self.parse_pattern_term(false)?)
+                }
+            };
+            self.expect_punct(')')?;
+            filter
+        } else {
+            return Err(self.expected("a filter expression"));
         };
         self.expect_punct(')')?;
         Ok(filter)
     }
 
     fn parse_pattern_term(&mut self, predicate: bool) -> Result<PatternTerm, QueryParseError> {
-        match self.next() {
-            Some(Token::Variable(name)) => Ok(PatternTerm::Variable(name)),
-            Some(Token::Iri(iri)) => Ok(PatternTerm::iri(iri)),
-            Some(Token::Blank(label)) => Ok(PatternTerm::Constant(Term::blank(label))),
-            Some(Token::Integer(value)) => Ok(PatternTerm::Constant(Term::integer(value))),
-            Some(Token::Literal {
-                lexical,
-                language,
-                datatype,
-            }) => {
-                let term = if let Some(lang) = language {
-                    Term::lang_literal(lexical, lang)
-                } else if let Some(datatype) = datatype {
-                    let iri = match datatype {
-                        LiteralDatatype::Iri(iri) => iri,
-                        LiteralDatatype::Prefixed(name) => self.expand(&name)?,
-                    };
-                    Term::typed_literal(lexical, iri)
-                } else {
-                    Term::plain_literal(lexical)
-                };
-                Ok(PatternTerm::Constant(term))
+        let term = match &self.token {
+            Token::Variable(name) => PatternTerm::Variable(name.to_string()),
+            Token::Term(term) => PatternTerm::Constant(term.to_term()),
+            Token::Word(Word::Bare("a")) if predicate => PatternTerm::iri(vocab::RDF_TYPE),
+            Token::Word(Word::Prefixed { prefix, local }) => PatternTerm::iri(
+                expand(&self.prefixes, prefix, local).map_err(|message| self.error(message))?,
+            ),
+            Token::Word(Word::Bare(name)) => {
+                return Err(self.error(format!(
+                    "'{name}' is neither a variable, an IRI nor a prefixed name"
+                )))
             }
-            Some(Token::Word(word)) => {
-                if predicate && word == "a" {
-                    return Ok(PatternTerm::iri(vocab::RDF_TYPE));
-                }
-                Ok(PatternTerm::iri(self.expand(&word)?))
-            }
-            other => Err(QueryParseError::new(format!(
-                "expected a term, found {other:?}"
-            ))),
-        }
-    }
-
-    /// Expands `prefix:local` against declared prefixes, falling back to the
-    /// built-in rdf/rdfs/owl/xsd namespaces.
-    fn expand(&self, name: &str) -> Result<String, QueryParseError> {
-        let Some((prefix, local)) = name.split_once(':') else {
-            return Err(QueryParseError::new(format!(
-                "'{name}' is neither a variable, an IRI nor a prefixed name"
-            )));
+            _ => return Err(self.expected("a term")),
         };
-        if let Some(namespace) = self.prefixes.get(prefix) {
-            return Ok(format!("{namespace}{local}"));
-        }
-        let expanded = vocab::expand_curie(name);
-        if expanded != name {
-            Ok(expanded)
-        } else {
-            Err(QueryParseError::new(format!(
-                "unknown prefix '{prefix}:' (declare it with PREFIX)"
-            )))
-        }
+        self.advance()?;
+        Ok(term)
     }
 }
 
@@ -669,6 +493,7 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::algebra::{FilterExpr, PatternTerm, QueryForm, Selection};
+    use inferray_model::Term;
 
     #[test]
     fn parses_select_star_with_prefixes() {

@@ -1,5 +1,6 @@
-//! The rule-file front end: a self-contained byte lexer and a recursive
-//! parser for the textual datalog-style syntax.
+//! The rule-file front end: the grammar of the textual datalog-style syntax,
+//! written on the tokenizer and statement-level parser core `.rules` and
+//! `.shapes` share ([`crate::syntax`]).
 //!
 //! ```text
 //! @prefix ex: <http://example.org/> .
@@ -9,23 +10,16 @@
 //! ```
 //!
 //! Terms are `?var`, `<absolute-iri>`, `prefix:local`, or the Turtle
-//! shorthand `a` for `rdf:type` (predicate position only). Comments run from
-//! `#` to end of line. Parse errors are reported as positioned `RA001`
-//! diagnostics (unknown prefixes as `RA002`) and recovery skips to the next
-//! `.` so one bad rule does not hide the findings in the rest of the file.
+//! shorthand `a` for `rdf:type` (predicate position only), spelt as every
+//! other grammar of the workspace spells them ("Term syntax" in
+//! `docs/ingest.md`). Comments run from `#` to end of line. Parse errors are
+//! reported as positioned `RA001` diagnostics (unknown prefixes as `RA002`)
+//! and recovery skips to the next `.` so one bad rule does not hide the
+//! findings in the rest of the file.
 
-use super::diag::{Diagnostic, Severity};
-use inferray_model::vocab;
-use std::collections::HashMap;
-
-/// A 1-based source position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
+use super::diag::Diagnostic;
+pub use crate::syntax::Span;
+use crate::syntax::{Parser, Tok};
 
 /// A symbolic (pre-dictionary) term of a triple pattern.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,436 +56,111 @@ pub struct SymRule {
     pub head: Vec<SymAtom>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Var(String),
-    Iri(String),
-    Pname(String, String),
-    Colon,
-    Comma,
-    Dot,
-    Arrow,
-    AtPrefix,
-    Eof,
+/// One term; predicate position admits the `a` shorthand.
+fn parse_term(p: &mut Parser, predicate_position: bool) -> Option<SymTerm> {
+    if let Tok::Var(name) = &p.tok {
+        let term = SymTerm::Var(name.clone());
+        p.advance();
+        return Some(term);
+    }
+    if let Some(iri) = p.take_iri(predicate_position) {
+        return Some(SymTerm::Iri(iri));
+    }
+    let hint = if p.at_bare_a() {
+        " (`a` is only valid in predicate position)"
+    } else {
+        ""
+    };
+    p.error_here(format!(
+        "expected a term (`?var`, `<iri>` or `prefix:local`), found {}{hint}",
+        p.tok.describe()
+    ));
+    None
 }
 
-impl Tok {
-    fn describe(&self) -> String {
-        match self {
-            Tok::Ident(n) => format!("`{n}`"),
-            Tok::Var(n) => format!("`?{n}`"),
-            Tok::Iri(i) => format!("`<{i}>`"),
-            Tok::Pname(p, l) => format!("`{p}:{l}`"),
-            Tok::Colon => "`:`".into(),
-            Tok::Comma => "`,`".into(),
-            Tok::Dot => "`.`".into(),
-            Tok::Arrow => "`=>`".into(),
-            Tok::AtPrefix => "`@prefix`".into(),
-            Tok::Eof => "end of file".into(),
-        }
-    }
+fn parse_atom(p: &mut Parser) -> Option<SymAtom> {
+    let span = p.span;
+    let s = parse_term(p, false)?;
+    let pred = parse_term(p, true)?;
+    let o = parse_term(p, false)?;
+    Some(SymAtom {
+        s,
+        p: pred,
+        o,
+        span,
+    })
 }
 
-fn is_name_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
+/// `atom (, atom)*` terminated by `=>` or `.` (not consumed).
+fn parse_atoms(p: &mut Parser) -> Option<Vec<SymAtom>> {
+    let mut atoms = vec![parse_atom(p)?];
+    while p.tok == Tok::Comma {
+        p.advance();
+        atoms.push(parse_atom(p)?);
+    }
+    Some(atoms)
 }
 
-struct Lexer<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: u32,
-    col: u32,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(text: &'a str) -> Self {
-        Lexer {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
+/// `rule NAME: body => head .` with the lookahead on `rule`.
+fn parse_rule(p: &mut Parser) -> Option<SymRule> {
+    let span = p.span;
+    p.advance(); // past `rule`
+    let Tok::Ident(name) = &p.tok else {
+        p.expected("a rule name after `rule`");
+        return None;
+    };
+    let name = name.clone();
+    p.advance();
+    if p.tok != Tok::Colon {
+        p.expected("`:` after the rule name");
+        return None;
     }
-
-    fn bump(&mut self) -> u8 {
-        let b = self.bytes[self.pos];
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        b
+    p.advance();
+    let body = parse_atoms(p)?;
+    if p.tok != Tok::Arrow {
+        p.expected("`=>` between body and head");
+        return None;
     }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    p.advance();
+    let head = parse_atoms(p)?;
+    if p.tok != Tok::Dot {
+        p.expected("`.` to end the rule");
+        return None;
     }
-
-    fn peek_at(&self, ahead: usize) -> Option<u8> {
-        self.bytes.get(self.pos + ahead).copied()
-    }
-
-    fn skip_trivia(&mut self) {
-        while let Some(b) = self.peek() {
-            if b.is_ascii_whitespace() {
-                self.bump();
-            } else if b == b'#' {
-                while let Some(c) = self.peek() {
-                    self.bump();
-                    if c == b'\n' {
-                        break;
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn take_name(&mut self) -> String {
-        let start = self.pos;
-        while self.peek().is_some_and(is_name_byte) {
-            self.bump();
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
-    }
-
-    /// The next token and its span; lexing errors become `RA001`.
-    fn next(&mut self, diags: &mut Vec<Diagnostic>) -> (Tok, Span) {
-        loop {
-            self.skip_trivia();
-            let span = Span {
-                line: self.line,
-                col: self.col,
-            };
-            let Some(b) = self.peek() else {
-                return (Tok::Eof, span);
-            };
-            match b {
-                b',' => {
-                    self.bump();
-                    return (Tok::Comma, span);
-                }
-                b'.' => {
-                    self.bump();
-                    return (Tok::Dot, span);
-                }
-                b':' => {
-                    self.bump();
-                    return (Tok::Colon, span);
-                }
-                b'=' if self.peek_at(1) == Some(b'>') => {
-                    self.bump();
-                    self.bump();
-                    return (Tok::Arrow, span);
-                }
-                b'@' => {
-                    self.bump();
-                    let word = self.take_name();
-                    if word == "prefix" {
-                        return (Tok::AtPrefix, span);
-                    }
-                    diags.push(Diagnostic::new(
-                        "RA001",
-                        Severity::Error,
-                        span.line,
-                        span.col,
-                        format!("unknown directive `@{word}` (only `@prefix` is supported)"),
-                    ));
-                }
-                b'?' => {
-                    self.bump();
-                    let name = self.take_name();
-                    if name.is_empty() {
-                        diags.push(Diagnostic::new(
-                            "RA001",
-                            Severity::Error,
-                            span.line,
-                            span.col,
-                            "`?` must be followed by a variable name",
-                        ));
-                    } else {
-                        return (Tok::Var(name), span);
-                    }
-                }
-                b'<' => {
-                    self.bump();
-                    let start = self.pos;
-                    while self.peek().is_some_and(|c| c != b'>' && c != b'\n') {
-                        self.bump();
-                    }
-                    if self.peek() == Some(b'>') {
-                        let iri =
-                            String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                        self.bump();
-                        return (Tok::Iri(iri), span);
-                    }
-                    diags.push(Diagnostic::new(
-                        "RA001",
-                        Severity::Error,
-                        span.line,
-                        span.col,
-                        "unterminated IRI: missing `>` before end of line",
-                    ));
-                }
-                _ if is_name_byte(b) => {
-                    let name = self.take_name();
-                    // `prefix:local` — but `NAME:` followed by anything else
-                    // (whitespace, `?`, …) lexes as Ident + Colon so rule
-                    // headers parse.
-                    if self.peek() == Some(b':') && self.peek_at(1).is_some_and(is_name_byte) {
-                        self.bump();
-                        let local = self.take_name();
-                        return (Tok::Pname(name, local), span);
-                    }
-                    return (Tok::Ident(name), span);
-                }
-                _ => {
-                    self.bump();
-                    diags.push(Diagnostic::new(
-                        "RA001",
-                        Severity::Error,
-                        span.line,
-                        span.col,
-                        format!("unexpected character `{}`", b as char),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-struct Parser<'a> {
-    lexer: Lexer<'a>,
-    tok: Tok,
-    span: Span,
-    prefixes: HashMap<String, String>,
-    diags: Vec<Diagnostic>,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        let mut diags = Vec::new();
-        let mut lexer = Lexer::new(text);
-        let (tok, span) = lexer.next(&mut diags);
-        Parser {
-            lexer,
-            tok,
-            span,
-            prefixes: HashMap::new(),
-            diags,
-        }
-    }
-
-    fn advance(&mut self) {
-        let (tok, span) = self.lexer.next(&mut self.diags);
-        self.tok = tok;
-        self.span = span;
-    }
-
-    fn error_here(&mut self, message: impl Into<String>) {
-        self.diags.push(Diagnostic::new(
-            "RA001",
-            Severity::Error,
-            self.span.line,
-            self.span.col,
-            message,
-        ));
-    }
-
-    /// Skips tokens through the next `.` (or EOF) — the statement-level
-    /// recovery point.
-    fn recover(&mut self) {
-        loop {
-            match self.tok {
-                Tok::Dot => {
-                    self.advance();
-                    return;
-                }
-                Tok::Eof => return,
-                _ => self.advance(),
-            }
-        }
-    }
-
-    fn expect_dot(&mut self) {
-        if self.tok == Tok::Dot {
-            self.advance();
-        } else {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `.` to end the statement, found {found}"));
-            self.recover();
-        }
-    }
-
-    fn parse_prefix(&mut self) {
-        self.advance(); // past @prefix
-        let ns = match &self.tok {
-            Tok::Ident(name) => name.clone(),
-            other => {
-                let found = other.describe();
-                self.error_here(format!(
-                    "expected a prefix name after `@prefix`, found {found}"
-                ));
-                self.recover();
-                return;
-            }
-        };
-        self.advance();
-        if self.tok != Tok::Colon {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `:` after the prefix name, found {found}"));
-            self.recover();
-            return;
-        }
-        self.advance();
-        let iri = match &self.tok {
-            Tok::Iri(iri) => iri.clone(),
-            other => {
-                let found = other.describe();
-                self.error_here(format!("expected `<iri>` after the prefix, found {found}"));
-                self.recover();
-                return;
-            }
-        };
-        self.advance();
-        self.prefixes.insert(ns, iri);
-        self.expect_dot();
-    }
-
-    /// One term; predicate position admits the `a` shorthand.
-    fn parse_term(&mut self, predicate_position: bool) -> Option<SymTerm> {
-        let term = match &self.tok {
-            Tok::Var(name) => SymTerm::Var(name.clone()),
-            Tok::Iri(iri) => SymTerm::Iri(iri.clone()),
-            Tok::Pname(prefix, local) => match self.prefixes.get(prefix) {
-                Some(ns) => SymTerm::Iri(format!("{ns}{local}")),
-                None => {
-                    let prefix = prefix.clone();
-                    self.diags.push(Diagnostic::new(
-                        "RA002",
-                        Severity::Error,
-                        self.span.line,
-                        self.span.col,
-                        format!("unknown prefix `{prefix}:` — declare it with `@prefix`"),
-                    ));
-                    SymTerm::Iri(format!("urn:inferray:unknown-prefix:{prefix}:{local}"))
-                }
-            },
-            Tok::Ident(name) if name == "a" && predicate_position => {
-                SymTerm::Iri(vocab::RDF_TYPE.to_string())
-            }
-            other => {
-                let found = other.describe();
-                let hint = if matches!(other, Tok::Ident(n) if n == "a") {
-                    " (`a` is only valid in predicate position)"
-                } else {
-                    ""
-                };
-                self.error_here(format!(
-                    "expected a term (`?var`, `<iri>` or `prefix:local`), found {found}{hint}"
-                ));
-                return None;
-            }
-        };
-        self.advance();
-        Some(term)
-    }
-
-    fn parse_atom(&mut self) -> Option<SymAtom> {
-        let span = self.span;
-        let s = self.parse_term(false)?;
-        let p = self.parse_term(true)?;
-        let o = self.parse_term(false)?;
-        Some(SymAtom { s, p, o, span })
-    }
-
-    /// `atom (, atom)*` terminated by `=>` or `.` (not consumed).
-    fn parse_atoms(&mut self) -> Option<Vec<SymAtom>> {
-        let mut atoms = vec![self.parse_atom()?];
-        while self.tok == Tok::Comma {
-            self.advance();
-            atoms.push(self.parse_atom()?);
-        }
-        Some(atoms)
-    }
-
-    fn parse_rule(&mut self) -> Option<SymRule> {
-        let span = self.span;
-        self.advance(); // past `rule`
-        let name = match &self.tok {
-            Tok::Ident(name) => name.clone(),
-            other => {
-                let found = other.describe();
-                self.error_here(format!("expected a rule name after `rule`, found {found}"));
-                return None;
-            }
-        };
-        self.advance();
-        if self.tok != Tok::Colon {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `:` after the rule name, found {found}"));
-            return None;
-        }
-        self.advance();
-        let body = self.parse_atoms()?;
-        if self.tok != Tok::Arrow {
-            let found = self.tok.describe();
-            self.error_here(format!(
-                "expected `=>` between body and head, found {found}"
-            ));
-            return None;
-        }
-        self.advance();
-        let head = self.parse_atoms()?;
-        if self.tok != Tok::Dot {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `.` to end the rule, found {found}"));
-            return None;
-        }
-        self.advance();
-        Some(SymRule {
-            name,
-            span,
-            body,
-            head,
-        })
-    }
-
-    fn parse_file(mut self) -> (Vec<SymRule>, Vec<Diagnostic>) {
-        let mut rules = Vec::new();
-        loop {
-            match &self.tok {
-                Tok::Eof => break,
-                Tok::AtPrefix => self.parse_prefix(),
-                Tok::Ident(name) if name == "rule" => match self.parse_rule() {
-                    Some(rule) => rules.push(rule),
-                    None => self.recover(),
-                },
-                other => {
-                    let found = other.describe();
-                    self.error_here(format!(
-                        "expected `rule` or `@prefix` at top level, found {found}"
-                    ));
-                    self.recover();
-                }
-            }
-        }
-        (rules, self.diags)
-    }
+    p.advance();
+    Some(SymRule {
+        name,
+        span,
+        body,
+        head,
+    })
 }
 
 /// Parses a rule file into symbolic rules plus `RA001`/`RA002` diagnostics.
 pub fn parse(text: &str) -> (Vec<SymRule>, Vec<Diagnostic>) {
-    Parser::new(text).parse_file()
+    let mut p = Parser::new(text, "RA001", "RA002");
+    let mut rules = Vec::new();
+    loop {
+        match &p.tok {
+            Tok::Eof => break,
+            Tok::AtPrefix => p.parse_prefix(),
+            Tok::Ident(name) if name == "rule" => match parse_rule(&mut p) {
+                Some(rule) => rules.push(rule),
+                None => p.recover(),
+            },
+            _ => {
+                p.expected("`rule` or `@prefix` at top level");
+                p.recover();
+            }
+        }
+    }
+    (rules, p.diags)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferray_model::vocab;
 
     fn ok(text: &str) -> Vec<SymRule> {
         let (rules, diags) = parse(text);

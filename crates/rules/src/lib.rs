@@ -26,6 +26,7 @@ pub mod materializer;
 pub mod ruleset;
 pub mod shapes;
 pub mod support;
+mod syntax;
 
 pub use catalog::{
     Membership, RuleClass, RuleId, RuleInfo, RuleInputs, RuleOutputs, SchemaSide, CATALOG,

@@ -15,7 +15,7 @@
 //! (`SH001`/`SH002` — syntax and unknown prefixes — are emitted by the
 //! parser.) The code table with examples lives in `docs/shapes.md`.
 
-use super::parse::{SymClause, SymShape, SymTarget, SymValue};
+use super::parse::{SymClause, SymShape, SymTarget};
 use crate::analysis::{Diagnostic, Severity};
 use std::collections::HashMap;
 
@@ -161,13 +161,8 @@ fn canonicalize(shape: &SymShape) -> String {
                     SymClause::Datatype { iri, .. } => format!("datatype <{iri}>"),
                     SymClause::Class { iri, .. } => format!("class <{iri}>"),
                     SymClause::In { values, .. } => {
-                        let mut values: Vec<String> = values
-                            .iter()
-                            .map(|v| match v {
-                                SymValue::Iri(iri) => format!("<{iri}>"),
-                                SymValue::Literal(s) => format!("{s:?}"),
-                            })
-                            .collect();
+                        let mut values: Vec<String> =
+                            values.iter().map(|v| v.to_ntriples()).collect();
                         values.sort_unstable();
                         format!("in {}", values.join(" "))
                     }

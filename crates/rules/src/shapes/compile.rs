@@ -17,10 +17,10 @@
 //! layer recompiles per write, exactly as it does for rule programs.
 
 use super::check::name_map;
-use super::parse::{SymClause, SymShape, SymTarget, SymValue};
+use super::parse::{SymClause, SymShape, SymTarget};
 use crate::analysis::Span;
 use inferray_dictionary::Dictionary;
-use inferray_model::{vocab, Term};
+use inferray_model::vocab;
 
 /// A compiled target selector. `None` identifiers mean the named term is not
 /// in the dictionary: the selector matches no node.
@@ -203,15 +203,8 @@ pub fn lower(shapes: &[SymShape], dict: &Dictionary) -> CompiledShapes {
                                 span: *span,
                             }),
                             SymClause::In { values, span } => {
-                                let mut ids: Vec<u64> = values
-                                    .iter()
-                                    .filter_map(|v| match v {
-                                        SymValue::Iri(iri) => dict.id_of_iri(iri),
-                                        SymValue::Literal(s) => {
-                                            dict.id_of(&Term::plain_literal(s.clone()))
-                                        }
-                                    })
-                                    .collect();
+                                let mut ids: Vec<u64> =
+                                    values.iter().filter_map(|v| dict.id_of(v)).collect();
                                 ids.sort_unstable();
                                 ids.dedup();
                                 checks.push(Check::In {

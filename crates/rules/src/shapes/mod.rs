@@ -31,7 +31,7 @@ mod validate;
 
 pub use crate::analysis::{Diagnostic, Severity, Span};
 pub use compile::{Check, CompiledConstraint, CompiledShape, CompiledShapes, Target};
-pub use parse::{SymClause, SymConstraint, SymShape, SymTarget, SymValue};
+pub use parse::{SymClause, SymConstraint, SymShape, SymTarget};
 pub use validate::{
     conforms, dirty_nodes, validate, validate_delta, ValidationReport, Violation, ViolationKind,
 };

@@ -1,5 +1,6 @@
-//! The shape-file front end: a self-contained byte lexer and a recursive
-//! parser for the textual SHACL-lite syntax.
+//! The shape-file front end: the grammar of the textual SHACL-lite syntax,
+//! written on the tokenizer and statement-level parser core `.rules` and
+//! `.shapes` share ([`crate::syntax`]).
 //!
 //! ```text
 //! @prefix ex: <http://example.org/> .
@@ -16,23 +17,17 @@
 //! statements) and adds the shape block: a target selector (`class C`,
 //! `subjects-of p`, or the whole-store fallback `all`) followed by
 //! `;`-terminated constraints, each a property path and one or more clauses
-//! (`count [min..max]`, `datatype`, `class`, `in ( … )`, `node NAME`).
-//! Parse errors are reported as positioned `SH001` diagnostics (unknown
-//! prefixes as `SH002`) and recovery skips to the next `.` so one bad shape
-//! does not hide the findings in the rest of the file.
+//! (`count [min..max]`, `datatype`, `class`, `in ( … )`, `node NAME`). The
+//! values of an `in ( … )` list are RDF terms — IRIs, prefixed names,
+//! literals, blank node labels — spelt as the loader and the query parser
+//! spell them ("Term syntax" in `docs/ingest.md`), so a listed value is the
+//! stored term. Parse errors are reported as positioned `SH001` diagnostics
+//! (unknown prefixes as `SH002`) and recovery skips to the next `.` so one
+//! bad shape does not hide the findings in the rest of the file.
 
-use crate::analysis::{Diagnostic, Severity, Span};
-use inferray_model::vocab;
-use std::collections::HashMap;
-
-/// A symbolic (pre-dictionary) value of an `in ( … )` enumeration.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SymValue {
-    /// A resolved absolute IRI.
-    Iri(String),
-    /// A plain (untyped, untagged) string literal.
-    Literal(String),
-}
+use crate::analysis::{Diagnostic, Span};
+use crate::syntax::{Parser, Tok};
+use inferray_model::Term;
 
 /// The target selector of a shape: which nodes become focus nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +69,7 @@ pub enum SymClause {
     /// `in ( v… )` — every value must be one of the enumerated terms.
     In {
         /// The allowed values.
-        values: Vec<SymValue>,
+        values: Vec<Term>,
         /// Position of the `in` keyword.
         span: Span,
     },
@@ -126,693 +121,256 @@ pub struct SymShape {
     pub constraints: Vec<SymConstraint>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Int(u64),
-    Iri(String),
-    Pname(String, String),
-    Str(String),
-    Colon,
-    Dot,
-    DotDot,
-    Star,
-    Semi,
-    LBrace,
-    RBrace,
-    LBracket,
-    RBracket,
-    LParen,
-    RParen,
-    AtPrefix,
-    Eof,
+/// One IRI term; `path_position` admits the `a` shorthand for `rdf:type`.
+fn parse_iri(p: &mut Parser, path_position: bool) -> Option<String> {
+    if let Some(iri) = p.take_iri(path_position) {
+        return Some(iri);
+    }
+    let hint = if p.at_bare_a() {
+        " (`a` is only valid in path position)"
+    } else {
+        ""
+    };
+    p.error_here(format!(
+        "expected an IRI (`<iri>` or `prefix:local`), found {}{hint}",
+        p.tok.describe()
+    ));
+    None
 }
 
-impl Tok {
-    fn describe(&self) -> String {
-        match self {
-            Tok::Ident(n) => format!("`{n}`"),
-            Tok::Int(n) => format!("`{n}`"),
-            Tok::Iri(i) => format!("`<{i}>`"),
-            Tok::Pname(p, l) => format!("`{p}:{l}`"),
-            Tok::Str(s) => format!("`\"{s}\"`"),
-            Tok::Colon => "`:`".into(),
-            Tok::Dot => "`.`".into(),
-            Tok::DotDot => "`..`".into(),
-            Tok::Star => "`*`".into(),
-            Tok::Semi => "`;`".into(),
-            Tok::LBrace => "`{`".into(),
-            Tok::RBrace => "`}`".into(),
-            Tok::LBracket => "`[`".into(),
-            Tok::RBracket => "`]`".into(),
-            Tok::LParen => "`(`".into(),
-            Tok::RParen => "`)`".into(),
-            Tok::AtPrefix => "`@prefix`".into(),
-            Tok::Eof => "end of file".into(),
+/// A count bound: a digit run that fits a `u64`.
+fn count_bound(tok: &Tok) -> Option<u64> {
+    match tok {
+        Tok::Ident(digits) if digits.bytes().all(|b| b.is_ascii_digit()) => digits.parse().ok(),
+        _ => None,
+    }
+}
+
+/// `count [min..max]` with the lookahead on `count`.
+fn parse_count(p: &mut Parser, span: Span) -> Option<SymClause> {
+    p.advance(); // past `count`
+    if p.tok != Tok::LBracket {
+        p.expected("`[` after `count`");
+        return None;
+    }
+    p.advance();
+    let Some(min) = count_bound(&p.tok) else {
+        p.expected("a minimum count");
+        return None;
+    };
+    p.advance();
+    if p.tok != Tok::DotDot {
+        p.expected("`..` between the bounds");
+        return None;
+    }
+    p.advance();
+    let max = match count_bound(&p.tok) {
+        Some(max) => Some(max),
+        None if p.tok == Tok::Star => None,
+        None => {
+            p.expected("a maximum count or `*`");
+            return None;
+        }
+    };
+    p.advance();
+    if p.tok != Tok::RBracket {
+        p.expected("`]` to close the bounds");
+        return None;
+    }
+    p.advance();
+    Some(SymClause::Count { min, max, span })
+}
+
+/// `in ( value… )` with the lookahead on `in`.
+fn parse_in(p: &mut Parser, span: Span) -> Option<SymClause> {
+    p.advance(); // past `in`
+    if p.tok != Tok::LParen {
+        p.expected("`(` after `in`");
+        return None;
+    }
+    p.advance();
+    let mut values = Vec::new();
+    loop {
+        match &p.tok {
+            Tok::RParen => {
+                p.advance();
+                return Some(SymClause::In { values, span });
+            }
+            Tok::Term(term) => {
+                values.push(term.clone());
+                p.advance();
+            }
+            Tok::Iri(_) | Tok::Pname(..) => values.push(Term::Iri(parse_iri(p, false)?)),
+            _ => {
+                p.expected("an IRI, a literal, a blank node or `)` in the enumeration");
+                return None;
+            }
         }
     }
 }
 
-fn is_name_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
-}
-
-struct Lexer<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: u32,
-    col: u32,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(text: &'a str) -> Self {
-        Lexer {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-        }
-    }
-
-    fn bump(&mut self) -> u8 {
-        let b = self.bytes[self.pos];
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        b
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, ahead: usize) -> Option<u8> {
-        self.bytes.get(self.pos + ahead).copied()
-    }
-
-    fn skip_trivia(&mut self) {
-        while let Some(b) = self.peek() {
-            if b.is_ascii_whitespace() {
-                self.bump();
-            } else if b == b'#' {
-                while let Some(c) = self.peek() {
-                    self.bump();
-                    if c == b'\n' {
-                        break;
-                    }
-                }
-            } else {
+/// One constraint: `path clause+ ;`.
+fn parse_constraint(p: &mut Parser) -> Option<SymConstraint> {
+    let span = p.span;
+    let path = parse_iri(p, true)?;
+    let mut clauses = Vec::new();
+    loop {
+        let clause_span = p.span;
+        let keyword = match &p.tok {
+            Tok::Semi => {
+                p.advance();
                 break;
             }
-        }
-    }
-
-    fn take_name(&mut self) -> String {
-        let start = self.pos;
-        while self.peek().is_some_and(is_name_byte) {
-            self.bump();
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
-    }
-
-    /// The next token and its span; lexing errors become `SH001`.
-    fn next(&mut self, diags: &mut Vec<Diagnostic>) -> (Tok, Span) {
-        loop {
-            self.skip_trivia();
-            let span = Span {
-                line: self.line,
-                col: self.col,
-            };
-            let Some(b) = self.peek() else {
-                return (Tok::Eof, span);
-            };
-            match b {
-                b'.' if self.peek_at(1) == Some(b'.') => {
-                    self.bump();
-                    self.bump();
-                    return (Tok::DotDot, span);
-                }
-                b'.' => {
-                    self.bump();
-                    return (Tok::Dot, span);
-                }
-                b':' => {
-                    self.bump();
-                    return (Tok::Colon, span);
-                }
-                b'*' => {
-                    self.bump();
-                    return (Tok::Star, span);
-                }
-                b';' => {
-                    self.bump();
-                    return (Tok::Semi, span);
-                }
-                b'{' => {
-                    self.bump();
-                    return (Tok::LBrace, span);
-                }
-                b'}' => {
-                    self.bump();
-                    return (Tok::RBrace, span);
-                }
-                b'[' => {
-                    self.bump();
-                    return (Tok::LBracket, span);
-                }
-                b']' => {
-                    self.bump();
-                    return (Tok::RBracket, span);
-                }
-                b'(' => {
-                    self.bump();
-                    return (Tok::LParen, span);
-                }
-                b')' => {
-                    self.bump();
-                    return (Tok::RParen, span);
-                }
-                b'@' => {
-                    self.bump();
-                    let word = self.take_name();
-                    if word == "prefix" {
-                        return (Tok::AtPrefix, span);
-                    }
-                    diags.push(Diagnostic::new(
-                        "SH001",
-                        Severity::Error,
-                        span.line,
-                        span.col,
-                        format!("unknown directive `@{word}` (only `@prefix` is supported)"),
-                    ));
-                }
-                b'"' => {
-                    self.bump();
-                    let mut lexical = String::new();
-                    loop {
-                        match self.peek() {
-                            Some(b'"') => {
-                                self.bump();
-                                return (Tok::Str(lexical), span);
-                            }
-                            Some(b'\\') => {
-                                self.bump();
-                                match self.peek() {
-                                    Some(c @ (b'"' | b'\\')) => {
-                                        self.bump();
-                                        lexical.push(c as char);
-                                    }
-                                    _ => {
-                                        diags.push(Diagnostic::new(
-                                            "SH001",
-                                            Severity::Error,
-                                            span.line,
-                                            span.col,
-                                            "unsupported escape in string literal \
-                                             (only `\\\"` and `\\\\`)",
-                                        ));
-                                        break;
-                                    }
-                                }
-                            }
-                            Some(b'\n') | None => {
-                                diags.push(Diagnostic::new(
-                                    "SH001",
-                                    Severity::Error,
-                                    span.line,
-                                    span.col,
-                                    "unterminated string literal: missing `\"` before end of line",
-                                ));
-                                break;
-                            }
-                            Some(_) => {
-                                let c = self.bump();
-                                lexical.push(c as char);
-                            }
-                        }
-                    }
-                }
-                b'<' => {
-                    self.bump();
-                    let start = self.pos;
-                    while self.peek().is_some_and(|c| c != b'>' && c != b'\n') {
-                        self.bump();
-                    }
-                    if self.peek() == Some(b'>') {
-                        let iri =
-                            String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                        self.bump();
-                        return (Tok::Iri(iri), span);
-                    }
-                    diags.push(Diagnostic::new(
-                        "SH001",
-                        Severity::Error,
-                        span.line,
-                        span.col,
-                        "unterminated IRI: missing `>` before end of line",
-                    ));
-                }
-                _ if is_name_byte(b) => {
-                    let name = self.take_name();
-                    if name.bytes().all(|c| c.is_ascii_digit()) {
-                        if let Ok(n) = name.parse::<u64>() {
-                            return (Tok::Int(n), span);
-                        }
-                    }
-                    // `prefix:local` — but `NAME:` followed by anything else
-                    // lexes as Ident + Colon.
-                    if self.peek() == Some(b':') && self.peek_at(1).is_some_and(is_name_byte) {
-                        self.bump();
-                        let local = self.take_name();
-                        return (Tok::Pname(name, local), span);
-                    }
-                    return (Tok::Ident(name), span);
-                }
-                _ => {
-                    self.bump();
-                    diags.push(Diagnostic::new(
-                        "SH001",
-                        Severity::Error,
-                        span.line,
-                        span.col,
-                        format!("unexpected character `{}`", b as char),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-struct Parser<'a> {
-    lexer: Lexer<'a>,
-    tok: Tok,
-    span: Span,
-    prefixes: HashMap<String, String>,
-    diags: Vec<Diagnostic>,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        let mut diags = Vec::new();
-        let mut lexer = Lexer::new(text);
-        let (tok, span) = lexer.next(&mut diags);
-        Parser {
-            lexer,
-            tok,
-            span,
-            prefixes: HashMap::new(),
-            diags,
-        }
-    }
-
-    fn advance(&mut self) {
-        let (tok, span) = self.lexer.next(&mut self.diags);
-        self.tok = tok;
-        self.span = span;
-    }
-
-    fn error_here(&mut self, message: impl Into<String>) {
-        self.diags.push(Diagnostic::new(
-            "SH001",
-            Severity::Error,
-            self.span.line,
-            self.span.col,
-            message,
-        ));
-    }
-
-    /// Skips tokens through the next `.` (or EOF) — the statement-level
-    /// recovery point.
-    fn recover(&mut self) {
-        loop {
-            match self.tok {
-                Tok::Dot => {
-                    self.advance();
-                    return;
-                }
-                Tok::Eof => return,
-                _ => self.advance(),
-            }
-        }
-    }
-
-    fn expect_dot(&mut self) {
-        if self.tok == Tok::Dot {
-            self.advance();
-        } else {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `.` to end the statement, found {found}"));
-            self.recover();
-        }
-    }
-
-    fn parse_prefix(&mut self) {
-        self.advance(); // past @prefix
-        let ns = match &self.tok {
-            Tok::Ident(name) => name.clone(),
-            other => {
-                let found = other.describe();
-                self.error_here(format!(
-                    "expected a prefix name after `@prefix`, found {found}"
-                ));
-                self.recover();
-                return;
-            }
+            Tok::Ident(keyword) => keyword.as_str(),
+            _ => "",
         };
-        self.advance();
-        if self.tok != Tok::Colon {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `:` after the prefix name, found {found}"));
-            self.recover();
-            return;
-        }
-        self.advance();
-        let iri = match &self.tok {
-            Tok::Iri(iri) => iri.clone(),
-            other => {
-                let found = other.describe();
-                self.error_here(format!("expected `<iri>` after the prefix, found {found}"));
-                self.recover();
-                return;
+        match keyword {
+            "count" => clauses.push(parse_count(p, clause_span)?),
+            "datatype" => {
+                p.advance();
+                let iri = parse_iri(p, false)?;
+                clauses.push(SymClause::Datatype {
+                    iri,
+                    span: clause_span,
+                });
             }
-        };
-        self.advance();
-        self.prefixes.insert(ns, iri);
-        self.expect_dot();
-    }
-
-    /// One IRI term; `path_position` admits the `a` shorthand for `rdf:type`.
-    fn parse_iri(&mut self, path_position: bool) -> Option<String> {
-        let iri = match &self.tok {
-            Tok::Iri(iri) => iri.clone(),
-            Tok::Pname(prefix, local) => match self.prefixes.get(prefix) {
-                Some(ns) => format!("{ns}{local}"),
-                None => {
-                    let prefix = prefix.clone();
-                    let local = local.clone();
-                    self.diags.push(Diagnostic::new(
-                        "SH002",
-                        Severity::Error,
-                        self.span.line,
-                        self.span.col,
-                        format!("unknown prefix `{prefix}:` — declare it with `@prefix`"),
-                    ));
-                    format!("urn:inferray:unknown-prefix:{prefix}:{local}")
-                }
-            },
-            Tok::Ident(name) if name == "a" && path_position => vocab::RDF_TYPE.to_string(),
-            other => {
-                let found = other.describe();
-                let hint = if matches!(other, Tok::Ident(n) if n == "a") {
-                    " (`a` is only valid in path position)"
-                } else {
-                    ""
+            "class" => {
+                p.advance();
+                let iri = parse_iri(p, false)?;
+                clauses.push(SymClause::Class {
+                    iri,
+                    span: clause_span,
+                });
+            }
+            "in" => clauses.push(parse_in(p, clause_span)?),
+            "node" => {
+                p.advance();
+                let Tok::Ident(name) = &p.tok else {
+                    p.expected("a shape name after `node`");
+                    return None;
                 };
-                self.error_here(format!(
-                    "expected an IRI (`<iri>` or `prefix:local`), found {found}{hint}"
-                ));
+                let name = name.clone();
+                p.advance();
+                clauses.push(SymClause::Node {
+                    name,
+                    span: clause_span,
+                });
+            }
+            _ => {
+                p.expected(
+                    "a constraint clause (`count`, `datatype`, `class`, `in`, `node`) or `;`",
+                );
                 return None;
             }
-        };
-        self.advance();
-        Some(iri)
+        }
     }
+    if clauses.is_empty() {
+        p.error_at(span, format!("constraint on `<{path}>` has no clauses"));
+        return None;
+    }
+    Some(SymConstraint {
+        path,
+        span,
+        clauses,
+    })
+}
 
-    /// `count [min..max]` after the `count` keyword was seen.
-    fn parse_count(&mut self, span: Span) -> Option<SymClause> {
-        self.advance(); // past `count`
-        if self.tok != Tok::LBracket {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `[` after `count`, found {found}"));
+/// `shape NAME targets T { constraints } .` with the lookahead on `shape`.
+fn parse_shape(p: &mut Parser) -> Option<SymShape> {
+    let span = p.span;
+    p.advance(); // past `shape`
+    let Tok::Ident(name) = &p.tok else {
+        p.expected("a shape name after `shape`");
+        return None;
+    };
+    let name = name.clone();
+    p.advance();
+    if !matches!(&p.tok, Tok::Ident(kw) if kw == "targets") {
+        p.expected("`targets` after the shape name");
+        return None;
+    }
+    p.advance();
+    let target_span = p.span;
+    let selector = match &p.tok {
+        Tok::Ident(selector) => selector.as_str(),
+        _ => "",
+    };
+    let target = match selector {
+        "class" => {
+            p.advance();
+            SymTarget::Class(parse_iri(p, false)?)
+        }
+        "subjects-of" => {
+            p.advance();
+            SymTarget::SubjectsOf(parse_iri(p, false)?)
+        }
+        "all" => {
+            p.advance();
+            SymTarget::All
+        }
+        _ => {
+            p.expected("a target selector (`class C`, `subjects-of p` or `all`)");
             return None;
         }
-        self.advance();
-        let min = match self.tok {
-            Tok::Int(n) => n,
-            ref other => {
-                let found = other.describe();
-                self.error_here(format!("expected a minimum count, found {found}"));
+    };
+    if p.tok != Tok::LBrace {
+        p.expected("`{` to open the constraint block");
+        return None;
+    }
+    p.advance();
+    let mut constraints = Vec::new();
+    loop {
+        match &p.tok {
+            Tok::RBrace => {
+                p.advance();
+                break;
+            }
+            Tok::Eof => {
+                p.error_here("unexpected end of file inside a shape block");
                 return None;
             }
-        };
-        self.advance();
-        if self.tok != Tok::DotDot {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `..` between the bounds, found {found}"));
-            return None;
-        }
-        self.advance();
-        let max = match self.tok {
-            Tok::Int(n) => Some(n),
-            Tok::Star => None,
-            ref other => {
-                let found = other.describe();
-                self.error_here(format!("expected a maximum count or `*`, found {found}"));
-                return None;
-            }
-        };
-        self.advance();
-        if self.tok != Tok::RBracket {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `]` to close the bounds, found {found}"));
-            return None;
-        }
-        self.advance();
-        Some(SymClause::Count { min, max, span })
-    }
-
-    /// `in ( value… )` after the `in` keyword was seen.
-    fn parse_in(&mut self, span: Span) -> Option<SymClause> {
-        self.advance(); // past `in`
-        if self.tok != Tok::LParen {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `(` after `in`, found {found}"));
-            return None;
-        }
-        self.advance();
-        let mut values = Vec::new();
-        loop {
-            match &self.tok {
-                Tok::RParen => {
-                    self.advance();
-                    return Some(SymClause::In { values, span });
-                }
-                Tok::Str(lexical) => {
-                    values.push(SymValue::Literal(lexical.clone()));
-                    self.advance();
-                }
-                Tok::Iri(_) | Tok::Pname(..) => {
-                    let iri = self.parse_iri(false)?;
-                    values.push(SymValue::Iri(iri));
-                }
-                other => {
-                    let found = other.describe();
-                    self.error_here(format!(
-                        "expected an IRI, a string literal or `)` in the enumeration, \
-                         found {found}"
-                    ));
-                    return None;
-                }
-            }
+            _ => constraints.push(parse_constraint(p)?),
         }
     }
-
-    /// One constraint: `path clause+ ;`.
-    fn parse_constraint(&mut self) -> Option<SymConstraint> {
-        let span = self.span;
-        let path = self.parse_iri(true)?;
-        let mut clauses = Vec::new();
-        loop {
-            let clause_span = self.span;
-            match &self.tok {
-                Tok::Semi => {
-                    self.advance();
-                    break;
-                }
-                Tok::Ident(kw) if kw == "count" => {
-                    clauses.push(self.parse_count(clause_span)?);
-                }
-                Tok::Ident(kw) if kw == "datatype" => {
-                    self.advance();
-                    let iri = self.parse_iri(false)?;
-                    clauses.push(SymClause::Datatype {
-                        iri,
-                        span: clause_span,
-                    });
-                }
-                Tok::Ident(kw) if kw == "class" => {
-                    self.advance();
-                    let iri = self.parse_iri(false)?;
-                    clauses.push(SymClause::Class {
-                        iri,
-                        span: clause_span,
-                    });
-                }
-                Tok::Ident(kw) if kw == "in" => {
-                    clauses.push(self.parse_in(clause_span)?);
-                }
-                Tok::Ident(kw) if kw == "node" => {
-                    self.advance();
-                    let name = match &self.tok {
-                        Tok::Ident(name) => name.clone(),
-                        other => {
-                            let found = other.describe();
-                            self.error_here(format!(
-                                "expected a shape name after `node`, found {found}"
-                            ));
-                            return None;
-                        }
-                    };
-                    self.advance();
-                    clauses.push(SymClause::Node {
-                        name,
-                        span: clause_span,
-                    });
-                }
-                other => {
-                    let found = other.describe();
-                    self.error_here(format!(
-                        "expected a constraint clause (`count`, `datatype`, `class`, `in`, \
-                         `node`) or `;`, found {found}"
-                    ));
-                    return None;
-                }
-            }
-        }
-        if clauses.is_empty() {
-            self.diags.push(Diagnostic::new(
-                "SH001",
-                Severity::Error,
-                span.line,
-                span.col,
-                format!("constraint on `<{path}>` has no clauses"),
-            ));
-            return None;
-        }
-        Some(SymConstraint {
-            path,
-            span,
-            clauses,
-        })
+    if p.tok != Tok::Dot {
+        p.expected("`.` to end the shape");
+        return None;
     }
-
-    fn parse_shape(&mut self) -> Option<SymShape> {
-        let span = self.span;
-        self.advance(); // past `shape`
-        let name = match &self.tok {
-            Tok::Ident(name) => name.clone(),
-            other => {
-                let found = other.describe();
-                self.error_here(format!(
-                    "expected a shape name after `shape`, found {found}"
-                ));
-                return None;
-            }
-        };
-        self.advance();
-        if !matches!(&self.tok, Tok::Ident(kw) if kw == "targets") {
-            let found = self.tok.describe();
-            self.error_here(format!(
-                "expected `targets` after the shape name, found {found}"
-            ));
-            return None;
-        }
-        self.advance();
-        let target_span = self.span;
-        let target = match &self.tok {
-            Tok::Ident(kw) if kw == "class" => {
-                self.advance();
-                SymTarget::Class(self.parse_iri(false)?)
-            }
-            Tok::Ident(kw) if kw == "subjects-of" => {
-                self.advance();
-                SymTarget::SubjectsOf(self.parse_iri(false)?)
-            }
-            Tok::Ident(kw) if kw == "all" => {
-                self.advance();
-                SymTarget::All
-            }
-            other => {
-                let found = other.describe();
-                self.error_here(format!(
-                    "expected a target selector (`class C`, `subjects-of p` or `all`), \
-                     found {found}"
-                ));
-                return None;
-            }
-        };
-        if self.tok != Tok::LBrace {
-            let found = self.tok.describe();
-            self.error_here(format!(
-                "expected `{{` to open the constraint block, found {found}"
-            ));
-            return None;
-        }
-        self.advance();
-        let mut constraints = Vec::new();
-        loop {
-            match &self.tok {
-                Tok::RBrace => {
-                    self.advance();
-                    break;
-                }
-                Tok::Eof => {
-                    self.error_here("unexpected end of file inside a shape block");
-                    return None;
-                }
-                _ => constraints.push(self.parse_constraint()?),
-            }
-        }
-        if self.tok != Tok::Dot {
-            let found = self.tok.describe();
-            self.error_here(format!("expected `.` to end the shape, found {found}"));
-            return None;
-        }
-        self.advance();
-        Some(SymShape {
-            name,
-            span,
-            target,
-            target_span,
-            constraints,
-        })
-    }
-
-    fn parse_file(mut self) -> (Vec<SymShape>, Vec<Diagnostic>) {
-        let mut shapes = Vec::new();
-        loop {
-            match &self.tok {
-                Tok::Eof => break,
-                Tok::AtPrefix => self.parse_prefix(),
-                Tok::Ident(name) if name == "shape" => match self.parse_shape() {
-                    Some(shape) => shapes.push(shape),
-                    None => self.recover(),
-                },
-                other => {
-                    let found = other.describe();
-                    self.error_here(format!(
-                        "expected `shape` or `@prefix` at top level, found {found}"
-                    ));
-                    self.recover();
-                }
-            }
-        }
-        (shapes, self.diags)
-    }
+    p.advance();
+    Some(SymShape {
+        name,
+        span,
+        target,
+        target_span,
+        constraints,
+    })
 }
 
 /// Parses a shape file into symbolic shapes plus `SH001`/`SH002` diagnostics.
 pub fn parse(text: &str) -> (Vec<SymShape>, Vec<Diagnostic>) {
-    Parser::new(text).parse_file()
+    let mut p = Parser::new(text, "SH001", "SH002");
+    let mut shapes = Vec::new();
+    loop {
+        match &p.tok {
+            Tok::Eof => break,
+            Tok::AtPrefix => p.parse_prefix(),
+            Tok::Ident(name) if name == "shape" => match parse_shape(&mut p) {
+                Some(shape) => shapes.push(shape),
+                None => p.recover(),
+            },
+            _ => {
+                p.expected("`shape` or `@prefix` at top level");
+                p.recover();
+            }
+        }
+    }
+    (shapes, p.diags)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferray_model::vocab;
 
     fn ok(text: &str) -> Vec<SymShape> {
         let (shapes, diags) = parse(text);
@@ -851,8 +409,8 @@ mod tests {
             shape.constraints[3].clauses[0],
             SymClause::In {
                 values: vec![
-                    SymValue::Literal("active".into()),
-                    SymValue::Iri("http://example.org/Retired".into()),
+                    Term::plain_literal("active"),
+                    Term::iri("http://example.org/Retired"),
                 ],
                 span: Span { line: 6, col: 11 }
             }
@@ -924,7 +482,7 @@ mod tests {
         assert_eq!(
             shapes[0].constraints[0].clauses[0],
             SymClause::In {
-                values: vec![SymValue::Literal("a\"b".into())],
+                values: vec![Term::plain_literal("a\"b")],
                 span: Span { line: 1, col: 31 }
             }
         );

@@ -58,11 +58,15 @@ pub fn il001_forbid_unsafe(files: &[SourceFile], root_manifest: &str) -> Vec<Dia
 /// serving live traffic or corrupts a durability transition mid-flight.
 /// The shape validator is on the list because it runs under the serving
 /// write lock — a panic there poisons the writer and takes every future
-/// update down with it.
+/// update down with it. The term lexer and the SPARQL parser are on it
+/// because every `/sparql` query and `POST /update` body — text from
+/// outside the process — reaches them on a worker thread.
 pub fn is_hot_path(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     p.ends_with("crates/query/src/server.rs")
         || p.ends_with("crates/query/src/serving.rs")
+        || p.ends_with("crates/query/src/sparql.rs")
+        || p.ends_with("crates/parser/src/lex.rs")
         || p.ends_with("crates/store/src/snapshot.rs")
         || p.ends_with("crates/core/src/api.rs")
         || p.ends_with("crates/rules/src/shapes/validate.rs")

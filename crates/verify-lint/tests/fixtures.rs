@@ -77,6 +77,23 @@ fn il002_covers_the_shape_validator() {
 }
 
 #[test]
+fn il002_covers_the_term_lexer_and_the_sparql_parser() {
+    // Every `/sparql` query and `POST /update` body is lexed on a worker
+    // thread: the shared term lexer and the SPARQL parser are hot; the
+    // statement-level modules around them (ingest, the legacy wrappers) run
+    // at load time only and are not.
+    for hot in ["crates/parser/src/lex.rs", "crates/query/src/sparql.rs"] {
+        let diags = rules::il002_no_panics(&[fixture("il002_hot_panics.rs", hot)]);
+        assert_eq!(diags.len(), 4, "{hot}: {diags:?}");
+        assert!(diags.iter().all(|d| d.rule == "IL002"));
+    }
+    for cold in ["crates/parser/src/ingest.rs", "crates/query/src/planner.rs"] {
+        let files = [fixture("il002_hot_panics.rs", cold)];
+        assert!(rules::il002_no_panics(&files).is_empty(), "{cold}");
+    }
+}
+
+#[test]
 fn il003_fires_on_mutation_without_invalidation() {
     let files = vec![fixture(
         "il003_property_table.rs",

@@ -272,6 +272,14 @@ fn check_turtle(input: &str) {
 fn check_sparql(input: &str) {
     if let Err(error) = parse_query(input) {
         assert!(!error.message.is_empty(), "empty error for {input:?}");
+        assert!(
+            error.line >= 1 && error.column >= 1,
+            "unpositioned: {error} for {input:?}"
+        );
+        assert!(
+            error.line <= input.split('\n').count(),
+            "{error} is past the last line of {input:?}"
+        );
     }
 }
 
