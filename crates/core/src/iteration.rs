@@ -3,21 +3,44 @@
 //! The paper's performance story lives inside one iteration: rule firing
 //! (§4.3, parallel) followed by the per-property table update (Figure 5:
 //! sort, dedup, merge). [`IterationProfile`] records both phases for every
-//! iteration of the most recent run, so the `table_update` benchmark — and
-//! anyone debugging a slow materialization — can see where the time goes
-//! and how the delta shrinks towards the fixed point.
+//! iteration of the most recent run — and, inside the firing phase, one
+//! [`RuleSample`] per rule — so the `table_update` benchmark, and anyone
+//! debugging a slow materialization, can see where the time goes, which
+//! rule it goes to, and how the delta shrinks towards the fixed point.
 
+use inferray_rules::RuleRef;
+use inferray_store::OsBuilds;
 use std::time::Duration;
 
+/// What one rule did in one iteration, measured by the task that ran it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RuleSample {
+    /// The rule.
+    pub rule: RuleRef,
+    /// Raw pairs the rule emitted (duplicates included).
+    pub raw_pairs: usize,
+    /// Wall-clock time of the rule's task, cache builds included.
+    pub fire: Duration,
+    /// The part of `fire` spent sorting ⟨o,s⟩ caches no earlier reader had
+    /// built (§4.2: "computed lazily upon need" — this rule was the need),
+    /// and how many pairs that was.
+    pub os_cache: OsBuilds,
+}
+
 /// Timing and volume counters of one fixed-point iteration.
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// `os_cache`, `fire` and `update` are disjoint and add up to the
+/// iteration.
+#[derive(Debug, Clone, Default)]
 pub struct IterationSample {
     /// 1-based iteration number.
     pub iteration: usize,
-    /// Wall-clock time spent rebuilding the ⟨o,s⟩ caches the previous
-    /// iteration's merges invalidated (§4.2), before the rules fire.
+    /// Time the rule tasks of this iteration spent building the ⟨o,s⟩
+    /// caches they read (§4.2), summed over the tasks. The builds happen
+    /// inside the firing phase, on demand; nothing is pre-built.
     pub os_cache: Duration,
-    /// Wall-clock time of the rule-firing phase (line 5 of Algorithm 1).
+    /// Wall-clock time of the rule-firing phase (line 5 of Algorithm 1),
+    /// less `os_cache`.
     pub fire: Duration,
     /// Wall-clock time of the table-update phase (lines 6-7, Figure 5).
     pub update: Duration,
@@ -29,9 +52,12 @@ pub struct IterationSample {
     pub properties_touched: usize,
     /// Rules actually fired this iteration (the §4.3 dependency schedule).
     pub rules_fired: usize,
-    /// Rules of the ruleset skipped because none of their input tables
-    /// received new pairs in the previous iteration.
+    /// Rules of the ruleset left out: none of their input tables received
+    /// new pairs in the previous iteration, or (iteration 1) the closure
+    /// stage had just done their work.
     pub rules_skipped: usize,
+    /// One row per fired rule, in firing (Table 5) order.
+    pub rules: Vec<RuleSample>,
 }
 
 /// The iteration-by-iteration profile of one materialization run.
@@ -52,7 +78,7 @@ impl IterationProfile {
         self.samples.iter().map(|s| s.update).sum()
     }
 
-    /// Total time spent rebuilding invalidated ⟨o,s⟩ caches.
+    /// Total time spent building ⟨o,s⟩ caches for the rules that read them.
     pub fn total_os_cache(&self) -> Duration {
         self.samples.iter().map(|s| s.os_cache).sum()
     }
@@ -67,7 +93,8 @@ impl IterationProfile {
         self.samples.iter().map(|s| s.rules_skipped).sum()
     }
 
-    /// Renders a compact plain-text report (one line per iteration).
+    /// Renders a compact plain-text report: one line per iteration, each
+    /// followed by one indented line per rule that fired in it.
     pub fn report(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from(
@@ -87,6 +114,16 @@ impl IterationProfile {
                 s.rules_fired,
                 s.rules_skipped,
             );
+            for r in &s.rules {
+                let _ = writeln!(
+                    out,
+                    "       {:<12} {:>10.3} ms fire ({:.3} ms os-cache) {:>12} raw pairs",
+                    r.rule.to_string(),
+                    r.fire.as_secs_f64() * 1e3,
+                    r.os_cache.time.as_secs_f64() * 1e3,
+                    r.raw_pairs,
+                );
+            }
         }
         let _ = writeln!(
             out,
@@ -119,6 +156,15 @@ mod tests {
                     properties_touched: 3,
                     rules_fired: 10,
                     rules_skipped: 0,
+                    rules: vec![RuleSample {
+                        rule: RuleRef::Builtin(inferray_rules::RuleId::CaxSco),
+                        raw_pairs: 100,
+                        fire: Duration::from_millis(6),
+                        os_cache: OsBuilds {
+                            time: Duration::from_millis(3),
+                            pairs: 40,
+                        },
+                    }],
                 },
                 IterationSample {
                     iteration: 2,
@@ -130,6 +176,7 @@ mod tests {
                     properties_touched: 1,
                     rules_fired: 4,
                     rules_skipped: 6,
+                    rules: Vec::new(),
                 },
             ],
         };
@@ -141,6 +188,10 @@ mod tests {
         let report = profile.report();
         assert!(report.contains("2 iterations"));
         assert!(report.contains("14 rules fired, 6 skipped"));
-        assert!(report.lines().count() >= 4);
+        assert!(report.lines().count() >= 5);
+        assert!(
+            report.contains("CAX-SCO") && report.contains("100 raw pairs"),
+            "the rule row names the rule:\n{report}"
+        );
     }
 }

@@ -40,7 +40,7 @@ pub use api::{
     Program, ReasonedGraph, ServingDataset, ShapeInstallError, ShapeViolation, ShapeViolations,
     ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome, WriteStats,
 };
-pub use iteration::{IterationProfile, IterationSample};
+pub use iteration::{IterationProfile, IterationSample, RuleSample};
 pub use options::InferrayOptions;
 pub use reasoner::{run_table_update, InferrayReasoner, PropertyUpdate, RetractionStats};
 

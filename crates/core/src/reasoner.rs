@@ -5,21 +5,38 @@
 //! iteration):
 //!
 //! * **rule firing** (§4.3) — one task per rule, each with its own
-//!   [`InferredBuffer`]. From iteration 2 on, only the rules whose input
-//!   tables received new pairs in the previous iteration are scheduled
-//!   (the rule-dependency graph of §4.3; see `docs/rule-scheduling.md`),
-//!   which makes late iterations — where the frontier touches one or two
-//!   properties — nearly free;
+//!   [`InferredBuffer`] and its own timer. From iteration 2 on, only the
+//!   rules whose input tables received new pairs in the previous iteration
+//!   are scheduled (the rule-dependency graph of §4.3; see
+//!   `docs/rule-scheduling.md`), which makes late iterations — where the
+//!   frontier touches one or two properties — nearly free;
 //! * **table update** (Figure 5) — the per-property sort + dedup + merge is
 //!   embarrassingly parallel across properties: the affected tables are
-//!   *taken out* of the store, chunked round-robin across the pool's lanes
+//!   *taken out* of the store, dealt largest-first across the pool's lanes
 //!   (each lane owning a reusable [`SortScratch`]), merged with the
 //!   adaptive merge of `inferray-store`, and re-installed in ascending
 //!   property order. Results and statistics are byte-for-byte identical to
 //!   the sequential path (see the `determinism_parallel` integration test).
+//!
+//! The loop pays only for what is new:
+//!
+//! * **the first iteration reads the store itself.** Algorithm 1 sets
+//!   `new = main` (line 3); [`Frontier::Whole`] says so without a copy —
+//!   the store is handed to the executors as both halves of the
+//!   [`RuleContext`], which lets each of them run one semi-naive pass
+//!   instead of two identical ones;
+//! * **the closure stage is the θ rules' first firing.** When
+//!   [`run_closure_stage`] closed the transitive tables in this call,
+//!   iteration 1 leaves the θ rules out: re-closing a closed table derives
+//!   nothing. They come back through the ordinary input-driven schedule the
+//!   moment a closed table receives pairs. The unscheduled reference mode
+//!   fires everything, so `scheduled ≡ unscheduled` proves the skip;
+//! * **⟨o,s⟩ caches are built by the rule that reads them**, inside the
+//!   firing phase (`PropertyTable::object_pairs`); the loop pre-builds
+//!   none.
 
 use crate::closure_stage::{run_closure_stage, ClosureStageStats};
-use crate::iteration::{IterationProfile, IterationSample};
+use crate::iteration::{IterationProfile, IterationSample, RuleSample};
 use crate::options::InferrayOptions;
 use inferray_dictionary::wellknown;
 use inferray_model::ids::is_property_id;
@@ -31,7 +48,8 @@ use inferray_rules::{
 };
 use inferray_sort::SortScratch;
 use inferray_store::{
-    merge_new_pairs_with, AccessProfile, InferredBuffer, MergeOutcome, PropertyTable, TripleStore,
+    merge_new_pairs_with, os_builds, AccessProfile, InferredBuffer, MergeOutcome, PropertyTable,
+    TripleStore,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -78,30 +96,49 @@ pub struct PropertyUpdate {
 
 /// The per-iteration table-update stage (Figure 5) over every property that
 /// received inferred pairs: take the affected tables out of the store;
-/// sort, dedup and merge each one (chunked round-robin across the pool's
-/// lanes, one reusable [`SortScratch`] per lane; sequentially with
-/// `scratches[0]` when `pool` is `None`); and re-install the updated
-/// tables. Returns the per-property results in ascending property order
-/// regardless of scheduling.
+/// sort, dedup and merge each one (spread across the pool's lanes, one
+/// reusable [`SortScratch`] per lane; sequentially with `scratches[0]` when
+/// `pool` is `None`); and re-install the updated tables. Returns the
+/// per-property results in ascending property order regardless of
+/// scheduling.
+///
+/// The lanes are balanced by size, not by position: one property
+/// (`rdf:type`, as a rule) carries most of an iteration's raw pairs, and a
+/// round-robin deal hands the lane that draws it an equal share of all the
+/// others on top. Tables are assigned largest-first, each to the lane with
+/// the fewest raw pairs so far, so the big table's lane takes nothing else
+/// until the others have caught up. Ties go to the lower property and the
+/// lower lane: the deal is a function of the sizes alone.
 ///
 /// Public because the `table_update` benchmark drives exactly this function
 /// — the benchmark and the reasoner cannot drift apart.
 pub fn run_table_update(
     pool: Option<&ThreadPool>,
     store: &mut TripleStore,
-    tables: Vec<(u64, Vec<u64>)>,
+    mut tables: Vec<(u64, Vec<u64>)>,
     scratches: &mut [SortScratch],
 ) -> Vec<PropertyUpdate> {
-    match pool {
+    let update = |p: u64, mut table: PropertyTable, pairs: Vec<u64>, scratch: &mut SortScratch| {
+        table.finalize_with(scratch);
+        let (new_table, outcome) = merge_new_pairs_with(&mut table, pairs, scratch);
+        (p, table, new_table, outcome)
+    };
+    let mut results: Vec<(u64, PropertyTable, PropertyTable, MergeOutcome)> = match pool {
         Some(pool) if tables.len() > 1 => {
-            // Take the affected tables out of the store so each chunk owns
+            // Take the affected tables out of the store so each lane owns
             // its tables outright — no locks, no aliasing.
             let lanes = scratches.len().min(tables.len()).max(1);
             let mut chunks: Vec<Vec<(u64, PropertyTable, Vec<u64>)>> =
                 (0..lanes).map(|_| Vec::new()).collect();
-            for (index, (p, pairs)) in tables.into_iter().enumerate() {
+            let mut loads = vec![0usize; lanes];
+            tables.sort_by_key(|(p, pairs)| (std::cmp::Reverse(pairs.len()), *p));
+            for (p, pairs) in tables {
+                let lane = (0..lanes)
+                    .min_by_key(|&lane| loads[lane])
+                    .expect("at least one lane");
+                loads[lane] += pairs.len();
                 let table = store.take_table(p).unwrap_or_default();
-                chunks[index % lanes].push((p, table, pairs));
+                chunks[lane].push((p, table, pairs));
             }
             let tasks: Vec<_> = chunks
                 .into_iter()
@@ -110,49 +147,36 @@ pub fn run_table_update(
                     move || {
                         chunk
                             .into_iter()
-                            .map(|(p, mut table, pairs)| {
-                                table.finalize_with(scratch);
-                                let (new_table, outcome) =
-                                    merge_new_pairs_with(&mut table, pairs, scratch);
-                                (p, table, new_table, outcome)
-                            })
+                            .map(|(p, table, pairs)| update(p, table, pairs, scratch))
                             .collect::<Vec<_>>()
                     }
                 })
                 .collect();
-            let mut results: Vec<(u64, PropertyTable, PropertyTable, MergeOutcome)> =
-                pool.run_ordered(tasks).into_iter().flatten().collect();
-            results.sort_unstable_by_key(|(p, ..)| *p);
-            results
-                .into_iter()
-                .map(|(p, table, new_table, outcome)| {
-                    store.set_table(p, table);
-                    PropertyUpdate {
-                        p,
-                        new_table,
-                        outcome,
-                    }
-                })
-                .collect()
+            pool.run_ordered(tasks).into_iter().flatten().collect()
         }
         _ => {
             let scratch = scratches.first_mut().expect("at least one scratch");
             tables
                 .into_iter()
                 .map(|(p, pairs)| {
-                    let mut table = store.take_table(p).unwrap_or_default();
-                    table.finalize_with(scratch);
-                    let (new_table, outcome) = merge_new_pairs_with(&mut table, pairs, scratch);
-                    store.set_table(p, table);
-                    PropertyUpdate {
-                        p,
-                        new_table,
-                        outcome,
-                    }
+                    let table = store.take_table(p).unwrap_or_default();
+                    update(p, table, pairs, scratch)
                 })
                 .collect()
         }
-    }
+    };
+    results.sort_unstable_by_key(|(p, ..)| *p);
+    results
+        .into_iter()
+        .map(|(p, table, new_table, outcome)| {
+            store.set_table(p, table);
+            PropertyUpdate {
+                p,
+                new_table,
+                outcome,
+            }
+        })
+        .collect()
 }
 
 /// Fires one rule of `ruleset` over `ctx`, appending to `out`: a catalog
@@ -208,45 +232,46 @@ impl InferrayReasoner {
     }
 
     /// Applies the given rules once over (`main`, `new`), returning the
-    /// combined inferred buffer. Each rule owns its buffer; with a pool each
-    /// rule also runs as its own task (§4.3). Buffers are absorbed in rule
-    /// order, so the combined buffer is schedule-independent. Built-ins run
-    /// their hand-written class executors; custom (analyzer-compiled) rules
-    /// run the generic semi-naive join.
+    /// combined inferred buffer and one [`RuleSample`] per rule. Each rule
+    /// owns its buffer; with a pool each rule also runs as its own task
+    /// (§4.3). Buffers are absorbed in rule order, so the combined buffer is
+    /// schedule-independent. Built-ins run their hand-written class
+    /// executors; custom (analyzer-compiled) rules run the generic
+    /// semi-naive join.
     fn fire_rules(
         &self,
         pool: Option<&ThreadPool>,
         main: &TripleStore,
         new: &TripleStore,
         rules: &[RuleRef],
-    ) -> InferredBuffer {
-        let mut combined = InferredBuffer::new();
+    ) -> (InferredBuffer, Vec<RuleSample>) {
         let ruleset = &self.ruleset;
-        match pool {
+        // One rule, timed by the task that runs it: nothing is shared.
+        let fire = |rule: RuleRef| {
+            let (start, os_before) = (Instant::now(), os_builds());
+            let mut buffer = InferredBuffer::new();
+            fire_one(ruleset, rule, &RuleContext::new(main, new), &mut buffer);
+            let sample = RuleSample {
+                rule,
+                raw_pairs: buffer.len(),
+                fire: start.elapsed(),
+                os_cache: os_builds().since(os_before),
+            };
+            (buffer, sample)
+        };
+        let fired: Vec<(InferredBuffer, RuleSample)> = match pool {
             Some(pool) if rules.len() > 1 => {
-                let tasks: Vec<_> = rules
-                    .iter()
-                    .map(|&rule| {
-                        move || {
-                            let ctx = RuleContext::new(main, new);
-                            let mut buffer = InferredBuffer::new();
-                            fire_one(ruleset, rule, &ctx, &mut buffer);
-                            buffer
-                        }
-                    })
-                    .collect();
-                for buffer in pool.run_ordered(tasks) {
-                    combined.absorb(buffer);
-                }
+                pool.run_ordered(rules.iter().map(|&rule| move || fire(rule)).collect())
             }
-            _ => {
-                let ctx = RuleContext::new(main, new);
-                for &rule in rules {
-                    fire_one(ruleset, rule, &ctx, &mut combined);
-                }
-            }
+            _ => rules.iter().map(|&rule| fire(rule)).collect(),
+        };
+        let mut combined = InferredBuffer::new();
+        let mut samples = Vec::with_capacity(fired.len());
+        for (buffer, sample) in fired {
+            combined.absorb(buffer);
+            samples.push(sample);
         }
-        combined
+        (combined, samples)
     }
 
     /// Incrementally maintains an **already materialized** store after new
@@ -257,7 +282,10 @@ impl InferrayReasoner {
     /// restarted with the delta as the semi-naive frontier. The dedicated
     /// up-front closure stage is not re-run — new edges on transitive
     /// properties are picked up by the in-loop θ executors, which re-close a
-    /// table only when it actually received pairs.
+    /// table only when it actually received pairs. The ⟨o,s⟩ caches of the
+    /// tables the delta reached are dropped and rebuilt only where a rule
+    /// of the cascade reads one; snapshot publication builds the rest, as
+    /// it always did, before a query can look for them.
     ///
     /// The result is identical to re-materializing the extended input from
     /// scratch (see the `incremental_maintenance` integration tests), at the
@@ -301,7 +329,7 @@ impl InferrayReasoner {
             self.last_iteration_profile = IterationProfile::default();
             FixedPointOutcome::default()
         } else {
-            self.run_fixed_point(store, new, &mut profile, FirstFire::Scheduled)
+            self.run_fixed_point(store, Frontier::Delta(new), &mut profile)
         };
 
         InferenceStats {
@@ -390,7 +418,6 @@ impl InferrayReasoner {
         } else {
             None
         };
-        let mut scratch = SortScratch::new();
         let size_before = store.len();
 
         // Phase 1: over-delete the cone of consequences. Every removed
@@ -401,11 +428,6 @@ impl InferrayReasoner {
         let mut frontier =
             TripleStore::from_triples(explicit.iter().copied().filter(|t| store.contains(t)));
         while !frontier.is_empty() {
-            // The firing phase is read-only and wants the ⟨o,s⟩ caches; only
-            // the tables the previous round's removals invalidated re-sort.
-            store.ensure_all_os_with(&mut scratch);
-            frontier.ensure_all_os_with(&mut scratch);
-
             // Fire the rules that read the frontier's tables (the §4.3
             // dependency index), with the frontier as `new` *while it is
             // still part of the store*: the semi-naive executors then emit
@@ -420,7 +442,7 @@ impl InferrayReasoner {
             .into_iter()
             .filter(|r| !matches!(r, RuleRef::Builtin(id) if id.class() == RuleClass::Theta))
             .collect();
-            let mut candidates = self.fire_rules(pool, store, &frontier, &scheduled);
+            let (mut candidates, _) = self.fire_rules(pool, store, &frontier, &scheduled);
             self.collect_theta_over_deletions(store, &frontier, &mut candidates);
 
             // Remove the frontier, then keep as the next frontier every
@@ -455,9 +477,6 @@ impl InferrayReasoner {
         let after_delete = store.len();
         if !store.is_empty() && !removed.is_empty() {
             if self.options.schedule_rules {
-                // The probes want the ⟨o,s⟩ caches of the surviving store;
-                // only the tables the deletions invalidated re-sort.
-                store.ensure_all_os_with(&mut scratch);
                 let mut supported: Vec<IdTriple> = Vec::new();
                 let mut rules_for: BTreeMap<u64, Vec<RuleRef>> = BTreeMap::new();
                 for &candidate in &removed {
@@ -481,11 +500,12 @@ impl InferrayReasoner {
                 }
             } else {
                 // Reference path (scheduling disabled): re-run the full
-                // fixed point over the survivors with `new == store`.
+                // fixed point over the survivors, all of them new.
                 let mut profile = AccessProfile::default();
-                let new = store.clone();
-                profile.allocate(2 * new.len() as u64);
-                let outcome = self.run_fixed_point(store, new, &mut profile, FirstFire::All);
+                let frontier = Frontier::Whole {
+                    theta_closed: false,
+                };
+                let outcome = self.run_fixed_point(store, frontier, &mut profile);
                 stats.iterations = outcome.iterations;
                 stats.profile = profile;
             }
@@ -557,15 +577,15 @@ impl InferrayReasoner {
     /// materialization, the incremental addition path and the rederivation
     /// half of the retraction path.
     ///
-    /// `first_fire` selects the rules of iteration 1 (see [`FirstFire`]);
-    /// from iteration 2 on, the ordinary input-driven scheduling applies
-    /// regardless.
+    /// `frontier` is what iteration 1 treats as new, and with it which rules
+    /// iteration 1 fires (see [`Frontier`]); from iteration 2 on the
+    /// frontier is the previous iteration's new pairs and the ordinary
+    /// input-driven scheduling applies regardless.
     fn run_fixed_point(
         &mut self,
         store: &mut TripleStore,
-        mut new: TripleStore,
+        frontier: Frontier,
         profile: &mut AccessProfile,
-        first_fire: FirstFire,
     ) -> FixedPointOutcome {
         let pool = if self.options.parallel {
             Some(inferray_parallel::global())
@@ -578,47 +598,49 @@ impl InferrayReasoner {
         let lanes = pool.map_or(1, |p| p.threads() + 1);
         let mut scratches: Vec<SortScratch> = (0..lanes).map(|_| SortScratch::new()).collect();
 
+        // `None`: the store itself is the frontier (iteration 1 of a full
+        // materialization) — nothing is copied to say that all is new.
+        let (mut new, theta_closed) = match frontier {
+            Frontier::Whole { theta_closed } => (None, theta_closed),
+            Frontier::Delta(delta) => (Some(delta), false),
+        };
         let mut iteration_profile = IterationProfile::default();
         let mut outcome = FixedPointOutcome::default();
         let total_rules = self.ruleset.len();
-        while !new.is_empty() && outcome.iterations < self.options.max_iterations {
+        while !new.as_ref().unwrap_or(&*store).is_empty()
+            && outcome.iterations < self.options.max_iterations
+        {
             outcome.iterations += 1;
+            let frontier: &TripleStore = new.as_ref().unwrap_or(&*store);
 
-            // Pre-build the ⟨o,s⟩ caches so the parallel phase is read-only
-            // (timed separately: this re-sorts the caches the previous
-            // iteration's merges invalidated, which is neither rule firing
-            // nor this iteration's merge work). Only the pairs actually
-            // re-sorted are charged to the access profile — caches that
-            // survived the previous iteration untouched cost nothing.
-            let os_start = Instant::now();
-            let resorted = store.ensure_all_os_with(&mut scratches[0])
-                + new.ensure_all_os_with(&mut scratches[0]);
-            profile.sequential(2 * resorted as u64);
-            let os_cache = os_start.elapsed();
-
-            // Line 5: fire the scheduled rules. A full materialization fires
-            // everything on iteration 1 (`new == main`: every input is
-            // "changed"); the incremental path schedules from the start,
-            // because its iteration 1 frontier is the delta and the store is
-            // already a fixed point of the ruleset; the rederivation path
-            // passes an explicit output-derived seed. From iteration 2 on,
-            // only the rules whose input tables received new pairs in the
-            // previous iteration — exactly the tables of `new` — can derive
-            // anything but duplicates (§4.3). The `schedule_rules` escape
-            // hatch forces the full ruleset everywhere.
+            // Line 5: fire the scheduled rules. Over the whole store every
+            // input is "changed", so everything fires — except the θ rules
+            // when the closure stage has just closed their tables: it *was*
+            // their first firing. Over a delta (the incremental path, and
+            // every later iteration of any path) only the rules whose input
+            // tables received new pairs — exactly the tables of the
+            // frontier — can derive anything but duplicates (§4.3); the
+            // store is a fixed point of the others. The `schedule_rules`
+            // escape hatch forces the full ruleset everywhere.
             let scheduled: Vec<RuleRef> = if !self.options.schedule_rules {
                 self.ruleset.all_refs()
-            } else if outcome.iterations > 1 {
-                self.ruleset.scheduled_refs(store, &new)
+            } else if new.is_some() {
+                self.ruleset.scheduled_refs(store, frontier)
+            } else if theta_closed {
+                self.ruleset.fixed_point_refs()
             } else {
-                match first_fire {
-                    FirstFire::All => self.ruleset.all_refs(),
-                    FirstFire::Scheduled => self.ruleset.scheduled_refs(store, &new),
-                }
+                self.ruleset.all_refs()
             };
             let fire_start = Instant::now();
-            let inferred = self.fire_rules(pool, store, &new, &scheduled);
-            let fire = fire_start.elapsed();
+            let (inferred, rules) = self.fire_rules(pool, store, frontier, &scheduled);
+            // The caches the rules built on demand are reported apart from
+            // the joins they were built for, and charged to the access
+            // profile as built: the pairs actually sorted, not the caches
+            // no rule read.
+            let os_cache: Duration = rules.iter().map(|r| r.os_cache.time).sum();
+            let os_pairs: usize = rules.iter().map(|r| r.os_cache.pairs).sum();
+            profile.sequential(2 * os_pairs as u64);
+            let fire = fire_start.elapsed().saturating_sub(os_cache);
             let raw_pairs = inferred.len();
             outcome.derived_raw += raw_pairs;
 
@@ -653,8 +675,9 @@ impl InferrayReasoner {
                 properties_touched,
                 rules_fired: scheduled.len(),
                 rules_skipped: total_rules - scheduled.len(),
+                rules,
             });
-            new = next_new;
+            new = Some(next_new);
         }
         self.last_iteration_profile = iteration_profile;
         outcome
@@ -669,15 +692,23 @@ struct FixedPointOutcome {
     duplicates_removed: usize,
 }
 
-/// Which rules the first iteration of [`InferrayReasoner::run_fixed_point`]
-/// fires (later iterations always use the input-driven §4.3 scheduling).
-enum FirstFire {
-    /// The complete ruleset — a full materialization, whose iteration 1 has
-    /// `new == main`.
-    All,
-    /// The input-driven schedule — the incremental addition path, whose
-    /// iteration 1 frontier is the asserted delta.
-    Scheduled,
+/// What the first iteration of [`InferrayReasoner::run_fixed_point`] reads
+/// as `new` — which also decides the rules it fires (later iterations
+/// always read the previous iteration's new pairs under the input-driven
+/// §4.3 schedule).
+enum Frontier {
+    /// The store itself (Algorithm 1, line 3: `new = main`), handed to the
+    /// executors as both halves of the context. The complete ruleset fires,
+    /// minus the θ rules when `theta_closed` says the closure stage closed
+    /// their tables in this same call.
+    Whole {
+        /// [`run_closure_stage`] ran just before the loop.
+        theta_closed: bool,
+    },
+    /// Pairs just merged into a store that was a fixed point before — the
+    /// incremental addition path. The input-driven schedule applies from
+    /// the start.
+    Delta(TripleStore),
 }
 
 /// Statistics of one [`InferrayReasoner::retract_delta`] run.
@@ -726,18 +757,16 @@ impl Materializer for InferrayReasoner {
         // Step 1 (Algorithm 1, line 2): dedicated transitive-closure stage.
         // Analyzer-loaded rulesets that are not an exact fragment skip it —
         // the in-loop θ executors reach the same fixed point.
-        if !self.options.skip_closure_stage && self.ruleset.runs_closure_stage() {
-            self.last_closure_stats = run_closure_stage(store, self.ruleset.fragment, &mut profile);
+        let theta_closed = !self.options.skip_closure_stage && self.ruleset.runs_closure_stage();
+        self.last_closure_stats = if theta_closed {
+            run_closure_stage(store, self.ruleset.fragment, &mut profile)
         } else {
-            self.last_closure_stats = ClosureStageStats::default();
-        }
+            ClosureStageStats::default()
+        };
 
-        // Step 2 (line 3): on the first iteration, new == main.
-        let new: TripleStore = store.clone();
-        profile.allocate(2 * new.len() as u64);
-
-        // Step 3 (lines 4-8): fixed point.
-        let outcome = self.run_fixed_point(store, new, &mut profile, FirstFire::All);
+        // Steps 2-3 (lines 3-8): the fixed point, with new == main on the
+        // first iteration.
+        let outcome = self.run_fixed_point(store, Frontier::Whole { theta_closed }, &mut profile);
 
         InferenceStats {
             input_triples,
@@ -961,8 +990,9 @@ mod tests {
         let profile = scheduled.last_iteration_profile();
         assert!(profile.samples.len() >= 2);
         assert_eq!(
-            profile.samples[0].rules_skipped, 0,
-            "iteration 1 fires everything"
+            profile.samples[0].rules_skipped,
+            scheduled.ruleset().theta_rules().len(),
+            "iteration 1 skips exactly the θ rules the closure stage covered"
         );
         assert!(profile.total_rules_skipped() > 0);
     }

@@ -181,11 +181,18 @@ fn emit(rule: &CompiledRule, bindings: &Bindings, out: &mut InferredBuffer) {
 
 /// Fires `rule` semi-naively: for each body position `i`, joins atom `i`
 /// against `ctx.new` and every other atom against `ctx.main` (`new ⊆ main`),
-/// the same union of passes the hand-written executors implement. Derived
-/// pairs append to `out`; the caller's merge dedups.
+/// the same union of passes the hand-written executors implement — a single
+/// pass when the frontier is the whole store, where every position reads
+/// the same tables. Derived pairs append to `out`; the caller's merge
+/// dedups.
 pub fn apply_compiled(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     let mut bindings: Bindings = vec![None; rule.var_count as usize];
-    for new_idx in 0..rule.body.len() {
+    let passes = if ctx.is_whole() {
+        rule.body.len().min(1)
+    } else {
+        rule.body.len()
+    };
+    for new_idx in 0..passes {
         solve(rule, 0, new_idx, ctx, &mut bindings, &mut |bindings| {
             emit(rule, bindings, out);
             true
@@ -289,6 +296,32 @@ mod tests {
         let main = store(&[(a, parent, a + 1), (a + 1, parent, a + 2)]);
         let got = derived(&rule, &main, &main);
         assert_eq!(got, BTreeSet::from([(a, grandparent, a + 2)]));
+    }
+
+    #[test]
+    fn the_whole_store_needs_one_pass() {
+        let mut dict = Dictionary::new();
+        let rule = compile(
+            "rule gp: ?x <urn:parent> ?y, ?y <urn:parent> ?z => ?x <urn:grandparent> ?z .",
+            &mut dict,
+        );
+        let parent = dict.id_of_iri("urn:parent").unwrap();
+        let a = nth_resource_id(9_050);
+        let main = store(&[
+            (a, parent, a + 1),
+            (a + 1, parent, a + 2),
+            (a + 2, parent, a + 3),
+        ]);
+        let raw = |new: &TripleStore| {
+            let mut out = InferredBuffer::new();
+            apply_compiled(&rule, &RuleContext::new(&main, new), &mut out);
+            out.len()
+        };
+        // The store as its own frontier: each of the two derivations once.
+        // An equal store that is not the same store: once per body atom.
+        let copy = main.clone();
+        assert_eq!(derived(&rule, &main, &main), derived(&rule, &main, &copy));
+        assert_eq!((raw(&main), raw(&copy)), (2, 4));
     }
 
     #[test]

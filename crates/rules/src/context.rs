@@ -1,7 +1,24 @@
 //! The read-only view the rule executors operate on.
+//!
+//! Two things about it keep the fixed point from paying for more than what
+//! is new:
+//!
+//! * **the whole-store first iteration.** Algorithm 1 starts with
+//!   `new = main` (line 3). The reasoner does not copy the store to say
+//!   so: it passes the *same* store as both halves, and
+//!   [`RuleContext::is_whole`] — pointer identity, decided in the one
+//!   constructor — tells every semi-naive executor that its second pass
+//!   (`main × new` after `new × main`) would repeat the first over
+//!   identical tables and emit every derivation twice. The executors run
+//!   that pass only when it is false.
+//! * **⟨o,s⟩ views on demand.** [`RuleContext::object_view`] asks the table
+//!   for its object-sorted cache, which the first reader builds
+//!   (`PropertyTable::object_pairs`); nothing pre-builds the caches of the
+//!   tables no scheduled rule reads from the object side. Executors
+//!   therefore check that both sides of a join are non-empty *before* they
+//!   ask for a view.
 
 use inferray_store::{PropertyTable, TripleStore};
-use std::borrow::Cow;
 
 /// The two stores a rule reads during one fixed-point iteration:
 ///
@@ -17,12 +34,26 @@ pub struct RuleContext<'a> {
     pub main: &'a TripleStore,
     /// The triples discovered in the previous iteration.
     pub new: &'a TripleStore,
+    /// `new` *is* `main` (the same store, not an equal one).
+    whole: bool,
 }
 
 impl<'a> RuleContext<'a> {
-    /// Builds a context from the two stores.
+    /// Builds a context from the two stores. Passing one store as both
+    /// halves is how a caller says "everything is new".
     pub fn new(main: &'a TripleStore, new: &'a TripleStore) -> Self {
-        RuleContext { main, new }
+        RuleContext {
+            main,
+            new,
+            whole: std::ptr::eq(main, new),
+        }
+    }
+
+    /// `true` when the frontier is the store itself: the two semi-naive
+    /// passes of an executor would read identical tables, so one pass
+    /// derives everything.
+    pub fn is_whole(&self) -> bool {
+        self.whole
     }
 
     /// The subject-sorted pair view of `prop` in `store` (empty slice when
@@ -31,46 +62,31 @@ impl<'a> RuleContext<'a> {
         store.table(prop).map(|t| t.pairs()).unwrap_or(&[])
     }
 
-    /// The object-sorted pair view (`[o, s, o, s, …]`) of `prop` in `store`.
-    /// Uses the table's ⟨o,s⟩ cache when it has been materialized, and falls
-    /// back to computing a temporary copy otherwise, so executors stay
-    /// correct even when the orchestrator forgot to call `ensure_os`.
-    pub fn object_view(store: &'a TripleStore, prop: u64) -> Cow<'a, [u64]> {
-        match store.table(prop) {
-            None => Cow::Borrowed(&[][..]),
-            Some(table) => Self::object_view_of(table),
-        }
+    /// The object-sorted pair view (`[o, s, o, s, …]`) of `prop` in `store`
+    /// (empty slice when the table does not exist): the table's ⟨o,s⟩
+    /// cache, built by this call if no reader needed it before.
+    pub fn object_view(store: &'a TripleStore, prop: u64) -> &'a [u64] {
+        store.table(prop).map_or(&[], PropertyTable::object_pairs)
     }
 
-    /// Object-sorted view of a single table (cache or computed copy).
-    pub fn object_view_of(table: &'a PropertyTable) -> Cow<'a, [u64]> {
-        if let Some(cached) = table.os_pairs() {
-            Cow::Borrowed(cached)
-        } else {
-            let mut swapped = inferray_sort::swap_pairs(table.pairs());
-            inferray_sort::sort_pairs_auto_dedup(&mut swapped);
-            Cow::Owned(swapped)
-        }
-    }
-
-    /// The subjects `x` such that `⟨x, prop, object⟩ ∈ store`, using the
-    /// ⟨o,s⟩ cache when available and a linear scan otherwise. Used by the
-    /// rules whose schema antecedent is a `rdf:type` pattern with a fixed
-    /// object (PRP-SYMP, PRP-TRP, PRP-FP, PRP-IFP, SCM-CLS, …).
+    /// The subjects `x` such that `⟨x, prop, object⟩ ∈ store`, in ascending
+    /// order. Used by the rules whose schema antecedent is a `rdf:type`
+    /// pattern with a fixed object (PRP-SYMP, PRP-TRP, PRP-FP, PRP-IFP,
+    /// SCM-CLS, …) — one run of a table that is usually the largest of the
+    /// store, so this reader does not *start* a cache build: it uses the
+    /// ⟨o,s⟩ cache when some join already built it and sweeps ⟨s,o⟩
+    /// otherwise.
     pub fn subjects_with_object(store: &TripleStore, prop: u64, object: u64) -> Vec<u64> {
         match store.table(prop) {
             None => Vec::new(),
-            Some(table) => {
-                if table.os_pairs().is_some() {
-                    table.subjects_of(object).collect()
-                } else {
-                    table
-                        .iter_pairs()
-                        .filter(|&(_, o)| o == object)
-                        .map(|(s, _)| s)
-                        .collect()
-                }
-            }
+            Some(table) => match table.object_run(object) {
+                Some(run) => run.chunks_exact(2).map(|p| p[1]).collect(),
+                None => table
+                    .iter_pairs()
+                    .filter(|&(_, o)| o == object)
+                    .map(|(s, _)| s)
+                    .collect(),
+            },
         }
     }
 }
@@ -104,26 +120,39 @@ mod tests {
     }
 
     #[test]
-    fn object_view_falls_back_to_a_computed_copy() {
+    fn object_view_builds_the_cache_it_reads() {
         let (main, _) = stores();
+        let table = main.table(wellknown::RDF_TYPE).unwrap();
+        assert!(!table.has_os_cache(), "nothing pre-built it");
         let view = RuleContext::object_view(&main, wellknown::RDF_TYPE);
-        assert!(matches!(view, Cow::Owned(_)), "no cache was built");
-        assert_eq!(view.as_ref(), &[20, 10, 20, 11, 21, 12]);
+        assert_eq!(view, &[20, 10, 20, 11, 21, 12]);
+        assert_eq!(table.os_pairs(), Some(view), "the view is the cache");
+        assert!(RuleContext::object_view(&main, wellknown::RDFS_DOMAIN).is_empty());
+        // Only the table that was asked got one.
+        assert!(!main
+            .table(wellknown::RDFS_SUB_CLASS_OF)
+            .unwrap()
+            .has_os_cache());
     }
 
     #[test]
-    fn object_view_uses_the_cache_when_present() {
-        let (mut main, _) = stores();
-        main.ensure_all_os();
-        let view = RuleContext::object_view(&main, wellknown::RDF_TYPE);
-        assert!(matches!(view, Cow::Borrowed(_)));
-        assert_eq!(view.as_ref(), &[20, 10, 20, 11, 21, 12]);
+    fn whole_means_the_same_store_not_an_equal_one() {
+        let (main, new) = stores();
+        assert!(RuleContext::new(&main, &main).is_whole());
+        assert!(!RuleContext::new(&main, &new).is_whole());
+        let copy = main.clone();
+        assert_eq!(main, copy);
+        assert!(!RuleContext::new(&main, &copy).is_whole());
     }
 
     #[test]
     fn subjects_with_object_with_and_without_cache() {
         let (mut main, _) = stores();
         let without = RuleContext::subjects_with_object(&main, wellknown::RDF_TYPE, 20);
+        assert!(
+            !main.table(wellknown::RDF_TYPE).unwrap().has_os_cache(),
+            "a fixed-object probe does not start a cache build"
+        );
         main.ensure_all_os();
         let with = RuleContext::subjects_with_object(&main, wellknown::RDF_TYPE, 20);
         assert_eq!(without, vec![10, 11]);

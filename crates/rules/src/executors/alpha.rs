@@ -9,13 +9,13 @@
 //!
 //! Semi-naive evaluation runs the join twice per iteration: once with the
 //! left antecedent restricted to the previous iteration's *new* triples, once
-//! with the right antecedent restricted to them.
+//! with the right antecedent restricted to them — and once only when the
+//! frontier is the whole store, where the two passes are the same join.
 
-use super::join::{merge_join, JoinSide};
+use super::join::{merge_join_groups, JoinSide};
 use crate::context::RuleContext;
 use inferray_dictionary::wellknown;
 use inferray_store::{InferredBuffer, TripleStore};
-use std::borrow::Cow;
 
 /// Declarative description of an α-rule.
 #[derive(Debug, Clone, Copy)]
@@ -40,7 +40,9 @@ pub fn apply_alpha(spec: &AlphaSpec, ctx: &RuleContext<'_>, out: &mut InferredBu
     // Pass 1: left from new, right from main.
     join_pass(spec, ctx.new, ctx.main, out);
     // Pass 2: left from main, right from new.
-    join_pass(spec, ctx.main, ctx.new, out);
+    if !ctx.is_whole() {
+        join_pass(spec, ctx.main, ctx.new, out);
+    }
 }
 
 fn join_pass(
@@ -49,26 +51,34 @@ fn join_pass(
     right_store: &TripleStore,
     out: &mut InferredBuffer,
 ) {
+    // Emptiness is read off the tables: asking for an object view builds
+    // the ⟨o,s⟩ cache, which an empty other side would waste.
+    let has_pairs = |store: &TripleStore, prop| store.table(prop).is_some_and(|t| !t.is_empty());
+    if !has_pairs(left_store, spec.left_prop) || !has_pairs(right_store, spec.right_prop) {
+        return;
+    }
     let left = view(left_store, spec.left_prop, spec.left_side);
-    if left.is_empty() {
-        return;
-    }
     let right = view(right_store, spec.right_prop, spec.right_side);
-    if right.is_empty() {
-        return;
-    }
-    merge_join(&left, &right, |_key, lp, rp| {
-        if spec.swap_output {
-            out.add(spec.out_prop, rp, lp);
-        } else {
-            out.add(spec.out_prop, lp, rp);
+    let out = out.table_mut(spec.out_prop);
+    merge_join_groups(left, right, |left_group, right_group| {
+        // The group's cross product: its size is known before the first push.
+        out.reserve(left_group.len() * right_group.len() / 2);
+        for l in left_group.chunks_exact(2) {
+            for r in right_group.chunks_exact(2) {
+                let pair = if spec.swap_output {
+                    [r[1], l[1]]
+                } else {
+                    [l[1], r[1]]
+                };
+                out.extend_from_slice(&pair);
+            }
         }
     });
 }
 
-fn view<'a>(store: &'a TripleStore, prop: u64, side: JoinSide) -> Cow<'a, [u64]> {
+fn view(store: &TripleStore, prop: u64, side: JoinSide) -> &[u64] {
     match side {
-        JoinSide::Subject => Cow::Borrowed(RuleContext::subject_view(store, prop)),
+        JoinSide::Subject => RuleContext::subject_view(store, prop),
         JoinSide::Object => RuleContext::object_view(store, prop),
     }
 }

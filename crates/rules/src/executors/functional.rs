@@ -52,14 +52,14 @@ pub fn prp_ifp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
             continue;
         };
         // ⟨o,s⟩ order: pairs with the same object are adjacent.
-        let view = RuleContext::object_view_of(table);
-        emit_links_between_group_values(&view, out);
+        emit_links_between_group_values(table.object_pairs(), out);
     }
 }
 
 /// Walks a key-sorted flat pair view and, inside every equal-key group, emits
 /// `owl:sameAs` links between consecutive distinct payload values.
 fn emit_links_between_group_values(view: &[u64], out: &mut InferredBuffer) {
+    let out = out.table_mut(wellknown::OWL_SAME_AS);
     let mut i = 0usize;
     while i < view.len() {
         let key = view[i];
@@ -68,7 +68,7 @@ fn emit_links_between_group_values(view: &[u64], out: &mut InferredBuffer) {
         while j < view.len() && view[j] == key {
             let value = view[j + 1];
             if value != previous {
-                out.add(wellknown::OWL_SAME_AS, previous, value);
+                out.extend_from_slice(&[previous, value]);
             }
             previous = value;
             j += 2;

@@ -8,12 +8,15 @@
 //! reversed — into the head's table.
 //!
 //! Semi-naive evaluation pairs the *new* schema triples with the *main* data
-//! tables and the *main* schema triples with the *new* data tables.
+//! tables and the *main* schema triples with the *new* data tables — the
+//! first pairing alone when the frontier is the whole store. Every handler
+//! copies one data table per schema pair: it resolves its output vector
+//! once, reserves the copy's exact size and pushes.
 
 use crate::context::RuleContext;
 use inferray_dictionary::wellknown;
 use inferray_model::ids::is_property_id;
-use inferray_store::{InferredBuffer, TripleStore};
+use inferray_store::{InferredBuffer, PropertyTable, TripleStore};
 
 /// Drives one γ/δ rule: for every `(s, o)` pair of the schema table
 /// `schema_prop` (semi-naive over both stores), calls
@@ -29,6 +32,9 @@ fn for_schema_and_data(
             handle(s, o, ctx.main, out);
         }
     }
+    if ctx.is_whole() {
+        return;
+    }
     if let Some(table) = ctx.main.table(schema_prop) {
         for (s, o) in table.iter_pairs() {
             handle(s, o, ctx.new, out);
@@ -36,15 +42,32 @@ fn for_schema_and_data(
     }
 }
 
+/// The non-empty table of `p` in `data`, when `p` can have one.
+fn data_table(data: &TripleStore, p: u64) -> Option<&PropertyTable> {
+    if !is_property_id(p) {
+        return None;
+    }
+    data.table(p).filter(|table| !table.is_empty())
+}
+
+/// Appends `table`'s pairs reversed (`(y, x)` for every `(x, y)`) to the
+/// pairs of `p`.
+fn push_reversed(out: &mut InferredBuffer, p: u64, table: &PropertyTable) {
+    let out = out.table_mut(p);
+    out.reserve(2 * table.len());
+    for (x, y) in table.iter_pairs() {
+        out.extend_from_slice(&[y, x]);
+    }
+}
+
 /// PRP-DOM: `p domain c, x p y ⇒ x a c`.
 pub fn prp_dom(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     for_schema_and_data(ctx, wellknown::RDFS_DOMAIN, out, |p, c, data, out| {
-        if !is_property_id(p) {
-            return;
-        }
-        if let Some(table) = data.table(p) {
+        if let Some(table) = data_table(data, p) {
+            let out = out.table_mut(wellknown::RDF_TYPE);
+            out.reserve(2 * table.len());
             for (x, _) in table.iter_pairs() {
-                out.add(wellknown::RDF_TYPE, x, c);
+                out.extend_from_slice(&[x, c]);
             }
         }
     });
@@ -53,12 +76,11 @@ pub fn prp_dom(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
 /// PRP-RNG: `p range c, x p y ⇒ y a c`.
 pub fn prp_rng(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     for_schema_and_data(ctx, wellknown::RDFS_RANGE, out, |p, c, data, out| {
-        if !is_property_id(p) {
-            return;
-        }
-        if let Some(table) = data.table(p) {
+        if let Some(table) = data_table(data, p) {
+            let out = out.table_mut(wellknown::RDF_TYPE);
+            out.reserve(2 * table.len());
             for (_, y) in table.iter_pairs() {
-                out.add(wellknown::RDF_TYPE, y, c);
+                out.extend_from_slice(&[y, c]);
             }
         }
     });
@@ -90,6 +112,9 @@ pub fn prp_symp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
         wellknown::OWL_SYMMETRIC_PROPERTY,
     );
     copy_reversed(&newly_symmetric, ctx.main, out);
+    if ctx.is_whole() {
+        return;
+    }
     // Pass 2: all symmetric properties against the new data.
     let all_symmetric = RuleContext::subjects_with_object(
         ctx.main,
@@ -101,13 +126,8 @@ pub fn prp_symp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
 
 fn copy_reversed(properties: &[u64], data: &TripleStore, out: &mut InferredBuffer) {
     for &p in properties {
-        if !is_property_id(p) {
-            continue;
-        }
-        if let Some(table) = data.table(p) {
-            for (x, y) in table.iter_pairs() {
-                out.add(p, y, x);
-            }
+        if let Some(table) = data_table(data, p) {
+            push_reversed(out, p, table);
         }
     }
 }
@@ -149,13 +169,11 @@ pub fn prp_eqp2(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
 /// PRP-INV1: `p1 inverseOf p2, x p1 y ⇒ y p2 x`.
 pub fn prp_inv1(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     for_schema_and_data(ctx, wellknown::OWL_INVERSE_OF, out, |p1, p2, data, out| {
-        if !is_property_id(p1) || !is_property_id(p2) {
+        if !is_property_id(p2) {
             return;
         }
-        if let Some(table) = data.table(p1) {
-            for (x, y) in table.iter_pairs() {
-                out.add(p2, y, x);
-            }
+        if let Some(table) = data_table(data, p1) {
+            push_reversed(out, p2, table);
         }
     });
 }
@@ -163,13 +181,11 @@ pub fn prp_inv1(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
 /// PRP-INV2: `p1 inverseOf p2, x p2 y ⇒ y p1 x`.
 pub fn prp_inv2(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     for_schema_and_data(ctx, wellknown::OWL_INVERSE_OF, out, |p1, p2, data, out| {
-        if !is_property_id(p1) || !is_property_id(p2) {
+        if !is_property_id(p1) {
             return;
         }
-        if let Some(table) = data.table(p2) {
-            for (x, y) in table.iter_pairs() {
-                out.add(p1, y, x);
-            }
+        if let Some(table) = data_table(data, p2) {
+            push_reversed(out, p1, table);
         }
     });
 }

@@ -15,9 +15,13 @@ pub enum JoinSide {
     Object,
 }
 
-/// Sort-merge join of two sorted views. For every pair of entries with equal
-/// keys, `emit(key, left_payload, right_payload)` is called.
-pub fn merge_join(left: &[u64], right: &[u64], mut emit: impl FnMut(u64, u64, u64)) {
+/// Sort-merge join of two sorted views, group by group: for every key both
+/// views hold, `on_group(left_group, right_group)` is called with the two
+/// equal-key runs (flat `[key, payload, key, payload', …]` slices). The
+/// join's output for that key is their cross product, so a caller that
+/// collects it knows its size — `left_group.len() / 2 · right_group.len() /
+/// 2` matches — before it pushes the first one.
+pub fn merge_join_groups(left: &[u64], right: &[u64], mut on_group: impl FnMut(&[u64], &[u64])) {
     debug_assert!(left.len().is_multiple_of(2) && right.len().is_multiple_of(2));
     let (mut i, mut j) = (0usize, 0usize);
     while i < left.len() && j < right.len() {
@@ -37,15 +41,23 @@ pub fn merge_join(left: &[u64], right: &[u64], mut emit: impl FnMut(u64, u64, u6
             while j_end < right.len() && right[j_end] == rk {
                 j_end += 2;
             }
-            for li in (i..i_end).step_by(2) {
-                for rj in (j..j_end).step_by(2) {
-                    emit(lk, left[li + 1], right[rj + 1]);
-                }
-            }
+            on_group(&left[i..i_end], &right[j..j_end]);
             i = i_end;
             j = j_end;
         }
     }
+}
+
+/// Sort-merge join of two sorted views. For every pair of entries with equal
+/// keys, `emit(key, left_payload, right_payload)` is called.
+pub fn merge_join(left: &[u64], right: &[u64], mut emit: impl FnMut(u64, u64, u64)) {
+    merge_join_groups(left, right, |left_group, right_group| {
+        for l in left_group.chunks_exact(2) {
+            for r in right_group.chunks_exact(2) {
+                emit(l[0], l[1], r[1]);
+            }
+        }
+    });
 }
 
 /// Counts the matches a [`merge_join`] would emit (used by tests and by the
@@ -92,6 +104,21 @@ mod tests {
         assert!(results.contains(&(5, 1, 10)));
         assert!(results.contains(&(5, 2, 12)));
         assert!(!results.iter().any(|&(k, _, _)| k == 7));
+    }
+
+    #[test]
+    fn groups_are_handed_out_whole() {
+        let left = [5u64, 1, 5, 2, 7, 9, 8, 0];
+        let right = [4u64, 0, 5, 10, 5, 11, 5, 12, 8, 3];
+        let mut groups = Vec::new();
+        merge_join_groups(&left, &right, |l, r| groups.push((l.to_vec(), r.to_vec())));
+        assert_eq!(
+            groups,
+            vec![
+                (vec![5, 1, 5, 2], vec![5, 10, 5, 11, 5, 12]),
+                (vec![8, 0], vec![8, 3]),
+            ]
+        );
     }
 
     #[test]

@@ -114,3 +114,73 @@ pub(crate) mod test_support {
         set
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::test_support::{buffer_to_set, store};
+    use super::*;
+    use crate::catalog::CATALOG;
+    use inferray_dictionary::wellknown as wk;
+    use inferray_model::ids::nth_property_id;
+
+    /// Over the whole store an executor runs one semi-naive pass; over a
+    /// *copy* of it (same triples, another store) it runs both. Every rule
+    /// must derive the same set either way, and never more raw pairs in one
+    /// pass than in two.
+    #[test]
+    fn one_pass_over_the_whole_store_derives_what_two_passes_over_a_copy_do() {
+        let p = |n: usize| nth_property_id(600 + n);
+        let (knows, kned_by, part_of, has_id, owns, married) = (p(0), p(1), p(2), p(3), p(4), p(5));
+        let e = 9_500_000u64;
+        let main = store(&[
+            (e, wk::RDFS_SUB_CLASS_OF, e + 1),
+            (e + 1, wk::RDFS_SUB_CLASS_OF, e + 2),
+            (e + 2, wk::RDFS_SUB_CLASS_OF, e + 1),
+            (e + 2, wk::OWL_EQUIVALENT_CLASS, e + 3),
+            (e + 10, wk::RDF_TYPE, e),
+            (e + 11, wk::RDF_TYPE, e + 1),
+            (e + 11, wk::RDF_TYPE, e + 3),
+            (knows, wk::RDFS_SUB_PROPERTY_OF, owns),
+            (owns, wk::RDFS_SUB_PROPERTY_OF, knows),
+            (owns, wk::OWL_EQUIVALENT_PROPERTY, kned_by),
+            (owns, wk::RDFS_DOMAIN, e),
+            (owns, wk::RDFS_RANGE, e + 1),
+            (knows, wk::OWL_INVERSE_OF, kned_by),
+            (married, wk::RDF_TYPE, wk::OWL_SYMMETRIC_PROPERTY),
+            (part_of, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY),
+            (has_id, wk::RDF_TYPE, wk::OWL_INVERSE_FUNCTIONAL_PROPERTY),
+            (owns, wk::RDF_TYPE, wk::OWL_FUNCTIONAL_PROPERTY),
+            (e + 10, knows, e + 11),
+            (e + 10, married, e + 12),
+            (e + 12, part_of, e + 13),
+            (e + 13, part_of, e + 14),
+            (e + 10, has_id, e + 20),
+            (e + 15, has_id, e + 20),
+            (e + 16, owns, e + 17),
+            (e + 16, owns, e + 18),
+            (e + 10, wk::OWL_SAME_AS, e + 30),
+            (e + 30, wk::OWL_SAME_AS, e + 31),
+            (knows, wk::OWL_SAME_AS, married),
+        ]);
+        let copy = main.clone();
+        let mut fewer_in_one_pass = 0usize;
+        for info in &CATALOG {
+            let mut whole = InferredBuffer::new();
+            apply_rule(info.id, &RuleContext::new(&main, &main), &mut whole);
+            let mut two_pass = InferredBuffer::new();
+            apply_rule(info.id, &RuleContext::new(&main, &copy), &mut two_pass);
+            assert_eq!(
+                buffer_to_set(&whole),
+                buffer_to_set(&two_pass),
+                "{}: the passes disagree",
+                info.name
+            );
+            assert!(whole.len() <= two_pass.len(), "{}", info.name);
+            fewer_in_one_pass += usize::from(whole.len() < two_pass.len());
+        }
+        assert!(
+            fewer_in_one_pass >= 15,
+            "the dataset must reach the two-pass executors ({fewer_in_one_pass} rules saved work)"
+        );
+    }
+}

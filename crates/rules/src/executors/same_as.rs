@@ -15,7 +15,8 @@ use inferray_model::ids::is_property_id;
 use inferray_store::{InferredBuffer, TripleStore};
 
 /// Iterates the sameAs pairs semi-naively: new pairs against the main data,
-/// then all pairs against the new data.
+/// then — unless the frontier is the whole store — all pairs against the
+/// new data.
 fn for_same_as(
     ctx: &RuleContext<'_>,
     out: &mut InferredBuffer,
@@ -27,6 +28,9 @@ fn for_same_as(
                 handle(a, b, ctx.main, out);
             }
         }
+    }
+    if ctx.is_whole() {
+        return;
     }
     if let Some(table) = ctx.main.table(wellknown::OWL_SAME_AS) {
         for (a, b) in table.iter_pairs() {
@@ -41,8 +45,13 @@ fn for_same_as(
 pub fn eq_rep_s(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     for_same_as(ctx, out, |s1, s2, data, out| {
         for (p, table) in data.iter_tables() {
-            for o in table.objects_of(s1) {
-                out.add(p, s2, o);
+            let run = table.subject_run(s1);
+            if !run.is_empty() {
+                let out = out.table_mut(p);
+                out.reserve(run.len());
+                for pair in run.chunks_exact(2) {
+                    out.extend_from_slice(&[s2, pair[1]]);
+                }
             }
         }
     });
@@ -52,13 +61,16 @@ pub fn eq_rep_s(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
 pub fn eq_rep_o(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     for_same_as(ctx, out, |o1, o2, data, out| {
         for (p, table) in data.iter_tables() {
-            let view = RuleContext::object_view_of(table);
             // The object view is sorted on (object, subject); scan the run
             // of `o1` with a binary search for its start.
-            let mut index = lower_bound(&view, o1);
-            while index < view.len() && view[index] == o1 {
-                out.add(p, view[index + 1], o2);
-                index += 2;
+            let view = table.object_pairs();
+            let mut index = lower_bound(view, o1);
+            if index < view.len() && view[index] == o1 {
+                let out = out.table_mut(p);
+                while index < view.len() && view[index] == o1 {
+                    out.extend_from_slice(&[view[index + 1], o2]);
+                    index += 2;
+                }
             }
         }
     });

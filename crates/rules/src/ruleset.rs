@@ -118,6 +118,17 @@ pub enum RuleRef {
     Custom(usize),
 }
 
+impl std::fmt::Display for RuleRef {
+    /// The paper's name of a built-in (`CAX-SCO`), `custom#i` for the
+    /// `i`-th custom rule of the ruleset.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RuleRef::Builtin(id) => f.write_str(id.name()),
+            RuleRef::Custom(i) => write!(f, "custom#{i}"),
+        }
+    }
+}
+
 /// The catalog-position bit of a rule (38 rules < 64, so one `u64` suffices).
 fn rule_bit(rule: RuleId) -> u64 {
     1u64 << (rule as usize)

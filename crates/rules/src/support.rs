@@ -28,15 +28,16 @@
 //! of which is found as its premises get re-asserted.
 
 use crate::catalog::RuleId;
-use crate::context::RuleContext;
 use inferray_dictionary::wellknown as wk;
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
 use inferray_store::{PropertyTable, TripleStore};
 
 /// `true` when `rule` can derive `t` in one step from the triples of
-/// `store`. Probes use the ⟨o,s⟩ caches when materialized (callers ensure
-/// them before a rederivation pass) and fall back to scans otherwise.
+/// `store`. Object-side probes go through the ⟨o,s⟩ cache of the table they
+/// read, which the first of them builds: a rederivation pass probes one
+/// store many times, so each cache it needs is sorted once and none it
+/// does not need is sorted at all.
 pub fn is_supported(rule: RuleId, store: &TripleStore, t: IdTriple) -> bool {
     let IdTriple { s, p, o } = t;
     match rule {
@@ -261,9 +262,12 @@ fn has(store: &TripleStore, s: u64, p: u64, o: u64) -> bool {
         .is_some_and(|table| table.contains_pair(s, o))
 }
 
-/// The subjects of `⟨?, p, object⟩` (⟨o,s⟩ cache when built, scan fallback).
+/// The subjects of `⟨?, p, object⟩` (one run of the ⟨o,s⟩ cache).
 fn subjects_with(store: &TripleStore, p: u64, object: u64) -> Vec<u64> {
-    RuleContext::subjects_with_object(store, p, object)
+    store
+        .table(p)
+        .map(|table| table.subjects_of(object).collect())
+        .unwrap_or_default()
 }
 
 /// The objects of `⟨subject, p, ?⟩` (contiguous run of the ⟨s,o⟩ array).
@@ -299,11 +303,7 @@ fn object_occurs(store: &TripleStore, p: u64, o: u64) -> bool {
 }
 
 fn table_has_object(table: &PropertyTable, o: u64) -> bool {
-    if table.has_os_cache() {
-        table.subjects_of(o).next().is_some()
-    } else {
-        table.iter_pairs().any(|(_, object)| object == o)
-    }
+    table.subjects_of(o).next().is_some()
 }
 
 /// `true` when `term` occurs as a subject or object of any table (RDFS4).

@@ -14,9 +14,9 @@
 //! radix kernel is always chosen. [`sort_pairs_auto`] applies the decision
 //! and sorts.
 
-use crate::counting::counting_sort_unchecked_with;
-use crate::pairs::subject_min_max;
-use crate::radix::{msda_radix_sort_pairs_dedup_with, msda_radix_sort_pairs_with};
+use crate::counting::counting_sort_bounded;
+use crate::pairs::{pair_bounds, subject_min_max, PairBounds};
+use crate::radix::{msda_radix_sort_bounded, msda_radix_sort_pairs_dedup_bounded};
 use crate::scratch::SortScratch;
 
 /// The sorting kernel chosen for a given pair array.
@@ -81,24 +81,38 @@ pub fn sort_pairs_auto_dedup(pairs: &mut Vec<u64>) -> Algorithm {
 /// [`sort_pairs_auto`] against a reusable [`SortScratch`]: repeated calls —
 /// the Figure 5 update stage sorts every property's inferred pairs on every
 /// iteration — allocate nothing once the scratch reaches its high-water
-/// mark.
+/// mark. The array is scanned for its bounds once; the kernel it picks
+/// reuses them.
 pub fn sort_pairs_auto_with(pairs: &mut Vec<u64>, scratch: &mut SortScratch) -> Algorithm {
-    let algo = recommend_for(pairs);
+    let Some(bounds) = pair_bounds(pairs) else {
+        return Algorithm::Counting;
+    };
+    let algo = recommend_within(pairs.len() / 2, bounds);
     match algo {
-        Algorithm::Counting => counting_sort_unchecked_with(pairs, false, scratch),
-        Algorithm::MsdaRadix => msda_radix_sort_pairs_with(pairs, scratch),
+        Algorithm::Counting => counting_sort_bounded(pairs, false, scratch, bounds),
+        Algorithm::MsdaRadix => msda_radix_sort_bounded(pairs, scratch, bounds),
     }
     algo
 }
 
 /// [`sort_pairs_auto_dedup`] against a reusable [`SortScratch`].
 pub fn sort_pairs_auto_dedup_with(pairs: &mut Vec<u64>, scratch: &mut SortScratch) -> Algorithm {
-    let algo = recommend_for(pairs);
+    let Some(bounds) = pair_bounds(pairs) else {
+        return Algorithm::Counting;
+    };
+    let algo = recommend_within(pairs.len() / 2, bounds);
     match algo {
-        Algorithm::Counting => counting_sort_unchecked_with(pairs, true, scratch),
-        Algorithm::MsdaRadix => msda_radix_sort_pairs_dedup_with(pairs, scratch),
+        Algorithm::Counting => counting_sort_bounded(pairs, true, scratch, bounds),
+        Algorithm::MsdaRadix => msda_radix_sort_pairs_dedup_bounded(pairs, scratch, bounds),
     }
     algo
+}
+
+/// [`recommend_algorithm`] from scanned bounds. The span is computed
+/// without the `+ 1` that would wrap on the full `u64` range.
+fn recommend_within(n_pairs: usize, bounds: PairBounds) -> Algorithm {
+    let (min, max) = bounds.subjects;
+    recommend_algorithm(n_pairs, (max - min).saturating_add(1))
 }
 
 #[cfg(test)]

@@ -68,31 +68,41 @@ pub fn pair_count(pairs: &[u64]) -> usize {
     pairs.len() / 2
 }
 
+/// Minimum and maximum of both components of a pair array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairBounds {
+    /// `(min, max)` over the subjects (even positions).
+    pub subjects: (u64, u64),
+    /// `(min, max)` over the objects (odd positions).
+    pub objects: (u64, u64),
+}
+
+/// The bounds of both components from **one** scan of the array — what a
+/// sort call needs to pick its kernel, size the counting histogram, decide
+/// on the stamp pass and find the radix kernel's active digits. Returns
+/// `None` for an empty array.
+pub fn pair_bounds(pairs: &[u64]) -> Option<PairBounds> {
+    debug_assert!(pairs.len().is_multiple_of(2));
+    let mut iter = pairs.chunks_exact(2);
+    let first = iter.next()?;
+    let mut bounds = PairBounds {
+        subjects: (first[0], first[0]),
+        objects: (first[1], first[1]),
+    };
+    for pair in iter {
+        bounds.subjects = (
+            bounds.subjects.0.min(pair[0]),
+            bounds.subjects.1.max(pair[0]),
+        );
+        bounds.objects = (bounds.objects.0.min(pair[1]), bounds.objects.1.max(pair[1]));
+    }
+    Some(bounds)
+}
+
 /// Minimum and maximum over the *subject* (even-index) positions.
 /// Returns `None` for an empty array.
 pub fn subject_min_max(pairs: &[u64]) -> Option<(u64, u64)> {
-    debug_assert!(pairs.len().is_multiple_of(2));
-    let mut iter = pairs.iter().copied().step_by(2);
-    let first = iter.next()?;
-    let (mut min, mut max) = (first, first);
-    for s in iter {
-        min = min.min(s);
-        max = max.max(s);
-    }
-    Some((min, max))
-}
-
-/// Minimum and maximum over the *object* (odd-index) positions.
-pub fn object_min_max(pairs: &[u64]) -> Option<(u64, u64)> {
-    debug_assert!(pairs.len().is_multiple_of(2));
-    let mut iter = pairs.iter().copied().skip(1).step_by(2);
-    let first = iter.next()?;
-    let (mut min, mut max) = (first, first);
-    for o in iter {
-        min = min.min(o);
-        max = max.max(o);
-    }
-    Some((min, max))
+    pair_bounds(pairs).map(|bounds| bounds.subjects)
 }
 
 #[cfg(test)]
@@ -151,9 +161,15 @@ mod tests {
     fn min_max_helpers() {
         let v = vec![5, 100, 2, 300, 9, 1];
         assert_eq!(subject_min_max(&v), Some((2, 9)));
-        assert_eq!(object_min_max(&v), Some((1, 300)));
         assert_eq!(subject_min_max(&[]), None);
-        assert_eq!(object_min_max(&[]), None);
         assert_eq!(pair_count(&v), 3);
+        assert_eq!(
+            pair_bounds(&v),
+            Some(PairBounds {
+                subjects: (2, 9),
+                objects: (1, 300)
+            })
+        );
+        assert_eq!(pair_bounds(&[]), None);
     }
 }

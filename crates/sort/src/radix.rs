@@ -21,7 +21,7 @@
 //! back), giving stable O(n) work per examined digit. The scratch buffer
 //! comes from a caller-provided [`SortScratch`] so repeated sorts reuse it.
 
-use crate::pairs::{dedup_sorted_pairs, object_min_max, subject_min_max};
+use crate::pairs::{dedup_sorted_pairs, pair_bounds, PairBounds};
 use crate::scratch::SortScratch;
 
 /// Buckets at or below this number of pairs are finished with the in-place
@@ -44,6 +44,24 @@ pub fn msda_radix_sort_pairs_dedup(pairs: &mut Vec<u64>) {
 
 /// [`msda_radix_sort_pairs`] against a reusable [`SortScratch`].
 pub fn msda_radix_sort_pairs_with(pairs: &mut [u64], scratch: &mut SortScratch) {
+    if let Some(bounds) = pair_bounds(pairs) {
+        msda_radix_sort_bounded(pairs, scratch, bounds);
+    }
+}
+
+/// [`msda_radix_sort_pairs_dedup`] against a reusable [`SortScratch`].
+pub fn msda_radix_sort_pairs_dedup_with(pairs: &mut Vec<u64>, scratch: &mut SortScratch) {
+    msda_radix_sort_pairs_with(pairs, scratch);
+    dedup_sorted_pairs(pairs);
+}
+
+/// The kernel proper, for callers that already scanned the bounds of
+/// `pairs` to choose it.
+pub(crate) fn msda_radix_sort_bounded(
+    pairs: &mut [u64],
+    scratch: &mut SortScratch,
+    bounds: PairBounds,
+) {
     assert!(
         pairs.len().is_multiple_of(2),
         "pair array must have even length"
@@ -55,7 +73,8 @@ pub fn msda_radix_sort_pairs_with(pairs: &mut [u64], scratch: &mut SortScratch) 
         insertion_sort_pairs(pairs);
         return;
     }
-    let levels = active_levels(pairs);
+    debug_assert_eq!(pair_bounds(pairs), Some(bounds));
+    let levels = active_levels(bounds);
     if levels.is_empty() {
         return; // every pair identical
     }
@@ -63,9 +82,13 @@ pub fn msda_radix_sort_pairs_with(pairs: &mut [u64], scratch: &mut SortScratch) 
     radix_recurse(pairs, scratch, &levels, 0);
 }
 
-/// [`msda_radix_sort_pairs_dedup`] against a reusable [`SortScratch`].
-pub fn msda_radix_sort_pairs_dedup_with(pairs: &mut Vec<u64>, scratch: &mut SortScratch) {
-    msda_radix_sort_pairs_with(pairs, scratch);
+/// [`msda_radix_sort_bounded`], then the duplicate pairs removed.
+pub(crate) fn msda_radix_sort_pairs_dedup_bounded(
+    pairs: &mut Vec<u64>,
+    scratch: &mut SortScratch,
+    bounds: PairBounds,
+) {
+    msda_radix_sort_bounded(pairs, scratch, bounds);
     dedup_sorted_pairs(pairs);
 }
 
@@ -73,9 +96,9 @@ pub fn msda_radix_sort_pairs_dedup_with(pairs: &mut Vec<u64>, scratch: &mut Sort
 /// first. Level 0..8 are the subject bytes (MSB..LSB), levels 8..16 the
 /// object bytes. Leading bytes on which all values agree are skipped — this
 /// is the "adaptive" part of MSDA.
-fn active_levels(pairs: &[u64]) -> Vec<u8> {
-    let (s_min, s_max) = subject_min_max(pairs).expect("non-empty");
-    let (o_min, o_max) = object_min_max(pairs).expect("non-empty");
+fn active_levels(bounds: PairBounds) -> Vec<u8> {
+    let (s_min, s_max) = bounds.subjects;
+    let (o_min, o_max) = bounds.objects;
     let mut levels = Vec::with_capacity(16);
     let s_first = first_differing_byte(s_min, s_max);
     if let Some(first) = s_first {
@@ -242,14 +265,14 @@ mod tests {
             base + 3,
             base,
         ];
-        let levels = active_levels(&pairs);
+        let levels = active_levels(pair_bounds(&pairs).expect("non-empty"));
         assert_eq!(levels, vec![5, 6, 7, 15]);
     }
 
     #[test]
     fn constant_subject_only_examines_object_bytes() {
         let pairs = vec![42, 9, 42, 1, 42, 100];
-        let levels = active_levels(&pairs);
+        let levels = active_levels(pair_bounds(&pairs).expect("non-empty"));
         assert!(levels.iter().all(|&l| l >= 8));
         let mut v = pairs.clone();
         msda_radix_sort_pairs(&mut v);

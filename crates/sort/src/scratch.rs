@@ -28,6 +28,59 @@ pub struct SortScratch {
     pub(crate) start: Vec<usize>,
     /// Counting-sort object scatter area (one slot per pair).
     pub(crate) objects: Vec<u64>,
+    /// Counting-sort stamp array (one `u32` per object in range): slot `o`
+    /// holds the epoch of the last subject run that contained object `o`.
+    /// Never cleared between calls — a run's epoch is new, so whatever an
+    /// earlier run or an earlier sort left behind cannot match it.
+    pub(crate) stamps: Vec<u32>,
+    /// The last epoch handed out; `0` is what a fresh stamp slot holds.
+    pub(crate) epoch: u32,
+}
+
+/// The counting kernel's working memory for one call (see
+/// [`SortScratch::counting_arenas`]).
+pub(crate) struct CountingArenas<'a> {
+    /// Subject histogram, zeroed, one slot per subject in range.
+    pub(crate) histogram: &'a mut [u32],
+    /// Per-subject start offsets, `width + 1` entries.
+    pub(crate) start: &'a mut [usize],
+    /// Object scatter area, one slot per pair.
+    pub(crate) objects: &'a mut [u64],
+    /// The stamp pass over one subject run.
+    pub(crate) stamps: Stamps<'a>,
+}
+
+/// Order-preserving duplicate removal inside one subject run, before the
+/// run is sorted (the stamp array and its epoch counter).
+pub(crate) struct Stamps<'a> {
+    slots: &'a mut [u32],
+    epoch: &'a mut u32,
+}
+
+impl Stamps<'_> {
+    /// Compacts the first occurrence of every distinct object of `run` to
+    /// its front and returns how many there are. Every object must lie in
+    /// `base..base + span`, the range the arenas were sized for.
+    pub(crate) fn dedup_run(&mut self, run: &mut [u64], base: u64) -> usize {
+        *self.epoch = self.epoch.wrapping_add(1);
+        if *self.epoch == 0 {
+            // The counter wrapped: old stamps could collide with new epochs.
+            self.slots.fill(0);
+            *self.epoch = 1;
+        }
+        let epoch = *self.epoch;
+        let mut write = 0usize;
+        for read in 0..run.len() {
+            let object = run[read];
+            let slot = &mut self.slots[(object - base) as usize];
+            if *slot != epoch {
+                *slot = epoch;
+                run[write] = object;
+                write += 1;
+            }
+        }
+        write
+    }
 }
 
 impl SortScratch {
@@ -44,6 +97,8 @@ impl SortScratch {
             histogram: Vec::with_capacity(subject_range),
             start: Vec::with_capacity(subject_range + 1),
             objects: Vec::with_capacity(n_pairs),
+            stamps: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -55,6 +110,7 @@ impl SortScratch {
             + self.histogram.capacity() * std::mem::size_of::<u32>()
             + self.start.capacity() * std::mem::size_of::<usize>()
             + self.objects.capacity() * std::mem::size_of::<u64>()
+            + self.stamps.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The radix scatter buffer, zero-filled to `len` elements.
@@ -64,20 +120,34 @@ impl SortScratch {
         &mut self.pair_scratch
     }
 
-    /// The counting-sort arenas sized for `width` subjects and `n_pairs`
-    /// pairs: `(histogram, start, objects)`, histogram zeroed.
+    /// The counting-sort arenas sized for `width` subjects, `n_pairs` pairs
+    /// and a stamp pass over `object_span` objects (`0`: no stamp pass).
+    /// The histogram is zeroed; the stamp array only grows, keeping what
+    /// earlier calls wrote: every run stamps with an epoch of its own.
     pub(crate) fn counting_arenas(
         &mut self,
         width: usize,
         n_pairs: usize,
-    ) -> (&mut [u32], &mut [usize], &mut [u64]) {
+        object_span: usize,
+    ) -> CountingArenas<'_> {
         self.histogram.clear();
         self.histogram.resize(width, 0);
         self.start.clear();
         self.start.resize(width + 1, 0);
         self.objects.clear();
         self.objects.resize(n_pairs, 0);
-        (&mut self.histogram, &mut self.start, &mut self.objects)
+        if self.stamps.len() < object_span {
+            self.stamps.resize(object_span, 0);
+        }
+        CountingArenas {
+            histogram: &mut self.histogram,
+            start: &mut self.start,
+            objects: &mut self.objects,
+            stamps: Stamps {
+                slots: &mut self.stamps,
+                epoch: &mut self.epoch,
+            },
+        }
     }
 }
 
@@ -111,6 +181,25 @@ mod tests {
                 "steady-state sort allocated (seed {seed})"
             );
         }
+    }
+
+    #[test]
+    fn stamps_survive_the_epoch_counter_wrapping() {
+        let mut scratch = SortScratch::new();
+        // A run stamped with the last epoch before the wrap …
+        scratch.epoch = u32::MAX - 1;
+        let mut run = [7u64, 9, 7, 8, 9];
+        let mut arenas = scratch.counting_arenas(1, 5, 4);
+        assert_eq!(arenas.stamps.dedup_run(&mut run, 6), 3);
+        assert_eq!(run[..3], [7, 9, 8]);
+        // … must not make the runs after it see their objects as repeats:
+        // the counter restarts at 1 over a cleared array.
+        for _ in 0..3 {
+            let mut run = [9u64, 7, 9];
+            assert_eq!(arenas.stamps.dedup_run(&mut run, 6), 2);
+            assert_eq!(run[..2], [9, 7]);
+        }
+        assert_eq!(scratch.epoch, 3);
     }
 
     #[test]

@@ -21,12 +21,21 @@ impl InferredBuffer {
         InferredBuffer::default()
     }
 
-    /// Records the inferred triple `⟨s, p, o⟩`.
+    /// Records the inferred triple `⟨s, p, o⟩`: one map lookup per call,
+    /// which is fine for the rules that emit a handful of pairs. An
+    /// executor that emits per joined pair resolves its output vector once
+    /// with [`InferredBuffer::table_mut`] and pushes into that instead.
     #[inline]
     pub fn add(&mut self, p: u64, s: u64, o: u64) {
-        let table = self.tables.entry(p).or_default();
-        table.push(s);
-        table.push(o);
+        self.table_mut(p).extend_from_slice(&[s, o]);
+    }
+
+    /// The raw pair vector of property `p` (`[s0, o0, s1, o1, …]`), created
+    /// empty if absent, for an executor to reserve and push into across a
+    /// whole join. The caller keeps the length even; a vector left empty is
+    /// invisible to every reader of the buffer.
+    pub fn table_mut(&mut self, p: u64) -> &mut Vec<u64> {
+        self.tables.entry(p).or_default()
     }
 
     /// Records many pairs for one property at once.
@@ -83,15 +92,19 @@ impl InferredBuffer {
         }
     }
 
-    /// Iterates over `(property, raw pairs)`.
+    /// Iterates over `(property, raw pairs)` for every property that
+    /// received pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
-        self.tables.iter().map(|(&p, v)| (p, v.as_slice()))
+        self.tables
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(&p, v)| (p, v.as_slice()))
     }
 
-    /// Consumes the buffer, yielding `(property, raw pairs)` in ascending
-    /// property order.
+    /// Consumes the buffer, yielding `(property, raw pairs)` for every
+    /// property that received pairs, in ascending property order.
     pub fn into_iter_tables(self) -> impl Iterator<Item = (u64, Vec<u64>)> {
-        self.tables.into_iter()
+        self.tables.into_iter().filter(|(_, v)| !v.is_empty())
     }
 }
 
@@ -147,6 +160,21 @@ mod tests {
         assert_eq!(a.len(), 3);
         let table1: Vec<u64> = a.iter().find(|(p, _)| *p == 1).unwrap().1.to_vec();
         assert_eq!(table1, vec![10, 11, 20, 21]);
+    }
+
+    #[test]
+    fn table_mut_hands_out_the_vector_and_empty_ones_stay_invisible() {
+        let mut buf = InferredBuffer::new();
+        buf.table_mut(5); // resolved for a join that matched nothing
+        let out = buf.table_mut(7);
+        out.reserve(4);
+        out.extend_from_slice(&[1, 2, 3, 4]);
+        buf.add(7, 5, 6);
+        assert_eq!(buf.len(), 3);
+        assert_eq!(buf.property_count(), 1);
+        assert_eq!(buf.iter().map(|(p, _)| p).collect::<Vec<_>>(), vec![7]);
+        let tables: Vec<(u64, Vec<u64>)> = buf.into_iter_tables().collect();
+        assert_eq!(tables, vec![(7, vec![1, 2, 3, 4, 5, 6])]);
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub use merge::{
     merge_new_pairs, merge_new_pairs_rebuild, merge_new_pairs_with, MergeOutcome, MergeStrategy,
 };
 pub use profile::AccessProfile;
-pub use property_table::{gallop_lower_bound, gallop_upper_bound, DistinctCount, PropertyTable};
+pub use property_table::{
+    gallop_lower_bound, gallop_upper_bound, os_builds, DistinctCount, OsBuilds, PropertyTable,
+};
 pub use query::TriplePattern;
 pub use snapshot::{unpoison, SnapshotStore, StoreSnapshot};
 pub use triple_store::TripleStore;

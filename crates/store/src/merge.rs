@@ -17,23 +17,32 @@
 //!
 //! Linear is the right *complexity*, but the seed implementation always
 //! rebuilt the whole merged vector — O(|main|) allocation and copying even
-//! when the delta was a handful of pairs. After the second fixed-point
-//! iteration that is the dominant regime: the frontier shrinks every round
-//! while *main* keeps growing. [`merge_new_pairs_with`] therefore picks a
-//! strategy per call (reported in [`MergeOutcome::strategy`]):
+//! when the delta was a handful of pairs, or when, as in the last iteration
+//! of every run, **nothing** in it was new. [`merge_new_pairs_with`]
+//! therefore never rebuilds. After the sort it (reported in
+//! [`MergeOutcome::strategy`]):
 //!
-//! * [`MergeStrategy::TailAppend`] — every inferred pair sorts after the
-//!   last pair of *main*: extend in place, no merge at all;
-//! * [`MergeStrategy::GallopSplice`] — the delta is small relative to
-//!   *main* (`|delta| · 8 ≤ |main|`): find each pair's position by a
-//!   galloping (exponential + binary) search from the previous position,
-//!   drop duplicates, and splice the survivors into *main* with one
-//!   backward in-place merge pass — no rebuild, no allocation beyond the
-//!   vector's amortized growth;
-//! * within the galloping path, a **fully duplicate** delta short-circuits:
-//!   *main* is untouched and its ⟨o,s⟩ cache survives;
-//! * [`MergeStrategy::Rebuild`] — comparable sizes (the first iterations):
-//!   the seed's linear rebuild, which is optimal there.
+//! * [`MergeStrategy::Bootstrap`] / [`MergeStrategy::TailAppend`] — *main*
+//!   is empty, or every inferred pair sorts after its last pair: adopt or
+//!   extend in place, no merge at all;
+//! * otherwise **classifies first**: each inferred pair is looked up in
+//!   *main* by a galloping (exponential + binary) search from the previous
+//!   position — O(log gap) per pair, so a handful of comparisons each at
+//!   comparable sizes and O(|delta| · log) for a small delta — and the
+//!   genuinely new pairs are compacted to the front of the inferred vector
+//!   in place;
+//! * a **fully duplicate** delta stops there ([`MergeStrategy::NoOp`]):
+//!   *main* is untouched, its ⟨o,s⟩ cache survives and nothing was
+//!   allocated — at every size ratio;
+//! * the survivors are **merged backwards in place**
+//!   ([`MergeStrategy::GallopSplice`],
+//!   [`PropertyTable::splice_in_sorted`]): the vector grows by the number
+//!   of new pairs and the old pairs between insertion points move as whole
+//!   blocks (memmove), found by galloping down from the previous insertion
+//!   point.
+//!
+//! The seed's rebuild survives as [`merge_new_pairs_rebuild`], the reference
+//! the property tests compare against ([`MergeStrategy::Rebuild`]).
 //!
 //! Sorting scratch comes from a caller-provided
 //! [`SortScratch`](inferray_sort::SortScratch), so the steady state
@@ -41,10 +50,6 @@
 
 use crate::property_table::PropertyTable;
 use inferray_sort::{sort_pairs_auto_dedup_with, SortScratch};
-
-/// A delta this many times smaller than *main* takes the galloping splice
-/// path instead of the linear rebuild.
-const GALLOP_FACTOR: usize = 8;
 
 /// How one merge was executed (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,9 +61,9 @@ pub enum MergeStrategy {
     Bootstrap,
     /// Delta appended after the last pair of *main*.
     TailAppend,
-    /// Galloping duplicate scan + backward in-place splice.
+    /// Galloping duplicate scan + backward in-place merge.
     GallopSplice,
-    /// Classic full rebuild of the merged vector (the seed path).
+    /// Full rebuild of the merged vector (the seed path, reference only).
     Rebuild,
 }
 
@@ -93,7 +98,7 @@ pub fn merge_new_pairs(
 /// and its ⟨o,s⟩ cache is invalidated when new pairs arrive, as required by
 /// §4.2 ("in the case of receiving new triples in a property table, the
 /// possibly existing ⟨o,s⟩ sorted cache is invalidated"). A merge that adds
-/// nothing leaves `main` — and its cache — untouched.
+/// nothing leaves `main` — and its cache — untouched and allocates nothing.
 pub fn merge_new_pairs_with(
     main: &mut PropertyTable,
     mut inferred: Vec<u64>,
@@ -111,93 +116,55 @@ pub fn merge_new_pairs_with(
     // Step 1: sort and deduplicate the inferred pairs (reused scratch).
     sort_pairs_auto_dedup_with(&mut inferred, scratch);
     outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len() / 2;
-
     if inferred.is_empty() {
         return (PropertyTable::new(), outcome);
     }
 
-    // Step 2: pick the cheapest correct merge strategy.
-    enum Path {
-        Bootstrap,
-        TailAppend,
-        Gallop,
-        Rebuild,
-    }
-    let path = {
-        let old = main.pairs();
-        if old.is_empty() {
-            Path::Bootstrap
-        } else if (inferred[0], inferred[1]) > (old[old.len() - 2], old[old.len() - 1]) {
-            Path::TailAppend
-        } else if inferred.len() * GALLOP_FACTOR <= old.len() {
-            Path::Gallop
-        } else {
-            Path::Rebuild
+    // Step 2: the two shapes that need no merge, else classify and splice.
+    let old = main.pairs();
+    if old.is_empty() {
+        outcome.strategy = MergeStrategy::Bootstrap;
+        main.replace_with_sorted(inferred.clone());
+    } else if (inferred[0], inferred[1]) > (old[old.len() - 2], old[old.len() - 1]) {
+        outcome.strategy = MergeStrategy::TailAppend;
+        main.append_sorted_suffix(&inferred);
+    } else {
+        outcome.duplicates_against_main = retain_absent(old, &mut inferred);
+        if inferred.is_empty() {
+            // Fully duplicate delta: nothing changes, the cache survives.
+            return (PropertyTable::new(), outcome);
         }
-    };
+        outcome.strategy = MergeStrategy::GallopSplice;
+        main.splice_in_sorted(&inferred);
+    }
+    outcome.new_pairs = inferred.len() / 2;
+    let mut new_table = PropertyTable::new();
+    new_table.replace_with_sorted(inferred);
+    (new_table, outcome)
+}
 
-    match path {
-        Path::Bootstrap => {
-            outcome.new_pairs = inferred.len() / 2;
-            outcome.strategy = MergeStrategy::Bootstrap;
-            main.replace_with_sorted(inferred.clone());
-            let mut new_table = PropertyTable::new();
-            new_table.replace_with_sorted(inferred);
-            (new_table, outcome)
-        }
-        Path::TailAppend => {
-            outcome.new_pairs = inferred.len() / 2;
-            outcome.strategy = MergeStrategy::TailAppend;
-            main.append_sorted_suffix(&inferred);
-            let mut new_table = PropertyTable::new();
-            new_table.replace_with_sorted(inferred);
-            (new_table, outcome)
-        }
-        Path::Gallop => {
-            // Pass 1: classify each inferred pair by galloping through
-            // `main` from the previous match position, compacting the
-            // genuinely new pairs to the front of `inferred` in place.
-            let mut write = 0usize;
-            {
-                let old = main.pairs();
-                let n_old = old.len() / 2;
-                let mut cursor = 0usize;
-                let mut read = 0usize;
-                while read < inferred.len() {
-                    let key = (inferred[read], inferred[read + 1]);
-                    cursor = gallop_lower_bound(old, cursor, key);
-                    if cursor < n_old && old[2 * cursor] == key.0 && old[2 * cursor + 1] == key.1 {
-                        outcome.duplicates_against_main += 1;
-                    } else {
-                        inferred[write] = key.0;
-                        inferred[write + 1] = key.1;
-                        write += 2;
-                    }
-                    read += 2;
-                }
-            }
-            inferred.truncate(write);
-            outcome.new_pairs = write / 2;
-            if write == 0 {
-                // Fully duplicate delta: nothing changes, cache survives.
-                outcome.strategy = MergeStrategy::NoOp;
-                return (PropertyTable::new(), outcome);
-            }
-            outcome.strategy = MergeStrategy::GallopSplice;
-            // Pass 2: one backward in-place merge of the survivors.
-            main.splice_in_sorted(&inferred);
-            let mut new_table = PropertyTable::new();
-            new_table.replace_with_sorted(inferred);
-            (new_table, outcome)
-        }
-        Path::Rebuild => {
-            let (new_table, rebuild) = rebuild_merge(main, &inferred);
-            outcome.duplicates_against_main = rebuild.duplicates_against_main;
-            outcome.new_pairs = rebuild.new_pairs;
-            outcome.strategy = MergeStrategy::Rebuild;
-            (new_table, outcome)
+/// Classifies the sorted, duplicate-free `inferred` against the sorted
+/// `old`: the pairs absent from `old` are compacted to the front of
+/// `inferred` (which is truncated to them), the others are counted and
+/// returned. Each pair is located by galloping from the previous position.
+fn retain_absent(old: &[u64], inferred: &mut Vec<u64>) -> usize {
+    let n_old = old.len() / 2;
+    let mut duplicates = 0usize;
+    let mut cursor = 0usize;
+    let mut write = 0usize;
+    for read in (0..inferred.len()).step_by(2) {
+        let key = (inferred[read], inferred[read + 1]);
+        cursor = gallop_lower_bound(old, cursor, key);
+        if cursor < n_old && (old[2 * cursor], old[2 * cursor + 1]) == key {
+            duplicates += 1;
+        } else {
+            inferred[write] = key.0;
+            inferred[write + 1] = key.1;
+            write += 2;
         }
     }
+    inferred.truncate(write);
+    duplicates
 }
 
 /// The seed's always-rebuild merge, kept as the reference/baseline
@@ -343,7 +310,7 @@ mod tests {
         assert_eq!(outcome.duplicates_within_inferred, 1);
         assert_eq!(outcome.duplicates_against_main, 1);
         assert_eq!(outcome.new_pairs, 4);
-        assert_eq!(outcome.strategy, MergeStrategy::Rebuild);
+        assert_eq!(outcome.strategy, MergeStrategy::GallopSplice);
     }
 
     #[test]
@@ -482,6 +449,13 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// One scratch for every case of a proptest run, so that whatever a
+        /// sort leaves behind in it meets the next case's input.
+        static SCRATCH: std::cell::RefCell<SortScratch> =
+            std::cell::RefCell::new(SortScratch::new());
+    }
+
     proptest! {
         #[test]
         fn prop_merge_semantics(
@@ -546,6 +520,68 @@ mod tests {
                 rebuild_outcome.duplicates_against_main
             );
             prop_assert_eq!(adaptive_outcome.new_pairs, rebuild_outcome.new_pairs);
+        }
+
+        /// The in-place merge against the rebuild reference at every size
+        /// ratio — delta a fraction of main, comparable, and larger — with
+        /// the sort scratch reused across the cases of the run.
+        #[test]
+        fn prop_in_place_merge_equals_rebuild_at_every_size_ratio(
+            main_pairs in proptest::collection::vec((0u64..90, 0u64..6), 0..200),
+            delta in proptest::collection::vec((0u64..100, 0u64..6), 0..400),
+        ) {
+            let flat_main: Vec<u64> = main_pairs.iter().flat_map(|&(s, o)| [s, o]).collect();
+            let flat_delta: Vec<u64> = delta.iter().flat_map(|&(s, o)| [s, o]).collect();
+            let mut in_place_main = PropertyTable::from_pairs(flat_main.clone());
+            let mut rebuild_main = PropertyTable::from_pairs(flat_main);
+
+            let (in_place_new, in_place) = SCRATCH.with_borrow_mut(|scratch| {
+                merge_new_pairs_with(&mut in_place_main, flat_delta.clone(), scratch)
+            });
+            let (rebuild_new, rebuild) = merge_new_pairs_rebuild(&mut rebuild_main, flat_delta);
+
+            prop_assert_eq!(in_place_main.pairs(), rebuild_main.pairs());
+            prop_assert_eq!(in_place_new.pairs(), rebuild_new.pairs());
+            prop_assert_eq!(
+                MergeOutcome { strategy: MergeStrategy::Rebuild, ..in_place },
+                MergeOutcome { strategy: MergeStrategy::Rebuild, ..rebuild }
+            );
+            prop_assert!(in_place_main.debug_validate().is_ok());
+        }
+
+        /// A delta of comparable size that repeats pairs of main (in any
+        /// order, any multiplicity) adds nothing: main keeps its buffer —
+        /// no reallocation, no rewrite — and its ⟨o,s⟩ cache.
+        #[test]
+        fn prop_fully_duplicate_delta_leaves_buffer_and_cache_untouched(
+            main_pairs in proptest::collection::vec((0u64..60, 0u64..6), 1..150),
+            picks in proptest::collection::vec(0usize..1000, 1..300),
+        ) {
+            let flat_main: Vec<u64> = main_pairs.iter().flat_map(|&(s, o)| [s, o]).collect();
+            let mut main = PropertyTable::from_pairs(flat_main);
+            let delta: Vec<u64> = picks
+                .iter()
+                .flat_map(|&i| {
+                    let at = 2 * (i % main.len());
+                    [main.pairs()[at], main.pairs()[at + 1]]
+                })
+                .collect();
+            let before = main.pairs().to_vec();
+            let buffer = main.pairs().as_ptr();
+            let cache = main.object_pairs().as_ptr();
+
+            let (new, outcome) = merge_new_pairs(&mut main, delta);
+
+            prop_assert!(new.is_empty());
+            prop_assert_eq!(outcome.strategy, MergeStrategy::NoOp);
+            prop_assert_eq!(outcome.new_pairs, 0);
+            prop_assert_eq!(
+                outcome.duplicates_within_inferred + outcome.duplicates_against_main,
+                picks.len()
+            );
+            prop_assert_eq!(main.pairs(), &before[..]);
+            prop_assert_eq!(main.pairs().as_ptr(), buffer);
+            prop_assert_eq!(main.os_pairs().map(<[u64]>::as_ptr), Some(cache));
         }
     }
 }

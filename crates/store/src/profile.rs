@@ -10,6 +10,14 @@
 //! hash probes are the software-level causes of the cache/TLB misses the
 //! paper measures, so the relative ordering between reasoners — the claim
 //! Figures 7–8 support — is preserved. See README.md ("Substitutions").
+//!
+//! What Inferray's fixed point charges: the closure stage's reads and its
+//! closed tables, the sort and merge passes of every table update and the
+//! new pairs they allocate, and the ⟨o,s⟩ caches its rules read — each
+//! charged in the iteration that **builds** it, for the pairs actually
+//! sorted; a cache no rule asks for costs nothing. The first iteration
+//! reads the store itself as its frontier: no copy is allocated, so none
+//! is charged.
 
 use std::fmt;
 use std::ops::AddAssign;

@@ -2,24 +2,81 @@
 //!
 //! "Property tables are stored in dynamic arrays sorted on ⟨s,o⟩, along with
 //! a cached version sorted on ⟨o,s⟩. The cached ⟨o,s⟩ sorted index is
-//! computed lazily upon need." (paper §4.2). The ⟨o,s⟩ cache is invalidated
-//! whenever new pairs reach the table.
+//! computed lazily upon need." (paper §4.2). Here "upon need" is literal:
+//! the cache is a [`OnceLock`] that the first reader asking for an object
+//! view fills ([`PropertyTable::object_pairs`]) — through a shared
+//! reference, so the rule executors of one iteration, which run as parallel
+//! tasks over the same immutable store, build exactly the caches they read
+//! and racing readers of one table block on a single build. The cache is
+//! invalidated whenever the ⟨s,o⟩ pairs change.
 
 use inferray_sort::{sort_pairs_auto_dedup, sort_pairs_auto_dedup_with, swap_pairs, SortScratch};
+use std::cell::Cell;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+/// What a thread has spent building ⟨o,s⟩ caches on demand (see
+/// [`os_builds`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OsBuilds {
+    /// Time spent sorting.
+    pub time: Duration,
+    /// Pairs sorted.
+    pub pairs: usize,
+}
+
+impl OsBuilds {
+    /// The builds between an `earlier` reading of the same thread and this
+    /// one.
+    pub fn since(self, earlier: OsBuilds) -> OsBuilds {
+        OsBuilds {
+            time: self.time - earlier.time,
+            pairs: self.pairs - earlier.pairs,
+        }
+    }
+}
+
+thread_local! {
+    static OS_BUILDS: Cell<OsBuilds> = const {
+        Cell::new(OsBuilds { time: Duration::ZERO, pairs: 0 })
+    };
+}
+
+/// The running total of what the calling thread has spent sorting ⟨o,s⟩
+/// caches on behalf of [`PropertyTable::object_pairs`] readers — for
+/// profilers: the difference across a piece of work that stays on one
+/// thread (a rule task of the fixed point) is what that work paid for
+/// caches nobody had built before it.
+pub fn os_builds() -> OsBuilds {
+    OS_BUILDS.get()
+}
 
 /// The sorted pair array of one predicate, with its lazy object-sorted cache.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Two tables are equal when they hold the same pairs in the same state
+/// (`dirty` or finalized); whether either has built its ⟨o,s⟩ cache is not
+/// part of the comparison — the cache is derived data, and its coherence
+/// is [`PropertyTable::debug_validate`]'s job.
+#[derive(Debug, Clone, Default)]
 pub struct PropertyTable {
     /// Flat `[s0, o0, s1, o1, …]`, sorted on ⟨s,o⟩ and duplicate-free when
     /// `dirty` is false.
     so: Vec<u64>,
     /// Cache of the same pairs *swapped and* sorted on ⟨o,s⟩, stored as flat
-    /// `[o0, s0, o1, s1, …]`. `None` until requested.
-    os: Option<Vec<u64>>,
+    /// `[o0, s0, o1, s1, …]`. Unset until a reader asks for it.
+    os: OnceLock<Vec<u64>>,
     /// `true` when unsorted pairs have been appended since the last
     /// [`PropertyTable::finalize`].
     dirty: bool,
 }
+
+impl PartialEq for PropertyTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.so == other.so && self.dirty == other.dirty
+    }
+}
+
+impl Eq for PropertyTable {}
 
 impl PropertyTable {
     /// Creates an empty table.
@@ -32,7 +89,7 @@ impl PropertyTable {
     /// the repo lint (`inferray-verify-lint`, rule IL003) walks the call
     /// graph of this file and rejects mutators that do not.
     fn invalidate_os_cache(&mut self) {
-        self.os = None;
+        self.os = OnceLock::new();
     }
 
     /// Creates a table from raw (possibly unsorted, possibly duplicated)
@@ -54,7 +111,7 @@ impl PropertyTable {
         );
         PropertyTable {
             so: pairs,
-            os: None,
+            os: OnceLock::new(),
             dirty: true,
         }
     }
@@ -139,8 +196,10 @@ impl PropertyTable {
         &mut self.so
     }
 
-    /// Builds (if needed) the ⟨o,s⟩-sorted cache. Returns the number of
-    /// pairs actually re-sorted: `0` when the cache was still valid.
+    /// Builds (if needed) the ⟨o,s⟩-sorted cache ahead of its first reader
+    /// — what snapshot publication does for every table, so that query
+    /// workers never pay a build. Returns the number of pairs actually
+    /// re-sorted: `0` when the cache was still valid.
     pub fn ensure_os(&mut self) -> usize {
         self.ensure_os_with(&mut SortScratch::new())
     }
@@ -149,30 +208,43 @@ impl PropertyTable {
     pub fn ensure_os_with(&mut self, scratch: &mut SortScratch) -> usize {
         debug_assert!(!self.dirty, "ensure_os on a dirty table");
         if self.dirty {
-            // Release-mode safety net: building the cache from unsorted
-            // pairs would make `subjects_of` binary-search garbage and
-            // silently drop or duplicate `(?, p, o)` answers. Finalize
-            // first so the cache is always derived from sorted,
-            // duplicate-free pairs.
+            // Release-mode safety net: the ⟨s,o⟩ array a reader would
+            // binary-search beside the cache must be sorted too.
             self.finalize_with(scratch);
-        } else if self.os.is_some() {
+        } else if self.has_os_cache() {
             return 0;
         }
-        let mut swapped = swap_pairs(&self.so);
-        sort_pairs_auto_dedup_with(&mut swapped, scratch);
-        self.os = Some(swapped);
+        self.os = OnceLock::from(object_sorted(&self.so, scratch));
         self.len()
     }
 
-    /// The ⟨o,s⟩-sorted flat array (`[o, s, o, s, …]`), when the cache has
-    /// been built with [`PropertyTable::ensure_os`].
+    /// The ⟨o,s⟩-sorted flat array (`[o, s, o, s, …]`), built now if no
+    /// reader asked for it since the pairs last changed. Concurrent callers
+    /// block on one build and all receive the same slice.
+    pub fn object_pairs(&self) -> &[u64] {
+        debug_assert!(!self.dirty, "object view of a dirty table");
+        self.os.get_or_init(|| {
+            let start = Instant::now();
+            let os = object_sorted(&self.so, &mut SortScratch::new());
+            let total = OS_BUILDS.get();
+            OS_BUILDS.set(OsBuilds {
+                time: total.time + start.elapsed(),
+                pairs: total.pairs + self.len(),
+            });
+            os
+        })
+    }
+
+    /// The ⟨o,s⟩-sorted flat array **if it is already built** — for readers
+    /// that have a cache-free alternative (a sweep of ⟨s,o⟩) and must not
+    /// start a sort, like the query planner and executor.
     pub fn os_pairs(&self) -> Option<&[u64]> {
-        self.os.as_deref()
+        self.os.get().map(Vec::as_slice)
     }
 
     /// `true` when the ⟨o,s⟩ cache is materialized.
     pub fn has_os_cache(&self) -> bool {
-        self.os.is_some()
+        self.os.get().is_some()
     }
 
     /// Drops the ⟨o,s⟩ cache ("this cache may be cleared at runtime if
@@ -189,7 +261,8 @@ impl PropertyTable {
     }
 
     /// The contiguous run of object `o` in the ⟨o,s⟩ layout, as a flat
-    /// `[o, s, o, s', …]` slice; `None` when the cache is not materialized.
+    /// `[o, s, o, s', …]` slice; `None` when the cache is not materialized
+    /// (see [`PropertyTable::os_pairs`]).
     pub fn object_run(&self, o: u64) -> Option<&[u64]> {
         self.os_pairs().map(|os| &os[key_range(os, o)])
     }
@@ -199,14 +272,11 @@ impl PropertyTable {
         self.subject_run(s).chunks_exact(2).map(|p| p[1])
     }
 
-    /// Iterates over the subjects associated with object `o`. Requires the
-    /// ⟨o,s⟩ cache (panics otherwise) — callers ensure it before read-only
-    /// parallel phases.
+    /// Iterates over the subjects associated with object `o`, in ascending
+    /// order, through the ⟨o,s⟩ cache (built on this first need).
     pub fn subjects_of(&self, o: u64) -> impl Iterator<Item = u64> + '_ {
-        self.object_run(o)
-            .expect("subjects_of requires the ⟨o,s⟩ cache (call ensure_os first)")
-            .chunks_exact(2)
-            .map(|p| p[1])
+        let os = self.object_pairs();
+        os[key_range(os, o)].chunks_exact(2).map(|p| p[1])
     }
 
     /// Binary-searches for an exact pair.
@@ -242,12 +312,15 @@ impl PropertyTable {
         self.invalidate_os_cache();
     }
 
-    /// Splices already-sorted, duplicate-free pairs **known to be absent**
-    /// from the table into place with one backward in-place merge pass — the
-    /// adaptive merge's small-delta strategy. No rebuild allocation: the
-    /// vector grows by `fresh.len()`, and the existing pairs between
-    /// insertion points move as whole blocks (`copy_within`, i.e. memmove)
-    /// rather than pair by pair, so the shift runs at copy bandwidth.
+    /// Merges already-sorted, duplicate-free pairs **known to be absent**
+    /// from the table into place with one backward in-place pass — the
+    /// second half of the adaptive merge. No rebuild allocation: the vector
+    /// grows by `fresh.len()`, and the existing pairs between insertion
+    /// points move as whole blocks (`copy_within`, i.e. memmove) rather than
+    /// pair by pair. Each insertion point is found by galloping down from
+    /// the previous one, so the searches cost O(log gap): a few comparisons
+    /// per pair when `fresh` interleaves densely with the table, O(log n)
+    /// when it is a handful of pairs.
     pub fn splice_in_sorted(&mut self, fresh: &[u64]) {
         debug_assert!(!self.dirty, "splice_in_sorted on a dirty table");
         debug_assert!(fresh.len().is_multiple_of(2));
@@ -260,24 +333,20 @@ impl PropertyTable {
         let so = &mut self.so;
         let mut read_end = old_len; // exclusive end of the unmoved old region
         let mut write_end = so.len(); // exclusive end of the write region
-        let mut take = fresh.len();
-        while take > 0 {
-            let key = (fresh[take - 2], fresh[take - 1]);
-            // Everything in the old region strictly greater than `key`
-            // belongs after it: move that block in one memmove. (`key` is
-            // absent from the table, so lower bound == upper bound.)
-            let boundary = 2 * pair_binary_search(&so[..read_end], key.0, key.1)
-                .unwrap_or_else(|insertion| insertion);
+        for key in fresh.chunks_exact(2).rev() {
+            // Everything in the old region greater than `key` belongs after
+            // it: move that block in one memmove. (`key` is absent from the
+            // table, so lower bound == upper bound.)
+            let boundary = 2 * gallop_down(so, read_end / 2, (key[0], key[1]));
             let block = read_end - boundary;
             if block > 0 {
                 so.copy_within(boundary..read_end, write_end - block);
                 write_end -= block;
                 read_end = boundary;
             }
-            so[write_end - 2] = key.0;
-            so[write_end - 1] = key.1;
+            so[write_end - 2] = key[0];
+            so[write_end - 1] = key[1];
             write_end -= 2;
-            take -= 2;
         }
         // The remaining old prefix is already in place.
         self.invalidate_os_cache();
@@ -425,7 +494,7 @@ impl PropertyTable {
                 return Err(format!("duplicate pair ({}, {})", w[0][0], w[0][1]));
             }
         }
-        if let Some(os) = self.os.as_deref() {
+        if let Some(os) = self.os_pairs() {
             let mut rebuilt = swap_pairs(&self.so);
             sort_pairs_auto_dedup(&mut rebuilt);
             if os != rebuilt.as_slice() {
@@ -436,6 +505,13 @@ impl PropertyTable {
         }
         Ok(())
     }
+}
+
+/// The pairs of a ⟨s,o⟩ array swapped and sorted on ⟨o,s⟩.
+fn object_sorted(so: &[u64], scratch: &mut SortScratch) -> Vec<u64> {
+    let mut swapped = swap_pairs(so);
+    sort_pairs_auto_dedup_with(&mut swapped, scratch);
+    swapped
 }
 
 /// An exact-or-estimated distinct-key count (see
@@ -514,6 +590,38 @@ fn gallop(pairs: &[u64], from: usize, before: impl Fn(u64) -> bool) -> usize {
         }
     }
     lo
+}
+
+/// Pair index of the first pair of `pairs[..end]` (`end` a pair index) that
+/// sorts after `key`, which must not occur in it: exponential probe
+/// downwards from `end`, then a binary search of the bracketed range.
+fn gallop_down(pairs: &[u64], end: usize, key: (u64, u64)) -> usize {
+    let at = |i: usize| (pairs[2 * i], pairs[2 * i + 1]);
+    // Invariant: every pair in `hi..end` sorts after `key`.
+    let mut hi = end;
+    let mut step = 1usize;
+    let mut lo = loop {
+        if hi == 0 {
+            return 0;
+        }
+        let probe = hi.saturating_sub(step);
+        if at(probe) > key {
+            hi = probe;
+            step *= 2;
+        } else {
+            break probe;
+        }
+    };
+    // at(lo) < key < at(hi) (or hi == end).
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if at(mid) > key {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 /// Binary search over a flat pair array sorted on its (first, second)
@@ -655,10 +763,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires the")]
-    fn subjects_of_without_cache_panics() {
+    fn subjects_of_builds_the_cache_on_first_need() {
         let t = table();
-        let _ = t.subjects_of(2).count();
+        assert!(!t.has_os_cache());
+        assert_eq!(t.subjects_of(2).collect::<Vec<_>>(), vec![5]);
+        assert!(t.has_os_cache(), "the first object-side reader built it");
+        assert_eq!(t.object_pairs(), &[2, 5, 3, 1, 7, 2, 9, 1]);
+    }
+
+    #[test]
+    fn equality_ignores_the_cache_state() {
+        let plain = table();
+        let mut cached = plain.clone();
+        cached.ensure_os();
+        assert!(cached.has_os_cache() && !plain.has_os_cache());
+        assert_eq!(plain, cached, "same pairs, one cache built");
+        let mut other = table();
+        other.add_pair(8, 8);
+        assert_ne!(plain, other, "dirty and finalized tables differ");
+        other.finalize();
+        assert_ne!(plain, other, "different pairs differ");
+    }
+
+    #[test]
+    fn racing_readers_of_one_object_view_receive_the_same_slice() {
+        let pairs: Vec<u64> = (0..20_000u64)
+            .flat_map(|i| [i, (i * 7919) % 1_000])
+            .collect();
+        let t = PropertyTable::from_pairs(pairs);
+        let barrier = std::sync::Barrier::new(4);
+        let views: Vec<(usize, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let view = t.object_pairs();
+                        (view.as_ptr() as usize, view.len())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("reader thread panicked"))
+                .collect()
+        });
+        assert!(views.iter().all(|v| *v == views[0]), "one build, one slice");
+        assert_eq!(views[0].1, 40_000);
+        t.debug_validate().expect("the shared cache is coherent");
     }
 
     #[test]

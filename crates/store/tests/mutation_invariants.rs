@@ -2,7 +2,9 @@
 //! after any sequence of merges, removals, retractions and id remaps, the
 //! store passes `debug_validate` (sorted, deduplicated, even-length pair
 //! arrays) and every table's ⟨o,s⟩ cache is either invalidated or
-//! byte-identical to a rebuild from the current ⟨s,o⟩ pairs.
+//! byte-identical to a rebuild from the current ⟨s,o⟩ pairs. Caches are
+//! built on demand, so which tables carry one depends on who read what:
+//! store equality must not.
 
 use inferray_model::ids::{PROPERTY_BASE, RESOURCE_BASE};
 use inferray_model::IdTriple;
@@ -147,5 +149,42 @@ proptest! {
         store.finalize();
         store.ensure_all_os();
         assert_cache_coherent(&store);
+    }
+
+    /// Two stores that went through the same mutations are equal whatever
+    /// caches their readers built along the way: one side never builds any,
+    /// the other pre-builds all of them (a publisher) or lets a reader pull
+    /// single tables' object views (a rule) between the steps.
+    #[test]
+    fn equality_ignores_which_caches_are_built(
+        base in arbitrary_triples(40),
+        mutations in proptest::collection::vec(arbitrary_mutation(), 1..8),
+        readers in proptest::collection::vec(0u8..3, 8),
+    ) {
+        let mut plain = TripleStore::from_triples(
+            base.iter().map(|&(p, s, o)| IdTriple::new(s, p, o)),
+        );
+        let mut cached = plain.clone();
+        cached.ensure_all_os();
+        prop_assert_eq!(&plain, &cached);
+        for (i, mutation) in mutations.iter().enumerate() {
+            apply(&mut plain, mutation);
+            apply(&mut cached, mutation);
+            match readers[i % readers.len()] {
+                0 => {}
+                1 => {
+                    cached.ensure_all_os();
+                }
+                _ => {
+                    // The first table only, through a shared reference.
+                    if let Some((_, table)) = cached.iter_tables().next() {
+                        prop_assert_eq!(table.object_pairs().len(), 2 * table.len());
+                    }
+                }
+            }
+            prop_assert_eq!(&plain, &cached);
+            prop_assert_eq!(&cached, &cached.clone());
+            assert_cache_coherent(&cached);
+        }
     }
 }

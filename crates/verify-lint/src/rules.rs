@@ -796,6 +796,32 @@ const TEXT_COPY_PATTERNS: &[&str] = &[
     ".to_owned()",
 ];
 
+/// The rule executors that emit one pair per joined pair or per copied
+/// pair (`crates/rules/src/executors/`): the α join pass, the γ/δ handlers
+/// `for_schema_and_data` drives (`prp_dom`, `prp_rng`, `prp_inv1`,
+/// `prp_inv2` and the reversed copy they share), `copy_reversed`, the
+/// same-as replacement loops and the functional executors. The rules that
+/// emit a handful of pairs per *new* triple (`trivial.rs`, `beta.rs`,
+/// `theta.rs`) are not listed.
+pub const RULE_EMIT: &[&str] = &[
+    "join_pass",
+    "prp_dom",
+    "prp_rng",
+    "prp_inv1",
+    "prp_inv2",
+    "push_reversed",
+    "copy_reversed",
+    "eq_rep_s",
+    "eq_rep_o",
+    "prp_fp",
+    "prp_ifp",
+    "emit_links_between_group_values",
+];
+
+/// Banned per emitted pair: `InferredBuffer::add` looks the property's
+/// vector up in the buffer's map on every call.
+const PER_PAIR_EMIT_PATTERNS: &[&str] = &[".add("];
+
 /// The zero-allocation functions of one file (or of a set of files that
 /// share one list).
 struct HotList {
@@ -867,14 +893,28 @@ const HOT_LISTS: &[HotList] = &[
         advice: "copy `Dictionary::text` slices into the one output buffer; no `Term`, no \
              `fmt`, no per-line string",
     },
+    HotList {
+        path_suffixes: &[
+            "crates/rules/src/executors/alpha.rs",
+            "crates/rules/src/executors/gamma.rs",
+            "crates/rules/src/executors/same_as.rs",
+            "crates/rules/src/executors/functional.rs",
+        ],
+        functions: RULE_EMIT,
+        banned: PER_PAIR_EMIT_PATTERNS,
+        role: "rule emission loop",
+        advice: "resolve the output vector once per join or per schema pair with \
+             `InferredBuffer::table_mut`, reserve where the size is known, and push",
+    },
 ];
 
 /// IL007: the serving hot path must render into the per-worker reusable
 /// buffers and the executor's kernels into the reusable batches — no fresh
-/// container or row copy per request or per row — and the dictionary's hit
-/// path and the batch writer must move arena slices, never owned text. Cold work (error-message
-/// construction, update handling, planning) belongs in a function outside
-/// the hot lists.
+/// container or row copy per request or per row — the dictionary's hit
+/// path and the batch writer must move arena slices, never owned text, and
+/// the rule executors' emission loops must push into a vector they resolved
+/// once, never look it up per pair. Cold work (error-message construction,
+/// update handling, planning) belongs in a function outside the hot lists.
 pub fn il007_no_hot_path_allocation(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in files {

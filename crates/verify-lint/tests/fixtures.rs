@@ -384,6 +384,35 @@ fn il007_covers_the_dictionary_hit_path() {
 }
 
 #[test]
+fn il007_covers_the_rule_emission_loops() {
+    for home in [
+        "crates/rules/src/executors/alpha.rs",
+        "crates/rules/src/executors/gamma.rs",
+        "crates/rules/src/executors/same_as.rs",
+        "crates/rules/src/executors/functional.rs",
+    ] {
+        let files = vec![fixture("il007_rule_emit.rs", home)];
+        let diags = rules::il007_no_hot_path_allocation(&files);
+        assert_eq!(diags.len(), 2, "{home}: {diags:?}");
+        for emitter in ["`join_pass`", "`prp_dom`"] {
+            assert!(
+                diags.iter().any(|d| d.rule == "IL007"
+                    && d.message.contains("rule emission loop")
+                    && d.message.contains(emitter)
+                    && d.message.contains("`.add`")),
+                "{home}: missing {emitter}: {diags:?}"
+            );
+        }
+    }
+    // The single-antecedent rules may keep `add`.
+    let files = vec![fixture(
+        "il007_rule_emit.rs",
+        "crates/rules/src/executors/trivial.rs",
+    )];
+    assert!(rules::il007_no_hot_path_allocation(&files).is_empty());
+}
+
+#[test]
 fn il007_covers_the_batch_writer_loop() {
     let files = vec![fixture(
         "il007_writer_alloc.rs",

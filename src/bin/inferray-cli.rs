@@ -473,13 +473,16 @@ fn run(options: &CliOptions) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     eprintln!(
-        "inferray: {} input triples, {} inferred, {} written, {} iterations, {:?} ({} fragment)",
+        "inferray: {} input triples, {} inferred, {} written, {} iterations, {:?} ({} fragment), \
+         {} derived, {} duplicates",
         stats.input_triples,
         stats.inferred_triples(),
         written,
         stats.iterations,
         stats.duration,
         reasoner.ruleset().fragment,
+        stats.derived_raw,
+        stats.duplicates_removed,
     );
     Ok(())
 }

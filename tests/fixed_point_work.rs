@@ -1,0 +1,216 @@
+//! Pins the *work* of the fixed point, not only its result.
+//!
+//! Every other suite compares stores; a reasoner that derives everything
+//! twice, re-closes closed tables or re-derives a materialized store from
+//! scratch passes all of them. This one counts, on a small committed
+//! fixture (`tests/fixtures/fixed_point_work.nt`: a class tree, a property
+//! forest, domains, ranges, typed instances and facts):
+//!
+//! * iteration 1 emits each one-pass derivation **once** — the count of
+//!   matching premise pairs, taken here by brute force over the closed
+//!   store, rule by rule (a frontier that is a *copy* of the store makes
+//!   every two-pass executor emit exactly twice that);
+//! * the closure stage is the θ rules' first firing: none of them is in
+//!   iteration 1's fired set when it ran, all of them are when it did not;
+//! * materializing a materialized store derives nothing new, in one
+//!   iteration;
+//! * the work counters — `derived_raw`, `duplicates_removed`, raw pairs per
+//!   iteration and per rule — are the same sequentially and in parallel.
+
+use inferray::core::closure_stage::run_closure_stage;
+use inferray::core::{IterationProfile, RuleSample};
+use inferray::dictionary::wellknown as wk;
+use inferray::model::ids::is_property_id;
+use inferray::parser::loader::load_ntriples;
+use inferray::rules::{RuleClass, RuleId, RuleRef, Ruleset};
+use inferray::store::AccessProfile;
+use inferray::{Fragment, IdTriple, InferrayOptions, InferrayReasoner, Materializer, TripleStore};
+
+const FRAGMENT: Fragment = Fragment::RdfsDefault;
+
+fn fixture() -> TripleStore {
+    let text = std::fs::read_to_string("tests/fixtures/fixed_point_work.nt")
+        .expect("the fixture is committed");
+    load_ntriples(&text).expect("the fixture parses").store
+}
+
+fn materialized(
+    options: InferrayOptions,
+) -> (TripleStore, inferray::InferenceStats, IterationProfile) {
+    let mut store = fixture();
+    let mut reasoner = InferrayReasoner::with_options(FRAGMENT, options);
+    let stats = reasoner.materialize(&mut store);
+    (store, stats, reasoner.last_iteration_profile().clone())
+}
+
+fn is_theta(sample: &RuleSample) -> bool {
+    matches!(sample.rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta)
+}
+
+/// The number of premise pairs `(a, b)` of `store` that `rule` joins — what
+/// one pass of its executor emits, one pair per match. Brute force over all
+/// pairs of triples; `None` for the rules that are not two-premise joins.
+fn one_pass_derivations(rule: RuleId, store: &TripleStore) -> Option<usize> {
+    let joins: fn(&IdTriple, &IdTriple) -> bool = match rule {
+        RuleId::CaxSco => |a, b| a.p == wk::RDFS_SUB_CLASS_OF && b.p == wk::RDF_TYPE && b.o == a.s,
+        RuleId::PrpDom => |a, b| a.p == wk::RDFS_DOMAIN && b.p == a.s,
+        RuleId::PrpRng => |a, b| a.p == wk::RDFS_RANGE && b.p == a.s,
+        RuleId::PrpSpo1 => |a, b| {
+            a.p == wk::RDFS_SUB_PROPERTY_OF && a.s != a.o && is_property_id(a.o) && b.p == a.s
+        },
+        RuleId::ScmDom1 => {
+            |a, b| a.p == wk::RDFS_DOMAIN && b.p == wk::RDFS_SUB_CLASS_OF && b.s == a.o
+        }
+        RuleId::ScmRng1 => {
+            |a, b| a.p == wk::RDFS_RANGE && b.p == wk::RDFS_SUB_CLASS_OF && b.s == a.o
+        }
+        RuleId::ScmDom2 => {
+            |a, b| a.p == wk::RDFS_DOMAIN && b.p == wk::RDFS_SUB_PROPERTY_OF && b.o == a.s
+        }
+        RuleId::ScmRng2 => {
+            |a, b| a.p == wk::RDFS_RANGE && b.p == wk::RDFS_SUB_PROPERTY_OF && b.o == a.s
+        }
+        _ => return None,
+    };
+    let triples: Vec<IdTriple> = store.iter_triples().collect();
+    Some(
+        triples
+            .iter()
+            .map(|a| triples.iter().filter(|b| joins(a, b)).count())
+            .sum(),
+    )
+}
+
+#[test]
+fn iteration_one_emits_every_one_pass_derivation_once() {
+    // What iteration 1 reads: the input with its transitive tables closed.
+    let mut closed = fixture();
+    run_closure_stage(&mut closed, FRAGMENT, &mut AccessProfile::default());
+
+    let (_, _, profile) = materialized(InferrayOptions::default());
+    let first = &profile.samples[0];
+    assert!(!first.rules.is_empty());
+    let mut expected_total = 0usize;
+    for row in &first.rules {
+        let RuleRef::Builtin(rule) = row.rule else {
+            panic!("a fragment has no custom rules");
+        };
+        let expected = one_pass_derivations(rule, &closed)
+            .unwrap_or_else(|| panic!("{rule:?} fired in iteration 1 and has no oracle here"));
+        assert_eq!(
+            row.raw_pairs, expected,
+            "{}: one emission per matching premise pair",
+            row.rule
+        );
+        expected_total += expected;
+    }
+    assert!(expected_total > 40, "the fixture exercises the joins");
+    assert_eq!(first.raw_pairs, expected_total);
+    assert_eq!(
+        first.raw_pairs,
+        first.rules.iter().map(|r| r.raw_pairs).sum::<usize>()
+    );
+    // Every rule of the fixture's shape did real work.
+    for rule in [
+        RuleId::CaxSco,
+        RuleId::PrpDom,
+        RuleId::PrpRng,
+        RuleId::PrpSpo1,
+        RuleId::ScmDom1,
+        RuleId::ScmDom2,
+        RuleId::ScmRng1,
+        RuleId::ScmRng2,
+    ] {
+        let row = first
+            .rules
+            .iter()
+            .find(|r| r.rule == RuleRef::Builtin(rule))
+            .unwrap_or_else(|| panic!("{rule:?} did not fire in iteration 1"));
+        assert!(row.raw_pairs > 0, "{rule:?} derived nothing on the fixture");
+    }
+}
+
+#[test]
+fn the_closure_stage_is_the_theta_rules_first_firing() {
+    let theta = Ruleset::for_fragment(FRAGMENT).theta_rules().len();
+    assert!(theta > 0);
+
+    let (with_stage, _, profile) = materialized(InferrayOptions::default());
+    let first = &profile.samples[0];
+    assert!(
+        !first.rules.iter().any(is_theta),
+        "the closure stage ran: iteration 1 must not re-close its tables"
+    );
+    assert_eq!(first.rules_skipped, theta);
+    assert_eq!(first.rules_fired, first.rules.len());
+
+    let (without_stage, _, profile) = materialized(InferrayOptions::without_closure_stage());
+    let first = &profile.samples[0];
+    assert_eq!(
+        first.rules.iter().filter(|r| is_theta(r)).count(),
+        theta,
+        "no closure stage: the θ rules close the tables inside the loop"
+    );
+    assert_eq!(first.rules_skipped, 0);
+    assert_eq!(with_stage, without_stage);
+
+    // The unscheduled reference fires them on every iteration regardless.
+    let (reference, _, profile) = materialized(InferrayOptions::unscheduled());
+    assert!(profile
+        .samples
+        .iter()
+        .all(|s| s.rules.iter().filter(|r| is_theta(r)).count() == theta));
+    assert_eq!(with_stage, reference);
+}
+
+#[test]
+fn materializing_a_materialized_store_derives_nothing() {
+    let (mut store, first, _) = materialized(InferrayOptions::default());
+    assert!(first.inferred_triples() > 0);
+    let before = store.clone();
+
+    let mut reasoner = InferrayReasoner::new(FRAGMENT);
+    let second = reasoner.materialize(&mut store);
+    assert_eq!(second.inferred_triples(), 0);
+    assert_eq!(second.iterations, 1, "one iteration finds the fixed point");
+    assert_eq!(second.duplicates_removed, second.derived_raw);
+    assert_eq!(reasoner.last_iteration_profile().samples[0].new_pairs, 0);
+    assert_eq!(store, before);
+}
+
+#[test]
+fn work_counters_are_identical_sequentially_and_in_parallel() {
+    let (parallel_store, parallel, parallel_profile) = materialized(InferrayOptions::default());
+    let (sequential_store, sequential, sequential_profile) =
+        materialized(InferrayOptions::sequential());
+    assert_eq!(parallel_store, sequential_store);
+    assert_eq!(parallel.derived_raw, sequential.derived_raw);
+    assert_eq!(parallel.duplicates_removed, sequential.duplicates_removed);
+    assert_eq!(
+        parallel.derived_raw - parallel.duplicates_removed,
+        parallel_profile
+            .samples
+            .iter()
+            .map(|s| s.new_pairs)
+            .sum::<usize>(),
+        "every raw pair is a duplicate or a new triple"
+    );
+    // Per iteration: raw pairs, new pairs, and raw pairs per fired rule.
+    let rows = |profile: &IterationProfile| -> Vec<(usize, usize, Vec<usize>)> {
+        profile
+            .samples
+            .iter()
+            .map(|s| {
+                let per_rule = s.rules.iter().map(|r| r.raw_pairs).collect();
+                (s.raw_pairs, s.new_pairs, per_rule)
+            })
+            .collect()
+    };
+    let fired = |profile: &IterationProfile| -> Vec<RuleRef> {
+        let rules = profile.samples.iter().flat_map(|s| &s.rules);
+        rules.map(|r| r.rule).collect()
+    };
+    assert_eq!(fired(&parallel_profile), fired(&sequential_profile));
+    assert_eq!(rows(&parallel_profile), rows(&sequential_profile));
+    assert!(parallel_profile.samples.len() >= 2);
+}
