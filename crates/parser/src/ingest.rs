@@ -8,13 +8,16 @@
 //! (documented in `docs/ingest.md`):
 //!
 //! 1. **Lex + local intern** (parallel): the document is cut into chunks on
-//!    statement boundaries ([`crate::lex`]); each worker lexes its chunk
-//!    zero-copy and interns every term occurrence into a *thread-local delta
-//!    dictionary* (a [`TextArena`]: canonical text ↔ dense local index, the
-//!    same interner the [`Dictionary`] is built on), recording only the
-//!    chunk-local *intern events* that could change global dictionary state
-//!    (first occurrence of a term, first property demand of a term first
-//!    met as a resource) and each triple as three local indexes.
+//!    statement boundaries ([`crate::lex`]) — slices of a `&str`, or, for an
+//!    N-Triples *file* ([`Ingest::ntriples_file`]), byte ranges that each
+//!    lane streams through one reused cache-sized block, so the document is
+//!    never held; each worker lexes its chunk zero-copy and interns every
+//!    term occurrence into a *thread-local delta dictionary* (a
+//!    [`TextArena`]: canonical text ↔ dense local index, the same interner
+//!    the [`Dictionary`] is built on), recording only the chunk-local
+//!    *intern events* that could change global dictionary state (first
+//!    occurrence of a term, first property demand of a term first met as a
+//!    resource) and each triple as three local indexes.
 //! 2. **Merge** (sequential, but over distinct-term events only): because
 //!    chunks are contiguous document slices, concatenating the per-chunk
 //!    event lists replays the exact global first-occurrence order, so
@@ -31,10 +34,11 @@
 //!    deduplicated on its own pool lane with a reusable
 //!    [`SortScratch`](inferray_sort::SortScratch).
 //!
-//! The chunk structure is invisible in the result: any thread count and any
-//! chunk size produce a dictionary and store byte-identical to
-//! [`LoaderOptions::sequential`] (and to the legacy loader), which the
-//! `ingest_equivalence` proptest suite asserts.
+//! The chunk structure is invisible in the result: any thread count, any
+//! chunk size and — for a streamed file — any block size produce a
+//! dictionary and store byte-identical to [`LoaderOptions::sequential`] (and
+//! to the legacy loader), which the `ingest_equivalence` proptest suite
+//! asserts.
 
 use crate::lex::{
     lex_ntriples_chunk, lex_turtle_prologue, split_ntriples, split_turtle_body, Chunk, TermRef,
@@ -49,6 +53,10 @@ use inferray_parallel::ThreadPool;
 use inferray_sort::SortScratch;
 use inferray_store::{PropertyTable, TripleStore};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
+use std::ops::Range;
+use std::path::Path;
 
 /// Default minimum chunk size: below this, splitting costs more than it
 /// saves.
@@ -58,6 +66,13 @@ const DEFAULT_MIN_CHUNK_BYTES: usize = 64 * 1024;
 /// evens out chunks whose statements are unusually cheap or expensive;
 /// higher values only re-intern more shared terms per chunk.
 const CHUNKS_PER_LANE: usize = 2;
+
+/// How many bytes of its range a lane of [`Ingest::ntriples_file`] holds at a
+/// time. A block this size, its lexed terms' arena lines and the index slots
+/// they probe share a core's L2, so the lexer reads what `read` just wrote
+/// from cache instead of from memory — and the file costs the process
+/// `lanes × BLOCK_BYTES` of address space, not its length.
+const BLOCK_BYTES: usize = 256 * 1024;
 
 /// Tuning knobs of the streaming ingest pipeline.
 #[derive(Debug, Clone, Default)]
@@ -122,20 +137,88 @@ impl Ingest {
         Ingest { options }
     }
 
-    /// Parses and loads an N-Triples document.
+    /// Parses and loads an N-Triples document held in memory.
     pub fn ntriples(&self, input: &str) -> Result<LoadedDataset, LoadError> {
         let pool = self.pool();
-        let lanes = pool.lanes();
-        let chunks = split_ntriples(input, self.chunk_target(input.len(), lanes));
+        let chunks = split_ntriples(input, self.chunk_target(input.len(), pool.lanes()));
         let tasks: Vec<_> = chunks
             .into_iter()
-            .map(|chunk| move || lex_ntriples_into_sink(chunk))
+            .map(|chunk| {
+                move || {
+                    let mut sink = ChunkSink::default();
+                    lex_block(&mut sink, chunk.text, chunk.first_line)?;
+                    Ok(sink)
+                }
+            })
             .collect();
-        let outputs = run_tasks(pool.get(), tasks);
-        assemble(outputs, &pool)
+        let chunks: Result<Vec<ChunkSink>, ParseError> =
+            run_tasks(pool.get(), tasks).into_iter().collect();
+        // The first failing chunk is also the earliest document position, so
+        // errors are identical to the sequential pass.
+        assemble(chunks?, &pool)
     }
 
-    /// Parses and loads a Turtle (subset) document.
+    /// Parses and loads an N-Triples file without ever holding the document:
+    /// the file is cut into as many byte ranges as [`Ingest::ntriples`] would
+    /// cut chunks, each range starting on a line, and every lane streams its
+    /// range through one reused block — read, validate, lex, intern — so the
+    /// lexer works on bytes that are still in cache and the process never
+    /// maps the file's length. The result (dictionary, store, first error) is
+    /// the one [`Ingest::ntriples`] gives for the file's text; a file that is
+    /// not UTF-8 is a parse error on its first offending line.
+    ///
+    /// Anything that is not a regular file (a FIFO, `/dev/stdin`) has no
+    /// length to cut: it is read whole and handed to [`Ingest::ntriples`].
+    pub fn ntriples_file(&self, path: &Path) -> Result<LoadedDataset, LoadError> {
+        self.ntriples_file_in_blocks(path, BLOCK_BYTES)
+    }
+
+    /// [`Ingest::ntriples_file`] with the block size spelled out, so the
+    /// equivalence suite can put block borders wherever it likes. Not a
+    /// tuning knob: every block size gives the same result.
+    #[doc(hidden)]
+    pub fn ntriples_file_in_blocks(
+        &self,
+        path: &Path,
+        block_bytes: usize,
+    ) -> Result<LoadedDataset, LoadError> {
+        let mut file = File::open(path).map_err(io_error)?;
+        let metadata = file.metadata().map_err(io_error)?;
+        if !metadata.is_file() {
+            let mut text = String::new();
+            file.read_to_string(&mut text).map_err(io_error)?;
+            return self.ntriples(&text);
+        }
+        let len = metadata.len();
+        let pool = self.pool();
+        let target = self.chunk_target(usize::try_from(len).unwrap_or(usize::MAX), pool.lanes());
+        let ranges = line_ranges(&mut file, len, target as u64).map_err(io_error)?;
+        let tasks: Vec<_> = ranges
+            .into_iter()
+            .map(|range| move || lex_file_range(path, range, block_bytes.max(1)))
+            .collect();
+        // A range counts its lines from 1; the document's line is that plus
+        // the lines of the ranges before it — all of which lexed to their
+        // end, or theirs would be the first error.
+        let mut chunks = Vec::with_capacity(tasks.len());
+        let mut lines_before = 0;
+        for output in run_tasks(pool.get(), tasks) {
+            let (sink, lines) = output.map_err(|error| match error {
+                LoadError::Parse(mut error) => {
+                    error.line += lines_before;
+                    LoadError::Parse(error)
+                }
+                other => other,
+            })?;
+            chunks.push(sink);
+            lines_before += lines;
+        }
+        assemble(chunks, &pool)
+    }
+
+    /// Parses and loads a Turtle (subset) document. Always from memory: the
+    /// splitter needs the prologue and string-aware statement borders, which
+    /// a byte offset into a file cannot give.
     pub fn turtle(&self, input: &str) -> Result<LoadedDataset, LoadError> {
         let pool = self.pool();
         let lanes = pool.lanes();
@@ -162,8 +245,9 @@ impl Ingest {
                 move || lex_turtle_into_sink(chunk, prefixes, base)
             })
             .collect();
-        let outputs = run_tasks(pool.get(), tasks);
-        assemble(outputs, &pool)
+        let chunks: Result<Vec<ChunkSink>, ParseError> =
+            run_tasks(pool.get(), tasks).into_iter().collect();
+        assemble(chunks?, &pool)
     }
 
     fn pool(&self) -> PoolHandle {
@@ -289,13 +373,32 @@ impl ChunkSink {
         if fresh {
             self.demanded_property.push(demand == Demand::Property);
             self.events.push((i, demand));
-        } else if demand == Demand::Property && !self.demanded_property[i as usize] {
-            // First local property demand of a term first met as a
-            // resource: the merge must see this transition.
+        } else {
+            self.demand_again(i, demand);
+        }
+        i
+    }
+
+    /// A further occurrence of the known term `i`: the merge must see its
+    /// first local property demand if it was first met as a resource.
+    fn demand_again(&mut self, i: u32, demand: Demand) {
+        if demand == Demand::Property && !self.demanded_property[i as usize] {
             self.demanded_property[i as usize] = true;
             self.events.push((i, Demand::Property));
         }
-        i
+    }
+
+    /// `true` when `term` is the IRI interned as `i` — a compare against
+    /// `<iri>` in the arena instead of a render, a hash and a probe.
+    fn is_iri_entry(&self, i: u32, term: &TermRef<'_>) -> bool {
+        let TermRef::Iri(iri) = term else {
+            return false;
+        };
+        self.terms
+            .text(i)
+            .strip_prefix('<')
+            .and_then(|text| text.strip_suffix('>'))
+            == Some(iri)
     }
 
     /// Interns one statement's terms (in the sequential loader's P, S, O
@@ -318,16 +421,154 @@ impl ChunkSink {
         };
 
         let p = self.intern(&triple.predicate, Demand::Property);
-        let s = self.intern(&triple.subject, demand(subject_is_property));
+        // N-Triples dumps are grouped by subject: the previous statement's
+        // subject is the likeliest term of all, and checking it costs no
+        // probe.
+        let s = match self.triples.last() {
+            Some(&[last, _, _]) if self.is_iri_entry(last, &triple.subject) => {
+                self.demand_again(last, demand(subject_is_property));
+                last
+            }
+            _ => self.intern(&triple.subject, demand(subject_is_property)),
+        };
         let o = self.intern(&triple.object, demand(object_is_property));
         self.triples.push([s, p, o]);
     }
 }
 
-fn lex_ntriples_into_sink(chunk: Chunk<'_>) -> Result<ChunkSink, ParseError> {
+/// Lexes one block of whole N-Triples lines — a chunk of a document in
+/// memory, or what a lane of [`Ingest::ntriples_file`] has just read — into
+/// `sink`, and returns how many lines it held. `first_line` numbers the
+/// block's first line in error positions.
+fn lex_block(sink: &mut ChunkSink, text: &str, first_line: usize) -> Result<usize, ParseError> {
+    lex_ntriples_chunk(Chunk { text, first_line }, |triple| sink.add(&triple))
+}
+
+/// [`lex_block`] for bytes fresh from a file. A block is cut after a line
+/// feed, an ASCII byte, so its borders are character borders and the block
+/// is validated on its own; the first ill-formed byte makes its line a
+/// parse error — after the lines before it, whose errors come first.
+fn lex_block_bytes(
+    sink: &mut ChunkSink,
+    bytes: &[u8],
+    first_line: usize,
+) -> Result<usize, ParseError> {
+    let error = match std::str::from_utf8(bytes) {
+        Ok(text) => return lex_block(sink, text, first_line),
+        Err(error) => error,
+    };
+    let line_start = bytes[..error.valid_up_to()]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |at| at + 1);
+    // A prefix of the valid prefix, cut after an ASCII byte: valid.
+    let before = std::str::from_utf8(&bytes[..line_start]).unwrap_or_default();
+    let lines_before = lex_block(sink, before, first_line)?;
+    let line = bytes[line_start..]
+        .split(|&b| b == b'\n')
+        .next()
+        .unwrap_or_default();
+    Err(ParseError {
+        line: first_line + lines_before,
+        message: "invalid UTF-8".to_string(),
+        context: String::from_utf8_lossy(line)
+            .trim_end_matches('\r')
+            .to_string(),
+    })
+}
+
+fn io_error(error: io::Error) -> LoadError {
+    LoadError::Io(error.to_string())
+}
+
+/// Cuts `0..len` into about `target` contiguous ranges that each start on
+/// a line, as [`split_ntriples`] cuts a `&str`: a range is `len / target`
+/// bytes plus the rest of the line its last byte falls in — it ends one past
+/// the first line feed at or after its nominal end − 1, where the next one
+/// starts. A line thus belongs to the range its first byte falls in.
+fn line_ranges(file: &mut File, len: u64, target: u64) -> io::Result<Vec<Range<u64>>> {
+    let goal = (len / target.max(1)).max(1);
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    while start < len {
+        let nominal_end = start.saturating_add(goal);
+        let end = if nominal_end >= len {
+            len
+        } else {
+            line_start_from(file, nominal_end)?.min(len)
+        };
+        ranges.push(start..end);
+        start = end;
+    }
+    Ok(ranges)
+}
+
+/// Offset of the first line that starts at or after `offset` (> 0): one past
+/// the first line feed at or after `offset − 1`, or the file's end.
+fn line_start_from(file: &mut File, offset: u64) -> io::Result<u64> {
+    let mut at = offset - 1;
+    file.seek(SeekFrom::Start(at))?;
+    let mut probe = [0u8; 4096];
+    loop {
+        let got = file.read(&mut probe)?;
+        if got == 0 {
+            return Ok(at);
+        }
+        if let Some(feed) = probe[..got].iter().position(|&b| b == b'\n') {
+            return Ok(at + feed as u64 + 1);
+        }
+        at += got as u64;
+    }
+}
+
+/// Phase 1 of one lane of [`Ingest::ntriples_file`]: streams `range` of the
+/// file through one buffer of `block_bytes` — fill, cut after the last line
+/// feed, lex the whole lines, carry the unfinished one to the front — and
+/// returns the sink with the number of lines the range held. A line longer
+/// than the buffer doubles it. Error lines count from the range's start.
+fn lex_file_range(
+    path: &Path,
+    range: Range<u64>,
+    block_bytes: usize,
+) -> Result<(ChunkSink, usize), LoadError> {
+    let mut file = File::open(path).map_err(io_error)?;
+    file.seek(SeekFrom::Start(range.start)).map_err(io_error)?;
+    let mut unread = range.end - range.start;
+    let mut buffer = vec![0u8; block_bytes];
+    let mut filled = 0;
     let mut sink = ChunkSink::default();
-    lex_ntriples_chunk(chunk, |triple| sink.add(&triple))?;
-    Ok(sink)
+    let mut lines = 0;
+    while unread > 0 {
+        let room = buffer.len() - filled;
+        let want = usize::try_from(unread).map_or(room, |unread| unread.min(room));
+        let got = file
+            .read(&mut buffer[filled..filled + want])
+            .map_err(io_error)?;
+        if got == 0 {
+            return Err(LoadError::Io("the file shrank while it was read".into()));
+        }
+        filled += got;
+        unread -= got as u64;
+        // The range ends on a line border (or at the end of the file), so
+        // its last block is whole lines whatever its last byte is.
+        let whole = if unread == 0 {
+            filled
+        } else {
+            match buffer[..filled].iter().rposition(|&b| b == b'\n') {
+                Some(feed) => feed + 1,
+                None => {
+                    if filled == buffer.len() {
+                        buffer.resize(buffer.len() * 2, 0);
+                    }
+                    continue;
+                }
+            }
+        };
+        lines += lex_block_bytes(&mut sink, &buffer[..whole], lines + 1)?;
+        buffer.copy_within(whole..filled, 0);
+        filled -= whole;
+    }
+    Ok((sink, lines))
 }
 
 fn lex_turtle_into_sink(
@@ -345,17 +586,7 @@ fn lex_turtle_into_sink(
 // Phases 2 + 3: deterministic merge, remap, parallel table build
 // ---------------------------------------------------------------------------
 
-fn assemble(
-    outputs: Vec<Result<ChunkSink, ParseError>>,
-    pool: &PoolHandle,
-) -> Result<LoadedDataset, LoadError> {
-    // The first failing chunk is also the earliest document position, so
-    // errors are identical to the sequential pass.
-    let mut chunks = Vec::with_capacity(outputs.len());
-    for output in outputs {
-        chunks.push(output.map_err(LoadError::Parse)?);
-    }
-
+fn assemble(chunks: Vec<ChunkSink>, pool: &PoolHandle) -> Result<LoadedDataset, LoadError> {
     // Phase 2 — merge. Chunks are contiguous document slices, so replaying
     // the concatenated event lists through a fresh dictionary visits every
     // term in global first-occurrence order: identifiers, registration order
@@ -365,12 +596,16 @@ fn assemble(
     // term has a first-occurrence event, so the encode calls also fill the
     // chunk's local-index → global-id table as a side effect — no second
     // lookup pass over the (long) textual keys is needed.
+    //
+    // Phase 3 reads only a chunk's statements and its remap table, so the
+    // chunk's arena, demand flags and events are dropped as soon as its
+    // events are merged — the dictionary and the chunk arenas are never all
+    // alive together.
     let mut dictionary = Dictionary::new();
-    let mut remaps: Vec<Vec<u64>> = chunks
-        .iter()
-        .map(|chunk| vec![0u64; chunk.terms.len()])
-        .collect();
-    for (chunk, remap) in chunks.iter().zip(remaps.iter_mut()) {
+    let mut statements: Vec<Vec<[u32; 3]>> = Vec::with_capacity(chunks.len());
+    let mut remaps: Vec<Vec<u64>> = Vec::with_capacity(chunks.len());
+    for chunk in chunks {
+        let mut remap = vec![0u64; chunk.terms.len()];
         for &(index, demand) in &chunk.events {
             let key = chunk.terms.text(index);
             let id = match demand {
@@ -382,6 +617,8 @@ fn assemble(
             // the promoted property id.
             remap[index as usize] = id;
         }
+        statements.push(chunk.triples);
+        remaps.push(remap);
     }
     // Resolve cross-chunk promotions: a term promoted in a later chunk must
     // remap to its property id in *every* chunk. (Same reason the sequential
@@ -401,17 +638,17 @@ fn assemble(
 
     // Phase 3a — translate local indexes through the remap tables and
     // scatter pairs into per-property buffers, one task per chunk.
-    let num_properties = dictionary.num_properties();
-    let bucket_tasks: Vec<_> = chunks
+    let bucket_tasks: Vec<_> = statements
         .iter()
         .zip(remaps.iter())
-        .map(|(chunk, remap)| move || bucket_chunk(chunk, remap, num_properties))
+        .map(|(triples, remap)| move || bucket_chunk(triples, remap))
         .collect();
     let buckets = run_tasks(pool.get(), bucket_tasks);
+    drop((statements, remaps));
 
     // Gather the chunk buffers per property, in chunk order — the
     // concatenation is exactly the document-order pair sequence.
-    let mut per_property: Vec<Vec<Vec<u64>>> = vec![Vec::new(); num_properties];
+    let mut per_property: Vec<Vec<Vec<u64>>> = vec![Vec::new(); dictionary.num_properties()];
     for chunk_buckets in buckets {
         for (index, pairs) in chunk_buckets {
             per_property[index].push(pairs);
@@ -471,19 +708,21 @@ fn assemble(
 }
 
 /// Translates one chunk's local indexes through its remap table and
-/// scatters its statements into per-property pair buffers.
-fn bucket_chunk(chunk: &ChunkSink, remap: &[u64], num_properties: usize) -> Vec<(usize, Vec<u64>)> {
-    let mut lanes: Vec<Vec<u64>> = vec![Vec::new(); num_properties];
-    for [s, p, o] in &chunk.triples {
-        let lane = &mut lanes[property_index(remap[*p as usize])];
-        lane.push(remap[*s as usize]);
-        lane.push(remap[*o as usize]);
+/// scatters its statements into one pair buffer per predicate the chunk
+/// uses (not per property of the dictionary).
+fn bucket_chunk(triples: &[[u32; 3]], remap: &[u64]) -> Vec<(usize, Vec<u64>)> {
+    let mut lane_of: FxHashMap<u32, usize> = FxHashMap::default();
+    let mut lanes: Vec<(usize, Vec<u64>)> = Vec::new();
+    for &[s, p, o] in triples {
+        let lane = *lane_of.entry(p).or_insert_with(|| {
+            lanes.push((property_index(remap[p as usize]), Vec::new()));
+            lanes.len() - 1
+        });
+        let pairs = &mut lanes[lane].1;
+        pairs.push(remap[s as usize]);
+        pairs.push(remap[o as usize]);
     }
     lanes
-        .into_iter()
-        .enumerate()
-        .filter(|(_, pairs)| !pairs.is_empty())
-        .collect()
 }
 
 #[cfg(test)]

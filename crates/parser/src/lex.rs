@@ -83,6 +83,67 @@ fn is_name_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-'
 }
 
+/// Byte classes of the scanners' fast loops: a byte whose class shares no
+/// bit with a loop's mask is skipped on one table load; every other byte
+/// leaves the loop and is looked at by name.
+const IRI_SPECIAL: u8 = 1;
+const STRING_SPECIAL: u8 = 2;
+
+/// [`IRI_SPECIAL`]: `>`, `\`, ASCII whitespace and the lead byte of a
+/// multi-byte character (which may be Unicode whitespace). [`STRING_SPECIAL`]:
+/// `"`, `\` and the line feed. Continuation bytes (`0x80..0xC0`) are plain
+/// in both: they pass straight through, as does every other byte.
+static BYTE_CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0xC0;
+    while b < 256 {
+        class[b] = IRI_SPECIAL;
+        b += 1;
+    }
+    class[b'>' as usize] = IRI_SPECIAL;
+    class[b' ' as usize] = IRI_SPECIAL;
+    class[b'\t' as usize] = IRI_SPECIAL;
+    class[b'\r' as usize] = IRI_SPECIAL;
+    class[b'\n' as usize] = IRI_SPECIAL | STRING_SPECIAL;
+    class[b'\\' as usize] = IRI_SPECIAL | STRING_SPECIAL;
+    class[b'"' as usize] = STRING_SPECIAL;
+    class
+};
+
+/// Offset of the first byte at or after `from` whose class meets `mask`, or
+/// `bytes.len()`.
+#[inline(always)]
+fn skip_plain(bytes: &[u8], from: usize, mask: u8) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    // Non-zero when a byte of `x` is zero.
+    let has_zero = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
+    let mut pos = from;
+    // Eight bytes at a time: a word none of whose bytes can be special —
+    // none >= 0x80, none < 0x21 (the space and the controls), no `"`, `>`
+    // or `\`, a superset of both classes — is skipped whole; the first
+    // other word is settled byte by byte below.
+    while let Some(word) = bytes.get(pos..).and_then(|rest| rest.first_chunk::<8>()) {
+        let x = u64::from_ne_bytes(*word);
+        let suspects = (x & HIGH)
+            | (x.wrapping_sub(ONES * 0x21) & !x & HIGH)
+            | has_zero(x ^ (ONES * b'"' as u64))
+            | has_zero(x ^ (ONES * b'>' as u64))
+            | has_zero(x ^ (ONES * b'\\' as u64));
+        if suspects != 0 {
+            break;
+        }
+        pos += 8;
+    }
+    while let Some(&b) = bytes.get(pos) {
+        if BYTE_CLASS[b as usize] & mask != 0 {
+            break;
+        }
+        pos += 1;
+    }
+    pos
+}
+
 /// What [`Scan::lex_word`] found at the cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Word<'a> {
@@ -252,29 +313,24 @@ impl<'a> Scan<'a> {
         let mut has_escape = false;
         let bytes = self.input.as_bytes();
         loop {
-            // Byte loop: every delimiter is ASCII, and multi-byte UTF-8
-            // continuation bytes (>= 0x80) can simply be skipped.
+            // Every delimiter is ASCII and continuation bytes of multi-byte
+            // characters are plain, so the run up to the next special byte
+            // is skipped on its byte class alone.
+            self.pos = skip_plain(bytes, self.pos, IRI_SPECIAL);
             match bytes.get(self.pos) {
                 Some(b'>') => break,
-                Some(b' ' | b'\t' | b'\r' | b'\n') => {
-                    return Err(self.error("whitespace inside IRI"));
-                }
-                Some(b) => {
-                    if *b == b'\\' {
-                        has_escape = true;
-                    } else if *b >= 0xC0 {
-                        // Lead byte of a multi-byte character (a char
-                        // boundary, so decoding is safe): rare non-ASCII
-                        // whitespace must still be rejected. Continuation
-                        // bytes (0x80..0xC0) are skipped blindly.
-                        if matches!(self.peek(), Some(c) if c.is_whitespace()) {
-                            return Err(self.error("whitespace inside IRI"));
-                        }
+                Some(b'\\') => has_escape = true,
+                // ASCII whitespace, or the lead byte of a multi-byte
+                // character (a char boundary, so decoding is safe): rare
+                // non-ASCII whitespace must still be rejected.
+                Some(_) => {
+                    if self.peek().is_some_and(char::is_whitespace) {
+                        return Err(self.error("whitespace inside IRI"));
                     }
-                    self.pos += 1;
                 }
                 None => return Err(self.error("unterminated IRI")),
             }
+            self.pos += 1;
         }
         let raw = &self.input[start..self.pos];
         self.pos += 1; // consume '>'
@@ -328,9 +384,14 @@ impl<'a> Scan<'a> {
         let mut has_escape = false;
         let bytes = self.input.as_bytes();
         loop {
-            // Byte loop: the delimiters (`"`, `\`) are ASCII; continuation
-            // bytes of multi-byte characters pass straight through.
+            // The delimiters (`"`, `\`, line feed) are ASCII; everything
+            // else, multi-byte characters included, is skipped by class.
+            self.pos = skip_plain(bytes, self.pos, STRING_SPECIAL);
             match bytes.get(self.pos) {
+                Some(b'"') => {
+                    self.pos += 1;
+                    break;
+                }
                 Some(b'\\') => {
                     has_escape = true;
                     self.pos += 1;
@@ -338,14 +399,9 @@ impl<'a> Scan<'a> {
                         return Err(self.error("unterminated escape in literal"));
                     }
                 }
-                Some(b'"') => {
-                    self.pos += 1;
-                    break;
-                }
                 // A raw line break ends no literal of any grammar: stopping
                 // here keeps an unclosed quote from swallowing the document.
-                Some(b'\n') | None => return Err(self.error("unterminated literal")),
-                Some(_) => self.pos += 1,
+                _ => return Err(self.error("unterminated literal")),
             }
         }
         let raw = &self.input[start..self.pos - 1];
@@ -626,17 +682,20 @@ pub fn split_ntriples(input: &str, target_chunks: usize) -> Vec<Chunk<'_>> {
 }
 
 /// Iterates the statements of one N-Triples chunk, yielding borrowed
-/// triples with document-global line numbers.
+/// triples with document-global line numbers, and returns the number of
+/// lines the chunk held (the next chunk's `first_line` is that much later).
 pub fn lex_ntriples_chunk<'a>(
     chunk: Chunk<'a>,
     mut emit: impl FnMut(TripleRef<'a>),
-) -> Result<(), ParseError> {
-    for (i, line) in chunk.text.lines().enumerate() {
-        if let Some(triple) = lex_ntriples_line(line, chunk.first_line + i)? {
+) -> Result<usize, ParseError> {
+    let mut lines = 0;
+    for line in chunk.text.lines() {
+        if let Some(triple) = lex_ntriples_line(line, chunk.first_line + lines)? {
             emit(triple);
         }
+        lines += 1;
     }
-    Ok(())
+    Ok(lines)
 }
 
 // ---------------------------------------------------------------------------
@@ -1017,6 +1076,138 @@ fn expand(prefixes: &HashMap<String, String>, prefix: &str, local: &str) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scanners as they were before the byte-class loops: one `match`
+    /// per byte. Kept as the reference the fast loops are tested against.
+    impl<'a> Scan<'a> {
+        fn reference_lex_iri(&mut self) -> Result<Cow<'a, str>, ParseError> {
+            self.expect_char('<')?;
+            let start = self.pos;
+            let mut has_escape = false;
+            let bytes = self.input.as_bytes();
+            loop {
+                match bytes.get(self.pos) {
+                    Some(b'>') => break,
+                    Some(b' ' | b'\t' | b'\r' | b'\n') => {
+                        return Err(self.error("whitespace inside IRI"));
+                    }
+                    Some(b) => {
+                        if *b == b'\\' {
+                            has_escape = true;
+                        } else if *b >= 0xC0 && matches!(self.peek(), Some(c) if c.is_whitespace())
+                        {
+                            return Err(self.error("whitespace inside IRI"));
+                        }
+                        self.pos += 1;
+                    }
+                    None => return Err(self.error("unterminated IRI")),
+                }
+            }
+            let raw = &self.input[start..self.pos];
+            self.pos += 1;
+            if has_escape {
+                match unescape_ntriples(raw) {
+                    Some(unescaped) => Ok(Cow::Owned(unescaped)),
+                    None => Err(self.error("bad escape in IRI")),
+                }
+            } else {
+                Ok(Cow::Borrowed(raw))
+            }
+        }
+
+        fn reference_lex_quoted_string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+            self.expect_char('"')?;
+            let start = self.pos;
+            let mut has_escape = false;
+            let bytes = self.input.as_bytes();
+            loop {
+                match bytes.get(self.pos) {
+                    Some(b'\\') => {
+                        has_escape = true;
+                        self.pos += 1;
+                        if self.bump().is_none() {
+                            return Err(self.error("unterminated escape in literal"));
+                        }
+                    }
+                    Some(b'"') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    Some(b'\n') | None => return Err(self.error("unterminated literal")),
+                    Some(_) => self.pos += 1,
+                }
+            }
+            let raw = &self.input[start..self.pos - 1];
+            if has_escape {
+                match unescape_ntriples(raw) {
+                    Some(unescaped) => Ok(Cow::Owned(unescaped)),
+                    None => Err(self.error("bad escape sequence in literal")),
+                }
+            } else {
+                Ok(Cow::Borrowed(raw))
+            }
+        }
+    }
+
+    /// Text over the characters the scanners tell apart — plain runs long
+    /// enough to cross an eight-byte word, every delimiter, an escape's
+    /// `u`, and multi-byte characters that are and are not whitespace.
+    fn scanner_text() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            Just("a"),
+            Just("http://example.org/path"),
+            Just("\\"),
+            Just("u"),
+            Just("\\u00e9"),
+            Just(">"),
+            Just("\""),
+            Just(" "),
+            Just("\t"),
+            Just("\n"),
+            Just("\r"),
+            Just("é"),
+            Just("\u{2028}"),
+            Just("\u{00A0}"),
+            Just("語"),
+            Just("\u{1}"),
+        ];
+        prop::collection::vec(piece, 0..12).prop_map(|pieces| pieces.concat())
+    }
+
+    /// What a scanner call left behind: its answer and where the cursor is.
+    fn outcome<'a>(
+        scan: &Scan<'a>,
+        result: Result<Cow<'a, str>, ParseError>,
+    ) -> (Result<(String, bool), ParseError>, usize, usize, usize) {
+        let result = result.map(|text| (text.to_string(), matches!(text, Cow::Borrowed(_))));
+        (result, scan.pos, scan.line, scan.line_start)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn byte_class_scanners_equal_the_char_wise_reference(
+            body in scanner_text(),
+            closed in 0usize..4,
+        ) {
+            for (open, close) in [('<', '>'), ('"', '"')] {
+                let mut text = format!("{open}{body}");
+                if closed > 0 {
+                    text.push(close);
+                    text.push_str(" tail");
+                }
+                let (mut fast, mut reference) = (Scan::new(&text, 7), Scan::new(&text, 7));
+                let (got, expected) = if open == '<' {
+                    (fast.lex_iri(), reference.reference_lex_iri())
+                } else {
+                    (fast.lex_quoted_string(), reference.reference_lex_quoted_string())
+                };
+                prop_assert_eq!(outcome(&fast, got), outcome(&reference, expected), "on {:?}", text);
+            }
+        }
+    }
 
     #[test]
     fn term_keys_match_term_display() {

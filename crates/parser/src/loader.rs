@@ -46,6 +46,8 @@ pub enum LoadError {
     Parse(ParseError),
     /// A triple could not be encoded (invalid term positions).
     Encode(String),
+    /// The input file could not be read (the operating system's message).
+    Io(String),
 }
 
 impl fmt::Display for LoadError {
@@ -53,6 +55,7 @@ impl fmt::Display for LoadError {
         match self {
             LoadError::Parse(e) => write!(f, "parse error: {e}"),
             LoadError::Encode(e) => write!(f, "encoding error: {e}"),
+            LoadError::Io(e) => write!(f, "cannot read the input: {e}"),
         }
     }
 }

@@ -3,12 +3,69 @@
 //! produce a dictionary and store **byte-identical** to the sequential
 //! escape hatch and to the legacy one-pass loader — dense identifiers,
 //! registration order, resource→property promotions, per-table pair buffers
-//! and parse-error line numbers included.
+//! and parse-error line numbers included. The same holds for the streamed
+//! file source (`Ingest::ntriples_file`): whatever the lanes, the byte ranges
+//! they cut and the size of the blocks they read, the file loads as its text
+//! does, and fails where, and as, its text does.
 
 use inferray_parser::{
     load_ntriples, load_turtle, Ingest, LoadError, LoadedDataset, LoaderOptions,
 };
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A document on disk for the streamed source, removed on drop.
+struct TempDoc(PathBuf);
+
+impl TempDoc {
+    fn new(bytes: &[u8]) -> TempDoc {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let name = format!(
+            "inferray-ingest-{}-{}.nt",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        );
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, bytes).expect("the temp directory is writable");
+        TempDoc(path)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDoc {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Lane counts the streamed source is exercised with; one is the inline
+/// (sequential) pool.
+const LANES: [usize; 4] = [1, 2, 3, 8];
+
+/// Block sizes from "smaller than any statement" to "larger than any
+/// document here": statements straddle every border the small ones make.
+const BLOCKS: [usize; 7] = [16, 17, 61, 256, 4096, 65_536, 1 << 20];
+
+fn streamed(
+    file: &TempDoc,
+    threads: usize,
+    chunk_bytes: Option<usize>,
+    block_bytes: usize,
+) -> Result<LoadedDataset, LoadError> {
+    Ingest::with_options(LoaderOptions {
+        threads: Some(threads),
+        chunk_bytes,
+    })
+    .ntriples_file_in_blocks(file.path(), block_bytes)
+}
+
+fn sequential(doc: &str) -> Result<LoadedDataset, LoadError> {
+    Ingest::with_options(LoaderOptions::sequential()).ntriples(doc)
+}
 
 /// A small closed world of term spellings that stresses the interning key
 /// (escapes, unicode, datatypes, language tags) and the promotion machinery
@@ -98,9 +155,9 @@ fn assert_datasets_identical(expected: &LoadedDataset, actual: &LoadedDataset, l
     assert_eq!(expected, actual, "{label}: datasets diverged");
 }
 
+// The default configuration: 128 cases, or `PROPTEST_CASES` (the nightly
+// job raises it).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
     /// Parallel ingest == sequential ingest == legacy loader, for every
     /// thread count × chunk size combination thrown at it.
     #[test]
@@ -149,6 +206,59 @@ proptest! {
                 prop_assert_eq!(&a.message, &b.message);
             }
             other => panic!("expected parse errors, got {other:?}"),
+        }
+    }
+
+    /// Streamed file == slice == sequential, for every lane count, range
+    /// size and block size: ranges are cut at arbitrary bytes and blocks at
+    /// arbitrary lines, and neither shows in the result.
+    #[test]
+    fn streamed_file_is_byte_identical(
+        doc in arbitrary_document(),
+        lanes in 0usize..LANES.len(),
+        block in 0usize..BLOCKS.len(),
+        chunk_bytes in 16usize..2048,
+    ) {
+        let expected = sequential(&doc).expect("generated documents are valid");
+        let file = TempDoc::new(doc.as_bytes());
+        for chunk_bytes in [None, Some(chunk_bytes)] {
+            let loaded = streamed(&file, LANES[lanes], chunk_bytes, BLOCKS[block])
+                .expect("generated documents are valid");
+            assert_datasets_identical(&expected, &loaded, "streamed-vs-sequential");
+            let slice = Ingest::with_options(LoaderOptions {
+                threads: Some(LANES[lanes]),
+                chunk_bytes,
+            })
+            .ntriples(&doc)
+            .expect("generated documents are valid");
+            assert_datasets_identical(&slice, &loaded, "streamed-vs-slice");
+        }
+    }
+
+    /// The first error of a streamed file is the sequential pass's first
+    /// error — line, message and context — wherever the broken line falls
+    /// among the ranges and blocks.
+    #[test]
+    fn streamed_errors_are_the_sequential_errors(
+        prefix in arbitrary_document(),
+        suffix in arbitrary_document(),
+        broken in prop_oneof![
+            Just("<http://ex.org/broken"),
+            Just("<http://ex.org/s> <http://ex.org/p> \"open ."),
+            Just("<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> . trailing"),
+            Just("\"literal\" <http://ex.org/p> <http://ex.org/o> ."),
+        ],
+        lanes in 0usize..LANES.len(),
+        block in 0usize..BLOCKS.len(),
+        chunk_bytes in 16usize..512,
+    ) {
+        let doc = format!("{prefix}{broken}\n{suffix}<http://ex.org/also broken\n");
+        let expected = sequential(&doc).expect_err("the injected line is malformed");
+        let file = TempDoc::new(doc.as_bytes());
+        for chunk_bytes in [None, Some(chunk_bytes)] {
+            let error = streamed(&file, LANES[lanes], chunk_bytes, BLOCKS[block])
+                .expect_err("the injected line is malformed");
+            prop_assert_eq!(&error, &expected);
         }
     }
 
@@ -250,4 +360,171 @@ fn default_options_use_the_global_pool_and_stay_identical() {
         .unwrap();
     let parallel = Ingest::new().ntriples(&doc).unwrap();
     assert_datasets_identical(&sequential, &parallel, "global-pool");
+}
+
+/// A document whose statements straddle every block and range border the
+/// sweep below makes, with a promotion whose two halves sit in different
+/// ranges: `hasPart` is a plain subject on the first line and a predicate
+/// on the last.
+fn promotion_document() -> String {
+    let mut doc = String::from(
+        "<http://ex.org/hasPart> <http://www.w3.org/2000/01/rdf-schema#domain> <http://ex.org/Whole> .\n",
+    );
+    for i in 0..40 {
+        doc.push_str(&format!(
+            "<http://ex.org/s{i}> <http://ex.org/p{}> \"v{i} \\\"é\\\" 語\"@en .\n",
+            i % 3
+        ));
+        if i % 7 == 0 {
+            doc.push_str("# a comment between statements\r\n\n");
+        }
+    }
+    doc.push_str("<http://ex.org/Car> <http://ex.org/hasPart> <http://ex.org/Wheel> .\n");
+    doc
+}
+
+/// Every block size from 16 bytes up to past the longest line, times every
+/// lane count, times range sizes that put the promotion's halves in
+/// different ranges.
+#[test]
+fn streamed_promotion_across_ranges_for_every_block_size() {
+    let doc = promotion_document();
+    let expected = sequential(&doc).unwrap();
+    let promoted = expected
+        .dictionary
+        .id_of_iri("http://ex.org/hasPart")
+        .unwrap();
+    assert!(inferray_model::ids::is_property_id(promoted));
+    let file = TempDoc::new(doc.as_bytes());
+    for threads in LANES {
+        for chunk_bytes in [None, Some(64), Some(300), Some(1000)] {
+            for block_bytes in (16..160).chain([1 << 10, 1 << 20]) {
+                let loaded = streamed(&file, threads, chunk_bytes, block_bytes).unwrap();
+                assert_datasets_identical(
+                    &expected,
+                    &loaded,
+                    &format!("threads={threads} chunk={chunk_bytes:?} block={block_bytes}"),
+                );
+            }
+        }
+    }
+}
+
+/// The broken line visits every line of the document — first and last line
+/// of a range, astride a block border, astride a range border — and the
+/// streamed error equals the sequential one each time.
+#[test]
+fn streamed_error_position_is_exact_on_every_line() {
+    let lines: Vec<String> = promotion_document().lines().map(String::from).collect();
+    for broken in 0..lines.len() {
+        let mut doc = String::new();
+        for (i, line) in lines.iter().enumerate() {
+            doc.push_str(if i == broken {
+                "<http://ex.org/broken"
+            } else {
+                line
+            });
+            doc.push('\n');
+        }
+        let expected = sequential(&doc).unwrap_err();
+        assert!(matches!(&expected, LoadError::Parse(e) if e.line == broken + 1));
+        let file = TempDoc::new(doc.as_bytes());
+        for threads in [1, 3] {
+            for chunk_bytes in [None, Some(200)] {
+                for block_bytes in [16, 100, 1 << 20] {
+                    let error = streamed(&file, threads, chunk_bytes, block_bytes).unwrap_err();
+                    assert_eq!(
+                        error, expected,
+                        "line {broken} threads={threads} chunk={chunk_bytes:?} block={block_bytes}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The shapes a file can end in, and the sizes it can have next to a block
+/// and a range: all load as their text does.
+#[test]
+fn streamed_edge_shapes_load_as_their_text() {
+    let statement = "<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .";
+    let long_literal = "x".repeat(5000);
+    let documents = [
+        String::new(),
+        "\n".to_string(),
+        statement.to_string(),
+        format!("{statement}\n"),
+        format!("{statement}\r\n{statement}\r\n"),
+        format!("{statement}\n# only a comment at the end"),
+        format!("{statement}\n\n\n   \n"),
+        format!("<http://ex.org/a> <http://ex.org/p> \"{long_literal}\" .\n{statement}\n"),
+        format!("{statement}\n<http://ex.org/a> <http://ex.org/p> \"{long_literal}\" ."),
+    ];
+    for doc in &documents {
+        let expected = sequential(doc).unwrap();
+        let file = TempDoc::new(doc.as_bytes());
+        for threads in LANES {
+            for chunk_bytes in [None, Some(32)] {
+                for block_bytes in [16, 64, 1 << 20] {
+                    let loaded = streamed(&file, threads, chunk_bytes, block_bytes).unwrap();
+                    assert_datasets_identical(&expected, &loaded, &format!("{doc:.60?}"));
+                }
+            }
+        }
+    }
+}
+
+/// Bytes that are not UTF-8 are a parse error on their line; a malformed
+/// line before them is the first error instead.
+#[test]
+fn streamed_invalid_utf8_is_a_positioned_parse_error() {
+    let statement = b"<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .\n";
+    let mut bytes = Vec::new();
+    for _ in 0..9 {
+        bytes.extend_from_slice(statement);
+    }
+    bytes.extend_from_slice(b"<http://ex.org/a> <http://ex.org/p> \"caf\xE9\" .\n");
+    bytes.extend_from_slice(statement);
+    let file = TempDoc::new(&bytes);
+    for threads in LANES {
+        for chunk_bytes in [None, Some(100)] {
+            for block_bytes in [16, 100, 1 << 20] {
+                match streamed(&file, threads, chunk_bytes, block_bytes).unwrap_err() {
+                    LoadError::Parse(error) => {
+                        assert_eq!(error.line, 10);
+                        assert_eq!(error.message, "invalid UTF-8");
+                        assert!(error
+                            .context
+                            .starts_with("<http://ex.org/a> <http://ex.org/p> \"caf"));
+                    }
+                    other => panic!("expected a parse error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    // A syntax error on line 3 comes first, even inside the same block.
+    let mut earlier = Vec::new();
+    earlier.extend_from_slice(statement);
+    earlier.extend_from_slice(statement);
+    earlier.extend_from_slice(b"<http://ex.org/broken\n");
+    earlier.extend_from_slice(&bytes);
+    let file = TempDoc::new(&earlier);
+    for block_bytes in [16, 1 << 20] {
+        match streamed(&file, 2, None, block_bytes).unwrap_err() {
+            LoadError::Parse(error) => assert_eq!(
+                (error.line, error.message.as_str()),
+                (3, "unterminated IRI")
+            ),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+}
+
+/// A missing file is an I/O error, not a panic and not an empty dataset.
+#[test]
+fn streamed_missing_file_is_an_io_error() {
+    let missing = std::env::temp_dir().join("inferray-ingest-no-such-file.nt");
+    let error = Ingest::new().ntriples_file(&missing).unwrap_err();
+    assert!(matches!(error, LoadError::Io(_)), "{error:?}");
 }

@@ -94,13 +94,14 @@ use inferray::{
 use inferray_core::{
     InferrayOptions, InferrayReasoner, Ingest, LoaderOptions, Materializer, ServingDataset,
 };
-use inferray_parser::loader::LoadedDataset;
+use inferray_parser::loader::{LoadError, LoadedDataset};
 use inferray_parser::write_store_ntriples;
 use inferray_query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::{shapes, Fragment};
 use inferray_store::DistinctCount;
 use std::io::Read;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -384,20 +385,7 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     Ok(options)
 }
 
-fn read_input(options: &CliOptions) -> Result<String, String> {
-    match &options.input {
-        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")),
-        None => {
-            let mut buffer = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buffer)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            Ok(buffer)
-        }
-    }
-}
-
-fn parse_dataset(options: &CliOptions, text: &str) -> Result<LoadedDataset, String> {
+fn ingest(options: &CliOptions) -> Ingest {
     let mut loader = if options.sequential {
         LoaderOptions::sequential()
     } else {
@@ -407,24 +395,47 @@ fn parse_dataset(options: &CliOptions, text: &str) -> Result<LoadedDataset, Stri
         }
     };
     loader.chunk_bytes = options.chunk_kib.map(|kib| kib * 1024);
-    let ingest = Ingest::with_options(loader);
-    if options.turtle {
-        ingest.turtle(text).map_err(|e| e.to_string())
+    Ingest::with_options(loader)
+}
+
+/// Loads a document held in memory (stdin, a Turtle file).
+fn parse_dataset(options: &CliOptions, text: &str) -> Result<LoadedDataset, String> {
+    let ingest = ingest(options);
+    let loaded = if options.turtle {
+        ingest.turtle(text)
     } else {
-        ingest.ntriples(text).map_err(|e| e.to_string())
-    }
+        ingest.ntriples(text)
+    };
+    loaded.map_err(|e| e.to_string())
 }
 
 fn load(options: &CliOptions) -> Result<LoadedDataset, String> {
-    let text = read_input(options)?;
-    parse_dataset(options, &text)
+    match &options.input {
+        Some(path) => load_path(options, path),
+        None => {
+            let mut text = String::new();
+            std::io::stdin()
+                .read_to_string(&mut text)
+                .map_err(|e| format!("cannot read stdin: {e}"))?;
+            parse_dataset(options, &text)
+        }
+    }
 }
 
-/// Loads a dataset from an explicitly named file (`--data`, `shapes
-/// validate`), honoring the same `--format`/loader flags as the main input.
+/// Loads a dataset from a named file (the main input, `--data`, `shapes
+/// validate`), honoring `--format` and the loader flags. An N-Triples file
+/// is streamed — the document is never held; Turtle is read whole.
 fn load_path(options: &CliOptions, path: &str) -> Result<LoadedDataset, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_dataset(options, &text)
+    if options.turtle {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        return parse_dataset(options, &text);
+    }
+    ingest(options)
+        .ntriples_file(Path::new(path))
+        .map_err(|e| match e {
+            LoadError::Io(e) => format!("cannot read {path}: {e}"),
+            other => other.to_string(),
+        })
 }
 
 fn reasoner_options(options: &CliOptions) -> InferrayOptions {

@@ -84,3 +84,144 @@ fn sequential_and_parallel_runs_print_the_same_bytes() {
         cli_lines(&["--inferred-only"])
     );
 }
+
+/// A scratch input file, removed on drop.
+struct TempInput(std::path::PathBuf);
+
+impl TempInput {
+    fn new(name: &str, bytes: &[u8]) -> TempInput {
+        let path = std::env::temp_dir().join(format!(
+            "inferray-cli-batch-{}-{name}.nt",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).expect("the temp directory is writable");
+        TempInput(path)
+    }
+}
+
+impl Drop for TempInput {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Runs the CLI under `rdfs-plus` on `bytes`, handed over as a file (the
+/// streamed source) or on stdin (read whole): exit status, stdout, stderr.
+fn run_on(bytes: &[u8], file: Option<&TempInput>) -> (bool, Vec<u8>, String) {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut command = Command::new(env!("CARGO_BIN_EXE_inferray-cli"));
+    command
+        .args(["--fragment", "rdfs-plus"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    if let Some(file) = file {
+        command.arg(&file.0);
+    }
+    let mut child = command.spawn().expect("inferray-cli runs");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    if file.is_none() {
+        // The child may stop reading at the first error.
+        let _ = stdin.write_all(bytes);
+    }
+    drop(stdin);
+    let output = child.wait_with_output().expect("inferray-cli exits");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    (output.status.success(), output.stdout, stderr)
+}
+
+/// The shapes a file can end in and the sizes it can have next to a block
+/// (256 KiB) and a range (64 KiB at least): the streamed file prints what
+/// the same bytes print from stdin, where the document is read whole.
+#[test]
+fn a_streamed_file_prints_what_its_text_prints() {
+    let statement =
+        "<http://ex/herbie> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Car> .";
+    let schema =
+        "<http://ex/Car> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://ex/Vehicle> .";
+    let long_line = format!(
+        "<http://ex/herbie> <http://ex/note> \"{}\" .",
+        "53 ".repeat(100_000)
+    );
+    let many: String = (0..4000)
+        .map(|i| {
+            format!(
+                "<http://ex/car{i}> <http://ex/next> <http://ex/car{}> .\n",
+                i + 1
+            )
+        })
+        .collect();
+    let documents = [
+        ("empty", String::new()),
+        ("smaller-than-a-range", format!("{schema}\n{statement}\n")),
+        ("no-trailing-newline", format!("{schema}\n{statement}")),
+        ("crlf", format!("{schema}\r\n{statement}\r\n")),
+        (
+            "comment-tail",
+            format!("{schema}\n{statement}\n# nothing after this"),
+        ),
+        (
+            "line-longer-than-a-block",
+            format!("{schema}\n{long_line}\n{statement}\n"),
+        ),
+        ("several-ranges", format!("{schema}\n{many}{statement}")),
+    ];
+    for (name, text) in &documents {
+        let file = TempInput::new(name, text.as_bytes());
+        let (ok, streamed, stderr) = run_on(text.as_bytes(), Some(&file));
+        assert!(ok, "{name}: {stderr}");
+        let (ok, whole, whole_stderr) = run_on(text.as_bytes(), None);
+        assert!(ok, "{name}: {whole_stderr}");
+        assert!(
+            streamed == whole,
+            "{name}: the file and stdin print different bytes"
+        );
+        let counts = |stderr: &str| stderr.split(',').take(3).collect::<Vec<_>>().join(",");
+        assert_eq!(counts(&stderr), counts(&whole_stderr), "{name}");
+    }
+}
+
+/// A file that is not UTF-8 is a parse error on its first offending line,
+/// and a malformed line is reported where stdin reports it.
+#[test]
+fn errors_of_a_streamed_file_carry_their_line() {
+    let statement = b"<http://ex/a> <http://ex/p> <http://ex/b> .\n";
+    let mut latin1 = Vec::new();
+    latin1.extend_from_slice(statement);
+    latin1.extend_from_slice(statement);
+    latin1.extend_from_slice(b"<http://ex/a> <http://ex/p> \"caf\xE9\" .\n");
+    latin1.extend_from_slice(statement);
+    let file = TempInput::new("latin1", &latin1);
+    let (ok, stdout, stderr) = run_on(&latin1, Some(&file));
+    assert!(!ok && stdout.is_empty());
+    assert!(
+        stderr.contains("parse error: line 3: invalid UTF-8"),
+        "{stderr}"
+    );
+
+    let mut broken: Vec<u8> = statement.repeat(2000);
+    broken.extend_from_slice(b"<http://ex/unclosed\n");
+    broken.extend_from_slice(&statement.repeat(2000));
+    let file = TempInput::new("broken", &broken);
+    let (ok, _, streamed) = run_on(&broken, Some(&file));
+    let (whole_ok, _, whole) = run_on(&broken, None);
+    assert!(!ok && !whole_ok);
+    assert!(
+        streamed.contains("parse error: line 2001: unterminated IRI"),
+        "{streamed}"
+    );
+    assert_eq!(streamed, whole);
+
+    let (ok, _, stderr) = run_on(
+        b"",
+        Some(&TempInput(
+            std::env::temp_dir().join("inferray-cli-batch-missing.nt"),
+        )),
+    );
+    assert!(!ok);
+    assert!(
+        stderr.contains("cannot read") && stderr.contains("inferray-cli-batch-missing.nt"),
+        "{stderr}"
+    );
+}

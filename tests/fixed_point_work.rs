@@ -214,3 +214,39 @@ fn work_counters_are_identical_sequentially_and_in_parallel() {
     assert_eq!(rows(&parallel_profile), rows(&sequential_profile));
     assert!(parallel_profile.samples.len() >= 2);
 }
+
+/// EQ-REP-O asks every table for the subjects of a handful of objects (the
+/// `owl:sameAs` subjects). It must not sort every table by object to do so:
+/// a table no other rule reads from the object side ends the run without an
+/// ⟨o,s⟩ cache — and with the rewritten objects in it.
+#[test]
+fn eq_rep_o_builds_no_os_cache() {
+    let doc = "\
+<http://ex/alice> <http://www.w3.org/2002/07/owl#sameAs> <http://ex/aliz> .
+<http://ex/bob> <http://ex/knows> <http://ex/alice> .
+<http://ex/carol> <http://ex/knows> <http://ex/bob> .
+<http://ex/bob> <http://ex/age> \"42\" .
+";
+    for options in [InferrayOptions::default(), InferrayOptions::sequential()] {
+        let loaded = load_ntriples(doc).expect("the document parses");
+        let id = |iri: &str| {
+            loaded
+                .dictionary
+                .id_of_iri(iri)
+                .expect("a term of the document")
+        };
+        let mut store = loaded.store.clone();
+        let mut reasoner = InferrayReasoner::with_options(Fragment::RdfsPlus, options);
+        reasoner.materialize(&mut store);
+
+        let knows = store.table(id("http://ex/knows")).expect("asserted");
+        assert!(
+            knows.contains_pair(id("http://ex/bob"), id("http://ex/aliz")),
+            "EQ-REP-O fired"
+        );
+        for property in ["http://ex/knows", "http://ex/age"] {
+            let table = store.table(id(property)).expect("asserted");
+            assert!(!table.has_os_cache(), "⟨o,s⟩ of {property} was built");
+        }
+    }
+}
