@@ -19,7 +19,9 @@
 //! are divided by this factor so the suite completes on a laptop. Run with
 //! `--scale 1` to attempt the paper's sizes. Criterion micro-benchmarks for
 //! the individual kernels (sorting, closure, merge, end-to-end inference and
-//! the query engine) live in `benches/`.
+//! the query engine) live in `benches/`. Query serving is measured end to
+//! end, over a real socket, by the `serve.read` workload of the repository's
+//! `benchmark/` package; this crate no longer has a serving benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,6 @@
 //! The [`QueryEngine`]: compiles and evaluates queries against a store and
-//! its dictionary.
+//! its dictionary — borrowed for embedding, or owned as a published snapshot
+//! for serving ([`SnapshotQueryEngine`]).
 
 use crate::algebra::{FilterExpr, PatternTerm, Query, QueryForm, TriplePatternSpec};
 use crate::executor::{
@@ -10,10 +11,14 @@ use crate::solution::{SolutionSet, UNBOUND};
 use crate::sparql::{parse_query, QueryParseError};
 use inferray_dictionary::Dictionary;
 use inferray_model::TermKind;
-use inferray_store::TripleStore;
+use inferray_store::{StoreSnapshot, TripleStore};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A read-only query engine over a (typically materialized) triple store and
-/// the dictionary that encoded it.
+/// the dictionary that encoded it, held as anything that derefs to them:
+/// `QueryEngine::new(&store, &dictionary)` borrows, [`SnapshotQueryEngine`]
+/// owns a published epoch.
 ///
 /// The engine never mutates the store. For best `(?, p, o)` lookups, build
 /// the ⟨o,s⟩ caches first with [`TripleStore::ensure_all_os`] — the engine
@@ -42,25 +47,76 @@ use inferray_store::TripleStore;
 /// assert_eq!(solutions.len(), 1);
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct QueryEngine<'a> {
-    store: &'a TripleStore,
-    dictionary: &'a Dictionary,
+pub struct QueryEngine<S, D> {
+    store: S,
+    dictionary: D,
 }
 
-impl<'a> QueryEngine<'a> {
+/// The engine bound to one published snapshot (epoch) of the store: `Send +
+/// Sync`, cheap to clone (`Arc` bumps), and every clone answers against the
+/// same epoch. Observing a newer one is an explicit re-acquire — a new
+/// engine over [`SnapshotStore::snapshot`](inferray_store::SnapshotStore::snapshot)
+/// — never something that happens mid-query.
+///
+/// ```
+/// use inferray_parser::load_turtle;
+/// use inferray_query::SnapshotQueryEngine;
+/// use inferray_store::SnapshotStore;
+/// use std::sync::Arc;
+///
+/// let data = r#"
+/// @prefix ex: <http://example.org/> .
+/// ex:alice ex:knows ex:bob .
+/// ex:bob ex:knows ex:carol .
+/// "#;
+/// let dataset = load_turtle(data).unwrap();
+/// let dictionary = Arc::new(dataset.dictionary);
+/// let snapshots = SnapshotStore::new(dataset.store);
+///
+/// let engine = SnapshotQueryEngine::new(snapshots.snapshot(), Arc::clone(&dictionary));
+/// std::thread::scope(|scope| {
+///     for _ in 0..4 {
+///         let engine = engine.clone();
+///         scope.spawn(move || {
+///             let hops = engine
+///                 .execute_sparql(
+///                     "PREFIX ex: <http://example.org/> \
+///                      SELECT ?x ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z }",
+///                 )
+///                 .unwrap();
+///             assert_eq!(hops.len(), 1);
+///         });
+///     }
+/// });
+/// ```
+pub type SnapshotQueryEngine = QueryEngine<StoreSnapshot, Arc<Dictionary>>;
+
+impl SnapshotQueryEngine {
+    /// The epoch every query of this engine is answered against.
+    pub fn epoch(&self) -> u64 {
+        self.store.epoch()
+    }
+
+    /// The frozen snapshot backing this engine.
+    pub fn snapshot(&self) -> &StoreSnapshot {
+        &self.store
+    }
+}
+
+impl<S: Deref<Target = TripleStore>, D: Deref<Target = Dictionary>> QueryEngine<S, D> {
     /// Creates an engine over a store and the dictionary that encoded it.
-    pub fn new(store: &'a TripleStore, dictionary: &'a Dictionary) -> Self {
+    pub fn new(store: S, dictionary: D) -> Self {
         QueryEngine { store, dictionary }
     }
 
     /// The store the engine reads from.
     pub fn store(&self) -> &TripleStore {
-        self.store
+        &self.store
     }
 
     /// The dictionary used to encode constants and decode solutions.
     pub fn dictionary(&self) -> &Dictionary {
-        self.dictionary
+        &self.dictionary
     }
 
     /// Parses and executes a SPARQL-subset `SELECT` (or `ASK`) query,
@@ -102,7 +158,7 @@ impl<'a> QueryEngine<'a> {
             // A constant of the BGP is not in the dictionary: no solution.
             return;
         };
-        let ordered = order_patterns(self.store, compiled);
+        let ordered = order_patterns(&self.store, compiled);
 
         // What the last step must still be able to see: the first
         // `projected` of `needed` for the output, the rest for the filters.
@@ -132,7 +188,7 @@ impl<'a> QueryEngine<'a> {
                 .collect(),
             dedup: if select && query.distinct {
                 choose_dedup(
-                    self.store,
+                    &self.store,
                     &ordered,
                     &needed[..projected],
                     &needed[projected..],
@@ -145,8 +201,8 @@ impl<'a> QueryEngine<'a> {
             limit: if select { query.limit } else { Some(1) },
         };
         executor::execute(
-            self.store,
-            self.dictionary,
+            &self.store,
+            &self.dictionary,
             &plan,
             &mut solutions.batch,
             scratch,
@@ -163,16 +219,15 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Compiles the BGP against the dictionary; `None` when a constant term
-    /// is unknown (the BGP can never match).
+    /// is unknown (the BGP can never match). Every pattern variable has a
+    /// slot, so a variable without one is treated the same way.
     fn compile_patterns(
         &self,
         patterns: &[TriplePatternSpec],
         slot: &impl Fn(&str) -> Option<usize>,
     ) -> Option<Vec<CompiledPattern>> {
         let compile = |term: &PatternTerm| match term {
-            PatternTerm::Variable(name) => Some(Slot::Var(
-                slot(name).expect("every pattern variable has a slot"),
-            )),
+            PatternTerm::Variable(name) => slot(name).map(Slot::Var),
             PatternTerm::Constant(term) => self.dictionary.id_of(term).map(Slot::Bound),
         };
         patterns
@@ -417,6 +472,36 @@ ex:Robot rdfs:subClassOf ex:Agent .
                 "{text}: looked at {visited} pairs, the answer needs at most {bound}"
             );
         }
+    }
+
+    #[test]
+    fn engine_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<SnapshotQueryEngine>();
+    }
+
+    #[test]
+    fn engine_answers_against_its_epoch_only() {
+        use inferray_model::IdTriple;
+        use inferray_store::SnapshotStore;
+        let p = inferray_model::ids::nth_property_id(3);
+        let snapshots = SnapshotStore::new(TripleStore::from_triples([IdTriple::new(1, p, 2)]));
+        let dictionary = Arc::new(Dictionary::new());
+        let engine = SnapshotQueryEngine::new(snapshots.snapshot(), Arc::clone(&dictionary));
+        snapshots.update(|store| store.add_triple(IdTriple::new(3, p, 4)));
+        // The engine still answers against epoch 0...
+        assert_eq!(engine.epoch(), 0);
+        let rows = engine
+            .execute_sparql("SELECT ?s ?o WHERE { ?s ?p ?o }")
+            .unwrap();
+        assert_eq!(rows.len(), 1);
+        // ...until the caller explicitly re-acquires.
+        let fresh = SnapshotQueryEngine::new(snapshots.snapshot(), dictionary);
+        assert_eq!(fresh.epoch(), 1);
+        let rows = fresh
+            .execute_sparql("SELECT ?s ?o WHERE { ?s ?p ?o }")
+            .unwrap();
+        assert_eq!(rows.len(), 2);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 
 use crate::solution::{Batch, UNBOUND};
 use inferray_dictionary::Dictionary;
-use inferray_model::ids::is_property_id;
 use inferray_model::TermKind;
+use inferray_store::estimate::table_for;
 use inferray_store::{
     gallop_lower_bound, gallop_upper_bound, PropertyTable, SortScratch, TripleStore,
 };
@@ -253,16 +253,6 @@ pub(crate) fn execute(
         sort_dedup(out, scratch);
         out.slice(plan.offset, plan.limit);
     }
-}
-
-/// The table a predicate-position identifier names. That identifier can be a
-/// resource (a literal constant, an IRI the data only uses as subject or
-/// object, a variable an earlier pattern bound to one): it names no table and
-/// no triple can match it.
-pub(crate) fn table_for(store: &TripleStore, predicate: u64) -> Option<&PropertyTable> {
-    is_property_id(predicate)
-        .then(|| store.table(predicate))
-        .flatten()
 }
 
 /// Matches one pattern against every row of `input`.

@@ -29,15 +29,14 @@
 //!
 //! ## Serving
 //!
-//! [`QueryEngine`] borrows its store — right for embedding, wrong for
-//! serving. The [`serving`] module adds the `Send + Sync`
-//! [`SnapshotQueryEngine`], which owns an epoch-stamped
-//! [`StoreSnapshot`](inferray_store::StoreSnapshot) plus a shared
-//! dictionary and fans query batches out over the `inferray-parallel`
-//! pool with deterministic result order; the [`server`] module exposes
-//! either over a std-only SPARQL-over-HTTP endpoint
-//! (`inferray-cli serve`). See `docs/serving.md` for the snapshot
-//! lifecycle and the isolation contract.
+//! There is one engine, generic over how it holds its store and dictionary:
+//! [`QueryEngine::new`]`(&store, &dictionary)` borrows them for embedding,
+//! and [`SnapshotQueryEngine`] is the same engine over an epoch-stamped
+//! [`StoreSnapshot`](inferray_store::StoreSnapshot) and an
+//! `Arc<Dictionary>` — `Send + Sync`, answering every query against its one
+//! frozen epoch. The [`server`] module serves it over a std-only
+//! SPARQL-over-HTTP endpoint (`inferray-cli serve`). See `docs/serving.md`
+//! for the snapshot lifecycle and the isolation contract.
 //!
 //! ## Typical use
 //!
@@ -79,15 +78,13 @@ mod engine;
 mod executor;
 mod planner;
 pub mod server;
-pub mod serving;
 pub mod solution;
 pub mod sparql;
 
 pub use algebra::{FilterExpr, PatternTerm, Query, QueryForm, Selection, TriplePatternSpec};
-pub use engine::QueryEngine;
+pub use engine::{QueryEngine, SnapshotQueryEngine};
 pub use server::{
     EngineSource, ServerConfig, SparqlServer, UpdateError, UpdateOutcome, UpdateSink,
 };
-pub use serving::SnapshotQueryEngine;
 pub use solution::{EncodedRow, SolutionSet};
 pub use sparql::{parse_query, QueryParseError};

@@ -2,15 +2,12 @@
 //! of the ordered patterns into the executor's steps.
 //!
 //! The executor evaluates the BGP one pattern per step, so the join order
-//! decides how many intermediate bindings are produced. The planner derives
-//! its estimates straight from the sorted pair tables: the exact per-property
-//! pair count (`PropertyTable::len`) and bounded distinct-subject /
-//! distinct-object counts obtained by galloping over the ⟨s,o⟩ and ⟨o,s⟩
-//! layouts (`distinct_subjects` / `distinct_objects`). From those three
-//! numbers the expected output per input binding is the classic uniform
-//! model: `n` for an open scan, `n/ds` with the subject bound, `n/do` with
-//! the object bound, and `n/(ds·do)` (clamped to one row — pairs are
-//! duplicate-free) with both bound.
+//! decides how many intermediate bindings are produced. The per-pattern
+//! estimate is the store's one cardinality model
+//! ([`inferray_store::estimate`]: the uniform model over each table's pair
+//! count and bounded distinct-subject / distinct-object counts), the same
+//! one `rules explain --data` reports; what this module adds is ordering
+//! policy — [`SCAN_SLACK`] on whole-store scans, the search, the tie-breaks.
 //!
 //! For BGPs of up to [`EXHAUSTIVE_LIMIT`] patterns the planner enumerates
 //! every permutation and picks the one minimizing the total estimated
@@ -26,7 +23,8 @@
 //! or the projection still reads. [`choose_dedup`] decides whether the scan
 //! order of a single-pattern plan already answers `DISTINCT`.
 
-use crate::executor::{table_for, CompiledPattern, Dedup, Pos, Same, Slot, Source, Step};
+use crate::executor::{CompiledPattern, Dedup, Pos, Same, Slot, Source, Step};
+use inferray_store::estimate::{self, table_for, Predicate};
 use inferray_store::{PropertyTable, TripleStore};
 use std::collections::HashSet;
 
@@ -34,11 +32,6 @@ use std::collections::HashSet;
 /// permutation search (≤ 24 orders); larger ones fall back to the greedy
 /// heuristic.
 const EXHAUSTIVE_LIMIT: usize = 4;
-
-/// Row budget handed to the bounded distinct-key estimators. Sixty-four
-/// binary-search probes per table keep planning O(patterns · tables · log n)
-/// while staying exact for the small tables where precision matters most.
-const DISTINCT_BUDGET: usize = 64;
 
 /// Slack multiplier for unbound-predicate scans: iterating every property
 /// table costs more than the sum of their lengths suggests, and the planner
@@ -132,19 +125,33 @@ fn plan_cost(
     patterns: &[CompiledPattern],
     order: &[usize],
 ) -> (f64, Vec<bool>) {
+    let mut cost = 0.0_f64;
+    let disconnects = running_rows(store, patterns, order)
+        .map(|(rows, disconnected)| {
+            cost += rows;
+            disconnected
+        })
+        .collect();
+    (cost, disconnects)
+}
+
+/// The estimated rows after each pattern of `order`, each with whether the
+/// pattern was a disconnected pick (a cartesian product).
+fn running_rows<'a>(
+    store: &'a TripleStore,
+    patterns: &'a [CompiledPattern],
+    order: &'a [usize],
+) -> impl Iterator<Item = (f64, bool)> + 'a {
     let mut bound: HashSet<usize> = HashSet::new();
     let mut rows = 1.0_f64;
-    let mut cost = 0.0_f64;
-    let mut disconnects = Vec::with_capacity(order.len());
-    for &index in order {
+    order.iter().map(move |&index| {
         let pattern = &patterns[index];
-        disconnects
-            .push(!bound.is_empty() && has_variable(pattern) && !shares_variable(pattern, &bound));
+        let disconnected =
+            !bound.is_empty() && has_variable(pattern) && !shares_variable(pattern, &bound);
         rows *= pattern_cost(store, pattern, &bound);
-        cost += rows;
         bind_variables(pattern, &mut bound);
-    }
-    (cost, disconnects)
+        (rows, disconnected)
+    })
 }
 
 fn approx_eq(a: f64, b: f64) -> bool {
@@ -196,7 +203,8 @@ fn permutations(len: usize) -> Vec<Vec<usize>> {
 }
 
 /// Estimated number of bindings the pattern produces per input row, given
-/// the variables already bound by earlier patterns.
+/// the variables already bound by earlier patterns: the shared model of
+/// [`inferray_store::estimate`], with [`SCAN_SLACK`] on a whole-store scan.
 pub(crate) fn pattern_cost(
     store: &TripleStore,
     pattern: &CompiledPattern,
@@ -206,63 +214,17 @@ pub(crate) fn pattern_cost(
         Slot::Bound(_) => true,
         Slot::Var(index) => bound.contains(index),
     };
-    let s_bound = is_bound(&pattern.s);
-    let o_bound = is_bound(&pattern.o);
-    match &pattern.p {
-        Slot::Bound(p) => match table_for(store, *p) {
-            Some(table) => table_estimate(table, s_bound, o_bound),
-            None => 0.0,
-        },
-        Slot::Var(index) => {
-            let mut sum = 0.0;
-            let mut tables = 0_usize;
-            for (_, table) in store.iter_tables() {
-                sum += table_estimate(table, s_bound, o_bound);
-                tables += 1;
-            }
-            if tables == 0 {
-                return 0.0;
-            }
-            if bound.contains(index) {
-                // The variable resolves to one concrete predicate per input
-                // row, selecting a single table: cost the average one.
-                (sum / tables as f64).max(1.0)
-            } else {
-                (sum * SCAN_SLACK).max(1.0)
-            }
-        }
-    }
-}
-
-/// Expected matches in one property table for the given bound positions,
-/// under the uniform-distribution model over `n` duplicate-free pairs with
-/// `ds` distinct subjects and `do` distinct objects.
-fn table_estimate(table: &PropertyTable, s_bound: bool, o_bound: bool) -> f64 {
-    let n = table.len() as f64;
-    if n == 0.0 {
-        return 0.0;
-    }
-    let distinct_subjects = || table.distinct_subjects(DISTINCT_BUDGET).count.max(1) as f64;
-    // The ⟨o,s⟩ layout exists on published snapshots (ensure_all_os runs
-    // before every publish); on a raw store fall back to the textbook
-    // square-root guess rather than materializing the cache mid-planning.
-    let distinct_objects = || {
-        table
-            .distinct_objects(DISTINCT_BUDGET)
-            .map(|d| d.count.max(1) as f64)
+    let predicate = match pattern.p {
+        Slot::Bound(p) => Predicate::Const(p),
+        Slot::Var(index) if bound.contains(&index) => Predicate::Bound,
+        Slot::Var(_) => Predicate::Free,
     };
-    match (s_bound, o_bound) {
-        (true, true) => {
-            let ds = distinct_subjects();
-            let dobj = distinct_objects().unwrap_or_else(|| n.sqrt().max(1.0));
-            (n / (ds * dobj)).min(1.0)
-        }
-        (true, false) => (n / distinct_subjects()).max(1.0),
-        (false, true) => match distinct_objects() {
-            Some(dobj) => (n / dobj).max(1.0),
-            None => n.sqrt().max(1.0),
-        },
-        (false, false) => n,
+    let rows = estimate::per_binding(store, predicate, is_bound(&pattern.s), is_bound(&pattern.o));
+    // Zero means an empty store: there is no scan to slow down.
+    if predicate == Predicate::Free && rows > 0.0 {
+        (rows * SCAN_SLACK).max(1.0)
+    } else {
+        rows
     }
 }
 
@@ -768,6 +730,63 @@ mod tests {
                 "greedy order must stay connected"
             );
             bind_variables(next, &mut bound);
+        }
+    }
+
+    #[test]
+    fn rules_explain_estimates_the_rows_the_planner_does() {
+        use inferray_rules::analysis::{self, cost, Term};
+        // A skewed, a many-to-few and a tiny table, as in `property_store`.
+        let mut document = String::new();
+        let mut triple = |s: u64, p: u64, o: u64| {
+            document.push_str(&format!("<urn:n{s}> <urn:p{p}> <urn:n{o}> .\n"));
+        };
+        (0..60).for_each(|i| triple(i % 6, 0, 100 + i));
+        (0..30).for_each(|i| triple(100 + i, 1, 200 + i % 3));
+        triple(1, 2, 201);
+        triple(2, 2, 202);
+        let mut loaded = inferray_parser::load_ntriples(&document).unwrap();
+        loaded.store.ensure_all_os();
+        let (store, mut dictionary) = (loaded.store, loaded.dictionary);
+
+        // `urn:p3` and `urn:n999` are not in the data.
+        let terms = [
+            "<urn:n0>",
+            "<urn:n1>",
+            "<urn:n105>",
+            "<urn:n201>",
+            "<urn:n999>",
+        ];
+        let mut rng = Rng(0x5eed_cafe_f00d_0003);
+        let term = |rng: &mut Rng| match rng.below(3) {
+            0 => terms[rng.below(terms.len() as u64) as usize].to_owned(),
+            _ => format!("?v{}", rng.below(4)),
+        };
+        for case in 0..60 {
+            let body: Vec<String> = (0..2 + case % 2)
+                .map(|_| {
+                    let p = rng.below(4);
+                    format!("{} <urn:p{p}> {}", term(&mut rng), term(&mut rng))
+                })
+                .collect();
+            let text = format!("rule r: {} => <urn:h> <urn:out> <urn:h> .", body.join(", "));
+            let compiled = analysis::analyze(&text)
+                .compile(&mut dictionary)
+                .unwrap_or_else(|diags| panic!("{text}: {diags:?}"));
+            let rule = &compiled.rules[0];
+            let slot = |term: Term| match term {
+                Term::Var(v) => Slot::Var(v as usize),
+                Term::Const(c) => Slot::Bound(c),
+            };
+            let patterns: Vec<CompiledPattern> = rule
+                .body
+                .iter()
+                .map(|atom| pattern(slot(atom.s), slot(atom.p), slot(atom.o)))
+                .collect();
+            let written: Vec<usize> = (0..patterns.len()).collect();
+            let (planned, _) = running_rows(&store, &patterns, &written).last().unwrap();
+            let explained = cost::estimate(rule, &store, &dictionary).est_bindings;
+            assert_eq!(planned, explained, "case {case}: {text}");
         }
     }
 }

@@ -73,8 +73,8 @@
 //! allocate.
 
 use crate::algebra::QueryForm;
+use crate::engine::SnapshotQueryEngine;
 use crate::executor::Scratch;
-use crate::serving::SnapshotQueryEngine;
 use crate::solution::SolutionSet;
 use crate::sparql::parse_query;
 use inferray_model::{json_escape_into, TermRef};

@@ -2,27 +2,21 @@
 //!
 //! `inferray-cli rules explain --data FILE` pairs the static signature dump
 //! with a dynamic estimate: for every body atom, how many sorted pairs the
-//! sort-merge scan touches, and a left-fold join-size estimate derived from
-//! the store's bounded distinct-key counters
-//! ([`PropertyTable::distinct_subjects`] /
-//! [`PropertyTable::distinct_objects`](inferray_store::PropertyTable::distinct_objects)).
-//! The estimator is deliberately the query planner's model — independence
-//! across atoms, `|A ⋈ B| ≈ |A|·|B| / max(d_join, 1)` — so `rules explain`
-//! predicts the same relative ordering the scheduler will observe.
+//! sort-merge scan touches and the table's distinct subjects / objects, and
+//! for the body the estimated number of bindings. That estimate is the
+//! query planner's: the product, in body order, of each atom's per-binding
+//! estimate under the store's one cardinality model
+//! ([`inferray_store::estimate`]), so `rules explain` and the planner cannot
+//! disagree about the same join.
 //!
 //! The counters for objects come from the ⟨o,s⟩ cache; callers should run
 //! [`TripleStore::ensure_all_os`](inferray_store::TripleStore::ensure_all_os)
-//! first, otherwise object-side selectivity falls back to the pair count.
+//! first, otherwise object-side selectivity falls back to `√n`.
 
 use super::compile::{Atom, CompiledRule, Term};
 use inferray_dictionary::Dictionary;
-use inferray_model::ids::is_property_id;
+use inferray_store::estimate::{self, table_for, Predicate};
 use inferray_store::{DistinctCount, TripleStore};
-
-/// Probe budget handed to the distinct-key estimators: tables with up to
-/// this many key runs are counted exactly, larger ones extrapolated from
-/// the scanned prefix.
-pub const DISTINCT_BUDGET: usize = 1024;
 
 /// Scan and selectivity statistics for one body atom.
 #[derive(Debug, Clone)]
@@ -46,7 +40,7 @@ pub struct RuleCost {
     /// Per-atom statistics, in body order.
     pub atoms: Vec<AtomCost>,
     /// Estimated number of body bindings after joining every atom
-    /// left-to-right (0 for an empty body).
+    /// left-to-right.
     pub est_bindings: f64,
     /// Total pairs scanned across all atoms — the lower bound on the work
     /// one firing of the rule performs.
@@ -81,97 +75,50 @@ fn atom_cost(atom: &Atom, store: &TripleStore, dict: &Dictionary) -> AtomCost {
         term_str(atom.p, dict),
         term_str(atom.o, dict)
     );
-    match atom.p.as_const() {
-        Some(p) if is_property_id(p) => {
-            let table = store.table(p).filter(|t| !t.is_empty());
-            AtomCost {
-                pattern,
-                rows: table.map_or(0, |t| t.len()),
-                distinct_subjects: table.map(|t| t.distinct_subjects(DISTINCT_BUDGET)),
-                distinct_objects: table.and_then(|t| t.distinct_objects(DISTINCT_BUDGET)),
-            }
-        }
-        // A constant that is not a property id (or an unknown term lowered
-        // to a fresh id) matches nothing.
-        Some(_) => AtomCost {
-            pattern,
-            rows: 0,
-            distinct_subjects: None,
-            distinct_objects: None,
-        },
+    let Some(p) = atom.p.as_const() else {
         // Variable predicate: the scan walks every table.
-        None => AtomCost {
+        return AtomCost {
             pattern,
             rows: store.len(),
             distinct_subjects: None,
             distinct_objects: None,
-        },
-    }
-}
-
-fn is_bound(term: Term, bound: &[u32]) -> bool {
-    term.as_var().is_some_and(|v| bound.contains(&v))
-}
-
-fn bind_vars(atom: &Atom, bound: &mut Vec<u32>) {
-    for term in [atom.s, atom.p, atom.o] {
-        if let Some(v) = term.as_var() {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-    }
-}
-
-/// Distinct-key count of the most selective join column this atom shares
-/// with the already-bound variables, or `None` for a cross product.
-fn join_selectivity(
-    atom: &Atom,
-    cost: &AtomCost,
-    bound: &[u32],
-    store: &TripleStore,
-) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    let mut consider = |d: usize| {
-        best = Some(best.map_or(d, |b| b.max(d)));
+        };
     };
-    if is_bound(atom.s, bound) {
-        // Without a table there is nothing to join; `rows` (0) is the
-        // honest fallback either way.
-        consider(cost.distinct_subjects.map_or(cost.rows, |d| d.count));
+    // A constant that is not a property id (or an unknown term lowered to a
+    // fresh id) matches nothing.
+    let table = table_for(store, p).filter(|t| !t.is_empty());
+    AtomCost {
+        pattern,
+        rows: table.map_or(0, |t| t.len()),
+        distinct_subjects: table.map(estimate::distinct_subjects),
+        distinct_objects: table.and_then(estimate::distinct_objects),
     }
-    if is_bound(atom.o, bound) {
-        consider(cost.distinct_objects.map_or(cost.rows, |d| d.count));
-    }
-    if is_bound(atom.p, bound) {
-        consider(store.property_ids().count());
-    }
-    best
 }
 
-/// Estimates the cost of one rule body over `store`, folding atoms
-/// left-to-right exactly as the generic executor binds them.
+/// Estimates the cost of one rule body over `store`, binding atoms
+/// left-to-right exactly as the generic executor does.
 pub fn estimate(rule: &CompiledRule, store: &TripleStore, dict: &Dictionary) -> RuleCost {
+    let mut bound: Vec<u32> = Vec::new();
+    let mut est = 1.0_f64;
+    for atom in &rule.body {
+        let is_bound = |term: Term| term.as_var().is_none_or(|v| bound.contains(&v));
+        let predicate = match atom.p {
+            Term::Const(p) => Predicate::Const(p),
+            Term::Var(v) if bound.contains(&v) => Predicate::Bound,
+            Term::Var(_) => Predicate::Free,
+        };
+        est *= estimate::per_binding(store, predicate, is_bound(atom.s), is_bound(atom.o));
+        bound.extend(
+            [atom.s, atom.p, atom.o]
+                .into_iter()
+                .filter_map(Term::as_var),
+        );
+    }
     let atoms: Vec<AtomCost> = rule
         .body
         .iter()
         .map(|a| atom_cost(a, store, dict))
         .collect();
-    let mut bound: Vec<u32> = Vec::new();
-    let mut est = 0.0f64;
-    for (i, (atom, cost)) in rule.body.iter().zip(&atoms).enumerate() {
-        let rows = cost.rows as f64;
-        if i == 0 {
-            est = rows;
-        } else {
-            match join_selectivity(atom, cost, &bound, store) {
-                Some(d) => est = est * rows / d.max(1) as f64,
-                // No shared variable: a cross product.
-                None => est *= rows,
-            }
-        }
-        bind_vars(atom, &mut bound);
-    }
     RuleCost {
         est_bindings: est,
         scanned: atoms.iter().map(|a| a.rows).sum(),

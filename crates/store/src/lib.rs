@@ -27,11 +27,14 @@
 //!   "Substitutions", for the rationale);
 //! * [`snapshot`] — epoch-based snapshot publication ([`SnapshotStore`] /
 //!   [`StoreSnapshot`]) so concurrent readers keep a consistent frozen
-//!   version while a writer materializes the next one (docs/serving.md).
+//!   version while a writer materializes the next one (docs/serving.md);
+//! * [`estimate`] — the one cardinality model over the tables, read by the
+//!   query planner and `rules explain --data` alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod estimate;
 pub mod inferred;
 pub mod merge;
 pub mod profile;

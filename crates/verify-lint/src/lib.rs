@@ -7,7 +7,7 @@
 //! | rule  | enforces |
 //! |-------|----------|
 //! | IL001 | every crate root carries `#![forbid(unsafe_code)]` |
-//! | IL002 | no `unwrap`/`expect`/`panic!`-family calls in the server, term-lexer, SPARQL-parser, persist, snapshot and shape-validator hot paths |
+//! | IL002 | no `unwrap`/`expect`/`panic!`-family calls in the server, term-lexer, SPARQL-parser, query-engine (engine, planner, executor, solution batch), persist, snapshot and shape-validator hot paths |
 //! | IL003 | `PropertyTable` pair mutations stay in the store crate and provably reach `invalidate_os_cache` (workspace-wide call-graph walk) |
 //! | IL004 | lock-acquisition ordering across the publish/persist protocols |
 //! | IL005 | no `std::process::exit` outside `src/bin` |

@@ -60,12 +60,18 @@ pub fn il001_forbid_unsafe(files: &[SourceFile], root_manifest: &str) -> Vec<Dia
 /// write lock — a panic there poisons the writer and takes every future
 /// update down with it. The term lexer and the SPARQL parser are on it
 /// because every `/sparql` query and `POST /update` body — text from
-/// outside the process — reaches them on a worker thread.
+/// outside the process — reaches them on a worker thread, and so is what
+/// a worker runs on the parsed query: the engine, the planner and the
+/// store's cardinality model under it, the executor and the solution batch.
 pub fn is_hot_path(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     p.ends_with("crates/query/src/server.rs")
-        || p.ends_with("crates/query/src/serving.rs")
         || p.ends_with("crates/query/src/sparql.rs")
+        || p.ends_with("crates/query/src/engine.rs")
+        || p.ends_with("crates/query/src/planner.rs")
+        || p.ends_with("crates/query/src/executor.rs")
+        || p.ends_with("crates/query/src/solution.rs")
+        || p.ends_with("crates/store/src/estimate.rs")
         || p.ends_with("crates/parser/src/lex.rs")
         || p.ends_with("crates/store/src/snapshot.rs")
         || p.ends_with("crates/core/src/api.rs")
@@ -746,7 +752,6 @@ const HOT_ALLOC_PATTERNS: &[&str] = &["format!(", "String::new(", "Vec::new("];
 pub const EXECUTOR_KERNELS: &[&str] = &[
     "execute",
     "run_step",
-    "table_for",
     "scan_table",
     "run",
     "emit_run",

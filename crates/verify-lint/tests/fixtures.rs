@@ -87,9 +87,29 @@ fn il002_covers_the_term_lexer_and_the_sparql_parser() {
         assert_eq!(diags.len(), 4, "{hot}: {diags:?}");
         assert!(diags.iter().all(|d| d.rule == "IL002"));
     }
-    for cold in ["crates/parser/src/ingest.rs", "crates/query/src/planner.rs"] {
+    for cold in [
+        "crates/parser/src/ingest.rs",
+        "crates/rules/src/analysis/cost.rs",
+    ] {
         let files = [fixture("il002_hot_panics.rs", cold)];
         assert!(rules::il002_no_panics(&files).is_empty(), "{cold}");
+    }
+}
+
+#[test]
+fn il002_follows_the_request_path_into_the_query_engine() {
+    // What a `/sparql` worker runs on the parsed query is hot: the engine,
+    // the planner and the cardinality model, the executor and the batch.
+    for hot in [
+        "crates/query/src/engine.rs",
+        "crates/query/src/planner.rs",
+        "crates/store/src/estimate.rs",
+        "crates/query/src/executor.rs",
+        "crates/query/src/solution.rs",
+    ] {
+        let diags = rules::il002_no_panics(&[fixture("il002_hot_panics.rs", hot)]);
+        assert_eq!(diags.len(), 4, "{hot}: {diags:?}");
+        assert!(diags.iter().all(|d| d.rule == "IL002"));
     }
 }
 

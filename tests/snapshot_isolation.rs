@@ -280,9 +280,9 @@ fn snapshot_query_engine_answers_are_immune_to_concurrent_publishes() {
             .into(),
         "ASK { ?s ?p ?o }".into(),
     ];
-    let before: Vec<_> = engine
-        .execute_batch(&batch)
-        .into_iter()
+    let before: Vec<_> = batch
+        .iter()
+        .map(|text| engine.execute_sparql(text))
         .map(|r| r.expect("batch query parses"))
         .collect();
 
@@ -297,9 +297,9 @@ fn snapshot_query_engine_answers_are_immune_to_concurrent_publishes() {
         });
     }
 
-    let after: Vec<_> = engine
-        .execute_batch(&batch)
-        .into_iter()
+    let after: Vec<_> = batch
+        .iter()
+        .map(|text| engine.execute_sparql(text))
         .map(|r| r.expect("batch query parses"))
         .collect();
     assert_eq!(before, after, "a held engine must not observe publishes");
