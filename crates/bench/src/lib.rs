@@ -1,8 +1,7 @@
 //! # inferray-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! Inferray paper (see README.md, "Benchmarks", for how to run them and for
-//! the recorded `BENCH_*.json` results):
+//! The binaries that regenerate every table and figure of the Inferray
+//! paper (see README.md, "Benchmarks", for how to run them):
 //!
 //! | Binary     | Paper artefact | What it prints |
 //! |------------|----------------|----------------|
@@ -17,21 +16,18 @@
 //!
 //! All binaries accept `--scale <divisor>` (default 20): paper dataset sizes
 //! are divided by this factor so the suite completes on a laptop. Run with
-//! `--scale 1` to attempt the paper's sizes. Criterion micro-benchmarks for
-//! the individual kernels (sorting, closure, merge, end-to-end inference and
-//! the query engine) live in `benches/`. Query serving is measured end to
-//! end, over a real socket, by the `serve.read` workload of the repository's
-//! `benchmark/` package; this crate no longer has a serving benchmark.
+//! `--scale 1` to attempt the paper's sizes. Per-layer measurements of the
+//! kernels (sort, closure, merge, rule firing, ingest, query, persistence)
+//! and of the serving path are recorded by the repository's `benchmark/`
+//! package, the one benchmark that gates changes; this crate records none.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod maintenance_workload;
 pub mod reasoners;
 pub mod scale;
 
 pub use harness::{fmt_ms, print_table, run_materializer, BenchResult};
-pub use maintenance_workload::{instance_victims, strided_delta};
 pub use reasoners::{reasoner_names, reasoners_for};
 pub use scale::ScaleConfig;

@@ -4,9 +4,9 @@
 //! (§4.3, parallel) followed by the per-property table update (Figure 5:
 //! sort, dedup, merge). [`IterationProfile`] records both phases for every
 //! iteration of the most recent run — and, inside the firing phase, one
-//! [`RuleSample`] per rule — so the `table_update` benchmark, and anyone
-//! debugging a slow materialization, can see where the time goes, which
-//! rule it goes to, and how the delta shrinks towards the fixed point.
+//! [`RuleSample`] per rule — so the `benchmark/` package's traced run, and
+//! anyone debugging a slow materialization, can see where the time goes,
+//! which rule it goes to, and how the delta shrinks towards the fixed point.
 
 use inferray_rules::RuleRef;
 use inferray_store::OsBuilds;
@@ -92,50 +92,6 @@ impl IterationProfile {
     pub fn total_rules_skipped(&self) -> usize {
         self.samples.iter().map(|s| s.rules_skipped).sum()
     }
-
-    /// Renders a compact plain-text report: one line per iteration, each
-    /// followed by one indented line per rule that fired in it.
-    pub fn report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from(
-            "iter  os-cache-ms    fire-ms  update-ms    raw-pairs    new-pairs  tables  fired  skipped\n",
-        );
-        for s in &self.samples {
-            let _ = writeln!(
-                out,
-                "{:>4} {:>12.3} {:>10.3} {:>10.3} {:>12} {:>12} {:>7} {:>6} {:>8}",
-                s.iteration,
-                s.os_cache.as_secs_f64() * 1e3,
-                s.fire.as_secs_f64() * 1e3,
-                s.update.as_secs_f64() * 1e3,
-                s.raw_pairs,
-                s.new_pairs,
-                s.properties_touched,
-                s.rules_fired,
-                s.rules_skipped,
-            );
-            for r in &s.rules {
-                let _ = writeln!(
-                    out,
-                    "       {:<12} {:>10.3} ms fire ({:.3} ms os-cache) {:>12} raw pairs",
-                    r.rule.to_string(),
-                    r.fire.as_secs_f64() * 1e3,
-                    r.os_cache.time.as_secs_f64() * 1e3,
-                    r.raw_pairs,
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "total fire {:.3} ms, update {:.3} ms over {} iterations ({} rules fired, {} skipped)",
-            self.total_fire().as_secs_f64() * 1e3,
-            self.total_update().as_secs_f64() * 1e3,
-            self.samples.len(),
-            self.total_rules_fired(),
-            self.total_rules_skipped(),
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +99,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_report() {
+    fn totals() {
         let profile = IterationProfile {
             samples: vec![
                 IterationSample {
@@ -185,13 +141,5 @@ mod tests {
         assert_eq!(profile.total_os_cache(), Duration::from_millis(4));
         assert_eq!(profile.total_rules_fired(), 14);
         assert_eq!(profile.total_rules_skipped(), 6);
-        let report = profile.report();
-        assert!(report.contains("2 iterations"));
-        assert!(report.contains("14 rules fired, 6 skipped"));
-        assert!(report.lines().count() >= 5);
-        assert!(
-            report.contains("CAX-SCO") && report.contains("100 raw pairs"),
-            "the rule row names the rule:\n{report}"
-        );
     }
 }

@@ -42,7 +42,7 @@ pub use api::{
 };
 pub use iteration::{IterationProfile, IterationSample, RuleSample};
 pub use options::InferrayOptions;
-pub use reasoner::{run_table_update, InferrayReasoner, PropertyUpdate, RetractionStats};
+pub use reasoner::{InferrayReasoner, RetractionStats};
 
 // Re-export the pieces users need to drive the encoded API without adding
 // every substrate crate to their dependency list.

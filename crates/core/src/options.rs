@@ -58,8 +58,7 @@ impl InferrayOptions {
 
     /// Configuration with delta-driven rule scheduling disabled: every rule
     /// of the ruleset fires on every iteration (the pre-scheduler behaviour,
-    /// kept as the reference for the equivalence suite and the `rule_firing`
-    /// benchmark).
+    /// kept as the reference for the equivalence suites).
     pub fn unscheduled() -> Self {
         InferrayOptions {
             schedule_rules: false,

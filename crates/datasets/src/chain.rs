@@ -32,12 +32,6 @@ pub fn closure_size(length: usize) -> usize {
     length * length.saturating_sub(1) / 2
 }
 
-/// Number of *inferred* pairs for a chain of `length` nodes:
-/// closure minus the `length − 1` asserted edges.
-pub fn inferred_size(length: usize) -> usize {
-    closure_size(length).saturating_sub(length.saturating_sub(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,7 +62,6 @@ mod tests {
         assert_eq!(closure_size(0), 0);
         assert_eq!(closure_size(2), 1);
         assert_eq!(closure_size(100), 4950);
-        assert_eq!(inferred_size(100), 4950 - 99);
         // Paper scale: a chain of 25,000 closes to ~312M pairs.
         assert_eq!(closure_size(25_000), 312_487_500);
     }

@@ -76,10 +76,64 @@ impl fmt::Display for DenseTableError {
 impl std::error::Error for DenseTableError {}
 
 /// Which half of the identifier space a term occurrence asks for.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Demand {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Demand {
+    /// A property identifier: a term met as a resource before is promoted.
     Property,
+    /// A resource identifier, unless the term already is a property.
     Resource,
+}
+
+/// The one rule for which positions of a statement demand a property
+/// identifier, given its predicate IRI and its object's IRI (`None` when the
+/// object is not an IRI). Both ends of `rdfs:subPropertyOf`,
+/// `owl:equivalentProperty` and `owl:inverseOf`, the subject of
+/// `rdfs:domain` and `rdfs:range`, and the subject of an `rdf:type`
+/// declaration whose object is one of the property classes are properties,
+/// even before they appear as a predicate, so the property-hierarchy rules
+/// can address their tables directly; only an IRI can be one, so a subject
+/// that is not an IRI (`subject_is_iri == false`) is a resource.
+///
+/// Returns the subject's and the object's demand. It reads text because the
+/// streaming ingest applies it before any identifier exists;
+/// [`Dictionary::encode_term_refs`] applies the same function.
+#[inline]
+pub fn position_demands(
+    subject_is_iri: bool,
+    predicate: &str,
+    object: Option<&str>,
+) -> (Demand, Demand) {
+    let (subject, object) = match predicate {
+        vocab::RDFS_SUB_PROPERTY_OF | vocab::OWL_EQUIVALENT_PROPERTY | vocab::OWL_INVERSE_OF => {
+            (true, object.is_some())
+        }
+        vocab::RDFS_DOMAIN | vocab::RDFS_RANGE => (true, false),
+        vocab::RDF_TYPE => (
+            matches!(
+                object,
+                Some(
+                    vocab::RDF_PROPERTY
+                        | vocab::RDFS_CONTAINER_MEMBERSHIP_PROPERTY
+                        | vocab::OWL_TRANSITIVE_PROPERTY
+                        | vocab::OWL_SYMMETRIC_PROPERTY
+                        | vocab::OWL_FUNCTIONAL_PROPERTY
+                        | vocab::OWL_INVERSE_FUNCTIONAL_PROPERTY
+                        | vocab::OWL_DATATYPE_PROPERTY
+                        | vocab::OWL_OBJECT_PROPERTY
+                )
+            ),
+            false,
+        ),
+        _ => (false, false),
+    };
+    let demand = |is_property| {
+        if is_property {
+            Demand::Property
+        } else {
+            Demand::Resource
+        }
+    };
+    (demand(subject && subject_is_iri), demand(object))
 }
 
 /// Bidirectional term ↔ identifier dictionary with dense numbering.
@@ -361,13 +415,9 @@ impl Dictionary {
 
     /// Encodes a full triple, registering its terms as needed.
     ///
-    /// Terms that sit in a *property position* of a schema triple — the
-    /// subject of `rdfs:domain`/`rdfs:range`, both sides of
-    /// `rdfs:subPropertyOf` / `owl:equivalentProperty` / `owl:inverseOf`, or
-    /// the subject of an `rdf:type` declaration whose object is one of the
-    /// property classes — are registered as *properties* even though they do
-    /// not (yet) appear in a predicate position, so the property-hierarchy
-    /// rules can address their tables directly.
+    /// Terms that sit in a *property position* of a schema triple (see
+    /// [`position_demands`]) are registered as *properties* even though they
+    /// do not (yet) appear in a predicate position.
     pub fn encode_triple(&mut self, triple: &Triple) -> Result<IdTriple, EncodeError> {
         self.encode_term_refs(
             &triple.subject.as_term_ref(),
@@ -388,42 +438,16 @@ impl Dictionary {
         if subject.is_literal() {
             return Err(EncodeError::LiteralSubject(subject.to_term().to_string()));
         }
-        if !predicate.is_iri() {
+        let Some(predicate_iri) = predicate.as_iri() else {
             return Err(EncodeError::InvalidPredicate(
                 predicate.to_term().to_string(),
             ));
-        }
-        let p = self.encode_with(Demand::Property, |out| predicate.write_ntriples(out))?;
-
-        let subject_is_property = matches!(
-            p,
-            x if x == crate::wellknown::RDFS_SUB_PROPERTY_OF
-                || x == crate::wellknown::RDFS_DOMAIN
-                || x == crate::wellknown::RDFS_RANGE
-                || x == crate::wellknown::OWL_EQUIVALENT_PROPERTY
-                || x == crate::wellknown::OWL_INVERSE_OF
-        ) || (p == crate::wellknown::RDF_TYPE
-            && is_property_class(object.as_iri()));
-        let object_is_property = matches!(
-            p,
-            x if x == crate::wellknown::RDFS_SUB_PROPERTY_OF
-                || x == crate::wellknown::OWL_EQUIVALENT_PROPERTY
-                || x == crate::wellknown::OWL_INVERSE_OF
-        );
-
-        let demand = |is_property: bool, term: &TermRef<'_>| {
-            if is_property && term.is_iri() {
-                Demand::Property
-            } else {
-                Demand::Resource
-            }
         };
-        let s = self.encode_with(demand(subject_is_property, subject), |out| {
-            subject.write_ntriples(out)
-        })?;
-        let o = self.encode_with(demand(object_is_property, object), |out| {
-            object.write_ntriples(out)
-        })?;
+        let p = self.encode_with(Demand::Property, |out| predicate.write_ntriples(out))?;
+        let (subject_demand, object_demand) =
+            position_demands(subject.is_iri(), predicate_iri, object.as_iri());
+        let s = self.encode_with(subject_demand, |out| subject.write_ntriples(out))?;
+        let o = self.encode_with(object_demand, |out| object.write_ntriples(out))?;
         Ok(IdTriple::new(s, p, o))
     }
 
@@ -534,24 +558,6 @@ impl Dictionary {
         self.pending_promotions.push((id, promoted));
         Ok(promoted)
     }
-}
-
-/// `true` when `iri` is one of the RDF/OWL classes whose instances are
-/// properties (so a `rdf:type` declaration marks its subject as a property).
-fn is_property_class(iri: Option<&str>) -> bool {
-    matches!(
-        iri,
-        Some(
-            vocab::RDF_PROPERTY
-                | vocab::RDFS_CONTAINER_MEMBERSHIP_PROPERTY
-                | vocab::OWL_TRANSITIVE_PROPERTY
-                | vocab::OWL_SYMMETRIC_PROPERTY
-                | vocab::OWL_FUNCTIONAL_PROPERTY
-                | vocab::OWL_INVERSE_FUNCTIONAL_PROPERTY
-                | vocab::OWL_DATATYPE_PROPERTY
-                | vocab::OWL_OBJECT_PROPERTY
-        )
-    )
 }
 
 #[cfg(test)]

@@ -94,4 +94,4 @@ pub mod stats;
 pub mod wellknown;
 
 pub use arena::TextArena;
-pub use dictionary::{DenseTableError, Dictionary, EncodeError};
+pub use dictionary::{position_demands, Demand, DenseTableError, Dictionary, EncodeError};

@@ -1,11 +1,12 @@
 //! Streaming parallel ingest: text → dictionary + store without a serial
 //! wall.
 //!
-//! The legacy load path parsed a whole document into an owned `Vec<Triple>`
-//! (one `String` per term) and then dictionary-encoded it one triple at a
-//! time — a strictly sequential preamble in front of the now-parallel
-//! inference stages. [`Ingest`] replaces it with a three-phase pipeline
-//! (documented in `docs/ingest.md`):
+//! The two-pass path — parse a whole document into an owned `Vec<Triple>`
+//! (one `String` per term), then dictionary-encode it one triple at a time
+//! ([`load_triples`](crate::load_triples)) — is a strictly sequential
+//! preamble in front of the parallel inference stages. [`Ingest`] loads a
+//! document through a three-phase pipeline instead (documented in
+//! `docs/ingest.md`):
 //!
 //! 1. **Lex + local intern** (parallel): the document is cut into chunks on
 //!    statement boundaries ([`crate::lex`]) — slices of a `&str`, or, for an
@@ -17,7 +18,9 @@
 //!    the [`Dictionary`] is built on), recording only the chunk-local
 //!    *intern events* that could change global dictionary state (first
 //!    occurrence of a term, first property demand of a term first met as a
-//!    resource) and each triple as three local indexes.
+//!    resource) and each triple as three local indexes. Which positions
+//!    demand a property is [`position_demands`], the rule the two-pass
+//!    path's encoder applies too.
 //! 2. **Merge** (sequential, but over distinct-term events only): because
 //!    chunks are contiguous document slices, concatenating the per-chunk
 //!    event lists replays the exact global first-occurrence order, so
@@ -36,8 +39,8 @@
 //!
 //! The chunk structure is invisible in the result: any thread count, any
 //! chunk size and — for a streamed file — any block size produce a
-//! dictionary and store byte-identical to [`LoaderOptions::sequential`] (and
-//! to the legacy loader), which the `ingest_equivalence` proptest suite
+//! dictionary and store byte-identical to [`LoaderOptions::sequential`] and
+//! to the two-pass path, which the `ingest_equivalence` proptest suite
 //! asserts.
 
 use crate::lex::{
@@ -46,9 +49,9 @@ use crate::lex::{
 };
 use crate::loader::{LoadError, LoadedDataset};
 use crate::ntriples::ParseError;
-use inferray_dictionary::{Dictionary, TextArena};
+use inferray_dictionary::{position_demands, Demand, Dictionary, TextArena};
 use inferray_model::ids::{property_id_from_index, property_index};
-use inferray_model::{vocab, FxHashMap};
+use inferray_model::FxHashMap;
 use inferray_parallel::ThreadPool;
 use inferray_sort::SortScratch;
 use inferray_store::{PropertyTable, TripleStore};
@@ -310,43 +313,6 @@ where
 // Phase 1: lex + thread-local delta dictionaries
 // ---------------------------------------------------------------------------
 
-/// How a term occurrence constrains the dictionary, mirroring
-/// [`Dictionary::encode_triple`]'s choice between `encode_as_property` and
-/// `encode_as_resource`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Demand {
-    Property,
-    Resource,
-}
-
-/// Predicates whose subject is a property (see `Dictionary::encode_triple`).
-const SUBJECT_IS_PROPERTY: [&str; 5] = [
-    vocab::RDFS_SUB_PROPERTY_OF,
-    vocab::RDFS_DOMAIN,
-    vocab::RDFS_RANGE,
-    vocab::OWL_EQUIVALENT_PROPERTY,
-    vocab::OWL_INVERSE_OF,
-];
-
-/// Predicates whose object is a property.
-const OBJECT_IS_PROPERTY: [&str; 3] = [
-    vocab::RDFS_SUB_PROPERTY_OF,
-    vocab::OWL_EQUIVALENT_PROPERTY,
-    vocab::OWL_INVERSE_OF,
-];
-
-/// Classes whose `rdf:type` instances are properties.
-const PROPERTY_CLASSES: [&str; 8] = [
-    vocab::RDF_PROPERTY,
-    vocab::RDFS_CONTAINER_MEMBERSHIP_PROPERTY,
-    vocab::OWL_TRANSITIVE_PROPERTY,
-    vocab::OWL_SYMMETRIC_PROPERTY,
-    vocab::OWL_FUNCTIONAL_PROPERTY,
-    vocab::OWL_INVERSE_FUNCTIONAL_PROPERTY,
-    vocab::OWL_DATATYPE_PROPERTY,
-    vocab::OWL_OBJECT_PROPERTY,
-];
-
 /// One chunk's thread-local delta dictionary plus its encoded statements.
 #[derive(Default)]
 struct ChunkSink {
@@ -404,21 +370,11 @@ impl ChunkSink {
     /// Interns one statement's terms (in the sequential loader's P, S, O
     /// event order) and records the encoded triple.
     fn add(&mut self, triple: &TripleRef<'_>) {
-        let predicate = triple.predicate.as_iri();
-        let is_one_of = |iri: Option<&str>, set: &[&str]| iri.is_some_and(|iri| set.contains(&iri));
-        let subject_is_property = (is_one_of(predicate, &SUBJECT_IS_PROPERTY)
-            || (predicate == Some(vocab::RDF_TYPE)
-                && is_one_of(triple.object.as_iri(), &PROPERTY_CLASSES)))
-            && triple.subject.is_iri();
-        let object_is_property =
-            is_one_of(predicate, &OBJECT_IS_PROPERTY) && triple.object.is_iri();
-        let demand = |is_property| {
-            if is_property {
-                Demand::Property
-            } else {
-                Demand::Resource
-            }
-        };
+        let (subject_demand, object_demand) = position_demands(
+            triple.subject.is_iri(),
+            triple.predicate.as_iri().unwrap_or_default(),
+            triple.object.as_iri(),
+        );
 
         let p = self.intern(&triple.predicate, Demand::Property);
         // N-Triples dumps are grouped by subject: the previous statement's
@@ -426,12 +382,12 @@ impl ChunkSink {
         // probe.
         let s = match self.triples.last() {
             Some(&[last, _, _]) if self.is_iri_entry(last, &triple.subject) => {
-                self.demand_again(last, demand(subject_is_property));
+                self.demand_again(last, subject_demand);
                 last
             }
-            _ => self.intern(&triple.subject, demand(subject_is_property)),
+            _ => self.intern(&triple.subject, subject_demand),
         };
-        let o = self.intern(&triple.object, demand(object_is_property));
+        let o = self.intern(&triple.object, object_demand);
         self.triples.push([s, p, o]);
     }
 }
@@ -728,7 +684,7 @@ fn bucket_chunk(triples: &[[u32; 3]], remap: &[u64]) -> Vec<(usize, Vec<u64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loader::{load_ntriples, load_turtle};
+    use crate::{load_triples, parse_ntriples, parse_turtle};
     use inferray_dictionary::wellknown;
     use inferray_model::ids::is_property_id;
 
@@ -750,13 +706,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_equals_legacy() {
+    fn parallel_equals_sequential_equals_two_pass() {
         let doc = sample_nt();
         let sequential = Ingest::with_options(LoaderOptions::sequential())
             .ntriples(&doc)
             .unwrap();
-        let legacy = load_ntriples(&doc).unwrap();
-        assert_eq!(sequential, legacy);
+        let two_pass = load_triples(parse_ntriples(&doc).unwrap()).unwrap();
+        assert_eq!(sequential, two_pass);
         for threads in [2, 3, 8] {
             for chunk_bytes in [64, 700, 1 << 20] {
                 let parallel = Ingest::with_options(LoaderOptions {
@@ -828,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn turtle_ingest_matches_legacy_loader() {
+    fn turtle_ingest_matches_the_two_pass_path() {
         let doc = r#"
 @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
 @prefix owl: <http://www.w3.org/2002/07/owl#> .
@@ -840,7 +796,7 @@ ex:human rdfs:subClassOf ex:mammal .
 ex:Bart a ex:human ; ex:age 10 ; ex:name "Bart"@en .
 ex:Prof ex:taughtBy ex:Bart .
 "#;
-        let legacy = load_turtle(doc).unwrap();
+        let two_pass = load_triples(parse_turtle(doc).unwrap()).unwrap();
         let sequential = Ingest::with_options(LoaderOptions::sequential())
             .turtle(doc)
             .unwrap();
@@ -850,10 +806,10 @@ ex:Prof ex:taughtBy ex:Bart .
         })
         .turtle(doc)
         .unwrap();
-        assert_eq!(sequential, legacy);
-        assert_eq!(parallel, legacy);
+        assert_eq!(sequential, two_pass);
+        assert_eq!(parallel, two_pass);
         assert!(is_property_id(
-            legacy
+            two_pass
                 .dictionary
                 .id_of_iri("http://example.org/hasPart")
                 .unwrap()

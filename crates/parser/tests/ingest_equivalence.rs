@@ -1,7 +1,8 @@
 //! The streaming-ingest determinism contract, property-tested: at any
 //! thread count and any chunk size, the parallel ingest pipeline must
 //! produce a dictionary and store **byte-identical** to the sequential
-//! escape hatch and to the legacy one-pass loader — dense identifiers,
+//! escape hatch and to the two-pass path (parse into owned triples, then
+//! encode them one by one through the dictionary) — dense identifiers,
 //! registration order, resource→property promotions, per-table pair buffers
 //! and parse-error line numbers included. The same holds for the streamed
 //! file source (`Ingest::ntriples_file`): whatever the lanes, the byte ranges
@@ -9,7 +10,8 @@
 //! does, and fails where, and as, its text does.
 
 use inferray_parser::{
-    load_ntriples, load_turtle, Ingest, LoadError, LoadedDataset, LoaderOptions,
+    load_ntriples, load_triples, load_turtle, parse_ntriples, parse_turtle, Ingest, LoadError,
+    LoadedDataset, LoaderOptions,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -158,8 +160,11 @@ fn assert_datasets_identical(expected: &LoadedDataset, actual: &LoadedDataset, l
 // The default configuration: 128 cases, or `PROPTEST_CASES` (the nightly
 // job raises it).
 proptest! {
-    /// Parallel ingest == sequential ingest == legacy loader, for every
-    /// thread count × chunk size combination thrown at it.
+    /// Parallel ingest == sequential ingest == `load_ntriples` == the
+    /// two-pass path, for every thread count × chunk size combination
+    /// thrown at it. The two-pass path is `Dictionary::encode_term_refs`,
+    /// the encoder of `load_graph`, `reason_graph` and `POST /update`: it
+    /// and the ingest's phase 1 must pick the same terms as properties.
     #[test]
     fn parallel_ingest_is_byte_identical(
         doc in arbitrary_document(),
@@ -171,6 +176,9 @@ proptest! {
             .expect("generated documents are valid");
         let legacy = load_ntriples(&doc).expect("generated documents are valid");
         assert_datasets_identical(&legacy, &sequential, "sequential-vs-legacy");
+        let two_pass = load_triples(parse_ntriples(&doc).expect("generated documents are valid"))
+            .expect("generated documents encode");
+        assert_datasets_identical(&two_pass, &sequential, "sequential-vs-two-pass");
 
         let parallel = Ingest::with_options(LoaderOptions {
             threads: Some(threads),
@@ -263,7 +271,8 @@ proptest! {
     }
 
     /// Turtle: statement-boundary chunking (predicate/object lists, shared
-    /// prefixes, promotions) is invisible in the result.
+    /// prefixes, promotions) is invisible in the result, and the two-pass
+    /// path gives that result too.
     #[test]
     fn turtle_ingest_is_byte_identical(
         locals in prop::collection::vec("[a-z]{1,5}", 1..25),
@@ -296,6 +305,9 @@ proptest! {
             .turtle(&doc)
             .expect("generated turtle is valid");
         assert_datasets_identical(&legacy, &sequential, "turtle-sequential-vs-legacy");
+        let two_pass = load_triples(parse_turtle(&doc).expect("generated turtle is valid"))
+            .expect("generated turtle encodes");
+        assert_datasets_identical(&two_pass, &sequential, "turtle-sequential-vs-two-pass");
         let parallel = Ingest::with_options(LoaderOptions {
             threads: Some(threads),
             chunk_bytes: Some(chunk_bytes),

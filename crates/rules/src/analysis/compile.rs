@@ -2,22 +2,19 @@
 //! derived signatures, plus recognition of built-in catalog rules.
 //!
 //! Constant terms are interned through the *same* property/resource routing
-//! the dictionary applies to data triples (`Dictionary::encode_triple`): a
-//! constant in predicate position is always a property; a subject/object
-//! constant is a property exactly when the predicate puts it in a
-//! property-hierarchy position (`rdfs:subPropertyOf`,
-//! `owl:equivalentProperty`, `owl:inverseOf`, the subject side of
-//! `rdfs:domain`/`rdfs:range`, or an `rdf:type` declaration with a
-//! property-class object). Keeping the routing identical is what makes a
-//! compiled rule address exactly the tables the data occupies.
+//! the dictionary applies to data triples: a constant in predicate position
+//! is always a property; a subject/object constant is a property exactly
+//! when `inferray_dictionary::position_demands` — the one rule the encoder
+//! and the streaming ingest apply — says so. Sharing the routing is what
+//! makes a compiled rule address exactly the tables the data occupies.
 
 use super::check::canonicalize;
 use super::diag::{Diagnostic, Severity};
 use super::parse::{parse, SymAtom, SymRule, SymTerm};
 use super::signature::{derive_inputs, derive_outputs, DerivedInputs, DerivedOutputs};
 use crate::catalog::RuleId;
-use inferray_dictionary::{wellknown as wk, Dictionary};
-use inferray_model::{vocab, Term as ModelTerm};
+use inferray_dictionary::{position_demands, Demand, Dictionary};
+use inferray_model::Term as ModelTerm;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -95,19 +92,6 @@ impl CompiledRuleset {
     }
 }
 
-/// The `rdf:type` objects that mark their subject as a *property* — must
-/// stay in lock-step with the dictionary's `object_is_property_class`.
-const PROPERTY_CLASS_IRIS: &[&str] = &[
-    vocab::RDF_PROPERTY,
-    vocab::RDFS_CONTAINER_MEMBERSHIP_PROPERTY,
-    vocab::OWL_TRANSITIVE_PROPERTY,
-    vocab::OWL_SYMMETRIC_PROPERTY,
-    vocab::OWL_FUNCTIONAL_PROPERTY,
-    vocab::OWL_INVERSE_FUNCTIONAL_PROPERTY,
-    vocab::OWL_DATATYPE_PROPERTY,
-    vocab::OWL_OBJECT_PROPERTY,
-];
-
 struct RuleLowerer<'a> {
     dict: &'a mut Dictionary,
     vars: HashMap<String, u32>,
@@ -140,44 +124,33 @@ impl RuleLowerer<'_> {
         Term::Const(self.dict.encode_as_resource(&ModelTerm::iri(iri)))
     }
 
-    /// Mirrors `Dictionary::encode_triple`'s property/resource routing for
-    /// one pattern whose positions may be variables.
+    /// `Dictionary::encode_triple`'s property/resource routing
+    /// ([`position_demands`]) for one pattern whose positions may be
+    /// variables: a variable predicate demands nothing of either end.
     fn atom(&mut self, atom: &SymAtom) -> Atom {
-        let p = match &atom.p {
-            SymTerm::Var(name) => self.var(name),
-            SymTerm::Iri(iri) => self.property(iri, atom),
+        let object_iri = match &atom.o {
+            SymTerm::Iri(iri) => Some(iri.as_str()),
+            SymTerm::Var(_) => None,
         };
-        let subject_is_property = match p.as_const() {
-            Some(pred) => {
-                matches!(
-                    pred,
-                    x if x == wk::RDFS_SUB_PROPERTY_OF
-                        || x == wk::RDFS_DOMAIN
-                        || x == wk::RDFS_RANGE
-                        || x == wk::OWL_EQUIVALENT_PROPERTY
-                        || x == wk::OWL_INVERSE_OF
-                ) || (pred == wk::RDF_TYPE
-                    && matches!(&atom.o, SymTerm::Iri(o) if PROPERTY_CLASS_IRIS.contains(&o.as_str())))
-            }
-            None => false,
+        let (p, (subject_demand, object_demand)) = match &atom.p {
+            SymTerm::Var(name) => (self.var(name), (Demand::Resource, Demand::Resource)),
+            SymTerm::Iri(iri) => (
+                self.property(iri, atom),
+                position_demands(true, iri, object_iri),
+            ),
         };
-        let object_is_property = matches!(
-            p.as_const(),
-            Some(x) if x == wk::RDFS_SUB_PROPERTY_OF
-                || x == wk::OWL_EQUIVALENT_PROPERTY
-                || x == wk::OWL_INVERSE_OF
-        );
-        let s = match &atom.s {
-            SymTerm::Var(name) => self.var(name),
-            SymTerm::Iri(iri) if subject_is_property => self.property(iri, atom),
-            SymTerm::Iri(iri) => self.resource(iri),
-        };
-        let o = match &atom.o {
-            SymTerm::Var(name) => self.var(name),
-            SymTerm::Iri(iri) if object_is_property => self.property(iri, atom),
-            SymTerm::Iri(iri) => self.resource(iri),
-        };
+        let s = self.position(&atom.s, subject_demand, atom);
+        let o = self.position(&atom.o, object_demand, atom);
         Atom { s, p, o }
+    }
+
+    /// A subject or object position under `demand`.
+    fn position(&mut self, term: &SymTerm, demand: Demand, atom: &SymAtom) -> Term {
+        match term {
+            SymTerm::Var(name) => self.var(name),
+            SymTerm::Iri(iri) if demand == Demand::Property => self.property(iri, atom),
+            SymTerm::Iri(iri) => self.resource(iri),
+        }
     }
 }
 
@@ -276,6 +249,7 @@ pub fn recognize(rule: &SymRule) -> Option<RuleId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferray_dictionary::wellknown as wk;
 
     fn compile_one(text: &str) -> (CompiledRule, Option<RuleId>, Dictionary) {
         let mut dict = Dictionary::new();

@@ -47,9 +47,7 @@ pub mod triple_store;
 /// family, re-exported so their callers need not name the sort crate.
 pub use inferray_sort::SortScratch;
 pub use inferred::InferredBuffer;
-pub use merge::{
-    merge_new_pairs, merge_new_pairs_rebuild, merge_new_pairs_with, MergeOutcome, MergeStrategy,
-};
+pub use merge::{merge_new_pairs, merge_new_pairs_with, MergeOutcome, MergeStrategy};
 pub use profile::AccessProfile;
 pub use property_table::{
     gallop_lower_bound, gallop_upper_bound, os_builds, DistinctCount, OsBuilds, PropertyTable,

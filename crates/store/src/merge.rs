@@ -41,8 +41,9 @@
 //!   blocks (memmove), found by galloping down from the previous insertion
 //!   point.
 //!
-//! The seed's rebuild survives as [`merge_new_pairs_rebuild`], the reference
-//! the property tests compare against ([`MergeStrategy::Rebuild`]).
+//! The seed's rebuild survives in the test module as
+//! `merge_new_pairs_rebuild`, the reference the property tests compare
+//! against.
 //!
 //! Sorting scratch comes from a caller-provided
 //! [`SortScratch`](inferray_sort::SortScratch), so the steady state
@@ -63,8 +64,6 @@ pub enum MergeStrategy {
     TailAppend,
     /// Galloping duplicate scan + backward in-place merge.
     GallopSplice,
-    /// Full rebuild of the merged vector (the seed path, reference only).
-    Rebuild,
 }
 
 /// Counters describing one merge (used by the access profile and the tests).
@@ -165,91 +164,6 @@ fn retain_absent(old: &[u64], inferred: &mut Vec<u64>) -> usize {
     }
     inferred.truncate(write);
     duplicates
-}
-
-/// The seed's always-rebuild merge, kept as the reference/baseline
-/// implementation for the `table_update` benchmark and the adaptive-merge
-/// property tests. Takes raw pairs like [`merge_new_pairs`]: the input is
-/// sorted and deduplicated internally (with a throwaway, allocating
-/// scratch — exactly the seed's behavior).
-pub fn merge_new_pairs_rebuild(
-    main: &mut PropertyTable,
-    mut inferred: Vec<u64>,
-) -> (PropertyTable, MergeOutcome) {
-    assert!(
-        inferred.len().is_multiple_of(2),
-        "pair array must have even length"
-    );
-    let mut outcome = MergeOutcome {
-        inferred_raw: inferred.len() / 2,
-        ..MergeOutcome::default()
-    };
-    inferray_sort::sort_pairs_auto_dedup(&mut inferred);
-    outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len() / 2;
-    if inferred.is_empty() {
-        return (PropertyTable::new(), outcome);
-    }
-    let (new_table, rebuild) = rebuild_merge(main, &inferred);
-    outcome.duplicates_against_main = rebuild.duplicates_against_main;
-    outcome.new_pairs = rebuild.new_pairs;
-    outcome.strategy = MergeStrategy::Rebuild;
-    (new_table, outcome)
-}
-
-struct RebuildCounters {
-    duplicates_against_main: usize,
-    new_pairs: usize,
-}
-
-/// Linear merge of sorted `inferred` into `main`, rebuilding the merged
-/// vector (optimal when the two sides have comparable sizes).
-fn rebuild_merge(main: &mut PropertyTable, inferred: &[u64]) -> (PropertyTable, RebuildCounters) {
-    let old = main.pairs();
-    let mut merged: Vec<u64> = Vec::with_capacity(old.len() + inferred.len());
-    let mut fresh: Vec<u64> = Vec::new();
-    let mut duplicates_against_main = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() && j < inferred.len() {
-        let a = (old[i], old[i + 1]);
-        let b = (inferred[j], inferred[j + 1]);
-        match a.cmp(&b) {
-            std::cmp::Ordering::Less => {
-                merged.extend_from_slice(&[a.0, a.1]);
-                i += 2;
-            }
-            std::cmp::Ordering::Greater => {
-                merged.extend_from_slice(&[b.0, b.1]);
-                fresh.extend_from_slice(&[b.0, b.1]);
-                j += 2;
-            }
-            std::cmp::Ordering::Equal => {
-                // Already known: keep one copy in main, skip in new.
-                merged.extend_from_slice(&[a.0, a.1]);
-                duplicates_against_main += 1;
-                i += 2;
-                j += 2;
-            }
-        }
-    }
-    if i < old.len() {
-        merged.extend_from_slice(&old[i..]);
-    }
-    while j < inferred.len() {
-        merged.extend_from_slice(&inferred[j..j + 2]);
-        fresh.extend_from_slice(&inferred[j..j + 2]);
-        j += 2;
-    }
-
-    let counters = RebuildCounters {
-        duplicates_against_main,
-        new_pairs: fresh.len() / 2,
-    };
-    if counters.new_pairs > 0 {
-        main.replace_with_sorted(merged);
-    }
-    let mut new_table = PropertyTable::new();
-    new_table.replace_with_sorted(fresh);
-    (new_table, counters)
 }
 
 /// First pair index `>= lo` whose pair is `>= key`, assuming `pairs` is
@@ -449,6 +363,54 @@ mod tests {
         }
     }
 
+    /// The seed's always-rebuild merge, the reference the adaptive merge is
+    /// compared against: the raw pairs are sorted and deduplicated with a
+    /// throwaway scratch, then merged with `main` into a fresh vector. Its
+    /// outcome leaves `strategy` at its default.
+    fn merge_new_pairs_rebuild(
+        main: &mut PropertyTable,
+        mut inferred: Vec<u64>,
+    ) -> (PropertyTable, MergeOutcome) {
+        let mut outcome = MergeOutcome {
+            inferred_raw: inferred.len() / 2,
+            ..MergeOutcome::default()
+        };
+        inferray_sort::sort_pairs_auto_dedup(&mut inferred);
+        outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len() / 2;
+        let old = main.pairs();
+        let mut merged = Vec::with_capacity(old.len() + inferred.len());
+        let mut fresh = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < inferred.len() {
+            let (a, b) = (&old[i..i + 2], &inferred[j..j + 2]);
+            match a.cmp(b) {
+                std::cmp::Ordering::Less => {
+                    merged.extend_from_slice(a);
+                    i += 2;
+                }
+                std::cmp::Ordering::Greater => {
+                    merged.extend_from_slice(b);
+                    fresh.extend_from_slice(b);
+                    j += 2;
+                }
+                std::cmp::Ordering::Equal => {
+                    merged.extend_from_slice(a);
+                    outcome.duplicates_against_main += 1;
+                    i += 2;
+                    j += 2;
+                }
+            }
+        }
+        merged.extend_from_slice(&old[i..]);
+        merged.extend_from_slice(&inferred[j..]);
+        fresh.extend_from_slice(&inferred[j..]);
+        outcome.new_pairs = fresh.len() / 2;
+        main.replace_with_sorted(merged);
+        let mut new_table = PropertyTable::new();
+        new_table.replace_with_sorted(fresh);
+        (new_table, outcome)
+    }
+
     thread_local! {
         /// One scratch for every case of a proptest run, so that whatever a
         /// sort leaves behind in it meets the next case's input.
@@ -542,10 +504,7 @@ mod tests {
 
             prop_assert_eq!(in_place_main.pairs(), rebuild_main.pairs());
             prop_assert_eq!(in_place_new.pairs(), rebuild_new.pairs());
-            prop_assert_eq!(
-                MergeOutcome { strategy: MergeStrategy::Rebuild, ..in_place },
-                MergeOutcome { strategy: MergeStrategy::Rebuild, ..rebuild }
-            );
+            prop_assert_eq!(MergeOutcome { strategy: rebuild.strategy, ..in_place }, rebuild);
             prop_assert!(in_place_main.debug_validate().is_ok());
         }
 

@@ -68,7 +68,6 @@ pub use inferray_query::{QueryEngine, SolutionSet};
 pub use inferray_persist as persist;
 pub use inferray_persist::{CheckpointPolicy, DurableDataset, DurableError};
 
-use inferray_parser::loader::LoadError;
 use inferray_query::{UpdateError, UpdateOutcome, UpdateSink};
 use std::sync::Arc;
 
@@ -132,11 +131,8 @@ impl ServingUpdateSink {
                 removed: outcome.retraction().map_or(0, |r| r.retracted_explicit),
                 triples: outcome.triples,
             }),
-            // A parse/encode failure is the client's fault (`400`). The
-            // durable endpoint has always worded its parse errors this way.
-            Err(WriteError::Load(LoadError::Parse(e))) if self.durable.is_some() => {
-                Err(UpdateError::rejected(format!("rejected: {e}")))
-            }
+            // A parse/encode failure is the client's fault (`400`), worded
+            // the same with and without a data directory.
             Err(WriteError::Load(e)) => Err(UpdateError::rejected(e.to_string())),
             // A shape refusal is a semantic conflict with the installed
             // constraints: `422` with the positioned violation report in

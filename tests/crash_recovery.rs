@@ -591,7 +591,8 @@ fn wal_failure_degrades_the_http_endpoint_to_read_only() {
 /// A body that is not UTF-8 is refused outright — `400`, positioned — on an
 /// in-memory and on a durable endpoint alike. Decoding it lossily would put
 /// U+FFFD inside a literal: a document that parses, and a triple nobody
-/// sent in the WAL.
+/// sent in the WAL. The two endpoints answer it, and a UTF-8 body that does
+/// not parse, with the same bytes.
 #[test]
 fn an_update_body_that_is_not_utf8_is_refused_and_never_logged() {
     let fs = Arc::new(MemFs::new());
@@ -601,7 +602,10 @@ fn an_update_body_that_is_not_utf8_is_refused_and_never_logged() {
     let bad_at = body.len();
     body.push(0xE9); // Latin-1 é: not a valid UTF-8 sequence before `"`
     body.extend_from_slice(b"\" .\n");
+    // UTF-8, but not N-Triples: the literal is never closed.
+    let broken = b"<http://ex/i1> <http://ex/label> \"open .\n".to_vec();
 
+    let mut answers = Vec::new();
     for sink in [
         ServingUpdateSink::durable(Arc::clone(&durable)),
         ServingUpdateSink::new(Arc::clone(&in_memory)),
@@ -618,26 +622,36 @@ fn an_update_body_that_is_not_utf8_is_refused_and_never_logged() {
             Some(Arc::new(sink)),
         )
         .expect("bind");
-        for action in ["assert", "retract"] {
-            let mut request = format!(
-                "POST /update?action={action} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
-                 Content-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .into_bytes();
-            request.extend_from_slice(&body);
-            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-            stream.write_all(&request).expect("send");
-            let mut response = String::new();
-            stream.read_to_string(&mut response).expect("read");
-            assert!(response.starts_with("HTTP/1.1 400"), "{response}");
-            assert!(
-                response.contains(&format!("not valid UTF-8: invalid byte at offset {bad_at}")),
-                "{response}"
-            );
+        let mut responses = Vec::new();
+        for payload in [&body, &broken] {
+            for action in ["assert", "retract"] {
+                let mut request = format!(
+                    "POST /update?action={action} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                     Content-Length: {}\r\n\r\n",
+                    payload.len()
+                )
+                .into_bytes();
+                request.extend_from_slice(payload);
+                let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+                stream.write_all(&request).expect("send");
+                let mut response = String::new();
+                stream.read_to_string(&mut response).expect("read");
+                assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+                if payload == &body {
+                    assert!(
+                        response
+                            .contains(&format!("not valid UTF-8: invalid byte at offset {bad_at}")),
+                        "{response}"
+                    );
+                }
+                responses.push(response);
+            }
         }
         server.shutdown();
+        answers.push(responses);
     }
+    // `serve` and `serve --data-dir` refuse a body in the same words.
+    assert_eq!(answers[0], answers[1]);
     assert_eq!(durable.status().wal_records, 0);
     assert_eq!(durable.dataset().epoch(), 0);
     assert_eq!(in_memory.epoch(), 0);
