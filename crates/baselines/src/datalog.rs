@@ -8,7 +8,8 @@
 //! `inferray-rules`, so that cross-engine equivalence tests are meaningful.
 
 use inferray_dictionary::wellknown as wk;
-use inferray_rules::{Fragment, RuleId, Ruleset};
+use inferray_rules::analysis::{Atom, CompiledRule, Term};
+use inferray_rules::{Fragment, RuleId, RuleRef, Ruleset};
 
 /// A term of a triple pattern: a variable (identified by a small index) or a
 /// constant identifier.
@@ -42,8 +43,9 @@ impl TriplePattern {
 /// variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatalogRule {
-    /// The rule this encodes (ties back to the catalog).
-    pub id: RuleId,
+    /// The rule this encodes (ties back to the catalog, or to a ruleset's
+    /// custom rules).
+    pub id: RuleRef,
     /// Body patterns (joined conjunctively).
     pub body: Vec<TriplePattern>,
     /// Head patterns (each produces one triple per satisfying binding).
@@ -391,7 +393,7 @@ pub fn datalog_rule(id: RuleId) -> DatalogRule {
         ),
     };
     DatalogRule {
-        id,
+        id: RuleRef::Builtin(id),
         body,
         head,
         not_equal,
@@ -400,11 +402,47 @@ pub fn datalog_rule(id: RuleId) -> DatalogRule {
 
 /// The datalog encodings of every rule of a fragment's ruleset.
 pub fn datalog_rules_for(fragment: Fragment) -> Vec<DatalogRule> {
-    Ruleset::for_fragment(fragment)
-        .rules()
-        .iter()
-        .map(|&id| datalog_rule(id))
+    datalog_rules_of(&Ruleset::for_fragment(fragment))
+}
+
+/// The datalog encodings of every rule of `ruleset`: the built-ins through
+/// [`datalog_rule`], the custom rules by a term-for-term copy of their
+/// compiled patterns (at most four variables, the evaluator's binding
+/// array).
+pub fn datalog_rules_of(ruleset: &Ruleset) -> Vec<DatalogRule> {
+    ruleset
+        .all_refs()
+        .into_iter()
+        .map(|rule| match rule {
+            RuleRef::Builtin(id) => datalog_rule(id),
+            RuleRef::Custom(i) => custom_rule(rule, &ruleset.custom_rules()[i]),
+        })
         .collect()
+}
+
+fn custom_rule(id: RuleRef, rule: &CompiledRule) -> DatalogRule {
+    assert!(
+        rule.var_count <= 4,
+        "rule `{}` has {} variables; the evaluator binds at most 4",
+        rule.name,
+        rule.var_count
+    );
+    let term = |t: Term| match t {
+        Term::Var(v) => Var(v as u8),
+        Term::Const(c) => Const(c),
+    };
+    let patterns = |atoms: &[Atom]| {
+        atoms
+            .iter()
+            .map(|a| pattern(term(a.s), term(a.p), term(a.o)))
+            .collect()
+    };
+    DatalogRule {
+        id,
+        body: patterns(&rule.body),
+        head: patterns(&rule.head),
+        not_equal: Vec::new(),
+    }
 }
 
 #[cfg(test)]
@@ -415,7 +453,7 @@ mod tests {
     fn every_rule_has_an_encoding_with_consistent_variables() {
         for rule in RuleId::ALL {
             let encoded = datalog_rule(rule);
-            assert_eq!(encoded.id, rule);
+            assert_eq!(encoded.id, RuleRef::Builtin(rule));
             assert!(!encoded.body.is_empty());
             assert!(!encoded.head.is_empty());
             assert!(encoded.variable_count() <= 4, "{rule} uses too many vars");

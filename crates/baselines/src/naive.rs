@@ -7,11 +7,11 @@
 //! known. The `derived_raw` / `duplicates_removed` statistics it reports are
 //! what §2.1 calls the duplicate-elimination bottleneck.
 
-use crate::datalog::{datalog_rules_for, DatalogRule};
+use crate::datalog::{datalog_rules_for, datalog_rules_of, DatalogRule};
 use crate::eval::evaluate_rule;
 use crate::index::TripleIndex;
 use inferray_model::IdTriple;
-use inferray_rules::{Fragment, InferenceStats, Materializer};
+use inferray_rules::{Fragment, InferenceStats, Materializer, Ruleset};
 use inferray_store::TripleStore;
 use std::time::Instant;
 
@@ -30,6 +30,18 @@ impl NaiveIterativeReasoner {
         NaiveIterativeReasoner {
             fragment,
             rules: datalog_rules_for(fragment),
+            max_iterations: 1024,
+        }
+    }
+
+    /// A naive reasoner for every rule of `ruleset` — built-ins and the
+    /// custom rules of an analyzer-loaded program alike — evaluated by the
+    /// baseline's own datalog interpreter, not by `inferray-rules`'
+    /// executors.
+    pub fn for_ruleset(ruleset: &Ruleset) -> Self {
+        NaiveIterativeReasoner {
+            fragment: ruleset.fragment,
+            rules: datalog_rules_of(ruleset),
             max_iterations: 1024,
         }
     }
