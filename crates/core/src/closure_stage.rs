@@ -19,13 +19,19 @@ use inferray_model::ids::is_property_id;
 use inferray_rules::{Fragment, RuleContext};
 use inferray_store::{AccessProfile, TripleStore};
 
-/// Statistics of the closure stage.
+/// Statistics of the closure stage, and of the schema stratum's pass that
+/// follows it before the fixed-point loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClosureStageStats {
     /// Number of property tables that were closed.
     pub tables_closed: usize,
     /// Pairs added by the closure across all tables.
     pub pairs_added: usize,
+    /// Iterations the schema stratum took to reach its own fixed point
+    /// (`0` when it did not run).
+    pub stratum_iterations: usize,
+    /// Pairs the schema stratum's pass added.
+    pub stratum_pairs_added: usize,
 }
 
 /// Closes the transitive tables of `store` in place, according to the

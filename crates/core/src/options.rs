@@ -7,19 +7,18 @@ pub struct InferrayOptions {
     /// §4.3 "each rule is executed on a dedicated thread"). Disable for
     /// deterministic single-threaded profiling.
     pub parallel: bool,
-    /// Hard cap on fixed-point iterations — a safety net against bugs, far
-    /// above what any supported ruleset needs (RDFS-Plus converges in a
-    /// handful of iterations).
-    pub max_iterations: usize,
-    /// Skip the dedicated up-front transitive-closure stage and rely solely
-    /// on the in-loop θ executors. Only used by the ablation benchmark that
-    /// quantifies the benefit of the dedicated stage (Table 4 discussion).
+    /// Skip the dedicated up-front transitive-closure stage — and the schema
+    /// stratum's pass after it — and rely solely on the in-loop executors.
+    /// Used by the ablation benchmark that quantifies the benefit of the
+    /// dedicated stage (Table 4 discussion) and as a reference run.
     pub skip_closure_stage: bool,
     /// Schedule rules by the §4.3 dependency graph: from iteration 2 on,
     /// fire only the rules whose input tables received new pairs in the
-    /// previous iteration. The result is byte-identical to firing every rule
-    /// (a rule with unchanged inputs can only re-derive duplicates); disable
-    /// as an escape hatch for debugging or to measure the saving.
+    /// previous iteration; close the schema stratum before the loop and
+    /// leave out the firings proven redundant while it stays closed. The
+    /// result is byte-identical to firing every rule (a rule with unchanged
+    /// inputs can only re-derive duplicates); disable as an escape hatch for
+    /// debugging or to measure the saving.
     pub schedule_rules: bool,
 }
 
@@ -27,7 +26,6 @@ impl Default for InferrayOptions {
     fn default() -> Self {
         InferrayOptions {
             parallel: true,
-            max_iterations: 64,
             skip_closure_stage: false,
             schedule_rules: true,
         }
@@ -77,7 +75,6 @@ mod tests {
         assert!(opts.parallel);
         assert!(!opts.skip_closure_stage);
         assert!(opts.schedule_rules);
-        assert!(opts.max_iterations >= 16);
     }
 
     #[test]

@@ -31,6 +31,16 @@
 //!   nothing. They come back through the ordinary input-driven schedule the
 //!   moment a closed table receives pairs. The unscheduled reference mode
 //!   fires everything, so `scheduled ≡ unscheduled` proves the skip;
+//! * **the schema stratum is closed before the loop.** The rules whose
+//!   tables only they write (`Ruleset::stratum`: SCM-DOM1/2, SCM-RNG1/2, …)
+//!   run to their own fixed point over their own tables right after the
+//!   closure stage, so the data rules fire once over closed domains, ranges
+//!   and hierarchies instead of once per schema step;
+//! * **a firing proven redundant is left out.** From iteration 2 on, while
+//!   no stratum table has entered a frontier, a rule whose changed inputs
+//!   were fed only by producers it is proven redundant over
+//!   (`Ruleset::elisions`) is dropped from the schedule, and an iteration
+//!   whose schedule is empty is not run;
 //! * **⟨o,s⟩ caches are built by the rule that reads them**, inside the
 //!   firing phase (`PropertyTable::object_pairs`); the loop pre-builds
 //!   none.
@@ -228,21 +238,21 @@ impl InferrayReasoner {
         &self.last_iteration_profile
     }
 
-    /// Applies the given rules once over (`main`, `new`), returning the
-    /// combined inferred buffer and one [`RuleSample`] per rule. Each rule
+    /// Applies the given rules of `ruleset` once over (`main`, `new`),
+    /// returning the combined inferred buffer, one [`RuleSample`] per rule
+    /// and which rules emitted into each table. Each rule
     /// owns its buffer; with a pool each rule also runs as its own task
     /// (§4.3). Buffers are absorbed in rule order, so the combined buffer is
     /// schedule-independent. Built-ins run their hand-written class
     /// executors; custom (analyzer-compiled) rules run the generic
     /// semi-naive join.
     fn fire_rules(
-        &self,
+        ruleset: &Ruleset,
         pool: Option<&ThreadPool>,
         main: &TripleStore,
         new: &TripleStore,
         rules: &[RuleRef],
-    ) -> (InferredBuffer, Vec<RuleSample>) {
-        let ruleset = &self.ruleset;
+    ) -> Fired {
         // One rule, timed by the task that runs it: nothing is shared.
         let fire = |rule: RuleRef| {
             let (start, os_before) = (Instant::now(), os_builds());
@@ -264,11 +274,19 @@ impl InferrayReasoner {
         };
         let mut combined = InferredBuffer::new();
         let mut samples = Vec::with_capacity(fired.len());
+        let mut fed_by: BTreeMap<u64, Vec<RuleRef>> = BTreeMap::new();
         for (buffer, sample) in fired {
+            for (p, _) in buffer.iter() {
+                fed_by.entry(p).or_default().push(sample.rule);
+            }
             combined.absorb(buffer);
             samples.push(sample);
         }
-        (combined, samples)
+        Fired {
+            inferred: combined,
+            samples,
+            fed_by,
+        }
     }
 
     /// Incrementally maintains an **already materialized** store after new
@@ -279,7 +297,10 @@ impl InferrayReasoner {
     /// restarted with the delta as the semi-naive frontier. The dedicated
     /// up-front closure stage is not re-run — new edges on transitive
     /// properties are picked up by the in-loop θ executors, which re-close a
-    /// table only when it actually received pairs. The ⟨o,s⟩ caches of the
+    /// table only when it actually received pairs; the schema stratum of a
+    /// materialized store is closed, so firings proven redundant are elided
+    /// from iteration 2 on unless the delta or a later frontier brings
+    /// stratum pairs. The ⟨o,s⟩ caches of the
     /// tables the delta reached are dropped and rebuilt only where a rule
     /// of the cascade reads one; snapshot publication builds the rest, as
     /// it always did, before a query can look for them.
@@ -322,12 +343,12 @@ impl InferrayReasoner {
         }
         let input_triples = store.len();
 
-        let outcome = if new.is_empty() {
-            self.last_iteration_profile = IterationProfile::default();
-            FixedPointOutcome::default()
+        let (outcome, iterations) = if new.is_empty() {
+            Default::default()
         } else {
-            self.run_fixed_point(store, Frontier::Delta(new), &mut profile)
+            self.run_fixed_point(&self.ruleset, store, Frontier::Delta(new), &mut profile)
         };
+        self.last_iteration_profile = iterations;
 
         InferenceStats {
             input_triples,
@@ -439,7 +460,8 @@ impl InferrayReasoner {
             .into_iter()
             .filter(|r| !matches!(r, RuleRef::Builtin(id) if id.class() == RuleClass::Theta))
             .collect();
-            let (mut candidates, _) = self.fire_rules(pool, store, &frontier, &scheduled);
+            let mut candidates =
+                Self::fire_rules(&self.ruleset, pool, store, &frontier, &scheduled).inferred;
             self.collect_theta_over_deletions(store, &frontier, &mut candidates);
 
             // Remove the frontier, then keep as the next frontier every
@@ -501,8 +523,11 @@ impl InferrayReasoner {
                 let mut profile = AccessProfile::default();
                 let frontier = Frontier::Whole {
                     theta_closed: false,
+                    stratum_closed: false,
                 };
-                let outcome = self.run_fixed_point(store, frontier, &mut profile);
+                let (outcome, iterations) =
+                    self.run_fixed_point(&self.ruleset, store, frontier, &mut profile);
+                self.last_iteration_profile = iterations;
                 stats.iterations = outcome.iterations;
                 stats.profile = profile;
             }
@@ -512,6 +537,37 @@ impl InferrayReasoner {
         stats.output_triples = store.len();
         stats.duration = start.elapsed();
         stats
+    }
+
+    /// Runs the schema stratum to its own fixed point through
+    /// [`InferrayReasoner::run_fixed_point`], over the stratum's tables
+    /// only: they are taken out of `store`, closed in a store of their own
+    /// and put back. No stratum rule reads or writes any other table.
+    fn close_stratum(
+        &self,
+        store: &mut TripleStore,
+        theta_closed: bool,
+        profile: &mut AccessProfile,
+    ) -> FixedPointOutcome {
+        let tables = self.ruleset.stratum_tables();
+        let mut schema = TripleStore::new();
+        for &p in tables {
+            if let Some(table) = store.take_table(p) {
+                schema.set_table(p, table);
+            }
+        }
+        let frontier = Frontier::Whole {
+            theta_closed,
+            stratum_closed: false,
+        };
+        let stratum = self.ruleset.stratum_ruleset();
+        let (outcome, _) = self.run_fixed_point(&stratum, &mut schema, frontier, profile);
+        for &p in tables {
+            if let Some(table) = schema.take_table(p) {
+                store.set_table(p, table);
+            }
+        }
+        outcome
     }
 
     /// Marks the θ-rule over-deletion candidates: when a table a closure
@@ -570,20 +626,26 @@ impl InferrayReasoner {
         }
     }
 
-    /// The fixed-point loop of Algorithm 1 (lines 4–8), shared by the full
-    /// materialization, the incremental addition path and the rederivation
-    /// half of the retraction path.
+    /// The fixed-point loop of Algorithm 1 (lines 4–8) over the rules of
+    /// `ruleset`, shared by the full materialization (and the schema
+    /// stratum's pass before it), the incremental addition path and the
+    /// rederivation half of the retraction path. Returns the counters and
+    /// the iteration profile of the run.
     ///
     /// `frontier` is what iteration 1 treats as new, and with it which rules
     /// iteration 1 fires (see [`Frontier`]); from iteration 2 on the
     /// frontier is the previous iteration's new pairs and the ordinary
-    /// input-driven scheduling applies regardless.
+    /// input-driven scheduling applies, less the elided firings while the
+    /// schema stratum stays closed. The loop ends at the fixed point, or as
+    /// soon as the schedule is empty: an iteration that fires nothing
+    /// derives nothing.
     fn run_fixed_point(
-        &mut self,
+        &self,
+        ruleset: &Ruleset,
         store: &mut TripleStore,
         frontier: Frontier,
         profile: &mut AccessProfile,
-    ) -> FixedPointOutcome {
+    ) -> (FixedPointOutcome, IterationProfile) {
         let pool = if self.options.parallel {
             Some(inferray_parallel::global())
         } else {
@@ -595,41 +657,65 @@ impl InferrayReasoner {
         let lanes = pool.map_or(1, |p| p.threads() + 1);
         let mut scratches: Vec<SortScratch> = (0..lanes).map(|_| SortScratch::new()).collect();
 
+        let touches_stratum = |new: &TripleStore| {
+            ruleset
+                .stratum_tables()
+                .iter()
+                .any(|&p| new.table(p).is_some_and(|t| !t.is_empty()))
+        };
         // `None`: the store itself is the frontier (iteration 1 of a full
         // materialization) — nothing is copied to say that all is new.
-        let (mut new, theta_closed) = match frontier {
-            Frontier::Whole { theta_closed } => (None, theta_closed),
-            Frontier::Delta(delta) => (Some(delta), false),
+        let (mut new, theta_closed, mut stratum_closed) = match frontier {
+            Frontier::Whole {
+                theta_closed,
+                stratum_closed,
+            } => (None, theta_closed, stratum_closed),
+            Frontier::Delta(delta) => {
+                // A materialized store has a closed stratum; a delta that
+                // brings no stratum pairs leaves it closed.
+                let closed = !touches_stratum(&delta);
+                (Some(delta), false, closed)
+            }
         };
         let mut iteration_profile = IterationProfile::default();
         let mut outcome = FixedPointOutcome::default();
-        let total_rules = self.ruleset.len();
-        while !new.as_ref().unwrap_or(&*store).is_empty()
-            && outcome.iterations < self.options.max_iterations
-        {
-            outcome.iterations += 1;
+        let mut fed_by: BTreeMap<u64, Vec<RuleRef>> = BTreeMap::new();
+        let total_rules = ruleset.len();
+        while !new.as_ref().unwrap_or(&*store).is_empty() {
             let frontier: &TripleStore = new.as_ref().unwrap_or(&*store);
 
             // Line 5: fire the scheduled rules. Over the whole store every
             // input is "changed", so everything fires — except the θ rules
-            // when the closure stage has just closed their tables: it *was*
-            // their first firing. Over a delta (the incremental path, and
-            // every later iteration of any path) only the rules whose input
-            // tables received new pairs — exactly the tables of the
-            // frontier — can derive anything but duplicates (§4.3); the
-            // store is a fixed point of the others. The `schedule_rules`
-            // escape hatch forces the full ruleset everywhere.
+            // when the closure stage has just closed their tables and the
+            // schema stratum when its own pass has: that *was* their first
+            // firing. Over a delta (the incremental path, and every later
+            // iteration of any path) only the rules whose input tables
+            // received new pairs — exactly the tables of the frontier — can
+            // derive anything but duplicates (§4.3); the store is a fixed
+            // point of the others. While the stratum is closed, a rule whose
+            // changed inputs were fed only by producers it is proven
+            // redundant over is left out too. The `schedule_rules` escape
+            // hatch forces the full ruleset everywhere.
             let scheduled: Vec<RuleRef> = if !self.options.schedule_rules {
-                self.ruleset.all_refs()
-            } else if new.is_some() {
-                self.ruleset.scheduled_refs(store, frontier)
-            } else if theta_closed {
-                self.ruleset.fixed_point_refs()
+                ruleset.all_refs()
+            } else if new.is_none() {
+                ruleset.whole_store_refs(theta_closed, stratum_closed)
+            } else if stratum_closed && !fed_by.is_empty() {
+                ruleset.scheduled_refs_elided(store, frontier, &fed_by)
             } else {
-                self.ruleset.all_refs()
+                ruleset.scheduled_refs(store, frontier)
             };
+            if scheduled.is_empty() {
+                break;
+            }
+            outcome.iterations += 1;
             let fire_start = Instant::now();
-            let (inferred, rules) = self.fire_rules(pool, store, frontier, &scheduled);
+            let Fired {
+                inferred,
+                samples: rules,
+                fed_by: emitted,
+            } = Self::fire_rules(ruleset, pool, store, frontier, &scheduled);
+            fed_by = emitted;
             // The caches the rules built on demand are reported apart from
             // the joins they were built for, and charged to the access
             // profile as built: the pairs actually sorted, not the caches
@@ -674,11 +760,23 @@ impl InferrayReasoner {
                 rules_skipped: total_rules - scheduled.len(),
                 rules,
             });
+            // A stratum pair entering the frontier re-opens the stratum:
+            // from here on the schedule is exactly the §4.3 one.
+            stratum_closed &= !touches_stratum(&next_new);
             new = Some(next_new);
         }
-        self.last_iteration_profile = iteration_profile;
-        outcome
+        (outcome, iteration_profile)
     }
+}
+
+/// What one firing phase produced.
+struct Fired {
+    /// Every rule's raw pairs, combined in rule order.
+    inferred: InferredBuffer,
+    /// One row per fired rule.
+    samples: Vec<RuleSample>,
+    /// For each table that received pairs, the rules that emitted them.
+    fed_by: BTreeMap<u64, Vec<RuleRef>>,
 }
 
 /// Counters accumulated by one run of the fixed-point loop.
@@ -697,14 +795,19 @@ enum Frontier {
     /// The store itself (Algorithm 1, line 3: `new = main`), handed to the
     /// executors as both halves of the context. The complete ruleset fires,
     /// minus the θ rules when `theta_closed` says the closure stage closed
-    /// their tables in this same call.
+    /// their tables in this same call, and minus the schema stratum when
+    /// `stratum_closed` says its own pass did.
     Whole {
         /// [`run_closure_stage`] ran just before the loop.
         theta_closed: bool,
+        /// The schema stratum was run to its fixed point just before the
+        /// loop; elision applies from iteration 2 on.
+        stratum_closed: bool,
     },
     /// Pairs just merged into a store that was a fixed point before — the
     /// incremental addition path. The input-driven schedule applies from
-    /// the start.
+    /// the start; elision from iteration 2 on, if the delta brings no
+    /// stratum pairs.
     Delta(TripleStore),
 }
 
@@ -761,9 +864,28 @@ impl Materializer for InferrayReasoner {
             ClosureStageStats::default()
         };
 
+        // Then the schema stratum, to its own fixed point, over its own
+        // tables: the data loop starts from closed domains, ranges and
+        // hierarchies. The two references (`without_closure_stage`,
+        // `unscheduled`) leave the stratum to the loop, as it always was.
+        // (An empty stratum is closed as it stands.)
+        let stratum_closed = self.options.schedule_rules && !self.options.skip_closure_stage;
+        if stratum_closed && !self.ruleset.stratum().is_empty() {
+            let stratum = self.close_stratum(store, theta_closed, &mut profile);
+            self.last_closure_stats.stratum_iterations = stratum.iterations;
+            self.last_closure_stats.stratum_pairs_added =
+                stratum.derived_raw - stratum.duplicates_removed;
+        }
+
         // Steps 2-3 (lines 3-8): the fixed point, with new == main on the
         // first iteration.
-        let outcome = self.run_fixed_point(store, Frontier::Whole { theta_closed }, &mut profile);
+        let frontier = Frontier::Whole {
+            theta_closed,
+            stratum_closed,
+        };
+        let (outcome, iterations) =
+            self.run_fixed_point(&self.ruleset, store, frontier, &mut profile);
+        self.last_iteration_profile = iterations;
 
         InferenceStats {
             input_triples,
@@ -986,10 +1108,18 @@ mod tests {
         // The run took several iterations and the scheduler skipped rules.
         let profile = scheduled.last_iteration_profile();
         assert!(profile.samples.len() >= 2);
+        let ruleset = scheduled.ruleset();
+        let closed_before_the_loop = ruleset
+            .all_refs()
+            .into_iter()
+            .filter(|rule| {
+                let theta = matches!(rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta);
+                theta || ruleset.stratum().contains(rule)
+            })
+            .count();
         assert_eq!(
-            profile.samples[0].rules_skipped,
-            scheduled.ruleset().theta_rules().len(),
-            "iteration 1 skips exactly the θ rules the closure stage covered"
+            profile.samples[0].rules_skipped, closed_before_the_loop,
+            "iteration 1 skips exactly the θ rules and the schema stratum closed before it"
         );
         assert!(profile.total_rules_skipped() > 0);
     }
@@ -1160,7 +1290,11 @@ mod tests {
             profile.samples.iter().map(|s| s.raw_pairs).sum::<usize>(),
             stats.derived_raw
         );
-        // The last iteration derives nothing new (that is why it was last).
-        assert_eq!(profile.samples.last().unwrap().new_pairs, 0);
+        // One data pass: the types it derives feed only CAX-SCO∘CAX-SCO,
+        // which the closed stratum proves redundant, so the loop stops with
+        // nothing left to schedule instead of running an empty iteration.
+        assert_eq!(stats.iterations, 1);
+        assert_eq!(profile.samples[0].new_pairs, stats.inferred_triples() - 1);
+        assert_eq!(reasoner.last_closure_stats().pairs_added, 1);
     }
 }

@@ -46,7 +46,7 @@ impl Term {
 }
 
 /// A lowered triple pattern `s p o`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Atom {
     /// Subject term.
     pub s: Term,
@@ -244,6 +244,30 @@ pub fn recognize(rule: &SymRule) -> Option<RuleId> {
         .iter()
         .find(|(_, builtin)| *builtin == canon)
         .map(|&(id, _)| id)
+}
+
+/// The canonical text of built-in `id` ([`super::builtin::CANONICAL`]),
+/// lowered. Every constant of those texts is a well-known term, so the
+/// identifiers are the ones any dictionary assigns.
+pub(crate) fn compiled_builtin(id: RuleId) -> &'static CompiledRule {
+    static TABLE: OnceLock<Vec<CompiledRule>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut dict = Dictionary::new();
+        super::builtin::CANONICAL
+            .iter()
+            .map(|&(id, text)| {
+                let (rules, _) = parse(&format!("{}{}", super::builtin::PRELUDE, text));
+                let compiled = lower(&rules, &mut dict).expect("canonical texts lower");
+                debug_assert_eq!(compiled.recognized[0], Some(id));
+                compiled
+                    .rules
+                    .into_iter()
+                    .next()
+                    .expect("one rule per text")
+            })
+            .collect()
+    });
+    &table[id as usize]
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Rule-program static analysis: parse, check, and compile user-defined
 //! rulesets into the scheduler's vocabulary.
 //!
-//! The pipeline has two stages:
+//! The pipeline has three stages:
 //!
 //! 1. **[`analyze`]** — purely symbolic: the parser ([`parse`] module) turns
 //!    a textual datalog-style rule file into [`SymRule`]s, then the check
@@ -15,6 +15,9 @@
 //!    scheduler and the delete–rederive probes consume), and recognizes
 //!    rules that are alpha-equivalent to catalog built-ins so they keep
 //!    their hand-written executors.
+//! 3. **the stratum pass** (`stratum.rs`) — over the compiled rules of a whole ruleset: the
+//!    schema stratum the reasoner closes before the data loop, and the
+//!    firings `C∘P` it may leave out while that stratum stays closed.
 //!
 //! [`crate::Ruleset::from_analyzed`] turns the compiled result into a
 //! runnable ruleset; `inferray-cli rules check|explain` exposes the
@@ -28,12 +31,15 @@ mod diag;
 mod exec;
 mod parse;
 mod signature;
+pub(crate) mod stratum;
 
+pub(crate) use compile::compiled_builtin;
 pub use compile::{recognize, Atom, CompiledRule, CompiledRuleset, Term};
 pub use diag::{Diagnostic, Severity};
 pub use exec::{apply_compiled, supports};
 pub use parse::{Span, SymAtom, SymRule, SymTerm};
 pub use signature::{DerivedInputs, DerivedOutputs};
+pub use stratum::Elision;
 
 use inferray_dictionary::Dictionary;
 

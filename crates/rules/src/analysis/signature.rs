@@ -132,6 +132,43 @@ impl DerivedInputs {
         }
     }
 
+    /// The tables of `changed` the rule may read: which of its inputs the
+    /// frontier touched. The elision check asks who fed each of them.
+    pub(crate) fn changed_tables(
+        &self,
+        main: &TripleStore,
+        changed: &BTreeSet<u64>,
+    ) -> BTreeSet<u64> {
+        let mut tables = BTreeSet::new();
+        let mut read = |p: u64| {
+            if changed.contains(&p) {
+                tables.insert(p);
+            }
+        };
+        match self {
+            DerivedInputs::Properties(props) => props.iter().for_each(|&p| read(p)),
+            DerivedInputs::PropertyVariable { schema, side } => {
+                read(*schema);
+                for (s, o) in main.table(*schema).into_iter().flat_map(|t| t.iter_pairs()) {
+                    read(match side {
+                        SchemaSide::Subject => s,
+                        SchemaSide::Object => o,
+                    });
+                }
+            }
+            DerivedInputs::MarkedProperties { marker } => {
+                read(wk::RDF_TYPE);
+                RuleContext::subjects_with_object(main, wk::RDF_TYPE, *marker)
+                    .into_iter()
+                    .for_each(read);
+            }
+            DerivedInputs::AnyGuardedBy { .. } | DerivedInputs::AnyProperty => {
+                changed.iter().for_each(|&p| read(p))
+            }
+        }
+        tables
+    }
+
     /// `true` for the whole-store variants — the imprecise fallbacks the
     /// `RA009` note reports.
     pub fn is_whole_store(&self) -> bool {

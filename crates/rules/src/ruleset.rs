@@ -8,10 +8,14 @@
 //! (filled circles of Table 5) from a *full* version that adds the
 //! half-circle rules.
 
-use crate::analysis::{CompiledRule, CompiledRuleset, DerivedInputs, DerivedOutputs};
+use crate::analysis::{
+    compiled_builtin, stratum, CompiledRule, CompiledRuleset, DerivedInputs, DerivedOutputs,
+    Elision,
+};
 use crate::catalog::{Membership, RuleClass, RuleId, RuleInputs, RuleOutputs, CATALOG};
 use inferray_store::TripleStore;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// The inference fragments evaluated in the paper (§6, "Rulesets").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,6 +109,14 @@ pub struct Ruleset {
     /// rulesets that are not an exact fragment fall back to the in-loop θ
     /// executors, which reach the same fixed point without the stage.
     closure_stage: bool,
+    /// The schema stratum (`analysis/stratum.rs`), in [`Ruleset::all_refs`]
+    /// order.
+    stratum: Vec<RuleRef>,
+    /// The tables the stratum reads and writes, ascending.
+    stratum_tables: Vec<u64>,
+    /// The firings the elision pass proved redundant while the stratum is
+    /// closed.
+    elisions: Vec<Elision>,
 }
 
 /// A reference to one rule of a [`Ruleset`]: a catalog built-in or an
@@ -135,19 +147,33 @@ fn rule_bit(rule: RuleId) -> u64 {
 }
 
 impl Ruleset {
-    /// Builds the ruleset of a fragment from the catalog.
+    /// Builds the ruleset of a fragment from the catalog (analyzed once per
+    /// process, then cloned).
     pub fn for_fragment(fragment: Fragment) -> Self {
-        let rules = CATALOG
+        static FRAGMENTS: OnceLock<Vec<Ruleset>> = OnceLock::new();
+        let built = FRAGMENTS.get_or_init(|| {
+            Fragment::ALL
+                .into_iter()
+                .map(|fragment| {
+                    let rules = CATALOG
+                        .iter()
+                        .filter(|info| fragment.includes(info.id))
+                        .map(|info| info.id)
+                        .collect();
+                    Self::with_dependency_index(fragment, rules).analyzed()
+                })
+                .collect()
+        });
+        let index = Fragment::ALL
             .iter()
-            .filter(|info| fragment.includes(info.id))
-            .map(|info| info.id)
-            .collect();
-        Self::with_dependency_index(fragment, rules)
+            .position(|&f| f == fragment)
+            .expect("every fragment is listed");
+        built[index].clone()
     }
 
     /// A custom ruleset (used by tests and by the ablation benchmarks).
     pub fn custom(fragment: Fragment, rules: Vec<RuleId>) -> Self {
-        Self::with_dependency_index(fragment, rules)
+        Self::with_dependency_index(fragment, rules).analyzed()
     }
 
     /// Builds a ruleset from an analyzed + compiled rule file
@@ -191,6 +217,49 @@ impl Ruleset {
         let mut ruleset = Self::with_dependency_index(Fragment::RdfsDefault, builtins);
         ruleset.custom = custom;
         ruleset.closure_stage = false;
+        ruleset.analyzed()
+    }
+
+    /// Derives the schema stratum, its tables and the elision relation from
+    /// the member rules' texts.
+    fn analyzed(mut self) -> Self {
+        let members: Vec<stratum::Member<'_>> = self
+            .all_refs()
+            .into_iter()
+            .map(|rule| match rule {
+                RuleRef::Builtin(id) => (rule, compiled_builtin(id)),
+                RuleRef::Custom(i) => (rule, &self.custom[i]),
+            })
+            .collect();
+        let rules = stratum::schema_stratum(&members);
+        let tables = stratum::stratum_tables(&members, &rules);
+        let elisions = stratum::elisions(&members, &rules);
+        (self.stratum, self.stratum_tables, self.elisions) = (rules, tables, elisions);
+        self
+    }
+
+    /// The schema stratum alone, as a ruleset of its own: what the reasoner
+    /// runs to a fixed point before the data loop. Not analyzed again — it
+    /// has no stratum below it.
+    pub fn stratum_ruleset(&self) -> Ruleset {
+        let builtins = self
+            .stratum
+            .iter()
+            .filter_map(|rule| match rule {
+                RuleRef::Builtin(id) => Some(*id),
+                RuleRef::Custom(_) => None,
+            })
+            .collect();
+        let mut ruleset = Self::with_dependency_index(self.fragment, builtins);
+        ruleset.custom = self
+            .stratum
+            .iter()
+            .filter_map(|rule| match rule {
+                RuleRef::Custom(i) => Some(self.custom[*i].clone()),
+                RuleRef::Builtin(_) => None,
+            })
+            .collect();
+        ruleset.closure_stage = self.closure_stage;
         ruleset
     }
 
@@ -220,6 +289,9 @@ impl Ruleset {
             by_property,
             custom: Vec::new(),
             closure_stage: true,
+            stratum: Vec::new(),
+            stratum_tables: Vec::new(),
+            elisions: Vec::new(),
         }
     }
 
@@ -239,6 +311,24 @@ impl Ruleset {
         self.closure_stage
     }
 
+    /// The schema stratum: the member rules whose fixed input and output
+    /// tables no rule outside the set writes through a fixed output, in
+    /// [`Ruleset::all_refs`] order (docs/rule-scheduling.md).
+    pub fn stratum(&self) -> &[RuleRef] {
+        &self.stratum
+    }
+
+    /// The tables the schema stratum reads and writes, ascending.
+    pub fn stratum_tables(&self) -> &[u64] {
+        &self.stratum_tables
+    }
+
+    /// The firings `consumer∘producer` proven redundant while the stratum is
+    /// closed, with the rule that witnesses each.
+    pub fn elisions(&self) -> &[Elision] {
+        &self.elisions
+    }
+
     /// Number of rules, built-in and custom.
     pub fn len(&self) -> usize {
         self.rules.len() + self.custom.len()
@@ -252,17 +342,6 @@ impl Ruleset {
     /// `true` when the ruleset contains `rule`.
     pub fn contains(&self, rule: RuleId) -> bool {
         self.rules.contains(&rule)
-    }
-
-    /// The rules that are *not* handled by the transitive-closure stage
-    /// (everything except the θ class) — the ones the fixed-point loop
-    /// dispatches to per-rule threads.
-    pub fn fixed_point_rules(&self) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .copied()
-            .filter(|r| r.class() != RuleClass::Theta)
-            .collect()
     }
 
     /// The θ (closure) rules of the ruleset.
@@ -354,11 +433,22 @@ impl Ruleset {
         self.refs_from(self.rules.clone(), 0..self.custom.len())
     }
 
-    /// The rules the fixed-point loop dispatches: every non-θ built-in plus
-    /// every custom rule (custom rules are never θ-classified — the generic
-    /// executor converges through the ordinary iterations).
-    pub fn fixed_point_refs(&self) -> Vec<RuleRef> {
-        self.refs_from(self.fixed_point_rules(), 0..self.custom.len())
+    /// The rules a first iteration over the whole store fires: all of
+    /// them, less the θ built-ins when `theta_closed` (the closure stage
+    /// closed their tables) and less the schema stratum when
+    /// `stratum_closed` (its own pass ran it to a fixed point). Custom rules
+    /// are never θ-classified — the generic executor converges through the
+    /// ordinary iterations.
+    pub fn whole_store_refs(&self, theta_closed: bool, stratum_closed: bool) -> Vec<RuleRef> {
+        self.all_refs()
+            .into_iter()
+            .filter(|rule| {
+                let theta = matches!(rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta);
+                let closed =
+                    (theta_closed && theta) || (stratum_closed && self.stratum.contains(rule));
+                !closed
+            })
+            .collect()
     }
 
     /// [`Ruleset::scheduled_rules`] extended over the custom rules: their
@@ -369,6 +459,42 @@ impl Ruleset {
         let custom =
             (0..self.custom.len()).filter(|&i| self.custom[i].inputs.changed(main, new, &changed));
         self.refs_from(self.scheduled_rules(main, new), custom)
+    }
+
+    /// [`Ruleset::scheduled_refs`] less every rule `C` whose changed input
+    /// tables were all fed only by producers `P` with `C∘P` in
+    /// [`Ruleset::elisions`]. `fed_by` maps each table of `new` to the rules
+    /// that emitted into it. Sound only while the stratum's tables are
+    /// closed — the caller's to know.
+    pub fn scheduled_refs_elided(
+        &self,
+        main: &TripleStore,
+        new: &TripleStore,
+        fed_by: &BTreeMap<u64, Vec<RuleRef>>,
+    ) -> Vec<RuleRef> {
+        let changed: BTreeSet<u64> = new.property_ids().collect();
+        let proven = |consumer: RuleRef, producer: RuleRef| {
+            self.elisions
+                .iter()
+                .any(|e| e.consumer == consumer && e.producer == producer)
+        };
+        self.scheduled_refs(main, new)
+            .into_iter()
+            .filter(|&rule| {
+                let reads = match rule {
+                    RuleRef::Builtin(id) => DerivedInputs::from(id.inputs()),
+                    RuleRef::Custom(i) => self.custom[i].inputs.clone(),
+                }
+                .changed_tables(main, &changed);
+                let elided = !reads.is_empty()
+                    && reads.iter().all(|table| {
+                        fed_by.get(table).is_some_and(|producers| {
+                            producers.iter().all(|&producer| proven(rule, producer))
+                        })
+                    });
+                !elided
+            })
+            .collect()
     }
 
     /// [`Ruleset::rederive_rules`] extended over the custom rules, through
@@ -485,9 +611,13 @@ mod tests {
                 RuleId::ScmSpo
             ]
         );
-        let fp = ruleset.fixed_point_rules();
+        let fp = ruleset.whole_store_refs(true, false);
         assert_eq!(fp.len() + theta.len(), ruleset.len());
-        assert!(!fp.contains(&RuleId::ScmSco));
+        assert!(!fp.contains(&RuleRef::Builtin(RuleId::ScmSco)));
+        // With the stratum closed too, iteration 1 fires the data rules only.
+        let data = ruleset.whole_store_refs(true, true);
+        assert!(!data.contains(&RuleRef::Builtin(RuleId::ScmDom1)));
+        assert!(data.contains(&RuleRef::Builtin(RuleId::CaxSco)));
     }
 
     #[test]

@@ -98,7 +98,7 @@ use inferray_parser::loader::{LoadError, LoadedDataset};
 use inferray_parser::write_store_ntriples;
 use inferray_query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
 use inferray_rules::analysis::{self, Diagnostic};
-use inferray_rules::{shapes, Fragment};
+use inferray_rules::{shapes, Fragment, RuleRef, Ruleset};
 use inferray_store::DistinctCount;
 use std::io::Read;
 use std::path::Path;
@@ -659,6 +659,7 @@ fn rules_check(options: &CliOptions, explain: bool) -> Result<(), String> {
                         }
                     }
                 }
+                print_schedule(&Ruleset::from_analyzed(&compiled));
             }
             Err(diags) => {
                 for d in diags.iter().filter(|d| !checked.diagnostics.contains(d)) {
@@ -677,6 +678,34 @@ fn rules_check(options: &CliOptions, explain: bool) -> Result<(), String> {
         errors,
     );
     Ok(())
+}
+
+/// The scheduling facts `rules explain` proves about the whole program:
+/// the schema stratum the reasoner closes before the data loop, and every
+/// firing `C∘P` it leaves out while that stratum stays closed, with the
+/// rule that derives the same triples (docs/rule-scheduling.md).
+fn print_schedule(ruleset: &Ruleset) {
+    let name = |rule: RuleRef| match rule {
+        RuleRef::Builtin(id) => id.name().to_owned(),
+        RuleRef::Custom(i) => ruleset.custom_rules()[i].name.clone(),
+    };
+    let stratum: Vec<String> = ruleset.stratum().iter().map(|&r| name(r)).collect();
+    if stratum.is_empty() {
+        println!("stratum: none");
+    } else {
+        println!(
+            "stratum: {} (closed before the data loop)",
+            stratum.join(", ")
+        );
+    }
+    for elision in ruleset.elisions() {
+        println!(
+            "elided {}∘{}: witness {}",
+            name(elision.consumer),
+            name(elision.producer),
+            name(elision.witness)
+        );
+    }
 }
 
 /// `shapes check` / `shapes validate`: run the shape-constraint static

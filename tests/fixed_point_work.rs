@@ -7,11 +7,15 @@
 //! forest, domains, ranges, typed instances and facts):
 //!
 //! * iteration 1 emits each one-pass derivation **once** — the count of
-//!   matching premise pairs, taken here by brute force over the closed
-//!   store, rule by rule (a frontier that is a *copy* of the store makes
-//!   every two-pass executor emit exactly twice that);
-//! * the closure stage is the θ rules' first firing: none of them is in
-//!   iteration 1's fired set when it ran, all of them are when it did not;
+//!   matching premise pairs, taken here by brute force over the store with
+//!   its transitive tables and its schema stratum closed, rule by rule (a
+//!   frontier that is a *copy* of the store makes every two-pass executor
+//!   emit exactly twice that);
+//! * the closure stage is the θ rules' first firing and the stratum's own
+//!   pass the stratum's: none of them is in iteration 1's fired set when
+//!   they ran, all of them are when they did not;
+//! * the fixture closes in one iteration: what iteration 1 derives feeds
+//!   only firings the elision relation proves redundant;
 //! * materializing a materialized store derives nothing new, in one
 //!   iteration;
 //! * the work counters — `derived_raw`, `duplicates_removed`, raw pairs per
@@ -81,13 +85,31 @@ fn one_pass_derivations(rule: RuleId, store: &TripleStore) -> Option<usize> {
     )
 }
 
+/// What iteration 1 reads: the input with its transitive tables closed and
+/// the schema stratum run to its fixed point.
+fn stratum_closed_fixture() -> TripleStore {
+    let mut closed = fixture();
+    let stratum = Ruleset::for_fragment(FRAGMENT).stratum_ruleset();
+    InferrayReasoner::with_ruleset(stratum, InferrayOptions::default()).materialize(&mut closed);
+    closed
+}
+
 #[test]
 fn iteration_one_emits_every_one_pass_derivation_once() {
-    // What iteration 1 reads: the input with its transitive tables closed.
-    let mut closed = fixture();
-    run_closure_stage(&mut closed, FRAGMENT, &mut AccessProfile::default());
+    let closed = stratum_closed_fixture();
+    let mut transitive_only = fixture();
+    run_closure_stage(
+        &mut transitive_only,
+        FRAGMENT,
+        &mut AccessProfile::default(),
+    );
+    assert!(
+        closed.len() > transitive_only.len(),
+        "the stratum's own pass closes the domains and ranges"
+    );
 
-    let (_, _, profile) = materialized(InferrayOptions::default());
+    let (_, stats, profile) = materialized(InferrayOptions::default());
+    assert_eq!(stats.iterations, 1, "the fixture closes in one iteration");
     let first = &profile.samples[0];
     assert!(!first.rules.is_empty());
     let mut expected_total = 0usize;
@@ -110,16 +132,13 @@ fn iteration_one_emits_every_one_pass_derivation_once() {
         first.raw_pairs,
         first.rules.iter().map(|r| r.raw_pairs).sum::<usize>()
     );
-    // Every rule of the fixture's shape did real work.
+    // Every data rule of the fixture's shape did real work; the stratum's
+    // did theirs before the loop.
     for rule in [
         RuleId::CaxSco,
         RuleId::PrpDom,
         RuleId::PrpRng,
         RuleId::PrpSpo1,
-        RuleId::ScmDom1,
-        RuleId::ScmDom2,
-        RuleId::ScmRng1,
-        RuleId::ScmRng2,
     ] {
         let row = first
             .rules
@@ -132,16 +151,26 @@ fn iteration_one_emits_every_one_pass_derivation_once() {
 
 #[test]
 fn the_closure_stage_is_the_theta_rules_first_firing() {
-    let theta = Ruleset::for_fragment(FRAGMENT).theta_rules().len();
+    let ruleset = Ruleset::for_fragment(FRAGMENT);
+    let theta = ruleset.theta_rules().len();
     assert!(theta > 0);
+    let in_stratum = |sample: &RuleSample| ruleset.stratum().contains(&sample.rule);
+    let closed_before_the_loop = ruleset
+        .all_refs()
+        .into_iter()
+        .filter(|rule| {
+            matches!(rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta)
+                || ruleset.stratum().contains(rule)
+        })
+        .count();
 
     let (with_stage, _, profile) = materialized(InferrayOptions::default());
     let first = &profile.samples[0];
     assert!(
-        !first.rules.iter().any(is_theta),
-        "the closure stage ran: iteration 1 must not re-close its tables"
+        !first.rules.iter().any(|r| is_theta(r) || in_stratum(r)),
+        "the closure stage and the stratum's pass ran: iteration 1 must not re-close their tables"
     );
-    assert_eq!(first.rules_skipped, theta);
+    assert_eq!(first.rules_skipped, closed_before_the_loop);
     assert_eq!(first.rules_fired, first.rules.len());
 
     let (without_stage, _, profile) = materialized(InferrayOptions::without_closure_stage());
@@ -150,6 +179,11 @@ fn the_closure_stage_is_the_theta_rules_first_firing() {
         first.rules.iter().filter(|r| is_theta(r)).count(),
         theta,
         "no closure stage: the θ rules close the tables inside the loop"
+    );
+    assert_eq!(
+        first.rules.iter().filter(|r| in_stratum(r)).count(),
+        ruleset.stratum().len(),
+        "and the stratum runs inside the loop too"
     );
     assert_eq!(first.rules_skipped, 0);
     assert_eq!(with_stage, without_stage);
@@ -212,7 +246,8 @@ fn work_counters_are_identical_sequentially_and_in_parallel() {
     };
     assert_eq!(fired(&parallel_profile), fired(&sequential_profile));
     assert_eq!(rows(&parallel_profile), rows(&sequential_profile));
-    assert!(parallel_profile.samples.len() >= 2);
+    assert_eq!(parallel_profile.samples.len(), 1);
+    assert_eq!(parallel.iterations, sequential.iterations);
 }
 
 /// EQ-REP-O asks every table for the subjects of a handful of objects (the

@@ -187,9 +187,11 @@ fn scripted_schema_deltas_match_the_oracle() {
             h.assert(&[bridge]);
             h.retract(&[bridge]);
             // A data rule writing the schema: every `p2` pair becomes a
-            // domain pair, here `P0 domain C3`.
+            // domain pair. The link first, then — in a delta of data alone —
+            // the pair PRP-SPO1 turns into `P0 domain C3` inside the loop.
             let into_domain = t(prop(2), wk::RDFS_SUB_PROPERTY_OF, wk::RDFS_DOMAIN);
-            h.assert(&[into_domain, t(prop(0), prop(2), class(3))]);
+            h.assert(&[into_domain]);
+            h.assert(&[t(prop(0), prop(2), class(3))]);
             h.assert(&[t(inst(5), prop(0), inst(4))]);
             h.retract(&[into_domain]);
             // Retracting what was never asserted changes nothing.
@@ -205,6 +207,30 @@ fn scripted_schema_deltas_match_the_oracle() {
     }
 }
 
+/// The schema written from inside the loop of a full materialization:
+/// PRP-SPO1 derives `P0 domain C3` and `P3 domain C5` in its first data
+/// pass, after the stratum was closed.
+#[test]
+fn a_data_rule_writing_the_stratum_matches_the_oracle() {
+    let mut base = initial();
+    base.extend([
+        t(prop(2), wk::RDFS_SUB_PROPERTY_OF, wk::RDFS_DOMAIN),
+        t(prop(0), prop(2), class(3)),
+        t(prop(3), prop(2), class(5)),
+        t(class(5), wk::RDFS_SUB_CLASS_OF, class(4)),
+        t(inst(4), prop(3), inst(5)),
+    ]);
+    for fragment in FRAGMENTS {
+        let mut h = History::new(
+            Ruleset::for_fragment(fragment),
+            InferrayOptions::default(),
+            &base,
+        );
+        h.retract(&[t(prop(3), prop(2), class(5))]);
+        h.assert(&[t(prop(3), prop(2), class(5))]);
+    }
+}
+
 /// One step of a random history, interpreted against the current state.
 #[derive(Debug, Clone, Copy)]
 struct Step {
@@ -216,7 +242,7 @@ struct Step {
 
 fn arbitrary_history() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
-        (0u8..13, any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(kind, a, b, c)| Step {
+        (0u8..14, any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(kind, a, b, c)| Step {
             kind,
             a,
             b,
@@ -236,10 +262,8 @@ fn run_step(h: &mut History, step: Step) {
         4 => h.assert(&[t(prop(a), wk::RDFS_DOMAIN, class(b))]),
         5 => h.assert(&[t(prop(a), wk::RDFS_RANGE, class(b))]),
         6 => h.assert(&[t(inst(a), wk::OWL_SAME_AS, inst(b))]),
-        7 => h.assert(&[
-            t(prop(a), wk::RDFS_SUB_PROPERTY_OF, wk::RDFS_DOMAIN),
-            t(prop(b), prop(a), class(c)),
-        ]),
+        7 => h.assert(&[t(prop(a), wk::RDFS_SUB_PROPERTY_OF, wk::RDFS_DOMAIN)]),
+        13 => h.assert(&[t(prop(b), prop(a), class(c))]),
         8 => {
             if let Some(triple) = h.explicit_at(usize::from(a) * 256 + usize::from(b)) {
                 h.retract(&[triple]);
