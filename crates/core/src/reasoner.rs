@@ -207,7 +207,9 @@ impl InferrayReasoner {
         Self::with_ruleset(Ruleset::for_fragment(fragment), options)
     }
 
-    /// A reasoner over a custom ruleset (used by the ablation benchmarks).
+    /// A reasoner over an explicit ruleset: one loaded from a rule file
+    /// ([`Ruleset::from_analyzed`]) or a schema stratum
+    /// ([`Ruleset::stratum_ruleset`]).
     pub fn with_ruleset(ruleset: Ruleset, options: InferrayOptions) -> Self {
         InferrayReasoner {
             ruleset,
@@ -385,8 +387,8 @@ impl InferrayReasoner {
     ///    Explicit triples are never over-deleted.
     /// 2. **rederive** — probe every removed triple with the one-step
     ///    support checks ([`inferray_rules::is_supported`]), restricted per
-    ///    property to the rules whose *output* signature
-    ///    ([`inferray_rules::RuleOutputs`]) reaches it; re-assert the
+    ///    property to the rules whose *output* signature, derived from the
+    ///    rule's text ([`Ruleset::rederive_refs`]), reaches it; re-assert the
     ///    supported ones and cascade them through the ordinary incremental
     ///    addition machinery ([`InferrayReasoner::materialize_delta`]).
     ///    Triples missing at greater derivation height have a missing
@@ -447,7 +449,7 @@ impl InferrayReasoner {
             TripleStore::from_triples(explicit.iter().copied().filter(|t| store.contains(t)));
         while !frontier.is_empty() {
             // Fire the rules that read the frontier's tables (the §4.3
-            // dependency index), with the frontier as `new` *while it is
+            // input signatures), with the frontier as `new` *while it is
             // still part of the store*: the semi-naive executors then emit
             // exactly the one-step consequences that use at least one
             // deleted premise. The θ rules are excluded — their executors

@@ -1,183 +1,22 @@
-//! The built-in catalog re-expressed as rule text.
+//! The built-in catalog as rule files.
 //!
-//! Every Table 5 row has a canonical textual form here, written so that its
-//! *derived* signature is byte-identical to the handwritten catalog row
-//! (body atoms in the catalog's `Properties` order, head atoms in write
-//! order) — the anchor test in `crates/rules/tests/analysis_builtins.rs`
-//! asserts exactly that. [`fragment_file_text`] renders a fragment's members
-//! into the shipped `rules/*.rules` files, and the analyzer's
-//! builtin-recognition table is compiled from the same texts, so a user file
-//! containing a built-in rule (modulo variable names) maps back onto the
-//! hand-optimized executor instead of the generic join.
+//! Every Table 5 row carries its rule text ([`crate::RuleInfo::text`]);
+//! this module holds the prefixes those texts assume and renders a
+//! fragment's members into the shipped `rules/*.rules` files. Loading such
+//! a file maps each rule back onto its hand-written executor
+//! ([`super::recognize`]), so a fragment file runs exactly as the fragment.
 
 use crate::catalog::RuleId;
 use crate::ruleset::{Fragment, Ruleset};
 
-/// The `@prefix` block every canonical rule text assumes.
+/// The `@prefix` block every catalog rule text assumes.
 pub const PRELUDE: &str = "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n\
                            @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
                            @prefix owl: <http://www.w3.org/2002/07/owl#> .\n";
 
-/// Canonical rule text per catalog row, in catalog (Table 5) order.
-pub(crate) const CANONICAL: &[(RuleId, &str)] = &[
-    (
-        RuleId::CaxEqc1,
-        "rule CAX-EQC1: ?c1 owl:equivalentClass ?c2, ?x a ?c1 => ?x a ?c2 .",
-    ),
-    (
-        RuleId::CaxEqc2,
-        "rule CAX-EQC2: ?c1 owl:equivalentClass ?c2, ?x a ?c2 => ?x a ?c1 .",
-    ),
-    (
-        RuleId::CaxSco,
-        "rule CAX-SCO: ?c1 rdfs:subClassOf ?c2, ?x a ?c1 => ?x a ?c2 .",
-    ),
-    (
-        RuleId::EqRepO,
-        "rule EQ-REP-O: ?o1 owl:sameAs ?o2, ?s ?p ?o1 => ?s ?p ?o2 .",
-    ),
-    (
-        RuleId::EqRepP,
-        "rule EQ-REP-P: ?p1 owl:sameAs ?p2, ?s ?p1 ?o => ?s ?p2 ?o .",
-    ),
-    (
-        RuleId::EqRepS,
-        "rule EQ-REP-S: ?s1 owl:sameAs ?s2, ?s1 ?p ?o => ?s2 ?p ?o .",
-    ),
-    (RuleId::EqSym, "rule EQ-SYM: ?x owl:sameAs ?y => ?y owl:sameAs ?x ."),
-    (
-        RuleId::EqTrans,
-        "rule EQ-TRANS: ?x owl:sameAs ?y, ?y owl:sameAs ?z => ?x owl:sameAs ?z .",
-    ),
-    (
-        RuleId::PrpDom,
-        "rule PRP-DOM: ?p rdfs:domain ?c, ?x ?p ?y => ?x a ?c .",
-    ),
-    (
-        RuleId::PrpEqp1,
-        "rule PRP-EQP1: ?p1 owl:equivalentProperty ?p2, ?x ?p1 ?y => ?x ?p2 ?y .",
-    ),
-    (
-        RuleId::PrpEqp2,
-        "rule PRP-EQP2: ?p1 owl:equivalentProperty ?p2, ?x ?p2 ?y => ?x ?p1 ?y .",
-    ),
-    (
-        RuleId::PrpFp,
-        "rule PRP-FP: ?p a owl:FunctionalProperty, ?x ?p ?y1, ?x ?p ?y2 => ?y1 owl:sameAs ?y2 .",
-    ),
-    (
-        RuleId::PrpIfp,
-        "rule PRP-IFP: ?p a owl:InverseFunctionalProperty, ?x1 ?p ?y, ?x2 ?p ?y => ?x1 owl:sameAs ?x2 .",
-    ),
-    (
-        RuleId::PrpInv1,
-        "rule PRP-INV1: ?p1 owl:inverseOf ?p2, ?x ?p1 ?y => ?y ?p2 ?x .",
-    ),
-    (
-        RuleId::PrpInv2,
-        "rule PRP-INV2: ?p1 owl:inverseOf ?p2, ?x ?p2 ?y => ?y ?p1 ?x .",
-    ),
-    (
-        RuleId::PrpRng,
-        "rule PRP-RNG: ?p rdfs:range ?c, ?x ?p ?y => ?y a ?c .",
-    ),
-    (
-        RuleId::PrpSpo1,
-        "rule PRP-SPO1: ?p1 rdfs:subPropertyOf ?p2, ?x ?p1 ?y => ?x ?p2 ?y .",
-    ),
-    (
-        RuleId::PrpSymp,
-        "rule PRP-SYMP: ?p a owl:SymmetricProperty, ?x ?p ?y => ?y ?p ?x .",
-    ),
-    (
-        RuleId::PrpTrp,
-        "rule PRP-TRP: ?p a owl:TransitiveProperty, ?x ?p ?y, ?y ?p ?z => ?x ?p ?z .",
-    ),
-    (
-        RuleId::ScmDom1,
-        "rule SCM-DOM1: ?p rdfs:domain ?c1, ?c1 rdfs:subClassOf ?c2 => ?p rdfs:domain ?c2 .",
-    ),
-    (
-        RuleId::ScmDom2,
-        "rule SCM-DOM2: ?p2 rdfs:domain ?c, ?p1 rdfs:subPropertyOf ?p2 => ?p1 rdfs:domain ?c .",
-    ),
-    (
-        RuleId::ScmEqc1,
-        "rule SCM-EQC1: ?c1 owl:equivalentClass ?c2 => ?c1 rdfs:subClassOf ?c2, ?c2 rdfs:subClassOf ?c1 .",
-    ),
-    (
-        RuleId::ScmEqc2,
-        "rule SCM-EQC2: ?c1 rdfs:subClassOf ?c2, ?c2 rdfs:subClassOf ?c1 => ?c1 owl:equivalentClass ?c2 .",
-    ),
-    (
-        RuleId::ScmEqp1,
-        "rule SCM-EQP1: ?p1 owl:equivalentProperty ?p2 => ?p1 rdfs:subPropertyOf ?p2, ?p2 rdfs:subPropertyOf ?p1 .",
-    ),
-    (
-        RuleId::ScmEqp2,
-        "rule SCM-EQP2: ?p1 rdfs:subPropertyOf ?p2, ?p2 rdfs:subPropertyOf ?p1 => ?p1 owl:equivalentProperty ?p2 .",
-    ),
-    (
-        RuleId::ScmRng1,
-        "rule SCM-RNG1: ?p rdfs:range ?c1, ?c1 rdfs:subClassOf ?c2 => ?p rdfs:range ?c2 .",
-    ),
-    (
-        RuleId::ScmRng2,
-        "rule SCM-RNG2: ?p2 rdfs:range ?c, ?p1 rdfs:subPropertyOf ?p2 => ?p1 rdfs:range ?c .",
-    ),
-    (
-        RuleId::ScmSco,
-        "rule SCM-SCO: ?c1 rdfs:subClassOf ?c2, ?c2 rdfs:subClassOf ?c3 => ?c1 rdfs:subClassOf ?c3 .",
-    ),
-    (
-        RuleId::ScmSpo,
-        "rule SCM-SPO: ?p1 rdfs:subPropertyOf ?p2, ?p2 rdfs:subPropertyOf ?p3 => ?p1 rdfs:subPropertyOf ?p3 .",
-    ),
-    (
-        RuleId::ScmCls,
-        "rule SCM-CLS: ?c a owl:Class => ?c rdfs:subClassOf ?c, ?c owl:equivalentClass ?c, ?c rdfs:subClassOf owl:Thing, owl:Nothing rdfs:subClassOf ?c .",
-    ),
-    (
-        RuleId::ScmDp,
-        "rule SCM-DP: ?p a owl:DatatypeProperty => ?p rdfs:subPropertyOf ?p, ?p owl:equivalentProperty ?p .",
-    ),
-    (
-        RuleId::ScmOp,
-        "rule SCM-OP: ?p a owl:ObjectProperty => ?p rdfs:subPropertyOf ?p, ?p owl:equivalentProperty ?p .",
-    ),
-    (
-        RuleId::Rdfs4,
-        "rule RDFS4: ?x ?p ?y => ?x a rdfs:Resource, ?y a rdfs:Resource .",
-    ),
-    (
-        RuleId::Rdfs8,
-        "rule RDFS8: ?x a rdfs:Class => ?x rdfs:subClassOf rdfs:Resource .",
-    ),
-    (
-        RuleId::Rdfs12,
-        "rule RDFS12: ?x a rdfs:ContainerMembershipProperty => ?x rdfs:subPropertyOf rdfs:member .",
-    ),
-    (
-        RuleId::Rdfs13,
-        "rule RDFS13: ?x a rdfs:Datatype => ?x rdfs:subClassOf rdfs:Literal .",
-    ),
-    (
-        RuleId::Rdfs6,
-        "rule RDFS6: ?x a rdf:Property => ?x rdfs:subPropertyOf ?x .",
-    ),
-    (
-        RuleId::Rdfs10,
-        "rule RDFS10: ?x a rdfs:Class => ?x rdfs:subClassOf ?x .",
-    ),
-];
-
-/// The canonical text of one built-in rule.
+/// The text of one built-in rule, from its catalog row.
 pub fn rule_text(id: RuleId) -> &'static str {
-    CANONICAL
-        .iter()
-        .find(|(rule, _)| *rule == id)
-        .map(|(_, text)| *text)
-        .expect("every catalog row has a canonical text")
+    id.info().text
 }
 
 /// Renders a fragment's member rules as a loadable `.rules` file — the
@@ -187,9 +26,9 @@ pub fn fragment_file_text(fragment: Fragment) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "# {} — the built-in fragment re-expressed as a rule file.\n\
-         # Generated from inferray_rules::analysis::builtin::fragment_file_text;\n\
-         # the analyzer re-derives the handwritten catalog signatures from this\n\
-         # text byte-identically (see crates/rules/tests/analysis_builtins.rs).\n",
+         # Generated from inferray_rules::analysis::builtin::fragment_file_text\n\
+         # out of the catalog's rule texts, from which the scheduler derives\n\
+         # every built-in's signatures (see crates/rules/src/catalog.rs).\n",
         fragment.name()
     ));
     out.push_str(PRELUDE);
@@ -204,20 +43,6 @@ pub fn fragment_file_text(fragment: Fragment) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::CATALOG;
-
-    #[test]
-    fn every_catalog_row_has_a_text_in_catalog_order() {
-        assert_eq!(CANONICAL.len(), CATALOG.len());
-        for (entry, info) in CANONICAL.iter().zip(CATALOG.iter()) {
-            assert_eq!(entry.0, info.id);
-            assert!(
-                entry.1.starts_with(&format!("rule {}:", info.name)),
-                "{} text must declare the catalog name",
-                info.name
-            );
-        }
-    }
 
     #[test]
     fn fragment_files_contain_exactly_the_member_rules() {

@@ -8,11 +8,12 @@
 //! and the streaming ingest apply — says so. Sharing the routing is what
 //! makes a compiled rule address exactly the tables the data occupies.
 
-use super::check::canonicalize;
+use super::builtin::PRELUDE;
+use super::check::{canonicalize, CanonAtom};
 use super::diag::{Diagnostic, Severity};
 use super::parse::{parse, SymAtom, SymRule, SymTerm};
-use super::signature::{derive_inputs, derive_outputs, DerivedInputs, DerivedOutputs};
-use crate::catalog::RuleId;
+use super::signature::{derive_inputs, derive_outputs, RuleInputs, RuleOutputs};
+use crate::catalog::{RuleId, CATALOG};
 use inferray_dictionary::{position_demands, Demand, Dictionary};
 use inferray_model::Term as ModelTerm;
 use std::collections::HashMap;
@@ -69,9 +70,9 @@ pub struct CompiledRule {
     /// Head patterns, in written order.
     pub head: Vec<Atom>,
     /// Derived input (scheduling) signature.
-    pub inputs: DerivedInputs,
+    pub inputs: RuleInputs,
     /// Derived output (rederivation) signature.
-    pub outputs: DerivedOutputs,
+    pub outputs: RuleOutputs,
 }
 
 /// The result of compiling an analyzed rule file against a dictionary.
@@ -216,19 +217,37 @@ pub(super) fn lower(
     })
 }
 
-type CanonRule = (Vec<super::check::CanonAtom>, Vec<super::check::CanonAtom>);
+/// A catalog row's text, parsed once: its canonical form for [`recognize`]
+/// and its lowering for [`compiled_builtin`].
+struct Builtin {
+    canon: (Vec<CanonAtom>, Vec<CanonAtom>),
+    compiled: CompiledRule,
+}
 
-fn canonical_builtins() -> &'static Vec<(RuleId, CanonRule)> {
-    static TABLE: OnceLock<Vec<(RuleId, CanonRule)>> = OnceLock::new();
+/// The 38 catalog texts, in catalog order, parsed and lowered once per
+/// process.
+fn builtins() -> &'static [Builtin] {
+    static TABLE: OnceLock<Vec<Builtin>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        super::builtin::CANONICAL
+        let mut dict = Dictionary::new();
+        CATALOG
             .iter()
-            .map(|&(id, text)| {
-                let source = format!("{}{}", super::builtin::PRELUDE, text);
-                let (rules, diags) = parse(&source);
-                debug_assert!(diags.is_empty(), "canonical text for {id:?}: {diags:?}");
-                debug_assert_eq!(rules.len(), 1);
-                (id, canonicalize(&rules[0]))
+            .map(|info| {
+                let (rules, diags) = parse(&format!("{PRELUDE}{}", info.text));
+                debug_assert!(diags.is_empty(), "{}: {diags:?}", info.name);
+                let [rule] = rules.as_slice() else {
+                    panic!("{}: a catalog text holds one rule", info.name)
+                };
+                let (compiled, diags) = lower_rule(rule, &mut dict);
+                debug_assert!(
+                    !diags.iter().any(Diagnostic::is_error),
+                    "{}: {diags:?}",
+                    info.name
+                );
+                Builtin {
+                    canon: canonicalize(rule),
+                    compiled,
+                }
             })
             .collect()
     })
@@ -240,34 +259,18 @@ fn canonical_builtins() -> &'static Vec<(RuleId, CanonRule)> {
 /// through text always recognizes.
 pub fn recognize(rule: &SymRule) -> Option<RuleId> {
     let canon = canonicalize(rule);
-    canonical_builtins()
+    builtins()
         .iter()
-        .find(|(_, builtin)| *builtin == canon)
-        .map(|&(id, _)| id)
+        .position(|builtin| builtin.canon == canon)
+        .map(|i| CATALOG[i].id)
 }
 
-/// The canonical text of built-in `id` ([`super::builtin::CANONICAL`]),
-/// lowered. Every constant of those texts is a well-known term, so the
-/// identifiers are the ones any dictionary assigns.
+/// Built-in `id`'s catalog text, lowered: the signatures the scheduler and
+/// the delete–rederive seed read. Every constant of those texts is a
+/// well-known term, so the identifiers are the ones any dictionary assigns.
+/// Read through [`crate::Ruleset::compiled`].
 pub(crate) fn compiled_builtin(id: RuleId) -> &'static CompiledRule {
-    static TABLE: OnceLock<Vec<CompiledRule>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut dict = Dictionary::new();
-        super::builtin::CANONICAL
-            .iter()
-            .map(|&(id, text)| {
-                let (rules, _) = parse(&format!("{}{}", super::builtin::PRELUDE, text));
-                let compiled = lower(&rules, &mut dict).expect("canonical texts lower");
-                debug_assert_eq!(compiled.recognized[0], Some(id));
-                compiled
-                    .rules
-                    .into_iter()
-                    .next()
-                    .expect("one rule per text")
-            })
-            .collect()
-    });
-    &table[id as usize]
+    &builtins()[id as usize].compiled
 }
 
 #[cfg(test)]
@@ -287,8 +290,7 @@ mod tests {
     fn lowers_wellknown_constants_to_wellknown_ids() {
         let (rule, recognized, _) = compile_one(&format!(
             "{}{}",
-            super::super::builtin::PRELUDE,
-            "rule t: ?c1 rdfs:subClassOf ?c2, ?x a ?c1 => ?x a ?c2 ."
+            PRELUDE, "rule t: ?c1 rdfs:subClassOf ?c2, ?x a ?c1 => ?x a ?c2 ."
         ));
         assert_eq!(rule.body[0].p, Term::Const(wk::RDFS_SUB_CLASS_OF));
         assert_eq!(rule.body[1].p, Term::Const(wk::RDF_TYPE));
@@ -307,7 +309,7 @@ mod tests {
         // a property.
         let (rule, _, dict) = compile_one(&format!(
             "{}{}",
-            super::super::builtin::PRELUDE,
+            PRELUDE,
             "rule t: <urn:my-p> a owl:TransitiveProperty => <urn:my-p> rdfs:subPropertyOf rdfs:member ."
         ));
         assert_eq!(rule.body[0].o, Term::Const(wk::OWL_TRANSITIVE_PROPERTY));
@@ -326,8 +328,8 @@ mod tests {
         assert_eq!(recognized, None);
         let parent = dict.id_of_iri("urn:parent").expect("interned");
         let grandparent = dict.id_of_iri("urn:grandparent").expect("interned");
-        assert_eq!(rule.inputs, DerivedInputs::Properties(vec![parent]));
-        assert_eq!(rule.outputs, DerivedOutputs::Properties(vec![grandparent]));
+        assert_eq!(rule.inputs, RuleInputs::Properties(vec![parent]));
+        assert_eq!(rule.outputs, RuleOutputs::Properties(vec![grandparent]));
     }
 
     #[test]
@@ -335,8 +337,7 @@ mod tests {
         let mut dict = Dictionary::new();
         let (rules, _) = parse(&format!(
             "{}{}",
-            super::super::builtin::PRELUDE,
-            "rule r: ?s1 owl:sameAs ?s2, ?s1 ?p ?o => ?s2 ?p ?o ."
+            PRELUDE, "rule r: ?s1 owl:sameAs ?s2, ?s1 ?p ?o => ?s2 ?p ?o ."
         ));
         let compiled = lower(&rules, &mut dict).expect("lowers");
         assert_eq!(
@@ -348,12 +349,30 @@ mod tests {
     }
 
     #[test]
-    fn every_canonical_text_recognizes_itself() {
-        for &(id, text) in super::super::builtin::CANONICAL {
-            let source = format!("{}{}", super::super::builtin::PRELUDE, text);
-            let (rules, diags) = parse(&source);
-            assert!(diags.is_empty(), "{id:?}: {diags:?}");
-            assert_eq!(recognize(&rules[0]), Some(id));
+    fn every_catalog_text_recognizes_itself() {
+        for info in CATALOG.iter() {
+            let (rules, diags) = parse(&format!("{PRELUDE}{}", info.text));
+            assert!(diags.is_empty(), "{}: {diags:?}", info.name);
+            assert_eq!(recognize(&rules[0]), Some(info.id));
         }
+    }
+
+    /// What makes [`compiled_builtin`]'s identifiers valid in every
+    /// dictionary: lowering the 38 texts into a fresh one interns nothing.
+    #[test]
+    fn catalog_texts_use_only_well_known_terms() {
+        let mut dict = Dictionary::new();
+        let before = dict.len();
+        for info in CATALOG.iter() {
+            let (rules, _) = parse(&format!("{PRELUDE}{}", info.text));
+            let compiled = lower(&rules, &mut dict).expect("catalog texts lower");
+            assert_eq!(
+                compiled.rules[0],
+                *compiled_builtin(info.id),
+                "{}",
+                info.name
+            );
+        }
+        assert_eq!(dict.len(), before, "a catalog text interned a new term");
     }
 }

@@ -11,8 +11,9 @@
 //!    (table in `docs/rules.md`).
 //! 2. **[`Analysis::compile`]** — lowers the rules against a
 //!    [`Dictionary`], derives each rule's input/output signature
-//!    ([`DerivedInputs`]/[`DerivedOutputs`] — the same vocabulary the §4.3
-//!    scheduler and the delete–rederive probes consume), and recognizes
+//!    ([`RuleInputs`]/[`RuleOutputs`] — the vocabulary the §4.3 scheduler
+//!    and the delete–rederive seed read, for built-ins too: their lowered
+//!    texts are what [`crate::Ruleset::compiled`] returns), and recognizes
 //!    rules that are alpha-equivalent to catalog built-ins so they keep
 //!    their hand-written executors.
 //! 3. **the stratum pass** (`stratum.rs`) — over the compiled rules of a whole ruleset: the
@@ -38,7 +39,7 @@ pub use compile::{recognize, Atom, CompiledRule, CompiledRuleset, Term};
 pub use diag::{Diagnostic, Severity};
 pub use exec::{apply_compiled, supports};
 pub use parse::{Span, SymAtom, SymRule, SymTerm};
-pub use signature::{DerivedInputs, DerivedOutputs};
+pub use signature::{RuleInputs, RuleOutputs, SchemaSide};
 pub use stratum::Elision;
 
 use inferray_dictionary::Dictionary;

@@ -1,25 +1,37 @@
-//! Derived scheduling signatures: the owned mirror of the catalog's
-//! [`RuleInputs`]/[`RuleOutputs`] vocabulary, plus the derivation that maps a
-//! compiled rule's body/head shape onto it.
+//! Scheduling signatures: which property tables a rule reads and writes,
+//! derived from its compiled body and head.
 //!
-//! The catalog rows use `&'static [u64]` property lists; analyzer-loaded
-//! rules need owned lists, so [`DerivedInputs`]/[`DerivedOutputs`] duplicate
-//! the enum shape with `Vec<u64>` and carry the *single* implementation of
-//! the scheduling/rederivation predicates — the catalog path converts via
-//! [`From`] and delegates, which is also what makes the byte-identity test
-//! between handwritten and derived signatures meaningful.
+//! This is the one vocabulary of the §4.3 dependency graph. The catalog
+//! built-ins get theirs from their rule text exactly like an
+//! analyzer-loaded rule, and [`crate::Ruleset`] evaluates both through the
+//! predicates here: [`RuleInputs::changed`] for scheduling and
+//! [`RuleOutputs::may_write`] for the delete–rederive seed.
 
 use super::compile::{Atom, Term};
-use crate::catalog::{RuleInputs, RuleOutputs, SchemaSide};
 use crate::context::RuleContext;
 use inferray_dictionary::wellknown as wk;
 use inferray_store::TripleStore;
 use std::collections::BTreeSet;
 
+/// Which component of a schema pair names the data tables a
+/// [`RuleInputs::PropertyVariable`] rule reads or a
+/// [`RuleOutputs::PropertyVariable`] rule writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SchemaSide {
+    /// The subject of each schema pair names a data property.
+    Subject,
+    /// The object of each schema pair names a data property.
+    Object,
+}
+
 /// The input (scheduling) signature of a rule, §4.3: which property tables
 /// the rule reads, possibly indirectly through a schema or marker table.
+///
+/// It must be conservative: a table the rule reads but the signature misses
+/// loses derivations when the scheduler skips the rule, while a table too
+/// many only costs a firing that yields duplicates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DerivedInputs {
+pub enum RuleInputs {
     /// Reads exactly these property tables.
     Properties(Vec<u64>),
     /// Reads the tables named on `side` of the `schema` table's pairs
@@ -47,9 +59,10 @@ pub enum DerivedInputs {
 }
 
 /// The output signature of a rule: which property tables its head can write
-/// — the rederivation seed of the delete–rederive maintenance path.
+/// — the rederivation seed of the delete–rederive maintenance path. Also
+/// conservative: too narrow a signature leaves entailed triples unrestored.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DerivedOutputs {
+pub enum RuleOutputs {
     /// Writes exactly these property tables.
     Properties(Vec<u64>),
     /// Writes tables named on `side` of the `schema` table's pairs.
@@ -68,45 +81,18 @@ pub enum DerivedOutputs {
     AnyProperty,
 }
 
-impl From<RuleInputs> for DerivedInputs {
-    fn from(inputs: RuleInputs) -> Self {
-        match inputs {
-            RuleInputs::Properties(props) => DerivedInputs::Properties(props.to_vec()),
-            RuleInputs::PropertyVariable { schema, side } => {
-                DerivedInputs::PropertyVariable { schema, side }
-            }
-            RuleInputs::MarkedProperties { marker } => DerivedInputs::MarkedProperties { marker },
-            RuleInputs::AnyGuardedBy { guard } => DerivedInputs::AnyGuardedBy { guard },
-            RuleInputs::AnyProperty => DerivedInputs::AnyProperty,
-        }
-    }
-}
-
-impl From<RuleOutputs> for DerivedOutputs {
-    fn from(outputs: RuleOutputs) -> Self {
-        match outputs {
-            RuleOutputs::Properties(props) => DerivedOutputs::Properties(props.to_vec()),
-            RuleOutputs::PropertyVariable { schema, side } => {
-                DerivedOutputs::PropertyVariable { schema, side }
-            }
-            RuleOutputs::MarkedProperties { marker } => DerivedOutputs::MarkedProperties { marker },
-            RuleOutputs::AnyProperty => DerivedOutputs::AnyProperty,
-        }
-    }
-}
-
-impl DerivedInputs {
+impl RuleInputs {
     /// `true` when the rule may derive something not already in `main`,
     /// given that exactly the tables of `changed` received new pairs —
     /// the §4.3 scheduling decision for one rule.
     pub fn changed(&self, main: &TripleStore, new: &TripleStore, changed: &BTreeSet<u64>) -> bool {
         match self {
-            DerivedInputs::Properties(props) => props.iter().any(|p| changed.contains(p)),
-            DerivedInputs::AnyProperty => true,
-            DerivedInputs::AnyGuardedBy { guard } => {
+            RuleInputs::Properties(props) => props.iter().any(|p| changed.contains(p)),
+            RuleInputs::AnyProperty => true,
+            RuleInputs::AnyGuardedBy { guard } => {
                 changed.contains(guard) || main.table(*guard).is_some_and(|t| !t.is_empty())
             }
-            DerivedInputs::PropertyVariable { schema, side } => {
+            RuleInputs::PropertyVariable { schema, side } => {
                 if changed.contains(schema) {
                     return true;
                 }
@@ -118,7 +104,7 @@ impl DerivedInputs {
                     SchemaSide::Object => table.iter_pairs().any(|(_, o)| changed.contains(&o)),
                 }
             }
-            DerivedInputs::MarkedProperties { marker } => {
+            RuleInputs::MarkedProperties { marker } => {
                 // A property newly declared with the marker feeds the rule
                 // even when its data table is old …
                 if !RuleContext::subjects_with_object(new, wk::RDF_TYPE, *marker).is_empty() {
@@ -146,8 +132,8 @@ impl DerivedInputs {
             }
         };
         match self {
-            DerivedInputs::Properties(props) => props.iter().for_each(|&p| read(p)),
-            DerivedInputs::PropertyVariable { schema, side } => {
+            RuleInputs::Properties(props) => props.iter().for_each(|&p| read(p)),
+            RuleInputs::PropertyVariable { schema, side } => {
                 read(*schema);
                 for (s, o) in main.table(*schema).into_iter().flat_map(|t| t.iter_pairs()) {
                     read(match side {
@@ -156,13 +142,13 @@ impl DerivedInputs {
                     });
                 }
             }
-            DerivedInputs::MarkedProperties { marker } => {
+            RuleInputs::MarkedProperties { marker } => {
                 read(wk::RDF_TYPE);
                 RuleContext::subjects_with_object(main, wk::RDF_TYPE, *marker)
                     .into_iter()
                     .for_each(read);
             }
-            DerivedInputs::AnyGuardedBy { .. } | DerivedInputs::AnyProperty => {
+            RuleInputs::AnyGuardedBy { .. } | RuleInputs::AnyProperty => {
                 changed.iter().for_each(|&p| read(p))
             }
         }
@@ -174,19 +160,19 @@ impl DerivedInputs {
     pub fn is_whole_store(&self) -> bool {
         matches!(
             self,
-            DerivedInputs::AnyGuardedBy { .. } | DerivedInputs::AnyProperty
+            RuleInputs::AnyGuardedBy { .. } | RuleInputs::AnyProperty
         )
     }
 }
 
-impl DerivedOutputs {
+impl RuleOutputs {
     /// `true` when the rule's head can land a triple in one of the
     /// `deleted` tables, given the current store — the rederivation seed
     /// decision of the delete–rederive path.
     pub fn may_write(&self, main: &TripleStore, deleted: &BTreeSet<u64>) -> bool {
         match self {
-            DerivedOutputs::Properties(props) => props.iter().any(|p| deleted.contains(p)),
-            DerivedOutputs::PropertyVariable { schema, side } => {
+            RuleOutputs::Properties(props) => props.iter().any(|p| deleted.contains(p)),
+            RuleOutputs::PropertyVariable { schema, side } => {
                 main.table(*schema).is_some_and(|table| {
                     table.iter_pairs().any(|(s, o)| {
                         let named = match side {
@@ -197,12 +183,12 @@ impl DerivedOutputs {
                     })
                 })
             }
-            DerivedOutputs::MarkedProperties { marker } => {
+            RuleOutputs::MarkedProperties { marker } => {
                 RuleContext::subjects_with_object(main, wk::RDF_TYPE, *marker)
                     .iter()
                     .any(|p| deleted.contains(p))
             }
-            DerivedOutputs::AnyProperty => true,
+            RuleOutputs::AnyProperty => true,
         }
     }
 }
@@ -214,60 +200,60 @@ fn side_name(side: SchemaSide) -> &'static str {
     }
 }
 
-impl std::fmt::Display for DerivedInputs {
+impl std::fmt::Display for RuleInputs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DerivedInputs::Properties(props) => write!(f, "properties {props:?}"),
-            DerivedInputs::PropertyVariable { schema, side } => {
+            RuleInputs::Properties(props) => write!(f, "properties {props:?}"),
+            RuleInputs::PropertyVariable { schema, side } => {
                 write!(
                     f,
                     "tables named by the {} of schema {schema}",
                     side_name(*side)
                 )
             }
-            DerivedInputs::MarkedProperties { marker } => {
+            RuleInputs::MarkedProperties { marker } => {
                 write!(f, "tables of properties declared rdf:type {marker}")
             }
-            DerivedInputs::AnyGuardedBy { guard } => {
+            RuleInputs::AnyGuardedBy { guard } => {
                 write!(f, "any table while guard {guard} is non-empty")
             }
-            DerivedInputs::AnyProperty => write!(f, "any table (whole-store scan)"),
+            RuleInputs::AnyProperty => write!(f, "any table (whole-store scan)"),
         }
     }
 }
 
-impl std::fmt::Display for DerivedOutputs {
+impl std::fmt::Display for RuleOutputs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DerivedOutputs::Properties(props) => write!(f, "properties {props:?}"),
-            DerivedOutputs::PropertyVariable { schema, side } => {
+            RuleOutputs::Properties(props) => write!(f, "properties {props:?}"),
+            RuleOutputs::PropertyVariable { schema, side } => {
                 write!(
                     f,
                     "tables named by the {} of schema {schema}",
                     side_name(*side)
                 )
             }
-            DerivedOutputs::MarkedProperties { marker } => {
+            RuleOutputs::MarkedProperties { marker } => {
                 write!(f, "tables of properties declared rdf:type {marker}")
             }
-            DerivedOutputs::AnyProperty => write!(f, "any table"),
+            RuleOutputs::AnyProperty => write!(f, "any table"),
         }
     }
 }
 
 /// Derives the input signature from a lowered body.
 ///
-/// * Every predicate constant ⇒ [`DerivedInputs::Properties`] (body order,
+/// * Every predicate constant ⇒ [`RuleInputs::Properties`] (body order,
 ///   first occurrence wins).
 /// * Exactly one predicate variable whose binder is the *only*
 ///   constant-predicate atom ⇒ the precise dynamic shapes: a
-///   `?p rdf:type Marker` binder is [`DerivedInputs::MarkedProperties`], a
-///   schema atom with `?p` on one side is [`DerivedInputs::PropertyVariable`].
+///   `?p rdf:type Marker` binder is [`RuleInputs::MarkedProperties`], a
+///   schema atom with `?p` on one side is [`RuleInputs::PropertyVariable`].
 /// * Anything else falls back to the whole-store shapes, gated on the first
 ///   constant-predicate table when one exists: that atom must match for the
 ///   body to match, so an empty guard table proves the rule cannot fire —
 ///   conservative but sound for arbitrary extra atoms.
-pub(super) fn derive_inputs(body: &[Atom]) -> DerivedInputs {
+pub(super) fn derive_inputs(body: &[Atom]) -> RuleInputs {
     let const_preds: Vec<u64> = body.iter().filter_map(|a| a.p.as_const()).collect();
     let var_preds: BTreeSet<u32> = body.iter().filter_map(|a| a.p.as_var()).collect();
     if var_preds.is_empty() {
@@ -277,7 +263,7 @@ pub(super) fn derive_inputs(body: &[Atom]) -> DerivedInputs {
                 props.push(p);
             }
         }
-        return DerivedInputs::Properties(props);
+        return RuleInputs::Properties(props);
     }
     if var_preds.len() == 1 {
         let pv = Term::Var(*var_preds.iter().next().expect("non-empty"));
@@ -286,7 +272,7 @@ pub(super) fn derive_inputs(body: &[Atom]) -> DerivedInputs {
             let sp = schema.p.as_const().expect("constant predicate");
             if sp == wk::RDF_TYPE && schema.s == pv {
                 if let Some(marker) = schema.o.as_const() {
-                    return DerivedInputs::MarkedProperties { marker };
+                    return RuleInputs::MarkedProperties { marker };
                 }
             }
             let on_s = schema.s == pv;
@@ -297,26 +283,26 @@ pub(super) fn derive_inputs(body: &[Atom]) -> DerivedInputs {
                 } else {
                     SchemaSide::Object
                 };
-                return DerivedInputs::PropertyVariable { schema: sp, side };
+                return RuleInputs::PropertyVariable { schema: sp, side };
             }
         }
     }
     match const_preds.first() {
-        Some(&guard) => DerivedInputs::AnyGuardedBy { guard },
-        None => DerivedInputs::AnyProperty,
+        Some(&guard) => RuleInputs::AnyGuardedBy { guard },
+        None => RuleInputs::AnyProperty,
     }
 }
 
 /// Derives the output signature from a lowered head given its body.
 ///
-/// Constant head predicates collect into [`DerivedOutputs::Properties`]; a
+/// Constant head predicates collect into [`RuleOutputs::Properties`]; a
 /// variable head predicate is classified by how the body binds it (marker
 /// declaration ⇒ `MarkedProperties`, one side of a constant-predicate schema
 /// atom ⇒ `PropertyVariable`); anything unclassifiable — or a mix of
-/// incompatible classes — widens to [`DerivedOutputs::AnyProperty`].
-pub(super) fn derive_outputs(head: &[Atom], body: &[Atom]) -> DerivedOutputs {
+/// incompatible classes — widens to [`RuleOutputs::AnyProperty`].
+pub(super) fn derive_outputs(head: &[Atom], body: &[Atom]) -> RuleOutputs {
     let mut props: Vec<u64> = Vec::new();
-    let mut dynamic: Option<DerivedOutputs> = None;
+    let mut dynamic: Option<RuleOutputs> = None;
     let mut widen = false;
     for atom in head {
         match atom.p {
@@ -334,25 +320,25 @@ pub(super) fn derive_outputs(head: &[Atom], body: &[Atom]) -> DerivedOutputs {
         }
     }
     if widen {
-        return DerivedOutputs::AnyProperty;
+        return RuleOutputs::AnyProperty;
     }
     match (props.is_empty(), dynamic) {
-        (false, None) => DerivedOutputs::Properties(props),
+        (false, None) => RuleOutputs::Properties(props),
         (true, Some(class)) => class,
         // Mixed constant + dynamic heads write both kinds of table; the
         // signature vocabulary has no union, so widen.
-        (false, Some(_)) => DerivedOutputs::AnyProperty,
+        (false, Some(_)) => RuleOutputs::AnyProperty,
         // An empty head cannot parse, but stay total.
-        (true, None) => DerivedOutputs::AnyProperty,
+        (true, None) => RuleOutputs::AnyProperty,
     }
 }
 
-fn classify_head_pred(v: u32, body: &[Atom]) -> Option<DerivedOutputs> {
+fn classify_head_pred(v: u32, body: &[Atom]) -> Option<RuleOutputs> {
     let var = Term::Var(v);
     for atom in body {
         if atom.p == Term::Const(wk::RDF_TYPE) && atom.s == var {
             if let Some(marker) = atom.o.as_const() {
-                return Some(DerivedOutputs::MarkedProperties { marker });
+                return Some(RuleOutputs::MarkedProperties { marker });
             }
         }
     }
@@ -368,7 +354,7 @@ fn classify_head_pred(v: u32, body: &[Atom]) -> Option<DerivedOutputs> {
             } else {
                 SchemaSide::Object
             };
-            return Some(DerivedOutputs::PropertyVariable { schema, side });
+            return Some(RuleOutputs::PropertyVariable { schema, side });
         }
     }
     None
@@ -397,7 +383,7 @@ mod tests {
         ];
         assert_eq!(
             derive_inputs(&body),
-            DerivedInputs::Properties(vec![wk::RDFS_SUB_CLASS_OF, P])
+            RuleInputs::Properties(vec![wk::RDFS_SUB_CLASS_OF, P])
         );
     }
 
@@ -413,7 +399,7 @@ mod tests {
         ];
         assert_eq!(
             derive_inputs(&body),
-            DerivedInputs::MarkedProperties {
+            RuleInputs::MarkedProperties {
                 marker: wk::OWL_TRANSITIVE_PROPERTY
             }
         );
@@ -427,7 +413,7 @@ mod tests {
         ];
         assert_eq!(
             derive_inputs(&body),
-            DerivedInputs::PropertyVariable {
+            RuleInputs::PropertyVariable {
                 schema: wk::RDFS_DOMAIN,
                 side: SchemaSide::Subject
             }
@@ -443,7 +429,7 @@ mod tests {
         ];
         assert_eq!(
             derive_inputs(&body),
-            DerivedInputs::AnyGuardedBy {
+            RuleInputs::AnyGuardedBy {
                 guard: wk::OWL_SAME_AS
             }
         );
@@ -453,7 +439,7 @@ mod tests {
     #[test]
     fn lone_variable_pattern_is_any_property() {
         let body = [atom(Term::Var(0), Term::Var(1), Term::Var(2))];
-        assert_eq!(derive_inputs(&body), DerivedInputs::AnyProperty);
+        assert_eq!(derive_inputs(&body), RuleInputs::AnyProperty);
     }
 
     #[test]
@@ -470,7 +456,7 @@ mod tests {
         let head = [atom(Term::Var(2), Term::Var(0), Term::Var(1))];
         assert_eq!(
             derive_outputs(&head, &body),
-            DerivedOutputs::MarkedProperties {
+            RuleOutputs::MarkedProperties {
                 marker: wk::OWL_SYMMETRIC_PROPERTY
             }
         );
@@ -482,31 +468,19 @@ mod tests {
         let head = [atom(Term::Var(2), Term::Var(1), Term::Var(3))];
         assert_eq!(
             derive_outputs(&head, &body),
-            DerivedOutputs::PropertyVariable {
+            RuleOutputs::PropertyVariable {
                 schema: wk::OWL_SAME_AS,
                 side: SchemaSide::Object
             }
         );
         // Unclassifiable head predicate widens.
         let head = [atom(Term::Var(2), Term::Var(4), Term::Var(3))];
-        assert_eq!(derive_outputs(&head, &body), DerivedOutputs::AnyProperty);
+        assert_eq!(derive_outputs(&head, &body), RuleOutputs::AnyProperty);
         // Mixed constant + dynamic widens.
         let head = [
             atom(Term::Var(2), Term::Const(P), Term::Var(3)),
             atom(Term::Var(2), Term::Var(1), Term::Var(3)),
         ];
-        assert_eq!(derive_outputs(&head, &body), DerivedOutputs::AnyProperty);
-    }
-
-    #[test]
-    fn conversions_mirror_the_catalog_enums() {
-        assert_eq!(
-            DerivedInputs::from(RuleInputs::Properties(&[1, 2])),
-            DerivedInputs::Properties(vec![1, 2])
-        );
-        assert_eq!(
-            DerivedOutputs::from(RuleOutputs::AnyProperty),
-            DerivedOutputs::AnyProperty
-        );
+        assert_eq!(derive_outputs(&head, &body), RuleOutputs::AnyProperty);
     }
 }

@@ -22,11 +22,11 @@
 //!   never unify is never accepted: it stays scheduled.
 //!
 //! The pass runs over compiled rules, so the catalog built-ins (through their
-//! canonical texts, [`super::builtin::CANONICAL`]) and an analyzer-loaded
+//! rule texts, [`super::compiled_builtin`]) and an analyzer-loaded
 //! program's custom rules are treated alike.
 
 use super::compile::{Atom, CompiledRule, Term};
-use super::signature::{DerivedInputs, DerivedOutputs};
+use super::signature::{RuleInputs, RuleOutputs};
 use crate::ruleset::RuleRef;
 use std::collections::BTreeSet;
 
@@ -50,9 +50,7 @@ pub struct Elision {
 
 fn fixed_signature(rule: &CompiledRule) -> Option<(&[u64], &[u64])> {
     match (&rule.inputs, &rule.outputs) {
-        (DerivedInputs::Properties(reads), DerivedOutputs::Properties(writes)) => {
-            Some((reads, writes))
-        }
+        (RuleInputs::Properties(reads), RuleOutputs::Properties(writes)) => Some((reads, writes)),
         _ => None,
     }
 }
@@ -69,7 +67,7 @@ pub(crate) fn schema_stratum(members: &[Member<'_>]) -> Vec<RuleRef> {
             .zip(&inside)
             .filter(|(_, &inside)| !inside)
             .filter_map(|((_, rule), _)| match &rule.outputs {
-                DerivedOutputs::Properties(writes) => Some(writes.iter().copied()),
+                RuleOutputs::Properties(writes) => Some(writes.iter().copied()),
                 _ => None,
             })
             .flatten()

@@ -6,9 +6,12 @@
 //! full members from the "half-circle" rules that "do not produce meaningful
 //! triples and are used only in full versions of rulesets".
 //!
-//! The executors live in [`crate::executors`]; this module is pure metadata,
-//! which the ruleset builder ([`crate::ruleset`]) and the benchmark harness
-//! introspect.
+//! Each row also carries the rule's text in the `.rules` language
+//! (docs/rules.md). That text is the rule's only description: the analyzer
+//! derives from it the input and output signatures the scheduler and the
+//! delete–rederive path read ([`crate::Ruleset::compiled`]), and the shipped
+//! `rules/*.rules` files are rendered from it. The executors live in
+//! [`crate::executors`].
 
 use std::fmt;
 
@@ -113,16 +116,6 @@ impl RuleId {
     pub fn class(self) -> RuleClass {
         self.info().class
     }
-
-    /// The input signature of the rule (the property tables it reads).
-    pub fn inputs(self) -> RuleInputs {
-        self.info().inputs
-    }
-
-    /// The output signature of the rule (the property tables it writes).
-    pub fn outputs(self) -> RuleOutputs {
-        self.info().outputs
-    }
 }
 
 impl fmt::Display for RuleId {
@@ -172,193 +165,6 @@ impl fmt::Display for RuleClass {
     }
 }
 
-/// The input signature of a rule: which property tables its antecedents
-/// read. This is the §4.3 rule-dependency graph — a rule can only derive
-/// something it has not derived before when at least one of its input tables
-/// received genuinely new pairs in the previous iteration, so the
-/// fixed-point loop skips every rule whose inputs are unchanged.
-///
-/// The signature must be **conservative**: scheduling a rule whose inputs
-/// did not change only costs a wasted (duplicate-producing) firing, while
-/// missing a real input would lose derivations. Three of the variants are
-/// *dynamic*: which data tables a γ/δ rule reads is named by its schema
-/// table (e.g. the subjects of `rdfs:domain` pairs), and which tables the
-/// functional/symmetric/transitive rules read is named by marker
-/// declarations (`⟨p, rdf:type, owl:FunctionalProperty⟩`), so the scheduler
-/// evaluates those against the current store
-/// ([`crate::Ruleset::scheduled_rules`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RuleInputs {
-    /// The rule reads only these fixed schema property tables.
-    Properties(&'static [u64]),
-    /// γ/δ-style: the rule reads the fixed `schema` table plus the data
-    /// tables named on the given `side` of the schema pairs (e.g. `PRP-DOM`
-    /// reads `rdfs:domain` and the table of every property appearing as a
-    /// *subject* of a domain pair).
-    PropertyVariable {
-        /// The fixed schema property table driving the rule.
-        schema: u64,
-        /// Which component of a schema pair names a data table.
-        side: SchemaSide,
-    },
-    /// The rule reads the declarations `⟨p, rdf:type, marker⟩` and the data
-    /// table of every declared `p` (the functional / inverse-functional /
-    /// symmetric / transitive property rules).
-    MarkedProperties {
-        /// The `rdf:type` object marking the properties the rule iterates.
-        marker: u64,
-    },
-    /// The rule scans tables of arbitrary properties, but only while the
-    /// `guard` table is non-empty (the `EQ-REP-S/O` replacement loop is
-    /// driven by `owl:sameAs` pairs whose subjects can occur anywhere).
-    AnyGuardedBy {
-        /// The property whose table must be non-empty for the rule to fire.
-        guard: u64,
-    },
-    /// The rule unconditionally scans every table (`RDFS4`).
-    AnyProperty,
-}
-
-/// Which component of a schema pair names the data tables a
-/// [`RuleInputs::PropertyVariable`] rule reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemaSide {
-    /// The subject of each schema pair is a data property the rule reads.
-    Subject,
-    /// The object of each schema pair is a data property the rule reads.
-    Object,
-}
-
-/// The output signature of a rule: which property tables its head can write.
-///
-/// This is the *write* half of the §4.3 dependency graph, the mirror image
-/// of [`RuleInputs`]. The incremental maintenance path (delete–rederive,
-/// docs/maintenance.md) uses it to seed rederivation: after over-deletion
-/// only the tables that lost pairs can be missing anything, so the first
-/// rederive iteration needs to fire only the rules whose outputs can land
-/// in one of those tables. Like the input signatures, output signatures
-/// must be **conservative**: declaring too wide an output merely wastes a
-/// duplicate-producing firing, while declaring too narrow a one would leave
-/// entailed triples unrestored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RuleOutputs {
-    /// The head writes only these fixed property tables.
-    Properties(&'static [u64]),
-    /// γ/δ-style: the head's property is named on the given `side` of the
-    /// `schema` table's pairs (e.g. `PRP-SPO1` writes the table of every
-    /// property appearing as an *object* of a `rdfs:subPropertyOf` pair).
-    PropertyVariable {
-        /// The fixed schema property table naming the output tables.
-        schema: u64,
-        /// Which component of a schema pair names an output table.
-        side: SchemaSide,
-    },
-    /// The head writes the table of every property declared
-    /// `⟨p, rdf:type, marker⟩` (e.g. `PRP-SYMP` mirrors pairs within the
-    /// declared symmetric properties' own tables).
-    MarkedProperties {
-        /// The `rdf:type` object marking the properties the rule writes.
-        marker: u64,
-    },
-    /// The head can write any table (the `EQ-REP-S/O` replacement rules
-    /// copy pairs under their original, arbitrary predicate).
-    AnyProperty,
-}
-
-impl RuleOutputs {
-    /// Fixed-property output signature: the head writes exactly `props`.
-    /// (Shared constructor — see [`RuleInputs::on`].)
-    pub const fn writes(props: &'static [u64]) -> RuleOutputs {
-        RuleOutputs::Properties(props)
-    }
-
-    /// γ/δ property-variable output signature: the head's property is named
-    /// on `side` of the `schema` pairs.
-    pub const fn via(schema: u64, side: SchemaSide) -> RuleOutputs {
-        RuleOutputs::PropertyVariable { schema, side }
-    }
-
-    /// Marked-properties output signature: the head writes tables of the
-    /// properties declared `⟨p, rdf:type, marker⟩`.
-    pub const fn marked(marker: u64) -> RuleOutputs {
-        RuleOutputs::MarkedProperties { marker }
-    }
-
-    /// The fixed properties written (empty for the dynamic variants).
-    pub fn properties(self) -> &'static [u64] {
-        match self {
-            RuleOutputs::Properties(props) => props,
-            _ => &[],
-        }
-    }
-
-    /// `true` when the rule may write tables of arbitrary properties rather
-    /// than a fixed list.
-    pub fn is_dynamic(self) -> bool {
-        !matches!(self, RuleOutputs::Properties(_))
-    }
-}
-
-impl RuleInputs {
-    /// Fixed-property input signature: the rule reads exactly `props`.
-    ///
-    /// These constructors are the single spelling of a signature — the
-    /// catalog rows, the catalog tests and the rule analyzer
-    /// ([`crate::analysis`]) all build signatures through them, so the
-    /// byte-identity assertions between handwritten and derived rows cannot
-    /// drift on representation.
-    pub const fn on(props: &'static [u64]) -> RuleInputs {
-        RuleInputs::Properties(props)
-    }
-
-    /// γ/δ property-variable signature: the rule reads `schema` plus the
-    /// data tables named on `side` of the schema pairs.
-    pub const fn via(schema: u64, side: SchemaSide) -> RuleInputs {
-        RuleInputs::PropertyVariable { schema, side }
-    }
-
-    /// Marked-properties signature: the rule reads the declarations
-    /// `⟨p, rdf:type, marker⟩` and every declared `p`'s table.
-    pub const fn marked(marker: u64) -> RuleInputs {
-        RuleInputs::MarkedProperties { marker }
-    }
-
-    /// Guarded whole-store scan: arbitrary tables, gated on `guard` being
-    /// non-empty.
-    pub const fn any_with(guard: u64) -> RuleInputs {
-        RuleInputs::AnyGuardedBy { guard }
-    }
-
-    /// `true` when the rule may scan tables of arbitrary properties (the
-    /// dynamic variants) rather than a fixed list.
-    pub fn is_dynamic(self) -> bool {
-        !matches!(self, RuleInputs::Properties(_))
-    }
-
-    /// The fixed properties read (empty for the dynamic variants).
-    pub fn properties(self) -> &'static [u64] {
-        match self {
-            RuleInputs::Properties(props) => props,
-            _ => &[],
-        }
-    }
-
-    /// The fixed schema property anchoring the signature, if any: the
-    /// declared properties for [`RuleInputs::Properties`] are themselves the
-    /// anchors; the dynamic variants are anchored by their schema / marker /
-    /// guard table. Used by the dependency index and the documentation
-    /// table.
-    pub fn anchor(self) -> Option<u64> {
-        match self {
-            RuleInputs::Properties(_) => None,
-            RuleInputs::PropertyVariable { schema, .. } => Some(schema),
-            RuleInputs::MarkedProperties { .. } => Some(wk::RDF_TYPE),
-            RuleInputs::AnyGuardedBy { guard } => Some(guard),
-            RuleInputs::AnyProperty => None,
-        }
-    }
-}
-
 /// Whether (and how) a rule belongs to a fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Membership {
@@ -391,8 +197,6 @@ pub struct RuleInfo {
     pub id: RuleId,
     /// Canonical (paper) name.
     pub name: &'static str,
-    /// Row number in Table 5 (1-based).
-    pub table5_row: u8,
     /// Execution class.
     pub class: RuleClass,
     /// Membership in plain RDFS.
@@ -401,486 +205,371 @@ pub struct RuleInfo {
     pub rho_df: Membership,
     /// Membership in RDFS-Plus.
     pub rdfs_plus: Membership,
-    /// Input signature: the property tables the rule's antecedents read.
-    pub inputs: RuleInputs,
-    /// Output signature: the property tables the rule's head can write.
-    pub outputs: RuleOutputs,
-    /// One-line description (body ⇒ head).
-    pub description: &'static str,
+    /// The rule as `.rules` text under [`crate::analysis::builtin::PRELUDE`]'s
+    /// prefixes. Its signatures are derived from it, and a user rule that
+    /// equals it up to variable names runs this row's executor.
+    pub text: &'static str,
 }
 
-use inferray_dictionary::wellknown as wk;
 use Membership::{Default as D, FullOnly as F, No as N};
 use RuleClass::*;
-use RuleInputs::AnyProperty as ANY;
-use SchemaSide::{Object as O, Subject as S};
-
-// The rows below build every signature through the shared constructors on
-// `RuleInputs`/`RuleOutputs` — the same ones the tests and the rule
-// analyzer use, so there is exactly one spelling of each signature shape.
-use RuleOutputs::AnyProperty as W_ANY;
 
 /// The full catalog, in Table 5 order (index = `RuleId as usize`).
 pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::CaxEqc1,
         name: "CAX-EQC1",
-        table5_row: 1,
         class: Alpha,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::OWL_EQUIVALENT_CLASS, wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDF_TYPE]),
-        description: "c1 owl:equivalentClass c2, x rdf:type c1 ⇒ x rdf:type c2",
+        text: "rule CAX-EQC1: ?c1 owl:equivalentClass ?c2, ?x a ?c1 => ?x a ?c2 .",
     },
     RuleInfo {
         id: RuleId::CaxEqc2,
         name: "CAX-EQC2",
-        table5_row: 2,
         class: Alpha,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::OWL_EQUIVALENT_CLASS, wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDF_TYPE]),
-        description: "c1 owl:equivalentClass c2, x rdf:type c2 ⇒ x rdf:type c1",
+        text: "rule CAX-EQC2: ?c1 owl:equivalentClass ?c2, ?x a ?c2 => ?x a ?c1 .",
     },
     RuleInfo {
         id: RuleId::CaxSco,
         name: "CAX-SCO",
-        table5_row: 3,
         class: Alpha,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_SUB_CLASS_OF, wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDF_TYPE]),
-        description: "c1 rdfs:subClassOf c2, x rdf:type c1 ⇒ x rdf:type c2",
+        text: "rule CAX-SCO: ?c1 rdfs:subClassOf ?c2, ?x a ?c1 => ?x a ?c2 .",
     },
     RuleInfo {
         id: RuleId::EqRepO,
         name: "EQ-REP-O",
-        table5_row: 4,
         class: SameAs,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::any_with(wk::OWL_SAME_AS),
-        outputs: W_ANY,
-        description: "o1 owl:sameAs o2, s p o1 ⇒ s p o2",
+        text: "rule EQ-REP-O: ?o1 owl:sameAs ?o2, ?s ?p ?o1 => ?s ?p ?o2 .",
     },
     RuleInfo {
         id: RuleId::EqRepP,
         name: "EQ-REP-P",
-        table5_row: 5,
         class: SameAs,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::OWL_SAME_AS, S),
-        outputs: RuleOutputs::via(wk::OWL_SAME_AS, O),
-        description: "p1 owl:sameAs p2, s p1 o ⇒ s p2 o",
+        text: "rule EQ-REP-P: ?p1 owl:sameAs ?p2, ?s ?p1 ?o => ?s ?p2 ?o .",
     },
     RuleInfo {
         id: RuleId::EqRepS,
         name: "EQ-REP-S",
-        table5_row: 6,
         class: SameAs,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::any_with(wk::OWL_SAME_AS),
-        outputs: W_ANY,
-        description: "s1 owl:sameAs s2, s1 p o ⇒ s2 p o",
+        text: "rule EQ-REP-S: ?s1 owl:sameAs ?s2, ?s1 ?p ?o => ?s2 ?p ?o .",
     },
     RuleInfo {
         id: RuleId::EqSym,
         name: "EQ-SYM",
-        table5_row: 7,
         class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::OWL_SAME_AS]),
-        outputs: RuleOutputs::writes(&[wk::OWL_SAME_AS]),
-        description: "x owl:sameAs y ⇒ y owl:sameAs x",
+        text: "rule EQ-SYM: ?x owl:sameAs ?y => ?y owl:sameAs ?x .",
     },
     RuleInfo {
         id: RuleId::EqTrans,
         name: "EQ-TRANS",
-        table5_row: 8,
         class: Theta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::OWL_SAME_AS]),
-        outputs: RuleOutputs::writes(&[wk::OWL_SAME_AS]),
-        description: "x owl:sameAs y, y owl:sameAs z ⇒ x owl:sameAs z",
+        text: "rule EQ-TRANS: ?x owl:sameAs ?y, ?y owl:sameAs ?z => ?x owl:sameAs ?z .",
     },
     RuleInfo {
         id: RuleId::PrpDom,
         name: "PRP-DOM",
-        table5_row: 9,
         class: Gamma,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::RDFS_DOMAIN, S),
-        outputs: RuleOutputs::writes(&[wk::RDF_TYPE]),
-        description: "p rdfs:domain c, x p y ⇒ x rdf:type c",
+        text: "rule PRP-DOM: ?p rdfs:domain ?c, ?x ?p ?y => ?x a ?c .",
     },
     RuleInfo {
         id: RuleId::PrpEqp1,
         name: "PRP-EQP1",
-        table5_row: 10,
         class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::OWL_EQUIVALENT_PROPERTY, S),
-        outputs: RuleOutputs::via(wk::OWL_EQUIVALENT_PROPERTY, O),
-        description: "p1 owl:equivalentProperty p2, x p1 y ⇒ x p2 y",
+        text: "rule PRP-EQP1: ?p1 owl:equivalentProperty ?p2, ?x ?p1 ?y => ?x ?p2 ?y .",
     },
     RuleInfo {
         id: RuleId::PrpEqp2,
         name: "PRP-EQP2",
-        table5_row: 11,
         class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::OWL_EQUIVALENT_PROPERTY, O),
-        outputs: RuleOutputs::via(wk::OWL_EQUIVALENT_PROPERTY, S),
-        description: "p1 owl:equivalentProperty p2, x p2 y ⇒ x p1 y",
+        text: "rule PRP-EQP2: ?p1 owl:equivalentProperty ?p2, ?x ?p2 ?y => ?x ?p1 ?y .",
     },
     RuleInfo {
         id: RuleId::PrpFp,
         name: "PRP-FP",
-        table5_row: 12,
         class: Functional,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::marked(wk::OWL_FUNCTIONAL_PROPERTY),
-        outputs: RuleOutputs::writes(&[wk::OWL_SAME_AS]),
-        description: "p a owl:FunctionalProperty, x p y1, x p y2 ⇒ y1 owl:sameAs y2",
+        text:
+            "rule PRP-FP: ?p a owl:FunctionalProperty, ?x ?p ?y1, ?x ?p ?y2 => ?y1 owl:sameAs ?y2 .",
     },
     RuleInfo {
         id: RuleId::PrpIfp,
         name: "PRP-IFP",
-        table5_row: 13,
         class: Functional,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::marked(wk::OWL_INVERSE_FUNCTIONAL_PROPERTY),
-        outputs: RuleOutputs::writes(&[wk::OWL_SAME_AS]),
-        description: "p a owl:InverseFunctionalProperty, x1 p y, x2 p y ⇒ x1 owl:sameAs x2",
+        text:
+            "rule PRP-IFP: ?p a owl:InverseFunctionalProperty, ?x1 ?p ?y, ?x2 ?p ?y => ?x1 owl:sameAs ?x2 .",
     },
     RuleInfo {
         id: RuleId::PrpInv1,
         name: "PRP-INV1",
-        table5_row: 14,
         class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::OWL_INVERSE_OF, S),
-        outputs: RuleOutputs::via(wk::OWL_INVERSE_OF, O),
-        description: "p1 owl:inverseOf p2, x p1 y ⇒ y p2 x",
+        text: "rule PRP-INV1: ?p1 owl:inverseOf ?p2, ?x ?p1 ?y => ?y ?p2 ?x .",
     },
     RuleInfo {
         id: RuleId::PrpInv2,
         name: "PRP-INV2",
-        table5_row: 15,
         class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::OWL_INVERSE_OF, O),
-        outputs: RuleOutputs::via(wk::OWL_INVERSE_OF, S),
-        description: "p1 owl:inverseOf p2, x p2 y ⇒ y p1 x",
+        text: "rule PRP-INV2: ?p1 owl:inverseOf ?p2, ?x ?p2 ?y => ?y ?p1 ?x .",
     },
     RuleInfo {
         id: RuleId::PrpRng,
         name: "PRP-RNG",
-        table5_row: 16,
         class: Gamma,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::RDFS_RANGE, S),
-        outputs: RuleOutputs::writes(&[wk::RDF_TYPE]),
-        description: "p rdfs:range c, x p y ⇒ y rdf:type c",
+        text: "rule PRP-RNG: ?p rdfs:range ?c, ?x ?p ?y => ?y a ?c .",
     },
     RuleInfo {
         id: RuleId::PrpSpo1,
         name: "PRP-SPO1",
-        table5_row: 17,
         class: Gamma,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::via(wk::RDFS_SUB_PROPERTY_OF, S),
-        outputs: RuleOutputs::via(wk::RDFS_SUB_PROPERTY_OF, O),
-        description: "p1 rdfs:subPropertyOf p2, x p1 y ⇒ x p2 y",
+        text: "rule PRP-SPO1: ?p1 rdfs:subPropertyOf ?p2, ?x ?p1 ?y => ?x ?p2 ?y .",
     },
     RuleInfo {
         id: RuleId::PrpSymp,
         name: "PRP-SYMP",
-        table5_row: 18,
         class: Gamma,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::marked(wk::OWL_SYMMETRIC_PROPERTY),
-        outputs: RuleOutputs::marked(wk::OWL_SYMMETRIC_PROPERTY),
-        description: "p a owl:SymmetricProperty, x p y ⇒ y p x",
+        text: "rule PRP-SYMP: ?p a owl:SymmetricProperty, ?x ?p ?y => ?y ?p ?x .",
     },
     RuleInfo {
         id: RuleId::PrpTrp,
         name: "PRP-TRP",
-        table5_row: 19,
         class: Theta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::marked(wk::OWL_TRANSITIVE_PROPERTY),
-        outputs: RuleOutputs::marked(wk::OWL_TRANSITIVE_PROPERTY),
-        description: "p a owl:TransitiveProperty, x p y, y p z ⇒ x p z",
+        text: "rule PRP-TRP: ?p a owl:TransitiveProperty, ?x ?p ?y, ?y ?p ?z => ?x ?p ?z .",
     },
     RuleInfo {
         id: RuleId::ScmDom1,
         name: "SCM-DOM1",
-        table5_row: 20,
         class: Alpha,
         rdfs: D,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_DOMAIN, wk::RDFS_SUB_CLASS_OF]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_DOMAIN]),
-        description: "p rdfs:domain c1, c1 rdfs:subClassOf c2 ⇒ p rdfs:domain c2",
+        text: "rule SCM-DOM1: ?p rdfs:domain ?c1, ?c1 rdfs:subClassOf ?c2 => ?p rdfs:domain ?c2 .",
     },
     RuleInfo {
         id: RuleId::ScmDom2,
         name: "SCM-DOM2",
-        table5_row: 21,
         class: Alpha,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_DOMAIN, wk::RDFS_SUB_PROPERTY_OF]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_DOMAIN]),
-        description: "p2 rdfs:domain c, p1 rdfs:subPropertyOf p2 ⇒ p1 rdfs:domain c",
+        text:
+            "rule SCM-DOM2: ?p2 rdfs:domain ?c, ?p1 rdfs:subPropertyOf ?p2 => ?p1 rdfs:domain ?c .",
     },
     RuleInfo {
         id: RuleId::ScmEqc1,
         name: "SCM-EQC1",
-        table5_row: 22,
         class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::OWL_EQUIVALENT_CLASS]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_CLASS_OF]),
-        description: "c1 owl:equivalentClass c2 ⇒ c1 rdfs:subClassOf c2, c2 rdfs:subClassOf c1",
+        text:
+            "rule SCM-EQC1: ?c1 owl:equivalentClass ?c2 => ?c1 rdfs:subClassOf ?c2, ?c2 rdfs:subClassOf ?c1 .",
     },
     RuleInfo {
         id: RuleId::ScmEqc2,
         name: "SCM-EQC2",
-        table5_row: 23,
         class: Beta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_SUB_CLASS_OF]),
-        outputs: RuleOutputs::writes(&[wk::OWL_EQUIVALENT_CLASS]),
-        description: "c1 rdfs:subClassOf c2, c2 rdfs:subClassOf c1 ⇒ c1 owl:equivalentClass c2",
+        text:
+            "rule SCM-EQC2: ?c1 rdfs:subClassOf ?c2, ?c2 rdfs:subClassOf ?c1 => ?c1 owl:equivalentClass ?c2 .",
     },
     RuleInfo {
         id: RuleId::ScmEqp1,
         name: "SCM-EQP1",
-        table5_row: 24,
         class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::OWL_EQUIVALENT_PROPERTY]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_PROPERTY_OF]),
-        description:
-            "p1 owl:equivalentProperty p2 ⇒ p1 rdfs:subPropertyOf p2, p2 rdfs:subPropertyOf p1",
+        text:
+            "rule SCM-EQP1: ?p1 owl:equivalentProperty ?p2 => ?p1 rdfs:subPropertyOf ?p2, ?p2 rdfs:subPropertyOf ?p1 .",
     },
     RuleInfo {
         id: RuleId::ScmEqp2,
         name: "SCM-EQP2",
-        table5_row: 25,
         class: Beta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_SUB_PROPERTY_OF]),
-        outputs: RuleOutputs::writes(&[wk::OWL_EQUIVALENT_PROPERTY]),
-        description:
-            "p1 rdfs:subPropertyOf p2, p2 rdfs:subPropertyOf p1 ⇒ p1 owl:equivalentProperty p2",
+        text:
+            "rule SCM-EQP2: ?p1 rdfs:subPropertyOf ?p2, ?p2 rdfs:subPropertyOf ?p1 => ?p1 owl:equivalentProperty ?p2 .",
     },
     RuleInfo {
         id: RuleId::ScmRng1,
         name: "SCM-RNG1",
-        table5_row: 26,
         class: Alpha,
         rdfs: D,
         rho_df: N,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_RANGE, wk::RDFS_SUB_CLASS_OF]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_RANGE]),
-        description: "p rdfs:range c1, c1 rdfs:subClassOf c2 ⇒ p rdfs:range c2",
+        text: "rule SCM-RNG1: ?p rdfs:range ?c1, ?c1 rdfs:subClassOf ?c2 => ?p rdfs:range ?c2 .",
     },
     RuleInfo {
         id: RuleId::ScmRng2,
         name: "SCM-RNG2",
-        table5_row: 27,
         class: Alpha,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_RANGE, wk::RDFS_SUB_PROPERTY_OF]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_RANGE]),
-        description: "p2 rdfs:range c, p1 rdfs:subPropertyOf p2 ⇒ p1 rdfs:range c",
+        text: "rule SCM-RNG2: ?p2 rdfs:range ?c, ?p1 rdfs:subPropertyOf ?p2 => ?p1 rdfs:range ?c .",
     },
     RuleInfo {
         id: RuleId::ScmSco,
         name: "SCM-SCO",
-        table5_row: 28,
         class: Theta,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_SUB_CLASS_OF]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_CLASS_OF]),
-        description: "c1 rdfs:subClassOf c2, c2 rdfs:subClassOf c3 ⇒ c1 rdfs:subClassOf c3",
+        text:
+            "rule SCM-SCO: ?c1 rdfs:subClassOf ?c2, ?c2 rdfs:subClassOf ?c3 => ?c1 rdfs:subClassOf ?c3 .",
     },
     RuleInfo {
         id: RuleId::ScmSpo,
         name: "SCM-SPO",
-        table5_row: 29,
         class: Theta,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
-        inputs: RuleInputs::on(&[wk::RDFS_SUB_PROPERTY_OF]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_PROPERTY_OF]),
-        description:
-            "p1 rdfs:subPropertyOf p2, p2 rdfs:subPropertyOf p3 ⇒ p1 rdfs:subPropertyOf p3",
+        text:
+            "rule SCM-SPO: ?p1 rdfs:subPropertyOf ?p2, ?p2 rdfs:subPropertyOf ?p3 => ?p1 rdfs:subPropertyOf ?p3 .",
     },
     RuleInfo {
         id: RuleId::ScmCls,
         name: "SCM-CLS",
-        table5_row: 30,
         class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: F,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_CLASS_OF, wk::OWL_EQUIVALENT_CLASS]),
-        description: "c a owl:Class ⇒ c ⊑ c, c ≡ c, c ⊑ owl:Thing, owl:Nothing ⊑ c",
+        text:
+            "rule SCM-CLS: ?c a owl:Class => ?c rdfs:subClassOf ?c, ?c owl:equivalentClass ?c, ?c rdfs:subClassOf owl:Thing, owl:Nothing rdfs:subClassOf ?c .",
     },
     RuleInfo {
         id: RuleId::ScmDp,
         name: "SCM-DP",
-        table5_row: 31,
         class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: F,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_PROPERTY_OF, wk::OWL_EQUIVALENT_PROPERTY]),
-        description:
-            "p a owl:DatatypeProperty ⇒ p rdfs:subPropertyOf p, p owl:equivalentProperty p",
+        text:
+            "rule SCM-DP: ?p a owl:DatatypeProperty => ?p rdfs:subPropertyOf ?p, ?p owl:equivalentProperty ?p .",
     },
     RuleInfo {
         id: RuleId::ScmOp,
         name: "SCM-OP",
-        table5_row: 32,
         class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: F,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_PROPERTY_OF, wk::OWL_EQUIVALENT_PROPERTY]),
-        description: "p a owl:ObjectProperty ⇒ p rdfs:subPropertyOf p, p owl:equivalentProperty p",
+        text:
+            "rule SCM-OP: ?p a owl:ObjectProperty => ?p rdfs:subPropertyOf ?p, ?p owl:equivalentProperty ?p .",
     },
     RuleInfo {
         id: RuleId::Rdfs4,
         name: "RDFS4",
-        table5_row: 33,
         class: Trivial,
         rdfs: F,
         rho_df: F,
         rdfs_plus: F,
-        inputs: ANY,
-        outputs: RuleOutputs::writes(&[wk::RDF_TYPE]),
-        description: "x p y ⇒ x rdf:type rdfs:Resource, y rdf:type rdfs:Resource",
+        text: "rule RDFS4: ?x ?p ?y => ?x a rdfs:Resource, ?y a rdfs:Resource .",
     },
     RuleInfo {
         id: RuleId::Rdfs8,
         name: "RDFS8",
-        table5_row: 34,
         class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_CLASS_OF]),
-        description: "x a rdfs:Class ⇒ x rdfs:subClassOf rdfs:Resource",
+        text: "rule RDFS8: ?x a rdfs:Class => ?x rdfs:subClassOf rdfs:Resource .",
     },
     RuleInfo {
         id: RuleId::Rdfs12,
         name: "RDFS12",
-        table5_row: 35,
         class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_PROPERTY_OF]),
-        description: "x a rdfs:ContainerMembershipProperty ⇒ x rdfs:subPropertyOf rdfs:member",
+        text:
+            "rule RDFS12: ?x a rdfs:ContainerMembershipProperty => ?x rdfs:subPropertyOf rdfs:member .",
     },
     RuleInfo {
         id: RuleId::Rdfs13,
         name: "RDFS13",
-        table5_row: 36,
         class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_CLASS_OF]),
-        description: "x a rdfs:Datatype ⇒ x rdfs:subClassOf rdfs:Literal",
+        text: "rule RDFS13: ?x a rdfs:Datatype => ?x rdfs:subClassOf rdfs:Literal .",
     },
     RuleInfo {
         id: RuleId::Rdfs6,
         name: "RDFS6",
-        table5_row: 37,
         class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_PROPERTY_OF]),
-        description: "x a rdf:Property ⇒ x rdfs:subPropertyOf x",
+        text: "rule RDFS6: ?x a rdf:Property => ?x rdfs:subPropertyOf ?x .",
     },
     RuleInfo {
         id: RuleId::Rdfs10,
         name: "RDFS10",
-        table5_row: 38,
         class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
-        inputs: RuleInputs::on(&[wk::RDF_TYPE]),
-        outputs: RuleOutputs::writes(&[wk::RDFS_SUB_CLASS_OF]),
-        description: "x a rdfs:Class ⇒ x rdfs:subClassOf x",
+        text: "rule RDFS10: ?x a rdfs:Class => ?x rdfs:subClassOf ?x .",
     },
 ];
 
@@ -894,15 +583,21 @@ mod tests {
         for (i, rule) in RuleId::ALL.iter().enumerate() {
             assert_eq!(*rule as usize, i);
             assert_eq!(CATALOG[i].id, *rule);
-            assert_eq!(CATALOG[i].table5_row as usize, i + 1);
             assert_eq!(rule.info().name, rule.name());
         }
     }
 
     #[test]
-    fn names_are_unique() {
+    fn names_are_unique_and_every_text_declares_its_name() {
         let names: HashSet<&str> = CATALOG.iter().map(|r| r.name).collect();
         assert_eq!(names.len(), 38);
+        for info in CATALOG.iter() {
+            assert!(
+                info.text.starts_with(&format!("rule {}:", info.name)),
+                "{} text must declare the catalog name",
+                info.name
+            );
+        }
     }
 
     #[test]
@@ -961,121 +656,9 @@ mod tests {
     }
 
     #[test]
-    fn input_signatures_match_the_executor_reads() {
-        // α joins read exactly their two antecedent tables.
-        assert_eq!(
-            RuleId::CaxSco.inputs().properties(),
-            &[wk::RDFS_SUB_CLASS_OF, wk::RDF_TYPE]
-        );
-        assert!(!RuleId::CaxSco.inputs().is_dynamic());
-        // Single-antecedent rules read their one table.
-        assert_eq!(RuleId::EqSym.inputs().properties(), &[wk::OWL_SAME_AS]);
-        assert_eq!(
-            RuleId::ScmSco.inputs().properties(),
-            &[wk::RDFS_SUB_CLASS_OF]
-        );
-        // γ/δ rules are driven by their schema table.
-        assert_eq!(
-            RuleId::PrpDom.inputs(),
-            RuleInputs::via(wk::RDFS_DOMAIN, SchemaSide::Subject)
-        );
-        assert_eq!(
-            RuleId::PrpInv2.inputs(),
-            RuleInputs::via(wk::OWL_INVERSE_OF, SchemaSide::Object)
-        );
-        assert_eq!(RuleId::PrpDom.inputs().anchor(), Some(wk::RDFS_DOMAIN));
-        // Functional/symmetric/transitive rules are driven by declarations.
-        assert_eq!(
-            RuleId::PrpFp.inputs(),
-            RuleInputs::marked(wk::OWL_FUNCTIONAL_PROPERTY)
-        );
-        assert_eq!(RuleId::PrpTrp.inputs().anchor(), Some(wk::RDF_TYPE));
-        // The sameAs replacement loop scans everything while sameAs pairs
-        // exist; RDFS4 scans everything unconditionally.
-        assert_eq!(
-            RuleId::EqRepS.inputs(),
-            RuleInputs::any_with(wk::OWL_SAME_AS)
-        );
-        assert_eq!(RuleId::Rdfs4.inputs(), RuleInputs::AnyProperty);
-        assert_eq!(RuleId::Rdfs4.inputs().anchor(), None);
-        for rule in [RuleId::PrpDom, RuleId::EqRepS, RuleId::PrpFp, RuleId::Rdfs4] {
-            assert!(rule.inputs().is_dynamic(), "{rule} has a dynamic signature");
-            assert!(rule.inputs().properties().is_empty());
-        }
-    }
-
-    #[test]
-    fn fixed_input_signatures_are_never_empty() {
-        for info in CATALOG.iter() {
-            if !info.inputs.is_dynamic() {
-                assert!(
-                    !info.inputs.properties().is_empty(),
-                    "{} declares no inputs at all",
-                    info.name
-                );
-            }
-        }
-    }
-
-    #[test]
     fn display_of_classes_and_rules() {
         assert_eq!(RuleId::CaxSco.to_string(), "CAX-SCO");
         assert_eq!(RuleClass::Alpha.to_string(), "α");
         assert_eq!(RuleClass::SameAs.to_string(), "same-as");
-    }
-
-    #[test]
-    fn output_signatures_match_the_executor_writes() {
-        // The type-producing joins write exactly the rdf:type table.
-        assert_eq!(RuleId::CaxSco.outputs().properties(), &[wk::RDF_TYPE]);
-        assert_eq!(RuleId::PrpDom.outputs().properties(), &[wk::RDF_TYPE]);
-        assert_eq!(RuleId::Rdfs4.outputs().properties(), &[wk::RDF_TYPE]);
-        // Functional rules emit sameAs links.
-        assert_eq!(RuleId::PrpFp.outputs().properties(), &[wk::OWL_SAME_AS]);
-        assert_eq!(RuleId::EqTrans.outputs().properties(), &[wk::OWL_SAME_AS]);
-        // γ/δ rules write the table named by their schema pairs — on the
-        // side *opposite* to the one their input signature reads (PRP-SPO1
-        // reads the subjects' tables and writes the objects').
-        assert_eq!(
-            RuleId::PrpSpo1.outputs(),
-            RuleOutputs::via(wk::RDFS_SUB_PROPERTY_OF, SchemaSide::Object)
-        );
-        assert_eq!(
-            RuleId::PrpInv2.outputs(),
-            RuleOutputs::via(wk::OWL_INVERSE_OF, SchemaSide::Subject)
-        );
-        // Marked rules write back into the declared properties' own tables.
-        assert_eq!(
-            RuleId::PrpTrp.outputs(),
-            RuleOutputs::marked(wk::OWL_TRANSITIVE_PROPERTY)
-        );
-        // The subject/object replacement rules can write any table.
-        assert_eq!(RuleId::EqRepS.outputs(), RuleOutputs::AnyProperty);
-        assert!(RuleId::EqRepS.outputs().is_dynamic());
-        assert!(RuleId::EqRepS.outputs().properties().is_empty());
-        // ... but the predicate replacement writes the aliases named by the
-        // sameAs pairs' objects.
-        assert_eq!(
-            RuleId::EqRepP.outputs(),
-            RuleOutputs::via(wk::OWL_SAME_AS, SchemaSide::Object)
-        );
-        // Multi-head trivial rules declare every table they touch.
-        assert_eq!(
-            RuleId::ScmCls.outputs().properties(),
-            &[wk::RDFS_SUB_CLASS_OF, wk::OWL_EQUIVALENT_CLASS]
-        );
-    }
-
-    #[test]
-    fn fixed_output_signatures_are_never_empty() {
-        for info in CATALOG.iter() {
-            if !info.outputs.is_dynamic() {
-                assert!(
-                    !info.outputs.properties().is_empty(),
-                    "{} declares no outputs at all",
-                    info.name
-                );
-            }
-        }
     }
 }

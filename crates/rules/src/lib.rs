@@ -28,9 +28,7 @@ pub mod shapes;
 pub mod support;
 mod syntax;
 
-pub use catalog::{
-    Membership, RuleClass, RuleId, RuleInfo, RuleInputs, RuleOutputs, SchemaSide, CATALOG,
-};
+pub use catalog::{Membership, RuleClass, RuleId, RuleInfo, CATALOG};
 pub use context::RuleContext;
 pub use executors::apply_rule;
 pub use materializer::{InferenceStats, Materializer};

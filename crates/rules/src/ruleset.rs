@@ -8,11 +8,8 @@
 //! (filled circles of Table 5) from a *full* version that adds the
 //! half-circle rules.
 
-use crate::analysis::{
-    compiled_builtin, stratum, CompiledRule, CompiledRuleset, DerivedInputs, DerivedOutputs,
-    Elision,
-};
-use crate::catalog::{Membership, RuleClass, RuleId, RuleInputs, RuleOutputs, CATALOG};
+use crate::analysis::{compiled_builtin, stratum, CompiledRule, CompiledRuleset, Elision};
+use crate::catalog::{Membership, RuleClass, RuleId, CATALOG};
 use inferray_store::TripleStore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -83,23 +80,15 @@ impl std::fmt::Display for Fragment {
     }
 }
 
-/// A concrete, ordered set of rules to execute, together with the
-/// property→rules dependency index derived from the catalog's input
-/// signatures (§4.3): which rules must re-fire when a given property table
-/// receives new pairs.
+/// A concrete, ordered set of rules to execute. Every scheduling decision
+/// (§4.3) reads a member's compiled text through [`Ruleset::compiled`],
+/// built-in or custom alike: which rules must re-fire when given tables
+/// received new pairs, and which can write a table that lost pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ruleset {
     /// The fragment this ruleset realizes.
     pub fragment: Fragment,
     rules: Vec<RuleId>,
-    /// Bitmask (bit = `RuleId as usize`) of the member rules with a dynamic
-    /// input signature (γ/δ property-variable, marked-properties, guarded or
-    /// unconditional whole-store scans) — their dependency edges are
-    /// evaluated against the stores at scheduling time.
-    dynamic_mask: u64,
-    /// Property id → bitmask of the member rules with that property in
-    /// their *fixed* input signature.
-    by_property: BTreeMap<u64, u64>,
     /// Analyzer-compiled rules with no built-in equivalent, in file order.
     /// They run through the generic semi-naive executor and are scheduled /
     /// rederived through their derived signatures.
@@ -141,11 +130,6 @@ impl std::fmt::Display for RuleRef {
     }
 }
 
-/// The catalog-position bit of a rule (38 rules < 64, so one `u64` suffices).
-fn rule_bit(rule: RuleId) -> u64 {
-    1u64 << (rule as usize)
-}
-
 impl Ruleset {
     /// Builds the ruleset of a fragment from the catalog (analyzed once per
     /// process, then cloned).
@@ -160,7 +144,7 @@ impl Ruleset {
                         .filter(|info| fragment.includes(info.id))
                         .map(|info| info.id)
                         .collect();
-                    Self::with_dependency_index(fragment, rules).analyzed()
+                    Self::new(fragment, rules, Vec::new(), true).analyzed()
                 })
                 .collect()
         });
@@ -169,11 +153,6 @@ impl Ruleset {
             .position(|&f| f == fragment)
             .expect("every fragment is listed");
         built[index].clone()
-    }
-
-    /// A custom ruleset (used by tests and by the ablation benchmarks).
-    pub fn custom(fragment: Fragment, rules: Vec<RuleId>) -> Self {
-        Self::with_dependency_index(fragment, rules).analyzed()
     }
 
     /// Builds a ruleset from an analyzed + compiled rule file
@@ -214,10 +193,7 @@ impl Ruleset {
         // The nominal fragment only labels the ruleset; every scheduling
         // decision flows from the member rules themselves, and the closure
         // stage is disabled in favour of the in-loop θ executors.
-        let mut ruleset = Self::with_dependency_index(Fragment::RdfsDefault, builtins);
-        ruleset.custom = custom;
-        ruleset.closure_stage = false;
-        ruleset.analyzed()
+        Self::new(Fragment::RdfsDefault, builtins, custom, false).analyzed()
     }
 
     /// Derives the schema stratum, its tables and the elision relation from
@@ -226,10 +202,7 @@ impl Ruleset {
         let members: Vec<stratum::Member<'_>> = self
             .all_refs()
             .into_iter()
-            .map(|rule| match rule {
-                RuleRef::Builtin(id) => (rule, compiled_builtin(id)),
-                RuleRef::Custom(i) => (rule, &self.custom[i]),
-            })
+            .map(|rule| (rule, self.compiled(rule)))
             .collect();
         let rules = stratum::schema_stratum(&members);
         let tables = stratum::stratum_tables(&members, &rules);
@@ -250,8 +223,7 @@ impl Ruleset {
                 RuleRef::Custom(_) => None,
             })
             .collect();
-        let mut ruleset = Self::with_dependency_index(self.fragment, builtins);
-        ruleset.custom = self
+        let custom = self
             .stratum
             .iter()
             .filter_map(|rule| match rule {
@@ -259,39 +231,35 @@ impl Ruleset {
                 RuleRef::Builtin(_) => None,
             })
             .collect();
-        ruleset.closure_stage = self.closure_stage;
-        ruleset
+        Self::new(self.fragment, builtins, custom, self.closure_stage)
     }
 
-    fn with_dependency_index(fragment: Fragment, rules: Vec<RuleId>) -> Self {
-        for (i, &rule) in rules.iter().enumerate() {
-            assert!(
-                !rules[..i].contains(&rule),
-                "duplicate rule `{rule}` in ruleset"
-            );
-        }
-        let mut dynamic_mask = 0u64;
-        let mut by_property: BTreeMap<u64, u64> = BTreeMap::new();
-        for &rule in &rules {
-            match rule.inputs() {
-                RuleInputs::Properties(props) => {
-                    for &p in props {
-                        *by_property.entry(p).or_insert(0) |= rule_bit(rule);
-                    }
-                }
-                _ => dynamic_mask |= rule_bit(rule),
-            }
-        }
+    /// A ruleset of `rules` (distinct, in Table 5 order) and `custom`, not
+    /// analyzed yet.
+    fn new(
+        fragment: Fragment,
+        rules: Vec<RuleId>,
+        custom: Vec<CompiledRule>,
+        closure_stage: bool,
+    ) -> Self {
         Ruleset {
             fragment,
             rules,
-            dynamic_mask,
-            by_property,
-            custom: Vec::new(),
-            closure_stage: true,
+            custom,
+            closure_stage,
             stratum: Vec::new(),
             stratum_tables: Vec::new(),
             elisions: Vec::new(),
+        }
+    }
+
+    /// The compiled text of a member: a built-in's catalog text
+    /// ([`compiled_builtin`]) or a custom rule. Its signatures decide every
+    /// schedule, rederivation seed, stratum and elision.
+    pub fn compiled(&self, rule: RuleRef) -> &CompiledRule {
+        match rule {
+            RuleRef::Builtin(id) => compiled_builtin(id),
+            RuleRef::Custom(i) => &self.custom[i],
         }
     }
 
@@ -353,84 +321,14 @@ impl Ruleset {
             .collect()
     }
 
-    /// The member rules that *may* read the table of property `p`: the rules
-    /// with `p` in their fixed signature, the dynamic rules anchored at `p`
-    /// (schema / marker-declaration / guard table), and the unconditional
-    /// whole-store scans. In Table 5 order.
-    pub fn rules_reading(&self, p: u64) -> Vec<RuleId> {
-        let mut mask = self.by_property.get(&p).copied().unwrap_or(0);
-        for &rule in &self.rules {
-            let inputs = rule.inputs();
-            if inputs == RuleInputs::AnyProperty || inputs.anchor() == Some(p) {
-                mask |= rule_bit(rule);
-            }
-        }
-        self.rules_in_mask(mask)
-    }
-
-    /// The subset of the ruleset that can derive something new given that
-    /// exactly the tables of `new` received new pairs in the previous
-    /// iteration (`new ⊆ main`), in Table 5 order.
-    ///
-    /// This is the §4.3 scheduling decision: a rule whose input tables are
-    /// all unchanged sees the same `main` projection it saw when it last
-    /// fired and an empty `new` projection, so re-firing it can only
-    /// reproduce duplicates. Fixed signatures are answered by the
-    /// dependency index; the dynamic signatures are evaluated against the
-    /// stores — the data tables a γ/δ rule reads are the ones its (small)
-    /// schema table names, and the tables the functional/symmetric/
-    /// transitive rules read are the ones declared with the marker class.
-    pub fn scheduled_rules(&self, main: &TripleStore, new: &TripleStore) -> Vec<RuleId> {
-        let changed: BTreeSet<u64> = new.property_ids().collect();
-        let mut mask = 0u64;
-        for &p in &changed {
-            mask |= self.by_property.get(&p).copied().unwrap_or(0);
-        }
-        for &rule in &self.rules {
-            if self.dynamic_mask & rule_bit(rule) != 0
-                && dynamic_inputs_changed(rule.inputs(), main, new, &changed)
-            {
-                mask |= rule_bit(rule);
-            }
-        }
-        self.rules_in_mask(mask)
-    }
-
-    /// The subset of the ruleset whose heads can **write** one of the
-    /// `deleted` property tables, given the current store, in Table 5 order
-    /// — the rederivation seed of the delete–rederive maintenance path
-    /// (docs/maintenance.md).
-    ///
-    /// After over-deletion, only the tables that lost pairs can be missing
-    /// entailed triples, so the first rederive iteration needs exactly the
-    /// rules whose output signature reaches one of those tables; every rule
-    /// a multi-step rederivation needs beyond that is picked up by the
-    /// ordinary input-driven scheduling of the following iterations (the
-    /// intermediate triples it consumes are themselves missing, hence also
-    /// in a deleted table).
-    pub fn rederive_rules(&self, main: &TripleStore, deleted: &BTreeSet<u64>) -> Vec<RuleId> {
-        if deleted.is_empty() {
-            return Vec::new();
-        }
-        self.rules
-            .iter()
-            .copied()
-            .filter(|&rule| outputs_may_write(rule.outputs(), main, deleted))
-            .collect()
-    }
-
-    fn rules_in_mask(&self, mask: u64) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .copied()
-            .filter(|&r| mask & rule_bit(r) != 0)
-            .collect()
-    }
-
     /// Every rule of the ruleset: built-ins in Table 5 order, then the
     /// custom rules in file order.
     pub fn all_refs(&self) -> Vec<RuleRef> {
-        self.refs_from(self.rules.clone(), 0..self.custom.len())
+        self.rules
+            .iter()
+            .map(|&id| RuleRef::Builtin(id))
+            .chain((0..self.custom.len()).map(RuleRef::Custom))
+            .collect()
     }
 
     /// The rules a first iteration over the whole store fires: all of
@@ -451,14 +349,24 @@ impl Ruleset {
             .collect()
     }
 
-    /// [`Ruleset::scheduled_rules`] extended over the custom rules: their
-    /// derived input signatures are evaluated exactly like the dynamic
-    /// built-in signatures.
+    /// The member rules that can derive something new given that exactly
+    /// the tables of `new` received new pairs in the previous iteration
+    /// (`new ⊆ main`): built-ins in Table 5 order, then custom rules.
+    ///
+    /// This is the §4.3 scheduling decision: a rule whose input tables are
+    /// all unchanged sees the same `main` projection it saw when it last
+    /// fired and an empty `new` projection, so re-firing it can only
+    /// reproduce duplicates. A fixed signature is a set lookup; the dynamic
+    /// ones are evaluated against the stores — the data tables a γ/δ rule
+    /// reads are the ones its (small) schema table names, and the tables the
+    /// functional/symmetric/transitive rules read are the ones declared with
+    /// the marker class.
     pub fn scheduled_refs(&self, main: &TripleStore, new: &TripleStore) -> Vec<RuleRef> {
         let changed: BTreeSet<u64> = new.property_ids().collect();
-        let custom =
-            (0..self.custom.len()).filter(|&i| self.custom[i].inputs.changed(main, new, &changed));
-        self.refs_from(self.scheduled_rules(main, new), custom)
+        self.all_refs()
+            .into_iter()
+            .filter(|&rule| self.compiled(rule).inputs.changed(main, new, &changed))
+            .collect()
     }
 
     /// [`Ruleset::scheduled_refs`] less every rule `C` whose changed input
@@ -481,11 +389,7 @@ impl Ruleset {
         self.scheduled_refs(main, new)
             .into_iter()
             .filter(|&rule| {
-                let reads = match rule {
-                    RuleRef::Builtin(id) => DerivedInputs::from(id.inputs()),
-                    RuleRef::Custom(i) => self.custom[i].inputs.clone(),
-                }
-                .changed_tables(main, &changed);
+                let reads = self.compiled(rule).inputs.changed_tables(main, &changed);
                 let elided = !reads.is_empty()
                     && reads.iter().all(|table| {
                         fed_by.get(table).is_some_and(|producers| {
@@ -497,48 +401,27 @@ impl Ruleset {
             .collect()
     }
 
-    /// [`Ruleset::rederive_rules`] extended over the custom rules, through
-    /// their derived output signatures.
+    /// The member rules whose heads can **write** one of the `deleted`
+    /// property tables, given the current store, in [`Ruleset::all_refs`]
+    /// order — the rederivation seed of the delete–rederive maintenance path
+    /// (docs/maintenance.md).
+    ///
+    /// After over-deletion, only the tables that lost pairs can be missing
+    /// entailed triples, so the first rederive iteration needs exactly the
+    /// rules whose output signature reaches one of those tables; every rule
+    /// a multi-step rederivation needs beyond that is picked up by the
+    /// ordinary input-driven scheduling of the following iterations (the
+    /// intermediate triples it consumes are themselves missing, hence also
+    /// in a deleted table).
     pub fn rederive_refs(&self, main: &TripleStore, deleted: &BTreeSet<u64>) -> Vec<RuleRef> {
         if deleted.is_empty() {
             return Vec::new();
         }
-        let custom =
-            (0..self.custom.len()).filter(|&i| self.custom[i].outputs.may_write(main, deleted));
-        self.refs_from(self.rederive_rules(main, deleted), custom)
-    }
-
-    fn refs_from(
-        &self,
-        builtins: Vec<RuleId>,
-        custom: impl IntoIterator<Item = usize>,
-    ) -> Vec<RuleRef> {
-        builtins
+        self.all_refs()
             .into_iter()
-            .map(RuleRef::Builtin)
-            .chain(custom.into_iter().map(RuleRef::Custom))
+            .filter(|&rule| self.compiled(rule).outputs.may_write(main, deleted))
             .collect()
     }
-}
-
-/// Evaluates a dynamic input signature: `true` when the rule may derive
-/// something that is not already in `main`, given that exactly the tables of
-/// `changed` received new pairs. Delegates to the single implementation on
-/// [`DerivedInputs`], which analyzer-compiled rules use directly.
-fn dynamic_inputs_changed(
-    inputs: RuleInputs,
-    main: &TripleStore,
-    new: &TripleStore,
-    changed: &BTreeSet<u64>,
-) -> bool {
-    DerivedInputs::from(inputs).changed(main, new, changed)
-}
-
-/// Evaluates an output signature against the store: `true` when the rule's
-/// head can land a triple in one of the `deleted` tables. Delegates to
-/// [`DerivedOutputs`].
-fn outputs_may_write(outputs: RuleOutputs, main: &TripleStore, deleted: &BTreeSet<u64>) -> bool {
-    DerivedOutputs::from(outputs).may_write(main, deleted)
 }
 
 #[cfg(test)]
@@ -637,6 +520,16 @@ mod tests {
         TripleStore::from_triples(triples.iter().map(|&(s, p, o)| IdTriple::new(s, p, o)))
     }
 
+    /// The built-ins among `refs` (a fragment has no custom rules).
+    fn builtins(refs: Vec<RuleRef>) -> Vec<RuleId> {
+        refs.into_iter()
+            .map(|rule| match rule {
+                RuleRef::Builtin(id) => id,
+                RuleRef::Custom(_) => unreachable!("fragments have no custom rules"),
+            })
+            .collect()
+    }
+
     #[test]
     fn dependency_index_schedules_only_affected_rules() {
         let ruleset = Ruleset::for_fragment(Fragment::RdfsDefault);
@@ -653,16 +546,16 @@ mod tests {
         // rdf:type is not a data property named by any domain/range/
         // subPropertyOf pair.
         let new = store(&[(person + 10, wk::RDF_TYPE, person)]);
-        let scheduled = ruleset.scheduled_rules(&main, &new);
+        let scheduled = builtins(ruleset.scheduled_refs(&main, &new));
         assert_eq!(scheduled, vec![RuleId::CaxSco]);
         // A data property named by a domain pair changed: PRP-DOM comes
         // back (and only it — `knows` has no range/subPropertyOf pair).
         let new = store(&[(person + 12, knows, person + 13)]);
-        let scheduled = ruleset.scheduled_rules(&main, &new);
+        let scheduled = builtins(ruleset.scheduled_refs(&main, &new));
         assert_eq!(scheduled, vec![RuleId::PrpDom]);
         // subClassOf changed: the schema rules reading it come back.
         let new = store(&[(person, wk::RDFS_SUB_CLASS_OF, person + 1)]);
-        let scheduled = ruleset.scheduled_rules(&main, &new);
+        let scheduled = builtins(ruleset.scheduled_refs(&main, &new));
         assert!(scheduled.contains(&RuleId::CaxSco));
         assert!(scheduled.contains(&RuleId::ScmSco));
         assert!(scheduled.contains(&RuleId::ScmDom1));
@@ -684,19 +577,19 @@ mod tests {
         // New pairs on the declared transitive property: PRP-TRP fires.
         let new = store(&[(a, part_of, a + 1)]);
         assert!(ruleset
-            .scheduled_rules(&main, &new)
-            .contains(&RuleId::PrpTrp));
+            .scheduled_refs(&main, &new)
+            .contains(&RuleRef::Builtin(RuleId::PrpTrp)));
         // New pairs on an undeclared property: PRP-TRP is skipped.
         let new = store(&[(a, other, a + 2)]);
         assert!(!ruleset
-            .scheduled_rules(&main, &new)
-            .contains(&RuleId::PrpTrp));
+            .scheduled_refs(&main, &new)
+            .contains(&RuleRef::Builtin(RuleId::PrpTrp)));
         // A new declaration alone re-fires the rule even though the data
         // table is old.
         let new = store(&[(other, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY)]);
         assert!(ruleset
-            .scheduled_rules(&main, &new)
-            .contains(&RuleId::PrpTrp));
+            .scheduled_refs(&main, &new)
+            .contains(&RuleRef::Builtin(RuleId::PrpTrp)));
     }
 
     #[test]
@@ -706,17 +599,17 @@ mod tests {
         let a = 9_820_000u64;
         let without_same_as = store(&[(a, knows, a + 1)]);
         let new = store(&[(a, knows, a + 1)]);
-        let scheduled = ruleset.scheduled_rules(&without_same_as, &new);
+        let scheduled = builtins(ruleset.scheduled_refs(&without_same_as, &new));
         assert!(!scheduled.contains(&RuleId::EqRepS));
         assert!(!scheduled.contains(&RuleId::EqRepO));
         let with_same_as = store(&[(a, knows, a + 1), (a, wk::OWL_SAME_AS, a + 2)]);
-        let scheduled = ruleset.scheduled_rules(&with_same_as, &new);
+        let scheduled = builtins(ruleset.scheduled_refs(&with_same_as, &new));
         assert!(scheduled.contains(&RuleId::EqRepS));
         assert!(scheduled.contains(&RuleId::EqRepO));
     }
 
     #[test]
-    fn scheduled_rules_preserve_table5_order_and_membership() {
+    fn scheduled_refs_preserve_table5_order_and_membership() {
         let ruleset = Ruleset::for_fragment(Fragment::RdfsPlus);
         let p = nth_property_id(904);
         let c = 9_830_000u64;
@@ -737,23 +630,23 @@ mod tests {
             (p, wk::RDF_TYPE, wk::OWL_SYMMETRIC_PROPERTY),
             (p, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY),
         ]);
-        let scheduled = ruleset.scheduled_rules(&everything, &everything.clone());
+        let scheduled = builtins(ruleset.scheduled_refs(&everything, &everything.clone()));
         assert_eq!(scheduled, ruleset.rules());
         // Nothing changed (empty `new`): nothing is scheduled except the
         // sameAs scans (a sameAs table exists in main).
         let empty = TripleStore::new();
-        let minimal = ruleset.scheduled_rules(&everything, &empty);
+        let minimal = builtins(ruleset.scheduled_refs(&everything, &empty));
         assert_eq!(minimal, vec![RuleId::EqRepO, RuleId::EqRepS]);
         // A rule outside the ruleset is never scheduled even if its input
         // changed.
         let rho = Ruleset::for_fragment(Fragment::RhoDf);
         let same_as = store(&[(c, wk::OWL_SAME_AS, c + 2)]);
-        let scheduled = rho.scheduled_rules(&same_as, &same_as.clone());
+        let scheduled = builtins(rho.scheduled_refs(&same_as, &same_as.clone()));
         assert!(!scheduled.contains(&RuleId::EqSym));
     }
 
     #[test]
-    fn rederive_rules_follow_output_signatures() {
+    fn rederive_refs_follow_output_signatures() {
         let ruleset = Ruleset::for_fragment(Fragment::RdfsDefault);
         let knows = nth_property_id(905);
         let person = 9_840_000u64;
@@ -766,21 +659,21 @@ mod tests {
         // rdf:type table come back — CAX-SCO, PRP-DOM and PRP-RNG, nothing
         // that writes only schema tables.
         let deleted: BTreeSet<u64> = [wk::RDF_TYPE].into_iter().collect();
-        let scheduled = ruleset.rederive_rules(&main, &deleted);
+        let scheduled = builtins(ruleset.rederive_refs(&main, &deleted));
         assert_eq!(
             scheduled,
             vec![RuleId::CaxSco, RuleId::PrpDom, RuleId::PrpRng]
         );
         // subClassOf pairs were deleted: the subClassOf writers come back.
         let deleted: BTreeSet<u64> = [wk::RDFS_SUB_CLASS_OF].into_iter().collect();
-        let scheduled = ruleset.rederive_rules(&main, &deleted);
+        let scheduled = builtins(ruleset.rederive_refs(&main, &deleted));
         assert_eq!(scheduled, vec![RuleId::ScmSco]);
         // A data property named by a domain pair lost pairs: only the γ/δ
         // rules whose *output* is named by a surviving schema pair fire —
         // `knows` appears as an object of no subPropertyOf pair, so even
         // PRP-SPO1 stays off.
         let deleted: BTreeSet<u64> = [knows].into_iter().collect();
-        assert!(ruleset.rederive_rules(&main, &deleted).is_empty());
+        assert!(builtins(ruleset.rederive_refs(&main, &deleted)).is_empty());
         // Unless a schema pair names it as an output.
         let with_spo = store(&[
             (knows, wk::RDFS_DOMAIN, person),
@@ -792,15 +685,15 @@ mod tests {
             "schema pair present"
         );
         assert_eq!(
-            ruleset.rederive_rules(&with_spo, &deleted),
+            builtins(ruleset.rederive_refs(&with_spo, &deleted)),
             vec![RuleId::PrpSpo1]
         );
         // Nothing deleted: nothing to rederive.
-        assert!(ruleset.rederive_rules(&main, &BTreeSet::new()).is_empty());
+        assert!(builtins(ruleset.rederive_refs(&main, &BTreeSet::new())).is_empty());
     }
 
     #[test]
-    fn rederive_rules_handle_markers_and_any_property_outputs() {
+    fn rederive_refs_handle_markers_and_any_property_outputs() {
         let ruleset = Ruleset::for_fragment(Fragment::RdfsPlus);
         let part_of = nth_property_id(907);
         let a = 9_850_000u64;
@@ -812,7 +705,7 @@ mod tests {
         // it; the sameAs replacement rules can write *any* table, so they
         // are always part of the seed.
         let deleted: BTreeSet<u64> = [part_of].into_iter().collect();
-        let scheduled = ruleset.rederive_rules(&main, &deleted);
+        let scheduled = builtins(ruleset.rederive_refs(&main, &deleted));
         assert!(scheduled.contains(&RuleId::PrpTrp));
         assert!(scheduled.contains(&RuleId::EqRepO));
         assert!(scheduled.contains(&RuleId::EqRepS));
@@ -823,7 +716,7 @@ mod tests {
         );
         // sameAs pairs lost: every rule with a fixed owl:sameAs output.
         let deleted: BTreeSet<u64> = [wk::OWL_SAME_AS].into_iter().collect();
-        let scheduled = ruleset.rederive_rules(&main, &deleted);
+        let scheduled = builtins(ruleset.rederive_refs(&main, &deleted));
         for rule in [
             RuleId::EqSym,
             RuleId::EqTrans,
@@ -832,31 +725,6 @@ mod tests {
         ] {
             assert!(scheduled.contains(&rule), "{rule} writes owl:sameAs");
         }
-    }
-
-    #[test]
-    fn rules_reading_a_property() {
-        let ruleset = Ruleset::for_fragment(Fragment::RdfsDefault);
-        let readers = ruleset.rules_reading(wk::RDFS_DOMAIN);
-        assert!(readers.contains(&RuleId::ScmDom1));
-        assert!(readers.contains(&RuleId::ScmDom2));
-        assert!(
-            readers.contains(&RuleId::PrpDom),
-            "PRP-DOM is anchored at rdfs:domain"
-        );
-        assert!(!readers.contains(&RuleId::CaxSco));
-        let full = Ruleset::for_fragment(Fragment::RdfsPlusFull);
-        let readers = full.rules_reading(wk::RDFS_LABEL);
-        assert_eq!(readers, vec![RuleId::Rdfs4], "only the whole-store scan");
-    }
-
-    #[test]
-    fn custom_ruleset() {
-        let rs = Ruleset::custom(Fragment::RdfsDefault, vec![RuleId::CaxSco]);
-        assert_eq!(rs.len(), 1);
-        assert!(rs.contains(RuleId::CaxSco));
-        assert!(!Ruleset::custom(Fragment::RdfsDefault, vec![]).contains(RuleId::CaxSco));
-        assert!(Ruleset::custom(Fragment::RdfsDefault, vec![]).is_empty());
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Round-trip anchors between the rule-program analyzer and the handwritten
-//! catalog: every built-in rule's canonical text must re-derive the
-//! catalog's input and output signatures **byte-identically**, and the
-//! shipped `rules/*.rules` fragment files must stay in sync with their
-//! generator ([`inferray_rules::analysis::builtin::fragment_file_text`]).
+//! The built-in catalog as rule files, and the analyzer's fixture corpus:
+//! the shipped `rules/*.rules` fragment files must stay in sync with their
+//! generator ([`inferray_rules::analysis::builtin::fragment_file_text`]) and
+//! load back to their fragment, and every seeded `raNNN-*.rules` fixture
+//! must fire the diagnostic its name promises.
 
 use inferray_dictionary::Dictionary;
-use inferray_rules::analysis::{self, builtin, DerivedInputs, DerivedOutputs, Severity};
-use inferray_rules::{Fragment, Ruleset, CATALOG};
+use inferray_rules::analysis::{self, builtin, Severity};
+use inferray_rules::{Fragment, Ruleset};
 use std::path::PathBuf;
 
 /// The shipped rule file of a fragment, at the repository root.
@@ -21,47 +21,6 @@ fn fragment_file(fragment: Fragment) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../rules")
         .join(format!("{name}.rules"))
-}
-
-#[test]
-fn analyzer_rederives_every_catalog_signature_byte_identically() {
-    // One file holding all 38 canonical texts: the analyzer must agree with
-    // the handwritten catalog row for every single rule.
-    let mut text = String::from(builtin::PRELUDE);
-    text.push('\n');
-    for info in CATALOG {
-        text.push_str(builtin::rule_text(info.id));
-        text.push('\n');
-    }
-    let checked = analysis::analyze(&text);
-    assert!(
-        !checked.has_errors(),
-        "canonical texts must analyze cleanly: {:?}",
-        checked.diagnostics
-    );
-    let mut dict = Dictionary::new();
-    let compiled = checked.compile(&mut dict).expect("canonical texts compile");
-    assert_eq!(compiled.rules.len(), CATALOG.len());
-    for (i, info) in CATALOG.iter().enumerate() {
-        assert_eq!(
-            compiled.builtin_of(i),
-            Some(info.id),
-            "{}: must be recognized as its catalog row",
-            info.name
-        );
-        assert_eq!(
-            compiled.rules[i].inputs,
-            DerivedInputs::from(info.inputs),
-            "{}: derived input signature differs from the handwritten one",
-            info.name
-        );
-        assert_eq!(
-            compiled.rules[i].outputs,
-            DerivedOutputs::from(info.outputs),
-            "{}: derived output signature differs from the handwritten one",
-            info.name
-        );
-    }
 }
 
 #[test]
@@ -102,7 +61,7 @@ fn shipped_fragment_files_match_their_generator() {
 }
 
 /// Writer for the shipped files — run explicitly after editing the catalog
-/// or the canonical texts:
+/// or its rule texts:
 /// `cargo test -p inferray-rules --test analysis_builtins regenerate_fragment_files -- --ignored`
 #[test]
 #[ignore = "writes the shipped rules/*.rules files"]

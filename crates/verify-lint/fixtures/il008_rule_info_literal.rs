@@ -8,8 +8,8 @@
 pub fn rogue_row() {
     let info = RuleInfo {
         name: "ROGUE",
-        inputs: RuleInputs::None,
-        outputs: RuleOutputs::None,
+        class: RuleClass::Trivial,
+        text: "rule ROGUE: ?x <urn:p> ?y => ?y <urn:p> ?x .",
     };
     register(info);
 }
@@ -29,8 +29,8 @@ mod tests {
     fn builds_one_in_tests() {
         let _ = RuleInfo {
             name: "TEST-ONLY",
-            inputs: RuleInputs::None,
-            outputs: RuleOutputs::None,
+            class: RuleClass::Trivial,
+            text: "rule TEST-ONLY: ?x <urn:p> ?y => ?y <urn:p> ?x .",
         };
     }
 }

@@ -964,8 +964,8 @@ pub fn il007_no_hot_path_allocation(files: &[SourceFile]) -> Vec<Diagnostic> {
 // IL008 — RuleInfo literals stay in the catalog and the analyzer
 // ---------------------------------------------------------------------------
 
-/// The only places allowed to construct catalog rows: the hand-written
-/// catalog itself and the rule-program analyzer that re-derives it.
+/// The only places allowed to construct catalog rows: the catalog itself
+/// and the rule-program analyzer that compiles its rule texts.
 fn may_construct_rule_info(path: &str) -> bool {
     path.ends_with("crates/rules/src/catalog.rs") || path.contains("crates/rules/src/analysis/")
 }
@@ -973,8 +973,9 @@ fn may_construct_rule_info(path: &str) -> bool {
 /// IL008: `RuleInfo { … }` literals may only appear in
 /// `crates/rules/src/catalog.rs` and the analysis module. Everywhere else
 /// must go through `RuleId::info()` or the analyzer's derived signatures —
-/// a third place minting rows would break the catalog's single-source-of-
-/// truth guarantee that the byte-identity test anchors.
+/// a row minted elsewhere would be a rule whose text and executor nothing
+/// else knows about, breaking the catalog's single-source-of-truth
+/// guarantee.
 pub fn il008_rule_info_literals(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in files {

@@ -685,11 +685,8 @@ fn rules_check(options: &CliOptions, explain: bool) -> Result<(), String> {
 /// firing `C∘P` it leaves out while that stratum stays closed, with the
 /// rule that derives the same triples (docs/rule-scheduling.md).
 fn print_schedule(ruleset: &Ruleset) {
-    let name = |rule: RuleRef| match rule {
-        RuleRef::Builtin(id) => id.name().to_owned(),
-        RuleRef::Custom(i) => ruleset.custom_rules()[i].name.clone(),
-    };
-    let stratum: Vec<String> = ruleset.stratum().iter().map(|&r| name(r)).collect();
+    let name = |rule: RuleRef| ruleset.compiled(rule).name.as_str();
+    let stratum: Vec<&str> = ruleset.stratum().iter().map(|&r| name(r)).collect();
     if stratum.is_empty() {
         println!("stratum: none");
     } else {
