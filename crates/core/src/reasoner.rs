@@ -58,7 +58,7 @@ use inferray_rules::{
 };
 use inferray_sort::SortScratch;
 use inferray_store::{
-    merge_new_pairs_with, os_builds, AccessProfile, InferredBuffer, MergeOutcome, PropertyTable,
+    merge_new_parts_with, os_builds, AccessProfile, InferredBuffer, MergeOutcome, PropertyTable,
     TripleStore,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -106,11 +106,11 @@ struct PropertyUpdate {
 
 /// The per-iteration table-update stage (Figure 5) over every property that
 /// received inferred pairs: take the affected tables out of the store;
-/// sort, dedup and merge each one (spread across the pool's lanes, one
-/// reusable [`SortScratch`] per lane; sequentially with `scratches[0]` when
-/// `pool` is `None`); and re-install the updated tables. Returns the
-/// per-property results in ascending property order regardless of
-/// scheduling.
+/// sort, dedup and merge each one from the parts its rules emitted, where
+/// they lie (spread across the pool's lanes, one reusable [`SortScratch`]
+/// per lane; sequentially with `scratches[0]` when `pool` is `None`); and
+/// re-install the updated tables. Returns the per-property results in
+/// ascending property order regardless of scheduling.
 ///
 /// The lanes are balanced by size, not by position: one property
 /// (`rdf:type`, as a rule) carries most of an iteration's raw pairs, and a
@@ -122,30 +122,34 @@ struct PropertyUpdate {
 fn run_table_update(
     pool: Option<&ThreadPool>,
     store: &mut TripleStore,
-    mut tables: Vec<(u64, Vec<u64>)>,
+    tables: InferredParts,
     scratches: &mut [SortScratch],
 ) -> Vec<PropertyUpdate> {
-    let update = |p: u64, mut table: PropertyTable, pairs: Vec<u64>, scratch: &mut SortScratch| {
-        table.finalize_with(scratch);
-        let (new_table, outcome) = merge_new_pairs_with(&mut table, pairs, scratch);
-        (p, table, new_table, outcome)
-    };
+    let update =
+        |p: u64, mut table: PropertyTable, parts: Vec<Vec<u64>>, scratch: &mut SortScratch| {
+            table.finalize_with(scratch);
+            let (new_table, outcome) = merge_new_parts_with(&mut table, parts, scratch);
+            (p, table, new_table, outcome)
+        };
     let mut results: Vec<(u64, PropertyTable, PropertyTable, MergeOutcome)> = match pool {
         Some(pool) if tables.len() > 1 => {
             // Take the affected tables out of the store so each lane owns
             // its tables outright — no locks, no aliasing.
             let lanes = scratches.len().min(tables.len()).max(1);
-            let mut chunks: Vec<Vec<(u64, PropertyTable, Vec<u64>)>> =
-                (0..lanes).map(|_| Vec::new()).collect();
+            let mut chunks: Vec<Vec<_>> = (0..lanes).map(|_| Vec::new()).collect();
             let mut loads = vec![0usize; lanes];
-            tables.sort_by_key(|(p, pairs)| (std::cmp::Reverse(pairs.len()), *p));
-            for (p, pairs) in tables {
+            let mut tables: Vec<(usize, u64, Vec<Vec<u64>>)> = tables
+                .into_iter()
+                .map(|(p, parts)| (parts.iter().map(Vec::len).sum(), p, parts))
+                .collect();
+            tables.sort_by_key(|&(len, p, _)| (std::cmp::Reverse(len), p));
+            for (len, p, parts) in tables {
                 let lane = (0..lanes)
                     .min_by_key(|&lane| loads[lane])
                     .expect("at least one lane");
-                loads[lane] += pairs.len();
+                loads[lane] += len;
                 let table = store.take_table(p).unwrap_or_default();
-                chunks[lane].push((p, table, pairs));
+                chunks[lane].push((p, table, parts));
             }
             let tasks: Vec<_> = chunks
                 .into_iter()
@@ -154,7 +158,7 @@ fn run_table_update(
                     move || {
                         chunk
                             .into_iter()
-                            .map(|(p, table, pairs)| update(p, table, pairs, scratch))
+                            .map(|(p, table, parts)| update(p, table, parts, scratch))
                             .collect::<Vec<_>>()
                     }
                 })
@@ -165,9 +169,9 @@ fn run_table_update(
             let scratch = scratches.first_mut().expect("at least one scratch");
             tables
                 .into_iter()
-                .map(|(p, pairs)| {
+                .map(|(p, parts)| {
                     let table = store.take_table(p).unwrap_or_default();
-                    update(p, table, pairs, scratch)
+                    update(p, table, parts, scratch)
                 })
                 .collect()
         }
@@ -241,13 +245,14 @@ impl InferrayReasoner {
     }
 
     /// Applies the given rules of `ruleset` once over (`main`, `new`),
-    /// returning the combined inferred buffer, one [`RuleSample`] per rule
-    /// and which rules emitted into each table. Each rule
-    /// owns its buffer; with a pool each rule also runs as its own task
-    /// (§4.3). Buffers are absorbed in rule order, so the combined buffer is
-    /// schedule-independent. Built-ins run their hand-written class
-    /// executors; custom (analyzer-compiled) rules run the generic
-    /// semi-naive join.
+    /// returning every rule's raw pairs per table, one [`RuleSample`] per
+    /// rule and which rules emitted into each table. Each rule owns its
+    /// buffer; with a pool each rule also runs as its own task (§4.3). A
+    /// rule's pairs for a table stay the vector it pushed them into — one
+    /// part per rule, in rule order, so the parts are
+    /// schedule-independent — and the update stage sorts them where they
+    /// lie. Built-ins run their hand-written class executors; custom
+    /// (analyzer-compiled) rules run the generic semi-naive join.
     fn fire_rules(
         ruleset: &Ruleset,
         pool: Option<&ThreadPool>,
@@ -274,18 +279,18 @@ impl InferrayReasoner {
             }
             _ => rules.iter().map(|&rule| fire(rule)).collect(),
         };
-        let mut combined = InferredBuffer::new();
+        let mut parts = InferredParts::new();
         let mut samples = Vec::with_capacity(fired.len());
         let mut fed_by: BTreeMap<u64, Vec<RuleRef>> = BTreeMap::new();
         for (buffer, sample) in fired {
-            for (p, _) in buffer.iter() {
+            for (p, pairs) in buffer.into_iter_tables() {
                 fed_by.entry(p).or_default().push(sample.rule);
+                parts.entry(p).or_default().push(pairs);
             }
-            combined.absorb(buffer);
             samples.push(sample);
         }
         Fired {
-            inferred: combined,
+            parts,
             samples,
             fed_by,
         }
@@ -463,7 +468,7 @@ impl InferrayReasoner {
             .filter(|r| !matches!(r, RuleRef::Builtin(id) if id.class() == RuleClass::Theta))
             .collect();
             let mut candidates =
-                Self::fire_rules(&self.ruleset, pool, store, &frontier, &scheduled).inferred;
+                Self::fire_rules(&self.ruleset, pool, store, &frontier, &scheduled).parts;
             self.collect_theta_over_deletions(store, &frontier, &mut candidates);
 
             // Remove the frontier, then keep as the next frontier every
@@ -473,11 +478,11 @@ impl InferrayReasoner {
             }
             removed.extend(frontier.iter_triples());
             let mut next = TripleStore::new();
-            for (p, pairs) in candidates.into_iter_tables() {
+            for (p, parts) in candidates {
                 let Some(table) = store.table(p) else {
                     continue;
                 };
-                for pair in pairs.chunks_exact(2) {
+                for pair in parts.iter().flat_map(|part| part.chunks_exact(2)) {
                     let (s, o) = (pair[0], pair[1]);
                     if table.contains_pair(s, o) && !base.contains(&IdTriple::new(s, p, o)) {
                         next.add_pair(p, s, o);
@@ -581,12 +586,12 @@ impl InferrayReasoner {
         &self,
         store: &TripleStore,
         frontier: &TripleStore,
-        out: &mut InferredBuffer,
+        out: &mut InferredParts,
     ) {
         let changed: BTreeSet<u64> = frontier.property_ids().collect();
-        let dump = |p: u64, out: &mut InferredBuffer| {
-            if let Some(table) = store.table(p) {
-                out.add_pairs(p, table.pairs());
+        let dump = |p: u64, out: &mut InferredParts| {
+            if let Some(table) = store.table(p).filter(|table| !table.is_empty()) {
+                out.entry(p).or_default().push(table.pairs().to_vec());
             }
         };
         for rule in self.ruleset.theta_rules() {
@@ -713,7 +718,7 @@ impl InferrayReasoner {
             outcome.iterations += 1;
             let fire_start = Instant::now();
             let Fired {
-                inferred,
+                parts,
                 samples: rules,
                 fed_by: emitted,
             } = Self::fire_rules(ruleset, pool, store, frontier, &scheduled);
@@ -726,15 +731,14 @@ impl InferrayReasoner {
             let os_pairs: usize = rules.iter().map(|r| r.os_cache.pairs).sum();
             profile.sequential(2 * os_pairs as u64);
             let fire = fire_start.elapsed().saturating_sub(os_cache);
-            let raw_pairs = inferred.len();
+            let raw_pairs: usize = rules.iter().map(|rule| rule.raw_pairs).sum();
             outcome.derived_raw += raw_pairs;
 
             // Lines 6-7: per-property sort + dedup + merge (Figure 5),
             // parallel across properties.
             let update_start = Instant::now();
-            let tables: Vec<(u64, Vec<u64>)> = inferred.into_iter_tables().collect();
-            let properties_touched = tables.len();
-            let results = run_table_update(pool, store, tables, &mut scratches);
+            let properties_touched = parts.len();
+            let results = run_table_update(pool, store, parts, &mut scratches);
 
             let mut next_new = TripleStore::new();
             let mut new_pairs = 0usize;
@@ -771,10 +775,14 @@ impl InferrayReasoner {
     }
 }
 
+/// Per table, the raw pairs of every rule that emitted into it: one part
+/// per rule, in rule order.
+type InferredParts = BTreeMap<u64, Vec<Vec<u64>>>;
+
 /// What one firing phase produced.
 struct Fired {
-    /// Every rule's raw pairs, combined in rule order.
-    inferred: InferredBuffer,
+    /// Every rule's raw pairs, per table.
+    parts: InferredParts,
     /// One row per fired rule.
     samples: Vec<RuleSample>,
     /// For each table that received pairs, the rules that emitted them.

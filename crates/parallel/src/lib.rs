@@ -14,11 +14,18 @@
 //! a pool of *n* workers gives *n + 1* lanes and a single-core machine
 //! degrades gracefully to inline execution.
 //!
+//! A caller that wants each result as soon as it *can* be consumed in order
+//! — the ingest merges a lexed range into the dictionary while later ranges
+//! are still being lexed — uses [`ThreadPool::for_each_ordered`]: result
+//! *k* is handed to a callback on the calling thread once results `0..=k`
+//! are done, and the caller only helps drain the queue while it has nothing
+//! to consume. `run_ordered` is that entry point collecting into a vector.
+//!
 //! ## Safety
 //!
-//! `run_ordered` accepts closures that borrow the caller's stack (`'env`
-//! lifetime) and erases that lifetime to hand them to the long-lived
-//! workers — the same contract as `crossbeam::thread::scope` or
+//! `for_each_ordered` accepts closures that borrow the caller's stack
+//! (`'env` lifetime) and erases that lifetime to hand them to the
+//! long-lived workers — the same contract as `crossbeam::thread::scope` or
 //! `std::thread::scope`: the call does not return (even by unwinding)
 //! until every submitted closure has finished, so the borrows outlive every
 //! access. This is the only `unsafe` in the workspace and is confined to
@@ -49,33 +56,38 @@ impl Shared {
     }
 }
 
-/// Tracks completion of one `run_ordered` batch.
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
+/// The results of one `for_each_ordered` batch as its jobs finish.
+struct Batch<R> {
+    state: Mutex<BatchState<R>>,
+    /// Signalled on every finished job.
+    progress: Condvar,
 }
 
-impl Latch {
-    fn new(count: usize) -> Arc<Self> {
-        Arc::new(Latch {
-            remaining: Mutex::new(count),
-            done: Condvar::new(),
-        })
+struct BatchState<R> {
+    /// One slot per task, filled when the task returns.
+    results: Vec<Option<R>>,
+    /// Jobs that have not finished (returned or panicked).
+    running: usize,
+    /// The first panic of a task or of the callback.
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl<R> Batch<R> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BatchState<R>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
+    /// Records what job `index` ended with and wakes the caller.
+    fn finish(&self, index: usize, outcome: std::thread::Result<R>) {
+        let mut state = self.lock();
+        match outcome {
+            Ok(value) => state.results[index] = Some(value),
+            Err(payload) => {
+                state.panic.get_or_insert(payload);
+            }
         }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).unwrap_or_else(|e| e.into_inner());
-        }
+        state.running -= 1;
+        self.progress.notify_all();
     }
 }
 
@@ -120,69 +132,100 @@ impl ThreadPool {
         F: FnOnce() -> R + Send + 'env,
         R: Send + 'env,
     {
+        let mut results = Vec::with_capacity(tasks.len());
+        self.for_each_ordered(tasks, |value| results.push(value));
+        results
+    }
+
+    /// Runs every task, in parallel across the pool, and hands each result
+    /// to `consume` on the calling thread **in task order**, as soon as the
+    /// tasks before it have finished too: result *k* is consumed while tasks
+    /// after *k* may still run. The calling thread helps drain the queue
+    /// only while it has no result to consume. Tasks may borrow from the
+    /// caller's scope; the call blocks until every task has completed, even
+    /// if a task or `consume` panics (the first panic is then propagated to
+    /// the caller, and no result is consumed after it).
+    pub fn for_each_ordered<'env, R, F>(&self, tasks: Vec<F>, mut consume: impl FnMut(R))
+    where
+        F: FnOnce() -> R + Send + 'env,
+        R: Send + 'env,
+    {
         let count = tasks.len();
-        if count == 0 {
-            return Vec::new();
-        }
-        if count == 1 {
-            let mut tasks = tasks;
-            return vec![(tasks.pop().expect("one task"))()];
+        if count <= 1 {
+            tasks.into_iter().for_each(|task| consume(task()));
+            return;
         }
 
-        let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let latch = Latch::new(count);
-
+        let batch = Arc::new(Batch {
+            state: Mutex::new(BatchState {
+                results: (0..count).map(|_| None).collect(),
+                running: count,
+                panic: None,
+            }),
+            progress: Condvar::new(),
+        });
         {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             for (index, task) in tasks.into_iter().enumerate() {
-                let slot = &slots[index];
-                let panic_slot = &panic_slot;
-                let latch = Arc::clone(&latch);
+                let batch = Arc::clone(&batch);
                 let job = Box::new(move || {
-                    match catch_unwind(AssertUnwindSafe(task)) {
-                        Ok(value) => {
-                            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-                        }
-                        Err(payload) => {
-                            let mut first = panic_slot.lock().unwrap_or_else(|e| e.into_inner());
-                            if first.is_none() {
-                                *first = Some(payload);
-                            }
-                        }
-                    }
-                    latch.count_down();
+                    batch.finish(index, catch_unwind(AssertUnwindSafe(task)));
                 });
-                // SAFETY: `run_ordered` blocks (below, via `latch.wait()`)
-                // until every job has run to completion, so everything the
-                // job borrows — the caller's `'env` data, `slots`,
-                // `panic_slot` — strictly outlives its execution. The
-                // transmute only erases the lifetime; the vtable/layout of
-                // the boxed closure is unchanged.
+                // SAFETY: `for_each_ordered` does not return (below, it
+                // waits for `running == 0`) until every job has run to
+                // completion, so the caller's `'env` data the task borrows
+                // strictly outlives its execution, and every result is taken
+                // out of the batch — and dropped — on this side of the
+                // return. The transmute only erases the lifetime; the
+                // vtable/layout of the boxed closure is unchanged.
                 queue.push_back(unsafe { erase_job_lifetime(job) });
             }
             self.shared.job_available.notify_all();
         }
 
-        // Help drain the queue, then wait for stragglers. NOTE: the caller
-        // may pick up jobs from a *different* concurrent batch here; that is
-        // fine — they are all self-contained.
-        while let Some(job) = self.shared.pop_job() {
-            job();
+        // Consume what is ready; otherwise help drain the queue; otherwise
+        // wait for a job to finish. NOTE: the caller may pick up jobs from
+        // a *different* concurrent batch here; that is fine — they are all
+        // self-contained.
+        let mut next = 0;
+        loop {
+            let mut state = batch.lock();
+            if state.panic.is_none() && next < count {
+                if let Some(value) = state.results[next].take() {
+                    drop(state);
+                    next += 1;
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| consume(value))) {
+                        batch.lock().panic.get_or_insert(payload);
+                    }
+                    continue;
+                }
+            }
+            if state.running == 0 {
+                break;
+            }
+            drop(state);
+            if let Some(job) = self.shared.pop_job() {
+                job();
+                continue;
+            }
+            let state = batch.lock();
+            let ready = |state: &BatchState<R>| {
+                state.running == 0
+                    || (state.panic.is_none() && next < count && state.results[next].is_some())
+            };
+            if !ready(&state) {
+                drop(batch.progress.wait_while(state, |state| !ready(state)));
+            }
         }
-        latch.wait();
 
-        if let Some(payload) = panic_slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        let mut state = batch.lock();
+        let unconsumed = std::mem::take(&mut state.results);
+        let panic = state.panic.take();
+        drop(state);
+        drop(unconsumed);
+        if let Some(payload) = panic {
             resume_unwind(payload);
         }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every job completed")
-            })
-            .collect()
     }
 }
 
@@ -213,7 +256,7 @@ impl std::fmt::Debug for ThreadPool {
 
 /// Erases the borrow lifetime of a job so it can sit in the long-lived
 /// queue. Sound only when the caller guarantees the job completes before
-/// any borrowed data dies — see `run_ordered`.
+/// any borrowed data dies — see `for_each_ordered`.
 unsafe fn erase_job_lifetime<'a>(job: Box<dyn FnOnce() + Send + 'a>) -> Job {
     std::mem::transmute(job)
 }
@@ -345,6 +388,100 @@ mod tests {
         }));
         assert!(result.is_err(), "panic must propagate");
         assert_eq!(completed.load(Ordering::SeqCst), 7, "other tasks still ran");
+    }
+
+    #[test]
+    fn for_each_ordered_consumes_in_task_order_on_the_calling_thread() {
+        let pool = ThreadPool::new(3);
+        let caller = std::thread::current().id();
+        let tasks: Vec<_> = (0..40u64)
+            .map(|i| {
+                move || {
+                    if i % 3 == 0 {
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    }
+                    i
+                }
+            })
+            .collect();
+        let mut seen = Vec::new();
+        pool.for_each_ordered(tasks, |i| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.push(i);
+        });
+        assert_eq!(seen, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_ordered_consumes_a_result_while_later_tasks_run() {
+        // A later task a worker runs returns only once result 0 has been
+        // consumed — which a pool that consumed after the whole batch would
+        // never do. (A later task the calling thread draws cannot wait for
+        // its own consumer and returns.) Every task first waits for a worker
+        // to have started a later task: the caller holds one task at a
+        // time, so the idle workers take some, and one always waits.
+        let pool = ThreadPool::new(3);
+        let caller = std::thread::current().id();
+        let later_on_worker = AtomicBool::new(false);
+        let consumed = AtomicBool::new(false);
+        let wait_for = |flag: &AtomicBool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !flag.load(Ordering::SeqCst) {
+                assert!(std::time::Instant::now() < deadline, "waited 10 s");
+                std::thread::yield_now();
+            }
+        };
+        let tasks: Vec<_> = (0..8)
+            .map(|i| {
+                let (later_on_worker, consumed, wait_for) =
+                    (&later_on_worker, &consumed, &wait_for);
+                move || {
+                    let waits = i > 0 && std::thread::current().id() != caller;
+                    if waits {
+                        later_on_worker.store(true, Ordering::SeqCst);
+                    }
+                    wait_for(later_on_worker);
+                    if waits {
+                        wait_for(consumed);
+                    }
+                    waits
+                }
+            })
+            .collect();
+        let mut waited = 0;
+        pool.for_each_ordered(tasks, |waits| {
+            consumed.store(true, Ordering::SeqCst);
+            waited += usize::from(waits);
+        });
+        assert!(waited > 0);
+    }
+
+    #[test]
+    fn a_panicking_consumer_waits_for_the_batch_and_propagates() {
+        let pool = ThreadPool::new(2);
+        let finished = AtomicUsize::new(0);
+        let mut consumed = 0;
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let tasks: Vec<_> = (0..8usize)
+                .map(|i| {
+                    let finished = &finished;
+                    move || {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        i
+                    }
+                })
+                .collect();
+            pool.for_each_ordered(tasks, |i| {
+                consumed += 1;
+                if i == 2 {
+                    panic!("consumer");
+                }
+            });
+        }));
+        assert!(result.is_err(), "the consumer's panic must propagate");
+        assert_eq!(consumed, 3, "nothing is consumed after the panic");
+        assert_eq!(finished.load(Ordering::SeqCst), 8, "every task still ran");
     }
 
     #[test]

@@ -21,15 +21,19 @@
 //!    resource) and each triple as three local indexes. Which positions
 //!    demand a property is [`position_demands`], the rule the two-pass
 //!    path's encoder applies too.
-//! 2. **Merge** (sequential, but over distinct-term events only): because
-//!    chunks are contiguous document slices, concatenating the per-chunk
-//!    event lists replays the exact global first-occurrence order, so
-//!    feeding each event's text slice to the ordinary [`Dictionary`] (no
-//!    `Term` is ever built) assigns the *same
+//! 2. **Merge** (one lane, over distinct-term events only, overlapping
+//!    phase 1): because chunks are contiguous document slices, replaying
+//!    the per-chunk event lists in chunk order replays the exact global
+//!    first-occurrence order, so feeding each event's text slice to the
+//!    ordinary [`Dictionary`] (no `Term` is ever built) assigns the *same
 //!    dense identifiers, in the same order, with the same resource→property
 //!    promotions* as the sequential loader — the byte-identical-dictionary
-//!    invariant. Promotions are resolved here, before any pair buffer
-//!    exists, so no table rewrite is ever needed.
+//!    invariant. Only the *order* of merging matters, not when a chunk
+//!    finished lexing: chunk *k* is merged on the calling lane as soon as
+//!    chunks `0..=k` have lexed ([`ThreadPool::for_each_ordered`]), while
+//!    later chunks are still being lexed. Promotions are resolved after the
+//!    last merge, before any pair buffer exists, so no table rewrite is
+//!    ever needed.
 //! 3. **Remap + table build** (parallel): each worker translates its local
 //!    indexes through the merged dictionary and scatters `⟨s,o⟩` pairs into
 //!    per-property buffers; the buffers are concatenated in chunk order
@@ -154,11 +158,7 @@ impl Ingest {
                 }
             })
             .collect();
-        let chunks: Result<Vec<ChunkSink>, ParseError> =
-            run_tasks(pool.get(), tasks).into_iter().collect();
-        // The first failing chunk is also the earliest document position, so
-        // errors are identical to the sequential pass.
-        assemble(chunks?, &pool)
+        assemble(&pool, tasks, |lexed| lexed.map_err(LoadError::Parse))
     }
 
     /// Parses and loads an N-Triples file without ever holding the document:
@@ -203,20 +203,18 @@ impl Ingest {
         // A range counts its lines from 1; the document's line is that plus
         // the lines of the ranges before it — all of which lexed to their
         // end, or theirs would be the first error.
-        let mut chunks = Vec::with_capacity(tasks.len());
         let mut lines_before = 0;
-        for output in run_tasks(pool.get(), tasks) {
-            let (sink, lines) = output.map_err(|error| match error {
+        assemble(&pool, tasks, |lexed| {
+            let (sink, lines) = lexed.map_err(|error| match error {
                 LoadError::Parse(mut error) => {
                     error.line += lines_before;
                     LoadError::Parse(error)
                 }
                 other => other,
             })?;
-            chunks.push(sink);
             lines_before += lines;
-        }
-        assemble(chunks, &pool)
+            Ok(sink)
+        })
     }
 
     /// Parses and loads a Turtle (subset) document. Always from memory: the
@@ -248,9 +246,7 @@ impl Ingest {
                 move || lex_turtle_into_sink(chunk, prefixes, base)
             })
             .collect();
-        let chunks: Result<Vec<ChunkSink>, ParseError> =
-            run_tasks(pool.get(), tasks).into_iter().collect();
-        assemble(chunks?, &pool)
+        assemble(&pool, tasks, |lexed| lexed.map_err(LoadError::Parse))
     }
 
     fn pool(&self) -> PoolHandle {
@@ -303,9 +299,21 @@ where
     R: Send,
     F: FnOnce() -> R + Send,
 {
+    let mut results = Vec::with_capacity(tasks.len());
+    for_each_task(pool, tasks, |result| results.push(result));
+    results
+}
+
+/// Runs `tasks` and hands each result to `consume` on the calling lane, in
+/// task order, as soon as the tasks before it are done too.
+fn for_each_task<R, F>(pool: Option<&ThreadPool>, tasks: Vec<F>, mut consume: impl FnMut(R))
+where
+    R: Send,
+    F: FnOnce() -> R + Send,
+{
     match pool {
-        Some(pool) if tasks.len() > 1 => pool.run_ordered(tasks),
-        _ => tasks.into_iter().map(|task| task()).collect(),
+        Some(pool) => pool.for_each_ordered(tasks, consume),
+        None => tasks.into_iter().for_each(|task| consume(task())),
     }
 }
 
@@ -542,40 +550,85 @@ fn lex_turtle_into_sink(
 // Phases 2 + 3: deterministic merge, remap, parallel table build
 // ---------------------------------------------------------------------------
 
-fn assemble(chunks: Vec<ChunkSink>, pool: &PoolHandle) -> Result<LoadedDataset, LoadError> {
-    // Phase 2 — merge. Chunks are contiguous document slices, so replaying
-    // the concatenated event lists through a fresh dictionary visits every
-    // term in global first-occurrence order: identifiers, registration order
-    // and promotions all match the sequential loader exactly. An event hands
-    // the dictionary the chunk arena's text slice: a known term costs a hash
-    // and a compare, a new one an append of its bytes. Every distinct chunk
-    // term has a first-occurrence event, so the encode calls also fill the
-    // chunk's local-index → global-id table as a side effect — no second
-    // lookup pass over the (long) textual keys is needed.
-    //
-    // Phase 3 reads only a chunk's statements and its remap table, so the
-    // chunk's arena, demand flags and events are dropped as soon as its
-    // events are merged — the dictionary and the chunk arenas are never all
-    // alive together.
-    let mut dictionary = Dictionary::new();
-    let mut statements: Vec<Vec<[u32; 3]>> = Vec::with_capacity(chunks.len());
-    let mut remaps: Vec<Vec<u64>> = Vec::with_capacity(chunks.len());
-    for chunk in chunks {
+/// The merged prefix of the document's chunks: the dictionary they built and,
+/// per chunk, what phase 3 reads — its statements and its local-index →
+/// global-id table.
+#[derive(Default)]
+struct Merged {
+    dictionary: Dictionary,
+    statements: Vec<Vec<[u32; 3]>>,
+    remaps: Vec<Vec<u64>>,
+}
+
+impl Merged {
+    /// Merges the next chunk in document order. An event hands the
+    /// dictionary the chunk arena's text slice: a known term costs a hash
+    /// and a compare, a new one an append of its bytes. Every distinct chunk
+    /// term has a first-occurrence event, so the encode calls also fill the
+    /// chunk's remap table as a side effect — no second lookup pass over the
+    /// (long) textual keys is needed. The chunk's arena, demand flags and
+    /// events are dropped on return — the dictionary and the chunk arenas
+    /// are never all alive together.
+    fn push(&mut self, chunk: ChunkSink) -> Result<(), LoadError> {
         let mut remap = vec![0u64; chunk.terms.len()];
         for &(index, demand) in &chunk.events {
             let key = chunk.terms.text(index);
             let id = match demand {
-                Demand::Property => dictionary.encode_as_property_text(key),
-                Demand::Resource => dictionary.encode_as_resource_text(key),
+                Demand::Property => self.dictionary.encode_as_property_text(key),
+                Demand::Resource => self.dictionary.encode_as_resource_text(key),
             }
             .map_err(|e| LoadError::Encode(e.to_string()))?;
             // A same-chunk promotion event overwrites the resource id with
             // the promoted property id.
             remap[index as usize] = id;
         }
-        statements.push(chunk.triples);
-        remaps.push(remap);
+        self.statements.push(chunk.triples);
+        self.remaps.push(remap);
+        Ok(())
     }
+}
+
+/// Runs the phase-1 `tasks` and builds the dataset from their chunks.
+/// `accept` turns a task's output into its chunk (or the load's error),
+/// called in document order.
+fn assemble<T, F>(
+    pool: &PoolHandle,
+    tasks: Vec<F>,
+    mut accept: impl FnMut(T) -> Result<ChunkSink, LoadError>,
+) -> Result<LoadedDataset, LoadError>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    // Phase 2 — merge, chunk by chunk as the lexed prefix grows. Chunks are
+    // contiguous document slices, so replaying their event lists in chunk
+    // order through a fresh dictionary visits every term in global
+    // first-occurrence order: identifiers, registration order and
+    // promotions all match the sequential loader exactly, whichever chunk
+    // finished lexing first. Errors keep the sequential loader's order too:
+    // the first chunk that failed to lex is the earliest document position
+    // and wins over any later one, and over a dictionary error, which the
+    // sequential loader meets only after the whole document has lexed.
+    let mut merged = Merged::default();
+    let (mut lex_error, mut merge_error) = (None, None);
+    for_each_task(pool.get(), tasks, |lexed| {
+        if lex_error.is_some() {
+            return;
+        }
+        match accept(lexed) {
+            Err(error) => lex_error = Some(error),
+            Ok(chunk) if merge_error.is_none() => merge_error = merged.push(chunk).err(),
+            Ok(_) => {}
+        }
+    });
+    if let Some(error) = lex_error.or(merge_error) {
+        return Err(error);
+    }
+    let Merged {
+        mut dictionary,
+        statements,
+        mut remaps,
+    } = merged;
     // Resolve cross-chunk promotions: a term promoted in a later chunk must
     // remap to its property id in *every* chunk. (Same reason the sequential
     // loader patches tables — but here no pair buffer exists yet, so it is a

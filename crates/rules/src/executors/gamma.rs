@@ -60,30 +60,86 @@ fn push_reversed(out: &mut InferredBuffer, p: u64, table: &PropertyTable) {
     }
 }
 
-/// PRP-DOM: `p domain c, x p y ⇒ x a c`.
+/// PRP-DOM: `p domain c, x p y ⇒ x a c` — each `x` once per schema pair:
+/// the table is sorted on ⟨s,o⟩, so a subject's repeats follow it.
 pub fn prp_dom(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     for_schema_and_data(ctx, wellknown::RDFS_DOMAIN, out, |p, c, data, out| {
         if let Some(table) = data_table(data, p) {
             let out = out.table_mut(wellknown::RDF_TYPE);
-            out.reserve(2 * table.len());
+            let mut previous = None;
             for (x, _) in table.iter_pairs() {
-                out.extend_from_slice(&[x, c]);
+                if previous != Some(x) {
+                    previous = Some(x);
+                    out.extend_from_slice(&[x, c]);
+                }
             }
         }
     });
 }
 
-/// PRP-RNG: `p range c, x p y ⇒ y a c`.
+/// PRP-RNG: `p range c, x p y ⇒ y a c` — each `y` once per schema pair:
+/// the objects are not sorted, so the ones already emitted are stamped.
 pub fn prp_rng(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
+    let mut emitted = ObjectStamps::default();
     for_schema_and_data(ctx, wellknown::RDFS_RANGE, out, |p, c, data, out| {
         if let Some(table) = data_table(data, p) {
             let out = out.table_mut(wellknown::RDF_TYPE);
-            out.reserve(2 * table.len());
-            for (_, y) in table.iter_pairs() {
-                out.extend_from_slice(&[y, c]);
-            }
+            emitted.for_each_distinct(table, |y| out.extend_from_slice(&[y, c]));
         }
     });
+}
+
+/// How many stamp slots per pair a table may ask for before its objects
+/// are deduplicated by sorting instead: the slots of one call are at most
+/// twice the bytes of the table they stamp.
+const STAMP_SLOTS_PER_PAIR: u64 = 8;
+
+/// One `u32` slot per object in a table's object span; slot `y − base`
+/// holds the epoch of the last table that had object `y`. Never cleared
+/// between tables: every table stamps with an epoch of its own.
+#[derive(Default)]
+struct ObjectStamps {
+    slots: Vec<u32>,
+    epoch: u32,
+}
+
+impl ObjectStamps {
+    /// Calls `emit` once for every distinct object of `table`, in order of
+    /// first occurrence — or, when the objects are too far apart to stamp,
+    /// in ascending order.
+    fn for_each_distinct(&mut self, table: &PropertyTable, mut emit: impl FnMut(u64)) {
+        let objects = || table.iter_pairs().map(|(_, y)| y);
+        let Some((base, max)) = objects().fold(None, |bounds, y| match bounds {
+            None => Some((y, y)),
+            Some((lo, hi)) => Some((y.min(lo), y.max(hi))),
+        }) else {
+            return;
+        };
+        if max - base >= STAMP_SLOTS_PER_PAIR * table.len() as u64 {
+            let mut sorted: Vec<u64> = objects().collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.into_iter().for_each(emit);
+            return;
+        }
+        let span = (max - base) as usize + 1;
+        if self.slots.len() < span {
+            self.slots.resize(span, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The counter wrapped: old stamps could collide with new epochs.
+            self.slots.fill(0);
+            self.epoch = 1;
+        }
+        for y in objects() {
+            let slot = &mut self.slots[(y - base) as usize];
+            if *slot != self.epoch {
+                *slot = self.epoch;
+                emit(y);
+            }
+        }
+    }
 }
 
 /// PRP-SPO1: `p1 ⊑ₚ p2, x p1 y ⇒ x p2 y`.
@@ -220,6 +276,50 @@ mod tests {
         assert!(derived.contains(&(ALICE, wk::RDF_TYPE, PERSON)));
         assert!(derived.contains(&(BOB, wk::RDF_TYPE, PERSON)));
         assert_eq!(derived.len(), 2);
+    }
+
+    #[test]
+    fn prp_dom_and_prp_rng_emit_each_head_once_per_schema_pair() {
+        let lives_in = prop(0);
+        let main = store(&[
+            (lives_in, wk::RDFS_DOMAIN, PERSON),
+            (lives_in, wk::RDFS_RANGE, CITY),
+            (ALICE, lives_in, LYON),
+            (ALICE, lives_in, BOB),
+            (BOB, lives_in, LYON),
+        ]);
+        let raw = |rule: fn(&RuleContext<'_>, &mut InferredBuffer)| {
+            let mut out = InferredBuffer::new();
+            rule(&RuleContext::new(&main, &main), &mut out);
+            let mut pairs: Vec<u64> = out.iter().flat_map(|(_, pairs)| pairs.to_vec()).collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        let mut dom = vec![ALICE, PERSON, BOB, PERSON];
+        dom.sort_unstable();
+        assert_eq!(raw(prp_dom), dom, "ALICE has two values: typed once");
+        let mut rng = vec![LYON, CITY, BOB, CITY];
+        rng.sort_unstable();
+        assert_eq!(raw(prp_rng), rng, "LYON has two subjects: typed once");
+    }
+
+    #[test]
+    fn object_stamps_agree_with_sorting_on_either_side_of_the_slot_bound() {
+        let mut stamps = ObjectStamps::default();
+        for stride in [1u64, 3, 1 << 20] {
+            let table = PropertyTable::from_pairs(
+                (0..40u64)
+                    .flat_map(|i| [ALICE + i, CITY + (i * 7 % 11) * stride])
+                    .collect(),
+            );
+            let mut distinct = Vec::new();
+            stamps.for_each_distinct(&table, |y| distinct.push(y));
+            let mut expected: Vec<u64> = table.iter_pairs().map(|(_, y)| y).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            distinct.sort_unstable();
+            assert_eq!(distinct, expected, "stride {stride}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@
 use crate::operating_range::MAX_COUNTING_RANGE;
 use crate::pairs::{pair_bounds, PairBounds};
 use crate::radix::{msda_radix_sort_bounded, msda_radix_sort_pairs_dedup_bounded};
-use crate::scratch::SortScratch;
+use crate::scratch::{CountingArenas, SortScratch};
 
 /// How many pairs the stamp pass examines before the kernel judges, from
 /// what it removed, whether the call's remaining runs are worth stamping.
@@ -135,85 +135,189 @@ pub(crate) fn counting_sort_bounded(
         return;
     }
     debug_assert_eq!(pair_bounds(pairs), Some(bounds));
-    let n_pairs = pairs.len() / 2;
-    let (min, max) = bounds.subjects;
-    let width = (max - min + 1) as usize;
-    debug_assert!(
-        width as u64 <= MAX_COUNTING_RANGE,
-        "counting sort invoked outside its operating range (span {width})"
-    );
-    // Stamp pass: only when removing duplicates, and only when the stamp
-    // array (one slot per object in range) is no larger than the input.
-    let (object_min, object_max) = bounds.objects;
-    let object_span = match object_max - object_min {
-        gap if dedup && gap < n_pairs as u64 => gap as usize + 1,
-        _ => 0,
-    };
-    let mut arenas = scratch.counting_arenas(width, n_pairs, object_span);
-    let (histogram, start, objects) = (arenas.histogram, arenas.start, arenas.objects);
+    let mut runs = SubjectRuns::new(scratch, pairs.len() / 2, dedup, bounds);
+    runs.scatter(std::iter::once(pairs.as_slice()));
+    runs.sort();
+    // The array is as long as every pair the runs kept: rebuild in place.
+    runs.rebuild(pairs);
+}
 
-    // Lines 1-2: histogram of the subjects.
-    for s in pairs.iter().copied().step_by(2) {
-        histogram[(s - min) as usize] += 1;
+/// The dedup kernel over several pair arrays at once, giving what it gives
+/// over their concatenation — without building it: every part is scattered
+/// where it lies, then all parts but the one with the largest allocation
+/// are freed and the sorted, duplicate-free pairs are rebuilt into that
+/// one — or, when it is too small for what the runs kept, into a fresh
+/// allocation made after it is freed too — and the result is shrunk when
+/// it fills less than half its allocation. `bounds` are the bounds over all
+/// parts, whose subject span must lie inside the operating range.
+pub(crate) fn counting_sort_parts_dedup_bounded(
+    mut parts: Vec<Vec<u64>>,
+    scratch: &mut SortScratch,
+    bounds: PairBounds,
+) -> Vec<u64> {
+    let n_pairs = parts.iter().map(|part| part.len() / 2).sum();
+    let mut runs = SubjectRuns::new(scratch, n_pairs, true, bounds);
+    runs.scatter(parts.iter().map(Vec::as_slice));
+    let kept = runs.sort();
+    let largest = (0..parts.len())
+        .max_by_key(|&i| (parts[i].capacity(), std::cmp::Reverse(i)))
+        .expect("at least one part");
+    let mut pairs = parts.swap_remove(largest);
+    drop(parts);
+    if pairs.capacity() < 2 * kept {
+        // Growing the part would copy its stale pairs into the new block
+        // while both are alive: free it first and start from zeroed pages.
+        drop(std::mem::take(&mut pairs));
+        pairs = vec![0; 2 * kept];
     }
-
-    // Line 3: starting position of each subject's object sub-array.
-    let mut acc = 0usize;
-    for (i, &count) in histogram.iter().enumerate() {
-        start[i] = acc;
-        acc += count as usize;
+    pairs.resize(2 * kept, 0);
+    runs.rebuild(&mut pairs);
+    // The duplicates are gone: a part reused for far fewer pairs than it
+    // was grown for gives the rest back rather than carry it into the
+    // table the pairs become.
+    if pairs.capacity() > 2 * pairs.len() {
+        pairs.shrink_to_fit();
     }
-    start[width] = acc;
+    pairs
+}
 
-    // Lines 4-10: scatter objects into per-subject sub-arrays (unsorted).
-    // The histogram is consumed as a countdown of remaining slots.
-    for i in (0..pairs.len()).step_by(2) {
-        let key = (pairs[i] - min) as usize;
-        let position = start[key];
-        let remaining = histogram[key] as usize;
-        histogram[key] -= 1;
-        objects[position + remaining - 1] = pairs[i + 1];
-    }
+/// One call of Algorithm 2 over the counting arenas of a [`SortScratch`]:
+/// [`scatter`](SubjectRuns::scatter) any number of pair arrays into
+/// per-subject runs of objects, [`sort`](SubjectRuns::sort) the runs, then
+/// [`rebuild`](SubjectRuns::rebuild) the pairs into one array.
+struct SubjectRuns<'a> {
+    arenas: CountingArenas<'a>,
+    /// The smallest subject: run `i` holds the objects of subject `min + i`.
+    min: u64,
+    /// The smallest object, the base of the stamp slots.
+    object_min: u64,
+    /// Whether the sort runs the stamp pass in front of each run.
+    stamp: bool,
+    dedup: bool,
+}
 
-    // Lines 11-13: sort each sub-array of objects — after the stamp pass
-    // has cut the run down to its distinct objects. The histogram, all
-    // zeros by now, takes the length each run is left with.
-    let mut stamping = object_span > 0;
-    let (mut stamped, mut kept) = (0usize, 0usize);
-    for i in 0..width {
-        let (lo, hi) = (start[i], start[i + 1]);
-        let mut len = hi - lo;
-        if len > 1 {
-            if stamping {
-                stamped += len;
-                len = arenas.stamps.dedup_run(&mut objects[lo..hi], object_min);
-                kept += len;
-                // Next to nothing removed so far: stop looking.
-                stamping = stamped < STAMP_PROBE_PAIRS || (stamped - kept) * 16 >= stamped;
-            }
-            objects[lo..lo + len].sort_unstable();
+impl<'a> SubjectRuns<'a> {
+    /// Arenas sized for `n_pairs` pairs within `bounds`, the histogram
+    /// counted over none of them yet.
+    fn new(scratch: &'a mut SortScratch, n_pairs: usize, dedup: bool, bounds: PairBounds) -> Self {
+        let (min, max) = bounds.subjects;
+        let width = (max - min + 1) as usize;
+        debug_assert!(
+            width as u64 <= MAX_COUNTING_RANGE,
+            "counting sort invoked outside its operating range (span {width})"
+        );
+        // Stamp pass: only when removing duplicates, and only when the
+        // stamp array (one slot per object in range) is no larger than the
+        // input.
+        let (object_min, object_max) = bounds.objects;
+        let object_span = match object_max - object_min {
+            gap if dedup && gap < n_pairs as u64 => gap as usize + 1,
+            _ => 0,
+        };
+        let arenas = scratch.counting_arenas(width, n_pairs, object_span);
+        SubjectRuns {
+            arenas,
+            min,
+            object_min,
+            stamp: object_span > 0,
+            dedup,
         }
-        histogram[i] = len as u32;
     }
 
-    // Lines 14-26: rebuild the pair array, optionally skipping duplicates
-    // (adjacent now; none are left in a stamped run).
-    let mut write = 0usize;
-    for i in 0..width {
-        let lo = start[i];
-        let subject = min + i as u64;
-        let mut previous_object = 0u64;
-        for (k, &object) in objects[lo..lo + histogram[i] as usize].iter().enumerate() {
-            if !dedup || k == 0 || object != previous_object {
-                pairs[write] = subject;
-                pairs[write + 1] = object;
-                write += 2;
+    /// Lines 1-10 of Algorithm 2 over every array of `parts`, where it
+    /// lies: the subject histogram (lines 1-2), each subject's start offset
+    /// (line 3), then every object scattered into its subject's run,
+    /// unsorted (lines 4-10) — the histogram counts each run's free slots
+    /// down.
+    fn scatter<'p>(&mut self, parts: impl Iterator<Item = &'p [u64]> + Clone) {
+        let (histogram, start, objects) = (
+            &mut *self.arenas.histogram,
+            &mut *self.arenas.start,
+            &mut *self.arenas.objects,
+        );
+        for pairs in parts.clone() {
+            for s in pairs.iter().copied().step_by(2) {
+                histogram[(s - self.min) as usize] += 1;
             }
-            previous_object = object;
+        }
+        let mut acc = 0usize;
+        for (i, &count) in histogram.iter().enumerate() {
+            start[i] = acc;
+            acc += count as usize;
+        }
+        start[histogram.len()] = acc;
+        debug_assert_eq!(acc, objects.len());
+        for pairs in parts {
+            for pair in pairs.chunks_exact(2) {
+                let key = (pair[0] - self.min) as usize;
+                let remaining = histogram[key] as usize;
+                histogram[key] -= 1;
+                objects[start[key] + remaining - 1] = pair[1];
+            }
         }
     }
-    // Line 27: trim to the number of (unique) pairs actually written.
-    pairs.truncate(write);
+
+    /// Lines 11-13: sorts each run of objects — after the stamp pass has
+    /// cut the run down to its distinct objects. The histogram, all zeros
+    /// by now, takes the length each run is left with. Returns how many
+    /// pairs the runs hold now, an upper bound on what the rebuild writes.
+    fn sort(&mut self) -> usize {
+        let (histogram, start, objects) = (
+            &mut *self.arenas.histogram,
+            &*self.arenas.start,
+            &mut *self.arenas.objects,
+        );
+        let mut stamping = self.stamp;
+        let (mut stamped, mut kept_stamped, mut kept) = (0usize, 0usize, 0usize);
+        for i in 0..histogram.len() {
+            let (lo, hi) = (start[i], start[i + 1]);
+            let mut len = hi - lo;
+            if len > 1 {
+                if stamping {
+                    stamped += len;
+                    len = self
+                        .arenas
+                        .stamps
+                        .dedup_run(&mut objects[lo..hi], self.object_min);
+                    kept_stamped += len;
+                    // Next to nothing removed so far: stop looking.
+                    stamping =
+                        stamped < STAMP_PROBE_PAIRS || (stamped - kept_stamped) * 16 >= stamped;
+                }
+                objects[lo..lo + len].sort_unstable();
+            }
+            histogram[i] = len as u32;
+            kept += len;
+        }
+        kept
+    }
+
+    /// Lines 14-26: writes the pairs into `pairs` from its start, skipping
+    /// duplicates when deduplicating (adjacent now; none are left in a
+    /// stamped run), and truncates it to what was written (line 27).
+    /// `pairs` must be at least as long as [`sort`](Self::sort)'s count.
+    fn rebuild(&self, pairs: &mut Vec<u64>) {
+        let (histogram, start, objects) = (
+            &*self.arenas.histogram,
+            &*self.arenas.start,
+            &*self.arenas.objects,
+        );
+        let mut write = 0usize;
+        for (i, &len) in histogram.iter().enumerate() {
+            let lo = start[i];
+            let subject = self.min + i as u64;
+            let mut previous_object = 0u64;
+            for (k, &object) in objects[lo..lo + len as usize].iter().enumerate() {
+                if !self.dedup || k == 0 || object != previous_object {
+                    pairs[write] = subject;
+                    pairs[write + 1] = object;
+                    write += 2;
+                }
+                previous_object = object;
+            }
+        }
+        pairs.truncate(write);
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,10 @@
 //! * output: the array sorted lexicographically by ⟨s,o⟩ (ascending);
 //! * `*_dedup` variants additionally remove duplicate *pairs* and truncate
 //!   the vector.
+//!
+//! [`sort_parts_auto_dedup_with`] takes the pairs as several arrays (one
+//! per rule that emitted them) and gives what the dedup kernel gives over
+//! their concatenation, without building it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +49,7 @@ pub use counting::{
 };
 pub use operating_range::{
     recommend_algorithm, sort_pairs_auto, sort_pairs_auto_dedup, sort_pairs_auto_dedup_with,
-    sort_pairs_auto_with, Algorithm,
+    sort_pairs_auto_with, sort_parts_auto_dedup_with, Algorithm,
 };
 pub use pairs::{dedup_sorted_pairs, is_sorted_pairs, swap_pairs};
 pub use radix::{

@@ -14,7 +14,7 @@
 //! radix kernel is always chosen. [`sort_pairs_auto`] applies the decision
 //! and sorts.
 
-use crate::counting::counting_sort_bounded;
+use crate::counting::{counting_sort_bounded, counting_sort_parts_dedup_bounded};
 use crate::pairs::{pair_bounds, subject_min_max, PairBounds};
 use crate::radix::{msda_radix_sort_bounded, msda_radix_sort_pairs_dedup_bounded};
 use crate::scratch::SortScratch;
@@ -100,12 +100,68 @@ pub fn sort_pairs_auto_dedup_with(pairs: &mut Vec<u64>, scratch: &mut SortScratc
     let Some(bounds) = pair_bounds(pairs) else {
         return Algorithm::Counting;
     };
+    sort_dedup_within(pairs, scratch, bounds)
+}
+
+/// [`sort_pairs_auto_dedup_with`] from scanned bounds.
+fn sort_dedup_within(
+    pairs: &mut Vec<u64>,
+    scratch: &mut SortScratch,
+    bounds: PairBounds,
+) -> Algorithm {
     let algo = recommend_within(pairs.len() / 2, bounds);
     match algo {
         Algorithm::Counting => counting_sort_bounded(pairs, true, scratch, bounds),
         Algorithm::MsdaRadix => msda_radix_sort_pairs_dedup_bounded(pairs, scratch, bounds),
     }
     algo
+}
+
+/// [`sort_pairs_auto_dedup_with`] over the concatenation of `parts` — the
+/// same sorted, duplicate-free pairs — without building the concatenation
+/// when the rule of thumb picks the counting kernel: that kernel scatters
+/// every part where it lies and rebuilds into the largest part's allocation
+/// after freeing the others — no concatenated copy of the pairs (see
+/// `counting_sort_parts_dedup_bounded` for when a fresh allocation is
+/// taken instead, and when the result is shrunk). For the
+/// radix kernel, and for a single part, the parts are concatenated into the
+/// largest and sorted as one array.
+///
+/// # Panics
+/// Panics if a part has odd length.
+pub fn sort_parts_auto_dedup_with(mut parts: Vec<Vec<u64>>, scratch: &mut SortScratch) -> Vec<u64> {
+    for part in &parts {
+        assert!(
+            part.len().is_multiple_of(2),
+            "pair array must have even length"
+        );
+    }
+    let n_pairs: usize = parts.iter().map(|part| part.len() / 2).sum();
+    let bounds = parts
+        .iter()
+        .filter_map(|part| pair_bounds(part))
+        .reduce(PairBounds::union);
+    match bounds {
+        Some(bounds)
+            if parts.len() > 1
+                && n_pairs > 1
+                && recommend_within(n_pairs, bounds) == Algorithm::Counting =>
+        {
+            counting_sort_parts_dedup_bounded(parts, scratch, bounds)
+        }
+        _ => {
+            let largest = (0..parts.len()).max_by_key(|&i| parts[i].capacity());
+            let mut pairs = largest.map_or_else(Vec::new, |i| parts.swap_remove(i));
+            pairs.reserve(2 * n_pairs - pairs.len());
+            for part in parts {
+                pairs.extend_from_slice(&part);
+            }
+            if let Some(bounds) = bounds {
+                sort_dedup_within(&mut pairs, scratch, bounds);
+            }
+            pairs
+        }
+    }
 }
 
 /// [`recommend_algorithm`] from scanned bounds. The span is computed

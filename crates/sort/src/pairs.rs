@@ -77,6 +77,22 @@ pub struct PairBounds {
     pub objects: (u64, u64),
 }
 
+impl PairBounds {
+    /// The bounds of two arrays together.
+    pub fn union(self, other: PairBounds) -> PairBounds {
+        PairBounds {
+            subjects: (
+                self.subjects.0.min(other.subjects.0),
+                self.subjects.1.max(other.subjects.1),
+            ),
+            objects: (
+                self.objects.0.min(other.objects.0),
+                self.objects.1.max(other.objects.1),
+            ),
+        }
+    }
+}
+
 /// The bounds of both components from **one** scan of the array — what a
 /// sort call needs to pick its kernel, size the counting histogram, decide
 /// on the stamp pass and find the radix kernel's active digits. Returns

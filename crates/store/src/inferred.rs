@@ -4,8 +4,9 @@
 //! property table to avoid potential contention" (§4.3). An
 //! [`InferredBuffer`] is exactly that: an append-only map from property
 //! identifier to a raw (unsorted, possibly duplicated) pair vector. After
-//! all rule threads join, the buffers are combined and handed, property by
-//! property, to the merge step of Figure 5.
+//! all rule threads join, each buffer's vectors are handed as they are —
+//! one part per rule — property by property, to the merge step of Figure 5,
+//! which sorts them where they lie ([`crate::merge::merge_new_parts_with`]).
 
 use std::collections::BTreeMap;
 
@@ -65,33 +66,6 @@ impl InferredBuffer {
         self.tables.iter().filter(|(_, v)| !v.is_empty()).count()
     }
 
-    /// Absorbs another buffer (used to combine the per-rule buffers after
-    /// the threads join). When this buffer has nothing yet for a property,
-    /// the other buffer's vector is **moved** in wholesale — reusing its
-    /// allocation instead of copying pair by pair, which matters because the
-    /// fixed-point loop absorbs one buffer per rule on every iteration.
-    pub fn absorb(&mut self, other: InferredBuffer) {
-        use std::collections::btree_map::Entry;
-        for (p, mut pairs) in other.tables {
-            if pairs.is_empty() {
-                continue;
-            }
-            match self.tables.entry(p) {
-                Entry::Vacant(slot) => {
-                    slot.insert(pairs);
-                }
-                Entry::Occupied(mut slot) => {
-                    if slot.get().is_empty() {
-                        // Keep the larger allocation, drop the stub.
-                        *slot.get_mut() = pairs;
-                    } else {
-                        slot.get_mut().append(&mut pairs);
-                    }
-                }
-            }
-        }
-    }
-
     /// Iterates over `(property, raw pairs)` for every property that
     /// received pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
@@ -147,19 +121,6 @@ mod tests {
         buf.add_pairs(9, &[1, 2, 3, 4]);
         buf.add_pairs(9, &[]);
         assert_eq!(buf.len(), 2);
-    }
-
-    #[test]
-    fn absorb_concatenates_per_property() {
-        let mut a = InferredBuffer::new();
-        a.add(1, 10, 11);
-        let mut b = InferredBuffer::new();
-        b.add(1, 20, 21);
-        b.add(2, 30, 31);
-        a.absorb(b);
-        assert_eq!(a.len(), 3);
-        let table1: Vec<u64> = a.iter().find(|(p, _)| *p == 1).unwrap().1.to_vec();
-        assert_eq!(table1, vec![10, 11, 20, 21]);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`property_table`] — the sorted pair arrays and their ⟨o,s⟩ cache (§4.2);
 //! * [`triple_store`] — the array of property tables ([`TripleStore`]);
 //! * [`merge`] — the per-iteration update step of Figure 5: sort and
-//!   deduplicate the inferred pairs, merge them into *main*, and emit the
-//!   genuinely new pairs into *new*;
+//!   deduplicate the inferred pairs (one part per rule that emitted them),
+//!   merge them into *main*, and emit the genuinely new pairs into *new*;
 //! * [`inferred`] — the per-rule output buffers used during parallel rule
 //!   execution (each rule thread owns one, avoiding contention);
 //! * [`profile`] — software memory-access counters standing in for the
@@ -47,7 +47,9 @@ pub mod triple_store;
 /// family, re-exported so their callers need not name the sort crate.
 pub use inferray_sort::SortScratch;
 pub use inferred::InferredBuffer;
-pub use merge::{merge_new_pairs, merge_new_pairs_with, MergeOutcome, MergeStrategy};
+pub use merge::{
+    merge_new_pairs, merge_new_pairs_with, merge_new_parts_with, MergeOutcome, MergeStrategy,
+};
 pub use profile::AccessProfile;
 pub use property_table::{
     gallop_lower_bound, gallop_upper_bound, os_builds, DistinctCount, OsBuilds, PropertyTable,

@@ -4,7 +4,10 @@
 //! pairs is updated in two linear steps:
 //!
 //! 1. the inferred pairs are sorted on ⟨s,o⟩ and deduplicated (one call to
-//!    the low-entropy kernels of `inferray-sort`);
+//!    the low-entropy kernels of `inferray-sort`) — where they lie: they
+//!    arrive as one part per rule that emitted them
+//!    ([`merge_new_parts_with`]), and the kernel sorts the parts without
+//!    first copying them into one vector;
 //! 2. *main* and *inferred* are merged list-wise: pairs already in *main*
 //!    are skipped (second layer of duplicate elimination), pairs that are
 //!    genuinely new are appended both to the updated *main* and to *new*,
@@ -43,14 +46,15 @@
 //!
 //! The seed's rebuild survives in the test module as
 //! `merge_new_pairs_rebuild`, the reference the property tests compare
-//! against.
+//! against; `tests/parts_merge.rs` holds the parts merge to the merge of
+//! their concatenation.
 //!
 //! Sorting scratch comes from a caller-provided
 //! [`SortScratch`](inferray_sort::SortScratch), so the steady state
 //! performs zero sort allocations (see `inferray-sort`).
 
 use crate::property_table::PropertyTable;
-use inferray_sort::{sort_pairs_auto_dedup_with, SortScratch};
+use inferray_sort::{sort_pairs_auto_dedup_with, sort_parts_auto_dedup_with, SortScratch};
 
 /// How one merge was executed (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,13 +111,49 @@ pub fn merge_new_pairs_with(
         inferred.len().is_multiple_of(2),
         "pair array must have even length"
     );
-    let mut outcome = MergeOutcome {
+    let outcome = MergeOutcome {
         inferred_raw: inferred.len() / 2,
         ..MergeOutcome::default()
     };
 
     // Step 1: sort and deduplicate the inferred pairs (reused scratch).
     sort_pairs_auto_dedup_with(&mut inferred, scratch);
+    merge_sorted(main, inferred, outcome)
+}
+
+/// [`merge_new_pairs_with`] over the raw pairs of several rules at once, one
+/// part per rule: the same updated `main`, the same new table and the same
+/// counters as merging the parts' concatenation — without building it. The
+/// parts are sorted and deduplicated where they lie
+/// ([`sort_parts_auto_dedup_with`]); a single part takes
+/// [`merge_new_pairs_with`] itself.
+///
+/// # Panics
+/// Panics if a part has odd length.
+pub fn merge_new_parts_with(
+    main: &mut PropertyTable,
+    mut parts: Vec<Vec<u64>>,
+    scratch: &mut SortScratch,
+) -> (PropertyTable, MergeOutcome) {
+    if parts.len() == 1 {
+        let pairs = parts.pop().expect("one part");
+        return merge_new_pairs_with(main, pairs, scratch);
+    }
+    let outcome = MergeOutcome {
+        inferred_raw: parts.iter().map(|part| part.len() / 2).sum(),
+        ..MergeOutcome::default()
+    };
+    let inferred = sort_parts_auto_dedup_with(parts, scratch);
+    merge_sorted(main, inferred, outcome)
+}
+
+/// Step 2 of the merge, from `inferred` sorted and duplicate-free and an
+/// `outcome` that counts its raw pairs.
+fn merge_sorted(
+    main: &mut PropertyTable,
+    mut inferred: Vec<u64>,
+    mut outcome: MergeOutcome,
+) -> (PropertyTable, MergeOutcome) {
     outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len() / 2;
     if inferred.is_empty() {
         return (PropertyTable::new(), outcome);

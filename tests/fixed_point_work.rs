@@ -10,7 +10,10 @@
 //!   matching premise pairs, taken here by brute force over the store with
 //!   its transitive tables and its schema stratum closed, rule by rule (a
 //!   frontier that is a *copy* of the store makes every two-pass executor
-//!   emit exactly twice that);
+//!   emit exactly twice that); PRP-DOM and PRP-RNG emit each head once per
+//!   schema pair, so theirs is the count of distinct heads per schema pair
+//!   (the fixture has a subject with two values of a domain-bearing
+//!   property and an object shared by two subjects of a range-bearing one);
 //! * the closure stage is the θ rules' first firing and the stratum's own
 //!   pass the stratum's: none of them is in iteration 1's fired set when
 //!   they ran, all of them are when they did not;
@@ -52,13 +55,18 @@ fn is_theta(sample: &RuleSample) -> bool {
 }
 
 /// The number of premise pairs `(a, b)` of `store` that `rule` joins — what
-/// one pass of its executor emits, one pair per match. Brute force over all
-/// pairs of triples; `None` for the rules that are not two-premise joins.
+/// one pass of its executor emits, one pair per match — except for PRP-DOM
+/// and PRP-RNG, which emit each head once per schema pair however many data
+/// pairs share it. Brute force over all pairs of triples; `None` for the
+/// rules that are not two-premise joins.
 fn one_pass_derivations(rule: RuleId, store: &TripleStore) -> Option<usize> {
+    match rule {
+        RuleId::PrpDom => return Some(distinct_heads(store, wk::RDFS_DOMAIN, |b| b.s)),
+        RuleId::PrpRng => return Some(distinct_heads(store, wk::RDFS_RANGE, |b| b.o)),
+        _ => {}
+    }
     let joins: fn(&IdTriple, &IdTriple) -> bool = match rule {
         RuleId::CaxSco => |a, b| a.p == wk::RDFS_SUB_CLASS_OF && b.p == wk::RDF_TYPE && b.o == a.s,
-        RuleId::PrpDom => |a, b| a.p == wk::RDFS_DOMAIN && b.p == a.s,
-        RuleId::PrpRng => |a, b| a.p == wk::RDFS_RANGE && b.p == a.s,
         RuleId::PrpSpo1 => |a, b| {
             a.p == wk::RDFS_SUB_PROPERTY_OF && a.s != a.o && is_property_id(a.o) && b.p == a.s
         },
@@ -83,6 +91,20 @@ fn one_pass_derivations(rule: RuleId, store: &TripleStore) -> Option<usize> {
             .map(|a| triples.iter().filter(|b| joins(a, b)).count())
             .sum(),
     )
+}
+
+/// Summed over the schema pairs `(p, c)` of `schema`, the distinct heads
+/// `head(b)` of the triples `b` of `p`.
+fn distinct_heads(store: &TripleStore, schema: u64, head: fn(&IdTriple) -> u64) -> usize {
+    let triples: Vec<IdTriple> = store.iter_triples().collect();
+    triples
+        .iter()
+        .filter(|a| a.p == schema)
+        .map(|a| {
+            let heads = triples.iter().filter(|b| b.p == a.s).map(head);
+            heads.collect::<std::collections::BTreeSet<u64>>().len()
+        })
+        .sum()
 }
 
 /// What iteration 1 reads: the input with its transitive tables closed and
