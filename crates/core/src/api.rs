@@ -559,8 +559,9 @@ impl ServingDataset {
     /// for checkpointing: captured under the writer lock, so no concurrent
     /// [`ServingDataset::extend`] / [`ServingDataset::retract`] can slide a
     /// publication between the three reads. The base is cloned (it is only
-    /// ever touched under the writer lock); the dictionary and store are the
-    /// shared `Arc`s the readers also see.
+    /// ever touched under the writer lock) — one pointer per table, since
+    /// a write copies only the tables it changes; the dictionary and store
+    /// are the shared `Arc`s the readers also see.
     pub fn persistable_state(&self) -> (Arc<Dictionary>, TripleStore, StoreSnapshot) {
         let guard = unpoison(self.writer.lock());
         let snapshot = self.snapshots.snapshot();
@@ -767,12 +768,13 @@ impl ServingDataset {
         }
     }
 
-    /// The one write pipeline (docs/persistence.md): encode Δ on a private
-    /// dictionary copy → compile the program → reason on a private copy of
-    /// the store and the base → shape gate → `log` → publish (dictionary,
-    /// then store). Every write of every layer — asserts and retractions,
-    /// in memory and durable, live and replayed from the WAL — is this
-    /// function; readers holding older snapshots are unaffected.
+    /// The one write pipeline (docs/persistence.md): encode Δ (on a private
+    /// dictionary copy only if a term is new or promoted) → compile the
+    /// program → reason on private clones of the store and the base, which
+    /// copy only the tables they change → shape gate → `log` → publish
+    /// (dictionary, then store). Every write of every layer — asserts and
+    /// retractions, in memory and durable, live and replayed from the WAL —
+    /// is this function; readers holding older snapshots are unaffected.
     ///
     /// * [`WriteKind::Assert`] closes the delta under the program with
     ///   [`InferrayReasoner::materialize_delta`]; every triple of the delta
@@ -802,9 +804,11 @@ impl ServingDataset {
             let published = unpoison(self.dictionary.read());
             Arc::clone(&published)
         };
-        // Copied on first mutation: an assert interns its terms, a rule
-        // program interns its constants; a retraction under a fragment
-        // mutates nothing and publishes no dictionary.
+        // Copied on first mutation: an assert that interns a term or
+        // promotes a resource, or a rule program interning its constants.
+        // An assert of known terms and a retraction under a fragment mutate
+        // nothing and publish the same dictionary. The store clone shares
+        // every table; reasoning copies the ones it changes.
         let mut dictionary = Cow::Borrowed(&*current);
         let pre = self.snapshots.snapshot();
         let mut store = pre.store().clone();
@@ -817,11 +821,16 @@ impl ServingDataset {
                 object,
             } = &triple;
             let encoded = match kind {
+                // Known terms in positions that need no promotion encode
+                // without a copy of the dictionary.
                 WriteKind::Assert => Some(
-                    dictionary
-                        .to_mut()
-                        .encode_term_refs(subject, predicate, object)
-                        .map_err(|e| LoadError::Encode(e.to_string()))?,
+                    match dictionary.lookup_term_refs(subject, predicate, object) {
+                        Some(known) => known,
+                        None => dictionary
+                            .to_mut()
+                            .encode_term_refs(subject, predicate, object)
+                            .map_err(|e| LoadError::Encode(e.to_string()))?,
+                    },
                 ),
                 // Terms absent from the dictionary cannot occur in any
                 // triple of the store; predicates that were never promoted
@@ -875,10 +884,7 @@ impl ServingDataset {
         }
         let stats = match kind {
             WriteKind::Assert => {
-                for triple in &delta {
-                    next_base.add_triple(*triple);
-                }
-                next_base.finalize();
+                next_base.insert(delta.iter().copied());
                 WriteStats::Asserted(reasoner.materialize_delta(&mut store, delta))
             }
             WriteKind::Retract => {

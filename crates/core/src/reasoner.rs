@@ -62,6 +62,7 @@ use inferray_store::{
     TripleStore,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The forward-chaining, sort-merge-join, fixed-point reasoner.
@@ -125,13 +126,14 @@ fn run_table_update(
     tables: InferredParts,
     scratches: &mut [SortScratch],
 ) -> Vec<PropertyUpdate> {
+    // A table the store shares with an earlier epoch is copied only if its
+    // merge adds a pair (`MergeTarget`).
     let update =
-        |p: u64, mut table: PropertyTable, parts: Vec<Vec<u64>>, scratch: &mut SortScratch| {
-            table.finalize_with(scratch);
+        |p: u64, mut table: Arc<PropertyTable>, parts: Vec<Vec<u64>>, scratch: &mut SortScratch| {
             let (new_table, outcome) = merge_new_parts_with(&mut table, parts, scratch);
             (p, table, new_table, outcome)
         };
-    let mut results: Vec<(u64, PropertyTable, PropertyTable, MergeOutcome)> = match pool {
+    let mut results: Vec<(u64, Arc<PropertyTable>, PropertyTable, MergeOutcome)> = match pool {
         Some(pool) if tables.len() > 1 => {
             // Take the affected tables out of the store so each lane owns
             // its tables outright — no locks, no aliasing.

@@ -451,6 +451,36 @@ impl Dictionary {
         Ok(IdTriple::new(s, p, o))
     }
 
+    /// The triple [`encode_term_refs`](Self::encode_term_refs) would return
+    /// **if it changed nothing**: `Some` exactly when all three terms are
+    /// known and every position [`position_demands`] asks to be a property
+    /// (the predicate's among them) already holds a property identifier.
+    /// `None` when encoding would intern a term, promote a resource or fail.
+    /// A writer that shares its dictionary calls this first and copies the
+    /// dictionary only on `None`.
+    pub fn lookup_term_refs(
+        &self,
+        subject: &TermRef<'_>,
+        predicate: &TermRef<'_>,
+        object: &TermRef<'_>,
+    ) -> Option<IdTriple> {
+        if subject.is_literal() {
+            return None;
+        }
+        let predicate_iri = predicate.as_iri()?;
+        let (subject_demand, object_demand) =
+            position_demands(subject.is_iri(), predicate_iri, object.as_iri());
+        let known = |term: &TermRef<'_>, demand| {
+            self.id_of_ref(term)
+                .filter(|&id| demand == Demand::Resource || is_property_id(id))
+        };
+        Some(IdTriple::new(
+            known(subject, subject_demand)?,
+            known(predicate, Demand::Property)?,
+            known(object, object_demand)?,
+        ))
+    }
+
     /// Decodes an encoded triple. Returns `None` when any identifier is
     /// unknown.
     pub fn decode_triple(&self, triple: IdTriple) -> Option<Triple> {

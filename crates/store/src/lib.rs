@@ -15,8 +15,11 @@
 //!
 //! The module map follows the paper:
 //!
-//! * [`property_table`] — the sorted pair arrays and their ⟨o,s⟩ cache (§4.2);
-//! * [`triple_store`] — the array of property tables ([`TripleStore`]);
+//! * [`property_table`] — the sorted pair arrays and their ⟨o,s⟩ cache (§4.2),
+//!   which a small in-place change patches instead of dropping;
+//! * [`triple_store`] — the array of property tables ([`TripleStore`]),
+//!   each behind an `Arc` so that a store clone shares every table it does
+//!   not write;
 //! * [`merge`] — the per-iteration update step of Figure 5: sort and
 //!   deduplicate the inferred pairs (one part per rule that emitted them),
 //!   merge them into *main*, and emit the genuinely new pairs into *new*;
@@ -49,6 +52,7 @@ pub use inferray_sort::SortScratch;
 pub use inferred::InferredBuffer;
 pub use merge::{
     merge_new_pairs, merge_new_pairs_with, merge_new_parts_with, MergeOutcome, MergeStrategy,
+    MergeTarget,
 };
 pub use profile::AccessProfile;
 pub use property_table::{

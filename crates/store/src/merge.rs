@@ -36,13 +36,19 @@
 //!   in place;
 //! * a **fully duplicate** delta stops there ([`MergeStrategy::NoOp`]):
 //!   *main* is untouched, its ⟨o,s⟩ cache survives and nothing was
-//!   allocated — at every size ratio;
+//!   allocated — at every size ratio. *main* is only read up to here
+//!   ([`MergeTarget`]), so a table a store shares with an earlier epoch is
+//!   not even copied;
 //! * the survivors are **merged backwards in place**
 //!   ([`MergeStrategy::GallopSplice`],
 //!   [`PropertyTable::splice_in_sorted`]): the vector grows by the number
 //!   of new pairs and the old pairs between insertion points move as whole
 //!   blocks (memmove), found by galloping down from the previous insertion
 //!   point.
+//!
+//! A tail append or splice that is small against *main* keeps a built
+//! ⟨o,s⟩ cache, patched with the same kernel; a larger one drops it
+//! ([`crate::property_table::KEEP_OS_CACHE_DIVISOR`]).
 //!
 //! The seed's rebuild survives in the test module as
 //! `merge_new_pairs_rebuild`, the reference the property tests compare
@@ -55,6 +61,39 @@
 
 use crate::property_table::PropertyTable;
 use inferray_sort::{sort_pairs_auto_dedup_with, sort_parts_auto_dedup_with, SortScratch};
+use std::sync::Arc;
+
+/// The *main* table a merge updates: read through `&`, written only once a
+/// pair is new. A plain [`PropertyTable`] is written in place. An `Arc` of
+/// one — a table a [`TripleStore`](crate::TripleStore) shares with other
+/// epochs — is copied on that first write ([`Arc::make_mut`]), so a merge
+/// that adds nothing copies nothing.
+pub trait MergeTarget {
+    /// The table as it stands.
+    fn get(&self) -> &PropertyTable;
+    /// The table, ready to be written.
+    fn get_mut(&mut self) -> &mut PropertyTable;
+}
+
+impl MergeTarget for PropertyTable {
+    fn get(&self) -> &PropertyTable {
+        self
+    }
+
+    fn get_mut(&mut self) -> &mut PropertyTable {
+        self
+    }
+}
+
+impl MergeTarget for Arc<PropertyTable> {
+    fn get(&self) -> &PropertyTable {
+        self
+    }
+
+    fn get_mut(&mut self) -> &mut PropertyTable {
+        Arc::make_mut(self)
+    }
+}
 
 /// How one merge was executed (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -88,7 +127,7 @@ pub struct MergeOutcome {
 /// Merges raw inferred pairs into `main` with a throwaway sort scratch.
 /// Prefer [`merge_new_pairs_with`] on hot paths.
 pub fn merge_new_pairs(
-    main: &mut PropertyTable,
+    main: &mut impl MergeTarget,
     inferred: Vec<u64>,
 ) -> (PropertyTable, MergeOutcome) {
     merge_new_pairs_with(main, inferred, &mut SortScratch::new())
@@ -97,13 +136,14 @@ pub fn merge_new_pairs(
 /// Merges raw inferred pairs into `main`, returning the *new* table (the
 /// pairs that were not previously in `main`) and the merge counters.
 ///
-/// `main` must be finalized (sorted, duplicate-free); it is updated in place
-/// and its ⟨o,s⟩ cache is invalidated when new pairs arrive, as required by
-/// §4.2 ("in the case of receiving new triples in a property table, the
-/// possibly existing ⟨o,s⟩ sorted cache is invalidated"). A merge that adds
-/// nothing leaves `main` — and its cache — untouched and allocates nothing.
+/// `main` is finalized first if it is dirty, then updated in place. When
+/// new pairs arrive its ⟨o,s⟩ cache is invalidated, as §4.2 requires ("in
+/// the case of receiving new triples in a property table, the possibly
+/// existing ⟨o,s⟩ sorted cache is invalidated"), unless they are few
+/// enough to patch it (module docs). A merge that adds nothing leaves
+/// `main` — and its cache — untouched and allocates nothing.
 pub fn merge_new_pairs_with(
-    main: &mut PropertyTable,
+    main: &mut impl MergeTarget,
     mut inferred: Vec<u64>,
     scratch: &mut SortScratch,
 ) -> (PropertyTable, MergeOutcome) {
@@ -118,7 +158,7 @@ pub fn merge_new_pairs_with(
 
     // Step 1: sort and deduplicate the inferred pairs (reused scratch).
     sort_pairs_auto_dedup_with(&mut inferred, scratch);
-    merge_sorted(main, inferred, outcome)
+    merge_sorted(main, inferred, outcome, scratch)
 }
 
 /// [`merge_new_pairs_with`] over the raw pairs of several rules at once, one
@@ -131,7 +171,7 @@ pub fn merge_new_pairs_with(
 /// # Panics
 /// Panics if a part has odd length.
 pub fn merge_new_parts_with(
-    main: &mut PropertyTable,
+    main: &mut impl MergeTarget,
     mut parts: Vec<Vec<u64>>,
     scratch: &mut SortScratch,
 ) -> (PropertyTable, MergeOutcome) {
@@ -144,29 +184,33 @@ pub fn merge_new_parts_with(
         ..MergeOutcome::default()
     };
     let inferred = sort_parts_auto_dedup_with(parts, scratch);
-    merge_sorted(main, inferred, outcome)
+    merge_sorted(main, inferred, outcome, scratch)
 }
 
 /// Step 2 of the merge, from `inferred` sorted and duplicate-free and an
 /// `outcome` that counts its raw pairs.
 fn merge_sorted(
-    main: &mut PropertyTable,
+    main: &mut impl MergeTarget,
     mut inferred: Vec<u64>,
     mut outcome: MergeOutcome,
+    scratch: &mut SortScratch,
 ) -> (PropertyTable, MergeOutcome) {
     outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len() / 2;
+    if main.get().is_dirty() {
+        main.get_mut().finalize_with(scratch);
+    }
     if inferred.is_empty() {
         return (PropertyTable::new(), outcome);
     }
 
     // Step 2: the two shapes that need no merge, else classify and splice.
-    let old = main.pairs();
+    let old = main.get().pairs();
     if old.is_empty() {
         outcome.strategy = MergeStrategy::Bootstrap;
-        main.replace_with_sorted(inferred.clone());
+        main.get_mut().replace_with_sorted(inferred.clone());
     } else if (inferred[0], inferred[1]) > (old[old.len() - 2], old[old.len() - 1]) {
         outcome.strategy = MergeStrategy::TailAppend;
-        main.append_sorted_suffix(&inferred);
+        main.get_mut().append_sorted_suffix(&inferred);
     } else {
         outcome.duplicates_against_main = retain_absent(old, &mut inferred);
         if inferred.is_empty() {
@@ -174,7 +218,7 @@ fn merge_sorted(
             return (PropertyTable::new(), outcome);
         }
         outcome.strategy = MergeStrategy::GallopSplice;
-        main.splice_in_sorted(&inferred);
+        main.get_mut().splice_in_sorted(&inferred);
     }
     outcome.new_pairs = inferred.len() / 2;
     let mut new_table = PropertyTable::new();
@@ -330,16 +374,21 @@ mod tests {
         PropertyTable::from_pairs((0..256u64).flat_map(|i| [i, 10 * i]).collect())
     }
 
+    /// The ⟨o,s⟩ cache of `main` is built and equal to a rebuild.
+    fn assert_cache_kept_and_rebuilt(main: &PropertyTable) {
+        let kept = main.os_pairs().expect("a small change keeps the cache");
+        let mut rebuilt = PropertyTable::from_pairs(main.pairs().to_vec());
+        rebuilt.ensure_os();
+        assert_eq!(Some(kept), rebuilt.os_pairs());
+    }
+
     #[test]
     fn small_fresh_delta_takes_the_gallop_splice_path() {
         let mut main = big_main();
         main.ensure_os();
         let (new, outcome) = merge_new_pairs(&mut main, vec![7, 5, 200, 1]);
         assert_eq!(outcome.strategy, MergeStrategy::GallopSplice);
-        assert!(
-            !main.has_os_cache(),
-            "a splice adds pairs: the ⟨o,s⟩ cache must be invalidated"
-        );
+        assert_cache_kept_and_rebuilt(&main);
         assert_eq!(outcome.new_pairs, 2);
         assert_eq!(new.pairs(), &[7, 5, 200, 1]);
         assert_eq!(main.len(), 258);
@@ -372,14 +421,24 @@ mod tests {
         main.ensure_os();
         let (new, outcome) = merge_new_pairs(&mut main, vec![999, 1, 500, 2]);
         assert_eq!(outcome.strategy, MergeStrategy::TailAppend);
-        assert!(
-            !main.has_os_cache(),
-            "a tail append adds pairs: the ⟨o,s⟩ cache must be invalidated"
-        );
+        assert_cache_kept_and_rebuilt(&main);
         assert_eq!(outcome.new_pairs, 2);
         assert_eq!(new.pairs(), &[500, 2, 999, 1]);
         assert!(is_sorted_pairs(main.pairs()));
         assert_eq!(main.len(), 258);
+    }
+
+    #[test]
+    fn a_merge_that_adds_nothing_keeps_a_shared_table_shared() {
+        let mut main = Arc::new(big_main());
+        let epoch = Arc::clone(&main);
+        let (_, outcome) = merge_new_pairs(&mut main, vec![3, 30, 100, 1000]);
+        assert_eq!(outcome.strategy, MergeStrategy::NoOp);
+        assert!(Arc::ptr_eq(&main, &epoch), "nothing new: nothing copied");
+        let (_, outcome) = merge_new_pairs(&mut main, vec![3, 31]);
+        assert_eq!(outcome.new_pairs, 1);
+        assert!(!Arc::ptr_eq(&main, &epoch), "the first write copies");
+        assert_eq!((main.len(), epoch.len()), (257, 256));
     }
 
     #[test]

@@ -7,10 +7,21 @@
 //! view fills ([`PropertyTable::object_pairs`]) — through a shared
 //! reference, so the rule executors of one iteration, which run as parallel
 //! tasks over the same immutable store, build exactly the caches they read
-//! and racing readers of one table block on a single build. The cache is
-//! invalidated whenever the ⟨s,o⟩ pairs change.
+//! and racing readers of one table block on a single build.
+//!
+//! The paper drops the cache whenever the ⟨s,o⟩ pairs change. Here a
+//! *small* change keeps it: the three in-place mutators
+//! ([`PropertyTable::append_sorted_suffix`],
+//! [`PropertyTable::splice_in_sorted`], [`PropertyTable::remove_pairs`])
+//! take a built cache out, invalidate, apply the same change — swapped
+//! and sorted on ⟨o,s⟩ — to it with the same in-place kernel, and put it
+//! back, as long as the change is at most `1 /` [`KEEP_OS_CACHE_DIVISOR`]
+//! of the table. A larger change drops the cache, as in the paper. Every
+//! other mutation drops it too.
 
-use inferray_sort::{sort_pairs_auto_dedup, sort_pairs_auto_dedup_with, swap_pairs, SortScratch};
+use inferray_sort::{
+    sort_pairs_auto, sort_pairs_auto_dedup, sort_pairs_auto_dedup_with, swap_pairs, SortScratch,
+};
 use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -51,6 +62,25 @@ pub fn os_builds() -> OsBuilds {
     OS_BUILDS.get()
 }
 
+/// A change of at most `n / KEEP_OS_CACHE_DIVISOR` pairs to a table of `n`
+/// pairs patches a built ⟨o,s⟩ cache; a larger one drops it.
+///
+/// The cost argument. A patch sorts the swapped change (|Δ| pairs) and
+/// moves the cache's pairs at most once: one backward in-place merge, or
+/// one forward compaction. A rebuild copies all `n` pairs and sorts them,
+/// which is several passes over `n` plus the scratch. So a patch is always
+/// cheaper than a rebuild, but it is paid *now*, and it keeps `n` cached
+/// pairs resident whether or not anyone reads them again. A rebuild is paid
+/// only when a reader asks. A live write changes a table by a few pairs,
+/// and publication would rebuild every dropped cache at once: patch. The
+/// batch fixed point changes its tables by large deltas every iteration and
+/// reads few object views in between: drop, as the paper does. At |Δ| ≤
+/// n/16 the patch sorts at most a sixteenth of what a rebuild sorts and
+/// moves at most one table's worth of memory, so it pays for itself if the
+/// cache is read even once before the next large change. Without the bound,
+/// `batch.taxonomy` kept and patched caches no later iteration read.
+pub const KEEP_OS_CACHE_DIVISOR: usize = 16;
+
 /// The sorted pair array of one predicate, with its lazy object-sorted cache.
 ///
 /// Two tables are equal when they hold the same pairs in the same state
@@ -90,6 +120,31 @@ impl PropertyTable {
     /// graph of this file and rejects mutators that do not.
     fn invalidate_os_cache(&mut self) {
         self.os = OnceLock::new();
+    }
+
+    /// Settles the ⟨o,s⟩ cache after the ⟨s,o⟩ pairs of a table of
+    /// `before` pairs changed by `delta` (⟨s,o⟩-sorted pairs, all inserted
+    /// or all removed). Take → invalidate → reinstall: a built cache is
+    /// taken out and the cache invalidated; when the change is small (see
+    /// [`KEEP_OS_CACHE_DIVISOR`]), `patch` applies `delta`, swapped and
+    /// sorted on ⟨o,s⟩, to the taken cache, which is then put back.
+    fn settle_os_cache(
+        &mut self,
+        delta: &[u64],
+        before: usize,
+        patch: impl FnOnce(&mut Vec<u64>, &mut Vec<u64>),
+    ) {
+        let kept = self
+            .os
+            .take()
+            .filter(|_| delta.len() / 2 <= before / KEEP_OS_CACHE_DIVISOR);
+        self.invalidate_os_cache();
+        if let Some(mut os) = kept {
+            let mut swapped = swap_pairs(delta);
+            sort_pairs_auto(&mut swapped);
+            patch(&mut os, &mut swapped);
+            self.os = OnceLock::from(os);
+        }
     }
 
     /// Creates a table from raw (possibly unsorted, possibly duplicated)
@@ -295,7 +350,8 @@ impl PropertyTable {
 
     /// Appends already-sorted pairs that all sort strictly after the current
     /// last pair — the adaptive merge's tail-append strategy. The table
-    /// stays finalized; the ⟨o,s⟩ cache is invalidated.
+    /// stays finalized; a built ⟨o,s⟩ cache is spliced when the suffix is
+    /// small against the table and dropped otherwise (module docs).
     pub fn append_sorted_suffix(&mut self, pairs: &[u64]) {
         debug_assert!(!self.dirty, "append_sorted_suffix on a dirty table");
         debug_assert!(inferray_sort::is_sorted_pairs(pairs));
@@ -308,8 +364,9 @@ impl PropertyTable {
         if pairs.is_empty() {
             return;
         }
+        let before = self.len();
         self.so.extend_from_slice(pairs);
-        self.invalidate_os_cache();
+        self.settle_os_cache(pairs, before, |os, swapped| splice_sorted(os, swapped));
     }
 
     /// Merges already-sorted, duplicate-free pairs **known to be absent**
@@ -320,7 +377,9 @@ impl PropertyTable {
     /// pair by pair. Each insertion point is found by galloping down from
     /// the previous one, so the searches cost O(log gap): a few comparisons
     /// per pair when `fresh` interleaves densely with the table, O(log n)
-    /// when it is a handful of pairs.
+    /// when it is a handful of pairs. A built ⟨o,s⟩ cache takes the same
+    /// splice when `fresh` is small against the table and is dropped
+    /// otherwise (module docs).
     pub fn splice_in_sorted(&mut self, fresh: &[u64]) {
         debug_assert!(!self.dirty, "splice_in_sorted on a dirty table");
         debug_assert!(fresh.len().is_multiple_of(2));
@@ -328,28 +387,9 @@ impl PropertyTable {
         if fresh.is_empty() {
             return;
         }
-        let old_len = self.so.len();
-        self.so.resize(old_len + fresh.len(), 0);
-        let so = &mut self.so;
-        let mut read_end = old_len; // exclusive end of the unmoved old region
-        let mut write_end = so.len(); // exclusive end of the write region
-        for key in fresh.chunks_exact(2).rev() {
-            // Everything in the old region greater than `key` belongs after
-            // it: move that block in one memmove. (`key` is absent from the
-            // table, so lower bound == upper bound.)
-            let boundary = 2 * gallop_down(so, read_end / 2, (key[0], key[1]));
-            let block = read_end - boundary;
-            if block > 0 {
-                so.copy_within(boundary..read_end, write_end - block);
-                write_end -= block;
-                read_end = boundary;
-            }
-            so[write_end - 2] = key[0];
-            so[write_end - 1] = key[1];
-            write_end -= 2;
-        }
-        // The remaining old prefix is already in place.
-        self.invalidate_os_cache();
+        let before = self.len();
+        splice_sorted(&mut self.so, fresh);
+        self.settle_os_cache(fresh, before, |os, swapped| splice_sorted(os, swapped));
     }
 
     /// Removes the given pairs from the table **in place**, preserving the
@@ -357,14 +397,10 @@ impl PropertyTable {
     ///
     /// `remove` is a flat `[s, o, …]` array in any order; pairs not present
     /// in the table are ignored. The table stays finalized — deletion never
-    /// perturbs the order of the surviving pairs — but the ⟨o,s⟩ cache is
-    /// dropped whenever something was removed (the same invariant the merge
-    /// paths of the update stage maintain: a table whose ⟨s,o⟩ pairs changed
-    /// must never serve a stale object-sorted view).
-    ///
-    /// The compaction is a single forward pass: surviving pairs between two
-    /// removal points move as whole blocks (`copy_within`), mirroring
-    /// [`PropertyTable::splice_in_sorted`] in reverse.
+    /// perturbs the order of the surviving pairs. When something was
+    /// removed, a built ⟨o,s⟩ cache loses the same pairs if they are few
+    /// against the table and is dropped otherwise (module docs): a table
+    /// whose ⟨s,o⟩ pairs changed never serves a stale object-sorted view.
     pub fn remove_pairs(&mut self, remove: &[u64]) -> usize {
         debug_assert!(!self.dirty, "remove_pairs on a dirty table");
         debug_assert!(
@@ -377,37 +413,14 @@ impl PropertyTable {
         // Sort (and dedup) the victims so both sides can be walked in one
         // coordinated pass.
         let mut victims = remove.to_vec();
-        inferray_sort::sort_pairs_auto_dedup(&mut victims);
-
-        let so = &mut self.so;
-        let mut write = 0usize; // exclusive end of the compacted prefix
-        let mut read = 0usize; // start of the unexamined region
-        for victim in victims.chunks_exact(2) {
-            let key = (victim[0], victim[1]);
-            // Locate the victim among the not-yet-examined pairs.
-            let Ok(hit) = pair_binary_search(&so[read..], key.0, key.1) else {
-                continue; // not present: nothing to remove
-            };
-            let hit = read + 2 * hit;
-            // Retain the block of survivors before it in one memmove.
-            let block = hit - read;
-            if block > 0 && write != read {
-                so.copy_within(read..hit, write);
-            }
-            write += block;
-            read = hit + 2; // skip the removed pair
+        sort_pairs_auto_dedup(&mut victims);
+        let before = self.len();
+        let removed = remove_sorted(&mut self.so, &mut victims);
+        if removed > 0 {
+            self.settle_os_cache(&victims, before, |os, swapped| {
+                remove_sorted(os, swapped);
+            });
         }
-        let removed = (read - write) / 2;
-        if removed == 0 {
-            return 0;
-        }
-        // Retain the tail after the last removal.
-        let tail = so.len() - read;
-        if tail > 0 {
-            so.copy_within(read.., write);
-        }
-        so.truncate(write + tail);
-        self.invalidate_os_cache();
         removed
     }
 
@@ -432,9 +445,10 @@ impl PropertyTable {
     /// (identifiers absent from the map are left untouched). This is the
     /// dictionary-promotion patch: remapped values may violate the sort
     /// order, so the table becomes dirty and the caller re-finalizes.
-    /// Returns the number of values actually rewritten.
+    /// Returns the number of values actually rewritten; a table that holds
+    /// no key of `remap` is left as it was, cache included.
     pub fn remap_values(&mut self, remap: &std::collections::HashMap<u64, u64>) -> usize {
-        if remap.is_empty() {
+        if !self.mentions_any(remap) {
             return 0;
         }
         let mut rewritten = 0usize;
@@ -445,6 +459,12 @@ impl PropertyTable {
             }
         }
         rewritten
+    }
+
+    /// `true` when a subject or object of the table, finalized or not, is a
+    /// key of `remap`.
+    pub(crate) fn mentions_any(&self, remap: &std::collections::HashMap<u64, u64>) -> bool {
+        !remap.is_empty() && self.so.iter().any(|value| remap.contains_key(value))
     }
 
     /// Exact-or-bounded count of distinct **subjects**, derived from the
@@ -512,6 +532,74 @@ fn object_sorted(so: &[u64], scratch: &mut SortScratch) -> Vec<u64> {
     let mut swapped = swap_pairs(so);
     sort_pairs_auto_dedup_with(&mut swapped, scratch);
     swapped
+}
+
+/// Merges sorted, duplicate-free pairs **known to be absent** from the
+/// sorted `pairs` into it with one backward in-place pass: the vector grows
+/// by `fresh.len()`, and the old pairs between insertion points move as
+/// whole blocks (`copy_within`). Each insertion point is found by galloping
+/// down from the previous one.
+fn splice_sorted(pairs: &mut Vec<u64>, fresh: &[u64]) {
+    let old_len = pairs.len();
+    pairs.resize(old_len + fresh.len(), 0);
+    let mut read_end = old_len; // exclusive end of the unmoved old region
+    let mut write_end = pairs.len(); // exclusive end of the write region
+    for key in fresh.chunks_exact(2).rev() {
+        // Everything in the old region greater than `key` belongs after
+        // it: move that block in one memmove. (`key` is absent from the
+        // table, so lower bound == upper bound.)
+        let boundary = 2 * gallop_down(pairs, read_end / 2, (key[0], key[1]));
+        let block = read_end - boundary;
+        if block > 0 {
+            pairs.copy_within(boundary..read_end, write_end - block);
+            write_end -= block;
+            read_end = boundary;
+        }
+        pairs[write_end - 2] = key[0];
+        pairs[write_end - 1] = key[1];
+        write_end -= 2;
+    }
+    // The remaining old prefix is already in place.
+}
+
+/// Removes from the sorted `pairs`, in place, every pair of the sorted,
+/// duplicate-free `victims` it holds, and returns how many; `victims` is
+/// left holding exactly the removed pairs. The compaction is one forward
+/// pass: survivors between two removal points move as whole blocks
+/// (`copy_within`), [`splice_sorted`] in reverse.
+fn remove_sorted(pairs: &mut Vec<u64>, victims: &mut Vec<u64>) -> usize {
+    let mut write = 0usize; // exclusive end of the compacted prefix
+    let mut read = 0usize; // start of the unexamined region
+    let mut found = 0usize; // end of the victims found so far
+    for next in (0..victims.len()).step_by(2) {
+        let key = (victims[next], victims[next + 1]);
+        // Locate the victim among the not-yet-examined pairs.
+        let Ok(hit) = pair_binary_search(&pairs[read..], key.0, key.1) else {
+            continue; // not present: nothing to remove
+        };
+        let hit = read + 2 * hit;
+        // Retain the block of survivors before it in one memmove.
+        let block = hit - read;
+        if block > 0 && write != read {
+            pairs.copy_within(read..hit, write);
+        }
+        write += block;
+        read = hit + 2; // skip the removed pair
+        victims[found] = key.0;
+        victims[found + 1] = key.1;
+        found += 2;
+    }
+    victims.truncate(found);
+    if found == 0 {
+        return 0;
+    }
+    // Retain the tail after the last removal.
+    let tail = pairs.len() - read;
+    if tail > 0 {
+        pairs.copy_within(read.., write);
+    }
+    pairs.truncate(write + tail);
+    found / 2
 }
 
 /// An exact-or-estimated distinct-key count (see
@@ -870,6 +958,29 @@ mod tests {
         assert!(!t.has_os_cache(), "real removal drops the cache");
         t.ensure_os();
         assert_eq!(t.os_pairs().unwrap(), &[2, 5, 3, 1, 9, 1]);
+    }
+
+    /// Equal to the cache a rebuild from the current pairs would give.
+    fn assert_cache_rebuilt(t: &PropertyTable) {
+        let os = t.os_pairs().expect("the cache was kept");
+        assert_eq!(os, object_sorted(t.pairs(), &mut SortScratch::new()));
+    }
+
+    #[test]
+    fn small_changes_keep_the_cache_and_large_ones_drop_it() {
+        // 64 pairs: changes of up to 4 pairs are kept.
+        let pairs: Vec<u64> = (0..64u64).flat_map(|i| [2 * i, (i * 37) % 11]).collect();
+        let mut t = PropertyTable::from_pairs(pairs);
+        t.ensure_os();
+        t.splice_in_sorted(&[3, 5, 9, 0]);
+        assert_cache_rebuilt(&t);
+        t.append_sorted_suffix(&[500, 1, 501, 7]);
+        assert_cache_rebuilt(&t);
+        assert_eq!(t.remove_pairs(&[3, 5, 500, 1, 999, 9, 0, 0]), 3);
+        assert_cache_rebuilt(&t);
+        assert_eq!(t.len(), 65);
+        t.splice_in_sorted(&[1, 1, 5, 5, 7, 7, 9, 9, 11, 11]);
+        assert!(!t.has_os_cache(), "5 new pairs against 65: dropped");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   matter what writers do afterwards;
 //! * a [`SnapshotStore`] is the handoff cell: a writer prepares the next
 //!   version in a **private copy** of the store (clone → mutate → finalize →
-//!   build the ⟨o,s⟩ caches → compute cardinality stats) and then publishes
+//!   build the ⟨o,s⟩ caches → compute cardinality stats; the clone shares
+//!   every table with the published version until it writes to one, see
+//!   [`crate::triple_store`]) and then publishes
 //!   it ([`SnapshotStore::update`]); readers sample the current snapshot
 //!   **without ever blocking** ([`SnapshotStore::snapshot`]).
 //!

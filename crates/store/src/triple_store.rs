@@ -6,18 +6,27 @@
 //! properties" (§4.2). Because the dictionary numbers properties densely
 //! downwards from 2³², translating a property identifier to a slot in the
 //! table array is a single subtraction ([`inferray_model::ids::property_index`]).
+//!
+//! Each table sits behind an [`Arc`]: cloning a store copies one pointer
+//! per table, and a clone copies a table — ⟨o,s⟩ cache included — only
+//! when it first writes to it ([`Arc::make_mut`]). A serving write clones
+//! the published store, changes a few tables and publishes the result;
+//! every table it did not touch stays shared with the previous epoch
+//! ([`TripleStore::shares_table`]). A store nobody else holds, as in a
+//! batch run, copies nothing.
 
-use crate::merge::{merge_new_pairs, MergeOutcome};
+use crate::merge::{merge_new_pairs, merge_new_pairs_with, MergeOutcome};
 use crate::property_table::PropertyTable;
 use inferray_model::ids::{is_property_id, property_id_from_index, property_index};
 use inferray_model::IdTriple;
+use std::sync::Arc;
 
 /// A vertically partitioned triple store: one [`PropertyTable`] per
 /// predicate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TripleStore {
     /// Slot `i` holds the table of the property with dense index `i`.
-    tables: Vec<Option<PropertyTable>>,
+    tables: Vec<Option<Arc<PropertyTable>>>,
 }
 
 impl TripleStore {
@@ -46,41 +55,73 @@ impl TripleStore {
         self.table_or_create(p).add_pair(s, o);
     }
 
-    /// Sorts and deduplicates every dirty table.
+    /// Sorts and deduplicates every dirty table (copying a shared one).
     pub fn finalize(&mut self) {
         for table in self.tables.iter_mut().flatten() {
-            table.finalize();
+            if table.is_dirty() {
+                Arc::make_mut(table).finalize();
+            }
         }
     }
 
     /// The table of property `p`, if any triples with that predicate exist.
     pub fn table(&self, p: u64) -> Option<&PropertyTable> {
-        debug_assert!(is_property_id(p), "not a property id: {p}");
-        self.tables.get(property_index(p)).and_then(|t| t.as_ref())
+        self.slot(p).map(|table| &**table)
     }
 
-    /// Mutable access to the table of property `p`, if it exists.
+    /// Mutable access to the table of property `p`, if it exists. A table
+    /// this store shares with another is copied first.
     pub fn table_mut(&mut self, p: u64) -> Option<&mut PropertyTable> {
         debug_assert!(is_property_id(p), "not a property id: {p}");
         self.tables
             .get_mut(property_index(p))
             .and_then(|t| t.as_mut())
+            .map(Arc::make_mut)
     }
 
-    /// The table of property `p`, created empty if absent.
+    /// The table of property `p`, created empty if absent, copied first if
+    /// shared.
     pub fn table_or_create(&mut self, p: u64) -> &mut PropertyTable {
+        Arc::make_mut(self.slot_or_create(p))
+    }
+
+    /// The shared handle of the table of property `p`, created empty if
+    /// absent.
+    fn slot_or_create(&mut self, p: u64) -> &mut Arc<PropertyTable> {
         debug_assert!(is_property_id(p), "not a property id: {p}");
         let index = property_index(p);
         if index >= self.tables.len() {
             self.tables.resize_with(index + 1, || None);
         }
-        self.tables[index].get_or_insert_with(PropertyTable::new)
+        self.tables[index].get_or_insert_with(Arc::default)
+    }
+
+    /// `true` when this store and `other` hold the very same table
+    /// allocation for property `p`: neither has written to it since one was
+    /// cloned from the other.
+    pub fn shares_table(&self, other: &TripleStore, p: u64) -> bool {
+        match (self.slot(p), other.slot(p)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// The shared handle of the table of property `p`, if it exists.
+    fn slot(&self, p: u64) -> Option<&Arc<PropertyTable>> {
+        debug_assert!(is_property_id(p), "not a property id: {p}");
+        self.tables.get(property_index(p)).and_then(Option::as_ref)
     }
 
     /// Builds the ⟨o,s⟩ cache of the table of `p`, if the table exists.
     /// Returns the number of pairs re-sorted (`0` when the cache was valid).
     pub fn ensure_os(&mut self, p: u64) -> usize {
-        self.table_mut(p).map_or(0, |table| table.ensure_os())
+        debug_assert!(is_property_id(p), "not a property id: {p}");
+        self.tables
+            .get_mut(property_index(p))
+            .and_then(Option::as_mut)
+            .map_or(0, |table| {
+                ensure_table_os(table, &mut inferray_sort::SortScratch::new())
+            })
     }
 
     /// Builds the ⟨o,s⟩ cache of every non-empty table. Returns the total
@@ -93,13 +134,11 @@ impl TripleStore {
 
     /// [`TripleStore::ensure_all_os`] against a reusable sort scratch.
     pub fn ensure_all_os_with(&mut self, scratch: &mut inferray_sort::SortScratch) -> usize {
-        let mut resorted = 0usize;
-        for table in self.tables.iter_mut().flatten() {
-            if !table.is_empty() {
-                resorted += table.ensure_os_with(scratch);
-            }
-        }
-        resorted
+        self.tables
+            .iter_mut()
+            .flatten()
+            .map(|table| ensure_table_os(table, scratch))
+            .sum()
     }
 
     /// Iterates over the property identifiers that have a (possibly empty)
@@ -117,7 +156,7 @@ impl TripleStore {
         self.tables
             .iter()
             .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|t| (property_id_from_index(i), t)))
+            .filter_map(|(i, t)| t.as_deref().map(|t| (property_id_from_index(i), t)))
             .filter(|(_, t)| !t.is_empty())
     }
 
@@ -154,10 +193,10 @@ impl TripleStore {
 
     /// Merges raw inferred pairs for property `p` into this store (the
     /// Figure 5 update), returning the *new* table and the merge counters.
+    /// A merge that adds nothing writes nothing, so a shared table stays
+    /// shared.
     pub fn merge_property(&mut self, p: u64, inferred: Vec<u64>) -> (PropertyTable, MergeOutcome) {
-        let table = self.table_or_create(p);
-        table.finalize();
-        merge_new_pairs(table, inferred)
+        merge_new_pairs(self.slot_or_create(p), inferred)
     }
 
     /// [`TripleStore::merge_property`] against a reusable sort scratch (the
@@ -168,31 +207,27 @@ impl TripleStore {
         inferred: Vec<u64>,
         scratch: &mut inferray_sort::SortScratch,
     ) -> (PropertyTable, MergeOutcome) {
-        let table = self.table_or_create(p);
-        table.finalize_with(scratch);
-        crate::merge::merge_new_pairs_with(table, inferred, scratch)
+        merge_new_pairs_with(self.slot_or_create(p), inferred, scratch)
     }
 
     /// Removes and returns the table of property `p`, leaving an empty slot.
     /// The parallel update stage takes the affected tables out, merges each
     /// on a worker, and puts the results back with
     /// [`TripleStore::set_table`] — giving workers exclusive ownership
-    /// without any locking.
-    pub fn take_table(&mut self, p: u64) -> Option<PropertyTable> {
+    /// without any locking. The table comes out as its shared handle, so
+    /// taking it copies nothing; a worker that writes to a shared one copies
+    /// it then ([`crate::merge::MergeTarget`]).
+    pub fn take_table(&mut self, p: u64) -> Option<Arc<PropertyTable>> {
         debug_assert!(is_property_id(p), "not a property id: {p}");
         self.tables
             .get_mut(property_index(p))
             .and_then(|t| t.take())
     }
 
-    /// (Re)installs `table` as the table of property `p`.
-    pub fn set_table(&mut self, p: u64, table: PropertyTable) {
-        debug_assert!(is_property_id(p), "not a property id: {p}");
-        let index = property_index(p);
-        if index >= self.tables.len() {
-            self.tables.resize_with(index + 1, || None);
-        }
-        self.tables[index] = Some(table);
+    /// (Re)installs `table` — owned, or a shared handle — as the table of
+    /// property `p`.
+    pub fn set_table(&mut self, p: u64, table: impl Into<Arc<PropertyTable>>) {
+        *self.slot_or_create(p) = table.into();
     }
 
     /// Replaces the whole table of property `p` with already-sorted pairs
@@ -207,27 +242,33 @@ impl TripleStore {
     ///
     /// This is the store half of the delete–rederive maintenance path
     /// (docs/maintenance.md): affected tables stay finalized and their
-    /// ⟨o,s⟩ caches are invalidated, exactly as after a merge, so readers of
-    /// the mutated store can never observe a stale object-sorted view. A
+    /// ⟨o,s⟩ caches are patched or invalidated, exactly as after a merge, so
+    /// readers of the mutated store can never observe a stale object-sorted
+    /// view. A
     /// table whose last pair is removed keeps its (empty) slot — empty
     /// tables are invisible to [`TripleStore::iter_tables`] and
     /// [`TripleStore::property_ids`].
     pub fn retract(&mut self, triples: impl IntoIterator<Item = IdTriple>) -> usize {
-        let mut by_property: std::collections::BTreeMap<u64, Vec<u64>> =
-            std::collections::BTreeMap::new();
-        for t in triples {
-            let pairs = by_property.entry(t.p).or_default();
-            pairs.push(t.s);
-            pairs.push(t.o);
-        }
         let mut removed = 0usize;
-        for (p, pairs) in by_property {
-            debug_assert!(is_property_id(p), "not a property id: {p}");
+        for (p, pairs) in by_property(triples) {
             if let Some(table) = self.table_mut(p) {
                 removed += table.remove_pairs(&pairs);
             }
         }
         removed
+    }
+
+    /// Adds encoded triples **in place** through the Figure 5 merge, one
+    /// property at a time ([`TripleStore::merge_property_with`]): the
+    /// tables stay finalized, and only a table that gains a pair is
+    /// written. Returns how many triples were new. The counterpart of
+    /// [`TripleStore::retract`].
+    pub fn insert(&mut self, triples: impl IntoIterator<Item = IdTriple>) -> usize {
+        let mut scratch = inferray_sort::SortScratch::new();
+        by_property(triples)
+            .into_iter()
+            .map(|(p, pairs)| self.merge_property_with(p, pairs, &mut scratch).1.new_pairs)
+            .sum()
     }
 
     /// Removes the ⟨s,o⟩ pairs of `remove` from the table of property `p`
@@ -250,7 +291,7 @@ impl TripleStore {
     /// `Some(empty)` is observable through `PartialEq`, so a recovered
     /// store must reproduce it bit for bit to compare equal to the
     /// pre-crash original.
-    pub fn slot_tables(&self) -> &[Option<PropertyTable>] {
+    pub fn slot_tables(&self) -> &[Option<Arc<PropertyTable>>] {
         &self.tables
     }
 
@@ -260,13 +301,16 @@ impl TripleStore {
     /// ⟨s,o⟩-sorted, duplicate-free); the persistence layer only feeds back
     /// slots it previously observed through [`TripleStore::slot_tables`].
     pub fn from_slot_tables(tables: Vec<Option<PropertyTable>>) -> Self {
-        TripleStore { tables }
+        TripleStore {
+            tables: tables.into_iter().map(|t| t.map(Arc::new)).collect(),
+        }
     }
 
     /// Rewrites subject/object identifiers through `remap` across every
     /// table — the dictionary-promotion patch applied when a blank-node or
     /// literal identifier is promoted to a resource identifier. Tables that
-    /// had values rewritten become dirty; the caller re-finalizes (the
+    /// had values rewritten become dirty, and only they are written (so
+    /// copied, if shared); the caller re-finalizes (the
     /// loader defers this to its batch finalize, the serving layer calls
     /// [`TripleStore::finalize`] immediately). Property identifiers are not
     /// remapped: promotions never change a predicate's dense index.
@@ -276,8 +320,8 @@ impl TripleStore {
         }
         let mut rewritten = 0usize;
         for table in self.tables.iter_mut().flatten() {
-            if !table.is_empty() {
-                rewritten += table.remap_values(remap);
+            if table.mentions_any(remap) {
+                rewritten += Arc::make_mut(table).remap_values(remap);
             }
         }
         rewritten
@@ -306,6 +350,31 @@ impl TripleStore {
             panic!("triple store invariant violation: {violation}");
         }
     }
+}
+
+/// The ⟨s,o⟩ pairs of `triples`, per property in ascending order.
+fn by_property(
+    triples: impl IntoIterator<Item = IdTriple>,
+) -> std::collections::BTreeMap<u64, Vec<u64>> {
+    let mut grouped: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+    for t in triples {
+        debug_assert!(is_property_id(t.p), "not a property id: {}", t.p);
+        grouped.entry(t.p).or_default().extend([t.s, t.o]);
+    }
+    grouped
+}
+
+/// Builds the ⟨o,s⟩ cache of a non-empty table that is dirty or lacks it —
+/// the only tables written, and so copied if shared. Returns the number of
+/// pairs sorted.
+fn ensure_table_os(
+    table: &mut Arc<PropertyTable>,
+    scratch: &mut inferray_sort::SortScratch,
+) -> usize {
+    if table.is_empty() || (!table.is_dirty() && table.has_os_cache()) {
+        return 0;
+    }
+    Arc::make_mut(table).ensure_os_with(scratch)
 }
 
 impl FromIterator<IdTriple> for TripleStore {

@@ -9,9 +9,10 @@
 use inferray_model::ids::{PROPERTY_BASE, RESOURCE_BASE};
 use inferray_model::IdTriple;
 use inferray_sort::sort_pairs_auto_dedup;
-use inferray_store::TripleStore;
+use inferray_store::property_table::KEEP_OS_CACHE_DIVISOR;
+use inferray_store::{PropertyTable, TripleStore};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 // Small dense windows of the paper's split id space: properties count
 // downwards from 2³², resources upwards from 2³² + 1.
@@ -123,7 +124,109 @@ fn assert_cache_coherent(store: &TripleStore) {
     }
 }
 
+/// One in-place change to a table with a built ⟨o,s⟩ cache. `size` is
+/// drawn on both sides of the keep bound; the pairs come from `seed`.
+#[derive(Debug, Clone)]
+enum TableChange {
+    /// `splice_in_sorted` of up to `size` pairs absent from the table.
+    Splice { size: usize, seed: Vec<(u64, u64)> },
+    /// `append_sorted_suffix` of `size` pairs after the last one.
+    Append { size: usize, seed: u64 },
+    /// `remove_pairs` of up to `size` pairs of the table, in scrambled
+    /// order, with repeats and pairs the table does not hold.
+    Remove { size: usize, picks: Vec<usize> },
+}
+
+fn arbitrary_change() -> impl Strategy<Value = TableChange> {
+    // Tables hold up to 400 pairs: sizes up to 60 straddle n / 16.
+    prop_oneof![
+        (
+            0usize..60,
+            proptest::collection::vec((0u64..220, 0u64..40), 60)
+        )
+            .prop_map(|(size, seed)| TableChange::Splice { size, seed }),
+        (1usize..60, 0u64..1000).prop_map(|(size, seed)| TableChange::Append { size, seed }),
+        (1usize..60, proptest::collection::vec(0usize..1000, 60))
+            .prop_map(|(size, picks)| TableChange::Remove { size, picks }),
+    ]
+}
+
+/// Applies `change` to `table`; returns how many pairs it added or removed.
+fn apply_change(table: &mut PropertyTable, change: &TableChange) -> usize {
+    let held: BTreeSet<(u64, u64)> = table.iter_pairs().collect();
+    let flat = |pairs: &BTreeSet<(u64, u64)>| -> Vec<u64> {
+        pairs.iter().flat_map(|&(s, o)| [s, o]).collect()
+    };
+    match change {
+        TableChange::Splice { size, seed } => {
+            let fresh: BTreeSet<(u64, u64)> = seed
+                .iter()
+                .filter(|pair| !held.contains(pair))
+                .take(*size)
+                .copied()
+                .collect();
+            table.splice_in_sorted(&flat(&fresh));
+            fresh.len()
+        }
+        TableChange::Append { size, seed } => {
+            let after = held.last().map_or(0, |&(s, _)| s + 1);
+            let suffix: BTreeSet<(u64, u64)> = (0..*size as u64)
+                .map(|i| (after + i / 3, (seed + 7 * i) % 40))
+                .collect();
+            table.append_sorted_suffix(&flat(&suffix));
+            suffix.len()
+        }
+        TableChange::Remove { size, picks } => {
+            let pairs: Vec<(u64, u64)> = held.iter().copied().collect();
+            let mut victims: Vec<u64> = picks
+                .iter()
+                .take(*size)
+                .filter_map(|&i| pairs.get(i % pairs.len().max(1)))
+                .flat_map(|&(s, o)| [s, o])
+                .collect();
+            victims.extend([999, 999, 0, 41]); // absent: ignored
+            table.remove_pairs(&victims)
+        }
+    }
+}
+
+/// The ⟨o,s⟩ cache a rebuild from the table's current pairs gives.
+fn rebuilt_cache(table: &PropertyTable) -> Vec<u64> {
+    let mut rebuilt = PropertyTable::from_pairs(table.pairs().to_vec());
+    rebuilt.ensure_os();
+    rebuilt.os_pairs().expect("just built").to_vec()
+}
+
 proptest! {
+    /// The in-place mutators keep a built cache through a change of at most
+    /// `n / KEEP_OS_CACHE_DIVISOR` pairs and may drop it through a larger
+    /// one; a cache that is there is byte-identical to a rebuild.
+    #[test]
+    fn kept_caches_equal_a_rebuild_on_both_sides_of_the_bound(
+        base in proptest::collection::vec((0u64..200, 0u64..40), 0..400),
+        changes in proptest::collection::vec(arbitrary_change(), 1..8),
+        rebuild_between in proptest::collection::vec(any::<bool>(), 8),
+    ) {
+        let mut table =
+            PropertyTable::from_pairs(base.iter().flat_map(|&(s, o)| [s, o]).collect());
+        table.ensure_os();
+        for (i, change) in changes.iter().enumerate() {
+            let before = table.len();
+            let had_cache = table.has_os_cache();
+            let changed = apply_change(&mut table, change);
+            if had_cache && changed <= before / KEEP_OS_CACHE_DIVISOR {
+                prop_assert!(table.has_os_cache(), "{changed} of {before} pairs dropped the cache");
+            }
+            if let Some(os) = table.os_pairs() {
+                prop_assert_eq!(os, &rebuilt_cache(&table)[..]);
+            }
+            prop_assert!(table.debug_validate().is_ok());
+            if rebuild_between[i] {
+                table.ensure_os();
+            }
+        }
+    }
+
     #[test]
     fn mutations_preserve_store_invariants(
         base in arbitrary_triples(40),

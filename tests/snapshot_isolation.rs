@@ -217,10 +217,11 @@ fn concurrent_readers_survive_extend_retract_interleaving() {
     let (snapshot0, _) = dataset.snapshot();
     let baseline = snapshot0.len();
     let stop = AtomicBool::new(false);
+    let sampled = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         let reader_dataset = Arc::clone(&dataset);
-        let stop_flag = &stop;
+        let (stop_flag, sampled_flag) = (&stop, &sampled);
         let reader = scope.spawn(move || {
             let mut samples = 0usize;
             while !stop_flag.load(Ordering::Relaxed) {
@@ -232,10 +233,16 @@ fn concurrent_readers_survive_extend_retract_interleaving() {
                     );
                 }
                 samples += 1;
+                sampled_flag.store(true, Ordering::Release);
             }
             samples
         });
 
+        // The churn starts once the reader has sampled: twenty small writes
+        // can finish before a freshly spawned thread first runs.
+        while !sampled.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         // Each round asserts a fresh instance triple, then retracts it:
         // epochs 1..=20, net zero triples.
         for i in 0..10u32 {
