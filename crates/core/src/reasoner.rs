@@ -54,7 +54,7 @@ use inferray_model::IdTriple;
 use inferray_parallel::ThreadPool;
 use inferray_rules::{
     analysis, apply_rule, Fragment, InferenceStats, Materializer, RuleClass, RuleContext, RuleId,
-    RuleRef, Ruleset,
+    RuleRef, Ruleset, Survivors,
 };
 use inferray_sort::SortScratch;
 use inferray_store::{
@@ -372,7 +372,8 @@ impl InferrayReasoner {
 
     /// Incrementally maintains an **already materialized** store after
     /// explicit triples are retracted — the delete–rederive (DRed) algorithm
-    /// of the classic Datalog maintenance literature (docs/maintenance.md).
+    /// of the classic Datalog maintenance literature, with the store touched
+    /// once (docs/maintenance.md).
     ///
     /// `store` must be the materialization of `base` under this reasoner's
     /// fragment and options; `base` holds the *explicit* (asserted) triples.
@@ -381,34 +382,42 @@ impl InferrayReasoner {
     /// entailed (it stays derivable, so the result of rebuilding from
     /// `base ∖ Δ` still contains it).
     ///
-    /// The algorithm has two phases:
+    /// The algorithm runs four phases, and nothing leaves the store before
+    /// the third:
     ///
     /// 1. **over-delete** — starting from the explicit deletions, repeatedly
     ///    fire the (input-scheduled) rules semi-naively with the deletion
     ///    frontier as `new` to collect every one-step consequence of a
-    ///    deleted triple, remove the frontier, and continue with the
-    ///    consequences that are still present and not explicitly asserted.
-    ///    The θ (closure) executors only emit pairs *absent* from the closed
-    ///    main table, so their cones are collected by conservatively marking
-    ///    the whole derived part of every affected closed table instead.
-    ///    Explicit triples are never over-deleted.
-    /// 2. **rederive** — probe every removed triple with the one-step
-    ///    support checks ([`inferray_rules::is_supported`]), restricted per
-    ///    property to the rules whose *output* signature, derived from the
-    ///    rule's text ([`Ruleset::rederive_refs`]), reaches it; re-assert the
-    ///    supported ones and cascade them through the ordinary incremental
-    ///    addition machinery ([`InferrayReasoner::materialize_delta`]).
+    ///    deleted triple, and continue with the consequences that are not
+    ///    already in the cone and not explicitly asserted. The cone gathers
+    ///    in a `gone` store; the store itself is only read. The θ (closure)
+    ///    executors only emit pairs *absent* from the closed main table, so
+    ///    their cones are collected by conservatively marking the whole
+    ///    derived part of every affected closed table instead. Explicit
+    ///    triples are never over-deleted.
+    /// 2. **probe** — every triple of the cone is checked with the one-step
+    ///    support checks ([`inferray_rules::is_supported`]) through the
+    ///    [`Survivors`] view `store ∖ gone`, restricted per property to the
+    ///    rules whose *output* signature, derived from the rule's text
+    ///    ([`Ruleset::rederive_refs`]), reaches it. The supported ones, `R`,
+    ///    stay where they are.
+    /// 3. **net delete** — `gone ∖ R` leaves the store, one
+    ///    [`TripleStore::remove_pairs`] per table. A table whose cone is
+    ///    fully supported is never written, so a store that shares it with
+    ///    an earlier epoch still does.
+    /// 4. **cascade** — the fixed point restarts with `R` as its frontier.
     ///    Triples missing at greater derivation height have a missing
-    ///    premise among the re-asserted ones and are reached by the
-    ///    cascade, so one-step probes suffice. (With `schedule_rules`
-    ///    disabled the rederivation instead re-runs the full fixed point
-    ///    over the survivors — the reference implementation the equivalence
-    ///    suite compares against.)
+    ///    premise in `R` and are reached by the cascade, so one-step probes
+    ///    suffice.
+    ///
+    /// With `schedule_rules` disabled, phases 2–4 are the reference instead:
+    /// the whole cone leaves the store and the full fixed point re-runs over
+    /// the survivors — what the equivalence suite compares against.
     ///
     /// The result is byte-identical — per-table pair arrays, dictionary
     /// identifiers, promotion state — to re-materializing `base ∖ Δ` from
     /// scratch (proven by `tests/retraction_equivalence.rs`), at a cost
-    /// proportional to the deleted cone plus one output-restricted firing
+    /// proportional to the deleted cone plus one output-restricted probe
     /// round.
     pub fn retract_delta(
         &mut self,
@@ -440,27 +449,111 @@ impl InferrayReasoner {
         stats.retracted_explicit = explicit.len();
         base.retract(explicit.iter().copied());
 
+        // Phase 1: the cone, over-deleted logically. Every triple of it —
+        // explicit or derived — is also a rederivation candidate: an
+        // explicitly retracted triple that is still entailed by the
+        // surviving base must stay (it is merely no longer asserted).
+        let phase = Instant::now();
+        let seeds =
+            TripleStore::from_triples(explicit.iter().copied().filter(|t| store.contains(t)));
+        let seeded = seeds.len();
+        let gone = self.over_delete(store, base, seeds);
+        stats.over_deleted = gone.len() - seeded;
+        stats.over_delete_time = phase.elapsed();
+
+        let size_before = store.len();
+        let mut profile = AccessProfile::default();
+        if self.options.schedule_rules {
+            // Phase 2: probe the cone against the survivors.
+            let phase = Instant::now();
+            let (supported, net) = self.probe_cone(store, &gone);
+            stats.supported = supported.len();
+            stats.probe_time = phase.elapsed();
+
+            // Phase 3: the net change leaves the store.
+            let phase = Instant::now();
+            for (p, pairs) in &net {
+                store.remove_pairs(*p, pairs);
+            }
+            stats.net_delete_time = phase.elapsed();
+
+            // Phase 4: cascade from what stayed. `R` is in the store
+            // already, so it is the frontier without a merge.
+            let phase = Instant::now();
+            if !supported.is_empty() {
+                let frontier = Frontier::Delta(supported);
+                let (outcome, iterations) =
+                    self.run_fixed_point(&self.ruleset, store, frontier, &mut profile);
+                self.last_iteration_profile = iterations;
+                stats.iterations = outcome.iterations;
+            }
+            stats.cascade_time = phase.elapsed();
+        } else {
+            // Reference path (scheduling disabled): the whole cone leaves
+            // the store, then the full fixed point re-runs over the
+            // survivors, all of them new.
+            let phase = Instant::now();
+            for (p, table) in gone.iter_tables() {
+                store.remove_pairs(p, table.pairs());
+            }
+            stats.net_delete_time = phase.elapsed();
+
+            let phase = Instant::now();
+            if !store.is_empty() && !gone.is_empty() {
+                let frontier = Frontier::Whole {
+                    theta_closed: false,
+                    stratum_closed: false,
+                };
+                let (outcome, iterations) =
+                    self.run_fixed_point(&self.ruleset, store, frontier, &mut profile);
+                self.last_iteration_profile = iterations;
+                stats.iterations = outcome.iterations;
+            }
+            stats.cascade_time = phase.elapsed();
+        }
+
+        // What the cone lost and the rederivation restored: `R` and the
+        // cascade's pairs, against the store with the whole cone removed.
+        stats.rederived = store.len() + gone.len() - size_before;
+        stats.profile = profile;
+        stats.output_triples = store.len();
+        stats.duration = start.elapsed();
+        stats
+    }
+
+    /// Phase 1 of [`InferrayReasoner::retract_delta`]: the over-deletion
+    /// cone of `seeds`, the explicit deletions present in `store`. Only
+    /// `store` is read, so the executors keep seeing each frontier inside
+    /// `main`, as the semi-naive contract needs; the cone gathers in the
+    /// returned store.
+    ///
+    /// A consequence joins the next frontier when it is present, not in the
+    /// cone yet and not explicitly asserted. The cone equals what removing
+    /// each frontier before the next round would collect: an instance whose
+    /// other premise an earlier round put in the cone fired in that round,
+    /// with this premise still in `main`, so its head is in the cone or the
+    /// base already.
+    fn over_delete(
+        &self,
+        store: &TripleStore,
+        base: &TripleStore,
+        seeds: TripleStore,
+    ) -> TripleStore {
         let pool = if self.options.parallel {
             Some(inferray_parallel::global())
         } else {
             None
         };
-        let size_before = store.len();
-
-        // Phase 1: over-delete the cone of consequences. Every removed
-        // triple — explicit or derived — is also a rederivation candidate:
-        // an explicitly retracted triple that is still entailed by the
-        // surviving base must reappear (it is merely no longer asserted).
-        let mut removed: Vec<IdTriple> = Vec::new();
-        let mut frontier =
-            TripleStore::from_triples(explicit.iter().copied().filter(|t| store.contains(t)));
+        let mut scratch = SortScratch::new();
+        let mut gone = TripleStore::new();
+        let mut frontier = seeds;
         while !frontier.is_empty() {
             // Fire the rules that read the frontier's tables (the §4.3
-            // input signatures), with the frontier as `new` *while it is
-            // still part of the store*: the semi-naive executors then emit
-            // exactly the one-step consequences that use at least one
-            // deleted premise. The θ rules are excluded — their executors
-            // cannot see "un-derivable" pairs — and handled below.
+            // input signatures), with the frontier as `new`: the
+            // semi-naive executors then emit exactly the one-step
+            // consequences that use at least one deleted premise. The θ
+            // rules are excluded — their executors cannot see
+            // "un-derivable" pairs — and handled below.
             let scheduled: Vec<RuleRef> = if self.options.schedule_rules {
                 self.ruleset.scheduled_refs(store, &frontier)
             } else {
@@ -471,14 +564,18 @@ impl InferrayReasoner {
             .collect();
             let mut candidates =
                 Self::fire_rules(&self.ruleset, pool, store, &frontier, &scheduled).parts;
-            self.collect_theta_over_deletions(store, &frontier, &mut candidates);
+            self.collect_theta_over_deletions(
+                Survivors::without(store, &gone),
+                &frontier,
+                &mut candidates,
+            );
 
-            // Remove the frontier, then keep as the next frontier every
-            // consequence that is still present and not explicitly asserted.
+            // Every round grows `gone` by its frontier; the next frontier
+            // is every consequence still outside it and not asserted.
             for (p, table) in frontier.iter_tables() {
-                store.remove_pairs(p, table.pairs());
+                gone.merge_property_with(p, table.pairs().to_vec(), &mut scratch);
             }
-            removed.extend(frontier.iter_triples());
+            let survivors = Survivors::without(store, &gone);
             let mut next = TripleStore::new();
             for (p, parts) in candidates {
                 let Some(table) = store.table(p) else {
@@ -486,7 +583,10 @@ impl InferrayReasoner {
                 };
                 for pair in parts.iter().flat_map(|part| part.chunks_exact(2)) {
                     let (s, o) = (pair[0], pair[1]);
-                    if table.contains_pair(s, o) && !base.contains(&IdTriple::new(s, p, o)) {
+                    if table.contains_pair(s, o)
+                        && !survivors.is_gone(s, p, o)
+                        && !base.contains(&IdTriple::new(s, p, o))
+                    {
                         next.add_pair(p, s, o);
                     }
                 }
@@ -494,58 +594,43 @@ impl InferrayReasoner {
             next.finalize();
             frontier = next;
         }
-        stats.over_deleted = size_before - store.len() - explicit.len();
+        gone
+    }
 
-        // Phase 2: rederive. Every triple still entailed by the surviving
-        // base is either one-step derivable from the survivors or depends
-        // on a removed triple that is — so probing each removed triple with
-        // the one-step support checks finds exactly the seed the ordinary
-        // incremental addition cascade needs. Per property, only the rules
-        // whose output signature reaches that table are probed.
-        let after_delete = store.len();
-        if !store.is_empty() && !removed.is_empty() {
-            if self.options.schedule_rules {
-                let mut supported: Vec<IdTriple> = Vec::new();
-                let mut rules_for: BTreeMap<u64, Vec<RuleRef>> = BTreeMap::new();
-                for &candidate in &removed {
-                    let rules = rules_for.entry(candidate.p).or_insert_with(|| {
-                        self.ruleset
-                            .rederive_refs(store, &BTreeSet::from([candidate.p]))
-                    });
-                    if rules.iter().any(|&rule| match rule {
-                        RuleRef::Builtin(id) => inferray_rules::is_supported(id, store, candidate),
-                        RuleRef::Custom(i) => {
-                            analysis::supports(&self.ruleset.custom_rules()[i], store, candidate)
-                        }
-                    }) {
-                        supported.push(candidate);
+    /// Phase 2 of [`InferrayReasoner::retract_delta`]: splits the cone
+    /// `gone` into the triples one-step supported by the survivors
+    /// `store ∖ gone` — returned as a store — and, per table, the
+    /// ⟨s,o⟩-sorted pairs that must leave. Per property, only the rules
+    /// whose output signature reaches that table are probed.
+    fn probe_cone(
+        &self,
+        store: &TripleStore,
+        gone: &TripleStore,
+    ) -> (TripleStore, Vec<(u64, Vec<u64>)>) {
+        let survivors = Survivors::without(store, gone);
+        let mut supported = TripleStore::new();
+        let mut net = Vec::new();
+        for (p, table) in gone.iter_tables() {
+            let rules = self.ruleset.rederive_refs(store, &BTreeSet::from([p]));
+            let (mut kept, mut lost) = (Vec::new(), Vec::new());
+            for (s, o) in table.iter_pairs() {
+                let candidate = IdTriple::new(s, p, o);
+                let holds = rules.iter().any(|&rule| match rule {
+                    RuleRef::Builtin(id) => inferray_rules::is_supported(id, survivors, candidate),
+                    RuleRef::Custom(i) => {
+                        analysis::supports(&self.ruleset.custom_rules()[i], survivors, candidate)
                     }
-                }
-                if !supported.is_empty() {
-                    let cascade = self.materialize_delta(store, supported);
-                    stats.iterations = cascade.iterations;
-                    stats.profile = cascade.profile;
-                }
-            } else {
-                // Reference path (scheduling disabled): re-run the full
-                // fixed point over the survivors, all of them new.
-                let mut profile = AccessProfile::default();
-                let frontier = Frontier::Whole {
-                    theta_closed: false,
-                    stratum_closed: false,
-                };
-                let (outcome, iterations) =
-                    self.run_fixed_point(&self.ruleset, store, frontier, &mut profile);
-                self.last_iteration_profile = iterations;
-                stats.iterations = outcome.iterations;
-                stats.profile = profile;
+                });
+                if holds { &mut kept } else { &mut lost }.extend([s, o]);
+            }
+            if !kept.is_empty() {
+                supported.replace_table_sorted(p, kept);
+            }
+            if !lost.is_empty() {
+                net.push((p, lost));
             }
         }
-
-        stats.rederived = store.len() - after_delete;
-        stats.output_triples = store.len();
-        stats.duration = start.elapsed();
-        stats
+        (supported, net)
     }
 
     /// Runs the schema stratum to its own fixed point through
@@ -584,12 +669,15 @@ impl InferrayReasoner {
     /// declaration), every pair of that table becomes a deletion candidate —
     /// the explicit-base filter of the caller keeps asserted edges alive,
     /// and rederivation re-closes whatever the surviving edges still entail.
+    /// A table is dumped whole, cone included (the caller drops what is in
+    /// the cone already); a declaration counts while it survives.
     fn collect_theta_over_deletions(
         &self,
-        store: &TripleStore,
+        survivors: Survivors<'_>,
         frontier: &TripleStore,
         out: &mut InferredParts,
     ) {
+        let store = survivors.store();
         let changed: BTreeSet<u64> = frontier.property_ids().collect();
         let dump = |p: u64, out: &mut InferredParts| {
             if let Some(table) = store.table(p).filter(|table| !table.is_empty()) {
@@ -614,19 +702,23 @@ impl InferrayReasoner {
                         store,
                         wellknown::RDF_TYPE,
                         wellknown::OWL_TRANSITIVE_PROPERTY,
-                    );
+                    )
+                    .into_iter()
+                    .filter(|&p| {
+                        !survivors.is_gone(
+                            p,
+                            wellknown::RDF_TYPE,
+                            wellknown::OWL_TRANSITIVE_PROPERTY,
+                        )
+                    });
                     let undeclared = RuleContext::subjects_with_object(
                         frontier,
                         wellknown::RDF_TYPE,
                         wellknown::OWL_TRANSITIVE_PROPERTY,
                     );
-                    for p in declared
-                        .iter()
-                        .filter(|p| changed.contains(p))
-                        .chain(undeclared.iter())
-                    {
-                        if is_property_id(*p) {
-                            dump(*p, out);
+                    for p in declared.filter(|p| changed.contains(p)).chain(undeclared) {
+                        if is_property_id(p) {
+                            dump(p, out);
                         }
                     }
                 }
@@ -831,11 +923,16 @@ pub struct RetractionStats {
     /// Requested triples that were explicitly asserted (present in `base`)
     /// and therefore actually removed.
     pub retracted_explicit: usize,
-    /// Derived triples removed by the over-deletion phase (beyond the
-    /// explicit ones).
+    /// Derived triples in the over-deletion cone (beyond the explicit
+    /// ones).
     pub over_deleted: usize,
-    /// Over-deleted triples restored by the rederivation phase (they were
-    /// still entailed by the surviving base).
+    /// Triples of the cone, explicit ones included, that the probe found
+    /// one-step supported by the survivors: they never left the store.
+    /// Zero on the unscheduled reference path, which probes nothing.
+    pub supported: usize,
+    /// Triples of the cone back in the store after the retraction (they
+    /// were still entailed by the surviving base): the supported ones and
+    /// what the cascade re-derived from them.
     pub rederived: usize,
     /// Fixed-point iterations of the rederivation phase.
     pub iterations: usize,
@@ -843,6 +940,14 @@ pub struct RetractionStats {
     pub output_triples: usize,
     /// Wall-clock time of the whole retraction.
     pub duration: Duration,
+    /// Wall-clock time of the over-deletion rounds (phase 1).
+    pub over_delete_time: Duration,
+    /// Wall-clock time of the support probes (phase 2).
+    pub probe_time: Duration,
+    /// Wall-clock time of removing the net change from the store (phase 3).
+    pub net_delete_time: Duration,
+    /// Wall-clock time of the rederivation fixed point (phase 4).
+    pub cascade_time: Duration,
     /// Software memory-access profile of the rederivation phase.
     pub profile: AccessProfile,
 }

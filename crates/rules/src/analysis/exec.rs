@@ -11,6 +11,7 @@
 
 use super::compile::{Atom, CompiledRule, Term};
 use crate::context::RuleContext;
+use crate::support::Survivors;
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
 use inferray_store::{InferredBuffer, TripleStore};
@@ -200,10 +201,10 @@ pub fn apply_compiled(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut Infe
     }
 }
 
-/// One-step support probe: `true` when some body match of `rule` in `store`
+/// One-step support probe: `true` when some body match of `rule` in `view`
 /// derives exactly `triple` — sound and complete for a single derivation
 /// step, exactly like the hand-written probes in [`crate::support`].
-pub fn supports(rule: &CompiledRule, store: &TripleStore, triple: IdTriple) -> bool {
+pub fn supports(rule: &CompiledRule, view: Survivors<'_>, triple: IdTriple) -> bool {
     for head in &rule.head {
         let mut bindings: Bindings = vec![None; rule.var_count as usize];
         let Some(u_s) = unify(head.s, triple.s, &mut bindings) else {
@@ -219,7 +220,7 @@ pub fn supports(rule: &CompiledRule, store: &TripleStore, triple: IdTriple) -> b
             continue;
         }
         let mut found = false;
-        solve_all(rule, 0, store, &mut bindings, &mut found);
+        solve_all(rule, 0, view, &mut bindings, &mut found);
         if found {
             return true;
         }
@@ -231,7 +232,7 @@ pub fn supports(rule: &CompiledRule, store: &TripleStore, triple: IdTriple) -> b
 fn solve_all(
     rule: &CompiledRule,
     idx: usize,
-    store: &TripleStore,
+    view: Survivors<'_>,
     bindings: &mut Bindings,
     found: &mut bool,
 ) -> bool {
@@ -239,8 +240,17 @@ fn solve_all(
         *found = true;
         return false; // stop the search — one witness is enough
     };
-    match_atom(atom, store, bindings, &mut |bindings| {
-        solve_all(rule, idx + 1, store, bindings, found)
+    match_atom(atom, view.store(), bindings, &mut |bindings| {
+        // A match on a triple the view leaves out is no witness.
+        let gone = match (
+            resolve(atom.s, bindings),
+            resolve(atom.p, bindings),
+            resolve(atom.o, bindings),
+        ) {
+            (Some(s), Some(p), Some(o)) => view.is_gone(s, p, o),
+            _ => false,
+        };
+        gone || solve_all(rule, idx + 1, view, bindings, found)
     })
 }
 
@@ -401,18 +411,33 @@ mod tests {
         let grandparent = dict.id_of_iri("urn:grandparent").unwrap();
         let a = nth_resource_id(9_400);
         let main = store(&[(a, parent, a + 1), (a + 1, parent, a + 2)]);
-        assert!(supports(&rule, &main, IdTriple::new(a, grandparent, a + 2)));
+        assert!(supports(
+            &rule,
+            Survivors::all(&main),
+            IdTriple::new(a, grandparent, a + 2)
+        ));
         assert!(!supports(
             &rule,
-            &main,
+            Survivors::all(&main),
             IdTriple::new(a, grandparent, a + 1)
         ));
-        assert!(!supports(&rule, &main, IdTriple::new(a, parent, a + 1)));
+        assert!(!supports(
+            &rule,
+            Survivors::all(&main),
+            IdTriple::new(a, parent, a + 1)
+        ));
         // Remove a premise: the derivation is no longer supported.
         let partial = store(&[(a, parent, a + 1)]);
         assert!(!supports(
             &rule,
-            &partial,
+            Survivors::all(&partial),
+            IdTriple::new(a, grandparent, a + 2)
+        ));
+        // The same premise left out by a view: the same answer.
+        let gone = store(&[(a + 1, parent, a + 2)]);
+        assert!(!supports(
+            &rule,
+            Survivors::without(&main, &gone),
             IdTriple::new(a, grandparent, a + 2)
         ));
     }

@@ -96,6 +96,26 @@ fn a_write_shares_every_table_it_did_not_change() {
     }
 }
 
+/// A retraction whose type cone is one step from the survivors: `a` takes
+/// `c1`, so retracting `a takesCourse c2` leaves `a a Student` (and
+/// `Person`) supported where they are. Only `takesCourse` loses a pair, and
+/// every other table — `rdf:type` included — is the previous epoch's.
+#[test]
+fn a_retraction_whose_cone_is_rederived_copies_only_what_it_removes() {
+    for fragment in [Fragment::RdfsDefault, Fragment::RdfsPlus] {
+        let dataset = dataset(fragment);
+        let second = Triple::iris(ex("a"), ex("takesCourse"), ex("c2"));
+        dataset.extend([second.clone()]).expect("assert");
+        let (dictionary1, base1, store1) = epoch(&dataset);
+        let takes = dictionary1.id_of_iri(&ex("takesCourse")).expect("known");
+
+        dataset.retract([second]).expect("retract");
+        let (_, base2, store2) = epoch(&dataset);
+        assert_eq!(assert_untouched_tables_shared(&store1, &store2), [takes]);
+        assert_eq!(assert_untouched_tables_shared(&base1, &base2), [takes]);
+    }
+}
+
 #[test]
 fn a_new_term_or_a_promotion_publishes_a_new_dictionary() {
     let dataset = dataset(Fragment::RdfsDefault);

@@ -7,8 +7,10 @@
 //! asserted, and schema-touching deltas (a `subClassOf` edge inside a chain,
 //! a `subPropertyOf` edge, a domain or range, a `sameAs` bridge, and
 //! `p rdfs:subPropertyOf rdfs:domain`, which makes PRP-SPO1 write a schema
-//! table) — run through `materialize`, `materialize_delta` and
-//! `retract_delta`, and after **every** step the maintained store must equal
+//! table), and retractions inside transitive, `subClassOf` and
+//! `owl:equivalentClass` cycles — run through `materialize`,
+//! `materialize_delta` and `retract_delta`, and after **every** step the
+//! maintained store must equal
 //! [`NaiveIterativeReasoner`] re-run from scratch on the explicit set. The
 //! naive reasoner interprets datalog encodings of the rules with hash
 //! indexes and full re-evaluation; it shares no executor, no scheduler and
@@ -228,6 +230,56 @@ fn a_data_rule_writing_the_stratum_matches_the_oracle() {
         );
         h.retract(&[t(prop(3), prop(2), class(5))]);
         h.assert(&[t(prop(3), prop(2), class(5))]);
+    }
+}
+
+/// Retractions inside cycles, where part of the over-deleted cone supports
+/// itself and only the surviving base may decide what stays: a link of an
+/// `owl:TransitiveProperty` cycle and its declaration, a `subClassOf`
+/// cycle, and both directions of an `owl:equivalentClass` cycle.
+#[test]
+fn retractions_inside_cycles_match_the_oracle() {
+    let within = prop(3);
+    let mut base = initial();
+    base.extend([
+        t(within, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY),
+        t(inst(2), within, inst(3)),
+        t(inst(3), within, inst(4)),
+        t(inst(4), within, inst(2)),
+        t(class(3), wk::RDFS_SUB_CLASS_OF, class(4)),
+        t(class(4), wk::RDFS_SUB_CLASS_OF, class(3)),
+        t(class(4), wk::OWL_EQUIVALENT_CLASS, class(5)),
+        t(class(5), wk::OWL_EQUIVALENT_CLASS, class(4)),
+        t(inst(5), wk::RDF_TYPE, class(5)),
+    ]);
+    for fragment in FRAGMENTS {
+        for options in [InferrayOptions::default(), InferrayOptions::sequential()] {
+            let mut h = History::new(Ruleset::for_fragment(fragment), options, &base);
+            // A link of the transitive cycle: out, then back in.
+            let link = t(inst(3), within, inst(4));
+            h.retract(&[link]);
+            h.assert(&[link]);
+            // The declaration under the closed cycle.
+            let declaration = t(within, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY);
+            h.retract(&[declaration]);
+            h.assert(&[declaration]);
+            // An edge of the subClassOf cycle.
+            let back = t(class(4), wk::RDFS_SUB_CLASS_OF, class(3));
+            h.retract(&[back]);
+            h.assert(&[back]);
+            // One direction of the equivalence, then the other.
+            let forth = t(class(4), wk::OWL_EQUIVALENT_CLASS, class(5));
+            let mirror = t(class(5), wk::OWL_EQUIVALENT_CLASS, class(4));
+            h.retract(&[forth]);
+            h.retract(&[mirror]);
+            h.assert(&[mirror]);
+            // The whole transitive cycle at once.
+            h.retract(&[
+                link,
+                t(inst(2), within, inst(3)),
+                t(inst(4), within, inst(2)),
+            ]);
+        }
     }
 }
 
