@@ -193,8 +193,8 @@ fn run_table_update(
 }
 
 /// Fires one rule of `ruleset` over `ctx`, appending to `out`: a catalog
-/// built-in through its hand-written class executor, a custom rule through
-/// the generic analyzer executor.
+/// built-in through [`apply_rule`], a custom rule through the generic
+/// analyzer executor.
 fn fire_one(ruleset: &Ruleset, rule: RuleRef, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     match rule {
         RuleRef::Builtin(id) => apply_rule(id, ctx, out),
@@ -253,8 +253,8 @@ impl InferrayReasoner {
     /// rule's pairs for a table stay the vector it pushed them into — one
     /// part per rule, in rule order, so the parts are
     /// schedule-independent — and the update stage sorts them where they
-    /// lie. Built-ins run their hand-written class executors; custom
-    /// (analyzer-compiled) rules run the generic semi-naive join.
+    /// lie. Built-ins run through [`apply_rule`]; custom (analyzer-compiled)
+    /// rules run the generic semi-naive join.
     fn fire_rules(
         ruleset: &Ruleset,
         pool: Option<&ThreadPool>,
@@ -396,11 +396,12 @@ impl InferrayReasoner {
     ///    derived part of every affected closed table instead. Explicit
     ///    triples are never over-deleted.
     /// 2. **probe** — every triple of the cone is checked with the one-step
-    ///    support checks ([`inferray_rules::is_supported`]) through the
-    ///    [`Survivors`] view `store ∖ gone`, restricted per property to the
-    ///    rules whose *output* signature, derived from the rule's text
-    ///    ([`Ruleset::rederive_refs`]), reaches it. The supported ones, `R`,
-    ///    stay where they are.
+    ///    support probe of each rule's text ([`analysis::supports`], which
+    ///    keeps hand-written probes for the three built-ins whose executor
+    ///    is not their text) through the [`Survivors`] view `store ∖ gone`,
+    ///    restricted per property to the rules whose *output* signature,
+    ///    derived from the same text ([`Ruleset::rederive_refs`]), reaches
+    ///    it. The supported ones, `R`, stay where they are.
     /// 3. **net delete** — `gone ∖ R` leaves the store, one
     ///    [`TripleStore::remove_pairs`] per table. A table whose cone is
     ///    fully supported is never written, so a store that shares it with
@@ -601,7 +602,8 @@ impl InferrayReasoner {
     /// `gone` into the triples one-step supported by the survivors
     /// `store ∖ gone` — returned as a store — and, per table, the
     /// ⟨s,o⟩-sorted pairs that must leave. Per property, only the rules
-    /// whose output signature reaches that table are probed.
+    /// whose output signature reaches that table are probed, each through
+    /// its compiled text ([`analysis::supports`]), built-in or custom alike.
     fn probe_cone(
         &self,
         store: &TripleStore,
@@ -615,11 +617,8 @@ impl InferrayReasoner {
             let (mut kept, mut lost) = (Vec::new(), Vec::new());
             for (s, o) in table.iter_pairs() {
                 let candidate = IdTriple::new(s, p, o);
-                let holds = rules.iter().any(|&rule| match rule {
-                    RuleRef::Builtin(id) => inferray_rules::is_supported(id, survivors, candidate),
-                    RuleRef::Custom(i) => {
-                        analysis::supports(&self.ruleset.custom_rules()[i], survivors, candidate)
-                    }
+                let holds = rules.iter().any(|&rule| {
+                    analysis::supports(self.ruleset.compiled(rule), survivors, candidate)
                 });
                 if holds { &mut kept } else { &mut lost }.extend([s, o]);
             }

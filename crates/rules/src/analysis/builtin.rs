@@ -3,7 +3,7 @@
 //! Every Table 5 row carries its rule text ([`crate::RuleInfo::text`]);
 //! this module holds the prefixes those texts assume and renders a
 //! fragment's members into the shipped `rules/*.rules` files. Loading such
-//! a file maps each rule back onto its hand-written executor
+//! a file maps each rule back onto its built-in
 //! ([`super::recognize`]), so a fragment file runs exactly as the fragment.
 
 use crate::catalog::RuleId;

@@ -1,23 +1,33 @@
 //! The generic semi-naive executor for analyzer-compiled rules, plus the
 //! one-step support probe the delete–rederive path uses.
 //!
-//! Built-in rules recognized by the analyzer run through their hand-written
-//! class executors; everything else lands here: a backtracking join over the
-//! sorted pair tables that evaluates the body atoms in written order. Like
-//! the hand-written executors it performs **no** presence filtering — during
-//! rederivation after an over-deletion the stores intentionally lack the
-//! deleted triples, and a derivation must be reported even when it
+//! Every custom rule runs here, and so does every built-in whose text says
+//! what its executor does: the β self-joins and the single-antecedent rules
+//! ([`crate::executors::apply_rule`]). The other built-ins keep their
+//! hand-written class executors. The executor is a backtracking join over
+//! the sorted pair tables that evaluates the body atoms in written order.
+//! Like the hand-written executors it performs **no** presence filtering —
+//! during rederivation after an over-deletion the stores intentionally lack
+//! the deleted triples, and a derivation must be reported even when it
 //! reproduces an existing pair (the merge dedups).
+//!
+//! [`supports`] probes every rule, built-in or custom, through its text,
+//! except the three built-ins whose executor derives something other than
+//! its text ([`crate::support`]).
 
 use super::compile::{Atom, CompiledRule, Term};
 use crate::context::RuleContext;
-use crate::support::Survivors;
+use crate::support::{self, Survivors};
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
 use inferray_store::{InferredBuffer, TripleStore};
 
 /// Variable bindings, indexed by `Term::Var` number.
-type Bindings = Vec<Option<u64>>;
+type Bindings = [Option<u64>];
+
+/// The variables a probe binds without allocating: every catalog text has
+/// fewer, so probing a built-in stays off the heap.
+const INLINE_BINDINGS: usize = 8;
 
 fn resolve(term: Term, bindings: &Bindings) -> Option<u64> {
     match term {
@@ -60,7 +70,7 @@ fn match_in_table(
     match (resolve(atom.s, bindings), resolve(atom.o, bindings)) {
         (Some(s), Some(o)) => !table.contains_pair(s, o) || cont(bindings),
         (Some(s), None) => {
-            for o in table.objects_of(s).collect::<Vec<_>>() {
+            for o in table.objects_of(s) {
                 let Some(newly) = unify(atom.o, o, bindings) else {
                     continue;
                 };
@@ -73,7 +83,7 @@ fn match_in_table(
             true
         }
         (None, Some(o)) => {
-            for s in table.subjects_of(o).collect::<Vec<_>>() {
+            for s in table.subjects_of(o) {
                 let Some(newly) = unify(atom.s, s, bindings) else {
                     continue;
                 };
@@ -187,7 +197,7 @@ fn emit(rule: &CompiledRule, bindings: &Bindings, out: &mut InferredBuffer) {
 /// the same tables. Derived pairs append to `out`; the caller's merge
 /// dedups.
 pub fn apply_compiled(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    let mut bindings: Bindings = vec![None; rule.var_count as usize];
+    let mut bindings = vec![None; rule.var_count as usize];
     let passes = if ctx.is_whole() {
         rule.body.len().min(1)
     } else {
@@ -203,30 +213,31 @@ pub fn apply_compiled(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut Infe
 
 /// One-step support probe: `true` when some body match of `rule` in `view`
 /// derives exactly `triple` — sound and complete for a single derivation
-/// step, exactly like the hand-written probes in [`crate::support`].
+/// step. The three built-ins whose executor is not their text answer
+/// through their hand-written probes ([`crate::support`]).
 pub fn supports(rule: &CompiledRule, view: Survivors<'_>, triple: IdTriple) -> bool {
-    for head in &rule.head {
-        let mut bindings: Bindings = vec![None; rule.var_count as usize];
-        let Some(u_s) = unify(head.s, triple.s, &mut bindings) else {
-            continue;
-        };
-        let Some(u_p) = unify(head.p, triple.p, &mut bindings) else {
-            undo(u_s, &mut bindings);
-            continue;
-        };
-        if unify(head.o, triple.o, &mut bindings).is_none() {
-            undo(u_p, &mut bindings);
-            undo(u_s, &mut bindings);
-            continue;
-        }
-        let mut found = false;
-        solve_all(rule, 0, view, &mut bindings, &mut found);
-        if found {
-            return true;
-        }
-        // Bindings are discarded between head alternatives; no undo needed.
+    if let Some(holds) = support::is_supported(rule, view, triple) {
+        return holds;
     }
-    false
+    let (mut inline, mut spilled) = ([None; INLINE_BINDINGS], Vec::new());
+    let bindings: &mut Bindings = match inline.get_mut(..rule.var_count as usize) {
+        Some(bindings) => bindings,
+        None => {
+            spilled.resize(rule.var_count as usize, None);
+            &mut spilled
+        }
+    };
+    rule.head.iter().any(|head| {
+        bindings.fill(None);
+        let mut found = false;
+        let unified = unify(head.s, triple.s, bindings).is_some()
+            && unify(head.p, triple.p, bindings).is_some()
+            && unify(head.o, triple.o, bindings).is_some();
+        if unified {
+            solve_all(rule, 0, view, bindings, &mut found);
+        }
+        found
+    })
 }
 
 fn solve_all(
@@ -398,6 +409,14 @@ mod tests {
             derived(&rule, &main, &main),
             BTreeSet::from([(a, looped, a)])
         );
+    }
+
+    #[test]
+    fn every_catalog_text_probes_with_inline_bindings() {
+        for rule in crate::RuleId::ALL {
+            let vars = super::super::compiled_builtin(rule).var_count as usize;
+            assert!(vars <= INLINE_BINDINGS, "{rule}: {vars} variables");
+        }
     }
 
     #[test]

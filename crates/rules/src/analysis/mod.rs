@@ -14,8 +14,8 @@
 //!    ([`RuleInputs`]/[`RuleOutputs`] — the vocabulary the §4.3 scheduler
 //!    and the delete–rederive seed read, for built-ins too: their lowered
 //!    texts are what [`crate::Ruleset::compiled`] returns), and recognizes
-//!    rules that are alpha-equivalent to catalog built-ins so they keep
-//!    their hand-written executors.
+//!    rules that are alpha-equivalent to catalog built-ins so they run as
+//!    those built-ins.
 //! 3. **the stratum pass** (`stratum.rs`) — over the compiled rules of a whole ruleset: the
 //!    schema stratum the reasoner closes before the data loop, and the
 //!    firings `C∘P` it may leave out while that stratum stays closed.

@@ -7,11 +7,14 @@
 //! complexity is O(k·n)" (§4.4).
 //!
 //! For every group of pairs sharing a subject (PRP-FP) or an object
-//! (PRP-IFP), the executor emits `owl:sameAs` links between *consecutive*
-//! distinct values of the group rather than the full quadratic set — the
-//! symmetric/transitive closure of `owl:sameAs` (EQ-SYM + EQ-TRANS) restores
-//! the complete relation at the fixed-point, exactly as in the original
-//! system.
+//! (PRP-IFP), the executor links every two values of the group with
+//! `owl:sameAs`, the smaller value first — half of what the rule's text
+//! derives, and no value to itself. EQ-SYM and EQ-TRANS restore the rest of
+//! the relation at the fixed point. Linking only *consecutive* values
+//! would emit less, but a retraction that removes a middle value would then
+//! need a link no earlier firing produced; delete–rederive
+//! (docs/maintenance.md) is exact only for executors that never derive
+//! more from less.
 
 use crate::context::RuleContext;
 use inferray_dictionary::wellknown;
@@ -56,21 +59,20 @@ pub fn prp_ifp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     }
 }
 
-/// Walks a key-sorted flat pair view and, inside every equal-key group, emits
-/// `owl:sameAs` links between consecutive distinct payload values.
+/// Walks a key-sorted flat pair view and, inside every equal-key group,
+/// links every payload value to each greater one with `owl:sameAs`.
 fn emit_links_between_group_values(view: &[u64], out: &mut InferredBuffer) {
     let out = out.table_mut(wellknown::OWL_SAME_AS);
     let mut i = 0usize;
     while i < view.len() {
         let key = view[i];
-        let mut previous = view[i + 1];
         let mut j = i + 2;
         while j < view.len() && view[j] == key {
-            let value = view[j + 1];
-            if value != previous {
-                out.extend_from_slice(&[previous, value]);
+            // The values of a group ascend: `view[j + 1]` is greater than
+            // every value before it.
+            for smaller in (i..j).step_by(2) {
+                out.extend_from_slice(&[view[smaller + 1], view[j + 1]]);
             }
-            previous = value;
             j += 2;
         }
         i = j;
@@ -101,10 +103,15 @@ mod tests {
             (BOB, has_mother, EMAIL_A), // single value: nothing derived for BOB
         ]);
         let derived = derive(&main, prp_fp);
-        // Consecutive links over the sorted objects of ALICE.
-        assert!(derived.contains(&(EMAIL_A, wk::OWL_SAME_AS, EMAIL_B)));
-        assert!(derived.contains(&(EMAIL_B, wk::OWL_SAME_AS, EMAIL_C)));
-        assert_eq!(derived.len(), 2);
+        // Every two objects of ALICE, the smaller first.
+        assert_eq!(
+            derived.into_iter().collect::<Vec<_>>(),
+            vec![
+                (EMAIL_A, wk::OWL_SAME_AS, EMAIL_B),
+                (EMAIL_A, wk::OWL_SAME_AS, EMAIL_C),
+                (EMAIL_B, wk::OWL_SAME_AS, EMAIL_C),
+            ]
+        );
     }
 
     #[test]

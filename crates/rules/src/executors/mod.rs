@@ -7,21 +7,23 @@
 //! skips the paper mentions (e.g. not copying a table onto itself for a
 //! reflexive `subPropertyOf` pair).
 //!
-//! [`apply_rule`] dispatches a [`RuleId`] to its executor; the θ rules are
-//! also dispatched here (they recompute the closure of the affected table
+//! [`apply_rule`] dispatches a [`RuleId`] to its executor. A rule whose text
+//! says what it derives — the β self-joins and the single-antecedent rules —
+//! runs through the generic join over its compiled text
+//! ([`crate::analysis::apply_compiled`]). The θ rules are also dispatched
+//! here (they recompute the closure of the affected table
 //! when the previous iteration added pairs to it), so a caller that simply
 //! applies every rule of a ruleset to a fixed-point obtains a complete
 //! materialization even without the dedicated up-front closure stage.
 
 pub mod alpha;
-pub mod beta;
 pub mod functional;
 pub mod gamma;
 pub mod join;
 pub mod same_as;
 pub mod theta;
-pub mod trivial;
 
+use crate::analysis::{apply_compiled, compiled_builtin};
 use crate::catalog::RuleId;
 use crate::context::RuleContext;
 use inferray_store::InferredBuffer;
@@ -37,9 +39,6 @@ pub fn apply_rule(rule: RuleId, ctx: &RuleContext<'_>, out: &mut InferredBuffer)
         RuleId::ScmDom2 => alpha::scm_dom2(ctx, out),
         RuleId::ScmRng1 => alpha::scm_rng1(ctx, out),
         RuleId::ScmRng2 => alpha::scm_rng2(ctx, out),
-        // β — self-joins.
-        RuleId::ScmEqc2 => beta::scm_eqc2(ctx, out),
-        RuleId::ScmEqp2 => beta::scm_eqp2(ctx, out),
         // γ / δ — property-variable rules.
         RuleId::PrpDom => gamma::prp_dom(ctx, out),
         RuleId::PrpRng => gamma::prp_rng(ctx, out),
@@ -61,19 +60,21 @@ pub fn apply_rule(rule: RuleId, ctx: &RuleContext<'_>, out: &mut InferredBuffer)
         RuleId::ScmSpo => theta::scm_spo(ctx, out),
         RuleId::EqTrans => theta::eq_trans(ctx, out),
         RuleId::PrpTrp => theta::prp_trp(ctx, out),
-        // trivial single-antecedent rules.
-        RuleId::EqSym => trivial::eq_sym(ctx, out),
-        RuleId::ScmEqc1 => trivial::scm_eqc1(ctx, out),
-        RuleId::ScmEqp1 => trivial::scm_eqp1(ctx, out),
-        RuleId::ScmCls => trivial::scm_cls(ctx, out),
-        RuleId::ScmDp => trivial::scm_dp(ctx, out),
-        RuleId::ScmOp => trivial::scm_op(ctx, out),
-        RuleId::Rdfs4 => trivial::rdfs4(ctx, out),
-        RuleId::Rdfs6 => trivial::rdfs6(ctx, out),
-        RuleId::Rdfs8 => trivial::rdfs8(ctx, out),
-        RuleId::Rdfs10 => trivial::rdfs10(ctx, out),
-        RuleId::Rdfs12 => trivial::rdfs12(ctx, out),
-        RuleId::Rdfs13 => trivial::rdfs13(ctx, out),
+        // β self-joins and single-antecedent rules: their text.
+        RuleId::ScmEqc2
+        | RuleId::ScmEqp2
+        | RuleId::EqSym
+        | RuleId::ScmEqc1
+        | RuleId::ScmEqp1
+        | RuleId::ScmCls
+        | RuleId::ScmDp
+        | RuleId::ScmOp
+        | RuleId::Rdfs4
+        | RuleId::Rdfs6
+        | RuleId::Rdfs8
+        | RuleId::Rdfs10
+        | RuleId::Rdfs12
+        | RuleId::Rdfs13 => apply_compiled(compiled_builtin(rule), ctx, out),
     }
 }
 
@@ -117,11 +118,190 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{buffer_to_set, store};
+    use super::test_support::{buffer_to_set, derive, store};
     use super::*;
     use crate::catalog::CATALOG;
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
+    use inferray_store::TripleStore;
+    use std::collections::BTreeSet;
+
+    const A: u64 = 5_000_000;
+    const B: u64 = 5_000_001;
+    const C: u64 = 5_000_002;
+
+    /// What `rule` derives with `new == main`.
+    fn fire(rule: RuleId, main: &TripleStore) -> BTreeSet<(u64, u64, u64)> {
+        derive(main, |ctx, out| apply_rule(rule, ctx, out))
+    }
+
+    #[test]
+    fn eq_sym_mirrors_every_pair() {
+        // The reflexive pair mirrors onto itself; the merge drops it.
+        let main = store(&[(A, wk::OWL_SAME_AS, B), (B, wk::OWL_SAME_AS, B)]);
+        assert_eq!(
+            fire(RuleId::EqSym, &main),
+            BTreeSet::from([(B, wk::OWL_SAME_AS, A), (B, wk::OWL_SAME_AS, B)])
+        );
+    }
+
+    #[test]
+    fn scm_eqc1_and_eqp1_expand_equivalences() {
+        let p = nth_property_id(300);
+        let q = nth_property_id(301);
+        let main = store(&[
+            (A, wk::OWL_EQUIVALENT_CLASS, B),
+            (p, wk::OWL_EQUIVALENT_PROPERTY, q),
+        ]);
+        assert_eq!(
+            fire(RuleId::ScmEqc1, &main),
+            BTreeSet::from([(A, wk::RDFS_SUB_CLASS_OF, B), (B, wk::RDFS_SUB_CLASS_OF, A)])
+        );
+        assert_eq!(
+            fire(RuleId::ScmEqp1, &main),
+            BTreeSet::from([
+                (p, wk::RDFS_SUB_PROPERTY_OF, q),
+                (q, wk::RDFS_SUB_PROPERTY_OF, p)
+            ])
+        );
+    }
+
+    #[test]
+    fn scm_cls_produces_the_four_axioms() {
+        let main = store(&[(A, wk::RDF_TYPE, wk::OWL_CLASS)]);
+        assert_eq!(
+            fire(RuleId::ScmCls, &main),
+            BTreeSet::from([
+                (A, wk::RDFS_SUB_CLASS_OF, A),
+                (A, wk::OWL_EQUIVALENT_CLASS, A),
+                (A, wk::RDFS_SUB_CLASS_OF, wk::OWL_THING),
+                (wk::OWL_NOTHING, wk::RDFS_SUB_CLASS_OF, A),
+            ])
+        );
+    }
+
+    #[test]
+    fn scm_dp_and_op_make_properties_self_related() {
+        let p = nth_property_id(302);
+        let q = nth_property_id(303);
+        let main = store(&[
+            (p, wk::RDF_TYPE, wk::OWL_DATATYPE_PROPERTY),
+            (q, wk::RDF_TYPE, wk::OWL_OBJECT_PROPERTY),
+        ]);
+        assert_eq!(
+            fire(RuleId::ScmDp, &main),
+            BTreeSet::from([
+                (p, wk::RDFS_SUB_PROPERTY_OF, p),
+                (p, wk::OWL_EQUIVALENT_PROPERTY, p)
+            ])
+        );
+        assert_eq!(
+            fire(RuleId::ScmOp, &main),
+            BTreeSet::from([
+                (q, wk::RDFS_SUB_PROPERTY_OF, q),
+                (q, wk::OWL_EQUIVALENT_PROPERTY, q)
+            ])
+        );
+    }
+
+    #[test]
+    fn rdfs4_types_every_node_as_resource() {
+        let p = nth_property_id(304);
+        let main = store(&[(A, p, B)]);
+        assert_eq!(
+            fire(RuleId::Rdfs4, &main),
+            BTreeSet::from([
+                (A, wk::RDF_TYPE, wk::RDFS_RESOURCE),
+                (B, wk::RDF_TYPE, wk::RDFS_RESOURCE)
+            ])
+        );
+    }
+
+    #[test]
+    fn rdfs_axiomatic_class_and_property_rules() {
+        let main = store(&[
+            (A, wk::RDF_TYPE, wk::RDFS_CLASS),
+            (B, wk::RDF_TYPE, wk::RDF_PROPERTY),
+            (C, wk::RDF_TYPE, wk::RDFS_CONTAINER_MEMBERSHIP_PROPERTY),
+            (C + 1, wk::RDF_TYPE, wk::RDFS_DATATYPE),
+        ]);
+        for (rule, derived) in [
+            (RuleId::Rdfs8, (A, wk::RDFS_SUB_CLASS_OF, wk::RDFS_RESOURCE)),
+            (RuleId::Rdfs10, (A, wk::RDFS_SUB_CLASS_OF, A)),
+            (RuleId::Rdfs6, (B, wk::RDFS_SUB_PROPERTY_OF, B)),
+            (
+                RuleId::Rdfs12,
+                (C, wk::RDFS_SUB_PROPERTY_OF, wk::RDFS_MEMBER),
+            ),
+            (
+                RuleId::Rdfs13,
+                (C + 1, wk::RDFS_SUB_CLASS_OF, wk::RDFS_LITERAL),
+            ),
+        ] {
+            assert_eq!(fire(rule, &main), BTreeSet::from([derived]), "{rule}");
+        }
+    }
+
+    #[test]
+    fn single_antecedent_rules_only_look_at_new_triples() {
+        let main = store(&[(A, wk::OWL_SAME_AS, B), (A, wk::RDF_TYPE, wk::OWL_CLASS)]);
+        let empty_new = store(&[]);
+        let ctx = RuleContext::new(&main, &empty_new);
+        let mut out = InferredBuffer::new();
+        for rule in [RuleId::EqSym, RuleId::ScmCls, RuleId::Rdfs4] {
+            apply_rule(rule, &ctx, &mut out);
+        }
+        assert!(out.is_empty(), "single-antecedent rules are driven by new");
+    }
+
+    #[test]
+    fn mutual_subclasses_and_subproperties_become_equivalent() {
+        let (p, q) = (nth_property_id(305), nth_property_id(306));
+        let main = store(&[
+            (A, wk::RDFS_SUB_CLASS_OF, B),
+            (B, wk::RDFS_SUB_CLASS_OF, A),
+            (A, wk::RDFS_SUB_CLASS_OF, C), // one-directional: no equivalence
+            (C, wk::RDFS_SUB_CLASS_OF, C), // reflexive: reflexive equivalence
+            (p, wk::RDFS_SUB_PROPERTY_OF, q),
+            (q, wk::RDFS_SUB_PROPERTY_OF, p),
+        ]);
+        assert_eq!(
+            fire(RuleId::ScmEqc2, &main),
+            BTreeSet::from([
+                (A, wk::OWL_EQUIVALENT_CLASS, B),
+                (B, wk::OWL_EQUIVALENT_CLASS, A),
+                (C, wk::OWL_EQUIVALENT_CLASS, C),
+            ])
+        );
+        assert_eq!(
+            fire(RuleId::ScmEqp2, &main),
+            BTreeSet::from([
+                (p, wk::OWL_EQUIVALENT_PROPERTY, q),
+                (q, wk::OWL_EQUIVALENT_PROPERTY, p)
+            ])
+        );
+        let untyped = store(&[(A, wk::RDF_TYPE, B)]);
+        assert!(fire(RuleId::ScmEqc2, &untyped).is_empty());
+        assert!(fire(RuleId::ScmEqp2, &untyped).is_empty());
+    }
+
+    #[test]
+    fn semi_naive_detects_the_cycle_closed_by_a_new_pair() {
+        // (A ⊑ B) is old; (B ⊑ A) arrives in `new`. The rule must emit
+        // *both* orientations of the equivalence: (A ⊑ B) will never be in
+        // `new` again, so this is the only chance to derive (A ≡ B).
+        let main = store(&[(A, wk::RDFS_SUB_CLASS_OF, B), (B, wk::RDFS_SUB_CLASS_OF, A)]);
+        let new = store(&[(B, wk::RDFS_SUB_CLASS_OF, A)]);
+        let mut out = InferredBuffer::new();
+        apply_rule(RuleId::ScmEqc2, &RuleContext::new(&main, &new), &mut out);
+        assert_eq!(
+            buffer_to_set(&out),
+            BTreeSet::from([
+                (A, wk::OWL_EQUIVALENT_CLASS, B),
+                (B, wk::OWL_EQUIVALENT_CLASS, A)
+            ])
+        );
+    }
 
     /// Over the whole store an executor runs one semi-naive pass; over a
     /// *copy* of it (same triples, another store) it runs both. Every rule

@@ -6,8 +6,8 @@
 //! a single loop, iterating over the same-as property table" (§4.4). The
 //! executors below follow that plan: the outer loop walks the `owl:sameAs`
 //! pairs, the inner loop walks the property tables of the complementary
-//! store. `EQ-SYM`, the fourth rule, is a trivial single-antecedent rule and
-//! lives in [`crate::executors::trivial`].
+//! store. `EQ-SYM`, the fourth rule, is a single-antecedent rule and runs
+//! its text through [`crate::analysis::apply_compiled`].
 
 use crate::context::RuleContext;
 use inferray_dictionary::wellknown;

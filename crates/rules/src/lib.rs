@@ -33,4 +33,4 @@ pub use context::RuleContext;
 pub use executors::apply_rule;
 pub use materializer::{InferenceStats, Materializer};
 pub use ruleset::{Fragment, RuleRef, Ruleset};
-pub use support::{is_supported, Survivors};
+pub use support::Survivors;

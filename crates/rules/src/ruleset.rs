@@ -113,7 +113,7 @@ pub struct Ruleset {
 /// [`Ruleset::custom_rules`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleRef {
-    /// A Table 5 rule with a hand-written executor.
+    /// A Table 5 rule, run by [`crate::apply_rule`].
     Builtin(RuleId),
     /// A custom rule, by position in [`Ruleset::custom_rules`].
     Custom(usize),
@@ -156,8 +156,8 @@ impl Ruleset {
     }
 
     /// Builds a ruleset from an analyzed + compiled rule file
-    /// ([`crate::analysis`]). Rules recognized as catalog built-ins keep
-    /// their hand-written executors (deduplicated, in Table 5 order); the
+    /// ([`crate::analysis`]). Rules recognized as catalog built-ins run as
+    /// those built-ins (deduplicated, in Table 5 order); the
     /// rest become [`RuleRef::Custom`] rules in file order. When the
     /// built-ins are exactly a baked-in fragment and nothing else, the
     /// result *is* that fragment's ruleset — closure stage included.

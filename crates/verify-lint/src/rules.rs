@@ -805,9 +805,9 @@ const TEXT_COPY_PATTERNS: &[&str] = &[
 /// pair (`crates/rules/src/executors/`): the α join pass, the γ/δ handlers
 /// `for_schema_and_data` drives (`prp_dom`, `prp_rng`, `prp_inv1`,
 /// `prp_inv2` and the reversed copy they share), `copy_reversed`, the
-/// same-as replacement loops and the functional executors. The rules that
-/// emit a handful of pairs per *new* triple (`trivial.rs`, `beta.rs`,
-/// `theta.rs`) are not listed.
+/// same-as replacement loops and the functional executors. The θ rules
+/// (`theta.rs`), which emit a handful of pairs per *new* triple, are not
+/// listed.
 pub const RULE_EMIT: &[&str] = &[
     "join_pass",
     "prp_dom",

@@ -424,10 +424,10 @@ fn il007_covers_the_rule_emission_loops() {
             );
         }
     }
-    // The single-antecedent rules may keep `add`.
+    // The closure rules may keep `add`.
     let files = vec![fixture(
         "il007_rule_emit.rs",
-        "crates/rules/src/executors/trivial.rs",
+        "crates/rules/src/executors/theta.rs",
     )];
     assert!(rules::il007_no_hot_path_allocation(&files).is_empty());
 }

@@ -5,13 +5,16 @@
 //! without rule scheduling (docs/maintenance.md).
 
 use inferray::core::{InferrayReasoner, Materializer};
-use inferray::dictionary::wellknown;
+use inferray::dictionary::{wellknown, Dictionary};
 use inferray::parser::loader::load_triples;
-use inferray::rules::{analysis, Fragment, RuleId};
+use inferray::rules::{analysis, Fragment, RuleId, Ruleset};
 use inferray::store::TripleStore;
 use inferray::{IdTriple, InferrayOptions, Triple};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+mod common;
+use common::arbitrary_store;
 
 /// The byte-level view the invariant is stated over: every non-empty table's
 /// property id with its ⟨s,o⟩-sorted flat pair array.
@@ -31,9 +34,22 @@ fn assert_retract_equals_rebuild(
     base: &[IdTriple],
     delta: &[IdTriple],
 ) {
+    let ruleset = Ruleset::for_fragment(fragment);
+    assert_program_retracts_like_a_rebuild(&fragment.to_string(), &ruleset, options, base, delta);
+}
+
+/// [`assert_retract_equals_rebuild`] for any program, named `name` in the
+/// failure messages. Returns the store after the retraction.
+fn assert_program_retracts_like_a_rebuild(
+    name: &str,
+    ruleset: &Ruleset,
+    options: InferrayOptions,
+    base: &[IdTriple],
+    delta: &[IdTriple],
+) -> TripleStore {
     let mut materialized = TripleStore::from_triples(base.iter().copied());
     let mut base_store = TripleStore::from_triples(base.iter().copied());
-    let mut reasoner = InferrayReasoner::with_options(fragment, options);
+    let mut reasoner = InferrayReasoner::with_ruleset(ruleset.clone(), options);
     reasoner.materialize(&mut materialized);
     let stats = reasoner.retract_delta(&mut materialized, &mut base_store, delta.iter().copied());
 
@@ -43,19 +59,44 @@ fn assert_retract_equals_rebuild(
         .filter(|t| !removed.contains(t))
         .collect();
     let mut rebuilt = TripleStore::from_triples(remaining.iter().copied());
-    InferrayReasoner::with_options(fragment, options).materialize(&mut rebuilt);
+    InferrayReasoner::with_ruleset(ruleset.clone(), options).materialize(&mut rebuilt);
 
     assert_eq!(
         table_bytes(&materialized),
         table_bytes(&rebuilt),
-        "retract != rebuild for {fragment} (options {options:?})"
+        "retract != rebuild for {name} (options {options:?})"
     );
     assert_eq!(
         base_store.iter_triples().collect::<Vec<_>>(),
         remaining,
-        "explicit base tracking diverged for {fragment}"
+        "explicit base tracking diverged for {name}"
     );
     assert_eq!(stats.output_triples, materialized.len());
+    materialized
+}
+
+/// Built-in `rule` alone, loaded from its text as a `.rules` program.
+fn program_of(rule: RuleId) -> Ruleset {
+    let text = format!(
+        "{}{}",
+        analysis::builtin::PRELUDE,
+        analysis::builtin::rule_text(rule)
+    );
+    analysis::load_ruleset(&text, &mut Dictionary::new()).expect("a catalog text loads")
+}
+
+/// Every program the sweep retracts under: the five fragments, then each
+/// of the 38 built-ins alone. A fragment runs each rule beside the rules
+/// that mask its slips (EQ-SYM and EQ-TRANS close what PRP-FP leaves
+/// open); alone, every probe must match its own executor.
+fn programs() -> Vec<(String, Ruleset)> {
+    let fragments = Fragment::ALL
+        .into_iter()
+        .map(|fragment| (fragment.to_string(), Ruleset::for_fragment(fragment)));
+    let alone = RuleId::ALL
+        .into_iter()
+        .map(|rule| (format!("{rule} alone"), program_of(rule)));
+    fragments.chain(alone).collect()
 }
 
 const HUMAN: u64 = 9_550_000;
@@ -306,6 +347,55 @@ fn retract_equals_rebuild_on_an_analyzer_loaded_ruleset() {
     }
 }
 
+/// EQ-TRANS alone over `a sameAs b`, `b sameAs c`, retracting `b sameAs c`:
+/// the rebuild closes the symmetric graph of `a sameAs b` into four pairs.
+/// Probed through its text, which reads both premises as written, the
+/// reflexive pairs lose their support and only `a sameAs b` stays.
+#[test]
+fn eq_trans_alone_keeps_the_symmetric_closure_of_what_survives() {
+    let (a, b, c) = (BART, BART + 1, BART + 2);
+    let same_as = |s, o| t(s, wellknown::OWL_SAME_AS, o);
+    for options in [InferrayOptions::default(), InferrayOptions::sequential()] {
+        let store = assert_program_retracts_like_a_rebuild(
+            "EQ-TRANS alone",
+            &program_of(RuleId::EqTrans),
+            options,
+            &[same_as(a, b), same_as(b, c)],
+            &[same_as(b, c)],
+        );
+        assert_eq!(
+            store.iter_triples().collect::<Vec<_>>(),
+            vec![same_as(a, a), same_as(a, b), same_as(b, a), same_as(b, b)]
+        );
+    }
+}
+
+/// PRP-FP alone over three values of one functional subject, retracting
+/// the middle one: the rebuild links the outer two. An executor that linked
+/// only neighbouring values never derived that link before the retraction,
+/// so nothing could rederive it.
+#[test]
+fn prp_fp_alone_still_links_the_values_around_a_retracted_one() {
+    let p = inferray::model::ids::nth_property_id(85);
+    let (x, y1, y2, y3) = (BART, LISA, LISA + 1, LISA + 2);
+    let base = [
+        t(p, wellknown::RDF_TYPE, wellknown::OWL_FUNCTIONAL_PROPERTY),
+        t(x, p, y1),
+        t(x, p, y2),
+        t(x, p, y3),
+    ];
+    for options in [InferrayOptions::default(), InferrayOptions::sequential()] {
+        let store = assert_program_retracts_like_a_rebuild(
+            "PRP-FP alone",
+            &program_of(RuleId::PrpFp),
+            options,
+            &base,
+            &[t(x, p, y2)],
+        );
+        assert!(store.contains(&t(y1, wellknown::OWL_SAME_AS, y3)));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property-based equivalence on random datasets and random delta subsets
 // ---------------------------------------------------------------------------
@@ -408,5 +498,28 @@ proptest! {
             run(InferrayOptions::default()),
             run(InferrayOptions::unscheduled())
         );
+    }
+}
+
+proptest! {
+    /// Every program retracts like a rebuild: the five fragments and each
+    /// built-in alone, over random stores that declare every marker class
+    /// and random subsets of them.
+    #[test]
+    fn every_program_retracts_like_a_rebuild(
+        triples in arbitrary_store(),
+        mask in prop::collection::vec(any::<bool>(), 1..30),
+    ) {
+        let mut drops = mask.iter().copied().cycle();
+        let delta: Vec<IdTriple> = triples
+            .iter()
+            .copied()
+            .filter(|_| drops.next().unwrap_or(false))
+            .collect();
+        for (name, ruleset) in programs() {
+            for options in [InferrayOptions::default(), InferrayOptions::sequential()] {
+                assert_program_retracts_like_a_rebuild(&name, &ruleset, options, &triples, &delta);
+            }
+        }
     }
 }
