@@ -7,16 +7,18 @@
 //! to pay the quadratic duplicate-generation cost that Table 4 measures for
 //! the baseline systems.
 //!
-//! Which tables are closed depends on the fragment:
+//! Which tables are closed follows the θ built-ins among the ruleset's
+//! members, each closing the table its hand-written executor maintains:
 //!
-//! * every fragment closes `rdfs:subClassOf` and `rdfs:subPropertyOf`;
-//! * RDFS-Plus additionally closes `owl:sameAs` (after symmetrizing it) and
-//!   every property declared `owl:TransitiveProperty`.
+//! * SCM-SCO closes `rdfs:subClassOf`, SCM-SPO `rdfs:subPropertyOf` — every
+//!   fragment has both;
+//! * EQ-TRANS closes `owl:sameAs` after symmetrizing it, and PRP-TRP every
+//!   property declared `owl:TransitiveProperty` — RDFS-Plus has both.
 
 use inferray_closure::transitive_closure;
 use inferray_dictionary::wellknown;
 use inferray_model::ids::is_property_id;
-use inferray_rules::{Fragment, RuleContext};
+use inferray_rules::{RuleContext, RuleId};
 use inferray_store::{AccessProfile, TripleStore};
 
 /// Statistics of the closure stage, and of the schema stratum's pass that
@@ -34,34 +36,30 @@ pub struct ClosureStageStats {
     pub stratum_pairs_added: usize,
 }
 
-/// Closes the transitive tables of `store` in place, according to the
-/// fragment, and reports how much was added.
+/// Closes in place the tables of `store` the θ rules among `rules` (a
+/// ruleset's built-in members) maintain, and reports how much was added.
 pub fn run_closure_stage(
     store: &mut TripleStore,
-    fragment: Fragment,
+    rules: &[RuleId],
     profile: &mut AccessProfile,
 ) -> ClosureStageStats {
     let mut stats = ClosureStageStats::default();
+    let member = |rule| rules.contains(&rule);
 
-    // Always: the RDFS schema hierarchies.
-    close_property(
-        store,
-        wellknown::RDFS_SUB_CLASS_OF,
-        false,
-        &mut stats,
-        profile,
-    );
-    close_property(
-        store,
-        wellknown::RDFS_SUB_PROPERTY_OF,
-        false,
-        &mut stats,
-        profile,
-    );
-
-    if matches!(fragment, Fragment::RdfsPlus | Fragment::RdfsPlusFull) {
+    // The RDFS schema hierarchies.
+    for (rule, prop) in [
+        (RuleId::ScmSco, wellknown::RDFS_SUB_CLASS_OF),
+        (RuleId::ScmSpo, wellknown::RDFS_SUB_PROPERTY_OF),
+    ] {
+        if member(rule) {
+            close_property(store, prop, false, &mut stats, profile);
+        }
+    }
+    if member(RuleId::EqTrans) {
         // owl:sameAs — symmetric, so symmetrize before closing (§4.1).
         close_property(store, wellknown::OWL_SAME_AS, true, &mut stats, profile);
+    }
+    if member(RuleId::PrpTrp) {
         // Every property declared transitive.
         let transitive = RuleContext::subjects_with_object(
             store,
@@ -127,6 +125,12 @@ mod tests {
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
     use inferray_model::IdTriple;
+    use inferray_rules::{Fragment, Ruleset};
+
+    /// The built-in members of `fragment`.
+    fn members(fragment: Fragment) -> Vec<RuleId> {
+        Ruleset::for_fragment(fragment).rules().to_vec()
+    }
 
     fn store(triples: &[(u64, u64, u64)]) -> TripleStore {
         TripleStore::from_triples(triples.iter().map(|&(s, p, o)| IdTriple::new(s, p, o)))
@@ -146,7 +150,7 @@ mod tests {
                 (C, wk::RDFS_SUB_CLASS_OF, D),
             ]);
             let mut profile = AccessProfile::default();
-            let stats = run_closure_stage(&mut s, fragment, &mut profile);
+            let stats = run_closure_stage(&mut s, &members(fragment), &mut profile);
             assert_eq!(stats.pairs_added, 3, "fragment {fragment}");
             assert!(s.contains(&IdTriple::new(A, wk::RDFS_SUB_CLASS_OF, D)));
             assert!(profile.sequential_words > 0);
@@ -158,11 +162,11 @@ mod tests {
         let triples = [(A, wk::OWL_SAME_AS, B), (B, wk::OWL_SAME_AS, C)];
         let mut rdfs = store(&triples);
         let mut profile = AccessProfile::default();
-        run_closure_stage(&mut rdfs, Fragment::RdfsDefault, &mut profile);
+        run_closure_stage(&mut rdfs, &members(Fragment::RdfsDefault), &mut profile);
         assert!(!rdfs.contains(&IdTriple::new(C, wk::OWL_SAME_AS, A)));
 
         let mut plus = store(&triples);
-        run_closure_stage(&mut plus, Fragment::RdfsPlus, &mut profile);
+        run_closure_stage(&mut plus, &members(Fragment::RdfsPlus), &mut profile);
         assert!(plus.contains(&IdTriple::new(C, wk::OWL_SAME_AS, A)));
         assert!(plus.contains(&IdTriple::new(A, wk::OWL_SAME_AS, C)));
         assert!(plus.contains(&IdTriple::new(B, wk::OWL_SAME_AS, A)));
@@ -180,14 +184,14 @@ mod tests {
         ];
         let mut rdfs = store(&triples);
         let mut profile = AccessProfile::default();
-        run_closure_stage(&mut rdfs, Fragment::RdfsFull, &mut profile);
+        run_closure_stage(&mut rdfs, &members(Fragment::RdfsFull), &mut profile);
         assert!(
             !rdfs.contains(&IdTriple::new(A, ancestor, C)),
             "RDFS ignores owl:TransitiveProperty"
         );
 
         let mut plus = store(&triples);
-        let stats = run_closure_stage(&mut plus, Fragment::RdfsPlus, &mut profile);
+        let stats = run_closure_stage(&mut plus, &members(Fragment::RdfsPlus), &mut profile);
         assert!(plus.contains(&IdTriple::new(A, ancestor, C)));
         assert_eq!(stats.pairs_added, 1);
     }
@@ -196,19 +200,45 @@ mod tests {
     fn empty_and_missing_tables_are_no_ops() {
         let mut s = store(&[(A, wk::RDF_TYPE, B)]);
         let mut profile = AccessProfile::default();
-        let stats = run_closure_stage(&mut s, Fragment::RdfsPlus, &mut profile);
+        let stats = run_closure_stage(&mut s, &members(Fragment::RdfsPlus), &mut profile);
         assert_eq!(stats.tables_closed, 0);
         assert_eq!(stats.pairs_added, 0);
         assert_eq!(s.len(), 1);
     }
 
     #[test]
+    fn only_the_member_theta_rules_close_their_tables() {
+        let ancestor = nth_property_id(601);
+        let triples = [
+            (A, wk::RDFS_SUB_CLASS_OF, B),
+            (B, wk::RDFS_SUB_CLASS_OF, C),
+            (A, wk::OWL_SAME_AS, B),
+            (ancestor, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY),
+            (A, ancestor, B),
+            (B, ancestor, C),
+        ];
+        let mut profile = AccessProfile::default();
+        let mut s = store(&triples);
+        let stats = run_closure_stage(&mut s, &[RuleId::CaxSco, RuleId::PrpTrp], &mut profile);
+        assert_eq!(stats.tables_closed, 1, "no SCM-SCO, no EQ-TRANS");
+        assert!(s.contains(&IdTriple::new(A, ancestor, C)));
+        assert!(!s.contains(&IdTriple::new(A, wk::RDFS_SUB_CLASS_OF, C)));
+        assert!(!s.contains(&IdTriple::new(B, wk::OWL_SAME_AS, A)));
+        let mut s = store(&triples);
+        assert_eq!(
+            run_closure_stage(&mut s, &[], &mut profile),
+            ClosureStageStats::default()
+        );
+        assert_eq!(s.len(), triples.len());
+    }
+
+    #[test]
     fn closure_is_idempotent() {
         let mut s = store(&[(A, wk::RDFS_SUB_CLASS_OF, B), (B, wk::RDFS_SUB_CLASS_OF, C)]);
         let mut profile = AccessProfile::default();
-        let first = run_closure_stage(&mut s, Fragment::RdfsDefault, &mut profile);
+        let first = run_closure_stage(&mut s, &members(Fragment::RdfsDefault), &mut profile);
         let len_after_first = s.len();
-        let second = run_closure_stage(&mut s, Fragment::RdfsDefault, &mut profile);
+        let second = run_closure_stage(&mut s, &members(Fragment::RdfsDefault), &mut profile);
         assert_eq!(first.pairs_added, 1);
         assert_eq!(second.pairs_added, 0);
         assert_eq!(s.len(), len_after_first);

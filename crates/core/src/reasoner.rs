@@ -193,8 +193,9 @@ fn run_table_update(
 }
 
 /// Fires one rule of `ruleset` over `ctx`, appending to `out`: a catalog
-/// built-in through [`apply_rule`], a custom rule through the generic
-/// analyzer executor.
+/// built-in through [`apply_rule`], a custom rule through
+/// [`analysis::apply_compiled`] — the kernel its shape picks, as for the
+/// built-ins that run their text.
 fn fire_one(ruleset: &Ruleset, rule: RuleRef, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     match rule {
         RuleRef::Builtin(id) => apply_rule(id, ctx, out),
@@ -253,8 +254,7 @@ impl InferrayReasoner {
     /// rule's pairs for a table stay the vector it pushed them into — one
     /// part per rule, in rule order, so the parts are
     /// schedule-independent — and the update stage sorts them where they
-    /// lie. Built-ins run through [`apply_rule`]; custom (analyzer-compiled)
-    /// rules run the generic semi-naive join.
+    /// lie. Every rule runs through [`fire_one`].
     fn fire_rules(
         ruleset: &Ruleset,
         pool: Option<&ThreadPool>,
@@ -970,12 +970,11 @@ impl Materializer for InferrayReasoner {
         store.finalize();
         let input_triples = store.len();
 
-        // Step 1 (Algorithm 1, line 2): dedicated transitive-closure stage.
-        // Analyzer-loaded rulesets that are not an exact fragment skip it —
-        // the in-loop θ executors reach the same fixed point.
-        let theta_closed = !self.options.skip_closure_stage && self.ruleset.runs_closure_stage();
+        // Step 1 (Algorithm 1, line 2): dedicated transitive-closure stage,
+        // over the tables of the ruleset's θ rules.
+        let theta_closed = !self.options.skip_closure_stage;
         self.last_closure_stats = if theta_closed {
-            run_closure_stage(store, self.ruleset.fragment, &mut profile)
+            run_closure_stage(store, self.ruleset.rules(), &mut profile)
         } else {
             ClosureStageStats::default()
         };

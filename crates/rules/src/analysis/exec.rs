@@ -1,22 +1,25 @@
-//! The generic semi-naive executor for analyzer-compiled rules, plus the
-//! one-step support probe the delete–rederive path uses.
+//! The semi-naive executor for compiled rules, plus the one-step support
+//! probe the delete–rederive path uses.
 //!
-//! Every custom rule runs here, and so does every built-in whose text says
-//! what its executor does: the β self-joins and the single-antecedent rules
-//! ([`crate::executors::apply_rule`]). The other built-ins keep their
-//! hand-written class executors. The executor is a backtracking join over
-//! the sorted pair tables that evaluates the body atoms in written order.
-//! Like the hand-written executors it performs **no** presence filtering —
-//! during rederivation after an over-deletion the stores intentionally lack
-//! the deleted triples, and a derivation must be reported even when it
-//! reproduces an existing pair (the merge dedups).
+//! Every custom rule runs here, and so does every built-in but the eight
+//! with a hand-written executor ([`crate::executors::apply_rule`]).
+//! [`apply_compiled`] runs the kernel the rule's shape picks
+//! ([`super::lowering()`]): the merge join, the table scan, or — for every
+//! other shape — the nested-loop join of this module, a backtracking join
+//! over the sorted pair tables that evaluates the body atoms in written
+//! order. No kernel performs presence filtering — during rederivation after
+//! an over-deletion the stores intentionally lack the deleted triples, and
+//! a derivation must be reported even when it reproduces an existing pair
+//! (the merge dedups).
 //!
 //! [`supports`] probes every rule, built-in or custom, through its text,
 //! except the three built-ins whose executor derives something other than
 //! its text ([`crate::support`]).
 
 use super::compile::{Atom, CompiledRule, Term};
+use super::lowering::{lowering, Lowering};
 use crate::context::RuleContext;
+use crate::executors::{gamma, join};
 use crate::support::{self, Survivors};
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
@@ -181,8 +184,8 @@ fn emit(rule: &CompiledRule, bindings: &Bindings, out: &mut InferredBuffer) {
             debug_assert!(false, "safety check guarantees ground heads");
             continue;
         };
-        // Mirrors the hand-written γ/δ executors: a head predicate bound to
-        // a non-property identifier has no table to land in.
+        // As in the table scan: a head predicate bound to a non-property
+        // identifier has no table to land in.
         if !is_property_id(p) {
             continue;
         }
@@ -190,13 +193,33 @@ fn emit(rule: &CompiledRule, bindings: &Bindings, out: &mut InferredBuffer) {
     }
 }
 
-/// Fires `rule` semi-naively: for each body position `i`, joins atom `i`
-/// against `ctx.new` and every other atom against `ctx.main` (`new ⊆ main`),
-/// the same union of passes the hand-written executors implement — a single
-/// pass when the frontier is the whole store, where every position reads
-/// the same tables. Derived pairs append to `out`; the caller's merge
-/// dedups.
+/// Fires `rule` semi-naively through the kernel its shape picks: for each
+/// body position `i`, joins atom `i` against `ctx.new` and every other atom
+/// against `ctx.main` (`new ⊆ main`) — a single pass when the frontier is
+/// the whole store, where every position reads the same tables. Derived
+/// pairs append to `out`; the caller's merge dedups.
 pub fn apply_compiled(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
+    apply_lowered(rule, &lowering(rule), ctx, out);
+}
+
+/// [`apply_compiled`] through a given kernel: `lowering` is
+/// [`lowering()`]`(rule)`, or [`Lowering::NestedLoop`], which every rule can
+/// run — the reference the kernels are held to.
+pub fn apply_lowered(
+    rule: &CompiledRule,
+    lowering: &Lowering,
+    ctx: &RuleContext<'_>,
+    out: &mut InferredBuffer,
+) {
+    match lowering {
+        Lowering::MergeJoin(plan) => join::apply_merge_join(plan, ctx, out),
+        Lowering::TableScan(plan) => gamma::apply_table_scan(plan, ctx, out),
+        Lowering::NestedLoop => nested_loop(rule, ctx, out),
+    }
+}
+
+/// The backtracking join, one pass per body position.
+fn nested_loop(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     let mut bindings = vec![None; rule.var_count as usize];
     let passes = if ctx.is_whole() {
         rule.body.len().min(1)

@@ -15,7 +15,8 @@
 //!    and the delete–rederive seed read, for built-ins too: their lowered
 //!    texts are what [`crate::Ruleset::compiled`] returns), and recognizes
 //!    rules that are alpha-equivalent to catalog built-ins so they run as
-//!    those built-ins.
+//!    those built-ins. What a compiled text runs on is its shape's kernel
+//!    ([`lowering()`]).
 //! 3. **the stratum pass** (`stratum.rs`) — over the compiled rules of a whole ruleset: the
 //!    schema stratum the reasoner closes before the data loop, and the
 //!    firings `C∘P` it may leave out while that stratum stays closed.
@@ -30,6 +31,7 @@ mod compile;
 pub mod cost;
 mod diag;
 mod exec;
+mod lowering;
 mod parse;
 mod signature;
 pub(crate) mod stratum;
@@ -37,7 +39,9 @@ pub(crate) mod stratum;
 pub(crate) use compile::compiled_builtin;
 pub use compile::{recognize, Atom, CompiledRule, CompiledRuleset, Term};
 pub use diag::{Diagnostic, Severity};
-pub use exec::{apply_compiled, supports};
+pub use exec::{apply_compiled, apply_lowered, supports};
+pub(crate) use lowering::ScanEmit;
+pub use lowering::{lowering, Lowering, MergeJoin, TableScan};
 pub use parse::{Span, SymAtom, SymRule, SymTerm};
 pub use signature::{RuleInputs, RuleOutputs, SchemaSide};
 pub use stratum::Elision;

@@ -10,8 +10,8 @@
 //! (docs/rules.md). That text is the rule's only description: the analyzer
 //! derives from it the input and output signatures the scheduler and the
 //! delete–rederive path read ([`crate::Ruleset::compiled`]), and the shipped
-//! `rules/*.rules` files are rendered from it. The executors live in
-//! [`crate::executors`].
+//! `rules/*.rules` files are rendered from it, and all but eight built-ins
+//! run it ([`crate::executors`]).
 
 use std::fmt;
 

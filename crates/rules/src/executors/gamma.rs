@@ -1,44 +1,108 @@
-//! γ- and δ-rules: rules whose second antecedent has a *variable* property.
+//! The table-scan kernel: the γ and δ rules' shape, whose data atom has a
+//! *variable* property.
 //!
 //! γ-rules (PRP-DOM, PRP-RNG, PRP-SPO1, PRP-SYMP) join a schema table on the
 //! property identifier of the data pattern: "the join is performed on the
 //! property of the second triple pattern. Consequently, this requires to
 //! iterate over several property tables" (§4.4). δ-rules (PRP-EQP1/2,
 //! PRP-INV1/2) are the special case where the data table is copied — possibly
-//! reversed — into the head's table.
+//! reversed — into the head's table; EQ-REP-P has the same shape over
+//! `owl:sameAs`.
 //!
+//! Any rule of the shape runs here ([`crate::analysis::Lowering::TableScan`]).
 //! Semi-naive evaluation pairs the *new* schema triples with the *main* data
 //! tables and the *main* schema triples with the *new* data tables — the
-//! first pairing alone when the frontier is the whole store. Every handler
-//! copies one data table per schema pair: it resolves its output vector
-//! once, reserves the copy's exact size and pushes.
+//! first pairing alone when the frontier is the whole store. Per schema
+//! match, each head copies or reverses the named data table (resolving its
+//! output vector once and reserving the copy's exact size), or emits the
+//! table's distinct subjects or objects once each.
 
+use super::join::JoinSide;
+use crate::analysis::{ScanEmit, TableScan};
 use crate::context::RuleContext;
-use inferray_dictionary::wellknown;
 use inferray_model::ids::is_property_id;
 use inferray_store::{InferredBuffer, PropertyTable, TripleStore};
 
-/// Drives one γ/δ rule: for every `(s, o)` pair of the schema table
-/// `schema_prop` (semi-naive over both stores), calls
-/// `handle(s, o, data_store, out)` with the complementary data store.
-fn for_schema_and_data(
-    ctx: &RuleContext<'_>,
-    schema_prop: u64,
+/// Runs a table-scan rule (both semi-naive passes).
+pub fn apply_table_scan(scan: &TableScan, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
+    let mut stamps = ObjectStamps::default();
+    scan_pass(scan, ctx.new, ctx.main, &mut stamps, out);
+    if !ctx.is_whole() {
+        scan_pass(scan, ctx.main, ctx.new, &mut stamps, out);
+    }
+}
+
+/// For every pair of `schema_store` the schema atom matches, emits every
+/// head over the data table of `data_store` it names.
+fn scan_pass(
+    scan: &TableScan,
+    schema_store: &TripleStore,
+    data_store: &TripleStore,
+    stamps: &mut ObjectStamps,
     out: &mut InferredBuffer,
-    mut handle: impl FnMut(u64, u64, &TripleStore, &mut InferredBuffer),
 ) {
-    if let Some(table) = ctx.new.table(schema_prop) {
-        for (s, o) in table.iter_pairs() {
-            handle(s, o, ctx.main, out);
+    for_each_schema_match(schema_store, scan, |s, o| {
+        let data_p = scan.data.pick(s, o);
+        let Some(table) = data_table(data_store, data_p) else {
+            return;
+        };
+        for &(head_p, emit) in &scan.heads {
+            let p = head_p.pick(s, o);
+            if !is_property_id(p) {
+                continue;
+            }
+            match emit {
+                // Copying a table onto itself derives nothing.
+                ScanEmit::Copy if p == data_p => {}
+                ScanEmit::Copy => out.add_pairs(p, table.pairs()),
+                ScanEmit::Reverse => push_reversed(out, p, table),
+                // The table is sorted on ⟨s,o⟩: a subject's repeats follow it.
+                ScanEmit::DistinctSubjects(at, other) => {
+                    let (c, out) = (other.pick(s, o), out.table_mut(p));
+                    let mut previous = None;
+                    for (x, _) in table.iter_pairs() {
+                        if previous != Some(x) {
+                            previous = Some(x);
+                            out.extend_from_slice(&head_pair(at, x, c));
+                        }
+                    }
+                }
+                // The objects are not sorted: the ones emitted are stamped.
+                ScanEmit::DistinctObjects(at, other) => {
+                    let (c, out) = (other.pick(s, o), out.table_mut(p));
+                    stamps
+                        .for_each_distinct(table, |y| out.extend_from_slice(&head_pair(at, y, c)));
+                }
+            }
         }
+    });
+}
+
+/// The head pair with `value` at `at` and `other` at the other end.
+fn head_pair(at: JoinSide, value: u64, other: u64) -> [u64; 2] {
+    match at {
+        JoinSide::Subject => [value, other],
+        JoinSide::Object => [other, value],
     }
-    if ctx.is_whole() {
+}
+
+/// Calls `f(s, o)` for every pair of `store` the schema atom matches. A
+/// constant object reads one run through [`RuleContext::subjects_with_object`],
+/// which starts no ⟨o,s⟩ cache build.
+fn for_each_schema_match(store: &TripleStore, scan: &TableScan, mut f: impl FnMut(u64, u64)) {
+    let (p, subject, object) = scan.schema;
+    let Some(table) = store.table(p) else {
         return;
-    }
-    if let Some(table) = ctx.main.table(schema_prop) {
-        for (s, o) in table.iter_pairs() {
-            handle(s, o, ctx.new, out);
+    };
+    match (subject.as_const(), object.as_const()) {
+        (None, None) => table.iter_pairs().for_each(|(s, o)| f(s, o)),
+        (Some(s), None) => table.objects_of(s).for_each(|o| f(s, o)),
+        (None, Some(o)) => {
+            for s in RuleContext::subjects_with_object(store, p, o) {
+                f(s, o);
+            }
         }
+        (Some(_), Some(_)) => unreachable!("a schema atom binds the data predicate"),
     }
 }
 
@@ -58,35 +122,6 @@ fn push_reversed(out: &mut InferredBuffer, p: u64, table: &PropertyTable) {
     for (x, y) in table.iter_pairs() {
         out.extend_from_slice(&[y, x]);
     }
-}
-
-/// PRP-DOM: `p domain c, x p y ⇒ x a c` — each `x` once per schema pair:
-/// the table is sorted on ⟨s,o⟩, so a subject's repeats follow it.
-pub fn prp_dom(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_schema_and_data(ctx, wellknown::RDFS_DOMAIN, out, |p, c, data, out| {
-        if let Some(table) = data_table(data, p) {
-            let out = out.table_mut(wellknown::RDF_TYPE);
-            let mut previous = None;
-            for (x, _) in table.iter_pairs() {
-                if previous != Some(x) {
-                    previous = Some(x);
-                    out.extend_from_slice(&[x, c]);
-                }
-            }
-        }
-    });
-}
-
-/// PRP-RNG: `p range c, x p y ⇒ y a c` — each `y` once per schema pair:
-/// the objects are not sorted, so the ones already emitted are stamped.
-pub fn prp_rng(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    let mut emitted = ObjectStamps::default();
-    for_schema_and_data(ctx, wellknown::RDFS_RANGE, out, |p, c, data, out| {
-        if let Some(table) = data_table(data, p) {
-            let out = out.table_mut(wellknown::RDF_TYPE);
-            emitted.for_each_distinct(table, |y| out.extend_from_slice(&[y, c]));
-        }
-    });
 }
 
 /// How many stamp slots per pair a table may ask for before its objects
@@ -142,114 +177,11 @@ impl ObjectStamps {
     }
 }
 
-/// PRP-SPO1: `p1 ⊑ₚ p2, x p1 y ⇒ x p2 y`.
-pub fn prp_spo1(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_schema_and_data(
-        ctx,
-        wellknown::RDFS_SUB_PROPERTY_OF,
-        out,
-        |p1, p2, data, out| {
-            if p1 == p2 || !is_property_id(p1) || !is_property_id(p2) {
-                return;
-            }
-            if let Some(table) = data.table(p1) {
-                out.add_pairs(p2, table.pairs());
-            }
-        },
-    );
-}
-
-/// PRP-SYMP: `p a owl:SymmetricProperty, x p y ⇒ y p x`.
-pub fn prp_symp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    // Pass 1: newly declared symmetric properties against all data.
-    let newly_symmetric = RuleContext::subjects_with_object(
-        ctx.new,
-        wellknown::RDF_TYPE,
-        wellknown::OWL_SYMMETRIC_PROPERTY,
-    );
-    copy_reversed(&newly_symmetric, ctx.main, out);
-    if ctx.is_whole() {
-        return;
-    }
-    // Pass 2: all symmetric properties against the new data.
-    let all_symmetric = RuleContext::subjects_with_object(
-        ctx.main,
-        wellknown::RDF_TYPE,
-        wellknown::OWL_SYMMETRIC_PROPERTY,
-    );
-    copy_reversed(&all_symmetric, ctx.new, out);
-}
-
-fn copy_reversed(properties: &[u64], data: &TripleStore, out: &mut InferredBuffer) {
-    for &p in properties {
-        if let Some(table) = data_table(data, p) {
-            push_reversed(out, p, table);
-        }
-    }
-}
-
-/// PRP-EQP1: `p1 ≡ₚ p2, x p1 y ⇒ x p2 y`.
-pub fn prp_eqp1(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_schema_and_data(
-        ctx,
-        wellknown::OWL_EQUIVALENT_PROPERTY,
-        out,
-        |p1, p2, data, out| {
-            if p1 == p2 || !is_property_id(p1) || !is_property_id(p2) {
-                return;
-            }
-            if let Some(table) = data.table(p1) {
-                out.add_pairs(p2, table.pairs());
-            }
-        },
-    );
-}
-
-/// PRP-EQP2: `p1 ≡ₚ p2, x p2 y ⇒ x p1 y`.
-pub fn prp_eqp2(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_schema_and_data(
-        ctx,
-        wellknown::OWL_EQUIVALENT_PROPERTY,
-        out,
-        |p1, p2, data, out| {
-            if p1 == p2 || !is_property_id(p1) || !is_property_id(p2) {
-                return;
-            }
-            if let Some(table) = data.table(p2) {
-                out.add_pairs(p1, table.pairs());
-            }
-        },
-    );
-}
-
-/// PRP-INV1: `p1 inverseOf p2, x p1 y ⇒ y p2 x`.
-pub fn prp_inv1(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_schema_and_data(ctx, wellknown::OWL_INVERSE_OF, out, |p1, p2, data, out| {
-        if !is_property_id(p2) {
-            return;
-        }
-        if let Some(table) = data_table(data, p1) {
-            push_reversed(out, p2, table);
-        }
-    });
-}
-
-/// PRP-INV2: `p1 inverseOf p2, x p2 y ⇒ y p1 x`.
-pub fn prp_inv2(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_schema_and_data(ctx, wellknown::OWL_INVERSE_OF, out, |p1, p2, data, out| {
-        if !is_property_id(p1) {
-            return;
-        }
-        if let Some(table) = data_table(data, p2) {
-            push_reversed(out, p1, table);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executors::test_support::{derive, store};
+    use crate::executors::test_support::{buffer_to_set, fire, store};
+    use crate::RuleId;
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
 
@@ -272,7 +204,7 @@ mod tests {
             (ALICE, lives_in, LYON),
             (BOB, lives_in, LYON),
         ]);
-        let derived = derive(&main, prp_dom);
+        let derived = fire(RuleId::PrpDom, &main);
         assert!(derived.contains(&(ALICE, wk::RDF_TYPE, PERSON)));
         assert!(derived.contains(&(BOB, wk::RDF_TYPE, PERSON)));
         assert_eq!(derived.len(), 2);
@@ -288,19 +220,23 @@ mod tests {
             (ALICE, lives_in, BOB),
             (BOB, lives_in, LYON),
         ]);
-        let raw = |rule: fn(&RuleContext<'_>, &mut InferredBuffer)| {
+        let raw = |rule| {
             let mut out = InferredBuffer::new();
-            rule(&RuleContext::new(&main, &main), &mut out);
+            crate::apply_rule(rule, &RuleContext::new(&main, &main), &mut out);
             let mut pairs: Vec<u64> = out.iter().flat_map(|(_, pairs)| pairs.to_vec()).collect();
             pairs.sort_unstable();
             pairs
         };
         let mut dom = vec![ALICE, PERSON, BOB, PERSON];
         dom.sort_unstable();
-        assert_eq!(raw(prp_dom), dom, "ALICE has two values: typed once");
+        assert_eq!(raw(RuleId::PrpDom), dom, "ALICE has two values: typed once");
         let mut rng = vec![LYON, CITY, BOB, CITY];
         rng.sort_unstable();
-        assert_eq!(raw(prp_rng), rng, "LYON has two subjects: typed once");
+        assert_eq!(
+            raw(RuleId::PrpRng),
+            rng,
+            "LYON has two subjects: typed once"
+        );
     }
 
     #[test]
@@ -326,9 +262,8 @@ mod tests {
     fn prp_rng_types_the_object() {
         let lives_in = prop(0);
         let main = store(&[(lives_in, wk::RDFS_RANGE, CITY), (ALICE, lives_in, LYON)]);
-        let derived = derive(&main, prp_rng);
         assert_eq!(
-            derived.into_iter().collect::<Vec<_>>(),
+            fire(RuleId::PrpRng, &main).into_iter().collect::<Vec<_>>(),
             vec![(LYON, wk::RDF_TYPE, CITY)]
         );
     }
@@ -341,9 +276,8 @@ mod tests {
             (has_son, wk::RDFS_SUB_PROPERTY_OF, has_child),
             (ALICE, has_son, BOB),
         ]);
-        let derived = derive(&main, prp_spo1);
         assert_eq!(
-            derived.into_iter().collect::<Vec<_>>(),
+            fire(RuleId::PrpSpo1, &main).into_iter().collect::<Vec<_>>(),
             vec![(ALICE, has_child, BOB)]
         );
     }
@@ -352,7 +286,7 @@ mod tests {
     fn prp_spo1_skips_reflexive_subproperty_pairs() {
         let p = prop(3);
         let main = store(&[(p, wk::RDFS_SUB_PROPERTY_OF, p), (ALICE, p, BOB)]);
-        assert!(derive(&main, prp_spo1).is_empty());
+        assert!(fire(RuleId::PrpSpo1, &main).is_empty());
     }
 
     #[test]
@@ -362,8 +296,7 @@ mod tests {
             (married_to, wk::RDF_TYPE, wk::OWL_SYMMETRIC_PROPERTY),
             (ALICE, married_to, BOB),
         ]);
-        let derived = derive(&main, prp_symp);
-        assert!(derived.contains(&(BOB, married_to, ALICE)));
+        assert!(fire(RuleId::PrpSymp, &main).contains(&(BOB, married_to, ALICE)));
     }
 
     #[test]
@@ -375,10 +308,10 @@ mod tests {
             (ALICE, p, LYON),
             (BOB, q, LYON),
         ]);
-        let d1 = derive(&main, prp_eqp1);
+        let d1 = fire(RuleId::PrpEqp1, &main);
         assert!(d1.contains(&(ALICE, q, LYON)));
         assert!(!d1.contains(&(BOB, p, LYON)));
-        let d2 = derive(&main, prp_eqp2);
+        let d2 = fire(RuleId::PrpEqp2, &main);
         assert!(d2.contains(&(BOB, p, LYON)));
     }
 
@@ -391,10 +324,8 @@ mod tests {
             (ALICE, parent_of, BOB),
             (LYON, child_of, CITY),
         ]);
-        let d1 = derive(&main, prp_inv1);
-        assert!(d1.contains(&(BOB, child_of, ALICE)));
-        let d2 = derive(&main, prp_inv2);
-        assert!(d2.contains(&(CITY, parent_of, LYON)));
+        assert!(fire(RuleId::PrpInv1, &main).contains(&(BOB, child_of, ALICE)));
+        assert!(fire(RuleId::PrpInv2, &main).contains(&(CITY, parent_of, LYON)));
     }
 
     #[test]
@@ -402,7 +333,7 @@ mod tests {
         // A domain triple whose subject is a resource (data error) must not
         // crash or derive anything.
         let main = store(&[(PERSON, wk::RDFS_DOMAIN, CITY), (ALICE, prop(0), LYON)]);
-        assert!(derive(&main, prp_dom).is_empty());
+        assert!(fire(RuleId::PrpDom, &main).is_empty());
     }
 
     #[test]
@@ -410,10 +341,8 @@ mod tests {
         let lives_in = prop(0);
         let main = store(&[(lives_in, wk::RDFS_DOMAIN, PERSON), (ALICE, lives_in, LYON)]);
         let new = store(&[(ALICE, lives_in, LYON)]);
-        let ctx = RuleContext::new(&main, &new);
         let mut out = InferredBuffer::new();
-        prp_dom(&ctx, &mut out);
-        let derived = crate::executors::test_support::buffer_to_set(&out);
-        assert!(derived.contains(&(ALICE, wk::RDF_TYPE, PERSON)));
+        crate::apply_rule(RuleId::PrpDom, &RuleContext::new(&main, &new), &mut out);
+        assert!(buffer_to_set(&out).contains(&(ALICE, wk::RDF_TYPE, PERSON)));
     }
 }

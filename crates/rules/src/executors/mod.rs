@@ -7,16 +7,19 @@
 //! skips the paper mentions (e.g. not copying a table onto itself for a
 //! reflexive `subPropertyOf` pair).
 //!
-//! [`apply_rule`] dispatches a [`RuleId`] to its executor. A rule whose text
-//! says what it derives — the β self-joins and the single-antecedent rules —
-//! runs through the generic join over its compiled text
-//! ([`crate::analysis::apply_compiled`]). The θ rules are also dispatched
-//! here (they recompute the closure of the affected table
-//! when the previous iteration added pairs to it), so a caller that simply
-//! applies every rule of a ruleset to a fixed-point obtains a complete
+//! [`apply_rule`] runs a built-in. Most built-ins run their catalog text
+//! ([`crate::analysis::apply_compiled`]), whose shape picks the kernel
+//! ([`crate::analysis::lowering()`]): the merge join of [`join`] for the α
+//! rules, the table scan of [`gamma`] for the γ/δ rules and EQ-REP-P, the
+//! nested-loop join for the rest. Eight keep a hand-written executor
+//! ([`hand_written`]) because they derive something other than their
+//! text's join, or derive it another way: EQ-REP-S / EQ-REP-O
+//! ([`same_as`]), PRP-FP / PRP-IFP ([`functional`]) and the θ rules
+//! ([`theta`]), which recompute the closure of the affected table when the
+//! previous iteration added pairs to it — so a caller that simply applies
+//! every rule of a ruleset to a fixed-point obtains a complete
 //! materialization even without the dedicated up-front closure stage.
 
-pub mod alpha;
 pub mod functional;
 pub mod gamma;
 pub mod join;
@@ -28,53 +31,34 @@ use crate::catalog::RuleId;
 use crate::context::RuleContext;
 use inferray_store::InferredBuffer;
 
+/// A rule executor: appends what the rule derives over a context.
+pub type Executor = fn(&RuleContext<'_>, &mut InferredBuffer);
+
+/// The hand-written executor of a built-in, for the eight that keep one;
+/// `None` for a built-in that runs its catalog text. The one list both
+/// [`apply_rule`] and `rules explain` read.
+pub fn hand_written(rule: RuleId) -> Option<Executor> {
+    Some(match rule {
+        // same-as: one loop over the sameAs pairs and every table.
+        RuleId::EqRepS => same_as::eq_rep_s,
+        RuleId::EqRepO => same_as::eq_rep_o,
+        // functional properties (three-antecedent rules).
+        RuleId::PrpFp => functional::prp_fp,
+        RuleId::PrpIfp => functional::prp_ifp,
+        // θ — transitivity, recomputed incrementally inside the loop.
+        RuleId::ScmSco => theta::scm_sco,
+        RuleId::ScmSpo => theta::scm_spo,
+        RuleId::EqTrans => theta::eq_trans,
+        RuleId::PrpTrp => theta::prp_trp,
+        _ => return None,
+    })
+}
+
 /// Applies one rule to the context, appending derivations to `out`.
 pub fn apply_rule(rule: RuleId, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    match rule {
-        // α — two-table sort-merge joins.
-        RuleId::CaxEqc1 => alpha::cax_eqc1(ctx, out),
-        RuleId::CaxEqc2 => alpha::cax_eqc2(ctx, out),
-        RuleId::CaxSco => alpha::cax_sco(ctx, out),
-        RuleId::ScmDom1 => alpha::scm_dom1(ctx, out),
-        RuleId::ScmDom2 => alpha::scm_dom2(ctx, out),
-        RuleId::ScmRng1 => alpha::scm_rng1(ctx, out),
-        RuleId::ScmRng2 => alpha::scm_rng2(ctx, out),
-        // γ / δ — property-variable rules.
-        RuleId::PrpDom => gamma::prp_dom(ctx, out),
-        RuleId::PrpRng => gamma::prp_rng(ctx, out),
-        RuleId::PrpSpo1 => gamma::prp_spo1(ctx, out),
-        RuleId::PrpSymp => gamma::prp_symp(ctx, out),
-        RuleId::PrpEqp1 => gamma::prp_eqp1(ctx, out),
-        RuleId::PrpEqp2 => gamma::prp_eqp2(ctx, out),
-        RuleId::PrpInv1 => gamma::prp_inv1(ctx, out),
-        RuleId::PrpInv2 => gamma::prp_inv2(ctx, out),
-        // same-as.
-        RuleId::EqRepS => same_as::eq_rep_s(ctx, out),
-        RuleId::EqRepP => same_as::eq_rep_p(ctx, out),
-        RuleId::EqRepO => same_as::eq_rep_o(ctx, out),
-        // functional properties (three-antecedent rules).
-        RuleId::PrpFp => functional::prp_fp(ctx, out),
-        RuleId::PrpIfp => functional::prp_ifp(ctx, out),
-        // θ — transitivity, recomputed incrementally inside the loop.
-        RuleId::ScmSco => theta::scm_sco(ctx, out),
-        RuleId::ScmSpo => theta::scm_spo(ctx, out),
-        RuleId::EqTrans => theta::eq_trans(ctx, out),
-        RuleId::PrpTrp => theta::prp_trp(ctx, out),
-        // β self-joins and single-antecedent rules: their text.
-        RuleId::ScmEqc2
-        | RuleId::ScmEqp2
-        | RuleId::EqSym
-        | RuleId::ScmEqc1
-        | RuleId::ScmEqp1
-        | RuleId::ScmCls
-        | RuleId::ScmDp
-        | RuleId::ScmOp
-        | RuleId::Rdfs4
-        | RuleId::Rdfs6
-        | RuleId::Rdfs8
-        | RuleId::Rdfs10
-        | RuleId::Rdfs12
-        | RuleId::Rdfs13 => apply_compiled(compiled_builtin(rule), ctx, out),
+    match hand_written(rule) {
+        Some(executor) => executor(ctx, out),
+        None => apply_compiled(compiled_builtin(rule), ctx, out),
     }
 }
 
@@ -82,6 +66,7 @@ pub fn apply_rule(rule: RuleId, ctx: &RuleContext<'_>, out: &mut InferredBuffer)
 pub(crate) mod test_support {
     //! Helpers shared by the executor unit tests.
 
+    use crate::catalog::RuleId;
     use crate::context::RuleContext;
     use inferray_model::IdTriple;
     use inferray_store::{InferredBuffer, TripleStore};
@@ -104,6 +89,11 @@ pub(crate) mod test_support {
         buffer_to_set(&out)
     }
 
+    /// What built-in `rule` derives with `new == main`.
+    pub fn fire(rule: RuleId, main: &TripleStore) -> BTreeSet<(u64, u64, u64)> {
+        derive(main, |ctx, out| super::apply_rule(rule, ctx, out))
+    }
+
     /// Flattens an [`InferredBuffer`] into `(s, p, o)` tuples.
     pub fn buffer_to_set(buffer: &InferredBuffer) -> BTreeSet<(u64, u64, u64)> {
         let mut set = BTreeSet::new();
@@ -118,22 +108,16 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{buffer_to_set, derive, store};
+    use super::test_support::{buffer_to_set, fire, store};
     use super::*;
     use crate::catalog::CATALOG;
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
-    use inferray_store::TripleStore;
     use std::collections::BTreeSet;
 
     const A: u64 = 5_000_000;
     const B: u64 = 5_000_001;
     const C: u64 = 5_000_002;
-
-    /// What `rule` derives with `new == main`.
-    fn fire(rule: RuleId, main: &TripleStore) -> BTreeSet<(u64, u64, u64)> {
-        derive(main, |ctx, out| apply_rule(rule, ctx, out))
-    }
 
     #[test]
     fn eq_sym_mirrors_every_pair() {

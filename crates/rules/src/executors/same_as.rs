@@ -1,4 +1,4 @@
-//! The `owl:sameAs` replacement rules (EQ-REP-S / EQ-REP-P / EQ-REP-O).
+//! The `owl:sameAs` replacement rules EQ-REP-S and EQ-REP-O.
 //!
 //! "The four same-as rules generate a significant number of triples.
 //! Choosing the base table for joining is obvious — since the second triple
@@ -6,12 +6,12 @@
 //! a single loop, iterating over the same-as property table" (§4.4). The
 //! executors below follow that plan: the outer loop walks the `owl:sameAs`
 //! pairs, the inner loop walks the property tables of the complementary
-//! store. `EQ-SYM`, the fourth rule, is a single-antecedent rule and runs
-//! its text through [`crate::analysis::apply_compiled`].
+//! store. The other two run their text: EQ-SYM, a single-antecedent rule,
+//! and EQ-REP-P, whose sameAs pair names the data table it copies — the
+//! table-scan shape ([`crate::analysis::Lowering::TableScan`]).
 
 use crate::context::RuleContext;
 use inferray_dictionary::wellknown;
-use inferray_model::ids::is_property_id;
 use inferray_store::{InferredBuffer, TripleStore};
 
 /// The two semi-naive passes over the sameAs pairs: the new pairs against
@@ -36,29 +36,18 @@ fn for_same_as_lists(
     }
 }
 
-/// [`for_same_as_lists`], one sameAs pair at a time.
-fn for_same_as(
-    ctx: &RuleContext<'_>,
-    out: &mut InferredBuffer,
-    mut handle: impl FnMut(u64, u64, &TripleStore, &mut InferredBuffer),
-) {
-    for_same_as_lists(ctx, out, |links, data, out| {
-        for &(a, b) in links {
-            handle(a, b, data, out);
-        }
-    });
-}
-
 /// EQ-REP-S: `s1 sameAs s2, s1 p o ⇒ s2 p o`.
 pub fn eq_rep_s(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_same_as(ctx, out, |s1, s2, data, out| {
-        for (p, table) in data.iter_tables() {
-            let run = table.subject_run(s1);
-            if !run.is_empty() {
-                let out = out.table_mut(p);
-                out.reserve(run.len());
-                for pair in run.chunks_exact(2) {
-                    out.extend_from_slice(&[s2, pair[1]]);
+    for_same_as_lists(ctx, out, |links, data, out| {
+        for &(s1, s2) in links {
+            for (p, table) in data.iter_tables() {
+                let run = table.subject_run(s1);
+                if !run.is_empty() {
+                    let out = out.table_mut(p);
+                    out.reserve(run.len());
+                    for pair in run.chunks_exact(2) {
+                        out.extend_from_slice(&[s2, pair[1]]);
+                    }
                 }
             }
         }
@@ -116,22 +105,11 @@ pub fn eq_rep_o(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     });
 }
 
-/// EQ-REP-P: `p1 sameAs p2, s p1 o ⇒ s p2 o`.
-pub fn eq_rep_p(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_same_as(ctx, out, |p1, p2, data, out| {
-        if !is_property_id(p1) || !is_property_id(p2) {
-            return;
-        }
-        if let Some(table) = data.table(p1) {
-            out.add_pairs(p2, table.pairs());
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executors::test_support::{derive, store};
+    use crate::executors::test_support::{derive, fire, store};
+    use crate::RuleId;
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
 
@@ -217,7 +195,7 @@ mod tests {
         let knows = prop(0);
         let acquainted = prop(1);
         let main = store(&[(knows, wk::OWL_SAME_AS, acquainted), (ALICE, knows, BOB)]);
-        let derived = derive(&main, eq_rep_p);
+        let derived = fire(RuleId::EqRepP, &main);
         assert!(derived.contains(&(ALICE, acquainted, BOB)));
     }
 
@@ -225,7 +203,7 @@ mod tests {
     fn same_as_between_individuals_does_not_touch_property_tables() {
         let knows = prop(0);
         let main = store(&[(ALICE, wk::OWL_SAME_AS, ALIZ), (ALICE, knows, BOB)]);
-        let derived = derive(&main, eq_rep_p);
+        let derived = fire(RuleId::EqRepP, &main);
         // ALICE is not a property id, so EQ-REP-P derives nothing.
         assert!(derived.is_empty());
     }
@@ -244,6 +222,6 @@ mod tests {
         let main = store(&[(ALICE, knows, BOB)]);
         assert!(derive(&main, eq_rep_s).is_empty());
         assert!(derive(&main, eq_rep_o).is_empty());
-        assert!(derive(&main, eq_rep_p).is_empty());
+        assert!(fire(RuleId::EqRepP, &main).is_empty());
     }
 }

@@ -93,11 +93,6 @@ pub struct Ruleset {
     /// They run through the generic semi-naive executor and are scheduled /
     /// rederived through their derived signatures.
     custom: Vec<CompiledRule>,
-    /// Whether the dedicated transitive-closure stage may run before the
-    /// fixed point. `true` for the baked-in fragments; analyzer-loaded
-    /// rulesets that are not an exact fragment fall back to the in-loop θ
-    /// executors, which reach the same fixed point without the stage.
-    closure_stage: bool,
     /// The schema stratum (`analysis/stratum.rs`), in [`Ruleset::all_refs`]
     /// order.
     stratum: Vec<RuleRef>,
@@ -144,7 +139,7 @@ impl Ruleset {
                         .filter(|info| fragment.includes(info.id))
                         .map(|info| info.id)
                         .collect();
-                    Self::new(fragment, rules, Vec::new(), true).analyzed()
+                    Self::new(fragment, rules, Vec::new()).analyzed()
                 })
                 .collect()
         });
@@ -160,7 +155,7 @@ impl Ruleset {
     /// those built-ins (deduplicated, in Table 5 order); the
     /// rest become [`RuleRef::Custom`] rules in file order. When the
     /// built-ins are exactly a baked-in fragment and nothing else, the
-    /// result *is* that fragment's ruleset — closure stage included.
+    /// result *is* that fragment's ruleset.
     pub fn from_analyzed(compiled: &CompiledRuleset) -> Self {
         let mut builtins: Vec<RuleId> = Vec::new();
         let mut custom: Vec<CompiledRule> = Vec::new();
@@ -191,9 +186,8 @@ impl Ruleset {
             }
         }
         // The nominal fragment only labels the ruleset; every scheduling
-        // decision flows from the member rules themselves, and the closure
-        // stage is disabled in favour of the in-loop θ executors.
-        Self::new(Fragment::RdfsDefault, builtins, custom, false).analyzed()
+        // decision, and the closure stage, flows from the member rules.
+        Self::new(Fragment::RdfsDefault, builtins, custom).analyzed()
     }
 
     /// Derives the schema stratum, its tables and the elision relation from
@@ -231,22 +225,16 @@ impl Ruleset {
                 RuleRef::Builtin(_) => None,
             })
             .collect();
-        Self::new(self.fragment, builtins, custom, self.closure_stage)
+        Self::new(self.fragment, builtins, custom)
     }
 
     /// A ruleset of `rules` (distinct, in Table 5 order) and `custom`, not
     /// analyzed yet.
-    fn new(
-        fragment: Fragment,
-        rules: Vec<RuleId>,
-        custom: Vec<CompiledRule>,
-        closure_stage: bool,
-    ) -> Self {
+    fn new(fragment: Fragment, rules: Vec<RuleId>, custom: Vec<CompiledRule>) -> Self {
         Ruleset {
             fragment,
             rules,
             custom,
-            closure_stage,
             stratum: Vec::new(),
             stratum_tables: Vec::new(),
             elisions: Vec::new(),
@@ -271,12 +259,6 @@ impl Ruleset {
     /// The analyzer-compiled custom rules, in file order.
     pub fn custom_rules(&self) -> &[CompiledRule] {
         &self.custom
-    }
-
-    /// Whether the dedicated transitive-closure stage may run for this
-    /// ruleset (always true for the baked-in fragments).
-    pub fn runs_closure_stage(&self) -> bool {
-        self.closure_stage
     }
 
     /// The schema stratum: the member rules whose fixed input and output

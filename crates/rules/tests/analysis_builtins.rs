@@ -33,10 +33,6 @@ fn fragment_files_load_back_to_their_fragment_rulesets() {
         let expected = Ruleset::for_fragment(fragment);
         assert_eq!(ruleset.rules(), expected.rules(), "{fragment}");
         assert!(ruleset.custom_rules().is_empty(), "{fragment}");
-        assert!(
-            ruleset.runs_closure_stage(),
-            "{fragment}: an exact fragment keeps the dedicated closure stage"
-        );
     }
 }
 

@@ -1,14 +1,14 @@
 //! IL007 fixture: a map lookup per emitted pair in the rule executors'
 //! emission loops. Only the two `.add(` sites in listed functions may fire.
 
-fn join_pass(left: &[u64], right: &[u64], out: &mut InferredBuffer) {
+fn merge_join_pass(left: &[u64], right: &[u64], out: &mut InferredBuffer) {
     for (l, r) in left.iter().zip(right) {
         out.add(7, *l, *r); // positive 1: one lookup per joined pair
     }
 }
 
-fn prp_dom(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    for_schema_and_data(ctx, 3, out, |p, c, data, out| {
+fn scan_pass(scan: &TableScan, data: &TripleStore, out: &mut InferredBuffer) {
+    for_each_schema_match(data, scan, |p, c| {
         if let Some(table) = data.table(p) {
             for (x, _) in table.iter_pairs() {
                 out.add(1, x, c); // positive 2: inside the handler closure

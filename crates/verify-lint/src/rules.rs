@@ -802,20 +802,14 @@ const TEXT_COPY_PATTERNS: &[&str] = &[
 ];
 
 /// The rule executors that emit one pair per joined pair or per copied
-/// pair (`crates/rules/src/executors/`): the α join pass, the γ/δ handlers
-/// `for_schema_and_data` drives (`prp_dom`, `prp_rng`, `prp_inv1`,
-/// `prp_inv2` and the reversed copy they share), `copy_reversed`, the
-/// same-as replacement loops and the functional executors. The θ rules
-/// (`theta.rs`), which emit a handful of pairs per *new* triple, are not
-/// listed.
+/// pair (`crates/rules/src/executors/`): the merge-join and table-scan
+/// passes, the reversed copy the scan shares, the same-as replacement
+/// loops and the functional executors. The θ rules (`theta.rs`), which
+/// emit a handful of pairs per *new* triple, are not listed.
 pub const RULE_EMIT: &[&str] = &[
-    "join_pass",
-    "prp_dom",
-    "prp_rng",
-    "prp_inv1",
-    "prp_inv2",
+    "merge_join_pass",
+    "scan_pass",
     "push_reversed",
-    "copy_reversed",
     "eq_rep_s",
     "eq_rep_o",
     "prp_fp",
@@ -900,7 +894,7 @@ const HOT_LISTS: &[HotList] = &[
     },
     HotList {
         path_suffixes: &[
-            "crates/rules/src/executors/alpha.rs",
+            "crates/rules/src/executors/join.rs",
             "crates/rules/src/executors/gamma.rs",
             "crates/rules/src/executors/same_as.rs",
             "crates/rules/src/executors/functional.rs",

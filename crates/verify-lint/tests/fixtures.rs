@@ -406,7 +406,7 @@ fn il007_covers_the_dictionary_hit_path() {
 #[test]
 fn il007_covers_the_rule_emission_loops() {
     for home in [
-        "crates/rules/src/executors/alpha.rs",
+        "crates/rules/src/executors/join.rs",
         "crates/rules/src/executors/gamma.rs",
         "crates/rules/src/executors/same_as.rs",
         "crates/rules/src/executors/functional.rs",
@@ -414,7 +414,7 @@ fn il007_covers_the_rule_emission_loops() {
         let files = vec![fixture("il007_rule_emit.rs", home)];
         let diags = rules::il007_no_hot_path_allocation(&files);
         assert_eq!(diags.len(), 2, "{home}: {diags:?}");
-        for emitter in ["`join_pass`", "`prp_dom`"] {
+        for emitter in ["`merge_join_pass`", "`scan_pass`"] {
             assert!(
                 diags.iter().any(|d| d.rule == "IL007"
                     && d.message.contains("rule emission loop")

@@ -22,13 +22,17 @@
 //! * materializing a materialized store derives nothing new, in one
 //!   iteration;
 //! * the work counters — `derived_raw`, `duplicates_removed`, raw pairs per
-//!   iteration and per rule — are the same sequentially and in parallel.
+//!   iteration and per rule — are the same sequentially and in parallel;
+//! * a `.rules` program whose rules are no built-in does the built-ins'
+//!   work: its rules run the kernels their shapes pick, and the closure
+//!   stage follows its θ members.
 
 use inferray::core::closure_stage::run_closure_stage;
 use inferray::core::{IterationProfile, RuleSample};
 use inferray::dictionary::wellknown as wk;
 use inferray::model::ids::is_property_id;
 use inferray::parser::loader::load_ntriples;
+use inferray::rules::analysis::{self, builtin::PRELUDE};
 use inferray::rules::{RuleClass, RuleId, RuleRef, Ruleset};
 use inferray::store::AccessProfile;
 use inferray::{Fragment, IdTriple, InferrayOptions, InferrayReasoner, Materializer, TripleStore};
@@ -122,7 +126,7 @@ fn iteration_one_emits_every_one_pass_derivation_once() {
     let mut transitive_only = fixture();
     run_closure_stage(
         &mut transitive_only,
-        FRAGMENT,
+        Ruleset::for_fragment(FRAGMENT).rules(),
         &mut AccessProfile::default(),
     );
     assert!(
@@ -306,4 +310,71 @@ fn eq_rep_o_builds_no_os_cache() {
             assert!(!table.has_os_cache(), "⟨o,s⟩ of {property} was built");
         }
     }
+}
+
+/// The RDFS-default program with the two body atoms of every non-θ rule
+/// swapped, so that none of them is recognized as a built-in. The θ rules
+/// keep their text: swapped, a transitivity rule is a custom join, not the
+/// closure its built-in runs.
+fn swapped_program() -> String {
+    let mut program = PRELUDE.to_owned();
+    for &rule in Ruleset::for_fragment(FRAGMENT).rules() {
+        let text = analysis::builtin::rule_text(rule);
+        let swapped = match text.split_once(": ").and_then(|(name, rest)| {
+            let (body, head) = rest.split_once(" => ")?;
+            let (first, second) = body.split_once(", ")?;
+            Some(format!("{name}: {second}, {first} => {head}"))
+        }) {
+            Some(swapped) if rule.class() != RuleClass::Theta => swapped,
+            _ => text.to_owned(),
+        };
+        program.push_str(&swapped);
+        program.push('\n');
+    }
+    program
+}
+
+#[test]
+fn a_custom_program_runs_the_kernels_and_gets_the_closure_stage() {
+    let text = std::fs::read_to_string("tests/fixtures/fixed_point_work.nt")
+        .expect("the fixture is committed");
+    let mut loaded = load_ntriples(&text).expect("the fixture parses");
+    let ruleset = analysis::load_ruleset(&swapped_program(), &mut loaded.dictionary)
+        .expect("the swapped program loads");
+    let theta = Ruleset::for_fragment(FRAGMENT).theta_rules();
+    assert_eq!(ruleset.rules(), theta, "only the θ rules are recognized");
+    assert_eq!(ruleset.custom_rules().len(), 8);
+
+    let mut custom = loaded.store;
+    let mut reasoner = InferrayReasoner::with_ruleset(ruleset.clone(), InferrayOptions::default());
+    reasoner.materialize(&mut custom);
+    let mut builtin_reasoner = InferrayReasoner::new(FRAGMENT);
+    let mut builtin = fixture();
+    builtin_reasoner.materialize(&mut builtin);
+    assert_eq!(custom, builtin);
+
+    // The same rows, rule by rule, by name.
+    let rows = |profile: &IterationProfile, name: &dyn Fn(RuleRef) -> String| {
+        let mut rows: Vec<(String, usize)> = profile.samples[0]
+            .rules
+            .iter()
+            .map(|r| (name(r.rule), r.raw_pairs))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let custom_rows = rows(reasoner.last_iteration_profile(), &|rule| match rule {
+        RuleRef::Builtin(id) => id.name().to_owned(),
+        RuleRef::Custom(i) => ruleset.custom_rules()[i].name.clone(),
+    });
+    let builtin_rows = rows(builtin_reasoner.last_iteration_profile(), &|rule| {
+        rule.to_string()
+    });
+    assert!(builtin_rows.iter().any(|(_, raw)| *raw > 0));
+    assert_eq!(custom_rows, builtin_rows, "iteration 1, raw pairs per rule");
+    assert_eq!(
+        reasoner.last_closure_stats().tables_closed,
+        builtin_reasoner.last_closure_stats().tables_closed
+    );
+    assert!(builtin_reasoner.last_closure_stats().tables_closed > 0);
 }
