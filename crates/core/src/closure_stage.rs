@@ -7,18 +7,17 @@
 //! to pay the quadratic duplicate-generation cost that Table 4 measures for
 //! the baseline systems.
 //!
-//! Which tables are closed follows the θ built-ins among the ruleset's
-//! members, each closing the table its hand-written executor maintains:
-//!
-//! * SCM-SCO closes `rdfs:subClassOf`, SCM-SPO `rdfs:subPropertyOf` — every
-//!   fragment has both;
-//! * EQ-TRANS closes `owl:sameAs` after symmetrizing it, and PRP-TRP every
-//!   property declared `owl:TransitiveProperty` — RDFS-Plus has both.
+//! Which tables are closed follows the closures among the ruleset's members
+//! ([`inferray_rules::Ruleset::closures`]), built-in or custom: each closes the tables its
+//! text names ([`inferray_rules::analysis::Lowering::Closure`]) —
+//! SCM-SCO `rdfs:subClassOf` and SCM-SPO `rdfs:subPropertyOf` in every
+//! fragment, EQ-TRANS `owl:sameAs` after symmetrizing it and PRP-TRP every
+//! property declared `owl:TransitiveProperty` in RDFS-Plus, and a rule file's
+//! transitivity rules whatever their atom order.
 
-use inferray_closure::transitive_closure;
-use inferray_dictionary::wellknown;
-use inferray_model::ids::is_property_id;
-use inferray_rules::{RuleContext, RuleId};
+use inferray_rules::analysis::Closure;
+use inferray_rules::executors::theta::closed_pairs;
+use inferray_rules::{RuleRef, Survivors};
 use inferray_store::{AccessProfile, TripleStore};
 
 /// Statistics of the closure stage, and of the schema stratum's pass that
@@ -36,87 +35,31 @@ pub struct ClosureStageStats {
     pub stratum_pairs_added: usize,
 }
 
-/// Closes in place the tables of `store` the θ rules among `rules` (a
-/// ruleset's built-in members) maintain, and reports how much was added.
+/// Replaces in place every non-empty table of `store` one of `closures` (a
+/// ruleset's [`inferray_rules::Ruleset::closures`]) closes by its closure,
+/// and reports how much was added.
 pub fn run_closure_stage(
     store: &mut TripleStore,
-    rules: &[RuleId],
+    closures: &[(RuleRef, Closure)],
     profile: &mut AccessProfile,
 ) -> ClosureStageStats {
     let mut stats = ClosureStageStats::default();
-    let member = |rule| rules.contains(&rule);
-
-    // The RDFS schema hierarchies.
-    for (rule, prop) in [
-        (RuleId::ScmSco, wellknown::RDFS_SUB_CLASS_OF),
-        (RuleId::ScmSpo, wellknown::RDFS_SUB_PROPERTY_OF),
-    ] {
-        if member(rule) {
-            close_property(store, prop, false, &mut stats, profile);
-        }
-    }
-    if member(RuleId::EqTrans) {
-        // owl:sameAs — symmetric, so symmetrize before closing (§4.1).
-        close_property(store, wellknown::OWL_SAME_AS, true, &mut stats, profile);
-    }
-    if member(RuleId::PrpTrp) {
-        // Every property declared transitive.
-        let transitive = RuleContext::subjects_with_object(
-            store,
-            wellknown::RDF_TYPE,
-            wellknown::OWL_TRANSITIVE_PROPERTY,
-        );
-        for p in transitive {
-            if is_property_id(p) {
-                close_property(store, p, false, &mut stats, profile);
-            }
+    for (_, closure) in closures {
+        for p in closure.tables(Survivors::all(store)) {
+            let Some(table) = store.table(p).filter(|table| !table.is_empty()) else {
+                continue;
+            };
+            let before = table.len();
+            profile.sequential(2 * before as u64);
+            let closed = closed_pairs(table, closure.symmetric());
+            profile.sequential(2 * closed.len() as u64);
+            profile.allocate(2 * closed.len() as u64);
+            stats.tables_closed += 1;
+            stats.pairs_added += closed.len() - before;
+            store.replace_table_sorted(p, closed.into_iter().flat_map(|(a, b)| [a, b]).collect());
         }
     }
     stats
-}
-
-/// Replaces the table of `prop` with its transitive closure (symmetrized
-/// first when `symmetric` is set). No-op when the table is absent or empty.
-fn close_property(
-    store: &mut TripleStore,
-    prop: u64,
-    symmetric: bool,
-    stats: &mut ClosureStageStats,
-    profile: &mut AccessProfile,
-) {
-    let Some(table) = store.table(prop) else {
-        return;
-    };
-    if table.is_empty() {
-        return;
-    }
-    let before = table.len();
-    let mut edges = table.to_tuple_pairs();
-    profile.sequential(2 * before as u64);
-    if symmetric {
-        let swapped: Vec<(u64, u64)> = edges.iter().map(|&(a, b)| (b, a)).collect();
-        edges.extend(swapped);
-    }
-    let closed = transitive_closure(&edges);
-    profile.sequential(2 * closed.len() as u64);
-    profile.allocate(2 * closed.len() as u64);
-
-    // The closure contains the original edges; keep them plus the new pairs.
-    let mut flat: Vec<u64> = Vec::with_capacity(closed.len() * 2 + before * 2);
-    for (a, b) in &closed {
-        flat.push(*a);
-        flat.push(*b);
-    }
-    // When symmetrizing, the original asserted pairs may not all be in the
-    // closure output ordering; merge them in and re-sort to be safe.
-    if symmetric {
-        flat.extend(table.pairs());
-    }
-    inferray_sort::sort_pairs_auto_dedup(&mut flat);
-    let after = flat.len() / 2;
-    stats.tables_closed += 1;
-    stats.pairs_added += after.saturating_sub(before);
-    store.replace_table_sorted(prop, flat);
 }
 
 #[cfg(test)]
@@ -125,11 +68,11 @@ mod tests {
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
     use inferray_model::IdTriple;
-    use inferray_rules::{Fragment, Ruleset};
+    use inferray_rules::{Fragment, RuleId, Ruleset};
 
-    /// The built-in members of `fragment`.
-    fn members(fragment: Fragment) -> Vec<RuleId> {
-        Ruleset::for_fragment(fragment).rules().to_vec()
+    /// The closures among the members of `fragment`.
+    fn members(fragment: Fragment) -> Vec<(RuleRef, Closure)> {
+        Ruleset::for_fragment(fragment).closures().to_vec()
     }
 
     fn store(triples: &[(u64, u64, u64)]) -> TripleStore {
@@ -207,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn only_the_member_theta_rules_close_their_tables() {
+    fn only_the_member_closures_close_their_tables() {
         let ancestor = nth_property_id(601);
         let triples = [
             (A, wk::RDFS_SUB_CLASS_OF, B),
@@ -219,7 +162,11 @@ mod tests {
         ];
         let mut profile = AccessProfile::default();
         let mut s = store(&triples);
-        let stats = run_closure_stage(&mut s, &[RuleId::CaxSco, RuleId::PrpTrp], &mut profile);
+        let prp_trp: Vec<_> = members(Fragment::RdfsPlus)
+            .into_iter()
+            .filter(|&(rule, _)| rule == RuleRef::Builtin(RuleId::PrpTrp))
+            .collect();
+        let stats = run_closure_stage(&mut s, &prp_trp, &mut profile);
         assert_eq!(stats.tables_closed, 1, "no SCM-SCO, no EQ-TRANS");
         assert!(s.contains(&IdTriple::new(A, ancestor, C)));
         assert!(!s.contains(&IdTriple::new(A, wk::RDFS_SUB_CLASS_OF, C)));

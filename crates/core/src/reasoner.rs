@@ -48,13 +48,12 @@
 use crate::closure_stage::{run_closure_stage, ClosureStageStats};
 use crate::iteration::{IterationProfile, IterationSample, RuleSample};
 use crate::options::InferrayOptions;
-use inferray_dictionary::wellknown;
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
 use inferray_parallel::ThreadPool;
 use inferray_rules::{
-    analysis, apply_rule, Fragment, InferenceStats, Materializer, RuleClass, RuleContext, RuleId,
-    RuleRef, Ruleset, Survivors,
+    analysis, apply_rule, Fragment, InferenceStats, Materializer, RuleContext, RuleRef, Ruleset,
+    Survivors,
 };
 use inferray_sort::SortScratch;
 use inferray_store::{
@@ -305,8 +304,9 @@ impl InferrayReasoner {
     /// after deletion" (§1) but additions do not: the fixed point can be
     /// restarted with the delta as the semi-naive frontier. The dedicated
     /// up-front closure stage is not re-run — new edges on transitive
-    /// properties are picked up by the in-loop θ executors, which re-close a
-    /// table only when it actually received pairs; the schema stratum of a
+    /// properties are picked up by the in-loop closure kernel, which
+    /// re-closes a table only when it or its declaration actually received
+    /// pairs; the schema stratum of a
     /// materialized store is closed, so firings proven redundant are elided
     /// from iteration 2 on unless the delta or a later frontier brings
     /// stratum pairs. The ⟨o,s⟩ caches of the
@@ -390,15 +390,15 @@ impl InferrayReasoner {
     ///    frontier as `new` to collect every one-step consequence of a
     ///    deleted triple, and continue with the consequences that are not
     ///    already in the cone and not explicitly asserted. The cone gathers
-    ///    in a `gone` store; the store itself is only read. The θ (closure)
-    ///    executors only emit pairs *absent* from the closed main table, so
-    ///    their cones are collected by conservatively marking the whole
-    ///    derived part of every affected closed table instead. Explicit
-    ///    triples are never over-deleted.
+    ///    in a `gone` store; the store itself is only read. The closure
+    ///    kernel only emits pairs *absent* from the closed main table, so
+    ///    the closures' cones are collected by conservatively marking the
+    ///    whole derived part of every affected closed table instead.
+    ///    Explicit triples are never over-deleted.
     /// 2. **probe** — every triple of the cone is checked with the one-step
     ///    support probe of each rule's text ([`analysis::supports`], which
-    ///    keeps hand-written probes for the three built-ins whose executor
-    ///    is not their text) through the [`Survivors`] view `store ∖ gone`,
+    ///    keeps hand-written probes for the rules whose executor is not
+    ///    their text) through the [`Survivors`] view `store ∖ gone`,
     ///    restricted per property to the rules whose *output* signature,
     ///    derived from the same text ([`Ruleset::rederive_refs`]), reaches
     ///    it. The supported ones, `R`, stay where they are.
@@ -552,8 +552,8 @@ impl InferrayReasoner {
             // Fire the rules that read the frontier's tables (the §4.3
             // input signatures), with the frontier as `new`: the
             // semi-naive executors then emit exactly the one-step
-            // consequences that use at least one deleted premise. The θ
-            // rules are excluded — their executors cannot see
+            // consequences that use at least one deleted premise. The
+            // closures are excluded — their kernel cannot see
             // "un-derivable" pairs — and handled below.
             let scheduled: Vec<RuleRef> = if self.options.schedule_rules {
                 self.ruleset.scheduled_refs(store, &frontier)
@@ -561,7 +561,7 @@ impl InferrayReasoner {
                 self.ruleset.all_refs()
             }
             .into_iter()
-            .filter(|r| !matches!(r, RuleRef::Builtin(id) if id.class() == RuleClass::Theta))
+            .filter(|&rule| !self.ruleset.closes(rule))
             .collect();
             let mut candidates =
                 Self::fire_rules(&self.ruleset, pool, store, &frontier, &scheduled).parts;
@@ -663,13 +663,14 @@ impl InferrayReasoner {
         outcome
     }
 
-    /// Marks the θ-rule over-deletion candidates: when a table a closure
-    /// rule maintains loses pairs (or loses its `owl:TransitiveProperty`
-    /// declaration), every pair of that table becomes a deletion candidate —
-    /// the explicit-base filter of the caller keeps asserted edges alive,
-    /// and rederivation re-closes whatever the surviving edges still entail.
-    /// A table is dumped whole, cone included (the caller drops what is in
-    /// the cone already); a declaration counts while it survives.
+    /// Marks the closure rules' over-deletion candidates: when a table a
+    /// closure closes loses pairs (or loses its declaration), every pair of
+    /// that table becomes a deletion candidate — the explicit-base filter of
+    /// the caller keeps asserted edges alive, and rederivation re-closes
+    /// whatever the surviving edges still entail. A table is dumped whole,
+    /// cone included (the caller drops what is in the cone already): a
+    /// table in the frontier while its declaration (if it has one)
+    /// survives, and a table whose declaration is in the frontier.
     fn collect_theta_over_deletions(
         &self,
         survivors: Survivors<'_>,
@@ -678,50 +679,16 @@ impl InferrayReasoner {
     ) {
         let store = survivors.store();
         let changed: BTreeSet<u64> = frontier.property_ids().collect();
-        let dump = |p: u64, out: &mut InferredParts| {
-            if let Some(table) = store.table(p).filter(|table| !table.is_empty()) {
-                out.entry(p).or_default().push(table.pairs().to_vec());
-            }
-        };
-        for rule in self.ruleset.theta_rules() {
-            match rule {
-                RuleId::ScmSco if changed.contains(&wellknown::RDFS_SUB_CLASS_OF) => {
-                    dump(wellknown::RDFS_SUB_CLASS_OF, out);
+        for (_, closure) in self.ruleset.closures() {
+            let in_frontier = closure
+                .tables(survivors)
+                .into_iter()
+                .filter(|p| changed.contains(p));
+            let undeclared = closure.declared_in(Survivors::all(frontier));
+            for p in in_frontier.chain(undeclared) {
+                if let Some(table) = store.table(p).filter(|table| !table.is_empty()) {
+                    out.entry(p).or_default().push(table.pairs().to_vec());
                 }
-                RuleId::ScmSpo if changed.contains(&wellknown::RDFS_SUB_PROPERTY_OF) => {
-                    dump(wellknown::RDFS_SUB_PROPERTY_OF, out);
-                }
-                RuleId::EqTrans if changed.contains(&wellknown::OWL_SAME_AS) => {
-                    dump(wellknown::OWL_SAME_AS, out);
-                }
-                RuleId::PrpTrp => {
-                    // Declared transitive properties whose tables lost pairs,
-                    // plus properties whose declaration itself is deleted.
-                    let declared = RuleContext::subjects_with_object(
-                        store,
-                        wellknown::RDF_TYPE,
-                        wellknown::OWL_TRANSITIVE_PROPERTY,
-                    )
-                    .into_iter()
-                    .filter(|&p| {
-                        !survivors.is_gone(
-                            p,
-                            wellknown::RDF_TYPE,
-                            wellknown::OWL_TRANSITIVE_PROPERTY,
-                        )
-                    });
-                    let undeclared = RuleContext::subjects_with_object(
-                        frontier,
-                        wellknown::RDF_TYPE,
-                        wellknown::OWL_TRANSITIVE_PROPERTY,
-                    );
-                    for p in declared.filter(|p| changed.contains(p)).chain(undeclared) {
-                        if is_property_id(p) {
-                            dump(p, out);
-                        }
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -971,10 +938,10 @@ impl Materializer for InferrayReasoner {
         let input_triples = store.len();
 
         // Step 1 (Algorithm 1, line 2): dedicated transitive-closure stage,
-        // over the tables of the ruleset's θ rules.
+        // over the tables of the ruleset's closures.
         let theta_closed = !self.options.skip_closure_stage;
         self.last_closure_stats = if theta_closed {
-            run_closure_stage(store, self.ruleset.rules(), &mut profile)
+            run_closure_stage(store, self.ruleset.closures(), &mut profile)
         } else {
             ClosureStageStats::default()
         };
@@ -1227,10 +1194,7 @@ mod tests {
         let closed_before_the_loop = ruleset
             .all_refs()
             .into_iter()
-            .filter(|rule| {
-                let theta = matches!(rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta);
-                theta || ruleset.stratum().contains(rule)
-            })
+            .filter(|&rule| ruleset.closes(rule) || ruleset.stratum().contains(&rule))
             .count();
         assert_eq!(
             profile.samples[0].rules_skipped, closed_before_the_loop,

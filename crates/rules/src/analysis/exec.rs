@@ -1,11 +1,12 @@
 //! The semi-naive executor for compiled rules, plus the one-step support
 //! probe the delete–rederive path uses.
 //!
-//! Every custom rule runs here, and so does every built-in but the eight
+//! Every custom rule runs here, and so does every built-in but the four
 //! with a hand-written executor ([`crate::executors::apply_rule`]).
 //! [`apply_compiled`] runs the kernel the rule's shape picks
-//! ([`super::lowering()`]): the merge join, the table scan, or — for every
-//! other shape — the nested-loop join of this module, a backtracking join
+//! ([`super::lowering()`]): the merge join, the table scan, the transitive
+//! closure, or — for every other shape — the nested-loop join of this
+//! module, a backtracking join
 //! over the sorted pair tables that evaluates the body atoms in written
 //! order. No kernel performs presence filtering — during rederivation after
 //! an over-deletion the stores intentionally lack the deleted triples, and
@@ -13,13 +14,13 @@
 //! (the merge dedups).
 //!
 //! [`supports`] probes every rule, built-in or custom, through its text,
-//! except the three built-ins whose executor derives something other than
-//! its text ([`crate::support`]).
+//! except the symmetric closures, PRP-FP and PRP-IFP, whose executor
+//! derives something other than its text ([`crate::support`]).
 
 use super::compile::{Atom, CompiledRule, Term};
 use super::lowering::{lowering, Lowering};
 use crate::context::RuleContext;
-use crate::executors::{gamma, join};
+use crate::executors::{gamma, join, theta};
 use crate::support::{self, Survivors};
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
@@ -214,6 +215,7 @@ pub fn apply_lowered(
     match lowering {
         Lowering::MergeJoin(plan) => join::apply_merge_join(plan, ctx, out),
         Lowering::TableScan(plan) => gamma::apply_table_scan(plan, ctx, out),
+        Lowering::Closure(plan) => theta::apply_closure(plan, ctx, out),
         Lowering::NestedLoop => nested_loop(rule, ctx, out),
     }
 }
@@ -236,8 +238,9 @@ fn nested_loop(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut InferredBuf
 
 /// One-step support probe: `true` when some body match of `rule` in `view`
 /// derives exactly `triple` — sound and complete for a single derivation
-/// step. The three built-ins whose executor is not their text answer
-/// through their hand-written probes ([`crate::support`]).
+/// step. The rules whose executor is not their text — a symmetric closure,
+/// PRP-FP, PRP-IFP — answer through hand-written probes
+/// ([`crate::support`]).
 pub fn supports(rule: &CompiledRule, view: Survivors<'_>, triple: IdTriple) -> bool {
     if let Some(holds) = support::is_supported(rule, view, triple) {
         return holds;

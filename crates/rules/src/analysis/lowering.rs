@@ -8,13 +8,26 @@
 //!   subject and object are fresh, distinct variables: per schema match,
 //!   each head copies, reverses, or takes the distinct subjects or objects
 //!   of the data table it names;
+//! * **transitive closure** (θ, §4.1) — two atoms `?a P ?b`, `?b P ?c` over
+//!   one table and the head `?a P ?c`: the table is closed with Nuutila's
+//!   algorithm, symmetrized first when `P` is `owl:sameAs`. `P` is a
+//!   constant (SCM-SCO, SCM-SPO, EQ-TRANS), or the variable a third, schema
+//!   atom `?p K C` declares (PRP-TRP): then every declared property's table
+//!   is closed;
 //! * **nested-loop join** — every other shape ([`super::exec`]).
 //!
-//! [`lowering()`] reads the shape off the body and head alone, so a custom
-//! rule of a kernel shape runs the kernel of the built-in it restates.
+//! [`lowering()`] reads the shape off the body and head alone, in either
+//! atom order, so a custom rule of a kernel shape runs the kernel of the
+//! built-in it restates. The [`Closure`] plan is also what the closure stage
+//! closes before the loop and what the retraction dumps
+//! ([`crate::Ruleset::closures`]).
 
 use super::compile::{Atom, CompiledRule, Term};
+use crate::context::RuleContext;
 use crate::executors::join::JoinSide;
+use crate::support::Survivors;
+use inferray_dictionary::wellknown;
+use inferray_model::ids::is_property_id;
 use JoinSide::{Object, Subject};
 
 /// How a rule is evaluated.
@@ -24,6 +37,8 @@ pub enum Lowering {
     MergeJoin(MergeJoin),
     /// A schema table driving copies or scans of the data tables it names.
     TableScan(TableScan),
+    /// The transitive closure of one table, or of every declared one.
+    Closure(Closure),
     /// The backtracking join over the body atoms, in written order.
     NestedLoop,
 }
@@ -34,6 +49,7 @@ impl Lowering {
         match self {
             Lowering::MergeJoin(_) => "merge join",
             Lowering::TableScan(_) => "table scan",
+            Lowering::Closure(_) => "transitive closure",
             Lowering::NestedLoop => "nested-loop join",
         }
     }
@@ -115,8 +131,57 @@ pub(crate) enum ScanEmit {
     DistinctObjects(JoinSide, ScanSlot),
 }
 
+/// A transitive-closure plan: which tables a rule closes, and whether each
+/// is symmetrized first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Closure {
+    tables: ClosedTables,
+    symmetric: bool,
+}
+
+/// The tables a [`Closure`] closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ClosedTables {
+    /// The table of the rule's constant predicate.
+    Fixed(u64),
+    /// The table of every property `p` with a `(p, predicate, class)` pair.
+    Declared { predicate: u64, class: u64 },
+}
+
+impl Closure {
+    /// The tables the rule closes over `view`: its constant predicate's, or
+    /// those of the properties a declaration in `view` names.
+    pub fn tables(&self, view: Survivors<'_>) -> Vec<u64> {
+        match self.tables {
+            ClosedTables::Fixed(p) => vec![p],
+            ClosedTables::Declared { .. } => self.declared_in(view),
+        }
+    }
+
+    /// The properties a declaration in `view` names, ascending — none for
+    /// a closure of a fixed table.
+    pub fn declared_in(&self, view: Survivors<'_>) -> Vec<u64> {
+        let ClosedTables::Declared { predicate, class } = self.tables else {
+            return Vec::new();
+        };
+        let mut declared = RuleContext::subjects_with_object(view.store(), predicate, class);
+        declared.retain(|&p| is_property_id(p) && !view.is_gone(p, predicate, class));
+        declared
+    }
+
+    /// `true` when each table is symmetrized before it is closed: the
+    /// closure of `owl:sameAs` (§4.1).
+    pub fn symmetric(&self) -> bool {
+        self.symmetric
+    }
+}
+
 /// The kernel `rule`'s shape picks — a function of its body and head only.
+/// A transitivity rule also has the merge-join shape; it is a closure.
 pub fn lowering(rule: &CompiledRule) -> Lowering {
+    if let Some(closure) = closure(rule) {
+        return Lowering::Closure(closure);
+    }
     if let Some(join) = merge_join(rule) {
         return Lowering::MergeJoin(join);
     }
@@ -129,6 +194,51 @@ fn distinct_vars(atom: &Atom) -> Option<(u32, u32)> {
         (Term::Var(s), Term::Var(o)) if s != o => Some((s, o)),
         _ => None,
     }
+}
+
+/// The closure plan of `rule` when it has the closure shape: one head
+/// `?a P ?c` over two body atoms `?a P ?b`, `?b P ?c` in either order, with
+/// `P` a constant, or a variable declared by a third atom `?p K C`.
+pub(crate) fn closure(rule: &CompiledRule) -> Option<Closure> {
+    let [head] = rule.head.as_slice() else {
+        return None;
+    };
+    let tables = match (head.p, rule.body.as_slice()) {
+        (Term::Const(p), [_, _]) => ClosedTables::Fixed(p),
+        (Term::Var(_), [_, _, _]) => {
+            let mut schema = rule.body.iter().filter(|atom| atom.p != head.p);
+            match (schema.next(), schema.next()) {
+                (Some(&Atom { s, p, o }), None) if s == head.p => ClosedTables::Declared {
+                    predicate: p.as_const()?,
+                    class: o.as_const()?,
+                },
+                _ => return None,
+            }
+        }
+        _ => return None,
+    };
+    let data: Vec<&Atom> = rule.body.iter().filter(|atom| atom.p == head.p).collect();
+    let [first, second] = data[..] else {
+        return None;
+    };
+    // `x` then `y` chain `?a P ?b`, `?b P ?c` into the head `?a P ?c`, over
+    // three distinct variables, none of them the declared predicate.
+    let chained = |x: &Atom, y: &Atom| match (distinct_vars(x), distinct_vars(y)) {
+        (Some((a, b)), Some((b2, c))) => {
+            b == b2
+                && a != c
+                && [a, b, c].iter().all(|&v| Term::Var(v) != head.p)
+                && (head.s, head.o) == (Term::Var(a), Term::Var(c))
+        }
+        _ => false,
+    };
+    if !chained(first, second) && !chained(second, first) {
+        return None;
+    }
+    Some(Closure {
+        tables,
+        symmetric: head.p == Term::Const(wellknown::OWL_SAME_AS),
+    })
 }
 
 fn merge_join(rule: &CompiledRule) -> Option<MergeJoin> {
@@ -249,6 +359,9 @@ mod tests {
         ] {
             assert_eq!(kernel(name), "table scan", "{name}");
         }
+        for name in ["SCM-SCO", "SCM-SPO", "EQ-TRANS", "PRP-TRP"] {
+            assert_eq!(kernel(name), "transitive closure", "{name}");
+        }
         // Two shared variables, a variable subject-or-object predicate, one
         // atom, three atoms: the nested loop.
         for name in ["SCM-EQC2", "EQ-REP-S", "EQ-SYM", "PRP-FP", "RDFS4"] {
@@ -303,6 +416,81 @@ mod tests {
                 ],
             })
         );
+    }
+
+    #[test]
+    fn a_closure_names_its_tables_in_either_atom_order() {
+        let closure = |text: &str| match lowering(&compile(text)) {
+            Lowering::Closure(closure) => closure,
+            other => panic!("{text}: {other:?}"),
+        };
+        let fixed = |p, symmetric| Closure {
+            tables: ClosedTables::Fixed(p),
+            symmetric,
+        };
+        for text in [
+            "rule r: ?x rdfs:subClassOf ?y, ?y rdfs:subClassOf ?z => ?x rdfs:subClassOf ?z .",
+            "rule r: ?y rdfs:subClassOf ?z, ?x rdfs:subClassOf ?y => ?x rdfs:subClassOf ?z .",
+        ] {
+            assert_eq!(closure(text), fixed(wk::RDFS_SUB_CLASS_OF, false), "{text}");
+        }
+        // owl:sameAs is symmetric, whichever order the text is written in.
+        assert_eq!(
+            closure("rule r: ?b owl:sameAs ?c, ?a owl:sameAs ?b => ?a owl:sameAs ?c ."),
+            fixed(wk::OWL_SAME_AS, true)
+        );
+        // Any schema class declares the closed tables.
+        let declared = Closure {
+            tables: ClosedTables::Declared {
+                predicate: wk::RDF_TYPE,
+                class: wk::OWL_SYMMETRIC_PROPERTY,
+            },
+            symmetric: false,
+        };
+        for text in [
+            "rule r: ?p a owl:SymmetricProperty, ?x ?p ?y, ?y ?p ?z => ?x ?p ?z .",
+            "rule r: ?y ?p ?z, ?p a owl:SymmetricProperty, ?x ?p ?y => ?x ?p ?z .",
+        ] {
+            assert_eq!(closure(text), declared, "{text}");
+        }
+    }
+
+    #[test]
+    fn near_closures_are_joins() {
+        for (text, kernel) in [
+            // Another head table.
+            (
+                "rule r: ?x rdfs:subClassOf ?y, ?y rdfs:subClassOf ?z => ?x rdfs:subPropertyOf ?z .",
+                "merge join",
+            ),
+            // The head reverses the chain.
+            (
+                "rule r: ?x rdfs:subClassOf ?y, ?y rdfs:subClassOf ?z => ?z rdfs:subClassOf ?x .",
+                "merge join",
+            ),
+            // Two heads.
+            (
+                "rule r: ?x rdfs:subClassOf ?y, ?y rdfs:subClassOf ?z => ?x rdfs:subClassOf ?z, ?z rdfs:subClassOf ?x .",
+                "merge join",
+            ),
+            // Two tables.
+            (
+                "rule r: ?x rdfs:subClassOf ?y, ?y owl:sameAs ?z => ?x rdfs:subClassOf ?z .",
+                "merge join",
+            ),
+            // A repeated end.
+            (
+                "rule r: ?x rdfs:subClassOf ?y, ?y rdfs:subClassOf ?x => ?x rdfs:subClassOf ?x .",
+                "nested-loop join",
+            ),
+            // A declaration with a variable class.
+            (
+                "rule r: ?p a ?c, ?x ?p ?y, ?y ?p ?z => ?x ?p ?z .",
+                "nested-loop join",
+            ),
+        ] {
+            assert_eq!(label(text), kernel, "{text}");
+        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The rule catalog — Table 5 of the paper.
 //!
-//! Every rule supported by Inferray is described here: its identifier, the
-//! rule *class* it was pigeonholed into (§4.4), and its membership in each of
-//! the three rule fragments (RDFS, ρDF, RDFS-Plus). Membership distinguishes
-//! full members from the "half-circle" rules that "do not produce meaningful
-//! triples and are used only in full versions of rulesets".
+//! Every rule supported by Inferray is described here: its identifier and
+//! its membership in each of the three rule fragments (RDFS, ρDF,
+//! RDFS-Plus). Membership distinguishes full members from the "half-circle"
+//! rules that "do not produce meaningful triples and are used only in full
+//! versions of rulesets".
 //!
 //! Each row also carries the rule's text in the `.rules` language
 //! (docs/rules.md). That text is the rule's only description: the analyzer
 //! derives from it the input and output signatures the scheduler and the
 //! delete–rederive path read ([`crate::Ruleset::compiled`]), and the shipped
-//! `rules/*.rules` files are rendered from it, and all but eight built-ins
-//! run it ([`crate::executors`]).
+//! `rules/*.rules` files are rendered from it, and all but four built-ins
+//! run it ([`crate::executors`]) through the kernel its shape picks
+//! ([`crate::analysis::lowering()`]): the rule classes of §4.4 are read off
+//! the text, not listed here.
 
 use std::fmt;
 
@@ -111,57 +113,11 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         self.info().name
     }
-
-    /// The execution class of the rule.
-    pub fn class(self) -> RuleClass {
-        self.info().class
-    }
 }
 
 impl fmt::Display for RuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The execution classes of §4.4 (plus the single-antecedent "trivial" class
-/// and the three-antecedent functional-property class, which the paper
-/// mentions but does not letter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RuleClass {
-    /// Two-table sort-merge join on subject or object (α).
-    Alpha,
-    /// Self-join of one property table, subject against object (β).
-    Beta,
-    /// Fixed-property antecedent joined on the *property* of the second
-    /// pattern — requires iterating over property tables (γ).
-    Gamma,
-    /// The second antecedent's table is copied (possibly reversed) into the
-    /// head's table (δ).
-    Delta,
-    /// The four `owl:sameAs` replacement rules, handled by a dedicated loop.
-    SameAs,
-    /// Transitivity rules, handled by the dedicated closure stage (θ).
-    Theta,
-    /// Single-antecedent rules.
-    Trivial,
-    /// Three-antecedent functional / inverse-functional property rules.
-    Functional,
-}
-
-impl fmt::Display for RuleClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let label = match self {
-            RuleClass::Alpha => "α",
-            RuleClass::Beta => "β",
-            RuleClass::Gamma => "γ",
-            RuleClass::Delta => "δ",
-            RuleClass::SameAs => "same-as",
-            RuleClass::Theta => "θ",
-            RuleClass::Trivial => "trivial",
-            RuleClass::Functional => "functional",
-        };
-        f.write_str(label)
     }
 }
 
@@ -197,8 +153,6 @@ pub struct RuleInfo {
     pub id: RuleId,
     /// Canonical (paper) name.
     pub name: &'static str,
-    /// Execution class.
-    pub class: RuleClass,
     /// Membership in plain RDFS.
     pub rdfs: Membership,
     /// Membership in ρDF.
@@ -212,14 +166,12 @@ pub struct RuleInfo {
 }
 
 use Membership::{Default as D, FullOnly as F, No as N};
-use RuleClass::*;
 
 /// The full catalog, in Table 5 order (index = `RuleId as usize`).
 pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::CaxEqc1,
         name: "CAX-EQC1",
-        class: Alpha,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -228,7 +180,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::CaxEqc2,
         name: "CAX-EQC2",
-        class: Alpha,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -237,7 +188,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::CaxSco,
         name: "CAX-SCO",
-        class: Alpha,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -246,7 +196,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::EqRepO,
         name: "EQ-REP-O",
-        class: SameAs,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -255,7 +204,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::EqRepP,
         name: "EQ-REP-P",
-        class: SameAs,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -264,7 +212,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::EqRepS,
         name: "EQ-REP-S",
-        class: SameAs,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -273,7 +220,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::EqSym,
         name: "EQ-SYM",
-        class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -282,7 +228,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::EqTrans,
         name: "EQ-TRANS",
-        class: Theta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -291,7 +236,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpDom,
         name: "PRP-DOM",
-        class: Gamma,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -300,7 +244,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpEqp1,
         name: "PRP-EQP1",
-        class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -309,7 +252,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpEqp2,
         name: "PRP-EQP2",
-        class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -318,7 +260,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpFp,
         name: "PRP-FP",
-        class: Functional,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -328,7 +269,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpIfp,
         name: "PRP-IFP",
-        class: Functional,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -338,7 +278,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpInv1,
         name: "PRP-INV1",
-        class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -347,7 +286,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpInv2,
         name: "PRP-INV2",
-        class: Delta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -356,7 +294,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpRng,
         name: "PRP-RNG",
-        class: Gamma,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -365,7 +302,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpSpo1,
         name: "PRP-SPO1",
-        class: Gamma,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -374,7 +310,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpSymp,
         name: "PRP-SYMP",
-        class: Gamma,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -383,7 +318,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::PrpTrp,
         name: "PRP-TRP",
-        class: Theta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -392,7 +326,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmDom1,
         name: "SCM-DOM1",
-        class: Alpha,
         rdfs: D,
         rho_df: N,
         rdfs_plus: D,
@@ -401,7 +334,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmDom2,
         name: "SCM-DOM2",
-        class: Alpha,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -411,7 +343,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmEqc1,
         name: "SCM-EQC1",
-        class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -421,7 +352,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmEqc2,
         name: "SCM-EQC2",
-        class: Beta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -431,7 +361,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmEqp1,
         name: "SCM-EQP1",
-        class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -441,7 +370,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmEqp2,
         name: "SCM-EQP2",
-        class: Beta,
         rdfs: N,
         rho_df: N,
         rdfs_plus: D,
@@ -451,7 +379,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmRng1,
         name: "SCM-RNG1",
-        class: Alpha,
         rdfs: D,
         rho_df: N,
         rdfs_plus: D,
@@ -460,7 +387,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmRng2,
         name: "SCM-RNG2",
-        class: Alpha,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -469,7 +395,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmSco,
         name: "SCM-SCO",
-        class: Theta,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -479,7 +404,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmSpo,
         name: "SCM-SPO",
-        class: Theta,
         rdfs: D,
         rho_df: D,
         rdfs_plus: D,
@@ -489,7 +413,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmCls,
         name: "SCM-CLS",
-        class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: F,
@@ -499,7 +422,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmDp,
         name: "SCM-DP",
-        class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: F,
@@ -509,7 +431,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::ScmOp,
         name: "SCM-OP",
-        class: Trivial,
         rdfs: N,
         rho_df: N,
         rdfs_plus: F,
@@ -519,7 +440,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::Rdfs4,
         name: "RDFS4",
-        class: Trivial,
         rdfs: F,
         rho_df: F,
         rdfs_plus: F,
@@ -528,7 +448,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::Rdfs8,
         name: "RDFS8",
-        class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
@@ -537,7 +456,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::Rdfs12,
         name: "RDFS12",
-        class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
@@ -547,7 +465,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::Rdfs13,
         name: "RDFS13",
-        class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
@@ -556,7 +473,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::Rdfs6,
         name: "RDFS6",
-        class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
@@ -565,7 +481,6 @@ pub static CATALOG: [RuleInfo; 38] = [
     RuleInfo {
         id: RuleId::Rdfs10,
         name: "RDFS10",
-        class: Trivial,
         rdfs: F,
         rho_df: N,
         rdfs_plus: N,
@@ -619,21 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn class_assignment_matches_table5() {
-        assert_eq!(RuleId::CaxSco.class(), RuleClass::Alpha);
-        assert_eq!(RuleId::ScmDom1.class(), RuleClass::Alpha);
-        assert_eq!(RuleId::ScmEqc2.class(), RuleClass::Beta);
-        assert_eq!(RuleId::PrpDom.class(), RuleClass::Gamma);
-        assert_eq!(RuleId::PrpSpo1.class(), RuleClass::Gamma);
-        assert_eq!(RuleId::PrpInv1.class(), RuleClass::Delta);
-        assert_eq!(RuleId::EqRepS.class(), RuleClass::SameAs);
-        assert_eq!(RuleId::ScmSco.class(), RuleClass::Theta);
-        assert_eq!(RuleId::PrpTrp.class(), RuleClass::Theta);
-        assert_eq!(RuleId::EqSym.class(), RuleClass::Trivial);
-        assert_eq!(RuleId::PrpFp.class(), RuleClass::Functional);
-    }
-
-    #[test]
     fn every_rdfs_rule_is_in_rdfs_plus_except_the_legacy_axiomatic_ones() {
         for info in CATALOG.iter() {
             if info.rdfs.in_default() {
@@ -656,9 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn display_of_classes_and_rules() {
+    fn display_of_rules() {
         assert_eq!(RuleId::CaxSco.to_string(), "CAX-SCO");
-        assert_eq!(RuleClass::Alpha.to_string(), "α");
-        assert_eq!(RuleClass::SameAs.to_string(), "same-as");
     }
 }

@@ -11,14 +11,14 @@
 //! ([`crate::analysis::apply_compiled`]), whose shape picks the kernel
 //! ([`crate::analysis::lowering()`]): the merge join of [`join`] for the α
 //! rules, the table scan of [`gamma`] for the γ/δ rules and EQ-REP-P, the
-//! nested-loop join for the rest. Eight keep a hand-written executor
-//! ([`hand_written`]) because they derive something other than their
-//! text's join, or derive it another way: EQ-REP-S / EQ-REP-O
-//! ([`same_as`]), PRP-FP / PRP-IFP ([`functional`]) and the θ rules
-//! ([`theta`]), which recompute the closure of the affected table when the
-//! previous iteration added pairs to it — so a caller that simply applies
-//! every rule of a ruleset to a fixed-point obtains a complete
-//! materialization even without the dedicated up-front closure stage.
+//! transitive closure of [`theta`] for the θ rules, the nested-loop join
+//! for the rest. The closure kernel recomputes the closure of a table when
+//! the previous iteration added pairs to it, so a caller that simply
+//! applies every rule of a ruleset to a fixed-point obtains a complete
+//! materialization even without the dedicated up-front closure stage. Four
+//! keep a hand-written executor ([`hand_written`]) because they derive
+//! something other than their text's join, or derive it another way:
+//! EQ-REP-S / EQ-REP-O ([`same_as`]) and PRP-FP / PRP-IFP ([`functional`]).
 
 pub mod functional;
 pub mod gamma;
@@ -34,7 +34,7 @@ use inferray_store::InferredBuffer;
 /// A rule executor: appends what the rule derives over a context.
 pub type Executor = fn(&RuleContext<'_>, &mut InferredBuffer);
 
-/// The hand-written executor of a built-in, for the eight that keep one;
+/// The hand-written executor of a built-in, for the four that keep one;
 /// `None` for a built-in that runs its catalog text. The one list both
 /// [`apply_rule`] and `rules explain` read.
 pub fn hand_written(rule: RuleId) -> Option<Executor> {
@@ -45,11 +45,6 @@ pub fn hand_written(rule: RuleId) -> Option<Executor> {
         // functional properties (three-antecedent rules).
         RuleId::PrpFp => functional::prp_fp,
         RuleId::PrpIfp => functional::prp_ifp,
-        // θ — transitivity, recomputed incrementally inside the loop.
-        RuleId::ScmSco => theta::scm_sco,
-        RuleId::ScmSpo => theta::scm_spo,
-        RuleId::EqTrans => theta::eq_trans,
-        RuleId::PrpTrp => theta::prp_trp,
         _ => return None,
     })
 }

@@ -1,101 +1,62 @@
-//! θ-rules: transitivity, handled by the closure machinery.
+//! θ: transitivity, the kernel of every rule of the closure shape
+//! ([`crate::analysis::Lowering::Closure`]).
 //!
-//! Inferray computes the transitive closures of `rdfs:subClassOf`,
-//! `rdfs:subPropertyOf`, `owl:sameAs` and of every declared
-//! `owl:TransitiveProperty` **before** the fixed-point loop (§4.1). The
-//! executors in this module cover the complementary case: when an iteration
-//! of the loop *adds* pairs to one of those tables (e.g. `SCM-EQC1` deriving
-//! new `subClassOf` links from an equivalence), the closure of the affected
-//! table is recomputed with the same Nuutila machinery and the missing pairs
-//! are emitted. When nothing new touched the table the executor is a no-op,
-//! so the up-front closure is never repeated.
+//! Inferray closes the tables of the closure rules — `rdfs:subClassOf`,
+//! `rdfs:subPropertyOf`, `owl:sameAs`, every declared
+//! `owl:TransitiveProperty`, and any custom rule of the same shape —
+//! **before** the fixed-point loop (§4.1), through [`closed_pairs`]. The
+//! kernel here covers the complementary case: when an iteration of the loop
+//! *adds* pairs to a closed table (e.g. `SCM-EQC1` deriving new
+//! `subClassOf` links from an equivalence), or a declaration names a table
+//! anew, the closure of that table is recomputed with the same Nuutila
+//! machinery and the missing pairs are emitted. When nothing new touched a
+//! table the kernel leaves it alone, so the up-front closure is never
+//! repeated.
 
+use crate::analysis::Closure;
 use crate::context::RuleContext;
+use crate::support::Survivors;
 use inferray_closure::transitive_closure;
-use inferray_dictionary::wellknown;
-use inferray_model::ids::is_property_id;
-use inferray_store::InferredBuffer;
+use inferray_store::{InferredBuffer, PropertyTable};
 
-/// SCM-SCO: transitivity of `rdfs:subClassOf`.
-pub fn scm_sco(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    close_if_new(ctx, wellknown::RDFS_SUB_CLASS_OF, false, out);
-}
-
-/// SCM-SPO: transitivity of `rdfs:subPropertyOf`.
-pub fn scm_spo(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    close_if_new(ctx, wellknown::RDFS_SUB_PROPERTY_OF, false, out);
-}
-
-/// EQ-TRANS: transitivity of `owl:sameAs` (which is also symmetric, so the
-/// symmetric pairs are added before closing, as in §4.1).
-pub fn eq_trans(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    close_if_new(ctx, wellknown::OWL_SAME_AS, true, out);
-}
-
-/// PRP-TRP: transitivity of every property declared `owl:TransitiveProperty`.
-pub fn prp_trp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    // Properties newly declared transitive must be closed even if their
-    // table did not change this iteration.
-    let newly_declared = RuleContext::subjects_with_object(
-        ctx.new,
-        wellknown::RDF_TYPE,
-        wellknown::OWL_TRANSITIVE_PROPERTY,
-    );
-    let all_declared = RuleContext::subjects_with_object(
-        ctx.main,
-        wellknown::RDF_TYPE,
-        wellknown::OWL_TRANSITIVE_PROPERTY,
-    );
-    for &p in &all_declared {
-        if !is_property_id(p) {
-            continue;
-        }
-        let force = newly_declared.contains(&p);
-        if force {
-            close_table(ctx, p, false, out);
-        } else {
-            close_if_new(ctx, p, false, out);
-        }
-    }
-}
-
-/// Recomputes the closure of `prop` when the previous iteration added pairs
-/// to it.
-fn close_if_new(ctx: &RuleContext<'_>, prop: u64, symmetric: bool, out: &mut InferredBuffer) {
-    let has_new = ctx.new.table(prop).is_some_and(|t| !t.is_empty());
-    if !has_new {
-        return;
-    }
-    close_table(ctx, prop, symmetric, out);
-}
-
-/// Closes the *main* table of `prop`, emitting every closure pair that is not
-/// already present.
-fn close_table(ctx: &RuleContext<'_>, prop: u64, symmetric: bool, out: &mut InferredBuffer) {
-    let Some(table) = ctx.main.table(prop) else {
-        return;
-    };
-    if table.is_empty() {
-        return;
-    }
+/// The transitive closure of `table`'s pairs, symmetrized first when
+/// `symmetric` is set: sorted, duplicate-free, every pair of the table
+/// included.
+pub fn closed_pairs(table: &PropertyTable, symmetric: bool) -> Vec<(u64, u64)> {
     let mut edges = table.to_tuple_pairs();
     if symmetric {
-        let swapped: Vec<(u64, u64)> = edges.iter().map(|&(a, b)| (b, a)).collect();
-        edges.extend(swapped);
+        edges.extend(table.iter_pairs().map(|(a, b)| (b, a)));
     }
-    for (a, b) in transitive_closure(&edges) {
-        if !table.contains_pair(a, b) {
-            out.add(prop, a, b);
+    transitive_closure(&edges)
+}
+
+/// Fires a closure plan: every closed table of `ctx.main` that `ctx.new`
+/// touched — new pairs in the table, or a new declaration of it — is closed
+/// again, and the closure pairs the table lacks are emitted.
+pub(crate) fn apply_closure(plan: &Closure, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
+    let declared_anew = plan.declared_in(Survivors::all(ctx.new));
+    for p in plan.tables(Survivors::all(ctx.main)) {
+        let touched = ctx.new.table(p).is_some_and(|t| !t.is_empty()) || declared_anew.contains(&p);
+        let Some(table) = ctx.main.table(p).filter(|t| touched && !t.is_empty()) else {
+            continue;
+        };
+        let closed = closed_pairs(table, plan.symmetric());
+        let emitted = out.table_mut(p);
+        for (a, b) in closed {
+            if !table.contains_pair(a, b) {
+                emitted.extend_from_slice(&[a, b]);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::executors::test_support::{buffer_to_set, derive, store};
+    use crate::executors::test_support::{buffer_to_set, fire, store};
+    use crate::{apply_rule, RuleContext, RuleId};
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
+    use inferray_store::InferredBuffer;
 
     const A: u64 = 7_000_000;
     const B: u64 = 7_000_001;
@@ -109,7 +70,7 @@ mod tests {
             (B, wk::RDFS_SUB_CLASS_OF, C),
             (C, wk::RDFS_SUB_CLASS_OF, D),
         ]);
-        let derived = derive(&main, scm_sco);
+        let derived = fire(RuleId::ScmSco, &main);
         assert_eq!(derived.len(), 3);
         assert!(derived.contains(&(A, wk::RDFS_SUB_CLASS_OF, C)));
         assert!(derived.contains(&(A, wk::RDFS_SUB_CLASS_OF, D)));
@@ -125,7 +86,7 @@ mod tests {
             (p, wk::RDFS_SUB_PROPERTY_OF, q),
             (q, wk::RDFS_SUB_PROPERTY_OF, r),
         ]);
-        let derived = derive(&main, scm_spo);
+        let derived = fire(RuleId::ScmSpo, &main);
         assert_eq!(
             derived.into_iter().collect::<Vec<_>>(),
             vec![(p, wk::RDFS_SUB_PROPERTY_OF, r)]
@@ -135,7 +96,7 @@ mod tests {
     #[test]
     fn eq_trans_closes_same_as_symmetrically() {
         let main = store(&[(A, wk::OWL_SAME_AS, B), (B, wk::OWL_SAME_AS, C)]);
-        let derived = derive(&main, eq_trans);
+        let derived = fire(RuleId::EqTrans, &main);
         // The symmetric-then-transitive closure connects {A, B, C} fully,
         // including reflexive pairs; the two asserted pairs are not repeated.
         assert!(derived.contains(&(A, wk::OWL_SAME_AS, C)));
@@ -159,7 +120,7 @@ mod tests {
             (A, knows, B),
             (B, knows, C),
         ]);
-        let derived = derive(&main, prp_trp);
+        let derived = fire(RuleId::PrpTrp, &main);
         assert!(derived.contains(&(A, ancestor, C)));
         assert!(!derived.iter().any(|&(_, p, _)| p == knows));
     }
@@ -170,7 +131,7 @@ mod tests {
         let empty_new = store(&[]);
         let ctx = RuleContext::new(&main, &empty_new);
         let mut out = InferredBuffer::new();
-        scm_sco(&ctx, &mut out);
+        apply_rule(RuleId::ScmSco, &ctx, &mut out);
         assert!(out.is_empty());
     }
 
@@ -186,7 +147,7 @@ mod tests {
         let new = store(&[(ancestor, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY)]);
         let ctx = RuleContext::new(&main, &new);
         let mut out = InferredBuffer::new();
-        prp_trp(&ctx, &mut out);
+        apply_rule(RuleId::PrpTrp, &ctx, &mut out);
         assert!(buffer_to_set(&out).contains(&(A, ancestor, C)));
     }
 }

@@ -1,14 +1,15 @@
 //! # inferray-rules
 //!
 //! The rule engine of the Inferray reasoner: the catalog of the 38 rules of
-//! Table 5 of the paper, the rule *classes* of §4.4 (α, β, γ, δ, same-as, θ,
-//! trivial, functional), the rulesets (ρDF, RDFS default/full, RDFS-Plus
+//! Table 5 of the paper, the rulesets (ρDF, RDFS default/full, RDFS-Plus
 //! default/full), and the executors that apply each rule to a pair of
 //! triple stores (*main*, *new*) in the semi-naive style of Algorithm 1.
 //!
 //! A rule runs its text through the kernel its shape picks
-//! ([`analysis::lowering()`]), built-in or custom alike; eight built-ins
-//! keep a hand-written executor ([`executors::hand_written`]).
+//! ([`analysis::lowering()`]) — the classes of §4.4 as shapes: merge join
+//! (α), table scan (γ/δ), transitive closure (θ), nested-loop join for the
+//! rest — built-in or custom alike; four built-ins keep a hand-written
+//! executor ([`executors::hand_written`]).
 //!
 //! The executors are deliberately free of any fixed-point logic: they take
 //! immutable references to the two stores and append raw `⟨s,o⟩` pairs to a
@@ -31,7 +32,7 @@ pub mod shapes;
 pub mod support;
 mod syntax;
 
-pub use catalog::{Membership, RuleClass, RuleId, RuleInfo, CATALOG};
+pub use catalog::{Membership, RuleId, RuleInfo, CATALOG};
 pub use context::RuleContext;
 pub use executors::apply_rule;
 pub use materializer::{InferenceStats, Materializer};

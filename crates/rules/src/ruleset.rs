@@ -8,8 +8,10 @@
 //! (filled circles of Table 5) from a *full* version that adds the
 //! half-circle rules.
 
-use crate::analysis::{compiled_builtin, stratum, CompiledRule, CompiledRuleset, Elision};
-use crate::catalog::{Membership, RuleClass, RuleId, CATALOG};
+use crate::analysis::{
+    closure, compiled_builtin, stratum, Closure, CompiledRule, CompiledRuleset, Elision,
+};
+use crate::catalog::{Membership, RuleId, CATALOG};
 use inferray_store::TripleStore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -101,6 +103,9 @@ pub struct Ruleset {
     /// The firings the elision pass proved redundant while the stratum is
     /// closed.
     elisions: Vec<Elision>,
+    /// The members of the closure shape, with their plans, in
+    /// [`Ruleset::all_refs`] order.
+    closures: Vec<(RuleRef, Closure)>,
 }
 
 /// A reference to one rule of a [`Ruleset`]: a catalog built-in or an
@@ -228,17 +233,24 @@ impl Ruleset {
         Self::new(self.fragment, builtins, custom)
     }
 
-    /// A ruleset of `rules` (distinct, in Table 5 order) and `custom`, not
-    /// analyzed yet.
+    /// A ruleset of `rules` (distinct, in Table 5 order) and `custom`, with
+    /// its closures, not analyzed yet.
     fn new(fragment: Fragment, rules: Vec<RuleId>, custom: Vec<CompiledRule>) -> Self {
-        Ruleset {
+        let mut ruleset = Ruleset {
             fragment,
             rules,
             custom,
             stratum: Vec::new(),
             stratum_tables: Vec::new(),
             elisions: Vec::new(),
-        }
+            closures: Vec::new(),
+        };
+        ruleset.closures = ruleset
+            .all_refs()
+            .into_iter()
+            .filter_map(|rule| Some((rule, closure(ruleset.compiled(rule))?)))
+            .collect();
+        ruleset
     }
 
     /// The compiled text of a member: a built-in's catalog text
@@ -294,13 +306,17 @@ impl Ruleset {
         self.rules.contains(&rule)
     }
 
-    /// The θ (closure) rules of the ruleset.
-    pub fn theta_rules(&self) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .copied()
-            .filter(|r| r.class() == RuleClass::Theta)
-            .collect()
+    /// The members whose text has the closure shape (θ), built-in or
+    /// custom, each with the tables it closes
+    /// ([`crate::analysis::Lowering::Closure`]): what the closure stage
+    /// closes before the loop and what a retraction dumps.
+    pub fn closures(&self) -> &[(RuleRef, Closure)] {
+        &self.closures
+    }
+
+    /// `true` when member `rule` is a closure.
+    pub fn closes(&self, rule: RuleRef) -> bool {
+        self.closures.iter().any(|&(member, _)| member == rule)
     }
 
     /// Every rule of the ruleset: built-ins in Table 5 order, then the
@@ -314,18 +330,15 @@ impl Ruleset {
     }
 
     /// The rules a first iteration over the whole store fires: all of
-    /// them, less the θ built-ins when `theta_closed` (the closure stage
+    /// them, less the closures when `theta_closed` (the closure stage
     /// closed their tables) and less the schema stratum when
-    /// `stratum_closed` (its own pass ran it to a fixed point). Custom rules
-    /// are never θ-classified — the generic executor converges through the
-    /// ordinary iterations.
+    /// `stratum_closed` (its own pass ran it to a fixed point).
     pub fn whole_store_refs(&self, theta_closed: bool, stratum_closed: bool) -> Vec<RuleRef> {
         self.all_refs()
             .into_iter()
-            .filter(|rule| {
-                let theta = matches!(rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta);
-                let closed =
-                    (theta_closed && theta) || (stratum_closed && self.stratum.contains(rule));
+            .filter(|&rule| {
+                let closed = (theta_closed && self.closes(rule))
+                    || (stratum_closed && self.stratum.contains(&rule));
                 !closed
             })
             .collect()
@@ -466,16 +479,18 @@ mod tests {
     #[test]
     fn theta_rules_are_separated_from_fixed_point_rules() {
         let ruleset = Ruleset::for_fragment(Fragment::RdfsPlus);
-        let theta = ruleset.theta_rules();
+        let theta: Vec<RuleRef> = ruleset.closures().iter().map(|&(rule, _)| rule).collect();
         assert_eq!(
             theta,
-            vec![
+            [
                 RuleId::EqTrans,
                 RuleId::PrpTrp,
                 RuleId::ScmSco,
                 RuleId::ScmSpo
             ]
+            .map(RuleRef::Builtin)
         );
+        assert!(theta.iter().all(|&rule| ruleset.closes(rule)));
         let fp = ruleset.whole_store_refs(true, false);
         assert_eq!(fp.len() + theta.len(), ruleset.len());
         assert!(!fp.contains(&RuleRef::Builtin(RuleId::ScmSco)));

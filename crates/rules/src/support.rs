@@ -9,9 +9,11 @@
 //! the rules over the full store.
 //!
 //! Every rule, built-in or custom, is probed through its text by
-//! [`crate::analysis::supports`]. The exceptions are the three built-ins
-//! whose executor derives something other than its text; their probes
-//! follow the executor and live here (`is_supported`).
+//! [`crate::analysis::supports`]. The exceptions derive something other
+//! than their text; their probes follow the executor and live here
+//! (`is_supported`): every symmetric closure — the closure of
+//! `owl:sameAs`, EQ-TRANS or a custom rule of its shape — and PRP-FP and
+//! PRP-IFP.
 //!
 //! Contract with the executors (relied on by the byte-identity proof of
 //! `tests/retraction_equivalence.rs`):
@@ -25,10 +27,10 @@
 //!   ordinary semi-naive machinery, which reaches every greater derivation
 //!   height.
 //!
-//! For the θ (closure) rules a probe checks a single two-premise
-//! transitivity step. The executors close whole tables at once, but any
-//! closure pair they emit is reachable through a chain of such steps, each
-//! of which is found as its premises get re-asserted.
+//! For the closure rules a probe checks a single two-premise transitivity
+//! step. The kernel closes whole tables at once, but any closure pair it
+//! emits is reachable through a chain of such steps, each of which is found
+//! as its premises get re-asserted.
 //!
 //! A probe reads a [`Survivors`] view: a store less the over-deleted cone,
 //! which the maintenance path never removes before it has probed it. Every
@@ -36,7 +38,7 @@
 //! exactly what it would over a store with the cone physically removed
 //! (`tests/survivor_view.rs`).
 
-use crate::analysis::{compiled_builtin, CompiledRule};
+use crate::analysis::{closure, compiled_builtin, CompiledRule};
 use crate::catalog::RuleId;
 use inferray_dictionary::wellknown as wk;
 use inferray_model::ids::is_property_id;
@@ -88,27 +90,26 @@ impl<'a> Survivors<'a> {
 /// step from the view.
 type Probe = fn(Survivors<'_>, IdTriple) -> bool;
 
-/// The hand-written probe's answer when `rule` is the text of EQ-TRANS,
-/// PRP-FP or PRP-IFP — the built-ins whose executor derives something other
-/// than its text — and `None` for every other rule, which
-/// [`crate::analysis::supports`] probes through its text.
+/// The hand-written probe's answer when `rule` is a symmetric closure or
+/// the text of PRP-FP or PRP-IFP — the rules whose executor derives
+/// something other than their text — and `None` for every other rule,
+/// which [`crate::analysis::supports`] probes through its text.
 pub(crate) fn is_supported(rule: &CompiledRule, view: Survivors<'_>, t: IdTriple) -> Option<bool> {
-    let hand_written: [(RuleId, Probe); 3] = [
-        (RuleId::EqTrans, eq_trans),
-        (RuleId::PrpFp, prp_fp),
-        (RuleId::PrpIfp, prp_ifp),
-    ];
+    if closure(rule).is_some_and(|closure| closure.symmetric()) {
+        return Some(symmetric_step(view, t));
+    }
+    let hand_written: [(RuleId, Probe); 2] = [(RuleId::PrpFp, prp_fp), (RuleId::PrpIfp, prp_ifp)];
     hand_written
         .into_iter()
         .find(|&(id, _)| *rule == *compiled_builtin(id))
         .map(|(_, probe)| probe(view, t))
 }
 
-/// EQ-TRANS: one transitivity step. The executor closes the *symmetric*
-/// `sameAs` graph, reflexive pairs included (`executors/theta.rs`), so a
-/// premise counts in either orientation; its text reads both premises as
-/// written.
-fn eq_trans(view: Survivors<'_>, t: IdTriple) -> bool {
+/// A symmetric closure: one transitivity step. The kernel closes the
+/// *symmetric* `sameAs` graph, reflexive pairs included
+/// (`executors/theta.rs`), so a premise counts in either orientation; the
+/// text reads both premises as written.
+fn symmetric_step(view: Survivors<'_>, t: IdTriple) -> bool {
     let IdTriple { s, p, o } = t;
     let linked =
         |a: u64, b: u64| has(view, a, wk::OWL_SAME_AS, b) || has(view, b, wk::OWL_SAME_AS, a);
@@ -267,7 +268,7 @@ mod tests {
         assert!(!probe(RuleId::PrpFp, &r, (A, wk::OWL_SAME_AS, B)));
     }
 
-    /// Where the three hand-written probes part from their texts.
+    /// Where the hand-written probes part from their texts.
     #[test]
     fn hand_written_probes_follow_their_executors() {
         let email = nth_property_id(953);
@@ -285,18 +286,27 @@ mod tests {
         // PRP-FP / PRP-IFP: one pair links nothing to itself.
         assert!(!probe(RuleId::PrpFp, &r, (A, wk::OWL_SAME_AS, A)));
         assert!(!probe(RuleId::PrpIfp, &r, (X, wk::OWL_SAME_AS, X)));
-        // The texts answer the other way on each.
-        let text = |rule, (s, p, o)| {
-            let compiled = compiled_builtin(rule).clone();
-            let renamed = CompiledRule {
-                name: format!("{}-text", compiled.name),
-                ..compiled
-            };
-            supports(&renamed, Survivors::all(&r), IdTriple::new(s, p, o))
+        // Under another name, the functional texts answer the other way;
+        // a transitivity text over owl:sameAs is still a symmetric closure,
+        // in either atom order, and answers as EQ-TRANS does.
+        let renamed = |rule| CompiledRule {
+            name: format!("{rule}-text"),
+            ..compiled_builtin(rule).clone()
         };
-        assert!(!text(RuleId::EqTrans, (A, wk::OWL_SAME_AS, C)));
-        assert!(text(RuleId::PrpFp, (A, wk::OWL_SAME_AS, A)));
-        assert!(text(RuleId::PrpIfp, (X, wk::OWL_SAME_AS, X)));
+        let text = |rule: &CompiledRule, (s, p, o)| {
+            supports(rule, Survivors::all(&r), IdTriple::new(s, p, o))
+        };
+        assert!(text(&renamed(RuleId::PrpFp), (A, wk::OWL_SAME_AS, A)));
+        assert!(text(&renamed(RuleId::PrpIfp), (X, wk::OWL_SAME_AS, X)));
+        let eq_trans = renamed(RuleId::EqTrans);
+        let swapped = CompiledRule {
+            body: vec![eq_trans.body[1], eq_trans.body[0]],
+            ..eq_trans.clone()
+        };
+        for rule in [&eq_trans, &swapped] {
+            assert!(text(rule, (A, wk::OWL_SAME_AS, C)));
+            assert!(text(rule, (A, wk::OWL_SAME_AS, A)));
+        }
         // PRP-FP links two values only smaller first; its text, both ways.
         let run = store(&[
             (email, wk::RDF_TYPE, wk::OWL_FUNCTIONAL_PROPERTY),

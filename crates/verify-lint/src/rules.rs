@@ -803,13 +803,14 @@ const TEXT_COPY_PATTERNS: &[&str] = &[
 
 /// The rule executors that emit one pair per joined pair or per copied
 /// pair (`crates/rules/src/executors/`): the merge-join and table-scan
-/// passes, the reversed copy the scan shares, the same-as replacement
-/// loops and the functional executors. The θ rules (`theta.rs`), which
-/// emit a handful of pairs per *new* triple, are not listed.
+/// passes, the reversed copy the scan shares, the closure kernel (one pair
+/// per missing closure pair), the same-as replacement loops and the
+/// functional executors.
 pub const RULE_EMIT: &[&str] = &[
     "merge_join_pass",
     "scan_pass",
     "push_reversed",
+    "apply_closure",
     "eq_rep_s",
     "eq_rep_o",
     "prp_fp",
@@ -896,6 +897,7 @@ const HOT_LISTS: &[HotList] = &[
         path_suffixes: &[
             "crates/rules/src/executors/join.rs",
             "crates/rules/src/executors/gamma.rs",
+            "crates/rules/src/executors/theta.rs",
             "crates/rules/src/executors/same_as.rs",
             "crates/rules/src/executors/functional.rs",
         ],

@@ -25,7 +25,7 @@
 //!   iteration and per rule — are the same sequentially and in parallel;
 //! * a `.rules` program whose rules are no built-in does the built-ins'
 //!   work: its rules run the kernels their shapes pick, and the closure
-//!   stage follows its θ members.
+//!   stage follows its closures.
 
 use inferray::core::closure_stage::run_closure_stage;
 use inferray::core::{IterationProfile, RuleSample};
@@ -33,7 +33,7 @@ use inferray::dictionary::wellknown as wk;
 use inferray::model::ids::is_property_id;
 use inferray::parser::loader::load_ntriples;
 use inferray::rules::analysis::{self, builtin::PRELUDE};
-use inferray::rules::{RuleClass, RuleId, RuleRef, Ruleset};
+use inferray::rules::{RuleId, RuleRef, Ruleset};
 use inferray::store::AccessProfile;
 use inferray::{Fragment, IdTriple, InferrayOptions, InferrayReasoner, Materializer, TripleStore};
 
@@ -55,7 +55,7 @@ fn materialized(
 }
 
 fn is_theta(sample: &RuleSample) -> bool {
-    matches!(sample.rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta)
+    Ruleset::for_fragment(FRAGMENT).closes(sample.rule)
 }
 
 /// The number of premise pairs `(a, b)` of `store` that `rule` joins — what
@@ -126,7 +126,7 @@ fn iteration_one_emits_every_one_pass_derivation_once() {
     let mut transitive_only = fixture();
     run_closure_stage(
         &mut transitive_only,
-        Ruleset::for_fragment(FRAGMENT).rules(),
+        Ruleset::for_fragment(FRAGMENT).closures(),
         &mut AccessProfile::default(),
     );
     assert!(
@@ -178,16 +178,13 @@ fn iteration_one_emits_every_one_pass_derivation_once() {
 #[test]
 fn the_closure_stage_is_the_theta_rules_first_firing() {
     let ruleset = Ruleset::for_fragment(FRAGMENT);
-    let theta = ruleset.theta_rules().len();
+    let theta = ruleset.closures().len();
     assert!(theta > 0);
     let in_stratum = |sample: &RuleSample| ruleset.stratum().contains(&sample.rule);
     let closed_before_the_loop = ruleset
         .all_refs()
         .into_iter()
-        .filter(|rule| {
-            matches!(rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta)
-                || ruleset.stratum().contains(rule)
-        })
+        .filter(|&rule| ruleset.closes(rule) || ruleset.stratum().contains(&rule))
         .count();
 
     let (with_stage, _, profile) = materialized(InferrayOptions::default());
@@ -312,22 +309,21 @@ fn eq_rep_o_builds_no_os_cache() {
     }
 }
 
-/// The RDFS-default program with the two body atoms of every non-θ rule
-/// swapped, so that none of them is recognized as a built-in. The θ rules
-/// keep their text: swapped, a transitivity rule is a custom join, not the
-/// closure its built-in runs.
+/// The RDFS-default program with the two body atoms of every rule swapped,
+/// so that none of them is recognized as a built-in. Swapped, a
+/// transitivity rule is still a closure.
 fn swapped_program() -> String {
     let mut program = PRELUDE.to_owned();
     for &rule in Ruleset::for_fragment(FRAGMENT).rules() {
         let text = analysis::builtin::rule_text(rule);
-        let swapped = match text.split_once(": ").and_then(|(name, rest)| {
-            let (body, head) = rest.split_once(" => ")?;
-            let (first, second) = body.split_once(", ")?;
-            Some(format!("{name}: {second}, {first} => {head}"))
-        }) {
-            Some(swapped) if rule.class() != RuleClass::Theta => swapped,
-            _ => text.to_owned(),
-        };
+        let swapped = text
+            .split_once(": ")
+            .and_then(|(name, rest)| {
+                let (body, head) = rest.split_once(" => ")?;
+                let (first, second) = body.split_once(", ")?;
+                Some(format!("{name}: {second}, {first} => {head}"))
+            })
+            .unwrap_or_else(|| text.to_owned());
         program.push_str(&swapped);
         program.push('\n');
     }
@@ -341,9 +337,12 @@ fn a_custom_program_runs_the_kernels_and_gets_the_closure_stage() {
     let mut loaded = load_ntriples(&text).expect("the fixture parses");
     let ruleset = analysis::load_ruleset(&swapped_program(), &mut loaded.dictionary)
         .expect("the swapped program loads");
-    let theta = Ruleset::for_fragment(FRAGMENT).theta_rules();
-    assert_eq!(ruleset.rules(), theta, "only the θ rules are recognized");
-    assert_eq!(ruleset.custom_rules().len(), 8);
+    assert!(ruleset.rules().is_empty(), "no rule is recognized");
+    assert_eq!(ruleset.custom_rules().len(), 10);
+    assert_eq!(
+        ruleset.closures().len(),
+        Ruleset::for_fragment(FRAGMENT).closures().len()
+    );
 
     let mut custom = loaded.store;
     let mut reasoner = InferrayReasoner::with_ruleset(ruleset.clone(), InferrayOptions::default());

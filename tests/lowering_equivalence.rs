@@ -1,12 +1,13 @@
 //! The shape kernels, checked against the nested-loop join.
 //!
 //! A rule's text picks its kernel (`analysis::lowering`): the merge join
-//! for the α shape, the table scan for the γ/δ shape, the nested-loop join
-//! for everything else — and every rule can run the nested loop. Over
-//! random stores and a random frontier `new ⊆ main` (sometimes `main`
-//! itself, the first iteration's whole-store frontier), for the sixteen
-//! catalog texts that run a kernel and for custom rules of the same shapes
-//! written another way, this suite holds each kernel to the nested loop:
+//! for the α shape, the table scan for the γ/δ shape, the transitive
+//! closure for the θ shape, the nested-loop join for everything else — and
+//! every rule can run the nested loop. Over random stores and a random
+//! frontier `new ⊆ main` (sometimes `main` itself, the first iteration's
+//! whole-store frontier), for the sixteen catalog texts that run a join
+//! kernel and for custom rules of the same shapes written another way, this
+//! suite holds each join kernel to the nested loop:
 //!
 //! * it derives no triple the nested loop does not, and every triple the
 //!   nested loop derives outside `main`;
@@ -15,11 +16,20 @@
 //! The kernels emit fewer pairs in two places only, both pinned by a named
 //! case: a copy of a table onto itself emits nothing, and a head that keeps
 //! one end of the data table emits each distinct value once per schema
-//! match. `PROPTEST_CASES` raises the number of random stores.
+//! match.
+//!
+//! The closure kernel derives in one firing what the nested loop derives in
+//! many. For the four θ catalog texts and custom closures written another
+//! way, the suite holds it to two laws: when `new` touches a closed table or
+//! its declaration, it emits exactly the closure of `main`'s table (of the
+//! symmetrized table for `owl:sameAs`) less the table, and otherwise
+//! nothing; and over the whole store it reaches the nested loop's own fixed
+//! point (with EQ-SYM beside the `owl:sameAs` closures).
+//! `PROPTEST_CASES` raises the number of random stores.
 
 use inferray::dictionary::{wellknown as wk, Dictionary};
-use inferray::model::ids::{nth_property_id, nth_resource_id};
-use inferray::rules::analysis::{self, CompiledRule, Lowering};
+use inferray::model::ids::{is_property_id, nth_property_id, nth_resource_id};
+use inferray::rules::analysis::{self, CompiledRule, Lowering, Term};
 use inferray::rules::{executors, Fragment, RuleContext, RuleId, RuleRef, Ruleset};
 use inferray::store::{InferredBuffer, TripleStore};
 use inferray::IdTriple;
@@ -58,24 +68,54 @@ fn holder(rule: RuleId) -> Ruleset {
         .unwrap_or_else(|| panic!("{rule} is in no full fragment"))
 }
 
-/// Every catalog text `apply_rule` runs through a kernel, then every
-/// custom rule of [`CUSTOM`], with its name.
-fn rules() -> Vec<(String, CompiledRule)> {
+/// Custom rules of the closure shape, written unlike any built-in.
+const CUSTOM_CLOSURES: &str = "\
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+rule swapped-spo: ?q rdfs:subPropertyOf ?r, ?p rdfs:subPropertyOf ?q => ?p rdfs:subPropertyOf ?r .
+rule declared-symmetric: ?x ?p ?y, ?y ?p ?z, ?p a owl:SymmetricProperty => ?x ?p ?z .
+rule swapped-eq-trans: ?b owl:sameAs ?c, ?a owl:sameAs ?b => ?a owl:sameAs ?c .
+";
+
+/// The catalog text of `rule`.
+fn builtin(rule: RuleId) -> CompiledRule {
+    holder(rule).compiled(RuleRef::Builtin(rule)).clone()
+}
+
+/// The catalog texts `apply_rule` runs through a kernel for which `keep`
+/// holds, then every rule of `custom`, with its name.
+fn compiled(keep: fn(&Lowering) -> bool, custom: &str) -> Vec<(String, CompiledRule)> {
     let builtins = RuleId::ALL
         .into_iter()
         .filter(|&rule| executors::hand_written(rule).is_none())
-        .map(|rule| {
-            let compiled = holder(rule).compiled(RuleRef::Builtin(rule)).clone();
-            (rule.name().to_owned(), compiled)
-        })
-        .filter(|(_, compiled)| analysis::lowering(compiled) != Lowering::NestedLoop);
-    let custom = analysis::analyze(CUSTOM)
+        .map(|rule| (rule.name().to_owned(), builtin(rule)))
+        .filter(|(_, compiled)| keep(&analysis::lowering(compiled)));
+    let custom = analysis::analyze(custom)
         .compile(&mut Dictionary::new())
         .expect("the custom rules compile")
         .rules
         .into_iter()
         .map(|rule| (rule.name.clone(), rule));
     builtins.chain(custom).collect()
+}
+
+/// Every catalog text that runs a join kernel, then every custom rule of
+/// [`CUSTOM`].
+fn rules() -> Vec<(String, CompiledRule)> {
+    compiled(
+        |lowering| !matches!(lowering, Lowering::NestedLoop | Lowering::Closure(_)),
+        CUSTOM,
+    )
+}
+
+/// Every catalog text that runs the closure kernel, then every custom rule
+/// of [`CUSTOM_CLOSURES`].
+fn closures() -> Vec<(String, CompiledRule)> {
+    compiled(
+        |lowering| matches!(lowering, Lowering::Closure(_)),
+        CUSTOM_CLOSURES,
+    )
 }
 
 /// What `rule` derives through `lowering` over (`main`, `new`): the triples
@@ -145,7 +185,160 @@ proptest! {
     }
 }
 
-/// Sixteen catalog texts and every custom rule above run a kernel; the
+/// What a closure text closes over `main`, read off the text here rather
+/// than from its plan: the tables, the `(predicate, class)` that declares
+/// one, and whether they are symmetrized (`owl:sameAs`).
+struct Closed {
+    tables: Vec<u64>,
+    declaration: Option<(u64, u64)>,
+    symmetric: bool,
+}
+
+fn closed(rule: &CompiledRule, main: &TripleStore) -> Closed {
+    let head = rule.head[0];
+    match head.p {
+        Term::Const(p) => Closed {
+            tables: vec![p],
+            declaration: None,
+            symmetric: p == wk::OWL_SAME_AS,
+        },
+        Term::Var(_) => {
+            let schema = rule.body.iter().find(|atom| atom.p != head.p);
+            let (k, c) = schema
+                .and_then(|atom| Some((atom.p.as_const()?, atom.o.as_const()?)))
+                .expect("a declared closure has a constant declaration");
+            let tables = main
+                .iter_triples()
+                .filter(|t| t.p == k && t.o == c && is_property_id(t.s))
+                .map(|t| t.s)
+                .collect();
+            Closed {
+                tables,
+                declaration: Some((k, c)),
+                symmetric: false,
+            }
+        }
+    }
+}
+
+/// The transitive closure of `pairs` (symmetrized first), by repeated
+/// composition.
+fn naive_closure(pairs: &BTreeSet<(u64, u64)>, symmetric: bool) -> BTreeSet<(u64, u64)> {
+    let mut closed = pairs.clone();
+    if symmetric {
+        closed.extend(pairs.iter().map(|&(a, b)| (b, a)));
+    }
+    loop {
+        let step: Vec<(u64, u64)> = closed
+            .iter()
+            .flat_map(|&(a, b)| {
+                closed
+                    .range((b, 0)..=(b, u64::MAX))
+                    .map(move |&(_, c)| (a, c))
+            })
+            .filter(|pair| !closed.contains(pair))
+            .collect();
+        if step.is_empty() {
+            return closed;
+        }
+        closed.extend(step);
+    }
+}
+
+/// Pairs on the closed tables and declarations of them, so that the
+/// closure laws see paths of several steps, and declarations that arrive
+/// without their table.
+fn closure_triples() -> impl Strategy<Value = Vec<IdTriple>> {
+    let triple = (0u8..7, 0u8..6, 0u8..6).prop_map(|(kind, a, b)| {
+        let prop = |n: u8| nth_property_id(800 + usize::from(n % 4));
+        let node = |n: u8| nth_resource_id(8_100 + usize::from(n));
+        match kind {
+            0..=3 => IdTriple::new(node(a), prop(kind), node(b)),
+            4 => IdTriple::new(node(a), wk::OWL_SAME_AS, node(b)),
+            5 => IdTriple::new(prop(a), wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY),
+            _ => IdTriple::new(prop(a), wk::RDF_TYPE, wk::OWL_SYMMETRIC_PROPERTY),
+        }
+    });
+    prop::collection::vec(triple, 0..16)
+}
+
+proptest! {
+    #[test]
+    fn the_closure_kernel_closes_the_tables_new_touched(
+        mut triples in arbitrary_store(),
+        closed_pairs in closure_triples(),
+        mask in prop::collection::vec(any::<bool>(), 1..30),
+        frontier_kind in 0u8..3,
+    ) {
+        triples.extend(closed_pairs);
+        let main = TripleStore::from_triples(triples.iter().copied());
+        let mut keep = mask.iter().copied().cycle();
+        // The whole store, a random part of it, or a random part of its
+        // declarations alone.
+        let frontier = TripleStore::from_triples(main.iter_triples().filter(|t| {
+            keep.next().unwrap_or(true) && (frontier_kind == 1 || t.p == wk::RDF_TYPE)
+        }));
+        let new = if frontier_kind == 0 { &main } else { &frontier };
+        for (name, rule) in closures() {
+            let (kernel, raw) = derive(&rule, &analysis::lowering(&rule), &main, new);
+            prop_assert_eq!(raw, kernel.len(), "{}: each missing pair once", name);
+            let plan = closed(&rule, &main);
+            let mut expected = BTreeSet::new();
+            for p in plan.tables {
+                let declared_anew = plan
+                    .declaration
+                    .is_some_and(|(k, c)| new.contains(&IdTriple::new(p, k, c)));
+                if !declared_anew && new.table(p).is_none_or(|t| t.is_empty()) {
+                    continue;
+                }
+                let table: BTreeSet<(u64, u64)> =
+                    main.table(p).map(|t| t.iter_pairs().collect()).unwrap_or_default();
+                let missing = naive_closure(&table, plan.symmetric);
+                expected.extend(
+                    missing
+                        .difference(&table)
+                        .map(|&(a, b)| IdTriple::new(a, p, b)),
+                );
+            }
+            prop_assert_eq!(kernel, expected, "{} over {:?}", name, triples);
+        }
+    }
+
+    #[test]
+    fn the_closure_kernel_reaches_the_nested_loops_fixed_point(
+        mut triples in arbitrary_store(),
+        closed_pairs in closure_triples(),
+    ) {
+        triples.extend(closed_pairs);
+        let main = TripleStore::from_triples(triples.iter().copied());
+        let eq_sym = builtin(RuleId::EqSym);
+        for (name, rule) in closures() {
+            let (kernel, _) = derive(&rule, &analysis::lowering(&rule), &main, &main);
+            let closed_once: BTreeSet<IdTriple> = main.iter_triples().chain(kernel).collect();
+            let mut program = vec![&rule];
+            if closed(&rule, &main).symmetric {
+                program.push(&eq_sym);
+            }
+            let mut nested: BTreeSet<IdTriple> = main.iter_triples().collect();
+            loop {
+                let store = TripleStore::from_triples(nested.iter().copied());
+                let step: Vec<IdTriple> = program
+                    .iter()
+                    .flat_map(|rule| derive(rule, &Lowering::NestedLoop, &store, &store).0)
+                    .filter(|t| !nested.contains(t))
+                    .collect();
+                if step.is_empty() {
+                    break;
+                }
+                nested.extend(step);
+            }
+            prop_assert_eq!(closed_once, nested, "{} over {:?}", name, triples);
+        }
+    }
+}
+
+/// Sixteen catalog texts and every custom rule above run a join kernel,
+/// four catalog texts and every custom closure the closure kernel; the
 /// suite is not comparing the nested loop with itself.
 #[test]
 fn sixteen_catalog_texts_and_every_custom_shape_run_a_kernel() {
@@ -156,6 +349,17 @@ fn sixteen_catalog_texts_and_every_custom_shape_run_a_kernel() {
             analysis::lowering(rule),
             Lowering::NestedLoop,
             "{name} fell back to the nested loop"
+        );
+    }
+    let closures = closures();
+    assert_eq!(
+        closures.len(),
+        4 + CUSTOM_CLOSURES.matches("\nrule ").count()
+    );
+    for (name, rule) in &closures {
+        assert!(
+            matches!(analysis::lowering(rule), Lowering::Closure(_)),
+            "{name} is not a closure"
         );
     }
 }

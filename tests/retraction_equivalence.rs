@@ -7,7 +7,7 @@
 use inferray::core::{InferrayReasoner, Materializer};
 use inferray::dictionary::{wellknown, Dictionary};
 use inferray::parser::loader::load_triples;
-use inferray::rules::{analysis, Fragment, RuleId, Ruleset};
+use inferray::rules::{analysis, Fragment, RuleId, RuleRef, Ruleset};
 use inferray::store::TripleStore;
 use inferray::{IdTriple, InferrayOptions, Triple};
 use proptest::prelude::*;
@@ -85,18 +85,79 @@ fn program_of(rule: RuleId) -> Ruleset {
     analysis::load_ruleset(&text, &mut Dictionary::new()).expect("a catalog text loads")
 }
 
-/// Every program the sweep retracts under: the five fragments, then each
-/// of the 38 built-ins alone. A fragment runs each rule beside the rules
-/// that mask its slips (EQ-SYM and EQ-TRANS close what PRP-FP leaves
-/// open); alone, every probe must match its own executor.
+/// The catalog text of `rule` with the two atoms of its body swapped, so
+/// that it is not recognized as the built-in; `None` for a body of another
+/// size.
+fn swapped_text(rule: RuleId) -> Option<String> {
+    let (name, rest) = analysis::builtin::rule_text(rule).split_once(": ")?;
+    let (body, head) = rest.split_once(" => ")?;
+    match body.split(", ").collect::<Vec<_>>()[..] {
+        [first, second] => Some(format!("{name}: {second}, {first} => {head}")),
+        _ => None,
+    }
+}
+
+fn load(rules: &[String]) -> Ruleset {
+    let text = format!("{}{}\n", analysis::builtin::PRELUDE, rules.join("\n"));
+    analysis::load_ruleset(&text, &mut Dictionary::new()).expect("the program loads")
+}
+
+/// The RDFS-Plus program with every two-atom body swapped: the closures
+/// among those rules are custom closures, EQ-TRANS a symmetric one.
+fn swapped_rdfs_plus() -> Ruleset {
+    let rules: Vec<String> = Ruleset::for_fragment(Fragment::RdfsPlus)
+        .rules()
+        .iter()
+        .map(|&rule| {
+            swapped_text(rule).unwrap_or_else(|| analysis::builtin::rule_text(rule).to_owned())
+        })
+        .collect();
+    let ruleset = load(&rules);
+    let closures = ruleset.closures();
+    assert_eq!(
+        closures.len(),
+        4,
+        "swapped, a transitivity rule is a closure"
+    );
+    assert!(
+        closures
+            .iter()
+            .any(|(rule, closure)| matches!(rule, RuleRef::Custom(_)) && closure.symmetric()),
+        "EQ-TRANS swapped is a custom symmetric closure"
+    );
+    ruleset
+}
+
+/// Every program the sweep retracts under: the five fragments, RDFS-Plus
+/// with its two-atom bodies swapped, each of the 38 built-ins alone, then
+/// each two-atom closure alone with its body swapped. A fragment runs each
+/// rule beside the rules that mask its slips (EQ-SYM and EQ-TRANS close
+/// what PRP-FP leaves open); alone, every probe must match its own
+/// executor — a swapped EQ-TRANS is probed as the symmetric closure it
+/// runs.
 fn programs() -> Vec<(String, Ruleset)> {
     let fragments = Fragment::ALL
         .into_iter()
         .map(|fragment| (fragment.to_string(), Ruleset::for_fragment(fragment)));
+    let swapped = ("RDFS-Plus swapped".to_owned(), swapped_rdfs_plus());
     let alone = RuleId::ALL
         .into_iter()
         .map(|rule| (format!("{rule} alone"), program_of(rule)));
-    fragments.chain(alone).collect()
+    let closures = Ruleset::for_fragment(Fragment::RdfsPlusFull)
+        .closures()
+        .to_vec();
+    let swapped_alone = closures.into_iter().filter_map(|(rule, _)| {
+        let RuleRef::Builtin(id) = rule else {
+            return None;
+        };
+        let program = load(&[swapped_text(id)?]);
+        Some((format!("{id} swapped alone"), program))
+    });
+    fragments
+        .chain([swapped])
+        .chain(alone)
+        .chain(swapped_alone)
+        .collect()
 }
 
 const HUMAN: u64 = 9_550_000;

@@ -15,7 +15,7 @@ use inferray::datasets::LubmGenerator;
 use inferray::dictionary::wellknown as wk;
 use inferray::model::ids::nth_property_id;
 use inferray::parser::loader::load_triples;
-use inferray::rules::{analysis, Fragment, RuleClass, RuleId, RuleRef, Ruleset};
+use inferray::rules::{analysis, Fragment, RuleId, Ruleset};
 use inferray::store::TripleStore;
 use inferray::{IdTriple, InferrayOptions, Triple};
 use proptest::prelude::*;
@@ -80,10 +80,10 @@ fn mixed_dataset() -> Vec<(u64, u64, u64)> {
     ]
 }
 
-/// A mixed rule program for the analyzer path: two recognized builtins
-/// (dispatched to their hand-written executors) plus four custom rules the
-/// generic executor runs, including a symmetric-transitive pair that takes
-/// several iterations to close.
+/// A mixed rule program for the analyzer path: two recognized builtins plus
+/// four custom rules, including a symmetric-transitive pair — a custom
+/// closure and a custom mirror rule that feed each other across
+/// iterations.
 fn custom_program() -> String {
     format!(
         "{}@prefix ex: <http://ex/> .\n{}\n{}\n\
@@ -256,10 +256,7 @@ fn scheduler_skips_rules_on_a_multi_iteration_dataset() {
         let closed_before_the_loop = ruleset
             .all_refs()
             .into_iter()
-            .filter(|rule| {
-                matches!(rule, RuleRef::Builtin(id) if id.class() == RuleClass::Theta)
-                    || ruleset.stratum().contains(rule)
-            })
+            .filter(|&rule| ruleset.closes(rule) || ruleset.stratum().contains(&rule))
             .count();
         assert_eq!(
             profile.samples[0].rules_skipped, closed_before_the_loop,
