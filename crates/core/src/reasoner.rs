@@ -52,8 +52,7 @@ use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
 use inferray_parallel::ThreadPool;
 use inferray_rules::{
-    analysis, apply_rule, Fragment, InferenceStats, Materializer, RuleContext, RuleRef, Ruleset,
-    Survivors,
+    analysis, Fragment, InferenceStats, Materializer, RuleContext, RuleRef, Ruleset, Survivors,
 };
 use inferray_sort::SortScratch;
 use inferray_store::{
@@ -191,15 +190,11 @@ fn run_table_update(
         .collect()
 }
 
-/// Fires one rule of `ruleset` over `ctx`, appending to `out`: a catalog
-/// built-in through [`apply_rule`], a custom rule through
-/// [`analysis::apply_compiled`] — the kernel its shape picks, as for the
-/// built-ins that run their text.
+/// Fires one rule of `ruleset` over `ctx`, appending to `out`: its text,
+/// built-in or custom, through the kernel its shape picks
+/// ([`analysis::apply_compiled`]).
 fn fire_one(ruleset: &Ruleset, rule: RuleRef, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    match rule {
-        RuleRef::Builtin(id) => apply_rule(id, ctx, out),
-        RuleRef::Custom(i) => analysis::apply_compiled(&ruleset.custom_rules()[i], ctx, out),
-    }
+    analysis::apply_compiled(ruleset.compiled(rule), ctx, out);
 }
 
 impl InferrayReasoner {
@@ -397,8 +392,8 @@ impl InferrayReasoner {
     ///    Explicit triples are never over-deleted.
     /// 2. **probe** — every triple of the cone is checked with the one-step
     ///    support probe of each rule's text ([`analysis::supports`], which
-    ///    keeps hand-written probes for the rules whose executor is not
-    ///    their text) through the [`Survivors`] view `store ∖ gone`,
+    ///    narrows or replaces it for the shapes whose kernel derives
+    ///    something other than the text) through the [`Survivors`] view `store ∖ gone`,
     ///    restricted per property to the rules whose *output* signature,
     ///    derived from the same text ([`Ruleset::rederive_refs`]), reaches
     ///    it. The supported ones, `R`, stay where they are.

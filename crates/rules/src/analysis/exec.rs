@@ -1,26 +1,25 @@
 //! The semi-naive executor for compiled rules, plus the one-step support
 //! probe the delete–rederive path uses.
 //!
-//! Every custom rule runs here, and so does every built-in but the four
-//! with a hand-written executor ([`crate::executors::apply_rule`]).
-//! [`apply_compiled`] runs the kernel the rule's shape picks
-//! ([`super::lowering()`]): the merge join, the table scan, the transitive
-//! closure, or — for every other shape — the nested-loop join of this
-//! module, a backtracking join
-//! over the sorted pair tables that evaluates the body atoms in written
-//! order. No kernel performs presence filtering — during rederivation after
-//! an over-deletion the stores intentionally lack the deleted triples, and
-//! a derivation must be reported even when it reproduces an existing pair
-//! (the merge dedups).
+//! Every rule, built-in or custom, runs here. [`apply_compiled`] runs the
+//! kernel the rule's shape picks ([`super::lowering()`]): the merge join,
+//! the table scan, the transitive closure, the substitution, the self join,
+//! or — for every other shape — the nested-loop join of this module, a
+//! backtracking join over the sorted pair tables that evaluates the body
+//! atoms in written order. No kernel performs presence filtering — during
+//! rederivation after an over-deletion the stores intentionally lack the
+//! deleted triples, and a derivation must be reported even when it
+//! reproduces an existing pair (the merge dedups).
 //!
-//! [`supports`] probes every rule, built-in or custom, through its text,
-//! except the symmetric closures, PRP-FP and PRP-IFP, whose executor
-//! derives something other than its text ([`crate::support`]).
+//! [`supports`] probes every rule, built-in or custom, through its text;
+//! the shapes whose kernel derives something other than the text — a
+//! symmetric closure, a self join — narrow or replace that probe
+//! ([`crate::support`]).
 
 use super::compile::{Atom, CompiledRule, Term};
 use super::lowering::{lowering, Lowering};
 use crate::context::RuleContext;
-use crate::executors::{gamma, join, theta};
+use crate::executors::{gamma, join, self_join, substitution, theta};
 use crate::support::{self, Survivors};
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
@@ -216,6 +215,8 @@ pub fn apply_lowered(
         Lowering::MergeJoin(plan) => join::apply_merge_join(plan, ctx, out),
         Lowering::TableScan(plan) => gamma::apply_table_scan(plan, ctx, out),
         Lowering::Closure(plan) => theta::apply_closure(plan, ctx, out),
+        Lowering::Substitution(plan) => substitution::apply_substitution(plan, ctx, out),
+        Lowering::SelfJoin(plan) => self_join::apply_self_join(plan, ctx, out),
         Lowering::NestedLoop => nested_loop(rule, ctx, out),
     }
 }
@@ -238,9 +239,8 @@ fn nested_loop(rule: &CompiledRule, ctx: &RuleContext<'_>, out: &mut InferredBuf
 
 /// One-step support probe: `true` when some body match of `rule` in `view`
 /// derives exactly `triple` — sound and complete for a single derivation
-/// step. The rules whose executor is not their text — a symmetric closure,
-/// PRP-FP, PRP-IFP — answer through hand-written probes
-/// ([`crate::support`]).
+/// step. A symmetric closure answers through its own probe, and a self join
+/// only for a pair it links smaller first ([`crate::support`]).
 pub fn supports(rule: &CompiledRule, view: Survivors<'_>, triple: IdTriple) -> bool {
     if let Some(holds) = support::is_supported(rule, view, triple) {
         return holds;

@@ -14,10 +14,18 @@
 //!   constant (SCM-SCO, SCM-SPO, EQ-TRANS), or the variable a third, schema
 //!   atom `?p K C` declares (PRP-TRP): then every declared property's table
 //!   is closed;
+//! * **substitution** (same-as) — a link atom `?a L ?b` and a data atom
+//!   `?x ?p ?y` sharing one end with it; the head replaces that end by the
+//!   link's other end (EQ-REP-S, EQ-REP-O): one loop over the links and
+//!   every table;
+//! * **self join** — a declaration `?p K C` and two atoms `?k ?p ?v1`,
+//!   `?k ?p ?v2` with the head `?v1 owl:sameAs ?v2` (PRP-FP, PRP-IFP): the
+//!   two values of every run are linked once, smaller first — the head read
+//!   as an equivalence between distinct terms, as the closure reads it;
 //! * **nested-loop join** — every other shape ([`super::exec`]).
 //!
-//! [`lowering()`] reads the shape off the body and head alone, in either
-//! atom order, so a custom rule of a kernel shape runs the kernel of the
+//! [`lowering()`] reads the shape off the body and head alone, in any atom
+//! order, so a custom rule of a kernel shape runs the kernel of the
 //! built-in it restates. The [`Closure`] plan is also what the closure stage
 //! closes before the loop and what the retraction dumps
 //! ([`crate::Ruleset::closures`]).
@@ -39,6 +47,10 @@ pub enum Lowering {
     TableScan(TableScan),
     /// The transitive closure of one table, or of every declared one.
     Closure(Closure),
+    /// One end of every table's pairs replaced along the links of a table.
+    Substitution(Substitution),
+    /// Every two values of a key's run in every declared table, linked.
+    SelfJoin(SelfJoin),
     /// The backtracking join over the body atoms, in written order.
     NestedLoop,
 }
@@ -50,6 +62,8 @@ impl Lowering {
             Lowering::MergeJoin(_) => "merge join",
             Lowering::TableScan(_) => "table scan",
             Lowering::Closure(_) => "transitive closure",
+            Lowering::Substitution(_) => "substitution",
+            Lowering::SelfJoin(_) => "self join",
             Lowering::NestedLoop => "nested-loop join",
         }
     }
@@ -144,8 +158,26 @@ pub struct Closure {
 enum ClosedTables {
     /// The table of the rule's constant predicate.
     Fixed(u64),
-    /// The table of every property `p` with a `(p, predicate, class)` pair.
-    Declared { predicate: u64, class: u64 },
+    /// The table of every declared property.
+    Declared(Declared),
+}
+
+/// The properties `p` with a `(p, predicate, class)` pair: the tables a
+/// declared closure or a self join reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Declared {
+    predicate: u64,
+    class: u64,
+}
+
+impl Declared {
+    /// The properties a declaration in `view` names, ascending.
+    pub fn properties(&self, view: Survivors<'_>) -> Vec<u64> {
+        let Declared { predicate, class } = *self;
+        let mut declared = RuleContext::subjects_with_object(view.store(), predicate, class);
+        declared.retain(|&p| is_property_id(p) && !view.is_gone(p, predicate, class));
+        declared
+    }
 }
 
 impl Closure {
@@ -154,19 +186,17 @@ impl Closure {
     pub fn tables(&self, view: Survivors<'_>) -> Vec<u64> {
         match self.tables {
             ClosedTables::Fixed(p) => vec![p],
-            ClosedTables::Declared { .. } => self.declared_in(view),
+            ClosedTables::Declared(declared) => declared.properties(view),
         }
     }
 
     /// The properties a declaration in `view` names, ascending — none for
     /// a closure of a fixed table.
     pub fn declared_in(&self, view: Survivors<'_>) -> Vec<u64> {
-        let ClosedTables::Declared { predicate, class } = self.tables else {
-            return Vec::new();
-        };
-        let mut declared = RuleContext::subjects_with_object(view.store(), predicate, class);
-        declared.retain(|&p| is_property_id(p) && !view.is_gone(p, predicate, class));
-        declared
+        match self.tables {
+            ClosedTables::Fixed(_) => Vec::new(),
+            ClosedTables::Declared(declared) => declared.properties(view),
+        }
     }
 
     /// `true` when each table is symmetrized before it is closed: the
@@ -174,6 +204,24 @@ impl Closure {
     pub fn symmetric(&self) -> bool {
         self.symmetric
     }
+}
+
+/// A substitution plan: the links `(shared, replacement)` are the pairs of
+/// the link table, read from the end the data atom shares; every table's
+/// pairs with `shared` at the data end are emitted with `replacement` there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Substitution {
+    /// The link table, and the end of its pairs the data atom shares.
+    pub(crate) link: (u64, JoinSide),
+    /// The end of the data pairs that is replaced.
+    pub(crate) data: JoinSide,
+}
+
+/// A self-join plan: the declared tables, and the end that keys a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelfJoin {
+    pub(crate) declared: Declared,
+    pub(crate) key: JoinSide,
 }
 
 /// The kernel `rule`'s shape picks — a function of its body and head only.
@@ -185,7 +233,13 @@ pub fn lowering(rule: &CompiledRule) -> Lowering {
     if let Some(join) = merge_join(rule) {
         return Lowering::MergeJoin(join);
     }
-    table_scan(rule).map_or(Lowering::NestedLoop, Lowering::TableScan)
+    if let Some(scan) = table_scan(rule) {
+        return Lowering::TableScan(scan);
+    }
+    if let Some(plan) = substitution(rule) {
+        return Lowering::Substitution(plan);
+    }
+    self_join(rule).map_or(Lowering::NestedLoop, Lowering::SelfJoin)
 }
 
 /// The subject and object of `atom` when they are two distinct variables.
@@ -203,23 +257,15 @@ pub(crate) fn closure(rule: &CompiledRule) -> Option<Closure> {
     let [head] = rule.head.as_slice() else {
         return None;
     };
-    let tables = match (head.p, rule.body.as_slice()) {
-        (Term::Const(p), [_, _]) => ClosedTables::Fixed(p),
-        (Term::Var(_), [_, _, _]) => {
-            let mut schema = rule.body.iter().filter(|atom| atom.p != head.p);
-            match (schema.next(), schema.next()) {
-                (Some(&Atom { s, p, o }), None) if s == head.p => ClosedTables::Declared {
-                    predicate: p.as_const()?,
-                    class: o.as_const()?,
-                },
-                _ => return None,
-            }
+    let (tables, first, second) = match (head.p, rule.body.as_slice()) {
+        (Term::Const(p), &[first, second]) if first.p == head.p && second.p == head.p => {
+            (ClosedTables::Fixed(p), first, second)
+        }
+        (Term::Var(_), _) => {
+            let (declared, first, second) = declared(rule, head.p)?;
+            (ClosedTables::Declared(declared), first, second)
         }
         _ => return None,
-    };
-    let data: Vec<&Atom> = rule.body.iter().filter(|atom| atom.p == head.p).collect();
-    let [first, second] = data[..] else {
-        return None;
     };
     // `x` then `y` chain `?a P ?b`, `?b P ?c` into the head `?a P ?c`, over
     // three distinct variables, none of them the declared predicate.
@@ -232,13 +278,38 @@ pub(crate) fn closure(rule: &CompiledRule) -> Option<Closure> {
         }
         _ => false,
     };
-    if !chained(first, second) && !chained(second, first) {
+    if !chained(&first, &second) && !chained(&second, &first) {
         return None;
     }
     Some(Closure {
         tables,
         symmetric: head.p == Term::Const(wellknown::OWL_SAME_AS),
     })
+}
+
+/// A three-atom body of a declaration `?p K C` (constant `K` and `C`) and
+/// two atoms over `?p`, in any order: the declaration, then the two atoms.
+fn declared(rule: &CompiledRule, p: Term) -> Option<(Declared, Atom, Atom)> {
+    let mut data = rule.body.iter().filter(|atom| atom.p == p);
+    let mut schema = rule.body.iter().filter(|atom| atom.p != p);
+    match (
+        data.next(),
+        data.next(),
+        data.next(),
+        schema.next(),
+        schema.next(),
+    ) {
+        (Some(&first), Some(&second), None, Some(&Atom { s, p: k, o: c }), None)
+            if s == p && p.as_var().is_some() =>
+        {
+            let declared = Declared {
+                predicate: k.as_const()?,
+                class: c.as_const()?,
+            };
+            Some((declared, first, second))
+        }
+        _ => None,
+    }
 }
 
 fn merge_join(rule: &CompiledRule) -> Option<MergeJoin> {
@@ -277,12 +348,18 @@ fn merge_join(rule: &CompiledRule) -> Option<MergeJoin> {
     })
 }
 
+/// The two atoms of a body that has one with a constant predicate and one
+/// with a variable predicate: the first, then the second.
+fn constant_and_variable(rule: &CompiledRule) -> Option<(Atom, Atom)> {
+    match rule.body.as_slice() {
+        [a, b] if a.p.as_const().is_some() && b.p.as_var().is_some() => Some((*a, *b)),
+        [a, b] if b.p.as_const().is_some() && a.p.as_var().is_some() => Some((*b, *a)),
+        _ => None,
+    }
+}
+
 fn table_scan(rule: &CompiledRule) -> Option<TableScan> {
-    let (schema, data) = match rule.body.as_slice() {
-        [a, b] if a.p.as_const().is_some() && b.p.as_var().is_some() => (*a, *b),
-        [a, b] if b.p.as_const().is_some() && a.p.as_var().is_some() => (*b, *a),
-        _ => return None,
-    };
+    let (schema, data) = constant_and_variable(rule)?;
     let (x, y) = distinct_vars(&data)?;
     let (x, y) = (Term::Var(x), Term::Var(y));
     // The data atom's ends are fresh: not its predicate, not in the schema.
@@ -318,6 +395,62 @@ fn table_scan(rule: &CompiledRule) -> Option<TableScan> {
         data: data_slot,
         heads,
     })
+}
+
+/// The substitution plan of `rule`: a link `?a L ?b` and a data atom
+/// `?x ?p ?y` sharing exactly one end with it, the data atom's other end and
+/// predicate fresh, and the one head the data atom with the shared end
+/// replaced by the link's other end.
+fn substitution(rule: &CompiledRule) -> Option<Substitution> {
+    let (link, data) = constant_and_variable(rule)?;
+    let [head] = rule.head.as_slice() else {
+        return None;
+    };
+    let ((a, b), (x, y)) = (distinct_vars(&link)?, distinct_vars(&data)?);
+    // Where a data end meets the link: the link end it shares, and the
+    // link's other end.
+    let meets = |v: u32| match v {
+        _ if v == a => Some((Subject, b)),
+        _ if v == b => Some((Object, a)),
+        _ => None,
+    };
+    // The data end that is replaced, the link end it meets, and the head.
+    let (at, from, (s, o)) = match (meets(x), meets(y)) {
+        (Some((from, other)), None) => (Subject, from, (other, y)),
+        (None, Some((from, other))) => (Object, from, (x, other)),
+        _ => return None,
+    };
+    let fresh = [a, b, x, y].iter().all(|&v| Term::Var(v) != data.p);
+    let substituted = Atom {
+        s: Term::Var(s),
+        p: data.p,
+        o: Term::Var(o),
+    };
+    (fresh && *head == substituted).then_some(Substitution {
+        link: (link.p.as_const()?, from),
+        data: at,
+    })
+}
+
+/// The self-join plan of `rule`: a declaration `?p K C`, two atoms
+/// `?k ?p ?v1`, `?k ?p ?v2` keyed on the same end (four distinct
+/// variables), and the one head `?v1 owl:sameAs ?v2` in either order.
+pub(crate) fn self_join(rule: &CompiledRule) -> Option<SelfJoin> {
+    let [head] = rule.head.as_slice() else {
+        return None;
+    };
+    let p = rule.body.iter().find(|atom| atom.p.as_const().is_some())?.s;
+    let (declared, first, second) = declared(rule, p)?;
+    let ((s1, o1), (s2, o2)) = (distinct_vars(&first)?, distinct_vars(&second)?);
+    let (key, k, v1, v2) = match () {
+        _ if s1 == s2 => (Subject, s1, o1, o2),
+        _ if o1 == o2 => (Object, o1, s1, s2),
+        _ => return None,
+    };
+    let linked = [[head.s, head.o], [head.o, head.s]].contains(&[Term::Var(v1), Term::Var(v2)]);
+    let fresh = v1 != v2 && [k, v1, v2].iter().all(|&v| Term::Var(v) != p);
+    (head.p == Term::Const(wellknown::OWL_SAME_AS) && linked && fresh)
+        .then_some(SelfJoin { declared, key })
 }
 
 #[cfg(test)]
@@ -362,9 +495,14 @@ mod tests {
         for name in ["SCM-SCO", "SCM-SPO", "EQ-TRANS", "PRP-TRP"] {
             assert_eq!(kernel(name), "transitive closure", "{name}");
         }
-        // Two shared variables, a variable subject-or-object predicate, one
-        // atom, three atoms: the nested loop.
-        for name in ["SCM-EQC2", "EQ-REP-S", "EQ-SYM", "PRP-FP", "RDFS4"] {
+        for name in ["EQ-REP-S", "EQ-REP-O"] {
+            assert_eq!(kernel(name), "substitution", "{name}");
+        }
+        for name in ["PRP-FP", "PRP-IFP"] {
+            assert_eq!(kernel(name), "self join", "{name}");
+        }
+        // Two shared variables, one atom: the nested loop.
+        for name in ["SCM-EQC2", "EQ-SYM", "RDFS4"] {
             assert_eq!(kernel(name), "nested-loop join", "{name}");
         }
     }
@@ -441,10 +579,10 @@ mod tests {
         );
         // Any schema class declares the closed tables.
         let declared = Closure {
-            tables: ClosedTables::Declared {
+            tables: ClosedTables::Declared(Declared {
                 predicate: wk::RDF_TYPE,
                 class: wk::OWL_SYMMETRIC_PROPERTY,
-            },
+            }),
             symmetric: false,
         };
         for text in [
@@ -506,6 +644,88 @@ mod tests {
             "rule r: ?p rdfs:domain ?c, ?c rdfs:subClassOf ?d => ?c ?p ?d .",
             // A schema atom that binds nothing the data atom reads.
             "rule r: ?q rdfs:domain ?c, ?x ?p ?y => ?x ?p ?c .",
+        ] {
+            assert_eq!(label(text), "nested-loop join", "{text}");
+        }
+    }
+
+    #[test]
+    fn a_substitution_reads_the_shared_ends_in_any_atom_order() {
+        let plan = |text: &str| match lowering(&compile(text)) {
+            Lowering::Substitution(plan) => plan,
+            other => panic!("{text}: {other:?}"),
+        };
+        let substitution = |link, from, data| Substitution {
+            link: (link, from),
+            data,
+        };
+        for (text, expected) in [
+            (
+                "rule r: ?a owl:sameAs ?b, ?a ?p ?o => ?b ?p ?o .",
+                substitution(wk::OWL_SAME_AS, Subject, Subject),
+            ),
+            (
+                "rule r: ?s ?p ?a, ?a owl:sameAs ?b => ?s ?p ?b .",
+                substitution(wk::OWL_SAME_AS, Subject, Object),
+            ),
+            // The link read from its object, over another table.
+            (
+                "rule r: ?b rdfs:label ?a, ?a ?p ?o => ?b ?p ?o .",
+                substitution(wk::RDFS_LABEL, Object, Subject),
+            ),
+        ] {
+            assert_eq!(plan(text), expected, "{text}");
+        }
+    }
+
+    #[test]
+    fn a_self_join_names_its_declaration_and_key() {
+        let plan = |text: &str| match lowering(&compile(text)) {
+            Lowering::SelfJoin(plan) => plan,
+            other => panic!("{text}: {other:?}"),
+        };
+        let functional = |key| SelfJoin {
+            declared: Declared {
+                predicate: wk::RDF_TYPE,
+                class: wk::OWL_FUNCTIONAL_PROPERTY,
+            },
+            key,
+        };
+        for (text, key) in [
+            (
+                "rule r: ?p a owl:FunctionalProperty, ?x ?p ?y1, ?x ?p ?y2 => ?y1 owl:sameAs ?y2 .",
+                Subject,
+            ),
+            (
+                "rule r: ?x ?p ?y1, ?x ?p ?y2, ?p a owl:FunctionalProperty => ?y2 owl:sameAs ?y1 .",
+                Subject,
+            ),
+            (
+                "rule r: ?x1 ?p ?y, ?p a owl:FunctionalProperty, ?x2 ?p ?y => ?x1 owl:sameAs ?x2 .",
+                Object,
+            ),
+        ] {
+            assert_eq!(plan(text), functional(key), "{text}");
+        }
+    }
+
+    #[test]
+    fn near_substitutions_and_self_joins_are_nested_loops() {
+        for text in [
+            // The head keeps the shared end.
+            "rule r: ?a owl:sameAs ?b, ?a ?p ?o => ?a ?p ?o .",
+            // Both data ends meet the link.
+            "rule r: ?a owl:sameAs ?b, ?a ?p ?b => ?b ?p ?a .",
+            // The head changes the predicate.
+            "rule r: ?a owl:sameAs ?b, ?a ?p ?o => ?b owl:sameAs ?o .",
+            // A self join whose head is not owl:sameAs.
+            "rule r: ?p a owl:FunctionalProperty, ?x ?p ?y1, ?x ?p ?y2 => ?y1 rdfs:label ?y2 .",
+            // Keyed on different ends.
+            "rule r: ?p a owl:FunctionalProperty, ?x ?p ?y1, ?y2 ?p ?x => ?y1 owl:sameAs ?y2 .",
+            // The head links the key.
+            "rule r: ?p a owl:FunctionalProperty, ?x ?p ?y1, ?x ?p ?y2 => ?x owl:sameAs ?y2 .",
+            // A declaration with a variable class.
+            "rule r: ?p a ?c, ?x ?p ?y1, ?x ?p ?y2 => ?y1 owl:sameAs ?y2 .",
         ] {
             assert_eq!(label(text), "nested-loop join", "{text}");
         }

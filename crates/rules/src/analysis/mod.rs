@@ -40,8 +40,10 @@ pub(crate) use compile::compiled_builtin;
 pub use compile::{recognize, Atom, CompiledRule, CompiledRuleset, Term};
 pub use diag::{Diagnostic, Severity};
 pub use exec::{apply_compiled, apply_lowered, supports};
-pub(crate) use lowering::{closure, ScanEmit};
-pub use lowering::{lowering, Closure, Lowering, MergeJoin, TableScan};
+pub(crate) use lowering::{closure, self_join, ScanEmit};
+pub use lowering::{
+    lowering, Closure, Declared, Lowering, MergeJoin, SelfJoin, Substitution, TableScan,
+};
 pub use parse::{Span, SymAtom, SymRule, SymTerm};
 pub use signature::{RuleInputs, RuleOutputs, SchemaSide};
 pub use stratum::Elision;

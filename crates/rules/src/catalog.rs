@@ -10,10 +10,11 @@
 //! (docs/rules.md). That text is the rule's only description: the analyzer
 //! derives from it the input and output signatures the scheduler and the
 //! delete–rederive path read ([`crate::Ruleset::compiled`]), and the shipped
-//! `rules/*.rules` files are rendered from it, and all but four built-ins
-//! run it ([`crate::executors`]) through the kernel its shape picks
+//! `rules/*.rules` files are rendered from it, and every built-in runs it
+//! ([`crate::analysis::apply_compiled`]) through the kernel its shape picks
 //! ([`crate::analysis::lowering()`]): the rule classes of §4.4 are read off
-//! the text, not listed here.
+//! the text, not listed here, and no code outside this file picks what a
+//! rule does by its [`RuleId`].
 
 use std::fmt;
 

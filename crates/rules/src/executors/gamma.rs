@@ -180,7 +180,7 @@ impl ObjectStamps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executors::test_support::{buffer_to_set, fire, store};
+    use crate::executors::test_support::{apply, buffer_to_set, fire, store};
     use crate::RuleId;
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
@@ -222,7 +222,7 @@ mod tests {
         ]);
         let raw = |rule| {
             let mut out = InferredBuffer::new();
-            crate::apply_rule(rule, &RuleContext::new(&main, &main), &mut out);
+            apply(rule, &RuleContext::new(&main, &main), &mut out);
             let mut pairs: Vec<u64> = out.iter().flat_map(|(_, pairs)| pairs.to_vec()).collect();
             pairs.sort_unstable();
             pairs
@@ -342,7 +342,7 @@ mod tests {
         let main = store(&[(lives_in, wk::RDFS_DOMAIN, PERSON), (ALICE, lives_in, LYON)]);
         let new = store(&[(ALICE, lives_in, LYON)]);
         let mut out = InferredBuffer::new();
-        crate::apply_rule(RuleId::PrpDom, &RuleContext::new(&main, &new), &mut out);
+        apply(RuleId::PrpDom, &RuleContext::new(&main, &new), &mut out);
         assert!(buffer_to_set(&out).contains(&(ALICE, wk::RDF_TYPE, PERSON)));
     }
 }

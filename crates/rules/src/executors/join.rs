@@ -104,7 +104,7 @@ fn view(store: &TripleStore, prop: u64, side: JoinSide) -> &[u64] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executors::test_support::{buffer_to_set, fire, store};
+    use crate::executors::test_support::{apply, buffer_to_set, fire, store};
     use crate::RuleId;
     use inferray_dictionary::wellknown as wk;
 
@@ -223,7 +223,7 @@ mod tests {
             store(&[(HUMAN, wk::RDFS_SUB_CLASS_OF, MAMMAL)]),
         ] {
             let mut out = InferredBuffer::new();
-            crate::apply_rule(RuleId::CaxSco, &RuleContext::new(&main, &new), &mut out);
+            apply(RuleId::CaxSco, &RuleContext::new(&main, &new), &mut out);
             assert!(buffer_to_set(&out).contains(&(BART, wk::RDF_TYPE, MAMMAL)));
         }
     }

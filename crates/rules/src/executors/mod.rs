@@ -1,66 +1,33 @@
-//! Rule executors, organized by the classes of §4.4.
+//! The kernels a rule's shape picks ([`crate::analysis::lowering()`]), one
+//! module per kernel: the merge join of [`join`] (α), the table scan of
+//! [`gamma`] (γ/δ, EQ-REP-P), the transitive closure of [`theta`] (θ), the
+//! substitution of [`substitution`] (EQ-REP-S/O) and the self join of
+//! [`self_join`] (PRP-FP/IFP); every other shape runs the nested-loop join
+//! of `analysis/exec.rs`. Every rule, built-in or custom, fires through
+//! [`crate::analysis::apply_compiled`].
 //!
-//! Every executor has the same shape: it reads the [`RuleContext`]
+//! Every kernel has the same shape: it reads the [`crate::RuleContext`]
 //! (immutable `main` / `new` stores) and appends raw `⟨s,o⟩` pairs to an
-//! [`InferredBuffer`]. Duplicate elimination is *not* their job — that
-//! happens in the Figure 5 merge step — but executors do apply the cheap
-//! skips the paper mentions (e.g. not copying a table onto itself for a
-//! reflexive `subPropertyOf` pair).
-//!
-//! [`apply_rule`] runs a built-in. Most built-ins run their catalog text
-//! ([`crate::analysis::apply_compiled`]), whose shape picks the kernel
-//! ([`crate::analysis::lowering()`]): the merge join of [`join`] for the α
-//! rules, the table scan of [`gamma`] for the γ/δ rules and EQ-REP-P, the
-//! transitive closure of [`theta`] for the θ rules, the nested-loop join
-//! for the rest. The closure kernel recomputes the closure of a table when
-//! the previous iteration added pairs to it, so a caller that simply
-//! applies every rule of a ruleset to a fixed-point obtains a complete
-//! materialization even without the dedicated up-front closure stage. Four
-//! keep a hand-written executor ([`hand_written`]) because they derive
-//! something other than their text's join, or derive it another way:
-//! EQ-REP-S / EQ-REP-O ([`same_as`]) and PRP-FP / PRP-IFP ([`functional`]).
+//! [`inferray_store::InferredBuffer`]. Duplicate elimination is *not* their
+//! job — that happens in the Figure 5 merge step — but kernels do apply the
+//! cheap skips the paper mentions (e.g. not copying a table onto itself for
+//! a reflexive `subPropertyOf` pair). The closure kernel recomputes the
+//! closure of a table when the previous iteration added pairs to it, so a
+//! caller that simply applies every rule of a ruleset to a fixed-point
+//! obtains a complete materialization even without the dedicated up-front
+//! closure stage.
 
-pub mod functional;
 pub mod gamma;
 pub mod join;
-pub mod same_as;
+pub mod self_join;
+pub mod substitution;
 pub mod theta;
-
-use crate::analysis::{apply_compiled, compiled_builtin};
-use crate::catalog::RuleId;
-use crate::context::RuleContext;
-use inferray_store::InferredBuffer;
-
-/// A rule executor: appends what the rule derives over a context.
-pub type Executor = fn(&RuleContext<'_>, &mut InferredBuffer);
-
-/// The hand-written executor of a built-in, for the four that keep one;
-/// `None` for a built-in that runs its catalog text. The one list both
-/// [`apply_rule`] and `rules explain` read.
-pub fn hand_written(rule: RuleId) -> Option<Executor> {
-    Some(match rule {
-        // same-as: one loop over the sameAs pairs and every table.
-        RuleId::EqRepS => same_as::eq_rep_s,
-        RuleId::EqRepO => same_as::eq_rep_o,
-        // functional properties (three-antecedent rules).
-        RuleId::PrpFp => functional::prp_fp,
-        RuleId::PrpIfp => functional::prp_ifp,
-        _ => return None,
-    })
-}
-
-/// Applies one rule to the context, appending derivations to `out`.
-pub fn apply_rule(rule: RuleId, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    match hand_written(rule) {
-        Some(executor) => executor(ctx, out),
-        None => apply_compiled(compiled_builtin(rule), ctx, out),
-    }
-}
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    //! Helpers shared by the executor unit tests.
+    //! Helpers shared by the kernel unit tests.
 
+    use crate::analysis::{apply_compiled, compiled_builtin};
     use crate::catalog::RuleId;
     use crate::context::RuleContext;
     use inferray_model::IdTriple;
@@ -84,9 +51,14 @@ pub(crate) mod test_support {
         buffer_to_set(&out)
     }
 
+    /// Fires built-in `rule` through its catalog text.
+    pub fn apply(rule: RuleId, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
+        apply_compiled(compiled_builtin(rule), ctx, out);
+    }
+
     /// What built-in `rule` derives with `new == main`.
     pub fn fire(rule: RuleId, main: &TripleStore) -> BTreeSet<(u64, u64, u64)> {
-        derive(main, |ctx, out| super::apply_rule(rule, ctx, out))
+        derive(main, |ctx, out| apply(rule, ctx, out))
     }
 
     /// Flattens an [`InferredBuffer`] into `(s, p, o)` tuples.
@@ -103,11 +75,12 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{buffer_to_set, fire, store};
-    use super::*;
-    use crate::catalog::CATALOG;
+    use super::test_support::{apply, buffer_to_set, fire, store};
+    use crate::catalog::{RuleId, CATALOG};
+    use crate::context::RuleContext;
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
+    use inferray_store::InferredBuffer;
     use std::collections::BTreeSet;
 
     const A: u64 = 5_000_000;
@@ -228,7 +201,7 @@ mod tests {
         let ctx = RuleContext::new(&main, &empty_new);
         let mut out = InferredBuffer::new();
         for rule in [RuleId::EqSym, RuleId::ScmCls, RuleId::Rdfs4] {
-            apply_rule(rule, &ctx, &mut out);
+            apply(rule, &ctx, &mut out);
         }
         assert!(out.is_empty(), "single-antecedent rules are driven by new");
     }
@@ -272,7 +245,7 @@ mod tests {
         let main = store(&[(A, wk::RDFS_SUB_CLASS_OF, B), (B, wk::RDFS_SUB_CLASS_OF, A)]);
         let new = store(&[(B, wk::RDFS_SUB_CLASS_OF, A)]);
         let mut out = InferredBuffer::new();
-        apply_rule(RuleId::ScmEqc2, &RuleContext::new(&main, &new), &mut out);
+        apply(RuleId::ScmEqc2, &RuleContext::new(&main, &new), &mut out);
         assert_eq!(
             buffer_to_set(&out),
             BTreeSet::from([
@@ -325,9 +298,9 @@ mod tests {
         let mut fewer_in_one_pass = 0usize;
         for info in &CATALOG {
             let mut whole = InferredBuffer::new();
-            apply_rule(info.id, &RuleContext::new(&main, &main), &mut whole);
+            apply(info.id, &RuleContext::new(&main, &main), &mut whole);
             let mut two_pass = InferredBuffer::new();
-            apply_rule(info.id, &RuleContext::new(&main, &copy), &mut two_pass);
+            apply(info.id, &RuleContext::new(&main, &copy), &mut two_pass);
             assert_eq!(
                 buffer_to_set(&whole),
                 buffer_to_set(&two_pass),

@@ -1,4 +1,5 @@
-//! PRP-FP / PRP-IFP: the three-antecedent functional-property rules.
+//! The self-join kernel: the shape of the functional-property rules
+//! PRP-FP and PRP-IFP ([`crate::analysis::Lowering::SelfJoin`]).
 //!
 //! "PRP-FP and PRP-IFP are identical (except for the first property), the
 //! system iterates on all functional and inverse-functional properties, and
@@ -6,62 +7,43 @@
 //! tables on ⟨s,o⟩ and ⟨o,s⟩ allow linear-time self-joins. The total
 //! complexity is O(k·n)" (§4.4).
 //!
-//! For every group of pairs sharing a subject (PRP-FP) or an object
-//! (PRP-IFP), the executor links every two values of the group with
-//! `owl:sameAs`, the smaller value first — half of what the rule's text
-//! derives, and no value to itself. EQ-SYM and EQ-TRANS restore the rest of
-//! the relation at the fixed point. Linking only *consecutive* values
-//! would emit less, but a retraction that removes a middle value would then
-//! need a link no earlier firing produced; delete–rederive
-//! (docs/maintenance.md) is exact only for executors that never derive
-//! more from less.
+//! For every declared table and every group of pairs sharing a key — the
+//! subject (PRP-FP) or the object (PRP-IFP) — the kernel links every two
+//! values of the group with `owl:sameAs`, the smaller value first. The
+//! shape reads an `owl:sameAs` head as an equivalence between distinct
+//! terms: the kernel emits half of what the rule's text derives, and no
+//! value to itself; EQ-SYM and EQ-TRANS restore the rest of the relation at
+//! the fixed point. Linking only *consecutive* values would emit less, but
+//! a retraction that removes a middle value would then need a link no
+//! earlier firing produced; delete–rederive (docs/maintenance.md) is exact
+//! only for kernels that never derive more from less. The links of a group
+//! are a function of the group, so the kernel reads `main` whole.
 
+use super::join::JoinSide;
+use crate::analysis::SelfJoin;
 use crate::context::RuleContext;
+use crate::support::Survivors;
 use inferray_dictionary::wellknown;
-use inferray_model::ids::is_property_id;
 use inferray_store::InferredBuffer;
 
-/// PRP-FP: `p a owl:FunctionalProperty, x p y1, x p y2 (y1 ≠ y2) ⇒ y1 sameAs y2`.
-pub fn prp_fp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    let functional = RuleContext::subjects_with_object(
-        ctx.main,
-        wellknown::RDF_TYPE,
-        wellknown::OWL_FUNCTIONAL_PROPERTY,
-    );
-    for p in functional {
-        if !is_property_id(p) {
-            continue;
-        }
+/// Runs a self-join rule over every table `ctx.main` declares.
+pub(crate) fn apply_self_join(plan: &SelfJoin, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
+    for p in plan.declared.properties(Survivors::all(ctx.main)) {
         let Some(table) = ctx.main.table(p) else {
             continue;
         };
-        // ⟨s,o⟩ order: pairs with the same subject are adjacent.
-        emit_links_between_group_values(table.pairs(), out);
-    }
-}
-
-/// PRP-IFP: `p a owl:InverseFunctionalProperty, x1 p y, x2 p y (x1 ≠ x2) ⇒ x1 sameAs x2`.
-pub fn prp_ifp(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
-    let inverse_functional = RuleContext::subjects_with_object(
-        ctx.main,
-        wellknown::RDF_TYPE,
-        wellknown::OWL_INVERSE_FUNCTIONAL_PROPERTY,
-    );
-    for p in inverse_functional {
-        if !is_property_id(p) {
-            continue;
-        }
-        let Some(table) = ctx.main.table(p) else {
-            continue;
+        // A view keyed on the shared end: the pairs of a group are adjacent.
+        let view = match plan.key {
+            JoinSide::Subject => table.pairs(),
+            JoinSide::Object => table.object_pairs(),
         };
-        // ⟨o,s⟩ order: pairs with the same object are adjacent.
-        emit_links_between_group_values(table.object_pairs(), out);
+        link_group_values(view, out);
     }
 }
 
 /// Walks a key-sorted flat pair view and, inside every equal-key group,
 /// links every payload value to each greater one with `owl:sameAs`.
-fn emit_links_between_group_values(view: &[u64], out: &mut InferredBuffer) {
+fn link_group_values(view: &[u64], out: &mut InferredBuffer) {
     let out = out.table_mut(wellknown::OWL_SAME_AS);
     let mut i = 0usize;
     while i < view.len() {
@@ -81,8 +63,8 @@ fn emit_links_between_group_values(view: &[u64], out: &mut InferredBuffer) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::executors::test_support::{derive, store};
+    use crate::executors::test_support::{fire, store};
+    use crate::RuleId;
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
 
@@ -102,7 +84,7 @@ mod tests {
             (ALICE, has_mother, EMAIL_C),
             (BOB, has_mother, EMAIL_A), // single value: nothing derived for BOB
         ]);
-        let derived = derive(&main, prp_fp);
+        let derived = fire(RuleId::PrpFp, &main);
         // Every two objects of ALICE, the smaller first.
         assert_eq!(
             derived.into_iter().collect::<Vec<_>>(),
@@ -123,7 +105,7 @@ mod tests {
             (BOB, mailbox, EMAIL_A),
             (BOB, mailbox, EMAIL_B), // unique value: no link from this one
         ]);
-        let derived = derive(&main, prp_ifp);
+        let derived = fire(RuleId::PrpIfp, &main);
         assert_eq!(
             derived.into_iter().collect::<Vec<_>>(),
             vec![(ALICE, wk::OWL_SAME_AS, BOB)]
@@ -134,15 +116,15 @@ mod tests {
     fn non_functional_properties_are_ignored() {
         let knows = nth_property_id(402);
         let main = store(&[(ALICE, knows, EMAIL_A), (ALICE, knows, EMAIL_B)]);
-        assert!(derive(&main, prp_fp).is_empty());
-        assert!(derive(&main, prp_ifp).is_empty());
+        assert!(fire(RuleId::PrpFp, &main).is_empty());
+        assert!(fire(RuleId::PrpIfp, &main).is_empty());
     }
 
     #[test]
     fn functional_declaration_without_data_is_a_no_op() {
         let p = nth_property_id(403);
         let main = store(&[(p, wk::RDF_TYPE, wk::OWL_FUNCTIONAL_PROPERTY)]);
-        assert!(derive(&main, prp_fp).is_empty());
+        assert!(fire(RuleId::PrpFp, &main).is_empty());
     }
 
     #[test]
@@ -154,6 +136,6 @@ mod tests {
             (ALICE, p, EMAIL_A),
         ]);
         // The table is deduplicated at finalize, so only one value remains.
-        assert!(derive(&main, prp_fp).is_empty());
+        assert!(fire(RuleId::PrpFp, &main).is_empty());
     }
 }

@@ -52,8 +52,8 @@ pub(crate) fn apply_closure(plan: &Closure, ctx: &RuleContext<'_>, out: &mut Inf
 
 #[cfg(test)]
 mod tests {
-    use crate::executors::test_support::{buffer_to_set, fire, store};
-    use crate::{apply_rule, RuleContext, RuleId};
+    use crate::executors::test_support::{apply, buffer_to_set, fire, store};
+    use crate::{RuleContext, RuleId};
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
     use inferray_store::InferredBuffer;
@@ -131,7 +131,7 @@ mod tests {
         let empty_new = store(&[]);
         let ctx = RuleContext::new(&main, &empty_new);
         let mut out = InferredBuffer::new();
-        apply_rule(RuleId::ScmSco, &ctx, &mut out);
+        apply(RuleId::ScmSco, &ctx, &mut out);
         assert!(out.is_empty());
     }
 
@@ -147,7 +147,7 @@ mod tests {
         let new = store(&[(ancestor, wk::RDF_TYPE, wk::OWL_TRANSITIVE_PROPERTY)]);
         let ctx = RuleContext::new(&main, &new);
         let mut out = InferredBuffer::new();
-        apply_rule(RuleId::PrpTrp, &ctx, &mut out);
+        apply(RuleId::PrpTrp, &ctx, &mut out);
         assert!(buffer_to_set(&out).contains(&(A, ancestor, C)));
     }
 }

@@ -2,16 +2,16 @@
 //!
 //! The rule engine of the Inferray reasoner: the catalog of the 38 rules of
 //! Table 5 of the paper, the rulesets (ρDF, RDFS default/full, RDFS-Plus
-//! default/full), and the executors that apply each rule to a pair of
-//! triple stores (*main*, *new*) in the semi-naive style of Algorithm 1.
+//! default/full), and the kernels that apply each rule to a pair of triple
+//! stores (*main*, *new*) in the semi-naive style of Algorithm 1.
 //!
-//! A rule runs its text through the kernel its shape picks
+//! Every rule, built-in or custom, runs its text
+//! ([`analysis::apply_compiled`]) through the kernel its shape picks
 //! ([`analysis::lowering()`]) — the classes of §4.4 as shapes: merge join
-//! (α), table scan (γ/δ), transitive closure (θ), nested-loop join for the
-//! rest — built-in or custom alike; four built-ins keep a hand-written
-//! executor ([`executors::hand_written`]).
+//! (α), table scan (γ/δ), transitive closure (θ), substitution (same-as),
+//! self join (functional properties), nested-loop join for the rest.
 //!
-//! The executors are deliberately free of any fixed-point logic: they take
+//! The kernels are deliberately free of any fixed-point logic: they take
 //! immutable references to the two stores and append raw `⟨s,o⟩` pairs to a
 //! per-rule [`InferredBuffer`](inferray_store::InferredBuffer). Orchestration
 //! (the iteration, the parallel dispatch, the merge of Figure 5 and the
@@ -34,7 +34,6 @@ mod syntax;
 
 pub use catalog::{Membership, RuleId, RuleInfo, CATALOG};
 pub use context::RuleContext;
-pub use executors::apply_rule;
 pub use materializer::{InferenceStats, Materializer};
 pub use ruleset::{Fragment, RuleRef, Ruleset};
 pub use support::Survivors;

@@ -113,7 +113,7 @@ pub struct Ruleset {
 /// [`Ruleset::custom_rules`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleRef {
-    /// A Table 5 rule, run by [`crate::apply_rule`].
+    /// A Table 5 rule, run through its catalog text ([`Ruleset::compiled`]).
     Builtin(RuleId),
     /// A custom rule, by position in [`Ruleset::custom_rules`].
     Custom(usize),

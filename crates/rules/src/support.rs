@@ -9,13 +9,14 @@
 //! the rules over the full store.
 //!
 //! Every rule, built-in or custom, is probed through its text by
-//! [`crate::analysis::supports`]. The exceptions derive something other
-//! than their text; their probes follow the executor and live here
-//! (`is_supported`): every symmetric closure — the closure of
-//! `owl:sameAs`, EQ-TRANS or a custom rule of its shape — and PRP-FP and
-//! PRP-IFP.
+//! [`crate::analysis::supports`]. Two shapes' kernels derive something
+//! other than their text, and `is_supported` picks their probe by the
+//! lowering: a symmetric closure — the closure of `owl:sameAs`, EQ-TRANS or
+//! a custom rule of its shape — answers through a one-step probe of the
+//! symmetrized table, and a self join (PRP-FP, PRP-IFP) through its text,
+//! but only for a pair it links smaller first.
 //!
-//! Contract with the executors (relied on by the byte-identity proof of
+//! Contract with the kernels (relied on by the byte-identity proof of
 //! `tests/retraction_equivalence.rs`):
 //!
 //! * **sound** — a probe answers `true` only when the view's triples entail
@@ -38,10 +39,8 @@
 //! exactly what it would over a store with the cone physically removed
 //! (`tests/survivor_view.rs`).
 
-use crate::analysis::{closure, compiled_builtin, CompiledRule};
-use crate::catalog::RuleId;
+use crate::analysis::{closure, self_join, CompiledRule};
 use inferray_dictionary::wellknown as wk;
-use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
 use inferray_store::TripleStore;
 
@@ -86,23 +85,15 @@ impl<'a> Survivors<'a> {
     }
 }
 
-/// A hand-written probe: `true` when its rule derives the triple in one
-/// step from the view.
-type Probe = fn(Survivors<'_>, IdTriple) -> bool;
-
-/// The hand-written probe's answer when `rule` is a symmetric closure or
-/// the text of PRP-FP or PRP-IFP — the rules whose executor derives
-/// something other than their text — and `None` for every other rule,
-/// which [`crate::analysis::supports`] probes through its text.
+/// The probe's answer when `rule`'s kernel derives something other than its
+/// text, and `None` when [`crate::analysis::supports`] probes the text as it
+/// is: a symmetric closure probes the symmetrized table, and a self join
+/// links two values only smaller first — it derives no other pair.
 pub(crate) fn is_supported(rule: &CompiledRule, view: Survivors<'_>, t: IdTriple) -> Option<bool> {
     if closure(rule).is_some_and(|closure| closure.symmetric()) {
         return Some(symmetric_step(view, t));
     }
-    let hand_written: [(RuleId, Probe); 2] = [(RuleId::PrpFp, prp_fp), (RuleId::PrpIfp, prp_ifp)];
-    hand_written
-        .into_iter()
-        .find(|&(id, _)| *rule == *compiled_builtin(id))
-        .map(|(_, probe)| probe(view, t))
+    (t.s >= t.o && self_join(rule).is_some()).then_some(false)
 }
 
 /// A symmetric closure: one transitivity step. The kernel closes the
@@ -117,37 +108,6 @@ fn symmetric_step(view: Survivors<'_>, t: IdTriple) -> bool {
         && objects_of(view, wk::OWL_SAME_AS, s)
             .chain(subjects_with(view, wk::OWL_SAME_AS, s))
             .any(|mid| linked(mid, o))
-}
-
-/// PRP-FP: the executor links every two values of a subject's run, the
-/// smaller first (`executors/functional.rs`); its text links them in both
-/// orders and each value to itself.
-fn prp_fp(view: Survivors<'_>, t: IdTriple) -> bool {
-    let IdTriple { s, p, o } = t;
-    p == wk::OWL_SAME_AS
-        && s < o
-        && subjects_with(view, wk::RDF_TYPE, wk::OWL_FUNCTIONAL_PROPERTY)
-            .into_iter()
-            .any(|fp| {
-                is_property_id(fp)
-                    && subjects_with(view, fp, s)
-                        .into_iter()
-                        .any(|x| has(view, x, fp, o))
-            })
-}
-
-/// PRP-IFP: the executor links every two subjects of an object's run, the
-/// smaller first (`executors/functional.rs`); its text links them in both
-/// orders and each subject to itself.
-fn prp_ifp(view: Survivors<'_>, t: IdTriple) -> bool {
-    let IdTriple { s, p, o } = t;
-    p == wk::OWL_SAME_AS
-        && s < o
-        && subjects_with(view, wk::RDF_TYPE, wk::OWL_INVERSE_FUNCTIONAL_PROPERTY)
-            .into_iter()
-            .any(|ifp| {
-                is_property_id(ifp) && objects_of(view, ifp, s).any(|y| has(view, o, ifp, y))
-            })
 }
 
 /// Exact-triple membership (binary search).
@@ -183,7 +143,8 @@ fn objects_of(view: Survivors<'_>, p: u64, subject: u64) -> impl Iterator<Item =
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::supports;
+    use crate::analysis::{compiled_builtin, supports};
+    use crate::catalog::RuleId;
     use inferray_model::ids::nth_property_id;
 
     fn store(triples: &[(u64, u64, u64)]) -> TripleStore {
@@ -268,9 +229,11 @@ mod tests {
         assert!(!probe(RuleId::PrpFp, &r, (A, wk::OWL_SAME_AS, B)));
     }
 
-    /// Where the hand-written probes part from their texts.
+    /// Where the probes of a symmetric closure and a self join part from
+    /// their texts: they follow the kernel, whatever the rule's name and
+    /// atom order.
     #[test]
-    fn hand_written_probes_follow_their_executors() {
+    fn shape_probes_follow_their_kernels() {
         let email = nth_property_id(953);
         let r = store(&[
             (A, wk::OWL_SAME_AS, B),
@@ -286,28 +249,39 @@ mod tests {
         // PRP-FP / PRP-IFP: one pair links nothing to itself.
         assert!(!probe(RuleId::PrpFp, &r, (A, wk::OWL_SAME_AS, A)));
         assert!(!probe(RuleId::PrpIfp, &r, (X, wk::OWL_SAME_AS, X)));
-        // Under another name, the functional texts answer the other way;
-        // a transitivity text over owl:sameAs is still a symmetric closure,
-        // in either atom order, and answers as EQ-TRANS does.
+        // Under another name, and with the atoms rotated, a self-join text
+        // answers as the built-in does; a transitivity text over
+        // owl:sameAs is still a symmetric closure, in either atom order,
+        // and answers as EQ-TRANS does.
         let renamed = |rule| CompiledRule {
             name: format!("{rule}-text"),
             ..compiled_builtin(rule).clone()
         };
+        let rotated = |rule: &CompiledRule| CompiledRule {
+            body: rule.body[1..]
+                .iter()
+                .chain(&rule.body[..1])
+                .copied()
+                .collect(),
+            ..rule.clone()
+        };
         let text = |rule: &CompiledRule, (s, p, o)| {
             supports(rule, Survivors::all(&r), IdTriple::new(s, p, o))
         };
-        assert!(text(&renamed(RuleId::PrpFp), (A, wk::OWL_SAME_AS, A)));
-        assert!(text(&renamed(RuleId::PrpIfp), (X, wk::OWL_SAME_AS, X)));
+        let (fp, ifp) = (renamed(RuleId::PrpFp), renamed(RuleId::PrpIfp));
+        for rule in [&fp, &rotated(&fp)] {
+            assert!(!text(rule, (A, wk::OWL_SAME_AS, A)));
+        }
+        for rule in [&ifp, &rotated(&ifp)] {
+            assert!(!text(rule, (X, wk::OWL_SAME_AS, X)));
+        }
         let eq_trans = renamed(RuleId::EqTrans);
-        let swapped = CompiledRule {
-            body: vec![eq_trans.body[1], eq_trans.body[0]],
-            ..eq_trans.clone()
-        };
-        for rule in [&eq_trans, &swapped] {
+        for rule in [&eq_trans, &rotated(&eq_trans)] {
             assert!(text(rule, (A, wk::OWL_SAME_AS, C)));
             assert!(text(rule, (A, wk::OWL_SAME_AS, A)));
         }
-        // PRP-FP links two values only smaller first; its text, both ways.
+        // PRP-FP links two values only smaller first, under any name and
+        // in any atom order.
         let run = store(&[
             (email, wk::RDF_TYPE, wk::OWL_FUNCTIONAL_PROPERTY),
             (X, email, A),
@@ -317,9 +291,10 @@ mod tests {
             IdTriple::new(A, wk::OWL_SAME_AS, C),
             IdTriple::new(C, wk::OWL_SAME_AS, A),
         );
-        let fp = compiled_builtin(RuleId::PrpFp);
-        assert!(supports(fp, Survivors::all(&run), a_c));
-        assert!(!supports(fp, Survivors::all(&run), c_a));
+        for rule in [compiled_builtin(RuleId::PrpFp), &fp, &rotated(&fp)] {
+            assert!(supports(rule, Survivors::all(&run), a_c));
+            assert!(!supports(rule, Survivors::all(&run), c_a));
+        }
     }
 
     #[test]

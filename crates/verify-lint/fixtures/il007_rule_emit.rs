@@ -34,7 +34,7 @@ fn scm_cls(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     });
 }
 
-fn eq_rep_s(ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
+fn substitute_subjects(links: &[(u64, u64)], out: &mut InferredBuffer) {
     // Negative: `add_pairs` copies a whole slice under one lookup, and
     // `saturating_add(` is not `.add(`.
     out.add_pairs(4, &[1, 2]);

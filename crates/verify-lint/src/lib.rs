@@ -13,7 +13,7 @@
 //! | IL005 | no `std::process::exit` outside `src/bin` |
 //! | IL006 | manifest hygiene: intra-workspace deps via `workspace = true`, no version drift |
 //! | IL007 | no per-request allocation (`format!`/`String::new`/`Vec::new`) in the serving hot path and the `/status` renderers it reaches, no per-row allocation or row copy (`.clone()`, `vec![`, `.collect`, …) in the executor's kernels and the batch accessors, no owned copy of a term's text (`.to_string()`, `.clone()`, `.to_owned()`, …) on the dictionary's hit path and in the batch writer's loop |
-//! | IL008 | `RuleInfo` literals only in the rule catalog and the rule-program analyzer |
+//! | IL008 | one description per rule: `RuleInfo` literals only in the rule catalog and the rule-program analyzer, and no `RuleId` variant named in the non-test code of the rules and core crates or the umbrella crate outside the catalog |
 //!
 //! Findings a human has justified live in `crates/verify-lint/allowlist.txt`
 //! (rule, path suffix, line substring, justification); unused entries are
@@ -544,7 +544,7 @@ pub fn run(root: &Path) -> Result<LintOutcome, String> {
     diagnostics.extend(rules::il005_no_process_exit(&files));
     diagnostics.extend(rules::il006_manifest_hygiene(&manifests, &members));
     diagnostics.extend(rules::il007_no_hot_path_allocation(&files));
-    diagnostics.extend(rules::il008_rule_info_literals(&files));
+    diagnostics.extend(rules::il008_one_description_per_rule(&files));
     diagnostics.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
 
     let allowlist_text =

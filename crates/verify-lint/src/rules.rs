@@ -801,21 +801,20 @@ const TEXT_COPY_PATTERNS: &[&str] = &[
     ".to_owned()",
 ];
 
-/// The rule executors that emit one pair per joined pair or per copied
-/// pair (`crates/rules/src/executors/`): the merge-join and table-scan
-/// passes, the reversed copy the scan shares, the closure kernel (one pair
-/// per missing closure pair), the same-as replacement loops and the
-/// functional executors.
+/// The rule kernels that emit one pair per joined pair or per copied pair
+/// (`crates/rules/src/executors/`): the merge-join and table-scan passes,
+/// the reversed copy the scan shares, the closure kernel (one pair per
+/// missing closure pair), the substitution's two loops (one pair per data
+/// pair of a linked term) and the self join's group linking (one pair per
+/// two values of a group).
 pub const RULE_EMIT: &[&str] = &[
     "merge_join_pass",
     "scan_pass",
     "push_reversed",
     "apply_closure",
-    "eq_rep_s",
-    "eq_rep_o",
-    "prp_fp",
-    "prp_ifp",
-    "emit_links_between_group_values",
+    "substitute_subjects",
+    "substitute_objects",
+    "link_group_values",
 ];
 
 /// Banned per emitted pair: `InferredBuffer::add` looks the property's
@@ -898,8 +897,8 @@ const HOT_LISTS: &[HotList] = &[
             "crates/rules/src/executors/join.rs",
             "crates/rules/src/executors/gamma.rs",
             "crates/rules/src/executors/theta.rs",
-            "crates/rules/src/executors/same_as.rs",
-            "crates/rules/src/executors/functional.rs",
+            "crates/rules/src/executors/substitution.rs",
+            "crates/rules/src/executors/self_join.rs",
         ],
         functions: RULE_EMIT,
         banned: PER_PAIR_EMIT_PATTERNS,
@@ -957,7 +956,7 @@ pub fn il007_no_hot_path_allocation(files: &[SourceFile]) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// IL008 — RuleInfo literals stay in the catalog and the analyzer
+// IL008 — one description per rule
 // ---------------------------------------------------------------------------
 
 /// The only places allowed to construct catalog rows: the catalog itself
@@ -966,51 +965,89 @@ fn may_construct_rule_info(path: &str) -> bool {
     path.ends_with("crates/rules/src/catalog.rs") || path.contains("crates/rules/src/analysis/")
 }
 
-/// IL008: `RuleInfo { … }` literals may only appear in
-/// `crates/rules/src/catalog.rs` and the analysis module. Everywhere else
-/// must go through `RuleId::info()` or the analyzer's derived signatures —
-/// a row minted elsewhere would be a rule whose text and executor nothing
-/// else knows about, breaking the catalog's single-source-of-truth
-/// guarantee.
-pub fn il008_rule_info_literals(files: &[SourceFile]) -> Vec<Diagnostic> {
+/// The code that fires, probes, schedules and explains rules — the rules
+/// and core crates and the umbrella crate's `src/` — may not pick what to do
+/// by a built-in's `RuleId` variant; the catalog, which defines them, may.
+fn may_name_rule_variants(path: &str) -> bool {
+    let picks_kernels = ["crates/rules/src/", "crates/core/src/"]
+        .iter()
+        .any(|dir| path.contains(dir))
+        || path.starts_with("src/");
+    !picks_kernels || path.ends_with("crates/rules/src/catalog.rs")
+}
+
+/// IL008: one description per rule. `RuleInfo { … }` literals may only
+/// appear in `crates/rules/src/catalog.rs` and the analysis module —
+/// everywhere else goes through `RuleId::info()` or the analyzer's derived
+/// signatures; a row minted elsewhere would be a rule whose text and kernel
+/// nothing else knows about. And no non-test code of the rules crate, the
+/// core crate or the umbrella crate names a `RuleId` variant
+/// (`RuleId::PrpFp`, or a `RuleId::*` import) outside the catalog: a rule's
+/// behaviour is read off its text (`lowering`), so a dispatch on a built-in
+/// would make the built-in and the same text as a custom rule run apart.
+/// `RuleId::ALL` and the type itself stay legal.
+pub fn il008_one_description_per_rule(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in files {
         let p = file.path.to_string_lossy().replace('\\', "/");
-        if may_construct_rule_info(&p) {
-            continue;
-        }
         let text = &file.clean_no_tests;
-        let bytes = text.as_bytes();
-        let mut from = 0usize;
-        while let Some(offset) = text[from..].find("RuleInfo") {
-            let at = from + offset;
-            from = at + "RuleInfo".len();
-            if at > 0 {
-                let prev = bytes[at - 1];
-                if prev.is_ascii_alphanumeric() || prev == b'_' {
-                    continue;
-                }
-            }
-            // A literal is `RuleInfo` followed (past whitespace) by `{`.
-            // Type positions (`&RuleInfo`, `-> RuleInfo` in a signature with
-            // the body brace) can collide; that coarseness is deliberate —
-            // the allowlist is the escape hatch.
-            let mut j = from;
-            while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            if j < bytes.len() && bytes[j] == b'{' {
-                out.push(Diagnostic {
-                    rule: "IL008",
-                    path: file.path.clone(),
-                    line: file.line_of(at),
-                    message: "RuleInfo literal outside crates/rules/src/catalog.rs and the \
+        let mut flag = |at: usize, message: String| {
+            out.push(Diagnostic {
+                rule: "IL008",
+                path: file.path.clone(),
+                line: file.line_of(at),
+                message,
+            })
+        };
+        if !may_construct_rule_info(&p) {
+            for at in word_starts(text, "RuleInfo") {
+                // A literal is `RuleInfo` followed (past whitespace) by `{`.
+                // Type positions (`-> RuleInfo` in a signature with the body
+                // brace) can collide; that coarseness is deliberate — the
+                // allowlist is the escape hatch.
+                if text[at + "RuleInfo".len()..].trim_start().starts_with('{') {
+                    flag(
+                        at,
+                        "RuleInfo literal outside crates/rules/src/catalog.rs and the \
                               analysis module — construct rows only there (or read them via \
                               RuleId::info) so the catalog stays the single source of truth"
-                        .to_string(),
-                });
+                            .to_string(),
+                    );
+                }
+            }
+        }
+        if !may_name_rule_variants(&p) {
+            for at in word_starts(text, "RuleId::") {
+                let rest = &text[at + "RuleId::".len()..];
+                let end = rest.find(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+                let name = &rest[..end.unwrap_or(rest.len())];
+                let variant = name.starts_with(|c: char| c.is_ascii_uppercase())
+                    && name.contains(|c: char| c.is_ascii_lowercase());
+                if variant || rest.starts_with('*') {
+                    let name = if variant { name } else { "*" };
+                    flag(
+                        at,
+                        format!(
+                            "`RuleId::{name}` outside crates/rules/src/catalog.rs — \
+                                      pick a rule's behaviour by its compiled text \
+                                      (`Ruleset::compiled`, `lowering`), so a built-in and the \
+                                      same text as a custom rule run one path"
+                        ),
+                    );
+                }
             }
         }
     }
+    out.sort_by_key(|d| (d.path.clone(), d.line));
     out
+}
+
+/// The byte offsets of `word` in `text` that start an identifier.
+fn word_starts<'a>(text: &'a str, word: &'a str) -> impl Iterator<Item = usize> + 'a {
+    let bytes = text.as_bytes();
+    text.match_indices(word)
+        .map(|(at, _)| at)
+        .filter(move |&at| {
+            at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_')
+        })
 }

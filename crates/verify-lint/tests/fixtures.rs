@@ -409,8 +409,8 @@ fn il007_covers_the_rule_emission_loops() {
         "crates/rules/src/executors/join.rs",
         "crates/rules/src/executors/gamma.rs",
         "crates/rules/src/executors/theta.rs",
-        "crates/rules/src/executors/same_as.rs",
-        "crates/rules/src/executors/functional.rs",
+        "crates/rules/src/executors/substitution.rs",
+        "crates/rules/src/executors/self_join.rs",
     ] {
         let files = vec![fixture("il007_rule_emit.rs", home)];
         let diags = rules::il007_no_hot_path_allocation(&files);
@@ -463,7 +463,7 @@ fn il008_fires_on_rule_info_literals_outside_the_catalog() {
         "il008_rule_info_literal.rs",
         "crates/core/src/bad.rs",
     )];
-    let diags = rules::il008_rule_info_literals(&files);
+    let diags = rules::il008_one_description_per_rule(&files);
     // One literal in `rogue_row`; the comment, string, type positions,
     // `RuleInfo::` path and cfg(test) construction all stay silent.
     assert_eq!(diags.len(), 1, "{diags:?}");
@@ -478,7 +478,44 @@ fn il008_is_silent_in_the_catalog_and_the_analyzer() {
         "crates/rules/src/analysis/compile.rs",
     ] {
         let files = vec![fixture("il008_rule_info_literal.rs", home)];
-        assert!(rules::il008_rule_info_literals(&files).is_empty(), "{home}");
+        assert!(
+            rules::il008_one_description_per_rule(&files).is_empty(),
+            "{home}"
+        );
+    }
+}
+
+#[test]
+fn il008_fires_on_rule_id_dispatch_outside_the_catalog() {
+    for home in [
+        "crates/rules/src/support.rs",
+        "crates/rules/src/analysis/exec.rs",
+        "crates/core/src/reasoner.rs",
+        "src/bin/inferray-cli.rs",
+    ] {
+        let files = vec![fixture("il008_rule_id_dispatch.rs", home)];
+        let diags = rules::il008_one_description_per_rule(&files);
+        // One dispatch in `probe`; `RuleId::ALL`, the comment, the string,
+        // the type and the cfg(test) use all stay silent.
+        assert_eq!(diags.len(), 1, "{home}: {diags:?}");
+        assert_eq!(diags[0].rule, "IL008");
+        assert_eq!(diags[0].line, 9, "{home}: {diags:?}");
+        assert!(diags[0].message.contains("`RuleId::PrpFp`"), "{diags:?}");
+    }
+}
+
+#[test]
+fn il008_lets_the_catalog_and_other_crates_name_rule_ids() {
+    for home in [
+        "crates/rules/src/catalog.rs",
+        "crates/baselines/src/datalog.rs",
+        "crates/rules/tests/analysis_builtins.rs",
+    ] {
+        let files = vec![fixture("il008_rule_id_dispatch.rs", home)];
+        assert!(
+            rules::il008_one_description_per_rule(&files).is_empty(),
+            "{home}"
+        );
     }
 }
 

@@ -98,7 +98,7 @@ use inferray_parser::loader::{LoadError, LoadedDataset};
 use inferray_parser::write_store_ntriples;
 use inferray_query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
 use inferray_rules::analysis::{self, Diagnostic};
-use inferray_rules::{executors, shapes, Fragment, RuleRef, Ruleset};
+use inferray_rules::{shapes, Fragment, RuleRef, Ruleset};
 use inferray_store::DistinctCount;
 use std::io::Read;
 use std::path::Path;
@@ -636,10 +636,7 @@ fn rules_check(options: &CliOptions, explain: bool) -> Result<(), String> {
                 for (i, rule) in compiled.rules.iter().enumerate() {
                     // A recognized rule's text lowers as its built-in's does.
                     let builtin = compiled.builtin_of(i);
-                    let kernel = match builtin.and_then(executors::hand_written) {
-                        Some(_) => "hand-written executor",
-                        None => analysis::lowering(rule).label(),
-                    };
+                    let kernel = analysis::lowering(rule).label();
                     let executor = match builtin {
                         Some(id) => format!("builtin {id} ({kernel})"),
                         None => format!("custom ({kernel})"),

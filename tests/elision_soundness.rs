@@ -20,18 +20,21 @@
 
 use inferray::dictionary::wellknown as wk;
 use inferray::model::ids::{nth_property_id, nth_resource_id};
-use inferray::rules::{apply_rule, Fragment, RuleContext, RuleId, RuleRef, Ruleset};
+use inferray::rules::analysis::apply_compiled;
+use inferray::rules::{Fragment, RuleContext, RuleId, RuleRef, Ruleset};
 use inferray::store::{InferredBuffer, TripleStore};
 use inferray::{IdTriple, InferrayOptions, InferrayReasoner, Materializer};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 fn fire(rule: RuleRef, main: &TripleStore, new: &TripleStore) -> BTreeSet<IdTriple> {
-    let RuleRef::Builtin(id) = rule else {
-        unreachable!("fragments have no custom rules")
-    };
+    let holder = Ruleset::for_fragment(Fragment::RdfsPlusFull);
     let mut out = InferredBuffer::new();
-    apply_rule(id, &RuleContext::new(main, new), &mut out);
+    apply_compiled(
+        holder.compiled(rule),
+        &RuleContext::new(main, new),
+        &mut out,
+    );
     out.iter()
         .flat_map(|(p, pairs)| {
             pairs

@@ -25,13 +25,15 @@
 //!   iteration and per rule — are the same sequentially and in parallel;
 //! * a `.rules` program whose rules are no built-in does the built-ins'
 //!   work: its rules run the kernels their shapes pick, and the closure
-//!   stage follows its closures.
+//!   stage follows its closures — RDFS-default on the fixture, RDFS-Plus
+//!   on a small LUBM with `owl:sameAs` links and functional declarations.
 
 use inferray::core::closure_stage::run_closure_stage;
 use inferray::core::{IterationProfile, RuleSample};
+use inferray::datasets::lubm::LubmGenerator;
 use inferray::dictionary::wellknown as wk;
 use inferray::model::ids::is_property_id;
-use inferray::parser::loader::load_ntriples;
+use inferray::parser::loader::{load_ntriples, load_triples};
 use inferray::rules::analysis::{self, builtin::PRELUDE};
 use inferray::rules::{RuleId, RuleRef, Ruleset};
 use inferray::store::AccessProfile;
@@ -376,4 +378,95 @@ fn a_custom_program_runs_the_kernels_and_gets_the_closure_stage() {
         builtin_reasoner.last_closure_stats().tables_closed
     );
     assert!(builtin_reasoner.last_closure_stats().tables_closed > 0);
+}
+
+/// RDFS-Plus with every body reordered — two atoms swapped, three rotated —
+/// and, where the body is one atom, the two heads swapped: no rule is
+/// recognized but EQ-SYM, one atom on either side.
+fn reordered_rdfs_plus() -> String {
+    let rotated = |atoms: &str| {
+        let mut atoms: Vec<&str> = atoms.split(", ").collect();
+        atoms.rotate_left(1);
+        atoms.join(", ")
+    };
+    let mut program = PRELUDE.to_owned();
+    for &rule in Ruleset::for_fragment(Fragment::RdfsPlus).rules() {
+        let text = analysis::builtin::rule_text(rule);
+        let (name, rest) = text.split_once(": ").expect("a named rule");
+        let (body, head) = rest
+            .trim_end_matches(" .")
+            .split_once(" => ")
+            .expect("a body and a head");
+        let (body, head) = if body.contains(", ") {
+            (rotated(body), head.to_owned())
+        } else {
+            (body.to_owned(), rotated(head))
+        };
+        program.push_str(&format!("{name}: {body} => {head} .\n"));
+    }
+    program
+}
+
+#[test]
+fn a_reordered_rdfs_plus_program_does_the_fragments_work_on_lubm() {
+    let dataset = LubmGenerator::new(3_000).with_seed(5).generate();
+    let mut loaded = load_triples(dataset.triples.iter()).expect("generated datasets are valid");
+    let declared = |class| {
+        loaded
+            .store
+            .table(wk::RDF_TYPE)
+            .is_some_and(|t| t.iter_pairs().any(|(_, o)| o == class))
+    };
+    assert!(declared(wk::OWL_FUNCTIONAL_PROPERTY) && declared(wk::OWL_INVERSE_FUNCTIONAL_PROPERTY));
+    assert!(loaded
+        .store
+        .table(wk::OWL_SAME_AS)
+        .is_some_and(|t| !t.is_empty()));
+    let ruleset = analysis::load_ruleset(&reordered_rdfs_plus(), &mut loaded.dictionary)
+        .expect("the reordered program loads");
+    assert_eq!(
+        ruleset.rules(),
+        [RuleId::EqSym],
+        "only EQ-SYM is recognized"
+    );
+    let builtin_ruleset = Ruleset::for_fragment(Fragment::RdfsPlus);
+    assert_eq!(ruleset.custom_rules().len() + 1, builtin_ruleset.len());
+
+    let mut builtin = loaded.store.clone();
+    let mut builtin_reasoner = InferrayReasoner::new(Fragment::RdfsPlus);
+    let builtin_stats = builtin_reasoner.materialize(&mut builtin);
+    let mut custom = loaded.store;
+    let mut reasoner = InferrayReasoner::with_ruleset(ruleset.clone(), InferrayOptions::default());
+    let stats = reasoner.materialize(&mut custom);
+    assert_eq!(custom, builtin);
+    assert_eq!(stats.derived_raw, builtin_stats.derived_raw);
+
+    // Every iteration, raw pairs rule by rule, by name.
+    let rows = |reasoner: &InferrayReasoner, ruleset: &Ruleset| {
+        let mut rows: Vec<(usize, String, usize)> = Vec::new();
+        for (i, sample) in reasoner.last_iteration_profile().samples.iter().enumerate() {
+            rows.extend(
+                sample
+                    .rules
+                    .iter()
+                    .map(|r| (i, ruleset.compiled(r.rule).name.clone(), r.raw_pairs)),
+            );
+        }
+        rows.sort();
+        rows
+    };
+    let builtin_rows = rows(&builtin_reasoner, &builtin_ruleset);
+    for name in ["EQ-REP-S", "EQ-REP-O", "PRP-FP", "PRP-IFP"] {
+        assert!(
+            builtin_rows
+                .iter()
+                .any(|(_, rule, raw)| rule == name && *raw > 0),
+            "{name} did no work: {builtin_rows:?}"
+        );
+    }
+    assert_eq!(
+        rows(&reasoner, &ruleset),
+        builtin_rows,
+        "raw pairs per rule"
+    );
 }

@@ -2,12 +2,14 @@
 //!
 //! A rule's text picks its kernel (`analysis::lowering`): the merge join
 //! for the α shape, the table scan for the γ/δ shape, the transitive
-//! closure for the θ shape, the nested-loop join for everything else — and
-//! every rule can run the nested loop. Over random stores and a random
-//! frontier `new ⊆ main` (sometimes `main` itself, the first iteration's
-//! whole-store frontier), for the sixteen catalog texts that run a join
-//! kernel and for custom rules of the same shapes written another way, this
-//! suite holds each join kernel to the nested loop:
+//! closure for the θ shape, the substitution for the same-as shape, the
+//! self join for the functional-property shape, the nested-loop join for
+//! everything else — and every rule can run the nested loop. Over random
+//! stores and a random frontier `new ⊆ main` (sometimes `main` itself, the
+//! first iteration's whole-store frontier), for the sixteen catalog texts
+//! that run a join kernel, the two that run the substitution, and custom
+//! rules of the same shapes written another way, this suite holds each of
+//! these kernels to the nested loop:
 //!
 //! * it derives no triple the nested loop does not, and every triple the
 //!   nested loop derives outside `main`;
@@ -25,12 +27,17 @@
 //! symmetrized table for `owl:sameAs`) less the table, and otherwise
 //! nothing; and over the whole store it reaches the nested loop's own fixed
 //! point (with EQ-SYM beside the `owl:sameAs` closures).
-//! `PROPTEST_CASES` raises the number of random stores.
+//!
+//! The self join reads an `owl:sameAs` head as an equivalence between
+//! distinct terms. For PRP-FP, PRP-IFP and custom self joins, whatever the
+//! frontier, it emits exactly the pairs the nested loop derives over the
+//! whole store with the smaller term first, once per witness the nested
+//! loop finds for them. `PROPTEST_CASES` raises the number of random stores.
 
 use inferray::dictionary::{wellknown as wk, Dictionary};
 use inferray::model::ids::{is_property_id, nth_property_id, nth_resource_id};
 use inferray::rules::analysis::{self, CompiledRule, Lowering, Term};
-use inferray::rules::{executors, Fragment, RuleContext, RuleId, RuleRef, Ruleset};
+use inferray::rules::{Fragment, RuleContext, RuleId, RuleRef, Ruleset};
 use inferray::store::{InferredBuffer, TripleStore};
 use inferray::IdTriple;
 use proptest::prelude::*;
@@ -78,17 +85,38 @@ rule declared-symmetric: ?x ?p ?y, ?y ?p ?z, ?p a owl:SymmetricProperty => ?x ?p
 rule swapped-eq-trans: ?b owl:sameAs ?c, ?a owl:sameAs ?b => ?a owl:sameAs ?c .
 ";
 
+/// Custom rules of the substitution shape, written unlike any built-in: a
+/// link read from its object, the data atom first, links of another table,
+/// and substitutions at the object end.
+const CUSTOM_SUBSTITUTIONS: &str = "\
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+rule link-from-object: ?b owl:sameAs ?a, ?a ?p ?o => ?b ?p ?o .
+rule data-first-link: ?x ?p ?y, ?x owl:sameAs ?z => ?z ?p ?y .
+rule subproperty-link: ?a rdfs:subPropertyOf ?b, ?a ?p ?o => ?b ?p ?o .
+rule object-end-other-link: ?s ?p ?c1, ?c1 owl:equivalentClass ?c2 => ?s ?p ?c2 .
+rule object-end-from-object: ?c2 owl:equivalentClass ?c1, ?s ?p ?c1 => ?s ?p ?c2 .
+";
+
+/// Custom rules of the self-join shape, over other declaration classes, in
+/// other atom orders, keyed on either end, with the head either way round.
+const CUSTOM_SELF_JOINS: &str = "\
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+rule keyed-symmetric: ?x ?p ?y1, ?x ?p ?y2, ?p a owl:SymmetricProperty => ?y2 owl:sameAs ?y1 .
+rule object-keyed-transitive: ?x1 ?p ?y, ?p a owl:TransitiveProperty, ?x2 ?p ?y => ?x1 owl:sameAs ?x2 .
+";
+
 /// The catalog text of `rule`.
 fn builtin(rule: RuleId) -> CompiledRule {
     holder(rule).compiled(RuleRef::Builtin(rule)).clone()
 }
 
-/// The catalog texts `apply_rule` runs through a kernel for which `keep`
-/// holds, then every rule of `custom`, with its name.
+/// The catalog texts that run a kernel for which `keep` holds, then every
+/// rule of `custom`, with its name.
 fn compiled(keep: fn(&Lowering) -> bool, custom: &str) -> Vec<(String, CompiledRule)> {
     let builtins = RuleId::ALL
         .into_iter()
-        .filter(|&rule| executors::hand_written(rule).is_none())
         .map(|rule| (rule.name().to_owned(), builtin(rule)))
         .filter(|(_, compiled)| keep(&analysis::lowering(compiled)));
     let custom = analysis::analyze(custom)
@@ -104,8 +132,26 @@ fn compiled(keep: fn(&Lowering) -> bool, custom: &str) -> Vec<(String, CompiledR
 /// [`CUSTOM`].
 fn rules() -> Vec<(String, CompiledRule)> {
     compiled(
-        |lowering| !matches!(lowering, Lowering::NestedLoop | Lowering::Closure(_)),
+        |lowering| matches!(lowering, Lowering::MergeJoin(_) | Lowering::TableScan(_)),
         CUSTOM,
+    )
+}
+
+/// Every catalog text that runs the substitution, then every custom rule of
+/// [`CUSTOM_SUBSTITUTIONS`].
+fn substitutions() -> Vec<(String, CompiledRule)> {
+    compiled(
+        |lowering| matches!(lowering, Lowering::Substitution(_)),
+        CUSTOM_SUBSTITUTIONS,
+    )
+}
+
+/// Every catalog text that runs the self join, then every custom rule of
+/// [`CUSTOM_SELF_JOINS`].
+fn self_joins() -> Vec<(String, CompiledRule)> {
+    compiled(
+        |lowering| matches!(lowering, Lowering::SelfJoin(_)),
+        CUSTOM_SELF_JOINS,
     )
 }
 
@@ -118,6 +164,24 @@ fn closures() -> Vec<(String, CompiledRule)> {
     )
 }
 
+/// The raw pairs `rule` emits through `lowering` over (`main`, `new`).
+fn emitted(
+    rule: &CompiledRule,
+    lowering: &Lowering,
+    main: &TripleStore,
+    new: &TripleStore,
+) -> Vec<IdTriple> {
+    let mut out = InferredBuffer::new();
+    analysis::apply_lowered(rule, lowering, &RuleContext::new(main, new), &mut out);
+    out.iter()
+        .flat_map(|(p, pairs)| {
+            pairs
+                .chunks_exact(2)
+                .map(move |so| IdTriple::new(so[0], p, so[1]))
+        })
+        .collect()
+}
+
 /// What `rule` derives through `lowering` over (`main`, `new`): the triples
 /// and the raw pair count.
 fn derive(
@@ -126,17 +190,9 @@ fn derive(
     main: &TripleStore,
     new: &TripleStore,
 ) -> (BTreeSet<IdTriple>, usize) {
-    let mut out = InferredBuffer::new();
-    analysis::apply_lowered(rule, lowering, &RuleContext::new(main, new), &mut out);
-    let triples = out
-        .iter()
-        .flat_map(|(p, pairs)| {
-            pairs
-                .chunks_exact(2)
-                .map(move |so| IdTriple::new(so[0], p, so[1]))
-        })
-        .collect();
-    (triples, out.len())
+    let raw = emitted(rule, lowering, main, new);
+    let len = raw.len();
+    (raw.into_iter().collect(), len)
 }
 
 /// Schema pairs that name their own data table, so that the random stores
@@ -166,7 +222,7 @@ proptest! {
         let frontier =
             TripleStore::from_triples(main.iter_triples().filter(|_| keep.next().unwrap_or(true)));
         let new = if whole { &main } else { &frontier };
-        for (name, rule) in rules() {
+        for (name, rule) in rules().into_iter().chain(substitutions()) {
             let lowering = analysis::lowering(&rule);
             let (kernel, kernel_raw) = derive(&rule, &lowering, &main, new);
             let (nested, nested_raw) = derive(&rule, &Lowering::NestedLoop, &main, new);
@@ -181,6 +237,39 @@ proptest! {
             if matches!(lowering, Lowering::MergeJoin(_)) {
                 prop_assert_eq!(kernel_raw, nested_raw, "{}: a merge join is the same join", name);
             }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn the_self_join_kernel_links_the_nested_loops_pairs_smaller_first(
+        triples in arbitrary_store(),
+        mask in prop::collection::vec(any::<bool>(), 1..30),
+        whole in any::<bool>(),
+    ) {
+        let main = TripleStore::from_triples(triples.iter().copied());
+        let mut keep = mask.iter().copied().cycle();
+        let frontier =
+            TripleStore::from_triples(main.iter_triples().filter(|_| keep.next().unwrap_or(true)));
+        let new = if whole { &main } else { &frontier };
+        for (name, rule) in self_joins() {
+            let kernel = emitted(&rule, &analysis::lowering(&rule), &main, new);
+            let nested: Vec<IdTriple> = emitted(&rule, &Lowering::NestedLoop, &main, &main)
+                .into_iter()
+                .filter(|t| t.s < t.o)
+                .collect();
+            prop_assert!(kernel.iter().all(|t| t.s < t.o), "{}: {:?}", name, kernel);
+            prop_assert_eq!(
+                kernel.len(),
+                nested.len(),
+                "{}: one pair per witness over {:?}",
+                name,
+                triples
+            );
+            let (kernel, nested): (BTreeSet<IdTriple>, BTreeSet<IdTriple>) =
+                (kernel.into_iter().collect(), nested.into_iter().collect());
+            prop_assert_eq!(kernel, nested, "{} over {:?}", name, triples);
         }
     }
 }
@@ -362,6 +451,46 @@ fn sixteen_catalog_texts_and_every_custom_shape_run_a_kernel() {
             "{name} is not a closure"
         );
     }
+}
+
+/// EQ-REP-S, EQ-REP-O and every custom substitution run the substitution.
+#[test]
+fn two_catalog_texts_and_every_custom_substitution_run_the_substitution() {
+    let rules = substitutions();
+    assert_eq!(
+        rules.len(),
+        2 + CUSTOM_SUBSTITUTIONS.matches("\nrule ").count()
+    );
+    let names: Vec<&str> = rules.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names[..2], ["EQ-REP-O", "EQ-REP-S"]);
+}
+
+/// PRP-FP, PRP-IFP and every custom self join run the self join.
+#[test]
+fn two_catalog_texts_and_every_custom_self_join_run_the_self_join() {
+    let rules = self_joins();
+    assert_eq!(
+        rules.len(),
+        2 + CUSTOM_SELF_JOINS.matches("\nrule ").count()
+    );
+    let names: Vec<&str> = rules.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names[..2], ["PRP-FP", "PRP-IFP"]);
+}
+
+/// The self-join shape with a head over another table derives its text's
+/// relation: both orders, and each value with itself.
+#[test]
+fn a_self_join_with_another_head_is_a_nested_loop() {
+    let text = "\
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix ex: <urn:ex#> .
+rule twins: ?p a owl:FunctionalProperty, ?x ?p ?y1, ?x ?p ?y2 => ?y1 ex:twin ?y2 .
+";
+    let rules = analysis::analyze(text)
+        .compile(&mut Dictionary::new())
+        .expect("the rule compiles")
+        .rules;
+    assert_eq!(analysis::lowering(&rules[0]), Lowering::NestedLoop);
 }
 
 fn rule(name: &str) -> CompiledRule {

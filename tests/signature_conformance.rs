@@ -19,8 +19,8 @@
 //! that fails here is widened, never this suite. `PROPTEST_CASES` raises the
 //! number of random stores.
 
-use inferray::rules::analysis::CompiledRule;
-use inferray::rules::{apply_rule, Fragment, RuleContext, RuleId, RuleRef, Ruleset};
+use inferray::rules::analysis::{apply_compiled, CompiledRule};
+use inferray::rules::{Fragment, RuleContext, RuleId, RuleRef, Ruleset};
 use inferray::store::{InferredBuffer, TripleStore};
 use inferray::IdTriple;
 use proptest::prelude::*;
@@ -42,7 +42,12 @@ fn holder(rule: RuleId) -> Ruleset {
 /// Everything `rule` derives with `store` as both its main and its new half.
 fn fire(rule: RuleId, store: &TripleStore) -> Vec<IdTriple> {
     let mut out = InferredBuffer::new();
-    apply_rule(rule, &RuleContext::new(store, store), &mut out);
+    let holder = holder(rule);
+    apply_compiled(
+        holder.compiled(RuleRef::Builtin(rule)),
+        &RuleContext::new(store, store),
+        &mut out,
+    );
     out.iter()
         .flat_map(|(p, pairs)| {
             pairs

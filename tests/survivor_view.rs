@@ -16,7 +16,7 @@
 use inferray::dictionary::wellknown as wk;
 use inferray::model::ids::nth_resource_id;
 use inferray::rules::analysis::{self, CompiledRule};
-use inferray::rules::{apply_rule, Fragment, RuleContext, RuleId, RuleRef, Ruleset, Survivors};
+use inferray::rules::{Fragment, RuleContext, RuleId, RuleRef, Ruleset, Survivors};
 use inferray::store::{InferredBuffer, TripleStore};
 use inferray::IdTriple;
 use proptest::prelude::*;
@@ -51,7 +51,9 @@ fn rules() -> Vec<(RuleId, CompiledRule)> {
 fn candidates(store: &TripleStore) -> BTreeSet<IdTriple> {
     let mut out = InferredBuffer::new();
     for rule in RuleId::ALL {
-        apply_rule(rule, &RuleContext::new(store, store), &mut out);
+        let holder = holder(rule);
+        let text = holder.compiled(RuleRef::Builtin(rule));
+        analysis::apply_compiled(text, &RuleContext::new(store, store), &mut out);
     }
     let derived = out.iter().flat_map(|(p, pairs)| {
         pairs
