@@ -1,17 +1,19 @@
 //! Dense-numbered directed graphs in compressed sparse row (CSR) form.
 //!
-//! The closure stage receives a property table — a list of `⟨s, o⟩` pairs of
-//! 64-bit dictionary identifiers — and needs a compact adjacency structure
-//! over *dense* node indices. [`DenseGraph::from_edges`] performs the
-//! renumbering (sort + dedup + binary search) and builds the CSR arrays in
-//! two linear passes, exactly the "translate the nodes' ID to keep a dense
-//! numbering" step the paper describes before applying Nuutila's algorithm.
+//! The closure stage receives a property table — a flat `[s0, o0, s1, o1,
+//! …]` array of 64-bit dictionary identifiers — and needs a compact
+//! adjacency structure over *dense* node indices. [`DenseGraph::from_pairs`]
+//! performs the renumbering (sort + dedup + binary search) and builds the
+//! CSR arrays in two linear passes, exactly the "translate the nodes' ID to
+//! keep a dense numbering" step the paper describes before applying
+//! Nuutila's algorithm. The numbering preserves order: dense index `i <
+//! j` exactly when label `i < j`.
 
 /// A directed graph over densely renumbered nodes, in CSR form, remembering
 /// the original 64-bit identifier of every node.
 #[derive(Debug, Clone)]
 pub struct DenseGraph {
-    /// Original identifier of each dense node index.
+    /// Original identifier of each dense node index, ascending.
     labels: Vec<u64>,
     /// CSR row offsets (length `n + 1`).
     offsets: Vec<usize>,
@@ -20,43 +22,58 @@ pub struct DenseGraph {
 }
 
 impl DenseGraph {
-    /// Builds a graph from `(source, target)` edge pairs over arbitrary u64
-    /// identifiers. Parallel edges are kept (they are harmless to the
-    /// closure and removing them here would cost a sort).
-    pub fn from_edges(edges: &[(u64, u64)]) -> Self {
+    /// Builds a graph from a flat `[s0, o0, s1, o1, …]` edge array over
+    /// arbitrary u64 identifiers, in any order; with `symmetric` every edge
+    /// also stands for its reverse. Parallel edges are kept (they are
+    /// harmless to the closure and removing them here would cost a sort).
+    ///
+    /// # Panics
+    /// Panics if `pairs` has odd length.
+    pub fn from_pairs(pairs: &[u64], symmetric: bool) -> Self {
+        assert!(
+            pairs.len().is_multiple_of(2),
+            "pair array must have even length"
+        );
         // Dense renumbering: sorted unique labels, binary-searched per use.
-        let mut labels: Vec<u64> = Vec::with_capacity(edges.len() * 2);
-        for &(s, o) in edges {
-            labels.push(s);
-            labels.push(o);
-        }
+        let mut labels = pairs.to_vec();
         labels.sort_unstable();
         labels.dedup();
-
-        let index_of =
-            |id: u64| -> u32 { labels.binary_search(&id).expect("label present") as u32 };
+        let index_of = |id: u64| -> usize { labels.binary_search(&id).expect("label present") };
+        let dense: Vec<(u32, u32)> = pairs
+            .chunks_exact(2)
+            .map(|pair| (index_of(pair[0]) as u32, index_of(pair[1]) as u32))
+            .collect();
+        let edges = || {
+            let reversed = dense.iter().filter(|_| symmetric).map(|&(s, o)| (o, s));
+            dense.iter().copied().chain(reversed)
+        };
 
         let n = labels.len();
-        let mut degree = vec![0usize; n];
-        for &(s, _) in edges {
-            degree[index_of(s) as usize] += 1;
-        }
         let mut offsets = vec![0usize; n + 1];
+        for (s, _) in edges() {
+            offsets[s as usize + 1] += 1;
+        }
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
+            offsets[i + 1] += offsets[i];
         }
         let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; edges.len()];
-        for &(s, o) in edges {
-            let si = index_of(s) as usize;
-            targets[cursor[si]] = index_of(o);
-            cursor[si] += 1;
+        let mut targets = vec![0u32; offsets[n]];
+        for (s, o) in edges() {
+            targets[cursor[s as usize]] = o;
+            cursor[s as usize] += 1;
         }
         DenseGraph {
             labels,
             offsets,
             targets,
         }
+    }
+
+    /// [`DenseGraph::from_pairs`] over `(source, target)` tuples.
+    #[cfg(test)]
+    pub(crate) fn from_edges(edges: &[(u64, u64)]) -> Self {
+        let pairs: Vec<u64> = edges.iter().flat_map(|&(s, o)| [s, o]).collect();
+        Self::from_pairs(&pairs, false)
     }
 
     /// Number of nodes.
@@ -73,6 +90,11 @@ impl DenseGraph {
     #[inline]
     pub fn label(&self, v: u32) -> u64 {
         self.labels[v as usize]
+    }
+
+    /// Every node's original identifier, by dense index (ascending).
+    pub fn labels(&self) -> &[u64] {
+        &self.labels
     }
 
     /// The dense index of an original identifier, if the node exists.
@@ -141,6 +163,14 @@ mod tests {
         assert!(!g.has_self_loop(n1));
         let succ_labels: Vec<u64> = g.successors(n1).iter().map(|&t| g.label(t)).collect();
         assert_eq!(succ_labels, vec![2, 3]);
+    }
+
+    #[test]
+    fn symmetric_pairs_add_every_reverse_edge() {
+        let g = DenseGraph::from_pairs(&[1, 2, 2, 3], true);
+        let mut edges: Vec<(u64, u64)> = g.edges().map(|(s, t)| (g.label(s), g.label(t))).collect();
+        edges.sort_unstable();
+        assert_eq!(edges, vec![(1, 2), (2, 1), (2, 3), (3, 2)]);
     }
 
     #[test]

@@ -9,18 +9,19 @@
 //! kills fixed-point reasoners: every iteration re-derives a quadratic number
 //! of duplicates. Inferray instead translates the relevant property table
 //! into a dedicated graph layout *before* the rule loop and runs **Nuutila's
-//! algorithm**:
+//! algorithm** ([`nuutila`]):
 //!
-//! 1. split the graph into weakly connected components (Union-Find) and
-//!    renumber the nodes of each component densely, so interval
-//!    representations stay compact ([`union_find`], [`graph`]);
+//! 1. renumber the nodes of the whole edge list densely, in label order,
+//!    into one CSR graph ([`graph`]);
 //! 2. detect strongly connected components (iterative Tarjan — emitted in
 //!    reverse topological order of the condensation) ([`scc`]);
-//! 3. walk the quotient DAG in that order, computing each component's
-//!    reachable set as the union of its successors' reachable sets, stored as
-//!    **sets of intervals** ([`interval_set`]) — compact and cheap to merge;
-//! 4. map the closure of the quotient graph back to the original nodes
-//!    ([`nuutila`]).
+//! 3. walk the condensation in that order, computing each component's
+//!    reachable set as the union of its successors' members and reachable
+//!    sets — sorted runs of dense node indices in one arena;
+//! 4. emit each node's reachable set, node by node in dense order. Dense
+//!    order is label order, so [`transitive_closure_pairs`] returns the
+//!    closure as a flat ⟨s,o⟩-sorted, duplicate-free pair array — the
+//!    layout of a property table — with no sort of its output.
 //!
 //! [`naive`] contains two reference implementations: a BFS-per-node oracle
 //! used by the tests, and the semi-naive iterative fixed-point closure that
@@ -31,13 +32,9 @@
 #![warn(missing_docs)]
 
 pub mod graph;
-pub mod interval_set;
 pub mod naive;
 pub mod nuutila;
 pub mod scc;
-pub mod union_find;
 
-pub use interval_set::IntervalSet;
 pub use naive::{bfs_closure, iterative_closure};
-pub use nuutila::{transitive_closure, transitive_closure_new_pairs};
-pub use union_find::UnionFind;
+pub use nuutila::{transitive_closure, transitive_closure_new_pairs, transitive_closure_pairs};

@@ -1,33 +1,63 @@
-//! Nuutila-style transitive closure with interval-set reachability.
+//! Nuutila-style transitive closure, emitted as a sorted flat pair array.
 //!
-//! This is the closure pipeline of section 4.1 of the paper:
+//! This is the closure pipeline of section 4.1 of the paper, over **one**
+//! dense numbering of the whole edge list:
 //!
-//! 1. split the input edge list into weakly connected components
-//!    (Union-Find) and renumber the nodes of each component densely;
+//! 1. renumber the nodes densely in label order and build the CSR graph
+//!    ([`DenseGraph::from_pairs`]);
 //! 2. detect strongly connected components (Tarjan, which also yields the
 //!    reverse topological order of the condensation);
-//! 3. compute each component's reachable set as the union of its successors'
-//!    reachable sets, represented as [`IntervalSet`]s of component indices;
-//! 4. map the quotient-graph closure back to the original nodes.
+//! 3. compute each component's reachable set — the members and reachable
+//!    sets of its successor components — as a sorted run of dense node
+//!    indices, successors first, all runs in one arena;
+//! 4. emit, source node by source node in dense order, the labels of the
+//!    source's reachable set in dense order.
 //!
-//! All steps other than the reachable-set unions are linear; the unions are
-//! cheap because reachable component indices form long runs under the
-//! reverse-topological numbering.
+//! Dense order is label order, so step 4 writes the closure ⟨s,o⟩-sorted
+//! and duplicate-free by construction: no tuple vector, no comparison sort
+//! of the output. A weakly connected component needs no graph of its own —
+//! reachability never leaves one — so the single numbering replaces the
+//! per-component split.
 
 use crate::graph::DenseGraph;
-use crate::interval_set::IntervalSet;
-use crate::scc::tarjan_scc;
-use crate::union_find::UnionFind;
+use crate::scc::{tarjan_scc, SccDecomposition};
 
-/// Computes the transitive closure of the directed graph given as
-/// `(source, target)` edges over arbitrary 64-bit identifiers.
+/// The transitive closure of the directed graph given as a flat `[s0, o0,
+/// s1, o1, …]` edge array over arbitrary 64-bit identifiers, in any order
+/// and with repeats allowed; with `symmetric`, every edge also stands for
+/// its reverse (the closure of the symmetrized graph).
 ///
-/// The result contains every pair `(x, y)` such that `y` is reachable from
-/// `x` by a path of **one or more** edges — i.e. the input edges are part of
-/// the output. Nodes inside a cycle (or with a self-loop) reach themselves,
-/// so reflexive pairs appear exactly for those nodes, matching the semantics
-/// of applying `SCM-SCO` / `PRP-TRP` to a fixed-point. The output is sorted
-/// and duplicate-free.
+/// The result is a flat pair array, sorted on ⟨s,o⟩ and duplicate-free,
+/// holding every pair `(x, y)` such that `y` is reachable from `x` by a
+/// path of **one or more** edges — the input edges included. Nodes inside
+/// a cycle (or with a self-loop) reach themselves, so reflexive pairs
+/// appear exactly for those nodes, matching the semantics of applying
+/// `SCM-SCO` / `PRP-TRP` to a fixed point.
+///
+/// ```
+/// use inferray_closure::transitive_closure_pairs;
+/// assert_eq!(transitive_closure_pairs(&[2, 3, 1, 2], false), vec![1, 2, 1, 3, 2, 3]);
+/// assert_eq!(transitive_closure_pairs(&[1, 2], true), vec![1, 1, 1, 2, 2, 1, 2, 2]);
+/// ```
+///
+/// # Panics
+/// Panics if `pairs` has odd length.
+pub fn transitive_closure_pairs(pairs: &[u64], symmetric: bool) -> Vec<u64> {
+    let graph = DenseGraph::from_pairs(pairs, symmetric);
+    let scc = tarjan_scc(&graph);
+    let reach = ReachSets::new(&graph, &scc);
+    let labels = graph.labels();
+    let of = |u: usize| reach.of(scc.component_of[u] as usize);
+    let total: usize = (0..labels.len()).map(|u| of(u).len()).sum();
+    let mut closed = Vec::with_capacity(2 * total);
+    for (u, &from) in labels.iter().enumerate() {
+        closed.extend(of(u).iter().flat_map(|&v| [from, labels[v as usize]]));
+    }
+    closed
+}
+
+/// [`transitive_closure_pairs`] over `(source, target)` tuples: the same
+/// closure, as a sorted, duplicate-free tuple vector.
 ///
 /// ```
 /// use inferray_closure::transitive_closure;
@@ -35,33 +65,11 @@ use crate::union_find::UnionFind;
 /// assert_eq!(closed, vec![(1, 2), (1, 3), (2, 3)]);
 /// ```
 pub fn transitive_closure(edges: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    if edges.is_empty() {
-        return Vec::new();
-    }
-
-    // Step 1: weakly connected components over the full graph.
-    let global = DenseGraph::from_edges(edges);
-    let mut uf = UnionFind::new(global.node_count());
-    for (u, v) in global.edges() {
-        uf.union(u, v);
-    }
-
-    // Bucket edges by component root so each component is closed on its own
-    // small, densely renumbered graph.
-    let mut edges_by_root: Vec<Vec<(u64, u64)>> = vec![Vec::new(); global.node_count()];
-    for &(s, o) in edges {
-        let si = global.index_of(s).expect("source registered");
-        let root = uf.find(si) as usize;
-        edges_by_root[root].push((s, o));
-    }
-
-    let mut result = Vec::new();
-    for component_edges in edges_by_root.into_iter().filter(|e| !e.is_empty()) {
-        close_component(&component_edges, &mut result);
-    }
-    result.sort_unstable();
-    result.dedup();
-    result
+    let pairs: Vec<u64> = edges.iter().flat_map(|&(s, o)| [s, o]).collect();
+    transitive_closure_pairs(&pairs, false)
+        .chunks_exact(2)
+        .map(|pair| (pair[0], pair[1]))
+        .collect()
 }
 
 /// Like [`transitive_closure`], but returns only the pairs **not** present in
@@ -77,63 +85,71 @@ pub fn transitive_closure_new_pairs(edges: &[(u64, u64)]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Closes a single weakly connected component, appending its closure pairs
-/// (in original identifiers) to `out`.
-fn close_component(edges: &[(u64, u64)], out: &mut Vec<(u64, u64)>) {
-    let graph = DenseGraph::from_edges(edges);
-    let scc = tarjan_scc(&graph);
-    let ncomp = scc.component_count();
+/// Every component's reachable set, as an ascending run of dense node
+/// indices; the runs lie in one arena in component order.
+struct ReachSets {
+    arena: Vec<u32>,
+    /// Where each component's run starts (one more entry than components).
+    starts: Vec<usize>,
+}
 
-    // Quotient graph: deduplicated inter-component successor lists, plus a
-    // flag for components that contain an internal edge (cycle or self-loop).
-    let mut quotient_succ: Vec<Vec<u32>> = vec![Vec::new(); ncomp];
-    let mut has_internal_edge = vec![false; ncomp];
-    for (u, v) in graph.edges() {
-        let cu = scc.component_of[u as usize];
-        let cv = scc.component_of[v as usize];
-        if cu == cv {
-            has_internal_edge[cu as usize] = true;
-        } else {
-            quotient_succ[cu as usize].push(cv);
-        }
-    }
-    for succ in &mut quotient_succ {
-        succ.sort_unstable();
-        succ.dedup();
-    }
-
-    // Reachable sets over component indices, computed in index order —
-    // which is reverse topological order, so successors are always ready.
-    let mut reach: Vec<IntervalSet> = vec![IntervalSet::new(); ncomp];
-    for c in 0..ncomp {
-        // A component reaches itself when it is "non-trivial": more than one
-        // member, or a self-loop.
-        let non_trivial = scc.members[c].len() > 1 || has_internal_edge[c];
-        let mut set = IntervalSet::new();
-        for &succ in &quotient_succ[c] {
-            set.union_in_place(&reach[succ as usize]);
-            set.insert(succ);
-        }
-        if non_trivial {
-            set.insert(c as u32);
-        }
-        reach[c] = set;
-    }
-
-    // Expansion: every member of c reaches every member of every component
-    // in reach[c].
-    for (c, reachable) in reach.iter().enumerate().take(ncomp) {
-        if reachable.is_empty() {
-            continue;
-        }
-        for &u in &scc.members[c] {
-            let from = graph.label(u);
-            for d in reachable.iter() {
-                for &v in &scc.members[d as usize] {
-                    out.push((from, graph.label(v)));
+impl ReachSets {
+    /// Computes the runs in component order — reverse topological order,
+    /// so a successor's run is always complete before it is read. A
+    /// component reaches the members and the reachable set of each
+    /// successor component, and itself when it is cyclic: more than one
+    /// member, or an edge from a member back into it (a self-loop).
+    fn new(graph: &DenseGraph, scc: &SccDecomposition) -> Self {
+        const NONE: u32 = u32::MAX;
+        let components = scc.component_count();
+        let mut sets = ReachSets {
+            arena: Vec::new(),
+            starts: Vec::with_capacity(components + 1),
+        };
+        sets.starts.push(0);
+        // The last component that collected a node / visited a successor
+        // component: the union needs no clearing between components.
+        let mut node_seen = vec![NONE; graph.node_count()];
+        let mut component_seen = vec![NONE; components];
+        let mut run: Vec<u32> = Vec::new();
+        for c in 0..components {
+            let mark = c as u32;
+            let members = scc.members(c);
+            let mut cyclic = members.len() > 1;
+            run.clear();
+            let mut collect = |nodes: &[u32], run: &mut Vec<u32>| {
+                for &w in nodes {
+                    if node_seen[w as usize] != mark {
+                        node_seen[w as usize] = mark;
+                        run.push(w);
+                    }
+                }
+            };
+            for &u in members {
+                for &v in graph.successors(u) {
+                    let d = scc.component_of[v as usize];
+                    if d == mark {
+                        cyclic = true;
+                    } else if component_seen[d as usize] != mark {
+                        component_seen[d as usize] = mark;
+                        collect(scc.members(d as usize), &mut run);
+                        collect(sets.of(d as usize), &mut run);
+                    }
                 }
             }
+            if cyclic {
+                collect(members, &mut run);
+            }
+            run.sort_unstable();
+            sets.arena.extend_from_slice(&run);
+            sets.starts.push(sets.arena.len());
         }
+        sets
+    }
+
+    /// The reachable set of component `c`, ascending.
+    fn of(&self, c: usize) -> &[u32] {
+        &self.arena[self.starts[c]..self.starts[c + 1]]
     }
 }
 

@@ -17,14 +17,23 @@ pub struct SccDecomposition {
     /// order** of the condensation: if component `a` has an edge to
     /// component `b` (a ≠ b) then `b < a`.
     pub component_of: Vec<u32>,
-    /// Members (dense node indices) of every component.
-    pub members: Vec<Vec<u32>>,
+    /// The members (dense node indices) of every component, ascending
+    /// within a component, component after component.
+    members: Vec<u32>,
+    /// Where each component's members start in `members` (one more entry
+    /// than there are components).
+    starts: Vec<usize>,
 }
 
 impl SccDecomposition {
     /// Number of strongly connected components.
     pub fn component_count(&self) -> usize {
-        self.members.len()
+        self.starts.len() - 1
+    }
+
+    /// The members of component `c`, ascending.
+    pub fn members(&self, c: usize) -> &[u32] {
+        &self.members[self.starts[c]..self.starts[c + 1]]
     }
 }
 
@@ -38,7 +47,8 @@ pub fn tarjan_scc(graph: &DenseGraph) -> SccDecomposition {
     let mut on_stack = vec![false; n];
     let mut component_of = vec![UNVISITED; n];
     let mut stack: Vec<u32> = Vec::new();
-    let mut members: Vec<Vec<u32>> = Vec::new();
+    let mut members: Vec<u32> = Vec::with_capacity(n);
+    let mut starts: Vec<usize> = vec![0];
     let mut next_index = 0u32;
 
     // Explicit DFS frame: (node, next successor offset to examine).
@@ -81,19 +91,19 @@ pub fn tarjan_scc(graph: &DenseGraph) -> SccDecomposition {
             }
             if lowlink[v as usize] == index_of[v as usize] {
                 // v is the root of a component: pop it off the Tarjan stack.
-                let component_index = members.len() as u32;
-                let mut component = Vec::new();
+                let component_index = (starts.len() - 1) as u32;
+                let first = members.len();
                 loop {
                     let w = stack.pop().expect("tarjan stack underflow");
                     on_stack[w as usize] = false;
                     component_of[w as usize] = component_index;
-                    component.push(w);
+                    members.push(w);
                     if w == v {
                         break;
                     }
                 }
-                component.sort_unstable();
-                members.push(component);
+                members[first..].sort_unstable();
+                starts.push(members.len());
             }
         }
     }
@@ -101,6 +111,7 @@ pub fn tarjan_scc(graph: &DenseGraph) -> SccDecomposition {
     SccDecomposition {
         component_of,
         members,
+        starts,
     }
 }
 
@@ -146,7 +157,7 @@ mod tests {
         assert_ne!(c1, c4);
         // Edge c1 → c4 in the condensation, so c4 comes first.
         assert!(c4 < c1);
-        assert_eq!(scc.members[c1 as usize].len(), 3);
+        assert_eq!(scc.members(c1 as usize).len(), 3);
     }
 
     #[test]
@@ -154,7 +165,7 @@ mod tests {
         let (g, scc) = scc_of(&[(7, 7), (7, 8)]);
         assert_eq!(scc.component_count(), 2);
         let c7 = scc.component_of[g.index_of(7).unwrap() as usize];
-        assert_eq!(scc.members[c7 as usize].len(), 1);
+        assert_eq!(scc.members(c7 as usize).len(), 1);
     }
 
     #[test]
@@ -195,8 +206,8 @@ mod tests {
         let edges = [(1u64, 2u64), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4), (6, 6)];
         let (g, scc) = scc_of(&edges);
         let mut seen = vec![false; g.node_count()];
-        for members in &scc.members {
-            for &m in members {
+        for c in 0..scc.component_count() {
+            for &m in scc.members(c) {
                 assert!(!seen[m as usize], "node {m} in two components");
                 seen[m as usize] = true;
             }

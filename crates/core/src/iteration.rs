@@ -4,7 +4,8 @@
 //! (§4.3, parallel) followed by the per-property table update (Figure 5:
 //! sort, dedup, merge). [`IterationProfile`] records both phases for every
 //! iteration of the most recent run — and, inside the firing phase, one
-//! [`RuleSample`] per rule — so the `benchmark/` package's traced run, and
+//! [`RuleSample`] per rule, inside the update one [`TableSample`] per
+//! table — so the `benchmark/` package's traced run, and
 //! anyone debugging a slow materialization, can see where the time goes,
 //! which rule it goes to, and how the delta shrinks towards the fixed point.
 
@@ -25,6 +26,22 @@ pub struct RuleSample {
     /// built (§4.2: "computed lazily upon need" — this rule was the need),
     /// and how many pairs that was.
     pub os_cache: OsBuilds,
+}
+
+/// What the update stage did with one property table in one iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableSample {
+    /// The property.
+    pub property: u64,
+    /// Raw pairs the rules emitted into the table (duplicates included).
+    pub raw_pairs: usize,
+    /// Pairs the table did not hold before.
+    pub new_pairs: usize,
+    /// Pool lanes the update ran on: more than one when the table
+    /// dominated the iteration and was split by subject range.
+    pub lanes: usize,
+    /// Wall-clock time of the table's update.
+    pub time: Duration,
 }
 
 /// Timing and volume counters of one fixed-point iteration.
@@ -58,6 +75,8 @@ pub struct IterationSample {
     pub rules_skipped: usize,
     /// One row per fired rule, in firing (Table 5) order.
     pub rules: Vec<RuleSample>,
+    /// One row per updated table, in ascending property order.
+    pub tables: Vec<TableSample>,
 }
 
 /// The iteration-by-iteration profile of one materialization run.
@@ -121,6 +140,13 @@ mod tests {
                             pairs: 40,
                         },
                     }],
+                    tables: vec![TableSample {
+                        property: 1,
+                        raw_pairs: 100,
+                        new_pairs: 40,
+                        lanes: 2,
+                        time: Duration::from_millis(2),
+                    }],
                 },
                 IterationSample {
                     iteration: 2,
@@ -133,6 +159,7 @@ mod tests {
                     rules_fired: 4,
                     rules_skipped: 6,
                     rules: Vec::new(),
+                    tables: Vec::new(),
                 },
             ],
         };

@@ -7,7 +7,7 @@
 //! * the dense-numbering dictionary (`inferray-dictionary`),
 //! * the vertically partitioned sorted-array store (`inferray-store`),
 //! * the low-entropy sorting kernels (`inferray-sort`),
-//! * the Nuutila/interval-set closure (`inferray-closure`),
+//! * the Nuutila closure (`inferray-closure`),
 //! * the rule catalog and sort-merge-join executors (`inferray-rules`).
 //!
 //! [`InferrayReasoner`] implements Algorithm 1 of the paper:
@@ -40,7 +40,7 @@ pub use api::{
     Program, ReasonedGraph, ServingDataset, ShapeInstallError, ShapeViolation, ShapeViolations,
     ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome, WriteStats,
 };
-pub use iteration::{IterationProfile, IterationSample, RuleSample};
+pub use iteration::{IterationProfile, IterationSample, RuleSample, TableSample};
 pub use options::InferrayOptions;
 pub use reasoner::{InferrayReasoner, RetractionStats};
 

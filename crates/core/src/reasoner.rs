@@ -12,9 +12,11 @@
 //!   frontier touches one or two properties — nearly free;
 //! * **table update** (Figure 5) — the per-property sort + dedup + merge is
 //!   embarrassingly parallel across properties: the affected tables are
-//!   *taken out* of the store, dealt largest-first across the pool's lanes
-//!   (each lane owning a reusable [`SortScratch`]), merged with the
-//!   adaptive merge of `inferray-store`, and re-installed in ascending
+//!   *taken out* of the store, a table that dominates the iteration is
+//!   split by subject range across the pool's workers, the others are
+//!   dealt largest-first across the pool's lanes (each lane owning a
+//!   reusable [`SortScratch`]), merged with the adaptive merge of
+//!   `inferray-store`, and re-installed in ascending
 //!   property order. Results and statistics are byte-for-byte identical to
 //!   the sequential path (see the `determinism_parallel` integration test).
 //!
@@ -46,7 +48,7 @@
 //!   none.
 
 use crate::closure_stage::{run_closure_stage, ClosureStageStats};
-use crate::iteration::{IterationProfile, IterationSample, RuleSample};
+use crate::iteration::{IterationProfile, IterationSample, RuleSample, TableSample};
 use crate::options::InferrayOptions;
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
@@ -54,10 +56,10 @@ use inferray_parallel::ThreadPool;
 use inferray_rules::{
     analysis, Fragment, InferenceStats, Materializer, RuleContext, RuleRef, Ruleset, Survivors,
 };
-use inferray_sort::SortScratch;
+use inferray_sort::{Lanes, SortScratch};
 use inferray_store::{
-    merge_new_parts_with, os_builds, AccessProfile, InferredBuffer, MergeOutcome, PropertyTable,
-    TripleStore,
+    merge_new_parts_ranged, merge_new_parts_with, os_builds, AccessProfile, InferredBuffer,
+    MergeOutcome, PropertyTable, TripleStore,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -93,7 +95,7 @@ pub struct InferrayReasoner {
     last_iteration_profile: IterationProfile,
 }
 
-/// The result of updating one property table (computed on a pool worker).
+/// The result of updating one property table.
 struct PropertyUpdate {
     /// The property whose table was updated.
     p: u64,
@@ -101,37 +103,84 @@ struct PropertyUpdate {
     new_table: PropertyTable,
     /// Counters of the merge.
     outcome: MergeOutcome,
+    /// Lanes the update ran on.
+    lanes: usize,
+    /// Wall-clock time of the update.
+    time: Duration,
+}
+
+/// A table whose raw pairs exceed both this floor and an equal share of the
+/// iteration's raw pairs per range is updated on several lanes, split by
+/// subject range ([`merge_new_parts_ranged`]). Below it, splitting costs
+/// more in handoffs than it saves.
+const RANGED_UPDATE_FLOOR: usize = 64 * 1024;
+
+/// [`Lanes`] over the reasoner's pool.
+struct PoolLanes<'a>(&'a ThreadPool);
+
+impl Lanes for PoolLanes<'_> {
+    fn run<'env, R, F>(&self, tasks: Vec<F>) -> Vec<R>
+    where
+        F: FnOnce() -> R + Send + 'env,
+        R: Send + 'env,
+    {
+        self.0.run_ordered(tasks)
+    }
 }
 
 /// The per-iteration table-update stage (Figure 5) over every property that
 /// received inferred pairs: take the affected tables out of the store;
 /// sort, dedup and merge each one from the parts its rules emitted, where
-/// they lie (spread across the pool's lanes, one reusable [`SortScratch`]
-/// per lane; sequentially with `scratches[0]` when `pool` is `None`); and
-/// re-install the updated tables. Returns the per-property results in
-/// ascending property order regardless of scheduling.
+/// they lie; and re-install the updated tables. Returns the per-property
+/// results in ascending property order regardless of scheduling.
 ///
-/// The lanes are balanced by size, not by position: one property
-/// (`rdf:type`, as a rule) carries most of an iteration's raw pairs, and a
-/// round-robin deal hands the lane that draws it an equal share of all the
-/// others on top. Tables are assigned largest-first, each to the lane with
-/// the fewest raw pairs so far, so the big table's lane takes nothing else
-/// until the others have caught up. Ties go to the lower property and the
-/// lower lane: the deal is a function of the sizes alone.
+/// With a pool of two workers or more, a table that dominates the
+/// iteration — more raw pairs than [`RANGED_UPDATE_FLOOR`] and than an
+/// equal share per worker — is updated first, split into one subject range
+/// per worker (the calling thread helps, so each range has a core). The
+/// other tables are then dealt across the pool's lanes (workers and the
+/// caller, one reusable [`SortScratch`] each; sequentially with
+/// `scratches[0]` when `pool` is `None`), one task per lane, balanced by
+/// size, not by position: tables are assigned largest-first, each to the
+/// lane with the fewest raw pairs so far, so a big table's lane takes
+/// nothing else until the others have caught up. Ties go to the lower
+/// property and the lower lane: the deal is a function of the sizes alone.
 fn run_table_update(
     pool: Option<&ThreadPool>,
     store: &mut TripleStore,
     tables: InferredParts,
     scratches: &mut [SortScratch],
 ) -> Vec<PropertyUpdate> {
+    let raw = |parts: &Vec<Vec<u64>>| parts.iter().map(|part| part.len() / 2).sum::<usize>();
+    let total: usize = tables.values().map(raw).sum();
+    let ranges = pool.map_or(1, ThreadPool::threads).min(scratches.len());
+    let (split, tables): (InferredParts, InferredParts) =
+        tables.into_iter().partition(|(_, parts)| {
+            let pairs = raw(parts);
+            ranges > 1 && pairs > RANGED_UPDATE_FLOOR && pairs > total / ranges
+        });
     // A table the store shares with an earlier epoch is copied only if its
     // merge adds a pair (`MergeTarget`).
     let update =
         |p: u64, mut table: Arc<PropertyTable>, parts: Vec<Vec<u64>>, scratch: &mut SortScratch| {
+            let start = Instant::now();
             let (new_table, outcome) = merge_new_parts_with(&mut table, parts, scratch);
-            (p, table, new_table, outcome)
+            (p, table, new_table, outcome, 1, start.elapsed())
         };
-    let mut results: Vec<(u64, Arc<PropertyTable>, PropertyTable, MergeOutcome)> = match pool {
+    let mut results = Vec::with_capacity(split.len() + tables.len());
+    for (p, parts) in split {
+        let start = Instant::now();
+        let mut table = store.take_table(p).unwrap_or_default();
+        let lanes = PoolLanes(pool.expect("tables are split on a pool"));
+        let scratches = &mut scratches[..ranges];
+        match merge_new_parts_ranged(&mut table, parts, scratches, &lanes) {
+            Ok((new_table, outcome)) => {
+                results.push((p, table, new_table, outcome, ranges, start.elapsed()));
+            }
+            Err(parts) => results.push(update(p, table, parts, &mut scratches[0])),
+        }
+    }
+    match pool {
         Some(pool) if tables.len() > 1 => {
             // Take the affected tables out of the store so each lane owns
             // its tables outright — no locks, no aliasing.
@@ -140,7 +189,7 @@ fn run_table_update(
             let mut loads = vec![0usize; lanes];
             let mut tables: Vec<(usize, u64, Vec<Vec<u64>>)> = tables
                 .into_iter()
-                .map(|(p, parts)| (parts.iter().map(Vec::len).sum(), p, parts))
+                .map(|(p, parts)| (raw(&parts), p, parts))
                 .collect();
             tables.sort_by_key(|&(len, p, _)| (std::cmp::Reverse(len), p));
             for (len, p, parts) in tables {
@@ -163,28 +212,27 @@ fn run_table_update(
                     }
                 })
                 .collect();
-            pool.run_ordered(tasks).into_iter().flatten().collect()
+            results.extend(pool.run_ordered(tasks).into_iter().flatten());
         }
         _ => {
             let scratch = scratches.first_mut().expect("at least one scratch");
-            tables
-                .into_iter()
-                .map(|(p, parts)| {
-                    let table = store.take_table(p).unwrap_or_default();
-                    update(p, table, parts, scratch)
-                })
-                .collect()
+            for (p, parts) in tables {
+                let table = store.take_table(p).unwrap_or_default();
+                results.push(update(p, table, parts, scratch));
+            }
         }
-    };
+    }
     results.sort_unstable_by_key(|(p, ..)| *p);
     results
         .into_iter()
-        .map(|(p, table, new_table, outcome)| {
+        .map(|(p, table, new_table, outcome, lanes, time)| {
             store.set_table(p, table);
             PropertyUpdate {
                 p,
                 new_table,
                 outcome,
+                lanes,
+                time,
             }
         })
         .collect()
@@ -790,15 +838,24 @@ impl InferrayReasoner {
             outcome.derived_raw += raw_pairs;
 
             // Lines 6-7: per-property sort + dedup + merge (Figure 5),
-            // parallel across properties.
+            // parallel across properties and, for a dominating table,
+            // across subject ranges.
             let update_start = Instant::now();
             let properties_touched = parts.len();
             let results = run_table_update(pool, store, parts, &mut scratches);
 
             let mut next_new = TripleStore::new();
             let mut new_pairs = 0usize;
+            let mut tables = Vec::with_capacity(results.len());
             for result in results {
                 let merge = result.outcome;
+                tables.push(TableSample {
+                    property: result.p,
+                    raw_pairs: merge.inferred_raw,
+                    new_pairs: merge.new_pairs,
+                    lanes: result.lanes,
+                    time: result.time,
+                });
                 profile.sequential(2 * merge.inferred_raw as u64);
                 profile.sequential(2 * (merge.inferred_raw + result.new_table.len()) as u64);
                 outcome.duplicates_removed +=
@@ -820,6 +877,7 @@ impl InferrayReasoner {
                 rules_fired: scheduled.len(),
                 rules_skipped: total_rules - scheduled.len(),
                 rules,
+                tables,
             });
             // A stratum pair entering the frontier re-opens the stratum:
             // from here on the schedule is exactly the §4.3 one.
@@ -935,11 +993,13 @@ impl Materializer for InferrayReasoner {
         // Step 1 (Algorithm 1, line 2): dedicated transitive-closure stage,
         // over the tables of the ruleset's closures.
         let theta_closed = !self.options.skip_closure_stage;
-        self.last_closure_stats = if theta_closed {
-            run_closure_stage(store, self.ruleset.closures(), &mut profile)
-        } else {
-            ClosureStageStats::default()
-        };
+        self.last_closure_stats = ClosureStageStats::default();
+        if theta_closed {
+            let phase = Instant::now();
+            self.last_closure_stats =
+                run_closure_stage(store, self.ruleset.closures(), &mut profile);
+            self.last_closure_stats.closure_time = phase.elapsed();
+        }
 
         // Then the schema stratum, to its own fixed point, over its own
         // tables: the data loop starts from closed domains, ranges and
@@ -948,10 +1008,12 @@ impl Materializer for InferrayReasoner {
         // (An empty stratum is closed as it stands.)
         let stratum_closed = self.options.schedule_rules && !self.options.skip_closure_stage;
         if stratum_closed && !self.ruleset.stratum().is_empty() {
+            let phase = Instant::now();
             let stratum = self.close_stratum(store, theta_closed, &mut profile);
             self.last_closure_stats.stratum_iterations = stratum.iterations;
             self.last_closure_stats.stratum_pairs_added =
                 stratum.derived_raw - stratum.duplicates_removed;
+            self.last_closure_stats.stratum_time = phase.elapsed();
         }
 
         // Steps 2-3 (lines 3-8): the fixed point, with new == main on the
@@ -1370,5 +1432,51 @@ mod tests {
         assert_eq!(stats.iterations, 1);
         assert_eq!(profile.samples[0].new_pairs, stats.inferred_triples() - 1);
         assert_eq!(reasoner.last_closure_stats().pairs_added, 1);
+    }
+
+    /// A taxonomy's shape: a class chain and many instances of its bottom
+    /// class, so that `rdf:type` receives nearly every raw pair of the
+    /// iteration — more than the ranged update's floor.
+    fn taxonomy_shaped() -> TripleStore {
+        let class = |i: u64| 9_100_000 + i;
+        let depth = 20;
+        let instances = RANGED_UPDATE_FLOOR as u64 / (depth - 1) + 1_000;
+        let chain = (0..depth - 1).map(|i| (class(i), wk::RDFS_SUB_CLASS_OF, class(i + 1)));
+        let typed = (0..instances).map(|x| (9_200_000 + x, wk::RDF_TYPE, class(0)));
+        store(&chain.chain(typed).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn a_dominating_table_is_updated_on_every_worker() {
+        let rows = |options: InferrayOptions| {
+            let mut data = taxonomy_shaped();
+            let mut reasoner = InferrayReasoner::with_options(Fragment::RdfsDefault, options);
+            reasoner.materialize(&mut data);
+            let first = &reasoner.last_iteration_profile().samples[0];
+            let rdf_type = *first
+                .tables
+                .iter()
+                .find(|row| row.property == wk::RDF_TYPE)
+                .expect("rdf:type is updated");
+            assert!(rdf_type.raw_pairs > RANGED_UPDATE_FLOOR);
+            assert!(first
+                .tables
+                .windows(2)
+                .all(|w| w[0].property < w[1].property));
+            assert_eq!(first.tables.len(), first.properties_touched);
+            let closure = reasoner.last_closure_stats();
+            assert!(closure.closure_time > Duration::ZERO);
+            (rdf_type, data)
+        };
+        let (parallel, parallel_store) = rows(InferrayOptions::default());
+        let (sequential, sequential_store) = rows(InferrayOptions::sequential());
+        assert_eq!(parallel_store, sequential_store);
+        assert_eq!(
+            (parallel.raw_pairs, parallel.new_pairs),
+            (sequential.raw_pairs, sequential.new_pairs)
+        );
+        assert_eq!(sequential.lanes, 1);
+        let workers = inferray_parallel::global().threads();
+        assert_eq!(parallel.lanes > 1, workers > 1, "{workers} workers");
     }
 }

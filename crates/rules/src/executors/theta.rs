@@ -16,23 +16,20 @@
 use crate::analysis::Closure;
 use crate::context::RuleContext;
 use crate::support::Survivors;
-use inferray_closure::transitive_closure;
+use inferray_closure::transitive_closure_pairs;
 use inferray_store::{InferredBuffer, PropertyTable};
 
 /// The transitive closure of `table`'s pairs, symmetrized first when
-/// `symmetric` is set: sorted, duplicate-free, every pair of the table
-/// included.
-pub fn closed_pairs(table: &PropertyTable, symmetric: bool) -> Vec<(u64, u64)> {
-    let mut edges = table.to_tuple_pairs();
-    if symmetric {
-        edges.extend(table.iter_pairs().map(|(a, b)| (b, a)));
-    }
-    transitive_closure(&edges)
+/// `symmetric` is set, as a flat pair array: ⟨s,o⟩-sorted, duplicate-free,
+/// every pair of the table included.
+pub fn closed_pairs(table: &PropertyTable, symmetric: bool) -> Vec<u64> {
+    transitive_closure_pairs(table.pairs(), symmetric)
 }
 
 /// Fires a closure plan: every closed table of `ctx.main` that `ctx.new`
 /// touched — new pairs in the table, or a new declaration of it — is closed
-/// again, and the closure pairs the table lacks are emitted.
+/// again, and the closure pairs the table lacks are emitted: the sorted
+/// difference of the closure and the table, in one merge walk.
 pub(crate) fn apply_closure(plan: &Closure, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
     let declared_anew = plan.declared_in(Survivors::all(ctx.new));
     for p in plan.tables(Survivors::all(ctx.main)) {
@@ -41,10 +38,14 @@ pub(crate) fn apply_closure(plan: &Closure, ctx: &RuleContext<'_>, out: &mut Inf
             continue;
         };
         let closed = closed_pairs(table, plan.symmetric());
+        let mut held = table.pairs().chunks_exact(2).peekable();
         let emitted = out.table_mut(p);
-        for (a, b) in closed {
-            if !table.contains_pair(a, b) {
-                emitted.extend_from_slice(&[a, b]);
+        for pair in closed.chunks_exact(2) {
+            // Both sides are sorted and the closure holds every pair of the
+            // table: skip the table's pairs below this one, then compare.
+            while held.next_if(|old| *old < pair).is_some() {}
+            if held.next_if(|old| *old == pair).is_none() {
+                emitted.extend_from_slice(pair);
             }
         }
     }

@@ -7,7 +7,9 @@
 //! 2. compute each subject's starting position in the final array by a
 //!    cumulative sum of the histogram;
 //! 3. scatter the object values into a single `objects` array, each object
-//!    landing inside the (still unsorted) sub-array reserved for its subject;
+//!    landing inside the (still unsorted) sub-array reserved for its
+//!    subject, after the objects already there — a run keeps the order its
+//!    pairs arrived in, often ascending already;
 //! 4. sort each per-subject sub-array;
 //! 5. rebuild the pair array by walking the start offsets, emitting
 //!    `(subject, object)` pairs and — in the dedup variant — skipping
@@ -52,7 +54,7 @@
 use crate::operating_range::MAX_COUNTING_RANGE;
 use crate::pairs::{pair_bounds, PairBounds};
 use crate::radix::{msda_radix_sort_bounded, msda_radix_sort_pairs_dedup_bounded};
-use crate::scratch::{CountingArenas, SortScratch};
+use crate::scratch::{CountingArenas, SortScratch, Stamps};
 
 /// How many pairs the stamp pass examines before the kernel judges, from
 /// what it removed, whether the call's remaining runs are worth stamping.
@@ -186,13 +188,15 @@ pub(crate) fn counting_sort_parts_dedup_bounded(
 /// per-subject runs of objects, [`sort`](SubjectRuns::sort) the runs, then
 /// [`rebuild`](SubjectRuns::rebuild) the pairs into one array.
 struct SubjectRuns<'a> {
-    arenas: CountingArenas<'a>,
+    /// Per subject: its count, then its free slots during the scatter,
+    /// then the length of its sorted run.
+    histogram: &'a mut [u32],
+    /// Per subject, where its run starts in `objects` (`width + 1`).
+    start: &'a mut [usize],
+    objects: &'a mut [u64],
+    sorter: RunSorter<'a>,
     /// The smallest subject: run `i` holds the objects of subject `min + i`.
     min: u64,
-    /// The smallest object, the base of the stamp slots.
-    object_min: u64,
-    /// Whether the sort runs the stamp pass in front of each run.
-    stamp: bool,
     dedup: bool,
 }
 
@@ -206,20 +210,24 @@ impl<'a> SubjectRuns<'a> {
             width as u64 <= MAX_COUNTING_RANGE,
             "counting sort invoked outside its operating range (span {width})"
         );
-        // Stamp pass: only when removing duplicates, and only when the
-        // stamp array (one slot per object in range) is no larger than the
-        // input.
-        let (object_min, object_max) = bounds.objects;
-        let object_span = match object_max - object_min {
-            gap if dedup && gap < n_pairs as u64 => gap as usize + 1,
-            _ => 0,
+        // Stamp pass: only when removing duplicates.
+        let object_span = if dedup {
+            stamp_span(bounds, n_pairs)
+        } else {
+            0
         };
-        let arenas = scratch.counting_arenas(width, n_pairs, object_span);
+        let CountingArenas {
+            histogram,
+            start,
+            objects,
+            stamps,
+        } = scratch.counting_arenas(width, n_pairs, object_span);
         SubjectRuns {
-            arenas,
+            histogram,
+            start,
+            objects,
+            sorter: RunSorter::new(stamps, bounds.objects.0, object_span > 0),
             min,
-            object_min,
-            stamp: object_span > 0,
             dedup,
         }
     }
@@ -227,66 +235,31 @@ impl<'a> SubjectRuns<'a> {
     /// Lines 1-10 of Algorithm 2 over every array of `parts`, where it
     /// lies: the subject histogram (lines 1-2), each subject's start offset
     /// (line 3), then every object scattered into its subject's run,
-    /// unsorted (lines 4-10) — the histogram counts each run's free slots
-    /// down.
+    /// unsorted (lines 4-10) — the histogram, cleared, counts each run's
+    /// filled slots up ([`scatter_range`]).
     fn scatter<'p>(&mut self, parts: impl Iterator<Item = &'p [u64]> + Clone) {
-        let (histogram, start, objects) = (
-            &mut *self.arenas.histogram,
-            &mut *self.arenas.start,
-            &mut *self.arenas.objects,
-        );
         for pairs in parts.clone() {
             for s in pairs.iter().copied().step_by(2) {
-                histogram[(s - self.min) as usize] += 1;
+                self.histogram[(s - self.min) as usize] += 1;
             }
         }
-        let mut acc = 0usize;
-        for (i, &count) in histogram.iter().enumerate() {
-            start[i] = acc;
-            acc += count as usize;
-        }
-        start[histogram.len()] = acc;
-        debug_assert_eq!(acc, objects.len());
+        prefix_sums(self.histogram, self.start);
+        debug_assert_eq!(self.start[self.histogram.len()], self.objects.len());
+        self.histogram.fill(0);
         for pairs in parts {
-            for pair in pairs.chunks_exact(2) {
-                let key = (pair[0] - self.min) as usize;
-                let remaining = histogram[key] as usize;
-                histogram[key] -= 1;
-                objects[start[key] + remaining - 1] = pair[1];
-            }
+            scatter_range(pairs, self.min, 0, self.histogram, self.start, self.objects);
         }
     }
 
-    /// Lines 11-13: sorts each run of objects — after the stamp pass has
-    /// cut the run down to its distinct objects. The histogram, all zeros
-    /// by now, takes the length each run is left with. Returns how many
-    /// pairs the runs hold now, an upper bound on what the rebuild writes.
+    /// Lines 11-13: sorts each run of objects ([`RunSorter`]). The
+    /// histogram takes the length each run is left with. Returns how many pairs the runs hold now, an upper bound on
+    /// what the rebuild writes.
     fn sort(&mut self) -> usize {
-        let (histogram, start, objects) = (
-            &mut *self.arenas.histogram,
-            &*self.arenas.start,
-            &mut *self.arenas.objects,
-        );
-        let mut stamping = self.stamp;
-        let (mut stamped, mut kept_stamped, mut kept) = (0usize, 0usize, 0usize);
-        for i in 0..histogram.len() {
-            let (lo, hi) = (start[i], start[i + 1]);
-            let mut len = hi - lo;
-            if len > 1 {
-                if stamping {
-                    stamped += len;
-                    len = self
-                        .arenas
-                        .stamps
-                        .dedup_run(&mut objects[lo..hi], self.object_min);
-                    kept_stamped += len;
-                    // Next to nothing removed so far: stop looking.
-                    stamping =
-                        stamped < STAMP_PROBE_PAIRS || (stamped - kept_stamped) * 16 >= stamped;
-                }
-                objects[lo..lo + len].sort_unstable();
-            }
-            histogram[i] = len as u32;
+        let mut kept = 0usize;
+        for i in 0..self.histogram.len() {
+            let run = &mut self.objects[self.start[i]..self.start[i + 1]];
+            let len = self.sorter.sort(run);
+            self.histogram[i] = len as u32;
             kept += len;
         }
         kept
@@ -297,17 +270,12 @@ impl<'a> SubjectRuns<'a> {
     /// stamped run), and truncates it to what was written (line 27).
     /// `pairs` must be at least as long as [`sort`](Self::sort)'s count.
     fn rebuild(&self, pairs: &mut Vec<u64>) {
-        let (histogram, start, objects) = (
-            &*self.arenas.histogram,
-            &*self.arenas.start,
-            &*self.arenas.objects,
-        );
         let mut write = 0usize;
-        for (i, &len) in histogram.iter().enumerate() {
-            let lo = start[i];
+        for (i, &len) in self.histogram.iter().enumerate() {
+            let lo = self.start[i];
             let subject = self.min + i as u64;
             let mut previous_object = 0u64;
-            for (k, &object) in objects[lo..lo + len as usize].iter().enumerate() {
+            for (k, &object) in self.objects[lo..lo + len as usize].iter().enumerate() {
                 if !self.dedup || k == 0 || object != previous_object {
                     pairs[write] = subject;
                     pairs[write + 1] = object;
@@ -317,6 +285,103 @@ impl<'a> SubjectRuns<'a> {
             }
         }
         pairs.truncate(write);
+    }
+}
+
+/// How many stamp slots a dedup call over `n_pairs` pairs within `bounds`
+/// uses: one per object in range when that is fewer than the pairs, else
+/// none (no stamp pass).
+pub(crate) fn stamp_span(bounds: PairBounds, n_pairs: usize) -> usize {
+    let (object_min, object_max) = bounds.objects;
+    match object_max - object_min {
+        gap if gap < n_pairs as u64 => gap as usize + 1,
+        _ => 0,
+    }
+}
+
+/// Line 3 of Algorithm 2: `start[i]` is where the run of histogram slot `i`
+/// begins, counting from `start[0] = 0`; `start` has one entry more than
+/// `histogram`.
+pub(crate) fn prefix_sums(histogram: &[u32], start: &mut [usize]) {
+    let mut acc = 0usize;
+    for (i, &count) in histogram.iter().enumerate() {
+        start[i] = acc;
+        acc += count as usize;
+    }
+    start[histogram.len()] = acc;
+}
+
+/// Lines 4-10 of Algorithm 2 for the subjects `min + first ..
+/// min + first + filled.len()` of `pairs` (the others are skipped): each
+/// object lands in its subject's run, after the objects already there, so
+/// a run keeps the order the rules emitted it in — often ascending, which
+/// the sort then passes through in one sweep. `filled` counts those
+/// subjects' filled slots up (zeros before the first array); `start` holds
+/// the run offsets of every subject, and `objects` begins at offset
+/// `start[first]`.
+pub(crate) fn scatter_range(
+    pairs: &[u64],
+    min: u64,
+    first: usize,
+    filled: &mut [u32],
+    start: &[usize],
+    objects: &mut [u64],
+) {
+    let base = start[first];
+    for pair in pairs.chunks_exact(2) {
+        let key = (pair[0] - min) as usize;
+        let Some(count) = filled.get_mut(key.wrapping_sub(first)) else {
+            continue;
+        };
+        objects[start[key] - base + *count as usize] = pair[1];
+        *count += 1;
+    }
+}
+
+/// Sorts subject runs one after another (lines 11-13), each after the
+/// stamp pass has cut it down to its distinct objects while that pays
+/// (module docs): once [`STAMP_PROBE_PAIRS`] pairs went through the pass
+/// and fewer than one in sixteen was a repeat, the rest are sorted as they
+/// are.
+pub(crate) struct RunSorter<'a> {
+    stamps: Stamps<'a>,
+    /// The smallest object, the base of the stamp slots.
+    object_min: u64,
+    stamping: bool,
+    stamped: usize,
+    kept_stamped: usize,
+}
+
+impl<'a> RunSorter<'a> {
+    /// A sorter that runs the stamp pass (over objects from `object_min`
+    /// on) when `stamp` is set.
+    pub(crate) fn new(stamps: Stamps<'a>, object_min: u64, stamp: bool) -> Self {
+        RunSorter {
+            stamps,
+            object_min,
+            stamping: stamp,
+            stamped: 0,
+            kept_stamped: 0,
+        }
+    }
+
+    /// Sorts `run` and returns the length of its sorted front: the whole
+    /// run, or its distinct objects when the stamp pass ran. Repeats may
+    /// remain adjacent in the front when it did not.
+    pub(crate) fn sort(&mut self, run: &mut [u64]) -> usize {
+        let mut len = run.len();
+        if len > 1 {
+            if self.stamping {
+                self.stamped += len;
+                len = self.stamps.dedup_run(run, self.object_min);
+                self.kept_stamped += len;
+                // Next to nothing removed so far: stop looking.
+                self.stamping = self.stamped < STAMP_PROBE_PAIRS
+                    || (self.stamped - self.kept_stamped) * 16 >= self.stamped;
+            }
+            run[..len].sort_unstable();
+        }
+        len
     }
 }
 

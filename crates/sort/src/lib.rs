@@ -31,7 +31,9 @@
 //!
 //! [`sort_parts_auto_dedup_with`] takes the pairs as several arrays (one
 //! per rule that emitted them) and gives what the dedup kernel gives over
-//! their concatenation, without building it.
+//! their concatenation, without building it; [`merge_parts_ranged`] sorts
+//! them and merges them into a sorted *main* split by subject range across
+//! the lanes of a pool ([`ranged`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +43,7 @@ pub mod counting;
 pub mod operating_range;
 pub mod pairs;
 pub mod radix;
+pub mod ranged;
 pub mod scratch;
 
 pub use counting::{
@@ -56,4 +59,5 @@ pub use radix::{
     msda_radix_sort_pairs, msda_radix_sort_pairs_dedup, msda_radix_sort_pairs_dedup_with,
     msda_radix_sort_pairs_with,
 };
+pub use ranged::{merge_parts_ranged, Lanes, RangedMerge};
 pub use scratch::SortScratch;

@@ -166,7 +166,7 @@ pub fn sort_parts_auto_dedup_with(mut parts: Vec<Vec<u64>>, scratch: &mut SortSc
 
 /// [`recommend_algorithm`] from scanned bounds. The span is computed
 /// without the `+ 1` that would wrap on the full `u64` range.
-fn recommend_within(n_pairs: usize, bounds: PairBounds) -> Algorithm {
+pub(crate) fn recommend_within(n_pairs: usize, bounds: PairBounds) -> Algorithm {
     let (min, max) = bounds.subjects;
     recommend_algorithm(n_pairs, (max - min).saturating_add(1))
 }

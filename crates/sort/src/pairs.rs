@@ -121,9 +121,68 @@ pub fn subject_min_max(pairs: &[u64]) -> Option<(u64, u64)> {
     pair_bounds(pairs).map(|bounds| bounds.subjects)
 }
 
+/// First pair index `>= lo` whose pair is `>= key`, assuming `pairs` is
+/// sorted; exponential probe from `lo` followed by a binary search of the
+/// bracketed range. `lo` is the result of the previous search, which makes a
+/// whole ascending scan of keys O(Σ log(gap)) instead of O(n).
+pub fn gallop_pairs(pairs: &[u64], mut lo: usize, key: (u64, u64)) -> usize {
+    let n = pairs.len() / 2;
+    let at = |i: usize| (pairs[2 * i], pairs[2 * i + 1]);
+    if lo >= n || at(lo) >= key {
+        return lo.min(n);
+    }
+    // Invariant from here on: at(lo) < key <= at(hi) (hi may be n).
+    let mut step = 1usize;
+    let mut hi;
+    loop {
+        let probe = lo + step;
+        if probe >= n {
+            hi = n;
+            break;
+        }
+        if at(probe) < key {
+            lo = probe;
+            step *= 2;
+        } else {
+            hi = probe;
+            break;
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if at(mid) < key {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gallop_agrees_with_linear_scan() {
+        let pairs: Vec<u64> = (0..64u64).flat_map(|i| [i / 2, i % 5]).collect();
+        let mut sorted = pairs.clone();
+        crate::sort_pairs_auto(&mut sorted);
+        let n = sorted.len() / 2;
+        for lo in 0..=n {
+            for key in [(0u64, 0u64), (3, 1), (15, 4), (31, 2), (99, 0)] {
+                let expected = (lo..n)
+                    .find(|&i| (sorted[2 * i], sorted[2 * i + 1]) >= key)
+                    .unwrap_or(n)
+                    .max(lo);
+                assert_eq!(
+                    gallop_pairs(&sorted, lo, key),
+                    expected,
+                    "lo = {lo}, key = {key:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn sortedness_check() {

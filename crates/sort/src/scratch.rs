@@ -122,8 +122,9 @@ impl SortScratch {
 
     /// The counting-sort arenas sized for `width` subjects, `n_pairs` pairs
     /// and a stamp pass over `object_span` objects (`0`: no stamp pass).
-    /// The histogram is zeroed; the stamp array only grows, keeping what
-    /// earlier calls wrote: every run stamps with an epoch of its own.
+    /// The histogram is zeroed; the object area holds whatever it held; the
+    /// stamp array only grows, keeping what earlier calls wrote: every run
+    /// stamps with an epoch of its own.
     pub(crate) fn counting_arenas(
         &mut self,
         width: usize,
@@ -134,8 +135,16 @@ impl SortScratch {
         self.histogram.resize(width, 0);
         self.start.clear();
         self.start.resize(width + 1, 0);
-        self.objects.clear();
-        self.objects.resize(n_pairs, 0);
+        // The scatter writes every slot of the object area before the sort
+        // reads it, so stale values may stay and a reused area is not
+        // cleared. An area too small is freed before a zeroed one is
+        // allocated: growing it would copy its stale values first.
+        if self.objects.capacity() < n_pairs {
+            drop(std::mem::take(&mut self.objects));
+            self.objects = vec![0; n_pairs];
+        } else {
+            self.objects.resize(n_pairs, 0);
+        }
         if self.stamps.len() < object_span {
             self.stamps.resize(object_span, 0);
         }
@@ -147,6 +156,26 @@ impl SortScratch {
                 slots: &mut self.stamps,
                 epoch: &mut self.epoch,
             },
+        }
+    }
+
+    /// The counting histogram alone, zeroed, `width` slots — for a lane
+    /// that counts its share of the pairs of a ranged update.
+    pub(crate) fn histogram(&mut self, width: usize) -> &mut [u32] {
+        self.histogram.clear();
+        self.histogram.resize(width, 0);
+        &mut self.histogram
+    }
+
+    /// The stamp pass alone, over `object_span` objects — for a lane that
+    /// sorts runs in arenas another scratch holds (the ranged update).
+    pub(crate) fn stamps(&mut self, object_span: usize) -> Stamps<'_> {
+        if self.stamps.len() < object_span {
+            self.stamps.resize(object_span, 0);
+        }
+        Stamps {
+            slots: &mut self.stamps,
+            epoch: &mut self.epoch,
         }
     }
 }

@@ -22,7 +22,9 @@
 //!   not write;
 //! * [`merge`] — the per-iteration update step of Figure 5: sort and
 //!   deduplicate the inferred pairs (one part per rule that emitted them),
-//!   merge them into *main*, and emit the genuinely new pairs into *new*;
+//!   merge them into *main*, and emit the genuinely new pairs into *new* —
+//!   for a table that dominates an iteration, split by subject range across
+//!   the lanes of a pool ([`merge_new_parts_ranged`]);
 //! * [`inferred`] — the per-rule output buffers used during parallel rule
 //!   execution (each rule thread owns one, avoiding contention);
 //! * [`profile`] — software memory-access counters standing in for the
@@ -48,11 +50,11 @@ pub mod triple_store;
 
 /// The scratch of [`PropertyTable::finalize_with`] and the `ensure_os_with`
 /// family, re-exported so their callers need not name the sort crate.
-pub use inferray_sort::SortScratch;
+pub use inferray_sort::{Lanes, SortScratch};
 pub use inferred::InferredBuffer;
 pub use merge::{
-    merge_new_pairs, merge_new_pairs_with, merge_new_parts_with, MergeOutcome, MergeStrategy,
-    MergeTarget,
+    merge_new_pairs, merge_new_pairs_with, merge_new_parts_ranged, merge_new_parts_with,
+    MergeOutcome, MergeStrategy, MergeTarget,
 };
 pub use profile::AccessProfile;
 pub use property_table::{

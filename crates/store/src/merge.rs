@@ -50,6 +50,15 @@
 //! ⟨o,s⟩ cache, patched with the same kernel; a larger one drops it
 //! ([`crate::property_table::KEEP_OS_CACHE_DIVISOR`]).
 //!
+//! ## One table, many lanes
+//!
+//! [`merge_new_parts_ranged`] gives the same result as
+//! [`merge_new_parts_with`] (within the counting kernel's operating range) — updated *main*, new table, counters, strategy
+//! and ⟨o,s⟩ cache state — with the sort, the classification and the merge
+//! split by subject range across the lanes of a pool
+//! ([`inferray_sort::ranged`]). *main* is then rebuilt rather than spliced:
+//! each lane writes its range of the union at its final offset.
+//!
 //! The seed's rebuild survives in the test module as
 //! `merge_new_pairs_rebuild`, the reference the property tests compare
 //! against; `tests/parts_merge.rs` holds the parts merge to the merge of
@@ -60,7 +69,11 @@
 //! performs zero sort allocations (see `inferray-sort`).
 
 use crate::property_table::PropertyTable;
-use inferray_sort::{sort_pairs_auto_dedup_with, sort_parts_auto_dedup_with, SortScratch};
+use inferray_sort::pairs::gallop_pairs;
+use inferray_sort::{
+    merge_parts_ranged, sort_pairs_auto_dedup_with, sort_parts_auto_dedup_with, Lanes, RangedMerge,
+    SortScratch,
+};
 use std::sync::Arc;
 
 /// The *main* table a merge updates: read through `&`, written only once a
@@ -187,6 +200,62 @@ pub fn merge_new_parts_with(
     merge_sorted(main, inferred, outcome, scratch)
 }
 
+/// [`merge_new_parts_with`] split by subject range across `lanes`, one range
+/// per scratch of `scratches` ([`inferray_sort::ranged`]): the same updated
+/// `main`, the same new table, the same counters, strategy included, and
+/// the same ⟨o,s⟩ cache state — a built cache is patched when the new pairs
+/// are few against `main` and dropped otherwise, as the splice does.
+///
+/// Hands the parts back, `main` finalized and otherwise untouched, when
+/// the counting kernel is not the one the §5.4 rule picks for them (or they
+/// hold no pair): the caller merges them with [`merge_new_parts_with`].
+///
+/// # Panics
+/// Panics if `scratches` is empty or a part has odd length.
+pub fn merge_new_parts_ranged(
+    main: &mut impl MergeTarget,
+    parts: Vec<Vec<u64>>,
+    scratches: &mut [SortScratch],
+    lanes: &impl Lanes,
+) -> Result<(PropertyTable, MergeOutcome), Vec<Vec<u64>>> {
+    let mut outcome = MergeOutcome {
+        inferred_raw: parts.iter().map(|part| part.len() / 2).sum(),
+        ..MergeOutcome::default()
+    };
+    if main.get().is_dirty() {
+        main.get_mut().finalize_with(&mut scratches[0]);
+    }
+    let RangedMerge {
+        distinct,
+        duplicates_against_main,
+        first,
+        fresh,
+        merged,
+    } = merge_parts_ranged(parts, main.get().pairs(), scratches, lanes)?;
+    outcome.duplicates_within_inferred = outcome.inferred_raw - distinct;
+    let Some(first) = first else {
+        return Ok((PropertyTable::new(), outcome));
+    };
+    // The strategy the in-place merge picks for the same pairs.
+    let old = main.get().pairs();
+    outcome.strategy = if old.is_empty() {
+        MergeStrategy::Bootstrap
+    } else if first > (old[old.len() - 2], old[old.len() - 1]) {
+        MergeStrategy::TailAppend
+    } else {
+        outcome.duplicates_against_main = duplicates_against_main;
+        if fresh.is_empty() {
+            return Ok((PropertyTable::new(), outcome));
+        }
+        MergeStrategy::GallopSplice
+    };
+    outcome.new_pairs = fresh.len() / 2;
+    main.get_mut().install_merged(merged, &fresh);
+    let mut new_table = PropertyTable::new();
+    new_table.replace_with_sorted(fresh);
+    Ok((new_table, outcome))
+}
+
 /// Step 2 of the merge, from `inferred` sorted and duplicate-free and an
 /// `outcome` that counts its raw pairs.
 fn merge_sorted(
@@ -237,7 +306,7 @@ fn retain_absent(old: &[u64], inferred: &mut Vec<u64>) -> usize {
     let mut write = 0usize;
     for read in (0..inferred.len()).step_by(2) {
         let key = (inferred[read], inferred[read + 1]);
-        cursor = gallop_lower_bound(old, cursor, key);
+        cursor = gallop_pairs(old, cursor, key);
         if cursor < n_old && (old[2 * cursor], old[2 * cursor + 1]) == key {
             duplicates += 1;
         } else {
@@ -248,44 +317,6 @@ fn retain_absent(old: &[u64], inferred: &mut Vec<u64>) -> usize {
     }
     inferred.truncate(write);
     duplicates
-}
-
-/// First pair index `>= lo` whose pair is `>= key`, assuming `pairs` is
-/// sorted; exponential probe from `lo` followed by a binary search of the
-/// bracketed range. `lo` is the result of the previous search, which makes a
-/// whole ascending delta scan O(Σ log(gap)) instead of O(n).
-fn gallop_lower_bound(pairs: &[u64], mut lo: usize, key: (u64, u64)) -> usize {
-    let n = pairs.len() / 2;
-    let at = |i: usize| (pairs[2 * i], pairs[2 * i + 1]);
-    if lo >= n || at(lo) >= key {
-        return lo.min(n);
-    }
-    // Invariant from here on: at(lo) < key <= at(hi) (hi may be n).
-    let mut step = 1usize;
-    let mut hi;
-    loop {
-        let probe = lo + step;
-        if probe >= n {
-            hi = n;
-            break;
-        }
-        if at(probe) < key {
-            lo = probe;
-            step *= 2;
-        } else {
-            hi = probe;
-            break;
-        }
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if at(mid) < key {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    hi
 }
 
 #[cfg(test)]
@@ -439,27 +470,6 @@ mod tests {
         assert_eq!(outcome.new_pairs, 1);
         assert!(!Arc::ptr_eq(&main, &epoch), "the first write copies");
         assert_eq!((main.len(), epoch.len()), (257, 256));
-    }
-
-    #[test]
-    fn gallop_lower_bound_agrees_with_linear_scan() {
-        let pairs: Vec<u64> = (0..64u64).flat_map(|i| [i / 2, i % 5]).collect();
-        let mut sorted = pairs.clone();
-        inferray_sort::sort_pairs_auto(&mut sorted);
-        let n = sorted.len() / 2;
-        for lo in 0..=n {
-            for key in [(0u64, 0u64), (3, 1), (15, 4), (31, 2), (99, 0)] {
-                let expected = (lo..n)
-                    .find(|&i| (sorted[2 * i], sorted[2 * i + 1]) >= key)
-                    .unwrap_or(n)
-                    .max(lo);
-                assert_eq!(
-                    gallop_lower_bound(&sorted, lo, key),
-                    expected,
-                    "lo = {lo}, key = {key:?}"
-                );
-            }
-        }
     }
 
     /// The seed's always-rebuild merge, the reference the adaptive merge is

@@ -10,10 +10,10 @@
 //! and racing readers of one table block on a single build.
 //!
 //! The paper drops the cache whenever the ⟨s,o⟩ pairs change. Here a
-//! *small* change keeps it: the three in-place mutators
+//! *small* change keeps it: the four mutators that apply a known change
 //! ([`PropertyTable::append_sorted_suffix`],
-//! [`PropertyTable::splice_in_sorted`], [`PropertyTable::remove_pairs`])
-//! take a built cache out, invalidate, apply the same change — swapped
+//! [`PropertyTable::splice_in_sorted`], [`PropertyTable::install_merged`],
+//! [`PropertyTable::remove_pairs`]) take a built cache out, invalidate, apply the same change — swapped
 //! and sorted on ⟨o,s⟩ — to it with the same in-place kernel, and put it
 //! back, as long as the change is at most `1 /` [`KEEP_OS_CACHE_DIVISOR`]
 //! of the table. A larger change drops the cache, as in the paper. Every
@@ -392,6 +392,22 @@ impl PropertyTable {
         self.settle_os_cache(fresh, before, |os, swapped| splice_sorted(os, swapped));
     }
 
+    /// Replaces the pairs with `merged`: the table's pairs with the sorted,
+    /// duplicate-free `fresh` — pairs the table lacked — merged in, built
+    /// outside the table (the ranged update,
+    /// [`merge_new_parts_ranged`](crate::merge_new_parts_ranged)). A built
+    /// ⟨o,s⟩ cache settles as after
+    /// [`splice_in_sorted`](Self::splice_in_sorted) of the same pairs:
+    /// patched when `fresh` is small against the table, dropped otherwise.
+    pub fn install_merged(&mut self, merged: Vec<u64>, fresh: &[u64]) {
+        debug_assert!(!self.dirty, "install_merged on a dirty table");
+        debug_assert_eq!(merged.len(), self.so.len() + fresh.len());
+        debug_assert!(inferray_sort::is_sorted_pairs(&merged));
+        let before = self.len();
+        self.so = merged;
+        self.settle_os_cache(fresh, before, |os, swapped| splice_sorted(os, swapped));
+    }
+
     /// Removes the given pairs from the table **in place**, preserving the
     /// ⟨s,o⟩ sort order, and returns how many pairs were actually removed.
     ///
@@ -433,12 +449,6 @@ impl PropertyTable {
     pub fn into_pairs(mut self) -> Vec<u64> {
         self.finalize();
         self.so
-    }
-
-    /// The pairs as `(s, o)` tuples collected into a vector (convenience for
-    /// the closure stage, which wants tuple edges).
-    pub fn to_tuple_pairs(&self) -> Vec<(u64, u64)> {
-        self.iter_pairs().collect()
     }
 
     /// Rewrites every subject/object identifier through `remap` in place
@@ -925,13 +935,6 @@ mod tests {
         t.replace_with_sorted(vec![1, 1, 2, 2]);
         assert_eq!(t.len(), 2);
         assert_eq!(t.into_pairs(), vec![1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn to_tuple_pairs_round_trip() {
-        let t = table();
-        let tuples = t.to_tuple_pairs();
-        assert_eq!(tuples, vec![(1, 3), (1, 9), (2, 7), (5, 2)]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn main() {
         triples.len()
     );
 
-    // Inferray: dedicated closure stage (Nuutila + interval sets).
+    // Inferray: dedicated closure stage (Nuutila, output sorted by construction).
     let loaded = load_triples(triples.iter()).expect("valid chain");
     let mut store = loaded.store.clone();
     let stats = InferrayReasoner::new(Fragment::RhoDf).materialize(&mut store);

@@ -13,8 +13,8 @@
 //! 2. **dense dictionary numbering** and two low-entropy sorting kernels
 //!    (pair counting sort and adaptive MSD radix) that keep those tables
 //!    sorted cheaply;
-//! 3. a dedicated **transitive-closure stage** (Nuutila's algorithm with
-//!    interval-set reachability) run before the fixed-point rule loop.
+//! 3. a dedicated **transitive-closure stage** (Nuutila's algorithm over
+//!    one dense numbering, output sorted by construction) run before the fixed-point rule loop.
 //!
 //! ## Quick start
 //!
