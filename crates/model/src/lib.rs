@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 pub mod graph;
 pub mod hash;
 pub mod ids;
@@ -39,6 +40,6 @@ pub mod vocab;
 
 pub use graph::Graph;
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use json::{json_escape_into, json_string_into};
+pub use json::{first_json_escape, json_escape_into, json_string_into};
 pub use term::{Term, TermKind, TermRef};
 pub use triple::{IdTriple, Triple};

@@ -5,6 +5,7 @@
 //! serializer in `inferray-parser` emits and what the dictionary uses as the
 //! interning key, so a term always round-trips through its textual form.
 
+use crate::block::first_iri_special;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -277,9 +278,7 @@ impl<'a> TermRef<'a> {
         match self {
             TermRef::Iri(iri) => {
                 out.reserve(iri.len() + 2);
-                out.push('<');
-                out.push_str(iri);
-                out.push('>');
+                let _ = write_iri_ref(out, iri);
             }
             TermRef::Blank(label) => {
                 out.reserve(label.len() + 2);
@@ -314,9 +313,8 @@ impl<'a> TermRef<'a> {
                     out.push_str(lang);
                 } else if let Some(dt) = datatype {
                     if dt != XSD_STRING {
-                        out.push_str("^^<");
-                        out.push_str(dt);
-                        out.push('>');
+                        out.push_str("^^");
+                        let _ = write_iri_ref(out, dt);
                     }
                 }
             }
@@ -333,7 +331,7 @@ impl<'a> TermRef<'a> {
     /// come back as `None`.
     pub fn from_ntriples(text: &'a str) -> Option<TermRef<'a>> {
         match *text.as_bytes().first()? {
-            b'<' => Some(TermRef::Iri(Cow::Borrowed(text[1..].strip_suffix('>')?))),
+            b'<' => Some(TermRef::Iri(unescape_iri(text[1..].strip_suffix('>')?)?)),
             b'_' => Some(TermRef::Blank(Cow::Borrowed(text.strip_prefix("_:")?))),
             b'"' => {
                 let body = &text[1..];
@@ -365,7 +363,7 @@ impl<'a> TermRef<'a> {
                     (None, Some(Cow::Borrowed(lang)))
                 } else {
                     let dt = suffix.strip_prefix("^^<")?.strip_suffix('>')?;
-                    (Some(Cow::Borrowed(dt)), None)
+                    (Some(unescape_iri(dt)?), None)
                 };
                 Some(TermRef::Literal {
                     lexical,
@@ -375,6 +373,36 @@ impl<'a> TermRef<'a> {
             }
             _ => None,
         }
+    }
+}
+
+/// Writes `iri` as an N-Triples `IRIREF`: between `<` and `>`, with every
+/// character the grammar forbids there — `#x00–#x20` and `` <>"{}|^`\ `` —
+/// spelled `\u00XX`, so the text reads back as the same IRI. The one IRI
+/// speller of [`TermRef::write_ntriples`] (the dictionary's interning key
+/// and the batch writer's bytes) and of `Term`'s `Display`. A plain IRI,
+/// nearly every one, costs a block scan and one `write_str`.
+fn write_iri_ref<W: fmt::Write>(out: &mut W, iri: &str) -> fmt::Result {
+    out.write_char('<')?;
+    let mut rest = iri;
+    // Every forbidden character is ASCII, so cutting at one keeps both
+    // sides valid UTF-8.
+    while let Some(at) = first_iri_special(rest.as_bytes()) {
+        out.write_str(&rest[..at])?;
+        write!(out, "\\u{:04X}", rest.as_bytes()[at])?;
+        rest = &rest[at + 1..];
+    }
+    out.write_str(rest)?;
+    out.write_char('>')
+}
+
+/// The IRI between the delimiters of an `IRIREF`: borrowed unless it holds
+/// an escape. `None` on a malformed escape.
+fn unescape_iri(raw: &str) -> Option<Cow<'_, str>> {
+    if raw.contains('\\') {
+        unescape_ntriples(raw).map(Cow::Owned)
+    } else {
+        Some(Cow::Borrowed(raw))
     }
 }
 
@@ -460,7 +488,7 @@ impl fmt::Display for Term {
     /// Formats the term in N-Triples syntax.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Term::Iri(iri) => write!(f, "<{}>", iri),
+            Term::Iri(iri) => write_iri_ref(f, iri),
             Term::BlankNode(label) => write!(f, "_:{}", label),
             Term::Literal {
                 lexical,
@@ -474,7 +502,8 @@ impl fmt::Display for Term {
                     if dt == XSD_STRING {
                         Ok(())
                     } else {
-                        write!(f, "^^<{}>", dt)
+                        f.write_str("^^")?;
+                        write_iri_ref(f, dt)
                     }
                 } else {
                     Ok(())
@@ -553,6 +582,28 @@ mod tests {
         ] {
             assert!(TermRef::from_ntriples(bad).is_none(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn an_iri_spells_every_forbidden_character_as_an_escape() {
+        let iri = "http://ex/a b<c>d\"e{f}g|h^i`j\\k\u{0}\u{1f}é語=?_~";
+        let expected = "<http://ex/a\\u0020b\\u003Cc\\u003Ed\\u0022e\\u007Bf\\u007Dg\\u007Ch\
+                        \\u005Ei\\u0060j\\u005Ck\\u0000\\u001Fé語=?_~>";
+        for term in [Term::iri(iri), Term::typed_literal("5", iri)] {
+            let text = term.to_ntriples();
+            assert_eq!(text, term.to_string());
+            assert!(text.contains(expected), "{text}");
+            let view = TermRef::from_ntriples(&text).expect("the spelling reads back");
+            assert_eq!(view.into_term(), term);
+        }
+        // A plain IRI is its own spelling, and reads back borrowed.
+        let text = Term::iri("http://ex/a#b?c=d&e_f~g").to_ntriples();
+        assert_eq!(text, "<http://ex/a#b?c=d&e_f~g>");
+        assert!(matches!(
+            TermRef::from_ntriples(&text),
+            Some(TermRef::Iri(Cow::Borrowed(_)))
+        ));
+        assert!(TermRef::from_ntriples("<a\\u00zzb>").is_none());
     }
 
     #[test]

@@ -363,7 +363,10 @@ impl ChunkSink {
     }
 
     /// `true` when `term` is the IRI interned as `i` — a compare against
-    /// `<iri>` in the arena instead of a render, a hash and a probe.
+    /// `<iri>` in the arena instead of a render, a hash and a probe. Equal
+    /// text is the same IRI unless it holds a backslash: in the arena that
+    /// starts the `\u` escape of a forbidden character, in `iri` it is a
+    /// backslash (which the arena spells `\u005C`).
     fn is_iri_entry(&self, i: u32, term: &TermRef<'_>) -> bool {
         let TermRef::Iri(iri) = term else {
             return false;
@@ -373,6 +376,7 @@ impl ChunkSink {
             .strip_prefix('<')
             .and_then(|text| text.strip_suffix('>'))
             == Some(iri)
+            && !iri.as_bytes().contains(&b'\\')
     }
 
     /// Interns one statement's terms (in the sequential loader's P, S, O

@@ -64,10 +64,12 @@
 //! `keep-alive`), on framing errors (the byte stream position is unknown
 //! after 408/411/413/501), or on shutdown. Each worker owns one set of
 //! reusable buffers ([`WorkerBuffers`]) — request head scratch, body
-//! buffer, response body, and the rendered wire bytes — so the steady-state
-//! request loop performs no per-request heap allocation for framing or
-//! response rendering: responses are `write!`-rendered into the reused
-//! buffers and sent with a single `write_all`. The repo lint rule IL007
+//! buffer, response body, the projected variables' binding keys and the
+//! rendered status line and headers — so the steady-state request loop
+//! performs no per-request heap allocation for framing or response
+//! rendering. The body is rendered once, into its buffer, and leaves from
+//! there: head and body go out in one vectored write ([`send`]), so a
+//! large answer is never copied behind its head. The repo lint rule IL007
 //! keeps `format!` / `String::new` / `Vec::new` out of the hot functions;
 //! cold paths (errors, updates) delegate to dedicated functions that may
 //! allocate.
@@ -77,8 +79,9 @@ use crate::engine::SnapshotQueryEngine;
 use crate::executor::Scratch;
 use crate::solution::SolutionSet;
 use crate::sparql::parse_query;
-use inferray_model::{json_escape_into, TermRef};
-use std::io::{BufRead, BufReader, Read, Write};
+use inferray_dictionary::Dictionary;
+use inferray_model::{first_json_escape, json_escape_into, TermRef};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -392,9 +395,20 @@ struct WorkerBuffers {
     scratch: Scratch,
     /// The rendered response body (JSON).
     response: String,
-    /// The rendered wire bytes (status line + headers + body), written with
-    /// a single `write_all`.
+    /// The projected variables' binding keys, escaped once per answer.
+    keys: CellKeys,
+    /// The rendered status line and headers. The body stays in `response`;
+    /// [`send`] writes both.
     out: Vec<u8>,
+}
+
+/// The `"name":` key of each projected variable of an answer, escaped once
+/// per answer rather than once per cell: the keys back to back in one
+/// string, and where each ends.
+#[derive(Default)]
+struct CellKeys {
+    text: String,
+    ends: Vec<usize>,
 }
 
 impl WorkerBuffers {
@@ -406,6 +420,7 @@ impl WorkerBuffers {
             solutions: SolutionSet::default(),
             scratch: Scratch::default(),
             response: String::new(),
+            keys: CellKeys::default(),
             out: Vec::new(),
         }
     }
@@ -580,6 +595,7 @@ fn serve_request(
                     &mut buffers.solutions,
                     &mut buffers.scratch,
                     &mut buffers.response,
+                    &mut buffers.keys,
                     &mut buffers.out,
                 )?,
                 None => {
@@ -630,6 +646,7 @@ fn serve_request(
                     &mut buffers.solutions,
                     &mut buffers.scratch,
                     &mut buffers.response,
+                    &mut buffers.keys,
                     &mut buffers.out,
                 )?;
             }
@@ -883,7 +900,7 @@ fn starts_with_ignore_ascii_case(value: &str, prefix: &str) -> bool {
 /// clean end of the connection: EOF — or an idle timeout — before the first
 /// byte of a next request.
 fn read_head(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     buffers: &mut WorkerBuffers,
 ) -> Result<Option<RequestHead>, (u16, String)> {
     // The whole head (request line + headers) is read through a byte cap:
@@ -1043,6 +1060,7 @@ fn answer_query(
     solutions: &mut SolutionSet,
     scratch: &mut Scratch,
     response: &mut String,
+    keys: &mut CellKeys,
     out: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     response.clear();
@@ -1065,7 +1083,7 @@ fn answer_query(
                 !solutions.is_empty()
             );
         }
-        QueryForm::Select => results_json_into(response, solutions, &engine),
+        QueryForm::Select => results_json_into(response, keys, solutions, engine.dictionary()),
     }
     respond(
         stream,
@@ -1078,78 +1096,127 @@ fn answer_query(
 }
 
 /// Renders a solution set in the SPARQL 1.1 Query Results JSON format into
-/// the reused response buffer, straight off the executor's flat batch.
-fn results_json_into(out: &mut String, solutions: &SolutionSet, engine: &SnapshotQueryEngine) {
+/// the reused response buffer, straight off the executor's flat batch and
+/// the dictionary's arena text: each projected variable's `"name":` key is
+/// escaped once into `keys`, and each cell is one [`Dictionary::text`]
+/// lookup that [`cell_json_into`] renders.
+fn results_json_into(
+    out: &mut String,
+    keys: &mut CellKeys,
+    solutions: &SolutionSet,
+    dictionary: &Dictionary,
+) {
     out.reserve(64 + solutions.len() * 64);
     out.push_str("{\"head\":{\"vars\":[");
+    keys.text.clear();
+    keys.ends.clear();
     for (i, var) in solutions.variables().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        json_escape_into(out, var);
-        out.push('"');
+        let start = keys.text.len();
+        keys.text.push('"');
+        json_escape_into(&mut keys.text, var);
+        keys.text.push('"');
+        out.push_str(&keys.text[start..]);
+        keys.text.push(':');
+        keys.ends.push(keys.text.len());
     }
     out.push_str("]},\"results\":{\"bindings\":[");
-    let dictionary = engine.dictionary();
     for (row_index, row) in solutions.rows().enumerate() {
         if row_index > 0 {
             out.push(',');
         }
         out.push('{');
         let mut first = true;
-        for (var, id) in solutions.variables().iter().zip(row) {
-            let Some(term) = dictionary.term_ref(*id) else {
+        let mut start = 0;
+        for (&end, &id) in keys.ends.iter().zip(row) {
+            let key = &keys.text[start..end];
+            start = end;
+            let Some(text) = dictionary.text(id) else {
                 continue; // unbound variables are omitted from the binding
             };
             if !first {
                 out.push(',');
             }
             first = false;
-            out.push('"');
-            json_escape_into(out, var);
-            out.push_str("\":");
-            term_json_into(out, &term);
+            out.push_str(key);
+            cell_json_into(out, text);
         }
         out.push('}');
     }
     out.push_str("]}}\n");
 }
 
-/// Renders one binding off the borrowed view of the dictionary's arena
-/// text: nothing is copied but into `out`.
-fn term_json_into(out: &mut String, term: &TermRef<'_>) {
-    match term {
-        TermRef::Iri(iri) => {
-            out.push_str("{\"type\":\"uri\",\"value\":\"");
-            json_escape_into(out, iri);
+/// The start of an IRI binding, up to its value.
+const URI_CELL: &str = "{\"type\":\"uri\",\"value\":\"";
+
+/// Renders one binding from its term's canonical N-Triples text, a slice
+/// of the dictionary's arena. The common cell, an IRI with nothing to
+/// escape, is the slice between its delimiters, copied whole behind one
+/// block scan; it stays inline in the row loop, and every other cell goes
+/// to [`other_cell_json_into`].
+#[inline(always)]
+fn cell_json_into(out: &mut String, text: &str) {
+    if text.as_bytes().first() == Some(&b'<') {
+        let iri = text.get(1..text.len() - 1).unwrap_or_default();
+        if first_json_escape(iri).is_none() {
+            out.push_str(URI_CELL);
+            out.push_str(iri);
+            out.push_str("\"}");
+            return;
+        }
+    }
+    other_cell_json_into(out, text);
+}
+
+/// Renders a blank node — the label after `_:`, escaped for JSON — or reads
+/// the term back through [`TermRef`] to undo its N-Triples escapes: a
+/// literal, or an IRI holding an escape (the arena spells every character
+/// JSON escapes as `\u00XX` inside an IRI).
+fn other_cell_json_into(out: &mut String, text: &str) {
+    if let Some(label) = text.strip_prefix("_:") {
+        out.push_str("{\"type\":\"bnode\",\"value\":\"");
+        json_escape_into(out, label);
+        out.push_str("\"}");
+        return;
+    }
+    match TermRef::from_ntriples(text) {
+        Some(TermRef::Iri(iri)) => {
+            out.push_str(URI_CELL);
+            json_escape_into(out, &iri);
             out.push_str("\"}");
         }
-        TermRef::Blank(label) => {
-            out.push_str("{\"type\":\"bnode\",\"value\":\"");
-            json_escape_into(out, label);
-            out.push_str("\"}");
-        }
-        TermRef::Literal {
+        Some(TermRef::Literal {
             lexical,
             datatype,
             language,
-        } => {
-            out.push_str("{\"type\":\"literal\",\"value\":\"");
-            json_escape_into(out, lexical);
-            out.push('"');
-            if let Some(language) = language {
-                out.push_str(",\"xml:lang\":\"");
-                json_escape_into(out, language);
-                out.push('"');
-            } else if let Some(datatype) = datatype {
-                out.push_str(",\"datatype\":\"");
-                json_escape_into(out, datatype);
-                out.push('"');
-            }
-            out.push('}');
-        }
+        }) => literal_json_into(out, &lexical, datatype.as_deref(), language.as_deref()),
+        Some(TermRef::Blank(_)) | None => {}
     }
+}
+
+/// Renders a literal binding: its lexical form, then its language tag or
+/// its datatype (none for a simple literal).
+fn literal_json_into(
+    out: &mut String,
+    lexical: &str,
+    datatype: Option<&str>,
+    language: Option<&str>,
+) {
+    out.push_str("{\"type\":\"literal\",\"value\":\"");
+    json_escape_into(out, lexical);
+    out.push('"');
+    if let Some(language) = language {
+        out.push_str(",\"xml:lang\":\"");
+        json_escape_into(out, language);
+        out.push('"');
+    } else if let Some(datatype) = datatype {
+        out.push_str(",\"datatype\":\"");
+        json_escape_into(out, datatype);
+        out.push('"');
+    }
+    out.push('}');
 }
 
 /// Renders `{"error":"…"}\n` into the reused response buffer.
@@ -1191,9 +1258,9 @@ impl RespondOptions {
     }
 }
 
-/// Renders status line, headers and body into the reused `out` buffer and
-/// sends them with a single `write_all` — the only per-request socket write
-/// on the happy path.
+/// Renders the status line and headers into the reused `out` buffer and
+/// sends them and `body` with [`send`] — one vectored write on the happy
+/// path, so the body leaves from the buffer it was rendered into.
 fn respond(
     stream: &mut TcpStream,
     status: u16,
@@ -1229,17 +1296,45 @@ fn respond(
     } else {
         out.extend_from_slice(b"Connection: close\r\n\r\n");
     }
-    if !opts.head_only {
-        out.extend_from_slice(body.as_bytes());
-    }
-    stream.write_all(out)?;
+    let body = if opts.head_only { "" } else { body };
+    send(stream, out, body.as_bytes())?;
     stream.flush()
 }
+
+/// Writes `head`, then `body`, with vectored writes until both have left:
+/// one `writev` in the common case, so head and body leave together. A
+/// partial write resumes at the first unsent byte (inside the head, or
+/// inside the body once the head is out), and `Interrupted` retries.
+fn send(stream: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let (mut head, mut body) = (head, body);
+    while !head.is_empty() || !body.is_empty() {
+        let written = if head.is_empty() {
+            stream.write(body)
+        } else {
+            stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)])
+        };
+        match written {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                let from_head = n.min(head.len());
+                head = &head[from_head..];
+                body = &body[(n - from_head).min(body.len())..];
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod head_fuzz;
+#[cfg(test)]
+mod render_law;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inferray_dictionary::Dictionary;
     use inferray_model::{Term, Triple};
     use inferray_store::{SnapshotStore, TripleStore};
 
@@ -1306,7 +1401,7 @@ mod tests {
         let mut dictionary = Dictionary::new();
         let render = |dictionary: &Dictionary, id| {
             let mut out = String::new();
-            term_json_into(&mut out, &dictionary.term_ref(id).unwrap());
+            cell_json_into(&mut out, dictionary.text(id).unwrap());
             out
         };
         let id = dictionary.encode_as_resource(&Term::typed_literal(
@@ -2042,6 +2137,160 @@ mod tests {
             response.contains("Connection: close"),
             "response: {response}"
         );
+        server.shutdown();
+    }
+
+    /// A writer that takes at most `step` bytes per call, answers every
+    /// other call with `Interrupted`, and ignores all but the first
+    /// non-empty buffer of a vectored write (as `Write`'s default does).
+    struct Trickle {
+        written: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.step);
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn send_resumes_partial_and_interrupted_writes_at_the_first_unsent_byte() {
+        let head = b"HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\n";
+        let body = b"abcdefghijklmnopqrstuvwxyz";
+        for step in [1, 2, 3, 7, 40, 41, 42, 66, 67, 1000] {
+            for (head, body) in [
+                (&head[..], &body[..]),
+                (&head[..], &[][..]),
+                (&[][..], &body[..]),
+            ] {
+                let mut sink = Trickle {
+                    written: Vec::new(),
+                    step,
+                    calls: 0,
+                };
+                send(&mut sink, head, body).expect("a trickle is not an error");
+                assert_eq!(sink.written, [head, body].concat(), "step {step}");
+            }
+        }
+        // A writer that takes nothing is an error, not a spin.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let error = send(&mut Full, b"head", b"body").expect_err("no progress");
+        assert_eq!(error.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    /// A store whose one answer (4.9 MB of JSON) is larger than a socket's
+    /// send buffer, with literals and IRIs that need escaping.
+    fn large_service() -> (Arc<SnapshotStore>, Arc<Dictionary>) {
+        let mut dictionary = Dictionary::new();
+        let encoded: Vec<_> = (0..20_000)
+            .map(|i| {
+                let triple = Triple::new(
+                    Term::iri(format!("http://example.org/subject/{i}/with a space")),
+                    Term::iri("http://example.org/label"),
+                    Term::lang_literal(
+                        format!(
+                            "label {i} \"quoted\" tab\there, é and a long tail {:>64}",
+                            i
+                        ),
+                        "en",
+                    ),
+                );
+                dictionary.encode_triple(&triple).unwrap()
+            })
+            .collect();
+        let store = TripleStore::from_triples(encoded);
+        (Arc::new(SnapshotStore::new(store)), Arc::new(dictionary))
+    }
+
+    #[test]
+    fn a_large_answer_and_the_next_response_frame_by_content_length() {
+        let (snapshots, dictionary) = large_service();
+        let engine = SnapshotQueryEngine::new(snapshots.snapshot(), Arc::clone(&dictionary));
+        let server =
+            SparqlServer::bind("127.0.0.1:0", 1, Arc::new(engine.clone())).expect("bind loopback");
+        let query = "SELECT ?s ?o WHERE { ?s <http://example.org/label> ?o }";
+        let expected = {
+            let mut solutions = SolutionSet::default();
+            engine.execute_into(
+                &parse_query(query).unwrap(),
+                &mut solutions,
+                &mut Scratch::default(),
+            );
+            assert_eq!(solutions.len(), 20_000);
+            render_law::reference_results_json(&solutions, &dictionary)
+        };
+        // More than the largest send buffer Linux grows a socket to (4 MiB).
+        assert!(expected.len() > 4 << 20, "{} bytes", expected.len());
+
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut reader = BufReader::new(stream);
+        let encoded = percent_encode_for_test(query);
+        // Both requests at once; the client reads nothing for a while, so
+        // the server's write fills the socket's buffers and blocks.
+        let burst = format!(
+            "GET /sparql?query={encoded} HTTP/1.1\r\nHost: t\r\n\r\n\
+             GET /sparql?query={} HTTP/1.1\r\nHost: t\r\n\r\n",
+            percent_encode_for_test("ASK { ?s ?p ?o }")
+        );
+        reader.get_mut().write_all(burst.as_bytes()).expect("send");
+        std::thread::sleep(Duration::from_millis(200));
+        let (status, head, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert!(head.contains("Connection: keep-alive"), "head: {head}");
+        assert!(
+            body == expected,
+            "the large answer differs from the reference"
+        );
+        let (status, _, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert_eq!(body, "{\"head\":{},\"boolean\":true}\n");
+
+        // HEAD announces the same length and sends no body: the response
+        // after it starts right after its blank line.
+        let burst = format!(
+            "HEAD /sparql?query={encoded} HTTP/1.1\r\nHost: t\r\n\r\n\
+             GET /status HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        );
+        reader.get_mut().write_all(burst.as_bytes()).expect("send");
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read header line");
+            if line == "\r\n" {
+                break;
+            }
+            head.push_str(&line);
+        }
+        assert!(
+            head.contains(&format!("Content-Length: {}\r\n", expected.len())),
+            "head: {head}"
+        );
+        let (status, _, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert!(body.starts_with("{\"epoch\":0"), "body: {body}");
         server.shutdown();
     }
 

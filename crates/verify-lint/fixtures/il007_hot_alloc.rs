@@ -1,6 +1,6 @@
 //! IL007 fixture: per-request allocation inside the serving hot functions.
-//! Only the three sites in `serve_request`/`respond`/`error_json_into` may
-//! fire; the camouflaged negatives (cold helpers, with_capacity, comments,
+//! Only the four sites in `serve_request`/`respond`/`error_json_into`/
+//! `cell_json_into` may fire; the camouflaged negatives (cold helpers, with_capacity, comments,
 //! strings, cfg(test) items) must stay silent.
 
 // Negative: a comment mentioning format!( and String::new( is blanked.
@@ -18,6 +18,12 @@ fn respond(out: &mut Vec<u8>) {
 fn error_json_into(out: &mut String) {
     let parts: Vec<u8> = Vec::new(); // positive 3
     out.push_str(&parts.len().to_string());
+}
+
+fn cell_json_into(out: &mut String, text: &str) {
+    // A per-cell copy of the arena text.
+    let value = format!("{{\"value\":\"{text}\"}}"); // positive 4
+    out.push_str(&value);
 }
 
 fn percent_decode(input: &str) -> String {

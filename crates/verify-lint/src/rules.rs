@@ -707,11 +707,12 @@ pub fn il006_manifest_hygiene(
 // ---------------------------------------------------------------------------
 
 /// The per-request serving path in `crates/query/src/server.rs`: the
-/// connection loop, request parsing, query answering and response rendering
-/// (`results_json_into` and below walk the executor's flat batch straight
-/// into the response buffer). `worker_loop` allocates the reusable
-/// [`WorkerBuffers`] once per worker and is deliberately *not* listed;
-/// everything it calls per request is.
+/// connection loop, request parsing, query answering, response rendering
+/// (`results_json_into` and below walk the executor's flat batch and the
+/// dictionary's arena text straight into the response buffer) and the
+/// vectored write that sends head and body (`send`). `worker_loop`
+/// allocates the reusable [`WorkerBuffers`] once per worker and is
+/// deliberately *not* listed; everything it calls per request is.
 pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
     "handle_connection",
     "serve_request",
@@ -720,21 +721,35 @@ pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
     "percent_decode",
     "answer_query",
     "results_json_into",
-    "term_json_into",
+    "cell_json_into",
+    "other_cell_json_into",
+    "literal_json_into",
     "error_json_into",
     "status_json_into",
     "respond",
+    "send",
 ];
 
 /// What `GET /status` reaches outside `server.rs`, through the sink's
 /// `status_json_into` hook: the umbrella crate's adapter, the durability
 /// and validation status renderers, and the shared JSON escaper (which
-/// every response cell goes through as well).
+/// every response cell goes through as well) with its block scan
+/// (`crates/model/src/block.rs`).
 pub const STATUS_RENDERERS: &[&str] = &[
     "status_json_into",
     "json_into",
     "json_string_into",
     "json_escape_into",
+    "first_json_escape",
+    "escape_from",
+    "first_json_special",
+    "first_in",
+    "in_block",
+    "in_word",
+    "word_at",
+    "json_class",
+    "below",
+    "equal",
 ];
 
 /// Allocation constructors banned per request. `String::with_capacity` /
@@ -850,6 +865,7 @@ const HOT_LISTS: &[HotList] = &[
             "crates/persist/src/durable.rs",
             "crates/core/src/api.rs",
             "crates/model/src/json.rs",
+            "crates/model/src/block.rs",
         ],
         functions: STATUS_RENDERERS,
         banned: HOT_ALLOC_PATTERNS,

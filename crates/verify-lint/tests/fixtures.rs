@@ -250,12 +250,13 @@ fn il006_fires_on_manifest_drift() {
 fn il007_fires_on_hot_function_allocation_only() {
     let files = vec![fixture("il007_hot_alloc.rs", "crates/query/src/server.rs")];
     let diags = rules::il007_no_hot_path_allocation(&files);
-    assert_eq!(diags.len(), 3, "{diags:?}");
+    assert_eq!(diags.len(), 4, "{diags:?}");
     assert!(diags.iter().all(|d| d.rule == "IL007"));
     for (hot_fn, constructor) in [
         ("serve_request", "`format!`"),
         ("respond", "`String::new`"),
         ("error_json_into", "`Vec::new`"),
+        ("cell_json_into", "`format!`"),
     ] {
         assert!(
             diags

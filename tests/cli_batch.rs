@@ -225,3 +225,63 @@ fn errors_of_a_streamed_file_carry_their_line() {
         "{stderr}"
     );
 }
+
+/// IRIs holding characters an `IRIREF` may not hold raw (space, `>`, `"`,
+/// `{`, `|`, `^`, `` ` ``, `\`, a control, and `<`) come in escaped and go
+/// out escaped: the CLI's output, read back by the CLI, gives the input's
+/// store, and printing it again prints the same bytes.
+#[test]
+fn output_with_escaped_iris_reads_back_as_the_same_store() {
+    let input = concat!(
+        "<http://ex/a\\u0020b> <http://ex/p> <http://ex/c\\u003Ed> .\n",
+        // The same text in the arena's spelling of the first subject, but
+        // a backslash here: another IRI, right after the first one.
+        "<http://ex/a\\u005Cu0020b> <http://ex/p> <http://ex/c\\u003Ed> .\n",
+        "<http://ex/q\\u0022{x}|y^z`\\u005C> <http://ex/p> \"v\"^^<http://ex/t\\u0020y\\u0001pe> .\n",
+        "<http://ex/\\u003Cwrapped\\u003E> <http://www.w3.org/2000/01/rdf-schema#subClassOf> ",
+        "<http://ex/a\\u0020b> .\n",
+        "<http://ex/plain> <http://ex/p> <http://ex/\\u00e9t\\u00E9> .\n",
+    );
+    let lines = |bytes: &[u8]| -> Vec<String> {
+        let mut lines: Vec<String> = String::from_utf8(bytes.to_vec())
+            .expect("N-Triples output is UTF-8")
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        lines.sort();
+        lines
+    };
+    let (ok, first, stderr) = run_on(input.as_bytes(), None);
+    assert!(ok, "{stderr}");
+    let file = TempInput::new("escaped-iris", input.as_bytes());
+    let (ok, streamed, stderr) = run_on(input.as_bytes(), Some(&file));
+    assert!(
+        ok && streamed == first,
+        "the file and stdin differ: {stderr}"
+    );
+    let (ok, second, stderr) = run_on(&first, None);
+    assert!(ok, "the CLI cannot read its own output back: {stderr}");
+    assert_eq!(lines(&second), lines(&first));
+
+    let store = |text: &str| -> BTreeSet<inferray::model::Triple> {
+        let loaded = inferray::load_ntriples(text).expect("the text parses");
+        loaded
+            .store
+            .iter_triples()
+            .map(|t| loaded.dictionary.decode_triple(t).unwrap())
+            .collect()
+    };
+    let printed = String::from_utf8(first).expect("UTF-8");
+    let (input_store, printed_store) = (store(input), store(&printed));
+    assert!(input_store.is_subset(&printed_store));
+    for subject in ["http://ex/a b", "http://ex/a\\u0020b"] {
+        let triple = inferray::model::Triple::iris(subject, "http://ex/p", "http://ex/c>d");
+        assert!(printed_store.contains(&triple), "{triple} in {printed}");
+    }
+    assert!(
+        printed.contains("<http://ex/a\\u0020b> <http://ex/p> <http://ex/c\\u003Ed> ."),
+        "{printed}"
+    );
+    // A plain IRI with non-ASCII characters is printed raw.
+    assert!(printed.contains("<http://ex/été>"), "{printed}");
+}
