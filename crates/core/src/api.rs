@@ -20,6 +20,7 @@ use inferray_store::{unpoison, SnapshotStore, StoreSnapshot, TripleStore};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 /// The result of reasoning over a decoded graph.
 #[derive(Debug, Clone)]
@@ -379,8 +380,29 @@ pub enum WriteStats {
     Retracted(RetractionStats),
 }
 
+/// Where one write's time went: the stages of the write pipeline
+/// ([`ServingDataset::write_ntriples`]), in the order they run. They do not
+/// overlap, so their sum is at most `total`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WriteStages {
+    /// Encoding the delta, compiling a rule program and patching promoted
+    /// identifiers.
+    pub encode: Duration,
+    /// Reasoning on the private copies: the delta's closure, or
+    /// delete–rederive (its phases are in [`RetractionStats`]).
+    pub reason: Duration,
+    /// The shape gate.
+    pub gate: Duration,
+    /// The log stage: WAL append and fsync when durable.
+    pub log: Duration,
+    /// Publishing the base, the dictionary and the store.
+    pub publish: Duration,
+    /// The whole write, from taking the writer lock to its outcome.
+    pub total: Duration,
+}
+
 /// Everything a caller reports about an accepted write. Captured under the
-/// writer lock, so the three fields stay consistent even when other writers
+/// writer lock, so the fields stay consistent even when other writers
 /// publish concurrently (reading [`ServingDataset::epoch`] afterwards could
 /// name a later epoch).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -392,6 +414,8 @@ pub struct WriteOutcome {
     pub epoch: u64,
     /// Triples in the store at that epoch.
     pub triples: usize,
+    /// The pipeline's stage times.
+    pub stages: WriteStages,
 }
 
 impl WriteOutcome {
@@ -401,6 +425,43 @@ impl WriteOutcome {
             WriteStats::Asserted(_) => None,
             WriteStats::Retracted(stats) => Some(stats),
         }
+    }
+
+    /// Appends the write's kind, epoch and stage times in µs as a JSON
+    /// object — a retraction's with its four phase times — for the
+    /// `last_write` member of `GET /status`.
+    pub fn json_into(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let us = |d: Duration| d.as_micros();
+        let stages = &self.stages;
+        let kind = match self.stats {
+            WriteStats::Asserted(_) => "assert",
+            WriteStats::Retracted(_) => "retract",
+        };
+        let _ = write!(
+            out,
+            "{{\"kind\":\"{kind}\",\"epoch\":{},\"total_us\":{},\"encode_us\":{},\
+             \"reason_us\":{},\"gate_us\":{},\"log_us\":{},\"publish_us\":{}",
+            self.epoch,
+            us(stages.total),
+            us(stages.encode),
+            us(stages.reason),
+            us(stages.gate),
+            us(stages.log),
+            us(stages.publish),
+        );
+        if let Some(r) = self.retraction() {
+            let _ = write!(
+                out,
+                ",\"over_delete_us\":{},\"probe_us\":{},\"net_delete_us\":{},\
+                 \"cascade_us\":{}",
+                us(r.over_delete_time),
+                us(r.probe_time),
+                us(r.net_delete_time),
+                us(r.cascade_time),
+            );
+        }
+        out.push('}');
     }
 }
 
@@ -800,6 +861,7 @@ impl ServingDataset {
         log: impl FnOnce() -> Result<(), String>,
     ) -> Result<WriteOutcome, WriteError> {
         let guard = unpoison(self.writer.lock());
+        let start = Instant::now();
         let current = {
             let published = unpoison(self.dictionary.read());
             Arc::clone(&published)
@@ -882,6 +944,11 @@ impl ServingDataset {
                 }
             }
         }
+        let mut clock = start;
+        let mut stages = WriteStages {
+            encode: lap(&mut clock),
+            ..WriteStages::default()
+        };
         let stats = match kind {
             WriteKind::Assert => {
                 next_base.insert(delta.iter().copied());
@@ -891,6 +958,7 @@ impl ServingDataset {
                 WriteStats::Retracted(reasoner.retract_delta(&mut store, &mut next_base, delta))
             }
         };
+        stages.reason = lap(&mut clock);
         let changed = !matches!(stats, WriteStats::Retracted(r) if r.retracted_explicit == 0);
 
         // Gate, then log, then publish. A refusal or a failed log returns
@@ -901,7 +969,9 @@ impl ServingDataset {
         } else {
             None
         };
+        stages.gate = lap(&mut clock);
         log().map_err(WriteError::Log)?;
+        stages.log = lap(&mut clock);
         let published = if changed {
             *base = next_base;
             // Dictionary before store (see the type docs).
@@ -917,11 +987,14 @@ impl ServingDataset {
             pre
         };
         drop(base);
+        stages.publish = lap(&mut clock);
+        stages.total = clock - start;
         drop(guard);
         Ok(WriteOutcome {
             stats,
             epoch: published.epoch(),
             triples: published.store().len(),
+            stages,
         })
     }
 
@@ -993,6 +1066,14 @@ impl ServingDataset {
     pub fn base_len(&self) -> usize {
         unpoison(self.base.lock()).len()
     }
+}
+
+/// The time since `clock`, which moves on to now.
+fn lap(clock: &mut Instant) -> Duration {
+    let now = Instant::now();
+    let elapsed = now - *clock;
+    *clock = now;
+    elapsed
 }
 
 /// Rewrites every stale resource identifier of `store` to its promoted

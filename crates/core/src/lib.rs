@@ -38,7 +38,8 @@ pub mod reasoner;
 pub use api::{
     reason_graph, reason_ntriples, reason_ntriples_with, reason_turtle, reason_turtle_with,
     Program, ReasonedGraph, ServingDataset, ShapeInstallError, ShapeViolation, ShapeViolations,
-    ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome, WriteStats,
+    ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome, WriteStages,
+    WriteStats,
 };
 pub use iteration::{IterationProfile, IterationSample, RuleSample, TableSample};
 pub use options::InferrayOptions;

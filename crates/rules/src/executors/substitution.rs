@@ -7,7 +7,9 @@
 //! a single loop, iterating over the same-as property table" (§4.4). The
 //! kernel follows that plan for any rule of the shape: the outer loop walks
 //! the links, the inner loop the property tables of the complementary
-//! store. EQ-SYM runs the nested loop and EQ-REP-P the table scan.
+//! store. Against a frontier smaller than the link table — a live write's
+//! few new triples — the loop turns around: each frontier pair looks up its
+//! links. EQ-SYM runs the nested loop and EQ-REP-P the table scan.
 
 use super::join::JoinSide;
 use crate::analysis::Substitution;
@@ -15,25 +17,82 @@ use crate::context::RuleContext;
 use inferray_store::{gallop_lower_bound, gallop_upper_bound, InferredBuffer, TripleStore};
 
 /// Runs a substitution rule: the new links against the main data, then —
-/// unless the frontier is the whole store — all links against the new data.
+/// unless the frontier is the whole store — all links against the new data,
+/// driven from the frontier when it is the smaller side.
 pub(crate) fn apply_substitution(
     plan: &Substitution,
     ctx: &RuleContext<'_>,
     out: &mut InferredBuffer,
 ) {
     let mut found = Vec::new();
-    for (link_store, data) in [(ctx.new, ctx.main), (ctx.main, ctx.new)] {
-        let links = links(link_store, plan.link);
-        if !links.is_empty() {
-            match plan.data {
-                JoinSide::Subject => substitute_subjects(&links, data, out),
-                JoinSide::Object => substitute_objects(&links, data, &mut found, out),
-            }
-        }
-        if ctx.is_whole() {
-            break;
+    substitute_links(plan, ctx.new, ctx.main, &mut found, out);
+    if !ctx.is_whole() && !substitute_from_frontier(plan, ctx.main, ctx.new, out) {
+        substitute_links(plan, ctx.main, ctx.new, &mut found, out);
+    }
+}
+
+/// All links of `link_store` against the tables of `data`, driven from the
+/// links: they are collected and sorted once, then walk every table.
+fn substitute_links(
+    plan: &Substitution,
+    link_store: &TripleStore,
+    data: &TripleStore,
+    found: &mut Vec<u64>,
+    out: &mut InferredBuffer,
+) {
+    let links = links(link_store, plan.link);
+    if !links.is_empty() {
+        match plan.data {
+            JoinSide::Subject => substitute_subjects(&links, data, out),
+            JoinSide::Object => substitute_objects(&links, data, found, out),
         }
     }
+}
+
+/// All links of `link_store` against the `frontier`, driven from the
+/// frontier: each frontier pair looks up the links of its shared end, in
+/// place of collecting and sorting every link to meet a handful of pairs.
+/// The same pairs as [`substitute_links`], in another order. Runs when the
+/// frontier holds fewer pairs than the link table and the table can be read
+/// from the shared end as it stands — its subject runs, or the runs of an
+/// ⟨o,s⟩ cache some reader already built (this never starts a build);
+/// returns `false`, having emitted nothing, otherwise.
+fn substitute_from_frontier(
+    plan: &Substitution,
+    link_store: &TripleStore,
+    frontier: &TripleStore,
+    out: &mut InferredBuffer,
+) -> bool {
+    let (p, shared) = plan.link;
+    let Some(table) = link_store.table(p) else {
+        return true; // no link, nothing to substitute
+    };
+    let readable = shared == JoinSide::Subject || table.has_os_cache();
+    if frontier.len() >= table.len() || !readable {
+        return false;
+    }
+    // The links of `term`, as flat `[term, replacement, …]` runs.
+    let links_of = |term: u64| match shared {
+        JoinSide::Subject => table.subject_run(term),
+        JoinSide::Object => table.object_run(term).unwrap_or_default(),
+    };
+    for (q, data) in frontier.iter_tables() {
+        let out = out.table_mut(q);
+        for (s, o) in data.iter_pairs() {
+            let term = if plan.data == JoinSide::Subject { s } else { o };
+            for link in links_of(term).chunks_exact(2) {
+                let replacement = link[1];
+                if replacement == term {
+                    continue; // a reflexive link substitutes a term for itself
+                }
+                out.extend_from_slice(&match plan.data {
+                    JoinSide::Subject => [replacement, o],
+                    JoinSide::Object => [s, replacement],
+                });
+            }
+        }
+    }
+    true
 }
 
 /// The links `(shared, replacement)` of `store`'s link table `p`, sorted on
@@ -124,7 +183,9 @@ fn substitute_objects(
 
 #[cfg(test)]
 mod tests {
-    use crate::analysis::{apply_compiled, compiled_builtin};
+    use super::{substitute_from_frontier, substitute_links};
+    use crate::analysis::{apply_compiled, compiled_builtin, Substitution};
+    use crate::executors::join::JoinSide;
     use crate::executors::test_support::{buffer_to_set, fire, store};
     use crate::{RuleContext, RuleId};
     use inferray_dictionary::wellknown as wk;
@@ -247,6 +308,91 @@ mod tests {
             assert!(swept.contains(&triple), "missing {triple:?}");
         }
         assert_eq!(swept.len(), expected.len());
+    }
+
+    /// A xorshift stream: many store shapes for the law below, no
+    /// dependency.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// The raw pairs of `out`, as a sorted multiset.
+    fn multiset(out: &InferredBuffer) -> Vec<(u64, u64, u64)> {
+        let mut triples: Vec<_> = out
+            .iter()
+            .flat_map(|(p, pairs)| pairs.chunks_exact(2).map(move |pair| (pair[0], p, pair[1])))
+            .collect();
+        triples.sort_unstable();
+        triples
+    }
+
+    /// The frontier-driven pass emits the links-driven pass's raw pairs,
+    /// multiplicity included, for subject- and object-side links, link
+    /// tables with and without a built ⟨o,s⟩ cache, reflexive links, and
+    /// frontiers on both sides of the size switch; where it cannot read the
+    /// link table from the shared end, or the frontier is not the smaller
+    /// side, it emits nothing and hands the pass back.
+    #[test]
+    fn the_frontier_driven_pass_emits_the_links_driven_pairs() {
+        let (link, data_tables) = (wk::OWL_SAME_AS, [prop(0), prop(1)]);
+        let mut runs = [0usize; 2]; // passes handed back, passes driven
+        for seed in 1..=400u64 {
+            let mut rng = Stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let term = |rng: &mut Stream| ALICE + rng.below(10);
+            let mut links = vec![(ALICE, link, ALICE)];
+            for _ in 0..1 + rng.below(14) {
+                links.push((term(&mut rng), link, term(&mut rng)));
+            }
+            let mut data = Vec::new();
+            for _ in 0..rng.below(24) {
+                let p = data_tables[rng.below(2) as usize];
+                data.push((term(&mut rng), p, term(&mut rng)));
+            }
+            // The frontier: data triples and, now and then, links.
+            let mut frontier = Vec::new();
+            for _ in 0..rng.below(2 * links.len() as u64 + 2) {
+                let p = [link, data_tables[0], data_tables[1]][rng.below(3) as usize];
+                frontier.push((term(&mut rng), p, term(&mut rng)));
+            }
+            let mut main = store(&[links, data, frontier.clone()].concat());
+            let cached = rng.below(2) == 0;
+            if cached {
+                main.ensure_all_os();
+            }
+            let new = store(&frontier);
+            let link_pairs = main.table(link).map_or(0, |t| t.len());
+            for shared in [JoinSide::Subject, JoinSide::Object] {
+                for data in [JoinSide::Subject, JoinSide::Object] {
+                    let plan = Substitution {
+                        link: (link, shared),
+                        data,
+                    };
+                    let mut by_links = InferredBuffer::new();
+                    substitute_links(&plan, &main, &new, &mut Vec::new(), &mut by_links);
+                    let mut by_frontier = InferredBuffer::new();
+                    let driven = substitute_from_frontier(&plan, &main, &new, &mut by_frontier);
+                    let readable = shared == JoinSide::Subject || cached;
+                    assert_eq!(driven, new.len() < link_pairs && readable, "seed {seed}");
+                    if driven {
+                        assert_eq!(multiset(&by_frontier), multiset(&by_links), "seed {seed}");
+                    } else {
+                        assert!(by_frontier.is_empty(), "seed {seed}");
+                    }
+                    runs[usize::from(driven)] += 1;
+                }
+            }
+        }
+        assert!(
+            runs.iter().all(|&n| n > 200),
+            "both sides exercised: {runs:?}"
+        );
     }
 
     #[test]

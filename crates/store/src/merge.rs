@@ -46,6 +46,10 @@
 //!   blocks (memmove), found by galloping down from the previous insertion
 //!   point.
 //!
+//! A *main* that another epoch still holds is never written: the tail
+//! append and the splice then build the changed table in one forward pass
+//! beside it ([`MergeTarget`]), and leave the same pairs, cache and counters.
+//!
 //! A tail append or splice that is small against *main* keeps a built
 //! ⟨o,s⟩ cache, patched with the same kernel; a larger one drops it
 //! ([`crate::property_table::KEEP_OS_CACHE_DIVISOR`]).
@@ -79,13 +83,32 @@ use std::sync::Arc;
 /// The *main* table a merge updates: read through `&`, written only once a
 /// pair is new. A plain [`PropertyTable`] is written in place. An `Arc` of
 /// one — a table a [`TripleStore`](crate::TripleStore) shares with other
-/// epochs — is copied on that first write ([`Arc::make_mut`]), so a merge
-/// that adds nothing copies nothing.
+/// epochs — is written in place when no one else holds it, as in a batch
+/// run. A shared one is left as it is and replaced, on that first write, by
+/// the changed table built in one pass (`PropertyTable::with_sorted`,
+/// `PropertyTable::without_pairs`): its pairs and its kept ⟨o,s⟩ cache are
+/// each written once, rather than copied whole and then spliced. A merge
+/// that adds nothing, or a removal that finds nothing, copies nothing.
 pub trait MergeTarget {
     /// The table as it stands.
     fn get(&self) -> &PropertyTable;
     /// The table, ready to be written.
     fn get_mut(&mut self) -> &mut PropertyTable;
+
+    /// [`PropertyTable::append_sorted_suffix`] on the table.
+    fn append_sorted_suffix(&mut self, pairs: &[u64]) {
+        self.get_mut().append_sorted_suffix(pairs);
+    }
+
+    /// [`PropertyTable::splice_in_sorted`] on the table.
+    fn splice_in_sorted(&mut self, fresh: &[u64]) {
+        self.get_mut().splice_in_sorted(fresh);
+    }
+
+    /// [`PropertyTable::remove_pairs`] on the table.
+    fn remove_pairs(&mut self, remove: &[u64]) -> usize {
+        self.get_mut().remove_pairs(remove)
+    }
 }
 
 impl MergeTarget for PropertyTable {
@@ -105,6 +128,33 @@ impl MergeTarget for Arc<PropertyTable> {
 
     fn get_mut(&mut self) -> &mut PropertyTable {
         Arc::make_mut(self)
+    }
+
+    fn append_sorted_suffix(&mut self, pairs: &[u64]) {
+        match Arc::get_mut(self) {
+            Some(table) => table.append_sorted_suffix(pairs),
+            None if pairs.is_empty() => {}
+            None => *self = Arc::new(self.with_sorted(pairs)),
+        }
+    }
+
+    fn splice_in_sorted(&mut self, fresh: &[u64]) {
+        match Arc::get_mut(self) {
+            Some(table) => table.splice_in_sorted(fresh),
+            None if fresh.is_empty() => {}
+            None => *self = Arc::new(self.with_sorted(fresh)),
+        }
+    }
+
+    fn remove_pairs(&mut self, remove: &[u64]) -> usize {
+        if let Some(table) = Arc::get_mut(self) {
+            return table.remove_pairs(remove);
+        }
+        let Some((table, removed)) = self.without_pairs(remove) else {
+            return 0;
+        };
+        *self = Arc::new(table);
+        removed
     }
 }
 
@@ -279,7 +329,7 @@ fn merge_sorted(
         main.get_mut().replace_with_sorted(inferred.clone());
     } else if (inferred[0], inferred[1]) > (old[old.len() - 2], old[old.len() - 1]) {
         outcome.strategy = MergeStrategy::TailAppend;
-        main.get_mut().append_sorted_suffix(&inferred);
+        main.append_sorted_suffix(&inferred);
     } else {
         outcome.duplicates_against_main = retain_absent(old, &mut inferred);
         if inferred.is_empty() {
@@ -287,7 +337,7 @@ fn merge_sorted(
             return (PropertyTable::new(), outcome);
         }
         outcome.strategy = MergeStrategy::GallopSplice;
-        main.get_mut().splice_in_sorted(&inferred);
+        main.splice_in_sorted(&inferred);
     }
     outcome.new_pairs = inferred.len() / 2;
     let mut new_table = PropertyTable::new();

@@ -18,7 +18,13 @@
 //! back, as long as the change is at most `1 /` [`KEEP_OS_CACHE_DIVISOR`]
 //! of the table. A larger change drops the cache, as in the paper. Every
 //! other mutation drops it too.
+//!
+//! A table shared with another epoch is not written at all: its changed
+//! copy is built in one pass (`with_sorted`, `without_pairs`, reached
+//! through [`MergeTarget`](crate::MergeTarget)), its cache kept or dropped
+//! by the same rule.
 
+use inferray_sort::pairs::gallop_pairs;
 use inferray_sort::{
     sort_pairs_auto, sort_pairs_auto_dedup, sort_pairs_auto_dedup_with, swap_pairs, SortScratch,
 };
@@ -81,6 +87,12 @@ pub fn os_builds() -> OsBuilds {
 /// `batch.taxonomy` kept and patched caches no later iteration read.
 pub const KEEP_OS_CACHE_DIVISOR: usize = 16;
 
+/// `true` when a change of `delta` pairs to a table of `before` pairs keeps
+/// a built ⟨o,s⟩ cache (see [`KEEP_OS_CACHE_DIVISOR`]).
+fn keeps_os_cache(delta: usize, before: usize) -> bool {
+    delta <= before / KEEP_OS_CACHE_DIVISOR
+}
+
 /// The sorted pair array of one predicate, with its lazy object-sorted cache.
 ///
 /// Two tables are equal when they hold the same pairs in the same state
@@ -137,13 +149,21 @@ impl PropertyTable {
         let kept = self
             .os
             .take()
-            .filter(|_| delta.len() / 2 <= before / KEEP_OS_CACHE_DIVISOR);
+            .filter(|_| keeps_os_cache(delta.len() / 2, before));
         self.invalidate_os_cache();
         if let Some(mut os) = kept {
-            let mut swapped = swap_pairs(delta);
-            sort_pairs_auto(&mut swapped);
-            patch(&mut os, &mut swapped);
+            patch(&mut os, &mut swapped_sorted(delta));
             self.os = OnceLock::from(os);
+        }
+    }
+
+    /// A finalized table of the ⟨s,o⟩-sorted `so`, with `os` — its pairs
+    /// swapped and sorted — as its ⟨o,s⟩ cache when given.
+    fn settled(so: Vec<u64>, os: Option<Vec<u64>>) -> PropertyTable {
+        PropertyTable {
+            so,
+            os: os.map_or_else(OnceLock::new, OnceLock::from),
+            dirty: false,
         }
     }
 
@@ -440,6 +460,56 @@ impl PropertyTable {
         removed
     }
 
+    /// The table that [`splice_in_sorted`](Self::splice_in_sorted) — or, for
+    /// pairs past the last one, [`append_sorted_suffix`](Self::append_sorted_suffix)
+    /// — of the same `fresh` pairs leaves, built as a new table without
+    /// writing this one: the write of a table shared with another epoch.
+    /// The pairs are written once, into a vector of their exact size: the old
+    /// pairs between two insertion points move as one block, each insertion
+    /// point found by galloping on from the previous one. A built ⟨o,s⟩ cache
+    /// is carried over the same way, from `fresh` swapped and sorted, when
+    /// the in-place write would keep it (module docs).
+    pub(crate) fn with_sorted(&self, fresh: &[u64]) -> PropertyTable {
+        debug_assert!(!self.dirty, "with_sorted on a dirty table");
+        debug_assert!(inferray_sort::is_sorted_pairs(fresh));
+        let os = self
+            .os_pairs()
+            .filter(|_| keeps_os_cache(fresh.len() / 2, self.len()))
+            .map(|os| merged_copy(os, &swapped_sorted(fresh)));
+        PropertyTable::settled(merged_copy(&self.so, fresh), os)
+    }
+
+    /// The table that [`remove_pairs`](Self::remove_pairs) of the same pairs
+    /// leaves, and how many it removes, built without writing this one:
+    /// `None` when the table holds none of them, and then nothing is copied.
+    /// The victims are located first; the survivors, and those of a kept
+    /// ⟨o,s⟩ cache, are then copied once, block by block.
+    pub(crate) fn without_pairs(&self, remove: &[u64]) -> Option<(PropertyTable, usize)> {
+        debug_assert!(!self.dirty, "without_pairs on a dirty table");
+        debug_assert!(
+            remove.len().is_multiple_of(2),
+            "pair array must have even length"
+        );
+        if remove.is_empty() || self.so.is_empty() {
+            return None;
+        }
+        let mut victims = remove.to_vec();
+        sort_pairs_auto_dedup(&mut victims);
+        let hits = locate_present(&self.so, &mut victims);
+        if hits.is_empty() {
+            return None;
+        }
+        let os = self
+            .os_pairs()
+            .filter(|_| keeps_os_cache(hits.len(), self.len()))
+            .map(|os| {
+                let mut swapped = swapped_sorted(&victims);
+                copy_without(os, &locate_present(os, &mut swapped))
+            });
+        let table = PropertyTable::settled(copy_without(&self.so, &hits), os);
+        Some((table, hits.len()))
+    }
+
     /// Removes a single pair; returns `true` when it was present.
     pub fn remove_pair(&mut self, s: u64, o: u64) -> bool {
         self.remove_pairs(&[s, o]) == 1
@@ -542,6 +612,67 @@ fn object_sorted(so: &[u64], scratch: &mut SortScratch) -> Vec<u64> {
     let mut swapped = swap_pairs(so);
     sort_pairs_auto_dedup_with(&mut swapped, scratch);
     swapped
+}
+
+/// The pairs of `delta` swapped and sorted on ⟨o,s⟩: the change a cache
+/// takes for a change of the ⟨s,o⟩ pairs.
+fn swapped_sorted(delta: &[u64]) -> Vec<u64> {
+    let mut swapped = swap_pairs(delta);
+    sort_pairs_auto(&mut swapped);
+    swapped
+}
+
+/// The sorted `pairs` with the sorted, duplicate-free `fresh` — pairs absent
+/// from it — merged in, written once into a vector of the exact size: the
+/// old pairs between two insertion points are copied as one block, each
+/// insertion point found by galloping on from the previous one.
+fn merged_copy(pairs: &[u64], fresh: &[u64]) -> Vec<u64> {
+    let mut merged = Vec::with_capacity(pairs.len() + fresh.len());
+    let mut read = 0usize; // pair index of the first old pair not yet copied
+    for key in fresh.chunks_exact(2) {
+        let at = gallop_pairs(pairs, read, (key[0], key[1]));
+        merged.extend_from_slice(&pairs[2 * read..2 * at]);
+        merged.extend_from_slice(key);
+        read = at;
+    }
+    merged.extend_from_slice(&pairs[2 * read..]);
+    merged
+}
+
+/// The pair indices, ascending, at which the sorted `pairs` hold a pair of
+/// the sorted, duplicate-free `victims`; `victims` is left holding exactly
+/// those pairs. Each victim is located by galloping on from the previous one.
+fn locate_present(pairs: &[u64], victims: &mut Vec<u64>) -> Vec<usize> {
+    let n = pairs.len() / 2;
+    let mut hits = Vec::new();
+    let mut cursor = 0usize;
+    let mut found = 0usize; // end of the victims found so far
+    for next in (0..victims.len()).step_by(2) {
+        let key = (victims[next], victims[next + 1]);
+        cursor = gallop_pairs(pairs, cursor, key);
+        if cursor < n && (pairs[2 * cursor], pairs[2 * cursor + 1]) == key {
+            hits.push(cursor);
+            victims[found] = key.0;
+            victims[found + 1] = key.1;
+            found += 2;
+        }
+    }
+    victims.truncate(found);
+    hits
+}
+
+/// The sorted `pairs` without the pairs at the ascending pair indices `hits`,
+/// written once into a vector of the exact size: the survivors between two
+/// removal points are copied as one block.
+fn copy_without(pairs: &[u64], hits: &[usize]) -> Vec<u64> {
+    let mut kept = Vec::with_capacity(pairs.len() - 2 * hits.len());
+    let mut read = 0usize; // pair index of the first survivor not yet copied
+    for &hit in hits {
+        kept.extend_from_slice(&pairs[2 * read..2 * hit]);
+        read = hit + 1;
+    }
+    kept.extend_from_slice(&pairs[2 * read..]);
+    kept
 }
 
 /// Merges sorted, duplicate-free pairs **known to be absent** from the

@@ -8,14 +8,15 @@
 //! table array is a single subtraction ([`inferray_model::ids::property_index`]).
 //!
 //! Each table sits behind an [`Arc`]: cloning a store copies one pointer
-//! per table, and a clone copies a table — ⟨o,s⟩ cache included — only
-//! when it first writes to it ([`Arc::make_mut`]). A serving write clones
-//! the published store, changes a few tables and publishes the result;
-//! every table it did not touch stays shared with the previous epoch
-//! ([`TripleStore::shares_table`]). A store nobody else holds, as in a
-//! batch run, copies nothing.
+//! per table, and a clone pays for a table only when it first writes to
+//! it. A merge or a removal that changes a shared table builds the changed
+//! table in one pass beside it ([`MergeTarget`]); the other mutators copy it
+//! first ([`Arc::make_mut`]). A serving write clones the published store,
+//! changes a few tables and publishes the result; every table it did not
+//! touch stays shared with the previous epoch ([`TripleStore::shares_table`]).
+//! A store nobody else holds, as in a batch run, copies nothing.
 
-use crate::merge::{merge_new_pairs, merge_new_pairs_with, MergeOutcome};
+use crate::merge::{merge_new_pairs, merge_new_pairs_with, MergeOutcome, MergeTarget};
 use crate::property_table::PropertyTable;
 use inferray_model::ids::{is_property_id, property_id_from_index, property_index};
 use inferray_model::IdTriple;
@@ -249,13 +250,10 @@ impl TripleStore {
     /// tables are invisible to [`TripleStore::iter_tables`] and
     /// [`TripleStore::property_ids`].
     pub fn retract(&mut self, triples: impl IntoIterator<Item = IdTriple>) -> usize {
-        let mut removed = 0usize;
-        for (p, pairs) in by_property(triples) {
-            if let Some(table) = self.table_mut(p) {
-                removed += table.remove_pairs(&pairs);
-            }
-        }
-        removed
+        by_property(triples)
+            .into_iter()
+            .map(|(p, pairs)| self.remove_pairs(p, &pairs))
+            .sum()
     }
 
     /// Adds encoded triples **in place** through the Figure 5 merge, one
@@ -272,9 +270,16 @@ impl TripleStore {
     }
 
     /// Removes the ⟨s,o⟩ pairs of `remove` from the table of property `p`
-    /// (flat array, any order); returns how many were removed.
+    /// (flat array, any order); returns how many were removed. A shared
+    /// table that holds none of them stays shared; one that holds some is
+    /// replaced by its reduced copy, built in one pass
+    /// ([`crate::merge::MergeTarget`]).
     pub fn remove_pairs(&mut self, p: u64, remove: &[u64]) -> usize {
-        self.table_mut(p).map_or(0, |t| t.remove_pairs(remove))
+        debug_assert!(is_property_id(p), "not a property id: {p}");
+        self.tables
+            .get_mut(property_index(p))
+            .and_then(Option::as_mut)
+            .map_or(0, |table| table.remove_pairs(remove))
     }
 
     /// Removes every triple while keeping the allocated table slots.

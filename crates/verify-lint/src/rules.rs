@@ -819,9 +819,9 @@ const TEXT_COPY_PATTERNS: &[&str] = &[
 /// The rule kernels that emit one pair per joined pair or per copied pair
 /// (`crates/rules/src/executors/`): the merge-join and table-scan passes,
 /// the reversed copy the scan shares, the closure kernel (one pair per
-/// missing closure pair), the substitution's two loops (one pair per data
-/// pair of a linked term) and the self join's group linking (one pair per
-/// two values of a group).
+/// missing closure pair), the substitution's three loops (one pair per data
+/// pair of a linked term, driven from the links or from the frontier) and
+/// the self join's group linking (one pair per two values of a group).
 pub const RULE_EMIT: &[&str] = &[
     "merge_join_pass",
     "scan_pass",
@@ -829,6 +829,7 @@ pub const RULE_EMIT: &[&str] = &[
     "apply_closure",
     "substitute_subjects",
     "substitute_objects",
+    "substitute_from_frontier",
     "link_group_values",
 ];
 

@@ -59,7 +59,7 @@ pub use inferray_core::{
     reason_graph, Fragment, InferenceStats, InferrayOptions, InferrayReasoner, Materializer,
     Program, ReasonedGraph, RetractionStats, ShapeInstallError, ShapeViolation, ShapeViolations,
     TripleStore, ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome,
-    WriteStats,
+    WriteStages, WriteStats,
 };
 pub use inferray_model::{vocab, Graph, IdTriple, Term, Triple};
 pub use inferray_parser::{load_graph, load_ntriples, load_turtle, parse_ntriples, parse_turtle};
@@ -69,12 +69,15 @@ pub use inferray_persist as persist;
 pub use inferray_persist::{CheckpointPolicy, DurableDataset, DurableError};
 
 use inferray_query::{UpdateError, UpdateOutcome, UpdateSink};
-use std::sync::Arc;
+use inferray_store::unpoison;
+use std::sync::{Arc, Mutex};
 
 /// Adapts a [`ServingDataset`] — in memory, or behind a [`DurableDataset`]
 /// — to the HTTP server: `POST /update` runs the dataset's write pipeline
 /// (with the WAL as its log stage when durable, docs/persistence.md) and
-/// `GET /status` gains the `durability` and `validation` objects.
+/// `GET /status` gains the `durability` and `validation` objects and, once
+/// a write was accepted, `last_write`: its stage times
+/// ([`WriteOutcome::json_into`]).
 ///
 /// Lives in the umbrella crate because `inferray-query` deliberately does
 /// not depend on the reasoner — the server knows only the
@@ -84,6 +87,8 @@ pub struct ServingUpdateSink {
     dataset: Arc<ServingDataset>,
     durable: Option<Arc<DurableDataset>>,
     accepts_writes: bool,
+    /// The outcome of the last accepted write, shared by the sink's clones.
+    last_write: Arc<Mutex<Option<WriteOutcome>>>,
 }
 
 impl ServingUpdateSink {
@@ -93,6 +98,7 @@ impl ServingUpdateSink {
             dataset,
             durable: None,
             accepts_writes: true,
+            last_write: Arc::default(),
         }
     }
 
@@ -103,6 +109,7 @@ impl ServingUpdateSink {
             dataset: Arc::clone(durable.dataset()),
             durable: Some(durable),
             accepts_writes: true,
+            last_write: Arc::default(),
         }
     }
 
@@ -125,12 +132,7 @@ impl ServingUpdateSink {
             // Epoch and size come from the write itself (captured under the
             // dataset's writer lock), so concurrent updates cannot pair this
             // request's counts with another request's epoch.
-            Ok(outcome) => Ok(UpdateOutcome {
-                epoch: outcome.epoch,
-                requested: outcome.retraction().map_or(0, |r| r.requested),
-                removed: outcome.retraction().map_or(0, |r| r.retracted_explicit),
-                triples: outcome.triples,
-            }),
+            Ok(outcome) => Ok(self.accepted(outcome)),
             // A parse/encode failure is the client's fault (`400`), worded
             // the same with and without a data directory.
             Err(WriteError::Load(e)) => Err(UpdateError::rejected(e.to_string())),
@@ -148,6 +150,17 @@ impl ServingUpdateSink {
                 message: format!("dataset is read-only: {reason}"),
                 retry_after_secs: 30,
             }),
+        }
+    }
+
+    /// Records an accepted write for `GET /status` and answers it.
+    fn accepted(&self, outcome: WriteOutcome) -> UpdateOutcome {
+        *unpoison(self.last_write.lock()) = Some(outcome);
+        UpdateOutcome {
+            epoch: outcome.epoch,
+            requested: outcome.retraction().map_or(0, |r| r.requested),
+            removed: outcome.retraction().map_or(0, |r| r.retracted_explicit),
+            triples: outcome.triples,
         }
     }
 }
@@ -169,6 +182,10 @@ impl UpdateSink for ServingUpdateSink {
         if let Some(status) = self.dataset.validation_status() {
             out.push_str(",\"validation\":");
             status.json_into(out);
+        }
+        if let Some(outcome) = *unpoison(self.last_write.lock()) {
+            out.push_str(",\"last_write\":");
+            outcome.json_into(out);
         }
     }
 }
