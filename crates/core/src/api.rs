@@ -381,8 +381,8 @@ pub enum WriteStats {
 }
 
 /// Where one write's time went: the stages of the write pipeline
-/// ([`ServingDataset::write_ntriples`]), in the order they run. They do not
-/// overlap, so their sum is at most `total`.
+/// ([`ServingDataset::write_ntriples`]), in the order they run, back to
+/// back from taking the writer lock to the outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteStages {
     /// Encoding the delta, compiling a rule program and patching promoted
@@ -397,8 +397,13 @@ pub struct WriteStages {
     pub log: Duration,
     /// Publishing the base, the dictionary and the store.
     pub publish: Duration,
-    /// The whole write, from taking the writer lock to its outcome.
-    pub total: Duration,
+}
+
+impl WriteStages {
+    /// The whole write: the sum of its stages.
+    pub fn total(&self) -> Duration {
+        self.encode + self.reason + self.gate + self.log + self.publish
+    }
 }
 
 /// Everything a caller reports about an accepted write. Captured under the
@@ -443,7 +448,7 @@ impl WriteOutcome {
             "{{\"kind\":\"{kind}\",\"epoch\":{},\"total_us\":{},\"encode_us\":{},\
              \"reason_us\":{},\"gate_us\":{},\"log_us\":{},\"publish_us\":{}",
             self.epoch,
-            us(stages.total),
+            us(stages.total()),
             us(stages.encode),
             us(stages.reason),
             us(stages.gate),
@@ -861,7 +866,7 @@ impl ServingDataset {
         log: impl FnOnce() -> Result<(), String>,
     ) -> Result<WriteOutcome, WriteError> {
         let guard = unpoison(self.writer.lock());
-        let start = Instant::now();
+        let mut clock = Instant::now();
         let current = {
             let published = unpoison(self.dictionary.read());
             Arc::clone(&published)
@@ -944,7 +949,6 @@ impl ServingDataset {
                 }
             }
         }
-        let mut clock = start;
         let mut stages = WriteStages {
             encode: lap(&mut clock),
             ..WriteStages::default()
@@ -988,7 +992,6 @@ impl ServingDataset {
         };
         drop(base);
         stages.publish = lap(&mut clock);
-        stages.total = clock - start;
         drop(guard);
         Ok(WriteOutcome {
             stats,
