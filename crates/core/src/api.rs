@@ -12,14 +12,14 @@ use inferray_model::ids::is_property_id;
 use inferray_model::{json_string_into, Graph, IdTriple, Triple};
 use inferray_parser::lex::{lex_ntriples_chunk, Chunk};
 use inferray_parser::loader::{load_graph, LoadError, LoadedDataset};
-use inferray_parser::{Ingest, LoaderOptions, TripleRef};
+use inferray_parser::{Ingest, TripleRef};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::shapes::{self, ShapeAnalysis};
 use inferray_rules::{Fragment, InferenceStats, Materializer};
-use inferray_store::{unpoison, SnapshotStore, StoreSnapshot, TripleStore};
+use inferray_store::{unpoison, Handoff, StoreSnapshot, TripleStore};
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The result of reasoning over a decoded graph.
@@ -56,46 +56,14 @@ pub fn reason_graph_with_options(
 /// Parses an N-Triples document (streaming parallel ingest, see
 /// [`inferray_parser::ingest`]) and materializes `fragment` over it.
 pub fn reason_ntriples(input: &str, fragment: Fragment) -> Result<ReasonedGraph, LoadError> {
-    reason_ntriples_with(
-        input,
-        fragment,
-        InferrayOptions::default(),
-        LoaderOptions::default(),
-    )
+    let loaded = Ingest::new().ntriples(input)?;
+    finish(loaded, fragment, InferrayOptions::default())
 }
 
 /// Parses a Turtle (subset) document and materializes `fragment` over it.
 pub fn reason_turtle(input: &str, fragment: Fragment) -> Result<ReasonedGraph, LoadError> {
-    reason_turtle_with(
-        input,
-        fragment,
-        InferrayOptions::default(),
-        LoaderOptions::default(),
-    )
-}
-
-/// [`reason_ntriples`] with explicit reasoner and loader options — the
-/// loader options select the ingest thread count / chunk size (or the
-/// sequential escape hatch); the result is byte-identical either way.
-pub fn reason_ntriples_with(
-    input: &str,
-    fragment: Fragment,
-    options: InferrayOptions,
-    loader: LoaderOptions,
-) -> Result<ReasonedGraph, LoadError> {
-    let loaded = Ingest::with_options(loader).ntriples(input)?;
-    finish(loaded, fragment, options)
-}
-
-/// [`reason_turtle`] with explicit reasoner and loader options.
-pub fn reason_turtle_with(
-    input: &str,
-    fragment: Fragment,
-    options: InferrayOptions,
-    loader: LoaderOptions,
-) -> Result<ReasonedGraph, LoadError> {
-    let loaded = Ingest::with_options(loader).turtle(input)?;
-    finish(loaded, fragment, options)
+    let loaded = Ingest::new().turtle(input)?;
+    finish(loaded, fragment, InferrayOptions::default())
 }
 
 fn finish(
@@ -395,7 +363,8 @@ pub struct WriteStages {
     pub gate: Duration,
     /// The log stage: WAL append and fsync when durable.
     pub log: Duration,
-    /// Publishing the base, the dictionary and the store.
+    /// Installing the base, preparing the store and publishing it with its
+    /// dictionary.
     pub publish: Duration,
 }
 
@@ -470,9 +439,17 @@ impl WriteOutcome {
     }
 }
 
-/// A materialized dataset published for concurrent query serving: the
-/// epoch/`Arc`-swap [`SnapshotStore`] paired with the dictionary that
-/// encoded it.
+/// One published epoch: the store snapshot and the dictionary that encodes
+/// it, handed to readers as one value.
+#[derive(Debug, Clone)]
+struct Published {
+    snapshot: StoreSnapshot,
+    dictionary: Arc<Dictionary>,
+}
+
+/// A materialized dataset published for concurrent query serving: each
+/// epoch's store snapshot and the dictionary that encoded it, handed out
+/// together through one lock-free [`Handoff`].
 ///
 /// This is the **writer side** of the serving design (docs/serving.md).
 /// Readers sample a consistent `(store snapshot, dictionary)` pair with
@@ -485,25 +462,22 @@ impl WriteOutcome {
 /// observes any intermediate state of the materialization — that is the
 /// snapshot-isolation contract proven by `tests/snapshot_isolation.rs`.
 ///
-/// Publication order: the (append-only) dictionary is swapped *before* the
-/// store, so a reader pairing "current store, then current dictionary" can
-/// at worst see a dictionary that is a superset of what its store snapshot
-/// references — which decodes every identifier correctly. The inverse
-/// order could leave a store snapshot with identifiers its paired
-/// dictionary has never heard of.
+/// Id agreement: the dictionary a reader gets encodes every term of its
+/// store to the identifier that store holds. A newer dictionary need not:
+/// a write that promotes a resource to a property gives the term a new
+/// identifier, which older stores do not use — so the two are never
+/// published or sampled apart.
 #[derive(Debug)]
 pub struct ServingDataset {
-    snapshots: SnapshotStore,
-    dictionary: RwLock<Arc<Dictionary>>,
-    /// The *explicit* (asserted) triples behind the current materialization.
-    /// The delete–rederive retraction path needs them twice over: an
-    /// asserted triple must never be over-deleted, and `retract(Δ)` is
-    /// specified as equivalent to rebuilding from `base ∖ Δ`. Only touched
-    /// under the writer lock; readers never see it.
-    base: Mutex<TripleStore>,
-    /// Serializes writers: a write must start from the latest dictionary
-    /// and store, or a concurrent write's terms would be lost on publish.
-    writer: Mutex<()>,
+    published: Handoff<Published>,
+    /// Serializes writers — a write must start from the latest epoch, or a
+    /// concurrent write's triples and terms would be lost on publish — and
+    /// holds the *explicit* (asserted) triples behind the current
+    /// materialization. The delete–rederive retraction path needs them
+    /// twice over: an asserted triple must never be over-deleted, and
+    /// `retract(Δ)` is specified as equivalent to rebuilding from
+    /// `base ∖ Δ`. Readers never see the base.
+    writer: Mutex<TripleStore>,
     /// The program every epoch is closed under. A rule program is kept as
     /// *text*, not as a compiled ruleset: every write recompiles it against
     /// its private dictionary copy, so rule constants track identifier
@@ -513,7 +487,7 @@ pub struct ServingDataset {
     options: InferrayOptions,
     /// The shape-constraint gate ([`ServingDataset::install_shapes`],
     /// docs/shapes.md): `None` until a program is installed. Leaf lock —
-    /// taken after writer/base, never held across validation or publish.
+    /// taken after the writer lock, never held across validation or publish.
     validation: Mutex<Option<ShapeGate>>,
 }
 
@@ -587,7 +561,7 @@ impl ServingDataset {
     /// Reassembles a dataset from externally persisted parts — the recovery
     /// path of the persistence layer (`inferray-persist`,
     /// docs/persistence.md). The caller supplies the exact state a previous
-    /// process published: the append-only dictionary, the explicit base, the
+    /// process published: the dictionary, the explicit base, the
     /// materialized store, the epoch it was serving and the program it was
     /// closed under, so the rebuilt dataset continues the epoch sequence
     /// where the crashed one stopped and subsequent writes behave
@@ -601,10 +575,11 @@ impl ServingDataset {
         options: InferrayOptions,
     ) -> Self {
         ServingDataset {
-            snapshots: SnapshotStore::with_epoch(materialized, epoch),
-            dictionary: RwLock::new(Arc::new(dictionary)),
-            base: Mutex::new(base),
-            writer: Mutex::new(()),
+            published: Handoff::holding(Published {
+                snapshot: StoreSnapshot::prepare(materialized, epoch),
+                dictionary: Arc::new(dictionary),
+            }),
+            writer: Mutex::new(base),
             program: program.into(),
             options,
             validation: Mutex::new(None),
@@ -623,41 +598,35 @@ impl ServingDataset {
 
     /// A mutually consistent `(dictionary, explicit base, snapshot)` triple
     /// for checkpointing: captured under the writer lock, so no concurrent
-    /// [`ServingDataset::extend`] / [`ServingDataset::retract`] can slide a
-    /// publication between the three reads. The base is cloned (it is only
-    /// ever touched under the writer lock) — one pointer per table, since
-    /// a write copies only the tables it changes; the dictionary and store
-    /// are the shared `Arc`s the readers also see.
+    /// [`ServingDataset::extend`] / [`ServingDataset::retract`] can publish
+    /// between reading the base and sampling the epoch. The base is cloned
+    /// — one pointer per table, since a write copies only the tables it
+    /// changes; the dictionary and store are the shared `Arc`s the readers
+    /// also see.
     pub fn persistable_state(&self) -> (Arc<Dictionary>, TripleStore, StoreSnapshot) {
-        let guard = unpoison(self.writer.lock());
-        let snapshot = self.snapshots.snapshot();
-        let base = unpoison(self.base.lock()).clone();
-        let dictionary = unpoison(self.dictionary.read()).clone();
-        drop(guard);
-        (dictionary, base, snapshot)
+        let base = unpoison(self.writer.lock());
+        let published = self.published.read_published();
+        (published.dictionary, base.clone(), published.snapshot)
     }
 
     /// The store snapshot alone, for embedders that do not need the
-    /// dictionary. The cell itself stays private: publishing through
-    /// `SnapshotStore::update` directly would bypass this type's writer
-    /// lock and dictionary versioning (lost updates, undecodable ids) —
-    /// all writes go through [`ServingDataset::extend`].
+    /// dictionary. The handoff itself stays private: all writes go through
+    /// [`ServingDataset::extend`] and its siblings.
     pub fn store_snapshot(&self) -> StoreSnapshot {
-        self.snapshots.snapshot()
+        self.published.read_published().snapshot
     }
 
     /// The epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.snapshots.epoch()
+        self.store_snapshot().epoch()
     }
 
-    /// A consistent `(store snapshot, dictionary)` pair: the dictionary can
-    /// decode every identifier of the snapshot (see the type docs for the
-    /// ordering argument).
+    /// The current `(store snapshot, dictionary)` pair, from one handoff
+    /// sample: the dictionary encodes every term of the snapshot to the
+    /// identifier the snapshot holds, and decodes every identifier of it.
     pub fn snapshot(&self) -> (StoreSnapshot, Arc<Dictionary>) {
-        let snapshot = self.snapshots.snapshot();
-        let dictionary = unpoison(self.dictionary.read()).clone();
-        (snapshot, dictionary)
+        let published = self.published.read_published();
+        (published.snapshot, published.dictionary)
     }
 
     /// Installs a shape program (docs/shapes.md) as a **write gate**: every
@@ -675,8 +644,10 @@ impl ServingDataset {
         let analysis = shapes::analyze(text);
         let shape_count = analysis.shapes.len();
         let guard = unpoison(self.writer.lock());
-        let snapshot = self.snapshots.snapshot();
-        let dictionary = unpoison(self.dictionary.read()).clone();
+        let Published {
+            snapshot,
+            dictionary,
+        } = self.published.read_published();
         let compiled = analysis
             .compile(&dictionary)
             .map_err(ShapeInstallError::Program)?;
@@ -837,10 +808,11 @@ impl ServingDataset {
     /// The one write pipeline (docs/persistence.md): encode Δ (on a private
     /// dictionary copy only if a term is new or promoted) → compile the
     /// program → reason on private clones of the store and the base, which
-    /// copy only the tables they change → shape gate → `log` → publish
-    /// (dictionary, then store). Every write of every layer — asserts and
-    /// retractions, in memory and durable, live and replayed from the WAL —
-    /// is this function; readers holding older snapshots are unaffected.
+    /// copy only the tables they change → shape gate → `log` → publish the
+    /// store and its dictionary as one value. Every write of every layer —
+    /// asserts and retractions, in memory and durable, live and replayed
+    /// from the WAL — is this function; readers holding older snapshots are
+    /// unaffected.
     ///
     /// * [`WriteKind::Assert`] closes the delta under the program with
     ///   [`InferrayReasoner::materialize_delta`]; every triple of the delta
@@ -865,20 +837,16 @@ impl ServingDataset {
         triples: impl IntoIterator<Item = TripleRef<'t>>,
         log: impl FnOnce() -> Result<(), String>,
     ) -> Result<WriteOutcome, WriteError> {
-        let guard = unpoison(self.writer.lock());
+        let mut base = unpoison(self.writer.lock());
         let mut clock = Instant::now();
-        let current = {
-            let published = unpoison(self.dictionary.read());
-            Arc::clone(&published)
-        };
+        let pre = self.published.read_published();
         // Copied on first mutation: an assert that interns a term or
         // promotes a resource, or a rule program interning its constants.
         // An assert of known terms and a retraction under a fragment mutate
         // nothing and publish the same dictionary. The store clone shares
         // every table; reasoning copies the ones it changes.
-        let mut dictionary = Cow::Borrowed(&*current);
-        let pre = self.snapshots.snapshot();
-        let mut store = pre.store().clone();
+        let mut dictionary = Cow::Borrowed(&*pre.dictionary);
+        let mut store = pre.snapshot.store().clone();
 
         let mut delta: Vec<IdTriple> = Vec::new();
         for triple in triples {
@@ -932,7 +900,6 @@ impl ServingDataset {
         // the explicit base and any delta triple encoded before the
         // promotion still carry the stale resource id in subject/object
         // position; patch them like the loader does before reasoning.
-        let mut base = unpoison(self.base.lock());
         let mut next_base = base.clone();
         let promoted = dictionary.has_pending_promotions();
         if promoted {
@@ -968,8 +935,14 @@ impl ServingDataset {
         // Gate, then log, then publish. A refusal or a failed log returns
         // here: every guard drops and the pre-write state stays current.
         let green = if changed {
-            self.check_shapes(&store, pre.store(), pre.epoch(), &dictionary, promoted)
-                .map_err(WriteError::Shapes)?
+            self.check_shapes(
+                &store,
+                pre.snapshot.store(),
+                pre.snapshot.epoch(),
+                &dictionary,
+                promoted,
+            )
+            .map_err(WriteError::Shapes)?
         } else {
             None
         };
@@ -978,21 +951,26 @@ impl ServingDataset {
         stages.log = lap(&mut clock);
         let published = if changed {
             *base = next_base;
-            // Dictionary before store (see the type docs).
-            if let Cow::Owned(dictionary) = dictionary {
-                *unpoison(self.dictionary.write()) = Arc::new(dictionary);
-            }
-            let published = self.snapshots.publish(store);
+            let dictionary = match dictionary {
+                Cow::Owned(dictionary) => Arc::new(dictionary),
+                Cow::Borrowed(_) => Arc::clone(&pre.dictionary),
+            };
+            let (published, ()) = self.published.publish_with(|current| {
+                let next = Published {
+                    snapshot: current.snapshot.next(store),
+                    dictionary,
+                };
+                (next, ())
+            });
             if let Some(report) = green {
-                self.record_green(published.epoch(), report);
+                self.record_green(published.snapshot.epoch(), report);
             }
-            published
+            published.snapshot
         } else {
-            pre
+            pre.snapshot
         };
-        drop(base);
         stages.publish = lap(&mut clock);
-        drop(guard);
+        drop(base);
         Ok(WriteOutcome {
             stats,
             epoch: published.epoch(),
@@ -1067,7 +1045,7 @@ impl ServingDataset {
 
     /// Number of explicit (asserted) triples behind the current epoch.
     pub fn base_len(&self) -> usize {
-        unpoison(self.base.lock()).len()
+        unpoison(self.writer.lock()).len()
     }
 }
 

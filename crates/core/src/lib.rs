@@ -23,7 +23,9 @@
 //! 4. stop when an iteration derives nothing new.
 //!
 //! [`api`] offers a decoded-graph convenience layer (`reason_graph`) used by
-//! the examples; the benchmark harness drives the encoded
+//! `examples/quickstart.rs` and the end-to-end tests, and the serving
+//! dataset ([`ServingDataset`]) the SPARQL endpoint publishes; the benchmark
+//! harness drives the encoded
 //! [`Materializer`](inferray_rules::Materializer) interface directly.
 
 #![forbid(unsafe_code)]
@@ -36,10 +38,9 @@ pub mod options;
 pub mod reasoner;
 
 pub use api::{
-    reason_graph, reason_ntriples, reason_ntriples_with, reason_turtle, reason_turtle_with,
-    Program, ReasonedGraph, ServingDataset, ShapeInstallError, ShapeViolation, ShapeViolations,
-    ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome, WriteStages,
-    WriteStats,
+    reason_graph, reason_ntriples, reason_turtle, Program, ReasonedGraph, ServingDataset,
+    ShapeInstallError, ShapeViolation, ShapeViolations, ValidationCounters, ValidationStatus,
+    WriteError, WriteKind, WriteOutcome, WriteStages, WriteStats,
 };
 pub use iteration::{IterationProfile, IterationSample, RuleSample, TableSample};
 pub use options::InferrayOptions;

@@ -90,7 +90,6 @@
 
 mod arena;
 mod dictionary;
-pub mod stats;
 pub mod wellknown;
 
 pub use arena::TextArena;

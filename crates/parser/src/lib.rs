@@ -52,4 +52,4 @@ pub use lex::{TermRef, TripleRef};
 pub use loader::{load_graph, load_ntriples, load_triples, load_turtle, LoadError, LoadedDataset};
 pub use ntriples::{parse_ntriples, parse_ntriples_line, ParseError};
 pub use turtle::parse_turtle;
-pub use writer::{to_ntriples_string, write_graph_ntriples, write_ntriples, write_store_ntriples};
+pub use writer::{to_ntriples_string, write_ntriples, write_store_ntriples};

@@ -8,7 +8,7 @@
 //! which is what the CLI's batch mode calls.
 
 use inferray_dictionary::Dictionary;
-use inferray_model::{Graph, Triple};
+use inferray_model::Triple;
 use inferray_store::{PropertyTable, TripleStore};
 use std::io::{self, Write};
 
@@ -86,11 +86,6 @@ pub fn write_store_ntriples<W: Write>(
     Ok(written)
 }
 
-/// Writes a whole [`Graph`] as N-Triples. Returns the number of statements.
-pub fn write_graph_ntriples<W: Write>(writer: &mut W, graph: &Graph) -> io::Result<usize> {
-    write_ntriples(writer, graph.iter())
-}
-
 /// Renders triples to an in-memory string (convenience for tests and
 /// examples).
 pub fn to_ntriples_string<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> String {
@@ -103,7 +98,7 @@ pub fn to_ntriples_string<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> 
 mod tests {
     use super::*;
     use crate::ntriples::parse_ntriples;
-    use inferray_model::{vocab, Term};
+    use inferray_model::{vocab, Graph, Term};
 
     fn sample_graph() -> Graph {
         let mut g = Graph::new();
@@ -129,7 +124,7 @@ mod tests {
     fn writer_and_parser_round_trip() {
         let g = sample_graph();
         let mut buffer = Vec::new();
-        let written = write_graph_ntriples(&mut buffer, &g).unwrap();
+        let written = write_ntriples(&mut buffer, g.iter()).unwrap();
         assert_eq!(written, 3);
         let text = String::from_utf8(buffer).unwrap();
         let reparsed: Graph = parse_ntriples(&text).unwrap().into_iter().collect();
@@ -149,7 +144,7 @@ mod tests {
     fn empty_graph_produces_empty_output() {
         let g = Graph::new();
         let mut buffer = Vec::new();
-        assert_eq!(write_graph_ntriples(&mut buffer, &g).unwrap(), 0);
+        assert_eq!(write_ntriples(&mut buffer, g.iter()).unwrap(), 0);
         assert!(buffer.is_empty());
     }
 }

@@ -30,9 +30,10 @@
 //! * [`profile`] — software memory-access counters standing in for the
 //!   hardware cache/TLB/page-fault counters of Figures 7–8 (see README.md,
 //!   "Substitutions", for the rationale);
-//! * [`snapshot`] — epoch-based snapshot publication ([`SnapshotStore`] /
-//!   [`StoreSnapshot`]) so concurrent readers keep a consistent frozen
-//!   version while a writer materializes the next one (docs/serving.md);
+//! * [`snapshot`] — epoch-based snapshot publication (the lock-free
+//!   [`Handoff`], [`SnapshotStore`] / [`StoreSnapshot`]) so concurrent
+//!   readers keep a consistent frozen version while a writer materializes
+//!   the next one (docs/serving.md);
 //! * [`estimate`] — the one cardinality model over the tables, read by the
 //!   query planner and `rules explain --data` alike.
 
@@ -61,5 +62,5 @@ pub use property_table::{
     gallop_lower_bound, gallop_upper_bound, os_builds, DistinctCount, OsBuilds, PropertyTable,
 };
 pub use query::TriplePattern;
-pub use snapshot::{unpoison, SnapshotStore, StoreSnapshot};
+pub use snapshot::{unpoison, Handoff, SnapshotStore, StoreSnapshot};
 pub use triple_store::TripleStore;

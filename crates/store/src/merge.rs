@@ -86,9 +86,11 @@ use std::sync::Arc;
 /// epochs — is written in place when no one else holds it, as in a batch
 /// run. A shared one is left as it is and replaced, on that first write, by
 /// the changed table built in one pass (`PropertyTable::with_sorted`,
-/// `PropertyTable::without_pairs`): its pairs and its kept ⟨o,s⟩ cache are
-/// each written once, rather than copied whole and then spliced. A merge
-/// that adds nothing, or a removal that finds nothing, copies nothing.
+/// `PropertyTable::without_pairs`; a ranged merge's merged pairs move into
+/// it as they are, `PropertyTable::with_merged`): its pairs and its kept
+/// ⟨o,s⟩ cache are each written once, rather than copied whole and then
+/// spliced. A merge that adds nothing, or a removal that finds nothing,
+/// copies nothing.
 pub trait MergeTarget {
     /// The table as it stands.
     fn get(&self) -> &PropertyTable;
@@ -108,6 +110,11 @@ pub trait MergeTarget {
     /// [`PropertyTable::remove_pairs`] on the table.
     fn remove_pairs(&mut self, remove: &[u64]) -> usize {
         self.get_mut().remove_pairs(remove)
+    }
+
+    /// [`PropertyTable::install_merged`] on the table.
+    fn install_merged(&mut self, merged: Vec<u64>, fresh: &[u64]) {
+        self.get_mut().install_merged(merged, fresh);
     }
 }
 
@@ -155,6 +162,13 @@ impl MergeTarget for Arc<PropertyTable> {
         };
         *self = Arc::new(table);
         removed
+    }
+
+    fn install_merged(&mut self, merged: Vec<u64>, fresh: &[u64]) {
+        match Arc::get_mut(self) {
+            Some(table) => table.install_merged(merged, fresh),
+            None => *self = Arc::new(self.with_merged(merged, fresh)),
+        }
     }
 }
 
@@ -300,7 +314,7 @@ pub fn merge_new_parts_ranged(
         MergeStrategy::GallopSplice
     };
     outcome.new_pairs = fresh.len() / 2;
-    main.get_mut().install_merged(merged, &fresh);
+    main.install_merged(merged, &fresh);
     let mut new_table = PropertyTable::new();
     new_table.replace_with_sorted(fresh);
     Ok((new_table, outcome))
@@ -568,6 +582,55 @@ mod tests {
         let mut new_table = PropertyTable::new();
         new_table.replace_with_sorted(fresh);
         (new_table, outcome)
+    }
+
+    /// Lanes that run every task on the calling thread.
+    struct Inline;
+
+    impl Lanes for Inline {
+        fn run<'env, R, F>(&self, tasks: Vec<F>) -> Vec<R>
+        where
+            F: FnOnce() -> R + Send + 'env,
+            R: Send + 'env,
+        {
+            tasks.into_iter().map(|task| task()).collect()
+        }
+    }
+
+    /// A ranged merge into a table another epoch holds leaves that table as
+    /// it is and installs the merged one, equal to the in-place merge's —
+    /// pairs, new table, and the ⟨o,s⟩ cache kept for a delta of a
+    /// sixteenth of the table, dropped for a larger one.
+    #[test]
+    fn a_ranged_merge_into_a_shared_table_installs_the_merged_one() {
+        for (fresh_subjects, keeps_cache) in [(4u64, true), (64, false)] {
+            let pairs: Vec<u64> = (0..64u64)
+                .flat_map(|s| (0..16u64).flat_map(move |o| [s, 2 * o]))
+                .collect();
+            let mut table = PropertyTable::from_pairs(pairs.clone());
+            table.ensure_os();
+            let epoch = Arc::new(table);
+            let mut shared = Arc::clone(&epoch);
+            let mut in_place = (*epoch).clone();
+            let parts = vec![(0..fresh_subjects)
+                .flat_map(|s| [s, 1, s, 3])
+                .collect::<Vec<u64>>()];
+            let mut scratches = [SortScratch::new()];
+            let (new_shared, _) =
+                merge_new_parts_ranged(&mut shared, parts.clone(), &mut scratches, &Inline)
+                    .expect("the counting kernel is picked");
+            let (new_in_place, _) =
+                merge_new_parts_ranged(&mut in_place, parts, &mut scratches, &Inline)
+                    .expect("the counting kernel is picked");
+            assert!(!Arc::ptr_eq(&shared, &epoch));
+            assert_eq!(epoch.pairs(), &pairs[..], "the epoch's table is untouched");
+            assert!(epoch.has_os_cache());
+            assert_eq!(shared.pairs(), in_place.pairs());
+            assert_eq!(shared.os_pairs(), in_place.os_pairs());
+            assert_eq!(shared.has_os_cache(), keeps_cache);
+            assert_eq!(new_shared.pairs(), new_in_place.pairs());
+            assert!(shared.debug_validate().is_ok());
+        }
     }
 
     thread_local! {

@@ -472,11 +472,22 @@ impl PropertyTable {
     pub(crate) fn with_sorted(&self, fresh: &[u64]) -> PropertyTable {
         debug_assert!(!self.dirty, "with_sorted on a dirty table");
         debug_assert!(inferray_sort::is_sorted_pairs(fresh));
+        self.with_merged(merged_copy(&self.so, fresh), fresh)
+    }
+
+    /// The table that [`install_merged`](Self::install_merged) of the same
+    /// `merged` and `fresh` leaves, built without writing this one:
+    /// `merged` becomes its pairs as it is, and a built ⟨o,s⟩ cache is
+    /// carried over from `fresh` swapped and sorted when the in-place write
+    /// would keep it.
+    pub(crate) fn with_merged(&self, merged: Vec<u64>, fresh: &[u64]) -> PropertyTable {
+        debug_assert!(!self.dirty, "with_merged on a dirty table");
+        debug_assert_eq!(merged.len(), self.so.len() + fresh.len());
         let os = self
             .os_pairs()
             .filter(|_| keeps_os_cache(fresh.len() / 2, self.len()))
             .map(|os| merged_copy(os, &swapped_sorted(fresh)));
-        PropertyTable::settled(merged_copy(&self.so, fresh), os)
+        PropertyTable::settled(merged, os)
     }
 
     /// The table that [`remove_pairs`](Self::remove_pairs) of the same pairs

@@ -14,34 +14,39 @@
 //!   one **epoch** — internally an `Arc<TripleStore>`, so cloning a snapshot
 //!   is two atomic increments and holding one keeps that version alive no
 //!   matter what writers do afterwards;
-//! * a [`SnapshotStore`] is the handoff cell: a writer prepares the next
-//!   version in a **private copy** of the store (clone → mutate → finalize →
-//!   build the ⟨o,s⟩ caches → compute cardinality stats; the clone shares
-//!   every table with the published version until it writes to one, see
-//!   [`crate::triple_store`]) and then publishes
-//!   it ([`SnapshotStore::update`]); readers sample the current snapshot
-//!   **without ever blocking** ([`SnapshotStore::snapshot`]).
+//! * a [`Handoff`] is the handoff cell of one published value: a writer
+//!   builds the next value from the current one and publishes it
+//!   ([`Handoff::publish_with`]); readers sample the current value
+//!   **without ever blocking** ([`Handoff::read_published`]);
+//! * a [`SnapshotStore`] is the handoff of a [`StoreSnapshot`]: a writer
+//!   prepares the next version in a **private copy** of the store (clone →
+//!   mutate → [`StoreSnapshot::next`]: finalize → build the ⟨o,s⟩ caches;
+//!   the clone shares every table with the published version until it
+//!   writes to one, see [`crate::triple_store`]) and publishes it
+//!   ([`SnapshotStore::update`]). The serving layer hands out its store
+//!   snapshot and the dictionary that encodes it as one value of its own
+//!   handoff.
 //!
 //! ## The lock-free reader handoff
 //!
 //! Readers never take a read-lock. Publication uses a generation-stamped
 //! two-slot array with a seqlock-style validation loop:
 //!
-//! * each [`Slot`] holds an optional snapshot behind a `Mutex` plus an
+//! * each [`Slot`] holds an optional value behind a `Mutex` plus an
 //!   atomic **stamp** (even = stable, odd = a writer is mid-install);
 //! * an atomic `active` counter names the slot readers sample
 //!   (`active % SLOT_COUNT`);
-//! * a **writer** installs the next version into the *inactive* slot —
-//!   stamp to odd, store the snapshot, stamp to even — and only then moves
+//! * a **writer** installs the next value into the *inactive* slot —
+//!   stamp to odd, store the value, stamp to even — and only then moves
 //!   `active`. The slot readers are sampling is never touched mid-publish;
 //! * a **reader** loads `active`, checks the stamp is even, `try_lock`s the
-//!   slot (which never blocks), clones the `Arc`, and re-checks the stamp.
+//!   slot (which never blocks), clones the value, and re-checks the stamp.
 //!   A stamp change or a failed `try_lock` means the world moved — the
 //!   reader re-samples `active` and retries. The only thread that can make
-//!   a `try_lock` fail for more than the length of one `Arc` clone is
-//!   another *reader*; a publishing writer works on the inactive slot.
+//!   a `try_lock` fail for more than the length of one clone is another
+//!   *reader*; a publishing writer works on the inactive slot.
 //!
-//! `snapshot()` therefore never blocks behind a publish — this is proven
+//! A read therefore never blocks behind a publish — this is proven
 //! exhaustively by the `lock_free_handoff` interleaving cases in
 //! `tests/model_check.rs`, and the workspace-wide `#![forbid(unsafe_code)]`
 //! (IL001) still holds: the protocol is plain std atomics + `Arc` clones.
@@ -51,10 +56,10 @@
 //! even while a writer is mid-materialization — this is snapshot isolation,
 //! proven by the `snapshot_isolation` integration suite.
 //!
-//! Published snapshots are **finalized, ⟨o,s⟩-cached and stats-annotated**
-//! before the handoff: every read path of the query engine (binary search,
-//! run scan, object lookup, planner cardinality estimates) works on the
-//! shared `&TripleStore` without needing `&mut`, so a snapshot is safely
+//! Published snapshots are **finalized and ⟨o,s⟩-cached** before the
+//! handoff: every read path of the query engine (binary search, run scan,
+//! object lookup, planner cardinality estimates) works on the shared
+//! `&TripleStore` without needing `&mut`, so a snapshot is safely
 //! `Send + Sync`.
 
 use crate::triple_store::TripleStore;
@@ -85,13 +90,27 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    /// Wraps an already-prepared store as the snapshot of `epoch`.
-    ///
-    /// The store must be finalized; [`SnapshotStore`] additionally builds
-    /// the ⟨o,s⟩ caches before publishing so readers get the fast
-    /// `(?, p, o)` path.
-    pub fn new(epoch: u64, store: Arc<TripleStore>) -> Self {
-        StoreSnapshot { epoch, store }
+    /// Prepares `store` for readers and wraps it as the snapshot of
+    /// `epoch`: the store is finalized and its ⟨o,s⟩ caches are built, so
+    /// readers get the fast `(?, p, o)` path without `&mut`. Under
+    /// `strict-invariants` the prepared store is re-validated (sortedness,
+    /// no duplicates, ⟨o,s⟩-cache coherence) — every store that becomes
+    /// visible to readers passes through here.
+    pub fn prepare(mut store: TripleStore, epoch: u64) -> Self {
+        store.finalize();
+        store.ensure_all_os();
+        #[cfg(feature = "strict-invariants")]
+        store.assert_valid();
+        StoreSnapshot {
+            epoch,
+            store: Arc::new(store),
+        }
+    }
+
+    /// `store` prepared ([`StoreSnapshot::prepare`]) as the epoch after
+    /// this one: what every publish hands out next.
+    pub fn next(&self, store: TripleStore) -> Self {
+        StoreSnapshot::prepare(store, self.epoch + 1)
     }
 
     /// The epoch this snapshot was published at (0 is the initial version).
@@ -119,36 +138,36 @@ impl std::ops::Deref for StoreSnapshot {
 }
 
 /// Number of publication slots. Two is the minimum that lets a writer
-/// install the next version without touching the slot readers are sampling;
+/// install the next value without touching the slot readers are sampling;
 /// it also bounds slot-retained history to a single previous epoch (readers
-/// holding older [`StoreSnapshot`]s keep those alive independently).
+/// holding older values keep those alive independently).
 const SLOT_COUNT: usize = 2;
 
 /// One publication slot of the generation-stamped handoff array.
 #[derive(Debug)]
-struct Slot {
+struct Slot<T> {
     /// Seqlock-style generation stamp: even = stable, odd = a writer is
-    /// mid-install. Readers validate the stamp around their `Arc` clone.
+    /// mid-install. Readers validate the stamp around their clone.
     stamp: AtomicU64,
-    /// The snapshot occupying this slot (`None` only before first install).
+    /// The value occupying this slot (`None` only before first install).
     /// Readers only ever `try_lock` this mutex — which never blocks — and
     /// the sole blocking `lock` is taken by a writer on the *inactive* slot.
-    cell: Mutex<Option<StoreSnapshot>>,
+    cell: Mutex<Option<T>>,
 }
 
-impl Slot {
-    fn new(content: Option<StoreSnapshot>) -> Self {
+impl<T: Clone> Slot<T> {
+    fn new(content: Option<T>) -> Self {
         Slot {
             stamp: AtomicU64::new(0),
             cell: Mutex::new(content),
         }
     }
 
-    /// Non-blocking sample of the slot's snapshot. `None` means the slot is
+    /// Non-blocking sample of the slot's value. `None` means the slot is
     /// momentarily held (a concurrent reader mid-clone, or — only after the
     /// active index has already moved on — a writer re-installing) or still
     /// empty; callers re-check the active index and retry.
-    fn try_read(&self) -> Option<StoreSnapshot> {
+    fn try_read(&self) -> Option<T> {
         match self.cell.try_lock() {
             Ok(guard) => guard.as_ref().cloned(),
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner().as_ref().cloned(),
@@ -157,8 +176,90 @@ impl Slot {
     }
 }
 
-/// The epoch handoff cell: one published "current snapshot" that many
-/// readers sample lock-free and one writer at a time replaces.
+/// The lock-free handoff of one published value: many readers sample it
+/// without blocking, one writer at a time replaces it. The value should be
+/// cheap to clone (a few `Arc`s): every read clones it once.
+#[derive(Debug)]
+pub struct Handoff<T> {
+    /// The generation-stamped handoff slots; see the module docs.
+    slots: [Slot<T>; SLOT_COUNT],
+    /// Monotonic publication counter; `active % SLOT_COUNT` is the slot
+    /// readers sample. Moved only *after* the slot's content is stable.
+    active: AtomicUsize,
+    /// Serializes writers: the read → build → install of one publish must
+    /// not interleave with another's, or the second would build on a stale
+    /// value and lose the first's on install.
+    writer: Mutex<()>,
+}
+
+impl<T: Clone> Handoff<T> {
+    /// A handoff that hands out `value` until the first publish.
+    pub fn holding(value: T) -> Self {
+        Handoff {
+            slots: [Slot::new(Some(value)), Slot::new(None)],
+            active: AtomicUsize::new(0),
+            writer: Mutex::new(()),
+        }
+    }
+
+    /// The currently published value.
+    ///
+    /// Lock-free for readers: samples the active slot, validates the
+    /// generation stamp around a clone, and retries if the world moved. No
+    /// acquisition here can block behind a writer building or installing a
+    /// value — the writer installs into the inactive slot (see the module
+    /// docs and the `lock_free_handoff` model check). The name is distinct
+    /// on purpose: the lint's call-graph walk unions same-named functions
+    /// across files.
+    pub fn read_published(&self) -> T {
+        loop {
+            let active = self.active.load(Ordering::Acquire);
+            let slot = &self.slots[active % SLOT_COUNT];
+            let stamp = slot.stamp.load(Ordering::Acquire);
+            if stamp.is_multiple_of(2) {
+                if let Some(value) = slot.try_read() {
+                    if slot.stamp.load(Ordering::Acquire) == stamp {
+                        return value;
+                    }
+                }
+            }
+            // The slot moved under us (a publish landed, or a concurrent
+            // reader held the cell for the length of its clone): re-sample
+            // the active index and go again.
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Builds the next value from the current one under the writer lock and
+    /// publishes it. Returns the published value and `build`'s result.
+    ///
+    /// Install order (the invariant the model check pins down): the
+    /// *inactive* slot is stamped odd, filled, stamped even, and only then
+    /// does the active index move. Readers sampling the previously active
+    /// slot are never touched; readers that observe the new index find the
+    /// slot already stable.
+    pub fn publish_with<R>(&self, build: impl FnOnce(&T) -> (T, R)) -> (T, R) {
+        let guard = unpoison(self.writer.lock());
+        // Read *after* taking the writer lock, so this publish builds on
+        // every previously published value.
+        let (value, result) = build(&self.read_published());
+        let next = self.active.load(Ordering::Acquire).wrapping_add(1);
+        let slot = &self.slots[next % SLOT_COUNT];
+        let stamp = slot.stamp.load(Ordering::Acquire);
+        slot.stamp.store(stamp.wrapping_add(1), Ordering::Release); // odd: mid-install
+        {
+            let mut cell = unpoison(slot.cell.lock());
+            *cell = Some(value.clone());
+        }
+        slot.stamp.store(stamp.wrapping_add(2), Ordering::Release); // even: stable
+        self.active.store(next, Ordering::Release);
+        drop(guard);
+        (value, result)
+    }
+}
+
+/// The epoch handoff of the store alone: one published "current snapshot"
+/// that many readers sample lock-free and one writer at a time replaces.
 ///
 /// ```
 /// use inferray_model::IdTriple;
@@ -178,22 +279,9 @@ impl Slot {
 /// assert_eq!(after.len(), 2);
 /// assert_eq!(after.epoch(), before.epoch() + 1);
 /// ```
-#[derive(Debug)]
-pub struct SnapshotStore {
-    /// The generation-stamped handoff slots; see the module docs.
-    slots: [Slot; SLOT_COUNT],
-    /// Monotonic publication counter; `active % SLOT_COUNT` is the slot
-    /// readers sample. Moved only *after* the slot's content is stable.
-    active: AtomicUsize,
-    /// Mirror of the published epoch, so `epoch()` is a single atomic load.
-    epoch: AtomicU64,
-    /// Serializes writers: the clone → mutate → finalize pipeline of one
-    /// update must not interleave with another's, or the second would clone
-    /// a stale base and lose the first's triples on publish.
-    writer: Mutex<()>,
-}
+pub type SnapshotStore = Handoff<StoreSnapshot>;
 
-impl SnapshotStore {
+impl Handoff<StoreSnapshot> {
     /// Publishes `store` as epoch 0. The store is finalized and its ⟨o,s⟩
     /// caches are built so the snapshot is immediately query-ready.
     pub fn new(store: TripleStore) -> Self {
@@ -205,114 +293,40 @@ impl SnapshotStore {
     /// pre-crash process left it so that replayed write-ahead-log records
     /// republish the exact epoch sequence they produced the first time.
     /// Like [`SnapshotStore::new`], the store is finalized and ⟨o,s⟩-cached.
-    pub fn with_epoch(mut store: TripleStore, epoch: u64) -> Self {
-        store.finalize();
-        store.ensure_all_os();
-        #[cfg(feature = "strict-invariants")]
-        store.assert_valid();
-        let snapshot = StoreSnapshot::new(epoch, Arc::new(store));
-        SnapshotStore {
-            slots: [Slot::new(Some(snapshot)), Slot::new(None)],
-            active: AtomicUsize::new(0),
-            epoch: AtomicU64::new(epoch),
-            writer: Mutex::new(()),
-        }
+    pub fn with_epoch(store: TripleStore, epoch: u64) -> Self {
+        Handoff::holding(StoreSnapshot::prepare(store, epoch))
     }
 
-    /// The currently published snapshot.
-    ///
-    /// Lock-free for readers: samples the active slot, validates the
-    /// generation stamp around an `Arc` clone, and retries if the world
-    /// moved. No acquisition here can block behind a writer preparing or
-    /// installing a version — the writer installs into the inactive slot
-    /// (see the module docs and the `lock_free_handoff` model check).
+    /// The currently published snapshot, sampled lock-free
+    /// ([`Handoff::read_published`]).
     pub fn snapshot(&self) -> StoreSnapshot {
         self.read_published()
     }
 
-    /// The retry loop behind [`SnapshotStore::snapshot`], under its own name
-    /// so the write path can share it: the lint's call-graph walk unions
-    /// same-named functions across files, and `snapshot` is also the name of
-    /// dictionary-reading APIs one layer up.
-    fn read_published(&self) -> StoreSnapshot {
-        loop {
-            let active = self.active.load(Ordering::Acquire);
-            let slot = &self.slots[active % SLOT_COUNT];
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            if stamp.is_multiple_of(2) {
-                if let Some(snapshot) = slot.try_read() {
-                    if slot.stamp.load(Ordering::Acquire) == stamp {
-                        return snapshot;
-                    }
-                }
-            }
-            // The slot moved under us (a publish landed, or a concurrent
-            // reader held the cell for the length of its Arc clone):
-            // re-sample the active index and go again.
-            std::hint::spin_loop();
-        }
-    }
-
-    /// The epoch of the currently published snapshot (one atomic load).
+    /// The epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.read_published().epoch()
     }
 
-    /// Runs `mutate` on a **private copy** of the current store, finalizes
-    /// the copy, rebuilds its ⟨o,s⟩ caches, and publishes it as the next
-    /// epoch. Returns the new snapshot and the closure's result.
+    /// Runs `mutate` on a **private copy** of the current store, prepares
+    /// the copy as the next epoch ([`StoreSnapshot::next`]) and publishes
+    /// it. Returns the new snapshot and the closure's result.
     ///
     /// Readers holding the previous snapshot are completely unaffected;
     /// concurrent writers are serialized.
     pub fn update<R>(&self, mutate: impl FnOnce(&mut TripleStore) -> R) -> (StoreSnapshot, R) {
-        let guard = unpoison(self.writer.lock());
-        // The base version: cloned *after* taking the writer lock, so this
-        // update builds on every previously published epoch.
-        let mut next: TripleStore = (*self.read_published().store).clone();
-        let result = mutate(&mut next);
-        let snapshot = self.publish_locked(next);
-        drop(guard);
-        (snapshot, result)
+        self.publish_with(|current| {
+            let mut next = current.store().clone();
+            let result = mutate(&mut next);
+            (current.next(next), result)
+        })
     }
 
     /// Replaces the current version wholesale with `store` (next epoch).
-    /// Like [`SnapshotStore::update`], the store is finalized and
-    /// ⟨o,s⟩-cached before the handoff.
+    /// Like [`SnapshotStore::update`], the store is prepared before the
+    /// handoff.
     pub fn publish(&self, store: TripleStore) -> StoreSnapshot {
-        let guard = unpoison(self.writer.lock());
-        let snapshot = self.publish_locked(store);
-        drop(guard);
-        snapshot
-    }
-
-    /// Prepares `store` and installs it. Caller holds the writer lock.
-    ///
-    /// Install order (the invariant the model check pins down): the
-    /// *inactive* slot is stamped odd, filled, stamped even, and only then
-    /// do the epoch mirror and the active index move. Readers sampling the
-    /// previously active slot are never touched; readers that observe the
-    /// new index find the slot already stable.
-    fn publish_locked(&self, mut store: TripleStore) -> StoreSnapshot {
-        store.finalize();
-        store.ensure_all_os();
-        // Publish boundary: under `strict-invariants` every store that is
-        // about to become visible to readers is re-validated (sortedness,
-        // no duplicates, ⟨o,s⟩-cache coherence) before the handoff.
-        #[cfg(feature = "strict-invariants")]
-        store.assert_valid();
-        let snapshot = StoreSnapshot::new(self.epoch.load(Ordering::Acquire) + 1, Arc::new(store));
-        let next = self.active.load(Ordering::Acquire).wrapping_add(1);
-        let slot = &self.slots[next % SLOT_COUNT];
-        let stamp = slot.stamp.load(Ordering::Acquire);
-        slot.stamp.store(stamp.wrapping_add(1), Ordering::Release); // odd: mid-install
-        {
-            let mut cell = unpoison(slot.cell.lock());
-            *cell = Some(snapshot.clone());
-        }
-        slot.stamp.store(stamp.wrapping_add(2), Ordering::Release); // even: stable
-        self.epoch.store(snapshot.epoch(), Ordering::Release);
-        self.active.store(next, Ordering::Release);
-        snapshot
+        self.publish_with(|current| (current.next(store), ())).0
     }
 }
 

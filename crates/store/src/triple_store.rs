@@ -232,9 +232,13 @@ impl TripleStore {
     }
 
     /// Replaces the whole table of property `p` with already-sorted pairs
-    /// (used by the transitive-closure stage).
+    /// (used by the transitive-closure stage). The new table is installed
+    /// into the slot: a table shared with another store is left to it, not
+    /// copied to be overwritten.
     pub fn replace_table_sorted(&mut self, p: u64, pairs: Vec<u64>) {
-        self.table_or_create(p).replace_with_sorted(pairs);
+        let mut table = PropertyTable::new();
+        table.replace_with_sorted(pairs);
+        self.set_table(p, table);
     }
 
     /// Removes encoded triples **in place**, preserving per-table sort order

@@ -1,13 +1,13 @@
 //! Fixture: lock-order inversions in what the test presents as
 //! `crates/persist/src/durable.rs`. The repo order says the persist state
-//! mutex (rank 1) is acquired before the status mirror (rank 7, leaf).
+//! mutex (rank 1) is acquired before the status mirror (rank 5, leaf).
 //! IL004 must flag the direct inversion and the transitive one, and must
 //! accept the correctly-ordered function.
 
 impl DurableDataset {
     pub fn direct_inversion(&self) {
         let mirror = self.status_mirror.lock().unwrap_or_default();
-        let state = self.state.lock().unwrap_or_default(); // finding: 1 after 7
+        let state = self.state.lock().unwrap_or_default(); // finding: 1 after 5
         drop(state);
         drop(mirror);
     }

@@ -285,11 +285,10 @@ pub struct LockClass {
 }
 
 /// The repo's documented lock order: persist state → serving writer →
-/// serving base → dictionary → snapshot-store writer → snapshot slot cell →
-/// status mirror (leaf). Readers of the snapshot handoff only ever
-/// `try_lock` the slot cell (never blocking), but the acquisition still
-/// ranks so a cell-holding path can never turn around and take an outer
-/// lock. See docs/static-analysis.md.
+/// handoff writer → handoff slot cell → status mirror (leaf). Readers of
+/// the handoff only ever `try_lock` the slot cell (never blocking), but
+/// the acquisition still ranks so a cell-holding path can never turn
+/// around and take an outer lock. See docs/static-analysis.md.
 pub const LOCK_CLASSES: &[LockClass] = &[
     LockClass {
         file_suffix: "crates/persist/src/durable.rs",
@@ -304,45 +303,27 @@ pub const LOCK_CLASSES: &[LockClass] = &[
         name: "serving writer",
     },
     LockClass {
-        file_suffix: "crates/core/src/api.rs",
-        pattern: "self.base.lock(",
-        rank: 3,
-        name: "serving base",
-    },
-    LockClass {
-        file_suffix: "crates/core/src/api.rs",
-        pattern: "self.dictionary.read(",
-        rank: 4,
-        name: "dictionary",
-    },
-    LockClass {
-        file_suffix: "crates/core/src/api.rs",
-        pattern: "self.dictionary.write(",
-        rank: 4,
-        name: "dictionary",
-    },
-    LockClass {
         file_suffix: "crates/store/src/snapshot.rs",
         pattern: "self.writer.lock(",
-        rank: 5,
-        name: "snapshot writer",
+        rank: 3,
+        name: "handoff writer",
     },
     LockClass {
         file_suffix: "crates/store/src/snapshot.rs",
         pattern: ".cell.lock(",
-        rank: 6,
-        name: "snapshot slot cell",
+        rank: 4,
+        name: "handoff slot cell",
     },
     LockClass {
         file_suffix: "crates/store/src/snapshot.rs",
         pattern: ".cell.try_lock(",
-        rank: 6,
-        name: "snapshot slot cell",
+        rank: 4,
+        name: "handoff slot cell",
     },
     LockClass {
         file_suffix: "crates/persist/src/durable.rs",
         pattern: "self.status_mirror.lock(",
-        rank: 7,
+        rank: 5,
         name: "status mirror",
     },
 ];

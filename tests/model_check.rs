@@ -15,11 +15,13 @@
 //! (writer-writer exclusion is the mutex's own guarantee, separately checked
 //! by the shim's unit tests).
 //!
-//! The four interleaving spaces (ISSUE 7 + ISSUE 8 acceptance criteria):
+//! The four interleaving spaces:
 //!
-//! 1. **Snapshot publish** (`SnapshotStore` + `ServingDataset`): the
-//!    dictionary is published *before* the store pointer swap, so no reader
-//!    ever observes a store whose dictionary lags it.
+//! 1. **Id agreement** (`ServingDataset`): a write that promotes a resource
+//!    to a property gives the term a new identifier; the store and the
+//!    dictionary of an epoch are published and sampled as one value, so a
+//!    reader's dictionary encodes every term of its store to the
+//!    identifier that store holds.
 //! 2. **WAL ordering** (`ServingDataset::write` with `DurableDataset`'s log
 //!    stage): gate → fsync → publish. No publish before fsync success; a
 //!    write the shape gate refuses never reaches the log; an append/sync
@@ -28,85 +30,123 @@
 //! 3. **Retraction cache window** (`TripleStore::remove_pairs`): a published
 //!    table's ⟨o,s⟩ cache is always coherent with its pairs — removal
 //!    invalidates and the publish path rebuilds before the swap.
-//! 4. **Lock-free snapshot handoff** (`SnapshotStore::snapshot`): the
+//! 4. **Lock-free handoff** (`Handoff::read_published`): the
 //!    generation-stamped two-slot protocol — a reader completes in a
 //!    bounded number of lock-free steps no matter where a publishing
-//!    writer is frozen (never blocks behind a publish), and never
-//!    resolves ids against a lagging dictionary.
+//!    writer is frozen (never blocks behind a publish).
 
 use interleave::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use interleave::sync::{Arc, Mutex, RwLock};
 use interleave::{model, model_expect_violation, nondet, thread};
 
 // ---------------------------------------------------------------------------
-// 1. Snapshot publish: dictionary never lags the published store.
+// 1. Id agreement: a reader's dictionary encodes its store's terms to the
+//    identifiers the store holds.
 // ---------------------------------------------------------------------------
 
-/// The serving layer's publication order: under the writer mutex, the
-/// updated dictionary is swapped in *before* the store snapshot. A reader
-/// that grabs snapshot epoch `e` may therefore always resolve every
-/// identifier the epoch-`e` store references.
-fn snapshot_publish_model(dictionary_first: bool) {
-    // (epoch, min dictionary version the epoch's identifiers need).
-    let cell = Arc::new(RwLock::new((0u64, 0u64)));
-    let dictionary = Arc::new(AtomicU64::new(0));
+/// The identifier a term has as a plain resource, and the one a write that
+/// uses it as a predicate promotes it to.
+const RESOURCE_ID: u64 = 1;
+const PROPERTY_ID: u64 = 2;
+
+/// How a write publishes the store and the dictionary of its epoch.
+#[derive(Clone, Copy)]
+enum Publication {
+    /// The production shape: one handoff value holds both; the slot cell
+    /// makes installing it and a reader's clone of it atomic.
+    OneValue,
+    /// Seeded bug (the order before the single handoff): the dictionary
+    /// into its own cell, then the store; a reader samples the store, then
+    /// the dictionary.
+    DictionaryThenStore,
+}
+
+/// One promoting write beside one reader. Each cell word is the
+/// identifier under which a store holds the term `t`, or to which a
+/// dictionary encodes it: `RESOURCE_ID` at epoch 0, `PROPERTY_ID` once the
+/// write has promoted `t`. The reader looks `t` up in its dictionary and
+/// must find the identifier its store holds.
+fn id_agreement_model(publication: Publication) {
     let writer_mutex = Arc::new(Mutex::new(()));
+    // (store, dictionary) as one value, or as two cells.
+    let published = Arc::new(Mutex::new((RESOURCE_ID, RESOURCE_ID)));
+    let store = Arc::new(RwLock::new(RESOURCE_ID));
+    let dictionary = Arc::new(RwLock::new(RESOURCE_ID));
 
     let writer = {
-        let cell = Arc::clone(&cell);
-        let dictionary = Arc::clone(&dictionary);
+        let (published, store, dictionary) = (
+            Arc::clone(&published),
+            Arc::clone(&store),
+            Arc::clone(&dictionary),
+        );
         thread::spawn(move || {
             let guard = writer_mutex.lock();
-            let (epoch, _) = *cell.read();
-            let next = epoch + 1;
-            if dictionary_first {
-                dictionary.store(next, Ordering::SeqCst);
-                *cell.write() = (next, next);
-            } else {
-                // Seeded bug: store visible before its dictionary.
-                *cell.write() = (next, next);
-                dictionary.store(next, Ordering::SeqCst);
+            match publication {
+                Publication::OneValue => {
+                    // Build the next value from the current one, privately,
+                    // then install it whole.
+                    let (held, encodes) = *published.lock();
+                    assert_eq!(held, encodes);
+                    *published.lock() = (PROPERTY_ID, PROPERTY_ID);
+                }
+                Publication::DictionaryThenStore => {
+                    *dictionary.write() = PROPERTY_ID;
+                    *store.write() = PROPERTY_ID;
+                }
             }
             drop(guard);
         })
     };
 
     let reader = {
-        let cell = Arc::clone(&cell);
-        let dictionary = Arc::clone(&dictionary);
+        let (published, store, dictionary) = (
+            Arc::clone(&published),
+            Arc::clone(&store),
+            Arc::clone(&dictionary),
+        );
         thread::spawn(move || {
-            let (_, needs) = *cell.read();
-            let have = dictionary.load(Ordering::SeqCst);
-            assert!(
-                have >= needs,
-                "reader resolved store ids against a lagging dictionary \
-                 (store needs dictionary version {needs}, published is {have})"
+            let (held, encodes) = match publication {
+                Publication::OneValue => *published.lock(),
+                Publication::DictionaryThenStore => {
+                    let held = *store.read();
+                    (held, *dictionary.read())
+                }
+            };
+            assert_eq!(
+                held, encodes,
+                "reader's dictionary encodes a term of its store to id {encodes}, \
+                 the store holds it as {held}"
             );
         })
     };
 
     writer.join();
     reader.join();
-    // Quiescent state: the epoch landed and the dictionary caught up.
-    let (epoch, needs) = *cell.read();
-    assert_eq!(epoch, 1);
-    assert!(dictionary.load(Ordering::SeqCst) >= needs);
+    // Quiescence: the promotion landed in both.
+    let landed = match publication {
+        Publication::OneValue => *published.lock(),
+        Publication::DictionaryThenStore => (*store.read(), *dictionary.read()),
+    };
+    assert_eq!(landed, (PROPERTY_ID, PROPERTY_ID));
 }
 
 #[test]
-fn snapshot_publish_dictionary_never_lags() {
-    let report = model(|| snapshot_publish_model(true));
+fn id_agreement_store_and_dictionary_are_one_value() {
+    let report = model(|| id_agreement_model(Publication::OneValue));
     assert!(
-        report.schedules >= 10,
+        report.schedules >= 6,
         "expected a non-trivial interleaving space, got {}",
         report.schedules
     );
 }
 
 #[test]
-fn snapshot_publish_seeded_store_first_bug_is_caught() {
-    let violation = model_expect_violation(|| snapshot_publish_model(false));
-    assert!(violation.contains("lagging dictionary"), "got: {violation}");
+fn id_agreement_seeded_two_cell_order_is_caught() {
+    let violation = model_expect_violation(|| id_agreement_model(Publication::DictionaryThenStore));
+    assert!(
+        violation.contains("encodes a term of its store"),
+        "got: {violation}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -321,51 +361,38 @@ fn retract_seeded_missing_invalidation_bug_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Lock-free snapshot handoff: readers never block behind a publish.
+// 4. Lock-free handoff: readers never block behind a publish.
 // ---------------------------------------------------------------------------
 
-/// The generation-stamped two-slot handoff of `SnapshotStore` (ISSUE 8),
-/// restated over tracked primitives. A slot's content is one word (the
-/// snapshot epoch — in production the slot mutex makes the `Arc` swap
-/// atomic, so the cell can never tear; what the model pins down is the
+/// The generation-stamped two-slot handoff of `Handoff`, restated over
+/// tracked primitives. A slot's content is one word (the epoch of the
+/// published value — in production the slot mutex makes the clone atomic,
+/// so the cell can never tear; what the model pins down is the
 /// *ordering*). The writer publishes epochs 1 and 2 so the second install
 /// re-targets the slot a stale reader may still be examining — the
 /// wrap-around case the stamp validation exists for. Install order per
-/// publish: dictionary → stamp odd → slot word → stamp even → active index.
+/// publish: stamp odd → slot word → stamp even → active index.
 ///
-/// The reader is the acquisition loop of `SnapshotStore::snapshot` with a
+/// The reader is the acquisition loop of `Handoff::read_published` with a
 /// **hard attempt bound**: at most one of the two publishes can disturb
 /// the slot a reader sampled, so two attempts must suffice in *every*
 /// interleaving — exhausting them would mean a reader can be held up by a
 /// publishing writer, exactly the blocking the slot protocol removes.
-///
-/// With `dictionary_first == false` the seeded bug publishes the snapshot
-/// before the dictionary that decodes its identifiers — the checker must
-/// find the interleaving where a reader resolves against the stale
-/// dictionary.
-fn lock_free_handoff_model(dictionary_first: bool) {
+fn lock_free_handoff_model() {
     const SLOTS: usize = 2;
     // slot → (generation stamp, content word); epoch 0 stable in slot 0.
-    // The content word is the snapshot's epoch; epoch ≥ 1 needs dictionary
-    // version 1 (epoch 2 mints no new identifiers, as a retraction would).
     let slots: Arc<Vec<(AtomicU64, AtomicU64)>> = Arc::new(
         (0..SLOTS)
             .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
             .collect(),
     );
     let active = Arc::new(AtomicUsize::new(0));
-    let dictionary = Arc::new(AtomicU64::new(0));
 
     let writer = {
         let slots = Arc::clone(&slots);
         let active = Arc::clone(&active);
-        let dictionary = Arc::clone(&dictionary);
         thread::spawn(move || {
             for epoch in 1u64..=2 {
-                if epoch == 1 && dictionary_first {
-                    // The dictionary that epoch's identifiers need, first.
-                    dictionary.store(1, Ordering::SeqCst);
-                }
                 // Publish e lands in slot e % SLOTS (the writer mutex makes
                 // the target deterministic; keeping the computation local
                 // trims the schedule space without changing the protocol).
@@ -377,16 +404,12 @@ fn lock_free_handoff_model(dictionary_first: bool) {
                 word.store(epoch, Ordering::SeqCst);
                 stamp.store(s + 2, Ordering::SeqCst); // even: stable
                 active.store(target, Ordering::SeqCst);
-                if epoch == 1 && !dictionary_first {
-                    // Seeded bug: snapshot visible before its dictionary.
-                    dictionary.store(1, Ordering::SeqCst);
-                }
             }
         })
     };
 
     // The reader runs on the model's root thread (keeping the interleaving
-    // space two-way): the acquisition loop of `SnapshotStore::snapshot`.
+    // space two-way): the acquisition loop of `Handoff::read_published`.
     let mut acquired = None;
     for _attempt in 0..2 {
         let idx = active.load(Ordering::SeqCst);
@@ -399,13 +422,6 @@ fn lock_free_handoff_model(dictionary_first: bool) {
         if stamp.load(Ordering::SeqCst) != s1 {
             continue; // slot was re-targeted under us: re-sample
         }
-        let have = dictionary.load(Ordering::SeqCst);
-        let needs = epoch.min(1);
-        assert!(
-            have >= needs,
-            "reader resolved store ids against a lagging dictionary \
-             (snapshot epoch {epoch} needs dictionary {needs}, published is {have})"
-        );
         acquired = Some(epoch);
         break;
     }
@@ -420,21 +436,14 @@ fn lock_free_handoff_model(dictionary_first: bool) {
     let (stamp, word) = &slots[idx % SLOTS];
     assert_eq!(stamp.load(Ordering::SeqCst) % 2, 0);
     assert_eq!(word.load(Ordering::SeqCst), 2);
-    assert_eq!(dictionary.load(Ordering::SeqCst), 1);
 }
 
 #[test]
 fn lock_free_handoff_reader_never_blocks() {
-    let report = model(|| lock_free_handoff_model(true));
+    let report = model(lock_free_handoff_model);
     assert!(
         report.schedules >= 50,
         "expected a non-trivial interleaving space, got {}",
         report.schedules
     );
-}
-
-#[test]
-fn lock_free_handoff_seeded_snapshot_before_dictionary_bug_is_caught() {
-    let violation = model_expect_violation(|| lock_free_handoff_model(false));
-    assert!(violation.contains("lagging dictionary"), "got: {violation}");
 }

@@ -432,3 +432,94 @@ fn concurrent_asserts_each_report_their_own_epoch_and_size() {
         );
     }
 }
+
+/// A reader's dictionary agrees with its store on every identifier, also
+/// across a write that promotes a resource to a property (which gives the
+/// term a new identifier). Each round asserts `<t_i> <q> <o>` with `t_i` a
+/// plain resource, then promotes `t_i` by using it as a predicate; every
+/// epoch from the first of those writes on holds the triple, so a reader
+/// that asks for it after the first write returned must get `true`. A store
+/// paired with a newer dictionary encodes `t_i` to the promoted identifier,
+/// which the older store does not use, and answers `false`. The large
+/// `rdf:type` table beside it makes each publish long enough for a reader
+/// to land inside it.
+#[test]
+fn readers_never_pair_a_store_with_a_newer_dictionary_across_promotions() {
+    const ROUNDS: usize = 100;
+    const TYPED: usize = 20_000;
+    const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+    let typed: Vec<Triple> = (0..TYPED)
+        .map(|k| {
+            Triple::iris(
+                format!("http://snapshot.test/e{k}"),
+                RDF_TYPE,
+                format!("http://snapshot.test/C{}", k % 100),
+            )
+        })
+        .collect();
+    let loaded = load_triples(typed.iter()).expect("valid");
+    let (dataset, _) =
+        ServingDataset::materialize(loaded, Fragment::RdfsDefault, InferrayOptions::default());
+    let term = |i: usize| format!("http://snapshot.test/t{i}");
+    // Rounds whose first write has returned: their triple is in every
+    // epoch a reader can sample from then on.
+    let asserted = std::sync::atomic::AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+
+    let (answers, false_answers) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (dataset, asserted, done) = (&dataset, &asserted, &done);
+                scope.spawn(move || {
+                    let (mut answers, mut false_answers) = (0u64, 0u64);
+                    while !done.load(Ordering::Acquire) {
+                        let rounds = asserted.load(Ordering::Acquire);
+                        if rounds == 0 {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        let query = format!(
+                            "ASK {{ <{}> <http://snapshot.test/q> <http://snapshot.test/o> }}",
+                            term(rounds - 1)
+                        );
+                        let (snapshot, dictionary) = dataset.snapshot();
+                        let engine = SnapshotQueryEngine::new(snapshot, dictionary);
+                        answers += 1;
+                        if !engine.ask_sparql(&query).expect("query parses") {
+                            false_answers += 1;
+                        }
+                    }
+                    (answers, false_answers)
+                })
+            })
+            .collect();
+        for i in 0..ROUNDS {
+            dataset
+                .extend([Triple::iris(
+                    term(i),
+                    "http://snapshot.test/q",
+                    "http://snapshot.test/o",
+                )])
+                .expect("assert");
+            asserted.store(i + 1, Ordering::Release);
+            dataset
+                .extend([Triple::iris(
+                    "http://snapshot.test/a",
+                    term(i),
+                    "http://snapshot.test/b",
+                )])
+                .expect("promote");
+        }
+        done.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader thread"))
+            .fold((0, 0), |(a, f), (ra, rf)| (a + ra, f + rf))
+    });
+    assert!(answers > 0, "the readers never asked");
+    assert_eq!(
+        false_answers, 0,
+        "{false_answers} of {answers} answers were false: a store was paired \
+         with a dictionary that encodes a promoted term differently"
+    );
+}
