@@ -40,8 +40,10 @@ impl DenseGraph {
         labels.dedup();
         let index_of = |id: u64| -> usize { labels.binary_search(&id).expect("label present") };
         let dense: Vec<(u32, u32)> = pairs
-            .chunks_exact(2)
-            .map(|pair| (index_of(pair[0]) as u32, index_of(pair[1]) as u32))
+            .as_chunks::<2>()
+            .0
+            .iter()
+            .map(|&[s, o]| (index_of(s) as u32, index_of(o) as u32))
             .collect();
         let edges = || {
             let reversed = dense.iter().filter(|_| symmetric).map(|&(s, o)| (o, s));

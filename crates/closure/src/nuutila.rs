@@ -67,8 +67,10 @@ pub fn transitive_closure_pairs(pairs: &[u64], symmetric: bool) -> Vec<u64> {
 pub fn transitive_closure(edges: &[(u64, u64)]) -> Vec<(u64, u64)> {
     let pairs: Vec<u64> = edges.iter().flat_map(|&(s, o)| [s, o]).collect();
     transitive_closure_pairs(&pairs, false)
-        .chunks_exact(2)
-        .map(|pair| (pair[0], pair[1]))
+        .as_chunks::<2>()
+        .0
+        .iter()
+        .map(|&[s, o]| (s, o))
         .collect()
 }
 

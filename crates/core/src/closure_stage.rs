@@ -18,7 +18,7 @@
 use inferray_rules::analysis::Closure;
 use inferray_rules::executors::theta::closed_pairs;
 use inferray_rules::{RuleRef, Survivors};
-use inferray_store::{AccessProfile, TripleStore};
+use inferray_store::{as_pairs, AccessProfile, TripleStore};
 use std::time::Duration;
 
 /// Statistics of the closure stage, and of the schema stratum's pass that
@@ -58,12 +58,12 @@ pub fn run_closure_stage(
                 continue;
             };
             let before = table.len();
-            profile.sequential(2 * before as u64);
+            profile.sequential(table.pairs().len() as u64);
             let closed = closed_pairs(table, closure.symmetric());
             profile.sequential(closed.len() as u64);
             profile.allocate(closed.len() as u64);
             stats.tables_closed += 1;
-            stats.pairs_added += closed.len() / 2 - before;
+            stats.pairs_added += as_pairs(&closed).len() - before;
             store.replace_table_sorted(p, closed);
         }
     }

@@ -58,8 +58,8 @@ use inferray_rules::{
 };
 use inferray_sort::{Lanes, SortScratch};
 use inferray_store::{
-    merge_new_parts_ranged, merge_new_parts_with, os_builds, AccessProfile, InferredBuffer,
-    MergeOutcome, PropertyTable, TripleStore,
+    as_pairs, merge_new_parts_ranged, merge_new_parts_with, os_builds, AccessProfile,
+    InferredBuffer, MergeOutcome, PropertyTable, TripleStore,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -151,7 +151,7 @@ fn run_table_update(
     tables: InferredParts,
     scratches: &mut [SortScratch],
 ) -> Vec<PropertyUpdate> {
-    let raw = |parts: &Vec<Vec<u64>>| parts.iter().map(|part| part.len() / 2).sum::<usize>();
+    let raw = |parts: &Vec<Vec<u64>>| parts.iter().map(|part| as_pairs(part).len()).sum::<usize>();
     let total: usize = tables.values().map(raw).sum();
     let ranges = pool.map_or(1, ThreadPool::threads).min(scratches.len());
     let (split, tables): (InferredParts, InferredParts) =
@@ -625,8 +625,7 @@ impl InferrayReasoner {
                 let Some(table) = store.table(p) else {
                     continue;
                 };
-                for pair in parts.iter().flat_map(|part| part.chunks_exact(2)) {
-                    let (s, o) = (pair[0], pair[1]);
+                for &[s, o] in parts.iter().flat_map(|part| as_pairs(part)) {
                     if table.contains_pair(s, o)
                         && !survivors.is_gone(s, p, o)
                         && !base.contains(&IdTriple::new(s, p, o))

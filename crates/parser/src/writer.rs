@@ -9,7 +9,7 @@
 
 use inferray_dictionary::Dictionary;
 use inferray_model::Triple;
-use inferray_store::{PropertyTable, TripleStore};
+use inferray_store::{as_pairs, PropertyTable, TripleStore};
 use std::io::{self, Write};
 
 /// Bytes gathered before one `write_all`: large enough that the per-call
@@ -51,21 +51,21 @@ pub fn write_store_ntriples<W: Write>(
         let Some(predicate) = dictionary.text(p) else {
             continue;
         };
-        let mut skip = except
-            .and_then(|except| except.table(p))
-            .map_or(&[][..], PropertyTable::pairs);
-        for pair in table.pairs().chunks_exact(2) {
+        let mut skip = as_pairs(
+            except
+                .and_then(|except| except.table(p))
+                .map_or(&[][..], PropertyTable::pairs),
+        );
+        for pair @ &[s, o] in as_pairs(table.pairs()) {
             // Both runs are sorted by ⟨s,o⟩: drop what sorts before this
             // pair, then the pair is asserted iff it heads the rest.
-            while skip.len() >= 2 && (skip[0], skip[1]) < (pair[0], pair[1]) {
-                skip = &skip[2..];
+            while skip.first().is_some_and(|held| held < pair) {
+                skip = &skip[1..];
             }
-            if skip.len() >= 2 && skip[0] == pair[0] && skip[1] == pair[1] {
+            if skip.first() == Some(pair) {
                 continue;
             }
-            let (Some(subject), Some(object)) =
-                (dictionary.text(pair[0]), dictionary.text(pair[1]))
-            else {
+            let (Some(subject), Some(object)) = (dictionary.text(s), dictionary.text(o)) else {
                 continue;
             };
             buffer.extend_from_slice(subject.as_bytes());

@@ -34,7 +34,7 @@
 use crate::crc::crc32;
 use inferray_dictionary::{DenseTableError, Dictionary};
 use inferray_model::TermRef;
-use inferray_store::{PropertyTable, TripleStore};
+use inferray_store::{as_pairs, PropertyTable, TripleStore};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -206,7 +206,7 @@ fn encode_store(store: &TripleStore, out: &mut Vec<u8>) {
             Some(table) => {
                 out.push(1);
                 let pairs = table.pairs();
-                put_u64(out, (pairs.len() / 2) as u64);
+                put_u64(out, as_pairs(pairs).len() as u64);
                 for &value in pairs {
                     put_u64(out, value);
                 }
@@ -415,13 +415,8 @@ fn decode_store(payload: &[u8]) -> Result<TripleStore, SnapshotError> {
                     .collect::<Result<_, _>>()?;
                 // Defend the store's sort invariant even against a file
                 // that passes its CRC: ⟨s,o⟩ strictly increasing.
-                let mut prev: Option<(u64, u64)> = None;
-                for chunk in pairs.chunks_exact(2) {
-                    let cur = (chunk[0], chunk[1]);
-                    if prev.is_some_and(|p| p >= cur) {
-                        return Err(SnapshotError::Malformed("unsorted pair table"));
-                    }
-                    prev = Some(cur);
+                if as_pairs(&pairs).windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(SnapshotError::Malformed("unsorted pair table"));
                 }
                 let mut table = PropertyTable::new();
                 table.replace_with_sorted(pairs);

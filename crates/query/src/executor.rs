@@ -28,9 +28,7 @@ use crate::solution::{Batch, UNBOUND};
 use inferray_dictionary::Dictionary;
 use inferray_model::TermKind;
 use inferray_store::estimate::table_for;
-use inferray_store::{
-    gallop_lower_bound, gallop_upper_bound, PropertyTable, SortScratch, TripleStore,
-};
+use inferray_store::{as_pairs, gallop, Pair, PropertyTable, SortScratch, TripleStore};
 use std::ops::ControlFlow;
 
 /// One position of a compiled pattern: a dictionary identifier or a variable
@@ -304,12 +302,12 @@ fn scan_table(
         }
         (Some(s), None) => {
             let run = match step.s {
-                Pos::In(_) => cursor.run(table.pairs(), p, s),
+                Pos::In(_) => cursor.run(as_pairs(table.pairs()), p, s),
                 _ => table.subject_run(s),
             };
             sink.emit_run(row, p, run, false, None)
         }
-        (None, Some(o)) => match table.os_pairs() {
+        (None, Some(o)) => match table.os_pairs().map(as_pairs) {
             Some(os) => {
                 let run = match step.o {
                     Pos::In(_) => cursor.run(os, p, o),
@@ -318,11 +316,11 @@ fn scan_table(
                 sink.emit_run(row, p, run, true, None)
             }
             // Without the ⟨o,s⟩ layout, sweep ⟨s,o⟩ for the object.
-            None => sink.emit_run(row, p, table.pairs(), false, Some(o)),
+            None => sink.emit_run(row, p, as_pairs(table.pairs()), false, Some(o)),
         },
         (None, None) => match (sink.dedup, table.os_pairs()) {
-            (Dedup::ObjectRuns, Some(os)) => sink.emit_run(row, p, os, true, None),
-            _ => sink.emit_run(row, p, table.pairs(), false, None),
+            (Dedup::ObjectRuns, Some(os)) => sink.emit_run(row, p, as_pairs(os), true, None),
+            _ => sink.emit_run(row, p, as_pairs(table.pairs()), false, None),
         },
     }
 }
@@ -339,24 +337,24 @@ struct Cursor {
 
 impl Cursor {
     /// The run of `key` in `pairs` (a layout of `table` keyed on the join
-    /// variable), as a flat slice. Resumes from the previous run when the
-    /// key did not go backwards — always the case when the previous step
-    /// scanned a layout sorted on the same variable — and restarts from the
-    /// first pair otherwise.
-    fn run<'t>(&mut self, pairs: &'t [u64], table: u64, key: u64) -> &'t [u64] {
+    /// variable). Resumes from the previous run when the key did not go
+    /// backwards — always the case when the previous step scanned a layout
+    /// sorted on the same variable — and restarts from the first pair
+    /// otherwise.
+    fn run<'t>(&mut self, pairs: &'t [Pair], table: u64, key: u64) -> &'t [Pair] {
         let from = if self.table == table && key >= self.key {
             self.at
         } else {
             0
         };
-        let start = gallop_lower_bound(pairs, from, key);
-        let end = gallop_upper_bound(pairs, start, key);
+        let start = gallop(pairs, from, |p| p[0] < key);
+        let end = gallop(pairs, start, |p| p[0] <= key);
         *self = Cursor {
             table,
             key,
             at: start,
         };
-        &pairs[2 * start..2 * end]
+        &pairs[start..end]
     }
 }
 
@@ -413,35 +411,33 @@ impl<'a> Sink<'a> {
         }
     }
 
-    /// Offers every pair of `run` — a flat slice of one layout of the table
-    /// of `p`; `swapped` when that layout is ⟨o,s⟩ — joined with `row`.
+    /// Offers every pair of `run` — a slice of one layout of the table of
+    /// `p`; `swapped` when that layout is ⟨o,s⟩ — joined with `row`.
     /// `second` restricts the pairs to those with that second component.
     /// Breaks when the sink wants no more rows.
     fn emit_run(
         &mut self,
         row: &[u64],
         p: u64,
-        run: &[u64],
+        run: &[Pair],
         swapped: bool,
         second: Option<u64>,
     ) -> ControlFlow<()> {
-        let pairs = run.len() / 2;
         if second.is_none() && matches!(self.dedup, Dedup::None | Dedup::Sort) {
             // Every pair of a plain run can become a row.
             self.out
                 .data
-                .reserve(pairs.min(self.room) * self.columns.len());
+                .reserve(run.len().min(self.room) * self.columns.len());
         }
         let mut at = 0;
-        while at < pairs {
-            let pair = (run[2 * at], run[2 * at + 1]);
+        while let Some(&[key, value]) = run.get(at) {
             at += 1;
             #[cfg(test)]
             PAIRS_VISITED.with(|visited| visited.set(visited.get() + 1));
-            if second.is_some_and(|wanted| pair.1 != wanted) {
+            if second.is_some_and(|wanted| value != wanted) {
                 continue;
             }
-            let (s, o) = if swapped { (pair.1, pair.0) } else { pair };
+            let (s, o) = if swapped { (value, key) } else { (key, value) };
             if !self.offer(row, s, p, o)? {
                 continue;
             }
@@ -451,7 +447,7 @@ impl<'a> Sink<'a> {
                 Dedup::Range => break,
                 // So does the rest of this key's run: on to the next run.
                 Dedup::SubjectRuns | Dedup::ObjectRuns => {
-                    at = gallop_upper_bound(run, at, pair.0);
+                    at = gallop(run, at, |p| p[0] <= key);
                 }
             }
         }
@@ -509,7 +505,7 @@ fn sort_dedup(batch: &mut Batch, scratch: &mut Scratch) {
             let mut pairs = PropertyTable::from_raw(std::mem::take(&mut batch.data));
             pairs.finalize_with(&mut scratch.sort);
             batch.data = pairs.into_pairs();
-            batch.rows = batch.data.len() / 2;
+            batch.rows = as_pairs(&batch.data).len();
         }
         // Wider rows: order row indices, then gather the distinct rows into
         // the spare batch.
@@ -695,17 +691,25 @@ pub(crate) mod tests {
 
     #[test]
     fn join_cursor_resumes_on_ascending_keys_and_restarts_otherwise() {
-        let pairs = [1, 10, 1, 11, 4, 40, 7, 70, 7, 71, 9, 90];
+        let pairs = [[1, 10], [1, 11], [4, 40], [7, 70], [7, 71], [9, 90]];
         let mut cursor = Cursor::default();
-        assert_eq!(cursor.run(&pairs, 3, 4), [4, 40]);
+        assert_eq!(cursor.run(&pairs, 3, 4), [[4, 40]]);
         assert_eq!(cursor.at, 2);
-        assert_eq!(cursor.run(&pairs, 3, 4), [4, 40], "the same key again");
-        assert_eq!(cursor.run(&pairs, 3, 7), [7, 70, 7, 71]);
+        assert_eq!(cursor.run(&pairs, 3, 4), [[4, 40]], "the same key again");
+        assert_eq!(cursor.run(&pairs, 3, 7), [[7, 70], [7, 71]]);
         assert_eq!(cursor.at, 3);
         assert!(cursor.run(&pairs, 3, 8).is_empty());
-        assert_eq!(cursor.run(&pairs, 3, 1), [1, 10, 1, 11], "a key going back");
+        assert_eq!(
+            cursor.run(&pairs, 3, 1),
+            [[1, 10], [1, 11]],
+            "a key going back"
+        );
         assert_eq!(cursor.at, 0);
-        assert_eq!(cursor.run(&pairs, 5, 1), [1, 10, 1, 11], "another table");
+        assert_eq!(
+            cursor.run(&pairs, 5, 1),
+            [[1, 10], [1, 11]],
+            "another table"
+        );
     }
 
     /// `subjects` subjects with `fanout` objects each, objects shared.

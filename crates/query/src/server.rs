@@ -216,10 +216,6 @@ pub struct ServerConfig {
     /// Largest accepted `Content-Length`; bigger bodies get `413` without
     /// being read.
     pub max_body_bytes: usize,
-    /// Serve several requests per connection (HTTP/1.1 keep-alive). Off,
-    /// every response carries `Connection: close` — the pre-keep-alive
-    /// behavior, kept as an operational escape hatch (`--no-keep-alive`).
-    pub keep_alive: bool,
 }
 
 impl Default for ServerConfig {
@@ -229,7 +225,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             max_body_bytes: 16 << 20,
-            keep_alive: true,
         }
     }
 }
@@ -485,19 +480,17 @@ fn handle_connection(
             Err((status, message)) => {
                 // The stream position within the request is unknown after a
                 // head parse error: answer and close.
-                buffers.response.clear();
-                error_json_into(&mut buffers.response, &message);
-                return respond(
+                return respond_error(
                     reader.get_mut(),
                     status,
-                    "application/json",
-                    &buffers.response,
+                    &message,
                     RespondOptions::closing(),
+                    &mut buffers.response,
                     &mut buffers.out,
                 );
             }
         };
-        let keep_alive = config.keep_alive && !head.close && !stop.load(Ordering::SeqCst);
+        let keep_alive = !head.close && !stop.load(Ordering::SeqCst);
         if !serve_request(
             &mut reader,
             &head,
@@ -598,18 +591,14 @@ fn serve_request(
                     &mut buffers.keys,
                     &mut buffers.out,
                 )?,
-                None => {
-                    buffers.response.clear();
-                    error_json_into(&mut buffers.response, "missing 'query' parameter");
-                    respond(
-                        stream,
-                        400,
-                        "application/json",
-                        &buffers.response,
-                        opts,
-                        &mut buffers.out,
-                    )?;
-                }
+                None => respond_error(
+                    stream,
+                    400,
+                    "missing 'query' parameter",
+                    opts,
+                    &mut buffers.response,
+                    &mut buffers.out,
+                )?,
             }
         }
         (Method::Post, "/sparql") => {
@@ -627,14 +616,12 @@ fn serve_request(
                 None => "",
             };
             if text.trim().is_empty() {
-                buffers.response.clear();
-                error_json_into(&mut buffers.response, "empty query");
-                respond(
+                respond_error(
                     stream,
                     400,
-                    "application/json",
-                    &buffers.response,
+                    "empty query",
                     opts,
+                    &mut buffers.response,
                     &mut buffers.out,
                 )?;
             } else {
@@ -662,33 +649,22 @@ fn serve_request(
                 &mut buffers.out,
             )?;
         }
-        (Method::Get | Method::Head | Method::Post, _) => {
-            buffers.response.clear();
-            error_json_into(
-                &mut buffers.response,
-                "unknown path (use /sparql, /update or /status)",
-            );
-            respond(
-                stream,
-                404,
-                "application/json",
-                &buffers.response,
-                opts,
-                &mut buffers.out,
-            )?;
-        }
-        (Method::Other, _) => {
-            buffers.response.clear();
-            error_json_into(&mut buffers.response, "method not allowed");
-            respond(
-                stream,
-                405,
-                "application/json",
-                &buffers.response,
-                opts,
-                &mut buffers.out,
-            )?;
-        }
+        (Method::Get | Method::Head | Method::Post, _) => respond_error(
+            stream,
+            404,
+            "unknown path (use /sparql, /update or /status)",
+            opts,
+            &mut buffers.response,
+            &mut buffers.out,
+        )?,
+        (Method::Other, _) => respond_error(
+            stream,
+            405,
+            "method not allowed",
+            opts,
+            &mut buffers.response,
+            &mut buffers.out,
+        )?,
     }
     Ok(keep_alive)
 }
@@ -762,30 +738,30 @@ fn handle_update(
             );
             respond(stream, 200, "application/json", response, opts, out)
         }
-        Err(UpdateError::Disabled) => {
-            error_json_into(response, "updates are not enabled on this endpoint");
-            respond(stream, 404, "application/json", response, opts, out)
-        }
+        Err(UpdateError::Disabled) => respond_error(
+            stream,
+            404,
+            "updates are not enabled on this endpoint",
+            opts,
+            response,
+            out,
+        ),
         Err(UpdateError::Rejected(message)) => {
-            error_json_into(response, &message);
-            respond(stream, 400, "application/json", response, opts, out)
+            respond_error(stream, 400, &message, opts, response, out)
         }
+        // The integer renders straight into the header buffer — no
+        // per-request `to_string` for Retry-After.
         Err(UpdateError::Unavailable {
             message,
             retry_after_secs,
-        }) => {
-            error_json_into(response, &message);
-            // The integer renders straight into the header buffer — no
-            // per-request `to_string` for Retry-After.
-            respond(
-                stream,
-                503,
-                "application/json",
-                response,
-                opts.with_retry_after(retry_after_secs),
-                out,
-            )
-        }
+        }) => respond_error(
+            stream,
+            503,
+            &message,
+            opts.with_retry_after(retry_after_secs),
+            response,
+            out,
+        ),
         Err(UpdateError::Invalid {
             message,
             violations_json,
@@ -816,14 +792,12 @@ fn refuse_post(
     drain_limit: u64,
     buffers: &mut WorkerBuffers,
 ) -> std::io::Result<()> {
-    buffers.response.clear();
-    error_json_into(&mut buffers.response, message);
-    respond(
+    respond_error(
         reader.get_mut(),
         status,
-        "application/json",
-        &buffers.response,
+        message,
         RespondOptions::closing(),
+        &mut buffers.response,
         &mut buffers.out,
     )?;
     let _ = reader
@@ -863,14 +837,12 @@ fn respond_body_read_error(
     } else {
         (400, format!("truncated body: {e}"))
     };
-    buffers.response.clear();
-    error_json_into(&mut buffers.response, &message);
-    respond(
+    respond_error(
         stream,
         status,
-        "application/json",
-        &buffers.response,
+        &message,
         RespondOptions::closing(),
+        &mut buffers.response,
         &mut buffers.out,
     )
 }
@@ -1067,8 +1039,7 @@ fn answer_query(
     let query = match parse_query(text) {
         Ok(query) => query,
         Err(error) => {
-            error_json_into(response, &error.to_string());
-            return respond(stream, 400, "application/json", response, opts, out);
+            return respond_error(stream, 400, &error.to_string(), opts, response, out);
         }
     };
     // One engine — hence one frozen epoch — for the whole request.
@@ -1224,6 +1195,21 @@ fn error_json_into(out: &mut String, message: &str) {
     out.push_str("{\"error\":\"");
     json_escape_into(out, message);
     out.push_str("\"}\n");
+}
+
+/// Answers `status` with the error body of `message`, rendered into the
+/// reused `response` buffer: every error answer of the server.
+fn respond_error(
+    stream: &mut TcpStream,
+    status: u16,
+    message: &str,
+    opts: RespondOptions,
+    response: &mut String,
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    response.clear();
+    error_json_into(response, message);
+    respond(stream, status, "application/json", response, opts, out)
 }
 
 /// Per-response rendering switches of [`respond`].
@@ -2116,20 +2102,13 @@ mod tests {
     }
 
     #[test]
-    fn keep_alive_can_be_disabled_in_config() {
-        let server = bind_full(
-            ServerConfig {
-                keep_alive: false,
-                ..ServerConfig::default()
-            },
-            None,
-        );
-        let addr = server.local_addr();
-        // No Connection header from the client: the server still closes.
-        let mut stream = TcpStream::connect(addr).expect("connect");
+    fn an_http10_request_without_keep_alive_is_answered_once_and_closed() {
+        let server = bind_full(ServerConfig::default(), None);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         stream
-            .write_all(b"GET /status HTTP/1.1\r\nHost: t\r\n\r\n")
+            .write_all(b"GET /status HTTP/1.0\r\nHost: t\r\n\r\n")
             .expect("send");
+        // `read_to_string` returns only once the server has closed.
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read");
         assert!(response.starts_with("HTTP/1.1 200"), "response: {response}");

@@ -297,6 +297,7 @@ mod tests {
     use super::*;
     use inferray_dictionary::Dictionary;
     use inferray_model::ids::{nth_property_id, nth_resource_id};
+    use inferray_store::as_pairs;
     use std::collections::BTreeSet;
 
     fn store(triples: &[(u64, u64, u64)]) -> TripleStore {
@@ -322,9 +323,9 @@ mod tests {
         apply_compiled(rule, &ctx, &mut out);
         out.iter()
             .flat_map(|(p, pairs)| {
-                pairs
-                    .chunks_exact(2)
-                    .map(move |so| (so[0], p, so[1]))
+                as_pairs(pairs)
+                    .iter()
+                    .map(move |&[s, o]| (s, p, o))
                     .collect::<Vec<_>>()
             })
             .collect()

@@ -36,6 +36,7 @@ use crate::executors::join::JoinSide;
 use crate::support::Survivors;
 use inferray_dictionary::wellknown;
 use inferray_model::ids::is_property_id;
+use inferray_store::Pair;
 use JoinSide::{Object, Subject};
 
 /// How a rule is evaluated.
@@ -92,7 +93,7 @@ pub(crate) enum JoinSlot {
 impl JoinSlot {
     /// The slot's value for the joined `[key, payload]` entries `l` and `r`.
     #[inline]
-    pub(crate) fn pick(self, l: &[u64], r: &[u64]) -> u64 {
+    pub(crate) fn pick(self, l: &Pair, r: &Pair) -> u64 {
         match self {
             JoinSlot::Key => l[0],
             JoinSlot::Left => l[1],

@@ -80,7 +80,7 @@ impl<'a> RuleContext<'a> {
         match store.table(prop) {
             None => Vec::new(),
             Some(table) => match table.object_run(object) {
-                Some(run) => run.chunks_exact(2).map(|p| p[1]).collect(),
+                Some(run) => run.iter().map(|p| p[1]).collect(),
                 None => table
                     .iter_pairs()
                     .filter(|&(_, o)| o == object)

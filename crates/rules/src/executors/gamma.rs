@@ -21,7 +21,7 @@ use super::join::JoinSide;
 use crate::analysis::{ScanEmit, TableScan};
 use crate::context::RuleContext;
 use inferray_model::ids::is_property_id;
-use inferray_store::{InferredBuffer, PropertyTable, TripleStore};
+use inferray_store::{InferredBuffer, Pair, PropertyTable, TripleStore};
 
 /// Runs a table-scan rule (both semi-naive passes).
 pub fn apply_table_scan(scan: &TableScan, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
@@ -79,7 +79,7 @@ fn scan_pass(
 }
 
 /// The head pair with `value` at `at` and `other` at the other end.
-fn head_pair(at: JoinSide, value: u64, other: u64) -> [u64; 2] {
+fn head_pair(at: JoinSide, value: u64, other: u64) -> Pair {
     match at {
         JoinSide::Subject => [value, other],
         JoinSide::Object => [other, value],
@@ -118,7 +118,7 @@ fn data_table(data: &TripleStore, p: u64) -> Option<&PropertyTable> {
 /// pairs of `p`.
 fn push_reversed(out: &mut InferredBuffer, p: u64, table: &PropertyTable) {
     let out = out.table_mut(p);
-    out.reserve(2 * table.len());
+    out.reserve(table.pairs().len());
     for (x, y) in table.iter_pairs() {
         out.extend_from_slice(&[y, x]);
     }

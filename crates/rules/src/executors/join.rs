@@ -1,7 +1,7 @@
 //! The merge-join kernel: a two-table sort-merge join (Figure 4 of the
 //! paper), the α shape ([`crate::analysis::Lowering::MergeJoin`]).
 //!
-//! A *view* is a flat `[key0, payload0, key1, payload1, …]` array sorted on
+//! A *view* is an array of `[key, payload]` pairs sorted on
 //! `(key, payload)`. The ⟨s,o⟩-sorted table is a subject-keyed view; the
 //! ⟨o,s⟩ cache is an object-keyed view. The join walks both views once,
 //! emitting the cross product of every equal-key group — the access pattern
@@ -13,7 +13,7 @@
 
 use crate::analysis::MergeJoin;
 use crate::context::RuleContext;
-use inferray_store::{InferredBuffer, TripleStore};
+use inferray_store::{as_pairs, gallop, InferredBuffer, Pair, TripleStore};
 
 /// Which component of a property table a join binds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,30 +26,25 @@ pub enum JoinSide {
 
 /// Sort-merge join of two sorted views, group by group: for every key both
 /// views hold, `on_group(left_group, right_group)` is called with the two
-/// equal-key runs (flat `[key, payload, key, payload', …]` slices). The
-/// join's output for that key is their cross product, so a caller that
-/// collects it knows its size — `left_group.len() / 2 · right_group.len() /
-/// 2` matches — before it pushes the first one.
-pub fn merge_join_groups(left: &[u64], right: &[u64], mut on_group: impl FnMut(&[u64], &[u64])) {
-    debug_assert!(left.len().is_multiple_of(2) && right.len().is_multiple_of(2));
+/// equal-key runs (`[key, payload], [key, payload'], …`). The join's output
+/// for that key is their cross product, so a caller that collects it knows
+/// its size — `left_group.len() · right_group.len()` matches — before it
+/// pushes the first one.
+pub fn merge_join_groups(
+    left: &[Pair],
+    right: &[Pair],
+    mut on_group: impl FnMut(&[Pair], &[Pair]),
+) {
     let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        let lk = left[i];
-        let rk = right[j];
+    while let (Some(&[lk, _]), Some(&[rk, _])) = (left.get(i), right.get(j)) {
         if lk < rk {
-            i += 2;
+            i += 1;
         } else if lk > rk {
-            j += 2;
+            j += 1;
         } else {
-            // Find the extent of the equal-key group on both sides.
-            let mut i_end = i;
-            while i_end < left.len() && left[i_end] == lk {
-                i_end += 2;
-            }
-            let mut j_end = j;
-            while j_end < right.len() && right[j_end] == rk {
-                j_end += 2;
-            }
+            // The extent of the equal-key group on both sides.
+            let i_end = gallop(left, i, |p| p[0] <= lk);
+            let j_end = gallop(right, j, |p| p[0] <= rk);
             on_group(&left[i..i_end], &right[j..j_end]);
             i = i_end;
             j = j_end;
@@ -84,9 +79,9 @@ fn merge_join_pass(
         let out = out.table_mut(p);
         merge_join_groups(left, right, |left_group, right_group| {
             // The group's cross product: its size is known before the first push.
-            out.reserve(left_group.len() * right_group.len() / 2);
-            for l in left_group.chunks_exact(2) {
-                for r in right_group.chunks_exact(2) {
+            out.reserve(2 * left_group.len() * right_group.len());
+            for l in left_group {
+                for r in right_group {
                     out.extend_from_slice(&[s.pick(l, r), o.pick(l, r)]);
                 }
             }
@@ -94,11 +89,11 @@ fn merge_join_pass(
     }
 }
 
-fn view(store: &TripleStore, prop: u64, side: JoinSide) -> &[u64] {
-    match side {
+fn view(store: &TripleStore, prop: u64, side: JoinSide) -> &[Pair] {
+    as_pairs(match side {
         JoinSide::Subject => RuleContext::subject_view(store, prop),
         JoinSide::Object => RuleContext::object_view(store, prop),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -117,15 +112,15 @@ mod tests {
 
     #[test]
     fn groups_are_handed_out_whole() {
-        let left = [5u64, 1, 5, 2, 7, 9, 8, 0];
-        let right = [4u64, 0, 5, 10, 5, 11, 5, 12, 8, 3];
+        let left = [[5u64, 1], [5, 2], [7, 9], [8, 0]];
+        let right = [[4u64, 0], [5, 10], [5, 11], [5, 12], [8, 3]];
         let mut groups = Vec::new();
         merge_join_groups(&left, &right, |l, r| groups.push((l.to_vec(), r.to_vec())));
         assert_eq!(
             groups,
             vec![
-                (vec![5, 1, 5, 2], vec![5, 10, 5, 11, 5, 12]),
-                (vec![8, 0], vec![8, 3]),
+                (vec![[5, 1], [5, 2]], vec![[5, 10], [5, 11], [5, 12]]),
+                (vec![[8, 0]], vec![[8, 3]]),
             ]
         );
     }
@@ -135,9 +130,9 @@ mod tests {
         let mut groups = 0;
         for (left, right) in [
             (&[][..], &[][..]),
-            (&[1, 2][..], &[][..]),
-            (&[][..], &[1, 2][..]),
-            (&[1, 10, 3, 30][..], &[2, 20, 4, 40][..]),
+            (&[[1, 2]][..], &[][..]),
+            (&[][..], &[[1, 2]][..]),
+            (&[[1, 10], [3, 30]][..], &[[2, 20], [4, 40]][..]),
         ] {
             merge_join_groups(left, right, |_, _| groups += 1);
         }

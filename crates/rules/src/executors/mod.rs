@@ -31,7 +31,7 @@ pub(crate) mod test_support {
     use crate::catalog::RuleId;
     use crate::context::RuleContext;
     use inferray_model::IdTriple;
-    use inferray_store::{InferredBuffer, TripleStore};
+    use inferray_store::{as_pairs, InferredBuffer, TripleStore};
     use std::collections::BTreeSet;
 
     /// Builds a finalized store from `(s, p, o)` tuples.
@@ -65,8 +65,8 @@ pub(crate) mod test_support {
     pub fn buffer_to_set(buffer: &InferredBuffer) -> BTreeSet<(u64, u64, u64)> {
         let mut set = BTreeSet::new();
         for (p, pairs) in buffer.iter() {
-            for pair in pairs.chunks_exact(2) {
-                set.insert((pair[0], p, pair[1]));
+            for &[s, o] in as_pairs(pairs) {
+                set.insert((s, p, o));
             }
         }
         set

@@ -24,7 +24,7 @@ use crate::analysis::SelfJoin;
 use crate::context::RuleContext;
 use crate::support::Survivors;
 use inferray_dictionary::wellknown;
-use inferray_store::InferredBuffer;
+use inferray_store::{as_pairs, gallop, InferredBuffer, Pair};
 
 /// Runs a self-join rule over every table `ctx.main` declares.
 pub(crate) fn apply_self_join(plan: &SelfJoin, ctx: &RuleContext<'_>, out: &mut InferredBuffer) {
@@ -37,27 +37,26 @@ pub(crate) fn apply_self_join(plan: &SelfJoin, ctx: &RuleContext<'_>, out: &mut 
             JoinSide::Subject => table.pairs(),
             JoinSide::Object => table.object_pairs(),
         };
-        link_group_values(view, out);
+        link_group_values(as_pairs(view), out);
     }
 }
 
-/// Walks a key-sorted flat pair view and, inside every equal-key group,
-/// links every payload value to each greater one with `owl:sameAs`.
-fn link_group_values(view: &[u64], out: &mut InferredBuffer) {
+/// Walks a key-sorted pair view and, inside every equal-key group, links
+/// every payload value to each greater one with `owl:sameAs`.
+fn link_group_values(view: &[Pair], out: &mut InferredBuffer) {
     let out = out.table_mut(wellknown::OWL_SAME_AS);
-    let mut i = 0usize;
-    while i < view.len() {
-        let key = view[i];
-        let mut j = i + 2;
-        while j < view.len() && view[j] == key {
-            // The values of a group ascend: `view[j + 1]` is greater than
-            // every value before it.
-            for smaller in (i..j).step_by(2) {
-                out.extend_from_slice(&[view[smaller + 1], view[j + 1]]);
+    let mut start = 0usize;
+    while let Some(&[key, _]) = view.get(start) {
+        let end = gallop(view, start, |p| p[0] <= key);
+        let group = &view[start..end];
+        // The values of a group ascend: each is greater than every value
+        // before it.
+        for (j, &[_, greater]) in group.iter().enumerate() {
+            for &[_, smaller] in &group[..j] {
+                out.extend_from_slice(&[smaller, greater]);
             }
-            j += 2;
         }
-        i = j;
+        start = end;
     }
 }
 

@@ -14,7 +14,7 @@
 use super::join::JoinSide;
 use crate::analysis::Substitution;
 use crate::context::RuleContext;
-use inferray_store::{gallop_lower_bound, gallop_upper_bound, InferredBuffer, TripleStore};
+use inferray_store::{as_pairs, gallop, InferredBuffer, TripleStore};
 
 /// Runs a substitution rule: the new links against the main data, then —
 /// unless the frontier is the whole store — all links against the new data,
@@ -71,7 +71,7 @@ fn substitute_from_frontier(
     if frontier.len() >= table.len() || !readable {
         return false;
     }
-    // The links of `term`, as flat `[term, replacement, …]` runs.
+    // The links of `term`, as runs `[term, replacement], …`.
     let links_of = |term: u64| match shared {
         JoinSide::Subject => table.subject_run(term),
         JoinSide::Object => table.object_run(term).unwrap_or_default(),
@@ -80,8 +80,7 @@ fn substitute_from_frontier(
         let out = out.table_mut(q);
         for (s, o) in data.iter_pairs() {
             let term = if plan.data == JoinSide::Subject { s } else { o };
-            for link in links_of(term).chunks_exact(2) {
-                let replacement = link[1];
+            for &[_, replacement] in links_of(term) {
                 if replacement == term {
                     continue; // a reflexive link substitutes a term for itself
                 }
@@ -117,17 +116,17 @@ fn links(store: &TripleStore, (p, shared): (u64, JoinSide)) -> Vec<(u64, u64)> {
 /// place of a binary search over the whole table per link.
 fn substitute_subjects(links: &[(u64, u64)], data: &TripleStore, out: &mut InferredBuffer) {
     for (p, table) in data.iter_tables() {
-        let (pairs, out) = (table.pairs(), out.table_mut(p));
+        let (pairs, out) = (as_pairs(table.pairs()), out.table_mut(p));
         let mut at = 0usize;
         for &(shared, replacement) in links {
-            at = gallop_lower_bound(pairs, at, shared);
-            if 2 * at == pairs.len() {
+            at = gallop(pairs, at, |p| p[0] < shared);
+            if at == pairs.len() {
                 break;
             }
-            let end = gallop_upper_bound(pairs, at, shared);
+            let end = gallop(pairs, at, |p| p[0] <= shared);
             out.reserve(2 * (end - at));
-            for pair in pairs[2 * at..2 * end].chunks_exact(2) {
-                out.extend_from_slice(&[replacement, pair[1]]);
+            for &[_, o] in &pairs[at..end] {
+                out.extend_from_slice(&[replacement, o]);
             }
         }
     }
@@ -159,8 +158,8 @@ fn substitute_objects(
         if table.has_os_cache() {
             // Sorted on (object, subject): one run per linked term.
             for &(o1, o2) in links {
-                for pair in table.object_run(o1).unwrap_or_default().chunks_exact(2) {
-                    found.extend_from_slice(&[pair[1], o2]);
+                for &[_, s] in table.object_run(o1).unwrap_or_default() {
+                    found.extend_from_slice(&[s, o2]);
                 }
             }
         } else {
@@ -190,7 +189,7 @@ mod tests {
     use crate::{RuleContext, RuleId};
     use inferray_dictionary::wellknown as wk;
     use inferray_model::ids::nth_property_id;
-    use inferray_store::InferredBuffer;
+    use inferray_store::{as_pairs, InferredBuffer};
 
     const ALICE: u64 = 4_000_000;
     const ALIZ: u64 = 4_000_001;
@@ -327,7 +326,7 @@ mod tests {
     fn multiset(out: &InferredBuffer) -> Vec<(u64, u64, u64)> {
         let mut triples: Vec<_> = out
             .iter()
-            .flat_map(|(p, pairs)| pairs.chunks_exact(2).map(move |pair| (pair[0], p, pair[1])))
+            .flat_map(|(p, pairs)| as_pairs(pairs).iter().map(move |&[s, o]| (s, p, o)))
             .collect();
         triples.sort_unstable();
         triples

@@ -17,7 +17,7 @@ use crate::analysis::Closure;
 use crate::context::RuleContext;
 use crate::support::Survivors;
 use inferray_closure::transitive_closure_pairs;
-use inferray_store::{InferredBuffer, PropertyTable};
+use inferray_store::{as_pairs, InferredBuffer, PropertyTable};
 
 /// The transitive closure of `table`'s pairs, symmetrized first when
 /// `symmetric` is set, as a flat pair array: ⟨s,o⟩-sorted, duplicate-free,
@@ -38,9 +38,9 @@ pub(crate) fn apply_closure(plan: &Closure, ctx: &RuleContext<'_>, out: &mut Inf
             continue;
         };
         let closed = closed_pairs(table, plan.symmetric());
-        let mut held = table.pairs().chunks_exact(2).peekable();
+        let mut held = as_pairs(table.pairs()).iter().peekable();
         let emitted = out.table_mut(p);
-        for pair in closed.chunks_exact(2) {
+        for pair in as_pairs(&closed) {
             // Both sides are sorted and the closure holds every pair of the
             // table: skip the table's pairs below this one, then compare.
             while held.next_if(|old| *old < pair).is_some() {}

@@ -37,7 +37,7 @@ use inferray_dictionary::Dictionary;
 use inferray_model::term::{RDF_LANG_STRING, XSD_STRING};
 use inferray_model::TermRef;
 use inferray_parallel::ThreadPool;
-use inferray_store::{PropertyTable, TripleStore};
+use inferray_store::{as_pairs, Pair, PropertyTable, TripleStore};
 use std::collections::HashSet;
 
 /// Why a focus node violates a constraint.
@@ -362,38 +362,25 @@ pub fn validate(
 
 /// Both endpoints of every pair present in exactly one of the two sorted
 /// arrays (two-pointer symmetric difference).
-fn diff_pairs(old: &[u64], new: &[u64], dirty: &mut HashSet<u64>) {
+fn diff_pairs(old: &[Pair], new: &[Pair], dirty: &mut HashSet<u64>) {
     let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() && j < new.len() {
-        let a = (old[i], old[i + 1]);
-        let b = (new[j], new[j + 1]);
-        match a.cmp(&b) {
+    while let (Some(a), Some(b)) = (old.get(i), new.get(j)) {
+        match a.cmp(b) {
             std::cmp::Ordering::Equal => {
-                i += 2;
-                j += 2;
+                i += 1;
+                j += 1;
             }
             std::cmp::Ordering::Less => {
-                dirty.insert(a.0);
-                dirty.insert(a.1);
-                i += 2;
+                dirty.extend(a);
+                i += 1;
             }
             std::cmp::Ordering::Greater => {
-                dirty.insert(b.0);
-                dirty.insert(b.1);
-                j += 2;
+                dirty.extend(b);
+                j += 1;
             }
         }
     }
-    while i < old.len() {
-        dirty.insert(old[i]);
-        dirty.insert(old[i + 1]);
-        i += 2;
-    }
-    while j < new.len() {
-        dirty.insert(new[j]);
-        dirty.insert(new[j + 1]);
-        j += 2;
-    }
+    dirty.extend(old[i..].iter().chain(&new[j..]).flatten());
 }
 
 /// The nodes whose verdict may differ between `old` and `new`: endpoints of
@@ -407,7 +394,7 @@ pub fn dirty_nodes(shapes: &CompiledShapes, old: &TripleStore, new: &TripleStore
         let old_pairs = table(old, Some(p)).pairs();
         let new_pairs = table(new, Some(p)).pairs();
         if old_pairs != new_pairs {
-            diff_pairs(old_pairs, new_pairs, &mut dirty);
+            diff_pairs(as_pairs(old_pairs), as_pairs(new_pairs), &mut dirty);
         }
     }
     if dirty.is_empty() {

@@ -22,6 +22,12 @@
 //! §5.4 "rule of thumb" that picks counting sort when the collection is
 //! larger than its value range and radix sort otherwise.
 //!
+//! [`pairs`] is the layout's one home. It views a flat array as `&[Pair]`
+//! (`Pair = [u64; 2]`, [`pairs::as_pairs`], no copy) and holds the only
+//! three searches over sorted pairs — [`pairs::partition_point`],
+//! [`pairs::gallop`] and [`pairs::gallop_back`] — which the store, the
+//! rule kernels and the query executor read their tables with.
+//!
 //! All kernels share the same contract:
 //!
 //! * input: a flat pair array of even length;

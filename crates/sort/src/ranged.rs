@@ -28,7 +28,7 @@
 
 use crate::counting::{prefix_sums, scatter_range, stamp_span, RunSorter};
 use crate::operating_range::{recommend_within, Algorithm};
-use crate::pairs::{gallop_pairs, pair_bounds, PairBounds};
+use crate::pairs::{as_pairs, gallop, pair_bounds, PairBounds};
 use crate::scratch::{CountingArenas, SortScratch};
 
 /// Runs a batch of tasks — possibly in parallel — and returns their
@@ -167,7 +167,7 @@ pub fn merge_parts_ranged(
     let main_at = |slot: usize| match slot {
         0 => 0,
         slot if slot == width => main.len() / 2,
-        slot => gallop_pairs(main, 0, (min + slot as u64, 0)),
+        slot => gallop(as_pairs(main), 0, |p| p[0] < min + slot as u64),
     };
     let main_ranges: Vec<&[u64]> = cuts
         .windows(2)
@@ -287,7 +287,7 @@ impl<'a> Runs<'a, &'a mut [u32], &'a mut [u64]> {
                 continue;
             }
             counts.first.get_or_insert((subject, run[0]));
-            cursor = gallop_pairs(main, cursor, (subject, 0));
+            cursor = gallop(as_pairs(main), cursor, |p| p[0] < subject);
             let mut kept = 0usize;
             for k in 0..sorted {
                 let object = run[k];
@@ -327,7 +327,7 @@ impl Runs<'_, &[u32], &[u64]> {
             let slot = self.first + i;
             let subject = self.min + slot as u64;
             let lo = self.start[slot] - base;
-            let mut below = gallop_pairs(main, cursor, (subject, 0));
+            let mut below = gallop(as_pairs(main), cursor, |p| p[0] < subject);
             for &object in &self.objects[lo..lo + length as usize] {
                 below = skip_held_below(main, below, subject, object);
                 let block = &main[2 * cursor..2 * below];

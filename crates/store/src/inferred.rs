@@ -8,6 +8,7 @@
 //! one part per rule — property by property, to the merge step of Figure 5,
 //! which sorts them where they lie ([`crate::merge::merge_new_parts_with`]).
 
+use inferray_sort::pairs::as_pairs;
 use std::collections::BTreeMap;
 
 /// Append-only buffer of inferred ⟨s,o⟩ pairs, grouped by property.
@@ -53,7 +54,7 @@ impl InferredBuffer {
 
     /// Total number of pairs buffered (duplicates included).
     pub fn len(&self) -> usize {
-        self.tables.values().map(|v| v.len() / 2).sum()
+        self.tables.values().map(|v| as_pairs(v).len()).sum()
     }
 
     /// `true` when nothing has been buffered.

@@ -49,6 +49,10 @@ pub mod query;
 pub mod snapshot;
 pub mod triple_store;
 
+/// The pair view and the forward search over sorted pairs, re-exported for
+/// the query executor and the rule kernels (the layout's home is
+/// `inferray_sort::pairs`).
+pub use inferray_sort::pairs::{as_pairs, gallop, Pair};
 /// The scratch of [`PropertyTable::finalize_with`] and the `ensure_os_with`
 /// family, re-exported so their callers need not name the sort crate.
 pub use inferray_sort::{Lanes, SortScratch};
@@ -58,9 +62,7 @@ pub use merge::{
     MergeOutcome, MergeStrategy, MergeTarget,
 };
 pub use profile::AccessProfile;
-pub use property_table::{
-    gallop_lower_bound, gallop_upper_bound, os_builds, DistinctCount, OsBuilds, PropertyTable,
-};
+pub use property_table::{os_builds, DistinctCount, OsBuilds, PropertyTable};
 pub use query::TriplePattern;
 pub use snapshot::{unpoison, Handoff, SnapshotStore, StoreSnapshot};
 pub use triple_store::TripleStore;

@@ -73,7 +73,7 @@
 //! performs zero sort allocations (see `inferray-sort`).
 
 use crate::property_table::PropertyTable;
-use inferray_sort::pairs::gallop_pairs;
+use inferray_sort::pairs::{as_pairs, as_pairs_mut, gallop, Pair};
 use inferray_sort::{
     merge_parts_ranged, sort_pairs_auto_dedup_with, sort_parts_auto_dedup_with, Lanes, RangedMerge,
     SortScratch,
@@ -229,7 +229,7 @@ pub fn merge_new_pairs_with(
         "pair array must have even length"
     );
     let outcome = MergeOutcome {
-        inferred_raw: inferred.len() / 2,
+        inferred_raw: as_pairs(&inferred).len(),
         ..MergeOutcome::default()
     };
 
@@ -257,7 +257,7 @@ pub fn merge_new_parts_with(
         return merge_new_pairs_with(main, pairs, scratch);
     }
     let outcome = MergeOutcome {
-        inferred_raw: parts.iter().map(|part| part.len() / 2).sum(),
+        inferred_raw: parts.iter().map(|part| as_pairs(part).len()).sum(),
         ..MergeOutcome::default()
     };
     let inferred = sort_parts_auto_dedup_with(parts, scratch);
@@ -283,7 +283,7 @@ pub fn merge_new_parts_ranged(
     lanes: &impl Lanes,
 ) -> Result<(PropertyTable, MergeOutcome), Vec<Vec<u64>>> {
     let mut outcome = MergeOutcome {
-        inferred_raw: parts.iter().map(|part| part.len() / 2).sum(),
+        inferred_raw: parts.iter().map(|part| as_pairs(part).len()).sum(),
         ..MergeOutcome::default()
     };
     if main.get().is_dirty() {
@@ -301,10 +301,10 @@ pub fn merge_new_parts_ranged(
         return Ok((PropertyTable::new(), outcome));
     };
     // The strategy the in-place merge picks for the same pairs.
-    let old = main.get().pairs();
+    let old = as_pairs(main.get().pairs());
     outcome.strategy = if old.is_empty() {
         MergeStrategy::Bootstrap
-    } else if first > (old[old.len() - 2], old[old.len() - 1]) {
+    } else if old.last().is_some_and(|&[s, o]| first > (s, o)) {
         MergeStrategy::TailAppend
     } else {
         outcome.duplicates_against_main = duplicates_against_main;
@@ -313,7 +313,7 @@ pub fn merge_new_parts_ranged(
         }
         MergeStrategy::GallopSplice
     };
-    outcome.new_pairs = fresh.len() / 2;
+    outcome.new_pairs = as_pairs(&fresh).len();
     main.install_merged(merged, &fresh);
     let mut new_table = PropertyTable::new();
     new_table.replace_with_sorted(fresh);
@@ -328,7 +328,7 @@ fn merge_sorted(
     mut outcome: MergeOutcome,
     scratch: &mut SortScratch,
 ) -> (PropertyTable, MergeOutcome) {
-    outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len() / 2;
+    outcome.duplicates_within_inferred = outcome.inferred_raw - as_pairs(&inferred).len();
     if main.get().is_dirty() {
         main.get_mut().finalize_with(scratch);
     }
@@ -337,11 +337,11 @@ fn merge_sorted(
     }
 
     // Step 2: the two shapes that need no merge, else classify and splice.
-    let old = main.get().pairs();
+    let old = as_pairs(main.get().pairs());
     if old.is_empty() {
         outcome.strategy = MergeStrategy::Bootstrap;
         main.get_mut().replace_with_sorted(inferred.clone());
-    } else if (inferred[0], inferred[1]) > (old[old.len() - 2], old[old.len() - 1]) {
+    } else if as_pairs(&inferred).first() > old.last() {
         outcome.strategy = MergeStrategy::TailAppend;
         main.append_sorted_suffix(&inferred);
     } else {
@@ -353,7 +353,7 @@ fn merge_sorted(
         outcome.strategy = MergeStrategy::GallopSplice;
         main.splice_in_sorted(&inferred);
     }
-    outcome.new_pairs = inferred.len() / 2;
+    outcome.new_pairs = as_pairs(&inferred).len();
     let mut new_table = PropertyTable::new();
     new_table.replace_with_sorted(inferred);
     (new_table, outcome)
@@ -363,23 +363,20 @@ fn merge_sorted(
 /// `old`: the pairs absent from `old` are compacted to the front of
 /// `inferred` (which is truncated to them), the others are counted and
 /// returned. Each pair is located by galloping from the previous position.
-fn retain_absent(old: &[u64], inferred: &mut Vec<u64>) -> usize {
-    let n_old = old.len() / 2;
-    let mut duplicates = 0usize;
+fn retain_absent(old: &[Pair], inferred: &mut Vec<u64>) -> usize {
+    let view = as_pairs_mut(inferred);
     let mut cursor = 0usize;
     let mut write = 0usize;
-    for read in (0..inferred.len()).step_by(2) {
-        let key = (inferred[read], inferred[read + 1]);
-        cursor = gallop_pairs(old, cursor, key);
-        if cursor < n_old && (old[2 * cursor], old[2 * cursor + 1]) == key {
-            duplicates += 1;
-        } else {
-            inferred[write] = key.0;
-            inferred[write + 1] = key.1;
-            write += 2;
+    for read in 0..view.len() {
+        let key = view[read];
+        cursor = gallop(old, cursor, |p| *p < key);
+        if old.get(cursor) != Some(&key) {
+            view[write] = key;
+            write += 1;
         }
     }
-    inferred.truncate(write);
+    let duplicates = view.len() - write;
+    inferred.truncate(2 * write);
     duplicates
 }
 
@@ -545,42 +542,42 @@ mod tests {
         mut inferred: Vec<u64>,
     ) -> (PropertyTable, MergeOutcome) {
         let mut outcome = MergeOutcome {
-            inferred_raw: inferred.len() / 2,
+            inferred_raw: as_pairs(&inferred).len(),
             ..MergeOutcome::default()
         };
         inferray_sort::sort_pairs_auto_dedup(&mut inferred);
-        outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len() / 2;
-        let old = main.pairs();
+        let (old, inferred) = (as_pairs(main.pairs()), as_pairs(&inferred));
+        outcome.duplicates_within_inferred = outcome.inferred_raw - inferred.len();
         let mut merged = Vec::with_capacity(old.len() + inferred.len());
         let mut fresh = Vec::new();
         let (mut i, mut j) = (0, 0);
         while i < old.len() && j < inferred.len() {
-            let (a, b) = (&old[i..i + 2], &inferred[j..j + 2]);
-            match a.cmp(b) {
+            let (a, b) = (old[i], inferred[j]);
+            match a.cmp(&b) {
                 std::cmp::Ordering::Less => {
-                    merged.extend_from_slice(a);
-                    i += 2;
+                    merged.push(a);
+                    i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    merged.extend_from_slice(b);
-                    fresh.extend_from_slice(b);
-                    j += 2;
+                    merged.push(b);
+                    fresh.push(b);
+                    j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    merged.extend_from_slice(a);
+                    merged.push(a);
                     outcome.duplicates_against_main += 1;
-                    i += 2;
-                    j += 2;
+                    i += 1;
+                    j += 1;
                 }
             }
         }
         merged.extend_from_slice(&old[i..]);
         merged.extend_from_slice(&inferred[j..]);
         fresh.extend_from_slice(&inferred[j..]);
-        outcome.new_pairs = fresh.len() / 2;
-        main.replace_with_sorted(merged);
+        outcome.new_pairs = fresh.len();
+        main.replace_with_sorted(merged.into_flattened());
         let mut new_table = PropertyTable::new();
-        new_table.replace_with_sorted(fresh);
+        new_table.replace_with_sorted(fresh.into_flattened());
         (new_table, outcome)
     }
 
@@ -653,7 +650,7 @@ mod tests {
             let mut main = PropertyTable::from_pairs(main_pairs.clone());
             let before: std::collections::BTreeSet<(u64, u64)> = main.iter_pairs().collect();
             let inferred_set: std::collections::BTreeSet<(u64, u64)> =
-                inferred.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+                as_pairs(&inferred).iter().map(|&[s, o]| (s, o)).collect();
 
             let (new, outcome) = merge_new_pairs(&mut main, inferred);
 
@@ -742,10 +739,7 @@ mod tests {
             let mut main = PropertyTable::from_pairs(flat_main);
             let delta: Vec<u64> = picks
                 .iter()
-                .flat_map(|&i| {
-                    let at = 2 * (i % main.len());
-                    [main.pairs()[at], main.pairs()[at + 1]]
-                })
+                .flat_map(|&i| as_pairs(main.pairs())[i % main.len()])
                 .collect();
             let before = main.pairs().to_vec();
             let buffer = main.pairs().as_ptr();

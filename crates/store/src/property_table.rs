@@ -24,7 +24,7 @@
 //! through [`MergeTarget`](crate::MergeTarget)), its cache kept or dropped
 //! by the same rule.
 
-use inferray_sort::pairs::gallop_pairs;
+use inferray_sort::pairs::{as_pairs, as_pairs_mut, gallop, gallop_back, partition_point, Pair};
 use inferray_sort::{
     sort_pairs_auto, sort_pairs_auto_dedup, sort_pairs_auto_dedup_with, swap_pairs, SortScratch,
 };
@@ -149,7 +149,7 @@ impl PropertyTable {
         let kept = self
             .os
             .take()
-            .filter(|_| keeps_os_cache(delta.len() / 2, before));
+            .filter(|_| keeps_os_cache(as_pairs(delta).len(), before));
         self.invalidate_os_cache();
         if let Some(mut os) = kept {
             patch(&mut os, &mut swapped_sorted(delta));
@@ -193,7 +193,7 @@ impl PropertyTable {
 
     /// Number of pairs currently stored (including not-yet-finalized ones).
     pub fn len(&self) -> usize {
-        self.so.len() / 2
+        as_pairs(&self.so).len()
     }
 
     /// `true` when the table holds no pair.
@@ -258,7 +258,7 @@ impl PropertyTable {
 
     /// Iterates over the pairs as `(s, o)` tuples, in ⟨s,o⟩ order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pairs().chunks_exact(2).map(|p| (p[0], p[1]))
+        as_pairs(self.pairs()).iter().map(|&[s, o]| (s, o))
     }
 
     /// Mutable access to the raw flat pair buffer, for in-place identifier
@@ -328,35 +328,37 @@ impl PropertyTable {
         self.invalidate_os_cache();
     }
 
-    /// The contiguous run of subject `s` in the ⟨s,o⟩ layout, as a flat
-    /// `[s, o, s, o', …]` slice (empty when `s` has no pair).
-    pub fn subject_run(&self, s: u64) -> &[u64] {
-        let pairs = self.pairs();
-        &pairs[key_range(pairs, s)]
+    /// The contiguous run of subject `s` in the ⟨s,o⟩ layout, as pairs
+    /// `[s, o], [s, o'], …` (empty when `s` has no pair).
+    pub fn subject_run(&self, s: u64) -> &[Pair] {
+        key_run(as_pairs(self.pairs()), s)
     }
 
-    /// The contiguous run of object `o` in the ⟨o,s⟩ layout, as a flat
-    /// `[o, s, o, s', …]` slice; `None` when the cache is not materialized
+    /// The contiguous run of object `o` in the ⟨o,s⟩ layout, as pairs
+    /// `[o, s], [o, s'], …`; `None` when the cache is not materialized
     /// (see [`PropertyTable::os_pairs`]).
-    pub fn object_run(&self, o: u64) -> Option<&[u64]> {
-        self.os_pairs().map(|os| &os[key_range(os, o)])
+    pub fn object_run(&self, o: u64) -> Option<&[Pair]> {
+        self.os_pairs().map(|os| key_run(as_pairs(os), o))
     }
 
     /// Iterates over the objects associated with subject `s` (⟨s,o⟩ order).
     pub fn objects_of(&self, s: u64) -> impl Iterator<Item = u64> + '_ {
-        self.subject_run(s).chunks_exact(2).map(|p| p[1])
+        self.subject_run(s).iter().map(|p| p[1])
     }
 
     /// Iterates over the subjects associated with object `o`, in ascending
     /// order, through the ⟨o,s⟩ cache (built on this first need).
     pub fn subjects_of(&self, o: u64) -> impl Iterator<Item = u64> + '_ {
-        let os = self.object_pairs();
-        os[key_range(os, o)].chunks_exact(2).map(|p| p[1])
+        key_run(as_pairs(self.object_pairs()), o)
+            .iter()
+            .map(|p| p[1])
     }
 
     /// Binary-searches for an exact pair.
     pub fn contains_pair(&self, s: u64, o: u64) -> bool {
-        pair_binary_search(self.pairs(), s, o).is_ok()
+        let pairs = as_pairs(self.pairs());
+        let at = partition_point(pairs, |&[a, b]| (a, b) < (s, o));
+        pairs.get(at) == Some(&[s, o])
     }
 
     /// Replaces the table contents with already-sorted, duplicate-free pairs.
@@ -376,9 +378,7 @@ impl PropertyTable {
         debug_assert!(!self.dirty, "append_sorted_suffix on a dirty table");
         debug_assert!(inferray_sort::is_sorted_pairs(pairs));
         debug_assert!(
-            self.so.is_empty()
-                || pairs.is_empty()
-                || (self.so[self.so.len() - 2], self.so[self.so.len() - 1]) < (pairs[0], pairs[1]),
+            as_pairs(&self.so).last() < as_pairs(pairs).first() || pairs.is_empty(),
             "suffix must sort after the whole table"
         );
         if pairs.is_empty() {
@@ -472,7 +472,7 @@ impl PropertyTable {
     pub(crate) fn with_sorted(&self, fresh: &[u64]) -> PropertyTable {
         debug_assert!(!self.dirty, "with_sorted on a dirty table");
         debug_assert!(inferray_sort::is_sorted_pairs(fresh));
-        self.with_merged(merged_copy(&self.so, fresh), fresh)
+        self.with_merged(merged_copy(as_pairs(&self.so), as_pairs(fresh)), fresh)
     }
 
     /// The table that [`install_merged`](Self::install_merged) of the same
@@ -485,8 +485,8 @@ impl PropertyTable {
         debug_assert_eq!(merged.len(), self.so.len() + fresh.len());
         let os = self
             .os_pairs()
-            .filter(|_| keeps_os_cache(fresh.len() / 2, self.len()))
-            .map(|os| merged_copy(os, &swapped_sorted(fresh)));
+            .filter(|_| keeps_os_cache(as_pairs(fresh).len(), self.len()))
+            .map(|os| merged_copy(as_pairs(os), as_pairs(&swapped_sorted(fresh))));
         PropertyTable::settled(merged, os)
     }
 
@@ -506,7 +506,7 @@ impl PropertyTable {
         }
         let mut victims = remove.to_vec();
         sort_pairs_auto_dedup(&mut victims);
-        let hits = locate_present(&self.so, &mut victims);
+        let hits = locate_present(as_pairs(&self.so), &mut victims);
         if hits.is_empty() {
             return None;
         }
@@ -515,9 +515,10 @@ impl PropertyTable {
             .filter(|_| keeps_os_cache(hits.len(), self.len()))
             .map(|os| {
                 let mut swapped = swapped_sorted(&victims);
+                let os = as_pairs(os);
                 copy_without(os, &locate_present(os, &mut swapped))
             });
-        let table = PropertyTable::settled(copy_without(&self.so, &hits), os);
+        let table = PropertyTable::settled(copy_without(as_pairs(&self.so), &hits), os);
         Some((table, hits.len()))
     }
 
@@ -539,7 +540,9 @@ impl PropertyTable {
     /// Returns the number of values actually rewritten; a table that holds
     /// no key of `remap` is left as it was, cache included.
     pub fn remap_values(&mut self, remap: &std::collections::HashMap<u64, u64>) -> usize {
-        if !self.mentions_any(remap) {
+        let mut ids: Vec<u64> = remap.keys().copied().collect();
+        ids.sort_unstable();
+        if !self.mentions_any(&ids) {
             return 0;
         }
         let mut rewritten = 0usize;
@@ -552,10 +555,24 @@ impl PropertyTable {
         rewritten
     }
 
-    /// `true` when a subject or object of the table, finalized or not, is a
-    /// key of `remap`.
-    pub(crate) fn mentions_any(&self, remap: &std::collections::HashMap<u64, u64>) -> bool {
-        !remap.is_empty() && self.so.iter().any(|value| remap.contains_key(value))
+    /// `true` when a subject or object of the table, finalized or not, is
+    /// one of the sorted `ids`. A finalized table is probed by binary
+    /// search — its subject runs, and its object runs when the ⟨o,s⟩ cache
+    /// is built; otherwise its objects (a dirty table: all its values) are
+    /// scanned once against `ids`.
+    pub(crate) fn mentions_any(&self, ids: &[u64]) -> bool {
+        let listed = |value: &u64| ids.binary_search(value).is_ok();
+        if self.dirty {
+            return self.so.iter().any(listed);
+        }
+        let pairs = as_pairs(&self.so);
+        if ids.iter().any(|&id| !key_run(pairs, id).is_empty()) {
+            return true;
+        }
+        match self.os_pairs() {
+            Some(os) => ids.iter().any(|&id| !key_run(as_pairs(os), id).is_empty()),
+            None => pairs.iter().any(|p| listed(&p[1])),
+        }
     }
 
     /// Exact-or-bounded count of distinct **subjects**, derived from the
@@ -568,7 +585,7 @@ impl PropertyTable {
     /// the query planner to call per pattern, with no cached state to
     /// invalidate on mutation.
     pub fn distinct_subjects(&self, budget: usize) -> DistinctCount {
-        distinct_keys_bounded(self.pairs(), budget)
+        distinct_keys_bounded(as_pairs(self.pairs()), budget)
     }
 
     /// Exact-or-bounded count of distinct **objects**, from the ⟨o,s⟩
@@ -576,7 +593,8 @@ impl PropertyTable {
     /// snapshots always have it). Same contract as
     /// [`PropertyTable::distinct_subjects`].
     pub fn distinct_objects(&self, budget: usize) -> Option<DistinctCount> {
-        self.os_pairs().map(|os| distinct_keys_bounded(os, budget))
+        self.os_pairs()
+            .map(|os| distinct_keys_bounded(as_pairs(os), budget))
     }
 
     /// Checks the table's structural invariants, returning a description of
@@ -600,10 +618,8 @@ impl PropertyTable {
         if !inferray_sort::is_sorted_pairs(&self.so) {
             return Err("finalized table is not sorted on ⟨s,o⟩".to_string());
         }
-        for w in self.so.chunks_exact(2).collect::<Vec<_>>().windows(2) {
-            if w[0] == w[1] {
-                return Err(format!("duplicate pair ({}, {})", w[0][0], w[0][1]));
-            }
+        if let Some(w) = as_pairs(&self.so).windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("duplicate pair ({}, {})", w[0][0], w[0][1]));
         }
         if let Some(os) = self.os_pairs() {
             let mut rebuilt = swap_pairs(&self.so);
@@ -637,53 +653,52 @@ fn swapped_sorted(delta: &[u64]) -> Vec<u64> {
 /// from it — merged in, written once into a vector of the exact size: the
 /// old pairs between two insertion points are copied as one block, each
 /// insertion point found by galloping on from the previous one.
-fn merged_copy(pairs: &[u64], fresh: &[u64]) -> Vec<u64> {
+fn merged_copy(pairs: &[Pair], fresh: &[Pair]) -> Vec<u64> {
     let mut merged = Vec::with_capacity(pairs.len() + fresh.len());
-    let mut read = 0usize; // pair index of the first old pair not yet copied
-    for key in fresh.chunks_exact(2) {
-        let at = gallop_pairs(pairs, read, (key[0], key[1]));
-        merged.extend_from_slice(&pairs[2 * read..2 * at]);
-        merged.extend_from_slice(key);
+    let mut read = 0usize; // the first old pair not yet copied
+    for key in fresh {
+        let at = gallop(pairs, read, |p| p < key);
+        merged.extend_from_slice(&pairs[read..at]);
+        merged.push(*key);
         read = at;
     }
-    merged.extend_from_slice(&pairs[2 * read..]);
-    merged
+    merged.extend_from_slice(&pairs[read..]);
+    merged.into_flattened()
 }
 
-/// The pair indices, ascending, at which the sorted `pairs` hold a pair of
-/// the sorted, duplicate-free `victims`; `victims` is left holding exactly
+/// The indices, ascending, at which the sorted `pairs` hold a pair of the
+/// sorted, duplicate-free `victims`; `victims` is left holding exactly
 /// those pairs. Each victim is located by galloping on from the previous one.
-fn locate_present(pairs: &[u64], victims: &mut Vec<u64>) -> Vec<usize> {
-    let n = pairs.len() / 2;
+fn locate_present(pairs: &[Pair], victims: &mut Vec<u64>) -> Vec<usize> {
     let mut hits = Vec::new();
     let mut cursor = 0usize;
-    let mut found = 0usize; // end of the victims found so far
-    for next in (0..victims.len()).step_by(2) {
-        let key = (victims[next], victims[next + 1]);
-        cursor = gallop_pairs(pairs, cursor, key);
-        if cursor < n && (pairs[2 * cursor], pairs[2 * cursor + 1]) == key {
+    let mut found = 0usize; // the victims found so far
+    let view = as_pairs_mut(victims);
+    for next in 0..view.len() {
+        let key = view[next];
+        cursor = gallop(pairs, cursor, |p| *p < key);
+        if pairs.get(cursor) == Some(&key) {
             hits.push(cursor);
-            victims[found] = key.0;
-            victims[found + 1] = key.1;
-            found += 2;
+            view[found] = key;
+            found += 1;
         }
     }
-    victims.truncate(found);
+    victims.truncate(2 * found);
     hits
 }
 
-/// The sorted `pairs` without the pairs at the ascending pair indices `hits`,
+/// The sorted `pairs` without the pairs at the ascending indices `hits`,
 /// written once into a vector of the exact size: the survivors between two
 /// removal points are copied as one block.
-fn copy_without(pairs: &[u64], hits: &[usize]) -> Vec<u64> {
-    let mut kept = Vec::with_capacity(pairs.len() - 2 * hits.len());
-    let mut read = 0usize; // pair index of the first survivor not yet copied
+fn copy_without(pairs: &[Pair], hits: &[usize]) -> Vec<u64> {
+    let mut kept = Vec::with_capacity(pairs.len() - hits.len());
+    let mut read = 0usize; // the first survivor not yet copied
     for &hit in hits {
-        kept.extend_from_slice(&pairs[2 * read..2 * hit]);
+        kept.extend_from_slice(&pairs[read..hit]);
         read = hit + 1;
     }
-    kept.extend_from_slice(&pairs[2 * read..]);
-    kept
+    kept.extend_from_slice(&pairs[read..]);
+    kept.into_flattened()
 }
 
 /// Merges sorted, duplicate-free pairs **known to be absent** from the
@@ -692,24 +707,24 @@ fn copy_without(pairs: &[u64], hits: &[usize]) -> Vec<u64> {
 /// whole blocks (`copy_within`). Each insertion point is found by galloping
 /// down from the previous one.
 fn splice_sorted(pairs: &mut Vec<u64>, fresh: &[u64]) {
-    let old_len = pairs.len();
-    pairs.resize(old_len + fresh.len(), 0);
+    let old_len = as_pairs(pairs).len();
+    pairs.resize(pairs.len() + fresh.len(), 0);
+    let pairs = as_pairs_mut(pairs);
     let mut read_end = old_len; // exclusive end of the unmoved old region
     let mut write_end = pairs.len(); // exclusive end of the write region
-    for key in fresh.chunks_exact(2).rev() {
+    for key in as_pairs(fresh).iter().rev() {
         // Everything in the old region greater than `key` belongs after
         // it: move that block in one memmove. (`key` is absent from the
         // table, so lower bound == upper bound.)
-        let boundary = 2 * gallop_down(pairs, read_end / 2, (key[0], key[1]));
+        let boundary = gallop_back(pairs, read_end, |p| p < key);
         let block = read_end - boundary;
         if block > 0 {
             pairs.copy_within(boundary..read_end, write_end - block);
             write_end -= block;
             read_end = boundary;
         }
-        pairs[write_end - 2] = key[0];
-        pairs[write_end - 1] = key[1];
-        write_end -= 2;
+        write_end -= 1;
+        pairs[write_end] = *key;
     }
     // The remaining old prefix is already in place.
 }
@@ -720,38 +735,39 @@ fn splice_sorted(pairs: &mut Vec<u64>, fresh: &[u64]) {
 /// pass: survivors between two removal points move as whole blocks
 /// (`copy_within`), [`splice_sorted`] in reverse.
 fn remove_sorted(pairs: &mut Vec<u64>, victims: &mut Vec<u64>) -> usize {
+    let view = as_pairs_mut(pairs);
+    let wanted = as_pairs_mut(victims);
     let mut write = 0usize; // exclusive end of the compacted prefix
     let mut read = 0usize; // start of the unexamined region
-    let mut found = 0usize; // end of the victims found so far
-    for next in (0..victims.len()).step_by(2) {
-        let key = (victims[next], victims[next + 1]);
+    let mut found = 0usize; // the victims found so far
+    for next in 0..wanted.len() {
+        let key = wanted[next];
         // Locate the victim among the not-yet-examined pairs.
-        let Ok(hit) = pair_binary_search(&pairs[read..], key.0, key.1) else {
+        let hit = read + partition_point(&view[read..], |p| *p < key);
+        if view.get(hit) != Some(&key) {
             continue; // not present: nothing to remove
-        };
-        let hit = read + 2 * hit;
+        }
         // Retain the block of survivors before it in one memmove.
         let block = hit - read;
         if block > 0 && write != read {
-            pairs.copy_within(read..hit, write);
+            view.copy_within(read..hit, write);
         }
         write += block;
-        read = hit + 2; // skip the removed pair
-        victims[found] = key.0;
-        victims[found + 1] = key.1;
-        found += 2;
+        read = hit + 1; // skip the removed pair
+        wanted[found] = key;
+        found += 1;
     }
-    victims.truncate(found);
+    victims.truncate(2 * found);
     if found == 0 {
         return 0;
     }
     // Retain the tail after the last removal.
-    let tail = pairs.len() - read;
+    let tail = view.len() - read;
     if tail > 0 {
-        pairs.copy_within(read.., write);
+        view.copy_within(read.., write);
     }
-    pairs.truncate(write + tail);
-    found / 2
+    pairs.truncate(2 * (write + tail));
+    found
 }
 
 /// An exact-or-estimated distinct-key count (see
@@ -764,13 +780,13 @@ pub struct DistinctCount {
     pub exact: bool,
 }
 
-/// Counts distinct first components of a flat sorted pair array by
-/// galloping across runs; extrapolates once `budget` runs were probed.
-fn distinct_keys_bounded(pairs: &[u64], budget: usize) -> DistinctCount {
-    let n = pairs.len() / 2;
+/// Counts distinct first components of sorted pairs by galloping across
+/// runs; extrapolates once `budget` runs were probed.
+fn distinct_keys_bounded(pairs: &[Pair], budget: usize) -> DistinctCount {
+    let n = pairs.len();
     let budget = budget.max(1);
     let mut runs = 0usize;
-    let mut idx = 0usize; // pair index of the next unexamined run
+    let mut idx = 0usize; // the first pair of the next unexamined run
     while idx < n {
         if runs == budget {
             // Estimate: runs seen across the scanned prefix, scaled to the
@@ -781,7 +797,8 @@ fn distinct_keys_bounded(pairs: &[u64], budget: usize) -> DistinctCount {
                 exact: false,
             };
         }
-        idx = gallop_upper_bound(pairs, idx + 1, pairs[2 * idx]);
+        let key = pairs[idx][0];
+        idx = gallop(pairs, idx + 1, |p| p[0] <= key);
         runs += 1;
     }
     DistinctCount {
@@ -790,126 +807,11 @@ fn distinct_keys_bounded(pairs: &[u64], budget: usize) -> DistinctCount {
     }
 }
 
-/// Pair index of the first pair at or after pair index `from` whose first
-/// component is `>= key`, in a flat pair array sorted on its first component
-/// from `from` on. Every pair before `from` is taken to sort before `key`.
-///
-/// The search gallops: it probes `from`, `from + 1`, `from + 3`, `from + 7`,
-/// … and binary-searches the last gap, so a key `d` pairs ahead costs
-/// `O(log d)` — a caller that walks keys in ascending order and passes the
-/// previous answer back as `from` performs a merge join.
-pub fn gallop_lower_bound(pairs: &[u64], from: usize, key: u64) -> usize {
-    gallop(pairs, from, |first| first < key)
-}
-
-/// [`gallop_lower_bound`] for the first pair whose first component is
-/// `> key`: called on the start of a run, it returns the end of that run.
-pub fn gallop_upper_bound(pairs: &[u64], from: usize, key: u64) -> usize {
-    gallop(pairs, from, |first| first <= key)
-}
-
-/// Partition point of `before` over the first components of
-/// `pairs[from..]` (all pairs satisfying `before` sort first).
-fn gallop(pairs: &[u64], from: usize, before: impl Fn(u64) -> bool) -> usize {
-    let n = pairs.len() / 2;
-    let mut lo = from.min(n);
-    let mut hi = lo;
-    let mut step = 1usize;
-    while hi < n && before(pairs[2 * hi]) {
-        lo = hi + 1;
-        hi = hi.saturating_add(step);
-        step = step.saturating_mul(2);
-    }
-    let mut hi = hi.min(n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if before(pairs[2 * mid]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// Pair index of the first pair of `pairs[..end]` (`end` a pair index) that
-/// sorts after `key`, which must not occur in it: exponential probe
-/// downwards from `end`, then a binary search of the bracketed range.
-fn gallop_down(pairs: &[u64], end: usize, key: (u64, u64)) -> usize {
-    let at = |i: usize| (pairs[2 * i], pairs[2 * i + 1]);
-    // Invariant: every pair in `hi..end` sorts after `key`.
-    let mut hi = end;
-    let mut step = 1usize;
-    let mut lo = loop {
-        if hi == 0 {
-            return 0;
-        }
-        let probe = hi.saturating_sub(step);
-        if at(probe) > key {
-            hi = probe;
-            step *= 2;
-        } else {
-            break probe;
-        }
-    };
-    // at(lo) < key < at(hi) (or hi == end).
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if at(mid) > key {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
-}
-
-/// Binary search over a flat pair array sorted on its (first, second)
-/// components; `Ok(pair_index)` on exact match, `Err(insertion_pair_index)`
-/// otherwise.
-fn pair_binary_search(pairs: &[u64], first: u64, second: u64) -> Result<usize, usize> {
-    let n = pairs.len() / 2;
-    let mut lo = 0usize;
-    let mut hi = n;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let key = (pairs[2 * mid], pairs[2 * mid + 1]);
-        match key.cmp(&(first, second)) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok(mid),
-        }
-    }
-    Err(lo)
-}
-
-/// The element range (even offsets) of all pairs whose first component
-/// equals `key` in a flat sorted pair array.
-fn key_range(pairs: &[u64], key: u64) -> std::ops::Range<usize> {
-    let n = pairs.len() / 2;
-    // Lower bound: first pair with first component >= key.
-    let mut lo = 0usize;
-    let mut hi = n;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pairs[2 * mid] < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    let start = lo;
-    // Upper bound: first pair with first component > key.
-    let mut hi = n;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pairs[2 * mid] <= key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    (2 * start)..(2 * lo)
+/// The run of pairs whose first component is `key`, in pairs sorted on it:
+/// a binary search for its start, then a gallop over its length.
+fn key_run(pairs: &[Pair], key: u64) -> &[Pair] {
+    let start = partition_point(pairs, |p| p[0] < key);
+    &pairs[start..gallop(pairs, start, |p| p[0] <= key)]
 }
 
 #[cfg(test)]
@@ -1050,15 +952,6 @@ mod tests {
         assert!(views.iter().all(|v| *v == views[0]), "one build, one slice");
         assert_eq!(views[0].1, 40_000);
         t.debug_validate().expect("the shared cache is coherent");
-    }
-
-    #[test]
-    fn contains_pair_binary_search() {
-        let t = table();
-        assert!(t.contains_pair(1, 9));
-        assert!(t.contains_pair(5, 2));
-        assert!(!t.contains_pair(1, 4));
-        assert!(!t.contains_pair(6, 0));
     }
 
     #[test]
@@ -1222,53 +1115,12 @@ mod tests {
     #[test]
     fn runs_are_exposed_as_slices() {
         let mut t = PropertyTable::from_pairs(vec![1, 5, 1, 3, 2, 9, 1, 4]);
-        assert_eq!(t.subject_run(1), &[1, 3, 1, 4, 1, 5]);
-        assert_eq!(t.subject_run(2), &[2, 9]);
+        assert_eq!(t.subject_run(1), &[[1, 3], [1, 4], [1, 5]]);
+        assert_eq!(t.subject_run(2), &[[2, 9]]);
         assert!(t.subject_run(7).is_empty());
         assert!(t.object_run(9).is_none(), "no ⟨o,s⟩ cache yet");
         t.ensure_os();
-        assert_eq!(t.object_run(9), Some(&[9, 2][..]));
+        assert_eq!(t.object_run(9), Some(&[[9, 2]][..]));
         assert_eq!(t.object_run(6), Some(&[][..]));
-    }
-
-    #[test]
-    fn galloping_bounds_agree_with_key_range_from_any_start() {
-        // Runs of length 1..=4 over keys 0, 3, 6, …: every key (present or
-        // not) from every start at or before its run.
-        let pairs: Vec<u64> = (0..40u64)
-            .flat_map(|k| (0..=k % 4).flat_map(move |o| [3 * k, o]))
-            .collect();
-        let n = pairs.len() / 2;
-        for key in 0..=121u64 {
-            let range = key_range(&pairs, key);
-            for from in 0..=range.start / 2 {
-                let lo = gallop_lower_bound(&pairs, from, key);
-                assert_eq!(lo, range.start / 2, "lower bound of {key} from {from}");
-                assert_eq!(
-                    gallop_upper_bound(&pairs, lo, key),
-                    range.end / 2,
-                    "upper bound of {key} from {lo}"
-                );
-            }
-        }
-        assert_eq!(gallop_lower_bound(&pairs, n, 0), n);
-        assert_eq!(
-            gallop_lower_bound(&pairs, n + 5, 0),
-            n,
-            "start past the end"
-        );
-        assert_eq!(gallop_upper_bound(&pairs, 0, u64::MAX), n);
-        assert_eq!(gallop_lower_bound(&[], 0, 7), 0);
-    }
-
-    #[test]
-    fn key_range_bounds() {
-        let pairs = vec![1, 1, 1, 2, 3, 0, 3, 9, 7, 7];
-        assert_eq!(key_range(&pairs, 1), 0..4);
-        assert_eq!(key_range(&pairs, 3), 4..8);
-        assert_eq!(key_range(&pairs, 7), 8..10);
-        assert_eq!(key_range(&pairs, 0), 0..0);
-        assert_eq!(key_range(&pairs, 2), 4..4);
-        assert_eq!(key_range(&pairs, 9), 10..10);
     }
 }

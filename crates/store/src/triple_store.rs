@@ -327,9 +327,11 @@ impl TripleStore {
         if remap.is_empty() {
             return 0;
         }
+        let mut ids: Vec<u64> = remap.keys().copied().collect();
+        ids.sort_unstable();
         let mut rewritten = 0usize;
         for table in self.tables.iter_mut().flatten() {
-            if table.mentions_any(remap) {
+            if table.mentions_any(&ids) {
                 rewritten += Arc::make_mut(table).remap_values(remap);
             }
         }
@@ -565,6 +567,52 @@ mod tests {
         assert_eq!(store.remove_pairs(wellknown::RDF_TYPE, &[1, 1]), 0);
         assert_eq!(store.remove_pairs(wellknown::RDFS_RANGE, &[1, 1]), 0);
         assert_eq!(store.len(), 1);
+    }
+
+    /// A promotion rewrites the tables that mention the promoted id however
+    /// they are searched — a subject run, an object run of a built ⟨o,s⟩
+    /// cache, a scan of the objects without one — and re-sorts them; a
+    /// table that never mentions it stays shared with an earlier clone.
+    #[test]
+    fn remap_ids_rewrites_only_the_tables_that_mention_the_id() {
+        let (old, new) = (50u64, 5u64);
+        let [as_subject, cached_object, plain_object, absent] =
+            [400, 401, 402, 403].map(inferray_model::ids::nth_property_id);
+        let mut store = TripleStore::new();
+        for (p, pairs) in [
+            (as_subject, [old, 10, 20, 30]),
+            (cached_object, [10, old, 20, 30]),
+            (plain_object, [10, old, 20, 30]),
+            (absent, [10, 20, 30, 40]),
+        ] {
+            store.table_or_create(p).add_pairs(&pairs);
+        }
+        store.finalize();
+        store.table_mut(cached_object).expect("present").ensure_os();
+        let before = store.clone();
+        let remap = std::collections::HashMap::from([(old, new)]);
+        assert_eq!(store.remap_ids(&remap), 3);
+        store.finalize();
+        for (p, rewritten) in [
+            (as_subject, vec![new, 10, 20, 30]),
+            (cached_object, vec![10, new, 20, 30]),
+            (plain_object, vec![10, new, 20, 30]),
+        ] {
+            assert_eq!(store.table(p).expect("present").pairs(), &rewritten[..]);
+            assert!(!store.shares_table(&before, p));
+        }
+        assert_eq!(
+            store
+                .table(as_subject)
+                .expect("present")
+                .objects_of(new)
+                .collect::<Vec<_>>(),
+            vec![10]
+        );
+        assert!(
+            store.shares_table(&before, absent),
+            "a table without the id is not copied"
+        );
     }
 
     #[test]

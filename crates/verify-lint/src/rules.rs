@@ -706,6 +706,7 @@ pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
     "other_cell_json_into",
     "literal_json_into",
     "error_json_into",
+    "respond_error",
     "status_json_into",
     "respond",
     "send",

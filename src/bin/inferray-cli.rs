@@ -72,8 +72,6 @@
 //!                        0.0.0.0 to expose the endpoint beyond this host)
 //!   --threads <N>        serve mode: HTTP worker threads (default: available cores)
 //!   --read-only          serve mode: disable the POST /update endpoint
-//!   --no-keep-alive      serve mode: close every connection after one
-//!                        response (disables HTTP/1.1 keep-alive)
 //!   --data-dir <DIR>     durable storage directory (WAL + snapshot images)
 //!   --checkpoint-every <N>  records between automatic checkpoints (default 1024)
 //!   --rules <FILE>       serve/snapshot/recover: close the dataset under
@@ -133,7 +131,6 @@ struct CliOptions {
     host: String,
     threads: usize,
     read_only: bool,
-    no_keep_alive: bool,
     data_dir: Option<String>,
     checkpoint_every: Option<u64>,
     rules: Option<String>,
@@ -148,7 +145,7 @@ fn usage() -> &'static str {
      [--fragment rho-df|rdfs|rdfs-full|rdfs-plus|rdfs-plus-full] \
      [--format ntriples|turtle] [--inferred-only] [--sequential] \
      [--ingest-threads N] [--chunk-kib N] [--port N] [--host ADDR] [--threads N] \
-     [--read-only] [--no-keep-alive] [--data-dir DIR] [--checkpoint-every N] \
+     [--read-only] [--data-dir DIR] [--checkpoint-every N] \
      [--rules FILE] [--shapes FILE] [--data FILE] [FILE]\n\
      Reads RDF and materializes the fragment with Inferray. Without a subcommand\n\
      the materialization is written as N-Triples to stdout; with 'serve' it is\n\
@@ -193,7 +190,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         host: "127.0.0.1".to_owned(),
         threads: std::thread::available_parallelism().map_or(2, |n| n.get()),
         read_only: false,
-        no_keep_alive: false,
         data_dir: None,
         checkpoint_every: None,
         rules: None,
@@ -264,7 +260,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             "--inferred-only" => options.inferred_only = true,
             "--sequential" => options.sequential = true,
             "--read-only" => options.read_only = true,
-            "--no-keep-alive" => options.no_keep_alive = true,
             "--ingest-threads" => {
                 let value = args.get(i + 1).ok_or("--ingest-threads needs a value")?;
                 options.ingest_threads = Some(
@@ -894,7 +889,6 @@ fn serve(options: &CliOptions) -> Result<(), String> {
     let addr = format!("{}:{}", options.host, options.port);
     let config = ServerConfig {
         threads: options.threads,
-        keep_alive: !options.no_keep_alive,
         ..ServerConfig::default()
     };
     let server = SparqlServer::bind_with(&addr, config, Arc::new(source), Some(Arc::new(sink)))
