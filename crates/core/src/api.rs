@@ -16,7 +16,7 @@ use inferray_parser::{Ingest, TripleRef};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::shapes::{self, ShapeAnalysis};
 use inferray_rules::{Fragment, InferenceStats, Materializer};
-use inferray_store::{unpoison, Handoff, StoreSnapshot, TripleStore};
+use inferray_store::{unpoison, Handoff, Recycler, StoreSnapshot, TripleStore};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -476,8 +476,9 @@ pub struct ServingDataset {
     /// materialization. The delete–rederive retraction path needs them
     /// twice over: an asserted triple must never be over-deleted, and
     /// `retract(Δ)` is specified as equivalent to rebuilding from
-    /// `base ∖ Δ`. Readers never see the base.
-    writer: Mutex<TripleStore>,
+    /// `base ∖ Δ`. Readers never see the base. Beside it, the tables
+    /// earlier writes superseded, whose buffers later writes reuse.
+    writer: Mutex<Writer>,
     /// The program every epoch is closed under. A rule program is kept as
     /// *text*, not as a compiled ruleset: every write recompiles it against
     /// its private dictionary copy, so rule constants track identifier
@@ -489,6 +490,14 @@ pub struct ServingDataset {
     /// docs/shapes.md): `None` until a program is installed. Leaf lock —
     /// taken after the writer lock, never held across validation or publish.
     validation: Mutex<Option<ShapeGate>>,
+}
+
+/// What the writer lock guards: the explicit base, and the recycler of the
+/// tables writes superseded ([`Recycler`]).
+#[derive(Debug)]
+struct Writer {
+    base: TripleStore,
+    recycler: Recycler,
 }
 
 impl ServingDataset {
@@ -579,7 +588,10 @@ impl ServingDataset {
                 snapshot: StoreSnapshot::prepare(materialized, epoch),
                 dictionary: Arc::new(dictionary),
             }),
-            writer: Mutex::new(base),
+            writer: Mutex::new(Writer {
+                base,
+                recycler: Recycler::new(),
+            }),
             program: program.into(),
             options,
             validation: Mutex::new(None),
@@ -604,9 +616,13 @@ impl ServingDataset {
     /// changes; the dictionary and store are the shared `Arc`s the readers
     /// also see.
     pub fn persistable_state(&self) -> (Arc<Dictionary>, TripleStore, StoreSnapshot) {
-        let base = unpoison(self.writer.lock());
+        let writer = unpoison(self.writer.lock());
         let published = self.published.read_published();
-        (published.dictionary, base.clone(), published.snapshot)
+        (
+            published.dictionary,
+            writer.base.clone(),
+            published.snapshot,
+        )
     }
 
     /// The store snapshot alone, for embedders that do not need the
@@ -837,7 +853,8 @@ impl ServingDataset {
         triples: impl IntoIterator<Item = TripleRef<'t>>,
         log: impl FnOnce() -> Result<(), String>,
     ) -> Result<WriteOutcome, WriteError> {
-        let mut base = unpoison(self.writer.lock());
+        let mut writer = unpoison(self.writer.lock());
+        let Writer { base, recycler } = &mut *writer;
         let mut clock = Instant::now();
         let pre = self.published.read_published();
         // Copied on first mutation: an assert that interns a term or
@@ -950,7 +967,7 @@ impl ServingDataset {
         log().map_err(WriteError::Log)?;
         stages.log = lap(&mut clock);
         let published = if changed {
-            *base = next_base;
+            let superseded_base = std::mem::replace(base, next_base);
             let dictionary = match dictionary {
                 Cow::Owned(dictionary) => Arc::new(dictionary),
                 Cow::Borrowed(_) => Arc::clone(&pre.dictionary),
@@ -965,12 +982,18 @@ impl ServingDataset {
             if let Some(report) = green {
                 self.record_green(published.snapshot.epoch(), report);
             }
+            // The publish dropped the epoch before `pre` from the handoff:
+            // what earlier writes retired may be free now. Then this write
+            // retires what it superseded, for a later write to reclaim.
+            recycler.reclaim();
+            recycler.retire(&superseded_base, base);
+            recycler.retire(pre.snapshot.store(), published.snapshot.store());
             published.snapshot
         } else {
             pre.snapshot
         };
         stages.publish = lap(&mut clock);
-        drop(base);
+        drop(writer);
         Ok(WriteOutcome {
             stats,
             epoch: published.epoch(),
@@ -1045,7 +1068,7 @@ impl ServingDataset {
 
     /// Number of explicit (asserted) triples behind the current epoch.
     pub fn base_len(&self) -> usize {
-        unpoison(self.writer.lock()).len()
+        unpoison(self.writer.lock()).base.len()
     }
 }
 

@@ -47,27 +47,60 @@ const fn build_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// CRC-32 of `data` (initial value `0xFFFF_FFFF`, final XOR `0xFFFF_FFFF` —
-/// the same parameters as zlib's `crc32`).
+/// A running CRC-32 (initial value `0xFFFF_FFFF`, final XOR `0xFFFF_FFFF` —
+/// the same parameters as zlib's `crc32`): [`Crc32::update`] folds in the
+/// bytes of a payload as they pass, in pieces of any size, and
+/// [`Crc32::finish`] gives the checksum of all of them. A snapshot section
+/// is checksummed this way block by block, on write and on open, so no
+/// section has to be in memory whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    /// The checksum of no bytes, ready for [`Crc32::update`].
+    pub const fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    /// Folds `data` in behind every byte folded in so far.
+    pub fn update(&mut self, data: &[u8]) {
+        let mut crc = self.0;
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+            crc = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &byte in chunks.remainder() {
+            crc = TABLES[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
+    }
+
+    /// The CRC-32 of everything folded in.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+/// CRC-32 of `data`: [`Crc32`] over one piece.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][(hi >> 24) as usize];
-    }
-    for &byte in chunks.remainder() {
-        crc = TABLES[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
 }
 
 #[cfg(test)]
@@ -109,6 +142,22 @@ mod tests {
                 crc32_reference(&data[..len]),
                 "length {len}"
             );
+        }
+    }
+
+    #[test]
+    fn a_running_crc_over_any_split_equals_the_whole() {
+        let data: Vec<u8> = (0u32..100)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for first in 0..=data.len() {
+            for second in first..=data.len().min(first + 17) {
+                let mut crc = Crc32::new();
+                crc.update(&data[..first]);
+                crc.update(&data[first..second]);
+                crc.update(&data[second..]);
+                assert_eq!(crc.finish(), crc32(&data), "split at {first}, {second}");
+            }
         }
     }
 

@@ -6,16 +6,57 @@
 //! The trait deliberately exposes *durability-shaped* primitives rather
 //! than POSIX calls: [`IoBackend::append_durable`] is "append these bytes
 //! and do not return success until they are on stable storage" (the WAL
-//! primitive), [`IoBackend::write_atomic`] is "replace this file's contents
-//! all-or-nothing" (the checkpoint primitive, tmp-file + fsync + rename on
-//! a real filesystem).
+//! primitive), [`IoBackend::write_atomic_streamed`] is "replace this file's
+//! contents all-or-nothing with what this closure streams" (the checkpoint
+//! primitive, tmp-file + fsync + rename on a real filesystem), and
+//! [`IoBackend::open_at`] is "a handle of its own, reading from this
+//! offset" (the cold start's, one per image section).
 
 use inferray_store::unpoison;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
+
+/// Where a streamed atomic write puts its bytes
+/// ([`IoBackend::write_atomic_streamed`]): appended in order, and — for a
+/// field whose value is known only once what follows it is written, like a
+/// snapshot section's length and checksum — overwritten in place later.
+pub trait StreamSink {
+    /// Appends `bytes` behind everything appended so far.
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
+
+    /// Overwrites bytes appended earlier, from `offset` on.
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()>;
+}
+
+impl StreamSink for Vec<u8> {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        let at = usize::try_from(offset).unwrap_or(usize::MAX);
+        match at
+            .checked_add(bytes.len())
+            .and_then(|end| self.get_mut(at..end))
+        {
+            Some(target) => {
+                target.copy_from_slice(bytes);
+                Ok(())
+            }
+            None => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "patch past the bytes written",
+            )),
+        }
+    }
+}
+
+/// What a streamed atomic write runs to produce the file's new contents.
+pub type Fill<'f> = dyn FnMut(&mut dyn StreamSink) -> io::Result<()> + 'f;
 
 /// Abstract durable storage. Implementations must be safe to share across
 /// threads; the callers serialize writers themselves.
@@ -31,10 +72,23 @@ pub trait IoBackend: Send + Sync + std::fmt::Debug {
     /// *prefix* of `data` (a torn write) — callers must tolerate that.
     fn append_durable(&self, path: &Path, data: &[u8]) -> io::Result<()>;
 
-    /// Replaces the contents of `path` with `data` atomically: after a
-    /// crash the file holds either its old contents or all of `data`,
-    /// never a mix.
-    fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()>;
+    /// Replaces the contents of `path` atomically with the bytes `fill`
+    /// streams into the sink it is given: after a crash the file holds
+    /// either its old contents or all of the new ones, never a mix. An
+    /// `Err` from `fill`, or a failure while its bytes are written, leaves
+    /// the old contents in place.
+    fn write_atomic_streamed(&self, path: &Path, fill: &mut Fill<'_>) -> io::Result<()>;
+
+    /// Replaces the contents of `path` with `data` atomically: the
+    /// streamed write of one piece.
+    fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.write_atomic_streamed(path, &mut |sink| sink.append(data))
+    }
+
+    /// Opens `path` for reading from byte `offset` on, as a handle of its
+    /// own: the sections of one snapshot image are read side by side. An
+    /// offset at or past the end reads nothing.
+    fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send + '_>>;
 
     /// Removes a file. Missing files are an error (callers check first).
     fn remove(&self, path: &Path) -> io::Result<()>;
@@ -96,7 +150,7 @@ impl IoBackend for StdFs {
         file.sync_all()
     }
 
-    fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+    fn write_atomic_streamed(&self, path: &Path, fill: &mut Fill<'_>) -> io::Result<()> {
         let tmp = match (path.parent(), path.file_name()) {
             (Some(dir), Some(name)) => {
                 let mut tmp_name = name.to_os_string();
@@ -105,20 +159,27 @@ impl IoBackend for StdFs {
             }
             _ => return Err(io::Error::new(io::ErrorKind::InvalidInput, "bad path")),
         };
-        let mut file = fs::File::create(&tmp)?;
-        for (index, slice) in data.chunks(WRITE_SLICE).enumerate() {
-            if index > 0 {
-                file.sync_data()?;
-            }
-            file.write_all(slice)?;
+        let mut sink = SlicedFile {
+            file: fs::File::create(&tmp)?,
+            unsynced: 0,
+        };
+        if let Err(e) = fill(&mut sink).and_then(|()| sink.file.sync_all()) {
+            drop(sink);
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
-        file.sync_all()?;
-        drop(file);
+        drop(sink);
         fs::rename(&tmp, path)?;
         if let Some(dir) = path.parent() {
             StdFs::sync_dir(dir);
         }
         Ok(())
+    }
+
+    fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send + '_>> {
+        let mut file = fs::File::open(path)?;
+        file.seek(SeekFrom::Start(offset))?;
+        Ok(Box::new(file))
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -147,6 +208,37 @@ impl IoBackend for StdFs {
     }
 }
 
+/// The temp file of a [`StdFs`] atomic write: synced every [`WRITE_SLICE`]
+/// bytes appended, before the next byte goes in.
+struct SlicedFile {
+    file: fs::File,
+    /// Bytes appended since the last sync.
+    unsynced: usize,
+}
+
+impl StreamSink for SlicedFile {
+    fn append(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            if self.unsynced == WRITE_SLICE {
+                self.file.sync_data()?;
+                self.unsynced = 0;
+            }
+            let (now, later) = bytes.split_at(bytes.len().min(WRITE_SLICE - self.unsynced));
+            self.file.write_all(now)?;
+            self.unsynced += now.len();
+            bytes = later;
+        }
+        Ok(())
+    }
+
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        self.file.seek(SeekFrom::Start(offset))?;
+        self.file.write_all(bytes)?;
+        self.file.seek(SeekFrom::End(0))?;
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic fault-injected in-memory filesystem
 // ---------------------------------------------------------------------------
@@ -167,8 +259,11 @@ pub enum Fault {
     /// fsync fails: the call reports failure, and the appended bytes are
     /// lost at the next power cut (they never became durable).
     FailSync,
-    /// The next [`IoBackend::write_atomic`] fails before the rename,
-    /// leaving the previous file contents untouched.
+    /// The next atomic write ([`IoBackend::write_atomic_streamed`], or
+    /// [`IoBackend::write_atomic`] on it) fails where it would rename its
+    /// file into place — after its bytes were streamed, so a fault queued
+    /// while they stream still hits it — leaving the previous file
+    /// contents untouched.
     FailAtomicWrite,
     /// The volume disappears: every subsequent operation fails (sticky).
     Offline,
@@ -240,7 +335,7 @@ impl MemFs {
         }
     }
 
-    /// Parks every [`IoBackend::write_atomic`] to a path with this
+    /// Parks every atomic write ([`IoBackend::write_atomic_streamed`]) to a path with this
     /// extension until [`MemFs::release`]. A checkpoint writes its image on
     /// a thread of its own; holding `"img"` pins the moment "log sealed,
     /// image not yet durable", so a test can take a [`MemFs::durable_view`]
@@ -371,15 +466,30 @@ impl IoBackend for MemFs {
         }
     }
 
-    fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut state = self.lock();
-        while state
-            .held
-            .as_deref()
-            .is_some_and(|held| path.extension().and_then(|e| e.to_str()) == Some(held))
+    fn write_atomic_streamed(&self, path: &Path, fill: &mut Fill<'_>) -> io::Result<()> {
         {
-            state = unpoison(self.released.wait(state));
+            let mut state = self.lock();
+            while state
+                .held
+                .as_deref()
+                .is_some_and(|held| path.extension().and_then(|e| e.to_str()) == Some(held))
+            {
+                state = unpoison(self.released.wait(state));
+            }
+            if state.offline {
+                return Err(MemFs::offline_err());
+            }
         }
+        // The bytes stream into a file of their own, outside the lock, so
+        // that a fault can be injected while they do; only the rename below
+        // makes them the file's contents.
+        let mut tmp = MemTmp {
+            fs: self,
+            data: Vec::new(),
+        };
+        fill(&mut tmp)?;
+        let MemTmp { data, .. } = tmp;
+        let mut state = self.lock();
         if state.offline {
             return Err(MemFs::offline_err());
         }
@@ -390,10 +500,25 @@ impl IoBackend for MemFs {
             path.to_path_buf(),
             MemFile {
                 synced_len: data.len(),
-                data: data.to_vec(),
+                data,
             },
         );
         Ok(())
+    }
+
+    fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send + '_>> {
+        let state = self.lock();
+        if state.offline {
+            return Err(MemFs::offline_err());
+        }
+        if !state.files.contains_key(path) {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "no such file"));
+        }
+        Ok(Box::new(MemReader {
+            fs: self,
+            path: path.to_path_buf(),
+            offset,
+        }))
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -423,6 +548,57 @@ impl IoBackend for MemFs {
 
     fn exists(&self, path: &Path) -> bool {
         self.lock().files.contains_key(path)
+    }
+}
+
+/// The temp file of a [`MemFs`] atomic write. A volume that goes offline
+/// while it is written fails the next append.
+struct MemTmp<'a> {
+    fs: &'a MemFs,
+    data: Vec<u8>,
+}
+
+impl StreamSink for MemTmp<'_> {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.fs.lock().offline {
+            return Err(MemFs::offline_err());
+        }
+        StreamSink::append(&mut self.data, bytes)
+    }
+
+    fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        if self.fs.lock().offline {
+            return Err(MemFs::offline_err());
+        }
+        self.data.patch(offset, bytes)
+    }
+}
+
+/// A [`MemFs`] read handle: each read copies what it asks for out of the
+/// file, so no handle holds a copy of the whole file.
+struct MemReader<'a> {
+    fs: &'a MemFs,
+    path: PathBuf,
+    offset: u64,
+}
+
+impl Read for MemReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let state = self.fs.lock();
+        if state.offline {
+            return Err(MemFs::offline_err());
+        }
+        let file = state
+            .files
+            .get(&self.path)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
+        let from = usize::try_from(self.offset)
+            .unwrap_or(usize::MAX)
+            .min(file.data.len());
+        let n = buf.len().min(file.data.len() - from);
+        buf[..n].copy_from_slice(&file.data[from..from + n]);
+        self.offset += n as u64;
+        Ok(n)
     }
 }
 
@@ -474,6 +650,55 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_in_mid_stream_leaves_the_old_file_and_nothing_renamed() {
+        for fault in [Fault::FailAtomicWrite, Fault::Offline] {
+            let fs = MemFs::new();
+            let path = Path::new("d/snap.img");
+            fs.write_atomic(path, b"old").unwrap();
+            let streamed = fs.write_atomic_streamed(path, &mut |sink| {
+                sink.append(b"new ")?;
+                fs.inject(fault);
+                sink.patch(0, b"N")?;
+                sink.append(b"image")
+            });
+            assert!(streamed.is_err(), "{fault:?}");
+            assert_eq!(fs.durable_view().into_keys().collect::<Vec<_>>(), [path]);
+            assert_eq!(fs.raw(path).unwrap(), b"old", "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn a_streamed_write_patches_and_reads_back_from_any_offset() {
+        let fs = MemFs::new();
+        let path = Path::new("d/snap.img");
+        fs.write_atomic_streamed(path, &mut |sink| {
+            sink.append(b"..llo, ")?;
+            sink.append(b"world")?;
+            sink.patch(0, b"he")
+        })
+        .unwrap();
+        let mut tail = String::new();
+        fs.open_at(path, 5)
+            .unwrap()
+            .read_to_string(&mut tail)
+            .unwrap();
+        assert_eq!(tail, ", world");
+        let mut past_the_end = Vec::new();
+        fs.open_at(path, 99)
+            .unwrap()
+            .read_to_end(&mut past_the_end)
+            .unwrap();
+        assert!(past_the_end.is_empty());
+        // A fill that fails leaves the file as it was.
+        let failed = fs.write_atomic_streamed(path, &mut |sink| {
+            sink.append(b"x")?;
+            Err(io::Error::other("the encoder gave up"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(fs.read(path).unwrap(), b"hello, world");
+    }
+
+    #[test]
     fn offline_is_sticky() {
         let fs = MemFs::new();
         fs.inject(Fault::Offline);
@@ -500,6 +725,27 @@ mod tests {
         fs.append_durable(&wal, b"abc").unwrap();
         fs.append_durable(&wal, b"def").unwrap();
         assert_eq!(fs.read(&wal).unwrap(), b"abcdef");
+        fs.write_atomic(&wal, b"reset").unwrap();
+        assert_eq!(fs.read(&wal).unwrap(), b"reset");
+        // A streamed write longer than a sync slice, with a patch into its
+        // first slice, read back from an offset.
+        let long: Vec<u8> = (0..WRITE_SLICE + 100).map(|i| i as u8).collect();
+        fs.write_atomic_streamed(&wal, &mut |sink| {
+            sink.append(&long)?;
+            sink.patch(1, b"!")
+        })
+        .unwrap();
+        let mut back = Vec::new();
+        fs.open_at(&wal, 1).unwrap().read_to_end(&mut back).unwrap();
+        assert_eq!(back.len(), long.len() - 1);
+        assert_eq!((back[0], &back[1..]), (b'!', &long[2..]));
+        assert!(!fs.exists(&dir.join("wal.log.tmp")));
+        let failed = fs.write_atomic_streamed(&wal, &mut |sink| {
+            sink.append(b"partial")?;
+            Err(io::Error::other("the encoder gave up"))
+        });
+        assert!(failed.is_err());
+        assert!(!fs.exists(&dir.join("wal.log.tmp")));
         fs.write_atomic(&wal, b"reset").unwrap();
         assert_eq!(fs.read(&wal).unwrap(), b"reset");
         assert!(fs.exists(&wal));

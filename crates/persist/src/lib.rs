@@ -24,13 +24,13 @@ pub mod io;
 pub mod snapshot;
 pub mod wal;
 
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use durable::{
     CheckpointPolicy, DurabilityStatus, DurableDataset, DurableError, RecoveryReport,
 };
-pub use io::{DurableView, Fault, IoBackend, MemFs, StdFs};
+pub use io::{DurableView, Fault, Fill, IoBackend, MemFs, StdFs, StreamSink};
 pub use snapshot::{
-    decode_image, encode_image, parse_snapshot_file_name, snapshot_file_name, SnapshotError,
-    SnapshotImage,
+    decode_image, encode_image, open_image, parse_snapshot_file_name, snapshot_file_name,
+    write_image, SnapshotError, SnapshotImage, IMAGE_BLOCK,
 };
 pub use wal::{WalKind, WalRecord, WalScan, WAL_FILE, WAL_SEALED_FILE};

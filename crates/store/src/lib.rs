@@ -34,6 +34,8 @@
 //!   [`Handoff`], [`SnapshotStore`] / [`StoreSnapshot`]) so concurrent
 //!   readers keep a consistent frozen version while a writer materializes
 //!   the next one (docs/serving.md);
+//! * [`reclaim`] — the buffers of the tables a live write superseded,
+//!   reused by the next write's copies ([`Recycler`]);
 //! * [`estimate`] — the one cardinality model over the tables, read by the
 //!   query planner and `rules explain --data` alike.
 
@@ -46,6 +48,7 @@ pub mod merge;
 pub mod profile;
 pub mod property_table;
 pub mod query;
+pub mod reclaim;
 pub mod snapshot;
 pub mod triple_store;
 
@@ -64,5 +67,6 @@ pub use merge::{
 pub use profile::AccessProfile;
 pub use property_table::{os_builds, DistinctCount, OsBuilds, PropertyTable};
 pub use query::TriplePattern;
+pub use reclaim::Recycler;
 pub use snapshot::{unpoison, Handoff, SnapshotStore, StoreSnapshot};
 pub use triple_store::TripleStore;

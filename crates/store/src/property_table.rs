@@ -24,6 +24,7 @@
 //! through [`MergeTarget`](crate::MergeTarget)), its cache kept or dropped
 //! by the same rule.
 
+use crate::reclaim;
 use inferray_sort::pairs::{as_pairs, as_pairs_mut, gallop, gallop_back, partition_point, Pair};
 use inferray_sort::{
     sort_pairs_auto, sort_pairs_auto_dedup, sort_pairs_auto_dedup_with, swap_pairs, SortScratch,
@@ -527,6 +528,12 @@ impl PropertyTable {
         self.remove_pairs(&[s, o]) == 1
     }
 
+    /// Consumes the table and returns its buffers, the pair array and a
+    /// built ⟨o,s⟩ cache, for reuse ([`crate::reclaim`]).
+    pub(crate) fn into_buffers(self) -> impl Iterator<Item = Vec<u64>> {
+        std::iter::once(self.so).chain(self.os.into_inner())
+    }
+
     /// Consumes the table and returns its raw sorted pair vector.
     pub fn into_pairs(mut self) -> Vec<u64> {
         self.finalize();
@@ -650,20 +657,21 @@ fn swapped_sorted(delta: &[u64]) -> Vec<u64> {
 }
 
 /// The sorted `pairs` with the sorted, duplicate-free `fresh` — pairs absent
-/// from it — merged in, written once into a vector of the exact size: the
-/// old pairs between two insertion points are copied as one block, each
-/// insertion point found by galloping on from the previous one.
+/// from it — merged in, written once into a buffer that holds them (one a
+/// live write superseded, see [`crate::reclaim`], or one of the exact
+/// size): the old pairs between two insertion points are copied as one
+/// block, each insertion point found by galloping on from the previous one.
 fn merged_copy(pairs: &[Pair], fresh: &[Pair]) -> Vec<u64> {
-    let mut merged = Vec::with_capacity(pairs.len() + fresh.len());
+    let mut merged = reclaim::buffer(2 * (pairs.len() + fresh.len()));
     let mut read = 0usize; // the first old pair not yet copied
     for key in fresh {
         let at = gallop(pairs, read, |p| p < key);
-        merged.extend_from_slice(&pairs[read..at]);
-        merged.push(*key);
+        merged.extend_from_slice(pairs[read..at].as_flattened());
+        merged.extend_from_slice(key);
         read = at;
     }
-    merged.extend_from_slice(&pairs[read..]);
-    merged.into_flattened()
+    merged.extend_from_slice(pairs[read..].as_flattened());
+    merged
 }
 
 /// The indices, ascending, at which the sorted `pairs` hold a pair of the
@@ -688,17 +696,17 @@ fn locate_present(pairs: &[Pair], victims: &mut Vec<u64>) -> Vec<usize> {
 }
 
 /// The sorted `pairs` without the pairs at the ascending indices `hits`,
-/// written once into a vector of the exact size: the survivors between two
-/// removal points are copied as one block.
+/// written once into a buffer that holds them (as in [`merged_copy`]): the
+/// survivors between two removal points are copied as one block.
 fn copy_without(pairs: &[Pair], hits: &[usize]) -> Vec<u64> {
-    let mut kept = Vec::with_capacity(pairs.len() - hits.len());
+    let mut kept = reclaim::buffer(2 * (pairs.len() - hits.len()));
     let mut read = 0usize; // the first survivor not yet copied
     for &hit in hits {
-        kept.extend_from_slice(&pairs[read..hit]);
+        kept.extend_from_slice(pairs[read..hit].as_flattened());
         read = hit + 1;
     }
-    kept.extend_from_slice(&pairs[read..]);
-    kept.into_flattened()
+    kept.extend_from_slice(pairs[read..].as_flattened());
+    kept
 }
 
 /// Merges sorted, duplicate-free pairs **known to be absent** from the
