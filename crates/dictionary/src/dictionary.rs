@@ -259,34 +259,57 @@ impl Dictionary {
     pub fn from_dense_texts<E: From<DenseTableError>>(
         num_properties: usize,
         num_resources: usize,
-        mut write_next: impl FnMut(&mut String) -> Result<(), E>,
+        write_next: impl FnMut(&mut String) -> Result<(), E>,
     ) -> Result<Self, E> {
         let mut dict = Dictionary::empty(num_properties.saturating_add(num_resources));
-        dict.properties.reserve(num_properties);
-        dict.resources.reserve(num_resources);
+        dict.append_dense_texts(num_properties, num_resources, write_next)?;
+        Ok(dict)
+    }
+
+    /// Appends `num_properties` property texts, then `num_resources`
+    /// resource texts, to the two dense tables — what a delta image adds to
+    /// the dictionary of the full image it builds on
+    /// ([`Dictionary::texts_since`] lists them). The dictionary only ever
+    /// appends, so this rebuilds exactly the dictionary the texts were read
+    /// from: an appended property whose text is a resource already is that
+    /// resource's promotion, as [`Dictionary::encode_as_property`] made it
+    /// (no promotion is left pending); an appended resource whose text is a
+    /// property is the stale slot of one ([`Dictionary::from_dense_texts`]).
+    pub fn append_dense_texts<E: From<DenseTableError>>(
+        &mut self,
+        num_properties: usize,
+        num_resources: usize,
+        mut write_next: impl FnMut(&mut String) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.properties.reserve(num_properties);
+        self.resources.reserve(num_resources);
         let mut intern_next = |terms: &mut TextArena| -> Result<(u32, bool), E> {
             Ok(terms
                 .try_intern_with(&mut write_next)?
                 .ok_or(DenseTableError::TooManyTerms)?)
         };
         for _ in 0..num_properties {
-            let (entry, fresh) = intern_next(&mut dict.terms)?;
-            if !fresh {
+            let (entry, fresh) = intern_next(&mut self.terms)?;
+            let id = nth_property_id(self.properties.len());
+            if fresh {
+                self.ids.push(id);
+            } else if is_property_id(self.ids[entry as usize]) {
                 return Err(DenseTableError::DuplicateTerm.into());
+            } else {
+                self.ids[entry as usize] = id;
             }
-            dict.ids.push(nth_property_id(dict.properties.len()));
-            dict.properties.push(entry);
+            self.properties.push(entry);
         }
         for _ in 0..num_resources {
-            let (entry, fresh) = intern_next(&mut dict.terms)?;
+            let (entry, fresh) = intern_next(&mut self.terms)?;
             if fresh {
-                dict.ids.push(nth_resource_id(dict.resources.len()));
-            } else if !is_property_id(dict.ids[entry as usize]) {
+                self.ids.push(nth_resource_id(self.resources.len()));
+            } else if !is_property_id(self.ids[entry as usize]) {
                 return Err(DenseTableError::DuplicateTerm.into());
             }
-            dict.resources.push(entry);
+            self.resources.push(entry);
         }
-        Ok(dict)
+        Ok(())
     }
 
     /// Number of distinct properties registered so far.
@@ -524,9 +547,23 @@ impl Dictionary {
     /// The canonical text behind every identifier, in the order of
     /// [`Dictionary::iter`].
     pub fn texts(&self) -> impl Iterator<Item = &str> + '_ {
-        self.properties
+        self.texts_since(0, 0)
+    }
+
+    /// The texts [`Dictionary::texts`] lists past the first
+    /// `num_properties` properties and `num_resources` resources: what the
+    /// dictionary appended since it held that many of each. Counts past
+    /// the end list nothing.
+    pub fn texts_since(
+        &self,
+        num_properties: usize,
+        num_resources: usize,
+    ) -> impl Iterator<Item = &str> + '_ {
+        let properties = &self.properties[num_properties.min(self.properties.len())..];
+        let resources = &self.resources[num_resources.min(self.resources.len())..];
+        properties
             .iter()
-            .chain(&self.resources)
+            .chain(resources)
             .map(|&entry| self.terms.text(entry))
     }
 
@@ -768,6 +805,53 @@ mod tests {
         assert_eq!(
             rebuilt.encode_as_resource(&Term::iri("http://ex/new")),
             dict.encode_as_resource(&Term::iri("http://ex/new"))
+        );
+    }
+
+    #[test]
+    fn appended_texts_rebuild_the_dictionary_they_were_read_from() {
+        let mut dict = Dictionary::new();
+        dict.encode_as_resource(&Term::iri("http://ex/a"));
+        dict.encode_as_resource(&Term::iri("http://ex/later-a-property"));
+        let _ = dict.take_promotions();
+        let (np, nr) = (dict.num_properties(), dict.num_resources());
+        let mut rebuilt = rebuild(&dict).unwrap();
+        // Since: a new resource, a promotion of a resource held before, a
+        // resource promoted as soon as it was met, and a fresh property.
+        let mut grown = dict.clone();
+        grown.encode_as_resource(&Term::plain_literal("42"));
+        grown
+            .encode_as_property(&Term::iri("http://ex/later-a-property"))
+            .unwrap();
+        grown.encode_as_resource(&Term::iri("http://ex/b"));
+        grown.encode_as_property(&Term::iri("http://ex/b")).unwrap();
+        grown.encode_as_property(&Term::iri("http://ex/p")).unwrap();
+        let _ = grown.take_promotions();
+        let mut texts = grown.texts_since(np, nr);
+        rebuilt
+            .append_dense_texts::<DenseTableError>(
+                grown.num_properties() - np,
+                grown.num_resources() - nr,
+                |out| {
+                    out.push_str(texts.next().expect("one text per slot"));
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(texts.next(), None);
+        assert_eq!(rebuilt, grown);
+        for iri in ["http://ex/later-a-property", "http://ex/b", "http://ex/a"] {
+            assert_eq!(rebuilt.id_of_iri(iri), grown.id_of_iri(iri), "{iri}");
+        }
+        assert_eq!(dict.texts_since(np, nr).count(), 0);
+        // A property appended twice is refused.
+        let mut twice = rebuild(&grown).unwrap();
+        assert_eq!(
+            twice.append_dense_texts::<DenseTableError>(1, 0, |out| {
+                out.push_str("<http://ex/p>");
+                Ok(())
+            }),
+            Err(DenseTableError::DuplicateTerm)
         );
     }
 

@@ -5,12 +5,26 @@
 //! fsync as its log stage: the candidate is reasoned and shape-gated on
 //! private copies, then logged, then published — so an acknowledged write
 //! is durable before any reader can observe it, and a refused write never
-//! reaches the log. Checkpoints serialize the full store into a
+//! reaches the log. Checkpoints serialize the store into a
 //! [snapshot image](crate::snapshot) and retire the log records it covers.
 //! Recovery is the composition: newest valid image + replay of the WAL
 //! suffix through the same pipeline (with a no-op log stage), which is what
 //! makes the recovered store *byte-identical* (the engine is deterministic
 //! for a given input sequence).
+//!
+//! ## Full and delta images
+//!
+//! Once a full image is durable the dataset remembers it
+//! ([`BaseImage`]: its name, its length, its term counts, its tables by
+//! identity). A later checkpoint writes a **delta** on it — the terms
+//! appended since and the tables that are no longer the very ones it
+//! captured — unless the delta would pass
+//! 1/[`DELTA_FRACTION`](crate::snapshot::DELTA_FRACTION) of the full
+//! image's bytes or the state is still at the full image's epoch; then it
+//! writes a full image, which becomes the base of the next deltas. Deltas
+//! always build on the last full image, so recovery reads at most two
+//! images; the first checkpoint after [`DurableDataset::open`] is always
+//! full. Pruning keeps the base of every delta it keeps.
 //!
 //! ## A checkpoint has two halves
 //!
@@ -38,6 +52,11 @@
 //! | image durable | new image, sealed, live | live (sealed is skipped) |
 //! | sealed segment removed | new image, live | live |
 //!
+//! A delta image is one more file beside its base, so the table holds for
+//! it too: until the delta is durable the newest recoverable image is the
+//! one before it, and once it is, recovery reads its base, then the delta,
+//! then the log.
+//!
 //! An image that fails to be written leaves the sealed segment where it
 //! is; the next checkpoint seals behind it and covers both.
 //!
@@ -58,8 +77,8 @@
 //! filesystem permits, and the store is still consistent because the
 //! record is internally complete or it fails its CRC).
 
-use crate::io::IoBackend;
-use crate::snapshot::{self, SnapshotImage};
+use crate::io::{IoBackend, TEMP_SUFFIX};
+use crate::snapshot::{self, BaseImage, ImageParts, SnapshotImage};
 use crate::wal::{self, WAL_FILE, WAL_SEALED_FILE};
 use inferray_core::{
     InferenceStats, InferrayOptions, Program, ServingDataset, WriteError, WriteKind, WriteOutcome,
@@ -219,8 +238,34 @@ pub struct DurabilityStatus {
     /// Wall time of that checkpoint's image, from the first byte streamed to
     /// the rename being durable, in µs.
     pub last_checkpoint_us: u64,
+    /// Whether the newest durable image is a full image or a delta.
+    pub last_image_kind: ImageKind,
+    /// Epoch of the full image the newest durable image needs: its own for
+    /// a full image, its base's for a delta.
+    pub image_base_epoch: u64,
     /// The most recent persistence error, if any.
     pub last_error: Option<String>,
+}
+
+/// Which of the two image formats a snapshot file holds
+/// ([`crate::snapshot`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ImageKind {
+    /// The whole state on its own.
+    #[default]
+    Full,
+    /// What changed since a full image, read on top of it.
+    Delta,
+}
+
+impl ImageKind {
+    /// `"full"` or `"delta"`, as `/status` renders it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ImageKind::Full => "full",
+            ImageKind::Delta => "delta",
+        }
+    }
 }
 
 impl DurabilityStatus {
@@ -237,14 +282,17 @@ impl DurabilityStatus {
             out,
             ",\"snapshot_epoch\":{},\"last_checkpoint_seq\":{},\"last_seq\":{},\
              \"wal_records\":{},\"wal_bytes\":{},\"last_image_bytes\":{},\
-             \"last_checkpoint_us\":{},\"last_error\":",
+             \"last_checkpoint_us\":{},\"last_image_kind\":\"{}\",\"image_base_epoch\":{},\
+             \"last_error\":",
             self.snapshot_epoch,
             self.last_checkpoint_seq,
             self.last_seq,
             self.wal_records,
             self.wal_bytes,
             self.last_image_bytes,
-            self.last_checkpoint_us
+            self.last_checkpoint_us,
+            self.last_image_kind.as_str(),
+            self.image_base_epoch
         );
         match &self.last_error {
             Some(error) => json_string_into(out, error),
@@ -261,6 +309,8 @@ pub struct RecoveryReport {
     pub snapshot_path: PathBuf,
     /// Epoch of that image.
     pub snapshot_epoch: u64,
+    /// When that image is a delta: the full image it was read on top of.
+    pub base_path: Option<PathBuf>,
     /// Newer snapshot files that failed validation and were skipped.
     pub invalid_snapshots: usize,
     /// WAL records replayed on top of the image.
@@ -287,6 +337,13 @@ struct DurableState {
     snapshot_path: Option<PathBuf>,
     /// What the last image written cost.
     last_image: ImageCost,
+    /// The newest durable image's kind, and the epoch of the full image it
+    /// needs.
+    image_kind: ImageKind,
+    image_base_epoch: u64,
+    /// The last full image this process made durable: what a checkpoint
+    /// writes a delta on.
+    full_image: Option<Arc<BaseImage>>,
     last_error: Option<String>,
     /// The checkpoint whose image is still being written.
     in_flight: Option<ImageInFlight>,
@@ -299,6 +356,16 @@ struct ImageCost {
     time: Duration,
 }
 
+/// What a checkpoint thread wrote.
+#[derive(Debug)]
+struct WrittenImage {
+    cost: ImageCost,
+    /// The full image it built on, for a delta; the record of itself, for a
+    /// full image.
+    base: Arc<BaseImage>,
+    kind: ImageKind,
+}
+
 /// A begun checkpoint: the log is sealed, the state is captured, and a
 /// helper thread is writing the image that will cover the sealed segment.
 #[derive(Debug)]
@@ -306,7 +373,7 @@ struct ImageInFlight {
     path: PathBuf,
     epoch: u64,
     seq: u64,
-    writer: JoinHandle<std::io::Result<ImageCost>>,
+    writer: JoinHandle<std::io::Result<WrittenImage>>,
 }
 
 /// A crash-safe [`ServingDataset`]: WAL + snapshot images behind an
@@ -389,7 +456,9 @@ impl DurableDataset {
 
     /// Recovers from a data directory: newest valid snapshot image + WAL
     /// replay, tolerating invalid newer images and a torn log tail.
-    /// `program` must be the one the directory was created under.
+    /// `program` must be the one the directory was created under. The temp
+    /// files a process killed during an atomic write left behind are
+    /// removed first.
     pub fn open(
         dir: impl Into<PathBuf>,
         program: impl Into<Program>,
@@ -399,7 +468,8 @@ impl DurableDataset {
     ) -> Result<(Self, RecoveryReport), DurableError> {
         let dir = dir.into();
         let program = program.into();
-        let (image, snapshot_path, invalid_snapshots) =
+        DurableDataset::remove_temp_files(backend.as_ref(), &dir)?;
+        let (image, snapshot_path, base_path, invalid_snapshots) =
             DurableDataset::newest_valid_image(backend.as_ref(), &dir)?;
         let requested = program_name(&program);
         if image.fragment != requested {
@@ -487,9 +557,14 @@ impl DurableDataset {
         }
 
         let snapshot = inner.store_snapshot();
+        let image_base_epoch = base_path
+            .as_deref()
+            .and_then(|path| snapshot::parse_snapshot_file_name(path.file_name()?.to_str()?))
+            .unwrap_or(epoch);
         let report = RecoveryReport {
             snapshot_path: snapshot_path.clone(),
             snapshot_epoch: epoch,
+            base_path: base_path.clone(),
             invalid_snapshots,
             replayed_records: replayed,
             skipped_records: skipped,
@@ -505,6 +580,14 @@ impl DurableDataset {
             snapshot_seq,
             snapshot_path: Some(snapshot_path),
             last_image: ImageCost::default(),
+            image_kind: match base_path {
+                Some(_) => ImageKind::Delta,
+                None => ImageKind::Full,
+            },
+            image_base_epoch,
+            // Nothing of this process's state is in an image yet: its
+            // first checkpoint is a full one.
+            full_image: None,
             last_error: read_only_reason,
             in_flight: None,
         };
@@ -512,10 +595,39 @@ impl DurableDataset {
         Ok((durable, report))
     }
 
+    /// Removes the temp files of this module's own naming — an image's or a
+    /// log segment's name plus [`TEMP_SUFFIX`] — that an atomic write killed
+    /// before its rename left behind: nothing else ever removes them.
+    fn remove_temp_files(backend: &dyn IoBackend, dir: &Path) -> Result<(), DurableError> {
+        let files = backend.list(dir).map_err(|e| DurableError::Io {
+            context: format!("listing {}", dir.display()),
+            message: e.to_string(),
+        })?;
+        for path in files {
+            let Some(name) = path.file_name().and_then(|name| name.to_str()) else {
+                continue;
+            };
+            let ours = name.strip_suffix(TEMP_SUFFIX).is_some_and(|target| {
+                target == WAL_FILE
+                    || target == WAL_SEALED_FILE
+                    || snapshot::parse_snapshot_file_name(target).is_some()
+            });
+            // Best-effort, like pruning: a file left behind costs space,
+            // not recovery (a read-only copy of a directory still opens).
+            if ours {
+                let _ = backend.remove(&path);
+            }
+        }
+        Ok(())
+    }
+
+    /// The newest image that recovers — on its own, or as a delta on the
+    /// full image it names — with its path, its base's path for a delta,
+    /// and how many newer images did not recover.
     fn newest_valid_image(
         backend: &dyn IoBackend,
         dir: &Path,
-    ) -> Result<(SnapshotImage, PathBuf, usize), DurableError> {
+    ) -> Result<(SnapshotImage, PathBuf, Option<PathBuf>, usize), DurableError> {
         let files = backend.list(dir).map_err(|e| DurableError::Io {
             context: format!("listing {}", dir.display()),
             message: e.to_string(),
@@ -534,8 +646,8 @@ impl DurableDataset {
         let total = candidates.len();
         let mut invalid = 0usize;
         for (_, path) in candidates {
-            match snapshot::open_image(backend, &path) {
-                Ok(image) => return Ok((image, path, invalid)),
+            match snapshot::open_recoverable(backend, &path) {
+                Ok((image, base)) => return Ok((image, path, base, invalid)),
                 Err(_) => invalid += 1,
             }
         }
@@ -600,6 +712,8 @@ impl DurableDataset {
             wal_bytes: state.wal_bytes,
             last_image_bytes: state.last_image.bytes,
             last_checkpoint_us: state.last_image.time.as_micros() as u64,
+            last_image_kind: state.image_kind,
+            image_base_epoch: state.image_base_epoch,
             last_error: state.last_error.clone(),
         };
         *unpoison(self.status_mirror.lock()) = status;
@@ -761,10 +875,16 @@ impl DurableDataset {
             keep: self.policy.snapshots_to_keep,
             program_name: self.program_name.clone(),
             seq,
+            full_image: state.full_image.clone(),
+        };
+        let capture = Capture {
+            dictionary,
+            base,
+            snapshot,
         };
         let writer = std::thread::Builder::new()
             .name("inferray-checkpoint".to_string())
-            .spawn(move || job.run(&dictionary, &base, &snapshot))
+            .spawn(move || job.run(capture))
             .map_err(io_error("starting the checkpoint thread".to_string()))?;
         Ok(ImageInFlight {
             path,
@@ -787,8 +907,13 @@ impl DurableDataset {
             .join()
             .unwrap_or_else(|_| Err(std::io::Error::other("the checkpoint thread panicked")));
         match written {
-            Ok(cost) => {
+            Ok(WrittenImage { cost, base, kind }) => {
                 state.last_image = cost;
+                state.image_kind = kind;
+                state.image_base_epoch = base.epoch();
+                if kind == ImageKind::Full {
+                    state.full_image = Some(base);
+                }
                 state.snapshot_epoch = image.epoch;
                 state.snapshot_seq = image.seq;
                 state.snapshot_path = Some(image.path.clone());
@@ -832,50 +957,84 @@ struct ImageJob {
     keep: usize,
     program_name: String,
     seq: u64,
+    /// The full image a delta would build on.
+    full_image: Option<Arc<BaseImage>>,
+}
+
+/// The state a checkpoint writes an image of.
+struct Capture {
+    dictionary: Arc<Dictionary>,
+    base: TripleStore,
+    snapshot: StoreSnapshot,
 }
 
 impl ImageJob {
-    /// Streams the image into its file through one block
-    /// ([`snapshot::write_image`]); once it is durable, retires what it
-    /// supersedes — the sealed log segment and the oldest images. Both
-    /// removals are best-effort: a sealed segment left behind is skipped by
-    /// sequence number at the next start and swallowed by the next seal.
-    fn run(
-        self,
-        dictionary: &Dictionary,
-        base: &TripleStore,
-        snapshot: &StoreSnapshot,
-    ) -> std::io::Result<ImageCost> {
+    /// Streams the image into its file through one block — a delta on the
+    /// last full image when [`BaseImage::takes_delta`], a full image
+    /// otherwise — and lets the captured state go as soon as its last
+    /// section is streamed, before the file is synced and renamed: the
+    /// tables it holds can go back to the writes' buffer pool. Once the
+    /// image is durable, retires what it supersedes — the sealed log
+    /// segment and the oldest images. Both removals are best-effort: a
+    /// sealed segment left behind is skipped by sequence number at the next
+    /// start and swallowed by the next seal.
+    fn run(self, capture: Capture) -> std::io::Result<WrittenImage> {
         let start = Instant::now();
-        let mut bytes = 0;
+        let mut capture = Some(capture);
+        let mut streamed = None;
         self.backend
             .write_atomic_streamed(&self.path, &mut |sink| {
-                bytes = snapshot::write_image(
-                    sink,
+                let Capture {
                     dictionary,
                     base,
-                    snapshot.store(),
-                    snapshot.epoch(),
-                    self.seq,
-                    &self.program_name,
-                )?;
+                    snapshot,
+                } = capture
+                    .take()
+                    .ok_or_else(|| std::io::Error::other("the image was streamed twice"))?;
+                let parts = ImageParts {
+                    dictionary: &dictionary,
+                    base: &base,
+                    materialized: snapshot.store(),
+                    epoch: snapshot.epoch(),
+                    last_seq: self.seq,
+                    fragment: &self.program_name,
+                };
+                streamed = Some(match &self.full_image {
+                    Some(full) if full.takes_delta(&parts) => {
+                        let bytes = snapshot::write_delta_image(sink, parts, full)?;
+                        (bytes, Arc::clone(full), ImageKind::Delta)
+                    }
+                    _ => {
+                        let record = snapshot::write_base_image(sink, parts)?;
+                        (record.bytes(), Arc::new(record), ImageKind::Full)
+                    }
+                });
                 Ok(())
             })?;
-        let cost = ImageCost {
-            bytes,
-            time: start.elapsed(),
+        let (bytes, base, kind) =
+            streamed.ok_or_else(|| std::io::Error::other("the image was not streamed"))?;
+        let written = WrittenImage {
+            cost: ImageCost {
+                bytes,
+                time: start.elapsed(),
+            },
+            base,
+            kind,
         };
         let sealed = self.dir.join(WAL_SEALED_FILE);
         if self.backend.exists(&sealed) {
             let _ = self.backend.remove(&sealed);
         }
-        self.prune_snapshots();
-        Ok(cost)
+        self.prune_snapshots(&written);
+        Ok(written)
     }
 
-    /// Removes all but the newest [`CheckpointPolicy::snapshots_to_keep`]
-    /// images (best-effort; the one just written is never removed).
-    fn prune_snapshots(&self) {
+    /// Removes the images older than the newest
+    /// [`CheckpointPolicy::snapshots_to_keep`] recoverable ones — a full
+    /// image, or a delta whose base is there — except the base of a delta
+    /// it keeps, and never the image just written or its base
+    /// (best-effort). Newer images that do not recover are kept, uncounted.
+    fn prune_snapshots(&self, written: &WrittenImage) {
         let Ok(files) = self.backend.list(&self.dir) else {
             return;
         };
@@ -887,8 +1046,26 @@ impl ImageJob {
             })
             .collect();
         images.sort_by_key(|i| std::cmp::Reverse(i.0));
-        for (_, path) in images.into_iter().skip(self.keep.max(1)) {
-            if path != self.path {
+        let mut kept = vec![self.path.clone()];
+        if written.kind == ImageKind::Delta {
+            kept.push(
+                self.dir
+                    .join(snapshot::snapshot_file_name(written.base.epoch())),
+            );
+        }
+        let mut recoverable = 0;
+        for (_, path) in images {
+            if recoverable < self.keep.max(1) {
+                match snapshot::image_base(self.backend.as_ref(), &path) {
+                    Ok(None) => recoverable += 1,
+                    Ok(Some(base)) if self.backend.exists(&base) => {
+                        recoverable += 1;
+                        kept.push(base);
+                    }
+                    _ => {}
+                }
+                kept.push(path);
+            } else if !kept.contains(&path) {
                 let _ = self.backend.remove(&path);
             }
         }
@@ -983,11 +1160,20 @@ mod tests {
             created.last_image_bytes,
             fs.raw(&path).unwrap().len() as u64
         );
+        assert_eq!(
+            (created.last_image_kind, created.image_base_epoch),
+            (ImageKind::Full, 0)
+        );
         assert_edge(&durable, 1);
         let path = durable.checkpoint().unwrap();
         let status = durable.status();
         assert_eq!(status.last_image_bytes, fs.raw(&path).unwrap().len() as u64);
-        assert!(status.last_image_bytes > created.last_image_bytes);
+        // One table and three terms since the full image: a delta on it.
+        assert_eq!(
+            (status.last_image_kind, status.image_base_epoch),
+            (ImageKind::Delta, 0)
+        );
+        assert!(status.last_image_bytes < created.last_image_bytes);
         assert!(status.last_checkpoint_us > 0);
         let mut json = String::new();
         durable.status_json_into(&mut json);
@@ -995,6 +1181,7 @@ mod tests {
             "\"last_image_bytes\":{},",
             status.last_image_bytes
         )));
+        assert!(json.contains("\"last_image_kind\":\"delta\",\"image_base_epoch\":0,"));
     }
 
     #[test]
@@ -1038,6 +1225,8 @@ mod tests {
             wal_bytes: 321,
             last_image_bytes: 31_248_669,
             last_checkpoint_us: 52_000,
+            last_image_kind: ImageKind::Delta,
+            image_base_epoch: 3,
             last_error: Some("disk\tgone\u{1}".to_string()),
         };
         let mut json = String::new();
@@ -1047,6 +1236,7 @@ mod tests {
             "{\"read_only\":true,\"snapshot_path\":\"d/snap \\\"7\\\".img\",\"snapshot_epoch\":7,\
              \"last_checkpoint_seq\":5,\"last_seq\":9,\"wal_records\":4,\"wal_bytes\":321,\
              \"last_image_bytes\":31248669,\"last_checkpoint_us\":52000,\
+             \"last_image_kind\":\"delta\",\"image_base_epoch\":3,\
              \"last_error\":\"disk\\tgone\\u0001\"}"
         );
         json.clear();
@@ -1055,7 +1245,8 @@ mod tests {
             json,
             "{\"read_only\":false,\"snapshot_path\":null,\"snapshot_epoch\":0,\
              \"last_checkpoint_seq\":0,\"last_seq\":0,\"wal_records\":0,\"wal_bytes\":0,\
-             \"last_image_bytes\":0,\"last_checkpoint_us\":0,\"last_error\":null}"
+             \"last_image_bytes\":0,\"last_checkpoint_us\":0,\"last_image_kind\":\"full\",\
+             \"image_base_epoch\":0,\"last_error\":null}"
         );
     }
 
@@ -1462,5 +1653,183 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DurableError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn open_removes_the_temp_files_a_killed_atomic_write_left_behind() {
+        let fs = Arc::new(MemFs::new());
+        drop(boot(Arc::clone(&fs)));
+        let ours = [
+            "data/snapshot-00000000000000000039.img.tmp",
+            "data/wal.log.tmp",
+            "data/wal.sealed.tmp",
+        ];
+        let others = ["data/notes.tmp", "data/snapshot-39.img.tmp", "data/wal.log"];
+        for path in ours.iter().chain(&others) {
+            fs.write_atomic(Path::new(path), b"left behind").unwrap();
+        }
+        let (_, report) = recover(&fs);
+        assert_eq!(report.snapshot_epoch, 0);
+        let (reopened, _) = DurableDataset::open(
+            "data",
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            Arc::clone(&fs) as Arc<dyn IoBackend>,
+            CheckpointPolicy::manual(),
+        )
+        .unwrap();
+        drop(reopened);
+        for path in ours {
+            assert!(!fs.exists(Path::new(path)), "{path}");
+        }
+        for path in others {
+            assert!(fs.exists(Path::new(path)), "{path}");
+        }
+    }
+
+    #[test]
+    fn open_removes_a_killed_checkpoint_s_temp_image_from_a_real_directory() {
+        let dir = std::env::temp_dir().join(format!(
+            "inferray-persist-temp-files-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            DurableDataset::open(
+                &dir,
+                Fragment::RdfsDefault,
+                InferrayOptions::default(),
+                Arc::new(crate::StdFs),
+                CheckpointPolicy::manual(),
+            )
+        };
+        let (durable, _) = DurableDataset::create(
+            load_ntriples(DATA).unwrap(),
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            &dir,
+            Arc::new(crate::StdFs),
+            CheckpointPolicy::manual(),
+        )
+        .unwrap();
+        drop(durable);
+        let stale = dir.join("snapshot-00000000000000000039.img.tmp");
+        std::fs::write(&stale, vec![0u8; 4096]).unwrap();
+        std::fs::write(dir.join("wal.sealed.tmp"), b"torn").unwrap();
+        let (_, report) = open().unwrap();
+        assert_eq!(report.snapshot_epoch, 0);
+        assert!(!stale.exists());
+        assert!(!dir.join("wal.sealed.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A [`MemFs`] that, once armed, parks an image's atomic write after
+    /// its bytes are streamed and before they are renamed into place.
+    #[derive(Debug, Default)]
+    struct ParkBeforeRename {
+        fs: MemFs,
+        /// (armed, parked)
+        park: Mutex<(bool, bool)>,
+        moved: std::sync::Condvar,
+    }
+
+    impl ParkBeforeRename {
+        fn wait_until(&self, until: impl Fn(&(bool, bool)) -> bool) {
+            let mut park = unpoison(self.park.lock());
+            while !until(&park) {
+                park = unpoison(self.moved.wait(park));
+            }
+        }
+
+        fn set(&self, to: (bool, bool)) {
+            *unpoison(self.park.lock()) = to;
+            self.moved.notify_all();
+        }
+    }
+
+    impl IoBackend for ParkBeforeRename {
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            self.fs.create_dir_all(dir)
+        }
+
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.fs.read(path)
+        }
+
+        fn append_durable(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.fs.append_durable(path, data)
+        }
+
+        fn write_atomic_streamed(
+            &self,
+            path: &Path,
+            fill: &mut crate::Fill<'_>,
+        ) -> std::io::Result<()> {
+            let image = path.extension().is_some_and(|e| e == "img");
+            self.fs.write_atomic_streamed(path, &mut |sink| {
+                fill(sink)?;
+                if image && unpoison(self.park.lock()).0 {
+                    self.set((true, true));
+                    self.wait_until(|&(armed, _)| !armed);
+                }
+                Ok(())
+            })
+        }
+
+        fn open_at(
+            &self,
+            path: &Path,
+            offset: u64,
+        ) -> std::io::Result<Box<dyn std::io::Read + Send + '_>> {
+            self.fs.open_at(path, offset)
+        }
+
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.fs.remove(path)
+        }
+
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+            self.fs.list(dir)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            self.fs.exists(path)
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_lets_its_capture_go_before_its_image_is_durable() {
+        let fs = Arc::new(ParkBeforeRename::default());
+        let (durable, _) = DurableDataset::create(
+            load_ntriples(DATA).unwrap(),
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            "data",
+            Arc::clone(&fs) as Arc<dyn IoBackend>,
+            CheckpointPolicy::manual(),
+        )
+        .unwrap();
+        assert_edge(&durable, 1);
+        let (dictionary, table) = {
+            let (dictionary, base, _) = durable.dataset().persistable_state();
+            let table = base.slot_tables().iter().flatten().next().cloned().unwrap();
+            (dictionary, table)
+        };
+        let held = (Arc::strong_count(&dictionary), Arc::strong_count(&table));
+        fs.set((true, false));
+        let (on_disk, parked, path) = std::thread::scope(|scope| {
+            let checkpoint = scope.spawn(|| durable.checkpoint().unwrap());
+            fs.wait_until(|&(_, parked)| parked);
+            let image = snapshot::snapshot_file_name(durable.dataset().epoch());
+            let on_disk = fs.exists(&durable.dir.join(image));
+            let parked = (Arc::strong_count(&dictionary), Arc::strong_count(&table));
+            fs.set((false, true));
+            (on_disk, parked, checkpoint.join().unwrap())
+        });
+        // Streamed, not renamed: the image was not there yet, and the state
+        // it captured was no longer held by it.
+        assert!(!on_disk);
+        assert_eq!(parked, held);
+        assert!(fs.exists(&path));
     }
 }

@@ -116,6 +116,11 @@ pub trait IoBackend: Send + Sync + std::fmt::Debug {
 /// the append's p99 is 13 ms and the file takes 50 to 330 ms.
 const WRITE_SLICE: usize = 4 << 20;
 
+/// What [`StdFs`] appends to a file's name for the temp file an atomic
+/// write streams into before renaming it into place. A process killed in
+/// between leaves it behind; `DurableDataset::open` removes it.
+pub const TEMP_SUFFIX: &str = ".tmp";
+
 /// The production backend: `std::fs` with explicit `sync_all` calls.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdFs;
@@ -154,7 +159,7 @@ impl IoBackend for StdFs {
         let tmp = match (path.parent(), path.file_name()) {
             (Some(dir), Some(name)) => {
                 let mut tmp_name = name.to_os_string();
-                tmp_name.push(".tmp");
+                tmp_name.push(TEMP_SUFFIX);
                 dir.join(tmp_name)
             }
             _ => return Err(io::Error::new(io::ErrorKind::InvalidInput, "bad path")),

@@ -3,7 +3,8 @@
 //! Durable storage for the Inferray serving layer (docs/persistence.md):
 //!
 //! - [`snapshot`] — the checksummed, mmap-able snapshot image: dictionary +
-//!   pair tables + epoch, length-prefixed with a CRC-32 per section;
+//!   pair tables + epoch, length-prefixed with a CRC-32 per section — and
+//!   the delta image that holds only what changed since a full one;
 //! - [`wal`] — the write-ahead log of assert/retract batches, fsync'd
 //!   before the in-memory publish, tolerant of a torn tail record;
 //! - [`io`] — the [`IoBackend`] seam between the formats and the disk,
@@ -26,11 +27,12 @@ pub mod wal;
 
 pub use crc::{crc32, Crc32};
 pub use durable::{
-    CheckpointPolicy, DurabilityStatus, DurableDataset, DurableError, RecoveryReport,
+    CheckpointPolicy, DurabilityStatus, DurableDataset, DurableError, ImageKind, RecoveryReport,
 };
 pub use io::{DurableView, Fault, Fill, IoBackend, MemFs, StdFs, StreamSink};
 pub use snapshot::{
-    decode_image, encode_image, open_image, parse_snapshot_file_name, snapshot_file_name,
-    write_image, SnapshotError, SnapshotImage, IMAGE_BLOCK,
+    decode_delta_image, decode_image, encode_image, image_base, open_image, open_recoverable,
+    parse_snapshot_file_name, snapshot_file_name, write_base_image, write_delta_image, write_image,
+    BaseImage, ImageParts, SnapshotError, SnapshotImage, DELTA_FRACTION, IMAGE_BLOCK,
 };
 pub use wal::{WalKind, WalRecord, WalScan, WAL_FILE, WAL_SEALED_FILE};

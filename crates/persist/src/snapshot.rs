@@ -44,6 +44,32 @@
 //! `last_seq` is the WAL sequence number the image covers: replay skips
 //! records at or below it, which is what makes "checkpoint, then crash
 //! before truncating the log" safe.
+//!
+//! ## Delta images
+//!
+//! A write changes a few tables and shares the rest with the epoch before
+//! it, so most of what a checkpoint would write is already in the last full
+//! image. A **delta image** ([`write_delta_image`]) holds only the rest:
+//!
+//! ```text
+//! magic      "IFRYDLT1"                      8 bytes
+//! header_len u32 · header_crc u32
+//! header     version u32 = 1
+//!            epoch u64 · last_seq u64
+//!            fragment_len u32 · fragment
+//!            base_epoch u64 · base_header_crc u32
+//!            section_count u32 = 3
+//! section ×3 tag [u8;4] · len u64 · crc u32 · payload
+//! ```
+//!
+//! Its `DICT` section holds the base's two term counts, the counts
+//! appended since, and the appended terms ([`Dictionary::texts_since`]: a
+//! dictionary only ever appends). Its `BASE` and `MATL` sections are laid
+//! out like a full image's, with one more slot marker: "as in base", for a
+//! table that is still the very allocation the base image captured
+//! ([`BaseImage`]). A delta names its base by the base's epoch — so by its
+//! file name — and header CRC; [`open_recoverable`] reads it only on top of
+//! that image. Full images are format 1 unchanged.
 
 use crate::crc::{crc32, Crc32};
 use crate::io::{IoBackend, StreamSink};
@@ -53,12 +79,20 @@ use inferray_store::{as_pairs, PropertyTable, TripleStore};
 use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Weak};
 
 /// File magic: "Inferray snapshot, format 1".
 pub const MAGIC: &[u8; 8] = b"IFRYSNP1";
+/// File magic of a delta image: "Inferray delta, format 1".
+pub const DELTA_MAGIC: &[u8; 8] = b"IFRYDLT1";
 /// Current format version.
 pub const VERSION: u32 = 1;
+
+/// A delta image is written only while it stays within this fraction of
+/// its base image's bytes (1/4); past it, a full image costs little more
+/// and starts a fresh base.
+pub const DELTA_FRACTION: u64 = 4;
 
 const TAG_DICT: &[u8; 4] = b"DICT";
 const TAG_BASE: &[u8; 4] = b"BASE";
@@ -70,6 +104,11 @@ const TERM_LITERAL: u8 = 2;
 
 const FLAG_DATATYPE: u8 = 1;
 const FLAG_LANGUAGE: u8 = 2;
+
+const SLOT_NONE: u8 = 0;
+const SLOT_TABLE: u8 = 1;
+/// A delta image's slot whose table is its base image's.
+const SLOT_AS_IN_BASE: u8 = 2;
 
 /// Why an image failed to decode. Every variant means "this file is not a
 /// valid snapshot" — recovery falls back to the next-older image.
@@ -317,7 +356,22 @@ impl<'s> ImageWriter<'s> {
     fn put_dictionary(&mut self, dictionary: &Dictionary) -> io::Result<()> {
         self.put_u64(dictionary.num_properties() as u64)?;
         self.put_u64(dictionary.num_resources() as u64)?;
-        for text in dictionary.texts() {
+        self.put_texts(dictionary.texts())
+    }
+
+    /// A delta's `DICT` section: the base's two term counts, the counts
+    /// appended since, and the appended terms.
+    fn put_dictionary_since(&mut self, dictionary: &Dictionary, on: &BaseImage) -> io::Result<()> {
+        let (properties, resources) = (on.num_properties, on.num_resources);
+        self.put_u64(properties as u64)?;
+        self.put_u64(resources as u64)?;
+        self.put_u64((dictionary.num_properties() - properties) as u64)?;
+        self.put_u64((dictionary.num_resources() - resources) as u64)?;
+        self.put_texts(dictionary.texts_since(properties, resources))
+    }
+
+    fn put_texts<'t>(&mut self, texts: impl Iterator<Item = &'t str>) -> io::Result<()> {
+        for text in texts {
             let term = TermRef::from_ntriples(text).expect("the arena holds canonical term text");
             self.put_term(&term)?;
         }
@@ -325,15 +379,21 @@ impl<'s> ImageWriter<'s> {
     }
 
     /// A store section: the slot count, then per slot a marker and, for a
-    /// table, its pair count and its flat pair array.
-    fn put_store(&mut self, store: &TripleStore) -> io::Result<()> {
+    /// table, its pair count and its flat pair array. A table `in_base`
+    /// says its base image holds is marked so, and not written.
+    fn put_store(
+        &mut self,
+        store: &TripleStore,
+        in_base: impl Fn(usize, &Arc<PropertyTable>) -> bool,
+    ) -> io::Result<()> {
         let slots = store.slot_tables();
         self.put_u64(slots.len() as u64)?;
-        for slot in slots {
+        for (index, slot) in slots.iter().enumerate() {
             match slot {
-                None => self.put(&[0])?,
+                None => self.put(&[SLOT_NONE])?,
+                Some(table) if in_base(index, table) => self.put(&[SLOT_AS_IN_BASE])?,
                 Some(table) => {
-                    self.put(&[1])?;
+                    self.put(&[SLOT_TABLE])?;
                     let pairs = table.pairs();
                     self.put_u64(as_pairs(pairs).len() as u64)?;
                     self.put_words(pairs)?;
@@ -343,11 +403,53 @@ impl<'s> ImageWriter<'s> {
         Ok(())
     }
 
+    /// The magic and the checksummed header.
+    fn put_front(&mut self, magic: &[u8; 8], header: &[u8]) -> io::Result<()> {
+        self.put(magic)?;
+        self.put_u32(header.len() as u32)?;
+        self.put_u32(crc32(header))?;
+        self.put(header)
+    }
+
     /// Flushes the last block; returns the image's length.
     fn finish(mut self) -> io::Result<u64> {
         self.flush()?;
         Ok(self.flushed)
     }
+}
+
+/// The state an image captures, borrowed: what a checkpoint writes.
+#[derive(Debug, Clone, Copy)]
+pub struct ImageParts<'a> {
+    /// The term dictionary.
+    pub dictionary: &'a Dictionary,
+    /// The explicit store.
+    pub base: &'a TripleStore,
+    /// The materialized store.
+    pub materialized: &'a TripleStore,
+    /// Epoch of the materialized store.
+    pub epoch: u64,
+    /// Last WAL sequence number the state covers.
+    pub last_seq: u64,
+    /// The program name the header records.
+    pub fragment: &'a str,
+}
+
+/// The header payload: a full image's, or — given its base's epoch and
+/// header CRC — a delta's.
+fn header(parts: &ImageParts<'_>, base: Option<(u64, u32)>) -> Vec<u8> {
+    let mut header = Vec::new();
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&parts.epoch.to_le_bytes());
+    header.extend_from_slice(&parts.last_seq.to_le_bytes());
+    header.extend_from_slice(&(parts.fragment.len() as u32).to_le_bytes());
+    header.extend_from_slice(parts.fragment.as_bytes());
+    if let Some((epoch, crc)) = base {
+        header.extend_from_slice(&epoch.to_le_bytes());
+        header.extend_from_slice(&crc.to_le_bytes());
+    }
+    header.extend_from_slice(&3u32.to_le_bytes());
+    header
 }
 
 /// Streams a complete snapshot image into `sink` through one
@@ -368,22 +470,59 @@ pub fn write_image(
     last_seq: u64,
     fragment: &str,
 ) -> io::Result<u64> {
-    let mut header = Vec::new();
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&epoch.to_le_bytes());
-    header.extend_from_slice(&last_seq.to_le_bytes());
-    header.extend_from_slice(&(fragment.len() as u32).to_le_bytes());
-    header.extend_from_slice(fragment.as_bytes());
-    header.extend_from_slice(&3u32.to_le_bytes());
-
+    let parts = ImageParts {
+        dictionary,
+        base,
+        materialized,
+        epoch,
+        last_seq,
+        fragment,
+    };
     let mut w = ImageWriter::new(sink);
-    w.put(MAGIC)?;
-    w.put_u32(header.len() as u32)?;
-    w.put_u32(crc32(&header))?;
-    w.put(&header)?;
+    w.put_front(MAGIC, &header(&parts, None))?;
     w.section(TAG_DICT, |w| w.put_dictionary(dictionary))?;
-    w.section(TAG_BASE, |w| w.put_store(base))?;
-    w.section(TAG_MATL, |w| w.put_store(materialized))?;
+    w.section(TAG_BASE, |w| w.put_store(base, |_, _| false))?;
+    w.section(TAG_MATL, |w| w.put_store(materialized, |_, _| false))?;
+    w.finish()
+}
+
+/// [`write_image`] of `parts`, returning the record of the image that
+/// deltas are written on once it is durable.
+pub fn write_base_image(sink: &mut dyn StreamSink, parts: ImageParts<'_>) -> io::Result<BaseImage> {
+    let bytes = write_image(
+        sink,
+        parts.dictionary,
+        parts.base,
+        parts.materialized,
+        parts.epoch,
+        parts.last_seq,
+        parts.fragment,
+    )?;
+    Ok(BaseImage::record(parts, bytes))
+}
+
+/// Streams a delta image of `parts` on the full image `on` describes into
+/// `sink`, through one [`IMAGE_BLOCK`], and returns its length in bytes:
+/// the terms appended since, and the tables that are not the base's.
+pub fn write_delta_image(
+    sink: &mut dyn StreamSink,
+    parts: ImageParts<'_>,
+    on: &BaseImage,
+) -> io::Result<u64> {
+    let mut w = ImageWriter::new(sink);
+    w.put_front(
+        DELTA_MAGIC,
+        &header(&parts, Some((on.epoch, on.header_crc))),
+    )?;
+    w.section(TAG_DICT, |w| w.put_dictionary_since(parts.dictionary, on))?;
+    w.section(TAG_BASE, |w| {
+        w.put_store(parts.base, |index, table| held(&on.base, index, table))
+    })?;
+    w.section(TAG_MATL, |w| {
+        w.put_store(parts.materialized, |index, table| {
+            held(&on.materialized, index, table)
+        })
+    })?;
     w.finish()
 }
 
@@ -410,6 +549,98 @@ pub fn encode_image(
     );
     debug_assert_eq!(written.ok(), Some(out.len() as u64));
     out
+}
+
+/// A durable full image as a delta is written on it: the epoch and header
+/// CRC that name it, its length, its dictionary's two term counts, and each
+/// of its tables by identity alone. A [`Weak`] per slot keeps no table's
+/// pairs alive — a write's superseded tables are still reclaimed
+/// (`inferray_store::reclaim`) — and keeps the allocation's address from
+/// being taken by a later table, so "the same pointer" means "the same
+/// table".
+#[derive(Debug)]
+pub struct BaseImage {
+    epoch: u64,
+    header_crc: u32,
+    bytes: u64,
+    num_properties: usize,
+    num_resources: usize,
+    base: Vec<Option<Weak<PropertyTable>>>,
+    materialized: Vec<Option<Weak<PropertyTable>>>,
+}
+
+/// Whether slot `index` of a base image held `table` itself.
+fn held(slots: &[Option<Weak<PropertyTable>>], index: usize, table: &Arc<PropertyTable>) -> bool {
+    slots
+        .get(index)
+        .and_then(Option::as_ref)
+        .is_some_and(|weak| std::ptr::eq(weak.as_ptr(), Arc::as_ptr(table)))
+}
+
+impl BaseImage {
+    /// The record of the full image of `parts` that came to `bytes`.
+    fn record(parts: ImageParts<'_>, bytes: u64) -> BaseImage {
+        let identities = |store: &TripleStore| {
+            store
+                .slot_tables()
+                .iter()
+                .map(|slot| slot.as_ref().map(Arc::downgrade))
+                .collect()
+        };
+        BaseImage {
+            epoch: parts.epoch,
+            header_crc: crc32(&header(&parts, None)),
+            bytes,
+            num_properties: parts.dictionary.num_properties(),
+            num_resources: parts.dictionary.num_resources(),
+            base: identities(parts.base),
+            materialized: identities(parts.materialized),
+        }
+    }
+
+    /// Epoch of the image — and so its file name.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Length of the image in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// What a delta of `parts` on this image would hold, in bytes, give or
+    /// take its header and a byte or two per term: the terms appended
+    /// since and the tables that are not this image's.
+    fn delta_bytes(&self, parts: &ImageParts<'_>) -> u64 {
+        let terms: u64 = parts
+            .dictionary
+            .texts_since(self.num_properties, self.num_resources)
+            .map(|text| text.len() as u64 + MIN_TERM_RECORD_BYTES as u64)
+            .sum();
+        let tables = |store: &TripleStore, slots: &[Option<Weak<PropertyTable>>]| -> u64 {
+            let mut bytes = 8;
+            for (index, slot) in store.slot_tables().iter().enumerate() {
+                bytes += 1;
+                if let Some(table) = slot.as_ref().filter(|t| !held(slots, index, t)) {
+                    bytes += 8 + 8 * table.pairs().len() as u64;
+                }
+            }
+            bytes
+        };
+        32 + terms + tables(parts.base, &self.base) + tables(parts.materialized, &self.materialized)
+    }
+
+    /// Whether a checkpoint of `parts` writes a delta on this image rather
+    /// than a full image: the state is at another epoch than the image (a
+    /// delta takes its epoch's file name), its dictionary holds at least the
+    /// image's terms, and the delta stays within 1/[`DELTA_FRACTION`] of the
+    /// image's bytes.
+    pub fn takes_delta(&self, parts: &ImageParts<'_>) -> bool {
+        parts.epoch != self.epoch
+            && parts.dictionary.num_properties() >= self.num_properties
+            && parts.dictionary.num_resources() >= self.num_resources
+            && self.delta_bytes(parts) <= self.bytes / DELTA_FRACTION
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -648,15 +879,7 @@ fn decode_dictionary<R: Read>(
 ) -> Result<Dictionary, SnapshotError> {
     let num_properties = r.u64()? as usize;
     let num_resources = r.u64()? as usize;
-    // The dictionary reserves its tables from these counts: hold them to
-    // what the payload can contain first.
-    let room = usize::try_from(r.remaining() / MIN_TERM_RECORD_BYTES as u64).unwrap_or(usize::MAX);
-    if num_properties
-        .checked_add(num_resources)
-        .is_none_or(|terms| terms > room)
-    {
-        return Err(SnapshotError::Truncated);
-    }
+    hold_terms_to_section(&r, num_properties, num_resources)?;
     // Each record is rendered in its canonical N-Triples form straight into
     // the dictionary's arena, borrowed from the block.
     let dictionary = Dictionary::from_dense_texts(num_properties, num_resources, |text| {
@@ -666,21 +889,70 @@ fn decode_dictionary<R: Read>(
     Ok(dictionary)
 }
 
+/// The dictionary reserves its tables from the term counts: hold them to
+/// what the payload can contain first.
+fn hold_terms_to_section<R: Read>(
+    r: &SectionReader<R>,
+    num_properties: usize,
+    num_resources: usize,
+) -> Result<(), SnapshotError> {
+    let room = usize::try_from(r.remaining() / MIN_TERM_RECORD_BYTES as u64).unwrap_or(usize::MAX);
+    if num_properties
+        .checked_add(num_resources)
+        .is_none_or(|terms| terms > room)
+    {
+        return Err(SnapshotError::Truncated);
+    }
+    Ok(())
+}
+
+/// A delta's `DICT` section, appended to its base's dictionary.
+fn decode_dictionary_since<R: Read>(
+    mut r: SectionReader<R>,
+    crc: u32,
+    mut dictionary: Dictionary,
+) -> Result<Dictionary, SnapshotError> {
+    let base_properties = r.u64()?;
+    let base_resources = r.u64()?;
+    if (base_properties, base_resources)
+        != (
+            dictionary.num_properties() as u64,
+            dictionary.num_resources() as u64,
+        )
+    {
+        return Err(SnapshotError::Malformed(
+            "a delta's dictionary does not extend its base's",
+        ));
+    }
+    let num_properties = r.u64()? as usize;
+    let num_resources = r.u64()? as usize;
+    hold_terms_to_section(&r, num_properties, num_resources)?;
+    dictionary.append_dense_texts(num_properties, num_resources, |text| {
+        r.term(|term| term.write_ntriples(text))
+    })?;
+    r.finish(crc, "DICT")?;
+    Ok(dictionary)
+}
+
+/// A store section. `base` is the store of a delta's base image: a slot
+/// marked "as in base" takes its table, which it must have. A full image
+/// has no such marker.
 fn decode_store<R: Read>(
     mut r: SectionReader<R>,
     crc: u32,
     name: &'static str,
+    base: Option<&TripleStore>,
 ) -> Result<TripleStore, SnapshotError> {
     let slot_count = r.u64()?;
     // A slot takes one byte at least.
     if slot_count > r.remaining() {
         return Err(SnapshotError::Truncated);
     }
-    let mut slots: Vec<Option<PropertyTable>> = Vec::new();
-    for _ in 0..slot_count {
+    let mut slots: Vec<Option<Arc<PropertyTable>>> = Vec::new();
+    for index in 0..slot_count as usize {
         match r.u8()? {
-            0 => slots.push(None),
-            1 => {
+            SLOT_NONE => slots.push(None),
+            SLOT_TABLE => {
                 let pair_count = r.u64()?;
                 // The table is allocated at its exact size, so its size is
                 // held to what the section still holds first.
@@ -700,13 +972,22 @@ fn decode_store<R: Read>(
                 }
                 let mut table = PropertyTable::new();
                 table.replace_with_sorted(pairs);
-                slots.push(Some(table));
+                slots.push(Some(Arc::new(table)));
+            }
+            SLOT_AS_IN_BASE if base.is_some() => {
+                let table = base
+                    .and_then(|base| base.slot_tables().get(index))
+                    .and_then(Option::as_ref)
+                    .ok_or(SnapshotError::Malformed(
+                        "a table as in base the base lacks",
+                    ))?;
+                slots.push(Some(Arc::clone(table)));
             }
             _ => return Err(SnapshotError::Malformed("unknown slot marker")),
         }
     }
     r.finish(crc, name)?;
-    Ok(TripleStore::from_slot_tables(slots))
+    Ok(TripleStore::from_shared_slot_tables(slots))
 }
 
 /// A fresh handle on an image, reading from the given offset on.
@@ -753,20 +1034,27 @@ enum Section {
     Store(TripleStore),
 }
 
-/// Validates and decodes a snapshot image from handles `open` gives.
-///
-/// The header and the section table are read first, and the file must end
-/// where the last section does — so every section's declared length is
-/// one the file holds before anything is allocated for it. Then the three
-/// sections decode in parallel, each on its own pool lane from its own
-/// handle through one [`IMAGE_BLOCK`], keeping its CRC as it reads: this is
-/// the cold-start critical path, and the dictionary rebuild does not need
-/// to wait on two multi-megabyte pair-table passes (or vice versa).
-fn read_image(open: &Open<'_>) -> Result<SnapshotImage, SnapshotError> {
+/// An image's header and section table: everything but the payloads.
+struct Frame {
+    header_crc: u32,
+    epoch: u64,
+    last_seq: u64,
+    fragment: String,
+    /// A delta's base image: its epoch and header CRC.
+    base: Option<(u64, u32)>,
+    sections: [SectionEntry; 3],
+}
+
+/// Reads and checks the header and the section table; the file must end
+/// where the last section does — so every section's declared length is one
+/// the file holds before anything is allocated for it.
+fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
     let front: [u8; 16] = read_at(open, 0)?;
-    if &front[..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
+    let delta = match &front[..8] {
+        magic if magic == MAGIC => false,
+        magic if magic == DELTA_MAGIC => true,
+        _ => return Err(SnapshotError::BadMagic),
+    };
     let header_len = u32::from_le_bytes([front[8], front[9], front[10], front[11]]) as usize;
     let header_crc = u32::from_le_bytes([front[12], front[13], front[14], front[15]]);
     // A header is a few numbers and a program name.
@@ -786,6 +1074,10 @@ fn read_image(open: &Open<'_>) -> Result<SnapshotImage, SnapshotError> {
     let epoch = h.u64()?;
     let last_seq = h.u64()?;
     let fragment = h.str()?.to_owned();
+    let base = match delta {
+        true => Some((h.u64()?, h.u32()?)),
+        false => None,
+    };
     let section_count = h.u32()?;
     if section_count != 3 || !h.done() {
         return Err(SnapshotError::Malformed("bad header"));
@@ -798,8 +1090,8 @@ fn read_image(open: &Open<'_>) -> Result<SnapshotImage, SnapshotError> {
             .ok_or(SnapshotError::Truncated)
     };
     let dict = section_entry(open, 16 + header_len as u64, TAG_DICT)?;
-    let base = section_entry(open, after(&dict)?, TAG_BASE)?;
-    let matl = section_entry(open, after(&base)?, TAG_MATL)?;
+    let base_section = section_entry(open, after(&dict)?, TAG_BASE)?;
+    let matl = section_entry(open, after(&base_section)?, TAG_MATL)?;
     // The file ends exactly where the last section does.
     let end = after(&matl)?;
     let mut tail = Vec::with_capacity(2);
@@ -809,16 +1101,58 @@ fn read_image(open: &Open<'_>) -> Result<SnapshotImage, SnapshotError> {
         1 => {}
         _ => return Err(SnapshotError::Malformed("trailing bytes after sections")),
     }
+    Ok(Frame {
+        header_crc,
+        epoch,
+        last_seq,
+        fragment,
+        base,
+        sections: [dict, base_section, matl],
+    })
+}
 
+/// Validates and decodes an image from handles `open` gives: a full image,
+/// or — given the image it names — a delta on top of its base.
+///
+/// The three sections decode in parallel, each on its own pool lane from
+/// its own handle through one [`IMAGE_BLOCK`], keeping its CRC as it
+/// reads: this is the cold-start critical path, and the dictionary rebuild
+/// does not need to wait on two multi-megabyte pair-table passes (or vice
+/// versa).
+fn read_image(open: &Open<'_>, on: Option<SnapshotImage>) -> Result<SnapshotImage, SnapshotError> {
+    let frame = read_frame(open)?;
+    let on = match (frame.base, on) {
+        (None, None) => None,
+        (Some((epoch, _)), Some(on)) if on.epoch == epoch && on.fragment == frame.fragment => {
+            Some(on)
+        }
+        (None, Some(_)) => return Err(SnapshotError::Malformed("not a delta image")),
+        (Some(_), None) => return Err(SnapshotError::Malformed("a delta image needs its base")),
+        (Some(_), Some(_)) => {
+            return Err(SnapshotError::Malformed("a delta image on another base"))
+        }
+    };
+    let (dictionary_on, base_on, matl_on) = match on {
+        Some(on) => (Some(on.dictionary), Some(on.base), Some(on.materialized)),
+        None => (None, None, None),
+    };
+    let (base_on, matl_on) = (base_on.as_ref(), matl_on.as_ref());
+    let [dict, base, matl] = &frame.sections;
     let reader = |entry: &SectionEntry| -> Result<_, SnapshotError> {
         Ok(SectionReader::new(open(entry.payload)?, entry.len))
     };
     type DecodeTask<'a> = Box<dyn FnOnce() -> Result<Section, SnapshotError> + Send + 'a>;
     let mut sections = inferray_parallel::global().run_ordered(vec![
-        Box::new(|| decode_dictionary(reader(&dict)?, dict.crc).map(Section::Dict))
-            as DecodeTask<'_>,
-        Box::new(|| decode_store(reader(&base)?, base.crc, "BASE").map(Section::Store)),
-        Box::new(|| decode_store(reader(&matl)?, matl.crc, "MATL").map(Section::Store)),
+        Box::new(|| {
+            let r = reader(dict)?;
+            match dictionary_on {
+                Some(on) => decode_dictionary_since(r, dict.crc, on),
+                None => decode_dictionary(r, dict.crc),
+            }
+            .map(Section::Dict)
+        }) as DecodeTask<'_>,
+        Box::new(|| decode_store(reader(base)?, base.crc, "BASE", base_on).map(Section::Store)),
+        Box::new(|| decode_store(reader(matl)?, matl.crc, "MATL", matl_on).map(Section::Store)),
     ]);
     // run_ordered returns exactly as many results as tasks, in order; a
     // mismatch (or a task yielding the wrong section kind) is reported as
@@ -839,35 +1173,89 @@ fn read_image(open: &Open<'_>) -> Result<SnapshotImage, SnapshotError> {
         return Err(SnapshotError::Malformed("DICT section is not a dictionary"));
     };
     Ok(SnapshotImage {
-        epoch,
-        last_seq,
-        fragment,
+        epoch: frame.epoch,
+        last_seq: frame.last_seq,
+        fragment: frame.fragment,
         dictionary,
         base,
         materialized,
     })
 }
 
+/// Handles on a slice.
+fn slice_handles<'a>(
+    bytes: &'a [u8],
+) -> impl Fn(u64) -> io::Result<Box<dyn Read + Send + 'a>> + Sync + 'a {
+    move |offset| {
+        let from = usize::try_from(offset).map_or(bytes.len(), |at| at.min(bytes.len()));
+        Ok(Box::new(&bytes[from..]) as Box<dyn Read + Send>)
+    }
+}
+
 /// Validates and decodes the snapshot image in `bytes`: the image reader
 /// over a slice.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, SnapshotError> {
-    read_image(&|offset| {
-        let from = usize::try_from(offset).map_or(bytes.len(), |at| at.min(bytes.len()));
-        Ok(Box::new(&bytes[from..]) as Box<dyn Read + Send>)
-    })
+    read_image(&slice_handles(bytes), None)
+}
+
+/// Validates and decodes the delta image in `bytes` on top of `base`, the
+/// full image it names.
+pub fn decode_delta_image(
+    bytes: &[u8],
+    base: SnapshotImage,
+) -> Result<SnapshotImage, SnapshotError> {
+    read_image(&slice_handles(bytes), Some(base))
 }
 
 /// Validates and decodes the snapshot image at `path`, reading each
 /// section from a handle of its own (see [`IoBackend::open_at`]): the
 /// image is never in memory whole.
 pub fn open_image(backend: &dyn IoBackend, path: &Path) -> Result<SnapshotImage, SnapshotError> {
-    read_image(&|offset| backend.open_at(path, offset))
+    read_image(&|offset| backend.open_at(path, offset), None)
+}
+
+/// The file of the full image a delta image names: its base's epoch's
+/// [`snapshot_file_name`], beside it.
+fn base_path(delta: &Path, base_epoch: u64) -> PathBuf {
+    delta.with_file_name(snapshot_file_name(base_epoch))
+}
+
+/// The full image the image at `path` needs besides itself, from its
+/// header alone: `None` for a full image, the path of its base for a
+/// delta.
+pub fn image_base(backend: &dyn IoBackend, path: &Path) -> Result<Option<PathBuf>, SnapshotError> {
+    let frame = read_frame(&|offset| backend.open_at(path, offset))?;
+    Ok(frame.base.map(|(epoch, _)| base_path(path, epoch)))
+}
+
+/// Validates and decodes the image at `path` into the state it records: a
+/// full image on its own ([`open_image`]), a delta on top of the full
+/// image it names — which must be present, a full image, valid, and carry
+/// the header CRC the delta names. Returns the base's path for a delta.
+pub fn open_recoverable(
+    backend: &dyn IoBackend,
+    path: &Path,
+) -> Result<(SnapshotImage, Option<PathBuf>), SnapshotError> {
+    let open = |offset| backend.open_at(path, offset);
+    let Some((base_epoch, base_crc)) = read_frame(&open)?.base else {
+        return Ok((read_image(&open, None)?, None));
+    };
+    let base = base_path(path, base_epoch);
+    let open_base = |offset| backend.open_at(&base, offset);
+    let named = read_frame(&open_base)?;
+    if named.base.is_some() || named.header_crc != base_crc {
+        return Err(SnapshotError::Malformed(
+            "the base of a delta image is not the image it names",
+        ));
+    }
+    let on = read_image(&open_base, None)?;
+    Ok((read_image(&open, Some(on))?, Some(base)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inferray_model::{Term, Triple};
+    use inferray_model::{IdTriple, Term, Triple};
 
     fn sample() -> (Dictionary, TripleStore, TripleStore) {
         let mut dictionary = Dictionary::new();
@@ -1050,19 +1438,139 @@ mod tests {
         assert_eq!(sink.largest_append, IMAGE_BLOCK);
 
         let (largest_read, total) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let image = read_image(&|offset| {
-            Ok(Box::new(Counted {
-                bytes: &sink.bytes[offset as usize..],
-                largest_read: &largest_read,
-                total: &total,
-            }) as Box<dyn Read + Send>)
-        })
+        let image = read_image(
+            &|offset| {
+                Ok(Box::new(Counted {
+                    bytes: &sink.bytes[offset as usize..],
+                    largest_read: &largest_read,
+                    total: &total,
+                }) as Box<dyn Read + Send>)
+            },
+            None,
+        )
         .unwrap();
         assert_eq!(image.materialized, store);
         // Every read fits in a block, and the file is read once, plus the
         // one byte that shows where it ends.
         assert!(largest_read.load(Relaxed) <= IMAGE_BLOCK);
         assert_eq!(total.load(Relaxed), sink.bytes.len() + 1);
+    }
+
+    /// `sample()` recorded as a full image at epoch 3, and a later state:
+    /// one table rewritten, one added, one new term.
+    fn delta_sample() -> (SnapshotImage, BaseImage, Vec<u8>, SnapshotImage) {
+        let (dictionary, base, materialized) = sample();
+        let parts = ImageParts {
+            dictionary: &dictionary,
+            base: &base,
+            materialized: &materialized,
+            epoch: 3,
+            last_seq: 9,
+            fragment: "rho-df",
+        };
+        let mut full = Vec::new();
+        let record = write_base_image(&mut full, parts).unwrap();
+        let mut grown = dictionary.clone();
+        let later = grown
+            .encode_triple(&Triple::iris("http://ex/c", "http://ex/q", "http://ex/d"))
+            .unwrap();
+        let p = dictionary.id_of_iri("http://ex/p").unwrap();
+        let mut materialized = materialized.clone();
+        materialized.insert([later, IdTriple::new(later.s, p, later.o)]);
+        let parts = ImageParts {
+            dictionary: &grown,
+            materialized: &materialized,
+            epoch: 5,
+            last_seq: 12,
+            ..parts
+        };
+        let mut delta = Vec::new();
+        write_delta_image(&mut delta, parts, &record).unwrap();
+        let expected = SnapshotImage {
+            epoch: 5,
+            last_seq: 12,
+            fragment: "rho-df".into(),
+            dictionary: grown,
+            base,
+            materialized,
+        };
+        (decode_image(&full).unwrap(), record, delta, expected)
+    }
+
+    #[test]
+    fn a_delta_decodes_on_its_base_to_the_state_it_was_written_from() {
+        let (base, record, delta, expected) = delta_sample();
+        let estimate = record.delta_bytes(&ImageParts {
+            dictionary: &expected.dictionary,
+            base: &expected.base,
+            materialized: &expected.materialized,
+            epoch: 5,
+            last_seq: 12,
+            fragment: "rho-df",
+        });
+        assert!(estimate.abs_diff(delta.len() as u64) < 128, "{estimate}");
+        let image = decode_delta_image(&delta, base.clone()).unwrap();
+        assert_eq!(image, expected);
+        // Nothing of the base store changed: every table of it is the
+        // base's table itself.
+        let now = image.base.slot_tables().iter().flatten();
+        let then = base.base.slot_tables().iter().flatten();
+        assert!(now.zip(then).all(|(a, b)| Arc::ptr_eq(a, b)));
+        // Neither reader takes the other's format, nor a delta on another
+        // epoch.
+        assert_eq!(
+            decode_image(&delta),
+            Err(SnapshotError::Malformed("a delta image needs its base"))
+        );
+        let full = encode_image(
+            &base.dictionary,
+            &base.base,
+            &base.materialized,
+            3,
+            9,
+            "rho-df",
+        );
+        assert_eq!(
+            decode_delta_image(&full, base.clone()),
+            Err(SnapshotError::Malformed("not a delta image"))
+        );
+        let elsewhere = SnapshotImage { epoch: 4, ..base };
+        assert!(decode_delta_image(&delta, elsewhere).is_err());
+    }
+
+    #[test]
+    fn every_single_byte_corruption_and_every_cut_of_a_delta_is_caught_or_harmless() {
+        let (base, _, delta, expected) = delta_sample();
+        for offset in 0..delta.len() {
+            let mut corrupt = delta.clone();
+            corrupt[offset] ^= 0x01;
+            if let Ok(image) = decode_delta_image(&corrupt, base.clone()) {
+                assert_eq!(image, expected, "undetected corruption at byte {offset}");
+            }
+            assert!(
+                decode_delta_image(&delta[..offset], base.clone()).is_err(),
+                "cut at {offset}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_full_image_has_no_slot_as_in_base() {
+        let (dictionary, base, materialized) = sample();
+        let mut bytes = encode_image(&dictionary, &base, &materialized, 3, 9, "rho-df");
+        let (matl, len) = payloads(&bytes)[2];
+        let slot = matl
+            + 8
+            + (0..len)
+                .find(|&i| bytes[matl + 8 + i] == SLOT_TABLE)
+                .unwrap();
+        bytes[slot] = SLOT_AS_IN_BASE;
+        let crc = crc32(&bytes[matl..matl + len]);
+        bytes[matl - 4..matl].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            decode_image(&bytes),
+            Err(SnapshotError::Malformed("unknown slot marker"))
+        );
     }
 
     #[test]

@@ -310,9 +310,14 @@ impl TripleStore {
     /// ⟨s,o⟩-sorted, duplicate-free); the persistence layer only feeds back
     /// slots it previously observed through [`TripleStore::slot_tables`].
     pub fn from_slot_tables(tables: Vec<Option<PropertyTable>>) -> Self {
-        TripleStore {
-            tables: tables.into_iter().map(|t| t.map(Arc::new)).collect(),
-        }
+        TripleStore::from_shared_slot_tables(tables.into_iter().map(|t| t.map(Arc::new)).collect())
+    }
+
+    /// [`TripleStore::from_slot_tables`] over shared tables: a store read
+    /// from a delta image holds the tables of the store it was read on top
+    /// of wherever the delta says "as in base".
+    pub fn from_shared_slot_tables(tables: Vec<Option<Arc<PropertyTable>>>) -> Self {
+        TripleStore { tables }
     }
 
     /// Rewrites subject/object identifiers through `remap` across every

@@ -523,10 +523,14 @@ fn open_or_create_durable(
                 );
             }
             eprintln!(
-                "inferray: recovered epoch {} ({} triples) from {} (+{} WAL records replayed, {} skipped{})",
+                "inferray: recovered epoch {} ({} triples) from {}{} (+{} WAL records replayed, {} skipped{})",
                 report.epoch,
                 report.triples,
                 report.snapshot_path.display(),
+                match &report.base_path {
+                    Some(base) => format!(" on {}", base.display()),
+                    None => String::new(),
+                },
                 report.replayed_records,
                 report.skipped_records,
                 if report.torn_tail_bytes > 0 {
@@ -945,11 +949,21 @@ fn recover(options: &CliOptions, data_dir: &str) -> Result<(), String> {
         checkpoint_policy(options),
     )
     .map_err(|e| e.to_string())?;
-    println!(
-        "snapshot: {} (epoch {})",
-        report.snapshot_path.display(),
-        report.snapshot_epoch
-    );
+    match &report.base_path {
+        Some(base) => {
+            println!("base: {} (full image)", base.display());
+            println!(
+                "snapshot: {} (epoch {}, delta image on the base)",
+                report.snapshot_path.display(),
+                report.snapshot_epoch
+            );
+        }
+        None => println!(
+            "snapshot: {} (epoch {})",
+            report.snapshot_path.display(),
+            report.snapshot_epoch
+        ),
+    }
     if report.invalid_snapshots > 0 {
         println!(
             "invalid newer snapshots skipped: {}",
