@@ -31,34 +31,21 @@
 //! An image of a LUBM-500k store is 31 MB: ~50 ms to stream into its file,
 //! several times the cost of the write that happens to cross the
 //! threshold. So that write only *begins* the checkpoint, under
-//! the state lock it already holds: it **seals** the log — the live
-//! segment's records move into `wal.sealed`, `wal.log` starts empty — takes
-//! the `Arc`s of the state it just published, and hands both to a thread.
+//! the state lock it already holds: it **seals** the log — creates the
+//! next, empty [segment](crate::wal) for the writes after it — takes the
+//! `Arc`s of the state it just published, and hands them to a thread.
 //! The thread streams the image into its file through one block and, once
-//! it is durable, removes
-//! the sealed segment and prunes old images; the next write (or
-//! [`DurableDataset::wait_for_checkpoint`], or `Drop`) joins it and moves
-//! the status forward. At most one image is in flight; a threshold crossed
-//! again before it is durable waits for it. [`DurableDataset::checkpoint`]
-//! runs the same two halves back to back.
+//! it is durable, prunes old images and the segments every image it keeps
+//! covers; the next write (or [`DurableDataset::wait_for_checkpoint`], or
+//! `Drop`) joins it and moves the status forward. At most one image is in
+//! flight; a threshold crossed again before it is durable waits for it.
+//! [`DurableDataset::checkpoint`] runs the same two halves back to back.
 //!
-//! Every intermediate state recovers, because replay is
-//! `image + sealed + live`, skipping by sequence number:
-//!
-//! | crash after | on disk | replayed |
-//! |---|---|---|
-//! | sealed segment written | old image, sealed = live | each record once |
-//! | live segment emptied | old image, sealed, writes since in live | sealed, then live |
-//! | image durable | new image, sealed, live | live (sealed is skipped) |
-//! | sealed segment removed | new image, live | live |
-//!
-//! A delta image is one more file beside its base, so the table holds for
-//! it too: until the delta is durable the newest recoverable image is the
-//! one before it, and once it is, recovery reads its base, then the delta,
-//! then the log.
-//!
-//! An image that fails to be written leaves the sealed segment where it
-//! is; the next checkpoint seals behind it and covers both.
+//! Every intermediate state recovers, because replay reads every segment
+//! on top of the newest image that recovers, skipping what it covers: a
+//! segment goes only once each kept image covers it, so the image before
+//! a rotten newest one still finds its records. An image that fails to be
+//! written removes nothing; the next checkpoint covers its records too.
 //!
 //! ## Degradation, not panic
 //!
@@ -77,9 +64,9 @@
 //! filesystem permits, and the store is still consistent because the
 //! record is internally complete or it fails its CRC).
 
-use crate::io::{IoBackend, TEMP_SUFFIX};
+use crate::io::{list_numbered, IoBackend, TEMP_SUFFIX};
 use crate::snapshot::{self, BaseImage, ImageParts, SnapshotImage};
-use crate::wal::{self, WAL_FILE, WAL_SEALED_FILE};
+use crate::wal;
 use inferray_core::{
     InferenceStats, InferrayOptions, Program, ServingDataset, WriteError, WriteKind, WriteOutcome,
 };
@@ -161,8 +148,8 @@ pub enum DurableError {
         message: String,
     },
     /// Recovery found state it cannot trust (an acknowledged WAL record
-    /// that no longer parses, or no decodable snapshot among existing
-    /// files).
+    /// that is missing or no longer parses, or no decodable snapshot among
+    /// existing files).
     Corrupt {
         /// Diagnostic.
         message: String,
@@ -203,6 +190,21 @@ impl fmt::Display for DurableError {
 
 impl std::error::Error for DurableError {}
 
+impl DurableError {
+    /// [`DurableError::Corrupt`] saying `message`.
+    pub(crate) fn corrupt(message: String) -> DurableError {
+        DurableError::Corrupt { message }
+    }
+
+    /// Maps an I/O error to [`DurableError::Io`] under `context`.
+    pub(crate) fn io(context: String) -> impl FnOnce(std::io::Error) -> DurableError {
+        move |e| DurableError::Io {
+            context,
+            message: e.to_string(),
+        }
+    }
+}
+
 impl From<WriteError> for DurableError {
     fn from(error: WriteError) -> DurableError {
         match error {
@@ -228,10 +230,10 @@ pub struct DurabilityStatus {
     pub last_checkpoint_seq: u64,
     /// Last WAL sequence number acknowledged.
     pub last_seq: u64,
-    /// Records in the live log segment: appended since the last checkpoint
-    /// *began* (it seals the log before it writes its image).
+    /// Records in the newest log segment: appended since the last
+    /// checkpoint *began* (it seals the log before it writes its image).
     pub wal_records: u64,
-    /// Bytes in the live log segment.
+    /// Bytes in the newest log segment.
     pub wal_bytes: u64,
     /// Length of the last image a checkpoint wrote (0 before the first).
     pub last_image_bytes: u64,
@@ -327,39 +329,23 @@ pub struct RecoveryReport {
 
 #[derive(Debug, Default)]
 struct DurableState {
-    last_seq: u64,
-    /// Records and bytes of the live log segment ([`WAL_FILE`]).
-    wal_records: u64,
-    wal_bytes: u64,
-    /// The newest *durable* image.
-    snapshot_epoch: u64,
-    snapshot_seq: u64,
-    snapshot_path: Option<PathBuf>,
-    /// What the last image written cost.
-    last_image: ImageCost,
-    /// The newest durable image's kind, and the epoch of the full image it
-    /// needs.
-    image_kind: ImageKind,
-    image_base_epoch: u64,
+    /// What `/status` shows, but for `read_only` (the dataset's flag) and
+    /// the log counts, which are `live`'s.
+    status: DurabilityStatus,
+    /// The log segment writes append to.
+    live: wal::Live,
     /// The last full image this process made durable: what a checkpoint
     /// writes a delta on.
     full_image: Option<Arc<BaseImage>>,
-    last_error: Option<String>,
     /// The checkpoint whose image is still being written.
     in_flight: Option<ImageInFlight>,
 }
 
-/// The length of a written image and the wall time it took.
-#[derive(Debug, Default, Clone, Copy)]
-struct ImageCost {
-    bytes: u64,
-    time: Duration,
-}
-
-/// What a checkpoint thread wrote.
+/// What a checkpoint thread wrote, and the wall time it took.
 #[derive(Debug)]
 struct WrittenImage {
-    cost: ImageCost,
+    bytes: u64,
+    time: Duration,
     /// The full image it built on, for a delta; the record of itself, for a
     /// full image.
     base: Arc<BaseImage>,
@@ -367,7 +353,8 @@ struct WrittenImage {
 }
 
 /// A begun checkpoint: the log is sealed, the state is captured, and a
-/// helper thread is writing the image that will cover the sealed segment.
+/// helper thread is writing the image that will cover the records before
+/// the seal.
 #[derive(Debug)]
 struct ImageInFlight {
     path: PathBuf,
@@ -420,10 +407,12 @@ impl DurableDataset {
         policy: CheckpointPolicy,
     ) -> Result<(Self, InferenceStats), DurableError> {
         let dir = dir.into();
-        backend.create_dir_all(&dir).map_err(|e| DurableError::Io {
-            context: format!("creating data directory {}", dir.display()),
-            message: e.to_string(),
-        })?;
+        backend
+            .create_dir_all(&dir)
+            .map_err(DurableError::io(format!(
+                "creating data directory {}",
+                dir.display()
+            )))?;
         let (dataset, stats) = ServingDataset::materialize_program(loaded, program, options)
             .map_err(DurableError::Program)?;
         let durable =
@@ -446,7 +435,7 @@ impl DurableDataset {
             dir,
             policy,
             // Recovery sets `last_error` only when it could not heal the log.
-            read_only: AtomicBool::new(state.last_error.is_some()),
+            read_only: AtomicBool::new(state.status.last_error.is_some()),
             state: Mutex::new(state),
             status_mirror: Mutex::new(DurabilityStatus::default()),
         };
@@ -493,67 +482,14 @@ impl DurableDataset {
         // record passed the shape gate of the process that logged it, so
         // replay runs ungated; the embedder re-installs its shapes on the
         // recovered dataset, which validates the recovered snapshot.
-        //
-        // The sealed segment comes first: it holds what a checkpoint had
-        // set aside when its image did not become durable. It is only ever
-        // replaced atomically, so anything in it that does not scan is
-        // damage to acknowledged writes, not a torn append.
-        let read_log = |path: &Path| match backend.read(path) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(DurableError::Io {
-                context: format!("reading {}", path.display()),
-                message: e.to_string(),
-            }),
-        };
-        let sealed_path = dir.join(WAL_SEALED_FILE);
-        let sealed_bytes = read_log(&sealed_path)?;
-        let sealed = wal::scan(&sealed_bytes);
-        if sealed.torn_tail {
-            return Err(DurableError::Corrupt {
-                message: format!(
-                    "{} is damaged after {} bytes",
-                    sealed_path.display(),
-                    sealed.valid_bytes
-                ),
-            });
-        }
-        let wal_path = dir.join(WAL_FILE);
-        let wal_bytes = read_log(&wal_path)?;
-        let scan = wal::scan(&wal_bytes);
-        let mut replayed = 0usize;
-        let mut skipped = 0usize;
-        let mut last_seq = snapshot_seq;
-        for record in sealed.records.iter().chain(&scan.records) {
-            // Covered by the image, or met in the sealed segment already (a
-            // crash between sealing and emptying the live segment).
-            if record.seq <= last_seq {
-                skipped += 1;
-                continue;
-            }
+        let log = wal::recover(backend.as_ref(), &dir, snapshot_seq)?;
+        for record in &log.records {
             inner
                 .write_ntriples(record.kind, &record.body, || Ok(()))
-                .map_err(|e| DurableError::Corrupt {
-                    message: format!(
-                        "WAL record {} passed its checksum but does not replay: {e}",
-                        record.seq
-                    ),
+                .map_err(|e| {
+                    let seq = record.seq;
+                    DurableError::corrupt(format!("WAL record {seq} does not replay: {e}"))
                 })?;
-            replayed += 1;
-            last_seq = record.seq;
-        }
-
-        // A torn tail must be cut before new appends, or the garbage bytes
-        // would permanently corrupt every future scan. Failing to cut it is
-        // not fatal — but the dataset must then refuse writes.
-        let mut read_only_reason = None;
-        if scan.torn_tail {
-            if let Err(e) = backend.write_atomic(&wal_path, &wal_bytes[..scan.valid_bytes]) {
-                read_only_reason = Some(format!(
-                    "could not truncate torn WAL tail of {}: {e}",
-                    wal_path.display()
-                ));
-            }
         }
 
         let snapshot = inner.store_snapshot();
@@ -566,55 +502,53 @@ impl DurableDataset {
             snapshot_epoch: epoch,
             base_path: base_path.clone(),
             invalid_snapshots,
-            replayed_records: replayed,
-            skipped_records: skipped,
-            torn_tail_bytes: wal_bytes.len() - scan.valid_bytes,
+            replayed_records: log.records.len(),
+            skipped_records: log.skipped,
+            torn_tail_bytes: log.torn_bytes,
             epoch: snapshot.epoch(),
             triples: snapshot.store().len(),
         };
-        let state = DurableState {
-            last_seq,
-            wal_records: scan.records.len() as u64,
-            wal_bytes: scan.valid_bytes as u64,
-            snapshot_epoch: epoch,
-            snapshot_seq,
+        let status = DurabilityStatus {
             snapshot_path: Some(snapshot_path),
-            last_image: ImageCost::default(),
-            image_kind: match base_path {
+            snapshot_epoch: epoch,
+            last_checkpoint_seq: snapshot_seq,
+            last_seq: log.records.last().map_or(snapshot_seq, |record| record.seq),
+            last_image_kind: match base_path {
                 Some(_) => ImageKind::Delta,
                 None => ImageKind::Full,
             },
             image_base_epoch,
-            // Nothing of this process's state is in an image yet: its
-            // first checkpoint is a full one.
-            full_image: None,
-            last_error: read_only_reason,
-            in_flight: None,
+            // Set only when the log cannot take appends: the dataset is
+            // read-only.
+            last_error: log.unwritable,
+            ..DurabilityStatus::default()
+        };
+        // Nothing of this process's state is in an image yet: its first
+        // checkpoint is a full one.
+        let state = DurableState {
+            status,
+            live: log.live,
+            ..DurableState::default()
         };
         let durable = DurableDataset::assemble(inner, backend, dir, policy, state);
         Ok((durable, report))
     }
 
-    /// Removes the temp files of this module's own naming — an image's or a
-    /// log segment's name plus [`TEMP_SUFFIX`] — that an atomic write killed
+    /// Removes the temp files of this crate's own naming — an image's or a
+    /// log file's name plus [`TEMP_SUFFIX`] — that an atomic write killed
     /// before its rename left behind: nothing else ever removes them.
     fn remove_temp_files(backend: &dyn IoBackend, dir: &Path) -> Result<(), DurableError> {
-        let files = backend.list(dir).map_err(|e| DurableError::Io {
-            context: format!("listing {}", dir.display()),
-            message: e.to_string(),
-        })?;
+        let files = backend
+            .list(dir)
+            .map_err(DurableError::io(format!("listing {}", dir.display())))?;
         for path in files {
-            let Some(name) = path.file_name().and_then(|name| name.to_str()) else {
-                continue;
-            };
-            let ours = name.strip_suffix(TEMP_SUFFIX).is_some_and(|target| {
-                target == WAL_FILE
-                    || target == WAL_SEALED_FILE
-                    || snapshot::parse_snapshot_file_name(target).is_some()
-            });
+            let name = path.file_name().and_then(|name| name.to_str());
+            let target = name
+                .and_then(|name| name.strip_suffix(TEMP_SUFFIX))
+                .unwrap_or("");
             // Best-effort, like pruning: a file left behind costs space,
             // not recovery (a read-only copy of a directory still opens).
-            if ours {
+            if wal::is_log_file(target) || snapshot::parse_snapshot_file_name(target).is_some() {
                 let _ = backend.remove(&path);
             }
         }
@@ -628,22 +562,11 @@ impl DurableDataset {
         backend: &dyn IoBackend,
         dir: &Path,
     ) -> Result<(SnapshotImage, PathBuf, Option<PathBuf>, usize), DurableError> {
-        let files = backend.list(dir).map_err(|e| DurableError::Io {
-            context: format!("listing {}", dir.display()),
-            message: e.to_string(),
-        })?;
-        let mut candidates: Vec<(u64, PathBuf)> = files
-            .into_iter()
-            .filter_map(|path| {
-                let name = path.file_name()?.to_str()?;
-                Some((snapshot::parse_snapshot_file_name(name)?, path.clone()))
-            })
-            .collect();
+        let candidates = list_numbered(backend, dir, snapshot::parse_snapshot_file_name)
+            .map_err(DurableError::io(format!("listing {}", dir.display())))?;
         if candidates.is_empty() {
             return Err(DurableError::NoSnapshot);
         }
-        candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
-        let total = candidates.len();
         let mut invalid = 0usize;
         for (_, path) in candidates {
             match snapshot::open_recoverable(backend, &path) {
@@ -651,9 +574,9 @@ impl DurableDataset {
                 Err(_) => invalid += 1,
             }
         }
-        Err(DurableError::Corrupt {
-            message: format!("all {total} snapshot images failed validation"),
-        })
+        Err(DurableError::corrupt(format!(
+            "all {invalid} snapshot images failed validation"
+        )))
     }
 
     /// The underlying dataset, for query engines and status endpoints.
@@ -704,17 +627,9 @@ impl DurableDataset {
     fn refresh_status_mirror(&self, state: &DurableState) {
         let status = DurabilityStatus {
             read_only: self.read_only.load(Ordering::Acquire),
-            snapshot_path: state.snapshot_path.clone(),
-            snapshot_epoch: state.snapshot_epoch,
-            last_checkpoint_seq: state.snapshot_seq,
-            last_seq: state.last_seq,
-            wal_records: state.wal_records,
-            wal_bytes: state.wal_bytes,
-            last_image_bytes: state.last_image.bytes,
-            last_checkpoint_us: state.last_image.time.as_micros() as u64,
-            last_image_kind: state.image_kind,
-            image_base_epoch: state.image_base_epoch,
-            last_error: state.last_error.clone(),
+            wal_records: state.live.records,
+            wal_bytes: state.live.bytes,
+            ..state.status.clone()
         };
         *unpoison(self.status_mirror.lock()) = status;
     }
@@ -727,7 +642,7 @@ impl DurableDataset {
     pub fn write_ntriples(&self, kind: WriteKind, body: &str) -> Result<WriteOutcome, WriteError> {
         let mut state = self.lock_state();
         if self.is_read_only() {
-            let reason = state.last_error.clone();
+            let reason = state.status.last_error.clone();
             return Err(WriteError::Log(
                 reason.unwrap_or_else(|| "degraded to read-only".to_string()),
             ));
@@ -751,7 +666,7 @@ impl DurableDataset {
         Ok(self.write_ntriples(WriteKind::Retract, body)?)
     }
 
-    /// Writes a snapshot image of the current state and empties the WAL;
+    /// Seals the log and writes a snapshot image of the current state;
     /// returns once the image is durable.
     pub fn checkpoint(&self) -> Result<PathBuf, DurableError> {
         let mut state = self.lock_state();
@@ -775,98 +690,61 @@ impl DurableDataset {
         unpoison(self.state.lock())
     }
 
-    fn wal_path(&self) -> PathBuf {
-        self.dir.join(WAL_FILE)
-    }
-
     /// The pipeline's log stage: appends one record and fsyncs it. On
     /// failure nothing will be published and the dataset flips read-only.
     fn append(&self, state: &mut DurableState, kind: WriteKind, body: &str) -> Result<(), String> {
-        let seq = state.last_seq + 1;
+        let seq = state.status.last_seq + 1;
         let record = wal::encode_record(seq, kind, body);
-        if let Err(e) = self.backend.append_durable(&self.wal_path(), &record) {
+        if let Err(e) = self.backend.append_durable(&state.live.path, &record) {
             let reason = format!("WAL append failed: {e}");
-            state.last_error = Some(reason.clone());
+            state.status.last_error = Some(reason.clone());
             self.read_only.store(true, Ordering::Release);
             self.refresh_status_mirror(state);
             return Err(reason);
         }
-        state.last_seq = seq;
-        state.wal_records += 1;
-        state.wal_bytes += record.len() as u64;
+        state.status.last_seq = seq;
+        state.live.records += 1;
+        state.live.bytes += record.len() as u64;
         Ok(())
     }
 
     /// The threshold checkpoint: begun by the write that crossed the
     /// threshold, finished behind its acknowledgement.
     fn maybe_checkpoint(&self, state: &mut DurableState) {
-        if !self.policy.triggered(state.wal_records, state.wal_bytes) {
+        if !self.policy.triggered(state.live.records, state.live.bytes) {
             return;
         }
         // A failed checkpoint is not fatal: the WAL alone still carries
         // every acknowledged write. Record the error and keep serving.
         match self.begin_checkpoint(state) {
             Ok(image) => state.in_flight = Some(image),
-            Err(e) => state.last_error = Some(format!("checkpoint failed: {e}")),
+            Err(e) => state.status.last_error = Some(format!("checkpoint failed: {e}")),
         }
     }
 
     /// First half of a checkpoint, under the state lock: seal the log,
     /// capture the state it leads to, and start a thread that writes the
-    /// image. Cheap — two small atomic writes and a copy of the base — so
-    /// the write that crossed the threshold pays for no image.
+    /// image. Cheap — one atomic write of no bytes and a copy of the base —
+    /// so the write that crossed the threshold pays for no image.
     ///
-    /// Sealing moves the live segment's records behind the sealed segment's
-    /// ([`WAL_SEALED_FILE`], normally absent) and empties the live segment:
-    /// `wal_records` counts from zero again at once, and a crash before the
-    /// image is durable replays `sealed ++ live` on top of the previous
-    /// image. If the two writes are torn apart by a crash or a fault, both
-    /// files hold the same records; replay skips by sequence number.
+    /// Sealing creates the segment the writes after this one go to
+    /// ([`wal::seal`]): `wal_records` counts from zero again at once. It
+    /// reads and rewrites no record; if it fails nothing has changed, no
+    /// image is begun, and the threshold stays crossed.
     fn begin_checkpoint(&self, state: &mut DurableState) -> Result<ImageInFlight, DurableError> {
         // One image at a time: a threshold reached again before the last
         // image is durable waits for it.
         self.settle_checkpoint(state, true);
-        let io_error = |context: String| {
-            move |e: std::io::Error| DurableError::Io {
-                context,
-                message: e.to_string(),
-            }
-        };
-        let (wal_path, sealed_path) = (self.wal_path(), self.dir.join(WAL_SEALED_FILE));
-        let read = |path: &Path| match self.backend.exists(path) {
-            true => self.backend.read(path),
-            false => Ok(Vec::new()),
-        };
-        // The sealed segment is normally absent. Behind whatever it holds go
-        // the live records it does not hold yet — record by record, which
-        // also leaves a torn tail of the live segment behind.
-        let mut sealed = read(&sealed_path).map_err(io_error("reading the sealed log".into()))?;
-        let held = wal::scan(&sealed);
-        sealed.truncate(held.valid_bytes);
-        let covered = held.records.last().map_or(0, |record| record.seq);
-        let live = read(&wal_path).map_err(io_error("reading the log".into()))?;
-        for record in wal::scan(&live).records {
-            if record.seq > covered {
-                sealed.extend(wal::encode_record(record.seq, record.kind, &record.body));
-            }
-        }
-        if !sealed.is_empty() {
-            self.backend
-                .write_atomic(&sealed_path, &sealed)
-                .map_err(io_error(format!("sealing {}", wal_path.display())))?;
-        }
-        match self.backend.write_atomic(&wal_path, &[]) {
-            Ok(()) => {
-                state.wal_records = 0;
-                state.wal_bytes = 0;
-            }
-            // The image will cover the records left behind; they are merely
-            // redundant, and the threshold stays crossed.
-            Err(e) => state.last_error = Some(format!("WAL truncation failed: {e}")),
+        // A read-only dataset's segment may end in a failed append; it
+        // stays the newest, where recovery cuts a torn tail.
+        let seq = state.status.last_seq;
+        if !self.is_read_only() {
+            state.live = wal::seal(self.backend.as_ref(), &self.dir, seq)
+                .map_err(DurableError::io(format!("sealing the log at record {seq}")))?;
         }
 
         let (dictionary, base, snapshot) = self.inner.persistable_state();
-        let (epoch, seq) = (snapshot.epoch(), state.last_seq);
+        let epoch = snapshot.epoch();
         let path = self.dir.join(snapshot::snapshot_file_name(epoch));
         let job = ImageJob {
             backend: Arc::clone(&self.backend),
@@ -885,7 +763,9 @@ impl DurableDataset {
         let writer = std::thread::Builder::new()
             .name("inferray-checkpoint".to_string())
             .spawn(move || job.run(capture))
-            .map_err(io_error("starting the checkpoint thread".to_string()))?;
+            .map_err(DurableError::io(
+                "starting the checkpoint thread".to_string(),
+            ))?;
         Ok(ImageInFlight {
             path,
             epoch,
@@ -896,7 +776,7 @@ impl DurableDataset {
 
     /// Second half of a checkpoint: waits for the image and, once it is
     /// durable, makes it the dataset's newest one. A failed image leaves
-    /// the sealed segment in place for the next checkpoint to cover.
+    /// the log as it is for the next checkpoint to cover.
     fn finish_checkpoint(
         &self,
         state: &mut DurableState,
@@ -907,16 +787,18 @@ impl DurableDataset {
             .join()
             .unwrap_or_else(|_| Err(std::io::Error::other("the checkpoint thread panicked")));
         match written {
-            Ok(WrittenImage { cost, base, kind }) => {
-                state.last_image = cost;
-                state.image_kind = kind;
-                state.image_base_epoch = base.epoch();
-                if kind == ImageKind::Full {
-                    state.full_image = Some(base);
+            Ok(written) => {
+                let status = &mut state.status;
+                status.last_image_bytes = written.bytes;
+                status.last_checkpoint_us = written.time.as_micros() as u64;
+                status.last_image_kind = written.kind;
+                status.image_base_epoch = written.base.epoch();
+                status.snapshot_epoch = image.epoch;
+                status.last_checkpoint_seq = image.seq;
+                status.snapshot_path = Some(image.path.clone());
+                if written.kind == ImageKind::Full {
+                    state.full_image = Some(written.base);
                 }
-                state.snapshot_epoch = image.epoch;
-                state.snapshot_seq = image.seq;
-                state.snapshot_path = Some(image.path.clone());
                 Ok(image.path)
             }
             Err(e) => {
@@ -924,7 +806,7 @@ impl DurableDataset {
                     context: format!("writing snapshot {}", image.path.display()),
                     message: e.to_string(),
                 };
-                state.last_error = Some(format!("checkpoint failed: {error}"));
+                state.status.last_error = Some(format!("checkpoint failed: {error}"));
                 Err(error)
             }
         }
@@ -974,10 +856,10 @@ impl ImageJob {
     /// otherwise — and lets the captured state go as soon as its last
     /// section is streamed, before the file is synced and renamed: the
     /// tables it holds can go back to the writes' buffer pool. Once the
-    /// image is durable, retires what it supersedes — the sealed log
-    /// segment and the oldest images. Both removals are best-effort: a
-    /// sealed segment left behind is skipped by sequence number at the next
-    /// start and swallowed by the next seal.
+    /// image is durable, retires what it supersedes — the oldest images,
+    /// then the log segments every image it keeps covers. Both removals are
+    /// best-effort: a segment left behind is skipped by sequence number at
+    /// the next start, and the next checkpoint removes it.
     fn run(self, capture: Capture) -> std::io::Result<WrittenImage> {
         let start = Instant::now();
         let mut capture = Some(capture);
@@ -1013,19 +895,15 @@ impl ImageJob {
             })?;
         let (bytes, base, kind) =
             streamed.ok_or_else(|| std::io::Error::other("the image was not streamed"))?;
+        let time = start.elapsed();
         let written = WrittenImage {
-            cost: ImageCost {
-                bytes,
-                time: start.elapsed(),
-            },
+            bytes,
+            time,
             base,
             kind,
         };
-        let sealed = self.dir.join(WAL_SEALED_FILE);
-        if self.backend.exists(&sealed) {
-            let _ = self.backend.remove(&sealed);
-        }
-        self.prune_snapshots(&written);
+        let covered = self.prune_snapshots(&written);
+        wal::prune(self.backend.as_ref(), &self.dir, covered);
         Ok(written)
     }
 
@@ -1034,18 +912,20 @@ impl ImageJob {
     /// image, or a delta whose base is there — except the base of a delta
     /// it keeps, and never the image just written or its base
     /// (best-effort). Newer images that do not recover are kept, uncounted.
-    fn prune_snapshots(&self, written: &WrittenImage) {
-        let Ok(files) = self.backend.list(&self.dir) else {
-            return;
+    /// Returns the last log record each counted image, and the image just
+    /// written, covers: a base kept only for its deltas does not count, or
+    /// the log would be kept back to it — on `serve.update` a base is never
+    /// rewritten.
+    fn prune_snapshots(&self, written: &WrittenImage) -> u64 {
+        let Ok(images) = list_numbered(
+            self.backend.as_ref(),
+            &self.dir,
+            snapshot::parse_snapshot_file_name,
+        ) else {
+            return 0;
         };
-        let mut images: Vec<(u64, PathBuf)> = files
-            .into_iter()
-            .filter_map(|path| {
-                let name = path.file_name()?.to_str()?;
-                Some((snapshot::parse_snapshot_file_name(name)?, path.clone()))
-            })
-            .collect();
-        images.sort_by_key(|i| std::cmp::Reverse(i.0));
+        // The image just written is kept, counted or not.
+        let mut covered = self.seq;
         let mut kept = vec![self.path.clone()];
         if written.kind == ImageKind::Delta {
             kept.push(
@@ -1056,11 +936,11 @@ impl ImageJob {
         let mut recoverable = 0;
         for (_, path) in images {
             if recoverable < self.keep.max(1) {
-                match snapshot::image_base(self.backend.as_ref(), &path) {
-                    Ok(None) => recoverable += 1,
-                    Ok(Some(base)) if self.backend.exists(&base) => {
+                match snapshot::image_needs(self.backend.as_ref(), &path) {
+                    Ok((seq, base)) if base.as_ref().is_none_or(|b| self.backend.exists(b)) => {
                         recoverable += 1;
-                        kept.push(base);
+                        covered = covered.min(seq);
+                        kept.extend(base);
                     }
                     _ => {}
                 }
@@ -1069,6 +949,7 @@ impl ImageJob {
                 let _ = self.backend.remove(&path);
             }
         }
+        covered
     }
 }
 
@@ -1095,6 +976,11 @@ mod tests {
         )
         .unwrap();
         durable
+    }
+
+    /// The path of the log segment whose records start at `first`.
+    fn segment(first: u64) -> PathBuf {
+        Path::new("data").join(wal::segment_file_name(first))
     }
 
     #[test]
@@ -1126,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_the_wal_and_is_skipped_on_replay() {
+    fn a_checkpoint_seals_the_log_and_replay_skips_what_its_image_covers() {
         let fs = Arc::new(MemFs::new());
         let durable = boot(Arc::clone(&fs));
         durable
@@ -1135,7 +1021,10 @@ mod tests {
             )
             .unwrap();
         durable.checkpoint().unwrap();
-        assert_eq!(fs.read(Path::new("data/wal.log")).unwrap(), b"");
+        // Writes go on in a new, empty segment; the one before stays for the
+        // image before, which does not cover its record.
+        assert_eq!(fs.read(&segment(2)).unwrap(), b"");
+        assert_eq!(wal::scan(&fs.read(&segment(1)).unwrap()).records.len(), 1);
 
         let rebooted = Arc::new(MemFs::from_view(fs.durable_view()));
         let (_, report) = DurableDataset::open(
@@ -1147,7 +1036,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.replayed_records, 0);
-        assert_eq!(report.skipped_records, 0);
+        assert_eq!(report.skipped_records, 1);
     }
 
     #[test]
@@ -1282,12 +1171,7 @@ mod tests {
         assert_eq!(durable.status(), logged);
         assert!(!durable.is_read_only());
         assert_eq!(durable.dataset().epoch(), 1);
-        assert_eq!(
-            wal::scan(&fs.read(Path::new("data/wal.log")).unwrap())
-                .records
-                .len(),
-            1
-        );
+        assert_eq!(wal::scan(&fs.read(&segment(1)).unwrap()).records.len(), 1);
     }
 
     #[test]
@@ -1405,12 +1289,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.invalid_snapshots, 1);
-        // Bit rot in the newest image after its WAL was truncated is the
-        // one scenario where recovery legitimately resumes at an *older*
-        // state (docs/persistence.md): the older image is intact, the rot
-        // is detected, and the server still comes up serving.
-        assert_eq!(recovered.dataset().epoch(), report.epoch);
+        // The rot is detected, and the older image still finds the record
+        // the newer one covered in the log: recovery lands on the last
+        // acknowledged write (docs/persistence.md).
         assert_eq!(report.snapshot_epoch, 0);
+        assert_eq!((report.replayed_records, report.epoch), (1, 1));
+        assert_eq!(recovered.dataset().epoch(), durable.dataset().epoch());
     }
 
     #[test]
@@ -1433,21 +1317,18 @@ mod tests {
         durable
             .extend_ntriples("<http://ex/a> <http://ex/p> <http://ex/b> .\n")
             .unwrap();
-        assert!(!fs.read(Path::new("data/wal.log")).unwrap().is_empty());
+        assert_eq!(records(&fs, 1), 1);
         durable
             .extend_ntriples("<http://ex/c> <http://ex/p> <http://ex/d> .\n")
             .unwrap();
         // Second record crossed the limit: the log is sealed at once, the
         // image follows behind the acknowledgement.
-        assert!(fs.read(Path::new("data/wal.log")).unwrap().is_empty());
+        assert_eq!(fs.read(&segment(3)).unwrap(), b"");
         assert_eq!(durable.status().wal_records, 0);
         durable.wait_for_checkpoint();
         assert_eq!(durable.status().last_checkpoint_seq, 2);
-        assert!(!fs.exists(Path::new("data/wal.sealed")));
+        assert_eq!(records(&fs, 1), 2);
     }
-
-    const SEALED: &str = "data/wal.sealed";
-    const LIVE: &str = "data/wal.log";
 
     fn every_two_records() -> CheckpointPolicy {
         CheckpointPolicy {
@@ -1478,8 +1359,10 @@ mod tests {
             .unwrap();
     }
 
-    fn records(fs: &MemFs, path: &str) -> usize {
-        wal::scan(&fs.read(Path::new(path)).unwrap()).records.len()
+    /// Records in the segment whose records start at `first`, if it is there.
+    fn records(fs: &MemFs, first: u64) -> usize {
+        fs.raw(&segment(first))
+            .map_or(0, |bytes| wal::scan(&bytes).records.len())
     }
 
     /// What a power cut right now recovers to, and how.
@@ -1503,21 +1386,21 @@ mod tests {
     }
 
     #[test]
-    fn a_crash_while_the_image_is_in_flight_replays_the_sealed_segment() {
+    fn a_crash_while_the_image_is_in_flight_replays_the_log_before_the_seal() {
         let fs = Arc::new(MemFs::new());
         let durable = boot_with(Arc::clone(&fs), every_two_records());
         fs.hold("img");
         assert_edge(&durable, 1);
         assert_edge(&durable, 2);
         // Sealed, acknowledged, no image yet: the status describes the
-        // newest *durable* image and counts the live segment only.
+        // newest *durable* image and counts the newest segment only.
         let status = durable.status();
         assert_eq!((status.wal_records, status.last_seq), (0, 2));
         assert_eq!((status.last_checkpoint_seq, status.snapshot_epoch), (0, 0));
-        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (2, 0));
+        assert_eq!((records(&fs, 1), records(&fs, 3)), (2, 0));
         // Writes go on beside the image.
         assert_edge(&durable, 3);
-        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (2, 1));
+        assert_eq!((records(&fs, 1), records(&fs, 3)), (2, 1));
         assert_eq!(durable.status().wal_records, 1);
 
         let (recovered, report) = recover(&fs);
@@ -1531,15 +1414,16 @@ mod tests {
         let status = durable.status();
         assert_eq!((status.last_checkpoint_seq, status.snapshot_epoch), (2, 2));
         assert_eq!(status.last_error, None);
-        assert!(!fs.exists(Path::new(SEALED)));
+        // The image before is kept, and it does not cover the first segment.
+        assert_eq!(records(&fs, 1), 2);
         let (recovered, report) = recover(&fs);
-        assert_eq!((report.replayed_records, report.skipped_records), (1, 0));
+        assert_eq!((report.replayed_records, report.skipped_records), (1, 2));
         assert_eq!(report.snapshot_epoch, 2);
         assert_same_state(&durable, &recovered);
     }
 
     #[test]
-    fn a_failed_image_leaves_its_segment_to_the_next_checkpoint() {
+    fn a_failed_image_leaves_the_log_to_the_next_checkpoint() {
         let fs = Arc::new(MemFs::new());
         let durable = boot_with(Arc::clone(&fs), every_two_records());
         fs.hold("img");
@@ -1552,23 +1436,41 @@ mod tests {
         assert!(status.last_error.unwrap().contains("checkpoint failed"));
         assert_eq!((status.last_checkpoint_seq, status.wal_records), (0, 0));
         assert!(!durable.is_read_only());
-        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (2, 0));
+        assert_eq!((records(&fs, 1), records(&fs, 3)), (2, 0));
         let (recovered, report) = recover(&fs);
         assert_eq!(report.replayed_records, 2);
         assert_same_state(&durable, &recovered);
 
-        // The next threshold seals behind what is already sealed, and its
-        // image covers both.
-        fs.hold("img");
+        // The next threshold seals again, and its image covers both
+        // segments; they stay while the image from `create` is kept.
         assert_edge(&durable, 3);
         assert_edge(&durable, 4);
-        assert_eq!((records(&fs, SEALED), records(&fs, LIVE)), (4, 0));
-        fs.release();
         durable.wait_for_checkpoint();
         assert_eq!(durable.status().last_checkpoint_seq, 4);
-        assert!(!fs.exists(Path::new(SEALED)));
+        assert_eq!(
+            (records(&fs, 1), records(&fs, 3), records(&fs, 5)),
+            (2, 2, 0)
+        );
         let (recovered, report) = recover(&fs);
-        assert_eq!((report.replayed_records, report.skipped_records), (0, 0));
+        assert_eq!((report.replayed_records, report.skipped_records), (0, 4));
+        assert_same_state(&durable, &recovered);
+
+        // The next two kept images cover the first two segments. The base
+        // of the older one is kept for it, but does not count: the log is
+        // not kept back to it.
+        let status = durable.status();
+        assert_eq!(
+            (status.last_image_kind, status.image_base_epoch),
+            (ImageKind::Delta, 0)
+        );
+        assert_edge(&durable, 5);
+        assert_edge(&durable, 6);
+        durable.wait_for_checkpoint();
+        assert!(fs.exists(&Path::new("data").join(snapshot::snapshot_file_name(0))));
+        assert!(!fs.exists(&segment(1)) && !fs.exists(&segment(3)));
+        assert_eq!((records(&fs, 5), records(&fs, 7)), (2, 0));
+        let (recovered, report) = recover(&fs);
+        assert_eq!((report.replayed_records, report.skipped_records), (0, 2));
         assert_same_state(&durable, &recovered);
     }
 
@@ -1582,7 +1484,7 @@ mod tests {
         let status = durable.status();
         assert!(status.last_error.unwrap().contains("sealing"));
         assert_eq!((status.wal_records, status.last_checkpoint_seq), (2, 0));
-        assert!(!fs.exists(Path::new(SEALED)));
+        assert!(!fs.exists(&segment(3)));
         assert_same_state(&durable, &recover(&fs).0);
 
         // The threshold is still crossed: the next write tries again.
@@ -1590,68 +1492,41 @@ mod tests {
         durable.wait_for_checkpoint();
         let status = durable.status();
         assert_eq!((status.wal_records, status.last_checkpoint_seq), (0, 3));
+        assert_eq!((records(&fs, 1), records(&fs, 4)), (3, 0));
         assert_same_state(&durable, &recover(&fs).0);
     }
 
     #[test]
-    fn a_seal_whose_second_write_fails_leaves_redundant_records_behind() {
-        let fs = Arc::new(MemFs::new());
-        let durable = boot_with(Arc::clone(&fs), every_two_records());
-        assert_edge(&durable, 1);
-        // Park the write that empties the live segment, fail it, let it go.
-        fs.hold("log");
-        std::thread::scope(|scope| {
-            let crossing = scope.spawn(|| assert_edge(&durable, 2));
-            while !fs.exists(Path::new(SEALED)) {
-                std::thread::yield_now();
-            }
-            fs.inject(Fault::FailAtomicWrite);
-            fs.release();
-            crossing.join().unwrap();
-        });
-        durable.wait_for_checkpoint();
-        // The image covers both records; the live segment still holds them
-        // and still counts, so the next write begins another checkpoint.
-        let status = durable.status();
-        assert!(status.last_error.unwrap().contains("WAL truncation failed"));
-        assert_eq!((status.wal_records, status.last_checkpoint_seq), (2, 2));
-        let (recovered, report) = recover(&fs);
-        assert_eq!((report.replayed_records, report.skipped_records), (0, 2));
-        assert_same_state(&durable, &recovered);
-
-        assert_edge(&durable, 3);
-        durable.wait_for_checkpoint();
-        let status = durable.status();
-        assert_eq!((status.wal_records, status.last_checkpoint_seq), (0, 3));
-        assert_same_state(&durable, &recover(&fs).0);
-    }
-
-    #[test]
-    fn records_in_both_segments_are_replayed_once() {
-        // A crash between the two atomic writes of a seal: the sealed
-        // segment already holds what the live one still does.
+    fn only_the_newest_segment_may_end_torn() {
         let fs = Arc::new(MemFs::new());
         let durable = boot(Arc::clone(&fs));
         assert_edge(&durable, 1);
         assert_edge(&durable, 2);
-        let log = fs.read(Path::new(LIVE)).unwrap();
-        fs.write_atomic(Path::new(SEALED), &log).unwrap();
-        let (recovered, report) = recover(&fs);
-        assert_eq!((report.replayed_records, report.skipped_records), (2, 2));
-        assert_same_state(&durable, &recovered);
-
-        // The sealed segment is only ever replaced whole, so one that does
-        // not scan to its end is damage, and recovery says so.
-        fs.write_atomic(Path::new(SEALED), &log[..log.len() - 1])
-            .unwrap();
-        let err = DurableDataset::open(
-            "data",
-            Fragment::RdfsDefault,
-            InferrayOptions::default(),
-            Arc::new(MemFs::from_view(fs.durable_view())),
-            CheckpointPolicy::manual(),
-        )
-        .unwrap_err();
+        durable.checkpoint().unwrap();
+        assert_edge(&durable, 3);
+        let open = |view| {
+            let policy = CheckpointPolicy::manual();
+            let fs = Arc::new(MemFs::from_view(view));
+            DurableDataset::open(
+                "data",
+                Fragment::RdfsDefault,
+                InferrayOptions::default(),
+                fs,
+                policy,
+            )
+        };
+        // The newest segment's torn tail is an append cut short: cut away.
+        let mut view = fs.durable_view();
+        let record = view.get_mut(&segment(3)).unwrap();
+        record.pop();
+        let torn = record.len();
+        let (recovered, report) = open(view).unwrap();
+        assert_eq!((report.replayed_records, report.torn_tail_bytes), (0, torn));
+        assert_eq!(recovered.status().wal_records, 0);
+        // An older segment is never appended to again: damage.
+        let mut view = fs.durable_view();
+        view.get_mut(&segment(1)).unwrap().pop();
+        let err = open(view).unwrap_err();
         assert!(matches!(err, DurableError::Corrupt { .. }), "{err}");
     }
 
@@ -1661,10 +1536,15 @@ mod tests {
         drop(boot(Arc::clone(&fs)));
         let ours = [
             "data/snapshot-00000000000000000039.img.tmp",
+            "data/wal-00000000000000000039.log.tmp",
             "data/wal.log.tmp",
             "data/wal.sealed.tmp",
         ];
-        let others = ["data/notes.tmp", "data/snapshot-39.img.tmp", "data/wal.log"];
+        let others = [
+            "data/notes.tmp",
+            "data/snapshot-39.img.tmp",
+            "data/wal-39.log.tmp",
+        ];
         for path in ours.iter().chain(&others) {
             fs.write_atomic(Path::new(path), b"left behind").unwrap();
         }

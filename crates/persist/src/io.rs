@@ -67,9 +67,13 @@ pub trait IoBackend: Send + Sync + std::fmt::Debug {
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
-    /// Appends `data` to `path` (creating it if absent) and flushes it to
-    /// stable storage before returning. On error the file may hold a
-    /// *prefix* of `data` (a torn write) — callers must tolerate that.
+    /// Appends `data` to `path` and flushes it to stable storage before
+    /// returning. On error the file may hold a *prefix* of `data` (a torn
+    /// write) — callers must tolerate that. The log appends only to files
+    /// it created through [`IoBackend::write_atomic`], which makes their
+    /// directory entries durable: [`MemFs`] refuses a missing file, so the
+    /// suites catch an append that would create one; [`StdFs`] creates it
+    /// and syncs its directory, for callers that log to a fresh file.
     fn append_durable(&self, path: &Path, data: &[u8]) -> io::Result<()>;
 
     /// Replaces the contents of `path` atomically with the bytes `fill`
@@ -99,6 +103,37 @@ pub trait IoBackend: Send + Sync + std::fmt::Debug {
 
     /// Whether `path` exists as a file.
     fn exists(&self, path: &Path) -> bool;
+}
+
+/// `<prefix>-<n>.<ext>` with `n` zero-padded to 20 digits, so that name
+/// order is number order: how snapshot images and log segments are named.
+pub(crate) fn numbered_file_name(prefix: &str, n: u64, ext: &str) -> String {
+    format!("{prefix}-{n:020}.{ext}")
+}
+
+/// The number of a [`numbered_file_name`] with this prefix and extension.
+pub(crate) fn parse_numbered_file_name(name: &str, prefix: &str, ext: &str) -> Option<u64> {
+    let digits = name.strip_prefix(prefix)?.strip_prefix('-')?;
+    let digits = digits.strip_suffix(ext)?.strip_suffix('.')?;
+    if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// The files in `dir` that `number` parses a number out of, highest first.
+pub(crate) fn list_numbered(
+    backend: &dyn IoBackend,
+    dir: &Path,
+    number: fn(&str) -> Option<u64>,
+) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut files: Vec<(u64, PathBuf)> = backend
+        .list(dir)?
+        .into_iter()
+        .filter_map(|path| Some((number(path.file_name()?.to_str()?)?, path)))
+        .collect();
+    files.sort_by_key(|file| std::cmp::Reverse(file.0));
+    Ok(files)
 }
 
 // ---------------------------------------------------------------------------
@@ -147,12 +182,17 @@ impl IoBackend for StdFs {
     }
 
     fn append_durable(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        let created = !path.exists();
         let mut file = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)?;
         file.write_all(data)?;
-        file.sync_all()
+        file.sync_all()?;
+        if let Some(dir) = path.parent().filter(|_| created) {
+            StdFs::sync_dir(dir);
+        }
+        Ok(())
     }
 
     fn write_atomic_streamed(&self, path: &Path, fill: &mut Fill<'_>) -> io::Result<()> {
@@ -383,14 +423,6 @@ impl MemFs {
         file.synced_len = file.synced_len.max(offset + 1);
     }
 
-    /// Truncates a file to `len` bytes (both content and durable prefix).
-    pub fn truncate(&self, path: &Path, len: usize) {
-        let mut state = self.lock();
-        let file = state.files.get_mut(path).expect("truncate: no such file");
-        file.data.truncate(len);
-        file.synced_len = file.synced_len.min(len);
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, MemFsState> {
         unpoison(self.state.lock())
     }
@@ -400,40 +432,40 @@ impl MemFs {
         Some(state.faults.remove(index))
     }
 
-    fn offline_err() -> io::Error {
-        io::Error::other("injected fault: volume offline")
+    /// The state, unless the volume is offline.
+    fn online(&self) -> io::Result<std::sync::MutexGuard<'_, MemFsState>> {
+        let state = self.lock();
+        match state.offline {
+            true => Err(io::Error::other("injected fault: volume offline")),
+            false => Ok(state),
+        }
+    }
+
+    fn no_such_file() -> io::Error {
+        io::Error::new(io::ErrorKind::NotFound, "no such file")
     }
 }
 
 impl IoBackend for MemFs {
     fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
-        if self.lock().offline {
-            return Err(MemFs::offline_err());
-        }
-        Ok(())
+        self.online().map(drop)
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let state = self.lock();
-        if state.offline {
-            return Err(MemFs::offline_err());
-        }
+        let state = self.online()?;
         state
             .files
             .get(path)
             .map(|f| f.data.clone())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))
+            .ok_or_else(MemFs::no_such_file)
     }
 
     fn append_durable(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut state = self.lock();
-        if state.offline {
-            return Err(MemFs::offline_err());
-        }
+        let mut state = self.online()?;
         let fault = MemFs::take_fault(&mut state, |f| {
             matches!(f, Fault::TornAppend { .. } | Fault::FailSync)
         });
-        let file = state.files.entry(path.to_path_buf()).or_default();
+        let file = state.files.get_mut(path).ok_or_else(MemFs::no_such_file)?;
         match fault {
             None => {
                 file.data.extend_from_slice(data);
@@ -453,20 +485,12 @@ impl IoBackend for MemFs {
                     ),
                 ))
             }
-            Some(Fault::FailSync) => {
-                // The bytes sit in the page cache but never reach stable
-                // storage: visible to reads now, gone after a power cut.
-                file.data.extend_from_slice(data);
-                Err(io::Error::other("injected fault: fsync failed"))
-            }
-            // take_fault only hands this path TornAppend/FailSync today;
-            // treat any future fault kind as a failed sync rather than
-            // panicking inside the I/O layer.
+            // FailSync — the only other kind `take_fault` hands this path:
+            // the bytes sit in the page cache but never reach stable
+            // storage: visible to reads now, gone after a power cut.
             Some(_) => {
                 file.data.extend_from_slice(data);
-                Err(io::Error::other(
-                    "injected fault: unrecognized, treated as fsync failure",
-                ))
+                Err(io::Error::other("injected fault: fsync failed"))
             }
         }
     }
@@ -481,10 +505,8 @@ impl IoBackend for MemFs {
             {
                 state = unpoison(self.released.wait(state));
             }
-            if state.offline {
-                return Err(MemFs::offline_err());
-            }
         }
+        self.online().map(drop)?;
         // The bytes stream into a file of their own, outside the lock, so
         // that a fault can be injected while they do; only the rename below
         // makes them the file's contents.
@@ -494,10 +516,7 @@ impl IoBackend for MemFs {
         };
         fill(&mut tmp)?;
         let MemTmp { data, .. } = tmp;
-        let mut state = self.lock();
-        if state.offline {
-            return Err(MemFs::offline_err());
-        }
+        let mut state = self.online()?;
         if MemFs::take_fault(&mut state, |f| f == Fault::FailAtomicWrite).is_some() {
             return Err(io::Error::other("injected fault: atomic write failed"));
         }
@@ -512,12 +531,9 @@ impl IoBackend for MemFs {
     }
 
     fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send + '_>> {
-        let state = self.lock();
-        if state.offline {
-            return Err(MemFs::offline_err());
-        }
+        let state = self.online()?;
         if !state.files.contains_key(path) {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "no such file"));
+            return Err(MemFs::no_such_file());
         }
         Ok(Box::new(MemReader {
             fs: self,
@@ -527,22 +543,16 @@ impl IoBackend for MemFs {
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        let mut state = self.lock();
-        if state.offline {
-            return Err(MemFs::offline_err());
-        }
+        let mut state = self.online()?;
         state
             .files
             .remove(path)
             .map(|_| ())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))
+            .ok_or_else(MemFs::no_such_file)
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        let state = self.lock();
-        if state.offline {
-            return Err(MemFs::offline_err());
-        }
+        let state = self.online()?;
         Ok(state
             .files
             .keys()
@@ -565,16 +575,12 @@ struct MemTmp<'a> {
 
 impl StreamSink for MemTmp<'_> {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if self.fs.lock().offline {
-            return Err(MemFs::offline_err());
-        }
+        self.fs.online().map(drop)?;
         StreamSink::append(&mut self.data, bytes)
     }
 
     fn patch(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
-        if self.fs.lock().offline {
-            return Err(MemFs::offline_err());
-        }
+        self.fs.online().map(drop)?;
         self.data.patch(offset, bytes)
     }
 }
@@ -589,14 +595,11 @@ struct MemReader<'a> {
 
 impl Read for MemReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let state = self.fs.lock();
-        if state.offline {
-            return Err(MemFs::offline_err());
-        }
+        let state = self.fs.online()?;
         let file = state
             .files
             .get(&self.path)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
+            .ok_or_else(MemFs::no_such_file)?;
         let from = usize::try_from(self.offset)
             .unwrap_or(usize::MAX)
             .min(file.data.len());
@@ -615,6 +618,7 @@ mod tests {
     fn appends_are_durable_and_survive_the_view_round_trip() {
         let fs = MemFs::new();
         let path = Path::new("d/wal.log");
+        fs.write_atomic(path, b"").unwrap();
         fs.append_durable(path, b"hello ").unwrap();
         fs.append_durable(path, b"world").unwrap();
         let rebooted = MemFs::from_view(fs.durable_view());
@@ -625,6 +629,7 @@ mod tests {
     fn torn_append_keeps_a_prefix_and_reports_failure() {
         let fs = MemFs::new();
         let path = Path::new("d/wal.log");
+        fs.write_atomic(path, b"").unwrap();
         fs.append_durable(path, b"aaaa").unwrap();
         fs.inject(Fault::TornAppend { keep: 2 });
         assert!(fs.append_durable(path, b"bbbb").is_err());
@@ -635,6 +640,7 @@ mod tests {
     fn failed_sync_loses_the_bytes_at_the_next_crash() {
         let fs = MemFs::new();
         let path = Path::new("d/wal.log");
+        fs.write_atomic(path, b"").unwrap();
         fs.append_durable(path, b"safe").unwrap();
         fs.inject(Fault::FailSync);
         assert!(fs.append_durable(path, b"lost").is_err());
@@ -642,6 +648,63 @@ mod tests {
         assert_eq!(fs.read(path).unwrap(), b"safelost");
         // …gone after it.
         assert_eq!(fs.durable_view()[path], b"safe");
+    }
+
+    #[test]
+    fn mem_fs_refuses_an_append_to_a_missing_file() {
+        let fs = MemFs::new();
+        let err = fs.append_durable(Path::new("d/wal.log"), b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(fs.durable_view().is_empty());
+    }
+
+    #[test]
+    fn std_fs_creates_a_missing_file_on_append() {
+        let dir = std::env::temp_dir().join(format!("inferray-persist-new-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = StdFs;
+        let path = dir.join("fresh.log");
+        assert!(fs.append_durable(&path, b"x").is_err(), "no directory");
+        fs.create_dir_all(&dir).unwrap();
+        fs.append_durable(&path, b"ab").unwrap();
+        fs.append_durable(&path, b"c").unwrap();
+        assert_eq!(fs.read(&path).unwrap(), b"abc");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn numbered_names_sort_by_number_and_parse_back() {
+        let name = |n| numbered_file_name("wal", n, "log");
+        assert_eq!(name(7), "wal-00000000000000000007.log");
+        assert!(name(9) < name(10));
+        for n in [0, 10, u64::MAX] {
+            assert_eq!(parse_numbered_file_name(&name(n), "wal", "log"), Some(n));
+        }
+        for other in [
+            "wal.log",
+            "wal-7.log",
+            "wal-0000000000000000000x.log",
+            "wal-00000000000000000007.img",
+        ] {
+            assert_eq!(
+                parse_numbered_file_name(other, "wal", "log"),
+                None,
+                "{other}"
+            );
+        }
+        let fs = MemFs::new();
+        for file in [name(10), name(9), "notes".to_owned(), name(11) + ".tmp"] {
+            fs.write_atomic(&Path::new("d").join(file), b"").unwrap();
+        }
+        let parse = |name: &str| parse_numbered_file_name(name, "wal", "log");
+        let listed = list_numbered(&fs, Path::new("d"), parse).unwrap();
+        assert_eq!(
+            listed,
+            [
+                (10, Path::new("d").join(name(10))),
+                (9, Path::new("d").join(name(9)))
+            ]
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!   pair tables + epoch, length-prefixed with a CRC-32 per section — and
 //!   the delta image that holds only what changed since a full one;
 //! - [`wal`] — the write-ahead log of assert/retract batches, fsync'd
-//!   before the in-memory publish, tolerant of a torn tail record;
+//!   before the in-memory publish, tolerant of a torn tail record, kept as
+//!   segments that a checkpoint seals and retires;
 //! - [`io`] — the [`IoBackend`] seam between the formats and the disk,
 //!   with a production `std::fs` backend ([`StdFs`]) and a deterministic
 //!   fault-injecting in-memory backend ([`MemFs`]) that models power loss,
@@ -31,8 +32,8 @@ pub use durable::{
 };
 pub use io::{DurableView, Fault, Fill, IoBackend, MemFs, StdFs, StreamSink};
 pub use snapshot::{
-    decode_delta_image, decode_image, encode_image, image_base, open_image, open_recoverable,
+    decode_delta_image, decode_image, encode_image, image_needs, open_image, open_recoverable,
     parse_snapshot_file_name, snapshot_file_name, write_base_image, write_delta_image, write_image,
     BaseImage, ImageParts, SnapshotError, SnapshotImage, DELTA_FRACTION, IMAGE_BLOCK,
 };
-pub use wal::{WalKind, WalRecord, WalScan, WAL_FILE, WAL_SEALED_FILE};
+pub use wal::{parse_segment_file_name, segment_file_name, WalKind, WalRecord, WalScan};

@@ -72,7 +72,7 @@
 //! that image. Full images are format 1 unchanged.
 
 use crate::crc::{crc32, Crc32};
-use crate::io::{IoBackend, StreamSink};
+use crate::io::{numbered_file_name, parse_numbered_file_name, IoBackend, StreamSink};
 use inferray_dictionary::{DenseTableError, Dictionary};
 use inferray_model::TermRef;
 use inferray_store::{as_pairs, PropertyTable, TripleStore};
@@ -167,16 +167,12 @@ pub struct SnapshotImage {
 /// File name of the snapshot covering `epoch` (zero-padded so that
 /// lexicographic order is numeric order).
 pub fn snapshot_file_name(epoch: u64) -> String {
-    format!("snapshot-{epoch:020}.img")
+    numbered_file_name("snapshot", epoch, "img")
 }
 
 /// Parses an epoch back out of a [`snapshot_file_name`]-shaped file name.
 pub fn parse_snapshot_file_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("snapshot-")?.strip_suffix(".img")?;
-    if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
+    parse_numbered_file_name(name, "snapshot", "img")
 }
 
 // ---------------------------------------------------------------------------
@@ -478,27 +474,18 @@ pub fn write_image(
         last_seq,
         fragment,
     };
-    let mut w = ImageWriter::new(sink);
-    w.put_front(MAGIC, &header(&parts, None))?;
-    w.section(TAG_DICT, |w| w.put_dictionary(dictionary))?;
-    w.section(TAG_BASE, |w| w.put_store(base, |_, _| false))?;
-    w.section(TAG_MATL, |w| w.put_store(materialized, |_, _| false))?;
-    w.finish()
+    Ok(write_base_image(sink, parts)?.bytes())
 }
 
 /// [`write_image`] of `parts`, returning the record of the image that
 /// deltas are written on once it is durable.
 pub fn write_base_image(sink: &mut dyn StreamSink, parts: ImageParts<'_>) -> io::Result<BaseImage> {
-    let bytes = write_image(
-        sink,
-        parts.dictionary,
-        parts.base,
-        parts.materialized,
-        parts.epoch,
-        parts.last_seq,
-        parts.fragment,
-    )?;
-    Ok(BaseImage::record(parts, bytes))
+    let mut w = ImageWriter::new(sink);
+    w.put_front(MAGIC, &header(&parts, None))?;
+    w.section(TAG_DICT, |w| w.put_dictionary(parts.dictionary))?;
+    w.section(TAG_BASE, |w| w.put_store(parts.base, |_, _| false))?;
+    w.section(TAG_MATL, |w| w.put_store(parts.materialized, |_, _| false))?;
+    Ok(BaseImage::record(parts, w.finish()?))
 }
 
 /// Streams a delta image of `parts` on the full image `on` describes into
@@ -1220,12 +1207,15 @@ fn base_path(delta: &Path, base_epoch: u64) -> PathBuf {
     delta.with_file_name(snapshot_file_name(base_epoch))
 }
 
-/// The full image the image at `path` needs besides itself, from its
-/// header alone: `None` for a full image, the path of its base for a
-/// delta.
-pub fn image_base(backend: &dyn IoBackend, path: &Path) -> Result<Option<PathBuf>, SnapshotError> {
+/// What the image at `path` needs of the files beside it, from its header
+/// alone: the log past its `last_seq`, and — for a delta — its base's path.
+pub fn image_needs(
+    backend: &dyn IoBackend,
+    path: &Path,
+) -> Result<(u64, Option<PathBuf>), SnapshotError> {
     let frame = read_frame(&|offset| backend.open_at(path, offset))?;
-    Ok(frame.base.map(|(epoch, _)| base_path(path, epoch)))
+    let base = frame.base.map(|(epoch, _)| base_path(path, epoch));
+    Ok((frame.last_seq, base))
 }
 
 /// Validates and decodes the image at `path` into the state it records: a

@@ -22,17 +22,47 @@
 //! the final record, which fails the length or CRC check and simply ends
 //! the scan. Anything before the tear is trusted (each record carries its
 //! own CRC); anything after it is discarded.
+//!
+//! ## Segments
+//!
+//! A data directory's log is a run of segment files named by the first
+//! record each may hold ([`segment_file_name`]); a segment's records end
+//! below the next segment's first. Appends go to the newest segment
+//! (`Live`). A checkpoint *seals* the log by creating the next, empty
+//! segment (`seal`) — one atomic write of no bytes, reading and rewriting
+//! none — and, once its image is durable, removes the segments whose
+//! records every kept image covers (`prune`). No segment but the newest is
+//! ever written again, so only the newest may end in a torn append;
+//! recovery (`recover`) refuses an older one that does not scan to its
+//! end, and a record missing between the image and the newest segment.
+//!
+//! This module is the one place that knows the log's files.
 
 use crate::crc::crc32;
+use crate::durable::DurableError;
+use crate::io::{list_numbered, numbered_file_name, parse_numbered_file_name, IoBackend};
+use std::io;
+use std::path::{Path, PathBuf};
 
-/// File name of the log inside a data directory: the live segment, the
-/// one every write appends to.
-pub const WAL_FILE: &str = "wal.log";
+/// File name of the log segment whose records start at `first_seq`.
+pub fn segment_file_name(first_seq: u64) -> String {
+    numbered_file_name("wal", first_seq, "log")
+}
 
-/// File name of the sealed segment: the records a checkpoint set aside
-/// when it began, kept until the image that covers them is durable. Same
-/// record format; absent whenever no checkpoint is under way.
-pub const WAL_SEALED_FILE: &str = "wal.sealed";
+/// Parses a first sequence number back out of a [`segment_file_name`].
+pub fn parse_segment_file_name(name: &str) -> Option<u64> {
+    parse_numbered_file_name(name, "wal", "log")
+}
+
+/// The files of a log written before it was kept in segments: the records
+/// a checkpoint had set aside, then the live ones. `recover` folds them
+/// into one segment.
+const LEGACY_FILES: [&str; 2] = ["wal.sealed", "wal.log"];
+
+/// Whether `name` is one of the log's files: a segment or a legacy file.
+pub(crate) fn is_log_file(name: &str) -> bool {
+    parse_segment_file_name(name).is_some() || LEGACY_FILES.contains(&name)
+}
 
 /// Upper bound on a single record's payload — a defence against reading a
 /// garbage length field and allocating gigabytes. One update batch is one
@@ -101,77 +131,208 @@ pub fn encode_record(seq: u64, kind: WalKind, body: &str) -> Vec<u8> {
     out
 }
 
-/// Little-endian u32 at `at`, or `None` when the slice is too short.
-fn le_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    let arr: [u8; 4] = bytes.get(at..at + 4)?.try_into().ok()?;
-    Some(u32::from_le_bytes(arr))
+/// The `N` bytes at `at`, or `None` when the slice is too short.
+fn bytes_at<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..at + N)?.try_into().ok()
 }
 
-/// Little-endian u64 at `at`, or `None` when the slice is too short.
-fn le_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    let arr: [u8; 8] = bytes.get(at..at + 8)?.try_into().ok()?;
-    Some(u64::from_le_bytes(arr))
+/// The record at the front of `bytes` and its length in bytes, or `None`
+/// when it is torn or corrupt: truncated header, oversized or undersized
+/// length, CRC mismatch, unknown kind, or non-UTF-8 body.
+fn record_at(bytes: &[u8]) -> Option<(WalRecord, usize)> {
+    let len = u32::from_le_bytes(bytes_at(bytes, 0)?) as usize;
+    let crc = u32::from_le_bytes(bytes_at(bytes, 4)?);
+    if !(MIN_PAYLOAD..=MAX_RECORD_LEN as usize).contains(&len) {
+        return None;
+    }
+    let payload = bytes.get(RECORD_HEADER..RECORD_HEADER + len)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    let (seq, kind) = (
+        u64::from_le_bytes(bytes_at(payload, 0)?),
+        kind_from_byte(payload[8])?,
+    );
+    let body = std::str::from_utf8(&payload[9..]).ok()?.to_string();
+    Some((WalRecord { seq, kind, body }, RECORD_HEADER + len))
 }
 
 /// Scans a log image, stopping (without error) at the first sign of a torn
-/// or corrupt tail: truncated header, oversized or undersized length,
-/// CRC mismatch, unknown kind, non-UTF-8 body, or a non-increasing
+/// or corrupt tail: a record `record_at` refuses, or a non-increasing
 /// sequence number.
 pub fn scan(bytes: &[u8]) -> WalScan {
-    let mut records = Vec::new();
+    let mut records: Vec<WalRecord> = Vec::new();
     let mut offset = 0usize;
-    let mut last_seq = 0u64;
-    loop {
-        let remaining = &bytes[offset..];
-        if remaining.len() < RECORD_HEADER {
+    while let Some((record, len)) = record_at(&bytes[offset..]) {
+        if records.last().is_some_and(|last| record.seq <= last.seq) {
             break;
         }
-        // A short read here is impossible after the length check, but the
-        // scan's contract is "stop at the first malformed byte, never
-        // panic", so the conversions bail like every other torn-tail case.
-        let Some(len) = le_u32(remaining, 0) else {
-            break;
-        };
-        let len = len as usize;
-        if len < MIN_PAYLOAD || len > MAX_RECORD_LEN as usize {
-            break;
-        }
-        if remaining.len() < RECORD_HEADER + len {
-            break;
-        }
-        let Some(crc) = le_u32(remaining, 4) else {
-            break;
-        };
-        let payload = &remaining[RECORD_HEADER..RECORD_HEADER + len];
-        if crc32(payload) != crc {
-            break;
-        }
-        let Some(seq) = le_u64(payload, 0) else {
-            break;
-        };
-        let Some(kind) = kind_from_byte(payload[8]) else {
-            break;
-        };
-        let Ok(body) = std::str::from_utf8(&payload[9..]) else {
-            break;
-        };
-        if records.is_empty() || seq > last_seq {
-            last_seq = seq;
-        } else {
-            break;
-        }
-        records.push(WalRecord {
-            seq,
-            kind,
-            body: body.to_string(),
-        });
-        offset += RECORD_HEADER + len;
+        records.push(record);
+        offset += len;
     }
     WalScan {
         records,
         valid_bytes: offset,
         torn_tail: offset < bytes.len(),
     }
+}
+
+/// The newest segment — the one appends go to — and what it holds.
+#[derive(Debug, Default)]
+pub(crate) struct Live {
+    pub(crate) path: PathBuf,
+    pub(crate) records: u64,
+    pub(crate) bytes: u64,
+}
+
+/// Seals the log behind record `last_seq`: creates the empty segment the
+/// records after it go to. Reads no byte of the log; on failure nothing
+/// has changed.
+pub(crate) fn seal(backend: &dyn IoBackend, dir: &Path, last_seq: u64) -> io::Result<Live> {
+    let path = dir.join(segment_file_name(last_seq + 1));
+    backend.write_atomic(&path, &[])?;
+    Ok(Live {
+        path,
+        ..Live::default()
+    })
+}
+
+/// Removes the segments whose records are all at or below `covered`
+/// (best-effort). The newest segment always stays: appends go on in it.
+pub(crate) fn prune(backend: &dyn IoBackend, dir: &Path, covered: u64) {
+    let Ok(segments) = list_numbered(backend, dir, parse_segment_file_name) else {
+        return;
+    };
+    // Newest first: a segment's records end below its successor's first.
+    for pair in segments.windows(2) {
+        if pair[0].0 <= covered.saturating_add(1) {
+            let _ = backend.remove(&pair[1].1);
+        }
+    }
+}
+
+/// The log as [`recover`] found it, for an image covering records up to
+/// some `last_seq`.
+#[derive(Debug, Default)]
+pub(crate) struct Recovered {
+    /// The records past the image, numbered on from its `last_seq`.
+    pub(crate) records: Vec<WalRecord>,
+    /// Records the image already covers.
+    pub(crate) skipped: usize,
+    /// Bytes of torn tail cut off the newest segment.
+    pub(crate) torn_bytes: usize,
+    /// Where appends resume.
+    pub(crate) live: Live,
+    /// Why they cannot: the torn tail could not be cut.
+    pub(crate) unwritable: Option<String>,
+}
+
+/// Reads every segment, oldest first, on top of an image covering the
+/// records up to `covered`. A record missing past `covered` — a segment
+/// that starts after the record that should come next, or a number
+/// skipped — and an older segment that does not scan to its end are
+/// [`DurableError::Corrupt`]: acknowledged writes are gone. The newest
+/// segment's torn tail is cut; with no segment at all, one is created.
+///
+/// A log kept in [`LEGACY_FILES`] is read the same way, as two segments;
+/// its records past `covered` become the first segment, the two files are
+/// removed, and what is returned is the reading of that segment. Those
+/// files are left over from that fold when a segment is already there.
+pub(crate) fn recover(
+    backend: &dyn IoBackend,
+    dir: &Path,
+    covered: u64,
+) -> Result<Recovered, DurableError> {
+    let mut files = list_numbered(backend, dir, parse_segment_file_name)
+        .map_err(DurableError::io(format!("listing {}", dir.display())))?;
+    files.reverse();
+    let legacy: Vec<PathBuf> = LEGACY_FILES
+        .iter()
+        .map(|name| dir.join(name))
+        .filter(|path| backend.exists(path))
+        .collect();
+    let fold = files.is_empty() && !legacy.is_empty();
+    if fold {
+        files = legacy
+            .iter()
+            .map(|path| (covered + 1, path.clone()))
+            .collect();
+    }
+    let mut found = Recovered::default();
+    let mut last = covered;
+    for (index, (first, path)) in files.iter().enumerate() {
+        missing(last, *first, path)?;
+        let bytes = backend
+            .read(path)
+            .map_err(DurableError::io(format!("reading {}", path.display())))?;
+        let scan = scan(&bytes);
+        if scan.torn_tail && index + 1 < files.len() {
+            let (at, valid) = (path.display(), scan.valid_bytes);
+            return Err(DurableError::corrupt(format!(
+                "{at} is damaged after {valid} bytes"
+            )));
+        }
+        found.live = Live {
+            path: path.clone(),
+            records: scan.records.len() as u64,
+            bytes: scan.valid_bytes as u64,
+        };
+        for record in scan.records {
+            missing(last, record.seq, path)?;
+            if record.seq <= last {
+                found.skipped += 1;
+            } else {
+                last = record.seq;
+                found.records.push(record);
+            }
+        }
+        // A torn tail must be cut before new appends, or the garbage bytes
+        // would permanently corrupt every future scan.
+        if scan.torn_tail {
+            found.torn_bytes = bytes.len() - scan.valid_bytes;
+            if let Err(e) = backend.write_atomic(path, &bytes[..scan.valid_bytes]) {
+                found.unwritable = Some(format!(
+                    "could not truncate torn WAL tail of {}: {e}",
+                    path.display()
+                ));
+            }
+        }
+    }
+    if fold {
+        let path = dir.join(segment_file_name(covered + 1));
+        let records = found.records.iter();
+        let log: Vec<u8> = records
+            .flat_map(|r| encode_record(r.seq, r.kind, &r.body))
+            .collect();
+        backend
+            .write_atomic(&path, &log)
+            .map_err(DurableError::io(format!("writing {}", path.display())))?;
+    }
+    for path in &legacy {
+        backend
+            .remove(path)
+            .map_err(DurableError::io(format!("removing {}", path.display())))?;
+    }
+    if fold {
+        return recover(backend, dir, covered);
+    } else if files.is_empty() {
+        found.live = seal(backend, dir, last).map_err(DurableError::io(format!(
+            "creating a log segment in {}",
+            dir.display()
+        )))?;
+    }
+    Ok(found)
+}
+
+/// Refuses a log whose next record, `next`, does not follow `last`.
+fn missing(last: u64, next: u64, path: &Path) -> Result<(), DurableError> {
+    if next > last + 1 {
+        let (from, to, at) = (last + 1, next - 1, path.display());
+        return Err(DurableError::corrupt(format!(
+            "log records {from}..={to} are missing before {at}"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,13 +5,15 @@
 //! `CheckpointPolicy::manual()`, where a checkpoint is one synchronous call.
 //! Here the policy is a record limit, so the write that crosses it seals the
 //! log and hands the image to a thread, and the histories carry faults on
-//! both halves: the seal's atomic writes and the image's. [`MemFs::hold`]
+//! both halves: the seal's atomic write and the image's. [`MemFs::hold`]
 //! pins the image write, so every threshold gets a power cut *before* its
 //! image is durable and one *after*, and both must recover to exactly what
 //! an in-memory reference holds after the same acknowledged writes.
 
 use inferray::parser::load_ntriples;
-use inferray::persist::{encode_image, wal, DurableView, Fault, MemFs, WAL_FILE, WAL_SEALED_FILE};
+use inferray::persist::{
+    encode_image, parse_segment_file_name, wal, DurableView, Fault, IoBackend, MemFs,
+};
 use inferray::{
     CheckpointPolicy, DurableDataset, Fragment, InferrayOptions, ServingDataset, WriteKind,
 };
@@ -124,10 +126,22 @@ fn recovered(view: DurableView) -> DurableDataset {
     .0
 }
 
-fn records(fs: &MemFs, file: &str) -> usize {
-    let path = Path::new("data").join(file);
-    fs.raw(&path)
-        .map_or(0, |bytes| wal::scan(&bytes).records.len())
+/// Each log segment on disk, oldest first: the first record it may hold
+/// and how many it holds.
+fn segments(fs: &MemFs) -> Vec<(u64, usize)> {
+    let files = fs.list(Path::new("data")).expect("a listing");
+    files
+        .into_iter()
+        .filter_map(|path| {
+            let first = parse_segment_file_name(path.file_name()?.to_str()?)?;
+            Some((first, wal::scan(&fs.raw(&path)?).records.len()))
+        })
+        .collect()
+}
+
+/// Records in the newest segment: the one writes append to.
+fn newest_records(fs: &MemFs) -> usize {
+    segments(fs).last().map_or(0, |segment| segment.1)
 }
 
 proptest! {
@@ -157,12 +171,12 @@ proptest! {
 
             // Power cut with the image (if this write began one) not durable.
             let status = durable.status();
-            prop_assert_eq!(status.wal_records as usize, records(&fs, WAL_FILE));
+            prop_assert_eq!(status.wal_records as usize, newest_records(&fs));
             prop_assert_eq!(
                 fingerprint(recovered(fs.durable_view()).dataset()),
                 expected.clone(),
-                "step {} ({:?}), image held; sealed {} live {}",
-                index, step, records(&fs, WAL_SEALED_FILE), records(&fs, WAL_FILE)
+                "step {} ({:?}), image held; segments {:?}",
+                index, step, segments(&fs)
             );
 
             // Let the image through — or fail it — and cut the power again.
@@ -185,14 +199,19 @@ proptest! {
         fs.release();
 
         // Once the queued faults are used up, a checkpoint leaves an image
-        // that needs no log at all.
+        // that recovery replays no record on top of.
         let used_up = (0..=2 * steps.len()).any(|_| durable.checkpoint().is_ok());
         prop_assert!(used_up);
-        prop_assert_eq!(records(&fs, WAL_SEALED_FILE) + records(&fs, WAL_FILE), 0);
-        prop_assert_eq!(
-            fingerprint(recovered(fs.durable_view()).dataset()),
-            fingerprint(&reference)
-        );
+        let (back, report) = DurableDataset::open(
+            "data",
+            FRAGMENT,
+            InferrayOptions::default(),
+            Arc::new(MemFs::from_view(fs.durable_view())),
+            CheckpointPolicy::manual(),
+        )
+        .expect("recovery");
+        prop_assert_eq!(report.replayed_records, 0);
+        prop_assert_eq!(fingerprint(back.dataset()), fingerprint(&reference));
     }
 }
 
@@ -218,10 +237,7 @@ fn writes_beside_an_image_in_flight_are_acknowledged_and_recovered() {
     let status = durable.status();
     assert_eq!((status.wal_records, status.last_seq), (2, 5));
     assert_eq!(status.last_checkpoint_seq, 0);
-    assert_eq!(
-        (records(&fs, WAL_SEALED_FILE), records(&fs, WAL_FILE)),
-        (3, 2)
-    );
+    assert_eq!(segments(&fs), [(1, 3), (4, 2)]);
     let expected = fingerprint(&reference);
     assert_eq!(
         fingerprint(recovered(fs.durable_view()).dataset()),
@@ -233,7 +249,7 @@ fn writes_beside_an_image_in_flight_are_acknowledged_and_recovered() {
     // in the log, which is the last thing the write does before it waits.
     std::thread::scope(|scope| {
         let crossing = scope.spawn(|| durable.extend_ntriples(&batch(6)).expect("assert"));
-        while records(&fs, WAL_FILE) < 3 {
+        while newest_records(&fs) < 3 {
             std::thread::yield_now();
         }
         fs.release();
@@ -250,7 +266,8 @@ fn writes_beside_an_image_in_flight_are_acknowledged_and_recovered() {
         ),
         (6, 0, 6)
     );
-    assert_eq!(records(&fs, WAL_SEALED_FILE), 0);
+    // The two kept images cover the first segment, not the second.
+    assert_eq!(segments(&fs), [(4, 3), (7, 0)]);
     assert_eq!(
         fingerprint(recovered(fs.durable_view()).dataset()),
         fingerprint(&reference)

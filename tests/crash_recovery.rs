@@ -15,7 +15,9 @@
 //! injected faults model torn appends and failed fsyncs.
 
 use inferray::parser::load_ntriples;
-use inferray::persist::{encode_image, wal, DurableView, Fault, MemFs, RecoveryReport};
+use inferray::persist::{
+    encode_image, segment_file_name, wal, DurableView, Fault, MemFs, RecoveryReport,
+};
 use inferray::query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
 use inferray::{
     CheckpointPolicy, DurableDataset, DurableError, Fragment, InferrayOptions, Program,
@@ -171,6 +173,11 @@ impl Scenario {
 
 fn mirror() -> ServingDataset {
     PLAIN.mirror()
+}
+
+/// The log segment whose records start at `first`.
+fn segment(first: u64) -> PathBuf {
+    Path::new("data").join(segment_file_name(first))
 }
 
 fn boot(fs: Arc<MemFs>) -> DurableDataset {
@@ -389,7 +396,7 @@ fn torn_wal_tail_recovers_the_longest_complete_prefix_at_every_cut() {
     }
 
     let view = fs.durable_view();
-    let wal_path = PathBuf::from("data/wal.log");
+    let wal_path = segment(1);
     let full_wal = view.get(&wal_path).expect("WAL exists").clone();
     assert_eq!(wal::scan(&full_wal).records.len(), 4);
 
@@ -401,10 +408,10 @@ fn torn_wal_tail_recovers_the_longest_complete_prefix_at_every_cut() {
     }
 }
 
-/// Crashing between "checkpoint image persisted" and "WAL truncated"
-/// leaves an image *and* a log that both cover the same writes. The
-/// sequence-number guard must skip every already-covered record instead of
-/// applying it twice.
+/// A checkpoint leaves the segment before its seal in place while the image
+/// before it is kept, so the newest image *and* the log both cover the
+/// same writes. The sequence-number guard must skip every already-covered
+/// record instead of applying it twice.
 #[test]
 fn stale_wal_records_after_a_checkpoint_are_skipped_not_replayed() {
     let fs = Arc::new(MemFs::new());
@@ -418,10 +425,9 @@ fn stale_wal_records_after_a_checkpoint_are_skipped_not_replayed() {
     durable.checkpoint().expect("checkpoint");
     let after_checkpoint = fs.durable_view();
 
-    // The crash image: the post-checkpoint files, but the WAL as it was
-    // *before* truncation — exactly what survives a power cut between the
-    // image rename and the truncation rename.
-    let wal_path = PathBuf::from("data/wal.log");
+    // The crash image: the post-checkpoint files, with the sealed segment
+    // as it was before the checkpoint — a seal rewrites none of its bytes.
+    let wal_path = segment(1);
     let mut crash = after_checkpoint;
     crash.insert(
         wal_path.clone(),
@@ -445,18 +451,17 @@ fn stale_wal_records_after_a_checkpoint_are_skipped_not_replayed() {
 }
 
 /// Bit rot anywhere in the newest image is detected by a checksum and
-/// recovery falls back to the previous image (the documented limitation:
-/// writes whose WAL records were already truncated by that newer
-/// checkpoint roll back with it — but the server comes up serving a
-/// consistent earlier state rather than refusing to start or, worse,
-/// serving a corrupt store).
+/// recovery falls back to the previous image — and, because a segment goes
+/// only once every kept image covers it, replays from there the records
+/// the newer image covered: it lands on the last acknowledged write, not on
+/// an older epoch.
 #[test]
 fn corruption_anywhere_in_the_newest_image_falls_back_to_the_previous_one() {
     let fs = Arc::new(MemFs::new());
     let durable = boot(Arc::clone(&fs));
-    let old_state = fingerprint(durable.dataset());
     durable.extend_ntriples(&type_triple(1, 1)).expect("assert");
     durable.checkpoint().expect("checkpoint");
+    let live_state = fingerprint(durable.dataset());
 
     let view = fs.durable_view();
     let newest = view
@@ -484,10 +489,50 @@ fn corruption_anywhere_in_the_newest_image_falls_back_to_the_previous_one() {
         assert_eq!(report.snapshot_epoch, 0, "corrupt byte {offset}");
         assert_eq!(
             fingerprint(recovered.dataset()),
-            old_state,
+            live_state,
             "corrupt byte {offset}"
         );
     }
+}
+
+/// A rotten newest image must not turn into a state that never existed.
+/// The history: assert A (record 1), checkpoint (image at epoch 1), assert
+/// B (record 2), then the epoch-1 image rots. Recovery falls back to the
+/// epoch-0 image and must replay *both* records — A from the segment the
+/// checkpoint sealed, which the older image still needs — landing on the
+/// live state at epoch 2. Without that segment, record 1 is missing, and
+/// recovery refuses rather than serve epoch 1 as base + B.
+#[test]
+fn a_rotten_newest_image_recovers_every_acknowledged_write_or_refuses() {
+    let fs = Arc::new(MemFs::new());
+    let durable = boot(Arc::clone(&fs));
+    durable
+        .extend_ntriples(&type_triple(1, 1))
+        .expect("assert A");
+    let newest = durable.checkpoint().expect("checkpoint");
+    durable
+        .extend_ntriples(&type_triple(2, 2))
+        .expect("assert B");
+    let mut view = fs.durable_view();
+    let image = view.get_mut(&newest).expect("the epoch-1 image");
+    let middle = image.len() / 2;
+    image[middle] ^= 0x40;
+
+    let (recovered, report) = PLAIN.open(view.clone()).expect("recovery");
+    assert_eq!((report.snapshot_epoch, report.invalid_snapshots), (0, 1));
+    assert_eq!((report.replayed_records, report.epoch), (2, 2));
+    assert_eq!(
+        fingerprint(recovered.dataset()),
+        fingerprint(durable.dataset())
+    );
+
+    view.remove(&segment(1))
+        .expect("the segment the seal closed");
+    let refused = PLAIN.open(view).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(&refused, DurableError::Corrupt { message } if message.contains("1..=1")),
+        "{refused}"
+    );
 }
 
 fn http(addr: SocketAddr, request: &str) -> String {
@@ -655,7 +700,7 @@ fn an_update_body_that_is_not_utf8_is_refused_and_never_logged() {
     assert_eq!(durable.status().wal_records, 0);
     assert_eq!(durable.dataset().epoch(), 0);
     assert_eq!(in_memory.epoch(), 0);
-    assert_eq!(fs.durable_view()[Path::new("data/wal.log")], b"");
+    assert_eq!(fs.durable_view()[&segment(1)], b"");
 }
 
 /// A torn append (power loss mid-`write(2)`) leaves a prefix of the record
@@ -680,7 +725,7 @@ fn torn_append_is_refused_live_and_healed_on_recovery() {
 
     // The crash image holds one complete record plus 5 bytes of garbage.
     let view = fs.durable_view();
-    let wal_bytes = view.get(Path::new("data/wal.log")).expect("WAL");
+    let wal_bytes = view.get(&segment(1)).expect("WAL");
     let scan = wal::scan(wal_bytes);
     assert_eq!(scan.records.len(), 1);
     assert!(scan.torn_tail);

@@ -444,7 +444,9 @@ fn a_delta_recovers_only_on_the_base_it_names() {
     let (recovered, report) = open(view, 2).unwrap();
     assert_eq!(report.snapshot_path, base);
     assert_eq!(report.invalid_snapshots, 2);
-    assert_eq!(recovered.dataset().epoch(), 0);
+    // The impostor claims record 1; the log still holds record 2 past it.
+    assert_eq!((report.snapshot_epoch, report.replayed_records), (0, 1));
+    assert_eq!(recovered.dataset().epoch(), 1);
     drop(durable);
 }
 
@@ -584,8 +586,9 @@ impl IoBackend for Recorder {
 
 #[test]
 fn a_cut_or_a_failure_at_each_step_of_a_delta_checkpoint_recovers_the_last_write() {
-    // With nothing failed: seal, empty the live log, write the delta,
-    // remove the sealed segment, prune the delta before — five steps.
+    // With nothing failed: seal (one empty segment), write the delta,
+    // prune the delta before, remove the segment both kept images cover —
+    // four steps.
     let mut steps = None;
     let mut fail_at = None;
     loop {
@@ -623,7 +626,7 @@ fn a_cut_or_a_failure_at_each_step_of_a_delta_checkpoint_recovers_the_last_write
         assert_same_state(&durable, &recovered, "after the next checkpoint");
 
         let steps = steps.expect("the unfailed run comes first");
-        assert_eq!(steps, 5);
+        assert_eq!(steps, 4);
         fail_at = match fail_at {
             None => Some(0),
             Some(n) if n + 1 < steps => Some(n + 1),
