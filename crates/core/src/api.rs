@@ -366,12 +366,17 @@ pub struct WriteStages {
     /// Installing the base, preparing the store and publishing it with its
     /// dictionary.
     pub publish: Duration,
+    /// Beginning a checkpoint, after the publish: what the durable write
+    /// that crosses the checkpoint threshold spends sealing the log,
+    /// capturing the state and starting the thread that writes the image.
+    /// Zero on every other write.
+    pub checkpoint: Duration,
 }
 
 impl WriteStages {
     /// The whole write: the sum of its stages.
     pub fn total(&self) -> Duration {
-        self.encode + self.reason + self.gate + self.log + self.publish
+        self.encode + self.reason + self.gate + self.log + self.publish + self.checkpoint
     }
 }
 
@@ -415,7 +420,8 @@ impl WriteOutcome {
         let _ = write!(
             out,
             "{{\"kind\":\"{kind}\",\"epoch\":{},\"total_us\":{},\"encode_us\":{},\
-             \"reason_us\":{},\"gate_us\":{},\"log_us\":{},\"publish_us\":{}",
+             \"reason_us\":{},\"gate_us\":{},\"log_us\":{},\"publish_us\":{},\
+             \"checkpoint_us\":{}",
             self.epoch,
             us(stages.total()),
             us(stages.encode),
@@ -423,6 +429,7 @@ impl WriteOutcome {
             us(stages.gate),
             us(stages.log),
             us(stages.publish),
+            us(stages.checkpoint),
         );
         if let Some(r) = self.retraction() {
             let _ = write!(
@@ -585,7 +592,11 @@ impl ServingDataset {
     ) -> Self {
         ServingDataset {
             published: Handoff::holding(Published {
-                snapshot: StoreSnapshot::prepare(materialized, epoch),
+                // Every table of a first epoch needs its ⟨o,s⟩ cache: build
+                // them side by side on the pool, largest first.
+                snapshot: StoreSnapshot::prepare_with(materialized, epoch, |tasks| {
+                    inferray_parallel::global().run_ordered(tasks);
+                }),
                 dictionary: Arc::new(dictionary),
             }),
             writer: Mutex::new(Writer {

@@ -1,8 +1,9 @@
 //! The [`Dictionary`] type: term ↔ identifier interning with dense numbering.
 
-use crate::arena::TextArena;
+use crate::arena::{RawArenaError, TextArena};
 use inferray_model::ids::{
-    is_property_id, nth_property_id, nth_resource_id, property_index, RESOURCE_BASE,
+    checked_nth_property_id, checked_nth_resource_id, is_property_id, nth_property_id,
+    nth_resource_id, property_index, MAX_PER_HALF, RESOURCE_BASE,
 };
 use inferray_model::{vocab, IdTriple, Term, TermKind, TermRef, Triple};
 use std::cell::RefCell;
@@ -31,9 +32,9 @@ pub enum EncodeError {
     InvalidPredicate(String),
     /// The subject of a triple was a literal.
     LiteralSubject(String),
-    /// The text arena's index cannot number another distinct term: 2³² − 1
-    /// are registered (never happens on real data). The property half of the
-    /// identifier space holds 2³², so it cannot run out first.
+    /// The half of the identifier space a new term or a promotion asks for
+    /// already numbers its 2³¹ − 1 terms ([`MAX_PER_HALF`]; never happens on
+    /// real data). The text arena's index numbers both halves together.
     TermSpaceExhausted,
     /// Text handed to a `_text` entry point does not read back as a term.
     MalformedText(String),
@@ -45,7 +46,7 @@ impl fmt::Display for EncodeError {
             EncodeError::InvalidPredicate(t) => write!(f, "predicate is not an IRI: {t}"),
             EncodeError::LiteralSubject(t) => write!(f, "subject is a literal: {t}"),
             EncodeError::TermSpaceExhausted => {
-                write!(f, "more than 2^32 - 1 distinct terms")
+                write!(f, "more than 2^31 - 1 properties or resources")
             }
             EncodeError::MalformedText(t) => write!(f, "not the text of a term: {t}"),
         }
@@ -55,13 +56,20 @@ impl fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 /// Why a pair of dense term tables is not a dictionary (see
-/// [`Dictionary::from_dense_texts`]).
+/// [`Dictionary::from_dense_texts`] and [`Dictionary::append_raw_parts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenseTableError {
-    /// The same term occupies two slots of one table, or two resource slots.
+    /// The same term occupies two slots of one table, or two resource slots,
+    /// or two entries of the arena.
     DuplicateTerm,
-    /// More terms than the arena's index can number.
+    /// More terms than a half of the identifier space, or the arena's
+    /// index, can number.
     TooManyTerms,
+    /// The arena's end offsets do not mark its text out into terms.
+    BadText,
+    /// A table names an arena entry that is not there, or an entry is in no
+    /// table.
+    BadEntry,
 }
 
 impl fmt::Display for DenseTableError {
@@ -69,11 +77,57 @@ impl fmt::Display for DenseTableError {
         match self {
             DenseTableError::DuplicateTerm => write!(f, "a term is registered twice"),
             DenseTableError::TooManyTerms => write!(f, "too many terms"),
+            DenseTableError::BadText => write!(f, "the arena's text is not term texts"),
+            DenseTableError::BadEntry => write!(f, "a table and the arena disagree"),
         }
     }
 }
 
 impl std::error::Error for DenseTableError {}
+
+/// The identifier of the term at dense `index` of the half `demand` names:
+/// the dictionary's checked id arithmetic. Past the [`MAX_PER_HALF`] terms
+/// a half numbers, [`EncodeError::TermSpaceExhausted`].
+pub fn dense_id(demand: Demand, index: usize) -> Result<u64, EncodeError> {
+    match demand {
+        Demand::Property => checked_nth_property_id(index),
+        Demand::Resource => checked_nth_resource_id(index),
+    }
+    .ok_or(EncodeError::TermSpaceExhausted)
+}
+
+/// How far a dictionary reaches in memory: its arena's text bytes and
+/// entries, and the lengths of its two dense tables. A dictionary only ever
+/// appends, so one taken earlier marks a prefix of each
+/// ([`Dictionary::raw_parts_since`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RawLen {
+    /// Bytes of arena text.
+    pub text: usize,
+    /// Arena entries.
+    pub entries: usize,
+    /// Property slots.
+    pub properties: usize,
+    /// Resource slots.
+    pub resources: usize,
+}
+
+/// A dictionary as it sits in memory, or what it appended past a
+/// [`RawLen`]: its arena's text and end offsets
+/// ([`TextArena::raw_parts`]) and its two dense tables of arena entries.
+/// The lookup index and the entry → identifier map are not part of it:
+/// both follow from these.
+#[derive(Debug, Clone, Copy)]
+pub struct RawParts<'a> {
+    /// Arena text.
+    pub text: &'a str,
+    /// Each entry's end offset in the whole arena.
+    pub ends: &'a [usize],
+    /// Dense property index → arena entry.
+    pub properties: &'a [u32],
+    /// Dense resource index → arena entry.
+    pub resources: &'a [u32],
+}
 
 /// Which half of the identifier space a term occurrence asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +315,10 @@ impl Dictionary {
         num_resources: usize,
         write_next: impl FnMut(&mut String) -> Result<(), E>,
     ) -> Result<Self, E> {
-        let mut dict = Dictionary::empty(num_properties.saturating_add(num_resources));
+        if num_properties.max(num_resources) > MAX_PER_HALF {
+            return Err(DenseTableError::TooManyTerms.into());
+        }
+        let mut dict = Dictionary::empty(num_properties + num_resources);
         dict.append_dense_texts(num_properties, num_resources, write_next)?;
         Ok(dict)
     }
@@ -281,6 +338,11 @@ impl Dictionary {
         num_resources: usize,
         mut write_next: impl FnMut(&mut String) -> Result<(), E>,
     ) -> Result<(), E> {
+        if self.properties.len().saturating_add(num_properties) > MAX_PER_HALF
+            || self.resources.len().saturating_add(num_resources) > MAX_PER_HALF
+        {
+            return Err(DenseTableError::TooManyTerms.into());
+        }
         self.properties.reserve(num_properties);
         self.resources.reserve(num_resources);
         let mut intern_next = |terms: &mut TextArena| -> Result<(u32, bool), E> {
@@ -310,6 +372,122 @@ impl Dictionary {
             self.resources.push(entry);
         }
         Ok(())
+    }
+
+    /// How far the dictionary reaches in memory (see [`RawLen`]).
+    pub fn raw_len(&self) -> RawLen {
+        let (text, ends) = self.terms.raw_parts();
+        RawLen {
+            text: text.len(),
+            entries: ends.len(),
+            properties: self.properties.len(),
+            resources: self.resources.len(),
+        }
+    }
+
+    /// What the dictionary appended since it reached `since` — all of it
+    /// for `RawLen::default()` — as it sits in memory. `None` when `since`
+    /// reaches past the dictionary, or cuts its text inside an entry.
+    pub fn raw_parts_since(&self, since: RawLen) -> Option<RawParts<'_>> {
+        let (text, ends) = self.terms.raw_parts();
+        let at_entry = since
+            .entries
+            .checked_sub(1)
+            .map_or(0, |last| ends.get(last).copied().unwrap_or(usize::MAX));
+        if at_entry != since.text {
+            return None;
+        }
+        Some(RawParts {
+            text: text.get(since.text..)?,
+            ends: ends.get(since.entries..)?,
+            properties: self.properties.get(since.properties..)?,
+            resources: self.resources.get(since.resources..)?,
+        })
+    }
+
+    /// The dictionary [`raw_parts_since`](Self::raw_parts_since)`(
+    /// RawLen::default())` listed: [`append_raw_parts`](Self::append_raw_parts)
+    /// on a dictionary without even the vocabulary.
+    pub fn from_raw_parts(
+        text: String,
+        ends: Vec<usize>,
+        properties: Vec<u32>,
+        resources: Vec<u32>,
+    ) -> Result<Self, DenseTableError> {
+        Dictionary::empty(0).append_raw_parts(text, ends, properties, resources)
+    }
+
+    /// Appends what [`raw_parts_since`](Self::raw_parts_since) listed past
+    /// this dictionary's [`raw_len`](Self::raw_len): the arena text and end
+    /// offsets of the new entries and the entries of the new property and
+    /// resource slots — the recovery path of a snapshot image. The text is
+    /// copied as it is and the lookup index rebuilt by re-seating each new
+    /// entry ([`TextArena::append_raw`]); nothing is rendered or parsed
+    /// twice. Checked on the way, as [`append_dense_texts`](Self::append_dense_texts)
+    /// checks its texts: the offsets mark the text out into texts that read
+    /// back as terms, no text is there twice, every slot names an entry the
+    /// arena holds, every new entry has a slot, a half numbers at most
+    /// [`MAX_PER_HALF`] terms, and an entry in both tables is a property
+    /// and its promotion's stale resource slot (a property slot may promote
+    /// an entry that was a resource before). No promotion is left pending.
+    pub fn append_raw_parts(
+        mut self,
+        text: String,
+        ends: Vec<usize>,
+        properties: Vec<u32>,
+        resources: Vec<u32>,
+    ) -> Result<Self, DenseTableError> {
+        if self.properties.len().saturating_add(properties.len()) > MAX_PER_HALF
+            || self.resources.len().saturating_add(resources.len()) > MAX_PER_HALF
+        {
+            return Err(DenseTableError::TooManyTerms);
+        }
+        let before = self.terms.len();
+        self.terms
+            .append_raw(text, ends)
+            .map_err(|error| match error {
+                RawArenaError::BadOffsets => DenseTableError::BadText,
+                RawArenaError::DuplicateEntry => DenseTableError::DuplicateTerm,
+                RawArenaError::TooManyEntries => DenseTableError::TooManyTerms,
+            })?;
+        let entries = self.terms.len();
+        if (before..entries)
+            .any(|entry| TermRef::from_ntriples(self.terms.text(entry as u32)).is_none())
+        {
+            return Err(DenseTableError::BadText);
+        }
+        // 0 is no identifier: a new entry no slot has named yet.
+        self.ids.resize(entries, 0);
+        self.properties.reserve(properties.len());
+        for entry in properties {
+            let id = self
+                .ids
+                .get_mut(entry as usize)
+                .ok_or(DenseTableError::BadEntry)?;
+            if is_property_id(*id) {
+                return Err(DenseTableError::DuplicateTerm);
+            }
+            *id = nth_property_id(self.properties.len());
+            self.properties.push(entry);
+        }
+        self.resources.reserve(resources.len());
+        for entry in resources {
+            let id = self
+                .ids
+                .get_mut(entry as usize)
+                .ok_or(DenseTableError::BadEntry)?;
+            match *id {
+                0 => *id = nth_resource_id(self.resources.len()),
+                // A promotion's stale slot.
+                id if is_property_id(id) => {}
+                _ => return Err(DenseTableError::DuplicateTerm),
+            }
+            self.resources.push(entry);
+        }
+        if self.ids[before..].contains(&0) {
+            return Err(DenseTableError::BadEntry);
+        }
+        Ok(self)
     }
 
     /// Number of distinct properties registered so far.
@@ -576,8 +754,19 @@ impl Dictionary {
         demand: Demand,
         write: impl FnOnce(&mut String),
     ) -> Result<u64, EncodeError> {
+        self.encode_within(demand, write, dense_id)
+    }
+
+    /// [`encode_with`](Self::encode_with) under the id arithmetic `ids`:
+    /// [`dense_id`], or in the tests one that holds a half to a few terms.
+    fn encode_within(
+        &mut self,
+        demand: Demand,
+        write: impl FnOnce(&mut String),
+        ids: impl Fn(Demand, usize) -> Result<u64, EncodeError>,
+    ) -> Result<u64, EncodeError> {
         let interned = self.terms.intern_with(write);
-        self.register(interned, demand)
+        self.register(interned, demand, ids)
     }
 
     /// Interns `key` verbatim and registers it under `demand`, unless it does
@@ -587,29 +776,34 @@ impl Dictionary {
             return Err(EncodeError::MalformedText(key.to_string()));
         }
         let interned = self.terms.intern(key);
-        self.register(interned, demand)
+        self.register(interned, demand, dense_id)
     }
 
-    /// Gives a just-interned arena entry its identifier: a fresh one in the
-    /// demanded half for a new term, the existing one for a known term —
-    /// after promoting it when a resource is now demanded as a property.
+    /// Gives a just-interned arena entry its identifier, numbered by `ids`:
+    /// a fresh one in the demanded half for a new term, the existing one for
+    /// a known term — after promoting it when a resource is now demanded as
+    /// a property. A half that numbers no more refuses a new term, which
+    /// leaves the arena again, and a promotion.
     fn register(
         &mut self,
         interned: Option<(u32, bool)>,
         demand: Demand,
+        ids: impl Fn(Demand, usize) -> Result<u64, EncodeError>,
     ) -> Result<u64, EncodeError> {
         let (entry, fresh) = interned.ok_or(EncodeError::TermSpaceExhausted)?;
         if fresh {
-            let id = match demand {
-                Demand::Property => {
-                    self.properties.push(entry);
-                    nth_property_id(self.properties.len() - 1)
-                }
-                Demand::Resource => {
-                    self.resources.push(entry);
-                    nth_resource_id(self.resources.len() - 1)
+            let table = match demand {
+                Demand::Property => &mut self.properties,
+                Demand::Resource => &mut self.resources,
+            };
+            let id = match ids(demand, table.len()) {
+                Ok(id) => id,
+                Err(full) => {
+                    self.terms.pop_newest();
+                    return Err(full);
                 }
             };
+            table.push(entry);
             self.ids.push(id);
             return Ok(id);
         }
@@ -619,7 +813,7 @@ impl Dictionary {
         }
         // Promotion: the term was first met in a resource position. Its
         // property slot shares the text its stale resource slot owns.
-        let promoted = nth_property_id(self.properties.len());
+        let promoted = ids(Demand::Property, self.properties.len())?;
         self.properties.push(entry);
         self.ids[entry as usize] = promoted;
         self.pending_promotions.push((id, promoted));
@@ -853,6 +1047,185 @@ mod tests {
             }),
             Err(DenseTableError::DuplicateTerm)
         );
+    }
+
+    #[test]
+    fn a_half_numbers_two_to_the_31_minus_one_terms_and_refuses_the_next() {
+        use inferray_model::ids::IMAGE_WORD_BASE;
+        let last = MAX_PER_HALF - 1;
+        assert_eq!(MAX_PER_HALF, (1 << 31) - 1);
+        for demand in [Demand::Property, Demand::Resource] {
+            let id = dense_id(demand, last).unwrap();
+            assert!(u32::try_from(id - IMAGE_WORD_BASE).is_ok(), "{demand:?}");
+            assert_eq!(
+                dense_id(demand, MAX_PER_HALF),
+                Err(EncodeError::TermSpaceExhausted)
+            );
+        }
+        assert_eq!(dense_id(Demand::Property, 0), Ok(PROPERTY_BASE));
+        assert_eq!(dense_id(Demand::Resource, 0), Ok(RESOURCE_BASE));
+        // The rebuilding entry points refuse such counts before anything is
+        // reserved for them.
+        let never = |_: &mut String| -> Result<(), DenseTableError> { unreachable!() };
+        for (np, nr) in [(MAX_PER_HALF + 1, 0), (0, MAX_PER_HALF + 1)] {
+            assert_eq!(
+                Dictionary::from_dense_texts(np, nr, never),
+                Err(DenseTableError::TooManyTerms)
+            );
+            assert_eq!(
+                Dictionary::new().append_dense_texts(np, nr, never),
+                Err(DenseTableError::TooManyTerms)
+            );
+        }
+    }
+
+    #[test]
+    fn a_full_half_refuses_a_new_term_and_a_promotion_and_changes_nothing() {
+        let mut dict = Dictionary::new();
+        dict.encode_as_resource(&Term::iri("http://ex/r"));
+        let (np, nr) = (dict.num_properties(), dict.num_resources());
+        // The id arithmetic of halves that hold one more term each.
+        let held = move |demand, index| {
+            let limit = match demand {
+                Demand::Property => np + 1,
+                Demand::Resource => nr + 1,
+            };
+            match index < limit {
+                true => dense_id(demand, index),
+                false => Err(EncodeError::TermSpaceExhausted),
+            }
+        };
+        let iri = |iri: &'static str| move |out: &mut String| Term::iri(iri).write_ntriples(out);
+        let encode = |dict: &mut Dictionary, demand, term| dict.encode_within(demand, term, held);
+        assert_eq!(
+            encode(&mut dict, Demand::Property, iri("http://ex/p")),
+            Ok(nth_property_id(np))
+        );
+        assert_eq!(
+            encode(&mut dict, Demand::Resource, iri("http://ex/s")),
+            Ok(nth_resource_id(nr))
+        );
+        let full = dict.clone();
+        for (demand, term) in [
+            (Demand::Property, "http://ex/q"),
+            (Demand::Resource, "http://ex/t"),
+            // A promotion needs a property slot too.
+            (Demand::Property, "http://ex/r"),
+        ] {
+            assert_eq!(
+                encode(&mut dict, demand, iri(term)),
+                Err(EncodeError::TermSpaceExhausted),
+                "{term}"
+            );
+            assert_eq!(dict, full, "{term}");
+            assert_eq!(dict.raw_len(), full.raw_len(), "{term}");
+        }
+        // Known terms still resolve, and a refused text was not kept.
+        assert_eq!(
+            encode(&mut dict, Demand::Property, iri("http://ex/p")),
+            Ok(nth_property_id(np))
+        );
+        assert_eq!(dict.id_of_iri("http://ex/q"), None);
+        assert_eq!(dict.id_of_iri("http://ex/r"), full.id_of_iri("http://ex/r"));
+    }
+
+    #[test]
+    fn raw_parts_rebuild_the_dictionary_they_were_read_from() {
+        let mut dict = Dictionary::new();
+        dict.encode_as_resource(&Term::iri("http://ex/a"));
+        dict.encode_as_resource(&Term::iri("http://ex/hasPart"));
+        dict.encode_as_property(&Term::iri("http://ex/hasPart"))
+            .unwrap();
+        let _ = dict.take_promotions();
+        let half = dict.raw_len();
+        let mut grown = dict.clone();
+        grown.encode_as_resource(&Term::lang_literal("chat", "fr"));
+        grown.encode_as_resource(&Term::iri("http://ex/b"));
+        grown.encode_as_property(&Term::iri("http://ex/b")).unwrap();
+        grown.encode_as_property(&Term::iri("http://ex/a")).unwrap();
+        let _ = grown.take_promotions();
+        let rebuild = |parts: RawParts<'_>, on: Dictionary| {
+            on.append_raw_parts(
+                parts.text.to_string(),
+                parts.ends.to_vec(),
+                parts.properties.to_vec(),
+                parts.resources.to_vec(),
+            )
+        };
+        let all = grown.raw_parts_since(RawLen::default()).unwrap();
+        let whole = rebuild(all, Dictionary::empty(0)).unwrap();
+        assert_eq!(whole, grown);
+        assert_eq!(whole.raw_len(), grown.raw_len());
+        let first = rebuild(
+            dict.raw_parts_since(RawLen::default()).unwrap(),
+            Dictionary::empty(0),
+        );
+        let since = grown.raw_parts_since(half).unwrap();
+        let appended = rebuild(since, first.unwrap()).unwrap();
+        assert_eq!(appended, grown);
+        for iri in ["http://ex/a", "http://ex/b", "http://ex/hasPart"] {
+            assert_eq!(appended.id_of_iri(iri), grown.id_of_iri(iri), "{iri}");
+        }
+        // A mark past the dictionary, or inside an entry, lists nothing.
+        let past = RawLen {
+            entries: half.entries + 1,
+            ..half
+        };
+        assert!(dict.raw_parts_since(past).is_none());
+        let inside = RawLen {
+            text: half.text - 1,
+            ..half
+        };
+        assert!(dict.raw_parts_since(inside).is_none());
+    }
+
+    #[test]
+    fn raw_parts_that_are_no_dictionary_are_refused() {
+        let parts = |text: &str, ends: &[usize], properties: &[u32], resources: &[u32]| {
+            Dictionary::from_raw_parts(
+                text.to_string(),
+                ends.to_vec(),
+                properties.to_vec(),
+                resources.to_vec(),
+            )
+        };
+        assert!(parts("<p><r>", &[3, 6], &[0], &[1]).is_ok());
+        // A property and its promotion's stale resource slot.
+        assert!(parts("<p>", &[3], &[0], &[0]).is_ok());
+        let refused = [
+            (
+                parts("<p><r>", &[3, 6], &[0, 0], &[1]),
+                DenseTableError::DuplicateTerm,
+            ),
+            (
+                parts("<p><r>", &[3, 6], &[0], &[1, 1]),
+                DenseTableError::DuplicateTerm,
+            ),
+            (
+                parts("<p><p>", &[3, 6], &[0], &[1]),
+                DenseTableError::DuplicateTerm,
+            ),
+            (
+                parts("<p><r>", &[3, 6], &[0], &[2]),
+                DenseTableError::BadEntry,
+            ),
+            (
+                parts("<p><r>", &[3, 6], &[0], &[]),
+                DenseTableError::BadEntry,
+            ),
+            (
+                parts("<p><r>", &[3, 5], &[0], &[1]),
+                DenseTableError::BadText,
+            ),
+            (
+                parts("<p>r>", &[3, 5], &[0], &[1]),
+                DenseTableError::BadText,
+            ),
+            (parts("<p>", &[], &[], &[]), DenseTableError::BadText),
+        ];
+        for (outcome, error) in refused {
+            assert_eq!(outcome, Err(error));
+        }
     }
 
     #[test]

@@ -92,5 +92,7 @@ mod arena;
 mod dictionary;
 pub mod wellknown;
 
-pub use arena::TextArena;
-pub use dictionary::{position_demands, Demand, DenseTableError, Dictionary, EncodeError};
+pub use arena::{RawArenaError, TextArena};
+pub use dictionary::{
+    dense_id, position_demands, Demand, DenseTableError, Dictionary, EncodeError, RawLen, RawParts,
+};

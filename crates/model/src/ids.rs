@@ -22,8 +22,15 @@ pub const PROPERTY_BASE: u64 = 1 << 32;
 /// The identifier assigned to the first resource: `2³² + 1`.
 pub const RESOURCE_BASE: u64 = PROPERTY_BASE + 1;
 
-/// Maximum number of properties representable (identifiers `1 ..= 2³²`).
-pub const MAX_PROPERTIES: u64 = PROPERTY_BASE;
+/// The most terms one half of the space numbers: `2³¹ − 1` properties and
+/// as many resources. Every identifier then lies in `(2³¹, 2³² + 2³¹)`, so
+/// it minus `2³¹` fits a `u32` — the snapshot image stores pair words that
+/// way ([`IMAGE_WORD_BASE`]).
+pub const MAX_PER_HALF: usize = (1 << 31) - 1;
+
+/// What the snapshot image subtracts from an identifier to store it in 32
+/// bits (see [`MAX_PER_HALF`]).
+pub const IMAGE_WORD_BASE: u64 = 1 << 31;
 
 /// Returns `true` when `id` lies in the property half of the space.
 #[inline]
@@ -85,6 +92,20 @@ pub fn nth_resource_id(n: usize) -> u64 {
     resource_id_from_index(n)
 }
 
+/// [`nth_property_id`], or `None` past the [`MAX_PER_HALF`] properties a
+/// half numbers.
+#[inline]
+pub fn checked_nth_property_id(n: usize) -> Option<u64> {
+    (n < MAX_PER_HALF).then(|| nth_property_id(n))
+}
+
+/// [`nth_resource_id`], or `None` past the [`MAX_PER_HALF`] resources a
+/// half numbers.
+#[inline]
+pub fn checked_nth_resource_id(n: usize) -> Option<u64> {
+    (n < MAX_PER_HALF).then(|| nth_resource_id(n))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +150,20 @@ mod tests {
             assert_eq!(property_index(property_id_from_index(n)), n);
             assert_eq!(resource_index(resource_id_from_index(n)), n);
         }
+    }
+
+    #[test]
+    fn every_id_a_half_numbers_is_a_u32_above_the_image_word_base() {
+        let last = MAX_PER_HALF - 1;
+        assert_eq!(checked_nth_property_id(last), Some(nth_property_id(last)));
+        assert_eq!(checked_nth_resource_id(last), Some(nth_resource_id(last)));
+        assert_eq!(checked_nth_property_id(MAX_PER_HALF), None);
+        assert_eq!(checked_nth_resource_id(MAX_PER_HALF), None);
+        for id in [nth_property_id(last), nth_resource_id(last)] {
+            assert!(u32::try_from(id - IMAGE_WORD_BASE).is_ok(), "{id}");
+        }
+        assert_eq!(nth_resource_id(last) - IMAGE_WORD_BASE, u32::MAX as u64);
+        assert!(nth_property_id(last) > IMAGE_WORD_BASE);
     }
 
     #[test]

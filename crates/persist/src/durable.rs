@@ -65,7 +65,7 @@
 //! record is internally complete or it fails its CRC).
 
 use crate::io::{list_numbered, IoBackend, TEMP_SUFFIX};
-use crate::snapshot::{self, BaseImage, ImageParts, SnapshotImage};
+use crate::snapshot::{self, BaseImage, ImageParts, Recovered, SnapshotImage};
 use crate::wal;
 use inferray_core::{
     InferenceStats, InferrayOptions, Program, ServingDataset, WriteError, WriteKind, WriteOutcome,
@@ -304,6 +304,56 @@ impl DurabilityStatus {
     }
 }
 
+/// Where a cold start's time went ([`DurableDataset::open`]): reading the
+/// image that recovered — each section's decode inside it, the dictionary
+/// beside the two stores, a delta's base's added — then the first epoch's
+/// ⟨o,s⟩ caches, then reading and replaying the log. The three stages run
+/// one after another, so [`total`](RecoveryStages::total) is at most the
+/// wall time of `open`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStages {
+    /// Reading the image (and a delta's base), from the first header byte
+    /// to the last section decoded. Newer images that did not recover are
+    /// not counted.
+    pub image: Duration,
+    /// The `DICT` section's decode: the dictionary rebuilt.
+    pub dict: Duration,
+    /// The `BASE` section's decode: the explicit store.
+    pub base: Duration,
+    /// The `MATL` section's decode: the materialized store.
+    pub matl: Duration,
+    /// Building the first epoch's ⟨o,s⟩ caches.
+    pub os_caches: Duration,
+    /// Reading the log and replaying its records past the image.
+    pub replay: Duration,
+}
+
+impl RecoveryStages {
+    /// The three stages, added.
+    pub fn total(&self) -> Duration {
+        self.image + self.os_caches + self.replay
+    }
+}
+
+impl fmt::Display for RecoveryStages {
+    /// `image 31.2 ms (DICT 22.0 ms, BASE 7.1 ms, MATL 20.3 ms), os-caches
+    /// 12.8 ms, replay 40.1 ms`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        write!(
+            f,
+            "image {:.1} ms (DICT {:.1} ms, BASE {:.1} ms, MATL {:.1} ms), \
+             os-caches {:.1} ms, replay {:.1} ms",
+            ms(self.image),
+            ms(self.dict),
+            ms(self.base),
+            ms(self.matl),
+            ms(self.os_caches),
+            ms(self.replay)
+        )
+    }
+}
+
 /// What [`DurableDataset::open`] did to get back to a serving state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -325,6 +375,8 @@ pub struct RecoveryReport {
     pub epoch: u64,
     /// Triples in the resumed (materialized) store.
     pub triples: usize,
+    /// Where the time went.
+    pub stages: RecoveryStages,
 }
 
 #[derive(Debug, Default)]
@@ -458,8 +510,13 @@ impl DurableDataset {
         let dir = dir.into();
         let program = program.into();
         DurableDataset::remove_temp_files(backend.as_ref(), &dir)?;
-        let (image, snapshot_path, base_path, invalid_snapshots) =
+        let (recovered, snapshot_path, invalid_snapshots) =
             DurableDataset::newest_valid_image(backend.as_ref(), &dir)?;
+        let Recovered {
+            image,
+            base: base_path,
+            times,
+        } = recovered;
         let requested = program_name(&program);
         if image.fragment != requested {
             return Err(DurableError::FragmentMismatch {
@@ -475,13 +532,16 @@ impl DurableDataset {
             materialized,
             ..
         } = image;
+        let start = Instant::now();
         let inner =
             ServingDataset::from_parts(dictionary, base, materialized, epoch, program, options);
+        let os_caches = start.elapsed();
 
         // Replay the WAL suffix through the live write pipeline. Every
         // record passed the shape gate of the process that logged it, so
         // replay runs ungated; the embedder re-installs its shapes on the
         // recovered dataset, which validates the recovered snapshot.
+        let start = Instant::now();
         let log = wal::recover(backend.as_ref(), &dir, snapshot_seq)?;
         for record in &log.records {
             inner
@@ -491,6 +551,14 @@ impl DurableDataset {
                     DurableError::corrupt(format!("WAL record {seq} does not replay: {e}"))
                 })?;
         }
+        let stages = RecoveryStages {
+            image: times.wall,
+            dict: times.dict,
+            base: times.base,
+            matl: times.matl,
+            os_caches,
+            replay: start.elapsed(),
+        };
 
         let snapshot = inner.store_snapshot();
         let image_base_epoch = base_path
@@ -507,6 +575,7 @@ impl DurableDataset {
             torn_tail_bytes: log.torn_bytes,
             epoch: snapshot.epoch(),
             triples: snapshot.store().len(),
+            stages,
         };
         let status = DurabilityStatus {
             snapshot_path: Some(snapshot_path),
@@ -556,12 +625,12 @@ impl DurableDataset {
     }
 
     /// The newest image that recovers — on its own, or as a delta on the
-    /// full image it names — with its path, its base's path for a delta,
-    /// and how many newer images did not recover.
+    /// full image it names — with its path and how many newer images did
+    /// not recover.
     fn newest_valid_image(
         backend: &dyn IoBackend,
         dir: &Path,
-    ) -> Result<(SnapshotImage, PathBuf, Option<PathBuf>, usize), DurableError> {
+    ) -> Result<(Recovered, PathBuf, usize), DurableError> {
         let candidates = list_numbered(backend, dir, snapshot::parse_snapshot_file_name)
             .map_err(DurableError::io(format!("listing {}", dir.display())))?;
         if candidates.is_empty() {
@@ -570,7 +639,7 @@ impl DurableDataset {
         let mut invalid = 0usize;
         for (_, path) in candidates {
             match snapshot::open_recoverable(backend, &path) {
-                Ok((image, base)) => return Ok((image, path, base, invalid)),
+                Ok(recovered) => return Ok((recovered, path, invalid)),
                 Err(_) => invalid += 1,
             }
         }
@@ -638,7 +707,9 @@ impl DurableDataset {
     /// ([`ServingDataset::write_ntriples`]) with WAL append + fsync as its
     /// log stage, under the state lock so that WAL order equals apply
     /// order. [`WriteError::Log`] means the dataset is (now) read-only.
-    /// The checkpoint threshold is checked here, after the publish.
+    /// The checkpoint threshold is checked here, after the publish; the
+    /// write that crosses it reports beginning the checkpoint as its
+    /// `checkpoint` stage ([`WriteStages`](inferray_core::WriteStages)).
     pub fn write_ntriples(&self, kind: WriteKind, body: &str) -> Result<WriteOutcome, WriteError> {
         let mut state = self.lock_state();
         if self.is_read_only() {
@@ -647,11 +718,14 @@ impl DurableDataset {
                 reason.unwrap_or_else(|| "degraded to read-only".to_string()),
             ));
         }
-        let outcome = self
+        let mut outcome = self
             .inner
             .write_ntriples(kind, body, || self.append(&mut state, kind, body))?;
         self.settle_checkpoint(&mut state, false);
-        self.maybe_checkpoint(&mut state);
+        let start = Instant::now();
+        if self.maybe_checkpoint(&mut state) {
+            outcome.stages.checkpoint = start.elapsed();
+        }
         self.refresh_status_mirror(&state);
         Ok(outcome)
     }
@@ -709,10 +783,11 @@ impl DurableDataset {
     }
 
     /// The threshold checkpoint: begun by the write that crossed the
-    /// threshold, finished behind its acknowledgement.
-    fn maybe_checkpoint(&self, state: &mut DurableState) {
+    /// threshold, finished behind its acknowledgement. Whether the
+    /// threshold was crossed.
+    fn maybe_checkpoint(&self, state: &mut DurableState) -> bool {
         if !self.policy.triggered(state.live.records, state.live.bytes) {
-            return;
+            return false;
         }
         // A failed checkpoint is not fatal: the WAL alone still carries
         // every acknowledged write. Record the error and keep serving.
@@ -720,6 +795,7 @@ impl DurableDataset {
             Ok(image) => state.in_flight = Some(image),
             Err(e) => state.status.last_error = Some(format!("checkpoint failed: {e}")),
         }
+        true
     }
 
     /// First half of a checkpoint, under the state lock: seal the log,

@@ -285,6 +285,125 @@ impl StreamSink for SlicedFile {
 }
 
 // ---------------------------------------------------------------------------
+// A dry run over another backend
+// ---------------------------------------------------------------------------
+
+/// A backend that reads through to another one and keeps what is written
+/// in memory: every append, atomic write and removal lands in an overlay
+/// that later reads, listings and handles see, and the backend underneath
+/// is never written. Opening a data directory through it is a dry run of
+/// recovery — `inferray-cli recover` reports what `serve` would recover to,
+/// torn log tail cut and stale temp files removed, and leaves the directory
+/// as it found it.
+#[derive(Debug, Default)]
+pub struct Overlay<B> {
+    under: B,
+    /// What was written, by path: the new contents, or `None` once removed.
+    changed: Mutex<BTreeMap<PathBuf, Option<Vec<u8>>>>,
+}
+
+impl<B: IoBackend> Overlay<B> {
+    /// An overlay with nothing written yet over `under`.
+    pub fn new(under: B) -> Self {
+        Overlay {
+            under,
+            changed: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The contents of `path` as this backend sees it: `Ok(None)` when it
+    /// is missing.
+    fn contents(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+        if let Some(changed) = unpoison(self.changed.lock()).get(path) {
+            return Ok(changed.clone());
+        }
+        match self.under.read(path) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn set(&self, path: &Path, contents: Option<Vec<u8>>) {
+        unpoison(self.changed.lock()).insert(path.to_path_buf(), contents);
+    }
+}
+
+fn not_found(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("{} not found", path.display()),
+    )
+}
+
+impl<B: IoBackend> IoBackend for Overlay<B> {
+    fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.contents(path)?.ok_or_else(|| not_found(path))
+    }
+
+    /// Like [`StdFs`], creates a missing file.
+    fn append_durable(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        let mut bytes = self.contents(path)?.unwrap_or_default();
+        bytes.extend_from_slice(data);
+        self.set(path, Some(bytes));
+        Ok(())
+    }
+
+    fn write_atomic_streamed(&self, path: &Path, fill: &mut Fill<'_>) -> io::Result<()> {
+        let mut bytes = Vec::new();
+        fill(&mut bytes)?;
+        self.set(path, Some(bytes));
+        Ok(())
+    }
+
+    fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send + '_>> {
+        let changed = unpoison(self.changed.lock()).get(path).cloned();
+        match changed {
+            None => self.under.open_at(path, offset),
+            Some(None) => Err(not_found(path)),
+            Some(Some(bytes)) => {
+                let mut reader = io::Cursor::new(bytes);
+                reader.set_position(offset);
+                Ok(Box::new(reader))
+            }
+        }
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        if !self.exists(path) {
+            return Err(not_found(path));
+        }
+        self.set(path, None);
+        Ok(())
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        let mut files: std::collections::BTreeSet<PathBuf> =
+            self.under.list(dir)?.into_iter().collect();
+        for (path, contents) in unpoison(self.changed.lock()).iter() {
+            if path.parent() == Some(dir) {
+                match contents {
+                    Some(_) => files.insert(path.clone()),
+                    None => files.remove(path),
+                };
+            }
+        }
+        Ok(files.into_iter().collect())
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        match unpoison(self.changed.lock()).get(path) {
+            Some(contents) => contents.is_some(),
+            None => self.under.exists(path),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Deterministic fault-injected in-memory filesystem
 // ---------------------------------------------------------------------------
 
@@ -821,5 +940,36 @@ mod tests {
         fs.remove(&wal).unwrap();
         assert!(!fs.exists(&wal));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_overlay_sees_its_own_writes_and_leaves_the_backend_underneath_as_it_was() {
+        let under = MemFs::new();
+        let dir = Path::new("d");
+        under.write_atomic(&dir.join("a"), b"abc").unwrap();
+        under.write_atomic(&dir.join("b"), b"left behind").unwrap();
+        let before = under.durable_view();
+        let overlay = Overlay::new(under);
+        overlay.append_durable(&dir.join("a"), b"def").unwrap();
+        overlay.write_atomic(&dir.join("c"), b"new").unwrap();
+        overlay.remove(&dir.join("b")).unwrap();
+        overlay.append_durable(&dir.join("fresh"), b"x").unwrap();
+        assert!(overlay.remove(&dir.join("b")).is_err());
+        assert_eq!(overlay.read(&dir.join("a")).unwrap(), b"abcdef");
+        let mut tail = String::new();
+        overlay
+            .open_at(&dir.join("a"), 2)
+            .unwrap()
+            .read_to_string(&mut tail)
+            .unwrap();
+        assert_eq!(tail, "cdef");
+        assert!(overlay.open_at(&dir.join("b"), 0).is_err());
+        assert!(!overlay.exists(&dir.join("b")) && overlay.exists(&dir.join("c")));
+        assert_eq!(
+            overlay.list(dir).unwrap(),
+            ["a", "c", "fresh"].map(|name| dir.join(name))
+        );
+        assert_eq!(overlay.under.durable_view(), before);
+        assert_eq!(overlay.under.read(&dir.join("b")).unwrap(), b"left behind");
     }
 }

@@ -1,25 +1,84 @@
 //! The snapshot image: dictionary + base + materialized pair tables +
-//! epoch, serialized as a length-prefixed, CRC-checked, mmap-able file.
+//! epoch, serialized as a length-prefixed, CRC-checked file.
 //!
-//! ## File layout (all integers little-endian)
+//! ## One codec: format 2 (all integers little-endian)
 //!
 //! ```text
-//! magic      "IFRYSNP1"                      8 bytes
+//! magic      "IFRYIMG2"                      8 bytes
 //! header_len u32 · header_crc u32            CRC over the header payload
-//! header     version u32 = 1
+//! header     version u32 = 2
 //!            epoch u64 · last_seq u64
-//!            fragment_len u32 · fragment     UTF-8 fragment name
+//!            fragment_len u32 · fragment     UTF-8 program name
+//!            base u8                         0: a full image
+//!                                            1: a delta, then base_epoch u64 ·
+//!                                               base_header_crc u32
 //!            section_count u32 = 3
 //! section ×3 tag [u8;4] · len u64 · crc u32 · payload
 //! ```
 //!
-//! Sections appear in order `DICT`, `BASE`, `MATL`. Each pair table inside
-//! a store section is the store's flat sorted `[s0,o0,s1,o1,…]` array
-//! written verbatim as little-endian `u64`s — 8-byte aligned and
-//! contiguous, so an `mmap` implementation could point table slices
-//! straight into the file. This crate forbids `unsafe`, so recovery
-//! instead does the next-best thing: one pass per table from the file into
-//! a `Vec<u64>` of the table's exact size.
+//! Sections appear in order `DICT`, `BASE`, `MATL`. Every image is a
+//! **delta on a base**: a full image is the delta on the empty base — no
+//! terms, no tables — and a delta image ([`write_delta_image`]) the delta
+//! on the last full image, which its header names by epoch (so by file
+//! name) and header CRC. One writer and one reader serve both.
+//!
+//! ```text
+//! DICT  base properties u64 · base resources u64   what the base holds
+//!       properties u64 · resources u64             slots appended
+//!       base text u64 · base entries u64           the base's arena
+//!       text u64 · entries u64                     arena appended
+//!       ends       entries × u64                   end offsets in the arena
+//!       properties properties × u32                arena entry of each slot
+//!       resources  resources × u32
+//!       text       text bytes                      UTF-8
+//! BASE, slot_count u64, then per slot a marker u8: 0 no table,
+//! MATL  1 a table — pair_count u64 · 2 × pair_count u32 words —, or
+//!       2 the base's table, still the very one
+//! ```
+//!
+//! The `DICT` section is the dictionary as it sits in memory
+//! ([`Dictionary::raw_parts_since`]): its text arena's text and end
+//! offsets, and its two dense tables of arena entries. A cold start copies
+//! them and rebuilds the lookup index by re-seating each entry
+//! ([`Dictionary::append_raw_parts`]); the index itself is not stored, so
+//! the file does not depend on the hash or the probe order. Each pair word
+//! is a term identifier minus 2³¹ ([`IMAGE_WORD_BASE`]): the dictionary
+//! numbers at most 2³¹ − 1 terms in each half, so every identifier fits
+//! ([`MAX_PER_HALF`](inferray_model::ids::MAX_PER_HALF)); the reader widens
+//! it back.
+//!
+//! The store sections preserve the **exact slot layout** of the in-memory
+//! `TripleStore` — `None` slots versus allocated-but-empty tables — because
+//! the crash-recovery suite asserts recovered stores equal their pre-crash
+//! originals under `PartialEq`, which observes that difference.
+//!
+//! `last_seq` is the WAL sequence number the image covers: replay skips
+//! records at or below it, which is what makes "checkpoint, then crash
+//! before the log is retired" safe.
+//!
+//! ## What a reader checks
+//!
+//! Each section's CRC; every count held to what its section still holds
+//! before anything is allocated for it; UTF-8 of the text; end offsets that
+//! rise and stay inside the text and on character boundaries; every text
+//! one that reads back as a term, and none twice; every slot naming an
+//! entry the arena holds, every new entry named by a slot, and an entry in
+//! both tables only as a property and its promotion's stale resource slot;
+//! pair words strictly sorted after widening; slot markers known, and
+//! "as in base" only where the base has a table. A section that fails any
+//! of them is discarded whole, and recovery falls back to an older image.
+//!
+//! ## Format 1, read only
+//!
+//! Format 1 wrote a full image (`"IFRYSNP1"`) with one tagged term record
+//! per dictionary slot, which a cold start rendered and interned one by
+//! one, and `u64` pair words; a delta (`"IFRYDLT1"`) held the terms
+//! appended since its base the same way. Its reader is kept — only its
+//! reader — so that the images older builds wrote, and a data directory
+//! they left, still open: a process's first checkpoint is always a full
+//! image of format 2, so no format-2 delta is written on a format-1 base,
+//! and a delta is read only on the base whose header CRC it names, which
+//! is of its own format.
 //!
 //! ## One block each way
 //!
@@ -29,51 +88,18 @@
 //! payload is written — are patched in behind it, the CRC kept running
 //! ([`Crc32`]) as the blocks leave. A cold start ([`open_image`]) reads the
 //! header and the section table, checks that the file ends where the last
-//! section does, and then decodes each section on its own pool lane, from
-//! its own handle and offset, through one block, keeping its CRC as it
-//! reads. What the decoder allocates is the decoded dictionary and tables,
-//! each at a size it first holds to what its section still contains; a
-//! section whose CRC fails is discarded whole. [`encode_image`] and
-//! [`decode_image`] are the same writer and reader over memory.
-//!
-//! The store sections preserve the **exact slot layout** of the in-memory
-//! `TripleStore` — `None` slots versus allocated-but-empty tables — because
-//! the crash-recovery suite asserts recovered stores equal their pre-crash
-//! originals under `PartialEq`, which observes that difference.
-//!
-//! `last_seq` is the WAL sequence number the image covers: replay skips
-//! records at or below it, which is what makes "checkpoint, then crash
-//! before truncating the log" safe.
-//!
-//! ## Delta images
-//!
-//! A write changes a few tables and shares the rest with the epoch before
-//! it, so most of what a checkpoint would write is already in the last full
-//! image. A **delta image** ([`write_delta_image`]) holds only the rest:
-//!
-//! ```text
-//! magic      "IFRYDLT1"                      8 bytes
-//! header_len u32 · header_crc u32
-//! header     version u32 = 1
-//!            epoch u64 · last_seq u64
-//!            fragment_len u32 · fragment
-//!            base_epoch u64 · base_header_crc u32
-//!            section_count u32 = 3
-//! section ×3 tag [u8;4] · len u64 · crc u32 · payload
-//! ```
-//!
-//! Its `DICT` section holds the base's two term counts, the counts
-//! appended since, and the appended terms ([`Dictionary::texts_since`]: a
-//! dictionary only ever appends). Its `BASE` and `MATL` sections are laid
-//! out like a full image's, with one more slot marker: "as in base", for a
-//! table that is still the very allocation the base image captured
-//! ([`BaseImage`]). A delta names its base by the base's epoch — so by its
-//! file name — and header CRC; [`open_recoverable`] reads it only on top of
-//! that image. Full images are format 1 unchanged.
+//! section does, and then decodes each section from its own handle and
+//! offset, through one block, keeping its CRC as it reads — the dictionary
+//! on one pool lane, the two stores on another. What the decoder allocates
+//! is the decoded dictionary and tables, each at a size it first holds to
+//! what its section still contains.
+//! [`encode_image`] and [`decode_image`] are the same writer and reader
+//! over memory.
 
 use crate::crc::{crc32, Crc32};
 use crate::io::{numbered_file_name, parse_numbered_file_name, IoBackend, StreamSink};
-use inferray_dictionary::{DenseTableError, Dictionary};
+use inferray_dictionary::{DenseTableError, Dictionary, RawLen};
+use inferray_model::ids::IMAGE_WORD_BASE;
 use inferray_model::TermRef;
 use inferray_store::{as_pairs, PropertyTable, TripleStore};
 use std::borrow::Cow;
@@ -81,13 +107,16 @@ use std::fmt;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
-/// File magic: "Inferray snapshot, format 1".
-pub const MAGIC: &[u8; 8] = b"IFRYSNP1";
-/// File magic of a delta image: "Inferray delta, format 1".
-pub const DELTA_MAGIC: &[u8; 8] = b"IFRYDLT1";
+/// File magic: "Inferray image, format 2" — full and delta images alike.
+pub const MAGIC: &[u8; 8] = b"IFRYIMG2";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+/// File magic of a format-1 full image, read only.
+pub const V1_MAGIC: &[u8; 8] = b"IFRYSNP1";
+/// File magic of a format-1 delta image, read only.
+pub const V1_DELTA_MAGIC: &[u8; 8] = b"IFRYDLT1";
 
 /// A delta image is written only while it stays within this fraction of
 /// its base image's bytes (1/4); past it, a full image costs little more
@@ -116,7 +145,7 @@ const SLOT_AS_IN_BASE: u8 = 2;
 pub enum SnapshotError {
     /// The file ends before the structure it promises.
     Truncated,
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with a magic of either format.
     BadMagic,
     /// A format version this build does not understand.
     BadVersion(u32),
@@ -164,6 +193,31 @@ pub struct SnapshotImage {
     pub materialized: TripleStore,
 }
 
+/// Where reading an image went: each section's decode — the dictionary on
+/// one pool lane, the two stores one after the other on another — and the
+/// wall time of the whole read. A delta's are its base's and its own,
+/// added.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeTimes {
+    /// The `DICT` section's decode.
+    pub dict: Duration,
+    /// The `BASE` section's decode.
+    pub base: Duration,
+    /// The `MATL` section's decode.
+    pub matl: Duration,
+    /// From the first header byte read to the last section decoded.
+    pub wall: Duration,
+}
+
+impl std::ops::AddAssign for DecodeTimes {
+    fn add_assign(&mut self, other: DecodeTimes) {
+        self.dict += other.dict;
+        self.base += other.base;
+        self.matl += other.matl;
+        self.wall += other.wall;
+    }
+}
+
 /// File name of the snapshot covering `epoch` (zero-padded so that
 /// lexicographic order is numeric order).
 pub fn snapshot_file_name(epoch: u64) -> String {
@@ -181,8 +235,8 @@ pub fn parse_snapshot_file_name(name: &str) -> Option<u64> {
 
 /// The one buffer an image passes through, each way: the checkpoint thread
 /// fills one block at a time and hands it to the file, and each section of
-/// a cold start decodes out of one block read from its own handle. A block
-/// grows past this only for a single term record longer than it.
+/// a cold start decodes out of one block read from its own handle. A
+/// format-1 block grows past this only for a term record longer than it.
 pub const IMAGE_BLOCK: usize = 256 << 10;
 
 /// Streams an image into a [`StreamSink`] through one [`IMAGE_BLOCK`].
@@ -222,48 +276,42 @@ impl<'s> ImageWriter<'s> {
         Ok(())
     }
 
-    /// Appends `bytes`. A piece that fits nowhere in a block (a term
-    /// longer than one) goes to the sink as it is, behind the flushed block.
-    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if self.block.len() + bytes.len() > IMAGE_BLOCK {
-            self.flush()?;
-            if bytes.len() > IMAGE_BLOCK {
-                self.crc.update(bytes);
-                self.sink.append(bytes)?;
-                self.flushed += bytes.len() as u64;
-                return Ok(());
+    /// Appends `bytes`, a block's worth at a time.
+    fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            if self.block.len() == IMAGE_BLOCK {
+                self.flush()?;
             }
+            let room = IMAGE_BLOCK - self.block.len();
+            let (now, later) = bytes.split_at(room.min(bytes.len()));
+            self.block.extend_from_slice(now);
+            bytes = later;
         }
-        self.block.extend_from_slice(bytes);
         Ok(())
-    }
-
-    fn put_u32(&mut self, v: u32) -> io::Result<()> {
-        self.put(&v.to_le_bytes())
     }
 
     fn put_u64(&mut self, v: u64) -> io::Result<()> {
         self.put(&v.to_le_bytes())
     }
 
-    fn put_str(&mut self, s: &str) -> io::Result<()> {
-        self.put_u32(s.len() as u32)?;
-        self.put(s.as_bytes())
-    }
-
-    /// Appends `words` little-endian, a block's worth at a time.
-    fn put_words(&mut self, mut words: &[u64]) -> io::Result<()> {
-        while !words.is_empty() {
-            let room = (IMAGE_BLOCK - self.block.len()) / 8;
+    /// Appends each of `items` as the `N` little-endian bytes `bytes`
+    /// makes of it, a block's worth at a time.
+    fn put_each<T: Copy, const N: usize>(
+        &mut self,
+        mut items: &[T],
+        bytes: impl Fn(T) -> io::Result<[u8; N]>,
+    ) -> io::Result<()> {
+        while !items.is_empty() {
+            let room = (IMAGE_BLOCK - self.block.len()) / N;
             if room == 0 {
                 self.flush()?;
                 continue;
             }
-            let (now, later) = words.split_at(room.min(words.len()));
-            for word in now {
-                self.block.extend_from_slice(&word.to_le_bytes());
+            let (now, later) = items.split_at(room.min(items.len()));
+            for &item in now {
+                self.block.extend_from_slice(&bytes(item)?);
             }
-            words = later;
+            items = later;
         }
         Ok(())
     }
@@ -307,92 +355,52 @@ impl<'s> ImageWriter<'s> {
         self.patch(payload - 12, &fields)
     }
 
-    fn put_term(&mut self, term: &TermRef<'_>) -> io::Result<()> {
-        match term {
-            TermRef::Iri(iri) => {
-                self.put(&[TERM_IRI])?;
-                self.put_str(iri)
-            }
-            TermRef::Blank(label) => {
-                self.put(&[TERM_BLANK])?;
-                self.put_str(label)
-            }
-            TermRef::Literal {
-                lexical,
-                datatype,
-                language,
-            } => {
-                self.put(&[TERM_LITERAL])?;
-                self.put_str(lexical)?;
-                let mut flags = 0u8;
-                if datatype.is_some() {
-                    flags |= FLAG_DATATYPE;
-                }
-                if language.is_some() {
-                    flags |= FLAG_LANGUAGE;
-                }
-                self.put(&[flags])?;
-                if let Some(dt) = datatype {
-                    self.put_str(dt)?;
-                }
-                if let Some(lang) = language {
-                    self.put_str(lang)?;
-                }
-                Ok(())
-            }
+    /// The `DICT` section: what the dictionary appended since `since` —
+    /// everything, on the empty base — as it sits in memory.
+    fn put_dictionary(&mut self, dictionary: &Dictionary, since: RawLen) -> io::Result<()> {
+        let parts = dictionary.raw_parts_since(since).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the dictionary does not extend its base image's",
+            )
+        })?;
+        for count in [
+            since.properties,
+            since.resources,
+            parts.properties.len(),
+            parts.resources.len(),
+            since.text,
+            since.entries,
+            parts.text.len(),
+            parts.ends.len(),
+        ] {
+            self.put_u64(count as u64)?;
         }
-    }
-
-    /// The `DICT` section: both term counts, then every term of the
-    /// property table and of the resource table in dense order, each as a
-    /// tagged, length-prefixed record. The records are transcoded from the
-    /// dictionary's arena text (its canonical N-Triples forms) through a
-    /// borrowed view — no `Term` is built — and [`decode_dictionary`]
-    /// transcodes them back.
-    fn put_dictionary(&mut self, dictionary: &Dictionary) -> io::Result<()> {
-        self.put_u64(dictionary.num_properties() as u64)?;
-        self.put_u64(dictionary.num_resources() as u64)?;
-        self.put_texts(dictionary.texts())
-    }
-
-    /// A delta's `DICT` section: the base's two term counts, the counts
-    /// appended since, and the appended terms.
-    fn put_dictionary_since(&mut self, dictionary: &Dictionary, on: &BaseImage) -> io::Result<()> {
-        let (properties, resources) = (on.num_properties, on.num_resources);
-        self.put_u64(properties as u64)?;
-        self.put_u64(resources as u64)?;
-        self.put_u64((dictionary.num_properties() - properties) as u64)?;
-        self.put_u64((dictionary.num_resources() - resources) as u64)?;
-        self.put_texts(dictionary.texts_since(properties, resources))
-    }
-
-    fn put_texts<'t>(&mut self, texts: impl Iterator<Item = &'t str>) -> io::Result<()> {
-        for text in texts {
-            let term = TermRef::from_ntriples(text).expect("the arena holds canonical term text");
-            self.put_term(&term)?;
-        }
-        Ok(())
+        self.put_each(parts.ends, |end| Ok((end as u64).to_le_bytes()))?;
+        self.put_each(parts.properties, |entry| Ok(entry.to_le_bytes()))?;
+        self.put_each(parts.resources, |entry| Ok(entry.to_le_bytes()))?;
+        self.put(parts.text.as_bytes())
     }
 
     /// A store section: the slot count, then per slot a marker and, for a
-    /// table, its pair count and its flat pair array. A table `in_base`
-    /// says its base image holds is marked so, and not written.
+    /// table, its pair count and its pair words in 32 bits. A table the
+    /// base image's `in_base` slots held is marked so, and not written.
     fn put_store(
         &mut self,
         store: &TripleStore,
-        in_base: impl Fn(usize, &Arc<PropertyTable>) -> bool,
+        in_base: &[Option<Weak<PropertyTable>>],
     ) -> io::Result<()> {
         let slots = store.slot_tables();
         self.put_u64(slots.len() as u64)?;
         for (index, slot) in slots.iter().enumerate() {
             match slot {
                 None => self.put(&[SLOT_NONE])?,
-                Some(table) if in_base(index, table) => self.put(&[SLOT_AS_IN_BASE])?,
+                Some(table) if held(in_base, index, table) => self.put(&[SLOT_AS_IN_BASE])?,
                 Some(table) => {
                     self.put(&[SLOT_TABLE])?;
                     let pairs = table.pairs();
                     self.put_u64(as_pairs(pairs).len() as u64)?;
-                    self.put_words(pairs)?;
+                    self.put_each(pairs, |word| Ok(image_word(word)?.to_le_bytes()))?;
                 }
             }
         }
@@ -400,10 +408,10 @@ impl<'s> ImageWriter<'s> {
     }
 
     /// The magic and the checksummed header.
-    fn put_front(&mut self, magic: &[u8; 8], header: &[u8]) -> io::Result<()> {
-        self.put(magic)?;
-        self.put_u32(header.len() as u32)?;
-        self.put_u32(crc32(header))?;
+    fn put_front(&mut self, header: &[u8]) -> io::Result<()> {
+        self.put(MAGIC)?;
+        self.put(&(header.len() as u32).to_le_bytes())?;
+        self.put(&crc32(header).to_le_bytes())?;
         self.put(header)
     }
 
@@ -412,6 +420,18 @@ impl<'s> ImageWriter<'s> {
         self.flush()?;
         Ok(self.flushed)
     }
+}
+
+/// A term identifier as the image stores it: minus 2³¹, in 32 bits.
+fn image_word(id: u64) -> io::Result<u32> {
+    id.checked_sub(IMAGE_WORD_BASE)
+        .and_then(|word| u32::try_from(word).ok())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("pair word {id} is no identifier the dictionary numbers"),
+            )
+        })
 }
 
 /// The state an image captures, borrowed: what a checkpoint writes.
@@ -440,12 +460,38 @@ fn header(parts: &ImageParts<'_>, base: Option<(u64, u32)>) -> Vec<u8> {
     header.extend_from_slice(&parts.last_seq.to_le_bytes());
     header.extend_from_slice(&(parts.fragment.len() as u32).to_le_bytes());
     header.extend_from_slice(parts.fragment.as_bytes());
-    if let Some((epoch, crc)) = base {
-        header.extend_from_slice(&epoch.to_le_bytes());
-        header.extend_from_slice(&crc.to_le_bytes());
+    match base {
+        None => header.push(0),
+        Some((epoch, crc)) => {
+            header.push(1);
+            header.extend_from_slice(&epoch.to_le_bytes());
+            header.extend_from_slice(&crc.to_le_bytes());
+        }
     }
     header.extend_from_slice(&3u32.to_le_bytes());
     header
+}
+
+/// The one writer: streams `parts` as the delta on `on` — the full image
+/// it names, or the empty base for a full image — into `sink` through one
+/// [`IMAGE_BLOCK`], and returns its length in bytes.
+fn write(
+    sink: &mut dyn StreamSink,
+    parts: ImageParts<'_>,
+    on: Option<&BaseImage>,
+) -> io::Result<u64> {
+    let mut w = ImageWriter::new(sink);
+    w.put_front(&header(&parts, on.map(|on| (on.epoch, on.header_crc))))?;
+    let since = on.map_or_else(RawLen::default, |on| on.dictionary);
+    w.section(TAG_DICT, |w| w.put_dictionary(parts.dictionary, since))?;
+    // The empty base has no tables.
+    let (base, materialized): (&[_], &[_]) = match on {
+        Some(on) => (&on.base, &on.materialized),
+        None => (&[], &[]),
+    };
+    w.section(TAG_BASE, |w| w.put_store(parts.base, base))?;
+    w.section(TAG_MATL, |w| w.put_store(parts.materialized, materialized))?;
+    w.finish()
 }
 
 /// Streams a complete snapshot image into `sink` through one
@@ -453,10 +499,12 @@ fn header(parts: &ImageParts<'_>, base: Option<(u64, u32)>) -> Vec<u8> {
 ///
 /// The stores must be finalized (sorted, duplicate-free) — they always are
 /// by the time they are observable through
-/// `ServingDataset::persistable_state`. A threshold checkpoint runs this
-/// beside the next writes (`DurableDataset`), straight into the image's
-/// temp file: it holds no more of the image than one block, and it queues
-/// nothing in front of a write's tasks on the reasoner's pool.
+/// `ServingDataset::persistable_state` — and hold only identifiers of the
+/// dictionary; a pair word outside its range fails the write. A threshold
+/// checkpoint runs this beside the next writes (`DurableDataset`), straight
+/// into the image's temp file: it holds no more of the image than one
+/// block, and it queues nothing in front of a write's tasks on the
+/// reasoner's pool.
 pub fn write_image(
     sink: &mut dyn StreamSink,
     dictionary: &Dictionary,
@@ -480,41 +528,28 @@ pub fn write_image(
 /// [`write_image`] of `parts`, returning the record of the image that
 /// deltas are written on once it is durable.
 pub fn write_base_image(sink: &mut dyn StreamSink, parts: ImageParts<'_>) -> io::Result<BaseImage> {
-    let mut w = ImageWriter::new(sink);
-    w.put_front(MAGIC, &header(&parts, None))?;
-    w.section(TAG_DICT, |w| w.put_dictionary(parts.dictionary))?;
-    w.section(TAG_BASE, |w| w.put_store(parts.base, |_, _| false))?;
-    w.section(TAG_MATL, |w| w.put_store(parts.materialized, |_, _| false))?;
-    Ok(BaseImage::record(parts, w.finish()?))
+    let bytes = write(sink, parts, None)?;
+    Ok(BaseImage::record(parts, bytes))
 }
 
 /// Streams a delta image of `parts` on the full image `on` describes into
 /// `sink`, through one [`IMAGE_BLOCK`], and returns its length in bytes:
-/// the terms appended since, and the tables that are not the base's.
+/// what the dictionary appended since, and the tables that are not the
+/// base's.
 pub fn write_delta_image(
     sink: &mut dyn StreamSink,
     parts: ImageParts<'_>,
     on: &BaseImage,
 ) -> io::Result<u64> {
-    let mut w = ImageWriter::new(sink);
-    w.put_front(
-        DELTA_MAGIC,
-        &header(&parts, Some((on.epoch, on.header_crc))),
-    )?;
-    w.section(TAG_DICT, |w| w.put_dictionary_since(parts.dictionary, on))?;
-    w.section(TAG_BASE, |w| {
-        w.put_store(parts.base, |index, table| held(&on.base, index, table))
-    })?;
-    w.section(TAG_MATL, |w| {
-        w.put_store(parts.materialized, |index, table| {
-            held(&on.materialized, index, table)
-        })
-    })?;
-    w.finish()
+    write(sink, parts, Some(on))
 }
 
 /// Serializes a complete snapshot image into memory: [`write_image`] into a
 /// `Vec`.
+///
+/// # Panics
+/// When a store holds a pair word the dictionary cannot have numbered
+/// (see [`write_image`]).
 pub fn encode_image(
     dictionary: &Dictionary,
     base: &TripleStore,
@@ -534,12 +569,14 @@ pub fn encode_image(
         last_seq,
         fragment,
     );
-    debug_assert_eq!(written.ok(), Some(out.len() as u64));
+    if let Err(error) = written {
+        panic!("the state has no image: {error}");
+    }
     out
 }
 
 /// A durable full image as a delta is written on it: the epoch and header
-/// CRC that name it, its length, its dictionary's two term counts, and each
+/// CRC that name it, its length, how far its dictionary reached, and each
 /// of its tables by identity alone. A [`Weak`] per slot keeps no table's
 /// pairs alive — a write's superseded tables are still reclaimed
 /// (`inferray_store::reclaim`) — and keeps the allocation's address from
@@ -550,8 +587,7 @@ pub struct BaseImage {
     epoch: u64,
     header_crc: u32,
     bytes: u64,
-    num_properties: usize,
-    num_resources: usize,
+    dictionary: RawLen,
     base: Vec<Option<Weak<PropertyTable>>>,
     materialized: Vec<Option<Weak<PropertyTable>>>,
 }
@@ -578,8 +614,7 @@ impl BaseImage {
             epoch: parts.epoch,
             header_crc: crc32(&header(&parts, None)),
             bytes,
-            num_properties: parts.dictionary.num_properties(),
-            num_resources: parts.dictionary.num_resources(),
+            dictionary: parts.dictionary.raw_len(),
             base: identities(parts.base),
             materialized: identities(parts.materialized),
         }
@@ -595,38 +630,45 @@ impl BaseImage {
         self.bytes
     }
 
-    /// What a delta of `parts` on this image would hold, in bytes, give or
-    /// take its header and a byte or two per term: the terms appended
-    /// since and the tables that are not this image's.
-    fn delta_bytes(&self, parts: &ImageParts<'_>) -> u64 {
-        let terms: u64 = parts
-            .dictionary
-            .texts_since(self.num_properties, self.num_resources)
-            .map(|text| text.len() as u64 + MIN_TERM_RECORD_BYTES as u64)
-            .sum();
+    /// What a delta of `parts` on this image holds, in bytes — `None` when
+    /// the dictionary does not extend this image's: the front, the
+    /// dictionary appended since, and the tables that are not this image's.
+    fn delta_bytes(&self, parts: &ImageParts<'_>) -> Option<u64> {
+        let since = parts.dictionary.raw_parts_since(self.dictionary)?;
+        let dictionary = 64
+            + since.text.len() as u64
+            + 8 * since.ends.len() as u64
+            + 4 * (since.properties.len() + since.resources.len()) as u64;
         let tables = |store: &TripleStore, slots: &[Option<Weak<PropertyTable>>]| -> u64 {
             let mut bytes = 8;
             for (index, slot) in store.slot_tables().iter().enumerate() {
                 bytes += 1;
                 if let Some(table) = slot.as_ref().filter(|t| !held(slots, index, t)) {
-                    bytes += 8 + 8 * table.pairs().len() as u64;
+                    bytes += 8 + 4 * table.pairs().len() as u64;
                 }
             }
             bytes
         };
-        32 + terms + tables(parts.base, &self.base) + tables(parts.materialized, &self.materialized)
+        // Magic, header fields, three section heads.
+        let front = 16 + 41 + parts.fragment.len() as u64 + 3 * 16;
+        Some(
+            front
+                + dictionary
+                + tables(parts.base, &self.base)
+                + tables(parts.materialized, &self.materialized),
+        )
     }
 
     /// Whether a checkpoint of `parts` writes a delta on this image rather
     /// than a full image: the state is at another epoch than the image (a
-    /// delta takes its epoch's file name), its dictionary holds at least the
-    /// image's terms, and the delta stays within 1/[`DELTA_FRACTION`] of the
+    /// delta takes its epoch's file name), its dictionary extends the
+    /// image's, and the delta stays within 1/[`DELTA_FRACTION`] of the
     /// image's bytes.
     pub fn takes_delta(&self, parts: &ImageParts<'_>) -> bool {
         parts.epoch != self.epoch
-            && parts.dictionary.num_properties() >= self.num_properties
-            && parts.dictionary.num_resources() >= self.num_resources
-            && self.delta_bytes(parts) <= self.bytes / DELTA_FRACTION
+            && self
+                .delta_bytes(parts)
+                .is_some_and(|bytes| bytes <= self.bytes / DELTA_FRACTION)
     }
 }
 
@@ -634,8 +676,8 @@ impl BaseImage {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A cursor over bytes already in memory: the header, and one term record
-/// in a section's block.
+/// A cursor over bytes already in memory: the header, and one format-1
+/// term record in a section's block.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -694,6 +736,7 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A format-1 term record.
 fn decode_term<'a>(r: &mut Reader<'a>) -> Result<TermRef<'a>, SnapshotError> {
     match r.u8()? {
         TERM_IRI => Ok(TermRef::Iri(Cow::Borrowed(r.str()?))),
@@ -729,6 +772,8 @@ impl From<DenseTableError> for SnapshotError {
         SnapshotError::Malformed(match error {
             DenseTableError::DuplicateTerm => "a term occurs twice in the DICT section",
             DenseTableError::TooManyTerms => "too many terms in the DICT section",
+            DenseTableError::BadText => "the DICT section's offsets mark out no term texts",
+            DenseTableError::BadEntry => "the DICT section's tables and arena disagree",
         })
     }
 }
@@ -809,7 +854,55 @@ impl<R: Read> SectionReader<R> {
         self.take().map(u64::from_le_bytes)
     }
 
-    /// Decodes one term record and hands its borrowed view to `with`.
+    /// A count of items of `size` bytes each, held to what the section
+    /// still holds before anything is allocated for them.
+    fn count(&mut self, size: u64) -> Result<usize, SnapshotError> {
+        let count = self.u64()?;
+        if count
+            .checked_mul(size)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
+            return Err(SnapshotError::Truncated);
+        }
+        usize::try_from(count).map_err(|_| SnapshotError::Truncated)
+    }
+
+    /// Appends `count` items of `N` little-endian bytes each to `out`, as
+    /// `item` makes them, a block at a time.
+    fn items<T, const N: usize>(
+        &mut self,
+        mut count: usize,
+        out: &mut Vec<T>,
+        item: impl Fn([u8; N]) -> T,
+    ) -> Result<(), SnapshotError> {
+        while count > 0 {
+            let bytes = self.ensure(N)?;
+            let n = count.min(bytes.len() / N);
+            out.extend(
+                bytes[..n * N]
+                    .chunks_exact(N)
+                    .map(|c| item(<[u8; N]>::try_from(c).unwrap_or([0; N]))),
+            );
+            self.pos += n * N;
+            count -= n;
+        }
+        Ok(())
+    }
+
+    /// Appends the next `len` bytes to `out`, a block at a time.
+    fn bytes(&mut self, mut len: usize, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        while len > 0 {
+            let bytes = self.ensure(1)?;
+            let n = len.min(bytes.len());
+            out.extend_from_slice(&bytes[..n]);
+            self.pos += n;
+            len -= n;
+        }
+        Ok(())
+    }
+
+    /// Decodes one format-1 term record and hands its borrowed view to
+    /// `with`.
     fn term<T>(&mut self, with: impl FnOnce(TermRef<'_>) -> T) -> Result<T, SnapshotError> {
         let mut need = MIN_TERM_RECORD_BYTES;
         loop {
@@ -828,22 +921,6 @@ impl<R: Read> SectionReader<R> {
         }
     }
 
-    /// Appends `count` little-endian words to `out`, a block at a time.
-    fn words(&mut self, mut count: usize, out: &mut Vec<u64>) -> Result<(), SnapshotError> {
-        while count > 0 {
-            let bytes = self.ensure(8)?;
-            let n = count.min(bytes.len() / 8);
-            out.extend(
-                bytes[..n * 8]
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])),
-            );
-            self.pos += n * 8;
-            count -= n;
-        }
-        Ok(())
-    }
-
     /// Checks that the payload was decoded to its end and that its CRC is
     /// `expected`: a section that fails either is discarded.
     fn finish(self, expected: u32, name: &'static str) -> Result<(), SnapshotError> {
@@ -857,32 +934,91 @@ impl<R: Read> SectionReader<R> {
     }
 }
 
-/// The smallest term record: a tag byte and a `u32` length.
+/// The smallest format-1 term record: a tag byte and a `u32` length.
 const MIN_TERM_RECORD_BYTES: usize = 5;
 
+/// The `DICT` section: the dictionary `on` holds — a delta's base's, or
+/// none on the empty base — with what the section appends to it.
 fn decode_dictionary<R: Read>(
     mut r: SectionReader<R>,
     crc: u32,
+    on: Option<Dictionary>,
 ) -> Result<Dictionary, SnapshotError> {
-    let num_properties = r.u64()? as usize;
-    let num_resources = r.u64()? as usize;
-    hold_terms_to_section(&r, num_properties, num_resources)?;
-    // Each record is rendered in its canonical N-Triples form straight into
-    // the dictionary's arena, borrowed from the block.
-    let dictionary = Dictionary::from_dense_texts(num_properties, num_resources, |text| {
-        r.term(|term| term.write_ntriples(text))
-    })?;
+    let mut counts = [0u64; 8];
+    for count in &mut counts {
+        *count = r.u64()?;
+    }
+    let [base_properties, base_resources, _, _, base_text, base_entries, _, _] = counts;
+    let since = on
+        .as_ref()
+        .map_or_else(RawLen::default, Dictionary::raw_len);
+    if [base_properties, base_resources, base_text, base_entries]
+        != [since.properties, since.resources, since.text, since.entries].map(|n| n as u64)
+    {
+        return Err(SnapshotError::Malformed(
+            "a delta's dictionary does not extend its base's",
+        ));
+    }
+    let [_, _, properties, resources, _, _, text, entries] = counts;
+    // Everything the counts promise, held to the section first.
+    if entries
+        .checked_mul(8)
+        .zip(
+            properties
+                .checked_add(resources)
+                .and_then(|n| n.checked_mul(4)),
+        )
+        .and_then(|(ends, slots)| ends.checked_add(slots)?.checked_add(text))
+        .is_none_or(|bytes| bytes != r.remaining())
+    {
+        return Err(SnapshotError::Truncated);
+    }
+    let len = |n: u64| usize::try_from(n).map_err(|_| SnapshotError::Truncated);
+    let mut ends = Vec::with_capacity(len(entries)?);
+    r.items(len(entries)?, &mut ends, |b| u64::from_le_bytes(b) as usize)?;
+    let mut property_entries = Vec::with_capacity(len(properties)?);
+    r.items(len(properties)?, &mut property_entries, u32::from_le_bytes)?;
+    let mut resource_entries = Vec::with_capacity(len(resources)?);
+    r.items(len(resources)?, &mut resource_entries, u32::from_le_bytes)?;
+    let mut bytes = Vec::with_capacity(len(text)?);
+    r.bytes(len(text)?, &mut bytes)?;
     r.finish(crc, "DICT")?;
-    Ok(dictionary)
+    let text = String::from_utf8(bytes).map_err(|_| SnapshotError::Malformed("non-UTF-8 text"))?;
+    let parts = (text, ends, property_entries, resource_entries);
+    Ok(match on {
+        None => Dictionary::from_raw_parts(parts.0, parts.1, parts.2, parts.3),
+        Some(on) => on.append_raw_parts(parts.0, parts.1, parts.2, parts.3),
+    }?)
 }
 
-/// The dictionary reserves its tables from the term counts: hold them to
-/// what the payload can contain first.
-fn hold_terms_to_section<R: Read>(
-    r: &SectionReader<R>,
-    num_properties: usize,
-    num_resources: usize,
-) -> Result<(), SnapshotError> {
+/// A format-1 `DICT` section: term records, re-interned one by one — on
+/// the dictionary of a delta's base, or on none.
+fn decode_dictionary_v1<R: Read>(
+    mut r: SectionReader<R>,
+    crc: u32,
+    on: Option<Dictionary>,
+) -> Result<Dictionary, SnapshotError> {
+    let dictionary = match on {
+        None => None,
+        Some(dictionary) => {
+            let base = (r.u64()?, r.u64()?);
+            if base
+                != (
+                    dictionary.num_properties() as u64,
+                    dictionary.num_resources() as u64,
+                )
+            {
+                return Err(SnapshotError::Malformed(
+                    "a delta's dictionary does not extend its base's",
+                ));
+            }
+            Some(dictionary)
+        }
+    };
+    let num_properties = r.u64()? as usize;
+    let num_resources = r.u64()? as usize;
+    // The dictionary reserves its tables from the term counts: hold them
+    // to what the payload can contain first.
     let room = usize::try_from(r.remaining() / MIN_TERM_RECORD_BYTES as u64).unwrap_or(usize::MAX);
     if num_properties
         .checked_add(num_resources)
@@ -890,68 +1026,48 @@ fn hold_terms_to_section<R: Read>(
     {
         return Err(SnapshotError::Truncated);
     }
-    Ok(())
-}
-
-/// A delta's `DICT` section, appended to its base's dictionary.
-fn decode_dictionary_since<R: Read>(
-    mut r: SectionReader<R>,
-    crc: u32,
-    mut dictionary: Dictionary,
-) -> Result<Dictionary, SnapshotError> {
-    let base_properties = r.u64()?;
-    let base_resources = r.u64()?;
-    if (base_properties, base_resources)
-        != (
-            dictionary.num_properties() as u64,
-            dictionary.num_resources() as u64,
-        )
-    {
-        return Err(SnapshotError::Malformed(
-            "a delta's dictionary does not extend its base's",
-        ));
-    }
-    let num_properties = r.u64()? as usize;
-    let num_resources = r.u64()? as usize;
-    hold_terms_to_section(&r, num_properties, num_resources)?;
-    dictionary.append_dense_texts(num_properties, num_resources, |text| {
-        r.term(|term| term.write_ntriples(text))
-    })?;
+    // Each record is rendered in its canonical N-Triples form straight into
+    // the dictionary's arena, borrowed from the block.
+    let next = |text: &mut String| r.term(|term| term.write_ntriples(text));
+    let dictionary = match dictionary {
+        None => Dictionary::from_dense_texts(num_properties, num_resources, next)?,
+        Some(mut dictionary) => {
+            dictionary.append_dense_texts(num_properties, num_resources, next)?;
+            dictionary
+        }
+    };
     r.finish(crc, "DICT")?;
     Ok(dictionary)
 }
 
-/// A store section. `base` is the store of a delta's base image: a slot
-/// marked "as in base" takes its table, which it must have. A full image
-/// has no such marker.
+/// A store section of format `version`. `base` is the store of a delta's
+/// base image, empty on the empty base: a slot marked "as in base" takes
+/// its table, which it must have.
 fn decode_store<R: Read>(
     mut r: SectionReader<R>,
     crc: u32,
     name: &'static str,
+    version: u32,
     base: Option<&TripleStore>,
 ) -> Result<TripleStore, SnapshotError> {
-    let slot_count = r.u64()?;
     // A slot takes one byte at least.
-    if slot_count > r.remaining() {
-        return Err(SnapshotError::Truncated);
-    }
+    let slot_count = r.count(1)?;
+    let word_bytes = if version == 1 { 8 } else { 4 };
     let mut slots: Vec<Option<Arc<PropertyTable>>> = Vec::new();
-    for index in 0..slot_count as usize {
+    for index in 0..slot_count {
         match r.u8()? {
             SLOT_NONE => slots.push(None),
             SLOT_TABLE => {
-                let pair_count = r.u64()?;
                 // The table is allocated at its exact size, so its size is
                 // held to what the section still holds first.
-                if pair_count
-                    .checked_mul(16)
-                    .is_none_or(|bytes| bytes > r.remaining())
-                {
-                    return Err(SnapshotError::Truncated);
-                }
-                let words = 2 * pair_count as usize;
+                let words = 2 * r.count(2 * word_bytes)?;
                 let mut pairs = Vec::with_capacity(words);
-                r.words(words, &mut pairs)?;
+                match version {
+                    1 => r.items(words, &mut pairs, u64::from_le_bytes)?,
+                    _ => r.items(words, &mut pairs, |b| {
+                        u64::from(u32::from_le_bytes(b)) + IMAGE_WORD_BASE
+                    })?,
+                }
                 // Defend the store's sort invariant even against a file
                 // that passes its CRC: ⟨s,o⟩ strictly increasing.
                 if as_pairs(&pairs).windows(2).any(|w| w[0] >= w[1]) {
@@ -961,7 +1077,7 @@ fn decode_store<R: Read>(
                 table.replace_with_sorted(pairs);
                 slots.push(Some(Arc::new(table)));
             }
-            SLOT_AS_IN_BASE if base.is_some() => {
+            SLOT_AS_IN_BASE if version > 1 || base.is_some() => {
                 let table = base
                     .and_then(|base| base.slot_tables().get(index))
                     .and_then(Option::as_ref)
@@ -1023,6 +1139,7 @@ enum Section {
 
 /// An image's header and section table: everything but the payloads.
 struct Frame {
+    version: u32,
     header_crc: u32,
     epoch: u64,
     last_seq: u64,
@@ -1037,9 +1154,10 @@ struct Frame {
 /// the file holds before anything is allocated for it.
 fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
     let front: [u8; 16] = read_at(open, 0)?;
-    let delta = match &front[..8] {
-        magic if magic == MAGIC => false,
-        magic if magic == DELTA_MAGIC => true,
+    let (version, v1_delta) = match &front[..8] {
+        magic if magic == MAGIC => (VERSION, false),
+        magic if magic == V1_MAGIC => (1, false),
+        magic if magic == V1_DELTA_MAGIC => (1, true),
         _ => return Err(SnapshotError::BadMagic),
     };
     let header_len = u32::from_le_bytes([front[8], front[9], front[10], front[11]]) as usize;
@@ -1054,13 +1172,21 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
         return Err(SnapshotError::ChecksumMismatch("header"));
     }
     let mut h = Reader::new(&header_bytes);
-    let version = h.u32()?;
-    if version != VERSION {
-        return Err(SnapshotError::BadVersion(version));
+    let stated = h.u32()?;
+    if stated != version {
+        return Err(SnapshotError::BadVersion(stated));
     }
     let epoch = h.u64()?;
     let last_seq = h.u64()?;
     let fragment = h.str()?.to_owned();
+    let delta = match version {
+        1 => v1_delta,
+        _ => match h.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(SnapshotError::Malformed("bad header")),
+        },
+    };
     let base = match delta {
         true => Some((h.u64()?, h.u32()?)),
         false => None,
@@ -1089,6 +1215,7 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
         _ => return Err(SnapshotError::Malformed("trailing bytes after sections")),
     }
     Ok(Frame {
+        version,
         header_crc,
         epoch,
         last_seq,
@@ -1098,15 +1225,20 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
     })
 }
 
-/// Validates and decodes an image from handles `open` gives: a full image,
-/// or — given the image it names — a delta on top of its base.
+/// The one reader: validates and decodes an image from handles `open`
+/// gives — a full image on the empty base, or a delta on the image it
+/// names, given — in the format its magic names.
 ///
-/// The three sections decode in parallel, each on its own pool lane from
-/// its own handle through one [`IMAGE_BLOCK`], keeping its CRC as it
-/// reads: this is the cold-start critical path, and the dictionary rebuild
-/// does not need to wait on two multi-megabyte pair-table passes (or vice
-/// versa).
-fn read_image(open: &Open<'_>, on: Option<SnapshotImage>) -> Result<SnapshotImage, SnapshotError> {
+/// Each section decodes from its own handle through one [`IMAGE_BLOCK`],
+/// keeping its CRC as it reads; the dictionary on one pool lane, the two
+/// stores on another: this is the cold-start critical path, and the
+/// dictionary rebuild does not need to wait on two multi-megabyte
+/// pair-table passes (or vice versa).
+fn read_image(
+    open: &Open<'_>,
+    on: Option<SnapshotImage>,
+) -> Result<(SnapshotImage, DecodeTimes), SnapshotError> {
+    let start = Instant::now();
     let frame = read_frame(open)?;
     let on = match (frame.base, on) {
         (None, None) => None,
@@ -1124,31 +1256,50 @@ fn read_image(open: &Open<'_>, on: Option<SnapshotImage>) -> Result<SnapshotImag
         None => (None, None, None),
     };
     let (base_on, matl_on) = (base_on.as_ref(), matl_on.as_ref());
+    let version = frame.version;
     let [dict, base, matl] = &frame.sections;
     let reader = |entry: &SectionEntry| -> Result<_, SnapshotError> {
         Ok(SectionReader::new(open(entry.payload)?, entry.len))
     };
-    type DecodeTask<'a> = Box<dyn FnOnce() -> Result<Section, SnapshotError> + Send + 'a>;
-    let mut sections = inferray_parallel::global().run_ordered(vec![
+    // Two lanes: the dictionary on one, the two stores one after the other
+    // on the other. The dictionary costs about what both stores cost
+    // together, so a third lane shortens nothing, and where there are two
+    // cores it takes the dictionary's time away from it.
+    type DecodeTask<'a> =
+        Box<dyn FnOnce() -> Vec<(Result<Section, SnapshotError>, Duration)> + Send + 'a>;
+    let lanes = inferray_parallel::global().run_ordered(vec![
         Box::new(|| {
-            let r = reader(dict)?;
-            match dictionary_on {
-                Some(on) => decode_dictionary_since(r, dict.crc, on),
-                None => decode_dictionary(r, dict.crc),
-            }
-            .map(Section::Dict)
+            vec![timed(|| {
+                let r = reader(dict)?;
+                match version {
+                    1 => decode_dictionary_v1(r, dict.crc, dictionary_on),
+                    _ => decode_dictionary(r, dict.crc, dictionary_on),
+                }
+                .map(Section::Dict)
+            })]
         }) as DecodeTask<'_>,
-        Box::new(|| decode_store(reader(base)?, base.crc, "BASE", base_on).map(Section::Store)),
-        Box::new(|| decode_store(reader(matl)?, matl.crc, "MATL", matl_on).map(Section::Store)),
+        Box::new(|| {
+            vec![
+                timed(|| {
+                    decode_store(reader(base)?, base.crc, "BASE", version, base_on)
+                        .map(Section::Store)
+                }),
+                timed(|| {
+                    decode_store(reader(matl)?, matl.crc, "MATL", version, matl_on)
+                        .map(Section::Store)
+                }),
+            ]
+        }),
     ]);
+    let mut sections: Vec<_> = lanes.into_iter().flatten().collect();
     // run_ordered returns exactly as many results as tasks, in order; a
     // mismatch (or a task yielding the wrong section kind) is reported as
     // a malformed image rather than panicking mid-recovery.
+    let mut times = [Duration::ZERO; 3];
     let mut pop_section = |label: &'static str| -> Result<Section, SnapshotError> {
-        sections
-            .pop()
-            .ok_or(SnapshotError::Malformed(label))
-            .and_then(|r| r)
+        let (section, time) = sections.pop().ok_or(SnapshotError::Malformed(label))?;
+        times[sections.len()] = time;
+        section
     };
     let Section::Store(materialized) = pop_section("missing MATL section")? else {
         return Err(SnapshotError::Malformed("MATL section is not a store"));
@@ -1159,14 +1310,29 @@ fn read_image(open: &Open<'_>, on: Option<SnapshotImage>) -> Result<SnapshotImag
     let Section::Dict(dictionary) = pop_section("missing DICT section")? else {
         return Err(SnapshotError::Malformed("DICT section is not a dictionary"));
     };
-    Ok(SnapshotImage {
+    let image = SnapshotImage {
         epoch: frame.epoch,
         last_seq: frame.last_seq,
         fragment: frame.fragment,
         dictionary,
         base,
         materialized,
-    })
+    };
+    let [dict, base, matl] = times;
+    let times = DecodeTimes {
+        dict,
+        base,
+        matl,
+        wall: start.elapsed(),
+    };
+    Ok((image, times))
+}
+
+/// What `decode` returns, and how long it took.
+fn timed<T>(decode: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = decode();
+    (out, start.elapsed())
 }
 
 /// Handles on a slice.
@@ -1179,10 +1345,10 @@ fn slice_handles<'a>(
     }
 }
 
-/// Validates and decodes the snapshot image in `bytes`: the image reader
-/// over a slice.
+/// Validates and decodes the full snapshot image in `bytes`: the image
+/// reader over a slice.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, SnapshotError> {
-    read_image(&slice_handles(bytes), None)
+    Ok(read_image(&slice_handles(bytes), None)?.0)
 }
 
 /// Validates and decodes the delta image in `bytes` on top of `base`, the
@@ -1191,14 +1357,14 @@ pub fn decode_delta_image(
     bytes: &[u8],
     base: SnapshotImage,
 ) -> Result<SnapshotImage, SnapshotError> {
-    read_image(&slice_handles(bytes), Some(base))
+    Ok(read_image(&slice_handles(bytes), Some(base))?.0)
 }
 
-/// Validates and decodes the snapshot image at `path`, reading each
+/// Validates and decodes the full snapshot image at `path`, reading each
 /// section from a handle of its own (see [`IoBackend::open_at`]): the
 /// image is never in memory whole.
 pub fn open_image(backend: &dyn IoBackend, path: &Path) -> Result<SnapshotImage, SnapshotError> {
-    read_image(&|offset| backend.open_at(path, offset), None)
+    Ok(read_image(&|offset| backend.open_at(path, offset), None)?.0)
 }
 
 /// The file of the full image a delta image names: its base's epoch's
@@ -1218,17 +1384,32 @@ pub fn image_needs(
     Ok((frame.last_seq, base))
 }
 
+/// An image read for recovery: the state, the base's path for a delta,
+/// and where the reading went.
+#[derive(Debug)]
+pub struct Recovered {
+    /// The state the image records.
+    pub image: SnapshotImage,
+    /// For a delta, the full image it was read on top of.
+    pub base: Option<PathBuf>,
+    /// Where the reading went, the base's included.
+    pub times: DecodeTimes,
+}
+
 /// Validates and decodes the image at `path` into the state it records: a
 /// full image on its own ([`open_image`]), a delta on top of the full
 /// image it names — which must be present, a full image, valid, and carry
-/// the header CRC the delta names. Returns the base's path for a delta.
-pub fn open_recoverable(
-    backend: &dyn IoBackend,
-    path: &Path,
-) -> Result<(SnapshotImage, Option<PathBuf>), SnapshotError> {
+/// the header CRC the delta names (so be of the delta's own format).
+pub fn open_recoverable(backend: &dyn IoBackend, path: &Path) -> Result<Recovered, SnapshotError> {
     let open = |offset| backend.open_at(path, offset);
-    let Some((base_epoch, base_crc)) = read_frame(&open)?.base else {
-        return Ok((read_image(&open, None)?, None));
+    let frame = read_frame(&open)?;
+    let Some((base_epoch, base_crc)) = frame.base else {
+        let (image, times) = read_image(&open, None)?;
+        return Ok(Recovered {
+            image,
+            base: None,
+            times,
+        });
     };
     let base = base_path(path, base_epoch);
     let open_base = |offset| backend.open_at(&base, offset);
@@ -1238,13 +1419,20 @@ pub fn open_recoverable(
             "the base of a delta image is not the image it names",
         ));
     }
-    let on = read_image(&open_base, None)?;
-    Ok((read_image(&open, Some(on))?, Some(base)))
+    let (on, mut times) = read_image(&open_base, None)?;
+    let (image, delta_times) = read_image(&open, Some(on))?;
+    times += delta_times;
+    Ok(Recovered {
+        image,
+        base: Some(base),
+        times,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inferray_model::ids::nth_resource_id;
     use inferray_model::{IdTriple, Term, Triple};
 
     fn sample() -> (Dictionary, TripleStore, TripleStore) {
@@ -1275,6 +1463,7 @@ mod tests {
     fn round_trips_byte_identically() {
         let (dictionary, base, materialized) = sample();
         let bytes = encode_image(&dictionary, &base, &materialized, 7, 42, "RDFS-default");
+        assert_eq!(&bytes[..8], MAGIC);
         let image = decode_image(&bytes).unwrap();
         assert_eq!(image.epoch, 7);
         assert_eq!(image.last_seq, 42);
@@ -1282,6 +1471,18 @@ mod tests {
         assert_eq!(image.dictionary, dictionary);
         assert_eq!(image.base, base);
         assert_eq!(image.materialized, materialized);
+        // The dictionary comes back as it sat in memory, so it encodes to
+        // the same bytes.
+        assert_eq!(image.dictionary.raw_len(), dictionary.raw_len());
+        let again = encode_image(
+            &image.dictionary,
+            &image.base,
+            &image.materialized,
+            7,
+            42,
+            "RDFS-default",
+        );
+        assert_eq!(again, bytes);
     }
 
     #[test]
@@ -1339,6 +1540,16 @@ mod tests {
             .collect()
     }
 
+    /// `bytes` with the payload of the section at `at` (of length `len`)
+    /// changed by `change`, and its CRC set to match.
+    fn rewritten(bytes: &[u8], (at, len): (usize, usize), change: impl Fn(&mut [u8])) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        change(&mut bytes[at..at + len]);
+        let crc = crc32(&bytes[at..at + len]);
+        bytes[at - 4..at].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn corruption_and_truncation_of_a_file_are_caught_through_its_handles() {
         let (dictionary, base, materialized) = sample();
@@ -1362,12 +1573,20 @@ mod tests {
         let [(dict, _), _, (matl, _)] = payloads(&bytes)[..] else {
             unreachable!()
         };
-        // Sixteen terabytes of pairs, or a trillion terms: reserving either
-        // would abort the process, so refusing them is the only way to pass.
+        // Sixteen terabytes of pairs, or a trillion terms, end offsets or
+        // text bytes: reserving any would abort the process, so refusing
+        // them is the only way to pass.
         let huge = (1u64 << 40).to_le_bytes();
-        let mut terms = bytes.clone();
-        terms[dict + 8..dict + 16].copy_from_slice(&huge);
-        assert_eq!(decode_image(&terms), Err(SnapshotError::Truncated));
+        for field in [2, 3, 6, 7] {
+            let at = dict + 8 * field;
+            let mut counts = bytes.clone();
+            counts[at..at + 8].copy_from_slice(&huge);
+            assert_eq!(
+                decode_image(&counts),
+                Err(SnapshotError::Truncated),
+                "{field}"
+            );
+        }
         let mut pairs = bytes.clone();
         let mut slot = matl + 8;
         while pairs[slot] == 0 {
@@ -1375,6 +1594,96 @@ mod tests {
         }
         pairs[slot + 1..slot + 9].copy_from_slice(&huge);
         assert_eq!(decode_image(&pairs), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn a_dictionary_section_that_passes_its_crc_is_still_checked() {
+        let (dictionary, base, materialized) = sample();
+        let bytes = encode_image(&dictionary, &base, &materialized, 3, 9, "rho-df");
+        let sections = payloads(&bytes);
+        let raw = dictionary.raw_len();
+        let (ends, text) = (
+            64,
+            64 + 8 * raw.entries + 4 * (raw.properties + raw.resources),
+        );
+        let refused = [
+            // The first entry's end moved onto the second's: ends that do
+            // not rise.
+            (
+                rewritten(&bytes, sections[0], |p| {
+                    let second: [u8; 8] = p[ends + 8..ends + 16].try_into().unwrap();
+                    p[ends..ends + 8].copy_from_slice(&second);
+                }),
+                "the DICT section's offsets mark out no term texts",
+            ),
+            // A byte that is no UTF-8.
+            (
+                rewritten(&bytes, sections[0], |p| p[text + 1] = 0xFF),
+                "non-UTF-8 text",
+            ),
+            // The first term spelled like the second: a duplicate text.
+            (
+                rewritten(&bytes, sections[0], |p| {
+                    let first = u64::from_le_bytes(p[ends..ends + 8].try_into().unwrap());
+                    let second = u64::from_le_bytes(p[ends + 8..ends + 16].try_into().unwrap());
+                    if first == second - first {
+                        let copy = p[text..text + first as usize].to_vec();
+                        p[text + first as usize..text + second as usize].copy_from_slice(&copy);
+                    }
+                }),
+                "a term occurs twice in the DICT section",
+            ),
+            // A property slot naming an entry past the arena.
+            (
+                rewritten(&bytes, sections[0], |p| {
+                    let at = 64 + 8 * raw.entries;
+                    p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                }),
+                "the DICT section's tables and arena disagree",
+            ),
+        ];
+        for (image, why) in refused {
+            assert_eq!(decode_image(&image), Err(SnapshotError::Malformed(why)));
+        }
+    }
+
+    #[test]
+    fn a_pair_word_is_widened_and_checked_for_order() {
+        let (dictionary, base, materialized) = sample();
+        let bytes = encode_image(&dictionary, &base, &materialized, 3, 9, "rho-df");
+        let (matl, len) = payloads(&bytes)[2];
+        // The first table with two pairs: swap them.
+        let mut at = matl + 8;
+        let slot = loop {
+            if bytes[at] == SLOT_TABLE {
+                let count = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap());
+                if count >= 2 {
+                    break at;
+                }
+                at += 9 + 8 * count as usize;
+            } else {
+                at += 1;
+            }
+        };
+        let unsorted = rewritten(&bytes, (matl, len), |p| {
+            let words = slot - matl + 9;
+            let (first, second) = p[words..words + 16].split_at_mut(8);
+            first.swap_with_slice(second);
+        });
+        assert_eq!(
+            decode_image(&unsorted),
+            Err(SnapshotError::Malformed("unsorted pair table"))
+        );
+    }
+
+    #[test]
+    fn a_pair_word_the_dictionary_cannot_number_fails_the_write() {
+        let (dictionary, base, _) = sample();
+        let stray =
+            TripleStore::from_slot_tables(vec![Some(PropertyTable::from_pairs(vec![1, 2]))]);
+        let mut sink = Vec::new();
+        let error = write_image(&mut sink, &dictionary, &base, &stray, 1, 0, "f").unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidInput);
     }
 
     /// A sink that records the pieces it is handed.
@@ -1417,18 +1726,25 @@ mod tests {
     fn an_image_passes_through_one_block_each_way() {
         use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
         let (dictionary, _, _) = sample();
-        // Tables several blocks long.
-        let pairs: Vec<u64> = (0..400_000u64).flat_map(|i| [i, i + 1]).collect();
+        // Tables several blocks long, and a dictionary several blocks long.
+        let pairs: Vec<u64> = (0..400_000)
+            .flat_map(|i| [nth_resource_id(i), nth_resource_id(i + 1)])
+            .collect();
         let store =
             TripleStore::from_slot_tables(vec![None, Some(PropertyTable::from_pairs(pairs))]);
+        let mut big = dictionary.clone();
+        for i in 0..40_000 {
+            big.encode_as_resource(&Term::iri(format!("http://ex/a-longer-name/{i}")));
+        }
         let mut sink = Recorder::default();
-        let len = write_image(&mut sink, &dictionary, &store, &store, 1, 2, "f").unwrap();
+        let len = write_image(&mut sink, &big, &store, &store, 1, 2, "f").unwrap();
         assert!(len as usize > 10 * IMAGE_BLOCK);
+        assert!(payloads(&sink.bytes)[0].1 > 4 * IMAGE_BLOCK);
         assert_eq!(sink.bytes.len() as u64, len);
         assert_eq!(sink.largest_append, IMAGE_BLOCK);
 
         let (largest_read, total) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let image = read_image(
+        let (image, times) = read_image(
             &|offset| {
                 Ok(Box::new(Counted {
                     bytes: &sink.bytes[offset as usize..],
@@ -1440,10 +1756,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(image.materialized, store);
+        assert_eq!(image.dictionary, big);
         // Every read fits in a block, and the file is read once, plus the
         // one byte that shows where it ends.
         assert!(largest_read.load(Relaxed) <= IMAGE_BLOCK);
         assert_eq!(total.load(Relaxed), sink.bytes.len() + 1);
+        // Each section's decode lies inside the read.
+        for section in [times.dict, times.base, times.matl] {
+            assert!(section <= times.wall, "{times:?}");
+        }
     }
 
     /// `sample()` recorded as a full image at epoch 3, and a later state:
@@ -1490,15 +1811,18 @@ mod tests {
     #[test]
     fn a_delta_decodes_on_its_base_to_the_state_it_was_written_from() {
         let (base, record, delta, expected) = delta_sample();
-        let estimate = record.delta_bytes(&ImageParts {
-            dictionary: &expected.dictionary,
-            base: &expected.base,
-            materialized: &expected.materialized,
-            epoch: 5,
-            last_seq: 12,
-            fragment: "rho-df",
-        });
-        assert!(estimate.abs_diff(delta.len() as u64) < 128, "{estimate}");
+        let estimate = record
+            .delta_bytes(&ImageParts {
+                dictionary: &expected.dictionary,
+                base: &expected.base,
+                materialized: &expected.materialized,
+                epoch: 5,
+                last_seq: 12,
+                fragment: "rho-df",
+            })
+            .unwrap();
+        assert_eq!(estimate, delta.len() as u64);
+        assert_eq!(&delta[..8], MAGIC);
         let image = decode_delta_image(&delta, base.clone()).unwrap();
         assert_eq!(image, expected);
         // Nothing of the base store changed: every table of it is the
@@ -1506,7 +1830,7 @@ mod tests {
         let now = image.base.slot_tables().iter().flatten();
         let then = base.base.slot_tables().iter().flatten();
         assert!(now.zip(then).all(|(a, b)| Arc::ptr_eq(a, b)));
-        // Neither reader takes the other's format, nor a delta on another
+        // Neither reader takes the other's kind, nor a delta on another
         // epoch.
         assert_eq!(
             decode_image(&delta),
@@ -1545,21 +1869,31 @@ mod tests {
     }
 
     #[test]
-    fn a_full_image_has_no_slot_as_in_base() {
+    fn a_full_image_is_a_delta_on_the_empty_base() {
         let (dictionary, base, materialized) = sample();
-        let mut bytes = encode_image(&dictionary, &base, &materialized, 3, 9, "rho-df");
+        let bytes = encode_image(&dictionary, &base, &materialized, 3, 9, "rho-df");
         let (matl, len) = payloads(&bytes)[2];
         let slot = matl
             + 8
             + (0..len)
                 .find(|&i| bytes[matl + 8 + i] == SLOT_TABLE)
                 .unwrap();
-        bytes[slot] = SLOT_AS_IN_BASE;
-        let crc = crc32(&bytes[matl..matl + len]);
-        bytes[matl - 4..matl].copy_from_slice(&crc.to_le_bytes());
+        // The empty base has no table to be "as in base".
+        let as_in_base = rewritten(&bytes, (matl, len), |p| p[slot - matl] = SLOT_AS_IN_BASE);
         assert_eq!(
-            decode_image(&bytes),
-            Err(SnapshotError::Malformed("unknown slot marker"))
+            decode_image(&as_in_base),
+            Err(SnapshotError::Malformed(
+                "a table as in base the base lacks"
+            ))
+        );
+        // Nor terms to extend.
+        let (dict, len) = payloads(&bytes)[0];
+        let on_terms = rewritten(&bytes, (dict, len), |p| p[0] = 1);
+        assert_eq!(
+            decode_image(&on_terms),
+            Err(SnapshotError::Malformed(
+                "a delta's dictionary does not extend its base's"
+            ))
         );
     }
 

@@ -1,6 +1,8 @@
-//! Format v1 did not move: images the *parent commit's* code encoded
-//! (written before the dictionary became a text arena) open under this code
-//! and re-encode without a version bump or a second reader.
+//! Format 1 still opens: images an older build encoded (written before
+//! the dictionary became a text arena) open under this code's format-1
+//! reader, re-encode through the format-1 reference codec
+//! (`tests/common/v1_image.rs`) to the bytes they were, and round-trip
+//! through format 2, which this code writes.
 //!
 //! * `every_term_shape.plain-spelling.v1.img` — the parent's image of the
 //!   fixture with its two explicit `^^xsd:string` datatypes spelled plain —
@@ -16,15 +18,19 @@
 use inferray_model::term::XSD_STRING;
 use inferray_model::Term;
 use inferray_parser::load_ntriples;
-use inferray_persist::snapshot::{decode_image, encode_image, SnapshotImage};
+use inferray_persist::snapshot::{decode_image, encode_image, SnapshotImage, MAGIC};
+
+#[path = "../../../tests/common/v1_image.rs"]
+mod v1_image;
 
 const DOCUMENT: &str = include_str!("../../../tests/fixtures/every_term_shape.nt");
 const PARENT_IMAGE: &[u8] = include_bytes!("../../../tests/fixtures/every_term_shape.v1.img");
 const PARENT_IMAGE_PLAIN_SPELLING: &[u8] =
     include_bytes!("../../../tests/fixtures/every_term_shape.plain-spelling.v1.img");
 
+/// The format-1 bytes of `image`.
 fn reencode(image: &SnapshotImage) -> Vec<u8> {
-    encode_image(
+    v1_image::encode(
         &image.dictionary,
         &image.base,
         &image.materialized,
@@ -82,4 +88,23 @@ fn an_explicit_xsd_string_record_reencodes_in_its_plain_spelling() {
         4 + XSD_STRING.len()
     );
     assert_eq!(reencode(&image), PARENT_IMAGE_PLAIN_SPELLING);
+}
+
+#[test]
+fn both_images_round_trip_through_format_2() {
+    for bytes in [PARENT_IMAGE, PARENT_IMAGE_PLAIN_SPELLING] {
+        let image = decode_image(bytes).expect("the older image opens");
+        let v2 = encode_image(
+            &image.dictionary,
+            &image.base,
+            &image.materialized,
+            image.epoch,
+            image.last_seq,
+            &image.fragment,
+        );
+        assert_eq!(&v2[..8], MAGIC);
+        let back = decode_image(&v2).expect("the format-2 image opens");
+        assert_eq!(back, image);
+        assert_eq!(reencode(&back), PARENT_IMAGE_PLAIN_SPELLING);
+    }
 }

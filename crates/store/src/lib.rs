@@ -69,4 +69,4 @@ pub use property_table::{os_builds, DistinctCount, OsBuilds, PropertyTable};
 pub use query::TriplePattern;
 pub use reclaim::Recycler;
 pub use snapshot::{unpoison, Handoff, SnapshotStore, StoreSnapshot};
-pub use triple_store::TripleStore;
+pub use triple_store::{OsCacheTask, TripleStore};

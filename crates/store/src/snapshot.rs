@@ -62,7 +62,7 @@
 //! `&TripleStore` without needing `&mut`, so a snapshot is safely
 //! `Send + Sync`.
 
-use crate::triple_store::TripleStore;
+use crate::triple_store::{OsCacheTask, TripleStore};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
@@ -99,6 +99,27 @@ impl StoreSnapshot {
     pub fn prepare(mut store: TripleStore, epoch: u64) -> Self {
         store.finalize();
         store.ensure_all_os();
+        #[cfg(feature = "strict-invariants")]
+        store.assert_valid();
+        StoreSnapshot {
+            epoch,
+            store: Arc::new(store),
+        }
+    }
+
+    /// [`StoreSnapshot::prepare`] with the ⟨o,s⟩ caches built by `run`,
+    /// which is handed one task per table that needs one, largest first
+    /// ([`TripleStore::os_cache_tasks`]), and runs every one of them — on a
+    /// pool's lanes, say. A dataset's first epoch is prepared this way,
+    /// where every table needs its cache; a write's publish
+    /// ([`StoreSnapshot::next`]) builds its few inline.
+    pub fn prepare_with(
+        mut store: TripleStore,
+        epoch: u64,
+        run: impl FnOnce(Vec<OsCacheTask<'_>>),
+    ) -> Self {
+        store.finalize();
+        run(store.os_cache_tasks());
         #[cfg(feature = "strict-invariants")]
         store.assert_valid();
         StoreSnapshot {

@@ -142,6 +142,28 @@ impl TripleStore {
             .sum()
     }
 
+    /// [`TripleStore::ensure_all_os`] split into one task per table whose
+    /// cache is missing or stale, largest table first, so that a caller can
+    /// run them side by side (on a pool's lanes, longest first). Each task
+    /// builds its table's cache with a scratch of its own and returns the
+    /// pairs it sorted.
+    pub fn os_cache_tasks(&mut self) -> Vec<OsCacheTask<'_>> {
+        let mut tables: Vec<&mut Arc<PropertyTable>> = self
+            .tables
+            .iter_mut()
+            .flatten()
+            .filter(|table| !table.is_empty() && (table.is_dirty() || !table.has_os_cache()))
+            .collect();
+        tables.sort_by_key(|table| std::cmp::Reverse(table.len()));
+        tables
+            .into_iter()
+            .map(|table| {
+                Box::new(move || ensure_table_os(table, &mut inferray_sort::SortScratch::new()))
+                    as OsCacheTask<'_>
+            })
+            .collect()
+    }
+
     /// Iterates over the property identifiers that have a (possibly empty)
     /// table.
     pub fn property_ids(&self) -> impl Iterator<Item = u64> + '_ {
@@ -380,6 +402,10 @@ fn by_property(
     grouped
 }
 
+/// One table's ⟨o,s⟩ cache to build ([`TripleStore::os_cache_tasks`]):
+/// returns the pairs it sorted.
+pub type OsCacheTask<'a> = Box<dyn FnOnce() -> usize + Send + 'a>;
+
 /// Builds the ⟨o,s⟩ cache of a non-empty table that is dirty or lacks it —
 /// the only tables written, and so copied if shared. Returns the number of
 /// pairs sorted.
@@ -492,6 +518,19 @@ mod tests {
         for (_, table) in store.iter_tables() {
             assert!(table.has_os_cache());
         }
+    }
+
+    #[test]
+    fn os_cache_tasks_build_what_ensure_all_os_builds_largest_first() {
+        let mut store = sample_store();
+        let mut whole = store.clone();
+        let tasks = store.os_cache_tasks();
+        assert_eq!(tasks.len(), 2);
+        let sorted: Vec<usize> = tasks.into_iter().map(|task| task()).collect();
+        assert_eq!(sorted, [2, 1], "rdf:type's two pairs first");
+        assert_eq!(whole.ensure_all_os(), 3);
+        assert_eq!(store, whole);
+        assert!(store.os_cache_tasks().is_empty());
     }
 
     #[test]

@@ -24,8 +24,11 @@
 //! serve cold-start path).
 //!
 //! **Recover**: `inferray-cli recover --data-dir D` validates the data
-//! directory — which image would be used, how many WAL records replay —
-//! and prints the report without serving.
+//! directory — which image would be used, how many WAL records replay,
+//! where the time went — and prints the report without serving. It is a
+//! dry run: it opens the directory through an overlay that keeps every
+//! write in memory, so the torn log tail it reports is not cut and no
+//! file is removed.
 //!
 //! **Rules**: `inferray-cli rules check FILE` runs the rule-program static
 //! analyzer (docs/rules.md) over a `.rules` file and prints every finding as
@@ -85,7 +88,7 @@
 //! FILE defaults to standard input.
 //! ```
 
-use inferray::persist::StdFs;
+use inferray::persist::{Overlay, StdFs};
 use inferray::{
     CheckpointPolicy, DurableDataset, DurableError, Program, ServingUpdateSink, ShapeInstallError,
 };
@@ -154,9 +157,10 @@ fn usage() -> &'static str {
      interrupted — durably when --data-dir is given (WAL + snapshot images,\n\
      crash recovery; docs/persistence.md). 'snapshot' writes a snapshot image\n\
      of the materialized input; 'recover' validates a data directory and\n\
-     prints the recovery report. 'rules check FILE' statically analyzes a\n\
-     rule program (docs/rules.md) and 'rules explain FILE' also dumps each\n\
-     rule's derived scheduler signature (with per-rule cost estimates when\n\
+     prints the recovery report, writing nothing. 'rules check FILE'\n\
+     statically analyzes a rule program (docs/rules.md) and 'rules explain\n\
+     FILE' also dumps each rule's derived scheduler signature (with\n\
+     per-rule cost estimates when\n\
      --data FILE names a dataset); 'serve --rules FILE' serves a dataset\n\
      closed under the program instead of a baked-in fragment. 'shapes check\n\
      FILE' statically analyzes a shape-constraint file (docs/shapes.md),\n\
@@ -523,7 +527,7 @@ fn open_or_create_durable(
                 );
             }
             eprintln!(
-                "inferray: recovered epoch {} ({} triples) from {}{} (+{} WAL records replayed, {} skipped{})",
+                "inferray: recovered epoch {} ({} triples) from {}{} (+{} WAL records replayed, {} skipped{}): {}",
                 report.epoch,
                 report.triples,
                 report.snapshot_path.display(),
@@ -538,6 +542,7 @@ fn open_or_create_durable(
                 } else {
                     String::new()
                 },
+                report.stages,
             );
             Ok(Arc::new(durable))
         }
@@ -940,12 +945,15 @@ fn snapshot(options: &CliOptions, data_dir: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// A dry run of recovery: the directory is opened through an overlay that
+/// keeps what recovery writes — a cut log tail, removed temp files — in
+/// memory.
 fn recover(options: &CliOptions, data_dir: &str) -> Result<(), String> {
     let (durable, report) = DurableDataset::open(
         data_dir,
         program(options)?,
         reasoner_options(options),
-        Arc::new(StdFs),
+        Arc::new(Overlay::new(StdFs)),
         checkpoint_policy(options),
     )
     .map_err(|e| e.to_string())?;
@@ -980,6 +988,7 @@ fn recover(options: &CliOptions, data_dir: &str) -> Result<(), String> {
         report.triples,
         durable.dataset().base_len()
     );
+    println!("stages: {}", report.stages);
     Ok(())
 }
 

@@ -152,7 +152,7 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 }
 
 fn delta_layout(bytes: &[u8]) -> DeltaLayout {
-    assert_eq!(&bytes[..8], b"IFRYDLT1");
+    assert_eq!(&bytes[..8], b"IFRYIMG2");
     let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     let mut at = 16 + header_len;
     let mut payloads = Vec::new();
@@ -172,7 +172,7 @@ fn delta_layout(bytes: &[u8]) -> DeltaLayout {
             let marker = store[at];
             at += 1;
             if marker == 1 {
-                at += 8 + 16 * u64_at(store, at) as usize;
+                at += 8 + 8 * u64_at(store, at) as usize;
             }
             markers.push(marker);
         }

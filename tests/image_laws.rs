@@ -1,314 +1,40 @@
-//! The streamed image writer and reader against the reference codec.
+//! The image codec against the reference codec of format 1.
 //!
 //! `inferray_persist::snapshot` streams an image through one block each
 //! way: the writer patches a section's length and CRC in behind its payload,
 //! and each section's reader decodes out of one block from a handle of its
-//! own. The reference below is the codec they replaced — the whole image
-//! built in one buffer, every section checksummed and decoded from a slice.
-//! The laws: the streamed writer's bytes are the reference's bytes, and the
-//! streamed reader returns what the reference reader returns, for random
-//! dictionaries (IRIs holding `\u00XX` escapes, blank nodes, plain,
-//! language-tagged and typed literals, the stale resource slot a promotion
-//! leaves) and random stores (`None` against empty slots, the empty store).
+//! own. It writes format 2 — the dictionary as it sits in memory, pair words
+//! in 32 bits, a full image as the delta on the empty base — and still
+//! reads format 1. The reference (`tests/common/v1_image.rs`) is format 1
+//! built whole in one buffer. The laws: the reader returns what the
+//! reference decoder returns on format-1 bytes, and refuses what it
+//! refuses; format 2 decodes to what format 1 decodes to, full and delta;
+//! every flipped byte and every cut of a format-2 image is caught or
+//! harmless; and a data directory of format-1 images and a log opens, and
+//! its next checkpoint writes format 2. The dictionaries are random (IRIs
+//! holding `\u00XX` escapes, blank nodes, plain, language-tagged and typed
+//! literals, the stale resource slot a promotion leaves), the stores too
+//! (`None` against empty slots, the empty store, tables longer than a
+//! block).
 
-use inferray::dictionary::{DenseTableError, Dictionary};
-use inferray::model::{Term, TermRef, Triple};
+use inferray::dictionary::Dictionary;
+use inferray::model::ids::IMAGE_WORD_BASE;
+use inferray::model::{Term, Triple};
 use inferray::persist::snapshot::{
-    decode_image, encode_image, open_image, write_image, SnapshotImage,
+    decode_delta_image, decode_image, encode_image, open_image, snapshot_file_name,
+    write_base_image, write_delta_image, write_image, ImageParts, MAGIC,
 };
-use inferray::persist::{IoBackend, MemFs};
-use inferray::store::{as_pairs, PropertyTable, TripleStore};
+use inferray::persist::{
+    segment_file_name, wal, CheckpointPolicy, DurableDataset, IoBackend, MemFs, WalKind,
+};
+use inferray::store::{PropertyTable, TripleStore};
+use inferray::{Fragment, InferrayOptions};
 use proptest::prelude::*;
-use std::borrow::Cow;
 use std::path::Path;
+use std::sync::Arc;
 
-/// The reference codec: the encoder and decoder of format v1 as they were
-/// before the image was streamed.
-mod reference {
-    use super::*;
-
-    const TAG_DICT: &[u8; 4] = b"DICT";
-    const TAG_BASE: &[u8; 4] = b"BASE";
-    const TAG_MATL: &[u8; 4] = b"MATL";
-    const TERM_IRI: u8 = 0;
-    const TERM_BLANK: u8 = 1;
-    const TERM_LITERAL: u8 = 2;
-    const FLAG_DATATYPE: u8 = 1;
-    const FLAG_LANGUAGE: u8 = 2;
-
-    fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_str(out: &mut Vec<u8>, s: &str) {
-        put_u32(out, s.len() as u32);
-        out.extend_from_slice(s.as_bytes());
-    }
-
-    fn put_term(out: &mut Vec<u8>, term: &TermRef<'_>) {
-        match term {
-            TermRef::Iri(iri) => {
-                out.push(TERM_IRI);
-                put_str(out, iri);
-            }
-            TermRef::Blank(label) => {
-                out.push(TERM_BLANK);
-                put_str(out, label);
-            }
-            TermRef::Literal {
-                lexical,
-                datatype,
-                language,
-            } => {
-                out.push(TERM_LITERAL);
-                put_str(out, lexical);
-                let mut flags = 0u8;
-                if datatype.is_some() {
-                    flags |= FLAG_DATATYPE;
-                }
-                if language.is_some() {
-                    flags |= FLAG_LANGUAGE;
-                }
-                out.push(flags);
-                if let Some(dt) = datatype {
-                    put_str(out, dt);
-                }
-                if let Some(lang) = language {
-                    put_str(out, lang);
-                }
-            }
-        }
-    }
-
-    fn encode_store(store: &TripleStore, out: &mut Vec<u8>) {
-        let slots = store.slot_tables();
-        put_u64(out, slots.len() as u64);
-        for slot in slots {
-            match slot {
-                None => out.push(0),
-                Some(table) => {
-                    out.push(1);
-                    let pairs = table.pairs();
-                    put_u64(out, as_pairs(pairs).len() as u64);
-                    for &value in pairs {
-                        put_u64(out, value);
-                    }
-                }
-            }
-        }
-    }
-
-    fn put_section(out: &mut Vec<u8>, tag: &[u8; 4], fill: impl FnOnce(&mut Vec<u8>)) {
-        let mut payload = Vec::new();
-        fill(&mut payload);
-        out.extend_from_slice(tag);
-        put_u64(out, payload.len() as u64);
-        put_u32(out, inferray::persist::crc32(&payload));
-        out.extend_from_slice(&payload);
-    }
-
-    pub fn encode(
-        dictionary: &Dictionary,
-        base: &TripleStore,
-        materialized: &TripleStore,
-        epoch: u64,
-        last_seq: u64,
-        fragment: &str,
-    ) -> Vec<u8> {
-        let mut header = Vec::new();
-        put_u32(&mut header, 1);
-        put_u64(&mut header, epoch);
-        put_u64(&mut header, last_seq);
-        put_str(&mut header, fragment);
-        put_u32(&mut header, 3);
-        let mut out = Vec::new();
-        out.extend_from_slice(b"IFRYSNP1");
-        put_u32(&mut out, header.len() as u32);
-        put_u32(&mut out, inferray::persist::crc32(&header));
-        out.extend_from_slice(&header);
-        put_section(&mut out, TAG_DICT, |out| {
-            put_u64(out, dictionary.num_properties() as u64);
-            put_u64(out, dictionary.num_resources() as u64);
-            for text in dictionary.texts() {
-                put_term(out, &TermRef::from_ntriples(text).unwrap());
-            }
-        });
-        put_section(&mut out, TAG_BASE, |out| encode_store(base, out));
-        put_section(&mut out, TAG_MATL, |out| encode_store(materialized, out));
-        out
-    }
-
-    struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let end = self.pos.checked_add(n)?;
-            let slice = self.bytes.get(self.pos..end)?;
-            self.pos = end;
-            Some(slice)
-        }
-
-        fn u8(&mut self) -> Option<u8> {
-            Some(self.take(1)?[0])
-        }
-
-        fn u32(&mut self) -> Option<u32> {
-            Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-        }
-
-        fn u64(&mut self) -> Option<u64> {
-            Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-        }
-
-        fn str(&mut self) -> Option<&'a str> {
-            let len = self.u32()? as usize;
-            std::str::from_utf8(self.take(len)?).ok()
-        }
-
-        fn done(&self) -> bool {
-            self.pos == self.bytes.len()
-        }
-    }
-
-    fn decode_term<'a>(r: &mut Reader<'a>) -> Option<TermRef<'a>> {
-        match r.u8()? {
-            TERM_IRI => Some(TermRef::Iri(Cow::Borrowed(r.str()?))),
-            TERM_BLANK => Some(TermRef::Blank(Cow::Borrowed(r.str()?))),
-            TERM_LITERAL => {
-                let lexical = Cow::Borrowed(r.str()?);
-                let flags = r.u8()?;
-                if flags & !(FLAG_DATATYPE | FLAG_LANGUAGE) != 0 {
-                    return None;
-                }
-                let datatype = match flags & FLAG_DATATYPE != 0 {
-                    true => Some(Cow::Borrowed(r.str()?)),
-                    false => None,
-                };
-                let language = match flags & FLAG_LANGUAGE != 0 {
-                    true => Some(Cow::Borrowed(r.str()?)),
-                    false => None,
-                };
-                Some(TermRef::Literal {
-                    lexical,
-                    datatype,
-                    language,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    struct Refused;
-
-    impl From<DenseTableError> for Refused {
-        fn from(_: DenseTableError) -> Self {
-            Refused
-        }
-    }
-
-    fn decode_dictionary(payload: &[u8]) -> Option<Dictionary> {
-        let mut r = Reader {
-            bytes: payload,
-            pos: 0,
-        };
-        let num_properties = r.u64()? as usize;
-        let num_resources = r.u64()? as usize;
-        if num_properties.checked_add(num_resources)? > payload.len() / 5 {
-            return None;
-        }
-        let dictionary = Dictionary::from_dense_texts(num_properties, num_resources, |text| {
-            decode_term(&mut r)
-                .map(|term| term.write_ntriples(text))
-                .ok_or(Refused)
-        })
-        .ok()?;
-        r.done().then_some(dictionary)
-    }
-
-    fn decode_store(payload: &[u8]) -> Option<TripleStore> {
-        let mut r = Reader {
-            bytes: payload,
-            pos: 0,
-        };
-        let mut slots = Vec::new();
-        for _ in 0..r.u64()? {
-            match r.u8()? {
-                0 => slots.push(None),
-                1 => {
-                    let count = r.u64()? as usize;
-                    let raw = r.take(count.checked_mul(16)?)?;
-                    let pairs: Vec<u64> = raw
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
-                    if as_pairs(&pairs).windows(2).any(|w| w[0] >= w[1]) {
-                        return None;
-                    }
-                    let mut table = PropertyTable::new();
-                    table.replace_with_sorted(pairs);
-                    slots.push(Some(table));
-                }
-                _ => return None,
-            }
-        }
-        r.done().then(|| TripleStore::from_slot_tables(slots))
-    }
-
-    fn section<'a>(r: &mut Reader<'a>, tag: &[u8; 4]) -> Option<&'a [u8]> {
-        if r.take(4)? != tag {
-            return None;
-        }
-        let len = r.u64()? as usize;
-        let crc = r.u32()?;
-        let payload = r.take(len)?;
-        (inferray::persist::crc32(payload) == crc).then_some(payload)
-    }
-
-    /// `None` wherever the streamed reader must answer `Err`.
-    pub fn decode(bytes: &[u8]) -> Option<SnapshotImage> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(8)? != b"IFRYSNP1" {
-            return None;
-        }
-        let header_len = r.u32()? as usize;
-        let header_crc = r.u32()?;
-        let header = r.take(header_len)?;
-        if inferray::persist::crc32(header) != header_crc {
-            return None;
-        }
-        let mut h = Reader {
-            bytes: header,
-            pos: 0,
-        };
-        if h.u32()? != 1 {
-            return None;
-        }
-        let epoch = h.u64()?;
-        let last_seq = h.u64()?;
-        let fragment = h.str()?.to_owned();
-        if h.u32()? != 3 || !h.done() {
-            return None;
-        }
-        let dictionary = decode_dictionary(section(&mut r, TAG_DICT)?)?;
-        let base = decode_store(section(&mut r, TAG_BASE)?)?;
-        let materialized = decode_store(section(&mut r, TAG_MATL)?)?;
-        r.done().then_some(SnapshotImage {
-            epoch,
-            last_seq,
-            fragment,
-            dictionary,
-            base,
-            materialized,
-        })
-    }
-}
+#[path = "common/v1_image.rs"]
+mod reference;
 
 /// A small deterministic generator, seeded by the property test.
 struct Rng(u64);
@@ -384,6 +110,55 @@ fn dictionary(rng: &mut Rng) -> Dictionary {
     dictionary
 }
 
+/// A later state on `dictionary` and the two stores: terms added and
+/// promoted, and per slot the table kept (the same `Arc`), rewritten,
+/// emptied or dropped, and slots added.
+fn later(
+    rng: &mut Rng,
+    dictionary: &Dictionary,
+    base: &TripleStore,
+    materialized: &TripleStore,
+) -> (Dictionary, TripleStore, TripleStore) {
+    let mut grown = dictionary.clone();
+    for serial in 0..rng.below(6) {
+        let object = term(rng, 1_000 + serial);
+        // Now and then a subject of before as a predicate: a promotion.
+        let predicate = match rng.below(3) {
+            0 => Term::Iri(format!("http://ex/s{}", rng.below(40))),
+            _ => Term::Iri(format!("http://ex/p{}", rng.below(7))),
+        };
+        let subject = Term::Iri(format!("http://ex/s{}", rng.below(60)));
+        grown
+            .encode_triple(&Triple::new(subject, predicate, object))
+            .unwrap();
+    }
+    grown.take_promotions();
+    let mut change = |store: &TripleStore| {
+        let mut slots: Vec<_> = store
+            .slot_tables()
+            .iter()
+            .map(|slot| match rng.below(4) {
+                0 => None,
+                1 => Some(Arc::new(PropertyTable::new())),
+                2 => store_slot(rng),
+                _ => slot.clone(),
+            })
+            .collect();
+        slots.extend((0..rng.below(3)).map(|_| store_slot(rng)));
+        TripleStore::from_shared_slot_tables(slots)
+    };
+    let (base, materialized) = (change(base), change(materialized));
+    (grown, base, materialized)
+}
+
+/// A fresh table of a few sorted pairs.
+fn store_slot(rng: &mut Rng) -> Option<Arc<PropertyTable>> {
+    let pairs: Vec<u64> = (0..2 * rng.below(20))
+        .map(|_| IMAGE_WORD_BASE + 2 + rng.below(u32::MAX as u64 - 1))
+        .collect();
+    Some(Arc::new(PropertyTable::from_pairs(pairs)))
+}
+
 /// A store of random slots: `None`, an empty table, or sorted pairs; now
 /// and then a table longer than one block of the writer.
 fn store(rng: &mut Rng) -> TripleStore {
@@ -396,7 +171,10 @@ fn store(rng: &mut Rng) -> TripleStore {
                     0 => 20_000 + rng.below(20_000),
                     _ => rng.below(50),
                 };
-                let pairs: Vec<u64> = (0..2 * len).map(|_| rng.below(1 << 40)).collect();
+                // Words a dictionary can number: both formats hold them.
+                let pairs: Vec<u64> = (0..2 * len)
+                    .map(|_| IMAGE_WORD_BASE + 2 + rng.below(u32::MAX as u64 - 1))
+                    .collect();
                 Some(PropertyTable::from_pairs(pairs))
             }
         })
@@ -419,8 +197,8 @@ proptest! {
         let fragment = format!("rules:{:08x}", rng.next() as u32);
         let expected = reference::encode(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
 
+        // The streamed writer into a file is the writer into memory.
         let bytes = encode_image(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
-        prop_assert_eq!(&bytes, &expected);
         let fs = MemFs::new();
         let path = Path::new("d/snapshot.img");
         let mut written = 0;
@@ -429,13 +207,85 @@ proptest! {
             Ok(())
         })
         .unwrap();
-        prop_assert_eq!(written, expected.len() as u64);
-        prop_assert_eq!(&fs.read(path).unwrap(), &expected);
+        prop_assert_eq!(written, bytes.len() as u64);
+        prop_assert_eq!(&fs.read(path).unwrap(), &bytes);
 
+        // The streamed reader of format 1 is the reference reader, from a
+        // slice and from a file's handles.
         let image = reference::decode(&expected).unwrap();
         prop_assert_eq!(&image.dictionary, &dictionary);
         prop_assert_eq!(&decode_image(&expected).unwrap(), &image);
+        let v1_path = Path::new("d/snapshot-v1.img");
+        fs.write_atomic(v1_path, &expected).unwrap();
+        prop_assert_eq!(&open_image(&fs, v1_path).unwrap(), &image);
         prop_assert_eq!(&open_image(&fs, path).unwrap(), &image);
+    }
+
+    /// Format 2 decodes to what format 1 decodes to: a full image, and a
+    /// delta on it after random writes — new terms, promotions, tables
+    /// rewritten, added and emptied — under `PartialEq` of the dictionary
+    /// and of both stores, slot layout included.
+    #[test]
+    fn format_2_decodes_what_the_reference_format_1_decodes(seed in any::<u64>()) {
+        let mut rng = Rng(seed | 1);
+        let dictionary = dictionary(&mut rng);
+        let (base, materialized) = (store(&mut rng), store(&mut rng));
+        let (epoch, last_seq) = (rng.below(1 << 20), rng.below(1 << 20));
+        let fragment = format!("rules:{:08x}", rng.next() as u32);
+
+        let v1 = reference::encode(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
+        let v2 = encode_image(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
+        prop_assert_eq!(&v2[..8], MAGIC);
+        let from_v1 = reference::decode(&v1).unwrap();
+        let from_v2 = decode_image(&v2).unwrap();
+        prop_assert_eq!(&from_v2, &from_v1);
+        prop_assert_eq!(&from_v2.base, &base);
+        prop_assert_eq!(&from_v2.materialized, &materialized);
+
+        // A later state that shares some tables with this one.
+        let (grown, later_base, later_materialized) = later(&mut rng, &dictionary, &base, &materialized);
+        let parts = ImageParts {
+            dictionary: &dictionary,
+            base: &base,
+            materialized: &materialized,
+            epoch,
+            last_seq,
+            fragment: &fragment,
+        };
+        let mut full = Vec::new();
+        let record = write_base_image(&mut full, parts).unwrap();
+        prop_assert_eq!(&full, &v2);
+        let later_parts = ImageParts {
+            dictionary: &grown,
+            base: &later_base,
+            materialized: &later_materialized,
+            epoch: epoch + 1,
+            last_seq: last_seq + 1,
+            fragment: &fragment,
+        };
+        let mut v2_delta = Vec::new();
+        write_delta_image(&mut v2_delta, later_parts, &record).unwrap();
+        let v1_delta = reference::encode_delta(
+            &grown,
+            &later_base,
+            &later_materialized,
+            epoch + 1,
+            last_seq + 1,
+            &fragment,
+            &reference::Base {
+                bytes: &v1,
+                epoch,
+                dictionary: &dictionary,
+                base: &base,
+                materialized: &materialized,
+            },
+        );
+        let from_v1 = decode_delta_image(&v1_delta, from_v1).unwrap();
+        let from_v2 = decode_delta_image(&v2_delta, from_v2).unwrap();
+        prop_assert_eq!(&from_v2, &from_v1);
+        prop_assert_eq!(&from_v2.dictionary, &grown);
+        prop_assert_eq!(&from_v2.base, &later_base);
+        prop_assert_eq!(&from_v2.materialized, &later_materialized);
     }
 
     #[test]
@@ -460,4 +310,185 @@ proptest! {
             prop_assert_eq!(streamed, expected);
         }
     }
+}
+
+/// A small random state: few terms, short tables.
+fn small_state(rng: &mut Rng) -> (Dictionary, TripleStore, TripleStore) {
+    let mut dictionary = Dictionary::new();
+    for serial in 0..rng.below(6) {
+        let object = match rng.below(3) {
+            0 => Term::Iri(format!("http://ex/r{serial}")),
+            1 => Term::blank(format!("b{serial}")),
+            _ => Term::lang_literal(format!("chat {serial}"), "fr"),
+        };
+        let predicate = Term::Iri(format!("http://ex/p{}", rng.below(3)));
+        let subject = Term::Iri(format!("http://ex/s{serial}"));
+        dictionary
+            .encode_triple(&Triple::new(subject, predicate, object))
+            .unwrap();
+    }
+    let small = |rng: &mut Rng| {
+        let slots = (0..rng.below(4))
+            .map(|_| match rng.below(3) {
+                0 => None,
+                _ => store_slot(rng).map(|table| (*table).clone()),
+            })
+            .collect();
+        TripleStore::from_slot_tables(slots)
+    };
+    let (base, materialized) = (small(rng), small(rng));
+    (dictionary, base, materialized)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every one-byte corruption and every cut of a format-2 full image and
+    /// of a format-2 delta image is refused, or decodes to the state it was
+    /// written from.
+    #[test]
+    fn every_flipped_byte_and_every_cut_of_a_format_2_image_is_caught_or_harmless(
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng(seed | 1);
+        let (dictionary, base, materialized) = small_state(&mut rng);
+        let parts = ImageParts {
+            dictionary: &dictionary,
+            base: &base,
+            materialized: &materialized,
+            epoch: 4,
+            last_seq: 7,
+            fragment: "f",
+        };
+        let mut full = Vec::new();
+        let record = write_base_image(&mut full, parts).unwrap();
+        let clean = decode_image(&full).unwrap();
+        let (grown, later_base, later_materialized) = later(&mut rng, &dictionary, &base, &materialized);
+        let mut delta = Vec::new();
+        let later_parts = ImageParts {
+            dictionary: &grown,
+            base: &later_base,
+            materialized: &later_materialized,
+            epoch: 5,
+            ..parts
+        };
+        write_delta_image(&mut delta, later_parts, &record).unwrap();
+        let after = decode_delta_image(&delta, clean.clone()).unwrap();
+        for at in 0..full.len() {
+            let mut flipped = full.clone();
+            flipped[at] ^= 1 << rng.below(8);
+            if let Ok(image) = decode_image(&flipped) {
+                prop_assert_eq!(&image, &clean, "flip at {}", at);
+            }
+            prop_assert!(decode_image(&full[..at]).is_err(), "cut at {}", at);
+        }
+        for at in 0..delta.len() {
+            let mut flipped = delta.clone();
+            flipped[at] ^= 1 << rng.below(8);
+            if let Ok(image) = decode_delta_image(&flipped, clean.clone()) {
+                prop_assert_eq!(&image, &after, "flip at {}", at);
+            }
+            prop_assert!(decode_delta_image(&delta[..at], clean.clone()).is_err(), "cut at {}", at);
+        }
+    }
+}
+
+/// A data directory an older build left — a format-1 full image, a
+/// format-1 delta on it and a log past the delta, built with the reference
+/// codec and `wal::encode_record` — opens to the state it records, its next
+/// checkpoint writes a format-2 full image, and a reopen of that is the
+/// live state.
+#[test]
+fn a_format_1_directory_opens_and_its_next_checkpoint_writes_format_2() {
+    const DOCUMENT: &str = "<http://ex/human> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://ex/mammal> .\n\
+         <http://ex/bart> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n";
+    let writes = [
+        "<http://ex/lisa> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n",
+        "<http://ex/lisa> <http://ex/sibling> <http://ex/bart> .\n",
+        "<http://ex/sibling> <http://www.w3.org/2000/01/rdf-schema#domain> <http://ex/human> .\n",
+    ];
+    let open = |fs: Arc<MemFs>| {
+        DurableDataset::open(
+            "data",
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            fs,
+            CheckpointPolicy::manual(),
+        )
+        .unwrap()
+    };
+    // The live history: the state after creation, after two writes, and
+    // after the third.
+    let live_fs = Arc::new(MemFs::new());
+    let (live, _) = DurableDataset::create(
+        inferray::load_ntriples(DOCUMENT).unwrap(),
+        Fragment::RdfsDefault,
+        InferrayOptions::default(),
+        "data",
+        Arc::clone(&live_fs) as Arc<dyn IoBackend>,
+        CheckpointPolicy::manual(),
+    )
+    .unwrap();
+    let created = live.status().snapshot_path.unwrap();
+    let fragment = decode_image(&live_fs.read(&created).unwrap())
+        .unwrap()
+        .fragment;
+    let (dictionary0, base0, snapshot0) = live.dataset().persistable_state();
+    live.extend_ntriples(writes[0]).unwrap();
+    live.extend_ntriples(writes[1]).unwrap();
+    let (dictionary2, base2, snapshot2) = live.dataset().persistable_state();
+    live.extend_ntriples(writes[2]).unwrap();
+
+    let fs = Arc::new(MemFs::new());
+    let full = reference::encode(&dictionary0, &base0, snapshot0.store(), 0, 0, &fragment);
+    let delta = reference::encode_delta(
+        &dictionary2,
+        &base2,
+        snapshot2.store(),
+        snapshot2.epoch(),
+        2,
+        &fragment,
+        &reference::Base {
+            bytes: &full,
+            epoch: 0,
+            dictionary: &dictionary0,
+            base: &base0,
+            materialized: snapshot0.store(),
+        },
+    );
+    let mut log = Vec::new();
+    for (seq, body) in (1..).zip(writes) {
+        log.extend(wal::encode_record(seq, WalKind::Assert, body));
+    }
+    let dir = Path::new("data");
+    fs.write_atomic(&dir.join(snapshot_file_name(0)), &full)
+        .unwrap();
+    fs.write_atomic(&dir.join(snapshot_file_name(snapshot2.epoch())), &delta)
+        .unwrap();
+    fs.write_atomic(&dir.join(segment_file_name(1)), &log)
+        .unwrap();
+
+    let same_state = |a: &DurableDataset, b: &DurableDataset| {
+        let (dictionary, base, snapshot) = a.dataset().persistable_state();
+        let (back_dictionary, back_base, back_snapshot) = b.dataset().persistable_state();
+        assert_eq!(snapshot.epoch(), back_snapshot.epoch());
+        assert_eq!(*dictionary, *back_dictionary);
+        assert_eq!(base, back_base);
+        assert_eq!(snapshot.store(), back_snapshot.store());
+    };
+    let (upgraded, report) = open(Arc::clone(&fs));
+    assert_eq!(report.snapshot_epoch, snapshot2.epoch());
+    assert!(report.base_path.is_some());
+    assert_eq!((report.replayed_records, report.skipped_records), (1, 2));
+    same_state(&live, &upgraded);
+
+    let next = upgraded.checkpoint().unwrap();
+    let image = fs.read(&next).unwrap();
+    assert_eq!(&image[..8], MAGIC);
+    assert!(decode_image(&image).is_ok(), "a full image");
+    let (reopened, report) = open(Arc::new(MemFs::from_view(fs.durable_view())));
+    assert_eq!(report.snapshot_path, next);
+    assert_eq!((report.base_path, report.replayed_records), (None, 0));
+    same_state(&live, &reopened);
+    same_state(&upgraded, &reopened);
 }
