@@ -6,7 +6,7 @@
 //! module wires the parser/loader, the reasoner and the dictionary decoding
 //! into one call.
 
-use crate::{InferrayOptions, InferrayReasoner, RetractionStats};
+use crate::{InferrayOptions, InferrayReasoner, RetractionStats, Stage, Stages};
 use inferray_dictionary::Dictionary;
 use inferray_model::ids::is_property_id;
 use inferray_model::{json_string_into, Graph, IdTriple, Triple};
@@ -348,38 +348,6 @@ pub enum WriteStats {
     Retracted(RetractionStats),
 }
 
-/// Where one write's time went: the stages of the write pipeline
-/// ([`ServingDataset::write_ntriples`]), in the order they run, back to
-/// back from taking the writer lock to the outcome.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WriteStages {
-    /// Encoding the delta, compiling a rule program and patching promoted
-    /// identifiers.
-    pub encode: Duration,
-    /// Reasoning on the private copies: the delta's closure, or
-    /// delete–rederive (its phases are in [`RetractionStats`]).
-    pub reason: Duration,
-    /// The shape gate.
-    pub gate: Duration,
-    /// The log stage: WAL append and fsync when durable.
-    pub log: Duration,
-    /// Installing the base, preparing the store and publishing it with its
-    /// dictionary.
-    pub publish: Duration,
-    /// Beginning a checkpoint, after the publish: what the durable write
-    /// that crosses the checkpoint threshold spends sealing the log,
-    /// capturing the state and starting the thread that writes the image.
-    /// Zero on every other write.
-    pub checkpoint: Duration,
-}
-
-impl WriteStages {
-    /// The whole write: the sum of its stages.
-    pub fn total(&self) -> Duration {
-        self.encode + self.reason + self.gate + self.log + self.publish + self.checkpoint
-    }
-}
-
 /// Everything a caller reports about an accepted write. Captured under the
 /// writer lock, so the fields stay consistent even when other writers
 /// publish concurrently (reading [`ServingDataset::epoch`] afterwards could
@@ -393,8 +361,10 @@ pub struct WriteOutcome {
     pub epoch: u64,
     /// Triples in the store at that epoch.
     pub triples: usize,
-    /// The pipeline's stage times.
-    pub stages: WriteStages,
+    /// The pipeline's stage times: encode, reason, gate, log, publish and
+    /// checkpoint, back to back from taking the writer lock, and for a
+    /// retraction its four phases inside reason.
+    pub stages: Stages,
 }
 
 impl WriteOutcome {
@@ -407,41 +377,16 @@ impl WriteOutcome {
     }
 
     /// Appends the write's kind, epoch and stage times in µs as a JSON
-    /// object — a retraction's with its four phase times — for the
-    /// `last_write` member of `GET /status`.
+    /// object ([`Stages::json_into`]) for the `last_write` member of
+    /// `GET /status`.
     pub fn json_into(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let us = |d: Duration| d.as_micros();
-        let stages = &self.stages;
         let kind = match self.stats {
             WriteStats::Asserted(_) => "assert",
             WriteStats::Retracted(_) => "retract",
         };
-        let _ = write!(
-            out,
-            "{{\"kind\":\"{kind}\",\"epoch\":{},\"total_us\":{},\"encode_us\":{},\
-             \"reason_us\":{},\"gate_us\":{},\"log_us\":{},\"publish_us\":{},\
-             \"checkpoint_us\":{}",
-            self.epoch,
-            us(stages.total()),
-            us(stages.encode),
-            us(stages.reason),
-            us(stages.gate),
-            us(stages.log),
-            us(stages.publish),
-            us(stages.checkpoint),
-        );
-        if let Some(r) = self.retraction() {
-            let _ = write!(
-                out,
-                ",\"over_delete_us\":{},\"probe_us\":{},\"net_delete_us\":{},\
-                 \"cascade_us\":{}",
-                us(r.over_delete_time),
-                us(r.probe_time),
-                us(r.net_delete_time),
-                us(r.cascade_time),
-            );
-        }
+        let _ = write!(out, "{{\"kind\":\"{kind}\",\"epoch\":{},", self.epoch);
+        self.stages.json_into(out);
         out.push('}');
     }
 }
@@ -509,12 +454,13 @@ struct Writer {
 
 impl ServingDataset {
     /// Fully materializes `fragment` over a loaded dataset and publishes
-    /// the result as epoch 0.
+    /// the result as epoch 0; returns the run's statistics and its stages
+    /// ([`InferrayReasoner::last_stages`]).
     pub fn materialize(
         loaded: LoadedDataset,
         fragment: Fragment,
         options: InferrayOptions,
-    ) -> (Self, InferenceStats) {
+    ) -> (Self, (InferenceStats, Stages)) {
         let reasoner = InferrayReasoner::with_options(fragment, options);
         Self::close(loaded.store, loaded.dictionary, reasoner, fragment.into())
     }
@@ -530,7 +476,7 @@ impl ServingDataset {
         loaded: LoadedDataset,
         rules: &str,
         options: InferrayOptions,
-    ) -> Result<(Self, InferenceStats), Vec<Diagnostic>> {
+    ) -> Result<(Self, (InferenceStats, Stages)), Vec<Diagnostic>> {
         let mut store = loaded.store;
         let mut dictionary = loaded.dictionary;
         let ruleset = analysis::load_ruleset(rules, &mut dictionary)?;
@@ -552,7 +498,7 @@ impl ServingDataset {
         loaded: LoadedDataset,
         program: impl Into<Program>,
         options: InferrayOptions,
-    ) -> Result<(Self, InferenceStats), Vec<Diagnostic>> {
+    ) -> Result<(Self, (InferenceStats, Stages)), Vec<Diagnostic>> {
         match program.into() {
             Program::Fragment(fragment) => Ok(Self::materialize(loaded, fragment, options)),
             Program::Rules(rules) => Self::materialize_with_rules(loaded, &rules, options),
@@ -565,13 +511,13 @@ impl ServingDataset {
         dictionary: Dictionary,
         mut reasoner: InferrayReasoner,
         program: Program,
-    ) -> (Self, InferenceStats) {
+    ) -> (Self, (InferenceStats, Stages)) {
         store.finalize();
         let base = store.clone();
         let stats = reasoner.materialize(&mut store);
         let options = reasoner.options();
         let dataset = Self::from_parts(dictionary, base, store, 0, program, options);
-        (dataset, stats)
+        (dataset, (stats, reasoner.last_stages()))
     }
 
     /// Reassembles a dataset from externally persisted parts — the recovery
@@ -944,10 +890,8 @@ impl ServingDataset {
                 }
             }
         }
-        let mut stages = WriteStages {
-            encode: lap(&mut clock),
-            ..WriteStages::default()
-        };
+        let mut stages = Stages::default();
+        stages.lap(Stage::Encode, &mut clock);
         let stats = match kind {
             WriteKind::Assert => {
                 next_base.insert(delta.iter().copied());
@@ -957,7 +901,8 @@ impl ServingDataset {
                 WriteStats::Retracted(reasoner.retract_delta(&mut store, &mut next_base, delta))
             }
         };
-        stages.reason = lap(&mut clock);
+        stages.lap(Stage::Reason, &mut clock);
+        stages += reasoner.last_stages();
         let changed = !matches!(stats, WriteStats::Retracted(r) if r.retracted_explicit == 0);
 
         // Gate, then log, then publish. A refusal or a failed log returns
@@ -974,9 +919,9 @@ impl ServingDataset {
         } else {
             None
         };
-        stages.gate = lap(&mut clock);
+        stages.lap(Stage::Gate, &mut clock);
         log().map_err(WriteError::Log)?;
-        stages.log = lap(&mut clock);
+        stages.lap(Stage::Log, &mut clock);
         let published = if changed {
             let superseded_base = std::mem::replace(base, next_base);
             let dictionary = match dictionary {
@@ -1003,7 +948,9 @@ impl ServingDataset {
         } else {
             pre.snapshot
         };
-        stages.publish = lap(&mut clock);
+        stages.lap(Stage::Publish, &mut clock);
+        // Begun by the durable layer after the publish; zero here.
+        stages.add(Stage::Checkpoint, Duration::ZERO);
         drop(writer);
         Ok(WriteOutcome {
             stats,
@@ -1081,14 +1028,6 @@ impl ServingDataset {
     pub fn base_len(&self) -> usize {
         unpoison(self.writer.lock()).base.len()
     }
-}
-
-/// The time since `clock`, which moves on to now.
-fn lap(clock: &mut Instant) -> Duration {
-    let now = Instant::now();
-    let elapsed = now - *clock;
-    *clock = now;
-    elapsed
 }
 
 /// Rewrites every stale resource identifier of `store` to its promoted
@@ -1284,7 +1223,7 @@ ex:Bart a ex:human .
 
     fn serving_family() -> ServingDataset {
         let loaded = inferray_parser::loader::load_graph(&family()).unwrap();
-        let (dataset, stats) =
+        let (dataset, (stats, _)) =
             ServingDataset::materialize(loaded, Fragment::RdfsDefault, InferrayOptions::default());
         assert_eq!(stats.inferred_triples(), 3);
         dataset
@@ -1584,7 +1523,7 @@ ex:Bart a ex:human .
         let mut g = Graph::new();
         g.insert_iris("http://ex/a", "http://ex/parent", "http://ex/b");
         let loaded = inferray_parser::loader::load_graph(&g).unwrap();
-        let (dataset, stats) =
+        let (dataset, (stats, _)) =
             ServingDataset::materialize_with_rules(loaded, rules, InferrayOptions::default())
                 .unwrap();
         assert_eq!(stats.inferred_triples(), 0, "no chain of two yet");

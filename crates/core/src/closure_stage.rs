@@ -19,10 +19,10 @@ use inferray_rules::analysis::Closure;
 use inferray_rules::executors::theta::closed_pairs;
 use inferray_rules::{RuleRef, Survivors};
 use inferray_store::{as_pairs, AccessProfile, TripleStore};
-use std::time::Duration;
 
 /// Statistics of the closure stage, and of the schema stratum's pass that
-/// follows it before the fixed-point loop.
+/// follows it before the fixed-point loop (their times are the reasoner's
+/// [`Stages`](crate::Stages)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClosureStageStats {
     /// Number of property tables that were closed.
@@ -34,18 +34,12 @@ pub struct ClosureStageStats {
     pub stratum_iterations: usize,
     /// Pairs the schema stratum's pass added.
     pub stratum_pairs_added: usize,
-    /// Wall-clock time of the closure stage (zero when it did not run).
-    pub closure_time: Duration,
-    /// Wall-clock time of the schema stratum's pass (zero when it did not
-    /// run).
-    pub stratum_time: Duration,
 }
 
 /// Replaces in place every non-empty table of `store` one of `closures` (a
 /// ruleset's [`inferray_rules::Ruleset::closures`]) closes by its closure,
-/// and reports how much was added (the caller, which times the stages,
-/// fills the durations). The closure arrives ⟨s,o⟩-sorted and becomes the
-/// table as it is.
+/// and reports how much was added. The closure arrives ⟨s,o⟩-sorted and
+/// becomes the table as it is.
 pub fn run_closure_stage(
     store: &mut TripleStore,
     closures: &[(RuleRef, Closure)],

@@ -46,18 +46,20 @@ pub struct TableSample {
 
 /// Timing and volume counters of one fixed-point iteration.
 ///
-/// `os_cache`, `fire` and `update` are disjoint and add up to the
-/// iteration.
+/// `fire` and `update` are disjoint wall times and add up to the
+/// iteration; `os_cache` is a busy time inside `fire`, summed over lanes.
 #[derive(Debug, Clone, Default)]
 pub struct IterationSample {
     /// 1-based iteration number.
     pub iteration: usize,
     /// Time the rule tasks of this iteration spent building the ⟨o,s⟩
-    /// caches they read (§4.2), summed over the tasks. The builds happen
-    /// inside the firing phase, on demand; nothing is pre-built.
+    /// caches they read (§4.2), summed over the tasks: tasks that build at
+    /// once on several lanes each count, so it can exceed `fire`. The
+    /// builds happen inside the firing phase, on demand; nothing is
+    /// pre-built.
     pub os_cache: Duration,
     /// Wall-clock time of the rule-firing phase (line 5 of Algorithm 1),
-    /// less `os_cache`.
+    /// the cache builds included.
     pub fire: Duration,
     /// Wall-clock time of the table-update phase (lines 6-7, Figure 5).
     pub update: Duration,
@@ -97,7 +99,8 @@ impl IterationProfile {
         self.samples.iter().map(|s| s.update).sum()
     }
 
-    /// Total time spent building ⟨o,s⟩ caches for the rules that read them.
+    /// Total time spent building ⟨o,s⟩ caches for the rules that read them,
+    /// summed over lanes (see [`IterationSample::os_cache`]).
     pub fn total_os_cache(&self) -> Duration {
         self.samples.iter().map(|s| s.os_cache).sum()
     }

@@ -36,15 +36,17 @@ pub mod closure_stage;
 pub mod iteration;
 pub mod options;
 pub mod reasoner;
+pub mod stages;
 
 pub use api::{
     reason_graph, reason_ntriples, reason_turtle, Program, ReasonedGraph, ServingDataset,
     ShapeInstallError, ShapeViolation, ShapeViolations, ValidationCounters, ValidationStatus,
-    WriteError, WriteKind, WriteOutcome, WriteStages, WriteStats,
+    WriteError, WriteKind, WriteOutcome, WriteStats,
 };
 pub use iteration::{IterationProfile, IterationSample, RuleSample, TableSample};
 pub use options::InferrayOptions;
 pub use reasoner::{InferrayReasoner, RetractionStats};
+pub use stages::{Stage, Stages};
 
 // Re-export the pieces users need to drive the encoded API without adding
 // every substrate crate to their dependency list.

@@ -50,6 +50,7 @@
 use crate::closure_stage::{run_closure_stage, ClosureStageStats};
 use crate::iteration::{IterationProfile, IterationSample, RuleSample, TableSample};
 use crate::options::InferrayOptions;
+use crate::stages::{Stage, Stages};
 use inferray_model::ids::is_property_id;
 use inferray_model::IdTriple;
 use inferray_parallel::ThreadPool;
@@ -93,6 +94,7 @@ pub struct InferrayReasoner {
     options: InferrayOptions,
     last_closure_stats: ClosureStageStats,
     last_iteration_profile: IterationProfile,
+    last_stages: Stages,
 }
 
 /// The result of updating one property table.
@@ -265,6 +267,7 @@ impl InferrayReasoner {
             options,
             last_closure_stats: ClosureStageStats::default(),
             last_iteration_profile: IterationProfile::default(),
+            last_stages: Stages::default(),
         }
     }
 
@@ -287,6 +290,17 @@ impl InferrayReasoner {
     /// recent run.
     pub fn last_iteration_profile(&self) -> &IterationProfile {
         &self.last_iteration_profile
+    }
+
+    /// Where the most recent run's time went: for
+    /// [`materialize`](Materializer::materialize) the closure stage, the
+    /// schema stratum, and the fixed point's firing and update phases (the
+    /// iteration profile's totals); for
+    /// [`retract_delta`](Self::retract_delta) its four phases, every one
+    /// present (zero when it did not run). Empty after
+    /// [`materialize_delta`](Self::materialize_delta).
+    pub fn last_stages(&self) -> Stages {
+        self.last_stages
     }
 
     /// Applies the given rules of `ruleset` once over (`main`, `new`),
@@ -374,6 +388,7 @@ impl InferrayReasoner {
         let mut profile = AccessProfile::default();
         store.finalize();
         self.last_closure_stats = ClosureStageStats::default();
+        self.last_stages = Stages::default();
 
         // Group the delta by property and merge it into the store, keeping
         // only the genuinely new pairs as the semi-naive frontier.
@@ -469,11 +484,12 @@ impl InferrayReasoner {
         base: &mut TripleStore,
         delta: impl IntoIterator<Item = IdTriple>,
     ) -> RetractionStats {
-        let start = Instant::now();
+        use Stage::{Cascade, NetDelete, OverDelete, Probe};
         store.finalize();
         base.finalize();
         self.last_closure_stats = ClosureStageStats::default();
         self.last_iteration_profile = IterationProfile::default();
+        self.last_stages = Stages::default();
 
         let requested: BTreeSet<IdTriple> = delta.into_iter().collect();
         let explicit: Vec<IdTriple> = requested
@@ -484,9 +500,12 @@ impl InferrayReasoner {
         let mut stats = RetractionStats {
             requested: requested.len(),
             output_triples: store.len(),
-            duration: start.elapsed(),
             ..RetractionStats::default()
         };
+        // Every phase is in the record, zero until it runs.
+        for phase in [OverDelete, Probe, NetDelete, Cascade] {
+            self.last_stages.add(phase, Duration::ZERO);
+        }
         if explicit.is_empty() {
             return stats;
         }
@@ -497,33 +516,30 @@ impl InferrayReasoner {
         // explicit or derived — is also a rederivation candidate: an
         // explicitly retracted triple that is still entailed by the
         // surviving base must stay (it is merely no longer asserted).
-        let phase = Instant::now();
+        let mut clock = Instant::now();
         let seeds =
             TripleStore::from_triples(explicit.iter().copied().filter(|t| store.contains(t)));
         let seeded = seeds.len();
         let gone = self.over_delete(store, base, seeds);
         stats.over_deleted = gone.len() - seeded;
-        stats.over_delete_time = phase.elapsed();
+        self.last_stages.lap(OverDelete, &mut clock);
 
         let size_before = store.len();
         let mut profile = AccessProfile::default();
         if self.options.schedule_rules {
             // Phase 2: probe the cone against the survivors.
-            let phase = Instant::now();
             let (supported, net) = self.probe_cone(store, &gone);
             stats.supported = supported.len();
-            stats.probe_time = phase.elapsed();
+            self.last_stages.lap(Probe, &mut clock);
 
             // Phase 3: the net change leaves the store.
-            let phase = Instant::now();
             for (p, pairs) in &net {
                 store.remove_pairs(*p, pairs);
             }
-            stats.net_delete_time = phase.elapsed();
+            self.last_stages.lap(NetDelete, &mut clock);
 
             // Phase 4: cascade from what stayed. `R` is in the store
             // already, so it is the frontier without a merge.
-            let phase = Instant::now();
             if !supported.is_empty() {
                 let frontier = Frontier::Delta(supported);
                 let (outcome, iterations) =
@@ -531,18 +547,14 @@ impl InferrayReasoner {
                 self.last_iteration_profile = iterations;
                 stats.iterations = outcome.iterations;
             }
-            stats.cascade_time = phase.elapsed();
         } else {
             // Reference path (scheduling disabled): the whole cone leaves
             // the store, then the full fixed point re-runs over the
             // survivors, all of them new.
-            let phase = Instant::now();
             for (p, table) in gone.iter_tables() {
                 store.remove_pairs(p, table.pairs());
             }
-            stats.net_delete_time = phase.elapsed();
-
-            let phase = Instant::now();
+            self.last_stages.lap(NetDelete, &mut clock);
             if !store.is_empty() && !gone.is_empty() {
                 let frontier = Frontier::Whole {
                     theta_closed: false,
@@ -553,15 +565,14 @@ impl InferrayReasoner {
                 self.last_iteration_profile = iterations;
                 stats.iterations = outcome.iterations;
             }
-            stats.cascade_time = phase.elapsed();
         }
+        self.last_stages.lap(Cascade, &mut clock);
 
         // What the cone lost and the rederivation restored: `R` and the
         // cascade's pairs, against the store with the whole cone removed.
         stats.rederived = store.len() + gone.len() - size_before;
         stats.profile = profile;
         stats.output_triples = store.len();
-        stats.duration = start.elapsed();
         stats
     }
 
@@ -832,7 +843,7 @@ impl InferrayReasoner {
             let os_cache: Duration = rules.iter().map(|r| r.os_cache.time).sum();
             let os_pairs: usize = rules.iter().map(|r| r.os_cache.pairs).sum();
             profile.sequential(2 * os_pairs as u64);
-            let fire = fire_start.elapsed().saturating_sub(os_cache);
+            let fire = fire_start.elapsed();
             let raw_pairs: usize = rules.iter().map(|rule| rule.raw_pairs).sum();
             outcome.derived_raw += raw_pairs;
 
@@ -956,16 +967,6 @@ pub struct RetractionStats {
     pub iterations: usize,
     /// Triples in the store after the retraction.
     pub output_triples: usize,
-    /// Wall-clock time of the whole retraction.
-    pub duration: Duration,
-    /// Wall-clock time of the over-deletion rounds (phase 1).
-    pub over_delete_time: Duration,
-    /// Wall-clock time of the support probes (phase 2).
-    pub probe_time: Duration,
-    /// Wall-clock time of removing the net change from the store (phase 3).
-    pub net_delete_time: Duration,
-    /// Wall-clock time of the rederivation fixed point (phase 4).
-    pub cascade_time: Duration,
     /// Software memory-access profile of the rederivation phase.
     pub profile: AccessProfile,
 }
@@ -993,11 +994,12 @@ impl Materializer for InferrayReasoner {
         // over the tables of the ruleset's closures.
         let theta_closed = !self.options.skip_closure_stage;
         self.last_closure_stats = ClosureStageStats::default();
+        self.last_stages = Stages::default();
+        let mut clock = Instant::now();
         if theta_closed {
-            let phase = Instant::now();
             self.last_closure_stats =
                 run_closure_stage(store, self.ruleset.closures(), &mut profile);
-            self.last_closure_stats.closure_time = phase.elapsed();
+            self.last_stages.lap(Stage::Closure, &mut clock);
         }
 
         // Then the schema stratum, to its own fixed point, over its own
@@ -1007,12 +1009,11 @@ impl Materializer for InferrayReasoner {
         // (An empty stratum is closed as it stands.)
         let stratum_closed = self.options.schedule_rules && !self.options.skip_closure_stage;
         if stratum_closed && !self.ruleset.stratum().is_empty() {
-            let phase = Instant::now();
             let stratum = self.close_stratum(store, theta_closed, &mut profile);
             self.last_closure_stats.stratum_iterations = stratum.iterations;
             self.last_closure_stats.stratum_pairs_added =
                 stratum.derived_raw - stratum.duplicates_removed;
-            self.last_closure_stats.stratum_time = phase.elapsed();
+            self.last_stages.lap(Stage::Stratum, &mut clock);
         }
 
         // Steps 2-3 (lines 3-8): the fixed point, with new == main on the
@@ -1023,6 +1024,9 @@ impl Materializer for InferrayReasoner {
         };
         let (outcome, iterations) =
             self.run_fixed_point(&self.ruleset, store, frontier, &mut profile);
+        let (fire, update) = (iterations.total_fire(), iterations.total_update());
+        self.last_stages.add(Stage::Fire, fire);
+        self.last_stages.add(Stage::Update, update);
         self.last_iteration_profile = iterations;
 
         InferenceStats {
@@ -1463,8 +1467,8 @@ mod tests {
                 .windows(2)
                 .all(|w| w[0].property < w[1].property));
             assert_eq!(first.tables.len(), first.properties_touched);
-            let closure = reasoner.last_closure_stats();
-            assert!(closure.closure_time > Duration::ZERO);
+            let closure = reasoner.last_stages().get(Stage::Closure);
+            assert!(closure > Some(Duration::ZERO));
             (rdf_type, data)
         };
         let (parallel, parallel_store) = rows(InferrayOptions::default());

@@ -52,9 +52,8 @@ impl Default for TextArena {
     }
 }
 
-/// FxHash over the key's bytes. The multiply pushes entropy towards the high
-/// bits, so the table takes its slot from the *top* of the hash (see
-/// [`TextArena::home_slot`]).
+/// The folded-multiply hash ([`FxHasher`]) of the key's bytes; the table
+/// takes its slot from the *top* of the hash (see [`TextArena::home_slot`]).
 #[inline]
 fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut hasher = FxHasher::default();
@@ -277,10 +276,9 @@ impl TextArena {
     }
 
     /// Where a key hashing to `hash` starts probing: the hash's **high**
-    /// bits. FxHash ends in a multiply, which leaves the low bits of keys
-    /// that differ only in their last bytes nearly equal — masking those
-    /// instead turns linear probing over `…/GraduateStudent123`-shaped keys
-    /// into runs thousands of slots long.
+    /// bits, into which the multiply carries every byte of the key, so
+    /// keys that differ only in their last bytes (`…/GraduateStudent123`)
+    /// start apart.
     #[inline]
     fn home_slot(&self, hash: u64) -> usize {
         (hash >> (64 - self.index.len().trailing_zeros())) as usize

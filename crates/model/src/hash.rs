@@ -3,11 +3,16 @@
 //! The dictionary and the ingest pipeline hash long textual keys (canonical
 //! N-Triples term forms, typically 40–80 bytes) on every term occurrence.
 //! `std`'s default SipHash is DoS-resistant but processes those keys several
-//! times slower than necessary; this is the multiply-rotate scheme used by
-//! the Rust compiler's own interners (FxHash), consuming eight bytes per
-//! step. The tables it guards are bounded by dataset vocabulary size and
-//! never keyed by untrusted-network input in a long-lived service position,
-//! so hash-flooding resistance is not required.
+//! times slower than necessary; this hasher consumes eight bytes per step,
+//! each absorbed with a folded multiply: the 128-bit product of `hash ^
+//! word` and a constant, its two halves xor-ed. A plain 64-bit multiply
+//! only carries a difference upwards, so a digit in a word's top byte and
+//! a differing tail byte can cancel out in all 64 bits (LUBM's
+//! `…/mailto/prof18240>` and `…/mailto/prof18394>` do); the folded
+//! product carries every bit both ways. The tables it guards are bounded
+//! by dataset vocabulary size and never keyed by untrusted-network input
+//! in a long-lived service position, so hash-flooding resistance is not
+//! required.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -19,7 +24,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// The FxHash streaming hasher (8 bytes per multiply-rotate step).
+/// The streaming hasher (8 bytes per folded-multiply step).
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
     hash: u64,
@@ -28,7 +33,8 @@ pub struct FxHasher {
 impl FxHasher {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+        let product = u128::from(self.hash ^ word) * u128::from(SEED);
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
     }
 }
 
@@ -40,16 +46,12 @@ impl Hasher for FxHasher {
             self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
             bytes = rest;
         }
-        if bytes.len() >= 4 {
-            let (word, rest) = bytes.split_at(4);
-            self.add(u64::from(u32::from_le_bytes(
-                word.try_into().expect("four bytes"),
-            )));
-            bytes = rest;
+        // The 0–7 bytes left, zero-padded, with their count in the top byte.
+        let mut tail = (bytes.len() as u64) << 56;
+        for (at, &byte) in bytes.iter().enumerate() {
+            tail |= u64::from(byte) << (8 * at);
         }
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
+        self.add(tail);
     }
 
     #[inline]
@@ -104,6 +106,28 @@ mod tests {
         }
         assert_eq!(map.len(), 1_000);
         assert_eq!(map.get("key-512"), Some(&512));
+    }
+
+    /// The hash of a dictionary key: its bytes, as the arena hashes them.
+    fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write(bytes);
+        hasher.finish()
+    }
+
+    #[test]
+    fn lubm_shaped_keys_hash_apart_in_full_64_bits() {
+        // A multiply only carries a difference upwards: a digit in a
+        // word's top byte and a differing tail byte used to cancel out.
+        let mailto = |p| format!("<http://inferray.example.org/lubm/mailto/prof{p}>");
+        assert_ne!(
+            hash_bytes(mailto(18240).as_bytes()),
+            hash_bytes(mailto(18394).as_bytes())
+        );
+        let hashes: std::collections::HashSet<u64> = (0..200_000)
+            .map(|p| hash_bytes(mailto(p).as_bytes()))
+            .collect();
+        assert_eq!(hashes.len(), 200_000);
     }
 
     #[test]

@@ -68,7 +68,8 @@ use crate::io::{list_numbered, IoBackend, TEMP_SUFFIX};
 use crate::snapshot::{self, BaseImage, ImageParts, Recovered, SnapshotImage};
 use crate::wal;
 use inferray_core::{
-    InferenceStats, InferrayOptions, Program, ServingDataset, WriteError, WriteKind, WriteOutcome,
+    InferenceStats, InferrayOptions, Program, ServingDataset, Stage, Stages, WriteError, WriteKind,
+    WriteOutcome,
 };
 use inferray_dictionary::Dictionary;
 use inferray_model::json_string_into;
@@ -304,56 +305,6 @@ impl DurabilityStatus {
     }
 }
 
-/// Where a cold start's time went ([`DurableDataset::open`]): reading the
-/// image that recovered — each section's decode inside it, the dictionary
-/// beside the two stores, a delta's base's added — then the first epoch's
-/// ⟨o,s⟩ caches, then reading and replaying the log. The three stages run
-/// one after another, so [`total`](RecoveryStages::total) is at most the
-/// wall time of `open`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStages {
-    /// Reading the image (and a delta's base), from the first header byte
-    /// to the last section decoded. Newer images that did not recover are
-    /// not counted.
-    pub image: Duration,
-    /// The `DICT` section's decode: the dictionary rebuilt.
-    pub dict: Duration,
-    /// The `BASE` section's decode: the explicit store.
-    pub base: Duration,
-    /// The `MATL` section's decode: the materialized store.
-    pub matl: Duration,
-    /// Building the first epoch's ⟨o,s⟩ caches.
-    pub os_caches: Duration,
-    /// Reading the log and replaying its records past the image.
-    pub replay: Duration,
-}
-
-impl RecoveryStages {
-    /// The three stages, added.
-    pub fn total(&self) -> Duration {
-        self.image + self.os_caches + self.replay
-    }
-}
-
-impl fmt::Display for RecoveryStages {
-    /// `image 31.2 ms (DICT 22.0 ms, BASE 7.1 ms, MATL 20.3 ms), os-caches
-    /// 12.8 ms, replay 40.1 ms`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        write!(
-            f,
-            "image {:.1} ms (DICT {:.1} ms, BASE {:.1} ms, MATL {:.1} ms), \
-             os-caches {:.1} ms, replay {:.1} ms",
-            ms(self.image),
-            ms(self.dict),
-            ms(self.base),
-            ms(self.matl),
-            ms(self.os_caches),
-            ms(self.replay)
-        )
-    }
-}
-
 /// What [`DurableDataset::open`] did to get back to a serving state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -375,8 +326,11 @@ pub struct RecoveryReport {
     pub epoch: u64,
     /// Triples in the resumed (materialized) store.
     pub triples: usize,
-    /// Where the time went.
-    pub stages: RecoveryStages,
+    /// Where the time went: reading the image that recovered — each
+    /// section's decode inside it, a delta's base's added — then the first
+    /// epoch's ⟨o,s⟩ caches, then reading and replaying the log. Newer
+    /// images that did not recover are not counted.
+    pub stages: Stages,
 }
 
 #[derive(Debug, Default)]
@@ -457,7 +411,7 @@ impl DurableDataset {
         dir: impl Into<PathBuf>,
         backend: Arc<dyn IoBackend>,
         policy: CheckpointPolicy,
-    ) -> Result<(Self, InferenceStats), DurableError> {
+    ) -> Result<(Self, (InferenceStats, Stages)), DurableError> {
         let dir = dir.into();
         backend
             .create_dir_all(&dir)
@@ -465,12 +419,12 @@ impl DurableDataset {
                 "creating data directory {}",
                 dir.display()
             )))?;
-        let (dataset, stats) = ServingDataset::materialize_program(loaded, program, options)
+        let (dataset, run) = ServingDataset::materialize_program(loaded, program, options)
             .map_err(DurableError::Program)?;
         let durable =
             DurableDataset::assemble(dataset, backend, dir, policy, DurableState::default());
         durable.checkpoint()?;
-        Ok((durable, stats))
+        Ok((durable, run))
     }
 
     fn assemble(
@@ -515,7 +469,7 @@ impl DurableDataset {
         let Recovered {
             image,
             base: base_path,
-            times,
+            mut stages,
         } = recovered;
         let requested = program_name(&program);
         if image.fragment != requested {
@@ -532,16 +486,15 @@ impl DurableDataset {
             materialized,
             ..
         } = image;
-        let start = Instant::now();
+        let mut clock = Instant::now();
         let inner =
             ServingDataset::from_parts(dictionary, base, materialized, epoch, program, options);
-        let os_caches = start.elapsed();
+        stages.lap(Stage::OsCaches, &mut clock);
 
         // Replay the WAL suffix through the live write pipeline. Every
         // record passed the shape gate of the process that logged it, so
         // replay runs ungated; the embedder re-installs its shapes on the
         // recovered dataset, which validates the recovered snapshot.
-        let start = Instant::now();
         let log = wal::recover(backend.as_ref(), &dir, snapshot_seq)?;
         for record in &log.records {
             inner
@@ -551,14 +504,7 @@ impl DurableDataset {
                     DurableError::corrupt(format!("WAL record {seq} does not replay: {e}"))
                 })?;
         }
-        let stages = RecoveryStages {
-            image: times.wall,
-            dict: times.dict,
-            base: times.base,
-            matl: times.matl,
-            os_caches,
-            replay: start.elapsed(),
-        };
+        stages.lap(Stage::Replay, &mut clock);
 
         let snapshot = inner.store_snapshot();
         let image_base_epoch = base_path
@@ -709,7 +655,7 @@ impl DurableDataset {
     /// order. [`WriteError::Log`] means the dataset is (now) read-only.
     /// The checkpoint threshold is checked here, after the publish; the
     /// write that crosses it reports beginning the checkpoint as its
-    /// `checkpoint` stage ([`WriteStages`](inferray_core::WriteStages)).
+    /// [`Stage::Checkpoint`].
     pub fn write_ntriples(&self, kind: WriteKind, body: &str) -> Result<WriteOutcome, WriteError> {
         let mut state = self.lock_state();
         if self.is_read_only() {
@@ -724,7 +670,7 @@ impl DurableDataset {
         self.settle_checkpoint(&mut state, false);
         let start = Instant::now();
         if self.maybe_checkpoint(&mut state) {
-            outcome.stages.checkpoint = start.elapsed();
+            outcome.stages.add(Stage::Checkpoint, start.elapsed());
         }
         self.refresh_status_mirror(&state);
         Ok(outcome)

@@ -31,13 +31,11 @@ pub mod wal;
 pub use crc::{crc32, Crc32};
 pub use durable::{
     CheckpointPolicy, DurabilityStatus, DurableDataset, DurableError, ImageKind, RecoveryReport,
-    RecoveryStages,
 };
 pub use io::{DurableView, Fault, Fill, IoBackend, MemFs, Overlay, StdFs, StreamSink};
 pub use snapshot::{
     decode_delta_image, decode_image, encode_image, image_needs, open_image, open_recoverable,
     parse_snapshot_file_name, snapshot_file_name, write_base_image, write_delta_image, write_image,
-    BaseImage, DecodeTimes, ImageParts, Recovered, SnapshotError, SnapshotImage, DELTA_FRACTION,
-    IMAGE_BLOCK,
+    BaseImage, ImageParts, Recovered, SnapshotError, SnapshotImage, DELTA_FRACTION, IMAGE_BLOCK,
 };
 pub use wal::{parse_segment_file_name, segment_file_name, WalKind, WalRecord, WalScan};

@@ -98,6 +98,7 @@
 
 use crate::crc::{crc32, Crc32};
 use crate::io::{numbered_file_name, parse_numbered_file_name, IoBackend, StreamSink};
+use inferray_core::{Stage, Stages};
 use inferray_dictionary::{DenseTableError, Dictionary, RawLen};
 use inferray_model::ids::IMAGE_WORD_BASE;
 use inferray_model::TermRef;
@@ -191,31 +192,6 @@ pub struct SnapshotImage {
     pub base: TripleStore,
     /// The materialized store (explicit + inferred).
     pub materialized: TripleStore,
-}
-
-/// Where reading an image went: each section's decode — the dictionary on
-/// one pool lane, the two stores one after the other on another — and the
-/// wall time of the whole read. A delta's are its base's and its own,
-/// added.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeTimes {
-    /// The `DICT` section's decode.
-    pub dict: Duration,
-    /// The `BASE` section's decode.
-    pub base: Duration,
-    /// The `MATL` section's decode.
-    pub matl: Duration,
-    /// From the first header byte read to the last section decoded.
-    pub wall: Duration,
-}
-
-impl std::ops::AddAssign for DecodeTimes {
-    fn add_assign(&mut self, other: DecodeTimes) {
-        self.dict += other.dict;
-        self.base += other.base;
-        self.matl += other.matl;
-        self.wall += other.wall;
-    }
 }
 
 /// File name of the snapshot covering `epoch` (zero-padded so that
@@ -1237,7 +1213,7 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
 fn read_image(
     open: &Open<'_>,
     on: Option<SnapshotImage>,
-) -> Result<(SnapshotImage, DecodeTimes), SnapshotError> {
+) -> Result<(SnapshotImage, Stages), SnapshotError> {
     let start = Instant::now();
     let frame = read_frame(open)?;
     let on = match (frame.base, on) {
@@ -1295,19 +1271,19 @@ fn read_image(
     // run_ordered returns exactly as many results as tasks, in order; a
     // mismatch (or a task yielding the wrong section kind) is reported as
     // a malformed image rather than panicking mid-recovery.
-    let mut times = [Duration::ZERO; 3];
-    let mut pop_section = |label: &'static str| -> Result<Section, SnapshotError> {
+    let mut stages = Stages::default();
+    let mut pop_section = |stage: Stage, label: &'static str| -> Result<Section, SnapshotError> {
         let (section, time) = sections.pop().ok_or(SnapshotError::Malformed(label))?;
-        times[sections.len()] = time;
+        stages.add(stage, time);
         section
     };
-    let Section::Store(materialized) = pop_section("missing MATL section")? else {
+    let Section::Store(materialized) = pop_section(Stage::Matl, "missing MATL section")? else {
         return Err(SnapshotError::Malformed("MATL section is not a store"));
     };
-    let Section::Store(base) = pop_section("missing BASE section")? else {
+    let Section::Store(base) = pop_section(Stage::Base, "missing BASE section")? else {
         return Err(SnapshotError::Malformed("BASE section is not a store"));
     };
-    let Section::Dict(dictionary) = pop_section("missing DICT section")? else {
+    let Section::Dict(dictionary) = pop_section(Stage::Dict, "missing DICT section")? else {
         return Err(SnapshotError::Malformed("DICT section is not a dictionary"));
     };
     let image = SnapshotImage {
@@ -1318,14 +1294,8 @@ fn read_image(
         base,
         materialized,
     };
-    let [dict, base, matl] = times;
-    let times = DecodeTimes {
-        dict,
-        base,
-        matl,
-        wall: start.elapsed(),
-    };
-    Ok((image, times))
+    stages.add(Stage::Image, start.elapsed());
+    Ok((image, stages))
 }
 
 /// What `decode` returns, and how long it took.
@@ -1392,8 +1362,10 @@ pub struct Recovered {
     pub image: SnapshotImage,
     /// For a delta, the full image it was read on top of.
     pub base: Option<PathBuf>,
-    /// Where the reading went, the base's included.
-    pub times: DecodeTimes,
+    /// Where the reading went: the image stage with each section's decode
+    /// inside it (the dictionary on one pool lane, the two stores one after
+    /// the other on another), a delta's base's added.
+    pub stages: Stages,
 }
 
 /// Validates and decodes the image at `path` into the state it records: a
@@ -1404,11 +1376,11 @@ pub fn open_recoverable(backend: &dyn IoBackend, path: &Path) -> Result<Recovere
     let open = |offset| backend.open_at(path, offset);
     let frame = read_frame(&open)?;
     let Some((base_epoch, base_crc)) = frame.base else {
-        let (image, times) = read_image(&open, None)?;
+        let (image, stages) = read_image(&open, None)?;
         return Ok(Recovered {
             image,
             base: None,
-            times,
+            stages,
         });
     };
     let base = base_path(path, base_epoch);
@@ -1419,13 +1391,13 @@ pub fn open_recoverable(backend: &dyn IoBackend, path: &Path) -> Result<Recovere
             "the base of a delta image is not the image it names",
         ));
     }
-    let (on, mut times) = read_image(&open_base, None)?;
-    let (image, delta_times) = read_image(&open, Some(on))?;
-    times += delta_times;
+    let (on, mut stages) = read_image(&open_base, None)?;
+    let (image, delta_stages) = read_image(&open, Some(on))?;
+    stages += delta_stages;
     Ok(Recovered {
         image,
         base: Some(base),
-        times,
+        stages,
     })
 }
 
@@ -1762,8 +1734,9 @@ mod tests {
         assert!(largest_read.load(Relaxed) <= IMAGE_BLOCK);
         assert_eq!(total.load(Relaxed), sink.bytes.len() + 1);
         // Each section's decode lies inside the read.
-        for section in [times.dict, times.base, times.matl] {
-            assert!(section <= times.wall, "{times:?}");
+        let image = times.get(Stage::Image).expect("the image stage");
+        for section in [Stage::Dict, Stage::Base, Stage::Matl] {
+            assert!(times.get(section).is_some_and(|t| t <= image), "{times}");
         }
     }
 

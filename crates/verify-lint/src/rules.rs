@@ -713,8 +713,8 @@ pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
 ];
 
 /// What `GET /status` reaches outside `server.rs`, through the sink's
-/// `status_json_into` hook: the umbrella crate's adapter, the durability
-/// and validation status renderers, and the shared JSON escaper (which
+/// `status_json_into` hook: the umbrella crate's adapter, the durability,
+/// validation and stage-record renderers, and the shared JSON escaper (which
 /// every response cell goes through as well) with its block scan
 /// (`crates/model/src/block.rs`).
 pub const STATUS_RENDERERS: &[&str] = &[
@@ -847,6 +847,7 @@ const HOT_LISTS: &[HotList] = &[
             "src/lib.rs",
             "crates/persist/src/durable.rs",
             "crates/core/src/api.rs",
+            "crates/core/src/stages.rs",
             "crates/model/src/json.rs",
             "crates/model/src/block.rs",
         ],

@@ -4,7 +4,10 @@
 //! Turtle subset with `--format turtle`), materializes the requested
 //! entailment fragment with the Inferray reasoner, writes the
 //! materialization as N-Triples to standard output and a statistics summary
-//! to standard error.
+//! to standard error, followed by the run's stage times: `inferray: stages:
+//! ingest … ms, closure …, stratum …, fire …, update …, write … ms` (see
+//! "Reading the numbers" in docs/serving.md). `serve` and `snapshot` print
+//! the same line, without `write`, after they materialize.
 //!
 //! **Serve**: `inferray-cli serve` materializes the input once and then
 //! exposes it to concurrent clients on a std-only SPARQL-over-HTTP endpoint
@@ -93,7 +96,8 @@ use inferray::{
     CheckpointPolicy, DurableDataset, DurableError, Program, ServingUpdateSink, ShapeInstallError,
 };
 use inferray_core::{
-    InferrayOptions, InferrayReasoner, Ingest, LoaderOptions, Materializer, ServingDataset,
+    InferenceStats, InferrayOptions, InferrayReasoner, Ingest, LoaderOptions, Materializer,
+    ServingDataset, Stage, Stages,
 };
 use inferray_parser::loader::{LoadError, LoadedDataset};
 use inferray_parser::write_store_ntriples;
@@ -105,6 +109,7 @@ use std::io::Read;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -408,8 +413,10 @@ fn parse_dataset(options: &CliOptions, text: &str) -> Result<LoadedDataset, Stri
     loaded.map_err(|e| e.to_string())
 }
 
-fn load(options: &CliOptions) -> Result<LoadedDataset, String> {
-    match &options.input {
+/// Loads the main input, FILE or stdin, timed as the ingest stage.
+fn load(options: &CliOptions) -> Result<(LoadedDataset, Stages), String> {
+    let clock = Instant::now();
+    let loaded = match &options.input {
         Some(path) => load_path(options, path),
         None => {
             let mut text = String::new();
@@ -418,7 +425,10 @@ fn load(options: &CliOptions) -> Result<LoadedDataset, String> {
                 .map_err(|e| format!("cannot read stdin: {e}"))?;
             parse_dataset(options, &text)
         }
-    }
+    }?;
+    let mut stages = Stages::default();
+    stages.add(Stage::Ingest, clock.elapsed());
+    Ok((loaded, stages))
 }
 
 /// Loads a dataset from a named file (the main input, `--data`, `shapes
@@ -465,7 +475,7 @@ fn render_rule_diags(options: &CliOptions, diags: &[Diagnostic]) -> String {
 }
 
 fn run(options: &CliOptions) -> Result<(), String> {
-    let loaded = load(options)?;
+    let (loaded, mut stages) = load(options)?;
 
     let mut reasoner = InferrayReasoner::with_options(options.fragment, reasoner_options(options));
     // Only `--inferred-only` needs the input after reasoning: the writer
@@ -473,7 +483,9 @@ fn run(options: &CliOptions) -> Result<(), String> {
     let input = options.inferred_only.then(|| loaded.store.clone());
     let mut store = loaded.store;
     let stats = reasoner.materialize(&mut store);
+    stages += reasoner.last_stages();
 
+    let clock = Instant::now();
     let written = write_store_ntriples(
         &store,
         input.as_ref(),
@@ -481,6 +493,7 @@ fn run(options: &CliOptions) -> Result<(), String> {
         &mut std::io::stdout().lock(),
     )
     .map_err(|e| e.to_string())?;
+    stages.add(Stage::Write, clock.elapsed());
 
     eprintln!(
         "inferray: {} input triples, {} inferred, {} written, {} iterations, {:?} ({} fragment), \
@@ -494,7 +507,21 @@ fn run(options: &CliOptions) -> Result<(), String> {
         stats.derived_raw,
         stats.duplicates_removed,
     );
+    eprintln!("inferray: stages: {stages}");
     Ok(())
+}
+
+/// The `materialized …` line of `serve` and `snapshot`, ended by `note`,
+/// and the stage line after it: the ingest, then the run's.
+fn report_materialized(mut stages: Stages, (stats, run): (InferenceStats, Stages), note: &str) {
+    stages += run;
+    eprintln!(
+        "inferray: materialized {} triples ({} inferred) in {:?}{note}",
+        stats.output_triples,
+        stats.inferred_triples(),
+        stats.duration,
+    );
+    eprintln!("inferray: stages: {stages}");
 }
 
 fn checkpoint_policy(options: &CliOptions) -> CheckpointPolicy {
@@ -547,8 +574,8 @@ fn open_or_create_durable(
             Ok(Arc::new(durable))
         }
         Err(DurableError::NoSnapshot) => {
-            let loaded = load(options)?;
-            let (durable, stats) = DurableDataset::create(
+            let (loaded, ingest) = load(options)?;
+            let (durable, run) = DurableDataset::create(
                 loaded,
                 program,
                 reasoner_options(options),
@@ -557,12 +584,8 @@ fn open_or_create_durable(
                 policy,
             )
             .map_err(|e| durable_error(options, e))?;
-            eprintln!(
-                "inferray: materialized {} triples ({} inferred) in {:?}; initial snapshot written to {data_dir}",
-                stats.output_triples,
-                stats.inferred_triples(),
-                stats.duration,
-            );
+            let note = format!("; initial snapshot written to {data_dir}");
+            report_materialized(ingest, run, &note);
             Ok(Arc::new(durable))
         }
         Err(e) => Err(e.to_string()),
@@ -740,7 +763,7 @@ fn shapes_check(options: &CliOptions, validate: bool) -> Result<(), String> {
 
     // Validate the (raw, un-reasoned) dataset: what you load is what the
     // shapes judge. Use `serve --shapes` to gate a materialized dataset.
-    let mut loaded = load(options)?;
+    let (mut loaded, _) = load(options)?;
     loaded.store.ensure_all_os();
     let compiled = checked
         .compile(&loaded.dictionary)
@@ -832,19 +855,14 @@ fn serve(options: &CliOptions) -> Result<(), String> {
             )
         }
         None => {
-            let loaded = load(options)?;
-            let (dataset, stats) = ServingDataset::materialize_program(
+            let (loaded, ingest) = load(options)?;
+            let (dataset, run) = ServingDataset::materialize_program(
                 loaded,
                 program(options)?,
                 reasoner_options(options),
             )
             .map_err(|diags| render_rule_diags(options, &diags))?;
-            eprintln!(
-                "inferray: materialized {} triples ({} inferred) in {:?}",
-                stats.output_triples,
-                stats.inferred_triples(),
-                stats.duration,
-            );
+            report_materialized(ingest, run, "");
             let dataset = Arc::new(dataset);
             (Arc::clone(&dataset), ServingUpdateSink::new(dataset))
         }
@@ -921,8 +939,8 @@ fn serve(options: &CliOptions) -> Result<(), String> {
 }
 
 fn snapshot(options: &CliOptions, data_dir: &str) -> Result<(), String> {
-    let loaded = load(options)?;
-    let (durable, stats) = DurableDataset::create(
+    let (loaded, ingest) = load(options)?;
+    let (durable, run) = DurableDataset::create(
         loaded,
         program(options)?,
         reasoner_options(options),
@@ -932,12 +950,7 @@ fn snapshot(options: &CliOptions, data_dir: &str) -> Result<(), String> {
     )
     .map_err(|e| durable_error(options, e))?;
     let status = durable.status();
-    eprintln!(
-        "inferray: materialized {} triples ({} inferred) in {:?}",
-        stats.output_triples,
-        stats.inferred_triples(),
-        stats.duration,
-    );
+    report_materialized(ingest, run, "");
     match status.snapshot_path {
         Some(path) => println!("{}", path.display()),
         None => return Err("snapshot was not written".to_string()),

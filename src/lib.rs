@@ -58,8 +58,8 @@ pub use inferray_core::ServingDataset;
 pub use inferray_core::{
     reason_graph, Fragment, InferenceStats, InferrayOptions, InferrayReasoner, Materializer,
     Program, ReasonedGraph, RetractionStats, ShapeInstallError, ShapeViolation, ShapeViolations,
-    TripleStore, ValidationCounters, ValidationStatus, WriteError, WriteKind, WriteOutcome,
-    WriteStages, WriteStats,
+    Stage, Stages, TripleStore, ValidationCounters, ValidationStatus, WriteError, WriteKind,
+    WriteOutcome, WriteStats,
 };
 pub use inferray_model::{vocab, Graph, IdTriple, Term, Triple};
 pub use inferray_parser::{load_graph, load_ntriples, load_turtle, parse_ntriples, parse_turtle};

@@ -1,10 +1,16 @@
 //! `inferray-cli`'s batch mode, driven as a process: the default output is
 //! the closure, `--inferred-only` is the closure minus the input, and both
 //! are what the committed golden files (written by the commit before the
-//! arena dictionary) hold.
+//! arena dictionary) hold. The summary on stderr is followed by the run's
+//! stage line.
 
+#[path = "common/stage_law.rs"]
+mod stage_law;
+
+use inferray::Stage;
 use std::collections::BTreeSet;
 use std::process::Command;
+use std::time::Instant;
 
 const FIXTURE: &str = "tests/fixtures/every_term_shape.nt";
 
@@ -26,6 +32,41 @@ fn cli_lines(extra: &[&str]) -> Vec<String> {
         .collect();
     lines.sort();
     lines
+}
+
+#[test]
+fn the_stage_line_follows_the_summary_within_the_run_s_wall_time() {
+    for extra in [&[][..], &["--sequential"]] {
+        let start = Instant::now();
+        let output = Command::new(env!("CARGO_BIN_EXE_inferray-cli"))
+            .args(["--fragment", "rdfs-plus"])
+            .args(extra)
+            .arg(FIXTURE)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("inferray-cli runs");
+        let wall = start.elapsed();
+        assert!(output.status.success(), "{output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("UTF-8");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(lines[0].contains(" written, "), "{stderr}");
+        let stages = stage_law::from_text(
+            lines[1]
+                .strip_prefix("inferray: stages: ")
+                .unwrap_or_else(|| panic!("{stderr}")),
+        );
+        let recorded: Vec<Stage> = stages.iter().map(|(stage, _)| stage).collect();
+        let batch = [
+            Stage::Ingest,
+            Stage::Closure,
+            Stage::Stratum,
+            Stage::Fire,
+            Stage::Update,
+            Stage::Write,
+        ];
+        assert_eq!(recorded, batch, "{stderr}");
+        stage_law::assert_stage_law(&stages, wall);
+    }
 }
 
 fn golden(name: &str) -> Vec<String> {

@@ -2,7 +2,11 @@
 //! recover to and writes nothing. A data directory a killed server left —
 //! a torn tail on its newest log segment, a stale temp file of an image it
 //! was writing — keeps every file and every byte, and the report still
-//! counts the torn bytes recovery would cut.
+//! counts the torn bytes recovery would cut. Its stage line keeps the stage
+//! law within the process's wall time.
+
+#[path = "common/stage_law.rs"]
+mod stage_law;
 
 use inferray::persist::{segment_file_name, CheckpointPolicy, DurableDataset, StdFs};
 use inferray::{Fragment, InferrayOptions};
@@ -10,6 +14,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Every file in `dir`, by name, with its bytes.
 fn files(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
@@ -57,11 +62,13 @@ fn recover_reports_a_torn_tail_and_a_stale_temp_file_and_changes_no_byte() {
     .unwrap();
     let before = files(&dir);
 
+    let start = Instant::now();
     let output = Command::new(env!("CARGO_BIN_EXE_inferray-cli"))
         .args(["recover", "--fragment", "rdfs", "--data-dir"])
         .arg(&dir)
         .output()
         .unwrap();
+    let wall = start.elapsed();
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(
         output.status.success(),
@@ -74,6 +81,11 @@ fn recover_reports_a_torn_tail_and_a_stale_temp_file_and_changes_no_byte() {
     );
     assert!(stdout.contains("recovered: epoch 2 with"), "{stdout}");
     assert!(stdout.contains("stages: image "), "{stdout}");
+    let line = stdout
+        .lines()
+        .last()
+        .and_then(|line| line.strip_prefix("stages: "));
+    stage_law::assert_stage_law(&stage_law::from_text(line.expect("a stage line")), wall);
     assert_eq!(files(&dir), before, "recover wrote to the directory");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,23 +1,35 @@
+//! Every stage record keeps one law (`common/stage_law.rs`): its
+//! top-level stages sum to no more than the run's wall time, and the
+//! details of a stage that run one after another sum to no more than it.
+//!
 //! `GET /status` reports where the last accepted write's time went: its
 //! kind, epoch, the pipeline's stage times (encode, reason, gate, log,
 //! publish, total) and, for a retraction, the four delete–rederive phase
-//! times, all in µs. The stages run one after another inside the write, so
-//! they sum to no more than its total, and the total to no more than what
-//! the client waited for the answer. A durable write that crosses the
-//! checkpoint threshold adds beginning the checkpoint as one more stage.
-//! A cold start reports its stages the same way: reading the image (each
-//! section's decode inside it), the first epoch's ⟨o,s⟩ caches and the
-//! replay, which sum to no more than `open`'s wall time.
+//! times inside reason, all in µs. The stages sum to no more than its
+//! total, and the total to no more than what the client waited for the
+//! answer. A durable write that crosses the checkpoint threshold adds
+//! beginning the checkpoint as one more stage. A cold start reports
+//! reading the image (each section's decode inside it), the first epoch's
+//! ⟨o,s⟩ caches and the replay, within `open`'s wall time; a batch
+//! materialization its closure stage, stratum, firing and update, within
+//! its duration.
 
+#[path = "common/stage_law.rs"]
+mod stage_law;
+
+use inferray::datasets::{yago_like, LubmGenerator};
 use inferray::persist::{CheckpointPolicy, DurableDataset, IoBackend, MemFs};
 use inferray::query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
-use inferray::{Fragment, InferrayOptions, ServingDataset, ServingUpdateSink};
+use inferray::{
+    Fragment, InferrayOptions, InferrayReasoner, Materializer, ServingDataset, ServingUpdateSink,
+    Stage,
+};
+use stage_law::assert_stage_law;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const STAGES: [&str; 5] = ["encode_us", "reason_us", "gate_us", "log_us", "publish_us"];
 const PHASES: [&str; 4] = ["over_delete_us", "probe_us", "net_delete_us", "cascade_us"];
 
 fn http(addr: SocketAddr, request: &str) -> String {
@@ -41,6 +53,10 @@ fn update(addr: SocketAddr, action: &str, body: &str) -> (String, u128) {
         ),
     );
     (response, start.elapsed().as_micros())
+}
+
+fn us(us: u128) -> Duration {
+    Duration::from_micros(us as u64)
 }
 
 /// The `last_write` object of a `/status` response.
@@ -111,24 +127,14 @@ fn status_reports_the_stage_times_of_the_last_write() {
         assert!(write.contains(&format!("\"kind\":\"{action}\"")), "{write}");
         assert_eq!(number(write, "epoch"), epoch, "{write}");
         let total = number(write, "total_us");
-        let stages: u128 = STAGES.iter().map(|stage| number(write, stage)).sum();
-        assert!(
-            stages <= total,
-            "{stages} µs of stages in {total} µs: {write}"
-        );
+        // The stages within the total, the phases inside reason.
+        assert_stage_law(&stage_law::from_json(write), us(total));
         assert!(
             total <= wall_us,
             "{total} µs of write in {wall_us} µs of wall: {write}"
         );
         for phase in PHASES {
             assert_eq!(write.contains(phase), action == "retract", "{write}");
-        }
-        if action == "retract" {
-            let phases: u128 = PHASES.iter().map(|phase| number(write, phase)).sum();
-            assert!(
-                phases <= number(write, "reason_us"),
-                "the phases run inside the reasoning stage: {write}"
-            );
         }
     }
     server.shutdown();
@@ -175,11 +181,7 @@ fn the_write_that_begins_a_checkpoint_reports_it_as_a_stage() {
         let write = last_write(&status);
         let total = number(write, "total_us");
         let checkpoint = number(write, "checkpoint_us");
-        let stages: u128 = STAGES.iter().map(|stage| number(write, stage)).sum();
-        assert!(
-            stages + checkpoint <= total,
-            "{stages} + {checkpoint} µs of stages in {total} µs: {write}"
-        );
+        assert_stage_law(&stage_law::from_json(write), us(total));
         assert!(
             total <= wall_us,
             "{total} µs of write in {wall_us} µs of wall: {write}"
@@ -226,17 +228,127 @@ fn a_cold_start_s_stages_sum_to_within_its_wall_time() {
         let wall = start.elapsed();
         let stages = report.stages;
         assert_eq!(report.base_path.is_some(), checkpoint, "{report:?}");
-        assert!(stages.total() <= wall, "{stages:?} in {wall:?}");
-        for section in [stages.dict, stages.base, stages.matl] {
-            assert!(
-                Duration::ZERO < section && section <= stages.image,
-                "{stages:?}"
-            );
+        assert_stage_law(&stages, wall);
+        for stage in [Stage::Dict, Stage::Base, Stage::Matl, Stage::Replay] {
+            assert!(stages.get(stage) > Some(Duration::ZERO), "{stages}");
         }
-        assert!(stages.replay > Duration::ZERO, "{stages:?}");
         assert_eq!(recovered.dataset().epoch(), durable.dataset().epoch());
         if !checkpoint {
             durable.checkpoint().expect("a delta");
+        }
+    }
+}
+
+/// `json` with the digits of every `_us` value replaced by one `#`: what
+/// stays is the wire format, byte for byte.
+fn mask_times(json: &str) -> String {
+    let mut out = String::new();
+    let mut rest = json;
+    while let Some(at) = rest.find("_us\":") {
+        let (head, tail) = rest.split_at(at + 5);
+        out.push_str(head);
+        out.push('#');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn last_write_keeps_its_bytes() {
+    let (durable, _) = DurableDataset::create(
+        inferray::load_ntriples(&triple(0)).expect("valid"),
+        Fragment::RdfsDefault,
+        InferrayOptions::default(),
+        "data",
+        Arc::new(MemFs::new()) as Arc<dyn IoBackend>,
+        CheckpointPolicy {
+            wal_record_limit: Some(4),
+            wal_byte_limit: None,
+            snapshots_to_keep: 2,
+        },
+    )
+    .expect("created");
+    let json = |outcome: inferray::WriteOutcome| {
+        let mut out = String::new();
+        outcome.json_into(&mut out);
+        out
+    };
+    let head = "\"total_us\":#,\"encode_us\":#,\"reason_us\":#,\"gate_us\":#,\
+                \"log_us\":#,\"publish_us\":#,\"checkpoint_us\":#";
+
+    let assert = json(durable.extend_ntriples(&triple(1)).expect("accepted"));
+    assert_eq!(
+        mask_times(&assert),
+        format!("{{\"kind\":\"assert\",\"epoch\":1,{head}}}")
+    );
+    assert!(assert.ends_with(",\"checkpoint_us\":0}"), "{assert}");
+
+    let retract = json(durable.retract_ntriples(&triple(1)).expect("accepted"));
+    assert_eq!(
+        mask_times(&retract),
+        format!(
+            "{{\"kind\":\"retract\",\"epoch\":2,{head},\"over_delete_us\":#,\"probe_us\":#,\
+             \"net_delete_us\":#,\"cascade_us\":#}}"
+        )
+    );
+    // A retraction of what was never asserted removes nothing: no epoch,
+    // and every phase still has its key.
+    let nothing = json(durable.retract_ntriples(&triple(7)).expect("accepted"));
+    assert_eq!(
+        mask_times(&nothing),
+        format!(
+            "{{\"kind\":\"retract\",\"epoch\":2,{head},\"over_delete_us\":#,\"probe_us\":#,\
+             \"net_delete_us\":#,\"cascade_us\":#}}"
+        )
+    );
+    assert!(
+        nothing.contains(",\"over_delete_us\":0,\"probe_us\":0,"),
+        "{nothing}"
+    );
+
+    // The fourth record crosses the threshold: a nonzero checkpoint stage.
+    let checkpoint = json(durable.extend_ntriples(&triple(2)).expect("accepted"));
+    assert_eq!(
+        mask_times(&checkpoint),
+        format!("{{\"kind\":\"assert\",\"epoch\":3,{head}}}")
+    );
+    assert!(
+        !checkpoint.ends_with(",\"checkpoint_us\":0}"),
+        "{checkpoint}"
+    );
+    durable.wait_for_checkpoint();
+}
+
+#[test]
+fn a_batch_run_s_stages_sum_to_within_its_duration() {
+    let datasets = [
+        (
+            LubmGenerator::new(20_000).with_seed(1).generate(),
+            Fragment::RdfsPlus,
+        ),
+        (yago_like(2_000, 12, 1), Fragment::RdfsDefault),
+    ];
+    for (dataset, fragment) in datasets {
+        for options in [InferrayOptions::default(), InferrayOptions::sequential()] {
+            let mut store = inferray::parser::load_triples(dataset.triples.iter())
+                .expect("valid")
+                .store;
+            let mut reasoner = InferrayReasoner::with_options(fragment, options);
+            let stats = reasoner.materialize(&mut store);
+            let stages = reasoner.last_stages();
+            let recorded: Vec<Stage> = stages.iter().map(|(stage, _)| stage).collect();
+            assert_eq!(
+                recorded,
+                [Stage::Closure, Stage::Stratum, Stage::Fire, Stage::Update],
+                "{fragment:?}"
+            );
+            // Firing and update are the profile's wall times, not timed
+            // again: on several lanes too, they stay within the run.
+            let profile = reasoner.last_iteration_profile();
+            assert_eq!(stages.get(Stage::Fire), Some(profile.total_fire()));
+            assert_eq!(stages.get(Stage::Update), Some(profile.total_update()));
+            assert_stage_law(&stages, stats.duration);
         }
     }
 }
