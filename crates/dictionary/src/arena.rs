@@ -13,7 +13,6 @@
 //! keeps its thread-local delta dictionary in another.
 
 use inferray_model::FxHasher;
-use std::convert::Infallible;
 use std::hash::Hasher;
 
 /// Slots allocated up front; always a power of two.
@@ -123,31 +122,11 @@ impl TextArena {
     /// the new entry's text on a miss and is cut off again on a hit — no
     /// scratch buffer, no second copy. `write` must only append.
     pub fn intern_with(&mut self, write: impl FnOnce(&mut String)) -> Option<(u32, bool)> {
-        let outcome = self.try_intern_with(|out| {
-            write(out);
-            Ok::<(), Infallible>(())
-        });
-        match outcome {
-            Ok(interned) => interned,
-            Err(never) => match never {},
-        }
-    }
-
-    /// [`intern_with`](Self::intern_with) for a renderer that can fail (a
-    /// decoder reading the key from a file); the arena is unchanged when it
-    /// does.
-    pub fn try_intern_with<E>(
-        &mut self,
-        write: impl FnOnce(&mut String) -> Result<(), E>,
-    ) -> Result<Option<(u32, bool)>, E> {
         let start = self.text.len();
-        if let Err(error) = write(&mut self.text) {
-            self.text.truncate(start);
-            return Err(error);
-        }
+        write(&mut self.text);
         let key = &self.text.as_bytes()[start..];
         let hash = hash_bytes(key);
-        Ok(match self.find(key, hash) {
+        match self.find(key, hash) {
             Ok(entry) => {
                 self.text.truncate(start);
                 Some((entry, false))
@@ -162,7 +141,7 @@ impl TextArena {
                     None
                 }
             },
-        })
+        }
     }
 
     /// The arena's text and its entries' end offsets, as they sit in
@@ -414,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn intern_with_leaves_no_trace_of_a_hit_or_a_failure() {
+    fn intern_with_leaves_no_trace_of_a_hit() {
         let mut arena = TextArena::new();
         assert_eq!(
             arena.intern_with(|out| out.push_str("abc")),
@@ -425,12 +404,6 @@ mod tests {
             arena.intern_with(|out| out.push_str("abc")),
             Some((0, false))
         );
-        assert_eq!(arena.text.len(), bytes);
-        let failed: Result<_, &str> = arena.try_intern_with(|out| {
-            out.push_str("half a key");
-            Err("decoder failed")
-        });
-        assert_eq!(failed, Err("decoder failed"));
         assert_eq!(arena.text.len(), bytes);
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.intern("abd"), Some((1, true)));

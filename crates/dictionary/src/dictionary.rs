@@ -55,8 +55,8 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// Why a pair of dense term tables is not a dictionary (see
-/// [`Dictionary::from_dense_texts`] and [`Dictionary::append_raw_parts`]).
+/// Why a dictionary's parts are no dictionary (see
+/// [`Dictionary::append_raw_parts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenseTableError {
     /// The same term occupies two slots of one table, or two resource slots,
@@ -266,7 +266,7 @@ impl fmt::Debug for Dictionary {
 impl Dictionary {
     /// Creates a dictionary pre-loaded with the RDF/RDFS/OWL vocabulary.
     pub fn new() -> Self {
-        let mut dict = Dictionary::empty(0);
+        let mut dict = Dictionary::empty();
         let mut preload = |iri: &str, demand| {
             dict.encode_with(demand, |out| {
                 out.push('<');
@@ -284,94 +284,15 @@ impl Dictionary {
         dict
     }
 
-    /// A dictionary without even the vocabulary, sized for `terms` terms.
-    fn empty(terms: usize) -> Self {
+    /// A dictionary without even the vocabulary.
+    fn empty() -> Self {
         Dictionary {
-            terms: TextArena::with_capacity(terms),
-            ids: Vec::with_capacity(terms),
+            terms: TextArena::new(),
+            ids: Vec::new(),
             properties: Vec::new(),
             resources: Vec::new(),
             pending_promotions: Vec::new(),
         }
-    }
-
-    /// Rebuilds a dictionary from its two dense term tables — the recovery
-    /// path of the persistence layer, which stores exactly the canonical
-    /// text behind every identifier ([`Dictionary::texts`] enumerates
-    /// properties then resources in dense order).
-    ///
-    /// `write_next` is called `num_properties + num_resources` times and
-    /// appends the next term's canonical N-Triples form straight to the
-    /// arena. A resource slot whose text is also a property is the *stale
-    /// slot* a promotion leaves behind: it shares the property's text and
-    /// the text keeps resolving to the property identifier, exactly as after
-    /// [`Dictionary::encode_as_property`] promoted it. No promotions are
-    /// pending on the rebuilt dictionary.
-    ///
-    /// Both tables are reserved up front: a caller reading the counts from a
-    /// file bounds them (by the file's length, say) first.
-    pub fn from_dense_texts<E: From<DenseTableError>>(
-        num_properties: usize,
-        num_resources: usize,
-        write_next: impl FnMut(&mut String) -> Result<(), E>,
-    ) -> Result<Self, E> {
-        if num_properties.max(num_resources) > MAX_PER_HALF {
-            return Err(DenseTableError::TooManyTerms.into());
-        }
-        let mut dict = Dictionary::empty(num_properties + num_resources);
-        dict.append_dense_texts(num_properties, num_resources, write_next)?;
-        Ok(dict)
-    }
-
-    /// Appends `num_properties` property texts, then `num_resources`
-    /// resource texts, to the two dense tables — what a delta image adds to
-    /// the dictionary of the full image it builds on
-    /// ([`Dictionary::texts_since`] lists them). The dictionary only ever
-    /// appends, so this rebuilds exactly the dictionary the texts were read
-    /// from: an appended property whose text is a resource already is that
-    /// resource's promotion, as [`Dictionary::encode_as_property`] made it
-    /// (no promotion is left pending); an appended resource whose text is a
-    /// property is the stale slot of one ([`Dictionary::from_dense_texts`]).
-    pub fn append_dense_texts<E: From<DenseTableError>>(
-        &mut self,
-        num_properties: usize,
-        num_resources: usize,
-        mut write_next: impl FnMut(&mut String) -> Result<(), E>,
-    ) -> Result<(), E> {
-        if self.properties.len().saturating_add(num_properties) > MAX_PER_HALF
-            || self.resources.len().saturating_add(num_resources) > MAX_PER_HALF
-        {
-            return Err(DenseTableError::TooManyTerms.into());
-        }
-        self.properties.reserve(num_properties);
-        self.resources.reserve(num_resources);
-        let mut intern_next = |terms: &mut TextArena| -> Result<(u32, bool), E> {
-            Ok(terms
-                .try_intern_with(&mut write_next)?
-                .ok_or(DenseTableError::TooManyTerms)?)
-        };
-        for _ in 0..num_properties {
-            let (entry, fresh) = intern_next(&mut self.terms)?;
-            let id = nth_property_id(self.properties.len());
-            if fresh {
-                self.ids.push(id);
-            } else if is_property_id(self.ids[entry as usize]) {
-                return Err(DenseTableError::DuplicateTerm.into());
-            } else {
-                self.ids[entry as usize] = id;
-            }
-            self.properties.push(entry);
-        }
-        for _ in 0..num_resources {
-            let (entry, fresh) = intern_next(&mut self.terms)?;
-            if fresh {
-                self.ids.push(nth_resource_id(self.resources.len()));
-            } else if !is_property_id(self.ids[entry as usize]) {
-                return Err(DenseTableError::DuplicateTerm.into());
-            }
-            self.resources.push(entry);
-        }
-        Ok(())
     }
 
     /// How far the dictionary reaches in memory (see [`RawLen`]).
@@ -414,7 +335,7 @@ impl Dictionary {
         properties: Vec<u32>,
         resources: Vec<u32>,
     ) -> Result<Self, DenseTableError> {
-        Dictionary::empty(0).append_raw_parts(text, ends, properties, resources)
+        Dictionary::empty().append_raw_parts(text, ends, properties, resources)
     }
 
     /// Appends what [`raw_parts_since`](Self::raw_parts_since) listed past
@@ -423,8 +344,7 @@ impl Dictionary {
     /// resource slots — the recovery path of a snapshot image. The text is
     /// copied as it is and the lookup index rebuilt by re-seating each new
     /// entry ([`TextArena::append_raw`]); nothing is rendered or parsed
-    /// twice. Checked on the way, as [`append_dense_texts`](Self::append_dense_texts)
-    /// checks its texts: the offsets mark the text out into texts that read
+    /// twice. Checked on the way: the offsets mark the text out into texts that read
     /// back as terms, no text is there twice, every slot names an entry the
     /// arena holds, every new entry has a slot, a half numbers at most
     /// [`MAX_PER_HALF`] terms, and an entry in both tables is a property
@@ -725,23 +645,9 @@ impl Dictionary {
     /// The canonical text behind every identifier, in the order of
     /// [`Dictionary::iter`].
     pub fn texts(&self) -> impl Iterator<Item = &str> + '_ {
-        self.texts_since(0, 0)
-    }
-
-    /// The texts [`Dictionary::texts`] lists past the first
-    /// `num_properties` properties and `num_resources` resources: what the
-    /// dictionary appended since it held that many of each. Counts past
-    /// the end list nothing.
-    pub fn texts_since(
-        &self,
-        num_properties: usize,
-        num_resources: usize,
-    ) -> impl Iterator<Item = &str> + '_ {
-        let properties = &self.properties[num_properties.min(self.properties.len())..];
-        let resources = &self.resources[num_resources.min(self.resources.len())..];
-        properties
+        self.properties
             .iter()
-            .chain(resources)
+            .chain(&self.resources)
             .map(|&entry| self.terms.text(entry))
     }
 
@@ -966,28 +872,30 @@ mod tests {
         assert_eq!(dict.text(as_resource), dict.text(as_property));
     }
 
-    /// Rebuilds `dict` the way the persistence layer does: from the texts
-    /// of its two dense tables.
+    /// Rebuilds `dict` the way the persistence layer does: from its parts
+    /// as they sit in memory.
     fn rebuild(dict: &Dictionary) -> Result<Dictionary, DenseTableError> {
-        let mut texts = dict.texts();
-        Dictionary::from_dense_texts(dict.num_properties(), dict.num_resources(), |out| {
-            out.push_str(texts.next().expect("one text per slot"));
-            Ok(())
-        })
+        let parts = dict.raw_parts_since(RawLen::default()).unwrap();
+        Dictionary::from_raw_parts(
+            parts.text.to_string(),
+            parts.ends.to_vec(),
+            parts.properties.to_vec(),
+            parts.resources.to_vec(),
+        )
     }
 
     #[test]
-    fn from_dense_texts_round_trips_a_dictionary_with_promotions() {
+    fn raw_parts_round_trip_a_promotion_and_its_stale_resource_slot() {
         let mut dict = Dictionary::new();
         dict.encode_as_resource(&Term::iri("http://ex/a"));
-        dict.encode_as_resource(&Term::iri("http://ex/hasPart"));
+        let stale = dict.encode_as_resource(&Term::iri("http://ex/hasPart"));
         dict.encode_as_property(&Term::iri("http://ex/hasPart"))
             .unwrap();
         dict.encode_as_resource(&Term::plain_literal("42"));
         let _ = dict.take_promotions();
 
         let rebuilt = rebuild(&dict).unwrap();
-        assert_eq!(rebuilt, dict, "dense-table rebuild is exact");
+        assert_eq!(rebuilt, dict, "the rebuild is exact");
         // The promoted term resolves to its property id, not the stale
         // resource slot...
         let id = rebuilt.id_of_iri("http://ex/hasPart").unwrap();
@@ -995,57 +903,14 @@ mod tests {
         // ...while both slots still decode, and new terms keep numbering
         // where the original would.
         assert_eq!(rebuilt.decode(id).unwrap(), Term::iri("http://ex/hasPart"));
+        assert_eq!(
+            rebuilt.decode(stale).unwrap(),
+            Term::iri("http://ex/hasPart")
+        );
         let mut rebuilt = rebuilt;
         assert_eq!(
             rebuilt.encode_as_resource(&Term::iri("http://ex/new")),
             dict.encode_as_resource(&Term::iri("http://ex/new"))
-        );
-    }
-
-    #[test]
-    fn appended_texts_rebuild_the_dictionary_they_were_read_from() {
-        let mut dict = Dictionary::new();
-        dict.encode_as_resource(&Term::iri("http://ex/a"));
-        dict.encode_as_resource(&Term::iri("http://ex/later-a-property"));
-        let _ = dict.take_promotions();
-        let (np, nr) = (dict.num_properties(), dict.num_resources());
-        let mut rebuilt = rebuild(&dict).unwrap();
-        // Since: a new resource, a promotion of a resource held before, a
-        // resource promoted as soon as it was met, and a fresh property.
-        let mut grown = dict.clone();
-        grown.encode_as_resource(&Term::plain_literal("42"));
-        grown
-            .encode_as_property(&Term::iri("http://ex/later-a-property"))
-            .unwrap();
-        grown.encode_as_resource(&Term::iri("http://ex/b"));
-        grown.encode_as_property(&Term::iri("http://ex/b")).unwrap();
-        grown.encode_as_property(&Term::iri("http://ex/p")).unwrap();
-        let _ = grown.take_promotions();
-        let mut texts = grown.texts_since(np, nr);
-        rebuilt
-            .append_dense_texts::<DenseTableError>(
-                grown.num_properties() - np,
-                grown.num_resources() - nr,
-                |out| {
-                    out.push_str(texts.next().expect("one text per slot"));
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert_eq!(texts.next(), None);
-        assert_eq!(rebuilt, grown);
-        for iri in ["http://ex/later-a-property", "http://ex/b", "http://ex/a"] {
-            assert_eq!(rebuilt.id_of_iri(iri), grown.id_of_iri(iri), "{iri}");
-        }
-        assert_eq!(dict.texts_since(np, nr).count(), 0);
-        // A property appended twice is refused.
-        let mut twice = rebuild(&grown).unwrap();
-        assert_eq!(
-            twice.append_dense_texts::<DenseTableError>(1, 0, |out| {
-                out.push_str("<http://ex/p>");
-                Ok(())
-            }),
-            Err(DenseTableError::DuplicateTerm)
         );
     }
 
@@ -1064,18 +929,27 @@ mod tests {
         }
         assert_eq!(dense_id(Demand::Property, 0), Ok(PROPERTY_BASE));
         assert_eq!(dense_id(Demand::Resource, 0), Ok(RESOURCE_BASE));
-        // The rebuilding entry points refuse such counts before anything is
-        // reserved for them.
-        let never = |_: &mut String| -> Result<(), DenseTableError> { unreachable!() };
-        for (np, nr) in [(MAX_PER_HALF + 1, 0), (0, MAX_PER_HALF + 1)] {
-            assert_eq!(
-                Dictionary::from_dense_texts(np, nr, never),
-                Err(DenseTableError::TooManyTerms)
-            );
-            assert_eq!(
-                Dictionary::new().append_dense_texts(np, nr, never),
-                Err(DenseTableError::TooManyTerms)
-            );
+        // The rebuilding entry points refuse a half past that before they
+        // reserve or read anything for it. The slots are zeroed pages the
+        // allocator maps without touching them, and slot 0 names no entry of
+        // an empty arena and a property of the vocabulary: a check moved
+        // behind the slot loop would answer `BadEntry` or `DuplicateTerm`
+        // at the first slot, not read the rest.
+        let too_many = || vec![0u32; MAX_PER_HALF + 1];
+        let vocabulary = Dictionary::new().raw_len();
+        let past_the_vocabulary = || vec![0u32; MAX_PER_HALF + 1 - vocabulary.properties];
+        let refused = [
+            Dictionary::from_raw_parts(String::new(), Vec::new(), too_many(), Vec::new()),
+            Dictionary::from_raw_parts(String::new(), Vec::new(), Vec::new(), too_many()),
+            Dictionary::new().append_raw_parts(
+                String::new(),
+                Vec::new(),
+                past_the_vocabulary(),
+                Vec::new(),
+            ),
+        ];
+        for outcome in refused {
+            assert_eq!(outcome, Err(DenseTableError::TooManyTerms));
         }
     }
 
@@ -1143,6 +1017,7 @@ mod tests {
         grown.encode_as_resource(&Term::iri("http://ex/b"));
         grown.encode_as_property(&Term::iri("http://ex/b")).unwrap();
         grown.encode_as_property(&Term::iri("http://ex/a")).unwrap();
+        grown.encode_as_property(&Term::iri("http://ex/p")).unwrap();
         let _ = grown.take_promotions();
         let rebuild = |parts: RawParts<'_>, on: Dictionary| {
             on.append_raw_parts(
@@ -1153,18 +1028,36 @@ mod tests {
             )
         };
         let all = grown.raw_parts_since(RawLen::default()).unwrap();
-        let whole = rebuild(all, Dictionary::empty(0)).unwrap();
+        let whole = rebuild(all, Dictionary::empty()).unwrap();
         assert_eq!(whole, grown);
         assert_eq!(whole.raw_len(), grown.raw_len());
         let first = rebuild(
             dict.raw_parts_since(RawLen::default()).unwrap(),
-            Dictionary::empty(0),
+            Dictionary::empty(),
         );
         let since = grown.raw_parts_since(half).unwrap();
         let appended = rebuild(since, first.unwrap()).unwrap();
         assert_eq!(appended, grown);
-        for iri in ["http://ex/a", "http://ex/b", "http://ex/hasPart"] {
+        for iri in [
+            "http://ex/a",
+            "http://ex/b",
+            "http://ex/hasPart",
+            "http://ex/p",
+        ] {
             assert_eq!(appended.id_of_iri(iri), grown.id_of_iri(iri), "{iri}");
+        }
+        // A property, or a resource, appended again to a dictionary that
+        // holds it is refused.
+        let entry = |key: &str| grown.terms.get(key).unwrap();
+        for (properties, resources) in [
+            (vec![entry("<http://ex/p>")], vec![]),
+            (vec![], vec![entry("\"chat\"@fr")]),
+        ] {
+            let again = rebuild(all, Dictionary::empty()).unwrap();
+            assert_eq!(
+                again.append_raw_parts(String::new(), Vec::new(), properties, resources),
+                Err(DenseTableError::DuplicateTerm)
+            );
         }
         // A mark past the dictionary, or inside an entry, lists nothing.
         let past = RawLen {
@@ -1226,22 +1119,6 @@ mod tests {
         for (outcome, error) in refused {
             assert_eq!(outcome, Err(error));
         }
-    }
-
-    #[test]
-    fn from_dense_texts_rejects_a_term_registered_twice() {
-        let texts = ["<http://ex/p>", "<http://ex/p>"];
-        let tables = |np, nr| {
-            let mut next = texts.iter();
-            Dictionary::from_dense_texts::<DenseTableError>(np, nr, |out| {
-                out.push_str(next.next().unwrap());
-                Ok(())
-            })
-        };
-        assert_eq!(tables(2, 0), Err(DenseTableError::DuplicateTerm));
-        assert_eq!(tables(0, 2), Err(DenseTableError::DuplicateTerm));
-        // A property and its stale resource slot are the one legal repeat.
-        assert!(tables(1, 1).is_ok());
     }
 
     #[test]

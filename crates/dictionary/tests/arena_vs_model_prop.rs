@@ -6,7 +6,7 @@
 //! a twenty-line model: a `HashMap` from canonical text to identifier plus
 //! one `Vec<Term>` per identifier space.
 
-use inferray_dictionary::{DenseTableError, Dictionary, EncodeError};
+use inferray_dictionary::{Dictionary, EncodeError, RawLen};
 use inferray_model::ids::{is_property_id, nth_property_id, nth_resource_id};
 use inferray_model::term::XSD_STRING;
 use inferray_model::Term;
@@ -86,19 +86,19 @@ fn step() -> impl Strategy<Value = (Term, bool)> {
     (term(), 0u32..3).prop_map(|(term, position)| (term, position == 0))
 }
 
-/// Rebuilds `dictionary` from the texts of its dense tables, as the
+/// Rebuilds `dictionary` from its parts as they sit in memory, as the
 /// persistence layer does from an image.
 fn rebuilt_from_image(dictionary: &Dictionary) -> Dictionary {
-    let mut texts = dictionary.texts();
-    Dictionary::from_dense_texts::<DenseTableError>(
-        dictionary.num_properties(),
-        dictionary.num_resources(),
-        |out| {
-            out.push_str(texts.next().expect("one text per slot"));
-            Ok(())
-        },
+    let parts = dictionary
+        .raw_parts_since(RawLen::default())
+        .expect("a dictionary lists all of itself");
+    Dictionary::from_raw_parts(
+        parts.text.to_string(),
+        parts.ends.to_vec(),
+        parts.properties.to_vec(),
+        parts.resources.to_vec(),
     )
-    .expect("a live dictionary's tables rebuild")
+    .expect("a live dictionary's parts rebuild")
 }
 
 proptest! {

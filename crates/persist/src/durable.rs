@@ -550,7 +550,7 @@ impl DurableDataset {
     }
 
     /// Removes the temp files of this crate's own naming — an image's or a
-    /// log file's name plus [`TEMP_SUFFIX`] — that an atomic write killed
+    /// log segment's name plus [`TEMP_SUFFIX`] — that an atomic write killed
     /// before its rename left behind: nothing else ever removes them.
     fn remove_temp_files(backend: &dyn IoBackend, dir: &Path) -> Result<(), DurableError> {
         let files = backend
@@ -563,7 +563,9 @@ impl DurableDataset {
                 .unwrap_or("");
             // Best-effort, like pruning: a file left behind costs space,
             // not recovery (a read-only copy of a directory still opens).
-            if wal::is_log_file(target) || snapshot::parse_snapshot_file_name(target).is_some() {
+            if wal::parse_segment_file_name(target).is_some()
+                || snapshot::parse_snapshot_file_name(target).is_some()
+            {
                 let _ = backend.remove(&path);
             }
         }
@@ -572,25 +574,29 @@ impl DurableDataset {
 
     /// The newest image that recovers — on its own, or as a delta on the
     /// full image it names — with its path and how many newer images did
-    /// not recover.
+    /// not recover. When none does, the refusal names the newest image and
+    /// why it failed.
     fn newest_valid_image(
         backend: &dyn IoBackend,
         dir: &Path,
     ) -> Result<(Recovered, PathBuf, usize), DurableError> {
         let candidates = list_numbered(backend, dir, snapshot::parse_snapshot_file_name)
             .map_err(DurableError::io(format!("listing {}", dir.display())))?;
-        if candidates.is_empty() {
-            return Err(DurableError::NoSnapshot);
-        }
         let mut invalid = 0usize;
+        let mut newest_failure = None;
         for (_, path) in candidates {
             match snapshot::open_recoverable(backend, &path) {
                 Ok(recovered) => return Ok((recovered, path, invalid)),
-                Err(_) => invalid += 1,
+                Err(error) => {
+                    invalid += 1;
+                    newest_failure.get_or_insert((path, error));
+                }
             }
         }
+        let (path, error) = newest_failure.ok_or(DurableError::NoSnapshot)?;
+        let path = path.display();
         Err(DurableError::corrupt(format!(
-            "all {invalid} snapshot images failed validation"
+            "all {invalid} snapshot images failed validation; the newest, {path}: {error}"
         )))
     }
 
@@ -1559,13 +1565,16 @@ mod tests {
         let ours = [
             "data/snapshot-00000000000000000039.img.tmp",
             "data/wal-00000000000000000039.log.tmp",
-            "data/wal.log.tmp",
-            "data/wal.sealed.tmp",
+            "data/wal-00000000000000000001.log.tmp",
         ];
+        // The two files of the log before segments are no name of this
+        // crate's any more.
         let others = [
             "data/notes.tmp",
             "data/snapshot-39.img.tmp",
             "data/wal-39.log.tmp",
+            "data/wal.log.tmp",
+            "data/wal.sealed.tmp",
         ];
         for path in ours.iter().chain(&others) {
             fs.write_atomic(Path::new(path), b"left behind").unwrap();
@@ -1617,11 +1626,12 @@ mod tests {
         drop(durable);
         let stale = dir.join("snapshot-00000000000000000039.img.tmp");
         std::fs::write(&stale, vec![0u8; 4096]).unwrap();
-        std::fs::write(dir.join("wal.sealed.tmp"), b"torn").unwrap();
+        let torn = dir.join("wal-00000000000000000002.log.tmp");
+        std::fs::write(&torn, b"torn").unwrap();
         let (_, report) = open().unwrap();
         assert_eq!(report.snapshot_epoch, 0);
         assert!(!stale.exists());
-        assert!(!dir.join("wal.sealed.tmp").exists());
+        assert!(!torn.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -68,18 +68,6 @@
 //! "as in base" only where the base has a table. A section that fails any
 //! of them is discarded whole, and recovery falls back to an older image.
 //!
-//! ## Format 1, read only
-//!
-//! Format 1 wrote a full image (`"IFRYSNP1"`) with one tagged term record
-//! per dictionary slot, which a cold start rendered and interned one by
-//! one, and `u64` pair words; a delta (`"IFRYDLT1"`) held the terms
-//! appended since its base the same way. Its reader is kept — only its
-//! reader — so that the images older builds wrote, and a data directory
-//! they left, still open: a process's first checkpoint is always a full
-//! image of format 2, so no format-2 delta is written on a format-1 base,
-//! and a delta is read only on the base whose header CRC it names, which
-//! is of its own format.
-//!
 //! ## One block each way
 //!
 //! Neither direction holds the image in memory. The checkpoint thread
@@ -101,9 +89,7 @@ use crate::io::{numbered_file_name, parse_numbered_file_name, IoBackend, StreamS
 use inferray_core::{Stage, Stages};
 use inferray_dictionary::{DenseTableError, Dictionary, RawLen};
 use inferray_model::ids::IMAGE_WORD_BASE;
-use inferray_model::TermRef;
 use inferray_store::{as_pairs, PropertyTable, TripleStore};
-use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -114,10 +100,6 @@ use std::time::{Duration, Instant};
 pub const MAGIC: &[u8; 8] = b"IFRYIMG2";
 /// Current format version.
 pub const VERSION: u32 = 2;
-/// File magic of a format-1 full image, read only.
-pub const V1_MAGIC: &[u8; 8] = b"IFRYSNP1";
-/// File magic of a format-1 delta image, read only.
-pub const V1_DELTA_MAGIC: &[u8; 8] = b"IFRYDLT1";
 
 /// A delta image is written only while it stays within this fraction of
 /// its base image's bytes (1/4); past it, a full image costs little more
@@ -127,13 +109,6 @@ pub const DELTA_FRACTION: u64 = 4;
 const TAG_DICT: &[u8; 4] = b"DICT";
 const TAG_BASE: &[u8; 4] = b"BASE";
 const TAG_MATL: &[u8; 4] = b"MATL";
-
-const TERM_IRI: u8 = 0;
-const TERM_BLANK: u8 = 1;
-const TERM_LITERAL: u8 = 2;
-
-const FLAG_DATATYPE: u8 = 1;
-const FLAG_LANGUAGE: u8 = 2;
 
 const SLOT_NONE: u8 = 0;
 const SLOT_TABLE: u8 = 1;
@@ -146,7 +121,8 @@ const SLOT_AS_IN_BASE: u8 = 2;
 pub enum SnapshotError {
     /// The file ends before the structure it promises.
     Truncated,
-    /// The file does not start with a magic of either format.
+    /// The file does not start with the magic of format 2: it is not
+    /// format 2 (an image of the retired format 1 reads so too).
     BadMagic,
     /// A format version this build does not understand.
     BadVersion(u32),
@@ -163,7 +139,7 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
+            SnapshotError::BadMagic => write!(f, "not a format-2 snapshot image (bad magic)"),
             SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::ChecksumMismatch(section) => {
                 write!(f, "checksum mismatch in {section} section")
@@ -211,8 +187,7 @@ pub fn parse_snapshot_file_name(name: &str) -> Option<u64> {
 
 /// The one buffer an image passes through, each way: the checkpoint thread
 /// fills one block at a time and hands it to the file, and each section of
-/// a cold start decodes out of one block read from its own handle. A
-/// format-1 block grows past this only for a term record longer than it.
+/// a cold start decodes out of one block read from its own handle.
 pub const IMAGE_BLOCK: usize = 256 << 10;
 
 /// Streams an image into a [`StreamSink`] through one [`IMAGE_BLOCK`].
@@ -652,31 +627,23 @@ impl BaseImage {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A cursor over bytes already in memory: the header, and one format-1
-/// term record in a section's block.
+/// A cursor over the header, which is in memory whole.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// After a [`SnapshotError::Truncated`]: how many bytes the read needed.
-    wanted: usize,
 }
 
 impl<'a> Reader<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        Reader {
-            bytes,
-            pos: 0,
-            wanted: 0,
-        }
+        Reader { bytes, pos: 0 }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            self.wanted = end;
-            return Err(SnapshotError::Truncated);
-        }
-        let slice = &self.bytes[self.pos..end];
+        let slice = self
+            .bytes
+            .get(self.pos..end)
+            .ok_or(SnapshotError::Truncated)?;
         self.pos = end;
         Ok(slice)
     }
@@ -709,37 +676,6 @@ impl<'a> Reader<'a> {
 
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
-    }
-}
-
-/// A format-1 term record.
-fn decode_term<'a>(r: &mut Reader<'a>) -> Result<TermRef<'a>, SnapshotError> {
-    match r.u8()? {
-        TERM_IRI => Ok(TermRef::Iri(Cow::Borrowed(r.str()?))),
-        TERM_BLANK => Ok(TermRef::Blank(Cow::Borrowed(r.str()?))),
-        TERM_LITERAL => {
-            let lexical = Cow::Borrowed(r.str()?);
-            let flags = r.u8()?;
-            if flags & !(FLAG_DATATYPE | FLAG_LANGUAGE) != 0 {
-                return Err(SnapshotError::Malformed("unknown literal flags"));
-            }
-            let datatype = if flags & FLAG_DATATYPE != 0 {
-                Some(Cow::Borrowed(r.str()?))
-            } else {
-                None
-            };
-            let language = if flags & FLAG_LANGUAGE != 0 {
-                Some(Cow::Borrowed(r.str()?))
-            } else {
-                None
-            };
-            Ok(TermRef::Literal {
-                lexical,
-                datatype,
-                language,
-            })
-        }
-        _ => Err(SnapshotError::Malformed("unknown term tag")),
     }
 }
 
@@ -792,10 +728,10 @@ impl<R: Read> SectionReader<R> {
         self.unread + (self.block.len() - self.pos) as u64
     }
 
-    /// The undecoded bytes in the block, at least `n` of them: the block is
-    /// refilled behind what it still holds. It grows past [`IMAGE_BLOCK`]
-    /// only for a record longer than that, and never past what the section
-    /// still holds: a record the section cannot contain is
+    /// The undecoded bytes in the block, at least `n` of them — one field,
+    /// never more than a block: the block is refilled behind what it still
+    /// holds, up to one [`IMAGE_BLOCK`] and never past what the section
+    /// still holds. A field the section cannot contain is
     /// [`SnapshotError::Truncated`] before anything is read for it.
     fn ensure(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
         let held = self.block.len() - self.pos;
@@ -805,7 +741,7 @@ impl<R: Read> SectionReader<R> {
             }
             self.block.drain(..self.pos);
             self.pos = 0;
-            let want = ((n.max(IMAGE_BLOCK) - held) as u64).min(self.unread) as usize;
+            let want = ((IMAGE_BLOCK - held) as u64).min(self.unread) as usize;
             self.block.resize(held + want, 0);
             self.source.read_exact(&mut self.block[held..])?;
             self.crc.update(&self.block[held..]);
@@ -877,26 +813,6 @@ impl<R: Read> SectionReader<R> {
         Ok(())
     }
 
-    /// Decodes one format-1 term record and hands its borrowed view to
-    /// `with`.
-    fn term<T>(&mut self, with: impl FnOnce(TermRef<'_>) -> T) -> Result<T, SnapshotError> {
-        let mut need = MIN_TERM_RECORD_BYTES;
-        loop {
-            let mut record = Reader::new(self.ensure(need)?);
-            match decode_term(&mut record) {
-                Ok(term) => {
-                    let used = record.pos;
-                    let out = with(term);
-                    self.pos += used;
-                    return Ok(out);
-                }
-                // The record runs on past the block: read on to its end.
-                Err(SnapshotError::Truncated) if record.wanted > need => need = record.wanted,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Checks that the payload was decoded to its end and that its CRC is
     /// `expected`: a section that fails either is discarded.
     fn finish(self, expected: u32, name: &'static str) -> Result<(), SnapshotError> {
@@ -909,9 +825,6 @@ impl<R: Read> SectionReader<R> {
         Ok(())
     }
 }
-
-/// The smallest format-1 term record: a tag byte and a `u32` length.
-const MIN_TERM_RECORD_BYTES: usize = 5;
 
 /// The `DICT` section: the dictionary `on` holds — a delta's base's, or
 /// none on the empty base — with what the section appends to it.
@@ -967,68 +880,17 @@ fn decode_dictionary<R: Read>(
     }?)
 }
 
-/// A format-1 `DICT` section: term records, re-interned one by one — on
-/// the dictionary of a delta's base, or on none.
-fn decode_dictionary_v1<R: Read>(
-    mut r: SectionReader<R>,
-    crc: u32,
-    on: Option<Dictionary>,
-) -> Result<Dictionary, SnapshotError> {
-    let dictionary = match on {
-        None => None,
-        Some(dictionary) => {
-            let base = (r.u64()?, r.u64()?);
-            if base
-                != (
-                    dictionary.num_properties() as u64,
-                    dictionary.num_resources() as u64,
-                )
-            {
-                return Err(SnapshotError::Malformed(
-                    "a delta's dictionary does not extend its base's",
-                ));
-            }
-            Some(dictionary)
-        }
-    };
-    let num_properties = r.u64()? as usize;
-    let num_resources = r.u64()? as usize;
-    // The dictionary reserves its tables from the term counts: hold them
-    // to what the payload can contain first.
-    let room = usize::try_from(r.remaining() / MIN_TERM_RECORD_BYTES as u64).unwrap_or(usize::MAX);
-    if num_properties
-        .checked_add(num_resources)
-        .is_none_or(|terms| terms > room)
-    {
-        return Err(SnapshotError::Truncated);
-    }
-    // Each record is rendered in its canonical N-Triples form straight into
-    // the dictionary's arena, borrowed from the block.
-    let next = |text: &mut String| r.term(|term| term.write_ntriples(text));
-    let dictionary = match dictionary {
-        None => Dictionary::from_dense_texts(num_properties, num_resources, next)?,
-        Some(mut dictionary) => {
-            dictionary.append_dense_texts(num_properties, num_resources, next)?;
-            dictionary
-        }
-    };
-    r.finish(crc, "DICT")?;
-    Ok(dictionary)
-}
-
-/// A store section of format `version`. `base` is the store of a delta's
-/// base image, empty on the empty base: a slot marked "as in base" takes
-/// its table, which it must have.
+/// A store section. `base` is the store of a delta's base image, none on
+/// the empty base: a slot marked "as in base" takes its table, which it
+/// must have.
 fn decode_store<R: Read>(
     mut r: SectionReader<R>,
     crc: u32,
     name: &'static str,
-    version: u32,
     base: Option<&TripleStore>,
 ) -> Result<TripleStore, SnapshotError> {
     // A slot takes one byte at least.
     let slot_count = r.count(1)?;
-    let word_bytes = if version == 1 { 8 } else { 4 };
     let mut slots: Vec<Option<Arc<PropertyTable>>> = Vec::new();
     for index in 0..slot_count {
         match r.u8()? {
@@ -1036,14 +898,11 @@ fn decode_store<R: Read>(
             SLOT_TABLE => {
                 // The table is allocated at its exact size, so its size is
                 // held to what the section still holds first.
-                let words = 2 * r.count(2 * word_bytes)?;
+                let words = 2 * r.count(8)?;
                 let mut pairs = Vec::with_capacity(words);
-                match version {
-                    1 => r.items(words, &mut pairs, u64::from_le_bytes)?,
-                    _ => r.items(words, &mut pairs, |b| {
-                        u64::from(u32::from_le_bytes(b)) + IMAGE_WORD_BASE
-                    })?,
-                }
+                r.items(words, &mut pairs, |b| {
+                    u64::from(u32::from_le_bytes(b)) + IMAGE_WORD_BASE
+                })?;
                 // Defend the store's sort invariant even against a file
                 // that passes its CRC: ⟨s,o⟩ strictly increasing.
                 if as_pairs(&pairs).windows(2).any(|w| w[0] >= w[1]) {
@@ -1053,7 +912,7 @@ fn decode_store<R: Read>(
                 table.replace_with_sorted(pairs);
                 slots.push(Some(Arc::new(table)));
             }
-            SLOT_AS_IN_BASE if version > 1 || base.is_some() => {
+            SLOT_AS_IN_BASE => {
                 let table = base
                     .and_then(|base| base.slot_tables().get(index))
                     .and_then(Option::as_ref)
@@ -1115,7 +974,6 @@ enum Section {
 
 /// An image's header and section table: everything but the payloads.
 struct Frame {
-    version: u32,
     header_crc: u32,
     epoch: u64,
     last_seq: u64,
@@ -1130,12 +988,9 @@ struct Frame {
 /// the file holds before anything is allocated for it.
 fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
     let front: [u8; 16] = read_at(open, 0)?;
-    let (version, v1_delta) = match &front[..8] {
-        magic if magic == MAGIC => (VERSION, false),
-        magic if magic == V1_MAGIC => (1, false),
-        magic if magic == V1_DELTA_MAGIC => (1, true),
-        _ => return Err(SnapshotError::BadMagic),
-    };
+    if front[..8] != MAGIC[..] {
+        return Err(SnapshotError::BadMagic);
+    }
     let header_len = u32::from_le_bytes([front[8], front[9], front[10], front[11]]) as usize;
     let header_crc = u32::from_le_bytes([front[12], front[13], front[14], front[15]]);
     // A header is a few numbers and a program name.
@@ -1148,24 +1003,17 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
         return Err(SnapshotError::ChecksumMismatch("header"));
     }
     let mut h = Reader::new(&header_bytes);
-    let stated = h.u32()?;
-    if stated != version {
-        return Err(SnapshotError::BadVersion(stated));
+    let version = h.u32()?;
+    if version != VERSION {
+        return Err(SnapshotError::BadVersion(version));
     }
     let epoch = h.u64()?;
     let last_seq = h.u64()?;
     let fragment = h.str()?.to_owned();
-    let delta = match version {
-        1 => v1_delta,
-        _ => match h.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("bad header")),
-        },
-    };
-    let base = match delta {
-        true => Some((h.u64()?, h.u32()?)),
-        false => None,
+    let base = match h.u8()? {
+        0 => None,
+        1 => Some((h.u64()?, h.u32()?)),
+        _ => return Err(SnapshotError::Malformed("bad header")),
     };
     let section_count = h.u32()?;
     if section_count != 3 || !h.done() {
@@ -1191,7 +1039,6 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
         _ => return Err(SnapshotError::Malformed("trailing bytes after sections")),
     }
     Ok(Frame {
-        version,
         header_crc,
         epoch,
         last_seq,
@@ -1203,7 +1050,7 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
 
 /// The one reader: validates and decodes an image from handles `open`
 /// gives — a full image on the empty base, or a delta on the image it
-/// names, given — in the format its magic names.
+/// names, given.
 ///
 /// Each section decodes from its own handle through one [`IMAGE_BLOCK`],
 /// keeping its CRC as it reads; the dictionary on one pool lane, the two
@@ -1232,7 +1079,6 @@ fn read_image(
         None => (None, None, None),
     };
     let (base_on, matl_on) = (base_on.as_ref(), matl_on.as_ref());
-    let version = frame.version;
     let [dict, base, matl] = &frame.sections;
     let reader = |entry: &SectionEntry| -> Result<_, SnapshotError> {
         Ok(SectionReader::new(open(entry.payload)?, entry.len))
@@ -1246,23 +1092,16 @@ fn read_image(
     let lanes = inferray_parallel::global().run_ordered(vec![
         Box::new(|| {
             vec![timed(|| {
-                let r = reader(dict)?;
-                match version {
-                    1 => decode_dictionary_v1(r, dict.crc, dictionary_on),
-                    _ => decode_dictionary(r, dict.crc, dictionary_on),
-                }
-                .map(Section::Dict)
+                decode_dictionary(reader(dict)?, dict.crc, dictionary_on).map(Section::Dict)
             })]
         }) as DecodeTask<'_>,
         Box::new(|| {
             vec![
                 timed(|| {
-                    decode_store(reader(base)?, base.crc, "BASE", version, base_on)
-                        .map(Section::Store)
+                    decode_store(reader(base)?, base.crc, "BASE", base_on).map(Section::Store)
                 }),
                 timed(|| {
-                    decode_store(reader(matl)?, matl.crc, "MATL", version, matl_on)
-                        .map(Section::Store)
+                    decode_store(reader(matl)?, matl.crc, "MATL", matl_on).map(Section::Store)
                 }),
             ]
         }),
@@ -1371,7 +1210,7 @@ pub struct Recovered {
 /// Validates and decodes the image at `path` into the state it records: a
 /// full image on its own ([`open_image`]), a delta on top of the full
 /// image it names — which must be present, a full image, valid, and carry
-/// the header CRC the delta names (so be of the delta's own format).
+/// the header CRC the delta names.
 pub fn open_recoverable(backend: &dyn IoBackend, path: &Path) -> Result<Recovered, SnapshotError> {
     let open = |offset| backend.open_at(path, offset);
     let frame = read_frame(&open)?;

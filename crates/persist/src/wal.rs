@@ -54,16 +54,6 @@ pub fn parse_segment_file_name(name: &str) -> Option<u64> {
     parse_numbered_file_name(name, "wal", "log")
 }
 
-/// The files of a log written before it was kept in segments: the records
-/// a checkpoint had set aside, then the live ones. `recover` folds them
-/// into one segment.
-const LEGACY_FILES: [&str; 2] = ["wal.sealed", "wal.log"];
-
-/// Whether `name` is one of the log's files: a segment or a legacy file.
-pub(crate) fn is_log_file(name: &str) -> bool {
-    parse_segment_file_name(name).is_some() || LEGACY_FILES.contains(&name)
-}
-
 /// Upper bound on a single record's payload — a defence against reading a
 /// garbage length field and allocating gigabytes. One update batch is one
 /// HTTP body, and the server bounds those far below this.
@@ -233,11 +223,6 @@ pub(crate) struct Recovered {
 /// skipped — and an older segment that does not scan to its end are
 /// [`DurableError::Corrupt`]: acknowledged writes are gone. The newest
 /// segment's torn tail is cut; with no segment at all, one is created.
-///
-/// A log kept in [`LEGACY_FILES`] is read the same way, as two segments;
-/// its records past `covered` become the first segment, the two files are
-/// removed, and what is returned is the reading of that segment. Those
-/// files are left over from that fold when a segment is already there.
 pub(crate) fn recover(
     backend: &dyn IoBackend,
     dir: &Path,
@@ -246,18 +231,6 @@ pub(crate) fn recover(
     let mut files = list_numbered(backend, dir, parse_segment_file_name)
         .map_err(DurableError::io(format!("listing {}", dir.display())))?;
     files.reverse();
-    let legacy: Vec<PathBuf> = LEGACY_FILES
-        .iter()
-        .map(|name| dir.join(name))
-        .filter(|path| backend.exists(path))
-        .collect();
-    let fold = files.is_empty() && !legacy.is_empty();
-    if fold {
-        files = legacy
-            .iter()
-            .map(|path| (covered + 1, path.clone()))
-            .collect();
-    }
     let mut found = Recovered::default();
     let mut last = covered;
     for (index, (first, path)) in files.iter().enumerate() {
@@ -298,24 +271,7 @@ pub(crate) fn recover(
             }
         }
     }
-    if fold {
-        let path = dir.join(segment_file_name(covered + 1));
-        let records = found.records.iter();
-        let log: Vec<u8> = records
-            .flat_map(|r| encode_record(r.seq, r.kind, &r.body))
-            .collect();
-        backend
-            .write_atomic(&path, &log)
-            .map_err(DurableError::io(format!("writing {}", path.display())))?;
-    }
-    for path in &legacy {
-        backend
-            .remove(path)
-            .map_err(DurableError::io(format!("removing {}", path.display())))?;
-    }
-    if fold {
-        return recover(backend, dir, covered);
-    } else if files.is_empty() {
+    if files.is_empty() {
         found.live = seal(backend, dir, last).map_err(DurableError::io(format!(
             "creating a log segment in {}",
             dir.display()

@@ -3,11 +3,14 @@
 //! a torn tail on its newest log segment, a stale temp file of an image it
 //! was writing — keeps every file and every byte, and the report still
 //! counts the torn bytes recovery would cut. Its stage line keeps the stage
-//! law within the process's wall time.
+//! law within the process's wall time. A directory whose only image is of
+//! the retired format 1 is refused, the refusal names that image and why,
+//! and again no byte changes.
 
 #[path = "common/stage_law.rs"]
 mod stage_law;
 
+use inferray::persist::snapshot::{snapshot_file_name, MAGIC};
 use inferray::persist::{segment_file_name, CheckpointPolicy, DurableDataset, StdFs};
 use inferray::{Fragment, InferrayOptions};
 use std::collections::BTreeMap;
@@ -86,6 +89,46 @@ fn recover_reports_a_torn_tail_and_a_stale_temp_file_and_changes_no_byte() {
         .last()
         .and_then(|line| line.strip_prefix("stages: "));
     stage_law::assert_stage_law(&stage_law::from_text(line.expect("a stage line")), wall);
+    assert_eq!(files(&dir), before, "recover wrote to the directory");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recover_refuses_a_format_1_image_names_it_and_changes_no_byte() {
+    let dir = std::env::temp_dir().join(format!(
+        "inferray-cli-recover-format-1-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let document = "<http://ex/human> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://ex/mammal> .\n";
+    let (durable, _) = DurableDataset::create(
+        inferray::load_ntriples(document).unwrap(),
+        Fragment::RdfsDefault,
+        InferrayOptions::default(),
+        &dir,
+        Arc::new(StdFs),
+        CheckpointPolicy::manual(),
+    )
+    .unwrap();
+    drop(durable);
+    // The reader looks no further than the magic: the image under the
+    // magic of a format-1 full image, `IFRY` then `SNP1`.
+    let image = dir.join(snapshot_file_name(0));
+    let mut bytes = std::fs::read(&image).unwrap();
+    assert_eq!(&bytes[..8], MAGIC);
+    bytes[4..8].copy_from_slice(b"SNP1");
+    std::fs::write(&image, &bytes).unwrap();
+    let before = files(&dir);
+
+    let output = Command::new(env!("CARGO_BIN_EXE_inferray-cli"))
+        .args(["recover", "--fragment", "rdfs", "--data-dir"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{stderr}");
+    assert!(stderr.contains(&snapshot_file_name(0)), "{stderr}");
+    assert!(stderr.contains("bad magic"), "{stderr}");
     assert_eq!(files(&dir), before, "recover wrote to the directory");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -249,8 +249,6 @@ fn check_delta(fs: &MemFs, durable: &DurableDataset, full: &Captured) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn full_plus_delta_plus_log_recovers_the_live_dataset(
         steps in arbitrary_steps(),

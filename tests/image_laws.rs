@@ -1,39 +1,41 @@
-//! The image codec against the reference codec of format 1.
+//! The image codec against the reference codec of format 2.
 //!
 //! `inferray_persist::snapshot` streams an image through one block each
 //! way: the writer patches a section's length and CRC in behind its payload,
 //! and each section's reader decodes out of one block from a handle of its
-//! own. It writes format 2 — the dictionary as it sits in memory, pair words
-//! in 32 bits, a full image as the delta on the empty base — and still
-//! reads format 1. The reference (`tests/common/v1_image.rs`) is format 1
-//! built whole in one buffer. The laws: the reader returns what the
-//! reference decoder returns on format-1 bytes, and refuses what it
-//! refuses; format 2 decodes to what format 1 decodes to, full and delta;
-//! every flipped byte and every cut of a format-2 image is caught or
-//! harmless; and a data directory of format-1 images and a log opens, and
-//! its next checkpoint writes format 2. The dictionaries are random (IRIs
-//! holding `\u00XX` escapes, blank nodes, plain, language-tagged and typed
-//! literals, the stale resource slot a promotion leaves), the stores too
-//! (`None` against empty slots, the empty store, tables longer than a
-//! block).
+//! own. The reference (`tests/common/image_reference.rs`) is format 2 built
+//! whole in one buffer, written from the layout in `docs/persistence.md`.
+//! The laws: the streamed writer's bytes are the reference encoder's, for a
+//! full image and for a delta after random writes; the streamed reader
+//! returns what the reference decoder returns, from a slice and from a
+//! file's handles, and refuses what it refuses; every flipped byte and
+//! every cut of an image is caught or harmless; and a data directory of
+//! format-1 images and a two-file log, both retired, is refused and left
+//! as it was. The dictionaries are random (IRIs holding `\u00XX` escapes,
+//! blank nodes, plain, language-tagged and typed literals, the stale
+//! resource slot a promotion leaves), the stores too (`None` against empty
+//! slots, the empty store, tables longer than a block).
 
 use inferray::dictionary::Dictionary;
 use inferray::model::ids::IMAGE_WORD_BASE;
 use inferray::model::{Term, Triple};
 use inferray::persist::snapshot::{
-    decode_delta_image, decode_image, encode_image, open_image, snapshot_file_name,
-    write_base_image, write_delta_image, write_image, ImageParts, MAGIC,
+    decode_delta_image, decode_image, encode_image, open_image, open_recoverable,
+    snapshot_file_name, write_base_image, write_delta_image, write_image, ImageParts,
+    SnapshotImage, MAGIC,
 };
 use inferray::persist::{
-    segment_file_name, wal, CheckpointPolicy, DurableDataset, IoBackend, MemFs, WalKind,
+    segment_file_name, wal, CheckpointPolicy, DurableDataset, DurableError, IoBackend, MemFs,
+    WalKind,
 };
 use inferray::store::{PropertyTable, TripleStore};
 use inferray::{Fragment, InferrayOptions};
 use proptest::prelude::*;
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-#[path = "common/v1_image.rs"]
+#[path = "common/image_reference.rs"]
 mod reference;
 
 /// A small deterministic generator, seeded by the property test.
@@ -182,119 +184,168 @@ fn store(rng: &mut Rng) -> TripleStore {
     TripleStore::from_slot_tables(slots)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Whether the streamed reader's image is the reference decoder's.
+fn same_image(streamed: &SnapshotImage, reference: &reference::Image) -> bool {
+    (
+        streamed.epoch,
+        streamed.last_seq,
+        streamed.fragment.as_str(),
+    ) == (
+        reference.epoch,
+        reference.last_seq,
+        reference.fragment.as_str(),
+    ) && streamed.dictionary == reference.dictionary
+        && streamed.base == reference.base
+        && streamed.materialized == reference.materialized
+}
 
+/// A random full image and a delta on it after random writes — new
+/// terms, promotions, tables kept, rewritten, emptied, dropped and
+/// added — each with the state it was written from.
+struct Written {
+    dictionary: Dictionary,
+    base: TripleStore,
+    materialized: TripleStore,
+    full: Vec<u8>,
+    grown: Dictionary,
+    later_base: TripleStore,
+    later_materialized: TripleStore,
+    delta: Vec<u8>,
+    epoch: u64,
+    last_seq: u64,
+    fragment: String,
+}
+
+fn written(rng: &mut Rng) -> Written {
+    let dictionary = dictionary(rng);
+    let (base, materialized) = match rng.below(5) {
+        0 => (TripleStore::new(), TripleStore::new()),
+        _ => (store(rng), store(rng)),
+    };
+    let (epoch, last_seq) = (rng.below(1 << 40), rng.below(1 << 40));
+    let fragment = format!("rules:{:08x}", rng.next() as u32);
+    let parts = ImageParts {
+        dictionary: &dictionary,
+        base: &base,
+        materialized: &materialized,
+        epoch,
+        last_seq,
+        fragment: &fragment,
+    };
+    let mut full = Vec::new();
+    let record = write_base_image(&mut full, parts).unwrap();
+    let (grown, later_base, later_materialized) = later(rng, &dictionary, &base, &materialized);
+    let later_parts = ImageParts {
+        dictionary: &grown,
+        base: &later_base,
+        materialized: &later_materialized,
+        epoch: epoch + 1,
+        last_seq: last_seq + 1,
+        fragment: &fragment,
+    };
+    let mut delta = Vec::new();
+    write_delta_image(&mut delta, later_parts, &record).unwrap();
+    Written {
+        dictionary,
+        base,
+        materialized,
+        full,
+        grown,
+        later_base,
+        later_materialized,
+        delta,
+        epoch,
+        last_seq,
+        fragment,
+    }
+}
+
+proptest! {
     #[test]
     fn the_streamed_codec_is_the_reference_codec(seed in any::<u64>()) {
         let mut rng = Rng(seed | 1);
-        let dictionary = dictionary(&mut rng);
-        let (base, materialized) = match rng.below(5) {
-            0 => (TripleStore::new(), TripleStore::new()),
-            _ => (store(&mut rng), store(&mut rng)),
-        };
-        let (epoch, last_seq) = (rng.next(), rng.next());
-        let fragment = format!("rules:{:08x}", rng.next() as u32);
-        let expected = reference::encode(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
+        let w = written(&mut rng);
+        let (epoch, last_seq, fragment) = (w.epoch, w.last_seq, w.fragment.as_str());
+        let expected = reference::encode(&w.dictionary, &w.base, &w.materialized, epoch, last_seq, fragment);
+        prop_assert_eq!(&w.full, &expected);
 
         // The streamed writer into a file is the writer into memory.
-        let bytes = encode_image(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
+        let bytes = encode_image(&w.dictionary, &w.base, &w.materialized, epoch, last_seq, fragment);
+        prop_assert_eq!(&bytes, &expected);
         let fs = MemFs::new();
         let path = Path::new("d/snapshot.img");
-        let mut written = 0;
+        let mut length = 0;
         fs.write_atomic_streamed(path, &mut |sink| {
-            written = write_image(sink, &dictionary, &base, &materialized, epoch, last_seq, &fragment)?;
+            length = write_image(sink, &w.dictionary, &w.base, &w.materialized, epoch, last_seq, fragment)?;
             Ok(())
         })
         .unwrap();
-        prop_assert_eq!(written, bytes.len() as u64);
-        prop_assert_eq!(&fs.read(path).unwrap(), &bytes);
+        prop_assert_eq!(length, expected.len() as u64);
+        prop_assert_eq!(&fs.read(path).unwrap(), &expected);
 
-        // The streamed reader of format 1 is the reference reader, from a
-        // slice and from a file's handles.
-        let image = reference::decode(&expected).unwrap();
-        prop_assert_eq!(&image.dictionary, &dictionary);
-        prop_assert_eq!(&decode_image(&expected).unwrap(), &image);
-        let v1_path = Path::new("d/snapshot-v1.img");
-        fs.write_atomic(v1_path, &expected).unwrap();
-        prop_assert_eq!(&open_image(&fs, v1_path).unwrap(), &image);
-        prop_assert_eq!(&open_image(&fs, path).unwrap(), &image);
+        // The streamed reader is the reference reader, from a slice and
+        // from a file's handles.
+        let image = reference::decode(&expected, None).unwrap();
+        prop_assert_eq!(&image.dictionary, &w.dictionary);
+        prop_assert_eq!(&image.base, &w.base);
+        prop_assert_eq!(&image.materialized, &w.materialized);
+        prop_assert!(same_image(&decode_image(&expected).unwrap(), &image));
+        prop_assert!(same_image(&open_image(&fs, path).unwrap(), &image));
     }
 
-    /// Format 2 decodes to what format 1 decodes to: a full image, and a
-    /// delta on it after random writes — new terms, promotions, tables
-    /// rewritten, added and emptied — under `PartialEq` of the dictionary
-    /// and of both stores, slot layout included.
+    /// A delta after random writes: the streamed writer's bytes are the
+    /// reference's, and both readers read it, on its base, to the state it
+    /// was written from — under `PartialEq` of the dictionary and of both
+    /// stores, slot layout included — from a slice and from the two files.
     #[test]
-    fn format_2_decodes_what_the_reference_format_1_decodes(seed in any::<u64>()) {
+    fn a_delta_after_random_writes_is_the_reference_delta(seed in any::<u64>()) {
         let mut rng = Rng(seed | 1);
-        let dictionary = dictionary(&mut rng);
-        let (base, materialized) = (store(&mut rng), store(&mut rng));
-        let (epoch, last_seq) = (rng.below(1 << 20), rng.below(1 << 20));
-        let fragment = format!("rules:{:08x}", rng.next() as u32);
-
-        let v1 = reference::encode(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
-        let v2 = encode_image(&dictionary, &base, &materialized, epoch, last_seq, &fragment);
-        prop_assert_eq!(&v2[..8], MAGIC);
-        let from_v1 = reference::decode(&v1).unwrap();
-        let from_v2 = decode_image(&v2).unwrap();
-        prop_assert_eq!(&from_v2, &from_v1);
-        prop_assert_eq!(&from_v2.base, &base);
-        prop_assert_eq!(&from_v2.materialized, &materialized);
-
-        // A later state that shares some tables with this one.
-        let (grown, later_base, later_materialized) = later(&mut rng, &dictionary, &base, &materialized);
-        let parts = ImageParts {
-            dictionary: &dictionary,
-            base: &base,
-            materialized: &materialized,
-            epoch,
-            last_seq,
-            fragment: &fragment,
-        };
-        let mut full = Vec::new();
-        let record = write_base_image(&mut full, parts).unwrap();
-        prop_assert_eq!(&full, &v2);
-        let later_parts = ImageParts {
-            dictionary: &grown,
-            base: &later_base,
-            materialized: &later_materialized,
-            epoch: epoch + 1,
-            last_seq: last_seq + 1,
-            fragment: &fragment,
-        };
-        let mut v2_delta = Vec::new();
-        write_delta_image(&mut v2_delta, later_parts, &record).unwrap();
-        let v1_delta = reference::encode_delta(
-            &grown,
-            &later_base,
-            &later_materialized,
-            epoch + 1,
-            last_seq + 1,
-            &fragment,
+        let w = written(&mut rng);
+        let expected = reference::encode_delta(
+            &w.grown,
+            &w.later_base,
+            &w.later_materialized,
+            w.epoch + 1,
+            w.last_seq + 1,
+            &w.fragment,
             &reference::Base {
-                bytes: &v1,
-                epoch,
-                dictionary: &dictionary,
-                base: &base,
-                materialized: &materialized,
+                bytes: &w.full,
+                epoch: w.epoch,
+                dictionary: &w.dictionary,
+                base: &w.base,
+                materialized: &w.materialized,
             },
         );
-        let from_v1 = decode_delta_image(&v1_delta, from_v1).unwrap();
-        let from_v2 = decode_delta_image(&v2_delta, from_v2).unwrap();
-        prop_assert_eq!(&from_v2, &from_v1);
-        prop_assert_eq!(&from_v2.dictionary, &grown);
-        prop_assert_eq!(&from_v2.base, &later_base);
-        prop_assert_eq!(&from_v2.materialized, &later_materialized);
+        prop_assert_eq!(&w.delta, &expected);
+
+        let on = reference::decode(&w.full, None).unwrap();
+        let image = reference::decode(&expected, Some(&on)).unwrap();
+        prop_assert_eq!(&image.dictionary, &w.grown);
+        prop_assert_eq!(&image.base, &w.later_base);
+        prop_assert_eq!(&image.materialized, &w.later_materialized);
+        let streamed = decode_delta_image(&expected, decode_image(&w.full).unwrap()).unwrap();
+        prop_assert!(same_image(&streamed, &image));
+
+        let fs = MemFs::new();
+        let dir = Path::new("d");
+        fs.write_atomic(&dir.join(snapshot_file_name(w.epoch)), &w.full).unwrap();
+        let path = dir.join(snapshot_file_name(w.epoch + 1));
+        fs.write_atomic(&path, &expected).unwrap();
+        let recovered = open_recoverable(&fs, &path).unwrap();
+        prop_assert!(same_image(&recovered.image, &image));
     }
 
+    /// A flipped byte, a cut, or a stray byte behind the end, of a full
+    /// image or of a delta read on its base.
     #[test]
     fn the_streamed_reader_refuses_what_the_reference_refuses(seed in any::<u64>()) {
         let mut rng = Rng(seed | 1);
-        let dictionary = dictionary(&mut rng);
-        let (base, materialized) = (store(&mut rng), store(&mut rng));
-        let mut bytes = reference::encode(&dictionary, &base, &materialized, 1, 2, "f");
-        // A flipped byte, a cut, or a stray byte behind the end.
+        let w = written(&mut rng);
+        let delta = rng.below(2) == 0;
+        let mut bytes = match delta {
+            true => w.delta.clone(),
+            false => w.full.clone(),
+        };
         match rng.below(3) {
             0 => {
                 let at = rng.below(bytes.len() as u64) as usize;
@@ -303,11 +354,16 @@ proptest! {
             1 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
             _ => bytes.push(0),
         }
-        let expected = reference::decode(&bytes);
-        let streamed = decode_image(&bytes);
+        let (expected, streamed) = match delta {
+            true => (
+                reference::decode(&bytes, Some(&reference::decode(&w.full, None).unwrap())),
+                decode_delta_image(&bytes, decode_image(&w.full).unwrap()),
+            ),
+            false => (reference::decode(&bytes, None), decode_image(&bytes)),
+        };
         prop_assert_eq!(streamed.is_ok(), expected.is_some());
         if let (Ok(streamed), Some(expected)) = (streamed, expected) {
-            prop_assert_eq!(streamed, expected);
+            prop_assert!(same_image(&streamed, &expected));
         }
     }
 }
@@ -393,102 +449,91 @@ proptest! {
     }
 }
 
+/// The magic of a retired format-1 image: `IFRY`, then `SNP1` for a full
+/// image or `DLT1` for a delta.
+fn format_1_magic(kind: &[u8; 4]) -> [u8; 8] {
+    let mut magic = *MAGIC;
+    magic[4..].copy_from_slice(kind);
+    magic
+}
+
 /// A data directory an older build left — a format-1 full image, a
-/// format-1 delta on it and a log past the delta, built with the reference
-/// codec and `wal::encode_record` — opens to the state it records, its next
-/// checkpoint writes a format-2 full image, and a reopen of that is the
-/// live state.
+/// format-1 delta on it, a log segment and the two files of the log
+/// before segments, `wal.sealed` and `wal.log` — is refused as `Corrupt`,
+/// the refusal names the newest image and why, and no file of it changes.
+/// The reader looks no further than the magic, so each image here is a
+/// format-2 image under a format-1 magic.
 #[test]
-fn a_format_1_directory_opens_and_its_next_checkpoint_writes_format_2() {
-    const DOCUMENT: &str = "<http://ex/human> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://ex/mammal> .\n\
-         <http://ex/bart> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n";
-    let writes = [
-        "<http://ex/lisa> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n",
-        "<http://ex/lisa> <http://ex/sibling> <http://ex/bart> .\n",
-        "<http://ex/sibling> <http://www.w3.org/2000/01/rdf-schema#domain> <http://ex/human> .\n",
-    ];
-    let open = |fs: Arc<MemFs>| {
-        DurableDataset::open(
-            "data",
-            Fragment::RdfsDefault,
-            InferrayOptions::default(),
-            fs,
-            CheckpointPolicy::manual(),
-        )
-        .unwrap()
-    };
-    // The live history: the state after creation, after two writes, and
-    // after the third.
-    let live_fs = Arc::new(MemFs::new());
+fn a_format_1_directory_is_refused_and_left_as_it_was() {
+    let fs = Arc::new(MemFs::new());
     let (live, _) = DurableDataset::create(
-        inferray::load_ntriples(DOCUMENT).unwrap(),
+        inferray::load_ntriples(
+            "<http://ex/human> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://ex/mammal> .\n",
+        )
+        .unwrap(),
         Fragment::RdfsDefault,
         InferrayOptions::default(),
         "data",
-        Arc::clone(&live_fs) as Arc<dyn IoBackend>,
+        Arc::clone(&fs) as Arc<dyn IoBackend>,
         CheckpointPolicy::manual(),
     )
     .unwrap();
-    let created = live.status().snapshot_path.unwrap();
-    let fragment = decode_image(&live_fs.read(&created).unwrap())
+    let (dictionary, base, snapshot) = live.dataset().persistable_state();
+    let fragment = decode_image(&fs.read(&live.status().snapshot_path.unwrap()).unwrap())
         .unwrap()
         .fragment;
-    let (dictionary0, base0, snapshot0) = live.dataset().persistable_state();
-    live.extend_ntriples(writes[0]).unwrap();
-    live.extend_ntriples(writes[1]).unwrap();
-    let (dictionary2, base2, snapshot2) = live.dataset().persistable_state();
-    live.extend_ntriples(writes[2]).unwrap();
+    drop(live);
 
-    let fs = Arc::new(MemFs::new());
-    let full = reference::encode(&dictionary0, &base0, snapshot0.store(), 0, 0, &fragment);
-    let delta = reference::encode_delta(
-        &dictionary2,
-        &base2,
-        snapshot2.store(),
-        snapshot2.epoch(),
-        2,
-        &fragment,
-        &reference::Base {
-            bytes: &full,
-            epoch: 0,
-            dictionary: &dictionary0,
-            base: &base0,
-            materialized: snapshot0.store(),
-        },
-    );
-    let mut log = Vec::new();
-    for (seq, body) in (1..).zip(writes) {
-        log.extend(wal::encode_record(seq, WalKind::Assert, body));
-    }
+    let old = Arc::new(MemFs::new());
     let dir = Path::new("data");
-    fs.write_atomic(&dir.join(snapshot_file_name(0)), &full)
-        .unwrap();
-    fs.write_atomic(&dir.join(snapshot_file_name(snapshot2.epoch())), &delta)
-        .unwrap();
-    fs.write_atomic(&dir.join(segment_file_name(1)), &log)
-        .unwrap();
-
-    let same_state = |a: &DurableDataset, b: &DurableDataset| {
-        let (dictionary, base, snapshot) = a.dataset().persistable_state();
-        let (back_dictionary, back_base, back_snapshot) = b.dataset().persistable_state();
-        assert_eq!(snapshot.epoch(), back_snapshot.epoch());
-        assert_eq!(*dictionary, *back_dictionary);
-        assert_eq!(base, back_base);
-        assert_eq!(snapshot.store(), back_snapshot.store());
+    let image = |kind: &[u8; 4], epoch: u64| {
+        let mut bytes = encode_image(&dictionary, &base, snapshot.store(), epoch, 0, &fragment);
+        bytes[..8].copy_from_slice(&format_1_magic(kind));
+        old.write_atomic(&dir.join(snapshot_file_name(epoch)), &bytes)
+            .unwrap();
     };
-    let (upgraded, report) = open(Arc::clone(&fs));
-    assert_eq!(report.snapshot_epoch, snapshot2.epoch());
-    assert!(report.base_path.is_some());
-    assert_eq!((report.replayed_records, report.skipped_records), (1, 2));
-    same_state(&live, &upgraded);
+    image(b"SNP1", 0);
+    image(b"DLT1", 1);
+    let log = |seqs: &[u64]| -> Vec<u8> {
+        let body = "<http://ex/bart> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n";
+        seqs.iter()
+            .flat_map(|&seq| wal::encode_record(seq, WalKind::Assert, body))
+            .collect()
+    };
+    for (name, records) in [
+        (segment_file_name(1), log(&[1])),
+        ("wal.sealed".to_string(), log(&[1, 2])),
+        ("wal.log".to_string(), log(&[2])),
+    ] {
+        old.write_atomic(&dir.join(name), &records).unwrap();
+    }
+    let files = |fs: &MemFs| -> BTreeMap<PathBuf, Vec<u8>> {
+        let names = fs.list(dir).unwrap();
+        names
+            .into_iter()
+            .map(|path| {
+                let bytes = fs.read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect()
+    };
+    let before = files(&old);
+    assert_eq!(before.len(), 5);
 
-    let next = upgraded.checkpoint().unwrap();
-    let image = fs.read(&next).unwrap();
-    assert_eq!(&image[..8], MAGIC);
-    assert!(decode_image(&image).is_ok(), "a full image");
-    let (reopened, report) = open(Arc::new(MemFs::from_view(fs.durable_view())));
-    assert_eq!(report.snapshot_path, next);
-    assert_eq!((report.base_path, report.replayed_records), (None, 0));
-    same_state(&live, &reopened);
-    same_state(&upgraded, &reopened);
+    let refused = DurableDataset::open(
+        "data",
+        Fragment::RdfsDefault,
+        InferrayOptions::default(),
+        Arc::clone(&old) as Arc<dyn IoBackend>,
+        CheckpointPolicy::manual(),
+    )
+    .map(|_| ())
+    .unwrap_err();
+    let DurableError::Corrupt { message } = &refused else {
+        panic!("not refused as corrupt: {refused}");
+    };
+    let newest = dir.join(snapshot_file_name(1));
+    assert!(message.contains(&newest.display().to_string()), "{message}");
+    assert!(message.contains("bad magic"), "{message}");
+    assert_eq!(files(&old), before);
 }

@@ -1,13 +1,11 @@
 //! The log as segments (docs/persistence.md, "A checkpoint has two
 //! halves"): the seal that the write crossing the checkpoint threshold pays
 //! for is one atomic write of an empty segment and reads no byte of the
-//! log; and a data directory whose log is in the two files of the earlier
-//! layout (`wal.sealed`, `wal.log`) opens once into segments, with the
-//! state the process that wrote it served.
+//! log.
 
 use inferray::parser::load_ntriples;
-use inferray::persist::{segment_file_name, wal, DurableView, Fill, IoBackend, MemFs, WalKind};
-use inferray::{CheckpointPolicy, DurableDataset, DurableError, Fragment, InferrayOptions};
+use inferray::persist::{segment_file_name, Fill, IoBackend, MemFs};
+use inferray::{CheckpointPolicy, DurableDataset, Fragment, InferrayOptions};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -38,29 +36,6 @@ fn create(backend: Arc<dyn IoBackend>, policy: CheckpointPolicy) -> DurableDatas
     )
     .expect("initial snapshot")
     .0
-}
-
-fn open(
-    view: DurableView,
-) -> Result<(DurableDataset, inferray::persist::RecoveryReport), DurableError> {
-    let fs = Arc::new(MemFs::from_view(view));
-    DurableDataset::open(
-        "data",
-        FRAGMENT,
-        InferrayOptions::default(),
-        fs,
-        CheckpointPolicy::manual(),
-    )
-}
-
-/// Dictionary, explicit base, materialized store and epoch are equal.
-fn assert_same_state(live: &DurableDataset, recovered: &DurableDataset) {
-    let (dictionary, base, snapshot) = live.dataset().persistable_state();
-    let (back_dictionary, back_base, back_snapshot) = recovered.dataset().persistable_state();
-    assert_eq!(snapshot.epoch(), back_snapshot.epoch());
-    assert_eq!(*dictionary, *back_dictionary);
-    assert_eq!(base, back_base);
-    assert_eq!(snapshot.store(), back_snapshot.store());
 }
 
 /// What a [`Counter`] saw while armed.
@@ -190,96 +165,4 @@ fn the_seal_reads_no_log_byte_and_writes_one_empty_segment() {
     let status = durable.status();
     assert_eq!((status.last_checkpoint_seq, status.wal_records), (3, 2));
     assert_eq!(status.last_error, None);
-}
-
-fn legacy_log(records: &[u64]) -> Vec<u8> {
-    let mut log = Vec::new();
-    for &seq in records {
-        log.extend(wal::encode_record(seq, WalKind::Assert, &triple(seq)));
-    }
-    log
-}
-
-/// A directory as the two-file log can leave it, beside the live dataset
-/// that acknowledged four records: an image covering records 1 and 2,
-/// `wal.sealed` holding records 1 to 4 — set aside by two seals, the first
-/// of which has its image — and `wal.log` still holding 3 and 4, the power
-/// cut between the two writes of the second seal.
-fn legacy_directory() -> (DurableDataset, DurableView) {
-    let fs = Arc::new(MemFs::new());
-    let durable = create(
-        Arc::clone(&fs) as Arc<dyn IoBackend>,
-        CheckpointPolicy::manual(),
-    );
-    for n in 1..=2 {
-        durable.extend_ntriples(&triple(n)).expect("assert");
-    }
-    durable.checkpoint().expect("checkpoint");
-    for n in 3..=4 {
-        durable.extend_ntriples(&triple(n)).expect("assert");
-    }
-    let mut view = fs.durable_view();
-    view.retain(|path, _| path.extension().is_some_and(|e| e == "img"));
-    view.insert(
-        Path::new("data/wal.sealed").to_path_buf(),
-        legacy_log(&[1, 2, 3, 4]),
-    );
-    view.insert(Path::new("data/wal.log").to_path_buf(), legacy_log(&[3, 4]));
-    (durable, view)
-}
-
-fn files(fs: &MemFs) -> Vec<PathBuf> {
-    fs.list(Path::new("data")).expect("a listing")
-}
-
-#[test]
-fn a_two_file_log_opens_once_into_one_segment() {
-    let (live, view) = legacy_directory();
-    let fs = Arc::new(MemFs::from_view(view));
-    let policy = CheckpointPolicy::manual();
-    let (recovered, report) = DurableDataset::open(
-        "data",
-        FRAGMENT,
-        InferrayOptions::default(),
-        Arc::clone(&fs) as Arc<dyn IoBackend>,
-        policy,
-    )
-    .expect("recovery");
-    assert_same_state(&live, &recovered);
-    assert_eq!((report.replayed_records, report.skipped_records), (2, 0));
-    // The records past the image, each once, are the one segment now, and
-    // the two files are gone.
-    let logs: Vec<PathBuf> = files(&fs)
-        .into_iter()
-        .filter(|path| path.extension().is_none_or(|e| e != "img"))
-        .collect();
-    assert_eq!(logs, [segment(3)]);
-    assert_eq!(fs.read(&segment(3)).unwrap(), legacy_log(&[3, 4]));
-    assert_eq!(recovered.status().wal_records, 2);
-
-    // Writes go on in that segment, and the next start reads it as any.
-    recovered.extend_ntriples(&triple(5)).expect("assert");
-    live.extend_ntriples(&triple(5)).expect("assert");
-    let (again, report) = open(fs.durable_view()).expect("recovery");
-    assert_eq!((report.replayed_records, report.skipped_records), (3, 0));
-    assert_same_state(&live, &again);
-}
-
-#[test]
-fn a_fold_cut_before_the_two_files_are_removed_is_not_folded_again() {
-    let (live, view) = legacy_directory();
-    let folded = MemFs::from_view(view.clone());
-    folded
-        .write_atomic(&segment(3), &legacy_log(&[3, 4]))
-        .unwrap();
-    let (recovered, report) = open(folded.durable_view()).expect("recovery");
-    assert_eq!(report.replayed_records, 2);
-    assert_same_state(&live, &recovered);
-
-    // The set-aside records were only ever replaced whole: a torn
-    // `wal.sealed` is damage.
-    let mut torn = view;
-    torn.get_mut(Path::new("data/wal.sealed")).unwrap().pop();
-    let err = open(torn).map(|_| ()).unwrap_err();
-    assert!(matches!(err, DurableError::Corrupt { .. }), "{err}");
 }
