@@ -235,8 +235,8 @@ impl Default for Dictionary {
 
 /// Equality of what a dictionary *says* — the text behind every identifier
 /// of both tables and the pending promotions — not of how its arena happens
-/// to be laid out: a dictionary rebuilt from an image lists property text
-/// first, the live one in first-occurrence order. The lookup side needs no
+/// to be laid out: the same tables can be reached through different
+/// interning orders, each leaving its own arena. The lookup side needs no
 /// comparison of its own: a text resolves to its property identifier when
 /// it has one and to its resource identifier otherwise.
 impl PartialEq for Dictionary {
@@ -1191,6 +1191,19 @@ mod tests {
         // Same tables, reached in a different interning order.
         let mut a = Dictionary::new();
         a.encode_as_resource(&Term::iri("http://ex/x"));
+        a.encode_as_property(&Term::iri("http://ex/p")).unwrap();
+        let mut b = Dictionary::new();
+        b.encode_as_property(&Term::iri("http://ex/p")).unwrap();
+        b.encode_as_resource(&Term::iri("http://ex/x"));
+        let text = |d: &Dictionary| {
+            d.raw_parts_since(RawLen::default())
+                .unwrap()
+                .text
+                .to_string()
+        };
+        assert_ne!(text(&a), text(&b));
+        assert_eq!(a, b);
+        // Pending promotions are part of the state; a rebuild has none.
         a.encode_as_property(&Term::iri("http://ex/x")).unwrap();
         let b = rebuild(&a).unwrap();
         assert_ne!(a, b, "pending promotions are part of the state");

@@ -60,7 +60,7 @@
 //!
 //! Equality compares what two dictionaries *say* (the text behind every
 //! identifier, the pending promotions), not how their arenas are laid out —
-//! a dictionary rebuilt from a snapshot image lists property text first.
+//! the same tables can be reached through different interning orders.
 //!
 //! ## Property promotion
 //!

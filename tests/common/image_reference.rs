@@ -5,8 +5,6 @@
 //! takes nothing from `inferray_persist::snapshot`: the streamed writer and
 //! reader are held to it (`tests/image_laws.rs`).
 
-#![allow(dead_code)]
-
 use inferray_dictionary::{Dictionary, RawLen};
 use inferray_persist::crc32;
 use inferray_store::{PropertyTable, TripleStore};
