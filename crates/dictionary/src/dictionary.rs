@@ -930,11 +930,12 @@ mod tests {
         assert_eq!(dense_id(Demand::Property, 0), Ok(PROPERTY_BASE));
         assert_eq!(dense_id(Demand::Resource, 0), Ok(RESOURCE_BASE));
         // The rebuilding entry points refuse a half past that before they
-        // reserve or read anything for it. The slots are zeroed pages the
-        // allocator maps without touching them, and slot 0 names no entry of
-        // an empty arena and a property of the vocabulary: a check moved
-        // behind the slot loop would answer `BadEntry` or `DuplicateTerm`
-        // at the first slot, not read the rest.
+        // reserve or read anything for it. The slots are 8 GiB of zeroed
+        // pages the allocator maps without touching them (the OS must grant
+        // that much address space on demand, as Linux does by default), and
+        // slot 0 names no entry of an empty arena and a property of the
+        // vocabulary: a check moved behind the slot loop would answer
+        // `BadEntry` or `DuplicateTerm` at the first slot, not read the rest.
         let too_many = || vec![0u32; MAX_PER_HALF + 1];
         let vocabulary = Dictionary::new().raw_len();
         let past_the_vocabulary = || vec![0u32; MAX_PER_HALF + 1 - vocabulary.properties];
