@@ -348,6 +348,15 @@ pub enum WriteStats {
     Retracted(RetractionStats),
 }
 
+impl WriteStats {
+    /// Whether the write changed the store, and so publishes an epoch:
+    /// every assert does, a retraction only when it removed an asserted
+    /// triple.
+    pub fn changed(&self) -> bool {
+        !matches!(self, WriteStats::Retracted(r) if r.retracted_explicit == 0)
+    }
+}
+
 /// Everything a caller reports about an accepted write. Captured under the
 /// writer lock, so the fields stay consistent even when other writers
 /// publish concurrently (reading [`ServingDataset::epoch`] afterwards could
@@ -520,14 +529,14 @@ impl ServingDataset {
         (dataset, (stats, reasoner.last_stages()))
     }
 
-    /// Reassembles a dataset from externally persisted parts — the recovery
-    /// path of the persistence layer (`inferray-persist`,
-    /// docs/persistence.md). The caller supplies the exact state a previous
-    /// process published: the dictionary, the explicit base, the
-    /// materialized store, the epoch it was serving and the program it was
-    /// closed under, so the rebuilt dataset continues the epoch sequence
-    /// where the crashed one stopped and subsequent writes behave
-    /// byte-identically to the pre-crash process.
+    /// Reassembles a dataset from externally persisted parts and publishes
+    /// them as its first epoch, building the ⟨o,s⟩ caches the store lacks.
+    /// The caller supplies the exact state a previous process published:
+    /// the dictionary, the explicit base, the materialized store, the epoch
+    /// it was serving and the program it was closed under, so the rebuilt
+    /// dataset continues the epoch sequence where that process stopped and
+    /// subsequent writes behave byte-identically to it. A cold start with a
+    /// log to replay comes here through [`Replay::publish`].
     pub fn from_parts(
         dictionary: Dictionary,
         base: TripleStore,
@@ -778,14 +787,17 @@ impl ServingDataset {
         }
     }
 
-    /// The one write pipeline (docs/persistence.md): encode Δ (on a private
-    /// dictionary copy only if a term is new or promoted) → compile the
-    /// program → reason on private clones of the store and the base, which
-    /// copy only the tables they change → shape gate → `log` → publish the
-    /// store and its dictionary as one value. Every write of every layer —
-    /// asserts and retractions, in memory and durable, live and replayed
-    /// from the WAL — is this function; readers holding older snapshots are
-    /// unaffected.
+    /// The one write pipeline (docs/persistence.md): the [`step`] —
+    /// encode Δ, compile the program, patch promotions, reason — on a
+    /// draft of the published epoch, inside the live bracket: clone the
+    /// epoch, then shape gate → `log` → publish the store and its
+    /// dictionary as one value → recycle. The draft is a dictionary copied
+    /// only if a term is new or promoted, and clones of the store and the
+    /// base that copy only the tables they change. Every live write of
+    /// every layer — asserts and retractions, in memory and durable — is
+    /// this function; readers holding older snapshots are unaffected. A
+    /// cold start runs the same step on the recovering state in place,
+    /// outside the bracket ([`Replay`]).
     ///
     /// * [`WriteKind::Assert`] closes the delta under the program with
     ///   [`InferrayReasoner::materialize_delta`]; every triple of the delta
@@ -817,93 +829,26 @@ impl ServingDataset {
         // Copied on first mutation: an assert that interns a term or
         // promotes a resource, or a rule program interning its constants.
         // An assert of known terms and a retraction under a fragment mutate
-        // nothing and publish the same dictionary. The store clone shares
-        // every table; reasoning copies the ones it changes.
+        // nothing and publish the same dictionary. The store and base clones
+        // share every table; reasoning copies the ones it changes.
         let mut dictionary = Cow::Borrowed(&*pre.dictionary);
         let mut store = pre.snapshot.store().clone();
-
-        let mut delta: Vec<IdTriple> = Vec::new();
-        for triple in triples {
-            let TripleRef {
-                subject,
-                predicate,
-                object,
-            } = &triple;
-            let encoded = match kind {
-                // Known terms in positions that need no promotion encode
-                // without a copy of the dictionary.
-                WriteKind::Assert => Some(
-                    match dictionary.lookup_term_refs(subject, predicate, object) {
-                        Some(known) => known,
-                        None => dictionary
-                            .to_mut()
-                            .encode_term_refs(subject, predicate, object)
-                            .map_err(|e| LoadError::Encode(e.to_string()))?,
-                    },
-                ),
-                // Terms absent from the dictionary cannot occur in any
-                // triple of the store; predicates that were never promoted
-                // to property ids cannot address a table.
-                WriteKind::Retract => dictionary
-                    .id_of_ref(subject)
-                    .zip(dictionary.id_of_ref(predicate))
-                    .zip(dictionary.id_of_ref(object))
-                    .filter(|((_, p), _)| is_property_id(*p))
-                    .map(|((s, p), o)| IdTriple::new(s, p, o)),
-            };
-            if let Some(encoded) = encoded {
-                delta.push(encoded);
-            }
-        }
-        // Compile the rule program (if any) before draining promotions, so
-        // its constants carry the same — possibly promoted — identifiers as
-        // the delta and the store.
-        let mut reasoner = match &self.program {
-            Program::Fragment(fragment) => InferrayReasoner::with_options(*fragment, self.options),
-            Program::Rules(text) => {
-                let ruleset =
-                    analysis::load_ruleset(text, dictionary.to_mut()).map_err(|diags| {
-                        let list: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-                        LoadError::Encode(format!("rule program: {}", list.join("; ")))
-                    })?;
-                InferrayReasoner::with_ruleset(ruleset, self.options)
-            }
-        };
-        // A delta may use an already-interned *resource* as a predicate,
-        // which promotes it to a new property identifier. The copied store,
-        // the explicit base and any delta triple encoded before the
-        // promotion still carry the stale resource id in subject/object
-        // position; patch them like the loader does before reasoning.
         let mut next_base = base.clone();
-        let promoted = dictionary.has_pending_promotions();
-        if promoted {
-            let remap: std::collections::HashMap<u64, u64> =
-                dictionary.to_mut().take_promotions().into_iter().collect();
-            apply_promotion_remap(&mut store, &remap);
-            apply_promotion_remap(&mut next_base, &remap);
-            for triple in &mut delta {
-                if let Some(&new_id) = remap.get(&triple.s) {
-                    triple.s = new_id;
-                }
-                if let Some(&new_id) = remap.get(&triple.o) {
-                    triple.o = new_id;
-                }
-            }
-        }
-        let mut stages = Stages::default();
-        stages.lap(Stage::Encode, &mut clock);
-        let stats = match kind {
-            WriteKind::Assert => {
-                next_base.insert(delta.iter().copied());
-                WriteStats::Asserted(reasoner.materialize_delta(&mut store, delta))
-            }
-            WriteKind::Retract => {
-                WriteStats::Retracted(reasoner.retract_delta(&mut store, &mut next_base, delta))
-            }
-        };
-        stages.lap(Stage::Reason, &mut clock);
-        stages += reasoner.last_stages();
-        let changed = !matches!(stats, WriteStats::Retracted(r) if r.retracted_explicit == 0);
+        let Step {
+            stats,
+            promoted,
+            mut stages,
+        } = step(
+            &self.program,
+            self.options,
+            kind,
+            triples,
+            &mut dictionary,
+            &mut next_base,
+            &mut store,
+            &mut clock,
+        )?;
+        let changed = stats.changed();
 
         // Gate, then log, then publish. A refusal or a failed log returns
         // here: every guard drops and the pre-write state stays current.
@@ -974,13 +919,7 @@ impl ServingDataset {
         text: &str,
         log: impl FnOnce() -> Result<(), String>,
     ) -> Result<WriteOutcome, WriteError> {
-        let document = Chunk {
-            text,
-            first_line: 1,
-        };
-        let mut triples = Vec::new();
-        lex_ntriples_chunk(document, |triple| triples.push(triple)).map_err(LoadError::from)?;
-        self.write(kind, triples, log)
+        self.write(kind, lex_statements(text)?, log)
     }
 
     /// The in-memory write of owned triples: the pipeline sees their
@@ -1027,6 +966,216 @@ impl ServingDataset {
     /// Number of explicit (asserted) triples behind the current epoch.
     pub fn base_len(&self) -> usize {
         unpoison(self.writer.lock()).base.len()
+    }
+}
+
+/// The statements of an N-Triples write body, as borrowed slices of it.
+fn lex_statements(text: &str) -> Result<Vec<TripleRef<'_>>, LoadError> {
+    let document = Chunk {
+        text,
+        first_line: 1,
+    };
+    let mut triples = Vec::new();
+    lex_ntriples_chunk(document, |triple| triples.push(triple))?;
+    Ok(triples)
+}
+
+/// What the step of a write did.
+struct Step {
+    stats: WriteStats,
+    /// Whether the write promoted a resource to a property, renumbering it.
+    promoted: bool,
+    /// Encode and reason, with the reasoner's own stages inside reason.
+    stages: Stages,
+}
+
+/// The step of a write, the one place that changes state: encode Δ into
+/// `dictionary` → compile the program → patch promotions → reason over
+/// `store` and `base`. All three change in place. A live write
+/// ([`ServingDataset::write`]) hands it a draft of the published epoch — a
+/// borrowed dictionary that [`Cow::to_mut`] copies on the first term it
+/// interns, and store clones whose shared tables are copied as they are
+/// written — and a cold start ([`Replay`]) the recovering state itself: an
+/// owned dictionary and tables no one else holds, so nothing is copied. The
+/// stages start at `clock`.
+#[allow(clippy::too_many_arguments)]
+fn step<'t>(
+    program: &Program,
+    options: InferrayOptions,
+    kind: WriteKind,
+    triples: impl IntoIterator<Item = TripleRef<'t>>,
+    dictionary: &mut Cow<'_, Dictionary>,
+    base: &mut TripleStore,
+    store: &mut TripleStore,
+    clock: &mut Instant,
+) -> Result<Step, WriteError> {
+    let mut delta: Vec<IdTriple> = Vec::new();
+    for triple in triples {
+        let TripleRef {
+            subject,
+            predicate,
+            object,
+        } = &triple;
+        let encoded = match kind {
+            // Known terms in positions that need no promotion encode
+            // without a copy of the dictionary.
+            WriteKind::Assert => Some(
+                match dictionary.lookup_term_refs(subject, predicate, object) {
+                    Some(known) => known,
+                    None => dictionary
+                        .to_mut()
+                        .encode_term_refs(subject, predicate, object)
+                        .map_err(|e| LoadError::Encode(e.to_string()))?,
+                },
+            ),
+            // Terms absent from the dictionary cannot occur in any
+            // triple of the store; predicates that were never promoted
+            // to property ids cannot address a table.
+            WriteKind::Retract => dictionary
+                .id_of_ref(subject)
+                .zip(dictionary.id_of_ref(predicate))
+                .zip(dictionary.id_of_ref(object))
+                .filter(|((_, p), _)| is_property_id(*p))
+                .map(|((s, p), o)| IdTriple::new(s, p, o)),
+        };
+        if let Some(encoded) = encoded {
+            delta.push(encoded);
+        }
+    }
+    // Compile the rule program (if any) before draining promotions, so
+    // its constants carry the same — possibly promoted — identifiers as
+    // the delta and the store.
+    let mut reasoner = match program {
+        Program::Fragment(fragment) => InferrayReasoner::with_options(*fragment, options),
+        Program::Rules(text) => {
+            let ruleset = analysis::load_ruleset(text, dictionary.to_mut()).map_err(|diags| {
+                let list: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
+                LoadError::Encode(format!("rule program: {}", list.join("; ")))
+            })?;
+            InferrayReasoner::with_ruleset(ruleset, options)
+        }
+    };
+    // A delta may use an already-interned *resource* as a predicate,
+    // which promotes it to a new property identifier. The store, the
+    // explicit base and any delta triple encoded before the promotion
+    // still carry the stale resource id in subject/object position; patch
+    // them like the loader does before reasoning.
+    let promoted = dictionary.has_pending_promotions();
+    if promoted {
+        let remap: std::collections::HashMap<u64, u64> =
+            dictionary.to_mut().take_promotions().into_iter().collect();
+        apply_promotion_remap(store, &remap);
+        apply_promotion_remap(base, &remap);
+        for triple in &mut delta {
+            if let Some(&new_id) = remap.get(&triple.s) {
+                triple.s = new_id;
+            }
+            if let Some(&new_id) = remap.get(&triple.o) {
+                triple.o = new_id;
+            }
+        }
+    }
+    let mut stages = Stages::default();
+    stages.lap(Stage::Encode, clock);
+    let stats = match kind {
+        WriteKind::Assert => {
+            base.insert(delta.iter().copied());
+            WriteStats::Asserted(reasoner.materialize_delta(store, delta))
+        }
+        WriteKind::Retract => WriteStats::Retracted(reasoner.retract_delta(store, base, delta)),
+    };
+    stages.lap(Stage::Reason, clock);
+    stages += reasoner.last_stages();
+    Ok(Step {
+        stats,
+        promoted,
+        stages,
+    })
+}
+
+/// A persisted epoch brought up to date before it serves — the recovery
+/// path of the persistence layer (`inferray-persist`, docs/persistence.md).
+///
+/// It owns the image's dictionary, explicit base and materialized store.
+/// There is no [`ServingDataset`] yet, so no reader can hold any of them:
+/// [`Replay::ntriples`] runs each logged write through the live write's
+/// step on them *in place* — no table and no dictionary is copied,
+/// where the live bracket copies what a write changes to protect readers.
+/// [`Replay::publish`] then publishes the result once, at the epoch the
+/// process that logged the writes had reached.
+#[derive(Debug)]
+pub struct Replay {
+    /// Owned: the step's [`Cow::to_mut`] hands it out without a copy.
+    dictionary: Cow<'static, Dictionary>,
+    base: TripleStore,
+    store: TripleStore,
+    epoch: u64,
+    program: Program,
+    options: InferrayOptions,
+}
+
+impl Replay {
+    /// Takes the exact state a previous process published — the dictionary,
+    /// the explicit base, the materialized store, the epoch it was serving
+    /// and the program it was closed under — and builds the ⟨o,s⟩ cache of
+    /// every table side by side on the pool, largest first: the first epoch
+    /// needs them all, and built now the replayed writes keep them patched
+    /// instead of rebuilding the ones they read.
+    pub fn new(
+        dictionary: Dictionary,
+        base: TripleStore,
+        mut materialized: TripleStore,
+        epoch: u64,
+        program: impl Into<Program>,
+        options: InferrayOptions,
+    ) -> Replay {
+        materialized.finalize();
+        inferray_parallel::global().run_ordered(materialized.os_cache_tasks());
+        Replay {
+            dictionary: Cow::Owned(dictionary),
+            base,
+            store: materialized,
+            epoch,
+            program: program.into(),
+            options,
+        }
+    }
+
+    /// Replays one logged write, an N-Triples body of `kind`: the step of
+    /// [`ServingDataset::write_ntriples`] without its bracket. No shape gate
+    /// runs and nothing is logged — the record passed both when it was
+    /// written. A write that changed the store advances the epoch by one,
+    /// as its publish did live; a retraction that removed nothing does not.
+    /// On `Err` the state is part-way through the write and must not serve.
+    pub fn ntriples(&mut self, kind: WriteKind, text: &str) -> Result<WriteStats, WriteError> {
+        let triples = lex_statements(text)?;
+        let Step { stats, .. } = step(
+            &self.program,
+            self.options,
+            kind,
+            triples,
+            &mut self.dictionary,
+            &mut self.base,
+            &mut self.store,
+            &mut Instant::now(),
+        )?;
+        if stats.changed() {
+            self.epoch += 1;
+        }
+        Ok(stats)
+    }
+
+    /// Publishes the replayed state as the dataset's first epoch. Only the
+    /// tables whose ⟨o,s⟩ caches the writes dropped build theirs here.
+    pub fn publish(self) -> ServingDataset {
+        ServingDataset::from_parts(
+            self.dictionary.into_owned(),
+            self.base,
+            self.store,
+            self.epoch,
+            self.program,
+            self.options,
+        )
     }
 }
 

@@ -39,7 +39,7 @@ pub mod reasoner;
 pub mod stages;
 
 pub use api::{
-    reason_graph, reason_ntriples, reason_turtle, Program, ReasonedGraph, ServingDataset,
+    reason_graph, reason_ntriples, reason_turtle, Program, ReasonedGraph, Replay, ServingDataset,
     ShapeInstallError, ShapeViolation, ShapeViolations, ValidationCounters, ValidationStatus,
     WriteError, WriteKind, WriteOutcome, WriteStats,
 };

@@ -101,8 +101,8 @@ stages! {
     Matl "MATL" in Image,
     /// A cold start: building the first epoch's ⟨o,s⟩ caches.
     OsCaches "os_caches",
-    /// A cold start: reading the log and replaying its records past the
-    /// image.
+    /// A cold start: reading the log, replaying its records past the image
+    /// in place, and publishing the first epoch.
     Replay "replay",
 }
 

@@ -348,8 +348,9 @@ impl Dictionary {
     /// back as terms, no text is there twice, every slot names an entry the
     /// arena holds, every new entry has a slot, a half numbers at most
     /// [`MAX_PER_HALF`] terms, and an entry in both tables is a property
-    /// and its promotion's stale resource slot (a property slot may promote
-    /// an entry that was a resource before). No promotion is left pending.
+    /// and its promotion's one stale resource slot (a property slot may
+    /// promote an entry that was a resource before; a resource slot names
+    /// an appended entry). No promotion is left pending.
     pub fn append_raw_parts(
         mut self,
         text: String,
@@ -390,19 +391,32 @@ impl Dictionary {
             *id = nth_property_id(self.properties.len());
             self.properties.push(entry);
         }
+        // A resource slot is only ever made with its entry, so every slot
+        // listed here names an appended entry: one the dictionary held
+        // already has its slots there. A promotion's stale slot is an
+        // appended entry's second slot, after its property slot, and there
+        // is at most one of it per entry; the rare stale entries are
+        // gathered to see that none comes twice.
+        let mut stale = Vec::new();
         self.resources.reserve(resources.len());
         for entry in resources {
+            if (entry as usize) < before {
+                return Err(DenseTableError::DuplicateTerm);
+            }
             let id = self
                 .ids
                 .get_mut(entry as usize)
                 .ok_or(DenseTableError::BadEntry)?;
             match *id {
                 0 => *id = nth_resource_id(self.resources.len()),
-                // A promotion's stale slot.
-                id if is_property_id(id) => {}
+                id if is_property_id(id) => stale.push(entry),
                 _ => return Err(DenseTableError::DuplicateTerm),
             }
             self.resources.push(entry);
+        }
+        stale.sort_unstable();
+        if stale.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err(DenseTableError::DuplicateTerm);
         }
         if self.ids[before..].contains(&0) {
             return Err(DenseTableError::BadEntry);
@@ -1037,8 +1051,22 @@ mod tests {
             Dictionary::empty(),
         );
         let since = grown.raw_parts_since(half).unwrap();
-        let appended = rebuild(since, first.unwrap()).unwrap();
+        let appended = rebuild(since, first.clone().unwrap()).unwrap();
         assert_eq!(appended, grown);
+        // A delta that lists a promotion's stale slot again is refused:
+        // `hasPart`, promoted in the base, and `b`, promoted in the delta.
+        let entry = |key: &str| grown.terms.get(key).unwrap();
+        for again in [entry("<http://ex/hasPart>"), entry("<http://ex/b>")] {
+            let resources = [since.resources, &[again]].concat();
+            let delta = RawParts {
+                resources: &resources,
+                ..since
+            };
+            assert_eq!(
+                rebuild(delta, first.clone().unwrap()),
+                Err(DenseTableError::DuplicateTerm)
+            );
+        }
         for iri in [
             "http://ex/a",
             "http://ex/b",
@@ -1049,7 +1077,6 @@ mod tests {
         }
         // A property, or a resource, appended again to a dictionary that
         // holds it is refused.
-        let entry = |key: &str| grown.terms.get(key).unwrap();
         for (properties, resources) in [
             (vec![entry("<http://ex/p>")], vec![]),
             (vec![], vec![entry("\"chat\"@fr")]),
@@ -1116,6 +1143,15 @@ mod tests {
                 DenseTableError::BadText,
             ),
             (parts("<p>", &[], &[], &[]), DenseTableError::BadText),
+            // One promotion, two stale slots.
+            (
+                parts("<p>", &[3], &[0], &[0, 0]),
+                DenseTableError::DuplicateTerm,
+            ),
+            (
+                parts("<p><r>", &[3, 6], &[0], &[0, 1, 0]),
+                DenseTableError::DuplicateTerm,
+            ),
         ];
         for (outcome, error) in refused {
             assert_eq!(outcome, Err(error));

@@ -8,9 +8,11 @@
 //! reaches the log. Checkpoints serialize the store into a
 //! [snapshot image](crate::snapshot) and retire the log records it covers.
 //! Recovery is the composition: newest valid image + replay of the WAL
-//! suffix through the same pipeline (with a no-op log stage), which is what
-//! makes the recovered store *byte-identical* (the engine is deterministic
-//! for a given input sequence).
+//! suffix through the same pipeline's step ([`Replay`]: encode, compile,
+//! promote, reason — in place on the image's state, before any reader
+//! exists, with no gate, log or publish per record), which is what makes
+//! the recovered store *byte-identical* (the engine is deterministic for a
+//! given input sequence).
 //!
 //! ## Full and delta images
 //!
@@ -68,8 +70,8 @@ use crate::io::{list_numbered, IoBackend, TEMP_SUFFIX};
 use crate::snapshot::{self, BaseImage, ImageParts, Recovered, SnapshotImage};
 use crate::wal;
 use inferray_core::{
-    InferenceStats, InferrayOptions, Program, ServingDataset, Stage, Stages, WriteError, WriteKind,
-    WriteOutcome,
+    InferenceStats, InferrayOptions, Program, Replay, ServingDataset, Stage, Stages, WriteError,
+    WriteKind, WriteOutcome,
 };
 use inferray_dictionary::Dictionary;
 use inferray_model::json_string_into;
@@ -487,23 +489,22 @@ impl DurableDataset {
             ..
         } = image;
         let mut clock = Instant::now();
-        let inner =
-            ServingDataset::from_parts(dictionary, base, materialized, epoch, program, options);
+        let mut replay = Replay::new(dictionary, base, materialized, epoch, program, options);
         stages.lap(Stage::OsCaches, &mut clock);
 
-        // Replay the WAL suffix through the live write pipeline. Every
-        // record passed the shape gate of the process that logged it, so
-        // replay runs ungated; the embedder re-installs its shapes on the
-        // recovered dataset, which validates the recovered snapshot.
+        // Replay the WAL suffix through the live write's step, in place on
+        // the image's own state: no reader exists before the publish.
+        // Every record passed the shape gate of the process that logged
+        // it, so replay runs ungated; the embedder re-installs its shapes
+        // on the recovered dataset, which validates the recovered snapshot.
         let log = wal::recover(backend.as_ref(), &dir, snapshot_seq)?;
         for record in &log.records {
-            inner
-                .write_ntriples(record.kind, &record.body, || Ok(()))
-                .map_err(|e| {
-                    let seq = record.seq;
-                    DurableError::corrupt(format!("WAL record {seq} does not replay: {e}"))
-                })?;
+            replay.ntriples(record.kind, &record.body).map_err(|e| {
+                let seq = record.seq;
+                DurableError::corrupt(format!("WAL record {seq} does not replay: {e}"))
+            })?;
         }
+        let inner = replay.publish();
         stages.lap(Stage::Replay, &mut clock);
 
         let snapshot = inner.store_snapshot();
@@ -539,7 +540,10 @@ impl DurableDataset {
             ..DurabilityStatus::default()
         };
         // Nothing of this process's state is in an image yet: its first
-        // checkpoint is a full one.
+        // checkpoint is a full one. It must be: a delta carries the tables
+        // that are no longer the very allocations its full image captured,
+        // and replay changed tables in place, in the allocations the image
+        // was decoded into — a delta on that image would miss them.
         let state = DurableState {
             status,
             live: log.live,
@@ -1411,6 +1415,55 @@ mod tests {
         assert_eq!(live.epoch(), back.epoch());
         assert_eq!(live.store(), back.store());
         assert_eq!(*live_dict, *back_dict);
+    }
+
+    /// Replay changes tables in place, so they keep the allocations the
+    /// image was decoded into: a delta that finds changed tables by
+    /// identity would miss every one of them if it were written on that
+    /// image. The first checkpoint after a replay is full, and the deltas on
+    /// it recover.
+    #[test]
+    fn the_first_checkpoint_after_a_replay_is_full_and_the_delta_on_it_recovers() {
+        let fs = Arc::new(MemFs::new());
+        let original = boot(Arc::clone(&fs));
+        // `rdf:type` is in the image; the replayed record changes it.
+        original
+            .extend_ntriples(
+                "<http://ex/lisa> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n",
+            )
+            .unwrap();
+        let disk = Arc::new(MemFs::from_view(fs.durable_view()));
+        let (reopened, report) = DurableDataset::open(
+            "data",
+            Fragment::RdfsDefault,
+            InferrayOptions::default(),
+            Arc::clone(&disk) as Arc<dyn IoBackend>,
+            CheckpointPolicy::manual(),
+        )
+        .unwrap();
+        assert_eq!(report.replayed_records, 1);
+        assert_same_state(&original, &reopened);
+
+        reopened.checkpoint().unwrap();
+        assert_eq!(reopened.status().last_image_kind, ImageKind::Full);
+        reopened
+            .extend_ntriples(
+                "<http://ex/maggie> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/human> .\n",
+            )
+            .unwrap();
+        reopened.checkpoint().unwrap();
+        let status = reopened.status();
+        assert_eq!(
+            (status.last_image_kind, status.image_base_epoch),
+            (ImageKind::Delta, 1)
+        );
+        let (back, report) = recover(&disk);
+        assert_eq!(report.replayed_records, 0);
+        assert!(report.base_path.is_some());
+        assert_same_state(&reopened, &back);
+        let (_, live_base, _) = reopened.dataset().persistable_state();
+        let (_, back_base, _) = back.dataset().persistable_state();
+        assert_eq!(live_base, back_base);
     }
 
     #[test]

@@ -309,10 +309,9 @@ impl Handoff<StoreSnapshot> {
         SnapshotStore::with_epoch(store, 0)
     }
 
-    /// Publishes `store` as the given starting epoch — the recovery path of
-    /// the persistence layer, which must resume the epoch counter where the
-    /// pre-crash process left it so that replayed write-ahead-log records
-    /// republish the exact epoch sequence they produced the first time.
+    /// Publishes `store` as the given starting epoch, for a store that
+    /// resumes an epoch sequence where an earlier process left it, as a
+    /// recovered dataset does.
     /// Like [`SnapshotStore::new`], the store is finalized and ⟨o,s⟩-cached.
     pub fn with_epoch(store: TripleStore, epoch: u64) -> Self {
         Handoff::holding(StoreSnapshot::prepare(store, epoch))

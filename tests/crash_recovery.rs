@@ -41,7 +41,8 @@ const SCHEMA: &str = "\
 
 /// One update batch: `rdf:type` assertions/retractions over a small
 /// instance × class universe, so retractions regularly hit triples that
-/// earlier asserts created (and their inferred superclass memberships).
+/// earlier asserts created (and their inferred superclass memberships), or
+/// a batch that uses an instance as a predicate ([`link_triple`]).
 #[derive(Clone, Debug)]
 enum Op {
     Assert(String),
@@ -55,6 +56,14 @@ fn type_triple(instance: u8, class: u8) -> String {
     )
 }
 
+/// An instance used as a predicate. The first such write promotes the
+/// instance, interned as a resource, to a property: its identifier changes
+/// in the dictionary, the store and the explicit base — on the live write,
+/// and again when recovery replays the record in place.
+fn link_triple(subject: u8, instance: u8, class: u8) -> String {
+    format!("<http://ex/i{subject}> <http://ex/i{instance}> <http://ex/c{class}> .\n")
+}
+
 fn arbitrary_ops() -> impl Strategy<Value = Vec<Op>> {
     let batch = prop::collection::vec((0u8..4, 0u8..4), 1..4).prop_map(|pairs| {
         pairs
@@ -62,14 +71,31 @@ fn arbitrary_ops() -> impl Strategy<Value = Vec<Op>> {
             .map(|(i, c)| type_triple(i, c))
             .collect::<String>()
     });
+    let links = prop::collection::vec((0u8..4, 0u8..4, 0u8..4), 1..3).prop_map(|triples| {
+        triples
+            .into_iter()
+            .map(|(s, i, c)| link_triple(s, i, c))
+            .collect::<String>()
+    });
     prop::collection::vec(
         prop_oneof![
             batch.clone().prop_map(Op::Assert),
             batch.prop_map(Op::Retract),
+            links.clone().prop_map(Op::Assert),
+            links.prop_map(Op::Retract),
             Just(Op::Checkpoint),
         ],
         1..8,
     )
+}
+
+/// Random histories per property: 24, or more when `PROPTEST_CASES` asks
+/// for more (the nightly long run does), never fewer.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|value| value.parse().ok())
+        .map_or(24, |cases: u32| cases.max(24))
 }
 
 fn options() -> InferrayOptions {
@@ -245,7 +271,7 @@ fn assert_recovers_under(scenario: Scenario, view: DurableView, expected: &[u8],
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The headline property: crash after **every** acknowledged batch
     /// (including crashes landing right after a checkpoint wrote its image
