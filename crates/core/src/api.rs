@@ -1118,9 +1118,10 @@ impl Replay {
     /// Takes the exact state a previous process published — the dictionary,
     /// the explicit base, the materialized store, the epoch it was serving
     /// and the program it was closed under — and builds the ⟨o,s⟩ cache of
-    /// every table side by side on the pool, largest first: the first epoch
-    /// needs them all, and built now the replayed writes keep them patched
-    /// instead of rebuilding the ones they read.
+    /// every table that has none yet side by side on the pool, largest
+    /// first: the first epoch needs them all, and built now the replayed
+    /// writes keep them patched instead of rebuilding the ones they read.
+    /// An image read for a cold start comes with them built.
     pub fn new(
         dictionary: Dictionary,
         base: TripleStore,

@@ -26,7 +26,7 @@
 //! `examples/quickstart.rs` and the end-to-end tests, and the serving
 //! dataset ([`ServingDataset`]) the SPARQL endpoint publishes; the benchmark
 //! harness drives the encoded
-//! [`Materializer`](inferray_rules::Materializer) interface directly.
+//! [`Materializer`] interface directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,7 +23,7 @@
 //! The loop pays only for what is new:
 //!
 //! * **the first iteration reads the store itself.** Algorithm 1 sets
-//!   `new = main` (line 3); [`Frontier::Whole`] says so without a copy —
+//!   `new = main` (line 3); `Frontier::Whole` says so without a copy —
 //!   the store is handed to the executors as both halves of the
 //!   [`RuleContext`], which lets each of them run one semi-naive pass
 //!   instead of two identical ones;

@@ -13,7 +13,8 @@
 //! one after another, so they sum ([`Stages::total`]) to at most the wall
 //! time of the run; the details of a stage ([`Stage::parent`]) run inside
 //! it, so those that run one after another sum to at most it (`DICT`
-//! decodes on a lane of its own beside `BASE` and `MATL`).
+//! decodes on a lane of its own beside `BASE`, `MATL` and the `caches`
+//! that start when `MATL` lands).
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -99,7 +100,11 @@ stages! {
     Base "BASE" in Image,
     /// The image's `MATL` section decoded: the materialized store.
     Matl "MATL" in Image,
-    /// A cold start: building the first epoch's ⟨o,s⟩ caches.
+    /// The ⟨o,s⟩ caches of the `MATL` tables, built on both decode lanes
+    /// from the moment the store lands to the last build's end.
+    Caches "caches" in Image,
+    /// A cold start: building the first epoch's ⟨o,s⟩ caches the image
+    /// stage did not.
     OsCaches "os_caches",
     /// A cold start: reading the log, replaying its records past the image
     /// in place, and publishing the first epoch.

@@ -24,7 +24,7 @@
 //!   taxonomy, many properties), WordNet (long hypernym chains).
 //!
 //! Every generator is deterministic given its seed, returns decoded
-//! [`Triple`](inferray_model::Triple)s, and reports its schema/instance
+//! [`Triple`]s, and reports its schema/instance
 //! split so benchmark tables can be labelled.
 
 #![forbid(unsafe_code)]

@@ -156,7 +156,7 @@ impl TextArena {
     /// [`raw_parts`](Self::raw_parts) listed them past this arena's end:
     /// `ends` are offsets in the whole arena, so the first one counts from
     /// this arena's text length. Each new entry is re-seated in the index as
-    /// [`grow`](Self::grow) does, and compared on the way. Refused — and the
+    /// `grow` does, and compared on the way. Refused — and the
     /// arena left as it was — when the offsets fall, leave `text`, cut a
     /// character or leave bytes of it to no entry, when an entry's text is
     /// already interned, or when the entries outnumber the index.

@@ -39,7 +39,7 @@
 //!    per-property buffers; the buffers are concatenated in chunk order
 //!    (reproducing document order) and every property lane is sorted and
 //!    deduplicated on its own pool lane with a reusable
-//!    [`SortScratch`](inferray_sort::SortScratch).
+//!    [`SortScratch`].
 //!
 //! The chunk structure is invisible in the result: any thread count, any
 //! chunk size and — for a streamed file — any block size produce a

@@ -451,7 +451,7 @@ struct MemFsState {
 }
 
 /// An in-memory [`IoBackend`] with a power-loss model: each file tracks a
-/// durable prefix ([`MemFile::synced_len`]), [`MemFs::durable_view`]
+/// durable prefix (its synced length), [`MemFs::durable_view`]
 /// snapshots exactly what a crash would leave behind, and queued
 /// [`Fault`]s fail specific operations deterministically.
 #[derive(Debug, Default)]

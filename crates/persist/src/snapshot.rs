@@ -78,7 +78,10 @@
 //! header and the section table, checks that the file ends where the last
 //! section does, and then decodes each section from its own handle and
 //! offset, through one block, keeping its CRC as it reads — the dictionary
-//! on one pool lane, the two stores on another. What the decoder allocates
+//! on one pool lane, its text read past the block straight into the
+//! buffer its arena keeps, and the two stores on another, whose lane then
+//! builds the ⟨o,s⟩ caches of the materialized tables while the
+//! dictionary decodes ([`open_recoverable`]). What the decoder allocates
 //! is the decoded dictionary and tables, each at a size it first holds to
 //! what its section still contains.
 //! [`encode_image`] and [`decode_image`] are the same writer and reader
@@ -93,7 +96,8 @@ use inferray_store::{as_pairs, PropertyTable, TripleStore};
 use std::fmt;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// File magic: "Inferray image, format 2" — full and delta images alike.
@@ -801,15 +805,22 @@ impl<R: Read> SectionReader<R> {
         Ok(())
     }
 
-    /// Appends the next `len` bytes to `out`, a block at a time.
-    fn bytes(&mut self, mut len: usize, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        while len > 0 {
-            let bytes = self.ensure(1)?;
-            let n = len.min(bytes.len());
-            out.extend_from_slice(&bytes[..n]);
-            self.pos += n;
-            len -= n;
+    /// Fills `out` with the next `out.len()` bytes: what the block still
+    /// holds, then straight from the source into `out`, at most one
+    /// [`IMAGE_BLOCK`] a read, each piece checksummed where it lands.
+    fn read_into(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
+        let held = (self.block.len() - self.pos).min(out.len());
+        let (from_block, rest) = out.split_at_mut(held);
+        from_block.copy_from_slice(&self.block[self.pos..self.pos + held]);
+        self.pos += held;
+        if rest.len() as u64 > self.unread {
+            return Err(SnapshotError::Truncated);
         }
+        for piece in rest.chunks_mut(IMAGE_BLOCK) {
+            self.source.read_exact(piece)?;
+            self.crc.update(piece);
+        }
+        self.unread -= rest.len() as u64;
         Ok(())
     }
 
@@ -869,8 +880,10 @@ fn decode_dictionary<R: Read>(
     r.items(len(properties)?, &mut property_entries, u32::from_le_bytes)?;
     let mut resource_entries = Vec::with_capacity(len(resources)?);
     r.items(len(resources)?, &mut resource_entries, u32::from_le_bytes)?;
-    let mut bytes = Vec::with_capacity(len(text)?);
-    r.bytes(len(text)?, &mut bytes)?;
+    // The text is read into the buffer the arena keeps: zeroed pages the
+    // reads fault in, not a copy out of the block.
+    let mut bytes = vec![0; len(text)?];
+    r.read_into(&mut bytes)?;
     r.finish(crc, "DICT")?;
     let text = String::from_utf8(bytes).map_err(|_| SnapshotError::Malformed("non-UTF-8 text"))?;
     let parts = (text, ends, property_entries, resource_entries);
@@ -1048,18 +1061,132 @@ fn read_frame(open: &Open<'_>) -> Result<Frame, SnapshotError> {
     })
 }
 
+/// Which `MATL` tables an image read builds the ⟨o,s⟩ caches of.
+#[derive(Debug, Clone, Copy)]
+enum Caches<'a> {
+    /// None: a decoder's read.
+    None,
+    /// Every table without one: the image the first epoch is made of.
+    All,
+    /// The tables of the slots marked `true`: a delta's base, whose kept
+    /// tables are the delta's too ([`kept_slots`]).
+    Slots(&'a [bool]),
+}
+
+/// The ⟨o,s⟩ caches of a decoded `MATL` store, built by whichever decode
+/// lane is free: the stores' lane from the moment the store lands, the
+/// dictionary's once it is done. Each lane takes the next table, largest
+/// first, until none is left; a lane that comes before the store has
+/// landed has none to take, and whatever neither built, `Replay::new`
+/// builds.
+#[derive(Default)]
+struct CacheBuilds {
+    /// The tables to build, largest first, and when they were offered.
+    tables: OnceLock<(Vec<Arc<PropertyTable>>, Instant)>,
+    /// The next table to take.
+    next: AtomicUsize,
+    /// When the last build ended.
+    done: Mutex<Option<Instant>>,
+}
+
+impl CacheBuilds {
+    /// Offers the tables of `store` that `which` names and that have no
+    /// cache yet.
+    fn offer(&self, store: &TripleStore, which: Caches<'_>) {
+        let offered = Instant::now();
+        let wanted = |slot: usize| match which {
+            Caches::None => false,
+            Caches::All => true,
+            Caches::Slots(slots) => slots.get(slot).copied().unwrap_or(false),
+        };
+        let mut tables: Vec<Arc<PropertyTable>> = store
+            .slot_tables()
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| wanted(slot))
+            .filter_map(|(_, table)| table.clone())
+            .filter(|table| !table.is_empty() && !table.has_os_cache())
+            .collect();
+        tables.sort_by_key(|table| std::cmp::Reverse(table.len()));
+        let _ = self.tables.set((tables, offered));
+    }
+
+    /// Builds caches until none is left to take.
+    fn help(&self) {
+        let Some((tables, _)) = self.tables.get() else {
+            return;
+        };
+        let mut built = false;
+        while let Some(table) = tables.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            table.object_pairs();
+            built = true;
+        }
+        if built {
+            let now = Instant::now();
+            let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+            *done = Some(done.map_or(now, |done| done.max(now)));
+        }
+    }
+
+    /// From the offer to the end of the last build, if one ran.
+    fn time(&self) -> Option<Duration> {
+        let (_, offered) = self.tables.get()?;
+        let done = (*self.done.lock().unwrap_or_else(|e| e.into_inner()))?;
+        Some(done.saturating_duration_since(*offered))
+    }
+}
+
+/// The slots of a delta's `MATL` section (at `matl`) marked "as in base":
+/// the base tables the delta keeps, read ahead of the base so that their
+/// caches are built while the base decodes. Nothing here is trusted — the
+/// section's CRC and structure are checked when it is decoded — and a slot
+/// it gets wrong costs one cache build, or leaves one to the delta's read.
+fn kept_slots(open: &Open<'_>, matl: &SectionEntry) -> Vec<bool> {
+    let mut kept = Vec::new();
+    let end = matl.payload.saturating_add(matl.len);
+    let mut scan = || -> Option<()> {
+        let handle = |at: u64| Some(io::BufReader::with_capacity(512, open(at).ok()?));
+        let mut r = handle(matl.payload)?;
+        let mut word = [0u8; 8];
+        r.read_exact(&mut word).ok()?;
+        let mut at = matl.payload + 8;
+        // A slot takes one byte at least.
+        for _ in 0..u64::from_le_bytes(word).min(matl.len) {
+            let mut marker = [0u8; 1];
+            r.read_exact(&mut marker).ok()?;
+            kept.push(marker[0] == SLOT_AS_IN_BASE);
+            at += 1;
+            if marker[0] == SLOT_TABLE {
+                r.read_exact(&mut word).ok()?;
+                at = u64::from_le_bytes(word)
+                    .checked_mul(8)
+                    .and_then(|pairs| at.checked_add(8)?.checked_add(pairs))
+                    .filter(|&at| at <= end)?;
+                r = handle(at)?;
+            }
+        }
+        Some(())
+    };
+    let _ = scan();
+    kept
+}
+
 /// The one reader: validates and decodes an image from handles `open`
 /// gives — a full image on the empty base, or a delta on the image it
 /// names, given.
 ///
-/// Each section decodes from its own handle through one [`IMAGE_BLOCK`],
-/// keeping its CRC as it reads; the dictionary on one pool lane, the two
-/// stores on another: this is the cold-start critical path, and the
-/// dictionary rebuild does not need to wait on two multi-megabyte
-/// pair-table passes (or vice versa).
+/// Each section decodes from its own handle, keeping its CRC as it reads;
+/// the dictionary on one pool lane, the two stores one after the other on
+/// another: this is the cold-start critical path, and the dictionary
+/// rebuild does not need to wait on two multi-megabyte pair-table passes
+/// (or vice versa). The stores' lane then builds the ⟨o,s⟩ cache of each
+/// `MATL` table that `caches` names, largest first, while the dictionary
+/// still decodes, and the dictionary's lane takes the rest with it once it
+/// is done ([`CacheBuilds`]).
 fn read_image(
     open: &Open<'_>,
     on: Option<SnapshotImage>,
+    caches: Caches<'_>,
 ) -> Result<(SnapshotImage, Stages), SnapshotError> {
     let start = Instant::now();
     let frame = read_frame(open)?;
@@ -1083,27 +1210,36 @@ fn read_image(
     let reader = |entry: &SectionEntry| -> Result<_, SnapshotError> {
         Ok(SectionReader::new(open(entry.payload)?, entry.len))
     };
+    let builds = CacheBuilds::default();
     // Two lanes: the dictionary on one, the two stores one after the other
-    // on the other. The dictionary costs about what both stores cost
-    // together, so a third lane shortens nothing, and where there are two
-    // cores it takes the dictionary's time away from it.
+    // on the other, then the caches on both. The dictionary costs about
+    // what both stores and their caches cost together, so a third lane
+    // shortens nothing, and where there are two cores it takes the
+    // dictionary's time away from it.
     type DecodeTask<'a> =
         Box<dyn FnOnce() -> Vec<(Result<Section, SnapshotError>, Duration)> + Send + 'a>;
     let lanes = inferray_parallel::global().run_ordered(vec![
         Box::new(|| {
-            vec![timed(|| {
+            let dictionary = timed(|| {
                 decode_dictionary(reader(dict)?, dict.crc, dictionary_on).map(Section::Dict)
-            })]
+            });
+            if dictionary.0.is_ok() {
+                builds.help();
+            }
+            vec![dictionary]
         }) as DecodeTask<'_>,
         Box::new(|| {
-            vec![
-                timed(|| {
-                    decode_store(reader(base)?, base.crc, "BASE", base_on).map(Section::Store)
-                }),
-                timed(|| {
-                    decode_store(reader(matl)?, matl.crc, "MATL", matl_on).map(Section::Store)
-                }),
-            ]
+            let base = timed(|| {
+                decode_store(reader(base)?, base.crc, "BASE", base_on).map(Section::Store)
+            });
+            let matl = timed(|| {
+                decode_store(reader(matl)?, matl.crc, "MATL", matl_on).map(Section::Store)
+            });
+            if let (Ok(_), Ok(Section::Store(store))) = (&base.0, &matl.0) {
+                builds.offer(store, caches);
+                builds.help();
+            }
+            vec![base, matl]
         }),
     ]);
     let mut sections: Vec<_> = lanes.into_iter().flatten().collect();
@@ -1125,6 +1261,9 @@ fn read_image(
     let Section::Dict(dictionary) = pop_section(Stage::Dict, "missing DICT section")? else {
         return Err(SnapshotError::Malformed("DICT section is not a dictionary"));
     };
+    if let Some(time) = builds.time() {
+        stages.add(Stage::Caches, time);
+    }
     let image = SnapshotImage {
         epoch: frame.epoch,
         last_seq: frame.last_seq,
@@ -1157,7 +1296,7 @@ fn slice_handles<'a>(
 /// Validates and decodes the full snapshot image in `bytes`: the image
 /// reader over a slice.
 pub fn decode_image(bytes: &[u8]) -> Result<SnapshotImage, SnapshotError> {
-    Ok(read_image(&slice_handles(bytes), None)?.0)
+    Ok(read_image(&slice_handles(bytes), None, Caches::None)?.0)
 }
 
 /// Validates and decodes the delta image in `bytes` on top of `base`, the
@@ -1166,14 +1305,14 @@ pub fn decode_delta_image(
     bytes: &[u8],
     base: SnapshotImage,
 ) -> Result<SnapshotImage, SnapshotError> {
-    Ok(read_image(&slice_handles(bytes), Some(base))?.0)
+    Ok(read_image(&slice_handles(bytes), Some(base), Caches::None)?.0)
 }
 
 /// Validates and decodes the full snapshot image at `path`, reading each
 /// section from a handle of its own (see [`IoBackend::open_at`]): the
 /// image is never in memory whole.
 pub fn open_image(backend: &dyn IoBackend, path: &Path) -> Result<SnapshotImage, SnapshotError> {
-    Ok(read_image(&|offset| backend.open_at(path, offset), None)?.0)
+    Ok(read_image(&|offset| backend.open_at(path, offset), None, Caches::None)?.0)
 }
 
 /// The file of the full image a delta image names: its base's epoch's
@@ -1210,12 +1349,14 @@ pub struct Recovered {
 /// Validates and decodes the image at `path` into the state it records: a
 /// full image on its own ([`open_image`]), a delta on top of the full
 /// image it names — which must be present, a full image, valid, and carry
-/// the header CRC the delta names.
+/// the header CRC the delta names. Unlike the decoders, it builds the
+/// ⟨o,s⟩ cache of every materialized table on the way: the state is the
+/// first epoch a cold start serves.
 pub fn open_recoverable(backend: &dyn IoBackend, path: &Path) -> Result<Recovered, SnapshotError> {
     let open = |offset| backend.open_at(path, offset);
     let frame = read_frame(&open)?;
     let Some((base_epoch, base_crc)) = frame.base else {
-        let (image, stages) = read_image(&open, None)?;
+        let (image, stages) = read_image(&open, None, Caches::All)?;
         return Ok(Recovered {
             image,
             base: None,
@@ -1230,8 +1371,12 @@ pub fn open_recoverable(backend: &dyn IoBackend, path: &Path) -> Result<Recovere
             "the base of a delta image is not the image it names",
         ));
     }
-    let (on, mut stages) = read_image(&open_base, None)?;
-    let (image, delta_stages) = read_image(&open, Some(on))?;
+    // A table the delta keeps as in base gets its cache once, on the
+    // base's read, while the base's dictionary decodes; the delta's read
+    // builds those of its own tables.
+    let kept = kept_slots(&open, &frame.sections[2]);
+    let (on, mut stages) = read_image(&open_base, None, Caches::Slots(&kept))?;
+    let (image, delta_stages) = read_image(&open, Some(on), Caches::All)?;
     stages += delta_stages;
     Ok(Recovered {
         image,
@@ -1564,6 +1709,7 @@ mod tests {
                 }) as Box<dyn Read + Send>)
             },
             None,
+            Caches::None,
         )
         .unwrap();
         assert_eq!(image.materialized, store);
@@ -1618,6 +1764,64 @@ mod tests {
             materialized,
         };
         (decode_image(&full).unwrap(), record, delta, expected)
+    }
+
+    /// Whether each non-empty table of `store` has its ⟨o,s⟩ cache.
+    fn cached(store: &TripleStore) -> Vec<(usize, bool)> {
+        store
+            .slot_tables()
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, table)| Some((slot, table.as_ref()?)))
+            .filter(|(_, table)| !table.is_empty())
+            .map(|(slot, table)| (slot, table.has_os_cache()))
+            .collect()
+    }
+
+    #[test]
+    fn a_table_a_delta_keeps_gets_its_cache_once_on_the_base_s_read() {
+        let (base, _, delta, expected) = delta_sample();
+        let full = encode_image(
+            &base.dictionary,
+            &base.base,
+            &base.materialized,
+            base.epoch,
+            base.last_seq,
+            &base.fragment,
+        );
+        let open_delta = slice_handles(&delta);
+        let kept = kept_slots(&open_delta, &read_frame(&open_delta).unwrap().sections[2]);
+        let (on, _) = read_image(&slice_handles(&full), None, Caches::Slots(&kept)).unwrap();
+        // The base's read builds the caches of the kept tables alone.
+        let on_cached = cached(&on.materialized);
+        assert!(on_cached.iter().any(|&(_, built)| built), "{kept:?}");
+        assert!(on_cached.iter().any(|&(_, built)| !built), "{kept:?}");
+        for &(slot, built) in &on_cached {
+            assert_eq!(built, kept.get(slot) == Some(&true), "slot {slot}");
+        }
+        let kept_tables: Vec<(usize, Arc<PropertyTable>)> = on
+            .materialized
+            .slot_tables()
+            .iter()
+            .enumerate()
+            .filter(|&(slot, _)| kept.get(slot) == Some(&true))
+            .filter_map(|(slot, table)| Some((slot, Arc::clone(table.as_ref()?))))
+            .collect();
+        let (image, stages) = read_image(&open_delta, Some(on), Caches::All).unwrap();
+        assert_eq!(image, expected);
+        assert!(stages.get(Stage::Caches).is_some(), "{stages}");
+        // The delta's read builds the rest; a kept table is the very one
+        // whose cache the base's read built.
+        assert!(cached(&image.materialized).iter().all(|&(_, built)| built));
+        for (slot, table) in kept_tables {
+            let now = image.materialized.slot_tables()[slot].as_ref().unwrap();
+            assert!(Arc::ptr_eq(now, &table), "slot {slot}");
+        }
+        // A decoder's read builds none.
+        let decoded = decode_image(&full).unwrap();
+        assert!(cached(&decoded.materialized)
+            .iter()
+            .all(|&(_, built)| !built));
     }
 
     #[test]

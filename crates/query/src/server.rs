@@ -63,12 +63,12 @@
 //! request (`Connection: close`, or an HTTP/1.0 client without
 //! `keep-alive`), on framing errors (the byte stream position is unknown
 //! after 408/411/413/501), or on shutdown. Each worker owns one set of
-//! reusable buffers ([`WorkerBuffers`]) — request head scratch, body
+//! reusable buffers (`WorkerBuffers`) — request head scratch, body
 //! buffer, response body, the projected variables' binding keys and the
 //! rendered status line and headers — so the steady-state request loop
 //! performs no per-request heap allocation for framing or response
 //! rendering. The body is rendered once, into its buffer, and leaves from
-//! there: head and body go out in one vectored write ([`send`]), so a
+//! there: head and body go out in one vectored write (`send`), so a
 //! large answer is never copied behind its head. The repo lint rule IL007
 //! keeps `format!` / `String::new` / `Vec::new` out of the hot functions;
 //! cold paths (errors, updates) delegate to dedicated functions that may

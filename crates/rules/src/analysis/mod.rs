@@ -3,7 +3,7 @@
 //!
 //! The pipeline has three stages:
 //!
-//! 1. **[`analyze`]** — purely symbolic: the parser ([`parse`] module) turns
+//! 1. **[`analyze`]** — purely symbolic: the parser (the `parse` module) turns
 //!    a textual datalog-style rule file into [`SymRule`]s, then the check
 //!    passes vet safety/range-restriction, duplicate and dead rules,
 //!    disconnected patterns, shadowing, and the predicate dependency graph.

@@ -3,7 +3,7 @@
 //! The paper compares Inferray against systems with very different internals
 //! (hash-join datalog, RETE, Hadoop). The reproduction mirrors that through a
 //! single trait: a [`Materializer`] receives a finalized
-//! [`TripleStore`](inferray_store::TripleStore) and computes the full
+//! [`TripleStore`] and computes the full
 //! materialization in place, reporting uniform statistics. The benchmark
 //! harness drives Inferray and the baselines through this trait only.
 

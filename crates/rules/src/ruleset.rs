@@ -130,29 +130,28 @@ impl std::fmt::Display for RuleRef {
     }
 }
 
+/// The built-ins of `fragment`, in Table 5 order.
+fn fragment_rules(fragment: Fragment) -> Vec<RuleId> {
+    CATALOG
+        .iter()
+        .filter(|info| fragment.includes(info.id))
+        .map(|info| info.id)
+        .collect()
+}
+
 impl Ruleset {
     /// Builds the ruleset of a fragment from the catalog (analyzed once per
-    /// process, then cloned).
+    /// process and fragment, on its first use, then cloned).
     pub fn for_fragment(fragment: Fragment) -> Self {
-        static FRAGMENTS: OnceLock<Vec<Ruleset>> = OnceLock::new();
-        let built = FRAGMENTS.get_or_init(|| {
-            Fragment::ALL
-                .into_iter()
-                .map(|fragment| {
-                    let rules = CATALOG
-                        .iter()
-                        .filter(|info| fragment.includes(info.id))
-                        .map(|info| info.id)
-                        .collect();
-                    Self::new(fragment, rules, Vec::new()).analyzed()
-                })
-                .collect()
-        });
+        static FRAGMENTS: [OnceLock<Ruleset>; Fragment::ALL.len()] =
+            [const { OnceLock::new() }; Fragment::ALL.len()];
         let index = Fragment::ALL
             .iter()
             .position(|&f| f == fragment)
             .expect("every fragment is listed");
-        built[index].clone()
+        FRAGMENTS[index]
+            .get_or_init(|| Self::new(fragment, fragment_rules(fragment), Vec::new()).analyzed())
+            .clone()
     }
 
     /// Builds a ruleset from an analyzed + compiled rule file
@@ -185,7 +184,7 @@ impl Ruleset {
         if custom.is_empty() {
             if let Some(fragment) = Fragment::ALL
                 .into_iter()
-                .find(|&f| Self::for_fragment(f).rules == builtins)
+                .find(|&f| fragment_rules(f) == builtins)
             {
                 return Self::for_fragment(fragment);
             }
@@ -254,7 +253,7 @@ impl Ruleset {
     }
 
     /// The compiled text of a member: a built-in's catalog text
-    /// ([`compiled_builtin`]) or a custom rule. Its signatures decide every
+    /// (`compiled_builtin`) or a custom rule. Its signatures decide every
     /// schedule, rederivation seed, stratum and elision.
     pub fn compiled(&self, rule: RuleRef) -> &CompiledRule {
         match rule {

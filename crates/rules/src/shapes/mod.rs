@@ -4,7 +4,7 @@
 //! The pipeline mirrors the rule analyzer ([`crate::analysis`]) stage for
 //! stage:
 //!
-//! 1. **[`analyze`]** — purely symbolic: the parser ([`parse`] module) turns
+//! 1. **[`analyze`]** — purely symbolic: the parser (the `parse` module) turns
 //!    a textual shape file into [`SymShape`]s, then the check passes vet
 //!    cardinality bounds, duplicate/dead/shadowed shapes, the `node`
 //!    reference graph and whole-store targets. Every finding is a positioned
@@ -12,7 +12,7 @@
 //!    sharing the rule analyzer's diagnostic type so tooling renders both
 //!    the same way.
 //! 2. **[`ShapeAnalysis::compile`]** — lowers the shapes against a
-//!    [`Dictionary`] (read-only — see [`compile`]) into target selectors and
+//!    [`Dictionary`] (read-only — see the `compile` module) into target selectors and
 //!    constraint evaluators over identifier space.
 //! 3. **[`validate`]** / **[`validate_delta`]** — evaluate a compiled
 //!    program over the sorted pair tables: full snapshots fan out over
@@ -68,7 +68,8 @@ impl ShapeAnalysis {
 
     /// Lowers the analyzed shapes against `dict`. Unlike the rule compiler
     /// this never mutates the dictionary — shapes naming unknown terms
-    /// compile to selectors/checks that match nothing (see [`compile`]).
+    /// compile to selectors/checks that match nothing (see the `compile`
+    /// module).
     /// `Err` carries every error-severity diagnostic of the symbolic stage.
     pub fn compile(&self, dict: &Dictionary) -> Result<CompiledShapes, Vec<Diagnostic>> {
         if self.has_errors() {

@@ -12,7 +12,7 @@
 //! thread is a real OS thread, but exactly **one** is runnable at a time.
 //! Each operation on a tracked primitive ([`sync::Mutex`],
 //! [`sync::RwLock`], the [`sync::atomic`] types, [`thread::spawn`],
-//! [`JoinHandle::join`], [`thread::yield_now`], [`nondet`]) is a *yield
+//! [`thread::JoinHandle::join`], [`thread::yield_now`], [`nondet`]) is a *yield
 //! point*: the running thread picks the next thread to run. When more than
 //! one thread could go, the choice is a DFS decision; the search replays
 //! the closure until every reachable sequence of choices has been explored,

@@ -80,7 +80,7 @@ where
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -69,7 +69,7 @@
 //! their concatenation.
 //!
 //! Sorting scratch comes from a caller-provided
-//! [`SortScratch`](inferray_sort::SortScratch), so the steady state
+//! [`SortScratch`], so the steady state
 //! performs zero sort allocations (see `inferray-sort`).
 
 use crate::property_table::PropertyTable;

@@ -32,7 +32,7 @@
 //! Readers never take a read-lock. Publication uses a generation-stamped
 //! two-slot array with a seqlock-style validation loop:
 //!
-//! * each [`Slot`] holds an optional value behind a `Mutex` plus an
+//! * each `Slot` holds an optional value behind a `Mutex` plus an
 //!   atomic **stamp** (even = stable, odd = a writer is mid-install);
 //! * an atomic `active` counter names the slot readers sample
 //!   (`active % SLOT_COUNT`);

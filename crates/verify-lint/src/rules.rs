@@ -692,7 +692,7 @@ pub fn il006_manifest_hygiene(
 /// (`results_json_into` and below walk the executor's flat batch and the
 /// dictionary's arena text straight into the response buffer) and the
 /// vectored write that sends head and body (`send`). `worker_loop`
-/// allocates the reusable [`WorkerBuffers`] once per worker and is
+/// allocates the reusable `WorkerBuffers` once per worker and is
 /// deliberately *not* listed; everything it calls per request is.
 pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
     "handle_connection",

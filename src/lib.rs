@@ -81,7 +81,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// Lives in the umbrella crate because `inferray-query` deliberately does
 /// not depend on the reasoner — the server knows only the
-/// [`UpdateSink`](inferray_query::UpdateSink) trait.
+/// [`UpdateSink`] trait.
 #[derive(Debug, Clone)]
 pub struct ServingUpdateSink {
     dataset: Arc<ServingDataset>,
