@@ -641,46 +641,11 @@ impl PropertyTable {
     }
 }
 
-/// Objects may span at most this many times a table's pairs for its
-/// ⟨o,s⟩ cache to be built by one stable scatter ([`object_sorted`]).
-const SCATTER_SPAN_PER_PAIR: u64 = 2;
-
-/// The pairs of a ⟨s,o⟩-sorted, duplicate-free array swapped and sorted on
-/// ⟨o,s⟩. The array already lists each object's subjects in ascending
-/// order, so where the objects span few enough values one stable counting
-/// scatter by object sorts it — a count pass and a write pass, against a
-/// full pair sort. `rdf:type`, whose objects are a few classes, is the
-/// common case. Otherwise the swapped pairs are sorted.
+/// The pairs of a ⟨s,o⟩ array swapped and sorted on ⟨o,s⟩.
 fn object_sorted(so: &[u64], scratch: &mut SortScratch) -> Vec<u64> {
-    let pairs = as_pairs(so);
-    let objects = pairs.iter().map(|&[_, o]| o);
-    let (Some(min), Some(max)) = (objects.clone().min(), objects.max()) else {
-        return Vec::new();
-    };
-    let span = max - min + 1;
-    if span > SCATTER_SPAN_PER_PAIR.saturating_mul(pairs.len() as u64)
-        || u32::try_from(pairs.len()).is_err()
-    {
-        let mut swapped = swap_pairs(so);
-        sort_pairs_auto_dedup_with(&mut swapped, scratch);
-        return swapped;
-    }
-    // Where each object's pairs start, then where its next pair goes.
-    let mut next = vec![0u32; span as usize + 1];
-    for &[_, o] in pairs {
-        next[(o - min) as usize + 1] += 1;
-    }
-    for at in 1..next.len() {
-        next[at] += next[at - 1];
-    }
-    let mut os = vec![0u64; so.len()];
-    for &[s, o] in pairs {
-        let at = &mut next[(o - min) as usize];
-        os[2 * *at as usize] = o;
-        os[2 * *at as usize + 1] = s;
-        *at += 1;
-    }
-    os
+    let mut swapped = swap_pairs(so);
+    sort_pairs_auto_dedup_with(&mut swapped, scratch);
+    swapped
 }
 
 /// The pairs of `delta` swapped and sorted on ⟨o,s⟩: the change a cache
@@ -1039,31 +1004,6 @@ mod tests {
         assert!(!t.has_os_cache(), "real removal drops the cache");
         t.ensure_os();
         assert_eq!(t.os_pairs().unwrap(), &[2, 5, 3, 1, 9, 1]);
-    }
-
-    #[test]
-    fn the_object_sorted_cache_is_the_swapped_pairs_sorted() {
-        // Objects over a few values (the scatter), over up to the span
-        // bound and past it (the pair sort), and one pair.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for (pairs, objects) in [(1, 1), (500, 3), (500, 900), (500, 1_100), (300, 1 << 40)] {
-            let mut so: Vec<u64> = (0..pairs)
-                .flat_map(|_| {
-                    state = state
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1);
-                    [state >> 54, 7 + (state >> 11) % objects]
-                })
-                .collect();
-            sort_pairs_auto_dedup(&mut so);
-            let mut expected: Vec<Pair> = as_pairs(&so).iter().map(|&[s, o]| [o, s]).collect();
-            expected.sort_unstable();
-            assert_eq!(
-                object_sorted(&so, &mut SortScratch::new()),
-                expected.into_flattened(),
-                "{pairs} pairs over {objects} objects"
-            );
-        }
     }
 
     /// Equal to the cache a rebuild from the current pairs would give.

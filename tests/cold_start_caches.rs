@@ -1,8 +1,8 @@
 //! A cold start publishes its first epoch with every ⟨o,s⟩ cache built
 //! (docs/persistence.md, "The pieces"). The image's read builds them: the
-//! stores' lane from the moment `MATL` lands, beside the dictionary, a
-//! delta's base builds those of the tables the delta keeps, and replay
-//! builds only those its records dropped. The laws, for a full image, a
+//! stores' lane from the moment `MATL` lands, beside the dictionary (for
+//! a delta, once its `MATL` lands on its base's), and replay builds only
+//! those its records dropped. The laws, for a full image, a
 //! delta whose other tables are as in its base, and a replayed log tail:
 //!
 //! - the image `open_recoverable` reads has the cache of every non-empty
