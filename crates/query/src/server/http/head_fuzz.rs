@@ -13,8 +13,8 @@
 //!
 //! `PROPTEST_CASES` raises the case count (the nightly job does).
 
-use super::render_law::Mix;
 use super::*;
+use crate::server::render::render_law::Mix;
 use proptest::prelude::*;
 
 /// Request heads as clients send them.
@@ -73,7 +73,7 @@ const INSERTS: &[&[u8]] = &[
 
 /// One seed, damaged by one to four mutations; one case in eight is then
 /// grown past the 64 KiB head cap (a long header run or a long line).
-fn mutate(seeds: &[&str], seed: u64) -> Vec<u8> {
+pub(super) fn mutate(seeds: &[&str], seed: u64) -> Vec<u8> {
     let mut rng = Mix(seed);
     let mut bytes = seeds[rng.below(seeds.len())].as_bytes().to_vec();
     for _ in 0..1 + rng.below(4) {
@@ -117,20 +117,19 @@ fn mutate(seeds: &[&str], seed: u64) -> Vec<u8> {
 /// input ends or a head fails; checks every outcome.
 fn check_heads(input: &[u8]) {
     let mut reader = input;
-    let mut buffers = WorkerBuffers::new();
+    let (mut line, mut path) = (String::new(), String::new());
     // Every head read consumes at least one line, so this ends.
     loop {
-        match read_head(&mut reader, &mut buffers) {
+        match read_head(&mut reader, &mut line, &mut path) {
             Ok(None) => return,
             Ok(Some(_)) => {
-                assert!(
-                    !buffers.path.is_empty(),
-                    "a head without a target: {input:?}"
-                );
-                let query = buffers.path.split_once('?').map_or("", |(_, qs)| qs);
-                let _ = query_from_query_string(query);
+                assert!(!path.is_empty(), "a head without a target: {input:?}");
+                let query = path.split_once('?').map_or("", |(_, qs)| qs);
+                let _ = query_param(query, "query");
             }
-            Err((status, message)) => {
+            Err(Refusal {
+                status, message, ..
+            }) => {
                 assert!(
                     matches!(status, 400 | 408),
                     "status {status} ({message}) for {input:?}"
@@ -145,7 +144,7 @@ fn check_heads(input: &[u8]) {
 fn check_query_string(input: &[u8]) {
     let text = String::from_utf8_lossy(input);
     let _ = percent_decode(&text);
-    let _ = query_from_query_string(&text);
+    let _ = query_param(&text, "query");
     // Whatever the bytes, encoding every one of them decodes back to them.
     let encoded: String = input.iter().map(|byte| format!("%{byte:02x}")).collect();
     assert_eq!(percent_decode(&encoded), String::from_utf8_lossy(input));
@@ -158,8 +157,8 @@ fn seeds_read_as_sent() {
         check_heads(seed.as_bytes());
     }
     let mut reader = HEAD_SEEDS[2].as_bytes();
-    let mut buffers = WorkerBuffers::new();
-    let head = read_head(&mut reader, &mut buffers)
+    let (mut line, mut path) = (String::new(), String::new());
+    let head = read_head(&mut reader, &mut line, &mut path)
         .expect("a well-formed head")
         .expect("a head");
     assert_eq!(head.method, Method::Post);
@@ -169,7 +168,7 @@ fn seeds_read_as_sent() {
         check_query_string(seed.as_bytes());
     }
     assert_eq!(
-        query_from_query_string(QUERY_SEEDS[1]).as_deref(),
+        query_param(QUERY_SEEDS[1], "query").as_deref(),
         Some("ASK { <http://ex/s> ?p ?o }")
     );
 }

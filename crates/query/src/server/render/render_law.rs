@@ -71,7 +71,10 @@ fn reference_term_json_into(out: &mut String, term: &TermRef<'_>) {
 }
 
 /// The renderer as it was: a `TermRef` per cell, the key escaped per cell.
-pub(super) fn reference_results_json(solutions: &SolutionSet, dictionary: &Dictionary) -> String {
+pub(in crate::server) fn reference_results_json(
+    solutions: &SolutionSet,
+    dictionary: &Dictionary,
+) -> String {
     let mut out = String::new();
     out.push_str("{\"head\":{\"vars\":[");
     for (i, var) in solutions.variables().iter().enumerate() {
@@ -115,10 +118,10 @@ pub(super) fn render(solutions: &SolutionSet, dictionary: &Dictionary) -> String
 }
 
 /// splitmix64, driven by the case's seed (the head fuzz's mutator too).
-pub(super) struct Mix(pub(super) u64);
+pub(in crate::server) struct Mix(pub(in crate::server) u64);
 
 impl Mix {
-    pub(super) fn next(&mut self) -> u64 {
+    pub(in crate::server) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -126,7 +129,7 @@ impl Mix {
         z ^ (z >> 31)
     }
 
-    pub(super) fn below(&mut self, bound: usize) -> usize {
+    pub(in crate::server) fn below(&mut self, bound: usize) -> usize {
         (self.next() % bound.max(1) as u64) as usize
     }
 

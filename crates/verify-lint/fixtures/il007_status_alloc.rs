@@ -9,8 +9,8 @@ fn status_json_into(out: &mut String, epoch: u64) {
 }
 
 fn validation_json_into(out: &mut String) {
-    // Negative: the reporter *impl* lives outside server.rs in real code;
-    // this same-named cold helper is not in the hot list.
+    // Negative: the reporter *impl* lives outside the server module in real
+    // code; this same-named cold helper is not in the hot list.
     let mut scratch = String::new();
     scratch.push_str("null");
     out.push_str(&scratch);

@@ -1,7 +1,7 @@
 //! IL007 fixture: the renderers `GET /status` reaches through the sink's
-//! hook, outside `server.rs`. The two allocations inside listed functions
-//! must fire; the cold report renderer and the snapshot accessor next to
-//! them (which do allocate, legitimately) stay silent.
+//! hook, outside the server module. The two allocations inside listed
+//! functions must fire; the cold report renderer and the snapshot
+//! accessor next to them (which do allocate, legitimately) stay silent.
 
 impl DurabilityStatus {
     pub fn json_into(&self, out: &mut String) {

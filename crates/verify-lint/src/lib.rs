@@ -7,20 +7,21 @@
 //! | rule  | enforces |
 //! |-------|----------|
 //! | IL001 | every crate root carries `#![forbid(unsafe_code)]` |
-//! | IL002 | no `unwrap`/`expect`/`panic!`-family calls in the server, term-lexer, SPARQL-parser, query-engine (engine, planner, executor, solution batch), persist, snapshot and shape-validator hot paths |
+//! | IL002 | no `unwrap`/`expect`/`panic!`-family calls in the server module (every file of `query/src/server/`), term-lexer, SPARQL-parser, query-engine (engine, planner, executor, solution batch), persist, snapshot and shape-validator hot paths |
 //! | IL003 | `PropertyTable` pair mutations stay in the store crate and provably reach `invalidate_os_cache` (workspace-wide call-graph walk) |
 //! | IL004 | lock-acquisition ordering across the publish/persist protocols |
 //! | IL005 | no `std::process::exit` outside `src/bin` |
 //! | IL006 | manifest hygiene: intra-workspace deps via `workspace = true`, no version drift |
-//! | IL007 | no per-request allocation (`format!`/`String::new`/`Vec::new`) in the serving hot path and the `/status` renderers it reaches, no per-row allocation or row copy (`.clone()`, `vec![`, `.collect`, …) in the executor's kernels and the batch accessors, no owned copy of a term's text (`.to_string()`, `.clone()`, `.to_owned()`, …) on the dictionary's hit path and in the batch writer's loop |
+//! | IL007 | no per-request allocation (`format!`/`String::new`/`Vec::new`) in the serving hot path (every file of `query/src/server/`) and the `/status` renderers it reaches, no per-row allocation or row copy (`.clone()`, `vec![`, `.collect`, …) in the executor's kernels and the batch accessors, no owned copy of a term's text (`.to_string()`, `.clone()`, `.to_owned()`, …) on the dictionary's hit path and in the batch writer's loop |
 //! | IL008 | one description per rule: `RuleInfo` literals only in the rule catalog and the rule-program analyzer, and no `RuleId` variant named in the non-test code of the rules and core crates or the umbrella crate outside the catalog |
 //!
 //! Findings a human has justified live in `crates/verify-lint/allowlist.txt`
 //! (rule, path suffix, line substring, justification); unused entries are
 //! themselves errors so the list cannot rot. The scanner is deliberately
-//! conservative: comments, string literals and `#[cfg(test)]` items are
-//! blanked before any rule looks at the text, and the IL003/IL004 call-graph
-//! walks union same-named functions rather than attempting resolution.
+//! conservative: comments, string literals and `#[cfg(test)]` items (with
+//! the files a `#[cfg(test)] mod name;` loads) are blanked before any rule
+//! looks at the text, and the IL003/IL004 call-graph walks union
+//! same-named functions rather than attempting resolution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -308,6 +309,92 @@ pub fn blank_test_items(clean: &str) -> String {
     String::from_utf8(out).expect("blanking is ASCII-safe byte replacement")
 }
 
+/// Blanks whole files that only test code brings into the build: a file a
+/// `#[cfg(test)] mod name;` declaration loads is that item's body, so it is
+/// blanked in `clean_no_tests` as an inline test module's body is, and so is
+/// every file such a file declares in turn. A declaration resolves to
+/// `name.rs` or `name/mod.rs` beside a `lib.rs`, `main.rs` or `mod.rs`, and
+/// under `stem/` beside any other `stem.rs`.
+pub fn blank_test_modules(files: &mut [SourceFile]) {
+    let index: HashMap<PathBuf, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.path.clone(), i))
+        .collect();
+    let resolve = |parent: &Path, name: &str| {
+        module_files(parent, name)
+            .into_iter()
+            .find_map(|path| index.get(&path).copied())
+    };
+    let mut frontier = Vec::new();
+    for file in files.iter() {
+        for (name, under_cfg_test) in declared_modules(file) {
+            if under_cfg_test {
+                frontier.extend(resolve(&file.path, &name));
+            }
+        }
+    }
+    let mut test_only = vec![false; files.len()];
+    while let Some(i) = frontier.pop() {
+        if std::mem::replace(&mut test_only[i], true) {
+            continue;
+        }
+        for (name, _) in declared_modules(&files[i]) {
+            frontier.extend(resolve(&files[i].path, &name));
+        }
+    }
+    for (file, test_only) in files.iter_mut().zip(test_only) {
+        if test_only {
+            file.clean_no_tests = file
+                .clean
+                .chars()
+                .map(|c| if c == '\n' { c } else { ' ' })
+                .collect();
+        }
+    }
+}
+
+/// The `mod name;` declarations of a file, each with whether a
+/// `#[cfg(test)]` blanked it (it survives in `clean`, not in
+/// `clean_no_tests`).
+fn declared_modules(file: &SourceFile) -> Vec<(String, bool)> {
+    let bytes = file.clean.as_bytes();
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(offset) = file.clean[from..].find("mod ") {
+        let at = from + offset;
+        from = at + 4;
+        if at > 0 && (bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_') {
+            continue;
+        }
+        let rest = file.clean[from..].trim_start();
+        let name_len = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        if name_len > 0 && rest[name_len..].trim_start().starts_with(';') {
+            let under_cfg_test = !file.clean_no_tests[at..].starts_with("mod ");
+            out.push((rest[..name_len].to_string(), under_cfg_test));
+        }
+    }
+    out
+}
+
+/// Where the file of module `name`, declared in `parent`, may live.
+fn module_files(parent: &Path, name: &str) -> Vec<PathBuf> {
+    let (Some(stem), Some(dir)) = (parent.file_stem(), parent.parent()) else {
+        return Vec::new();
+    };
+    let dir = if matches!(stem.to_str(), Some("lib" | "main" | "mod")) {
+        dir.to_path_buf()
+    } else {
+        dir.join(stem)
+    };
+    vec![
+        dir.join(format!("{name}.rs")),
+        dir.join(name).join("mod.rs"),
+    ]
+}
+
 /// One function found by the conservative per-file index.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
@@ -521,6 +608,7 @@ pub fn run(root: &Path) -> Result<LintOutcome, String> {
         let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
         files.push(SourceFile::new(rel, raw));
     }
+    blank_test_modules(&mut files);
 
     let mut manifest_paths = Vec::new();
     walk(root, "Cargo.toml", &mut manifest_paths);

@@ -63,9 +63,12 @@ pub fn il001_forbid_unsafe(files: &[SourceFile], root_manifest: &str) -> Vec<Dia
 /// outside the process — reaches them on a worker thread, and so is what
 /// a worker runs on the parsed query: the engine, the planner and the
 /// store's cardinality model under it, the executor and the solution batch.
+/// Every file of the server module is on it (`server/` and, for a server
+/// kept in one file, `server.rs`).
 pub fn is_hot_path(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     p.ends_with("crates/query/src/server.rs")
+        || p.contains("crates/query/src/server/")
         || p.ends_with("crates/query/src/sparql.rs")
         || p.ends_with("crates/query/src/engine.rs")
         || p.ends_with("crates/query/src/planner.rs")
@@ -687,20 +690,23 @@ pub fn il006_manifest_hygiene(
 // IL007 — zero-allocation serving hot path
 // ---------------------------------------------------------------------------
 
-/// The per-request serving path in `crates/query/src/server.rs`: the
-/// connection loop, request parsing, query answering, response rendering
-/// (`results_json_into` and below walk the executor's flat batch and the
-/// dictionary's arena text straight into the response buffer) and the
-/// vectored write that sends head and body (`send`). `worker_loop`
-/// allocates the reusable `WorkerBuffers` once per worker and is
-/// deliberately *not* listed; everything it calls per request is.
+/// The per-request serving path in the server module
+/// (`crates/query/src/server/`): the connection loop, the head and body
+/// readers, query-string parameters, routing and query answering, response
+/// rendering (`results_json_into` and below walk the executor's flat batch
+/// and the dictionary's arena text straight into the response buffer) and
+/// the responder's vectored write that sends head and body (`send`).
+/// `worker_loop` allocates the reusable `WorkerBuffers` once per worker and
+/// is deliberately *not* listed; everything it calls per request is.
 pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
     "handle_connection",
     "serve_request",
     "read_head",
-    "query_from_query_string",
+    "read_body",
+    "query_param",
     "percent_decode",
     "answer_query",
+    "boolean_json_into",
     "results_json_into",
     "cell_json_into",
     "other_cell_json_into",
@@ -712,7 +718,7 @@ pub const SERVING_HOT_FUNCTIONS: &[&str] = &[
     "send",
 ];
 
-/// What `GET /status` reaches outside `server.rs`, through the sink's
+/// What `GET /status` reaches outside the server module, through the sink's
 /// `status_json_into` hook: the umbrella crate's adapter, the durability,
 /// validation and stage-record renderers, and the shared JSON escaper (which
 /// every response cell goes through as well) with its block scan
@@ -822,6 +828,8 @@ const PER_PAIR_EMIT_PATTERNS: &[&str] = &[".add("];
 /// The zero-allocation functions of one file (or of a set of files that
 /// share one list).
 struct HotList {
+    /// A file is on the list when its path ends with one of these, or, for
+    /// an entry ending in `/`, lies under that directory.
     path_suffixes: &'static [&'static str],
     functions: &'static [&'static str],
     banned: &'static [&'static str],
@@ -833,7 +841,7 @@ struct HotList {
 
 const HOT_LISTS: &[HotList] = &[
     HotList {
-        path_suffixes: &["crates/query/src/server.rs"],
+        path_suffixes: &["crates/query/src/server.rs", "crates/query/src/server/"],
         functions: SERVING_HOT_FUNCTIONS,
         banned: HOT_ALLOC_PATTERNS,
         role: "serving hot function",
@@ -919,9 +927,16 @@ pub fn il007_no_hot_path_allocation(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in files {
         let p = file.path.to_string_lossy().replace('\\', "/");
+        let on_list = |suffix: &&str| {
+            if suffix.ends_with('/') {
+                p.contains(suffix)
+            } else {
+                p.ends_with(suffix)
+            }
+        };
         let Some(list) = HOT_LISTS
             .iter()
-            .find(|l| l.path_suffixes.iter().any(|suffix| p.ends_with(suffix)))
+            .find(|l| l.path_suffixes.iter().any(on_list))
         else {
             continue;
         };

@@ -520,6 +520,54 @@ fn il008_lets_the_catalog_and_other_crates_name_rule_ids() {
     }
 }
 
+#[test]
+fn every_file_of_the_server_module_is_hot() {
+    for home in [
+        "crates/query/src/server/mod.rs",
+        "crates/query/src/server/http.rs",
+        "crates/query/src/server/routes.rs",
+        "crates/query/src/server/render.rs",
+    ] {
+        let files = vec![fixture("il007_hot_alloc.rs", home)];
+        let diags = rules::il007_no_hot_path_allocation(&files);
+        assert_eq!(diags.len(), 4, "{home}: {diags:?}");
+        let files = vec![fixture("il002_hot_panics.rs", home)];
+        assert_eq!(rules::il002_no_panics(&files).len(), 4, "{home}");
+    }
+}
+
+#[test]
+fn files_only_a_cfg_test_module_declares_are_test_code() {
+    let file = |path: &str, text: &str| SourceFile::new(PathBuf::from(path), text.to_string());
+    let mut files = vec![
+        file(
+            "crates/query/src/server/http.rs",
+            "mod wire;\n#[cfg(test)]\nmod fuzz;\n",
+        ),
+        file(
+            "crates/query/src/server/http/wire.rs",
+            "fn a() { x.unwrap(); }\n",
+        ),
+        file(
+            "crates/query/src/server/http/fuzz.rs",
+            "mod seeds;\nfn b() { x.unwrap(); }\n",
+        ),
+        file(
+            "crates/query/src/server/http/fuzz/seeds.rs",
+            "fn c() { x.unwrap(); }\n",
+        ),
+    ];
+    inferray_verify_lint::blank_test_modules(&mut files);
+    let flagged: Vec<_> = rules::il002_no_panics(&files)
+        .into_iter()
+        .map(|d| d.path)
+        .collect();
+    assert_eq!(
+        flagged,
+        [PathBuf::from("crates/query/src/server/http/wire.rs")]
+    );
+}
+
 /// The whole pass over the real workspace: zero unallowlisted findings and
 /// zero stale allowlist entries — the same bar `cargo run -p
 /// inferray-verify-lint` enforces in CI.

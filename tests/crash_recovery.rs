@@ -14,6 +14,10 @@
 //! past the last fsync are dropped, atomic writes are all-or-nothing), and
 //! injected faults model torn appends and failed fsyncs.
 
+#[path = "common/http_client.rs"]
+mod http_client;
+
+use http_client::http;
 use inferray::parser::load_ntriples;
 use inferray::persist::{
     encode_image, segment_file_name, wal, DurableView, Fault, MemFs, RecoveryReport,
@@ -559,17 +563,6 @@ fn a_rotten_newest_image_recovers_every_acknowledged_write_or_refuses() {
         matches!(&refused, DurableError::Corrupt { message } if message.contains("1..=1")),
         "{refused}"
     );
-}
-
-fn http(addr: SocketAddr, request: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    // This helper reads to EOF, so it must opt out of the server's
-    // keep-alive default.
-    let request = request.replacen("\r\n\r\n", "\r\nConnection: close\r\n\r\n", 1);
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    response
 }
 
 fn http_post(addr: SocketAddr, target: &str, body: &str) -> String {

@@ -14,9 +14,12 @@
 //! materialization its closure stage, stratum, firing and update, within
 //! its duration.
 
+#[path = "common/http_client.rs"]
+mod http_client;
 #[path = "common/stage_law.rs"]
 mod stage_law;
 
+use http_client::http;
 use inferray::datasets::{yago_like, LubmGenerator};
 use inferray::persist::{CheckpointPolicy, DurableDataset, IoBackend, MemFs};
 use inferray::query::{ServerConfig, SnapshotQueryEngine, SparqlServer};
@@ -25,21 +28,11 @@ use inferray::{
     Stage,
 };
 use stage_law::assert_stage_law;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const PHASES: [&str; 4] = ["over_delete_us", "probe_us", "net_delete_us", "cascade_us"];
-
-fn http(addr: SocketAddr, request: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = request.replacen("\r\n\r\n", "\r\nConnection: close\r\n\r\n", 1);
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    response
-}
 
 /// Posts `body` to `/update?action=…` and returns the response with the
 /// client's wall time in µs.
