@@ -15,7 +15,7 @@ use inferray_parser::loader::{load_graph, LoadError, LoadedDataset};
 use inferray_parser::{Ingest, TripleRef};
 use inferray_rules::analysis::{self, Diagnostic};
 use inferray_rules::shapes::{self, ShapeAnalysis};
-use inferray_rules::{Fragment, InferenceStats, Materializer};
+use inferray_rules::{Fragment, InferenceStats, Materializer, Ruleset};
 use inferray_store::{unpoison, Handoff, Recycler, StoreSnapshot, TripleStore};
 use std::borrow::Cow;
 use std::fmt;
@@ -317,6 +317,31 @@ pub enum Program {
     Rules(Arc<str>),
 }
 
+impl Program {
+    /// The program's ruleset. A rule program is compiled against
+    /// `dictionary`, which copies it on first use if borrowed: its constants
+    /// are interned there, which may promote a resource to a property.
+    fn ruleset(&self, dictionary: &mut Cow<'_, Dictionary>) -> Result<Ruleset, LoadError> {
+        match self {
+            Program::Fragment(fragment) => Ok(Ruleset::for_fragment(*fragment)),
+            Program::Rules(text) => {
+                analysis::load_ruleset(text, dictionary.to_mut()).map_err(|diags| {
+                    let list: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
+                    LoadError::Encode(format!("rule program: {}", list.join("; ")))
+                })
+            }
+        }
+    }
+
+    /// The tables the program reads by object ([`Ruleset::object_reads`]),
+    /// compiled as [`Program::ruleset`] does; none when it no longer loads,
+    /// and then its first write refuses with the diagnostics.
+    fn object_reads(&self, dictionary: &mut Cow<'_, Dictionary>) -> Vec<u64> {
+        self.ruleset(dictionary)
+            .map_or_else(|_| Vec::new(), |ruleset| ruleset.object_reads().to_vec())
+    }
+}
+
 impl From<Fragment> for Program {
     fn from(fragment: Fragment) -> Program {
         Program::Fragment(fragment)
@@ -446,6 +471,9 @@ pub struct ServingDataset {
     /// promotions the data may cause (a compiled constant would go stale the
     /// moment a delta promotes the resource it names to a property).
     program: Program,
+    /// The tables `program` reads by object (`Ruleset::object_reads`):
+    /// every epoch is published with their ⟨o,s⟩ caches built.
+    object_reads: Vec<u64>,
     options: InferrayOptions,
     /// The shape-constraint gate ([`ServingDataset::install_shapes`],
     /// docs/shapes.md): `None` until a program is installed. Leaf lock —
@@ -530,7 +558,8 @@ impl ServingDataset {
     }
 
     /// Reassembles a dataset from externally persisted parts and publishes
-    /// them as its first epoch, building the ⟨o,s⟩ caches the store lacks.
+    /// them as its first epoch, building the ⟨o,s⟩ caches the program reads
+    /// (`Ruleset::object_reads`) that the store lacks.
     /// The caller supplies the exact state a previous process published:
     /// the dictionary, the explicit base, the materialized store, the epoch
     /// it was serving and the program it was closed under, so the rebuilt
@@ -545,20 +574,29 @@ impl ServingDataset {
         program: impl Into<Program>,
         options: InferrayOptions,
     ) -> Self {
+        let program = program.into();
+        let mut dictionary = Cow::Owned(dictionary);
+        let object_reads = program.object_reads(&mut dictionary);
         ServingDataset {
             published: Handoff::holding(Published {
-                // Every table of a first epoch needs its ⟨o,s⟩ cache: build
-                // them side by side on the pool, largest first.
-                snapshot: StoreSnapshot::prepare_with(materialized, epoch, |tasks| {
-                    inferray_parallel::global().run_ordered(tasks);
-                }),
-                dictionary: Arc::new(dictionary),
+                // A first epoch may need several ⟨o,s⟩ caches: build them
+                // side by side on the pool, largest first.
+                snapshot: StoreSnapshot::prepare_with(
+                    materialized,
+                    epoch,
+                    &object_reads,
+                    |tasks| {
+                        inferray_parallel::global().run_ordered(tasks);
+                    },
+                ),
+                dictionary: Arc::new(dictionary.into_owned()),
             }),
             writer: Mutex::new(Writer {
                 base,
                 recycler: Recycler::new(),
             }),
-            program: program.into(),
+            program,
+            object_reads,
             options,
             validation: Mutex::new(None),
         }
@@ -875,7 +913,7 @@ impl ServingDataset {
             };
             let (published, ()) = self.published.publish_with(|current| {
                 let next = Published {
-                    snapshot: current.snapshot.next(store),
+                    snapshot: current.snapshot.next(store, &self.object_reads),
                     dictionary,
                 };
                 (next, ())
@@ -1045,16 +1083,7 @@ fn step<'t>(
     // Compile the rule program (if any) before draining promotions, so
     // its constants carry the same — possibly promoted — identifiers as
     // the delta and the store.
-    let mut reasoner = match program {
-        Program::Fragment(fragment) => InferrayReasoner::with_options(*fragment, options),
-        Program::Rules(text) => {
-            let ruleset = analysis::load_ruleset(text, dictionary.to_mut()).map_err(|diags| {
-                let list: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-                LoadError::Encode(format!("rule program: {}", list.join("; ")))
-            })?;
-            InferrayReasoner::with_ruleset(ruleset, options)
-        }
-    };
+    let mut reasoner = InferrayReasoner::with_ruleset(program.ruleset(dictionary)?, options);
     // A delta may use an already-interned *resource* as a predicate,
     // which promotes it to a new property identifier. The store, the
     // explicit base and any delta triple encoded before the promotion
@@ -1118,10 +1147,11 @@ impl Replay {
     /// Takes the exact state a previous process published — the dictionary,
     /// the explicit base, the materialized store, the epoch it was serving
     /// and the program it was closed under — and builds the ⟨o,s⟩ cache of
-    /// every table that has none yet side by side on the pool, largest
-    /// first: the first epoch needs them all, and built now the replayed
-    /// writes keep them patched instead of rebuilding the ones they read.
-    /// An image read for a cold start comes with them built.
+    /// each table the program reads by object (`Ruleset::object_reads`)
+    /// that has none yet, side by side on the pool, largest first: the
+    /// first epoch carries them, and built now the replayed writes keep
+    /// them patched instead of rebuilding the ones they read. An image read
+    /// for a cold start comes with them built.
     pub fn new(
         dictionary: Dictionary,
         base: TripleStore,
@@ -1130,14 +1160,17 @@ impl Replay {
         program: impl Into<Program>,
         options: InferrayOptions,
     ) -> Replay {
+        let program = program.into();
+        let mut dictionary = Cow::Owned(dictionary);
+        let object_reads = program.object_reads(&mut dictionary);
         materialized.finalize();
-        inferray_parallel::global().run_ordered(materialized.os_cache_tasks());
+        inferray_parallel::global().run_ordered(materialized.os_cache_tasks(&object_reads));
         Replay {
-            dictionary: Cow::Owned(dictionary),
+            dictionary,
             base,
             store: materialized,
             epoch,
-            program: program.into(),
+            program,
             options,
         }
     }

@@ -89,9 +89,9 @@
 
 use crate::crc::{crc32, Crc32};
 use crate::io::{numbered_file_name, parse_numbered_file_name, IoBackend, StreamSink};
-use inferray_core::{Stage, Stages};
+use inferray_core::{Fragment, Ruleset, Stage, Stages};
 use inferray_dictionary::{DenseTableError, Dictionary, RawLen};
-use inferray_model::ids::IMAGE_WORD_BASE;
+use inferray_model::ids::{property_index, IMAGE_WORD_BASE};
 use inferray_store::{as_pairs, PropertyTable, TripleStore};
 use std::fmt;
 use std::io::{self, Read};
@@ -1067,12 +1067,12 @@ enum On<'b, 'a> {
     File(&'b Open<'a>, Frame),
 }
 
-/// The ⟨o,s⟩ caches of a decoded `MATL` store, built by whichever decode
-/// lane is free: the stores' lane from the moment the store lands, the
-/// dictionary's once it is done. Each lane takes the next table, largest
-/// first, until none is left; a lane that comes before the store has
-/// landed has none to take, and whatever neither built, `Replay::new`
-/// builds.
+/// The ⟨o,s⟩ caches of a decoded `MATL` store that its program reads by
+/// object, built by whichever decode lane is free: the stores' lane from the
+/// moment the store lands, the dictionary's once it is done. Each lane takes
+/// the next table, largest first, until none is left; a lane that comes
+/// before the store has landed has none to take, and whatever neither
+/// built, `Replay::new` builds.
 #[derive(Default)]
 struct CacheBuilds {
     /// The tables to build, largest first, and when they were offered.
@@ -1084,15 +1084,14 @@ struct CacheBuilds {
 }
 
 impl CacheBuilds {
-    /// Offers the tables of `store` that have no cache yet.
-    fn offer(&self, store: &TripleStore) {
+    /// Offers the tables of `properties` in `store` that have no cache yet.
+    fn offer(&self, store: &TripleStore, properties: &[u64]) {
         let offered = Instant::now();
-        let mut tables: Vec<Arc<PropertyTable>> = store
-            .slot_tables()
+        let slots = store.slot_tables();
+        let mut tables: Vec<Arc<PropertyTable>> = properties
             .iter()
-            .flatten()
+            .filter_map(|&p| slots.get(property_index(p))?.clone())
             .filter(|table| !table.is_empty() && !table.has_os_cache())
-            .cloned()
             .collect();
         tables.sort_by_key(|table| std::cmp::Reverse(table.len()));
         let _ = self.tables.set((tables, offered));
@@ -1121,6 +1120,20 @@ impl CacheBuilds {
         let done = (*self.done.lock().unwrap_or_else(|e| e.into_inner()))?;
         Some(done.saturating_duration_since(*offered))
     }
+}
+
+/// The tables the program an image header names reads by object
+/// ([`Ruleset::object_reads`]). A built-in fragment is analysed here, once
+/// per process, so the first write a cold start replays finds it done. A
+/// rule program, named by the CRC of its text, is compiled against the
+/// dictionary by `Replay::new`, which builds its caches.
+fn object_reads(program: &str) -> Vec<u64> {
+    Fragment::ALL
+        .into_iter()
+        .find(|fragment| fragment.name() == program)
+        .map_or_else(Vec::new, |fragment| {
+            Ruleset::for_fragment(fragment).object_reads().to_vec()
+        })
 }
 
 /// A reader of the section at `entry`, on a handle of its own.
@@ -1174,9 +1187,10 @@ fn read_stores(
 /// rebuild does not need to wait on two multi-megabyte pair-table passes
 /// (or vice versa). A delta read on its base's file runs each lane's
 /// sections of the base first. With `build_caches`, the stores' lane then
-/// builds the ⟨o,s⟩ cache of each `MATL` table, largest first, while the
-/// dictionary still decodes, and the dictionary's lane takes the rest with
-/// it once it is done ([`CacheBuilds`]).
+/// resolves the program the header names and builds the ⟨o,s⟩ cache of
+/// each `MATL` table it reads by object ([`object_reads`]), largest first,
+/// while the dictionary still decodes, and the dictionary's lane takes the
+/// rest with it once it is done ([`CacheBuilds`]).
 fn read_image(
     open: &Open<'_>,
     on: On<'_, '_>,
@@ -1241,7 +1255,7 @@ fn read_image(
                 None => read_stores(open, &frame.sections, stores_on, stages),
             };
             if let (true, Ok((_, materialized))) = (build_caches, &stores) {
-                builds.offer(materialized);
+                builds.offer(materialized, &object_reads(&frame.fragment));
                 builds.help();
             }
         }),
@@ -1340,8 +1354,9 @@ pub struct Recovered {
 /// full image on its own ([`open_image`]), a delta on top of the full
 /// image it names — which must be present, a full image, valid, and carry
 /// the header CRC the delta names; the two are read in one pass. Unlike
-/// the decoders, it builds the ⟨o,s⟩ cache of every materialized table on
-/// the way: the state is the first epoch a cold start serves.
+/// the decoders, it builds the ⟨o,s⟩ cache of each materialized table the
+/// program reads by object on the way: the state is the first epoch a cold
+/// start serves.
 pub fn open_recoverable(backend: &dyn IoBackend, path: &Path) -> Result<Recovered, SnapshotError> {
     let open = |offset| backend.open_at(path, offset);
     let frame = read_frame(&open)?;
@@ -1710,7 +1725,8 @@ mod tests {
     }
 
     /// `sample()` recorded as a full image at epoch 3, and a later state:
-    /// one table rewritten, one added, one new term.
+    /// one table rewritten, two added (one of them `rdf:type`, which ρDF
+    /// reads by object), one new term.
     fn delta_sample() -> (SnapshotImage, BaseImage, Vec<u8>, SnapshotImage) {
         let (dictionary, base, materialized) = sample();
         let parts = ImageParts {
@@ -1729,7 +1745,11 @@ mod tests {
             .unwrap();
         let p = dictionary.id_of_iri("http://ex/p").unwrap();
         let mut materialized = materialized.clone();
-        materialized.insert([later, IdTriple::new(later.s, p, later.o)]);
+        materialized.insert([
+            later,
+            IdTriple::new(later.s, p, later.o),
+            IdTriple::new(later.s, inferray_dictionary::wellknown::RDF_TYPE, later.o),
+        ]);
         let parts = ImageParts {
             dictionary: &grown,
             materialized: &materialized,
@@ -1778,8 +1798,15 @@ mod tests {
         let on = On::File(&open_base, named);
         let (image, stages) = read_image(&slice_handles(&delta), on, true).unwrap();
         assert_eq!(image, expected);
-        // Every table is cached, the delta's own and those it keeps.
-        assert!(cached(&image.materialized).iter().all(|&(_, built)| built));
+        // Exactly the tables ρDF reads by object are cached: rdf:type, and
+        // none of the data tables the delta writes or keeps.
+        let reads = object_reads("rho-df");
+        let tables = cached(&image.materialized);
+        assert_eq!(tables.len(), 4, "{tables:?}");
+        for (slot, built) in tables {
+            let read = reads.iter().any(|&p| property_index(p) == slot);
+            assert_eq!(built, read, "slot {slot}");
+        }
         assert!(stages.get(Stage::Caches).is_some(), "{stages}");
         // A decoder's read builds none.
         let decoded = decode_delta_image(&delta, decode_image(&full).unwrap()).unwrap();

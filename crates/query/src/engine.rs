@@ -20,9 +20,10 @@ use std::sync::Arc;
 /// `QueryEngine::new(&store, &dictionary)` borrows, [`SnapshotQueryEngine`]
 /// owns a published epoch.
 ///
-/// The engine never mutates the store. For best `(?, p, o)` lookups, build
-/// the ⟨o,s⟩ caches first with [`TripleStore::ensure_all_os`] — the engine
-/// transparently falls back to sequential scans when a cache is absent.
+/// The engine never changes the store's pairs. A `(?, p, o)` lookup reads
+/// the table's ⟨o,s⟩ cache, which the table's first such lookup builds;
+/// [`TripleStore::ensure_all_os`] builds them all ahead, which also gives
+/// the planner exact distinct-object counts.
 ///
 /// # Example
 ///

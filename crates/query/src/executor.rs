@@ -10,8 +10,9 @@
 //! nothing per row.
 //!
 //! A step finds, for every input row, a sorted slice of one property table —
-//! the run of a subject in `pairs()`, the run of an object in `os_pairs()`,
-//! or the whole table — and hands it to [`Sink::emit_run`], which walks it.
+//! the run of a subject in `pairs()`, the run of an object in
+//! `object_pairs()` (which builds the table's ⟨o,s⟩ cache on its first
+//! need), or the whole table — and hands it to [`Sink::emit_run`], which walks it.
 //! Runs of constants come from the table's binary-searched accessors; runs
 //! of join keys are reached by galloping from where the previous row's run
 //! began ([`Cursor`]), which is a merge join whenever the incoming keys
@@ -307,17 +308,15 @@ fn scan_table(
             };
             sink.emit_run(row, p, run, false, None)
         }
-        (None, Some(o)) => match table.os_pairs().map(as_pairs) {
-            Some(os) => {
-                let run = match step.o {
-                    Pos::In(_) => cursor.run(os, p, o),
-                    _ => table.object_run(o).unwrap_or_default(),
-                };
-                sink.emit_run(row, p, run, true, None)
-            }
-            // Without the ⟨o,s⟩ layout, sweep ⟨s,o⟩ for the object.
-            None => sink.emit_run(row, p, as_pairs(table.pairs()), false, Some(o)),
-        },
+        // The ⟨o,s⟩ layout, built here when this is its table's first reader.
+        (None, Some(o)) => {
+            let os = as_pairs(table.object_pairs());
+            let run = match step.o {
+                Pos::In(_) => cursor.run(os, p, o),
+                _ => table.object_run(o).unwrap_or_default(),
+            };
+            sink.emit_run(row, p, run, true, None)
+        }
         (None, None) => match (sink.dedup, table.os_pairs()) {
             (Dedup::ObjectRuns, Some(os)) => sink.emit_run(row, p, as_pairs(os), true, None),
             _ => sink.emit_run(row, p, as_pairs(table.pairs()), false, None),

@@ -313,7 +313,10 @@ fn percent_decode(input: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    // Valid UTF-8 becomes the string as it is; only invalid bytes are
+    // copied, each as U+FFFD.
+    String::from_utf8(out)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 /// Per-response rendering switches of [`Responder::respond`].
@@ -487,6 +490,21 @@ mod tests {
         assert_eq!(percent_decode("%+f"), "% f");
         assert_eq!(percent_decode("%-1"), "%-1");
         assert_eq!(percent_decode("%+F%41"), "% FA");
+    }
+
+    #[test]
+    fn percent_decoding_keeps_valid_utf8_and_replaces_invalid_bytes() {
+        // Escaped and raw multi-byte UTF-8 come out unchanged.
+        assert_eq!(percent_decode("caf%C3%A9"), "café");
+        assert_eq!(percent_decode("%E2%9F%A8o%2Cs%E2%9F%A9"), "⟨o,s⟩");
+        assert_eq!(percent_decode("%F0%9F%A6%80+x"), "🦀 x");
+        assert_eq!(percent_decode("⟨s⟩%20é"), "⟨s⟩ é");
+        // Invalid bytes become U+FFFD, one per maximal bad sequence, and
+        // the valid text around them stays.
+        assert_eq!(percent_decode("a%FFb"), "a\u{FFFD}b");
+        assert_eq!(percent_decode("%C3"), "\u{FFFD}");
+        assert_eq!(percent_decode("%C3%28"), "\u{FFFD}(");
+        assert_eq!(percent_decode("%80%80é"), "\u{FFFD}\u{FFFD}é");
     }
 
     /// A writer that takes at most `step` bytes per call, answers every

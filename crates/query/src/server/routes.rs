@@ -87,18 +87,22 @@ pub(super) fn serve_request(
 }
 
 /// Renders the `GET /status` body into `out`: the engine's epoch/size
-/// header plus the members the sink splices in. On the serving hot path —
-/// liveness probes hammer `/status`, so it must not allocate beyond the
-/// reusable buffer.
+/// header — with the ⟨o,s⟩ caches the epoch holds, the tables that have
+/// one and their pairs — plus the members the sink splices in. On the
+/// serving hot path — liveness probes hammer `/status`, so it must not
+/// allocate beyond the reusable buffer.
 fn status_json_into(out: &mut String, source: &dyn EngineSource, sink: Option<&dyn UpdateSink>) {
     use std::fmt::Write as _;
     let engine = source.current();
+    let store = engine.snapshot();
+    let (cached_tables, cached_pairs) = store.os_cache_residency();
     let _ = write!(
         out,
-        "{{\"epoch\":{},\"triples\":{},\"tables\":{}",
+        "{{\"epoch\":{},\"triples\":{},\"tables\":{},\"cached_tables\":{cached_tables},\
+         \"cached_pairs\":{cached_pairs}",
         engine.epoch(),
-        engine.snapshot().len(),
-        engine.snapshot().table_count(),
+        store.len(),
+        store.table_count(),
     );
     if let Some(sink) = sink {
         sink.status_json_into(out);

@@ -445,6 +445,23 @@ fn a_read_only_sink_degrades_update_to_503_with_retry_after() {
 }
 
 #[test]
+fn status_reports_the_os_caches_a_bound_object_query_builds() {
+    let (server, _, _) = start_server();
+    let addr = server.local_addr();
+    let status = || http(addr, "GET /status HTTP/1.1\r\nHost: t\r\n\r\n").1;
+    assert!(status().contains(",\"cached_tables\":0,\"cached_pairs\":0}"));
+    let query = "SELECT%20%3Fs%20WHERE%20%7B%20%3Fs%20%3Chttp%3A%2F%2Fex%2Fknows%3E%20%3Chttp%3A%2F%2Fex%2Fbob%3E%20%7D";
+    let (code, body) = http(
+        addr,
+        &format!("GET /sparql?query={query} HTTP/1.1\r\nHost: t\r\n\r\n"),
+    );
+    assert_eq!(code, 200);
+    assert!(body.contains("http://ex/alice"), "body: {body}");
+    // The epoch now holds the cache of `knows`, built by that query.
+    assert!(status().contains(",\"tables\":2,\"cached_tables\":1,\"cached_pairs\":2}"));
+}
+
+#[test]
 fn status_splices_in_the_durability_report() {
     let server = bind_full(
         ServerConfig::default(),
@@ -457,7 +474,7 @@ fn status_splices_in_the_durability_report() {
     assert_eq!(status, 200);
     assert_eq!(
         body,
-        "{\"epoch\":0,\"triples\":3,\"tables\":2,\
+        "{\"epoch\":0,\"triples\":3,\"tables\":2,\"cached_tables\":0,\"cached_pairs\":0,\
          \"durability\":{\"read_only\":true,\"wal_records\":3}}\n"
     );
     // A status-only sink keeps `POST /update` answering like no sink.

@@ -72,10 +72,16 @@ impl<'a> RuleContext<'a> {
     /// The subjects `x` such that `⟨x, prop, object⟩ ∈ store`, in ascending
     /// order. Used by the rules whose schema antecedent is a `rdf:type`
     /// pattern with a fixed object (PRP-SYMP, PRP-TRP, PRP-FP, PRP-IFP,
-    /// SCM-CLS, …) — one run of a table that is usually the largest of the
-    /// store, so this reader does not *start* a cache build: it uses the
-    /// ⟨o,s⟩ cache when some join already built it and sweeps ⟨s,o⟩
-    /// otherwise.
+    /// SCM-CLS, …) and by the scheduler's marker lookups — one run of a
+    /// table that is usually the largest of the store, so this reader does
+    /// not *start* a cache build: it uses the ⟨o,s⟩ cache when some join
+    /// already built it and sweeps ⟨s,o⟩ otherwise. Measured on LUBM-500k
+    /// under RDFS-Plus, batch: the first update adds 258 285 pairs to
+    /// `rdf:type`'s 140 045 and drops its cache (`KEEP_OS_CACHE_DIVISOR`),
+    /// and no later join reads the main store's `rdf:type` by object
+    /// (CAX-EQC1 reads the frontier's), so a build here would sort 398 k
+    /// pairs for a few runs. A published epoch has that cache pre-built
+    /// (`Ruleset::object_reads`), so a live write finds it.
     pub fn subjects_with_object(store: &TripleStore, prop: u64, object: u64) -> Vec<u64> {
         match store.table(prop) {
             None => Vec::new(),

@@ -136,7 +136,10 @@ fn substitute_subjects(links: &[(u64, u64)], data: &TripleStore, out: &mut Infer
 /// only for the handful of linked terms: the kernel reads a table's ⟨o,s⟩
 /// cache when some join already built it and otherwise sweeps ⟨s,o⟩ once
 /// for all of them — it never *starts* a cache build (the same choice as
-/// [`RuleContext::subjects_with_object`]).
+/// [`RuleContext::subjects_with_object`]). It reaches every data table, and
+/// a published epoch caches only the tables its program names
+/// (`Ruleset::object_reads`): a build here would give every data table a
+/// second, resident copy that no other reader asked for.
 fn substitute_objects(
     links: &[(u64, u64)],
     data: &TripleStore,

@@ -106,6 +106,9 @@ pub struct Ruleset {
     /// The members of the closure shape, with their plans, in
     /// [`Ruleset::all_refs`] order.
     closures: Vec<(RuleRef, Closure)>,
+    /// The tables named by a constant predicate in a member's body,
+    /// ascending ([`Ruleset::object_reads`]).
+    object_reads: Vec<u64>,
 }
 
 /// A reference to one rule of a [`Ruleset`]: a catalog built-in or an
@@ -233,7 +236,7 @@ impl Ruleset {
     }
 
     /// A ruleset of `rules` (distinct, in Table 5 order) and `custom`, with
-    /// its closures, not analyzed yet.
+    /// its closures and object reads, not analyzed yet.
     fn new(fragment: Fragment, rules: Vec<RuleId>, custom: Vec<CompiledRule>) -> Self {
         let mut ruleset = Ruleset {
             fragment,
@@ -243,12 +246,19 @@ impl Ruleset {
             stratum_tables: Vec::new(),
             elisions: Vec::new(),
             closures: Vec::new(),
+            object_reads: Vec::new(),
         };
-        ruleset.closures = ruleset
-            .all_refs()
-            .into_iter()
-            .filter_map(|rule| Some((rule, closure(ruleset.compiled(rule))?)))
+        let members = ruleset.all_refs();
+        ruleset.closures = members
+            .iter()
+            .filter_map(|&rule| Some((rule, closure(ruleset.compiled(rule))?)))
             .collect();
+        let reads: BTreeSet<u64> = members
+            .iter()
+            .flat_map(|&rule| ruleset.compiled(rule).body.iter())
+            .filter_map(|atom| atom.p.as_const())
+            .collect();
+        ruleset.object_reads = reads.into_iter().collect();
         ruleset
     }
 
@@ -311,6 +321,18 @@ impl Ruleset {
     /// closes before the loop and what a retraction dumps.
     pub fn closures(&self) -> &[(RuleRef, Closure)] {
         &self.closures
+    }
+
+    /// The tables a join of the program may read by object whatever the
+    /// data, ascending: the one named by the constant predicate of each
+    /// body atom of each member. Under the built-in fragments they are
+    /// vocabulary tables only. A dataset builds their ⟨o,s⟩ caches before
+    /// it publishes (`StoreSnapshot::prepare`); a table reached through a
+    /// variable predicate — the data table of a declared
+    /// inverse-functional property, say — is built by the first reader
+    /// that needs it.
+    pub fn object_reads(&self) -> &[u64] {
+        &self.object_reads
     }
 
     /// `true` when member `rule` is a closure.
@@ -721,6 +743,37 @@ mod tests {
         ] {
             assert!(scheduled.contains(&rule), "{rule} writes owl:sameAs");
         }
+    }
+
+    #[test]
+    fn object_reads_are_the_constant_body_predicates() {
+        let plus = Ruleset::for_fragment(Fragment::RdfsPlus);
+        let reads = plus.object_reads();
+        assert!(reads.windows(2).all(|w| w[0] < w[1]), "ascending, distinct");
+        for table in [
+            wk::RDF_TYPE,
+            wk::OWL_SAME_AS,
+            wk::RDFS_SUB_CLASS_OF,
+            wk::RDFS_SUB_PROPERTY_OF,
+            wk::OWL_EQUIVALENT_CLASS,
+            wk::RDFS_DOMAIN,
+            wk::RDFS_RANGE,
+            wk::OWL_INVERSE_OF,
+        ] {
+            assert!(reads.contains(&table), "{table} is read by a body atom");
+        }
+        // ρDF reads no OWL table.
+        let rho = Ruleset::for_fragment(Fragment::RhoDf);
+        assert!(!rho.object_reads().contains(&wk::OWL_SAME_AS));
+        // A custom rule reads the data table its body names, and no other.
+        let mut dictionary = inferray_dictionary::Dictionary::new();
+        let custom = crate::analysis::load_ruleset(
+            "rule r: ?x <http://ex/parent> ?y => ?y <http://ex/child> ?x .\n",
+            &mut dictionary,
+        )
+        .expect("loads");
+        let parent = dictionary.id_of_iri("http://ex/parent").expect("interned");
+        assert_eq!(custom.object_reads(), [parent]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! endpoint selects a run that exists), and `n/(ds·do)` with both bound
 //! (at most one: pairs are duplicate-free). Without the ⟨o,s⟩ cache `do` is
 //! unknown and `√n` stands in for it rather than building the cache
-//! mid-estimate; published snapshots always carry the cache.
+//! mid-estimate; a published snapshot carries the caches of the tables its
+//! program reads by object and of those a query has bound an object of.
 
 use crate::property_table::{DistinctCount, PropertyTable};
 use crate::triple_store::TripleStore;

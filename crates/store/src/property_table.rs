@@ -273,8 +273,9 @@ impl PropertyTable {
     }
 
     /// Builds (if needed) the ⟨o,s⟩-sorted cache ahead of its first reader
-    /// — what snapshot publication does for every table, so that query
-    /// workers never pay a build. Returns the number of pairs actually
+    /// — what snapshot publication does for the tables the program reads by
+    /// object (`StoreSnapshot::prepare`), so that no write or rule of the
+    /// program pays a build. Returns the number of pairs actually
     /// re-sorted: `0` when the cache was still valid.
     pub fn ensure_os(&mut self) -> usize {
         self.ensure_os_with(&mut SortScratch::new())
@@ -312,8 +313,10 @@ impl PropertyTable {
     }
 
     /// The ⟨o,s⟩-sorted flat array **if it is already built** — for readers
-    /// that have a cache-free alternative (a sweep of ⟨s,o⟩) and must not
-    /// start a sort, like the query planner and executor.
+    /// that have a cache-free alternative and must not start a sort: the
+    /// planner's estimates, and the rules' one-run readers of a table the
+    /// fixed point may just have changed wholesale (a sweep of ⟨s,o⟩).
+    /// Query evaluation reads [`PropertyTable::object_pairs`].
     pub fn os_pairs(&self) -> Option<&[u64]> {
         self.os.get().map(Vec::as_slice)
     }
@@ -596,8 +599,9 @@ impl PropertyTable {
     }
 
     /// Exact-or-bounded count of distinct **objects**, from the ⟨o,s⟩
-    /// cache (`None` when the cache is not materialized — published
-    /// snapshots always have it). Same contract as
+    /// cache (`None` when it is not built: a published snapshot has the
+    /// caches of the tables its program reads by object and of those a
+    /// reader has bound an object of). Same contract as
     /// [`PropertyTable::distinct_subjects`].
     pub fn distinct_objects(&self, budget: usize) -> Option<DistinctCount> {
         self.os_pairs()

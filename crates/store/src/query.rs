@@ -62,8 +62,8 @@ impl TripleStore {
     ///
     /// * `(s, p, o)` — one binary search;
     /// * `(s, p, ?)` — one binary search plus a contiguous scan;
-    /// * `(?, p, o)` — uses the ⟨o,s⟩ cache when materialized, otherwise a
-    ///   linear scan of the table;
+    /// * `(?, p, o)` — one binary search in the ⟨o,s⟩ cache, which the
+    ///   table's first such lookup builds;
     /// * `(?, p, ?)` — a full scan of that table.
     ///
     /// Unbound-predicate patterns scan every non-empty table.
@@ -108,17 +108,10 @@ fn match_in_table(
                 out.push(IdTriple::new(s, p, o));
             }
         }
+        // The ⟨o,s⟩ cache, built here when this is its table's first reader.
         (None, Some(o)) => {
-            if table.os_pairs().is_some() {
-                for s in table.subjects_of(o) {
-                    out.push(IdTriple::new(s, p, o));
-                }
-            } else {
-                for (s, obj) in table.iter_pairs() {
-                    if obj == o {
-                        out.push(IdTriple::new(s, p, o));
-                    }
-                }
+            for s in table.subjects_of(o) {
+                out.push(IdTriple::new(s, p, o));
             }
         }
         (None, None) => {

@@ -20,9 +20,10 @@
 //!   **without ever blocking** ([`Handoff::read_published`]);
 //! * a [`SnapshotStore`] is the handoff of a [`StoreSnapshot`]: a writer
 //!   prepares the next version in a **private copy** of the store (clone →
-//!   mutate → [`StoreSnapshot::next`]: finalize → build the ⟨o,s⟩ caches;
-//!   the clone shares every table with the published version until it
-//!   writes to one, see [`crate::triple_store`]) and publishes it
+//!   mutate → [`StoreSnapshot::next`]: finalize → build the ⟨o,s⟩ caches
+//!   the program reads; the clone shares every table with the published
+//!   version until it writes to one, see [`crate::triple_store`]) and
+//!   publishes it
 //!   ([`SnapshotStore::update`]). The serving layer hands out its store
 //!   snapshot and the dictionary that encodes it as one value of its own
 //!   handoff.
@@ -56,11 +57,14 @@
 //! even while a writer is mid-materialization — this is snapshot isolation,
 //! proven by the `snapshot_isolation` integration suite.
 //!
-//! Published snapshots are **finalized and ⟨o,s⟩-cached** before the
-//! handoff: every read path of the query engine (binary search, run scan,
-//! object lookup, planner cardinality estimates) works on the shared
-//! `&TripleStore` without needing `&mut`, so a snapshot is safely
-//! `Send + Sync`.
+//! Published snapshots are **finalized** before the handoff, and the tables
+//! the program reads by object carry their ⟨o,s⟩ caches: every read path of
+//! the query engine (binary search, run scan, object lookup, planner
+//! cardinality estimates) works on the shared `&TripleStore` without
+//! needing `&mut`, so a snapshot is safely `Send + Sync`. The first reader
+//! that binds an object of any other table builds its cache through the
+//! table's `OnceLock` ([`crate::PropertyTable::object_pairs`]), and every
+//! later epoch that shares the table keeps it.
 
 use crate::triple_store::{OsCacheTask, TripleStore};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -91,35 +95,37 @@ pub struct StoreSnapshot {
 
 impl StoreSnapshot {
     /// Prepares `store` for readers and wraps it as the snapshot of
-    /// `epoch`: the store is finalized and its ⟨o,s⟩ caches are built, so
-    /// readers get the fast `(?, p, o)` path without `&mut`. Under
+    /// `epoch`: the store is finalized and the ⟨o,s⟩ caches of the tables
+    /// of `object_reads` — the tables the program reads by object
+    /// (`Ruleset::object_reads`) — are built, so that neither a write nor a
+    /// reader of them pays a build. The other tables keep the caches they
+    /// have; the first reader that binds an object of one that has none
+    /// builds it ([`crate::PropertyTable::object_pairs`]). Under
     /// `strict-invariants` the prepared store is re-validated (sortedness,
     /// no duplicates, ⟨o,s⟩-cache coherence) — every store that becomes
     /// visible to readers passes through here.
-    pub fn prepare(mut store: TripleStore, epoch: u64) -> Self {
-        store.finalize();
-        store.ensure_all_os();
-        #[cfg(feature = "strict-invariants")]
-        store.assert_valid();
-        StoreSnapshot {
-            epoch,
-            store: Arc::new(store),
-        }
+    pub fn prepare(store: TripleStore, epoch: u64, object_reads: &[u64]) -> Self {
+        StoreSnapshot::prepare_with(store, epoch, object_reads, |tasks| {
+            tasks.into_iter().for_each(|task| {
+                task();
+            });
+        })
     }
 
-    /// [`StoreSnapshot::prepare`] with the ⟨o,s⟩ caches built by `run`,
-    /// which is handed one task per table that needs one, largest first
-    /// ([`TripleStore::os_cache_tasks`]), and runs every one of them — on a
-    /// pool's lanes, say. A dataset's first epoch is prepared this way,
-    /// where every table needs its cache; a write's publish
+    /// [`StoreSnapshot::prepare`] with the ⟨o,s⟩ caches built by `build`,
+    /// which is handed one task per table of `object_reads` that needs one,
+    /// largest first ([`TripleStore::os_cache_tasks`]), and runs every one
+    /// of them — on a pool's lanes, say. A dataset's first epoch is
+    /// prepared this way, where all of them may need one; a write's publish
     /// ([`StoreSnapshot::next`]) builds its few inline.
     pub fn prepare_with(
         mut store: TripleStore,
         epoch: u64,
-        run: impl FnOnce(Vec<OsCacheTask<'_>>),
+        object_reads: &[u64],
+        build: impl FnOnce(Vec<OsCacheTask<'_>>),
     ) -> Self {
         store.finalize();
-        run(store.os_cache_tasks());
+        build(store.os_cache_tasks(object_reads));
         #[cfg(feature = "strict-invariants")]
         store.assert_valid();
         StoreSnapshot {
@@ -130,8 +136,8 @@ impl StoreSnapshot {
 
     /// `store` prepared ([`StoreSnapshot::prepare`]) as the epoch after
     /// this one: what every publish hands out next.
-    pub fn next(&self, store: TripleStore) -> Self {
-        StoreSnapshot::prepare(store, self.epoch + 1)
+    pub fn next(&self, store: TripleStore, object_reads: &[u64]) -> Self {
+        StoreSnapshot::prepare(store, self.epoch + 1, object_reads)
     }
 
     /// The epoch this snapshot was published at (0 is the initial version).
@@ -281,6 +287,8 @@ impl<T: Clone> Handoff<T> {
 
 /// The epoch handoff of the store alone: one published "current snapshot"
 /// that many readers sample lock-free and one writer at a time replaces.
+/// It runs no program, so it pre-builds no ⟨o,s⟩ cache: each is built by
+/// the first reader that binds an object of its table.
 ///
 /// ```
 /// use inferray_model::IdTriple;
@@ -303,8 +311,8 @@ impl<T: Clone> Handoff<T> {
 pub type SnapshotStore = Handoff<StoreSnapshot>;
 
 impl Handoff<StoreSnapshot> {
-    /// Publishes `store` as epoch 0. The store is finalized and its ⟨o,s⟩
-    /// caches are built so the snapshot is immediately query-ready.
+    /// Publishes `store` as epoch 0. The store is finalized, so the
+    /// snapshot is immediately query-ready.
     pub fn new(store: TripleStore) -> Self {
         SnapshotStore::with_epoch(store, 0)
     }
@@ -312,9 +320,9 @@ impl Handoff<StoreSnapshot> {
     /// Publishes `store` as the given starting epoch, for a store that
     /// resumes an epoch sequence where an earlier process left it, as a
     /// recovered dataset does.
-    /// Like [`SnapshotStore::new`], the store is finalized and ⟨o,s⟩-cached.
+    /// Like [`SnapshotStore::new`], the store is finalized.
     pub fn with_epoch(store: TripleStore, epoch: u64) -> Self {
-        Handoff::holding(StoreSnapshot::prepare(store, epoch))
+        Handoff::holding(StoreSnapshot::prepare(store, epoch, &[]))
     }
 
     /// The currently published snapshot, sampled lock-free
@@ -338,7 +346,7 @@ impl Handoff<StoreSnapshot> {
         self.publish_with(|current| {
             let mut next = current.store().clone();
             let result = mutate(&mut next);
-            (current.next(next), result)
+            (current.next(next, &[]), result)
         })
     }
 
@@ -346,7 +354,8 @@ impl Handoff<StoreSnapshot> {
     /// Like [`SnapshotStore::update`], the store is prepared before the
     /// handoff.
     pub fn publish(&self, store: TripleStore) -> StoreSnapshot {
-        self.publish_with(|current| (current.next(store), ())).0
+        self.publish_with(|current| (current.next(store, &[]), ()))
+            .0
     }
 }
 
@@ -366,14 +375,26 @@ mod tests {
         nth_property_id(40)
     }
 
+    fn q() -> u64 {
+        nth_property_id(41)
+    }
+
     #[test]
     fn epoch_zero_is_finalized_and_cached() {
-        let cell = SnapshotStore::new(TripleStore::from_triples([IdTriple::new(7, p(), 8)]));
-        let snap = cell.snapshot();
+        // Exactly the tables the program reads by object are cached.
+        let store = TripleStore::from_triples([IdTriple::new(7, p(), 8), IdTriple::new(7, q(), 9)]);
+        let snap = StoreSnapshot::prepare(store, 0, &[p()]);
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(cell.epoch(), 0);
-        assert!(snap.table(p()).unwrap().has_os_cache());
+        assert!(snap.table(p()).unwrap().has_os_cache(), "read by object");
+        assert!(
+            !snap.table(q()).unwrap().has_os_cache(),
+            "not read by object"
+        );
         assert!(snap.contains(&IdTriple::new(7, p(), 8)));
+        // The handoff alone runs no program, so it caches no table.
+        let cell = SnapshotStore::new(TripleStore::from_triples([IdTriple::new(7, p(), 8)]));
+        assert_eq!(cell.epoch(), 0);
+        assert_eq!(cell.snapshot().os_cache_residency(), (0, 0));
     }
 
     #[test]
@@ -381,11 +402,17 @@ mod tests {
         let cell =
             SnapshotStore::with_epoch(TripleStore::from_triples([IdTriple::new(7, p(), 8)]), 41);
         assert_eq!(cell.epoch(), 41);
-        assert!(cell.snapshot().table(p()).unwrap().has_os_cache());
+        assert_eq!(cell.snapshot().os_cache_residency(), (0, 0), "no program");
         let (snap, ()) = cell.update(|store| {
             store.add_triple(IdTriple::new(9, p(), 10));
         });
         assert_eq!(snap.epoch(), 42, "updates continue from the resumed epoch");
+        // The next epoch of a program that reads p by object caches p alone.
+        let mut store = snap.store().clone();
+        store.add_triple(IdTriple::new(9, q(), 10));
+        let next = snap.next(store, &[p()]);
+        assert_eq!(next.epoch(), 43);
+        assert_eq!(next.os_cache_residency(), (1, 2));
     }
 
     #[test]
@@ -414,11 +441,14 @@ mod tests {
             store.add_triple(IdTriple::new(5, p(), 6));
             store.add_triple(IdTriple::new(9, p(), 6));
         });
-        // Finalized (deduplicated) and ⟨o,s⟩-cached.
+        // Finalized (deduplicated); no program reads p by object, so the
+        // first reader that binds an object builds the ⟨o,s⟩ cache.
         assert_eq!(snap.len(), 2);
         let table = snap.table(p()).unwrap();
-        assert!(table.has_os_cache());
+        assert!(!table.has_os_cache());
         assert_eq!(table.subjects_of(6).collect::<Vec<_>>(), vec![5, 9]);
+        assert!(table.has_os_cache(), "built by its first reader");
+        assert!(cell.snapshot().table(p()).unwrap().has_os_cache(), "shared");
     }
 
     #[test]

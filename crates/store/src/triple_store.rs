@@ -130,28 +130,26 @@ impl TripleStore {
     /// preceding merges invalidated contribute, so steady-state iterations
     /// (where most tables are untouched) report a small count.
     pub fn ensure_all_os(&mut self) -> usize {
-        self.ensure_all_os_with(&mut inferray_sort::SortScratch::new())
-    }
-
-    /// [`TripleStore::ensure_all_os`] against a reusable sort scratch.
-    pub fn ensure_all_os_with(&mut self, scratch: &mut inferray_sort::SortScratch) -> usize {
+        let mut scratch = inferray_sort::SortScratch::new();
         self.tables
             .iter_mut()
             .flatten()
-            .map(|table| ensure_table_os(table, scratch))
+            .map(|table| ensure_table_os(table, &mut scratch))
             .sum()
     }
 
-    /// [`TripleStore::ensure_all_os`] split into one task per table whose
-    /// cache is missing or stale, largest table first, so that a caller can
-    /// run them side by side (on a pool's lanes, longest first). Each task
-    /// builds its table's cache with a scratch of its own and returns the
-    /// pairs it sorted.
-    pub fn os_cache_tasks(&mut self) -> Vec<OsCacheTask<'_>> {
+    /// One task per table of `properties` whose ⟨o,s⟩ cache is missing or
+    /// stale, largest table first, so that a caller can run them side by
+    /// side (on a pool's lanes, longest first). Each task builds its
+    /// table's cache with a scratch of its own and returns the pairs it
+    /// sorted.
+    pub fn os_cache_tasks(&mut self, properties: &[u64]) -> Vec<OsCacheTask<'_>> {
         let mut tables: Vec<&mut Arc<PropertyTable>> = self
             .tables
             .iter_mut()
-            .flatten()
+            .enumerate()
+            .filter(|(i, _)| properties.contains(&property_id_from_index(*i)))
+            .filter_map(|(_, table)| table.as_mut())
             .filter(|table| !table.is_empty() && (table.is_dirty() || !table.has_os_cache()))
             .collect();
         tables.sort_by_key(|table| std::cmp::Reverse(table.len()));
@@ -162,6 +160,16 @@ impl TripleStore {
                     as OsCacheTask<'_>
             })
             .collect()
+    }
+
+    /// The ⟨o,s⟩ caches built so far: how many tables have one, and how
+    /// many pairs they hold together.
+    pub fn os_cache_residency(&self) -> (usize, usize) {
+        self.iter_tables()
+            .filter(|(_, table)| table.has_os_cache())
+            .fold((0, 0), |(tables, pairs), (_, table)| {
+                (tables + 1, pairs + table.len())
+            })
     }
 
     /// Iterates over the property identifiers that have a (possibly empty)
@@ -521,16 +529,27 @@ mod tests {
     }
 
     #[test]
-    fn os_cache_tasks_build_what_ensure_all_os_builds_largest_first() {
+    fn os_cache_tasks_build_the_named_tables_largest_first() {
         let mut store = sample_store();
         let mut whole = store.clone();
-        let tasks = store.os_cache_tasks();
-        assert_eq!(tasks.len(), 2);
+        let named = [
+            wellknown::RDFS_DOMAIN,
+            wellknown::RDFS_SUB_CLASS_OF,
+            wellknown::RDF_TYPE,
+        ];
+        let tasks = store.os_cache_tasks(&named);
+        assert_eq!(tasks.len(), 2, "rdfs:domain has no table");
         let sorted: Vec<usize> = tasks.into_iter().map(|task| task()).collect();
         assert_eq!(sorted, [2, 1], "rdf:type's two pairs first");
         assert_eq!(whole.ensure_all_os(), 3);
         assert_eq!(store, whole);
-        assert!(store.os_cache_tasks().is_empty());
+        assert_eq!(store.os_cache_residency(), (2, 3));
+        assert!(store.os_cache_tasks(&named).is_empty());
+
+        let mut one = sample_store();
+        let tasks = one.os_cache_tasks(&[wellknown::RDFS_SUB_CLASS_OF]);
+        assert_eq!(tasks.into_iter().map(|task| task()).sum::<usize>(), 1);
+        assert_eq!(one.os_cache_residency(), (1, 1), "rdf:type was not named");
     }
 
     #[test]
